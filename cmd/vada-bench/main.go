@@ -7,15 +7,10 @@
 //	vada-bench -exp costcurve     # E-A1: user effort vs result quality (§1 motivation)
 //	vada-bench -exp usercontext   # E-A2: user contexts change selection (§2.2)
 //	vada-bench -exp scenario      # E-F2: the demonstration scenario (Figure 2)
-//	vada-bench -exp all           # everything (except load)
+//	vada-bench -exp all           # everything
 //
-// Beyond the paper exhibits, -exp load drives the closed-loop service
-// benchmark: it self-hosts the full vada-server wiring in-process via
-// internal/loadgen, runs the configured preset (-load-preset smoke|standard,
-// overridable with -load-workers/-load-duration), and writes the
-// machine-readable BENCH report to -out. -seed makes the workload
-// reproducible; -load-strict exits non-zero on any error-class counter
-// (the CI smoke gate).
+// Performance is measured elsewhere: the frozen benchmark in benchmark/ (see
+// benchmark/README.md) drives the wrangling core and the real vada-server.
 package main
 
 import (
@@ -31,43 +26,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: payg|table1|orchestration|costcurve|usercontext|scenario|load|all")
+	exp := flag.String("exp", "all", "experiment: payg|table1|orchestration|costcurve|usercontext|scenario|noisesweep|all")
 	n := flag.Int("n", 400, "number of ground-truth properties")
-	seed := flag.Int64("seed", 1, "scenario seed (also roots the -exp load workload PRNG)")
+	seed := flag.Int64("seed", 1, "scenario seed")
 	budget := flag.Int("budget", 120, "feedback budget (payg)")
-	loadPreset := flag.String("load-preset", "standard", "load scenario preset: smoke|standard (-exp load)")
-	loadWorkers := flag.Int("load-workers", 0, "override the preset's worker count (-exp load)")
-	loadDuration := flag.Duration("load-duration", 0, "override the preset's steady-state duration (-exp load)")
-	loadRecovery := flag.Bool("load-recovery", true, "include the kill-9/restart phase (-exp load)")
-	loadStrict := flag.Bool("load-strict", false, "exit non-zero on any op error, 5xx or missing trace (-exp load)")
-	loadTrace := flag.Bool("load-trace", false, "run the hosted server with tracing on and verify every plan run left a complete trace (-exp load)")
-	loadTraceDump := flag.String("load-trace-dump", "", "write the server's full span dump to this path after the steady state (-exp load)")
-	loadConnect := flag.Bool("load-connect", false, "add the connector ingest/export round-trip op to the worker mix (-exp load)")
-	loadAdvise := flag.Bool("load-advise", false, "add the advisor suggestion/acceptance loop op to the worker mix (-exp load)")
-	loadGroupWindow := flag.Duration("load-group-window", 0, "journal group-commit window on the hosted server (0 = fsync per append; -exp load)")
-	loadGroupMax := flag.Int("load-group-max", 0, "group-commit batch cap (0 = default; -exp load)")
-	loadRowDiffs := flag.Bool("load-row-diffs", false, "journal relation replacements as row-level diffs on the hosted server (-exp load)")
-	loadBaseline := flag.Bool("load-baseline", false, "also run the snapshot-per-stage baseline pass (group commit and row diffs off) and embed its durability cost in the report (-exp load)")
-	loadNotes := flag.String("load-notes", "", "free-form note copied into the report (-exp load)")
-	out := flag.String("out", "", "write the load report JSON here (-exp load; \"\" = stdout only)")
 	flag.Parse()
-
-	if *exp == "load" {
-		opts := loadOptions{
-			preset: *loadPreset, seed: *seed, workers: *loadWorkers,
-			duration: *loadDuration, recovery: *loadRecovery, strict: *loadStrict,
-			trace: *loadTrace, traceDump: *loadTraceDump, connect: *loadConnect,
-			advise:      *loadAdvise,
-			groupWindow: *loadGroupWindow, groupMax: *loadGroupMax,
-			rowDiffs: *loadRowDiffs, baseline: *loadBaseline,
-			notes: *loadNotes, out: *out,
-		}
-		if err := runLoad(opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	runners := map[string]func(int, int64, int) error{
 		"payg":          runPayg,

@@ -1,8 +1,8 @@
 // Command vada-server is the thin binary over internal/server: flag
 // parsing, structured-logger construction, the idle-eviction ticker and
 // graceful signal-driven shutdown. All service behaviour — routes,
-// durability, tracing, metrics — lives in the package, so tests and the
-// load generator host the identical wiring in-process.
+// durability, tracing, metrics — lives in the package, so tests host the
+// identical wiring in-process.
 package main
 
 import (
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -20,64 +21,76 @@ import (
 	"vada/internal/server"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	cfg := server.Config{}
-	flag.IntVar(&cfg.N, "n", 300, "default scenario size for new sessions")
-	flag.IntVar(&cfg.MaxN, "max-n", 2000, "largest scenario size a client may request")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "default scenario seed for new sessions")
-	flag.IntVar(&cfg.MaxSessions, "max-sessions", 64, "live session cap (0 = unlimited)")
-	flag.IntVar(&cfg.SessionShards, "session-shards", 0, "session store stripe count (0 = default)")
-	idleTimeout := flag.Duration("idle-timeout", 30*time.Minute, "evict sessions idle this long (0 = never)")
-	flag.IntVar(&cfg.RunWorkers, "run-workers", 8, "async run engine worker-pool size")
-	flag.IntVar(&cfg.RunQueue, "run-queue", 256, "async run queue depth (0 = unlimited)")
-	flag.IntVar(&cfg.RunSessionQueue, "run-session-queue", 16, "pending async runs one session may hold (0 = unlimited)")
-	flag.DurationVar(&cfg.SSEKeepAlive, "sse-keepalive", 15*time.Second, "SSE keep-alive comment interval (0 = disabled)")
-	flag.DurationVar(&cfg.SSEWriteTimeout, "sse-write-timeout", 10*time.Second, "SSE per-write deadline (0 = none)")
-	flag.StringVar(&cfg.DataDir, "data-dir", "", "persist sessions to this directory and restore them on boot (\"\" = ephemeral)")
-	flag.BoolVar(&cfg.Journal, "journal", true, "incremental durability: append per-stage/per-run records to <id>.vjournal instead of rewriting the snapshot (requires -data-dir)")
-	flag.IntVar(&cfg.JournalMaxRecords, "journal-max-records", 512, "compact a session's journal into a fresh snapshot after this many records (0 = no record threshold)")
-	flag.Int64Var(&cfg.JournalMaxBytes, "journal-max-bytes", 8<<20, "compact a session's journal after this many bytes since the last compaction (0 = no byte threshold)")
-	flag.DurationVar(&cfg.JournalGroupWindow, "journal-group-window", 0, "group-commit latency window: journal appends landing within it share one fsync (0 = fsync per append)")
-	flag.IntVar(&cfg.JournalGroupMax, "journal-group-max", 0, "appends one group-commit batch may absorb (0 = default)")
-	flag.BoolVar(&cfg.JournalRowDiffs, "journal-row-diffs", false, "journal relation replacements as row-level diffs instead of wholesale relation clones")
-	flag.BoolVar(&cfg.RestoreClosed, "restore-closed", false, "restore explicitly DELETEd sessions archived under <data-dir>/closed/ at boot")
-	flag.BoolVar(&cfg.Trace, "trace", true, "record per-request span trees, browsable via GET /api/v1/traces")
-	flag.IntVar(&cfg.TraceCapacity, "trace-max", 0, "traces retained in memory before the oldest is evicted (0 = default)")
-	flag.IntVar(&cfg.TraceMaxSpans, "trace-max-spans", 0, "spans retained per trace (0 = default)")
-	flag.DurationVar(&cfg.TraceSlowThreshold, "trace-slow-threshold", 2*time.Second, "log any span at or over this duration as a structured warning (0 = off)")
-	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
-	flag.DurationVar(&cfg.RuntimeSampleEvery, "runtime-sample-every", 0, "runtime gauge (goroutines, heap, GC) sampling interval (0 = default)")
-	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	flag.Parse()
+// parseFlags turns the command line (without the program name) into the
+// listen address, the idle-eviction timeout and the server configuration.
+// Whatever goes wrong is reported on stderr — by the flag set for a bad
+// command line, here for a bad log setting — before the error is returned.
+func parseFlags(args []string, stderr io.Writer) (addr string, idleTimeout time.Duration, cfg server.Config, err error) {
+	fs := flag.NewFlagSet("vada-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&addr, "addr", ":8080", "listen address")
+	fs.IntVar(&cfg.N, "n", 300, "default scenario size for new sessions")
+	fs.IntVar(&cfg.MaxN, "max-n", 2000, "largest scenario size a client may request")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "default scenario seed for new sessions")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", 64, "live session cap (0 = unlimited)")
+	fs.IntVar(&cfg.SessionShards, "session-shards", 0, "session store stripe count (0 = default)")
+	fs.DurationVar(&idleTimeout, "idle-timeout", 30*time.Minute, "evict sessions idle this long (0 = never)")
+	fs.IntVar(&cfg.RunWorkers, "run-workers", 8, "async run engine worker-pool size")
+	fs.IntVar(&cfg.RunQueue, "run-queue", 256, "async run queue depth (0 = unlimited)")
+	fs.IntVar(&cfg.RunSessionQueue, "run-session-queue", 16, "pending async runs one session may hold (0 = unlimited)")
+	fs.DurationVar(&cfg.SSEKeepAlive, "sse-keepalive", 15*time.Second, "SSE keep-alive comment interval (0 = disabled)")
+	fs.DurationVar(&cfg.SSEWriteTimeout, "sse-write-timeout", 10*time.Second, "SSE per-write deadline (0 = none)")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "journal sessions to this directory and restore them on boot (\"\" = ephemeral)")
+	fs.IntVar(&cfg.JournalMaxRecords, "journal-max-records", 512, "compact a session's journal into a fresh snapshot after this many records (0 = no record threshold)")
+	fs.Int64Var(&cfg.JournalMaxBytes, "journal-max-bytes", 8<<20, "compact a session's journal after this many bytes since the last compaction (0 = no byte threshold)")
+	fs.BoolVar(&cfg.RestoreClosed, "restore-closed", false, "restore explicitly DELETEd sessions archived under <data-dir>/closed/ at boot")
+	fs.BoolVar(&cfg.Trace, "trace", true, "record per-request span trees, browsable via GET /api/v1/traces")
+	fs.IntVar(&cfg.TraceCapacity, "trace-max", 0, "traces retained in memory before the oldest is evicted (0 = default)")
+	fs.IntVar(&cfg.TraceMaxSpans, "trace-max-spans", 0, "spans retained per trace (0 = default)")
+	fs.DurationVar(&cfg.TraceSlowThreshold, "trace-slow-threshold", 2*time.Second, "log any span at or over this duration as a structured warning (0 = off)")
+	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&cfg.RuntimeSampleEvery, "runtime-sample-every", 0, "runtime gauge (goroutines, heap, GC) sampling interval (0 = default)")
+	logFormat := fs.String("log-format", "text", "structured log format: text or json")
+	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
+	if err = fs.Parse(args); err != nil {
+		return "", 0, server.Config{}, err
+	}
+	if cfg.Logger, err = buildLogger(stderr, *logFormat, *logLevel); err != nil {
+		fmt.Fprintf(stderr, "vada-server: %v\n", err)
+		return "", 0, server.Config{}, err
+	}
+	return addr, idleTimeout, cfg, nil
+}
 
-	logger, err := buildLogger(os.Stderr, *logFormat, *logLevel)
+func main() {
+	addr, idleTimeout, cfg, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vada-server: %v\n", err)
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		os.Exit(2)
 	}
+	logger := cfg.Logger
 	// Default too, so free-standing helpers (response encoders) and any
 	// library slog use share the configured handler.
 	slog.SetDefault(logger)
-	cfg.Logger = logger
 
 	s, err := server.New(cfg)
 	if err != nil {
 		logger.Error("startup failed", "error", err)
 		os.Exit(1)
 	}
-	if *idleTimeout > 0 {
+	if idleTimeout > 0 {
 		go func() {
-			for range time.Tick(*idleTimeout / 4) {
-				for _, id := range s.EvictIdle(*idleTimeout) {
+			for range time.Tick(idleTimeout / 4) {
+				for _, id := range s.EvictIdle(idleTimeout) {
 					logger.Info("session evicted (idle)", "session", id)
 				}
 			}
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := &http.Server{Addr: addr, Handler: s.Handler()}
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
@@ -91,7 +104,7 @@ func main() {
 			logger.Error("shutdown", "error", err)
 		}
 	}()
-	logger.Info("serving /api/v1/sessions", "addr", *addr,
+	logger.Info("serving /api/v1/sessions", "addr", addr,
 		"max_sessions", cfg.MaxSessions, "data_dir", cfg.DataDir,
 		"trace", cfg.Trace, "pprof", cfg.Pprof)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -107,7 +120,7 @@ func main() {
 
 // buildLogger constructs the process logger from the -log-format and
 // -log-level flags.
-func buildLogger(w *os.File, format, level string) (*slog.Logger, error) {
+func buildLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(level)); err != nil {
 		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)

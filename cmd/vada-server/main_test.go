@@ -1,0 +1,101 @@
+package main
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"vada/internal/server"
+)
+
+// TestParseFlags pins the command line: the defaults build a working
+// server, -data-dir alone is all durability needs, and the flags that used
+// to select a durability mode are gone, not ignored.
+func TestParseFlags(t *testing.T) {
+	tests := []struct {
+		name    string
+		args    []string
+		wantErr string // substring of the usage error; "" = must parse
+		check   func(t *testing.T, addr string, idle time.Duration, cfg server.Config)
+	}{
+		{name: "defaults", check: func(t *testing.T, addr string, idle time.Duration, cfg server.Config) {
+			if addr != ":8080" || idle != 30*time.Minute || cfg.DataDir != "" ||
+				cfg.JournalMaxRecords != 512 || cfg.JournalMaxBytes != 8<<20 || !cfg.Trace {
+				t.Fatalf("defaults = %q %v %+v", addr, idle, cfg)
+			}
+			if healthz(t, cfg)["persist"] != nil {
+				t.Fatal("a server without -data-dir reports persist stats")
+			}
+		}},
+		{name: "data-dir alone journals", args: []string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()},
+			check: func(t *testing.T, addr string, _ time.Duration, cfg server.Config) {
+				if addr != "127.0.0.1:0" {
+					t.Fatalf("addr = %q", addr)
+				}
+				persist, ok := healthz(t, cfg)["persist"].(map[string]any)
+				if !ok || persist["journaled_sessions"] != float64(1) {
+					t.Fatalf("persist stats = %v, want one journaled session", persist)
+				}
+			}},
+		{name: "journal removed", args: []string{"-journal=false"}, wantErr: "not defined: -journal"},
+		{name: "group window removed", args: []string{"-journal-group-window", "2ms"}, wantErr: "not defined: -journal-group-window"},
+		{name: "group max removed", args: []string{"-journal-group-max", "8"}, wantErr: "not defined: -journal-group-max"},
+		{name: "row diffs removed", args: []string{"-journal-row-diffs"}, wantErr: "not defined: -journal-row-diffs"},
+		{name: "bad log level", args: []string{"-log-level", "loud"}, wantErr: "bad -log-level"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr strings.Builder
+			addr, idle, cfg, err := parseFlags(tc.args, &stderr)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				if !strings.Contains(stderr.String(), tc.wantErr) {
+					t.Fatalf("stderr = %q, want the error reported", stderr.String())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parse: %v\n%s", err, stderr.String())
+			}
+			tc.check(t, addr, idle, cfg)
+		})
+	}
+}
+
+// healthz builds the configured server, creates one session and returns
+// the decoded health report.
+func healthz(t *testing.T, cfg server.Config) map[string]any {
+	t.Helper()
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(`{"n":20}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create session: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/api/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

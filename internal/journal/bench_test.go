@@ -26,12 +26,13 @@ func benchSession(b *testing.B, n int) (*session.Session, *Record) {
 	var captured *Record
 	sess := session.New("bench", core.BuildScenarioWrangler(sc),
 		session.WithScenario(sc, 11),
-		session.WithStageHook(func(_ context.Context, s *session.Session, ev session.Event) {
+		session.WithStageCommitHook(func(_ context.Context, s *session.Session, ev session.Event) func() {
 			w := s.Wrangler()
 			rec := &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: w.CutChangeLog()}}
 			exec, fused := w.ChangeFingerprints()
 			rec.Stage.ExecHashes, rec.Stage.FusedHash = exec, fused
 			captured = rec
+			return nil
 		}))
 	sess.Wrangler().StartChangeLog()
 	if _, err := sess.Bootstrap(ctx); err != nil {
@@ -49,9 +50,10 @@ func benchSession(b *testing.B, n int) (*session.Session, *Record) {
 	return sess, captured
 }
 
-// BenchmarkSnapshotPerRun is the PR-4 durability cost: every completed run
-// rewrites (and fsyncs) the session's full snapshot envelope — O(KB) bytes
-// per run, however small the run's delta. bytes/op is the on-disk write.
+// BenchmarkSnapshotPerRun is what durability would cost without the
+// journal: every completed run rewrites (and fsyncs) the session's full
+// snapshot envelope — O(KB) bytes per run, however small the run's delta.
+// bytes/op is the on-disk write.
 func BenchmarkSnapshotPerRun(b *testing.B) {
 	sess, _ := benchSession(b, 300)
 	path := filepath.Join(b.TempDir(), "bench.vsnap")

@@ -11,14 +11,14 @@
 //
 // The journal file is an 8-byte magic and a format-version byte, followed
 // by records in the same frame wire form as the envelope's sections —
-// kind | u32 length | JSON payload | CRC-32(payload) — with every append
-// fsynced before it returns. The fsync is either the writer's own (the
-// default) or batched across sessions by a GroupCommitter, which amortises
-// one fsync over the appends that land within a bounded latency window
-// without weakening the durability point. Recovery composes the snapshot with a replay of the
-// journal's valid prefix: a torn tail (the record being appended when the
-// power went) is truncated, not fatal, and a compaction pass folds the
-// journal back into a fresh snapshot and resets it to empty.
+// kind | u32 length | JSON payload | CRC-32(payload) — and every record is
+// fsynced before it is acknowledged. An append is two steps, write and wait
+// (see Writer.AppendCommit): one fsync covers every record written before
+// it, so a caller that writes several records before waiting on any of them
+// — a multi-stage plan — pays for one. Recovery composes the snapshot with a
+// replay of the journal's valid prefix: a torn tail (the record being
+// appended when the power went) is truncated, not fatal, and a compaction
+// pass folds the journal back into a fresh snapshot and resets it to empty.
 //
 // Lifecycle:
 //
@@ -199,87 +199,50 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Writer appends records to one session's journal file. Every append is
-// fsynced before it is acknowledged — the per-record fsync is the
-// durability point, and its cost is proportional to the record, not the
-// session. In direct mode the whole append (write + fsync) runs under the
-// writer lock; with a GroupCommitter attached, the write still serialises
-// under the lock but the fsync wait happens outside it, so pending appends
-// batch into shared fsyncs (see AppendCommit).
+// Writer appends records to one session's journal file. A record is
+// acknowledged only once an fsync issued after its write has returned — the
+// durability point, whose cost is proportional to the records it covers, not
+// to the session. Writes and fsyncs both run under the writer lock, so file
+// offsets and sequence numbers stay ordered and an fsync covers exactly the
+// records written before it.
 type Writer struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled when pending drops to zero
-	f       *os.File
-	path    string
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	reg  *metrics.Registry
+
+	// written is the journal as the file holds it, durable as the last
+	// successful fsync left it; the two differ by the records whose waits
+	// are outstanding.
+	written, durable extent
+
+	// epoch counts Resets: a wait issued in an earlier epoch is for a record
+	// a compaction snapshot already holds.
+	epoch  uint64
+	closed bool
+	// failed poisons the writer — after a failed fsync, whose unsynced
+	// records are gone, or an append whose torn bytes could not be
+	// truncated away — until a Reset discards the file's contents.
+	failed bool
+}
+
+// extent is a journal length: the last sequence number, the record count
+// and the record bytes after the header (all zero after a compaction).
+type extent struct {
 	seq     uint64
 	records int
-	bytes   int64 // record bytes since the header (== bytes since compaction)
-	closed  bool
-	failed  bool // poisoned: unrewound partial write or failed group commit
-	reg     *metrics.Registry
-
-	gc *GroupCommitter // when set, append fsyncs batch across appends/writers
-
-	// pending counts staged appends whose group fsync has not resolved;
-	// Reset and Close wait for it to drain. staged holds the appends whose
-	// wait has not been invoked yet — callers may defer their waits (plan
-	// batching), so the drain must be able to submit on their behalf or it
-	// would wait forever on fsync requests nobody has issued. failFloor is
-	// the lowest file offset a failed group commit rewound to — staged
-	// appends at or above it were discarded even if their own batch fsync
-	// later succeeded.
-	pending   int
-	staged    map[*stagedAppend]struct{}
-	failFloor int64
+	bytes   int64
 }
 
-// stagedAppend is one group-mode append between its write and its fsync
-// verdict. Its submission — handing the fsync request to the committer and
-// blocking for the verdict — runs exactly once, whether triggered by the
-// caller's wait or force-triggered by Reset/Close draining the writer.
-type stagedAppend struct {
-	w        *Writer
-	gc       *GroupCommitter
-	f        *os.File
-	start    int64
-	frameLen int
-	once     sync.Once
-	res      error
-}
-
-// submit issues the fsync request (first call) and returns the durable
-// verdict; concurrent and repeat calls block on the first and share its
-// result.
-func (sa *stagedAppend) submit() error {
-	sa.once.Do(func() {
-		sa.w.mu.Lock()
-		delete(sa.w.staged, sa)
-		sa.w.mu.Unlock()
-		sa.res = sa.gc.syncWriter(sa.w, sa.f, sa.start, sa.frameLen)
-	})
-	return sa.res
-}
-
-// SetMetrics instruments the writer: appended-record fsyncs are counted
-// and timed (persist_fsync_total{path="journal"},
-// persist_fsync_seconds{path="journal"}), appended bytes accumulate in
-// persist_journal_bytes_total, and each Reset — the post-compaction
-// truncate — bumps persist_compactions_total. Safe to call at any time;
-// the service registers every writer it opens or adopts.
+// SetMetrics instruments the writer: journal fsyncs are counted and timed
+// (persist_fsync_total{path="journal"}, persist_fsync_seconds{path="journal"}),
+// the record bytes they make durable accumulate in
+// persist_journal_bytes_total, and each Reset — the post-compaction truncate
+// — bumps persist_compactions_total. Safe to call at any time; the service
+// registers every writer it opens or adopts.
 func (w *Writer) SetMetrics(reg *metrics.Registry) {
 	w.mu.Lock()
 	w.reg = reg
-	w.mu.Unlock()
-}
-
-// SetGroupCommit routes this writer's append fsyncs through the shared
-// commit coordinator: Append still blocks until its record is durable, but
-// the fsync itself is batched with other writers' pending appends. The
-// coordinator counts the actual fsyncs it issues, so the writer stops
-// counting its own. A nil committer restores the direct per-append fsync.
-func (w *Writer) SetGroupCommit(gc *GroupCommitter) {
-	w.mu.Lock()
-	w.gc = gc
 	w.mu.Unlock()
 }
 
@@ -300,7 +263,6 @@ func Open(path string) (*Writer, []Record, error) {
 		return nil, nil, err
 	}
 	w := &Writer{f: f, path: path}
-	w.cond = sync.NewCond(&w.mu)
 	if info.Size() == 0 {
 		if err := w.writeHeader(); err != nil {
 			f.Close()
@@ -327,11 +289,11 @@ func Open(path string) (*Writer, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w.records = len(res.Records)
-	w.bytes = res.Valid - HeaderLen
+	w.written = extent{records: len(res.Records), bytes: res.Valid - HeaderLen}
 	if n := len(res.Records); n > 0 {
-		w.seq = res.Records[n-1].Seq
+		w.written.seq = res.Records[n-1].Seq
 	}
+	w.durable = w.written
 	return w, res.Records, nil
 }
 
@@ -347,14 +309,8 @@ func (w *Writer) writeHeader() error {
 	return err
 }
 
-// Append assigns the record the next sequence number, frames it, writes it
-// in a single write call and fsyncs (directly, or batched through the
-// group committer). When Append returns nil the record survives kill -9.
-// When the write or sync fails, the file is rewound to the pre-append
-// offset so a torn frame can never sit in the MIDDLE of the file ahead of
-// later successful appends (Replay heals tails, not middles); if even the
-// rewind fails, the writer marks itself failed and refuses further appends
-// rather than silently stranding them behind the damage.
+// Append writes the record and blocks until it is durable: AppendCommit
+// followed by its wait. When Append returns nil the record survives kill -9.
 func (w *Writer) Append(rec *Record) error {
 	wait, err := w.AppendCommit(rec)
 	if err != nil {
@@ -363,38 +319,40 @@ func (w *Writer) Append(rec *Record) error {
 	return wait()
 }
 
-// AppendCommit splits an append into its two halves: the record is framed
-// and written (serialised under the writer lock, so offsets and sequence
-// numbers stay ordered), and the returned wait function blocks until the
-// record is durable. The caller acknowledges the record only after wait
-// returns nil — calling wait outside its own critical sections is what
-// lets consecutive appends overlap one batched fsync. wait is idempotent.
+// AppendCommit splits an append into its two halves. The record is assigned
+// the next sequence number, framed and written in a single write call, with
+// no fsync; the returned wait makes it durable. The caller acknowledges the
+// record only after wait returns nil. wait returns at once when an fsync
+// issued for a later record (or by Close) already covers this one; otherwise
+// it issues one fsync, which covers every record written so far — so the
+// waits of several consecutive appends, invoked after the last of them, cost
+// one fsync between them. wait is idempotent and may be invoked at any time,
+// from any goroutine: after a Reset it returns nil (the compaction snapshot
+// that preceded the Reset holds the record), after Close it returns the
+// verdict of the fsync Close performed.
 //
-// Without a group committer the append is already durable when AppendCommit
-// returns and wait is a completed no-op.
+// A failed write rewinds the file to the pre-append offset, so a torn frame
+// can never sit in the MIDDLE of the file ahead of later successful appends
+// (Replay heals tails, not middles). A failed fsync rewinds to the last
+// durable offset, fails the wait of every record past it and poisons the
+// writer, as does a rewind that itself fails: further appends are refused,
+// rather than silently stranded behind the damage, until a Reset.
 func (w *Writer) AppendCommit(rec *Record) (wait func() error, err error) {
 	w.mu.Lock()
-	if w.gc == nil {
-		err := w.appendLocked(rec)
-		w.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return func() error { return nil }, nil
-	}
-	start, frameLen, err := w.stageLocked(rec)
+	defer w.mu.Unlock()
+	frame, err := w.frameRecord(rec)
 	if err != nil {
-		w.mu.Unlock()
 		return nil, err
 	}
-	sa := &stagedAppend{w: w, gc: w.gc, f: w.f, start: start, frameLen: frameLen}
-	w.pending++
-	if w.staged == nil {
-		w.staged = make(map[*stagedAppend]struct{})
+	if _, err := w.f.Write(frame.Bytes()); err != nil {
+		w.rewindLocked(w.written.bytes)
+		return nil, fmt.Errorf("journal: appending record: %w", err)
 	}
-	w.staged[sa] = struct{}{}
-	w.mu.Unlock()
-	return sa.submit, nil
+	w.written.seq = rec.Seq
+	w.written.records++
+	w.written.bytes += int64(frame.Len())
+	epoch, end := w.epoch, w.written.bytes
+	return func() error { return w.waitDurable(epoch, end) }, nil
 }
 
 // frameRecord validates the record shape, assigns the next sequence number
@@ -414,7 +372,7 @@ func (w *Writer) frameRecord(rec *Record) (*bytes.Buffer, error) {
 	default:
 		return nil, fmt.Errorf("journal: record must carry exactly one of stage, run")
 	}
-	rec.Seq = w.seq + 1
+	rec.Seq = w.written.seq + 1
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("journal: encoding record: %w", err)
@@ -426,92 +384,46 @@ func (w *Writer) frameRecord(rec *Record) (*bytes.Buffer, error) {
 	return &frame, nil
 }
 
-// appendLocked is the direct (ungrouped) append: write, fsync, account.
-func (w *Writer) appendLocked(rec *Record) error {
-	frame, err := w.frameRecord(rec)
-	if err != nil {
-		return err
+// waitDurable is the second half of AppendCommit for the record that ended
+// at byte offset end (past the header) of the given epoch.
+func (w *Writer) waitDurable(epoch uint64, end int64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if epoch != w.epoch || end <= w.durable.bytes {
+		return nil
 	}
-	start := HeaderLen + w.bytes
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
-		w.rewindLocked(start)
-		return fmt.Errorf("journal: appending record: %w", err)
+	if w.failed {
+		return fmt.Errorf("journal: record discarded by a failed append or sync")
 	}
+	return w.syncLocked()
+}
+
+// syncLocked fsyncs the file, making every written record durable. On
+// failure the unsynced records are truncated away and the writer poisoned:
+// the kernel may already have dropped their dirty pages, so a later fsync
+// reporting success would acknowledge bytes that never reached the disk.
+// Callers hold w.mu.
+func (w *Writer) syncLocked() error {
 	t0 := time.Now()
 	if err := w.f.Sync(); err != nil {
-		w.rewindLocked(start)
+		w.rewindLocked(w.durable.bytes)
+		w.written = w.durable
+		w.failed = true
 		return fmt.Errorf("journal: syncing record: %w", err)
 	}
 	if w.reg != nil {
 		w.reg.Counter(metrics.Name("persist_fsync_total", "path", "journal")).Inc()
 		w.reg.Histogram(metrics.Name("persist_fsync_seconds", "path", "journal"), nil).ObserveSince(t0)
-		w.reg.Counter("persist_journal_bytes_total").Add(int64(frame.Len()))
+		w.reg.Counter("persist_journal_bytes_total").Add(w.written.bytes - w.durable.bytes)
 	}
-	w.seq = rec.Seq
-	w.records++
-	w.bytes += int64(frame.Len())
+	w.durable = w.written
 	return nil
 }
 
-// stageLocked is the group-mode first half: write the frame's bytes and
-// commit the in-memory bookkeeping optimistically — the next staged append
-// must see the advanced offset — leaving durability to the group fsync. On
-// a group failure the file is rewound and the writer poisoned; the
-// optimistic counters are reconciled by the Reset that revives it.
-func (w *Writer) stageLocked(rec *Record) (start int64, frameLen int, err error) {
-	frame, err := w.frameRecord(rec)
-	if err != nil {
-		return 0, 0, err
-	}
-	start = HeaderLen + w.bytes
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
-		w.rewindLocked(start)
-		return 0, 0, fmt.Errorf("journal: appending record: %w", err)
-	}
-	w.seq = rec.Seq
-	w.records++
-	w.bytes += int64(frame.Len())
-	return start, frame.Len(), nil
-}
-
-// groupDone resolves one staged append with its batch fsync verdict. It is
-// called exactly once per staged append, sequentially in batch order by the
-// committer's flusher (or inline by the closed-committer fallback), which
-// is what makes the failure bookkeeping race-free: a success is truthful
-// unless an earlier-resolved failure already rewound the file below this
-// append's bytes, and the first failure for the lowest offset wins the
-// rewind. Any group fsync failure poisons the writer — staged appends
-// beyond the rewind point may already sit in the file, so only Reset (which
-// discards everything) revives it.
-func (w *Writer) groupDone(start int64, frameLen int, syncErr error) error {
-	w.mu.Lock()
-	defer func() {
-		w.pending--
-		if w.pending == 0 {
-			w.cond.Broadcast()
-		}
-		w.mu.Unlock()
-	}()
-	if syncErr == nil {
-		if w.failed && start >= w.failFloor {
-			return fmt.Errorf("journal: append discarded by a failed group commit rewind")
-		}
-		if w.reg != nil {
-			w.reg.Counter("persist_journal_bytes_total").Add(int64(frameLen))
-		}
-		return nil
-	}
-	if !w.failed || start < w.failFloor {
-		w.failed = true
-		w.failFloor = start
-		w.rewindLocked(start)
-	}
-	return fmt.Errorf("journal: syncing record: %w", syncErr)
-}
-
-// rewindLocked truncates a partial append away so the file ends at the last
-// durable record. Failure to rewind poisons the writer. Callers hold w.mu.
-func (w *Writer) rewindLocked(off int64) {
+// rewindLocked truncates the file back to the given record-byte length.
+// Failure to rewind poisons the writer. Callers hold w.mu.
+func (w *Writer) rewindLocked(bytes int64) {
+	off := HeaderLen + bytes
 	if w.f.Truncate(off) != nil {
 		w.failed = true
 		return
@@ -524,32 +436,31 @@ func (w *Writer) rewindLocked(off int64) {
 }
 
 // Reset truncates the journal back to its header — the step that follows a
-// successful compaction snapshot. Sequence numbering restarts at 1, and a
-// writer poisoned by an unrewindable partial append recovers: the truncate
-// discards the damage along with everything else.
+// successful compaction snapshot. Sequence numbering restarts at 1,
+// outstanding waits resolve as durable (the snapshot holds their records),
+// and a poisoned writer recovers: the truncate discards the damage along
+// with everything else.
 func (w *Writer) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("journal: writer closed")
 	}
-	// Staged appends whose group fsync is still pending must resolve first:
-	// truncating under them would acknowledge records the file no longer
-	// holds. Waits that were deferred (plan batching) are force-submitted —
-	// their records are already captured by the compaction snapshot that
-	// precedes this Reset, so resolving them early only strengthens them.
-	w.drainPendingLocked()
 	if err := w.f.Truncate(HeaderLen); err != nil {
 		return err
 	}
+	// The records are gone from the file: account for that now, and stay
+	// poisoned until the empty journal is durable and positioned.
+	w.written, w.durable = extent{}, extent{}
+	w.epoch++
+	w.failed = true
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	if _, err := w.f.Seek(HeaderLen, io.SeekStart); err != nil {
 		return err
 	}
-	w.seq, w.records, w.bytes = 0, 0, 0
-	w.failed, w.failFloor = false, 0
+	w.failed = false
 	if w.reg != nil {
 		w.reg.Counter("persist_compactions_total").Inc()
 	}
@@ -561,46 +472,28 @@ func (w *Writer) Reset() error {
 func (w *Writer) Stats() (records int, bytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.records, w.bytes
+	return w.written.records, w.written.bytes
 }
 
 // Path returns the journal's file path.
 func (w *Writer) Path() string { return w.path }
 
-// Close closes the underlying file after any pending group commits have
-// resolved. Further appends fail; Close is idempotent.
+// Close makes every written record durable and closes the file; waits still
+// outstanding then report that fsync's verdict. Further appends fail; Close
+// is idempotent.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
-	w.closed = true // refuse new appends while the pending ones drain
-	w.drainPendingLocked()
-	return w.f.Close()
-}
-
-// drainPendingLocked blocks until every staged append has resolved,
-// force-submitting any whose wait has not been invoked yet: a deferred wait
-// (plan batching) submits its fsync request lazily, and a drain that merely
-// waited would deadlock against a plan blocked behind the very lock the
-// drain's caller holds (recorder compaction). Callers hold w.mu; it is
-// released while submissions run and re-held on return.
-func (w *Writer) drainPendingLocked() {
-	for w.pending > 0 {
-		if len(w.staged) > 0 {
-			staged := make([]*stagedAppend, 0, len(w.staged))
-			for sa := range w.staged {
-				staged = append(staged, sa)
-			}
-			clear(w.staged)
-			w.mu.Unlock()
-			for _, sa := range staged {
-				go sa.submit()
-			}
-			w.mu.Lock()
-			continue
-		}
-		w.cond.Wait()
+	w.closed = true
+	var err error
+	if !w.failed && w.durable != w.written {
+		err = w.syncLocked()
 	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

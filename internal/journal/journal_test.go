@@ -17,6 +17,7 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/feedback"
 	"vada/internal/kb"
+	"vada/internal/metrics"
 	"vada/internal/persist"
 	"vada/internal/relation"
 	"vada/internal/runs"
@@ -320,6 +321,192 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// stageRec builds a minimal deterministic stage record (At fixed so file
+// bytes are reproducible across writers).
+func stageRec(seq int) *Record {
+	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC).Add(time.Duration(seq) * time.Second)
+	return &Record{At: at, Stage: &StageRecord{
+		Event: session.Event{Seq: seq, Type: session.EventStage,
+			Stage: session.StageBootstrap, Steps: seq, At: at},
+	}}
+}
+
+// TestAppendCommit pins the two-phase append: what a wait costs, and what it
+// answers after each thing that can happen to the writer between the write
+// and the wait.
+func TestAppendCommit(t *testing.T) {
+	const k = 5
+	fsyncName := metrics.Name("persist_fsync_total", "path", "journal")
+	// appendK writes records from..from+k-1 without waiting on any.
+	appendK := func(t *testing.T, w *Writer, from int) []func() error {
+		t.Helper()
+		waits := make([]func() error, k)
+		for i := range waits {
+			wait, err := w.AppendCommit(stageRec(from + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits[i] = wait
+		}
+		return waits
+	}
+	reopen := func(t *testing.T, path string) []Record {
+		t.Helper()
+		w, recs, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		return recs
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, w *Writer, reg *metrics.Registry)
+	}{
+		{"k appends then k waits cost one fsync and the bytes of k Appends", func(t *testing.T, w *Writer, reg *metrics.Registry) {
+			waits := appendK(t, w, 1)
+			if got := reg.Counter(fsyncName).Value(); got != 0 {
+				t.Fatalf("AppendCommit fsynced %d times before any wait", got)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("wait %d: %v", i, err)
+				}
+			}
+			if err := waits[0](); err != nil { // idempotent
+				t.Fatal(err)
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("%d waits cost %d fsyncs, want 1", k, got)
+			}
+			_, size := w.Stats()
+			if got := reg.Counter("persist_journal_bytes_total").Value(); got != size {
+				t.Fatalf("persist_journal_bytes_total = %d, want the %d durable record bytes", got, size)
+			}
+			direct, _, err := Open(filepath.Join(t.TempDir(), "direct.vjournal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer direct.Close()
+			for i := 1; i <= k; i++ {
+				if err := direct.Append(stageRec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := os.ReadFile(w.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(direct.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("deferred-wait journal differs from the Append journal (%d vs %d bytes)", len(got), len(want))
+			}
+		}},
+		{"a wait after Reset returns nil: the snapshot holds the record", func(t *testing.T, w *Writer, reg *metrics.Registry) {
+			waits := appendK(t, w, 1)
+			if err := w.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("wait %d after reset: %v", i, err)
+				}
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 0 {
+				t.Fatalf("waits for truncated records fsynced %d times", got)
+			}
+			// The fresh journal's offsets restart: a new record is not
+			// mistaken for one the old epoch already made durable.
+			wait, err := w.AppendCommit(stageRec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("post-reset wait cost %d fsyncs, want 1", got)
+			}
+		}},
+		{"a wait after Close reports the fsync Close performed", func(t *testing.T, w *Writer, reg *metrics.Registry) {
+			waits := appendK(t, w, 1)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("wait %d after close: %v", i, err)
+				}
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("Close cost %d fsyncs, want 1", got)
+			}
+			if _, err := w.AppendCommit(stageRec(k + 1)); err == nil {
+				t.Fatal("append on a closed writer succeeded")
+			}
+			if recs := reopen(t, w.Path()); len(recs) != k {
+				t.Fatalf("replayed %d records after close, want %d", len(recs), k)
+			}
+		}},
+		{"a failed sync fails every wait past the durable offset, and only those", func(t *testing.T, w *Writer, reg *metrics.Registry) {
+			durable := appendK(t, w, 1)
+			if err := durable[k-1](); err != nil {
+				t.Fatal(err)
+			}
+			lost := appendK(t, w, k+1)
+			// Force the failure without a seam: with its descriptor closed
+			// underneath it the writer can neither fsync nor truncate.
+			w.f.Close()
+			for i, wait := range lost {
+				if err := wait(); err == nil {
+					t.Fatalf("wait %d acknowledged a record whose fsync failed", i)
+				}
+			}
+			for i, wait := range durable {
+				if err := wait(); err != nil {
+					t.Fatalf("durable wait %d turned into %v", i, err)
+				}
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("fsyncs counted = %d, want only the successful one", got)
+			}
+			if records, _ := w.Stats(); records != k {
+				t.Fatalf("writer reports %d records after the failure, want the %d durable ones", records, k)
+			}
+			if _, err := w.AppendCommit(stageRec(2*k + 1)); err == nil {
+				t.Fatal("poisoned writer accepted an append")
+			}
+			// Nothing acknowledged is missing and the file is a clean prefix
+			// of what was written. (Had the truncate been possible, the
+			// unacknowledged tail would be gone too.)
+			recs := reopen(t, w.Path())
+			if len(recs) < k || len(recs) > 2*k {
+				t.Fatalf("replayed %d records, want the %d durable ones (and at most the %d written)", len(recs), k, 2*k)
+			}
+			for i, rec := range recs {
+				if want := stageRec(i + 1); rec.Seq != uint64(i+1) || !reflect.DeepEqual(rec.Stage, want.Stage) {
+					t.Fatalf("replayed record %d drifted: %+v", i, rec)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, _, err := Open(filepath.Join(t.TempDir(), "s.vjournal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			reg := metrics.NewRegistry()
+			w.SetMetrics(reg)
+			tc.run(t, w, reg)
+		})
+	}
+}
+
 // TestComposeGuards pins the convergence rules: already-folded stage
 // records are skipped, sequence gaps stop the replay, run records dedupe
 // by ID.
@@ -389,9 +576,16 @@ func stageJournal(t *testing.T, dir string, n int, opts ...RecorderOption) (*ses
 	var rec *Recorder
 	sess := session.New("j1", core.BuildScenarioWrangler(sc),
 		session.WithScenario(sc, 7),
-		session.WithStageHook(func(ctx context.Context, s *session.Session, ev session.Event) {
-			if err := rec.RecordStage(ctx, ev); err != nil {
+		session.WithStageCommitHook(func(ctx context.Context, s *session.Session, ev session.Event) func() {
+			wait, err := rec.RecordStageCommit(ctx, ev)
+			if err != nil {
 				t.Errorf("journal stage: %v", err)
+				return nil
+			}
+			return func() {
+				if err := wait(); err != nil {
+					t.Errorf("journal stage: %v", err)
+				}
 			}
 		}))
 	w, recovered, err := Open(filepath.Join(dir, "j1.vjournal"))
@@ -403,6 +597,15 @@ func stageJournal(t *testing.T, dir string, n int, opts ...RecorderOption) (*ses
 	}
 	rec = NewRecorder(w, sess, nil, opts...)
 	return sess, rec, w
+}
+
+// recordStage records one stage and waits for it to be durable.
+func recordStage(ctx context.Context, rec *Recorder, ev session.Event) error {
+	wait, err := rec.RecordStageCommit(ctx, ev)
+	if err != nil {
+		return err
+	}
+	return wait()
 }
 
 // TestRecorderConformance is the end-to-end contract: baseline snapshot +
@@ -610,6 +813,67 @@ func TestRecorderCompact(t *testing.T) {
 	}
 }
 
+// TestRecorderCompactMidStage pins compaction racing a running stage: the
+// snapshot holds part of the stage's relation writes, the stage's record —
+// cut from before those writes — lands in the fresh journal, and the two
+// still compose into the live state, row for row.
+func TestRecorderCompactMidStage(t *testing.T) {
+	ctx := context.Background()
+	sess, rec, w := stageJournal(t, t.TempDir(), 40)
+	defer w.Close()
+	rel := func(n int) *relation.Relation {
+		r := relation.New(relation.NewSchema("scratch", "street", "price:float"))
+		for i := 0; i < n; i++ {
+			r.MustAppend(fmt.Sprintf("%d High St", i), float64(100*i))
+		}
+		return r
+	}
+	if _, err := sess.Step(ctx, "seed", func(w *core.Wrangler) error {
+		w.KB.PutRelation("scratch", rel(4))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var compacted bytes.Buffer
+	if _, err := sess.Step(ctx, "grow", func(w *core.Wrangler) error {
+		w.KB.PutRelation("scratch", rel(5))
+		// The persister's threshold compaction lands here, mid-stage.
+		if err := rec.Compact(func() error { return persist.ExportSession(&compacted, sess, nil) }); err != nil {
+			return err
+		}
+		w.KB.PutRelation("scratch", rel(6))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(bytes.NewReader(data))
+	if err != nil || res.Damaged || len(res.Records) != 1 {
+		t.Fatalf("post-compaction replay: %v damaged=%v n=%d", err, res.Damaged, len(res.Records))
+	}
+	snap, err := persist.ReadSessionSnapshot(bytes.NewReader(compacted.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Events) != 1 {
+		t.Fatalf("mid-stage snapshot holds %d events, want the finished stage only", len(snap.Events))
+	}
+	restored, err := persist.RestoreSession(Compose(snap, res.Records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := restored.Wrangler().KB.Relation("scratch"), sess.Wrangler().KB.Relation("scratch")
+	if got == nil || !reflect.DeepEqual(got.Tuples, want.Tuples) {
+		t.Fatalf("scratch after mid-stage compaction:\n got %v\nwant %v", got, want)
+	}
+	if len(restored.Events()) != 2 {
+		t.Fatalf("restored events = %d, want 2", len(restored.Events()))
+	}
+}
+
 // TestRecorderDeferredBaseline pins the WithBaseline contract: the hook is
 // not called at construction, runs exactly once before the first record is
 // acknowledged, retries after a failure, and is satisfied by a compaction
@@ -645,7 +909,7 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 		t.Fatalf("baseline ran %d times, want 1", calls)
 	}
 	fail = false
-	if err := rec.RecordStage(ctx, session.Event{Seq: 2, Type: session.EventStage,
+	if err := recordStage(ctx, rec, session.Event{Seq: 2, Type: session.EventStage,
 		Stage: session.StageDataContext, At: time.Now()}); err != nil {
 		t.Fatalf("record after baseline recovery: %v", err)
 	}
@@ -656,7 +920,7 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 	if err := rec.RecordRuns(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RecordStage(ctx, session.Event{Seq: 3, Type: session.EventStage,
+	if err := recordStage(ctx, rec, session.Event{Seq: 3, Type: session.EventStage,
 		Stage: session.StageFeedback, At: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +938,7 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 	if err := rec2.Compact(func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec2.RecordStage(ctx, ev); err != nil {
+	if err := recordStage(ctx, rec2, ev); err != nil {
 		t.Fatal(err)
 	}
 	if calls2 != 0 {

@@ -18,20 +18,16 @@ import (
 // incremental durability — a compaction snapshot folding the journal away
 // while a finishing stage is about to append to it.
 //
-// All mutation capture is serialised on the recorder's lock. RecordStage is
-// called from the session's stage hook (under the session's run mutex), so
-// a stage's delta is cut before the next stage can write; Compact holds the
-// same lock across capture-snapshot → write → truncate, so an append can
-// never land in the window where it would be truncated without being in the
-// snapshot — it either precedes the capture (folded in, then truncated) or
-// waits and lands in the fresh, empty journal.
+// All mutation capture is serialised on the recorder's lock.
+// RecordStageCommit is called from the session's stage-commit hook (under
+// the session's run mutex), so a stage's delta is cut before the next stage
+// can write; Compact holds the same lock across capture-snapshot → write →
+// truncate, so an append can never land in the window where it would be
+// truncated without being in the snapshot — it either precedes the capture
+// (folded in, then truncated) or waits and lands in the fresh, empty journal.
 type Recorder struct {
 	w    *Writer
 	sess *session.Session
-
-	// rowDiffs switches the change log to row-level relation patches
-	// (WithRowDiffs); set once at construction.
-	rowDiffs bool
 
 	// mu orders appends against compaction; fbCount and runSeen track what
 	// is already durable so records stay deltas.
@@ -65,20 +61,14 @@ func WithBaseline(fn func() error) RecorderOption {
 	return func(r *Recorder) { r.baseline = fn }
 }
 
-// WithRowDiffs makes the recorder's change log capture relation puts as
-// row-level patch ops (see kb.SetDeltaRowDiffs) instead of wholesale
-// clones. Safe here and only here: the recorder's deltas are replayed
-// exclusively through the journal's sequence-gated Compose, which applies
-// each record at most once — the condition patch ops require.
-func WithRowDiffs() RecorderOption {
-	return func(r *Recorder) { r.rowDiffs = true }
-}
-
 // NewRecorder wires a recorder over an open journal writer and a live (or
 // just-restored) session. knownRuns seeds the already-journaled set —
 // the terminal runs the snapshot and the recovered journal records already
 // carry. The wrangler's change log starts (or restarts) here: the baseline
-// of the first cut is the state the snapshot+journal pair already holds.
+// of the first cut is the state the snapshot+journal pair already holds. The
+// log records relation puts as row diffs, which must be replayed at most
+// once over the state they were cut from — Compose's sequence gating and
+// Compact's SnapshotPending call are what guarantee that.
 func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ...RecorderOption) *Recorder {
 	r := &Recorder{
 		w:       w,
@@ -89,32 +79,20 @@ func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ..
 	for _, opt := range opts {
 		opt(r)
 	}
-	sess.Wrangler().KB.SetDeltaRowDiffs(r.rowDiffs)
 	sess.Wrangler().StartChangeLog()
 	return r
 }
 
-// RecordStage appends the mutation record of one completed stage: the
-// event, the knowledge-base delta since the previous record, the feedback
-// items the stage added, and the post-stage fingerprints. Call it from the
-// session's stage hook so the capture is race-free with the next stage;
-// the hook's context carries the stage's trace span, under which the
-// fsynced append is recorded as a `journal.append` child.
-func (r *Recorder) RecordStage(ctx context.Context, ev session.Event) error {
-	wait, err := r.RecordStageCommit(ctx, ev)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// RecordStageCommit is the two-phase form of RecordStage: the stage's
-// mutation record is captured and written under the recorder lock (so the
+// RecordStageCommit appends the mutation record of one completed stage —
+// the event, the knowledge-base delta since the previous record, the
+// feedback items the stage added, and the post-stage fingerprints — in two
+// phases: the record is captured and written under the recorder lock (so the
 // delta cut stays race-free with the next stage), and the returned wait
-// blocks until the record is durable. Callers that hold a coarser lock —
-// the session's run mutex in the stage hook — call wait after releasing
-// it, which is what lets the group committer batch one fsync across
-// consecutive stages and concurrent sessions.
+// blocks until it is durable. Call it from the session's stage-commit hook:
+// the hook holds the session's run mutex and invokes the wait only after
+// releasing it (or, inside a plan, once for all the plan's stages), and its
+// context carries the stage's trace span, under which the append is recorded
+// as a `journal.append` child.
 func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (func() error, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -154,8 +132,6 @@ func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (fun
 		err := r.ensureBaseline()
 		if err == nil {
 			err = wait()
-		} else {
-			wait() // resolve the staged append; its verdict is moot
 		}
 		if span != nil {
 			if err == nil {
@@ -242,9 +218,15 @@ func (r *Recorder) ShouldCompact(maxRecords int, maxBytes int64) bool {
 // truncate and then lost; a crash between writeSnapshot succeeding and the
 // truncate leaves already-folded records in the journal, which recovery
 // skips by sequence and run ID.
+//
+// A stage may be running while the snapshot is captured. Its record, cut
+// when it ends, lands in the fresh journal and is replayed over a snapshot
+// that already holds part of its writes; SnapshotPending makes that cut
+// replayable from there (FeedbackAt does the same for its feedback items).
 func (r *Recorder) Compact(writeSnapshot func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.sess.Wrangler().KB.SnapshotPending()
 	if err := writeSnapshot(); err != nil {
 		return err
 	}

@@ -17,7 +17,9 @@ const (
 	// DeltaRetractPredicate records a whole predicate being dropped.
 	DeltaRetractPredicate DeltaKind = "retract-pred"
 	// DeltaPutRelation records a bulk relation being stored or replaced
-	// wholesale; the op carries the full relation.
+	// wholesale; the op carries the full relation. The log falls back to it
+	// whenever a row diff is not provably lossless (see DeltaPatchRelation),
+	// and journals written before row diffs carry nothing else.
 	DeltaPutRelation DeltaKind = "put-rel"
 	// DeltaDropRelation records a bulk relation being removed.
 	DeltaDropRelation DeltaKind = "drop-rel"
@@ -26,10 +28,10 @@ const (
 	// (one occurrence per listed tuple, matched by Tuple.Key), then Added
 	// tuples are inserted — at the final positions AddedAt names, or
 	// appended when AddedAt is nil — reproducing the replacement relation
-	// exactly, order included. It is logged (opt-in, see
-	// KB.SetDeltaRowDiffs) only when the reconstruction provably equals
-	// the wholesale put it replaces; anything else falls back to
-	// DeltaPutRelation. Unlike the other kinds a patch is not idempotent —
+	// exactly, order included. It is how the delta log records a put that
+	// replaces an existing relation, but only when the reconstruction
+	// provably equals the wholesale put it stands for; anything else falls
+	// back to DeltaPutRelation. Unlike the other kinds a patch is not idempotent —
 	// re-applying one duplicates its Added rows — so it relies on the
 	// journal's replay gating (records a snapshot already folded in are
 	// skipped whole, by sequence) rather than on op-level convergence.
@@ -77,39 +79,45 @@ func (d *Delta) Empty() bool { return d == nil || len(d.Ops) == 0 }
 // grows until the next CutDelta, so callers cut at natural boundaries —
 // once per completed wrangling stage, in the journal's case. Starting an
 // already-started log resets it.
+//
+// Relation puts are logged as row diffs against the state the cut started
+// from (see PutRelation), which trades op-level idempotency for O(changed
+// rows) records: replay a cut delta at most once, over the state it was cut
+// from, like the journal's sequence-gated Compose does.
 func (k *KB) StartDeltaLog() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.deltaOn = true
-	k.deltaOps = nil
 	k.deltaFrom = k.version
+	k.resetDeltaLocked()
+}
+
+// resetDeltaLocked empties the pending cut. Callers hold k.mu.
+func (k *KB) resetDeltaLocked() {
+	k.deltaOps = nil
 	k.deltaRelOp = nil
 	k.deltaRelBase = nil
+	k.deltaWholesale = false
 }
 
-// SetDeltaRowDiffs switches how an active delta log captures relation
-// puts. Off (the default), every put logs a wholesale DeltaPutRelation
-// clone. On, a put replacing an existing same-schema relation is captured
-// as a row-level DeltaPatchRelation — added and removed tuples only — when
-// that patch provably reproduces the replacement exactly, with wholesale
-// puts as the fallback and nothing logged for unchanged relations. Re-puts
-// of the same relation within one cut coalesce into a single op carrying
-// the net change against the cut-start state, so a stage that rewrites a
-// relation several times journals it once. Row diffs trade op-level
-// idempotency (see DeltaPatchRelation) for O(changed rows) journal
-// records; enable them only under a replay path that applies each record
-// at most once, like the journal's sequence-gated Compose.
-func (k *KB) SetDeltaRowDiffs(on bool) {
+// SnapshotPending makes the pending cut safe to replay over a Snapshot taken
+// at any point from now until the next CutDelta — a compaction capturing the
+// knowledge base in the middle of a stage. Row diffs are computed against the
+// state the cut started from, so replayed over a later state they would
+// duplicate rows; wholesale puts replace, and converge from any state. The
+// pending relation ops are therefore rewritten as wholesale puts of the
+// relations' current state (in place, as coalescing does), and every further
+// put of this cut logs wholesale.
+func (k *KB) SnapshotPending() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.rowDiffs = on
-}
-
-// DeltaRowDiffs reports whether relation puts are captured as row diffs.
-func (k *KB) DeltaRowDiffs() bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.rowDiffs
+	if !k.deltaOn {
+		return
+	}
+	for name, idx := range k.deltaRelOp {
+		k.deltaOps[idx] = DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: k.relations[name].Clone()}
+	}
+	k.deltaWholesale = true
 }
 
 // StopDeltaLog stops recording and discards any uncut ops.
@@ -117,9 +125,7 @@ func (k *KB) StopDeltaLog() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.deltaOn = false
-	k.deltaOps = nil
-	k.deltaRelOp = nil
-	k.deltaRelBase = nil
+	k.resetDeltaLocked()
 }
 
 // DeltaLogging reports whether a delta log is active.
@@ -147,10 +153,8 @@ func (k *KB) CutDelta() *Delta {
 		}
 	}
 	d := &Delta{From: k.deltaFrom, To: k.version, Ops: ops}
-	k.deltaOps = nil
 	k.deltaFrom = k.version
-	k.deltaRelOp = nil
-	k.deltaRelBase = nil
+	k.resetDeltaLocked()
 	return d
 }
 

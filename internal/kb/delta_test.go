@@ -78,7 +78,10 @@ func TestDeltaReplayConverges(t *testing.T) {
 
 // TestDeltaReplayIdempotent proves re-applying a delta a snapshot already
 // folded in cannot corrupt state — the crash-between-snapshot-and-truncate
-// window of journal compaction.
+// window of journal compaction. The claim holds for every op kind except
+// patch-rel (mutate logs none: its puts create relations, which journal
+// wholesale); a patch re-applied duplicates its added rows, which is why the
+// journal skips already-folded records whole instead of re-applying them.
 func TestDeltaReplayIdempotent(t *testing.T) {
 	k := New()
 	k.StartDeltaLog()

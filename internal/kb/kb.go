@@ -86,21 +86,19 @@ type KB struct {
 	deltaOps  []DeltaOp
 	deltaFrom uint64
 
-	// rowDiffs switches the delta log's relation-put capture from wholesale
-	// clones to row-level diffs where provably equivalent (see
-	// SetDeltaRowDiffs and DeltaPatchRelation).
-	rowDiffs bool
-
 	// deltaRelOp/deltaRelBase implement same-cut coalescing of relation
-	// puts in row-diff mode. deltaRelBase[name] is the relation's state
-	// when the current cut first replaced it (nil = absent) and
-	// deltaRelOp[name] is the index in deltaOps of the one op carrying the
+	// puts. deltaRelBase[name] is the relation's state when the current cut
+	// first replaced it (nil = absent) and deltaRelOp[name] is the index in
+	// deltaOps of the one op carrying the
 	// relation's net change; a re-put rewrites that op with the diff of the
 	// latest state against the base, so a stage that executes, repairs and
 	// re-executes a relation journals the net effect once instead of every
-	// intermediate state. Both reset at each cut.
-	deltaRelOp   map[string]int
-	deltaRelBase map[string]*relation.Relation
+	// intermediate state. Both reset at each cut. deltaWholesale forces
+	// wholesale puts for the rest of a cut a snapshot was taken in the
+	// middle of (see SnapshotPending).
+	deltaRelOp     map[string]int
+	deltaRelBase   map[string]*relation.Relation
+	deltaWholesale bool
 }
 
 type factSet struct {
@@ -292,12 +290,11 @@ func (k *KB) Predicates() []string {
 // PutRelation stores (or replaces) a named bulk relation. The stored value
 // is a deep copy, so callers may keep mutating theirs.
 //
-// With an active delta log the mutation is recorded — by default as a
-// wholesale DeltaPutRelation clone. In row-diff mode (SetDeltaRowDiffs) a
-// replacement of an existing same-schema relation is captured as a
-// DeltaPatchRelation carrying only the added and removed rows (insertion
-// positions included, so mid-relation edits patch too), provided replaying
-// that patch reproduces the new relation exactly (order included); a
+// With an active delta log the mutation is recorded: a replacement of an
+// existing same-schema relation is captured as a DeltaPatchRelation
+// carrying only the added and removed rows (insertion positions included,
+// so mid-relation edits patch too), provided replaying that patch
+// reproduces the new relation exactly (order included); a
 // replacement the diff cannot prove equivalent — schema change, reordering
 // of surviving rows, or a diff no smaller than the relation — falls back
 // to the wholesale clone, and an unchanged relation logs nothing at all
@@ -314,9 +311,8 @@ func (k *KB) PutRelation(name string, r *relation.Relation) {
 }
 
 // logRelationPutLocked records a relation put in the active delta log.
-// Without row diffs every put logs independently, as before. With row
-// diffs, re-puts of the same relation within one cut coalesce: the op
-// logged at first touch is rewritten in place with the diff of the latest
+// Re-puts of the same relation within one cut coalesce: the op logged at
+// first touch is rewritten in place with the diff of the latest
 // state against deltaRelBase — the state the cut started from — so only
 // the net change ships in the journal record. Rewriting in place is sound
 // because replayed ops never read KB state; only the materialised result
@@ -325,12 +321,6 @@ func (k *KB) PutRelation(name string, r *relation.Relation) {
 // tombstones the op (Kind left zero; CutDelta filters it).
 func (k *KB) logRelationPutLocked(name string, old, stored *relation.Relation) {
 	if !k.deltaOn {
-		return
-	}
-	if !k.rowDiffs {
-		if op, logIt := k.relationPutOp(name, old, stored); logIt {
-			k.logLocked(op)
-		}
 		return
 	}
 	base, seen := k.deltaRelBase[name]
@@ -362,12 +352,12 @@ func (k *KB) logRelationPutLocked(name string, old, stored *relation.Relation) {
 }
 
 // relationPutOp decides how an active delta log records a relation put:
-// a row-level patch when row diffing is on and provably lossless, nothing
-// for an unchanged relation, a wholesale clone otherwise. Callers hold
-// k.mu; old is the previously stored relation (nil if absent) and stored
-// is the KB-owned clone just installed.
+// a row-level patch when provably lossless, nothing for an unchanged
+// relation, a wholesale clone otherwise. Callers hold k.mu; old is the
+// state the put is diffed against (nil if absent) and stored is the
+// KB-owned clone just installed.
 func (k *KB) relationPutOp(name string, old, stored *relation.Relation) (DeltaOp, bool) {
-	if !k.rowDiffs || old == nil || !old.Schema.Equal(stored.Schema) {
+	if k.deltaWholesale || old == nil || !old.Schema.Equal(stored.Schema) {
 		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored.Clone()}, true
 	}
 	added, addedAt, removed, ok := relationRowDiff(old, stored)
@@ -565,7 +555,7 @@ func (k *KB) DropRelation(name string) bool {
 	k.version++
 	k.notifyLocked(Event{Version: k.version, Op: OpRetract, Predicate: name})
 	k.logLocked(DeltaOp{Kind: DeltaDropRelation, Name: name})
-	if k.deltaOn && k.rowDiffs {
+	if k.deltaOn {
 		// Later re-puts must not rewrite an op that precedes this drop, and
 		// must diff against "absent" (wholesale) since replay passes through
 		// the drop.

@@ -125,10 +125,11 @@ func (k *KB) Merge(src *KB) {
 		}
 	}
 	for name, r := range src.relations {
-		k.relations[name] = r.Clone()
+		old, stored := k.relations[name], r.Clone()
+		k.relations[name] = stored
 		k.version++
 		k.notifyLocked(Event{Version: k.version, Op: OpAssert, Predicate: name})
-		k.logLocked(DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: r.Clone()})
+		k.logRelationPutLocked(name, old, stored)
 	}
 	if src.version > k.version {
 		k.version = src.version

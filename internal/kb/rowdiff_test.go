@@ -21,7 +21,6 @@ func resultRel(rows ...[]any) *relation.Relation {
 // converges byte-identically — the journal's core contract.
 func TestRowDiffPatchOps(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
 	base := k.Snapshot()
@@ -65,7 +64,6 @@ func TestRowDiffPatchOps(t *testing.T) {
 // still converges on the version via Delta.To.
 func TestRowDiffUnchangedLogsNothing(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}))
 	base := k.Snapshot()
 
@@ -91,7 +89,6 @@ func TestRowDiffUnchangedLogsNothing(t *testing.T) {
 // their insertion positions, and replay must converge byte-identically.
 func TestRowDiffMidRelationEdits(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0},
 		[]any{"3 High St", 300.0}, []any{"4 High St", 400.0},
@@ -137,7 +134,6 @@ func TestRowDiffMidRelationEdits(t *testing.T) {
 // appends keep the nil added_at encoding.
 func TestRowDiffTailAppendOmitsPositions(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}, []any{"2 High St", 200.0}))
 	k.StartDeltaLog()
 	k.PutRelation("result", resultRel(
@@ -175,7 +171,6 @@ func TestPatchRelationAtMalformedPositions(t *testing.T) {
 // re-put landing back on the original state journals nothing at all.
 func TestRowDiffCoalescesRePuts(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
 	base := k.Snapshot()
@@ -226,7 +221,6 @@ func TestRowDiffCoalescesRePuts(t *testing.T) {
 // wholesale (replay passes through the drop).
 func TestRowDiffCoalesceRespectsDrop(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}))
 	base := k.Snapshot()
 
@@ -259,8 +253,7 @@ func TestRowDiffCoalesceRespectsDrop(t *testing.T) {
 }
 
 // TestRowDiffFallbacks pins every wholesale-fallback path: first put (no
-// old), schema change, reordering/mid-insert, diffs as large as the
-// relation, and row diffs disabled.
+// old), schema change, reordering, and diffs as large as the relation.
 func TestRowDiffFallbacks(t *testing.T) {
 	cases := []struct {
 		name string
@@ -291,7 +284,6 @@ func TestRowDiffFallbacks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := New()
-			k.SetDeltaRowDiffs(true)
 			tc.prep(k)
 			base := k.Snapshot()
 			k.StartDeltaLog()
@@ -320,7 +312,6 @@ func TestRowDiffFallbacks(t *testing.T) {
 // must patch exactly (bag, not set, semantics).
 func TestRowDiffBagSemantics(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"1 High St", 100.0}, []any{"2 High St", 200.0}))
 	base := k.Snapshot()
@@ -373,5 +364,54 @@ func TestPatchRelationDirect(t *testing.T) {
 	}
 	if got := k.RelationCardinality("result"); got != 2 {
 		t.Fatalf("cardinality after patch = %d, want 2", got)
+	}
+}
+
+// TestRowDiffSnapshotMidCut pins the compaction-in-mid-stage contract: a
+// snapshot taken while a cut is pending — after SnapshotPending — plus that
+// cut's delta converges on the live state, wherever in the cut the snapshot
+// lands. Without the call the cut's patches, diffed against the cut-start
+// state, would be replayed over a state that already holds part of them.
+func TestRowDiffSnapshotMidCut(t *testing.T) {
+	k := New()
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
+	k.PutRelation("other", resultRel([]any{"7 Side St", 700.0}, []any{"8 Side St", 800.0}))
+
+	k.StartDeltaLog()
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0},
+		[]any{"3 High St", 300.0}, []any{"4 High St", 400.0}))
+	k.SnapshotPending()
+	mid := k.Snapshot() // the compaction snapshot: holds the first put already
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
+		[]any{"4 High St", 400.0}, []any{"5 High St", 500.0}))
+	k.PutRelation("other", resultRel(
+		[]any{"7 Side St", 700.0}, []any{"8 Side St", 800.0}, []any{"9 Side St", 900.0}))
+	d := k.CutDelta()
+	for _, op := range d.Ops {
+		if op.Kind != DeltaPutRelation {
+			t.Fatalf("op %+v: a cut snapshotted mid-way must log wholesale puts only", op)
+		}
+	}
+	mid.ApplyDelta(d)
+	var got, want bytes.Buffer
+	if err := mid.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("mid-cut snapshot + delta differs from live state:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+
+	// The next cut diffs again.
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
+		[]any{"4 High St", 400.0}, []any{"5 High St", 500.0}, []any{"6 High St", 600.0}))
+	if d := k.CutDelta(); len(d.Ops) != 1 || d.Ops[0].Kind != DeltaPatchRelation {
+		t.Fatalf("cut after the snapshotted one = %+v, want one patch-rel", d.Ops)
 	}
 }

@@ -338,8 +338,8 @@ func (e *Engine) worker() {
 // The stages run under a DeferCommits scope: each stage's journal
 // durability wait is collected instead of blocking the next stage, and the
 // deferred flush — before this function returns, so before the run turns
-// terminal — lands all of the plan's records in one group-commit batch.
-// The acknowledgement contract is intact: a run observed terminal has every
+// terminal — makes all of the plan's records durable with one fsync. The
+// acknowledgement contract is intact: a run observed terminal has every
 // stage record on disk.
 func (e *Engine) runTask(t *task) (session.Event, error) {
 	ctx, flush := session.DeferCommits(t.ctx)

@@ -2,9 +2,8 @@
 // concurrent pay-as-you-go sessions (each the four-panel demonstration of
 // Figure 3) behind a versioned JSON API, plus the single-page UI and the
 // browsable orchestration trace. cmd/vada-server is the thin flag-parsing
-// binary over this package; internal/loadgen self-hosts the same wiring to
-// drive benchmark workloads (including abrupt kill-9/restart phases)
-// in-process.
+// binary over this package; the frozen benchmark (benchmark/) drives that
+// binary as a subprocess, kill -9 rounds included.
 //
 //	vada-server -addr :8080 -max-sessions 64 -idle-timeout 30m -run-workers 8
 //
@@ -20,13 +19,8 @@
 //	DELETE /api/v1/sessions/{id}                 close the session (cancels its runs)
 //	POST   /api/v1/sessions/{id}/stages/{name}   invoke any registered stage (body = JSON payload)
 //	POST   /api/v1/sessions/{id}/plans           run an ordered stage plan as one run (always async)
-//	POST   /api/v1/sessions/{id}/bootstrap       legacy alias of stages/bootstrap
-//	POST   /api/v1/sessions/{id}/datacontext     legacy alias of stages/data-context
-//	POST   /api/v1/sessions/{id}/feedback        legacy alias of stages/feedback (?budget=N or JSON items)
-//	POST   /api/v1/sessions/{id}/usercontext     legacy alias of stages/user-context (?model=crime|size)
 //	GET    /api/v1/sessions/{id}/result          result rows (?limit=&offset=, paginated)
 //	GET    /api/v1/sessions/{id}/trace           orchestration trace (text)
-//	GET    /api/v1/sessions/{id}/state           session state (alias)
 //	GET    /api/v1/sessions/{id}/runs            list the session's async runs
 //	GET    /api/v1/sessions/{id}/runs/{rid}      poll one run
 //	DELETE /api/v1/sessions/{id}/runs/{rid}      cancel a queued or in-flight run
@@ -42,23 +36,26 @@
 // plans, and the relation export route streams any knowledge-base relation
 // — or the clean result — back out in canonical, byte-stable order.
 //
-// With -data-dir the service is durable, and with -journal (the default)
-// durability is incremental: each session keeps an append-only
-// <data-dir>/<id>.vjournal beside its <data-dir>/<id>.vsnap, and a
-// completed stage or run appends one CRC-framed, fsynced record carrying
-// only the mutation delta — O(delta) bytes instead of rewriting the whole
-// snapshot envelope. When the journal crosses -journal-max-records or
+// With -data-dir the service is durable, one way: each session keeps an
+// append-only <data-dir>/<id>.vjournal beside its <data-dir>/<id>.vsnap,
+// and a completed stage or run appends one CRC-framed record carrying only
+// the mutation delta (relation replacements as row diffs) — O(delta) bytes
+// instead of rewriting the whole snapshot envelope. A synchronous stage is
+// answered once its record is fsynced; a plan's stage records share one
+// fsync, issued before the run turns terminal; a terminal run's own record
+// follows asynchronously. The snapshot under the journal is written with the
+// first record, so a 201 from create or import is not yet a durability
+// acknowledgement. When the journal crosses -journal-max-records or
 // -journal-max-bytes (and on evict and graceful shutdown) it is compacted:
 // folded into a fresh full snapshot and truncated. Boot recovery composes
 // the last snapshot with the journal's valid prefix; a record torn by
-// kill -9 mid-append is truncated, never fatal. With -journal=false the
-// PR-4 behaviour remains: a full snapshot per completed run.
+// kill -9 mid-append is truncated, never fatal.
 //
-// Either way, every persisted session is restored at boot — event history,
-// result and terminal run resources included — so a server killed outright
-// (kill -9) loses at most the work since the last completed stage, and a
-// restarted server answers GET .../result and GET .../runs/{rid} for
-// pre-restart sessions identically.
+// Every persisted session is restored at boot — event history, result and
+// terminal run resources included — so a server killed outright (kill -9)
+// loses at most the work since the last acknowledged stage, and a restarted
+// server answers GET .../result and GET .../runs/{rid} for pre-restart
+// sessions identically.
 //
 // DELETE /api/v1/sessions/{id} garbage-collects the session's durable
 // state: its snapshot is archived under <data-dir>/closed/ and the live
@@ -72,9 +69,7 @@
 // Stages are registry-driven: the four paper stages are pre-registered and
 // any stage added to the server's registry is immediately invocable through
 // the generic stages/{name} route, listable via stage discovery, and usable
-// in plans — no per-stage handler exists any more; the legacy per-stage
-// routes are thin aliases that translate their old wire formats onto the
-// same path.
+// in plans — no per-stage handler or route exists.
 //
 // Every stage POST accepts ?async=1: instead of blocking until the stage
 // quiesces, the server enqueues it on the run engine and answers
@@ -100,7 +95,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"mime"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -181,20 +175,12 @@ type Server struct {
 	persistMu      sync.Mutex
 	lastSnapshotAt time.Time
 
-	// journal configuration: with journaling on, completed stages and runs
-	// append O(delta) records to per-session .vjournal files instead of
-	// rewriting the snapshot, and the journal is folded back into a fresh
-	// snapshot at the compaction thresholds.
-	journal           bool
+	// journal compaction thresholds: completed stages and runs append
+	// O(delta) records to per-session .vjournal files, and a journal is
+	// folded back into a fresh snapshot when it crosses either.
 	journalMaxRecords int
 	journalMaxBytes   int64
-	journalRowDiffs   bool
-	snapshotPerStage  bool
 	restoreClosed     bool
-
-	// committer is the shared group-commit coordinator batching journal
-	// fsyncs across sessions (nil = direct per-append fsync).
-	committer *vada.GroupCommitter
 
 	// recorders maps live session IDs to their journal recorders; deleting
 	// refcounts sessions being explicitly DELETEd so the evict hook
@@ -209,9 +195,8 @@ type Server struct {
 	gone      map[string]bool
 }
 
-// Config is the server's flag set in struct form, so binaries, tests and
-// the load-generator harness can all build the full server wiring —
-// durability included — without a process.
+// Config is the server's flag set in struct form, so the binary and tests
+// build the full server wiring — durability included — the same way.
 type Config struct {
 	// N and Seed are the default scenario size and seed of new sessions;
 	// MaxN bounds the size a client (or imported snapshot) may request.
@@ -229,31 +214,12 @@ type Config struct {
 	// SSEKeepAlive and SSEWriteTimeout harden the event stream.
 	SSEKeepAlive    time.Duration
 	SSEWriteTimeout time.Duration
-	// DataDir enables durability ("" = ephemeral).
-	DataDir string
-
-	// Journal switches durability to the incremental append-only journal;
-	// JournalMaxRecords/JournalMaxBytes are its compaction thresholds.
-	Journal           bool
+	// DataDir enables durability ("" = ephemeral): every session journals
+	// to it. JournalMaxRecords/JournalMaxBytes are the journal's compaction
+	// thresholds (0 = no such threshold).
+	DataDir           string
 	JournalMaxRecords int
 	JournalMaxBytes   int64
-	// JournalGroupWindow enables group commit: journal appends landing
-	// within the window share one fsync instead of paying one each (0 =
-	// every append fsyncs directly). JournalGroupMax caps how many appends
-	// one batch may absorb (0 = default).
-	JournalGroupWindow time.Duration
-	JournalGroupMax    int
-	// JournalRowDiffs captures relation replacements as row-level diffs —
-	// added/removed tuples — instead of wholesale relation clones, shrinking
-	// stage records for feedback-style workloads that touch few rows.
-	JournalRowDiffs bool
-	// SnapshotPerStage, with the journal off, persists the session's full
-	// snapshot envelope after every completed stage — the journal's
-	// per-stage durability point at wholesale cost. It is the baseline
-	// configuration the load benchmark's regression gate measures the
-	// journal + group-commit + row-diff stack against; ignored when
-	// Journal is on.
-	SnapshotPerStage bool
 	// RestoreClosed restores explicitly DELETEd archived sessions at boot.
 	RestoreClosed bool
 
@@ -293,11 +259,8 @@ func New(cfg Config) (*Server, error) {
 		sseKeepAlive:      cfg.SSEKeepAlive,
 		sseWriteTimeout:   cfg.SSEWriteTimeout,
 		dataDir:           cfg.DataDir,
-		journal:           cfg.Journal,
 		journalMaxRecords: cfg.JournalMaxRecords,
 		journalMaxBytes:   cfg.JournalMaxBytes,
-		journalRowDiffs:   cfg.JournalRowDiffs,
-		snapshotPerStage:  cfg.SnapshotPerStage,
 		restoreClosed:     cfg.RestoreClosed,
 		pprof:             cfg.Pprof,
 		logger:            cfg.Logger,
@@ -360,11 +323,6 @@ func New(cfg Config) (*Server, error) {
 			s.logger.Info("session closed", "session", id)
 		}),
 	)
-	// The committer must exist before restoreAll: recovered sessions adopt
-	// their journals during restore and wire into the same batch stream.
-	if s.journalOn() && cfg.JournalGroupWindow > 0 {
-		s.committer = vada.NewGroupCommitter(cfg.JournalGroupWindow, cfg.JournalGroupMax, s.metrics)
-	}
 	if s.dataDir != "" {
 		if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("creating -data-dir: %w", err)
@@ -381,45 +339,25 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// journalOn reports whether incremental durability is active.
-func (s *Server) journalOn() bool { return s.dataDir != "" && s.journal }
-
 // sessionOpts are the options every session — created, imported or
-// restored — gets: the shared stage registry and, with journaling on, the
-// stage hook that appends each completed stage's mutation record.
+// restored — gets: the shared stage registry and, with a data directory,
+// the stage hook that appends each completed stage's mutation record.
 func (s *Server) sessionOpts() []vada.SessionOption {
 	opts := []vada.SessionOption{
 		vada.WithStageRegistry(s.registry),
 		vada.WithSessionMetrics(s.metrics),
 	}
-	if s.journalOn() {
+	if s.dataDir != "" {
 		opts = append(opts, vada.WithStageCommitHook(s.journalStage))
-	} else if s.snapshotPerStage && s.dataDir != "" {
-		opts = append(opts, vada.WithStageCommitHook(s.snapshotStage))
 	}
 	return opts
 }
 
-// snapshotStage is the snapshot-per-stage commit hook (journal off): the
-// returned wait — invoked by Step after the run mutex is released — writes
-// the session's full snapshot envelope, giving every acknowledged stage the
-// journal's durability point at wholesale cost. It exists as the honest
-// equal-durability baseline the load benchmark's regression gate measures
-// the journal stack against.
-func (s *Server) snapshotStage(ctx context.Context, sess *vada.Session, ev vada.SessionEvent) func() {
-	return func() {
-		if err := s.persistSession(sess); err != nil {
-			s.logger.Error("persisting stage snapshot", "stage", ev.Stage, "session", sess.ID(), "error", err)
-		}
-	}
-}
-
-// journalStage is the session stage-commit hook: one fsynced O(delta)
-// append per completed stage. It runs under the session's run mutex, so
-// the delta cut inside RecordStageCommit cannot race the next stage's
-// writes; the returned wait — invoked by Step after the run mutex is
-// released — blocks until the record is durable, letting the group
-// committer batch the fsync with other pending appends. ctx carries the
+// journalStage is the session stage-commit hook: one O(delta) append per
+// completed stage. It runs under the session's run mutex, so the delta cut
+// inside RecordStageCommit cannot race the next stage's writes; the returned
+// wait — invoked by Step after the run mutex is released, or by the run
+// engine once per plan — blocks until the record is fsynced. ctx carries the
 // stage's trace span, making the append a `journal.append` child of it. An
 // append failure is logged, not fatal — the compaction and evict snapshots
 // backstop it.
@@ -485,7 +423,7 @@ func (s *Server) dropRecorder(id string) {
 // another durable copy (the archive-restore path) must write a snapshot
 // themselves first.
 func (s *Server) startJournal(sess *vada.Session) error {
-	if !s.journalOn() || !safeSnapshotID(sess.ID()) {
+	if s.dataDir == "" || !safeSnapshotID(sess.ID()) {
 		return nil
 	}
 	var baseline bytes.Buffer
@@ -516,12 +454,6 @@ func (s *Server) startJournal(sess *vada.Session) error {
 // any recorder a superseded session left under the same ID.
 func (s *Server) adoptJournal(sess *vada.Session, w *vada.JournalWriter, knownRuns []vada.Run, opts ...vada.JournalRecorderOption) {
 	w.SetMetrics(s.metrics)
-	if s.committer != nil {
-		w.SetGroupCommit(s.committer)
-	}
-	if s.journalRowDiffs {
-		opts = append(opts, vada.WithJournalRowDiffs())
-	}
 	rec := vada.NewJournalRecorder(w, sess, knownRuns, opts...)
 	s.recMu.Lock()
 	if s.recorders == nil {
@@ -657,12 +589,6 @@ func (s *Server) Close() {
 			s.persistWG.Wait()
 		}
 		s.persistAll()
-		// After persistAll: the final compaction snapshots may still append
-		// (run records) through the group committer; close it only once no
-		// writer will submit again.
-		if s.committer != nil {
-			s.committer.Close()
-		}
 		if s.stopSampler != nil {
 			s.stopSampler()
 		}
@@ -718,10 +644,9 @@ func drainHints(ch <-chan string, first string) []string {
 	}
 }
 
-// persistHinted makes one session's recent run completions durable: with a
-// journal, append run records for the not-yet-journaled terminal runs and
-// compact if the journal crossed its thresholds; without one, write the
-// full snapshot (the -journal=false path).
+// persistHinted makes one session's recent run completions durable: append
+// run records for the not-yet-journaled terminal runs and compact if the
+// journal crossed its thresholds.
 func (s *Server) persistHinted(id string) {
 	sess, err := s.mgr.Get(id)
 	if err != nil {
@@ -729,6 +654,8 @@ func (s *Server) persistHinted(id string) {
 	}
 	rec := s.recorder(id)
 	if rec == nil {
+		// Backstop, not a mode: the session's journal failed to open (the
+		// failure is already logged), so the full snapshot is all there is.
 		if err := s.persistSession(sess); err != nil {
 			s.logger.Error("persisting session", "session", id, "error", err)
 		}
@@ -915,7 +842,7 @@ func (s *Server) restoreOne(dir, name string, adoptJournal bool) bool {
 		s.logger.Error("restoring snapshot", "file", name, "error", err)
 		return false
 	}
-	if adoptJournal && s.journalOn() && safeSnapshotID(sess.ID()) {
+	if adoptJournal && safeSnapshotID(sess.ID()) {
 		// Re-open for appending (truncating any damaged tail on disk); the
 		// recovered records are already composed into the live session.
 		w, _, err := vada.OpenJournal(filepath.Join(s.dataDir, sess.ID()+journalExt))
@@ -961,10 +888,8 @@ func (s *Server) restoreClosedAll() {
 				s.logger.Error("persisting unarchived session", "session", id, "error", err)
 				continue
 			}
-			if s.journalOn() {
-				if err := s.startJournal(sess); err != nil {
-					continue
-				}
+			if err := s.startJournal(sess); err != nil {
+				continue
 			}
 		}
 		if err := os.Remove(filepath.Join(closed, e.Name())); err != nil {
@@ -1010,14 +935,9 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /api/v1/sessions", s.handleCreate)
 	mux.HandleFunc("GET /api/v1/sessions", s.handleList)
 	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleState)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/state", s.handleState)
 	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleClose)
 	mux.HandleFunc("POST /api/v1/sessions/{id}/stages/{name}", s.handleStage)
 	mux.HandleFunc("POST /api/v1/sessions/{id}/plans", s.handlePlan)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/bootstrap", s.handleBootstrap)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/datacontext", s.handleDataContext)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/feedback", s.handleFeedback)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/usercontext", s.handleUserContext)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/suggestions", s.handleSuggestions)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/trace", s.handleTrace)
@@ -1263,59 +1183,6 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 	s.writeRunAccepted(rw, sess.ID(), run)
 }
 
-// The legacy per-stage routes are thin aliases: each translates its old
-// wire format (query parameters, bare JSON bodies) into a StageRequest and
-// funnels through the same registry dispatch as stages/{name}.
-
-func (s *Server) stageAlias(rw http.ResponseWriter, r *http.Request, req vada.StageRequest) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(rw, err)
-		return
-	}
-	s.dispatchStage(rw, r, sess, req)
-}
-
-func (s *Server) handleBootstrap(rw http.ResponseWriter, r *http.Request) {
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageBootstrap})
-}
-
-func (s *Server) handleDataContext(rw http.ResponseWriter, r *http.Request) {
-	// Empty payload: the session defaults to its scenario's reference data.
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageDataContext})
-}
-
-func (s *Server) handleFeedback(rw http.ResponseWriter, r *http.Request) {
-	payload := map[string]any{"budget": intQuery(r, "budget", 100)}
-	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/json" {
-		body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
-		if err != nil {
-			writeBodyError(rw, err)
-			return
-		}
-		// The legacy route decoded item bodies leniently (unknown fields
-		// ignored); keep those semantics on the alias by normalising here
-		// and handing the strict stage codec only canonical fields.
-		var items []vada.FeedbackItem
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&items); err != nil {
-			http.Error(rw, "bad feedback JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		payload["items"] = items
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		http.Error(rw, "bad feedback JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageFeedback, Payload: raw})
-}
-
-func (s *Server) handleUserContext(rw http.ResponseWriter, r *http.Request) {
-	raw, _ := json.Marshal(map[string]string{"model": r.URL.Query().Get("model")})
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageUserContext, Payload: raw})
-}
-
 func (s *Server) handleRunList(rw http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	list := s.runs.List(id)
@@ -1511,9 +1378,11 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 
 // handleImport restores a session from an uploaded snapshot envelope:
 // 201 with the restored state on success, 400 for malformed envelopes,
-// 409 when the session ID is already live, 429 at the session cap. With a
-// data directory the imported session is persisted immediately, so it
-// survives a crash that follows the import.
+// 409 when the session ID is already live, 429 at the session cap. The 201
+// is not a durability acknowledgement: like a created session, an imported
+// one reaches the data directory with its first journaled stage or run, and
+// a crash before that loses it — the uploaded envelope remains the client's
+// durable copy until then.
 func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 	snap, err := vada.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
 	if err != nil {
@@ -1546,16 +1415,7 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.clearGone(sess.ID())
-	if s.journalOn() {
-		// The baseline snapshot is deferred to the first journaled record,
-		// so an import that never wrangles costs no snapshot write; the
-		// uploaded envelope remains the client's durable copy until then.
-		s.startJournal(sess)
-	} else if s.dataDir != "" {
-		if err := s.persistSession(sess); err != nil {
-			s.logger.Error("persisting imported session", "session", sess.ID(), "error", err)
-		}
-	}
+	s.startJournal(sess)
 	s.logger.Info("imported session", "session", sess.ID(),
 		"events", len(snap.Events), "runs", len(snap.Runs))
 	rw.Header().Set("Location", "/api/v1/sessions/"+sess.ID())
@@ -1778,13 +1638,12 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	writeJSON(rw, out)
 }
 
-// persistStats summarises the durability layer for healthz: whether
-// journaling is on, how many sessions hold a journal, the total journal
-// length and bytes accumulated since their last compactions, and when the
-// last full snapshot was written.
+// persistStats summarises the durability layer for healthz: how many
+// sessions hold a journal, the total journal length and bytes accumulated
+// since their last compactions, and when the last full snapshot was written.
 func (s *Server) persistStats() map[string]any {
 	// Copy the recorder set first: Stats takes each writer's mutex, which
-	// an in-flight append holds across its fsync — reading them under
+	// an in-flight commit wait holds across its fsync — reading them under
 	// recMu would let one slow disk stall every session's stage hook.
 	s.recMu.Lock()
 	recs := make([]*vada.JournalRecorder, 0, len(s.recorders))
@@ -1801,23 +1660,9 @@ func (s *Server) persistStats() map[string]any {
 		bytes += b
 	}
 	out := map[string]any{
-		"journal":            s.journal,
 		"journaled_sessions": sessions,
 		"journal_records":    records,
 		"journal_bytes":      bytes,
-		"journal_row_diffs":  s.journalRowDiffs,
-	}
-	if s.snapshotPerStage && !s.journal {
-		out["snapshot_per_stage"] = true
-	}
-	if s.committer != nil {
-		snap := s.metrics.Snapshot()
-		out["group_commit"] = map[string]any{
-			"window":    s.committer.Window().String(),
-			"max_batch": s.committer.MaxBatch(),
-			"commits":   snap.Counters["persist_group_commits_total"],
-			"fsyncs":    vada.SumMetricsCounters(snap, "persist_fsync_total"),
-		}
 	}
 	s.persistMu.Lock()
 	if !s.lastSnapshotAt.IsZero() {

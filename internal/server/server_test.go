@@ -76,9 +76,16 @@ func createSession(t *testing.T, ts *httptest.Server, body string) string {
 	return id
 }
 
+// post POSTs an empty body and decodes the 200 response; postBody sends a
+// JSON payload — the wire form of every stage that takes one.
 func post(t *testing.T, url string) map[string]any {
 	t.Helper()
-	resp, err := http.Post(url, "", nil)
+	return postBody(t, url, "")
+}
+
+func postBody(t *testing.T, url, payload string) map[string]any {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,21 +126,21 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Step 1: bootstrap.
-	out := post(t, base+"/bootstrap")
+	out := post(t, base+"/stages/bootstrap")
 	if out["stage"] != "bootstrap" {
 		t.Fatalf("bootstrap response: %v", out)
 	}
 	// Step 2: data context (defaults to the scenario's reference data).
-	out = post(t, base+"/datacontext")
+	out = post(t, base+"/stages/data-context")
 	score := out["score"].(map[string]any)
 	if score["F1"].(float64) <= 0 {
 		t.Fatalf("data-context score: %v", score)
 	}
 	// Step 3: feedback.
-	post(t, base+"/feedback?budget=40")
+	postBody(t, base+"/stages/feedback", `{"budget": 40}`)
 	// Step 4: user context, both models.
-	post(t, base+"/usercontext?model=crime")
-	post(t, base+"/usercontext?model=size")
+	postBody(t, base+"/stages/user-context", `{"model": "crime"}`)
+	postBody(t, base+"/stages/user-context", `{"model": "size"}`)
 
 	// State lists all stage events.
 	_, body := get(t, base)
@@ -226,15 +233,16 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			base := ts.URL + "/api/v1/sessions/" + id
-			for _, step := range []string{"bootstrap", "datacontext", "feedback?budget=20", "usercontext?model=crime"} {
-				resp, err := http.Post(base+"/"+step, "", nil)
+			for _, step := range [][2]string{{"bootstrap", ""}, {"data-context", ""},
+				{"feedback", `{"budget": 20}`}, {"user-context", `{"model": "crime"}`}} {
+				resp, err := http.Post(base+"/stages/"+step[0], "application/json", strings.NewReader(step[1]))
 				if err != nil {
 					errs <- err
 					return
 				}
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("session %s step %s: %s", id, step, resp.Status)
+					errs <- fmt.Errorf("session %s step %s: %s", id, step[0], resp.Status)
 					return
 				}
 			}
@@ -268,7 +276,7 @@ func TestErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id state: %s", resp.Status)
 	}
-	presp, err := http.Post(ts.URL+"/api/v1/sessions/nope/bootstrap", "", nil)
+	presp, err := http.Post(ts.URL+"/api/v1/sessions/nope/stages/bootstrap", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +297,8 @@ func TestErrorPaths(t *testing.T) {
 
 	// Unknown user-context model is a 400.
 	id := createSession(t, ts, "")
-	uresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/usercontext?model=nonsense", "", nil)
+	uresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/user-context", "application/json",
+		strings.NewReader(`{"model": "nonsense"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +308,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 
 	// Malformed feedback JSON is a 400.
-	fresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/feedback", "application/json", strings.NewReader("{"))
+	fresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/feedback", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +351,7 @@ func TestExplicitFeedbackJSON(t *testing.T) {
 	s, ts := testServer(t)
 	id := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
-	post(t, base+"/bootstrap")
+	post(t, base+"/stages/bootstrap")
 
 	sess, err := s.mgr.Get(id)
 	if err != nil {
@@ -354,23 +363,15 @@ func TestExplicitFeedbackJSON(t *testing.T) {
 	}
 	si := res.Schema.AttrIndex("street")
 	pi := res.Schema.AttrIndex("postcode")
-	// The unknown "Note" field checks the alias keeps its historical
-	// lenient decoding (the strict codec applies to the generic route).
 	item := map[string]any{
 		"Street":   res.Tuples[0][si].String(),
 		"Postcode": res.Tuples[0][pi].String(),
 		"Attr":     "bedrooms",
 		"Correct":  true,
-		"Note":     "ignored by the legacy alias",
 	}
-	body, _ := json.Marshal([]map[string]any{item})
-	resp, err := http.Post(base+"/feedback", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("explicit feedback: %s", resp.Status)
+	body, _ := json.Marshal(map[string]any{"items": []map[string]any{item}})
+	if ev := postBody(t, base+"/stages/feedback", string(body)); ev["stage"] != "feedback" {
+		t.Fatalf("explicit feedback: %v", ev)
 	}
 }
 
@@ -410,7 +411,7 @@ func TestAsyncStageFlow(t *testing.T) {
 		id = createSession(t, ts, `{"name":"async"}`)
 		start := time.Now()
 		var err error
-		resp, err = http.Post(ts.URL+"/api/v1/sessions/"+id+"/bootstrap?async=1", "", nil)
+		resp, err = http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap?async=1", "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +451,7 @@ func TestAsyncStageFlow(t *testing.T) {
 	}
 
 	// A second async stage queues behind nothing and also succeeds.
-	resp2, err := http.Post(base+"/datacontext?async=true", "", nil)
+	resp2, err := http.Post(base+"/stages/data-context?async=true", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +708,7 @@ func TestSSEEvents(t *testing.T) {
 	// Live delivery: subscribe first, then run the stage asynchronously.
 	sc1, close1 := sseConn(t, base+"/events", "")
 	defer close1()
-	resp, err := http.Post(base+"/bootstrap?async=1", "", nil)
+	resp, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +732,7 @@ func TestSSEEvents(t *testing.T) {
 	// the data-context stage.
 	sc3, close3 := sseConn(t, base+"/events", "1")
 	defer close3()
-	if _, err := http.Post(base+"/datacontext", "", nil); err != nil {
+	if _, err := http.Post(base+"/stages/data-context", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	evID3, data3, ok := readSSEStage(t, sc3)
@@ -1199,8 +1200,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{http.MethodPost, "/api/v1/sessions/x", []string{"DELETE", "GET", "HEAD"}},
 		{http.MethodGet, "/api/v1/sessions/x/stages/bootstrap", []string{"POST"}},
 		{http.MethodGet, "/api/v1/sessions/x/plans", []string{"POST"}},
-		{http.MethodGet, "/api/v1/sessions/x/bootstrap", []string{"POST"}},
-		{http.MethodGet, "/api/v1/sessions/x/feedback", []string{"POST"}},
 		{http.MethodPost, "/api/v1/sessions/x/result", []string{"GET", "HEAD"}},
 		{http.MethodPost, "/api/v1/sessions/x/events", []string{"GET", "HEAD"}},
 		{http.MethodDelete, "/api/v1/sessions/x/runs", []string{"GET", "HEAD"}},
@@ -1267,7 +1266,7 @@ func TestSessionRunQueue429(t *testing.T) {
 	<-started
 
 	// First pending run fits the cap.
-	r1, err := http.Post(base+"/bootstrap?async=1", "", nil)
+	r1, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1276,7 +1275,7 @@ func TestSessionRunQueue429(t *testing.T) {
 		t.Fatalf("first pending: %s", r1.Status)
 	}
 	// Second exceeds it: 429 + Retry-After.
-	r2, err := http.Post(base+"/bootstrap?async=1", "", nil)
+	r2, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1298,7 +1297,7 @@ func TestSessionRunQueue429(t *testing.T) {
 		t.Fatalf("plan over session cap: %s, want 429", r3.Status)
 	}
 	// An independent session is unaffected.
-	r4, err := http.Post(ts.URL+"/api/v1/sessions/"+other+"/bootstrap?async=1", "", nil)
+	r4, err := http.Post(ts.URL+"/api/v1/sessions/"+other+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1371,24 +1370,6 @@ func TestPayloadTooLarge(t *testing.T) {
 	}
 }
 
-// durableServer builds the full production wiring — durability included —
-// against a data directory, exactly as main does.
-func durableServer(t *testing.T, dataDir string) (*Server, *httptest.Server) {
-	t.Helper()
-	s, err := New(Config{
-		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
-		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
-		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dataDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
 // getJSON fetches and decodes one JSON document.
 func getJSON(t *testing.T, url string) map[string]any {
 	t.Helper()
@@ -1403,42 +1384,38 @@ func getJSON(t *testing.T, url string) map[string]any {
 	return out
 }
 
-// waitSnapshotRun polls the session's snapshot file until it holds the
-// given run in a terminal state — the durability point a kill -9 must not
-// lose.
-func waitSnapshotRun(t *testing.T, path, rid string) {
+// resultDigest is the session's full clean result as canonical CSV.
+func resultDigest(t *testing.T, base string) string {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		f, err := os.Open(path)
-		if err == nil {
-			snap, err := vada.ReadSessionSnapshot(f)
-			f.Close()
-			if err == nil {
-				for _, r := range snap.Runs {
-					if r.ID == rid && r.State.Terminal() {
-						return
-					}
-				}
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
+	resp, body := get(t, base+"/export/result?format=csv")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("export result: %s (%s)", resp.Status, body)
 	}
-	t.Fatalf("snapshot %s never recorded terminal run %s", path, rid)
+	return body
 }
 
-// TestRestartRecovery is the kill -9 acceptance flow: a session wrangles a
-// full four-stage plan, the process dies without any graceful shutdown, and
-// a server restarted over the same -data-dir serves identical result rows,
-// identical event history and the identical terminal run resource.
+// TestRestartRecovery is the kill -9 acceptance flow under the configuration
+// a data directory alone gives: a session wrangles a three-stage plan, whose
+// stage records share one fsync; the process dies without any graceful
+// shutdown; and a server restarted over the same directory restores all
+// three events, the same result and the terminal run resource.
 func TestRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := durableServer(t, dir)
+	boot := func() (*Server, *httptest.Server) {
+		s, err := New(Config{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return s, ts
+	}
+	s1, ts1 := boot()
 
-	id := createSession(t, ts1, `{"name":"durable"}`)
+	id := createSession(t, ts1, `{"name":"durable","n":50}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
 	plan := `{"stages":[{"stage":"bootstrap"},{"stage":"data-context"},
-		{"stage":"feedback","payload":{"budget":60}},{"stage":"user-context","payload":{"model":"crime"}}]}`
+		{"stage":"feedback","payload":{"budget":60}}]}`
 	resp, err := http.Post(base1+"/plans", "application/json", strings.NewReader(plan))
 	if err != nil {
 		t.Fatal(err)
@@ -1455,69 +1432,117 @@ func TestRestartRecovery(t *testing.T) {
 	}
 
 	// Ground truth before the crash.
-	wantState := getJSON(t, base1)
-	wantEvents := wantState["events"].([]any)
-	if len(wantEvents) != 4 {
-		t.Fatalf("pre-restart events = %d, want 4", len(wantEvents))
+	wantEvents := getJSON(t, base1)["events"].([]any)
+	if len(wantEvents) != 3 {
+		t.Fatalf("pre-restart events = %d, want 3", len(wantEvents))
 	}
 	wantRun := getJSON(t, ts1.URL+loc)
-	_, wantResult := get(t, base1+"/result?limit=1000")
+	wantResult := resultDigest(t, base1)
 
-	// The completed run's snapshot must already be on disk — that is what a
-	// kill -9 preserves. No graceful Close happens for server 1.
-	waitSnapshotRun(t, filepath.Join(dir, id+".vsnap"), rid)
+	// What the plan cost: its three stage records became durable under one
+	// fsync, issued before the run turned terminal; the run record the
+	// persister appends afterwards pays the second. Once that one is on disk
+	// nothing else is due, so the count is final.
+	jpath := filepath.Join(dir, id+journalExt)
+	waitJournalRun(t, jpath, rid)
+	journalFsyncs := s1.metrics.Counter(vada.MetricName("persist_fsync_total", "path", "journal"))
+	for deadline := time.Now().Add(30 * time.Second); journalFsyncs.Value() < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal fsyncs = %d, want 2", journalFsyncs.Value())
+		}
+	}
+	if got := journalFsyncs.Value(); got != 2 {
+		t.Fatalf("journal fsyncs = %d, want 2 (one for the three stage records, one for the run record)", got)
+	}
+	if recs := readJournal(t, jpath); len(recs) != 4 {
+		t.Fatalf("journal holds %d records, want 3 stage + 1 run", len(recs))
+	}
 	ts1.Close()
 	_ = s1 // deliberately never s1.Close(): this is the kill -9
 
 	// Restart over the same directory.
-	s2, ts2 := durableServer(t, dir)
+	s2, ts2 := boot()
 	t.Cleanup(s2.Close)
 	base2 := ts2.URL + "/api/v1/sessions/" + id
 
-	// The session is listed again.
-	all := getJSON(t, ts2.URL+"/api/v1/sessions")
-	if all["total"].(float64) != 1 {
+	if all := getJSON(t, ts2.URL+"/api/v1/sessions"); all["total"].(float64) != 1 {
 		t.Fatalf("restored sessions = %v", all["total"])
 	}
-
-	// Identical event history (sequence, stages, timestamps, scores).
 	gotState := getJSON(t, base2)
 	if gotState["id"] != id || gotState["name"] != "durable" {
 		t.Fatalf("restored identity: %v/%v", gotState["id"], gotState["name"])
 	}
+	// Identical event history (sequence, stages, timestamps, scores).
 	if !reflect.DeepEqual(gotState["events"], wantEvents) {
 		t.Fatalf("events drifted across restart:\n got %v\nwant %v", gotState["events"], wantEvents)
 	}
-
-	// Identical result rows, byte for byte.
-	if _, gotResult := get(t, base2+"/result?limit=1000"); gotResult != wantResult {
-		t.Fatalf("result drifted across restart:\n got %s\nwant %s", gotResult, wantResult)
+	if got := resultDigest(t, base2); got != wantResult {
+		t.Fatalf("result drifted across restart:\n got %s\nwant %s", got, wantResult)
 	}
-
-	// The terminal run resource survives, identically.
-	gotRun := getJSON(t, ts2.URL+"/api/v1/sessions/"+id+"/runs/"+rid)
-	if !reflect.DeepEqual(gotRun, wantRun) {
+	if gotRun := getJSON(t, base2+"/runs/"+rid); !reflect.DeepEqual(gotRun, wantRun) {
 		t.Fatalf("run drifted across restart:\n got %v\nwant %v", gotRun, wantRun)
 	}
 
 	// The restored session keeps wrangling: one more stage applies and the
 	// event numbering continues.
-	resp2, err := http.Post(base2+"/stages/user-context", "application/json",
-		strings.NewReader(`{"model":"size"}`))
+	if ev := postBody(t, base2+"/stages/user-context", `{"model":"size"}`); ev["seq"].(float64) != 4 {
+		t.Fatalf("post-restart seq = %v, want 4", ev["seq"])
+	}
+}
+
+// TestRestartRecoveryWholesaleJournal is the upgrade path: a data directory
+// whose journal records carry relation replacements wholesale (put-rel ops
+// only — all a server before row diffs wrote) restores with every event and
+// the same result.
+func TestRestartRecoveryWholesaleJournal(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := journalServer(t, dir, 0, 0)
+	id := createSession(t, ts1, `{"name":"upgraded"}`)
+	base1 := ts1.URL + "/api/v1/sessions/" + id
+	sess, err := s1.mgr.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-restart stage: %s", resp2.Status)
+	for _, st := range []struct{ name, payload string }{
+		{"bootstrap", ""}, {"data-context", ""}, {"feedback", `{"budget": 40}`}, {"feedback", `{"budget": 40}`},
+	} {
+		// Forces this stage's record to log its puts wholesale.
+		sess.Wrangler().KB.SnapshotPending()
+		postBody(t, base1+"/stages/"+st.name, st.payload)
 	}
-	var ev map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&ev); err != nil {
-		t.Fatal(err)
+	puts := 0
+	for _, rec := range readJournal(t, filepath.Join(dir, id+journalExt)) {
+		if rec.Stage == nil || rec.Stage.Delta == nil {
+			continue
+		}
+		for _, op := range rec.Stage.Delta.Ops {
+			switch op.Kind {
+			case "put-rel":
+				puts++
+			case "patch-rel":
+				t.Fatalf("record %d carries a row diff; the fixture must be wholesale", rec.Seq)
+			}
+		}
 	}
-	if ev["seq"].(float64) != 5 {
-		t.Fatalf("post-restart seq = %v, want 5", ev["seq"])
+	if puts == 0 {
+		t.Fatal("journal carries no put-rel op")
 	}
+	wantEvents := getJSON(t, base1)["events"].([]any)
+	wantResult := resultDigest(t, base1)
+	ts1.Close()
+	_ = s1 // kill -9: no graceful close
+
+	s2, ts2 := journalServer(t, dir, 0, 0)
+	t.Cleanup(s2.Close)
+	base2 := ts2.URL + "/api/v1/sessions/" + id
+	if got := getJSON(t, base2)["events"]; !reflect.DeepEqual(got, wantEvents) {
+		t.Fatalf("events drifted across restart:\n got %v\nwant %v", got, wantEvents)
+	}
+	if got := resultDigest(t, base2); got != wantResult {
+		t.Fatalf("result drifted across restart:\n got %s\nwant %s", got, wantResult)
+	}
+	// The next stage journals row diffs over the restored state.
+	postBody(t, base2+"/stages/feedback", `{"budget": 40}`)
 }
 
 // TestCloseEvictPersists proves the teardown path snapshots the final
@@ -1526,15 +1551,15 @@ func TestRestartRecovery(t *testing.T) {
 // event and stays restorable.
 func TestCloseEvictPersists(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := durableServer(t, dir)
+	s, ts := journalServer(t, dir, 0, 0)
 	t.Cleanup(s.Close)
 
 	id := createSession(t, ts, `{"name":"evicted"}`)
 	base := ts.URL + "/api/v1/sessions/" + id
-	if resp, body := get(t, base+"/state"); resp.StatusCode != http.StatusOK {
+	if resp, body := get(t, base); resp.StatusCode != http.StatusOK {
 		t.Fatalf("state: %s", body)
 	}
-	resp, err := http.Post(base+"/bootstrap", "", nil)
+	resp, err := http.Post(base+"/stages/bootstrap", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1582,7 +1607,7 @@ func TestExportImport(t *testing.T) {
 	_, ts := testServer(t)
 	id := createSession(t, ts, `{"name":"exported"}`)
 	base := ts.URL + "/api/v1/sessions/" + id
-	post(t, base+"/bootstrap")
+	post(t, base+"/stages/bootstrap")
 
 	resp, err := http.Get(base + "/export")
 	if err != nil {
@@ -1643,7 +1668,7 @@ func TestExportImport(t *testing.T) {
 		t.Fatalf("imported result drifted:\n got %s\nwant %s", gotResult, wantResult)
 	}
 	// And it wrangles on.
-	post(t, base+"/datacontext")
+	post(t, base+"/stages/data-context")
 }
 
 // TestImportRejections covers the import guardrails: garbage envelopes,
@@ -1705,7 +1730,7 @@ func TestExportUnknownSession(t *testing.T) {
 // scenario sizes past the server's -max-n policy (or negative sizes that
 // would panic generation).
 func TestImportScenarioBounds(t *testing.T) {
-	s, ts := durableServer(t, t.TempDir()) // maxN = 2000
+	s, ts := journalServer(t, t.TempDir(), 0, 0) // maxN = 2000
 	t.Cleanup(s.Close)
 	importURL := ts.URL + "/api/v1/sessions/import"
 
@@ -1752,16 +1777,16 @@ func TestImportScenarioBounds(t *testing.T) {
 	}
 }
 
-// journalServer builds the full production wiring with incremental
-// durability on. Thresholds are set high so tests control compaction
-// explicitly unless they pass their own.
+// journalServer builds the full production wiring — durability included —
+// over a data directory, exactly as main does, with the given compaction
+// thresholds (0 = none, so the test controls compaction).
 func journalServer(t *testing.T, dataDir string, maxRecords int, maxBytes int64) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
 		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
 		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
 		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dataDir, Journal: true,
+		DataDir:           dataDir,
 		JournalMaxRecords: maxRecords, JournalMaxBytes: maxBytes,
 	})
 	if err != nil {
@@ -1807,8 +1832,8 @@ func waitJournalRun(t *testing.T, path, rid string) {
 	t.Fatalf("journal %s never recorded terminal run %s", path, rid)
 }
 
-// TestRestartRecoveryJournaled is the kill -9 acceptance flow with
-// incremental durability: a session completes a 4-stage plan run plus one
+// TestRestartRecoveryJournaled is the kill -9 acceptance flow over several
+// runs: a session completes a 4-stage plan run plus one
 // more async stage run with NO compaction in between — the snapshot on disk
 // stays the stageless baseline, all state lives in O(delta) journal
 // appends — the process dies without any graceful shutdown, and a server
@@ -1983,7 +2008,7 @@ func TestSnapshotGC(t *testing.T) {
 
 	id := createSession(t, ts1, `{"name":"gc"}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
-	post(t, base1+"/bootstrap")
+	post(t, base1+"/stages/bootstrap")
 	req, _ := http.NewRequest(http.MethodDelete, base1, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -2018,7 +2043,7 @@ func TestSnapshotGC(t *testing.T) {
 		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
 		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
 		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dir, Journal: true, JournalMaxRecords: 10000, JournalMaxBytes: 1 << 30,
+		DataDir: dir, JournalMaxRecords: 10000, JournalMaxBytes: 1 << 30,
 		RestoreClosed: true,
 	})
 	if err != nil {
@@ -2037,26 +2062,23 @@ func TestSnapshotGC(t *testing.T) {
 		t.Fatalf("unarchived session has no live snapshot: %v", err)
 	}
 	// And it wrangles on.
-	post(t, ts3.URL+"/api/v1/sessions/"+id+"/datacontext")
+	post(t, ts3.URL+"/api/v1/sessions/"+id+"/stages/data-context")
 }
 
-// TestHealthzPersistStats pins the new healthz section: journal mode,
-// journaled session count, record/byte totals and the last snapshot time.
+// TestHealthzPersistStats pins the healthz persist section: journaled
+// session count, record/byte totals and the last snapshot time.
 func TestHealthzPersistStats(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := journalServer(t, dir, 10000, 1<<30)
 	t.Cleanup(s.Close)
 
 	id := createSession(t, ts, "")
-	post(t, ts.URL+"/api/v1/sessions/"+id+"/bootstrap") // sync: journaled via the stage hook
+	post(t, ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap") // sync: journaled via the stage hook
 
 	h := getJSON(t, ts.URL+"/api/v1/healthz")
 	persist, ok := h["persist"].(map[string]any)
 	if !ok {
 		t.Fatalf("healthz without persist stats: %v", h)
-	}
-	if persist["journal"] != true {
-		t.Fatalf("persist.journal = %v", persist["journal"])
 	}
 	if persist["journaled_sessions"].(float64) != 1 {
 		t.Fatalf("persist.journaled_sessions = %v", persist["journaled_sessions"])

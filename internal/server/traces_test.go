@@ -23,7 +23,7 @@ func tracedServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server
 		N: 30, MaxN: 500, Seed: 1,
 		RunWorkers: 2, RunQueue: 64, RunSessionQueue: 8,
 		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: t.TempDir(), Journal: true,
+		DataDir:           t.TempDir(),
 		JournalMaxRecords: 512, JournalMaxBytes: 8 << 20,
 		Trace:  true,
 		Logger: slog.New(slog.DiscardHandler),

@@ -135,12 +135,10 @@ type Session struct {
 	resultCache   *relation.Relation
 	resultVersion uint64
 
-	// stageHook, when set, observes every completed stage while the session
-	// still holds its run mutex — the mutation hook the durability journal
-	// feeds on (see WithStageHook). stageCommitHook is its two-phase form:
-	// capture under the run mutex, durability wait after it is released
-	// (see WithStageCommitHook).
-	stageHook       func(context.Context, *Session, Event)
+	// stageCommitHook, when set, observes every completed stage while the
+	// session still holds its run mutex — the mutation hook the durability
+	// journal feeds on — and may return a durability wait invoked after the
+	// mutex is released (see WithStageCommitHook).
 	stageCommitHook func(context.Context, *Session, Event) func()
 
 	// reg, when set, counts the SSE fan-out: live subscribers
@@ -180,28 +178,22 @@ func WithRegistry(r *Registry) Option {
 	return func(s *Session) { s.registry = r }
 }
 
-// WithStageHook installs a callback invoked after every completed stage,
-// with the session's run mutex still held: no later stage can start (and no
-// knowledge-base write can land) before the hook returns, which is exactly
-// the window an incremental-durability journal needs to capture the stage's
-// mutation delta race-free. The hook receives the stage's context (carrying
-// the stage's trace span, so journal appends nest under it) and runs on the
-// wrangling path — keep it short and never call back into the session's
-// stage methods (Step would self-deadlock). One hook per session; later
-// options replace earlier ones.
-func WithStageHook(hook func(context.Context, *Session, Event)) Option {
-	return func(s *Session) { s.stageHook = hook }
-}
-
-// WithStageCommitHook installs the two-phase variant of WithStageHook: the
-// hook runs with the run mutex still held (same race-free capture window)
-// but may return a commit wait, which Step invokes AFTER releasing the run
-// mutex and before returning. The stage is still not acknowledged until
-// the wait returns — durability semantics are unchanged — but the next
-// stage can start while this one's fsync is in flight, which is what lets
-// a group-commit journal batch one fsync across consecutive stages. A nil
-// return means nothing to wait for. One hook per session; later options
-// replace earlier ones.
+// WithStageCommitHook installs a callback invoked after every completed
+// stage, with the session's run mutex still held: no later stage can start
+// (and no knowledge-base write can land) before the hook returns, which is
+// exactly the window an incremental-durability journal needs to capture the
+// stage's mutation delta race-free. The hook receives the stage's context
+// (carrying the stage's trace span, so journal appends nest under it) and
+// runs on the wrangling path — keep it short and never call back into the
+// session's stage methods (Step would self-deadlock).
+//
+// The hook may return a commit wait, which Step invokes AFTER releasing the
+// run mutex and before returning: the stage is not acknowledged until the
+// wait returns, but the next stage can start while this one's fsync is in
+// flight, and a plan run collects its stages' waits and invokes them
+// together before the run is acknowledged (see DeferCommits). A nil return
+// means nothing to wait for. One hook per session; later options replace
+// earlier ones.
 func WithStageCommitHook(hook func(context.Context, *Session, Event) func()) Option {
 	return func(s *Session) { s.stageCommitHook = hook }
 }
@@ -396,10 +388,9 @@ func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wr
 	if commitWait != nil {
 		// Block for the stage record's durability AFTER releasing the run
 		// mutex: the acknowledgement still waits for the fsync, but the
-		// next stage can already run — its own fsync batches with this one
-		// under a group-commit journal. Inside a DeferCommits scope (plan
+		// next stage can already run. Inside a DeferCommits scope (plan
 		// runs) the wait is handed to the collector instead, so the plan's
-		// stages flush together in one batch before the run is acknowledged.
+		// stages share one fsync, issued before the run is acknowledged.
 		if c := deferredFrom(ctx); c != nil {
 			c.add(commitWait)
 		} else {
@@ -454,14 +445,11 @@ func (s *Session) stepLocked(ctx context.Context, stage string, action func(w *c
 		}
 	}
 	s.mu.Unlock()
-	// Under runMu, after the event is appended: the hooks observe the
+	// Under runMu, after the event is appended: the hook observes the
 	// session exactly as this stage left it, before any later stage runs.
 	var commitWait func()
 	if s.stageCommitHook != nil {
 		commitWait = s.stageCommitHook(ctx, s, ev)
-	}
-	if s.stageHook != nil {
-		s.stageHook(ctx, s, ev)
 	}
 	return ev, commitWait, nil
 }

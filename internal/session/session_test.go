@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -612,20 +613,22 @@ func TestTeardownHookOrdering(t *testing.T) {
 	}
 }
 
-// TestStageHook proves the mutation hook's contract: it fires once per
+// TestStageCommitHook proves the mutation hook's contract: it fires once per
 // completed stage, after the event is appended (Seq assigned, history
 // visible), while the run mutex still excludes the next stage — so a
 // knowledge-base version read inside the hook is exactly the stage's final
-// version.
-func TestStageHook(t *testing.T) {
+// version. The wait it returns runs after the run mutex is released and
+// before Step returns, or, inside a DeferCommits scope, at the flush.
+func TestStageCommitHook(t *testing.T) {
 	ctx := context.Background()
 	sc := testScenario(t, 40, 1)
 	var calls []Event
 	var versions []uint64
+	var waited []int
 	var sess *Session
 	sess = New("hooked", core.BuildScenarioWrangler(sc),
 		WithScenario(sc, 1),
-		WithStageHook(func(_ context.Context, s *Session, ev Event) {
+		WithStageCommitHook(func(_ context.Context, s *Session, ev Event) func() {
 			if s != sess {
 				t.Error("hook got a different session")
 			}
@@ -634,9 +637,16 @@ func TestStageHook(t *testing.T) {
 			if got := s.Events(); len(got) != ev.Seq {
 				t.Errorf("hook sees %d events, want %d", len(got), ev.Seq)
 			}
+			return func() {
+				s.Quiesce() // would self-deadlock were the run mutex still held
+				waited = append(waited, ev.Seq)
+			}
 		}))
 	if _, err := sess.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if len(waited) != 1 {
+		t.Fatalf("Step returned with waits %v invoked, want [1]", waited)
 	}
 	if _, err := sess.AddDataContext(ctx, nil); err != nil {
 		t.Fatal(err)
@@ -660,6 +670,26 @@ func TestStageHook(t *testing.T) {
 	}
 	if len(calls) != 2 {
 		t.Fatalf("failed stage fired the hook: %d calls", len(calls))
+	}
+
+	// A plan's scope collects the waits; the flush invokes them in order.
+	dctx, flush := DeferCommits(ctx)
+	if _, err := sess.AddFeedback(dctx, nil, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AddFeedback(dctx, nil, 10); err != nil {
+		t.Fatal(err)
+	}
+	if len(waited) != 2 {
+		t.Fatalf("deferred waits ran before the flush: %v", waited)
+	}
+	flush()
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(waited, want) {
+		t.Fatalf("waits after flush = %v, want %v", waited, want)
+	}
+	flush() // nothing pending: a no-op
+	if len(waited) != 4 {
+		t.Fatalf("second flush re-ran waits: %v", waited)
 	}
 }
 

@@ -181,10 +181,9 @@ var (
 	WithStopHook      = session.WithStopHook
 	WithEvictHook     = session.WithEvictHook
 	WithRestored      = session.WithRestored
-	WithStageHook     = session.WithStageHook
 
-	// WithStageCommitHook is the two-phase stage hook: capture under the
-	// run mutex, durability wait after it — the group-commit journal path.
+	// WithStageCommitHook is the stage hook the journal feeds on: capture
+	// under the run mutex, durability wait after it is released.
 	WithStageCommitHook = session.WithStageCommitHook
 
 	// WithSessionShards stripes the manager's session table.
@@ -218,9 +217,10 @@ var (
 
 // JournalRecord is one entry of a session's append-only journal — a
 // completed stage's mutation delta (JournalStageRecord) or a terminal run.
-// JournalWriter appends fsynced records to the per-session .vjournal file;
-// JournalRecorder ties a live session to its writer (stage hook → stage
-// records, terminal runs → run records, compaction); JournalReplayResult is
+// JournalWriter appends records to the per-session .vjournal file and fsyncs
+// them before they are acknowledged; JournalRecorder ties a live session to
+// its writer (stage hook → stage records, terminal runs → run records,
+// compaction); JournalReplayResult is
 // the torn-tail-tolerant read of a journal's valid prefix. KBDelta/KBDeltaOp
 // are the knowledge-base mutation log journaled per stage.
 type (
@@ -243,25 +243,8 @@ var (
 	NewJournalRecorder = journal.NewRecorder
 )
 
-// GroupCommitter batches journal fsyncs across sessions: one coordinator
-// amortises one fsync over the appends that land within a bounded latency
-// window, with every append still blocking until its batch is durable.
-type GroupCommitter = journal.GroupCommitter
-
-// NewGroupCommitter starts a commit coordinator (window, max batch size,
-// metrics registry); wire it to writers with JournalWriter.SetGroupCommit.
-var NewGroupCommitter = journal.NewGroupCommitter
-
-// DefaultJournalGroupMax is the batch-size cap used when none is given.
-const DefaultJournalGroupMax = journal.DefaultGroupMax
-
-// JournalRecorderOption customises a JournalRecorder; WithJournalRowDiffs
-// switches its change log to row-level relation patches (added/removed
-// tuples instead of wholesale relation clones per stage record).
+// JournalRecorderOption customises a JournalRecorder.
 type JournalRecorderOption = journal.RecorderOption
-
-// WithJournalRowDiffs enables row-level relation diffs in stage records.
-var WithJournalRowDiffs = journal.WithRowDiffs
 
 // WithJournalBaseline defers the baseline snapshot under a fresh journal
 // until the first record is acknowledged (see journal.WithBaseline).
