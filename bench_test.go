@@ -59,19 +59,24 @@ func BenchmarkReadinessEvaluation(b *testing.B) {
 }
 
 // BenchmarkBootstrap measures demonstration step 1 (E-F3): the fully
-// automatic pipeline from registered sources to a fused result.
+// automatic pipeline from registered sources to a fused result, at two sizes
+// so the scaling the frozen benchmark reports as core.bootstrap_ms.n* shows.
 func BenchmarkBootstrap(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(200))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := vada.BuildScenarioWrangler(sc)
-		if _, err := w.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		if w.Result() == nil {
-			b.Fatal("no result")
-		}
+	for _, n := range []int{200, 600} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sc := vada.GenerateScenario(scenarioCfg(n))
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := vada.BuildScenarioWrangler(sc)
+				if _, err := w.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				if w.Result() == nil {
+					b.Fatal("no result")
+				}
+			}
+		})
 	}
 }
 
@@ -266,34 +271,44 @@ func BenchmarkMappingGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkMappingExecution measures executing a join mapping through the
-// Vadalog engine.
+// BenchmarkMappingExecution measures executing the two kinds of join mapping
+// through the Vadalog engine: listing x listing (onthemarket+rightmove, both
+// sides grow with n and the join column is mid-atom) and listing x lookup
+// (rightmove+deprivation, the lookup is small and its join column leads).
 func BenchmarkMappingExecution(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(300))
-	target := vada.TargetSchema()
-	sources := []*vada.Relation{sc.Rightmove, sc.Deprivation}
-	matches := append(vada.MatchSchemas(sc.Rightmove.Schema, target),
-		vada.MatchSchemas(sc.Deprivation.Schema, target)...)
-	maps := vada.GenerateMappings(target, sources, matches, vada.DefaultOptions().GenOptions)
-	var join *vada.Mapping
-	for i := range maps {
-		if len(maps[i].JoinSources) > 0 {
-			join = &maps[i]
+	for _, n := range []int{300, 600, 1200} {
+		sc := vada.GenerateScenario(scenarioCfg(n))
+		target := vada.TargetSchema()
+		sources := []*vada.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
+		srcMap := map[string]*vada.Relation{}
+		var matches []vada.Match
+		for _, src := range sources {
+			srcMap[src.Schema.Name] = src
+			matches = append(matches, vada.MatchSchemas(src.Schema, target)...)
 		}
-	}
-	if join == nil {
-		b.Fatal("no join mapping")
-	}
-	srcMap := map[string]*vada.Relation{"rightmove": sc.Rightmove, "deprivation": sc.Deprivation}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := vada.ExecuteMapping(*join, srcMap, vada.NewEngine())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Cardinality() == 0 {
-			b.Fatal("empty mapping result")
+		maps := vada.GenerateMappings(target, sources, matches, vada.DefaultOptions().GenOptions)
+		for _, id := range []string{"m_onthemarket+rightmove", "m_rightmove+deprivation"} {
+			var join *vada.Mapping
+			for i := range maps {
+				if maps[i].ID == id {
+					join = &maps[i]
+				}
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", id[2:], n), func(b *testing.B) {
+				if join == nil {
+					b.Fatalf("no mapping %s", id)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := vada.ExecuteMapping(*join, srcMap, vada.NewEngine())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Cardinality() == 0 {
+						b.Fatal("empty mapping result")
+					}
+				}
+			})
 		}
 	}
 }

@@ -433,3 +433,58 @@ func TestTraceMentionsAllActivities(t *testing.T) {
 		}
 	}
 }
+
+// TestBootstrapDeterministic pins that a bootstrap is a function of its
+// inputs. On this scenario two candidate mappings score within an ulp of each
+// other, and when the scores were summed in map order one bootstrap in forty
+// ranked them the other way round and fused a different result.
+func TestBootstrapDeterministic(t *testing.T) {
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties, cfg.Seed = 30, 2143417786
+	sc := datagen.Generate(cfg)
+	digests := map[uint64]int{}
+	for i := 0; i < 120; i++ {
+		w := BuildScenarioWrangler(sc)
+		if _, err := w.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		digests[hashRelation(w.Result())]++
+	}
+	if len(digests) != 1 {
+		t.Fatalf("120 bootstraps of one scenario gave %d different results: %v", len(digests), digests)
+	}
+}
+
+// TestMaxStepsBoundsOneRun pins that WithMaxSteps bounds each orchestration
+// run, not the wrangler's lifetime: a session takes stage after stage, each
+// under the bound, long after their sum has passed it.
+func TestMaxStepsBoundsOneRun(t *testing.T) {
+	const maxSteps = 150
+	sc := testScenario(t, 40)
+	w := BuildScenarioWrangler(sc, WithMaxSteps(maxSteps))
+	ctx := context.Background()
+	if _, err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w.AddDataContext(sc.AddressRef)
+	if _, err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for round := int64(0); round < 12; round++ {
+		w.AddFeedback(OracleFeedback(sc, w.Result(), 10, round)...)
+		steps, err := w.Run(ctx)
+		if err != nil {
+			t.Fatalf("feedback round %d after %d steps in all: %v", round, len(w.Trace()), err)
+		}
+		if len(steps) == 0 {
+			t.Fatalf("feedback round %d ran nothing", round)
+		}
+	}
+	trace := w.Trace()
+	if len(trace) <= maxSteps {
+		t.Fatalf("%d steps in all: the stages never passed the bound of %d between them", len(trace), maxSteps)
+	}
+	if last := trace[len(trace)-1]; last.Seq != len(trace) {
+		t.Fatalf("Step.Seq = %d after %d steps: it must stay cumulative", last.Seq, len(trace))
+	}
+}

@@ -433,19 +433,10 @@ type Candidate struct {
 // deterministic order.
 func SelectByUserContext(cands []Candidate, weights map[mcda.Criterion]float64, minScore float64) []Candidate {
 	score := func(c Candidate) float64 {
-		crits := c.Report.Criteria()
 		if len(weights) > 0 {
-			return mcda.Score(weights, crits)
+			return mcda.Score(weights, c.Report.Criteria())
 		}
-		sum, n := 0.0, 0
-		for _, v := range c.Report.Completeness {
-			sum += v
-			n++
-		}
-		if n > 0 {
-			sum /= float64(n)
-		}
-		return (sum + c.Report.Consistency) / 2
+		return c.Report.DefaultScore()
 	}
 	ranked := append([]Candidate(nil), cands...)
 	sort.SliceStable(ranked, func(i, j int) bool {

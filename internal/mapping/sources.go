@@ -24,19 +24,10 @@ type SourceCandidate struct {
 // used, as for mappings. Ties break lexicographically.
 func SelectSources(cands []SourceCandidate, weights map[mcda.Criterion]float64, minScore float64) []SourceCandidate {
 	score := func(c SourceCandidate) float64 {
-		crits := c.Report.Criteria()
 		if len(weights) > 0 {
-			return mcda.Score(weights, crits)
+			return mcda.Score(weights, c.Report.Criteria())
 		}
-		sum, n := 0.0, 0
-		for _, v := range c.Report.Completeness {
-			sum += v
-			n++
-		}
-		if n > 0 {
-			sum /= float64(n)
-		}
-		return (sum + c.Report.Consistency) / 2
+		return c.Report.DefaultScore()
 	}
 	ranked := append([]SourceCandidate(nil), cands...)
 	sort.SliceStable(ranked, func(i, j int) bool {

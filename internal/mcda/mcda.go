@@ -321,12 +321,24 @@ func (m *Model) EigenWeights() (map[Criterion]float64, error) {
 // Score computes the weighted-sum utility of a candidate whose per-criterion
 // quality estimates are given in metrics (values in [0,1]). Criteria missing
 // from metrics contribute zero; criteria missing from weights are ignored.
+// The terms are added in criterion order, not map order: float addition is
+// not associative, and candidates an ulp apart must rank the same every time.
 func Score(weights map[Criterion]float64, metrics map[Criterion]float64) float64 {
-	s := 0.0
-	for c, w := range weights {
-		if v, ok := metrics[c]; ok {
-			s += w * v
+	crits := make([]Criterion, 0, len(weights))
+	for c := range weights {
+		if _, ok := metrics[c]; ok {
+			crits = append(crits, c)
 		}
+	}
+	sort.Slice(crits, func(i, j int) bool {
+		if crits[i].Metric != crits[j].Metric {
+			return crits[i].Metric < crits[j].Metric
+		}
+		return crits[i].Target < crits[j].Target
+	})
+	s := 0.0
+	for _, c := range crits {
+		s += weights[c] * metrics[c]
 	}
 	return s
 }

@@ -6,6 +6,7 @@ package quality
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"vada/internal/cfd"
@@ -180,6 +181,26 @@ func Assess(rel *relation.Relation, cfds []cfd.CFD, accuracy map[string]float64)
 		r.Accuracy[k] = v
 	}
 	return r
+}
+
+// DefaultScore is the score of a result or source when no user context
+// weighs the criteria: mean completeness blended with consistency. The mean
+// adds the attributes in name order, not map order: float addition is not
+// associative, and candidates an ulp apart must rank the same every time.
+func (r Report) DefaultScore() float64 {
+	attrs := make([]string, 0, len(r.Completeness))
+	for a := range r.Completeness {
+		attrs = append(attrs, a)
+	}
+	sort.Strings(attrs)
+	mean := 0.0
+	for _, a := range attrs {
+		mean += r.Completeness[a]
+	}
+	if len(attrs) > 0 {
+		mean /= float64(len(attrs))
+	}
+	return (mean + r.Consistency) / 2
 }
 
 // Criteria flattens the report into an mcda criterion vector:

@@ -26,7 +26,9 @@ type Orchestrator struct {
 	Network NetworkTransducer
 	// Engine evaluates dependency queries.
 	Engine *vadalog.Engine
-	// MaxSteps guards against livelock from non-idempotent transducers.
+	// MaxSteps guards against livelock from non-idempotent transducers: it
+	// bounds the steps of one RunToQuiescence call, not of the
+	// orchestrator's lifetime.
 	MaxSteps int
 
 	lastRun map[string]uint64 // transducer name -> KB version at last run
@@ -84,12 +86,12 @@ func (o *Orchestrator) Eligible() ([]Transducer, error) {
 }
 
 // RunToQuiescence drives the system until no transducer is eligible, the
-// context is cancelled, or MaxSteps is exceeded. Individual transducer
+// context is cancelled, or this call has taken MaxSteps steps. Individual transducer
 // failures are recorded in the trace and do not stop orchestration (the
 // failing transducer is not retried until new information arrives).
 func (o *Orchestrator) RunToQuiescence(ctx context.Context) ([]Step, error) {
 	var steps []Step
-	for len(o.trace)+1 <= o.MaxSteps {
+	for len(steps) < o.MaxSteps {
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}

@@ -242,8 +242,15 @@ func TestOrchestratorMaxStepsGuard(t *testing.T) {
 	)
 	k.Assert("a", tup(0))
 	o := NewOrchestrator(k, reg, WithMaxSteps(10))
-	if _, err := o.RunToQuiescence(context.Background()); err == nil {
-		t.Fatal("mutual livelock must trip MaxSteps")
+	// The guard is per call: the second call gets ten steps of its own.
+	for call := 1; call <= 2; call++ {
+		steps, err := o.RunToQuiescence(context.Background())
+		if err == nil || len(steps) != 10 {
+			t.Fatalf("call %d: mutual livelock must trip MaxSteps after 10 steps: %d steps, %v", call, len(steps), err)
+		}
+		if got := steps[9].Seq; got != 10*call {
+			t.Fatalf("call %d: last Seq = %d, want the cumulative %d", call, got, 10*call)
+		}
 	}
 }
 

@@ -11,6 +11,12 @@
 //     dependencies), realised through labelled nulls created by a bounded
 //     restricted chase (see Engine.MaxNullDepth).
 //
+// Evaluation is compiled: each rule or query body becomes a plan (plan.go)
+// whose variables are slots of one flat frame and whose atoms probe hash
+// indexes on the argument positions bound when they are reached (index.go).
+// Facts keep derivation order — rules in program order, body matches in
+// insertion order — and callers' result digests depend on it.
+//
 // Within VADA, the engine plays the three roles the paper assigns to
 // Vadalog: transducer input dependencies are queries evaluated over the
 // knowledge base, orchestration conditions are rules, and schema mappings

@@ -52,25 +52,11 @@ func NewEngine() *Engine {
 }
 
 // Result holds the facts derived by a program run (IDB ∪ referenced EDB).
+// Facts the run read from the EDB are the EDB's own tuples, not copies, and
+// QueryResult builds indexes on the Result as it needs them: treat the facts
+// as read-only and do not share a Result between goroutines.
 type Result struct {
 	store map[string]*tupleSet
-}
-
-type tupleSet struct {
-	keys   map[string]bool
-	tuples []relation.Tuple
-}
-
-func newTupleSet() *tupleSet { return &tupleSet{keys: map[string]bool{}} }
-
-func (s *tupleSet) add(t relation.Tuple) bool {
-	k := t.Key()
-	if s.keys[k] {
-		return false
-	}
-	s.keys[k] = true
-	s.tuples = append(s.tuples, t)
-	return true
 }
 
 // Facts returns the tuples derived for pred (shared slices; treat as
@@ -89,10 +75,7 @@ func (r *Result) Count(pred string) int { return len(r.Facts(pred)) }
 // Has reports whether the exact fact was derived.
 func (r *Result) Has(pred string, t relation.Tuple) bool {
 	s, ok := r.store[pred]
-	if !ok {
-		return false
-	}
-	return s.keys[t.Key()]
+	return ok && s.has(t)
 }
 
 // Predicates lists predicates with at least one fact, sorted.
@@ -116,10 +99,39 @@ type evaluator struct {
 	prog      *Program
 	analysis  *Analysis
 	facts     map[string]*tupleSet
+	rules     []*rulePlan    // by rule index; nil for facts and bodiless rules
 	nullDepth map[string]int // labelled null name -> depth
 	nullSeq   int
 	skolem    map[string]relation.Value // rule+frontier key -> null
 	total     int
+}
+
+// rulePlan is a rule compiled for one Run: the plan of its body, where each
+// head argument comes from, and the facts of its head predicate.
+type rulePlan struct {
+	*plan
+	head   []headArg
+	into   *tupleSet
+	nExist int              // distinct existential head variables
+	rec    []int            // body literals over the head's own stratum, for semi-naive rounds
+	out    []relation.Tuple // evalRule's buffer, reused from round to round
+	aggFn  AggFn
+	aggArg int // slot of the aggregated variable
+}
+
+type headSrc uint8
+
+const (
+	headConst headSrc = iota
+	headSlot          // a body variable: n is its slot
+	headExist         // an existential variable: n numbers it within the rule
+	headAgg
+)
+
+type headArg struct {
+	src headSrc
+	val relation.Value
+	n   int
 }
 
 // Run evaluates the program against the EDB and returns all facts.
@@ -133,33 +145,32 @@ func (e *Engine) Run(prog *Program, edb EDB) (*Result, error) {
 		prog:      prog,
 		analysis:  analysis,
 		facts:     map[string]*tupleSet{},
+		rules:     make([]*rulePlan, len(prog.Rules)),
 		nullDepth: map[string]int{},
 		skolem:    map[string]relation.Value{},
 	}
 
-	// Seed every referenced predicate from the EDB.
-	seed := func(pred string) {
-		if _, ok := ev.facts[pred]; ok {
-			return
-		}
-		set := newTupleSet()
-		ev.facts[pred] = set
-		for _, t := range edb.Facts(pred) {
-			if set.add(t.Clone()) {
-				ev.total++
+	// Seed every referenced predicate from the EDB, dropping duplicates. The
+	// tuples themselves are shared with the EDB, never copied or changed.
+	for _, preds := range [][]string{prog.BodyPredicates(), prog.HeadPredicates()} {
+		for _, p := range preds {
+			if ev.facts[p] != nil {
+				continue
+			}
+			src := edb.Facts(p)
+			set := &tupleSet{tuples: make([]relation.Tuple, 0, len(src))}
+			ev.facts[p] = set
+			for _, t := range src {
+				if set.add(t) {
+					ev.total++
+				}
 			}
 		}
 	}
-	for _, p := range prog.BodyPredicates() {
-		seed(p)
-	}
-	for _, p := range prog.HeadPredicates() {
-		seed(p)
-	}
 
-	// Program facts.
-	for _, r := range prog.Rules {
-		if r.IsFact() {
+	for ri, r := range prog.Rules {
+		switch {
+		case r.IsFact():
 			t := make(relation.Tuple, len(r.Head.Args))
 			for i, a := range r.Head.Args {
 				t[i] = a.(Const).Val
@@ -167,6 +178,8 @@ func (e *Engine) Run(prog *Program, edb EDB) (*Result, error) {
 			if ev.facts[r.Head.Pred].add(t) {
 				ev.total++
 			}
+		case len(r.Body) > 0:
+			ev.rules[ri] = ev.compileRule(ri)
 		}
 	}
 
@@ -178,32 +191,60 @@ func (e *Engine) Run(prog *Program, edb EDB) (*Result, error) {
 	return &Result{store: ev.facts}, nil
 }
 
+func (ev *evaluator) compileRule(ri int) *rulePlan {
+	r := ev.prog.Rules[ri]
+	rp := &rulePlan{
+		plan: compileBody(r.Body, ev.analysis.Order[ri], ev.facts),
+		into: ev.facts[r.Head.Pred],
+	}
+	exist := map[string]int{}
+	for _, t := range r.Head.Args {
+		switch x := t.(type) {
+		case Const:
+			rp.head = append(rp.head, headArg{src: headConst, val: x.Val})
+		case Var:
+			if slot, ok := rp.slotOf[x.Name]; ok {
+				rp.head = append(rp.head, headArg{src: headSlot, n: slot})
+				continue
+			}
+			n, ok := exist[x.Name]
+			if !ok {
+				n = len(exist)
+				exist[x.Name] = n
+			}
+			rp.head = append(rp.head, headArg{src: headExist, n: n})
+		case Agg:
+			rp.head = append(rp.head, headArg{src: headAgg})
+			rp.aggFn, rp.aggArg = x.Fn, rp.slotOf[x.Arg.Name]
+		}
+	}
+	rp.nExist = len(exist)
+	own := ev.analysis.StratumOf[r.Head.Pred]
+	for li, l := range r.Body {
+		if l.Atom == nil || l.Negated {
+			continue
+		}
+		if s, derived := ev.analysis.StratumOf[l.Atom.Pred]; derived && s == own {
+			rp.rec = append(rp.rec, li)
+		}
+	}
+	return rp
+}
+
 // runStratum evaluates one stratum: aggregate rules once (their bodies are
 // strictly lower), then the remaining rules to a semi-naive fixpoint.
 func (ev *evaluator) runStratum(s int) error {
-	inStratum := map[string]bool{}
-	for _, p := range ev.analysis.Strata[s] {
-		inStratum[p] = true
-	}
-	var aggRules, rules []int
-	for ri, r := range ev.prog.Rules {
-		if r.IsFact() || !inStratum[r.Head.Pred] {
+	var rules []int
+	for ri, rp := range ev.rules {
+		if rp == nil || ev.analysis.StratumOf[ev.prog.Rules[ri].Head.Pred] != s {
 			continue
 		}
-		if r.HasAggregation() {
-			aggRules = append(aggRules, ri)
-		} else if len(r.Body) > 0 {
+		if !ev.prog.Rules[ri].HasAggregation() {
 			rules = append(rules, ri)
+			continue
 		}
-	}
-
-	for _, ri := range aggRules {
-		derived, err := ev.evalAggRule(ri)
-		if err != nil {
-			return err
-		}
-		for _, t := range derived {
-			if ev.facts[ev.prog.Rules[ri].Head.Pred].add(t) {
+		for _, t := range evalAggRule(rp) {
+			if rp.into.add(t) {
 				ev.total++
 			}
 		}
@@ -215,17 +256,20 @@ func (ev *evaluator) runStratum(s int) error {
 		return nil
 	}
 
-	// Initial naive round over full relations.
-	delta := map[string]*tupleSet{}
-	for _, p := range ev.analysis.Strata[s] {
-		delta[p] = newTupleSet()
-	}
-	for _, ri := range rules {
-		derived, err := ev.evalRule(ri, nil, nil)
-		if err != nil {
-			return err
+	// A delta holds only facts that were new to the store, so it needs no
+	// duplicate check of its own.
+	newDelta := func() map[string]*tupleSet {
+		d := map[string]*tupleSet{}
+		for _, p := range ev.analysis.Strata[s] {
+			d[p] = &tupleSet{}
 		}
-		ev.absorb(ri, derived, delta)
+		return d
+	}
+
+	// Initial naive round over full relations.
+	delta := newDelta()
+	for _, ri := range rules {
+		ev.absorb(ri, ev.evalRule(ri, -1, nil), delta)
 	}
 
 	// Semi-naive rounds: recursive literals restricted to the delta.
@@ -246,29 +290,12 @@ func (ev *evaluator) runStratum(s int) error {
 		if empty {
 			return nil
 		}
-		next := map[string]*tupleSet{}
-		for _, p := range ev.analysis.Strata[s] {
-			next[p] = newTupleSet()
-		}
+		next := newDelta()
 		for _, ri := range rules {
-			r := ev.prog.Rules[ri]
-			// Positions of positive body literals over predicates in this
-			// stratum (the recursive literals).
-			var recPos []int
-			for li, l := range r.Body {
-				if l.Atom != nil && !l.Negated && inStratum[l.Atom.Pred] {
-					recPos = append(recPos, li)
-				}
-			}
-			if len(recPos) == 0 {
-				continue // non-recursive: fully handled in the initial round
-			}
-			for _, li := range recPos {
-				derived, err := ev.evalRule(ri, delta, &li)
-				if err != nil {
-					return err
-				}
-				ev.absorb(ri, derived, next)
+			// Non-recursive rules were fully handled in the initial round.
+			for _, li := range ev.rules[ri].rec {
+				pred := ev.prog.Rules[ri].Body[li].Atom.Pred
+				ev.absorb(ri, ev.evalRule(ri, li, delta[pred]), next)
 			}
 		}
 		delta = next
@@ -277,13 +304,13 @@ func (ev *evaluator) runStratum(s int) error {
 
 // absorb inserts derived tuples into the global store and the delta set.
 func (ev *evaluator) absorb(ri int, derived []relation.Tuple, delta map[string]*tupleSet) {
-	pred := ev.prog.Rules[ri].Head.Pred
+	into, d := ev.rules[ri].into, delta[ev.prog.Rules[ri].Head.Pred]
 	for _, t := range derived {
-		if ev.facts[pred].add(t) {
+		h := hashTuple(t)
+		if into.find(t, h) < 0 {
+			into.insert(t, h)
+			d.insert(t, h)
 			ev.total++
-			if d, ok := delta[pred]; ok {
-				d.add(t)
-			}
 		}
 	}
 }
@@ -295,190 +322,20 @@ func (ev *evaluator) checkBudget() error {
 	return nil
 }
 
-// evalRule computes the head instantiations of rule ri. If deltaAt is
-// non-nil, the body literal at *deltaAt reads from delta instead of the full
-// store (semi-naive restriction).
-func (ev *evaluator) evalRule(ri int, delta map[string]*tupleSet, deltaAt *int) ([]relation.Tuple, error) {
-	r := ev.prog.Rules[ri]
-	order := ev.analysis.Order[ri]
-	var out []relation.Tuple
-	var walk func(step int, b Binding) error
-	walk = func(step int, b Binding) error {
-		if step == len(order) {
-			t, ok, err := ev.instantiateHead(ri, b)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, t)
-			}
-			return nil
+// evalRule computes the head instantiations of rule ri. With deltaLit >= 0
+// that body literal reads from delta instead of the full store (semi-naive
+// restriction). The slice returned is the rule's own buffer, valid until its
+// next evaluation.
+func (ev *evaluator) evalRule(ri, deltaLit int, delta *tupleSet) []relation.Tuple {
+	rp := ev.rules[ri]
+	rp.out = rp.out[:0]
+	rp.run(deltaLit, delta, func(frame []relation.Value) bool {
+		if t, ok := ev.instantiateHead(ri, frame); ok {
+			rp.out = append(rp.out, t)
 		}
-		li := order[step]
-		l := r.Body[li]
-		switch {
-		case l.Cmp != nil:
-			nb, ok, err := ev.evalComparison(l.Cmp, b)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			return walk(step+1, nb)
-		case l.Negated:
-			match, err := ev.atomHasMatch(l.Atom, b)
-			if err != nil {
-				return err
-			}
-			if match {
-				return nil
-			}
-			return walk(step+1, b)
-		default:
-			src := ev.facts[l.Atom.Pred]
-			if deltaAt != nil && li == *deltaAt {
-				src = delta[l.Atom.Pred]
-			}
-			if src == nil {
-				return nil
-			}
-			for _, t := range src.tuples {
-				nb, ok := unify(l.Atom, t, b)
-				if !ok {
-					continue
-				}
-				if err := walk(step+1, nb); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := walk(0, Binding{}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// unify matches an atom against a tuple under binding b, returning the
-// extended binding. Constants must equal the tuple values; bound variables
-// must agree; unbound variables are bound.
-func unify(a *Atom, t relation.Tuple, b Binding) (Binding, bool) {
-	if len(a.Args) != len(t) {
-		return nil, false
-	}
-	nb := b
-	copied := false
-	for i, arg := range a.Args {
-		switch x := arg.(type) {
-		case Const:
-			if !x.Val.Equal(t[i]) {
-				return nil, false
-			}
-		case Var:
-			if v, ok := nb[x.Name]; ok {
-				if !v.Equal(t[i]) {
-					return nil, false
-				}
-				continue
-			}
-			if !copied {
-				cp := make(Binding, len(nb)+1)
-				for k, vv := range nb {
-					cp[k] = vv
-				}
-				nb = cp
-				copied = true
-			}
-			nb[x.Name] = t[i]
-		default:
-			return nil, false // Agg cannot occur in bodies
-		}
-	}
-	return nb, true
-}
-
-// atomHasMatch reports whether any stored fact matches the (fully bound)
-// atom.
-func (ev *evaluator) atomHasMatch(a *Atom, b Binding) (bool, error) {
-	src := ev.facts[a.Pred]
-	if src == nil {
-		return false, nil
-	}
-	// Fully ground atom: direct key lookup.
-	ground := make(relation.Tuple, len(a.Args))
-	allGround := true
-	for i, arg := range a.Args {
-		switch x := arg.(type) {
-		case Const:
-			ground[i] = x.Val
-		case Var:
-			v, ok := b[x.Name]
-			if !ok {
-				allGround = false
-			} else {
-				ground[i] = v
-			}
-		}
-	}
-	if allGround {
-		return src.keys[ground.Key()], nil
-	}
-	for _, t := range src.tuples {
-		if _, ok := unify(a, t, b); ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// evalComparison evaluates a comparison literal under b. For OpEq with a
-// single unbound variable it binds that variable (assignment). ok=false
-// means the literal failed (not an error).
-func (ev *evaluator) evalComparison(c *Comparison, b Binding) (Binding, bool, error) {
-	lv, lok := evalExpr(c.L, b)
-	rv, rok := evalExpr(c.R, b)
-	if c.Op == OpEq {
-		if lok && !rok {
-			if v, isVar := singleVar(c.R); isVar {
-				nb := cloneBinding(b)
-				nb[v] = lv
-				return nb, true, nil
-			}
-		}
-		if rok && !lok {
-			if v, isVar := singleVar(c.L); isVar {
-				nb := cloneBinding(b)
-				nb[v] = rv
-				return nb, true, nil
-			}
-		}
-	}
-	if !lok || !rok {
-		// Analysis guarantees orderability, so an unevaluable side here
-		// means an arithmetic failure (e.g. division by zero or non-numeric
-		// operand): the literal simply fails.
-		return b, false, nil
-	}
-	return b, satisfies(c.Op, lv, rv), nil
-}
-
-func singleVar(e Expr) (string, bool) {
-	te, ok := e.(TermExpr)
-	if !ok {
-		return "", false
-	}
-	v, ok := te.T.(Var)
-	return v.Name, ok
-}
-
-func cloneBinding(b Binding) Binding {
-	nb := make(Binding, len(b)+1)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
+		return true
+	})
+	return rp.out
 }
 
 // satisfies applies a comparison operator to two values. Order comparisons
@@ -505,32 +362,6 @@ func satisfies(op CmpOp, l, r relation.Value) bool {
 		return c >= 0
 	default:
 		return false
-	}
-}
-
-// evalExpr evaluates an arithmetic expression; ok=false if any variable is
-// unbound or an operation is inapplicable.
-func evalExpr(e Expr, b Binding) (relation.Value, bool) {
-	switch x := e.(type) {
-	case TermExpr:
-		switch t := x.T.(type) {
-		case Const:
-			return t.Val, true
-		case Var:
-			v, ok := b[t.Name]
-			return v, ok
-		default:
-			return relation.Null(), false
-		}
-	case BinExpr:
-		l, lok := evalExpr(x.L, b)
-		r, rok := evalExpr(x.R, b)
-		if !lok || !rok {
-			return relation.Null(), false
-		}
-		return applyArith(x.Op, l, r)
-	default:
-		return relation.Null(), false
 	}
 }
 
@@ -571,208 +402,115 @@ func applyArith(op ArithOp, l, r relation.Value) (relation.Value, bool) {
 	}
 }
 
-// instantiateHead builds the head tuple for a binding, creating labelled
-// nulls for existential variables via skolemisation: the same rule firing on
-// the same frontier values reuses the same null. Firings whose frontier
-// carries a null at MaxNullDepth are suppressed (bounded chase).
-func (ev *evaluator) instantiateHead(ri int, b Binding) (relation.Tuple, bool, error) {
-	r := ev.prog.Rules[ri]
-	exVars := r.ExistentialVars()
-	if len(exVars) == 0 {
-		t := make(relation.Tuple, len(r.Head.Args))
-		for i, arg := range r.Head.Args {
-			switch x := arg.(type) {
-			case Const:
-				t[i] = x.Val
-			case Var:
-				v, ok := b[x.Name]
-				if !ok {
-					return nil, false, fmt.Errorf("vadalog: internal: head var %s unbound in rule %d", x.Name, ri)
-				}
-				t[i] = v
-			default:
-				return nil, false, fmt.Errorf("vadalog: internal: aggregate in non-aggregate rule %d", ri)
+// instantiateHead builds the head tuple of rule ri for a frame, creating
+// labelled nulls for existential variables via skolemisation: the same rule
+// firing on the same frontier values reuses the same null. Firings whose
+// frontier carries a null at MaxNullDepth are suppressed (bounded chase).
+func (ev *evaluator) instantiateHead(ri int, frame []relation.Value) (relation.Tuple, bool) {
+	rp := ev.rules[ri]
+	var nulls []relation.Value
+	if rp.nExist > 0 {
+		// Existential rule: compute frontier key and depth.
+		depth := 0
+		var frontier strings.Builder
+		fmt.Fprintf(&frontier, "r%d|", ri)
+		for _, a := range rp.head {
+			if a.src != headSlot {
+				continue
 			}
-		}
-		return t, true, nil
-	}
-
-	// Existential rule: compute frontier key and depth.
-	depth := 0
-	var frontier strings.Builder
-	frontier.WriteString(fmt.Sprintf("r%d|", ri))
-	for _, arg := range r.Head.Args {
-		if v, ok := arg.(Var); ok {
-			if val, bound := b[v.Name]; bound {
-				frontier.WriteString(val.Key())
-				frontier.WriteByte('\x1f')
-				if IsLabelledNull(val) {
-					if d := ev.nullDepth[val.Str()]; d > depth {
-						depth = d
-					}
+			val := frame[a.n]
+			frontier.WriteString(val.Key())
+			frontier.WriteByte('\x1f')
+			if IsLabelledNull(val) {
+				if d := ev.nullDepth[val.Str()]; d > depth {
+					depth = d
 				}
 			}
 		}
-	}
-	if depth >= ev.eng.MaxNullDepth {
-		return nil, false, nil // chase bound reached: suppress firing
-	}
-	fkey := frontier.String()
-
-	nulls := map[string]relation.Value{}
-	for i, x := range exVars {
-		skey := fmt.Sprintf("%s#%d", fkey, i)
-		nv, ok := ev.skolem[skey]
-		if !ok {
-			ev.nullSeq++
-			name := fmt.Sprintf("%sn%d", NullPrefix, ev.nullSeq)
-			nv = relation.String(name)
-			ev.skolem[skey] = nv
-			ev.nullDepth[name] = depth + 1
+		if depth >= ev.eng.MaxNullDepth {
+			return nil, false // chase bound reached: suppress firing
 		}
-		nulls[x] = nv
-	}
-
-	t := make(relation.Tuple, len(r.Head.Args))
-	for i, arg := range r.Head.Args {
-		switch x := arg.(type) {
-		case Const:
-			t[i] = x.Val
-		case Var:
-			if v, ok := b[x.Name]; ok {
-				t[i] = v
-			} else {
-				t[i] = nulls[x.Name]
+		fkey := frontier.String()
+		nulls = make([]relation.Value, rp.nExist)
+		for i := range nulls {
+			skey := fmt.Sprintf("%s#%d", fkey, i)
+			nv, ok := ev.skolem[skey]
+			if !ok {
+				ev.nullSeq++
+				name := fmt.Sprintf("%sn%d", NullPrefix, ev.nullSeq)
+				nv = relation.String(name)
+				ev.skolem[skey] = nv
+				ev.nullDepth[name] = depth + 1
 			}
+			nulls[i] = nv
 		}
 	}
-	return t, true, nil
+	t := make(relation.Tuple, len(rp.head))
+	for i, a := range rp.head {
+		switch a.src {
+		case headConst:
+			t[i] = a.val
+		case headSlot:
+			t[i] = frame[a.n]
+		case headExist:
+			t[i] = nulls[a.n]
+		}
+	}
+	return t, true
 }
 
 // evalAggRule evaluates an aggregate rule: body bindings are grouped by the
 // non-aggregate head terms and the aggregate is computed per group over the
 // deduplicated bindings of the body variables.
-func (ev *evaluator) evalAggRule(ri int) ([]relation.Tuple, error) {
-	r := ev.prog.Rules[ri]
-	order := ev.analysis.Order[ri]
-
-	// Collect body variable names in deterministic order for dedup keys.
-	bodyVarSet := r.bodyVars()
-	bodyVars := make([]string, 0, len(bodyVarSet))
-	for v := range bodyVarSet {
-		bodyVars = append(bodyVars, v)
-	}
-	sort.Strings(bodyVars)
-
-	type group struct {
-		key  relation.Tuple // values of group-by head terms
-		vals []relation.Value
-	}
-	groups := map[string]*group{}
-	var orderKeys []string
-	seen := map[string]bool{}
-
-	var aggVar string
-	var aggFn AggFn
-	for _, arg := range r.Head.Args {
-		if a, ok := arg.(Agg); ok {
-			aggVar, aggFn = a.Arg.Name, a.Fn
+func evalAggRule(rp *rulePlan) []relation.Tuple {
+	var seen, groups tupleSet
+	var vals [][]relation.Value // by group, in groups' order
+	key := make(relation.Tuple, 0, len(rp.head))
+	rp.run(-1, nil, func(frame []relation.Value) bool {
+		// Dedup on the full body binding (set semantics): the frame is
+		// exactly the body's variables.
+		h := hashTuple(frame)
+		if seen.find(frame, h) >= 0 {
+			return true
 		}
-	}
+		seen.insert(relation.Tuple(frame).Clone(), h)
 
-	var walk func(step int, b Binding) error
-	walk = func(step int, b Binding) error {
-		if step < len(order) {
-			li := order[step]
-			l := r.Body[li]
-			switch {
-			case l.Cmp != nil:
-				nb, ok, err := ev.evalComparison(l.Cmp, b)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				return walk(step+1, nb)
-			case l.Negated:
-				match, err := ev.atomHasMatch(l.Atom, b)
-				if err != nil {
-					return err
-				}
-				if match {
-					return nil
-				}
-				return walk(step+1, b)
-			default:
-				src := ev.facts[l.Atom.Pred]
-				if src == nil {
-					return nil
-				}
-				for _, t := range src.tuples {
-					nb, ok := unify(l.Atom, t, b)
-					if !ok {
-						continue
-					}
-					if err := walk(step+1, nb); err != nil {
-						return err
-					}
-				}
-				return nil
+		key = key[:0]
+		for _, a := range rp.head {
+			switch a.src {
+			case headConst:
+				key = append(key, a.val)
+			case headSlot:
+				key = append(key, frame[a.n])
 			}
 		}
-		// Dedup on the full body binding (set semantics).
-		var dk strings.Builder
-		for _, v := range bodyVars {
-			dk.WriteString(b[v].Key())
-			dk.WriteByte('\x1f')
+		h = hashTuple(key)
+		g := groups.find(key, h)
+		if g < 0 {
+			g = len(vals)
+			groups.insert(key.Clone(), h)
+			vals = append(vals, nil)
 		}
-		if seen[dk.String()] {
-			return nil
-		}
-		seen[dk.String()] = true
+		vals[g] = append(vals[g], frame[rp.aggArg])
+		return true
+	})
 
-		gkey := make(relation.Tuple, 0, len(r.Head.Args))
-		for _, arg := range r.Head.Args {
-			switch x := arg.(type) {
-			case Const:
-				gkey = append(gkey, x.Val)
-			case Var:
-				gkey = append(gkey, b[x.Name])
-			}
-		}
-		k := gkey.Key()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{key: gkey}
-			groups[k] = g
-			orderKeys = append(orderKeys, k)
-		}
-		g.vals = append(g.vals, b[aggVar])
-		return nil
-	}
-	if err := walk(0, Binding{}); err != nil {
-		return nil, err
-	}
-
-	var out []relation.Tuple
-	for _, k := range orderKeys {
-		g := groups[k]
-		av := aggregate(aggFn, g.vals)
-		// g.key holds only the non-aggregate head values, in head order.
-		t := make(relation.Tuple, 0, len(r.Head.Args))
-		gi := 0
-		for _, arg := range r.Head.Args {
-			if _, isAgg := arg.(Agg); isAgg {
-				t = append(t, av)
+	out := make([]relation.Tuple, len(vals))
+	for g, key := range groups.tuples {
+		// key holds only the non-aggregate head values, in head order.
+		t := make(relation.Tuple, 0, len(rp.head))
+		ki := 0
+		for _, a := range rp.head {
+			if a.src == headAgg {
+				t = append(t, aggregate(rp.aggFn, vals[g]))
 				continue
 			}
-			t = append(t, g.key[gi])
-			gi++
+			t = append(t, key[ki])
+			ki++
 		}
-		out = append(out, t)
+		out[g] = t
 	}
-	return out, nil
+	return out
 }
 
 // aggregate applies fn to the collected values. Nulls are skipped for

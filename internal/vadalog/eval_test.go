@@ -9,12 +9,15 @@ import (
 
 func tup(vals ...any) relation.Tuple { return relation.NewTuple(vals...) }
 
+// runProg runs src over edb, checking on the way that the reference
+// evaluator derives the same (CheckSame).
 func runProg(t *testing.T, src string, edb MapEDB) *Result {
 	t.Helper()
 	prog, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
+	CheckSame(t, NewEngine(), src, edb)
 	res, err := NewEngine().Run(prog, edb)
 	if err != nil {
 		t.Fatalf("run: %v", err)

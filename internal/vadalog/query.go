@@ -3,88 +3,51 @@ package vadalog
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vada/internal/relation"
 )
 
 // QueryResult returns the bindings of q's variables over an already-computed
 // Result. Bindings are deduplicated and returned in derivation order.
-func (r *Result) QueryResult(q *Query) ([]Binding, error) {
-	rule := Rule{Head: Atom{Pred: "__query__"}, Body: q.Body}
-	order, err := orderBody(rule)
+func (r *Result) QueryResult(q *Query) ([]Binding, error) { return r.answers(q, 0) }
+
+// answers evaluates q over the Result and stops once limit distinct answers
+// are found (0: all of them).
+func (r *Result) answers(q *Query, limit int) ([]Binding, error) {
+	order, err := orderBody(Rule{Head: Atom{Pred: "__query__"}, Body: q.Body})
 	if err != nil {
 		return nil, fmt.Errorf("vadalog: query %s: %w", q.String(), err)
 	}
-	ev := &evaluator{
-		eng:       NewEngine(),
-		facts:     r.store,
-		nullDepth: map[string]int{},
-		skolem:    map[string]relation.Value{},
+	p := compileBody(q.Body, order, r.store)
+	slots := make([]int, len(q.Vars))
+	for i, v := range q.Vars {
+		slot, ok := p.slotOf[v]
+		if !ok {
+			slot = -1 // a variable the body does not mention: null
+		}
+		slots[i] = slot
 	}
-
+	var seen tupleSet
+	ans := make(relation.Tuple, len(q.Vars))
+	p.run(-1, nil, func(frame []relation.Value) bool {
+		for i, slot := range slots {
+			ans[i] = relation.Null()
+			if slot >= 0 {
+				ans[i] = frame[slot]
+			}
+		}
+		if h := hashTuple(ans); seen.find(ans, h) < 0 {
+			seen.insert(ans.Clone(), h)
+		}
+		return len(seen.tuples) != limit
+	})
 	var out []Binding
-	seen := map[string]bool{}
-	var walk func(step int, b Binding) error
-	walk = func(step int, b Binding) error {
-		if step == len(order) {
-			ans := make(Binding, len(q.Vars))
-			var key strings.Builder
-			for _, v := range q.Vars {
-				val, ok := b[v]
-				if !ok {
-					val = relation.Null()
-				}
-				ans[v] = val
-				key.WriteString(val.Key())
-				key.WriteByte('\x1f')
-			}
-			if !seen[key.String()] {
-				seen[key.String()] = true
-				out = append(out, ans)
-			}
-			return nil
+	for _, t := range seen.tuples {
+		b := make(Binding, len(q.Vars))
+		for i, v := range q.Vars {
+			b[v] = t[i]
 		}
-		li := order[step]
-		l := q.Body[li]
-		switch {
-		case l.Cmp != nil:
-			nb, ok, err := ev.evalComparison(l.Cmp, b)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			return walk(step+1, nb)
-		case l.Negated:
-			match, err := ev.atomHasMatch(l.Atom, b)
-			if err != nil {
-				return err
-			}
-			if match {
-				return nil
-			}
-			return walk(step+1, b)
-		default:
-			src := ev.facts[l.Atom.Pred]
-			if src == nil {
-				return nil
-			}
-			for _, t := range src.tuples {
-				nb, ok := unify(l.Atom, t, b)
-				if !ok {
-					continue
-				}
-				if err := walk(step+1, nb); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := walk(0, Binding{}); err != nil {
-		return nil, err
+		out = append(out, b)
 	}
 	return out, nil
 }
@@ -93,6 +56,10 @@ func (r *Result) QueryResult(q *Query) ([]Binding, error) {
 // the combined result. An empty program string may be passed when the query
 // only references EDB predicates.
 func (e *Engine) Query(programSrc, querySrc string, edb EDB) ([]Binding, error) {
+	return e.query(programSrc, querySrc, edb, 0)
+}
+
+func (e *Engine) query(programSrc, querySrc string, edb EDB, limit int) ([]Binding, error) {
 	prog, err := Parse(programSrc)
 	if err != nil {
 		return nil, err
@@ -105,30 +72,27 @@ func (e *Engine) Query(programSrc, querySrc string, edb EDB) ([]Binding, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Make sure query-only EDB predicates are loaded too.
+	// Predicates only the query reads come straight from the EDB: they are
+	// not part of any Result a caller sees, and duplicate facts cannot add
+	// answers.
 	for _, l := range q.Body {
 		if l.Atom != nil {
 			if _, ok := res.store[l.Atom.Pred]; !ok {
-				set := newTupleSet()
-				for _, t := range edb.Facts(l.Atom.Pred) {
-					set.add(t.Clone())
-				}
-				res.store[l.Atom.Pred] = set
+				src := edb.Facts(l.Atom.Pred)
+				res.store[l.Atom.Pred] = &tupleSet{tuples: src[:len(src):len(src)]}
 			}
 		}
 	}
-	return res.QueryResult(q)
+	return res.answers(q, limit)
 }
 
 // Ask reports whether the query has at least one answer over the EDB after
-// applying the program. It is the primitive used for transducer input
-// dependencies: "the dependency holds" means "the query is non-empty".
+// applying the program; it stops evaluating at the first. It is the primitive
+// used for transducer input dependencies: "the dependency holds" means "the
+// query is non-empty".
 func (e *Engine) Ask(programSrc, querySrc string, edb EDB) (bool, error) {
-	bindings, err := e.Query(programSrc, querySrc, edb)
-	if err != nil {
-		return false, err
-	}
-	return len(bindings) > 0, nil
+	bindings, err := e.query(programSrc, querySrc, edb, 1)
+	return len(bindings) > 0, err
 }
 
 // BindingsToRelation converts query bindings into a relation whose columns
