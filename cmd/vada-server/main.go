@@ -33,7 +33,6 @@ func parseFlags(args []string, stderr io.Writer) (addr string, idleTimeout time.
 	fs.IntVar(&cfg.MaxN, "max-n", 2000, "largest scenario size a client may request")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "default scenario seed for new sessions")
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", 64, "live session cap (0 = unlimited)")
-	fs.IntVar(&cfg.SessionShards, "session-shards", 0, "session store stripe count (0 = default)")
 	fs.DurationVar(&idleTimeout, "idle-timeout", 30*time.Minute, "evict sessions idle this long (0 = never)")
 	fs.IntVar(&cfg.RunWorkers, "run-workers", 8, "async run engine worker-pool size")
 	fs.IntVar(&cfg.RunQueue, "run-queue", 256, "async run queue depth (0 = unlimited)")
@@ -45,11 +44,8 @@ func parseFlags(args []string, stderr io.Writer) (addr string, idleTimeout time.
 	fs.Int64Var(&cfg.JournalMaxBytes, "journal-max-bytes", 8<<20, "compact a session's journal after this many bytes since the last compaction (0 = no byte threshold)")
 	fs.BoolVar(&cfg.RestoreClosed, "restore-closed", false, "restore explicitly DELETEd sessions archived under <data-dir>/closed/ at boot")
 	fs.BoolVar(&cfg.Trace, "trace", true, "record per-request span trees, browsable via GET /api/v1/traces")
-	fs.IntVar(&cfg.TraceCapacity, "trace-max", 0, "traces retained in memory before the oldest is evicted (0 = default)")
-	fs.IntVar(&cfg.TraceMaxSpans, "trace-max-spans", 0, "spans retained per trace (0 = default)")
 	fs.DurationVar(&cfg.TraceSlowThreshold, "trace-slow-threshold", 2*time.Second, "log any span at or over this duration as a structured warning (0 = off)")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
-	fs.DurationVar(&cfg.RuntimeSampleEvery, "runtime-sample-every", 0, "runtime gauge (goroutines, heap, GC) sampling interval (0 = default)")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	if err = fs.Parse(args); err != nil {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +17,8 @@ import (
 
 // TestParseFlags pins the command line: the defaults build a working
 // server, -data-dir alone is all durability needs, and the flags that used
-// to select a durability mode are gone, not ignored.
+// to select a durability mode — or to tune a size nobody had a reason to
+// change — are gone, not ignored.
 func TestParseFlags(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -45,6 +49,10 @@ func TestParseFlags(t *testing.T) {
 		{name: "group window removed", args: []string{"-journal-group-window", "2ms"}, wantErr: "not defined: -journal-group-window"},
 		{name: "group max removed", args: []string{"-journal-group-max", "8"}, wantErr: "not defined: -journal-group-max"},
 		{name: "row diffs removed", args: []string{"-journal-row-diffs"}, wantErr: "not defined: -journal-row-diffs"},
+		{name: "session shards removed", args: []string{"-session-shards", "32"}, wantErr: "not defined: -session-shards"},
+		{name: "trace max removed", args: []string{"-trace-max", "64"}, wantErr: "not defined: -trace-max"},
+		{name: "trace max spans removed", args: []string{"-trace-max-spans", "64"}, wantErr: "not defined: -trace-max-spans"},
+		{name: "runtime sample removed", args: []string{"-runtime-sample-every", "1s"}, wantErr: "not defined: -runtime-sample-every"},
 		{name: "bad log level", args: []string{"-log-level", "loud"}, wantErr: "bad -log-level"},
 	}
 	for _, tc := range tests {
@@ -98,4 +106,49 @@ func healthz(t *testing.T, cfg server.Config) map[string]any {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestReadmeFlags keeps README.md and the binary in step: every flag
+// `vada-server -h` prints is documented in the README, and every
+// backticked -flag in the README's server sections (REST service up to the
+// commands list) is one the binary defines.
+func TestReadmeFlags(t *testing.T) {
+	var usage strings.Builder
+	if _, _, _, err := parseFlags([]string{"-h"}, &usage); err != flag.ErrHelp {
+		t.Fatalf("-h: %v", err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z][a-z-]*)`).FindAllStringSubmatch(usage.String(), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) < 10 {
+		t.Fatalf("parsed only %d flags out of the usage text:\n%s", len(defined), usage.String())
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, server, ok := strings.Cut(string(readme), "\n## REST service\n")
+	if !ok {
+		t.Fatal("README.md has no REST service section")
+	}
+	server, _, ok = strings.Cut(server, "\n## Commands and examples\n")
+	if !ok {
+		t.Fatal("README.md has no Commands and examples section")
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`(-[a-z][a-z-]*)").FindAllStringSubmatch(server, -1) {
+		documented[m[1]] = true
+	}
+	for name := range defined {
+		if !documented[name] {
+			t.Errorf("flag %s is not documented in README.md", name)
+		}
+	}
+	for name := range documented {
+		if !defined[name] {
+			t.Errorf("README.md documents %s, which vada-server does not define", name)
+		}
+	}
 }

@@ -273,7 +273,8 @@ func (w *Wrangler) Run(ctx context.Context) ([]transducer.Step, error) {
 	return w.orch.RunToQuiescence(ctx)
 }
 
-// Trace returns all orchestration steps so far.
+// Trace returns the most recent orchestration steps (at most
+// transducer.TraceCap; Step.Seq keeps counting across the ones dropped).
 func (w *Wrangler) Trace() []transducer.Step {
 	w.runMu.Lock()
 	defer w.runMu.Unlock()

@@ -567,7 +567,7 @@ func TestComposeGuards(t *testing.T) {
 
 // stageJournal wires a scenario session whose stage hook records into the
 // given recorder, mirroring the server's wiring.
-func stageJournal(t *testing.T, dir string, n int, opts ...RecorderOption) (*session.Session, *Recorder, *Writer) {
+func stageJournal(t *testing.T, dir string, n int) (*session.Session, *Recorder, *Writer) {
 	t.Helper()
 	cfg := datagen.DefaultConfig()
 	cfg.NProperties = n
@@ -595,7 +595,7 @@ func stageJournal(t *testing.T, dir string, n int, opts ...RecorderOption) (*ses
 	if len(recovered) != 0 {
 		t.Fatalf("fresh journal recovered %d records", len(recovered))
 	}
-	rec = NewRecorder(w, sess, nil, opts...)
+	rec = NewRecorder(w, sess, nil)
 	return sess, rec, w
 }
 
@@ -874,74 +874,42 @@ func TestRecorderCompactMidStage(t *testing.T) {
 	}
 }
 
-// TestRecorderDeferredBaseline pins the WithBaseline contract: the hook is
-// not called at construction, runs exactly once before the first record is
-// acknowledged, retries after a failure, and is satisfied by a compaction
-// snapshot.
-func TestRecorderDeferredBaseline(t *testing.T) {
+// TestRecorderCurrent pins when the snapshot under the journal may be taken
+// as the session's whole durable state: only while nothing was recorded
+// since it was written — a failed record included — and every terminal run
+// is already in it.
+func TestRecorderCurrent(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	calls, fail := 0, true
-	sess, rec, w := stageJournal(t, dir, 40, WithBaseline(func() error {
-		calls++
-		if fail {
-			return errors.New("disk full")
-		}
-		return nil
-	}))
+	_, rec, w := stageJournal(t, t.TempDir(), 40)
 	defer w.Close()
+	done := runs.Run{ID: "r1", SessionID: "j1", State: runs.StateSucceeded}
 
-	if calls != 0 {
-		t.Fatalf("baseline ran %d times at construction, want 0", calls)
+	if !rec.Current(nil) {
+		t.Fatal("fresh recorder over a fresh snapshot is not current")
 	}
-	// First stage: the commit fails because the baseline under it failed,
-	// and the failure is retried — not latched — on the next record.
-	ev := session.Event{Seq: 1, Type: session.EventStage,
-		Stage: session.StageBootstrap, At: time.Now()}
-	wait, err := rec.RecordStageCommit(ctx, ev)
-	if err != nil {
+	if rec.Current([]runs.Run{done}) {
+		t.Fatal("current with an unjournaled terminal run")
+	}
+	if err := rec.RecordRuns(ctx, []runs.Run{done}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wait(); err == nil {
-		t.Fatal("commit acknowledged without a baseline snapshot")
+	if rec.Current([]runs.Run{done}) {
+		t.Fatal("current with a record in the journal")
 	}
-	if calls != 1 {
-		t.Fatalf("baseline ran %d times, want 1", calls)
-	}
-	fail = false
-	if err := recordStage(ctx, rec, session.Event{Seq: 2, Type: session.EventStage,
-		Stage: session.StageDataContext, At: time.Now()}); err != nil {
-		t.Fatalf("record after baseline recovery: %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("baseline ran %d times after retry, want 2", calls)
-	}
-	// Success latches: further records and run sweeps skip the hook.
-	if err := rec.RecordRuns(ctx, nil); err != nil {
+	if err := rec.Compact(func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := recordStage(ctx, rec, session.Event{Seq: 3, Type: session.EventStage,
-		Stage: session.StageFeedback, At: time.Now()}); err != nil {
-		t.Fatal(err)
+	if !rec.Current([]runs.Run{done}) {
+		t.Fatal("not current after compaction folded the run in")
 	}
-	if calls != 2 {
-		t.Fatalf("baseline ran %d times after success, want 2 (latched)", calls)
+	// A record that fails to append leaves the journal empty but the
+	// snapshot stale.
+	w.Close()
+	if _, err := rec.RecordStageCommit(ctx, session.Event{Seq: 1, Type: session.EventStage,
+		Stage: session.StageBootstrap, At: time.Now()}); err == nil {
+		t.Fatal("append to a closed journal succeeded")
 	}
-
-	// A compaction snapshot is a superset of the baseline: a fresh recorder
-	// that compacts first never runs the hook.
-	_ = sess
-	calls2 := 0
-	_, rec2, w2 := stageJournal(t, t.TempDir(), 40,
-		WithBaseline(func() error { calls2++; return nil }))
-	defer w2.Close()
-	if err := rec2.Compact(func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := recordStage(ctx, rec2, ev); err != nil {
-		t.Fatal(err)
-	}
-	if calls2 != 0 {
-		t.Fatalf("baseline ran %d times after compaction, want 0", calls2)
+	if rec.Current([]runs.Run{done}) {
+		t.Fatal("current after a lost record")
 	}
 }

@@ -35,30 +35,9 @@ type Recorder struct {
 	fbCount int
 	runSeen map[string]bool
 
-	// baseline, when set (WithBaseline), writes the snapshot the journal
-	// layers onto — lazily, before the first record is acknowledged, so a
-	// session that never journals anything (created then deleted, or idle
-	// until evicted) never pays the snapshot write at all. blMu serialises
-	// it; baselineDone latches success (a failed attempt retries on the
-	// next record, and a compaction snapshot satisfies it too).
-	blMu         sync.Mutex
-	baseline     func() error
-	baselineDone bool
-}
-
-// RecorderOption customises a Recorder at construction.
-type RecorderOption func(*Recorder)
-
-// WithBaseline defers the baseline snapshot the journal composes onto:
-// instead of the caller writing it at session creation, fn runs before the
-// first journal record is acknowledged as durable. The crash contract is
-// unchanged — a record's commit wait returns nil only once both the
-// baseline and the record are on disk — but sessions that never complete a
-// stage or run skip the snapshot write (and its fsync) entirely. A journal
-// file orphaned by a crash between the record fsync and the baseline write
-// is ignored at boot: nothing it holds was ever acknowledged.
-func WithBaseline(fn func() error) RecorderOption {
-	return func(r *Recorder) { r.baseline = fn }
+	// dirty reports that something was recorded — or failed to be — since
+	// the snapshot under the journal was written; Compact clears it.
+	dirty bool
 }
 
 // NewRecorder wires a recorder over an open journal writer and a live (or
@@ -69,15 +48,14 @@ func WithBaseline(fn func() error) RecorderOption {
 // log records relation puts as row diffs, which must be replayed at most
 // once over the state they were cut from — Compose's sequence gating and
 // Compact's SnapshotPending call are what guarantee that.
-func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ...RecorderOption) *Recorder {
+func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run) *Recorder {
+	records, _ := w.Stats()
 	r := &Recorder{
 		w:       w,
 		sess:    sess,
 		fbCount: len(sess.Wrangler().FeedbackItems()),
 		runSeen: runIDs(knownRuns),
-	}
-	for _, opt := range opts {
-		opt(r)
+		dirty:   records > 0,
 	}
 	sess.Wrangler().StartChangeLog()
 	return r
@@ -96,6 +74,7 @@ func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ..
 func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (func() error, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.dirty = true
 	w := r.sess.Wrangler()
 	rec := &Record{At: ev.At, Stage: &StageRecord{
 		Event: ev,
@@ -126,13 +105,7 @@ func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (fun
 		return nil, err
 	}
 	return func() error {
-		// The baseline is written inside the wait, not the capture phase:
-		// the capture runs under the session's run mutex, which the
-		// snapshot's quiesce would deadlock against.
-		err := r.ensureBaseline()
-		if err == nil {
-			err = wait()
-		}
+		err := wait()
 		if span != nil {
 			if err == nil {
 				span.SetAttr("seq", fmt.Sprint(rec.Seq))
@@ -143,35 +116,10 @@ func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (fun
 	}, nil
 }
 
-// ensureBaseline runs the deferred baseline-snapshot hook exactly once
-// before the first record is acknowledged. Failures are returned (the
-// record is not durable without the snapshot under it) and retried by the
-// next record's wait.
-func (r *Recorder) ensureBaseline() error {
-	if r.baseline == nil {
-		return nil
-	}
-	r.blMu.Lock()
-	defer r.blMu.Unlock()
-	if r.baselineDone {
-		return nil
-	}
-	if err := r.baseline(); err != nil {
-		return err
-	}
-	r.baselineDone = true
-	return nil
-}
-
 // RecordRuns appends run records for every given run that is terminal and
 // not yet journaled, returning the first append error. The caller passes
 // the engine's ListTerminal snapshot; redundant calls are cheap no-ops.
 func (r *Recorder) RecordRuns(ctx context.Context, list []runs.Run) error {
-	// Callers (the persister) hold no session lock here, so the deferred
-	// baseline can be written inline, before the records it underpins.
-	if err := r.ensureBaseline(); err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range list {
@@ -179,6 +127,7 @@ func (r *Recorder) RecordRuns(ctx context.Context, list []runs.Run) error {
 		if !run.State.Terminal() || r.runSeen[run.ID] {
 			continue
 		}
+		r.dirty = true
 		if err := r.appendTraced(ctx, &Record{At: time.Now(), Run: &run}, "run"); err != nil {
 			return err
 		}
@@ -230,11 +179,26 @@ func (r *Recorder) Compact(writeSnapshot func() error) error {
 	if err := writeSnapshot(); err != nil {
 		return err
 	}
-	// A full snapshot is a superset of the deferred baseline.
-	r.blMu.Lock()
-	r.baselineDone = true
-	r.blMu.Unlock()
+	r.dirty = false
 	return r.w.Reset()
+}
+
+// Current reports whether the snapshot under the journal already holds the
+// session's whole durable state: nothing was recorded since it was written
+// and every one of the given terminal runs is in it. The caller passes the
+// engine's ListTerminal snapshot of a session that can no longer change.
+func (r *Recorder) Current(terminal []runs.Run) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.dirty {
+		return false
+	}
+	for _, run := range terminal {
+		if !r.runSeen[run.ID] {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats reports the journal's record count and bytes since compaction.

@@ -20,7 +20,7 @@
 //	POST   /api/v1/sessions/{id}/stages/{name}   invoke any registered stage (body = JSON payload)
 //	POST   /api/v1/sessions/{id}/plans           run an ordered stage plan as one run (always async)
 //	GET    /api/v1/sessions/{id}/result          result rows (?limit=&offset=, paginated)
-//	GET    /api/v1/sessions/{id}/trace           orchestration trace (text)
+//	GET    /api/v1/sessions/{id}/trace           orchestration trace (text; the most recent 1024 steps, numbered from the session's first)
 //	GET    /api/v1/sessions/{id}/runs            list the session's async runs
 //	GET    /api/v1/sessions/{id}/runs/{rid}      poll one run
 //	DELETE /api/v1/sessions/{id}/runs/{rid}      cancel a queued or in-flight run
@@ -36,32 +36,26 @@
 // plans, and the relation export route streams any knowledge-base relation
 // — or the clean result — back out in canonical, byte-stable order.
 //
-// With -data-dir the service is durable, one way: each session keeps an
-// append-only <data-dir>/<id>.vjournal beside its <data-dir>/<id>.vsnap,
-// and a completed stage or run appends one CRC-framed record carrying only
-// the mutation delta (relation replacements as row diffs) — O(delta) bytes
-// instead of rewriting the whole snapshot envelope. A synchronous stage is
-// answered once its record is fsynced; a plan's stage records share one
-// fsync, issued before the run turns terminal; a terminal run's own record
-// follows asynchronously. The snapshot under the journal is written with the
-// first record, so a 201 from create or import is not yet a durability
-// acknowledgement. When the journal crosses -journal-max-records or
-// -journal-max-bytes (and on evict and graceful shutdown) it is compacted:
-// folded into a fresh full snapshot and truncated. Boot recovery composes
-// the last snapshot with the journal's valid prefix; a record torn by
-// kill -9 mid-append is truncated, never fatal.
+// With -data-dir the service is durable, one way, and the server only
+// routes to it: internal/store owns the directory and the lifecycle of every
+// session in it (create, append, compact, archive, recover — its package
+// comment has the file layout and the crash contract). What a client can
+// rely on, per response: a 201 from create or import means the session's
+// baseline snapshot is fsynced and in place; a synchronous stage is answered
+// once its journal record — the mutation delta, O(delta) bytes — is fsynced;
+// a plan's stage records share one fsync, issued before the run turns
+// terminal; a terminal run's own record follows asynchronously. A journal
+// past -journal-max-records or -journal-max-bytes (and any journal on evict
+// and graceful shutdown) is compacted into a fresh snapshot.
 //
 // Every persisted session is restored at boot — event history, result and
 // terminal run resources included — so a server killed outright (kill -9)
-// loses at most the work since the last acknowledged stage, and a restarted
-// server answers GET .../result and GET .../runs/{rid} for pre-restart
-// sessions identically.
-//
-// DELETE /api/v1/sessions/{id} garbage-collects the session's durable
-// state: its snapshot is archived under <data-dir>/closed/ and the live
-// .vsnap/.vjournal pair is removed, so explicitly closed sessions no
-// longer resurrect on boot (opt back in with -restore-closed, which
-// restores archived sessions and moves them live again). Idle-evicted
+// loses nothing it acknowledged, and a restarted server answers
+// GET .../result and GET .../runs/{rid} for pre-restart sessions
+// identically. DELETE /api/v1/sessions/{id} archives the session's final
+// state under <data-dir>/closed/ and removes its live files, so explicitly
+// closed sessions do not come back on boot (opt back in with
+// -restore-closed, which makes archived sessions live again). Idle-evicted
 // sessions stay restorable. GET /api/v1/healthz reports persist stats:
 // journaled sessions, journal records and bytes since compaction, and the
 // last snapshot time.
@@ -88,7 +82,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -97,7 +90,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -106,6 +98,7 @@ import (
 	"time"
 
 	"vada"
+	"vada/internal/store"
 )
 
 // maxResultPageSize bounds one result page; larger limits are clamped.
@@ -116,16 +109,6 @@ const maxPayloadBytes = 8 << 20
 
 // maxSnapshotBytes bounds one imported session snapshot.
 const maxSnapshotBytes = 64 << 20
-
-// snapshotExt is the on-disk suffix of persisted session snapshots.
-const snapshotExt = ".vsnap"
-
-// journalExt is the on-disk suffix of per-session append-only journals.
-const journalExt = ".vjournal"
-
-// closedDirName is the -data-dir subdirectory explicitly deleted sessions
-// are archived under (see -restore-closed).
-const closedDirName = "closed"
 
 // Server holds the stage registry, the session manager, the async run
 // engine, the per-session scenario defaults and the durability wiring.
@@ -155,44 +138,10 @@ type Server struct {
 	sseKeepAlive    time.Duration
 	sseWriteTimeout time.Duration
 
-	// dataDir is where session snapshots live ("" = ephemeral). The
-	// persister goroutine drains persistCh — session IDs whose runs just
-	// completed — so snapshot writes never run under the engine lock.
-	// persistCh is never closed (late notify hooks must not panic);
-	// persistDone stops the persister, and Close's persistAll sweep covers
-	// whatever hints were still queued.
-	dataDir     string
-	persistCh   chan string
-	persistDone chan struct{}
-	persistWG   sync.WaitGroup
-	closeOnce   sync.Once
-
-	// persistMu makes each capture+write atomic with respect to other
-	// snapshot writers: without it, the persister's capture of a session's
-	// second-to-last state could rename over the evict hook's final
-	// snapshot and strand the last event until the next write.
-	// lastSnapshotAt (guarded by persistMu) is surfaced in healthz.
-	persistMu      sync.Mutex
-	lastSnapshotAt time.Time
-
-	// journal compaction thresholds: completed stages and runs append
-	// O(delta) records to per-session .vjournal files, and a journal is
-	// folded back into a fresh snapshot when it crosses either.
-	journalMaxRecords int
-	journalMaxBytes   int64
-	restoreClosed     bool
-
-	// recorders maps live session IDs to their journal recorders; deleting
-	// refcounts sessions being explicitly DELETEd so the evict hook
-	// garbage-collects their durable state instead of persisting it (a
-	// racing duplicate DELETE must not clear the mark mid-teardown); gone
-	// tombstones IDs whose files gcSession removed, so a persist already in
-	// flight cannot resurrect them (cleared when the ID is re-registered).
-	recMu     sync.Mutex
-	recorders map[string]*vada.JournalRecorder
-	delMu     sync.Mutex
-	deleting  map[string]int
-	gone      map[string]bool
+	// store owns the data directory and every session's durable lifecycle
+	// (ephemeral without one); the server only routes to it.
+	store     *store.Store
+	closeOnce sync.Once
 }
 
 // Config is the server's flag set in struct form, so the binary and tests
@@ -204,9 +153,6 @@ type Config struct {
 	Seed    int64
 	// MaxSessions caps live sessions (0 = unlimited).
 	MaxSessions int
-	// SessionShards sets the session store's stripe count (0 = default);
-	// more shards spread lock contention under many concurrent sessions.
-	SessionShards int
 	// RunWorkers, RunQueue and RunSessionQueue size the async run engine.
 	RunWorkers      int
 	RunQueue        int
@@ -226,59 +172,43 @@ type Config struct {
 	// Trace enables the span recorder: every mutating request (and any
 	// request carrying an inbound W3C traceparent) produces a span tree —
 	// HTTP root → run → queue-wait / per-stage → journal append —
-	// retrievable via GET /api/v1/traces. TraceCapacity bounds retained
-	// traces and TraceMaxSpans the spans kept per trace (0 = defaults);
-	// TraceSlowThreshold logs any span at or over it as a structured
-	// warning (0 = off).
+	// retrievable via GET /api/v1/traces. TraceSlowThreshold logs any span
+	// at or over it as a structured warning (0 = off).
 	Trace              bool
-	TraceCapacity      int
-	TraceMaxSpans      int
 	TraceSlowThreshold time.Duration
 	// Pprof registers net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// Logger is the structured logger for request lines and operational
 	// events (nil = slog.Default()).
 	Logger *slog.Logger
-	// RuntimeSampleEvery is the interval of the runtime gauge sampler
-	// feeding goroutine/heap/GC gauges into metricz (0 = its default).
-	RuntimeSampleEvery time.Duration
 }
 
-// New wires registry, run engine, session manager and — when a data
-// directory is configured — the durability paths: restore every snapshot in
-// the directory, then persist sessions on run completion, close, evict and
-// Close.
+// New wires registry, run engine, session manager and the store over the
+// data directory, then recovers every session the directory holds.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		registry:          vada.DefaultStageRegistry(),
-		metrics:           vada.NewMetricsRegistry(),
-		defaultN:          cfg.N,
-		defaultSeed:       cfg.Seed,
-		maxN:              cfg.MaxN,
-		started:           time.Now(),
-		sseKeepAlive:      cfg.SSEKeepAlive,
-		sseWriteTimeout:   cfg.SSEWriteTimeout,
-		dataDir:           cfg.DataDir,
-		journalMaxRecords: cfg.JournalMaxRecords,
-		journalMaxBytes:   cfg.JournalMaxBytes,
-		restoreClosed:     cfg.RestoreClosed,
-		pprof:             cfg.Pprof,
-		logger:            cfg.Logger,
-		recorders:         map[string]*vada.JournalRecorder{},
-		deleting:          map[string]int{},
-		gone:              map[string]bool{},
+		registry:        vada.DefaultStageRegistry(),
+		metrics:         vada.NewMetricsRegistry(),
+		defaultN:        cfg.N,
+		defaultSeed:     cfg.Seed,
+		maxN:            cfg.MaxN,
+		started:         time.Now(),
+		sseKeepAlive:    cfg.SSEKeepAlive,
+		sseWriteTimeout: cfg.SSEWriteTimeout,
+		pprof:           cfg.Pprof,
+		logger:          cfg.Logger,
 	}
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
 	if cfg.Trace {
 		s.tracer = vada.NewTracer(
-			vada.NewTraceStore(cfg.TraceCapacity, cfg.TraceMaxSpans),
+			vada.NewTraceStore(0, 0), // the trace package's defaults: 1024 traces of 256 spans
 			vada.WithTraceSlowSpans(cfg.TraceSlowThreshold),
 			vada.WithTraceLogger(s.logger),
 		)
 	}
-	s.stopSampler = vada.StartRuntimeSampler(s.metrics, cfg.RuntimeSampleEvery)
+	s.stopSampler = vada.StartRuntimeSampler(s.metrics, 0) // its default interval, 10s
 	s.runs = vada.NewRunEngine(
 		vada.WithRunWorkers(cfg.RunWorkers),
 		vada.WithRunQueueDepth(cfg.RunQueue),
@@ -288,7 +218,6 @@ func New(cfg Config) (*Server, error) {
 	)
 	s.mgr = vada.NewSessionManager(
 		vada.WithMaxSessions(cfg.MaxSessions),
-		vada.WithSessionShards(cfg.SessionShards),
 		vada.WithManagerMetrics(s.metrics),
 		// Stop hook: interrupt outstanding work the moment the session is
 		// marked closed, so the manager's quiesce wait is short.
@@ -297,298 +226,52 @@ func New(cfg Config) (*Server, error) {
 				s.logger.Info("session closing", "session", sess.ID(), "runs_cancelled", n)
 			}
 		}),
-		// Evict hook: runs post-quiescence, so the durable state written
-		// here carries the final KB version, event history and run records.
-		// Explicit DELETEs garbage-collect instead of persisting; evicted
-		// journaled sessions compact (snapshot + truncated journal) so a
-		// restart replays nothing.
+		// Evict hook: runs post-quiescence, so what the store writes carries
+		// the final KB version, event history and run records.
 		vada.WithEvictHook(func(sess *vada.Session) {
-			id := sess.ID()
-			if s.dataDir != "" {
-				s.runs.WaitSession(id)
-				switch {
-				case s.isDeleting(id):
-					s.gcSession(sess)
-				default:
-					if rec := s.recorder(id); rec != nil {
-						if err := rec.Compact(func() error { return s.persistSession(sess) }); err != nil {
-							s.logger.Error("compacting session on evict", "session", id, "error", err)
-						}
-						s.dropRecorder(id)
-					} else if err := s.persistSession(sess); err != nil {
-						s.logger.Error("persisting session", "session", id, "error", err)
-					}
-				}
-			}
-			s.logger.Info("session closed", "session", id)
+			s.store.Release(sess)
+			s.logger.Info("session closed", "session", sess.ID())
 		}),
 	)
-	if s.dataDir != "" {
-		if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("creating -data-dir: %w", err)
-		}
-		s.restoreAll()
-		if s.restoreClosed {
-			s.restoreClosedAll()
-		}
-		s.persistCh = make(chan string, 256)
-		s.persistDone = make(chan struct{})
-		s.persistWG.Add(1)
-		go s.persister()
+	var err error
+	s.store, err = store.Open(cfg.DataDir, cfg.JournalMaxRecords, cfg.JournalMaxBytes,
+		store.Deps{Manager: s.mgr, Engine: s.runs, Metrics: s.metrics, Logger: s.logger})
+	if err != nil {
+		return nil, fmt.Errorf("opening -data-dir: %w", err)
 	}
+	s.store.Recover(cfg.RestoreClosed, s.sessionOpts()...)
 	return s, nil
 }
 
 // sessionOpts are the options every session — created, imported or
-// restored — gets: the shared stage registry and, with a data directory,
-// the stage hook that appends each completed stage's mutation record.
+// recovered — gets: the shared stage registry, the metrics registry and the
+// stage-commit hook through which each completed stage reaches the store.
 func (s *Server) sessionOpts() []vada.SessionOption {
-	opts := []vada.SessionOption{
+	return []vada.SessionOption{
 		vada.WithStageRegistry(s.registry),
 		vada.WithSessionMetrics(s.metrics),
+		vada.WithStageCommitHook(s.store.Append),
 	}
-	if s.dataDir != "" {
-		opts = append(opts, vada.WithStageCommitHook(s.journalStage))
-	}
-	return opts
 }
 
-// journalStage is the session stage-commit hook: one O(delta) append per
-// completed stage. It runs under the session's run mutex, so the delta cut
-// inside RecordStageCommit cannot race the next stage's writes; the returned
-// wait — invoked by Step after the run mutex is released, or by the run
-// engine once per plan — blocks until the record is fsynced. ctx carries the
-// stage's trace span, making the append a `journal.append` child of it. An
-// append failure is logged, not fatal — the compaction and evict snapshots
-// backstop it.
-func (s *Server) journalStage(ctx context.Context, sess *vada.Session, ev vada.SessionEvent) func() {
-	rec := s.recorder(sess.ID())
-	if rec == nil {
-		return nil
-	}
-	wait, err := rec.RecordStageCommit(ctx, ev)
+// durable makes a just-registered session durable before it is
+// acknowledged; a session the store cannot write is closed again and
+// reported, never answered 201.
+func (s *Server) durable(sess *vada.Session) error {
+	err := s.store.Create(sess)
 	if err != nil {
-		s.logger.Error("journaling stage", "stage", ev.Stage, "session", sess.ID(), "error", err)
+		s.logger.Error("making session durable", "session", sess.ID(), "error", err)
+		s.mgr.Close(sess.ID())
 	}
-	// Synchronous stages never complete a run, so they would never reach
-	// the persister's threshold check — hint it here (non-blocking, off the
-	// wrangling path) so sync-only workloads compact too.
-	if s.persistCh != nil && rec.ShouldCompact(s.journalMaxRecords, s.journalMaxBytes) {
-		select {
-		case s.persistCh <- sess.ID():
-		default:
-		}
-	}
-	if wait == nil {
-		return nil
-	}
-	return func() {
-		if err := wait(); err != nil {
-			s.logger.Error("journaling stage", "stage", ev.Stage, "session", sess.ID(), "error", err)
-		}
-	}
+	return err
 }
 
-// recorder returns the session's journal recorder, or nil.
-func (s *Server) recorder(id string) *vada.JournalRecorder {
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	return s.recorders[id]
-}
-
-// dropRecorder unregisters and closes the session's journal recorder.
-func (s *Server) dropRecorder(id string) {
-	s.recMu.Lock()
-	rec := s.recorders[id]
-	delete(s.recorders, id)
-	s.recMu.Unlock()
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			s.logger.Error("closing journal", "session", id, "error", err)
-		}
-	}
-}
-
-// startJournal makes a new (created or imported) session incrementally
-// durable: open a fresh journal (resetting any stale file a re-imported ID
-// left behind) and register the recorder with a deferred baseline. The
-// snapshot the journal layers onto is captured here — to memory, a few
-// tens of KB of creation-time envelope, bounded by the session cap — but
-// written to disk by the recorder only when its first record is
-// acknowledged. Sessions that never complete a stage or run (created then
-// deleted, churn) therefore cost zero snapshot writes, creation stays off
-// the fsync path, and journal records remain pure deltas on top of the
-// creation state — nothing is double-written. The returned error reports
-// the session will NOT become durable; callers that are about to destroy
-// another durable copy (the archive-restore path) must write a snapshot
-// themselves first.
-func (s *Server) startJournal(sess *vada.Session) error {
-	if s.dataDir == "" || !safeSnapshotID(sess.ID()) {
-		return nil
-	}
-	var baseline bytes.Buffer
-	if err := vada.ExportSession(&baseline, sess, s.runs); err != nil {
-		s.logger.Error("capturing baseline snapshot", "session", sess.ID(), "error", err)
-		return err
-	}
-	w, recovered, err := vada.OpenJournal(filepath.Join(s.dataDir, sess.ID()+journalExt))
-	if err != nil {
-		s.logger.Error("opening journal", "session", sess.ID(), "error", err)
-		return err
-	}
-	if len(recovered) > 0 {
-		if err := w.Reset(); err != nil {
-			s.logger.Error("resetting stale journal", "session", sess.ID(), "error", err)
-			w.Close()
-			return err
-		}
-	}
-	id := sess.ID()
-	data := baseline.Bytes()
-	s.adoptJournal(sess, w, nil,
-		vada.WithJournalBaseline(func() error { return s.persistSnapshotBytes(id, data) }))
-	return nil
-}
-
-// adoptJournal registers a recorder over an open journal writer, closing
-// any recorder a superseded session left under the same ID.
-func (s *Server) adoptJournal(sess *vada.Session, w *vada.JournalWriter, knownRuns []vada.Run, opts ...vada.JournalRecorderOption) {
-	w.SetMetrics(s.metrics)
-	rec := vada.NewJournalRecorder(w, sess, knownRuns, opts...)
-	s.recMu.Lock()
-	if s.recorders == nil {
-		s.recorders = map[string]*vada.JournalRecorder{}
-	}
-	old := s.recorders[sess.ID()]
-	s.recorders[sess.ID()] = rec
-	s.recMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-}
-
-// isDeleting reports whether the session is being explicitly DELETEd (as
-// opposed to idle-evicted), which switches the evict hook from persist to
-// garbage-collect.
-func (s *Server) isDeleting(id string) bool {
-	s.delMu.Lock()
-	defer s.delMu.Unlock()
-	return s.deleting[id] > 0
-}
-
-// beginDelete/endDelete refcount in-flight DELETE handlers for one session:
-// a duplicate DELETE (client retry) returns 404 immediately and must not
-// clear the mark while the first handler is still inside the (possibly
-// slow) teardown whose evict hook consults it.
-func (s *Server) beginDelete(id string) {
-	s.delMu.Lock()
-	if s.deleting == nil {
-		s.deleting = map[string]int{}
-	}
-	s.deleting[id]++
-	s.delMu.Unlock()
-}
-
-func (s *Server) endDelete(id string) {
-	s.delMu.Lock()
-	if s.deleting[id]--; s.deleting[id] <= 0 {
-		delete(s.deleting, id)
-	}
-	s.delMu.Unlock()
-}
-
-// markGone/clearGone/isGone tombstone garbage-collected session IDs so a
-// persist racing the DELETE (the persister goroutine already holds the
-// *Session) cannot re-create the files gcSession just removed. gcSession
-// marks while holding persistMu; persistSession checks under persistMu; so
-// every write ordered after the GC observes the tombstone.
-func (s *Server) markGone(id string) {
-	s.delMu.Lock()
-	if s.gone == nil {
-		s.gone = map[string]bool{}
-	}
-	s.gone[id] = true
-	s.delMu.Unlock()
-}
-
-func (s *Server) clearGone(id string) {
-	s.delMu.Lock()
-	delete(s.gone, id)
-	s.delMu.Unlock()
-}
-
-func (s *Server) isGone(id string) bool {
-	s.delMu.Lock()
-	defer s.delMu.Unlock()
-	return s.gone[id]
-}
-
-// gcSession is the DELETE path of snapshot retention: the session's final
-// state is archived under <data-dir>/closed/ and the live .vsnap/.vjournal
-// pair is removed, so the session no longer resurrects on boot (unless the
-// server opts back in with -restore-closed).
-func (s *Server) gcSession(sess *vada.Session) {
-	id := sess.ID()
-	// Supersession guard: the teardown runs after Manager.Close removed the
-	// ID from the map, so an import can have registered a NEW session under
-	// the same ID by now — its recorder and fresh files must not be
-	// clobbered by the old session's GC.
-	if cur, err := s.mgr.Get(id); err == nil && cur != sess {
-		s.logger.Warn("session re-registered during delete; skipping GC", "session", id)
-		return
-	}
-	s.dropRecorder(id)
-	if !safeSnapshotID(id) {
-		return
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	closed := filepath.Join(s.dataDir, closedDirName)
-	if err := os.MkdirAll(closed, 0o755); err != nil {
-		s.logger.Error("creating archive dir", "dir", closed, "error", err)
-		return
-	}
-	tmp, err := os.CreateTemp(closed, ".tmp-*")
-	if err != nil {
-		s.logger.Error("archiving session", "session", id, "error", err)
-		return
-	}
-	defer os.Remove(tmp.Name())
-	err = vada.ExportSession(tmp, sess, s.runs)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(closed, id+snapshotExt))
-	}
-	if err != nil {
-		s.logger.Error("archiving session", "session", id, "error", err)
-		return
-	}
-	for _, stale := range []string{id + snapshotExt, id + journalExt} {
-		if err := os.Remove(filepath.Join(s.dataDir, stale)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.logger.Error("removing stale durable file", "file", stale, "error", err)
-		}
-	}
-	// Tombstone while still holding persistMu: any persist that acquires
-	// the lock after this point sees it and declines to resurrect the pair.
-	s.markGone(id)
-	s.logger.Info("session archived", "session", id, "dir", closedDirName)
-}
-
-// Close drains the run engine, stops the persister and snapshots every live
+// Close drains the run engine, then has the store compact every live
 // session — the graceful-shutdown path. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.runs.Close() // cancels live runs and waits for workers to drain
-		if s.persistDone != nil {
-			close(s.persistDone)
-			s.persistWG.Wait()
-		}
-		s.persistAll()
+		s.store.Close()
 		if s.stopSampler != nil {
 			s.stopSampler()
 		}
@@ -604,320 +287,6 @@ func (s *Server) Handler() http.Handler { return s.instrument(s.routes()) }
 // evicted IDs — the binary runs this from a ticker.
 func (s *Server) EvictIdle(maxIdle time.Duration) []string {
 	return s.mgr.EvictIdle(maxIdle)
-}
-
-// persister serialises durability writes triggered by completed runs onto
-// one goroutine, off the engine's notify path. Hints are coalesced: a burst
-// of back-to-back run completions on one session collapses into a single
-// persist pass instead of redundant full snapshots. Sessions already
-// removed from the manager were (or will be) persisted by the evict hook
-// instead.
-func (s *Server) persister() {
-	defer s.persistWG.Done()
-	for {
-		select {
-		case <-s.persistDone:
-			return
-		case id := <-s.persistCh:
-			for _, sid := range drainHints(s.persistCh, id) {
-				s.persistHinted(sid)
-			}
-		}
-	}
-}
-
-// drainHints collapses every queued persist hint into unique session IDs in
-// first-seen order, starting from the hint already in hand.
-func drainHints(ch <-chan string, first string) []string {
-	ids := []string{first}
-	seen := map[string]bool{first: true}
-	for {
-		select {
-		case id := <-ch:
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		default:
-			return ids
-		}
-	}
-}
-
-// persistHinted makes one session's recent run completions durable: append
-// run records for the not-yet-journaled terminal runs and compact if the
-// journal crossed its thresholds.
-func (s *Server) persistHinted(id string) {
-	sess, err := s.mgr.Get(id)
-	if err != nil {
-		return
-	}
-	rec := s.recorder(id)
-	if rec == nil {
-		// Backstop, not a mode: the session's journal failed to open (the
-		// failure is already logged), so the full snapshot is all there is.
-		if err := s.persistSession(sess); err != nil {
-			s.logger.Error("persisting session", "session", id, "error", err)
-		}
-		return
-	}
-	if err := rec.RecordRuns(context.Background(), s.runs.ListTerminal(id)); err != nil {
-		s.logger.Error("journaling runs", "session", id, "error", err)
-	}
-	if rec.ShouldCompact(s.journalMaxRecords, s.journalMaxBytes) {
-		records, bytes := rec.Stats()
-		if err := rec.Compact(func() error { return s.persistSession(sess) }); err != nil {
-			s.logger.Error("compacting session", "session", id, "error", err)
-			return
-		}
-		s.logger.Info("session compacted", "session", id,
-			"journal_records", records, "journal_bytes", bytes)
-	}
-}
-
-// persistSession atomically writes one session's snapshot envelope to
-// <data-dir>/<id>.vsnap (write to a temp file, fsync, rename). Writers are
-// serialised, so a later capture always lands later on disk.
-func (s *Server) persistSession(sess *vada.Session) error {
-	if s.dataDir == "" {
-		return nil
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	id := sess.ID()
-	if s.isGone(id) {
-		// The session's durable state was garbage-collected while this
-		// persist was in flight; writing now would resurrect it on the
-		// next boot.
-		return nil
-	}
-	if !safeSnapshotID(id) {
-		return fmt.Errorf("session ID %q is not filesystem-safe", id)
-	}
-	return s.writeSnapshotLocked(id, func(tmp *os.File) error {
-		return vada.ExportSession(tmp, sess, s.runs)
-	})
-}
-
-// persistSnapshotBytes atomically writes an already-captured snapshot
-// envelope to <data-dir>/<id>.vsnap — the deferred-baseline path, where
-// the envelope was exported to memory at session creation and hits disk
-// only when the journal's first record needs a snapshot under it.
-func (s *Server) persistSnapshotBytes(id string, data []byte) error {
-	if s.dataDir == "" {
-		return nil
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.isGone(id) {
-		return nil
-	}
-	if !safeSnapshotID(id) {
-		return fmt.Errorf("session ID %q is not filesystem-safe", id)
-	}
-	return s.writeSnapshotLocked(id, func(tmp *os.File) error {
-		_, err := tmp.Write(data)
-		return err
-	})
-}
-
-// writeSnapshotLocked is the shared temp+fsync+rename tail of the snapshot
-// writers. Callers hold persistMu and have vetted the ID.
-func (s *Server) writeSnapshotLocked(id string, fill func(*os.File) error) error {
-	tmp, err := os.CreateTemp(s.dataDir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := fill(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	t0 := time.Now()
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	s.metrics.Counter(vada.MetricName("persist_fsync_total", "path", "snapshot")).Inc()
-	s.metrics.Histogram(vada.MetricName("persist_fsync_seconds", "path", "snapshot"), nil).ObserveSince(t0)
-	if info, err := tmp.Stat(); err == nil {
-		s.metrics.Counter("persist_snapshot_bytes_total").Add(info.Size())
-	}
-	s.metrics.Counter("persist_snapshots_total").Inc()
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dataDir, id+snapshotExt)); err != nil {
-		return err
-	}
-	s.lastSnapshotAt = time.Now()
-	return nil
-}
-
-// persistAll makes every live session durable at rest; the graceful
-// shutdown path. Journaled sessions compact — a restart after a clean
-// shutdown replays nothing.
-func (s *Server) persistAll() {
-	if s.dataDir == "" {
-		return
-	}
-	for _, sess := range s.mgr.List() {
-		id := sess.ID()
-		if rec := s.recorder(id); rec != nil {
-			if err := rec.Compact(func() error { return s.persistSession(sess) }); err != nil {
-				s.logger.Error("compacting session at shutdown", "session", id, "error", err)
-			}
-			s.dropRecorder(id)
-			continue
-		}
-		if err := s.persistSession(sess); err != nil {
-			s.logger.Error("persisting session", "session", id, "error", err)
-		}
-	}
-}
-
-// restoreAll loads every persisted session in the data directory into the
-// manager and run engine: each snapshot is decoded, its journal's valid
-// prefix (if one exists) is replayed over it — torn tails truncated, never
-// fatal — and the composed state is restored. A file that fails to decode
-// or register is logged and skipped; one corrupt file must not take the
-// service down.
-func (s *Server) restoreAll() {
-	entries, err := os.ReadDir(s.dataDir)
-	if err != nil {
-		s.logger.Error("reading -data-dir", "error", err)
-		return
-	}
-	restored := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapshotExt) {
-			continue
-		}
-		if s.restoreOne(s.dataDir, e.Name(), true) {
-			restored++
-		}
-	}
-	if restored > 0 {
-		s.logger.Info("restored sessions", "count", restored, "dir", s.dataDir)
-	}
-}
-
-// restoreOne restores a single <dir>/<name> snapshot (plus its journal, if
-// any) and reports success. adoptJournal re-opens the session's journal for
-// appending; callers that will start a fresh journal themselves (the
-// archive-restore path) pass false.
-func (s *Server) restoreOne(dir, name string, adoptJournal bool) bool {
-	path := filepath.Join(dir, name)
-	f, err := os.Open(path)
-	if err != nil {
-		s.logger.Error("opening snapshot", "file", name, "error", err)
-		return false
-	}
-	snap, err := vada.ReadSessionSnapshot(f)
-	f.Close()
-	if err != nil {
-		s.logger.Warn("skipping snapshot", "file", name, "error", err)
-		return false
-	}
-	// Journal recovery: compose the valid prefix over the snapshot. An
-	// unreadable journal (not one of ours, unknown version) is skipped and
-	// the snapshot restores on its own.
-	jname := strings.TrimSuffix(name, snapshotExt) + journalExt
-	jpath := filepath.Join(dir, jname)
-	replayed := 0
-	if data, err := os.ReadFile(jpath); err == nil {
-		res, jerr := vada.ReplayJournal(bytes.NewReader(data))
-		if jerr != nil {
-			s.logger.Warn("skipping journal", "file", jname, "error", jerr)
-		} else {
-			snap = vada.ComposeJournal(snap, res.Records)
-			replayed = len(res.Records)
-			if res.Damaged {
-				s.logger.Warn("journal had a damaged tail", "file", jname, "recovered_records", replayed)
-			}
-		}
-	}
-	sess, err := vada.RestoreSessionInto(s.mgr, s.runs, snap, s.sessionOpts()...)
-	if err != nil {
-		s.logger.Error("restoring snapshot", "file", name, "error", err)
-		return false
-	}
-	if adoptJournal && safeSnapshotID(sess.ID()) {
-		// Re-open for appending (truncating any damaged tail on disk); the
-		// recovered records are already composed into the live session.
-		w, _, err := vada.OpenJournal(filepath.Join(s.dataDir, sess.ID()+journalExt))
-		if err != nil {
-			s.logger.Error("opening journal", "session", sess.ID(), "error", err)
-		} else {
-			s.adoptJournal(sess, w, snap.Runs)
-		}
-	}
-	s.logger.Info("restored session", "session", sess.ID(),
-		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", replayed)
-	return true
-}
-
-// restoreClosedAll is the -restore-closed opt-in: archived sessions under
-// <data-dir>/closed/ come back live. A successfully restored archive is
-// persisted at the top level again and removed from the archive.
-func (s *Server) restoreClosedAll() {
-	closed := filepath.Join(s.dataDir, closedDirName)
-	entries, err := os.ReadDir(closed)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.logger.Error("reading archive dir", "dir", closed, "error", err)
-		}
-		return
-	}
-	restored := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapshotExt) {
-			continue
-		}
-		if !s.restoreOne(closed, e.Name(), false) {
-			continue
-		}
-		// The archive is removed only once a live top-level copy exists —
-		// a failed baseline write must not delete the only durable copy.
-		id := strings.TrimSuffix(e.Name(), snapshotExt)
-		if sess, err := s.mgr.Get(id); err == nil {
-			// The journal's baseline is deferred, so write the live snapshot
-			// here explicitly: the archive copy is destroyed below and must
-			// never be the only durable state.
-			if err := s.persistSession(sess); err != nil {
-				s.logger.Error("persisting unarchived session", "session", id, "error", err)
-				continue
-			}
-			if err := s.startJournal(sess); err != nil {
-				continue
-			}
-		}
-		if err := os.Remove(filepath.Join(closed, e.Name())); err != nil {
-			s.logger.Error("removing archived snapshot", "file", e.Name(), "error", err)
-		}
-		restored++
-	}
-	if restored > 0 {
-		s.logger.Info("restored archived sessions", "count", restored, "dir", closed)
-	}
-}
-
-// safeSnapshotID accepts session IDs that map onto a single path element:
-// letters, digits, dot, dash and underscore, not starting with a dot. This
-// is the guard between imported snapshot metadata and the filesystem.
-func safeSnapshotID(id string) bool {
-	if id == "" || len(id) > 128 || id[0] == '.' {
-		return false
-	}
-	for _, c := range id {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // routes wires the versioned API. The UI is registered as "GET /{$}" (the
@@ -962,19 +331,15 @@ func (s *Server) routes() *http.ServeMux {
 // publishTransition is the run engine's notify hook: every run state
 // change is pushed to the owning session's subscribers so SSE clients see
 // queued → running → stage k/n → terminal live. Sessions already gone
-// (evicted mid-run) simply drop the signal. Terminal transitions also
-// schedule a durability snapshot: the hook runs under the engine lock, so
-// the write itself happens on the persister goroutine. A full channel
-// drops the hint — the close/evict/shutdown snapshots are the backstop.
+// (evicted mid-run) simply drop the signal. A terminal run is also handed
+// to the store to journal; the hook runs under the engine lock, and neither
+// call blocks.
 func (s *Server) publishTransition(run vada.Run) {
 	if sess, err := s.mgr.Get(run.SessionID); err == nil {
 		sess.PublishTransition(run.Transition())
 	}
-	if s.persistCh != nil && run.State.Terminal() {
-		select {
-		case s.persistCh <- run.SessionID:
-		default:
-		}
+	if run.State.Terminal() {
+		s.store.AppendRuns(run.SessionID)
 	}
 }
 
@@ -1044,8 +409,10 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	s.clearGone(sess.ID())
-	s.startJournal(sess)
+	if err := s.durable(sess); err != nil {
+		writeError(rw, err)
+		return
+	}
 	writeJSONStatus(rw, http.StatusCreated, sess.State())
 }
 
@@ -1068,15 +435,10 @@ func (s *Server) handleState(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClose(rw http.ResponseWriter, r *http.Request) {
-	// Manager.Close fires the evict hook, which cancels the session's
-	// in-flight and queued runs — the same path idle eviction takes. The
-	// deleting marker switches the evict hook from persist to
-	// garbage-collect: an explicit DELETE archives the session's durable
-	// state instead of leaving it to resurrect on the next boot.
-	id := r.PathValue("id")
-	s.beginDelete(id)
-	defer s.endDelete(id)
-	if err := s.mgr.Close(id); err != nil {
+	// An explicit DELETE archives the session's durable state instead of
+	// leaving it to come back on the next boot; the teardown itself — runs
+	// cancelled, session quiesced — is the one idle eviction takes.
+	if err := s.store.Archive(r.PathValue("id")); err != nil {
 		writeError(rw, err)
 		return
 	}
@@ -1369,7 +731,7 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", sess.ID()+snapshotExt))
+		fmt.Sprintf("attachment; filename=%q", sess.ID()+store.SnapshotExt))
 	if err := vada.ExportSession(rw, sess, s.runs); err != nil {
 		// Headers are gone; all we can do is log and drop the connection.
 		s.logger.Error("exporting session", "session", sess.ID(), "error", err)
@@ -1378,11 +740,10 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 
 // handleImport restores a session from an uploaded snapshot envelope:
 // 201 with the restored state on success, 400 for malformed envelopes,
-// 409 when the session ID is already live, 429 at the session cap. The 201
-// is not a durability acknowledgement: like a created session, an imported
-// one reaches the data directory with its first journaled stage or run, and
-// a crash before that loses it — the uploaded envelope remains the client's
-// durable copy until then.
+// 409 when the session ID is already live, 429 at the session cap, 500 when
+// the data directory cannot take it. Like a created session's, the 201 is a
+// durability acknowledgement: the imported state is on disk as the session's
+// baseline snapshot before the response is written.
 func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 	snap, err := vada.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
 	if err != nil {
@@ -1394,7 +755,7 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	if !safeSnapshotID(snap.Meta.ID) {
+	if !store.SafeID(snap.Meta.ID) {
 		http.Error(rw, fmt.Sprintf("snapshot session ID %q is not importable", snap.Meta.ID),
 			http.StatusBadRequest)
 		return
@@ -1414,8 +775,10 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	s.clearGone(sess.ID())
-	s.startJournal(sess)
+	if err := s.durable(sess); err != nil {
+		writeError(rw, err)
+		return
+	}
 	s.logger.Info("imported session", "session", sess.ID(),
 		"events", len(snap.Events), "runs", len(snap.Runs))
 	rw.Header().Set("Location", "/api/v1/sessions/"+sess.ID())
@@ -1632,44 +995,10 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	if s.tracer != nil {
 		out["traces"] = s.tracer.Store().Len()
 	}
-	if s.dataDir != "" {
-		out["persist"] = s.persistStats()
+	if st := s.store.Stats(); st != nil {
+		out["persist"] = st
 	}
 	writeJSON(rw, out)
-}
-
-// persistStats summarises the durability layer for healthz: how many
-// sessions hold a journal, the total journal length and bytes accumulated
-// since their last compactions, and when the last full snapshot was written.
-func (s *Server) persistStats() map[string]any {
-	// Copy the recorder set first: Stats takes each writer's mutex, which
-	// an in-flight commit wait holds across its fsync — reading them under
-	// recMu would let one slow disk stall every session's stage hook.
-	s.recMu.Lock()
-	recs := make([]*vada.JournalRecorder, 0, len(s.recorders))
-	for _, rec := range s.recorders {
-		recs = append(recs, rec)
-	}
-	s.recMu.Unlock()
-	sessions := len(recs)
-	records := 0
-	var bytes int64
-	for _, rec := range recs {
-		r, b := rec.Stats()
-		records += r
-		bytes += b
-	}
-	out := map[string]any{
-		"journaled_sessions": sessions,
-		"journal_records":    records,
-		"journal_bytes":      bytes,
-	}
-	s.persistMu.Lock()
-	if !s.lastSnapshotAt.IsZero() {
-		out["last_snapshot"] = s.lastSnapshotAt.UTC().Format(time.RFC3339Nano)
-	}
-	s.persistMu.Unlock()
-	return out
 }
 
 // handleSuggestions serves the advisor's ranked next actions for a session.
@@ -1796,6 +1125,8 @@ func writeError(rw http.ResponseWriter, err error) {
 		status = http.StatusGone
 	case errors.Is(err, vada.ErrRunEngineClosed):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, store.ErrNotDurable):
+		status = http.StatusInternalServerError
 	}
 	http.Error(rw, err.Error(), status)
 }

@@ -20,7 +20,27 @@ import (
 	"time"
 
 	"vada"
+	"vada/internal/journal"
+	"vada/internal/store"
 )
+
+// What the store names its files; the server itself no longer knows.
+const (
+	snapshotExt   = store.SnapshotExt
+	journalExt    = ".vjournal"
+	closedDirName = "closed"
+)
+
+// ephemeralStore gives a hand-built Server the store New would: none of
+// these servers has a data directory.
+func ephemeralStore(t *testing.T, s *Server) *store.Store {
+	t.Helper()
+	st, err := store.Open("", 0, 0, store.Deps{Manager: s.mgr, Engine: s.runs, Metrics: s.metrics, Logger: s.logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 func testServer(t *testing.T, opts ...vada.ManagerOption) (*Server, *httptest.Server) {
 	return testServerEngine(t, nil, opts...)
@@ -48,6 +68,7 @@ func testServerEngine(t *testing.T, engineOpts []vada.RunEngineOption, opts ...v
 	s.mgr = vada.NewSessionManager(append(opts, vada.WithEvictHook(func(sess *vada.Session) {
 		s.runs.CancelSession(sess.ID())
 	}))...)
+	s.store = ephemeralStore(t, s)
 	t.Cleanup(s.runs.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -1322,6 +1343,7 @@ func TestSSEKeepAlive(t *testing.T) {
 	}
 	s.runs = vada.NewRunEngine(vada.WithRunWorkers(1), vada.WithRunNotify(s.publishTransition))
 	s.mgr = vada.NewSessionManager()
+	s.store = ephemeralStore(t, s)
 	t.Cleanup(s.runs.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -1798,13 +1820,13 @@ func journalServer(t *testing.T, dataDir string, maxRecords int, maxBytes int64)
 }
 
 // readJournal replays a journal file's valid prefix.
-func readJournal(t *testing.T, path string) []vada.JournalRecord {
+func readJournal(t *testing.T, path string) []journal.Record {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vada.ReplayJournal(bytes.NewReader(data))
+	res, err := journal.Replay(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1819,7 +1841,7 @@ func waitJournalRun(t *testing.T, path, rid string) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if data, err := os.ReadFile(path); err == nil {
-			if res, err := vada.ReplayJournal(bytes.NewReader(data)); err == nil {
+			if res, err := journal.Replay(bytes.NewReader(data)); err == nil {
 				for _, rec := range res.Records {
 					if rec.Run != nil && rec.Run.ID == rid && rec.Run.State.Terminal() {
 						return
@@ -1892,9 +1914,8 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	waitJournalRun(t, jpath, rid2)
 
 	// The O(delta) shape on disk: the snapshot is the creation-time
-	// baseline (no events) — captured at creation, written lazily when the
-	// first record was acknowledged — and completed runs appended to the
-	// journal, they did not rewrite it.
+	// baseline (no events), written before the 201, and completed runs
+	// appended to the journal, they did not rewrite it.
 	f, err := os.Open(filepath.Join(dir, id+snapshotExt))
 	if err != nil {
 		t.Fatal(err)
@@ -2100,22 +2121,58 @@ func TestHealthzPersistStats(t *testing.T) {
 	}
 }
 
-// TestDrainHints pins the persister's burst coalescing: queued hints
-// collapse into unique session IDs in first-seen order.
-func TestDrainHints(t *testing.T) {
-	ch := make(chan string, 8)
-	for _, id := range []string{"a", "b", "a", "c", "b", "a"} {
-		ch <- id
+// TestCreateNotDurable: with a data directory that cannot take the session
+// — here one replaced by a regular file after boot — neither create nor
+// import answers 201, and the session that could not be written is not left
+// behind in memory either.
+func TestCreateNotDurable(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	s, ts := journalServer(t, dir, 0, 0)
+	t.Cleanup(s.Close)
+
+	// An envelope to import, exported while the directory still works.
+	id := createSession(t, ts, `{"n":20}`)
+	resp, err := http.Get(ts.URL + "/api/v1/sessions/" + id + "/export")
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := drainHints(ch, "a")
-	want := []string{"a", "b", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("drainHints = %v, want %v", got, want)
+	envelope, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: %s (%v)", resp.Status, err)
 	}
-	if len(ch) != 0 {
-		t.Fatalf("channel not drained: %d left", len(ch))
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+id, nil)
+	if dresp, err := http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		dresp.Body.Close()
 	}
-	if got := drainHints(ch, "z"); !reflect.DeepEqual(got, []string{"z"}) {
-		t.Fatalf("empty-channel drain = %v", got)
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, post := range map[string]func() (*http.Response, error){
+		"create": func() (*http.Response, error) {
+			return http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(`{"n":20}`))
+		},
+		"import": func() (*http.Response, error) {
+			return http.Post(ts.URL+"/api/v1/sessions/import", "application/octet-stream", bytes.NewReader(envelope))
+		},
+	} {
+		resp, err := post()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "not durable") {
+			t.Fatalf("%s into an unwritable data dir: %s (%s), want 500 not durable", name, resp.Status, msg)
+		}
+	}
+	if all := getJSON(t, ts.URL+"/api/v1/sessions"); all["total"].(float64) != 0 {
+		t.Fatalf("%v sessions live after failed creates, want none", all["total"])
 	}
 }

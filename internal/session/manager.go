@@ -14,10 +14,10 @@ import (
 	"vada/internal/metrics"
 )
 
-// defaultShards is the stripe count used when WithShards is not given.
-// Sixteen stripes keep lock contention negligible for the session counts a
-// single node serves while costing sixteen empty maps at rest.
-const defaultShards = 16
+// shardCount is the stripe count of the session table. Sixteen stripes keep
+// lock contention negligible for the session counts a single node serves
+// while costing sixteen empty maps at rest.
+const shardCount = 16
 
 // maxConcurrentTeardowns bounds the teardown fan-out in EvictIdle so a
 // large eviction sweep cannot spawn an unbounded goroutine burst, while one
@@ -34,8 +34,8 @@ type shard struct {
 
 // Manager serves many independent sessions: create, look up, list and close
 // by ID, concurrency-safe, with a configurable session cap and an idle
-// eviction hook. The session table is striped across N shards by session-ID
-// hash — each shard has its own mutex — and the cap and live gauge are
+// eviction hook. The session table is striped across shardCount shards by
+// session-ID hash — each shard has its own mutex — and the cap and live gauge are
 // maintained on an atomic counter, so no operation takes a global lock.
 // Wrangling work happens under the individual session's lock, so sessions
 // proceed fully in parallel.
@@ -57,18 +57,6 @@ type ManagerOption func(*Manager)
 // Create fails with ErrLimit at the cap.
 func WithMaxSessions(n int) ManagerOption {
 	return func(m *Manager) { m.maxSessions = n }
-}
-
-// WithShards sets the stripe count of the session table (default 16,
-// minimum 1). More shards reduce lock contention between sessions whose IDs
-// hash together; the count is fixed at construction.
-func WithShards(n int) ManagerOption {
-	return func(m *Manager) {
-		if n < 1 {
-			return // keep the default stripe count
-		}
-		m.shards = make([]shard, n)
-	}
 }
 
 // WithStopHook installs a callback invoked (outside the manager lock) for
@@ -106,21 +94,15 @@ func WithManagerMetrics(reg *metrics.Registry) ManagerOption {
 
 // NewManager builds an empty session manager.
 func NewManager(opts ...ManagerOption) *Manager {
-	m := &Manager{}
+	m := &Manager{shards: make([]shard, shardCount)}
 	for _, opt := range opts {
 		opt(m)
-	}
-	if m.shards == nil {
-		m.shards = make([]shard, defaultShards)
 	}
 	for i := range m.shards {
 		m.shards[i].sessions = map[string]*Session{}
 	}
 	return m
 }
-
-// Shards returns the stripe count of the session table.
-func (m *Manager) Shards() int { return len(m.shards) }
 
 // shardFor picks the stripe for a session ID (FNV-1a).
 func (m *Manager) shardFor(id string) *shard {

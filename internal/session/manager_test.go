@@ -42,7 +42,7 @@ func TestRestoreRejectedCounted(t *testing.T) {
 // contract: creation order is stable no matter which shard each ID hashes
 // to, and survives interleaved closes and restores.
 func TestListCreationOrderAcrossShards(t *testing.T) {
-	mgr := NewManager(WithShards(4))
+	mgr := NewManager()
 	var want []string
 	for i := 0; i < 20; i++ {
 		s, err := mgr.Create(core.NewWrangler())
@@ -159,7 +159,7 @@ func TestEvictIdleConcurrentTeardown(t *testing.T) {
 // fails with ErrClosed — never a panic.
 func TestManagerStress(t *testing.T) {
 	reg := metrics.NewRegistry()
-	mgr := NewManager(WithShards(8), WithMaxSessions(64), WithManagerMetrics(reg))
+	mgr := NewManager(WithMaxSessions(64), WithManagerMetrics(reg))
 
 	var (
 		created atomic.Int64
@@ -280,32 +280,5 @@ func TestManagerStress(t *testing.T) {
 	removed := snap.Counters["sessions_closed_total"] + snap.Counters["sessions_evicted_total"]
 	if removed != created.Load() {
 		t.Fatalf("removal counters = %d, want %d", removed, created.Load())
-	}
-}
-
-// TestWithShardsBounds pins the shard-count clamp and the ID fan-out: every
-// session remains resolvable whatever the stripe count.
-func TestWithShardsBounds(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, 3, 32} {
-		mgr := NewManager(WithShards(n))
-		if mgr.Shards() < 1 {
-			t.Fatalf("WithShards(%d) -> %d shards", n, mgr.Shards())
-		}
-		var ids []string
-		for i := 0; i < 10; i++ {
-			s, err := mgr.Create(core.NewWrangler())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, s.ID())
-		}
-		for _, id := range ids {
-			if _, err := mgr.Get(id); err != nil {
-				t.Fatalf("shards=%d: get %q: %v", n, id, err)
-			}
-		}
-		if mgr.Len() != len(ids) {
-			t.Fatalf("shards=%d: Len = %d, want %d", n, mgr.Len(), len(ids))
-		}
 	}
 }

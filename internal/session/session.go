@@ -579,7 +579,7 @@ func resultView(res *relation.Relation) *relation.Relation {
 	return &out
 }
 
-// Trace returns the orchestration steps taken so far.
+// Trace returns the most recent orchestration steps (see Wrangler.Trace).
 func (s *Session) Trace() []transducer.Step {
 	if err := s.touch(); err != nil {
 		return nil

@@ -1,0 +1,566 @@
+// Package store owns a server's data directory and, with it, the durable
+// lifecycle of every session: create, append, compact, archive, recover.
+// The persistence lifecycle lives here; internal/persist (snapshot
+// envelopes) and internal/journal (delta records) are the formats.
+//
+// On disk a live session is a pair, an archived one a single file:
+//
+//	<dir>/<id>.vsnap          last full snapshot
+//	<dir>/<id>.vjournal       what completed since: one record per stage, one per terminal run
+//	<dir>/closed/<id>.vsnap   final snapshot of an explicitly deleted session
+//
+// What each verb guarantees once it has returned without error:
+//
+//	Create   the baseline snapshot is fsynced and renamed into place over an
+//	         empty journal — the session survives kill -9 from here on
+//	Append   the stage's record is fsynced when the returned wait returns
+//	Compact  the snapshot holds everything and the journal is empty
+//	Archive  the pair is gone from <dir> and closed/ holds the final state
+//	Recover  every pair is live again, snapshot composed with the journal's
+//	         valid prefix
+//
+// Every snapshot — baseline, compaction, evict, shutdown, archive — reaches
+// the directory through writeSnapshot: temp file, fsync, rename. A crash
+// between any two file-system steps leaves either the state before the verb
+// or the state after it, never a mixture: a journal without a snapshot was
+// never acknowledged and is ignored, and a snapshot is only ever paired with
+// a journal that was emptied first or whose records it already folds in
+// (replay skips those by sequence and run ID).
+//
+// A Store opened over "" is ephemeral: every verb is a cheap no-op, so the
+// service wires one either way.
+package store
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"vada/internal/journal"
+	"vada/internal/metrics"
+	"vada/internal/persist"
+	"vada/internal/runs"
+	"vada/internal/session"
+)
+
+// SnapshotExt is the file suffix of a snapshot envelope, on disk and in the
+// download name of an exported session.
+const SnapshotExt = ".vsnap"
+
+const (
+	journalExt = ".vjournal"
+	closedDir  = "closed"
+)
+
+// ErrNotDurable reports that a session could not be written to the data
+// directory. The caller must not acknowledge it as created.
+var ErrNotDurable = errors.New("store: session is not durable")
+
+// Deps is the rest of the service a Store works with: the manager whose
+// sessions it persists, the engine whose terminal runs it journals, the
+// registry its fsync and byte counters go to, and the operational logger.
+type Deps struct {
+	Manager *session.Manager
+	Engine  *runs.Engine
+	Metrics *metrics.Registry
+	Logger  *slog.Logger
+}
+
+// Store is one data directory. Build it with Open, install Release as the
+// manager's evict hook and Append as every session's stage-commit hook, call
+// Recover once before serving, and stop with Close.
+type Store struct {
+	dir        string
+	maxRecords int
+	maxBytes   int64
+	Deps
+
+	// mu guards the entry table, each entry's rec and archive fields, and
+	// lastSnapshot. It is never held across file I/O.
+	mu           sync.Mutex
+	entries      map[string]*entry
+	lastSnapshot time.Time
+
+	// The persister goroutine journals terminal runs and compacts journals
+	// past their thresholds, off the engine's notify path and the stage
+	// hook. hints is never closed (late hooks must not panic); done stops
+	// the goroutine.
+	hints     chan string
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+
+	// onStep, set by tests only, is called after each file-system step of a
+	// verb so a crash can be staged between any two of them.
+	onStep func(step string)
+}
+
+// entry is everything the store knows about one durable session ID — the
+// single place that decides whether a departing session is compacted (idle
+// eviction, shutdown), archived (DELETE) or left alone (already gone, or
+// superseded by a newer session under the same ID).
+type entry struct {
+	sess *session.Session
+
+	// io serialises the file operations of this session: every writer locks
+	// it and then looks at rec, so nothing is written once the entry is
+	// finished and a new session taking over the ID waits the old one out.
+	io sync.Mutex
+
+	// rec is nil while Create is still writing and again once the entry is
+	// finished; archive marks a DELETE in progress. Both under Store.mu.
+	rec     *journal.Recorder
+	archive bool
+}
+
+// Open prepares a store over dir, creating it if needed; "" is the
+// ephemeral store. maxRecords and maxBytes are the journal length at which
+// a session is compacted (0 = no such threshold).
+func Open(dir string, maxRecords int, maxBytes int64, deps Deps) (*Store, error) {
+	s := &Store{dir: dir, maxRecords: maxRecords, maxBytes: maxBytes, Deps: deps,
+		entries: map[string]*entry{}}
+	if dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("creating data directory: %w", err)
+	}
+	// Room for a burst of run completions while one flush is in its fsync; a
+	// hint dropped beyond it is made up for by the session's next hint, or
+	// by the snapshot its eviction or the shutdown writes.
+	s.hints = make(chan string, 256)
+	s.done = make(chan struct{})
+	s.wg.Add(1)
+	go s.persister()
+	return s, nil
+}
+
+// SafeID accepts session IDs that map onto a single path element: letters,
+// digits, dot, dash and underscore, not starting with a dot. This is the
+// guard between imported snapshot metadata and the filesystem.
+func SafeID(id string) bool {
+	if id == "" || len(id) > 128 || id[0] == '.' {
+		return false
+	}
+	for _, c := range id {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '.', c == '-', c == '_':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Store) path(id, ext string) string { return filepath.Join(s.dir, id+ext) }
+
+func (s *Store) step(name string) {
+	if s.onStep != nil {
+		s.onStep(name)
+	}
+}
+
+// lookup returns the entry registered under id, or nil.
+func (s *Store) lookup(id string) *entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[id]
+}
+
+// hold locks the entry's file operations and returns its recorder for the
+// caller to write through; the caller unlocks e.io. A finished entry (or no
+// entry) yields nil with nothing locked: there is nothing left to write.
+func (s *Store) hold(e *entry) *journal.Recorder {
+	if e == nil {
+		return nil
+	}
+	e.io.Lock()
+	s.mu.Lock()
+	rec := e.rec
+	s.mu.Unlock()
+	if rec == nil {
+		e.io.Unlock()
+	}
+	return rec
+}
+
+// Create makes a new session — created, imported or unarchived — durable
+// before it is acknowledged: any stale journal under its ID is emptied
+// first, the baseline snapshot is written second, and only then does the
+// session start journaling. A failure wraps ErrNotDurable and leaves nothing
+// registered; the caller closes the session instead of answering 201.
+func (s *Store) Create(sess *session.Session) error {
+	if s.dir == "" {
+		return nil
+	}
+	id := sess.ID()
+	if !SafeID(id) {
+		return fmt.Errorf("%w: session ID %q is not filesystem-safe", ErrNotDurable, id)
+	}
+	e := &entry{sess: sess}
+	e.io.Lock()
+	defer e.io.Unlock()
+	s.mu.Lock()
+	old := s.entries[id]
+	s.entries[id] = e
+	s.mu.Unlock()
+	if old != nil {
+		// The ID's previous session is still being torn down (an import over
+		// an ID mid-DELETE): wait its file operations out, then it has lost
+		// the ID and its teardown leaves the new files alone.
+		old.io.Lock()
+		s.finish(old)
+		old.io.Unlock()
+	}
+	rec, err := s.createFiles(sess)
+	if err != nil {
+		s.finish(e)
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	s.mu.Lock()
+	e.rec = rec
+	s.mu.Unlock()
+	return nil
+}
+
+// createFiles is Create's file-system half: journal emptied, then snapshot.
+func (s *Store) createFiles(sess *session.Session) (*journal.Recorder, error) {
+	w, stale, err := journal.Open(s.path(sess.ID(), journalExt))
+	if err != nil {
+		return nil, err
+	}
+	if len(stale) > 0 {
+		if err := w.Reset(); err != nil {
+			w.Close()
+			return nil, fmt.Errorf("resetting stale journal: %w", err)
+		}
+	}
+	s.step("journal")
+	snap := persist.CaptureSession(sess, s.Engine)
+	if err := s.writeSnapshot(snap); err != nil {
+		w.Close()
+		return nil, err
+	}
+	w.SetMetrics(s.Metrics)
+	return journal.NewRecorder(w, sess, snap.Runs), nil
+}
+
+// writeSnapshot is the one way a snapshot reaches the data directory: the
+// envelope goes to a temp file, is fsynced, and is renamed over
+// <dir>/<id>.vsnap, so a reader sees the old snapshot or the new one whole.
+// Callers hold the entry's io lock, which orders the writes of one session.
+func (s *Store) writeSnapshot(snap *persist.SessionSnapshot) error {
+	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if err := persist.WriteSessionSnapshot(tmp, snap); err != nil {
+		tmp.Close()
+		return err
+	}
+	t0 := time.Now()
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	s.Metrics.Counter(metrics.Name("persist_fsync_total", "path", "snapshot")).Inc()
+	s.Metrics.Histogram(metrics.Name("persist_fsync_seconds", "path", "snapshot"), nil).ObserveSince(t0)
+	if info, err := tmp.Stat(); err == nil {
+		s.Metrics.Counter("persist_snapshot_bytes_total").Add(info.Size())
+	}
+	s.Metrics.Counter("persist_snapshots_total").Inc()
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	s.step("snapshot-temp")
+	if err := os.Rename(tmp.Name(), s.path(snap.Meta.ID, SnapshotExt)); err != nil {
+		return err
+	}
+	s.step("snapshot")
+	s.mu.Lock()
+	s.lastSnapshot = time.Now()
+	s.mu.Unlock()
+	return nil
+}
+
+// finish ends an entry's life: it leaves the table (unless a newer session
+// already took the ID), its recorder is closed, and every writer that locks
+// io afterwards finds rec nil and declines. Callers hold e.io.
+func (s *Store) finish(e *entry) {
+	id := e.sess.ID()
+	s.mu.Lock()
+	rec := e.rec
+	e.rec = nil
+	if s.entries[id] == e {
+		delete(s.entries, id)
+	}
+	s.mu.Unlock()
+	if rec != nil {
+		if err := rec.Close(); err != nil {
+			s.Logger.Error("closing journal", "session", id, "error", err)
+		}
+	}
+}
+
+// Append is the session stage-commit hook: one O(delta) journal record per
+// completed stage. It runs under the session's run mutex, so the delta cut
+// cannot race the next stage's writes; the returned wait — invoked by Step
+// after the run mutex is released, or by the run engine once per plan —
+// blocks until the record is fsynced. ctx carries the stage's trace span,
+// making the append a `journal.append` child of it. A failure is logged, not
+// fatal: the next compaction, evict or shutdown snapshot covers the stage.
+func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Event) func() {
+	id := sess.ID()
+	s.mu.Lock()
+	e := s.entries[id]
+	if e == nil || e.sess != sess || e.rec == nil {
+		s.mu.Unlock()
+		return nil
+	}
+	rec := e.rec
+	s.mu.Unlock()
+	wait, err := rec.RecordStageCommit(ctx, ev)
+	if err != nil {
+		s.Logger.Error("journaling stage", "stage", ev.Stage, "session", id, "error", err)
+		return nil
+	}
+	s.step("record")
+	// Synchronous stages complete no run, so nothing else would bring the
+	// persister to look at this journal's length.
+	if rec.ShouldCompact(s.maxRecords, s.maxBytes) {
+		s.AppendRuns(id)
+	}
+	return func() {
+		if err := wait(); err != nil {
+			s.Logger.Error("journaling stage", "stage", ev.Stage, "session", id, "error", err)
+		}
+		s.step("record-sync")
+	}
+}
+
+// AppendRuns schedules a pass over the session: a record for each of its
+// terminal runs not yet journaled, then a compaction if the journal is past
+// a threshold. It never blocks — the run engine calls it under its lock — and
+// a full queue drops the hint.
+func (s *Store) AppendRuns(id string) {
+	if s.hints == nil {
+		return
+	}
+	select {
+	case s.hints <- id:
+	default:
+	}
+}
+
+// persister runs the passes AppendRuns schedules, one at a time.
+func (s *Store) persister() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.done:
+			return
+		case id := <-s.hints:
+			s.flush(id)
+		}
+	}
+}
+
+// flush is one persister pass over one session.
+func (s *Store) flush(id string) {
+	e := s.lookup(id)
+	rec := s.hold(e)
+	if rec == nil {
+		return
+	}
+	defer e.io.Unlock()
+	if err := rec.RecordRuns(context.Background(), s.Engine.ListTerminal(id)); err != nil {
+		s.Logger.Error("journaling runs", "session", id, "error", err)
+	}
+	if rec.ShouldCompact(s.maxRecords, s.maxBytes) {
+		records, bytes := rec.Stats()
+		if err := s.compactLocked(e, rec); err != nil {
+			s.Logger.Error("compacting session", "session", id, "error", err)
+			return
+		}
+		s.Logger.Info("session compacted", "session", id,
+			"journal_records", records, "journal_bytes", bytes)
+	}
+}
+
+// Compact folds the session's journal into a fresh snapshot and empties it,
+// whatever its length.
+func (s *Store) Compact(id string) error {
+	e := s.lookup(id)
+	rec := s.hold(e)
+	if rec == nil {
+		return fmt.Errorf("%w: %q", session.ErrNotFound, id)
+	}
+	defer e.io.Unlock()
+	return s.compactLocked(e, rec)
+}
+
+// compactLocked writes the snapshot and truncates the journal under the
+// recorder's lock, so no record lands between the capture and the truncate.
+// Callers hold e.io.
+func (s *Store) compactLocked(e *entry, rec *journal.Recorder) error {
+	err := rec.Compact(func() error {
+		return s.writeSnapshot(persist.CaptureSession(e.sess, s.Engine))
+	})
+	if err == nil {
+		s.step("truncate")
+	}
+	return err
+}
+
+// Archive is DELETE: the session is closed through the manager — cancelling
+// its runs — and its teardown (Release) moves the final snapshot under
+// closed/ and removes the live pair, so the session no longer comes back at
+// boot. Unknown IDs, a duplicate DELETE included, fail with
+// session.ErrNotFound and touch nothing.
+func (s *Store) Archive(id string) error {
+	s.mu.Lock()
+	if e := s.entries[id]; e != nil {
+		e.archive = true
+	}
+	s.mu.Unlock()
+	return s.Manager.Close(id)
+}
+
+// Release is the manager's evict hook, run once a session has left the
+// manager and quiesced: a session marked by Archive is archived, any other
+// (idle eviction) is compacted so a restart replays nothing, and either way
+// its journal is closed. A session that was never durable, or whose ID a
+// newer session has taken over, is left alone.
+func (s *Store) Release(sess *session.Session) {
+	if s.dir == "" {
+		return
+	}
+	id := sess.ID()
+	s.Engine.WaitSession(id)
+	e := s.lookup(id)
+	if e == nil || e.sess != sess {
+		return
+	}
+	rec := s.hold(e)
+	if rec == nil {
+		return
+	}
+	defer e.io.Unlock()
+	s.mu.Lock()
+	archive := e.archive
+	s.mu.Unlock()
+	if archive {
+		if err := s.archiveLocked(e, rec); err != nil {
+			s.Logger.Error("archiving session", "session", id, "error", err)
+		} else {
+			s.Logger.Info("session archived", "session", id, "dir", closedDir)
+		}
+	} else if err := s.compactLocked(e, rec); err != nil {
+		s.Logger.Error("compacting session on evict", "session", id, "error", err)
+	}
+	s.finish(e)
+}
+
+// archiveLocked moves the session's final snapshot under closed/ and
+// removes its journal. The snapshot on disk is rewritten first unless it is
+// already the final state — nothing journaled since it was written, no
+// terminal run missing from it: the session imported and deleted untouched.
+// The journal is not truncated on the way: its records are folded into the
+// snapshot, and it is deleted two steps later. Callers hold e.io, and the
+// session has quiesced, so nothing appends meanwhile.
+func (s *Store) archiveLocked(e *entry, rec *journal.Recorder) error {
+	id := e.sess.ID()
+	if !rec.Current(s.Engine.ListTerminal(id)) {
+		if err := s.writeSnapshot(persist.CaptureSession(e.sess, s.Engine)); err != nil {
+			return err
+		}
+	}
+	closed := filepath.Join(s.dir, closedDir)
+	if err := os.MkdirAll(closed, 0o755); err != nil {
+		return err
+	}
+	if err := os.Rename(s.path(id, SnapshotExt), filepath.Join(closed, id+SnapshotExt)); err != nil {
+		return err
+	}
+	s.step("archive")
+	if err := os.Remove(s.path(id, journalExt)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	s.step("journal-removed")
+	return nil
+}
+
+// Stats is the healthz view of the store: how many sessions hold a journal,
+// the records and bytes those journals accumulated since their last
+// compaction, and when the last snapshot was written.
+type Stats struct {
+	JournaledSessions int        `json:"journaled_sessions"`
+	JournalRecords    int        `json:"journal_records"`
+	JournalBytes      int64      `json:"journal_bytes"`
+	LastSnapshot      *time.Time `json:"last_snapshot,omitempty"`
+}
+
+// Stats summarises the store; nil for the ephemeral store.
+func (s *Store) Stats() *Stats {
+	if s.dir == "" {
+		return nil
+	}
+	// Copy the recorders out first: Stats takes each writer's mutex, which a
+	// commit wait holds across its fsync — reading them under mu would let
+	// one slow disk stall every session's stage hook.
+	out := &Stats{}
+	s.mu.Lock()
+	recs := make([]*journal.Recorder, 0, len(s.entries))
+	for _, e := range s.entries {
+		if e.rec != nil {
+			recs = append(recs, e.rec)
+		}
+	}
+	if !s.lastSnapshot.IsZero() {
+		at := s.lastSnapshot.UTC()
+		out.LastSnapshot = &at
+	}
+	s.mu.Unlock()
+	out.JournaledSessions = len(recs)
+	for _, rec := range recs {
+		records, bytes := rec.Stats()
+		out.JournalRecords += records
+		out.JournalBytes += bytes
+	}
+	return out
+}
+
+// Close stops the persister and compacts every live session, so a restart
+// after a clean shutdown replays nothing. The caller has drained the run
+// engine. Idempotent.
+func (s *Store) Close() {
+	if s.dir == "" {
+		return
+	}
+	s.closeOnce.Do(func() {
+		close(s.done)
+		s.wg.Wait()
+		s.mu.Lock()
+		live := make([]*entry, 0, len(s.entries))
+		for _, e := range s.entries {
+			live = append(live, e)
+		}
+		s.mu.Unlock()
+		for _, e := range live {
+			if rec := s.hold(e); rec != nil {
+				if err := s.compactLocked(e, rec); err != nil {
+					s.Logger.Error("compacting session at shutdown", "session", e.sess.ID(), "error", err)
+				}
+				s.finish(e)
+				e.io.Unlock()
+			}
+		}
+	})
+}

@@ -12,6 +12,11 @@ import (
 	"vada/internal/vadalog"
 )
 
+// TraceCap is how many of the most recent steps an orchestrator keeps for
+// Trace and the network transducer's history: a long-lived session takes
+// its ten-thousandth stage with the memory of its first few hundred.
+const TraceCap = 1024
+
 // Orchestrator runs registered transducers to quiescence: while any
 // transducer's input dependency is satisfied *and* the knowledge base has
 // changed since that transducer last ran, the network transducer picks one
@@ -32,7 +37,10 @@ type Orchestrator struct {
 	MaxSteps int
 
 	lastRun map[string]uint64 // transducer name -> KB version at last run
-	trace   []Step
+	// trace holds the last TraceCap steps (and up to as many older ones
+	// awaiting the next trim); seq counts every step ever taken.
+	trace []Step
+	seq   int
 }
 
 // NewOrchestrator wires an orchestrator with defaults (generic network,
@@ -102,11 +110,14 @@ func (o *Orchestrator) RunToQuiescence(ctx context.Context) ([]Step, error) {
 		if len(ready) == 0 {
 			return steps, nil
 		}
-		pick := o.Network.Select(ready, o.KB, o.trace)
+		pick := o.Network.Select(ready, o.KB, o.recent())
 		if pick == nil {
 			return steps, nil
 		}
 		step := o.runOne(ctx, pick, ready)
+		if len(o.trace) == 2*TraceCap {
+			o.trace = append(o.trace[:0], o.trace[TraceCap:]...)
+		}
 		o.trace = append(o.trace, step)
 		steps = append(steps, step)
 	}
@@ -119,8 +130,9 @@ func (o *Orchestrator) runOne(ctx context.Context, t Transducer, ready []Transdu
 		readyNames[i] = r.Name()
 	}
 	sort.Strings(readyNames)
+	o.seq++
 	step := Step{
-		Seq:           len(o.trace) + 1,
+		Seq:           o.seq,
 		Transducer:    t.Name(),
 		Activity:      t.Activity(),
 		Ready:         readyNames,
@@ -136,9 +148,16 @@ func (o *Orchestrator) runOne(ctx context.Context, t Transducer, ready []Transdu
 	return step
 }
 
-// Trace returns all steps taken so far (across multiple RunToQuiescence
-// calls — context changes between calls re-trigger dependent transducers).
-func (o *Orchestrator) Trace() []Step { return append([]Step(nil), o.trace...) }
+// recent is the retained tail of the trace: at most TraceCap steps.
+func (o *Orchestrator) recent() []Step {
+	return o.trace[max(0, len(o.trace)-TraceCap):]
+}
+
+// Trace returns the most recent steps, at most TraceCap of them, across
+// RunToQuiescence calls (context changes between calls re-trigger dependent
+// transducers). Step.Seq keeps counting from the first step ever taken, so
+// a gap before the first returned step says how many were dropped.
+func (o *Orchestrator) Trace() []Step { return append([]Step(nil), o.recent()...) }
 
 // ResetEligibility forgets last-run versions, forcing every transducer with
 // satisfied dependencies to run again. Useful in tests and for "replay"

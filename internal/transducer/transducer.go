@@ -146,7 +146,8 @@ func (r *Registry) Get(name string) Transducer { return r.byName[name] }
 
 // Step is one orchestration step in the trace.
 type Step struct {
-	// Seq is the step number (1-based).
+	// Seq is the step number (1-based), counted over the orchestrator's
+	// lifetime — not an index into the retained trace.
 	Seq int
 	// Transducer and Activity identify what ran.
 	Transducer, Activity string

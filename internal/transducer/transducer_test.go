@@ -396,3 +396,54 @@ func TestTableOneInputDependencies(t *testing.T) {
 		t.Fatal("mapping selection should be ready")
 	}
 }
+
+// TestTraceBounded drives one orchestrator far past TraceCap, a few steps
+// per run the way a long-lived session does: the trace stays at the cap and
+// holds the most recent steps, Seq keeps counting every step ever taken, and
+// the network transducer's history is the same bounded window.
+func TestTraceBounded(t *testing.T) {
+	k := kb.New()
+	reg := NewRegistry()
+	reg.MustRegister(
+		counterTransducer("stage1", "matching", "seed", "mid"),
+		counterTransducer("stage2", "mapping", "mid", "final"),
+	)
+	longest := 0
+	o := NewOrchestrator(k, reg, WithNetwork(networkFunc(func(ready []Transducer, hist []Step) Transducer {
+		longest = max(longest, len(hist))
+		return ready[0]
+	})))
+	total := 0
+	for i := 0; total < 2*TraceCap+TraceCap/2; i++ {
+		k.Assert("seed", tup(i))
+		steps, err := o.RunToQuiescence(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(steps) == 0 {
+			t.Fatalf("run %d took no steps", i)
+		}
+		total += len(steps)
+		if got := len(o.Trace()); got != min(total, TraceCap) {
+			t.Fatalf("after %d steps the trace holds %d, want %d", total, got, min(total, TraceCap))
+		}
+	}
+	trace := o.Trace()
+	for i, s := range trace {
+		if want := total - len(trace) + 1 + i; s.Seq != want {
+			t.Fatalf("trace[%d].Seq = %d, want %d (cumulative, strictly increasing)", i, s.Seq, want)
+		}
+	}
+	if longest != TraceCap {
+		t.Fatalf("network transducer saw a history of %d steps, want the cap %d", longest, TraceCap)
+	}
+}
+
+// networkFunc adapts a function to NetworkTransducer.
+type networkFunc func(ready []Transducer, hist []Step) Transducer
+
+func (networkFunc) Name() string { return "test" }
+
+func (f networkFunc) Select(ready []Transducer, _ *kb.KB, hist []Step) Transducer {
+	return f(ready, hist)
+}

@@ -80,7 +80,6 @@ import (
 	"vada/internal/extract"
 	"vada/internal/feedback"
 	"vada/internal/fusion"
-	"vada/internal/journal"
 	"vada/internal/kb"
 	"vada/internal/mapping"
 	"vada/internal/match"
@@ -185,9 +184,6 @@ var (
 	// WithStageCommitHook is the stage hook the journal feeds on: capture
 	// under the run mutex, durability wait after it is released.
 	WithStageCommitHook = session.WithStageCommitHook
-
-	// WithSessionShards stripes the manager's session table.
-	WithSessionShards = session.WithShards
 )
 
 // ---- durable sessions ------------------------------------------------------
@@ -211,49 +207,6 @@ var (
 	ReadSessionSnapshot  = persist.ReadSessionSnapshot
 	RestoreSession       = persist.RestoreSession
 	RestoreSessionInto   = persist.RestoreInto
-)
-
-// ---- incremental durability (journal) --------------------------------------
-
-// JournalRecord is one entry of a session's append-only journal — a
-// completed stage's mutation delta (JournalStageRecord) or a terminal run.
-// JournalWriter appends records to the per-session .vjournal file and fsyncs
-// them before they are acknowledged; JournalRecorder ties a live session to
-// its writer (stage hook → stage records, terminal runs → run records,
-// compaction); JournalReplayResult is
-// the torn-tail-tolerant read of a journal's valid prefix. KBDelta/KBDeltaOp
-// are the knowledge-base mutation log journaled per stage.
-type (
-	JournalRecord       = journal.Record
-	JournalStageRecord  = journal.StageRecord
-	JournalWriter       = journal.Writer
-	JournalRecorder     = journal.Recorder
-	JournalReplayResult = journal.ReplayResult
-	KBDelta             = kb.Delta
-	KBDeltaOp           = kb.DeltaOp
-)
-
-// Journal lifecycle: open (recovering the valid prefix and truncating any
-// torn tail), replay a stream, compose replayed records over a decoded
-// snapshot, and record a live session's mutations.
-var (
-	OpenJournal        = journal.Open
-	ReplayJournal      = journal.Replay
-	ComposeJournal     = journal.Compose
-	NewJournalRecorder = journal.NewRecorder
-)
-
-// JournalRecorderOption customises a JournalRecorder.
-type JournalRecorderOption = journal.RecorderOption
-
-// WithJournalBaseline defers the baseline snapshot under a fresh journal
-// until the first record is acknowledged (see journal.WithBaseline).
-var WithJournalBaseline = journal.WithBaseline
-
-// Journal header errors; record-level damage is recovered, not surfaced.
-var (
-	ErrJournalMagic   = journal.ErrBadMagic
-	ErrJournalVersion = journal.ErrBadVersion
 )
 
 // UserContextByName resolves the demonstration user contexts ("crime",
@@ -644,8 +597,8 @@ var (
 
 // Instrumentation options: hand one shared registry to the run engine
 // (queue/stage/cancellation series), each session (SSE fan-out series) and
-// the session manager (population series); JournalWriter.SetMetrics covers
-// the durability series.
+// the session manager (population series); the service's store reports the
+// durability series.
 var (
 	WithRunMetrics     = runs.WithMetrics
 	WithSessionMetrics = session.WithMetrics
