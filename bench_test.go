@@ -1,6 +1,8 @@
-// Benchmarks regenerating every exhibit of the paper's evaluation (see
-// DESIGN.md §3). One benchmark per exhibit, plus micro-benchmarks for each
-// substrate the architecture depends on. Run:
+// Benchmarks timing every exhibit of the paper's evaluation (the §3
+// demonstration of the paper PAPER.md names; `vada -exhibit all` prints the
+// exhibits themselves). One benchmark per exhibit, plus micro-benchmarks for each
+// substrate the architecture depends on. They import the internal packages
+// directly: the facade exports only what its clients call. Run:
 //
 //	go test -bench=. -benchmem
 package vada_test
@@ -10,13 +12,22 @@ import (
 	"fmt"
 	"testing"
 
-	"vada"
+	"vada/internal/cfd"
+	"vada/internal/core"
+	"vada/internal/datagen"
+	"vada/internal/extract"
+	"vada/internal/fusion"
+	"vada/internal/kb"
+	"vada/internal/mapping"
+	"vada/internal/match"
+	"vada/internal/mcda"
+	"vada/internal/relation"
 	"vada/internal/transducer"
 	"vada/internal/vadalog"
 )
 
-func scenarioCfg(n int) vada.ScenarioConfig {
-	cfg := vada.DefaultScenarioConfig()
+func scenarioCfg(n int) datagen.Config {
+	cfg := datagen.DefaultConfig()
 	cfg.NProperties = n
 	return cfg
 }
@@ -26,7 +37,7 @@ func BenchmarkScenarioGeneration(b *testing.B) {
 	cfg := scenarioCfg(400)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sc := vada.GenerateScenario(cfg)
+		sc := datagen.Generate(cfg)
 		if sc.Truth.Cardinality() != 400 {
 			b.Fatal("bad scenario")
 		}
@@ -36,14 +47,14 @@ func BenchmarkScenarioGeneration(b *testing.B) {
 // BenchmarkReadinessEvaluation measures Table 1's mechanism (E-T1): deciding
 // which transducers are ready via Vadalog dependency queries over the KB.
 func BenchmarkReadinessEvaluation(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(200))
-	w := vada.BuildScenarioWrangler(sc)
+	sc := datagen.Generate(scenarioCfg(200))
+	w := core.BuildScenarioWrangler(sc)
 	if _, err := w.Run(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	w.AddDataContext(sc.AddressRef)
-	engine := vada.NewEngine()
-	deps := make([]vada.Dependency, 0)
+	engine := vadalog.NewEngine()
+	deps := make([]transducer.Dependency, 0)
 	for _, t := range w.Registry().All() {
 		deps = append(deps, t.Dependency())
 	}
@@ -64,11 +75,11 @@ func BenchmarkReadinessEvaluation(b *testing.B) {
 func BenchmarkBootstrap(b *testing.B) {
 	for _, n := range []int{200, 600} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sc := vada.GenerateScenario(scenarioCfg(n))
+			sc := datagen.Generate(scenarioCfg(n))
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w := vada.BuildScenarioWrangler(sc)
+				w := core.BuildScenarioWrangler(sc)
 				if _, err := w.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
@@ -82,13 +93,13 @@ func BenchmarkBootstrap(b *testing.B) {
 
 // BenchmarkPayAsYouGoPipeline measures all four demonstration steps (E-F3).
 func BenchmarkPayAsYouGoPipeline(b *testing.B) {
-	cfg := vada.DefaultPayAsYouGoConfig()
+	cfg := core.DefaultPayAsYouGoConfig()
 	cfg.Scenario = scenarioCfg(200)
 	cfg.FeedbackBudget = 80
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _, stages, err := vada.RunPayAsYouGo(context.Background(), cfg)
+		_, _, stages, err := core.RunPayAsYouGo(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,12 +112,12 @@ func BenchmarkPayAsYouGoPipeline(b *testing.B) {
 // BenchmarkOrchestrationReaction measures E-D1: how much work a context
 // change triggers (data context over a quiesced system).
 func BenchmarkOrchestrationReaction(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(150))
+	sc := datagen.Generate(scenarioCfg(150))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w := vada.BuildScenarioWrangler(sc)
+		w := core.BuildScenarioWrangler(sc)
 		if _, err := w.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
@@ -121,14 +132,14 @@ func BenchmarkOrchestrationReaction(b *testing.B) {
 // BenchmarkUserContextSwitch measures E-A2: re-selection under a new user
 // context on a quiesced system.
 func BenchmarkUserContextSwitch(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(150))
-	w := vada.BuildScenarioWrangler(sc)
+	sc := datagen.Generate(scenarioCfg(150))
+	w := core.BuildScenarioWrangler(sc)
 	w.AddDataContext(sc.AddressRef)
 	if _, err := w.Run(context.Background()); err != nil {
 		b.Fatal(err)
 	}
-	contexts := []*vada.UserContext{
-		vada.CrimeAnalysisUserContext(), vada.SizeAnalysisUserContext(),
+	contexts := []*mcda.Model{
+		core.CrimeAnalysisUserContext(), core.SizeAnalysisUserContext(),
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -143,8 +154,8 @@ func BenchmarkUserContextSwitch(b *testing.B) {
 // BenchmarkOracleFeedback measures E-A1's inner loop: generating and
 // assimilating feedback.
 func BenchmarkOracleFeedback(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(150))
-	w := vada.BuildScenarioWrangler(sc)
+	sc := datagen.Generate(scenarioCfg(150))
+	w := core.BuildScenarioWrangler(sc)
 	w.AddDataContext(sc.AddressRef)
 	if _, err := w.Run(context.Background()); err != nil {
 		b.Fatal(err)
@@ -153,7 +164,7 @@ func BenchmarkOracleFeedback(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		items := vada.OracleFeedback(sc, res, 100, int64(i))
+		items := core.OracleFeedback(sc, res, 100, int64(i))
 		if len(items) == 0 {
 			b.Fatal("no feedback")
 		}
@@ -165,11 +176,11 @@ func BenchmarkOracleFeedback(b *testing.B) {
 // BenchmarkVadalogFixpoint measures the reasoner: transitive closure over a
 // 150-edge chain (recursion + semi-naive evaluation).
 func BenchmarkVadalogFixpoint(b *testing.B) {
-	var edges []vada.Tuple
+	var edges []relation.Tuple
 	for i := 0; i < 150; i++ {
-		edges = append(edges, vada.NewTuple(i, i+1))
+		edges = append(edges, relation.NewTuple(i, i+1))
 	}
-	prog, err := vada.ParseVadalog(`
+	prog, err := vadalog.Parse(`
 reach(X, Y) :- edge(X, Y).
 reach(X, Z) :- reach(X, Y), edge(Y, Z).`)
 	if err != nil {
@@ -179,7 +190,7 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).`)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := vada.NewEngine().Run(prog, edb)
+		res, err := vadalog.NewEngine().Run(prog, edb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,11 +202,11 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).`)
 
 // BenchmarkVadalogAggregation measures stratified aggregation.
 func BenchmarkVadalogAggregation(b *testing.B) {
-	var rows []vada.Tuple
+	var rows []relation.Tuple
 	for i := 0; i < 2000; i++ {
-		rows = append(rows, vada.NewTuple(fmt.Sprintf("d%d", i%20), i))
+		rows = append(rows, relation.NewTuple(fmt.Sprintf("d%d", i%20), i))
 	}
-	prog, err := vada.ParseVadalog(`total(D, sum(S)) :- fact(D, S).`)
+	prog, err := vadalog.Parse(`total(D, sum(S)) :- fact(D, S).`)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,7 +214,7 @@ func BenchmarkVadalogAggregation(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := vada.NewEngine().Run(prog, edb)
+		res, err := vadalog.NewEngine().Run(prog, edb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,12 +227,12 @@ func BenchmarkVadalogAggregation(b *testing.B) {
 // BenchmarkSchemaMatching measures name-based matching over the scenario
 // schemas.
 func BenchmarkSchemaMatching(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(100))
-	target := vada.TargetSchema()
+	sc := datagen.Generate(scenarioCfg(100))
+	target := datagen.TargetSchema()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ms := vada.MatchSchemas(sc.OnTheMarket.Schema, target)
+		ms := match.MatchSchemas(sc.OnTheMarket.Schema, target)
 		if len(ms) == 0 {
 			b.Fatal("no matches")
 		}
@@ -231,8 +242,8 @@ func BenchmarkSchemaMatching(b *testing.B) {
 // BenchmarkInstanceMatching measures instance-based matching against the
 // data context.
 func BenchmarkInstanceMatching(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(300))
-	inst := map[string][]vada.Value{}
+	sc := datagen.Generate(scenarioCfg(300))
+	inst := map[string][]relation.Value{}
 	for _, attr := range []string{"street", "city", "postcode"} {
 		col, err := sc.AddressRef.Column(attr)
 		if err != nil {
@@ -243,7 +254,7 @@ func BenchmarkInstanceMatching(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ms := vada.MatchInstances(sc.OnTheMarket, inst)
+		ms := match.MatchInstances(sc.OnTheMarket, inst)
 		if len(ms) == 0 {
 			b.Fatal("no matches")
 		}
@@ -253,18 +264,18 @@ func BenchmarkInstanceMatching(b *testing.B) {
 // BenchmarkMappingGeneration measures candidate-mapping generation including
 // inclusion-dependency discovery.
 func BenchmarkMappingGeneration(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(300))
-	target := vada.TargetSchema()
-	sources := []*vada.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
-	var matches []vada.Match
-	matches = append(matches, vada.MatchSchemas(sc.Rightmove.Schema, target)...)
-	matches = append(matches, vada.MatchSchemas(sc.OnTheMarket.Schema, target)...)
-	matches = append(matches, vada.MatchSchemas(sc.Deprivation.Schema, target)...)
-	opts := vada.DefaultOptions().GenOptions
+	sc := datagen.Generate(scenarioCfg(300))
+	target := datagen.TargetSchema()
+	sources := []*relation.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
+	var matches []match.Match
+	matches = append(matches, match.MatchSchemas(sc.Rightmove.Schema, target)...)
+	matches = append(matches, match.MatchSchemas(sc.OnTheMarket.Schema, target)...)
+	matches = append(matches, match.MatchSchemas(sc.Deprivation.Schema, target)...)
+	opts := core.DefaultOptions().GenOptions
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		maps := vada.GenerateMappings(target, sources, matches, opts)
+		maps := mapping.Generate(target, sources, matches, opts)
 		if len(maps) == 0 {
 			b.Fatal("no mappings")
 		}
@@ -277,18 +288,18 @@ func BenchmarkMappingGeneration(b *testing.B) {
 // (rightmove+deprivation, the lookup is small and its join column leads).
 func BenchmarkMappingExecution(b *testing.B) {
 	for _, n := range []int{300, 600, 1200} {
-		sc := vada.GenerateScenario(scenarioCfg(n))
-		target := vada.TargetSchema()
-		sources := []*vada.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
-		srcMap := map[string]*vada.Relation{}
-		var matches []vada.Match
+		sc := datagen.Generate(scenarioCfg(n))
+		target := datagen.TargetSchema()
+		sources := []*relation.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
+		srcMap := map[string]*relation.Relation{}
+		var matches []match.Match
 		for _, src := range sources {
 			srcMap[src.Schema.Name] = src
-			matches = append(matches, vada.MatchSchemas(src.Schema, target)...)
+			matches = append(matches, match.MatchSchemas(src.Schema, target)...)
 		}
-		maps := vada.GenerateMappings(target, sources, matches, vada.DefaultOptions().GenOptions)
+		maps := mapping.Generate(target, sources, matches, core.DefaultOptions().GenOptions)
 		for _, id := range []string{"m_onthemarket+rightmove", "m_rightmove+deprivation"} {
-			var join *vada.Mapping
+			var join *mapping.Mapping
 			for i := range maps {
 				if maps[i].ID == id {
 					join = &maps[i]
@@ -300,7 +311,7 @@ func BenchmarkMappingExecution(b *testing.B) {
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := vada.ExecuteMapping(*join, srcMap, vada.NewEngine())
+					res, err := mapping.Execute(*join, srcMap, vadalog.NewEngine())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -315,12 +326,12 @@ func BenchmarkMappingExecution(b *testing.B) {
 
 // BenchmarkCFDMining measures CTANE-style mining on the reference data.
 func BenchmarkCFDMining(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(500))
-	opts := vada.DefaultOptions().MineOptions
+	sc := datagen.Generate(scenarioCfg(500))
+	opts := core.DefaultOptions().MineOptions
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfds := vada.MineCFDs(sc.AddressRef, opts)
+		cfds := cfd.Mine(sc.AddressRef, opts)
 		if len(cfds) == 0 {
 			b.Fatal("no CFDs")
 		}
@@ -329,16 +340,16 @@ func BenchmarkCFDMining(b *testing.B) {
 
 // BenchmarkRepair measures reference-based repair of a noisy result.
 func BenchmarkRepair(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(300))
-	cfds := vada.MineCFDs(sc.AddressRef, vada.DefaultOptions().MineOptions)
-	res := vada.NewRelation(vada.NewSchema("result", "price", "street", "postcode", "bedrooms", "type", "description"))
+	sc := datagen.Generate(scenarioCfg(300))
+	cfds := cfd.Mine(sc.AddressRef, core.DefaultOptions().MineOptions)
+	res := relation.New(relation.NewSchema("result", "price", "street", "postcode", "bedrooms", "type", "description"))
 	for _, t := range sc.Rightmove.Tuples {
 		res.Tuples = append(res.Tuples, t.Clone())
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		repaired, _ := vada.RepairWithReference(res, sc.AddressRef, cfds, vada.DefaultRepairOptions())
+		repaired, _ := cfd.RepairWithReference(res, sc.AddressRef, cfds, cfd.DefaultRepairOptions())
 		if repaired.Cardinality() != res.Cardinality() {
 			b.Fatal("repair changed cardinality")
 		}
@@ -348,27 +359,27 @@ func BenchmarkRepair(b *testing.B) {
 // BenchmarkFusion measures duplicate detection + fusion over the unioned
 // portals.
 func BenchmarkFusion(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(400))
-	u := vada.NewRelation(vada.NewSchema("u", "street", "postcode", "bedrooms", "source"))
+	sc := datagen.Generate(scenarioCfg(400))
+	u := relation.New(relation.NewSchema("u", "street", "postcode", "bedrooms", "source"))
 	rmS := sc.Rightmove.Schema.AttrIndex("street")
 	rmP := sc.Rightmove.Schema.AttrIndex("postcode")
 	rmB := sc.Rightmove.Schema.AttrIndex("bedrooms")
 	for _, t := range sc.Rightmove.Tuples {
-		u.Tuples = append(u.Tuples, vada.Tuple{t[rmS], t[rmP], t[rmB], vada.StringValue("rightmove")})
+		u.Tuples = append(u.Tuples, relation.Tuple{t[rmS], t[rmP], t[rmB], relation.String("rightmove")})
 	}
 	otS := sc.OnTheMarket.Schema.AttrIndex("address_line")
 	otP := sc.OnTheMarket.Schema.AttrIndex("post_code")
 	otB := sc.OnTheMarket.Schema.AttrIndex("num_beds")
 	for _, t := range sc.OnTheMarket.Tuples {
-		u.Tuples = append(u.Tuples, vada.Tuple{t[otS], t[otP], t[otB], vada.StringValue("onthemarket")})
+		u.Tuples = append(u.Tuples, relation.Tuple{t[otS], t[otP], t[otB], relation.String("onthemarket")})
 	}
-	block := vada.BlockByAttr("postcode", vada.CanonicalPostcode)
-	scorer := vada.DefaultPairScorer("source")
+	block := fusion.BlockByAttr("postcode", datagen.CanonicalPostcode)
+	scorer := fusion.DefaultScorer("source")
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clusters := vada.DetectDuplicates(u, block, scorer, 0.9)
-		fused := vada.Fuse(u, clusters, vada.FusionOptions{})
+		clusters := fusion.DetectDuplicates(u, block, scorer, 0.9)
+		fused := fusion.Fuse(u, clusters, fusion.Options{})
 		if fused.Cardinality() == 0 {
 			b.Fatal("empty fusion")
 		}
@@ -377,7 +388,7 @@ func BenchmarkFusion(b *testing.B) {
 
 // BenchmarkMCDAWeights measures AHP weight derivation (user context).
 func BenchmarkMCDAWeights(b *testing.B) {
-	m := vada.CrimeAnalysisUserContext()
+	m := core.CrimeAnalysisUserContext()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -391,14 +402,14 @@ func BenchmarkMCDAWeights(b *testing.B) {
 // BenchmarkHTMLExtraction measures wrapper induction + extraction of a full
 // portal (the DIADEM-substitute path).
 func BenchmarkHTMLExtraction(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(200))
-	tmpl := vada.RightmoveTemplate()
-	pages := vada.GeneratePages(tmpl, sc.Rightmove)
-	anns := vada.BootstrapAnnotations(sc.Rightmove, []int{0, 1, 2})
+	sc := datagen.Generate(scenarioCfg(200))
+	tmpl := extract.RightmoveTemplate()
+	pages := extract.GeneratePages(tmpl, sc.Rightmove)
+	anns := extract.BootstrapAnnotations(sc.Rightmove, []int{0, 1, 2})
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wr, err := vada.InduceWrapper(pages[0], anns)
+		wr, err := extract.InduceWrapper(pages[0], anns)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,11 +425,11 @@ func BenchmarkHTMLExtraction(b *testing.B) {
 
 // BenchmarkKBAssertRetract measures the knowledge-base fact store.
 func BenchmarkKBAssertRetract(b *testing.B) {
-	k := vada.NewKB()
+	k := kb.New()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := vada.NewTuple(i%1000, "payload")
+		t := relation.NewTuple(i%1000, "payload")
 		k.Assert("bench", t)
 		if i%2 == 1 {
 			k.Retract("bench", t)
@@ -428,8 +439,8 @@ func BenchmarkKBAssertRetract(b *testing.B) {
 
 // BenchmarkTraceRendering measures the browsable trace (§3).
 func BenchmarkTraceRendering(b *testing.B) {
-	sc := vada.GenerateScenario(scenarioCfg(100))
-	w := vada.BuildScenarioWrangler(sc)
+	sc := datagen.Generate(scenarioCfg(100))
+	w := core.BuildScenarioWrangler(sc)
 	if _, err := w.Run(context.Background()); err != nil {
 		b.Fatal(err)
 	}

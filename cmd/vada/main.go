@@ -2,8 +2,13 @@
 //
 //	vada -print-architecture      # the component graph of Figure 1
 //	vada -print-scenario          # the demonstration scenario of Figure 2
-//	vada -run [-trace] [-csv]     # the four pay-as-you-go steps of §3
+//	vada -run [-trace] [-csv]     # the four pay-as-you-go steps of §3 (Figure 3)
+//	vada -exhibit table1|orchestration|costcurve|usercontext|noisesweep|all
+//	                              # the remaining exhibits of the evaluation
 //	vada -query 'program' -ask '?- q(X).'  # ad-hoc Vadalog over CSV EDB
+//
+// Exhibit output carries no timings; performance is measured by the frozen
+// benchmark in benchmark/ (see benchmark/README.md).
 package main
 
 import (
@@ -22,6 +27,7 @@ func main() {
 	run := flag.Bool("run", false, "run the four pay-as-you-go steps on the scenario")
 	trace := flag.Bool("trace", false, "with -run: print the full orchestration trace")
 	csvOut := flag.Bool("csv", false, "with -run: print the final result as CSV")
+	exhibit := flag.String("exhibit", "", "regenerate a paper exhibit: "+exhibitNames())
 	n := flag.Int("n", 400, "scenario size (properties)")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	budget := flag.Int("budget", 120, "feedback budget")
@@ -30,32 +36,29 @@ func main() {
 	edb := flag.String("edb", "", "comma-separated pred=file.csv pairs for -ask")
 	flag.Parse()
 
+	var err error
 	switch {
 	case *printArch:
-		w := vada.New()
-		fmt.Print(w.Architecture())
+		fmt.Print(vada.New().Architecture())
 	case *printScenario:
 		printScenarioTables(*n, *seed)
 	case *ask != "":
-		if err := runQuery(*program, *ask, *edb); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = runQuery(*program, *ask, *edb)
 	case *run:
-		if err := runPipeline(*n, *seed, *budget, *trace, *csvOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = runPipeline(*n, *seed, *budget, *trace, *csvOut)
+	case *exhibit != "":
+		err = runExhibit(os.Stdout, *exhibit, *n, *seed, *budget)
 	default:
 		flag.Usage()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
 func printScenarioTables(n int, seed int64) {
-	cfg := vada.DefaultScenarioConfig()
-	cfg.NProperties = n
-	cfg.Seed = seed
-	sc := vada.GenerateScenario(cfg)
+	sc := vada.GenerateScenario(scenarioConfig(n, seed))
 	fmt.Println("Sources (Figure 2a):")
 	fmt.Println(sc.Rightmove)
 	fmt.Println(sc.OnTheMarket)
@@ -72,8 +75,7 @@ func printScenarioTables(n int, seed int64) {
 
 func runPipeline(n int, seed int64, budget int, trace, csvOut bool) error {
 	cfg := vada.DefaultPayAsYouGoConfig()
-	cfg.Scenario.NProperties = n
-	cfg.Scenario.Seed = seed
+	cfg.Scenario = scenarioConfig(n, seed)
 	cfg.FeedbackBudget = budget
 	w, _, stages, err := vada.RunPayAsYouGo(context.Background(), cfg)
 	if err != nil {
@@ -92,7 +94,7 @@ func runPipeline(n int, seed int64, budget int, trace, csvOut bool) error {
 }
 
 func runQuery(program, ask, edbSpec string) error {
-	edb := map[string][]vada.Tuple{}
+	edb := vada.MapEDB{}
 	if edbSpec != "" {
 		for _, pair := range strings.Split(edbSpec, ",") {
 			pred, file, ok := strings.Cut(pair, "=")
@@ -111,11 +113,7 @@ func runQuery(program, ask, edbSpec string) error {
 			edb[pred] = rel.Tuples
 		}
 	}
-	mapEDB := make(map[string][]vada.Tuple, len(edb))
-	for k, v := range edb {
-		mapEDB[k] = v
-	}
-	bindings, err := vada.NewEngine().Query(program, ask, mapEDBAdapter(mapEDB))
+	bindings, err := vada.NewEngine().Query(program, ask, edb)
 	if err != nil {
 		return err
 	}
@@ -129,8 +127,3 @@ func runQuery(program, ask, edbSpec string) error {
 	fmt.Printf("%d answers\n", len(bindings))
 	return nil
 }
-
-// mapEDBAdapter satisfies the reasoner's EDB interface from a plain map.
-type mapEDBAdapter map[string][]vada.Tuple
-
-func (m mapEDBAdapter) Facts(pred string) []vada.Tuple { return m[pred] }

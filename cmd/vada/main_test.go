@@ -1,10 +1,41 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/exhibits.golden")
+
+// TestExhibitsGolden pins every exhibit byte for byte at a small scenario:
+// the output is a function of (n, seed, budget) only, so a diff here is a
+// change in what the system computes (or in how an exhibit is rendered).
+// Re-bless with go test ./cmd/vada -run TestExhibitsGolden -update.
+func TestExhibitsGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := runExhibit(&got, "all", 40, 1, 30); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "exhibits.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("exhibits differ from %s (re-bless with -update if intended):\n%s", golden, got.String())
+	}
+	if err := runExhibit(&got, "scenario", 40, 1, 30); err == nil {
+		t.Fatal("unknown exhibit name should fail")
+	}
+}
 
 func TestRunQueryOverCSV(t *testing.T) {
 	dir := t.TempDir()

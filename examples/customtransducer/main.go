@@ -10,8 +10,6 @@ import (
 	"log"
 
 	"vada"
-	"vada/internal/kb"
-	"vada/internal/transducer"
 )
 
 func main() {
@@ -29,12 +27,12 @@ func main() {
 	// A custom transducer: its input dependency is a Vadalog query over the
 	// knowledge base — it runs as soon as a wrangling result exists, with no
 	// explicit wiring to the components that produce it.
-	w.Registry().MustRegister(&transducer.Func{
+	w.Registry().MustRegister(&vada.TransducerFunc{
 		TName:     "price-profiler",
 		TActivity: "quality",
-		Dep:       transducer.Dependency{Query: "?- md_result(N), N > 0."},
-		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
-			rep := transducer.Report{}
+		Dep:       vada.Dependency{Query: "?- md_result(N), N > 0."},
+		RunFn: func(_ context.Context, k *vada.KB) (vada.Report, error) {
+			rep := vada.Report{}
 			res := k.Relation("result")
 			if res == nil {
 				return rep, nil

@@ -9,12 +9,11 @@ import (
 	"log"
 
 	"vada"
-	"vada/internal/vadalog"
 )
 
 func main() {
 	// A small organisational EDB.
-	edb := vadalog.MapEDB{
+	edb := vada.MapEDB{
 		"manages": {
 			vada.NewTuple("ada", "bob"),
 			vada.NewTuple("ada", "cara"),
@@ -49,7 +48,7 @@ proposal(X, R) :- leaf(X), salary(X, S), R = S + S / 10.
 % A Datalog± existential: every manager gets an (invented) budget code.
 budgetcode(M, Code) :- manager(M).
 `
-	prog, err := vadalog.Parse(program)
+	prog, err := vada.ParseVadalog(program)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +72,7 @@ budgetcode(M, Code) :- manager(M).
 	}
 
 	// Querying.
-	q, err := vadalog.ParseQuery(`?- payroll(M, S), S > 120.`)
+	q, err := vada.ParseQuery(`?- payroll(M, S), S > 120.`)
 	if err != nil {
 		log.Fatal(err)
 	}

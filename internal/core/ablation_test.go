@@ -19,8 +19,8 @@ func reversedActivityOrder() []string {
 	return out
 }
 
-// TestOrchestrationConfluenceAcrossPolicies is the ablation DESIGN.md §5.1
-// calls for: the network transducer decides *order*, the declared
+// TestOrchestrationConfluenceAcrossPolicies is the ablation the paper's §2.4
+// invites: the network transducer decides *order*, the declared
 // dependencies decide *what can run* — so different policies must reach the
 // same quiescent result. This is what makes the declarative-dependency
 // architecture trustworthy: policy tuning cannot corrupt outcomes.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"vada/internal/cfd"
-	"vada/internal/mapping"
-	"vada/internal/transducer"
-)
+import "vada/internal/transducer"
 
 // Option mutates the Wrangler configuration. Constructors take a variadic
 // list of options applied over DefaultOptions, so callers state only what
@@ -28,31 +24,10 @@ func WithMatchThreshold(t float64) Option {
 	return func(o *Options) { o.MatchThreshold = t }
 }
 
-// WithFusionThreshold sets the duplicate-detection similarity threshold.
-func WithFusionThreshold(t float64) Option {
-	return func(o *Options) { o.FusionThreshold = t }
-}
-
-// WithMineOptions overrides CFD-learning parameters.
-func WithMineOptions(m cfd.MineOptions) Option {
-	return func(o *Options) { o.MineOptions = m }
-}
-
-// WithGenOptions overrides mapping-generation parameters.
-func WithGenOptions(g mapping.GenOptions) Option {
-	return func(o *Options) { o.GenOptions = g }
-}
-
 // WithMinCoverage sets the minimum number of target attributes a candidate
 // mapping must cover — the knob small-schema quickstarts need most.
 func WithMinCoverage(n int) Option {
 	return func(o *Options) { o.GenOptions.MinCoverage = n }
-}
-
-// WithRangeRuleSupport sets the minimal feedback support for plausibility
-// rules.
-func WithRangeRuleSupport(n int) Option {
-	return func(o *Options) { o.RangeRuleSupport = n }
 }
 
 // WithMaxSteps bounds one orchestration run.
@@ -63,15 +38,6 @@ func WithMaxSteps(n int) Option {
 // WithNetwork overrides the network transducer (nil = generic).
 func WithNetwork(n transducer.NetworkTransducer) Option {
 	return func(o *Options) { o.Network = n }
-}
-
-// WithFusionBlocking sets the attribute duplicate detection blocks on and
-// the attribute whose normalised equality identifies duplicates in a block.
-func WithFusionBlocking(blockAttr, identityAttr string) Option {
-	return func(o *Options) {
-		o.FusionBlockAttr = blockAttr
-		o.FusionIdentityAttr = identityAttr
-	}
 }
 
 // buildOptions folds opts over the production defaults.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"vada/internal/datagen"
 	"vada/internal/extract"
@@ -268,16 +267,5 @@ func FormatStages(stages []StageScore) string {
 			s.Score.F1, s.Score.CellAccuracy, s.Score.ValueAccuracy,
 			s.Score.Completeness["crimerank"], s.Score.Completeness["bedrooms"])
 	}
-	return out
-}
-
-// SortedQualityFacts renders md_quality facts for traces and the web UI.
-func (w *Wrangler) SortedQualityFacts() []string {
-	facts := w.KB.Facts(PredQuality)
-	out := make([]string, 0, len(facts))
-	for _, f := range facts {
-		out = append(out, fmt.Sprintf("%s: %s(%s) = %s", f[0], f[1], f[2], f[3]))
-	}
-	sort.Strings(out)
 	return out
 }

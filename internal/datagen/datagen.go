@@ -5,7 +5,8 @@
 // tables (address lists) of Figure 2(c).
 //
 // The generator substitutes for the paper's live DIADEM extractions and
-// gov.uk downloads (see DESIGN.md §1); crucially it keeps the clean ground
+// gov.uk downloads, which a reproduction cannot fetch (and which change
+// under it); crucially it keeps the clean ground
 // truth, which the paper's authors had no access to and which is what lets
 // this reproduction *measure* the pay-as-you-go claims instead of just
 // demonstrating them.

@@ -82,20 +82,3 @@ func BootstrapAnnotations(src *relation.Relation, rows []int) []Annotation {
 	}
 	return anns
 }
-
-// ExtractSource is the end-to-end convenience used by the extraction
-// transducer: render the source through its template, induce a wrapper from
-// example rows, and extract everything back.
-func ExtractSource(tmpl SiteTemplate, src *relation.Relation, exampleRows []int) (*relation.Relation, *Wrapper, []Provenance, error) {
-	pages := GeneratePages(tmpl, src)
-	anns := BootstrapAnnotations(src, exampleRows)
-	w, err := InduceWrapper(pages[0], anns)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rel, prov, err := w.Extract(pages, src.Schema)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rel, w, prov, nil
-}

@@ -17,7 +17,6 @@
 package extract
 
 import (
-	"fmt"
 	"strings"
 	"unicode"
 )
@@ -278,33 +277,4 @@ func decodeEntities(s string) string { return entityReplacer.Replace(s) }
 // EscapeHTML escapes text for embedding into generated pages.
 func EscapeHTML(s string) string {
 	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace(s)
-}
-
-// RenderNode renders a DOM subtree back to HTML (used in tests and traces).
-func RenderNode(n *Node) string {
-	var b strings.Builder
-	var walk func(*Node)
-	walk = func(x *Node) {
-		switch x.Type {
-		case TextNode:
-			b.WriteString(EscapeHTML(x.Text))
-		case ElementNode:
-			if x.Tag != "#root" {
-				b.WriteByte('<')
-				b.WriteString(x.Tag)
-				for k, v := range x.Attrs {
-					fmt.Fprintf(&b, ` %s="%s"`, k, EscapeHTML(v))
-				}
-				b.WriteByte('>')
-			}
-			for _, c := range x.Children {
-				walk(c)
-			}
-			if x.Tag != "#root" && !voidElements[x.Tag] {
-				fmt.Fprintf(&b, "</%s>", x.Tag)
-			}
-		}
-	}
-	walk(n)
-	return b.String()
 }

@@ -75,10 +75,9 @@ type Delta struct {
 func (d *Delta) Empty() bool { return d == nil || len(d.Ops) == 0 }
 
 // StartDeltaLog begins recording every subsequent mutation, synchronously
-// and losslessly (unlike watchers, which drop under backpressure). The log
-// grows until the next CutDelta, so callers cut at natural boundaries —
-// once per completed wrangling stage, in the journal's case. Starting an
-// already-started log resets it.
+// and losslessly. The log grows until the next CutDelta, so callers cut at
+// natural boundaries — once per completed wrangling stage, in the journal's
+// case. Starting an already-started log resets it.
 //
 // Relation puts are logged as row diffs against the state the cut started
 // from (see PutRelation), which trades op-level idempotency for O(changed
@@ -128,13 +127,6 @@ func (k *KB) StopDeltaLog() {
 	k.resetDeltaLocked()
 }
 
-// DeltaLogging reports whether a delta log is active.
-func (k *KB) DeltaLogging() bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.deltaOn
-}
-
 // CutDelta returns the mutations recorded since StartDeltaLog (or the
 // previous cut) and resets the log so the next cut starts from here. It
 // returns nil when the log is not active.
@@ -159,8 +151,7 @@ func (k *KB) CutDelta() *Delta {
 }
 
 // ApplyDelta replays a delta's mutations in order through the public write
-// surface (watchers observe them as ordinary changes, an active delta log
-// records them) and raises the version to at least d.To, so a snapshot KB
+// surface (an active delta log records them) and raises the version to at least d.To, so a snapshot KB
 // plus the journal's deltas converges on the live KB's version. Replay is
 // convergent at the op level for all kinds except DeltaPatchRelation:
 // asserting a fact already present and retracting one already gone are

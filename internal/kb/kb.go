@@ -6,16 +6,20 @@
 //   - facts: predicate-named tuples with set semantics, used for metadata
 //     (schemas, matches, mappings, quality metrics, feedback, user and data
 //     context). Transducer input dependencies are Vadalog queries over
-//     these facts.
+//     these facts. Predicate names carry a namespace prefix mirroring the
+//     paper's partitioning of the knowledge base (§2): uc_ user context,
+//     dc_ data context, md_ transducer metadata, fb_ feedback, src_ source
+//     registration — underscore, not '/', so they stay valid Vadalog
+//     identifiers.
 //   - relations: bulk extensional data (source tables, reference tables,
 //     wrangling results), stored as named relations. The paper keeps most
 //     extensional data in external stores; here the KB holds the handles
 //     and the data itself, which is equivalent at laptop scale.
 //
-// The KB is safe for concurrent use, versions every change, and supports
-// watchers so the orchestrator can react to new information — the mechanism
-// behind the paper's "a transducer becomes available for execution when the
-// data it needs is available in the knowledge base".
+// The KB is safe for concurrent use and versions every change, so the
+// orchestrator can react to new information — the mechanism behind the
+// paper's "a transducer becomes available for execution when the data it
+// needs is available in the knowledge base".
 package kb
 
 import (
@@ -27,61 +31,16 @@ import (
 	"vada/internal/relation"
 )
 
-// Namespace prefixes for fact predicates, mirroring the paper's partitioning
-// of the knowledge base (§2: user context, data context, transducer
-// metadata, feedback).
-const (
-	// NSUserContext prefixes user-context facts (priorities, target schema).
-	NSUserContext = "uc"
-	// NSDataContext prefixes data-context facts (reference/master/example data descriptors).
-	NSDataContext = "dc"
-	// NSMetadata prefixes metadata produced by transducers (matches, mappings, metrics).
-	NSMetadata = "md"
-	// NSFeedback prefixes user feedback facts.
-	NSFeedback = "fb"
-	// NSSource prefixes source registration facts.
-	NSSource = "src"
-)
-
-// Qualify joins a namespace and a local predicate name: Qualify("md",
-// "match") = "md_match". Underscore (not '/') keeps predicates valid
-// Vadalog identifiers.
-func Qualify(ns, name string) string { return ns + "_" + name }
-
-// Op describes a change applied to the knowledge base.
-type Op int
-
-const (
-	// OpAssert records a fact or relation being added.
-	OpAssert Op = iota
-	// OpRetract records a fact or relation being removed.
-	OpRetract
-)
-
-// Event describes one change to the knowledge base, delivered to watchers.
-type Event struct {
-	// Version is the KB version after the change.
-	Version uint64
-	// Op is the kind of change.
-	Op Op
-	// Predicate is the fact predicate or relation name affected.
-	Predicate string
-	// Tuple is the affected tuple; nil for whole-relation events.
-	Tuple relation.Tuple
-}
-
 // KB is the knowledge base. The zero value is not usable; call New.
 type KB struct {
 	mu        sync.RWMutex
 	facts     map[string]*factSet
 	relations map[string]*relation.Relation
 	version   uint64
-	watchers  map[int]chan Event
-	nextWatch int
 
 	// deltaOn/deltaOps/deltaFrom are the opt-in synchronous mutation log
-	// behind StartDeltaLog/CutDelta (see delta.go). Unlike watchers, the
-	// log never drops: it is the durability layer's source of truth.
+	// behind StartDeltaLog/CutDelta (see delta.go): the one change-notification
+	// mechanism, and the durability layer's source of truth.
 	deltaOn   bool
 	deltaOps  []DeltaOp
 	deltaFrom uint64
@@ -111,7 +70,6 @@ func New() *KB {
 	return &KB{
 		facts:     make(map[string]*factSet),
 		relations: make(map[string]*relation.Relation),
-		watchers:  make(map[int]chan Event),
 	}
 }
 
@@ -139,22 +97,9 @@ func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	fs.keys[key] = len(fs.tuples)
 	fs.tuples = append(fs.tuples, t.Clone())
 	k.version++
-	ev := Event{Version: k.version, Op: OpAssert, Predicate: pred, Tuple: t.Clone()}
-	k.notifyLocked(ev)
 	k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t.Clone()})
 	k.mu.Unlock()
 	return true
-}
-
-// AssertAll adds many facts to one predicate, returning how many were new.
-func (k *KB) AssertAll(pred string, ts []relation.Tuple) int {
-	n := 0
-	for _, t := range ts {
-		if k.Assert(pred, t) {
-			n++
-		}
-	}
-	return n
 }
 
 // Retract removes a fact. It returns true if the fact was present.
@@ -178,7 +123,6 @@ func (k *KB) Retract(pred string, t relation.Tuple) bool {
 	fs.tuples = fs.tuples[:last]
 	delete(fs.keys, key)
 	k.version++
-	k.notifyLocked(Event{Version: k.version, Op: OpRetract, Predicate: pred, Tuple: t.Clone()})
 	k.logLocked(DeltaOp{Kind: DeltaRetract, Name: pred, Tuple: t.Clone()})
 	return true
 }
@@ -194,7 +138,6 @@ func (k *KB) RetractPredicate(pred string) int {
 	n := len(fs.tuples)
 	delete(k.facts, pred)
 	k.version++
-	k.notifyLocked(Event{Version: k.version, Op: OpRetract, Predicate: pred})
 	k.logLocked(DeltaOp{Kind: DeltaRetractPredicate, Name: pred})
 	return n
 }
@@ -305,7 +248,6 @@ func (k *KB) PutRelation(name string, r *relation.Relation) {
 	stored := r.Clone()
 	k.relations[name] = stored
 	k.version++
-	k.notifyLocked(Event{Version: k.version, Op: OpAssert, Predicate: name})
 	k.logRelationPutLocked(name, old, stored)
 	k.mu.Unlock()
 }
@@ -432,14 +374,6 @@ func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, added
 	return added, addedAt, removed, true
 }
 
-// PatchRelation applies a row-level diff to a named bulk relation: one
-// occurrence per removed tuple is taken out (matched by Tuple.Key, earliest
-// first), then the added tuples are appended. It is PatchRelationAt with
-// tail insertion.
-func (k *KB) PatchRelation(name string, added, removed []relation.Tuple) bool {
-	return k.PatchRelationAt(name, added, nil, removed)
-}
-
 // PatchRelationAt applies a row-level diff to a named bulk relation: one
 // occurrence per removed tuple is taken out (matched by Tuple.Key, earliest
 // first), then the added tuples are inserted at the final positions addedAt
@@ -487,7 +421,6 @@ func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int,
 	}
 	r.Tuples = next
 	k.version++
-	k.notifyLocked(Event{Version: k.version, Op: OpAssert, Predicate: name})
 	k.logLocked(DeltaOp{Kind: DeltaPatchRelation, Name: name,
 		Added: cloneTuples(added), AddedAt: cloneInts(addedAt), Removed: cloneTuples(removed)})
 	return true
@@ -553,7 +486,6 @@ func (k *KB) DropRelation(name string) bool {
 	}
 	delete(k.relations, name)
 	k.version++
-	k.notifyLocked(Event{Version: k.version, Op: OpRetract, Predicate: name})
 	k.logLocked(DeltaOp{Kind: DeltaDropRelation, Name: name})
 	if k.deltaOn {
 		// Later re-puts must not rewrite an op that precedes this drop, and
@@ -583,42 +515,8 @@ func (k *KB) RelationNames(prefix string) []string {
 	return out
 }
 
-// Watch registers a watcher. Events are delivered best-effort on a buffered
-// channel; if the watcher falls behind, events are dropped rather than
-// blocking writers (watchers poll Version to resynchronise). Call the
-// returned cancel function to unregister.
-func (k *KB) Watch(buffer int) (<-chan Event, func()) {
-	if buffer < 1 {
-		buffer = 64
-	}
-	ch := make(chan Event, buffer)
-	k.mu.Lock()
-	id := k.nextWatch
-	k.nextWatch++
-	k.watchers[id] = ch
-	k.mu.Unlock()
-	cancel := func() {
-		k.mu.Lock()
-		if c, ok := k.watchers[id]; ok {
-			delete(k.watchers, id)
-			close(c)
-		}
-		k.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-func (k *KB) notifyLocked(ev Event) {
-	for _, ch := range k.watchers {
-		select {
-		case ch <- ev:
-		default: // drop rather than block a writer
-		}
-	}
-}
-
 // Snapshot returns a deep copy of the knowledge base: facts, relations and
-// version. Watchers are not copied. Snapshots give transducer runs a
+// version. Snapshots give transducer runs a
 // consistent view and make experiments repeatable.
 func (k *KB) Snapshot() *KB {
 	k.mu.RLock()

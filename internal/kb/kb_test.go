@@ -161,45 +161,6 @@ func TestDropRelationAndNames(t *testing.T) {
 	}
 }
 
-func TestWatchDeliversEvents(t *testing.T) {
-	k := New()
-	ch, cancel := k.Watch(16)
-	defer cancel()
-	k.Assert("p", tup(1))
-	ev := <-ch
-	if ev.Op != OpAssert || ev.Predicate != "p" || !ev.Tuple.Equal(tup(1)) {
-		t.Fatalf("unexpected event %+v", ev)
-	}
-	k.Retract("p", tup(1))
-	ev = <-ch
-	if ev.Op != OpRetract {
-		t.Fatalf("unexpected event %+v", ev)
-	}
-}
-
-func TestWatchCancelCloses(t *testing.T) {
-	k := New()
-	ch, cancel := k.Watch(1)
-	cancel()
-	if _, open := <-ch; open {
-		t.Fatal("cancelled watcher channel should be closed")
-	}
-	cancel() // idempotent
-	k.Assert("p", tup(1))
-}
-
-func TestWatchDoesNotBlockWriters(t *testing.T) {
-	k := New()
-	_, cancel := k.Watch(1) // never read from it
-	defer cancel()
-	for i := 0; i < 100; i++ {
-		k.Assert("p", tup(i)) // must not deadlock
-	}
-	if k.Count("p") != 100 {
-		t.Fatal("asserts lost")
-	}
-}
-
 func TestSnapshotIsolation(t *testing.T) {
 	k := New()
 	k.Assert("p", tup(1))
@@ -237,12 +198,6 @@ func TestStatsAndString(t *testing.T) {
 	}
 	if k.String() == "" {
 		t.Fatal("String empty")
-	}
-}
-
-func TestQualify(t *testing.T) {
-	if Qualify(NSMetadata, "match") != "md_match" {
-		t.Fatalf("Qualify = %q", Qualify(NSMetadata, "match"))
 	}
 }
 

@@ -59,7 +59,7 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a knowledge base from a snapshot written by
-// WriteSnapshot. It returns a fresh KB; watchers are not part of snapshots.
+// WriteSnapshot. It returns a fresh KB.
 // Malformed input fails with an error wrapping ErrBadSnapshot; the decoder
 // never panics and allocates only in proportion to the bytes actually read.
 func ReadSnapshot(r io.Reader) (*KB, error) {
@@ -98,9 +98,8 @@ func ReadSnapshot(r io.Reader) (*KB, error) {
 // ReadSnapshot — into k in place: facts are asserted (duplicates are
 // no-ops), relations replace same-named ones wholesale, and k's version is
 // raised to at least src's. Merging in place is the restore path of a
-// Wrangler whose orchestrator and watchers are already wired to k, where
-// swapping the KB pointer would sever them. Watchers observe the merge as
-// ordinary assertions.
+// Wrangler whose orchestrator is already wired to k, where swapping the KB
+// pointer would sever it.
 func (k *KB) Merge(src *KB) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
@@ -120,7 +119,6 @@ func (k *KB) Merge(src *KB) {
 			dst.keys[key] = len(dst.tuples)
 			dst.tuples = append(dst.tuples, t.Clone())
 			k.version++
-			k.notifyLocked(Event{Version: k.version, Op: OpAssert, Predicate: pred, Tuple: t.Clone()})
 			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t.Clone()})
 		}
 	}
@@ -128,7 +126,6 @@ func (k *KB) Merge(src *KB) {
 		old, stored := k.relations[name], r.Clone()
 		k.relations[name] = stored
 		k.version++
-		k.notifyLocked(Event{Version: k.version, Op: OpAssert, Predicate: name})
 		k.logRelationPutLocked(name, old, stored)
 	}
 	if src.version > k.version {

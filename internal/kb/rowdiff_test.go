@@ -343,19 +343,19 @@ func TestRowDiffBagSemantics(t *testing.T) {
 // and an applied patch is itself re-logged so chained delta logs converge.
 func TestPatchRelationDirect(t *testing.T) {
 	k := New()
-	if k.PatchRelation("missing", []relation.Tuple{relation.NewTuple("x", 1.0)}, nil) {
+	if k.PatchRelationAt("missing", []relation.Tuple{relation.NewTuple("x", 1.0)}, nil, nil) {
 		t.Fatal("patching an absent relation must report false")
 	}
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}))
 	v := k.Version()
-	if !k.PatchRelation("result", nil, nil) {
+	if !k.PatchRelationAt("result", nil, nil, nil) {
 		t.Fatal("empty patch on present relation must report true")
 	}
 	if k.Version() != v {
 		t.Fatal("empty patch must not advance the version")
 	}
 	k.StartDeltaLog()
-	if !k.PatchRelation("result", []relation.Tuple{relation.NewTuple("2 High St", 200.0)}, nil) {
+	if !k.PatchRelationAt("result", []relation.Tuple{relation.NewTuple("2 High St", 200.0)}, nil, nil) {
 		t.Fatal("patch failed")
 	}
 	d := k.CutDelta()

@@ -277,47 +277,6 @@ func (m *Model) Weights() (map[Criterion]float64, Diagnostics, error) {
 	return out, d, nil
 }
 
-// EigenWeights derives weights with the principal-eigenvector method (power
-// iteration), as a cross-check on the geometric-mean weights. The two agree
-// exactly for consistent matrices.
-func (m *Model) EigenWeights() (map[Criterion]float64, error) {
-	n := len(m.criteria)
-	out := make(map[Criterion]float64, n)
-	if n == 0 {
-		return out, nil
-	}
-	a, _ := m.matrix()
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1 / float64(n)
-	}
-	for iter := 0; iter < 200; iter++ {
-		next := make([]float64, n)
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				next[i] += a[i][j] * w[j]
-			}
-			sum += next[i]
-		}
-		maxDelta := 0.0
-		for i := range next {
-			next[i] /= sum
-			if d := math.Abs(next[i] - w[i]); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		w = next
-		if maxDelta < 1e-12 {
-			break
-		}
-	}
-	for i, c := range m.criteria {
-		out[c] = w[i]
-	}
-	return out, nil
-}
-
 // Score computes the weighted-sum utility of a candidate whose per-criterion
 // quality estimates are given in metrics (values in [0,1]). Criteria missing
 // from metrics contribute zero; criteria missing from weights are ignored.
@@ -341,59 +300,4 @@ func Score(weights map[Criterion]float64, metrics map[Criterion]float64) float64
 		s += weights[c] * metrics[c]
 	}
 	return s
-}
-
-// RankByScore orders candidate names by descending weighted-sum utility.
-// Ties break lexicographically for determinism.
-func RankByScore(weights map[Criterion]float64, candidates map[string]map[Criterion]float64) []string {
-	names := make([]string, 0, len(candidates))
-	for n := range candidates {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		si, sj := Score(weights, candidates[names[i]]), Score(weights, candidates[names[j]])
-		if si != sj {
-			return si > sj
-		}
-		return names[i] < names[j]
-	})
-	return names
-}
-
-// ParetoFront returns the candidate names not dominated by any other
-// candidate: no other candidate is at least as good on all criteria and
-// strictly better on one. The result preserves lexicographic order.
-func ParetoFront(candidates map[string]map[Criterion]float64, criteria []Criterion) []string {
-	names := make([]string, 0, len(candidates))
-	for n := range candidates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	dominates := func(a, b map[Criterion]float64) bool {
-		better := false
-		for _, c := range criteria {
-			av, bv := a[c], b[c]
-			if av < bv {
-				return false
-			}
-			if av > bv {
-				better = true
-			}
-		}
-		return better
-	}
-	var front []string
-	for _, n := range names {
-		dominated := false
-		for _, o := range names {
-			if o != n && dominates(candidates[o], candidates[n]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, n)
-		}
-	}
-	return front
 }

@@ -394,18 +394,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // strconv renders a bucket bound compactly (no trailing zeros).
 func strconv(v float64) string { return fmt.Sprintf("%g", v) }
 
-// CounterDelta returns after's counters minus before's, dropping zero
-// deltas — the interval activity a load generator reports.
-func CounterDelta(before, after Snapshot) map[string]int64 {
-	out := map[string]int64{}
-	for name, v := range after.Counters {
-		if d := v - before.Counters[name]; d != 0 {
-			out[name] = d
-		}
-	}
-	return out
-}
-
 // SumCounters sums every counter of a snapshot whose name starts with
 // prefix — the healthz roll-up helper (per-route series share a prefix).
 func SumCounters(s Snapshot, prefix string) int64 {

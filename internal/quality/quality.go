@@ -1,13 +1,10 @@
 // Package quality implements VADA's quality-metric transducer (§2.3): it
-// estimates completeness, consistency, density and reference coverage for
-// relations, producing the metric vectors that source and mapping selection
+// estimates completeness, consistency and density for relations, producing the metric vectors that source and mapping selection
 // score against the user context.
 package quality
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"vada/internal/cfd"
 	"vada/internal/mcda"
@@ -79,65 +76,6 @@ func Consistency(rel *relation.Relation, cfds []cfd.CFD) float64 {
 		return 1
 	}
 	return cfd.ConsistencyRate(rel, cfds)
-}
-
-// Coverage is the fraction of reference keys that appear in the relation:
-// an estimate of completeness *with respect to reference data* rather than
-// nulls. Keys are compared after normalisation.
-func Coverage(rel *relation.Relation, keyAttrs []string, ref *relation.Relation, refKeyAttrs []string, norm func(string) string) (float64, error) {
-	if len(keyAttrs) != len(refKeyAttrs) || len(keyAttrs) == 0 {
-		return 0, fmt.Errorf("quality: key attribute lists must be parallel and non-empty")
-	}
-	if norm == nil {
-		norm = func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-	}
-	keyOf := func(t relation.Tuple, idxs []int) (string, bool) {
-		var b strings.Builder
-		for _, i := range idxs {
-			if t[i].IsNull() {
-				return "", false
-			}
-			b.WriteString(norm(t[i].String()))
-			b.WriteByte('\x1f')
-		}
-		return b.String(), true
-	}
-	ri := make([]int, len(refKeyAttrs))
-	for i, a := range refKeyAttrs {
-		ri[i] = ref.Schema.AttrIndex(a)
-		if ri[i] < 0 {
-			return 0, fmt.Errorf("quality: reference lacks attribute %q", a)
-		}
-	}
-	li := make([]int, len(keyAttrs))
-	for i, a := range keyAttrs {
-		li[i] = rel.Schema.AttrIndex(a)
-		if li[i] < 0 {
-			return 0, fmt.Errorf("quality: relation lacks attribute %q", a)
-		}
-	}
-	have := map[string]bool{}
-	for _, t := range rel.Tuples {
-		if k, ok := keyOf(t, li); ok {
-			have[k] = true
-		}
-	}
-	refKeys := map[string]bool{}
-	for _, t := range ref.Tuples {
-		if k, ok := keyOf(t, ri); ok {
-			refKeys[k] = true
-		}
-	}
-	if len(refKeys) == 0 {
-		return 0, nil
-	}
-	n := 0
-	for k := range refKeys {
-		if have[k] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(refKeys)), nil
 }
 
 // Report is the metric vector for one relation (source, mapping result or

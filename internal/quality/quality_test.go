@@ -68,29 +68,6 @@ func TestConsistencyRequiresCFDs(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	res := relation.New(relation.NewSchema("res", "street", "postcode"))
-	res.MustAppend("1 a st", "m1 1aa") // case differs from ref
-	res.MustAppend("9 z st", "zz9 9zz")
-	ref := relation.New(relation.NewSchema("ref", "street", "postcode"))
-	ref.MustAppend("1 A St", "M1 1AA")
-	ref.MustAppend("2 B St", "M1 1AB")
-
-	c, err := Coverage(res, []string{"street", "postcode"}, ref, []string{"street", "postcode"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 0.5 {
-		t.Fatalf("coverage = %v, want 0.5", c)
-	}
-	if _, err := Coverage(res, []string{"street"}, ref, []string{"street", "postcode"}, nil); err == nil {
-		t.Fatal("mismatched key lists should fail")
-	}
-	if _, err := Coverage(res, []string{"ghost"}, ref, []string{"street"}, nil); err == nil {
-		t.Fatal("unknown attr should fail")
-	}
-}
-
 func TestAssessAndCriteria(t *testing.T) {
 	r := sample()
 	rep := Assess(r, nil, map[string]float64{"bedrooms": 0.9})

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteCSV writes the relation to w in RFC 4180 CSV with a header row. Null
@@ -25,13 +24,6 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// CSVString renders the relation as a CSV document.
-func (r *Relation) CSVString() string {
-	var b strings.Builder
-	_ = r.WriteCSV(&b)
-	return b.String()
 }
 
 // ReadCSV reads a relation from CSV with a header row. If schema is non-nil,

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -98,37 +97,6 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 	return out, nil
 }
 
-// Select returns a new relation with the tuples for which pred is true.
-func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := New(r.Schema)
-	for _, t := range r.Tuples {
-		if pred(t) {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
-}
-
-// SelectEq returns tuples whose named attribute equals v.
-func (r *Relation) SelectEq(attr string, v Value) (*Relation, error) {
-	idx := r.Schema.AttrIndex(attr)
-	if idx < 0 {
-		return nil, fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, attr)
-	}
-	return r.Select(func(t Tuple) bool { return t[idx].Equal(v) }), nil
-}
-
-// Rename returns a copy of the relation with attribute old renamed to new.
-func (r *Relation) Rename(oldName, newName string) (*Relation, error) {
-	idx := r.Schema.AttrIndex(oldName)
-	if idx < 0 {
-		return nil, fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, oldName)
-	}
-	out := r.Clone()
-	out.Schema.Attrs[idx].Name = newName
-	return out, nil
-}
-
 // Distinct returns a copy with duplicate tuples removed, preserving first
 // occurrence order.
 func (r *Relation) Distinct() *Relation {
@@ -156,158 +124,6 @@ func (r *Relation) Union(o *Relation) (*Relation, error) {
 		out.Tuples = append(out.Tuples, t.Clone())
 	}
 	return out, nil
-}
-
-// NaturalJoin joins r and o on all shared attribute names using a hash join.
-// The result schema is r's attributes followed by o's non-shared attributes,
-// under the name "name⋈name". Null join keys never match (SQL semantics).
-func (r *Relation) NaturalJoin(o *Relation) (*Relation, error) {
-	var shared []string
-	for _, a := range r.Schema.Attrs {
-		if o.Schema.HasAttr(a.Name) {
-			shared = append(shared, a.Name)
-		}
-	}
-	if len(shared) == 0 {
-		return nil, fmt.Errorf("relation: no shared attributes between %s and %s", r.Schema, o.Schema)
-	}
-	return r.JoinOn(o, shared, shared)
-}
-
-// JoinOn performs an equi-join of r and o on the parallel attribute lists
-// leftKeys and rightKeys. Attributes of o that are join keys are dropped from
-// the output; other o attributes keep their names, deduplicated with an "o."
-// prefix if they clash with r's.
-func (r *Relation) JoinOn(o *Relation, leftKeys, rightKeys []string) (*Relation, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("relation: join key lists must be parallel and non-empty")
-	}
-	li := make([]int, len(leftKeys))
-	ri := make([]int, len(rightKeys))
-	for i := range leftKeys {
-		li[i] = r.Schema.AttrIndex(leftKeys[i])
-		ri[i] = o.Schema.AttrIndex(rightKeys[i])
-		if li[i] < 0 {
-			return nil, fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, leftKeys[i])
-		}
-		if ri[i] < 0 {
-			return nil, fmt.Errorf("relation: %s has no attribute %q", o.Schema.Name, rightKeys[i])
-		}
-	}
-	rightKeySet := make(map[int]bool, len(ri))
-	for _, i := range ri {
-		rightKeySet[i] = true
-	}
-
-	attrs := append([]Attribute(nil), r.Schema.Attrs...)
-	var rightKeep []int
-	for j, a := range o.Schema.Attrs {
-		if rightKeySet[j] {
-			continue
-		}
-		name := a.Name
-		if r.Schema.HasAttr(name) {
-			name = o.Schema.Name + "." + name
-		}
-		attrs = append(attrs, Attribute{Name: name, Type: a.Type})
-		rightKeep = append(rightKeep, j)
-	}
-	out := New(Schema{Name: r.Schema.Name + "⋈" + o.Schema.Name, Attrs: attrs})
-
-	// Build hash index on o.
-	index := make(map[string][]Tuple, len(o.Tuples))
-	for _, t := range o.Tuples {
-		key, ok := joinKey(t, ri)
-		if !ok {
-			continue // null keys never join
-		}
-		index[key] = append(index[key], t)
-	}
-	for _, t := range r.Tuples {
-		key, ok := joinKey(t, li)
-		if !ok {
-			continue
-		}
-		for _, ot := range index[key] {
-			nt := make(Tuple, 0, len(attrs))
-			nt = append(nt, t...)
-			for _, j := range rightKeep {
-				nt = append(nt, ot[j])
-			}
-			out.Tuples = append(out.Tuples, nt)
-		}
-	}
-	return out, nil
-}
-
-// LeftJoinOn is like JoinOn but keeps unmatched left tuples, padding the
-// right-side attributes with nulls.
-func (r *Relation) LeftJoinOn(o *Relation, leftKeys, rightKeys []string) (*Relation, error) {
-	inner, err := r.JoinOn(o, leftKeys, rightKeys)
-	if err != nil {
-		return nil, err
-	}
-	li := make([]int, len(leftKeys))
-	for i := range leftKeys {
-		li[i] = r.Schema.AttrIndex(leftKeys[i])
-	}
-	ri := make([]int, len(rightKeys))
-	for i := range rightKeys {
-		ri[i] = o.Schema.AttrIndex(rightKeys[i])
-	}
-	matched := make(map[string]bool, len(o.Tuples))
-	for _, t := range o.Tuples {
-		if key, ok := joinKey(t, ri); ok {
-			matched[key] = true
-		}
-	}
-	pad := inner.Schema.Arity() - r.Schema.Arity()
-	for _, t := range r.Tuples {
-		key, ok := joinKey(t, li)
-		if ok && matched[key] {
-			continue
-		}
-		nt := make(Tuple, 0, inner.Schema.Arity())
-		nt = append(nt, t...)
-		for i := 0; i < pad; i++ {
-			nt = append(nt, Null())
-		}
-		inner.Tuples = append(inner.Tuples, nt)
-	}
-	return inner, nil
-}
-
-func joinKey(t Tuple, idxs []int) (string, bool) {
-	var b strings.Builder
-	for _, i := range idxs {
-		if t[i].IsNull() {
-			return "", false
-		}
-		b.WriteString(t[i].Key())
-		b.WriteByte('\x1f')
-	}
-	return b.String(), true
-}
-
-// SortBy sorts the tuples in place by the named attributes, ascending.
-func (r *Relation) SortBy(attrs ...string) error {
-	idxs := make([]int, len(attrs))
-	for i, a := range attrs {
-		idxs[i] = r.Schema.AttrIndex(a)
-		if idxs[i] < 0 {
-			return fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, a)
-		}
-	}
-	sort.SliceStable(r.Tuples, func(a, b int) bool {
-		ta, tb := r.Tuples[a], r.Tuples[b]
-		for _, idx := range idxs {
-			if c := ta[idx].Compare(tb[idx]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return nil
 }
 
 // String renders the relation as a small aligned table, for traces and
@@ -361,54 +177,4 @@ func (r *Relation) String() string {
 		fmt.Fprintf(&b, "... (%d more)\n", len(r.Tuples)-maxRows)
 	}
 	return b.String()
-}
-
-// Aggregate computes a grouped aggregate. groupBy names the grouping
-// attributes; agg is applied to the values of attr within each group. The
-// result schema is groupBy attributes plus one column named outName.
-func (r *Relation) Aggregate(groupBy []string, attr, outName string, agg func([]Value) Value) (*Relation, error) {
-	gi := make([]int, len(groupBy))
-	for i, g := range groupBy {
-		gi[i] = r.Schema.AttrIndex(g)
-		if gi[i] < 0 {
-			return nil, fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, g)
-		}
-	}
-	ai := r.Schema.AttrIndex(attr)
-	if ai < 0 {
-		return nil, fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, attr)
-	}
-	attrs := make([]Attribute, 0, len(groupBy)+1)
-	for _, i := range gi {
-		attrs = append(attrs, r.Schema.Attrs[i])
-	}
-	attrs = append(attrs, Attribute{Name: outName, Type: KindFloat})
-	out := New(Schema{Name: r.Schema.Name + "_agg", Attrs: attrs})
-
-	type group struct {
-		key  Tuple
-		vals []Value
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, t := range r.Tuples {
-		key := make(Tuple, len(gi))
-		for i, idx := range gi {
-			key[i] = t[idx]
-		}
-		k := key.Key()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{key: key}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.vals = append(g.vals, t[ai])
-	}
-	for _, k := range order {
-		g := groups[k]
-		nt := append(g.key.Clone(), agg(g.vals))
-		out.Tuples = append(out.Tuples, nt)
-	}
-	return out, nil
 }

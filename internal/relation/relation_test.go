@@ -68,7 +68,7 @@ func TestAppendArityCheck(t *testing.T) {
 	}
 }
 
-func TestProjectSelectRename(t *testing.T) {
+func TestProject(t *testing.T) {
 	r := sampleRelation()
 	p, err := r.Project("postcode", "price")
 	if err != nil {
@@ -79,28 +79,6 @@ func TestProjectSelectRename(t *testing.T) {
 	}
 	if got, _ := p.Value(0, "postcode"); !got.Equal(String("M1 1AA")) {
 		t.Errorf("projected value = %v", got)
-	}
-
-	sel, err := r.SelectEq("postcode", String("M1 1AB"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Cardinality() != 1 {
-		t.Fatalf("select found %d", sel.Cardinality())
-	}
-
-	ren, err := r.Rename("price", "asking_price")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ren.Schema.HasAttr("asking_price") || ren.Schema.HasAttr("price") {
-		t.Error("rename did not apply")
-	}
-	if r.Schema.HasAttr("asking_price") {
-		t.Error("rename mutated the original")
-	}
-	if _, err := r.Rename("ghost", "x"); err == nil {
-		t.Error("renaming unknown attribute should fail")
 	}
 }
 
@@ -123,140 +101,18 @@ func TestDistinctAndUnion(t *testing.T) {
 	}
 }
 
-func TestNaturalJoin(t *testing.T) {
-	props := sampleRelation()
-	dep := New(NewSchema("deprivation", "postcode", "crime:int"))
-	dep.MustAppend("M1 1AA", 120)
-	dep.MustAppend("M2 2BB", 340)
-
-	j, err := props.NaturalJoin(dep)
-	if err != nil {
+func csvString(t *testing.T, r *Relation) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	if j.Cardinality() != 2 {
-		t.Fatalf("join size %d, want 2", j.Cardinality())
-	}
-	if !j.Schema.HasAttr("crime") {
-		t.Fatalf("join schema missing crime: %v", j.Schema)
-	}
-	crimes, _ := j.Column("crime")
-	sum := int64(0)
-	for _, c := range crimes {
-		sum += c.IntVal()
-	}
-	if sum != 460 {
-		t.Errorf("crime sum %d, want 460", sum)
-	}
-
-	disjoint := New(NewSchema("z", "zonk"))
-	if _, err := props.NaturalJoin(disjoint); err == nil {
-		t.Error("natural join without shared attrs should fail")
-	}
-}
-
-func TestJoinOnNullKeysNeverMatch(t *testing.T) {
-	l := New(NewSchema("l", "k", "v"))
-	l.MustAppend(nil, "left-null")
-	l.MustAppend("a", "left-a")
-	r := New(NewSchema("r", "k", "w"))
-	r.MustAppend(nil, "right-null")
-	r.MustAppend("a", "right-a")
-	j, err := l.JoinOn(r, []string{"k"}, []string{"k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Cardinality() != 1 {
-		t.Fatalf("null keys must not join; got %d rows", j.Cardinality())
-	}
-}
-
-func TestLeftJoinPadsNulls(t *testing.T) {
-	props := sampleRelation()
-	dep := New(NewSchema("deprivation", "postcode", "crime:int"))
-	dep.MustAppend("M1 1AA", 120)
-	j, err := props.LeftJoinOn(dep, []string{"postcode"}, []string{"postcode"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Cardinality() != 3 {
-		t.Fatalf("left join size %d, want 3", j.Cardinality())
-	}
-	nulls := 0
-	col, _ := j.Column("crime")
-	for _, v := range col {
-		if v.IsNull() {
-			nulls++
-		}
-	}
-	if nulls != 2 {
-		t.Errorf("expected 2 padded nulls, got %d", nulls)
-	}
-}
-
-func TestJoinNameClashPrefixed(t *testing.T) {
-	l := New(NewSchema("l", "k", "name"))
-	l.MustAppend("a", "ln")
-	r := New(NewSchema("r", "k", "name"))
-	r.MustAppend("a", "rn")
-	j, err := l.JoinOn(r, []string{"k"}, []string{"k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.Schema.HasAttr("r.name") {
-		t.Fatalf("clashing attribute not prefixed: %v", j.Schema)
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	r := sampleRelation()
-	if err := r.SortBy("price"); err != nil {
-		t.Fatal(err)
-	}
-	prices, _ := r.Column("price")
-	for i := 1; i < len(prices); i++ {
-		if prices[i-1].Compare(prices[i]) > 0 {
-			t.Fatalf("not sorted: %v", prices)
-		}
-	}
-	if err := r.SortBy("ghost"); err == nil {
-		t.Error("sorting by unknown attribute should fail")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	r := New(NewSchema("sales", "postcode", "price:float"))
-	r.MustAppend("A", 100.0)
-	r.MustAppend("A", 300.0)
-	r.MustAppend("B", 50.0)
-	avg := func(vs []Value) Value {
-		sum, n := 0.0, 0
-		for _, v := range vs {
-			if f, ok := v.AsFloat(); ok {
-				sum += f
-				n++
-			}
-		}
-		if n == 0 {
-			return Null()
-		}
-		return Float(sum / float64(n))
-	}
-	a, err := r.Aggregate([]string{"postcode"}, "price", "avg_price", avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cardinality() != 2 {
-		t.Fatalf("agg groups %d, want 2", a.Cardinality())
-	}
-	v, _ := a.Value(0, "avg_price")
-	if !v.Equal(Float(200)) {
-		t.Errorf("avg for A = %v, want 200", v)
-	}
+	return b.String()
 }
 
 func TestCSVRoundTrip(t *testing.T) {
 	r := sampleRelation()
-	text := r.CSVString()
+	text := csvString(t, r)
 	sch := propertySchema()
 	back, err := ReadCSV("property", strings.NewReader(text), &sch)
 	if err != nil {
@@ -266,7 +122,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip cardinality %d, want %d", back.Cardinality(), r.Cardinality())
 	}
 	for i := range r.Tuples {
-		if !back.Tuples[i].Equal(r.Tuples[i]) {
+		if back.Tuples[i].Key() != r.Tuples[i].Key() {
 			t.Errorf("row %d: %v != %v", i, back.Tuples[i], r.Tuples[i])
 		}
 	}
@@ -357,7 +213,7 @@ func TestPropCSVRoundTrip(t *testing.T) {
 			r.Tuples = append(r.Tuples, Tuple{s, Int(int64(rng.Intn(100))), Float(float64(rng.Intn(100)) / 2), Bool(rng.Intn(2) == 0)})
 		}
 		sch := r.Schema
-		back, err := ReadCSV("p", strings.NewReader(r.CSVString()), &sch)
+		back, err := ReadCSV("p", strings.NewReader(csvString(t, r)), &sch)
 		if err != nil {
 			return false
 		}
@@ -379,40 +235,6 @@ func TestPropCSVRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: natural join cardinality is bounded by the product, and every
-// output tuple agrees on the shared attribute.
-func TestPropJoinSound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := New(NewSchema("l", "k", "v:int"))
-		r := New(NewSchema("r", "k", "w:int"))
-		keys := []string{"a", "b", "c", "d"}
-		for i := 0; i < rng.Intn(20); i++ {
-			l.MustAppend(keys[rng.Intn(len(keys))], i)
-		}
-		for i := 0; i < rng.Intn(20); i++ {
-			r.MustAppend(keys[rng.Intn(len(keys))], i)
-		}
-		j, err := l.NaturalJoin(r)
-		if err != nil {
-			return false
-		}
-		if j.Cardinality() > l.Cardinality()*r.Cardinality() {
-			return false
-		}
-		ki := j.Schema.AttrIndex("k")
-		for _, t := range j.Tuples {
-			if t[ki].IsNull() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -166,19 +166,6 @@ func NewTuple(vals ...any) Tuple {
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// Equal reports whether two tuples have identical values position-wise.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(o[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string key for the whole tuple, suitable for
 // hashing and set membership.
 func (t Tuple) Key() string {

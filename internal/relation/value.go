@@ -7,7 +7,6 @@ package relation
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -162,13 +161,6 @@ func (v Value) Key() string {
 	default:
 		return "\x00?"
 	}
-}
-
-// Hash returns a 64-bit FNV-1a hash of the canonical key.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(v.Key()))
-	return h.Sum64()
 }
 
 // Equal reports whether two values are identical (same kind, same payload).

@@ -93,16 +93,6 @@ func WithSessionQueue(n int) Option {
 	return func(e *Engine) { e.sessionCap = n }
 }
 
-// WithRetention sets how many finished runs stay pollable before the oldest
-// are evicted (default 512; minimum 1).
-func WithRetention(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.retention = n
-		}
-	}
-}
-
 // WithNotify installs a hook invoked on every run state transition
 // (queued, running, per-stage progress, terminal) with the run snapshot.
 // Transitions of one run arrive in order. The hook runs under the engine
@@ -158,16 +148,11 @@ func (e *Engine) SubmitContext(ctx context.Context, sessionID, stage string, fn 
 	return e.submit(ctx, sessionID, []string{stage}, []Func{fn}, false)
 }
 
-// SubmitPlan enqueues an ordered multi-stage plan as one cancellable run:
-// the stages execute back to back on a single worker under one context,
+// SubmitPlanContext enqueues an ordered multi-stage plan as one cancellable
+// run: the stages execute back to back on a single worker under one context,
 // a failing stage stops the remaining ones, and every transition (running,
-// stage k/n, terminal) is published through the notify hook.
-func (e *Engine) SubmitPlan(sessionID string, stages []string, fns []Func) (Run, error) {
-	return e.SubmitPlanContext(context.Background(), sessionID, stages, fns)
-}
-
-// SubmitPlanContext is SubmitPlan with a caller context for trace
-// propagation (see SubmitContext).
+// stage k/n, terminal) is published through the notify hook. ctx carries the
+// caller's trace (see SubmitContext).
 func (e *Engine) SubmitPlanContext(ctx context.Context, sessionID string, stages []string, fns []Func) (Run, error) {
 	if len(stages) == 0 || len(stages) != len(fns) {
 		return Run{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))

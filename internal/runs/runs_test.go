@@ -250,8 +250,14 @@ func TestSessionsRunInParallel(t *testing.T) {
 	}
 }
 
+// withRetention shrinks the retention ring (512 finished runs in
+// production) so eviction shows after a handful of runs.
+func withRetention(n int) Option {
+	return func(e *Engine) { e.retention = n }
+}
+
 func TestListAndRetentionRing(t *testing.T) {
-	e := New(WithWorkers(1), WithRetention(2))
+	e := New(WithWorkers(1), withRetention(2))
 	defer e.Close()
 	ids := make([]string, 4)
 	for i := range ids {
@@ -430,7 +436,7 @@ func TestSubmitPlan(t *testing.T) {
 		}
 	}
 	stages := []string{"a", "b", "c"}
-	run, err := e.SubmitPlan("s1", stages, []Func{mark("a"), mark("b"), mark("c")})
+	run, err := e.SubmitPlanContext(context.Background(), "s1", stages, []Func{mark("a"), mark("b"), mark("c")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +467,10 @@ func TestSubmitPlan(t *testing.T) {
 func TestSubmitPlanValidation(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	if _, err := e.SubmitPlan("s1", nil, nil); !errors.Is(err, ErrBadPlan) {
+	if _, err := e.SubmitPlanContext(context.Background(), "s1", nil, nil); !errors.Is(err, ErrBadPlan) {
 		t.Fatalf("empty plan err = %v", err)
 	}
-	if _, err := e.SubmitPlan("s1", []string{"a", "b"}, []Func{stageEv("a")}); !errors.Is(err, ErrBadPlan) {
+	if _, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a")}); !errors.Is(err, ErrBadPlan) {
 		t.Fatalf("mismatched plan err = %v", err)
 	}
 }
@@ -474,7 +480,7 @@ func TestSubmitPlanValidation(t *testing.T) {
 func TestSingleStagePlanRecordsEvents(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.SubmitPlan("s1", []string{"a"}, []Func{stageEv("a")})
+	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a"}, []Func{stageEv("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +501,7 @@ func TestPlanMidFailure(t *testing.T) {
 	defer e.Close()
 	var ran atomic.Int32
 	boom := errors.New("boom")
-	run, err := e.SubmitPlan("s1", []string{"a", "fail", "never"}, []Func{
+	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a", "fail", "never"}, []Func{
 		stageEv("a"),
 		func(ctx context.Context) (session.Event, error) { return session.Event{}, boom },
 		func(ctx context.Context) (session.Event, error) {
@@ -528,7 +534,7 @@ func TestPlanCancelMidway(t *testing.T) {
 	defer e.Close()
 	started := make(chan struct{})
 	var ran atomic.Int32
-	run, err := e.SubmitPlan("s1", []string{"block", "never"}, []Func{
+	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"block", "never"}, []Func{
 		gated(started, nil),
 		func(ctx context.Context) (session.Event, error) { ran.Add(1); return session.Event{}, nil },
 	})
@@ -571,7 +577,7 @@ func TestSessionQueueCap(t *testing.T) {
 		t.Fatalf("over session cap err = %v", err)
 	}
 	// Plans count as one queued run and hit the same cap.
-	if _, err := e.SubmitPlan("greedy", []string{"a"}, []Func{stageEv("a")}); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.SubmitPlanContext(context.Background(), "greedy", []string{"a"}, []Func{stageEv("a")}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("plan over session cap err = %v", err)
 	}
 	// An independent session is unaffected by the greedy one's backlog.
@@ -593,7 +599,7 @@ func TestNotifyTransitions(t *testing.T) {
 	}))
 	defer e.Close()
 
-	run, err := e.SubmitPlan("s1", []string{"a", "b"}, []Func{stageEv("a"), stageEv("b")})
+	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a"), stageEv("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +690,7 @@ func TestAdopt(t *testing.T) {
 }
 
 func TestAdoptRespectsRetention(t *testing.T) {
-	e := New(WithWorkers(1), WithRetention(2))
+	e := New(WithWorkers(1), withRetention(2))
 	defer e.Close()
 	now := time.Now()
 	rs := []Run{

@@ -7,22 +7,23 @@ import (
 	"strings"
 	"testing"
 
-	"vada"
+	"vada/internal/advise"
 	"vada/internal/feedback"
 	"vada/internal/quality"
+	"vada/internal/session"
 )
 
 // getSuggestions fetches the advisor ranking and decodes it, returning the
 // raw body too so callers can pin byte-level determinism.
-func getSuggestions(t *testing.T, ts *httptest.Server, id string) ([]vada.Suggestion, string) {
+func getSuggestions(t *testing.T, ts *httptest.Server, id string) ([]advise.Suggestion, string) {
 	t.Helper()
 	resp, body := get(t, ts.URL+"/api/v1/sessions/"+id+"/suggestions")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("suggestions: %s (%s)", resp.Status, body)
 	}
 	var out struct {
-		Total       int               `json:"total"`
-		Suggestions []vada.Suggestion `json:"suggestions"`
+		Total       int                 `json:"total"`
+		Suggestions []advise.Suggestion `json:"suggestions"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
@@ -64,10 +65,10 @@ func advisorLoop(t *testing.T) (preBoot, ranked, after string) {
 	// Before any stage has run, the advisor points at bootstrap and at
 	// nothing else: the only sensible move on a sources-only session.
 	sugs, preBoot := getSuggestions(t, ts, id)
-	if len(sugs) != 1 || sugs[0].Kind != vada.SuggestionStage || sugs[0].Target != vada.StageBootstrap {
+	if len(sugs) != 1 || sugs[0].Kind != advise.KindStage || sugs[0].Target != session.StageBootstrap {
 		t.Fatalf("pre-bootstrap suggestions = %s", preBoot)
 	}
-	if sugs[0].Action == nil || sugs[0].Action.Stage != vada.StageBootstrap {
+	if sugs[0].Action == nil || sugs[0].Action.Stage != session.StageBootstrap {
 		t.Fatalf("bootstrap suggestion not actionable: %+v", sugs[0])
 	}
 
@@ -77,7 +78,7 @@ func advisorLoop(t *testing.T) (preBoot, ranked, after string) {
 	// The re-ranked list is ordered, rationalised, and contains a feedback
 	// suggestion whose action targets the feedback-batch stage.
 	sugs, ranked = getSuggestions(t, ts, id)
-	var fb *vada.Suggestion
+	var fb *advise.Suggestion
 	for i, sg := range sugs {
 		if sg.Rationale == "" {
 			t.Fatalf("suggestion without rationale: %+v", sg)
@@ -85,14 +86,14 @@ func advisorLoop(t *testing.T) (preBoot, ranked, after string) {
 		if i > 0 && sg.Score > sugs[i-1].Score {
 			t.Fatalf("ranking not ordered: %s", ranked)
 		}
-		if sg.Kind == vada.SuggestionFeedback && fb == nil {
+		if sg.Kind == advise.KindFeedback && fb == nil {
 			fb = &sugs[i]
 		}
 	}
 	if fb == nil {
 		t.Fatalf("no feedback suggestion in %s", ranked)
 	}
-	if fb.Action == nil || fb.Action.Stage != vada.StageFeedbackBatch {
+	if fb.Action == nil || fb.Action.Stage != session.StageFeedbackBatch {
 		t.Fatalf("feedback suggestion action = %+v", fb.Action)
 	}
 
@@ -120,7 +121,7 @@ func advisorLoop(t *testing.T) (preBoot, ranked, after string) {
 	// session state and no longer recommends annotating that attribute.
 	sugs, after = getSuggestions(t, ts, id)
 	for _, sg := range sugs {
-		if sg.Kind == vada.SuggestionFeedback && sg.Target == fb.Target {
+		if sg.Kind == advise.KindFeedback && sg.Target == fb.Target {
 			t.Fatalf("stale suggestion survived acceptance: %+v", sg)
 		}
 	}
@@ -141,7 +142,7 @@ func advisorLoop(t *testing.T) (preBoot, ranked, after string) {
 
 // applyAction replays a suggestion's action verbatim against the generic
 // stage route, synchronously.
-func applyAction(t *testing.T, base string, a *vada.SuggestionAction) {
+func applyAction(t *testing.T, base string, a *advise.Action) {
 	t.Helper()
 	resp, err := http.Post(base+"/stages/"+a.Stage, "application/json", strings.NewReader(string(a.Payload)))
 	if err != nil {

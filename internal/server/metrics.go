@@ -7,7 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"vada"
+	"vada/internal/metrics"
+	"vada/internal/trace"
 )
 
 // instrument is the observability middleware every request crosses:
@@ -32,17 +33,17 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 		reqID := r.Header.Get("X-Request-Id")
 		if reqID == "" || len(reqID) > 64 {
-			reqID = vada.NewRequestID()
+			reqID = trace.NewRequestID()
 		}
 		rw.Header().Set("X-Request-Id", reqID)
 
-		var span *vada.TraceSpan
+		var span *trace.Span
 		traceparent := r.Header.Get("Traceparent")
 		if s.tracer != nil && (r.Method != http.MethodGet || traceparent != "") {
 			span = s.tracer.Root("http "+r.Method, traceparent,
 				"method", r.Method, "path", r.URL.Path, "request_id", reqID)
 			rw.Header().Set("Traceparent", span.Traceparent())
-			r = r.WithContext(vada.TraceNewContext(r.Context(), span))
+			r = r.WithContext(trace.NewContext(r.Context(), span))
 		}
 
 		sw := &statusWriter{ResponseWriter: rw}
@@ -57,9 +58,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			route = "(unmatched)"
 		}
 		code := sw.status()
-		s.metrics.Counter(vada.MetricName("http_requests_total",
+		s.metrics.Counter(metrics.Name("http_requests_total",
 			"route", route, "code", strconv.Itoa(code))).Inc()
-		s.metrics.Histogram(vada.MetricName("http_request_seconds", "route", route), nil).ObserveSince(t0)
+		s.metrics.Histogram(metrics.Name("http_request_seconds", "route", route), nil).ObserveSince(t0)
 
 		if span != nil {
 			span.SetAttr("route", route)
@@ -154,7 +155,7 @@ func (s *Server) handleMetricz(rw http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	if wantsPrometheus(r) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := vada.WritePrometheus(rw, snap); err != nil {
+		if err := metrics.WritePrometheus(rw, snap); err != nil {
 			s.logger.Warn("writing prometheus exposition", "error", err)
 		}
 		return
@@ -173,7 +174,7 @@ func wantsPrometheus(r *http.Request) bool {
 
 // httpErrorTotal sums the 5xx request counters of a snapshot — the
 // error-class number the load generator (and CI smoke gate) alarms on.
-func httpErrorTotal(snap vada.MetricsSnapshot) int64 {
+func httpErrorTotal(snap metrics.Snapshot) int64 {
 	var total int64
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "http_requests_total{") && strings.Contains(name, `code="5`) {

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"vada"
+	"vada/internal/metrics"
 )
 
 // metricsServer builds the full production wiring (ephemeral, no data dir)
@@ -31,7 +31,7 @@ func metricsServer(t *testing.T) (*Server, *httptest.Server) {
 }
 
 // getMetricz fetches and decodes the metrics snapshot.
-func getMetricz(t *testing.T, ts *httptest.Server) vada.MetricsSnapshot {
+func getMetricz(t *testing.T, ts *httptest.Server) metrics.Snapshot {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/api/v1/metricz")
 	if err != nil {
@@ -41,7 +41,7 @@ func getMetricz(t *testing.T, ts *httptest.Server) vada.MetricsSnapshot {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metricz: %s", resp.Status)
 	}
-	var snap vada.MetricsSnapshot
+	var snap metrics.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -80,27 +80,27 @@ func TestMetriczReflectsPlanRun(t *testing.T) {
 	// HTTP layer: the session create and the plan submission were counted
 	// under their mux patterns with their status codes.
 	for _, name := range []string{
-		vada.MetricName("http_requests_total", "route", "POST /api/v1/sessions", "code", "201"),
-		vada.MetricName("http_requests_total", "route", "POST /api/v1/sessions/{id}/plans", "code", "202"),
+		metrics.Name("http_requests_total", "route", "POST /api/v1/sessions", "code", "201"),
+		metrics.Name("http_requests_total", "route", "POST /api/v1/sessions/{id}/plans", "code", "202"),
 	} {
 		if snap.Counters[name] < 1 {
 			t.Errorf("counter %s = %d, want >= 1", name, snap.Counters[name])
 		}
 	}
-	if h, ok := snap.Histograms[vada.MetricName("http_request_seconds", "route", "POST /api/v1/sessions/{id}/plans")]; !ok || h.Count < 1 {
+	if h, ok := snap.Histograms[metrics.Name("http_request_seconds", "route", "POST /api/v1/sessions/{id}/plans")]; !ok || h.Count < 1 {
 		t.Errorf("plan-route latency histogram missing or empty: %+v", h)
 	}
 
 	// Run engine: one succeeded run, its queue wait observed, and one
 	// duration histogram per plan stage.
-	if got := snap.Counters[vada.MetricName("runs_completed_total", "state", "succeeded")]; got != 1 {
+	if got := snap.Counters[metrics.Name("runs_completed_total", "state", "succeeded")]; got != 1 {
 		t.Errorf("succeeded runs = %d, want 1", got)
 	}
 	if h := snap.Histograms["runs_queue_wait_seconds"]; h.Count < 1 {
 		t.Errorf("queue wait observations = %d, want >= 1", h.Count)
 	}
 	for _, stage := range []string{"bootstrap", "data-context", "feedback"} {
-		name := vada.MetricName("runs_stage_seconds", "stage", stage)
+		name := metrics.Name("runs_stage_seconds", "stage", stage)
 		if h, ok := snap.Histograms[name]; !ok || h.Count != 1 {
 			t.Errorf("stage histogram %s count = %d, want 1", name, h.Count)
 		}
@@ -154,7 +154,7 @@ func TestMetriczCountsUnmatchedRoutes(t *testing.T) {
 	}
 	resp.Body.Close()
 	snap := getMetricz(t, ts)
-	name := vada.MetricName("http_requests_total", "route", "(unmatched)", "code", "404")
+	name := metrics.Name("http_requests_total", "route", "(unmatched)", "code", "404")
 	if snap.Counters[name] != 1 {
 		t.Fatalf("unmatched counter = %d, want 1", snap.Counters[name])
 	}

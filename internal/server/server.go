@@ -97,8 +97,18 @@ import (
 	"sync"
 	"time"
 
-	"vada"
+	"vada/internal/advise"
+	"vada/internal/connect"
+	"vada/internal/core"
+	"vada/internal/datagen"
+	"vada/internal/metrics"
+	"vada/internal/persist"
+	"vada/internal/relation"
+	"vada/internal/runs"
+	"vada/internal/session"
 	"vada/internal/store"
+	"vada/internal/trace"
+	"vada/internal/transducer"
 )
 
 // maxResultPageSize bounds one result page; larger limits are clamped.
@@ -114,10 +124,10 @@ const maxSnapshotBytes = 64 << 20
 // engine, the per-session scenario defaults and the durability wiring.
 // Build one with New; serve Handler(); stop with Close.
 type Server struct {
-	registry    *vada.StageRegistry
-	mgr         *vada.SessionManager
-	runs        *vada.RunEngine
-	metrics     *vada.MetricsRegistry
+	registry    *session.Registry
+	mgr         *session.Manager
+	runs        *runs.Engine
+	metrics     *metrics.Registry
 	defaultN    int
 	defaultSeed int64
 	maxN        int
@@ -127,7 +137,7 @@ type Server struct {
 	// span operation is nil-safe, so handlers never branch on it). logger is
 	// the structured request/operational logger; pprof gates the
 	// /debug/pprof/ routes; stopSampler stops the runtime-gauge sampler.
-	tracer      *vada.Tracer
+	tracer      *trace.Tracer
 	logger      *slog.Logger
 	pprof       bool
 	stopSampler func()
@@ -187,8 +197,8 @@ type Config struct {
 // data directory, then recovers every session the directory holds.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		registry:        vada.DefaultStageRegistry(),
-		metrics:         vada.NewMetricsRegistry(),
+		registry:        session.DefaultRegistry(),
+		metrics:         metrics.NewRegistry(),
 		defaultN:        cfg.N,
 		defaultSeed:     cfg.Seed,
 		maxN:            cfg.MaxN,
@@ -202,33 +212,33 @@ func New(cfg Config) (*Server, error) {
 		s.logger = slog.Default()
 	}
 	if cfg.Trace {
-		s.tracer = vada.NewTracer(
-			vada.NewTraceStore(0, 0), // the trace package's defaults: 1024 traces of 256 spans
-			vada.WithTraceSlowSpans(cfg.TraceSlowThreshold),
-			vada.WithTraceLogger(s.logger),
+		s.tracer = trace.NewTracer(
+			trace.NewStore(0, 0), // the trace package's defaults: 1024 traces of 256 spans
+			trace.WithSlowThreshold(cfg.TraceSlowThreshold),
+			trace.WithLogger(s.logger),
 		)
 	}
-	s.stopSampler = vada.StartRuntimeSampler(s.metrics, 0) // its default interval, 10s
-	s.runs = vada.NewRunEngine(
-		vada.WithRunWorkers(cfg.RunWorkers),
-		vada.WithRunQueueDepth(cfg.RunQueue),
-		vada.WithRunSessionQueue(cfg.RunSessionQueue),
-		vada.WithRunNotify(s.publishTransition),
-		vada.WithRunMetrics(s.metrics),
+	s.stopSampler = metrics.StartRuntimeSampler(s.metrics, 0) // its default interval, 10s
+	s.runs = runs.New(
+		runs.WithWorkers(cfg.RunWorkers),
+		runs.WithQueueDepth(cfg.RunQueue),
+		runs.WithSessionQueue(cfg.RunSessionQueue),
+		runs.WithNotify(s.publishTransition),
+		runs.WithMetrics(s.metrics),
 	)
-	s.mgr = vada.NewSessionManager(
-		vada.WithMaxSessions(cfg.MaxSessions),
-		vada.WithManagerMetrics(s.metrics),
+	s.mgr = session.NewManager(
+		session.WithMaxSessions(cfg.MaxSessions),
+		session.WithManagerMetrics(s.metrics),
 		// Stop hook: interrupt outstanding work the moment the session is
 		// marked closed, so the manager's quiesce wait is short.
-		vada.WithStopHook(func(sess *vada.Session) {
+		session.WithStopHook(func(sess *session.Session) {
 			if n := s.runs.CancelSession(sess.ID()); n > 0 {
 				s.logger.Info("session closing", "session", sess.ID(), "runs_cancelled", n)
 			}
 		}),
 		// Evict hook: runs post-quiescence, so what the store writes carries
 		// the final KB version, event history and run records.
-		vada.WithEvictHook(func(sess *vada.Session) {
+		session.WithEvictHook(func(sess *session.Session) {
 			s.store.Release(sess)
 			s.logger.Info("session closed", "session", sess.ID())
 		}),
@@ -246,18 +256,18 @@ func New(cfg Config) (*Server, error) {
 // sessionOpts are the options every session — created, imported or
 // recovered — gets: the shared stage registry, the metrics registry and the
 // stage-commit hook through which each completed stage reaches the store.
-func (s *Server) sessionOpts() []vada.SessionOption {
-	return []vada.SessionOption{
-		vada.WithStageRegistry(s.registry),
-		vada.WithSessionMetrics(s.metrics),
-		vada.WithStageCommitHook(s.store.Append),
+func (s *Server) sessionOpts() []session.Option {
+	return []session.Option{
+		session.WithRegistry(s.registry),
+		session.WithMetrics(s.metrics),
+		session.WithStageCommitHook(s.store.Append),
 	}
 }
 
 // durable makes a just-registered session durable before it is
 // acknowledged; a session the store cannot write is closed again and
 // reported, never answered 201.
-func (s *Server) durable(sess *vada.Session) error {
+func (s *Server) durable(sess *session.Session) error {
 	err := s.store.Create(sess)
 	if err != nil {
 		s.logger.Error("making session durable", "session", sess.ID(), "error", err)
@@ -334,7 +344,7 @@ func (s *Server) routes() *http.ServeMux {
 // (evicted mid-run) simply drop the signal. A terminal run is also handed
 // to the store to journal; the hook runs under the engine lock, and neither
 // call blocks.
-func (s *Server) publishTransition(run vada.Run) {
+func (s *Server) publishTransition(run runs.Run) {
 	if sess, err := s.mgr.Get(run.SessionID); err == nil {
 		sess.PublishTransition(run.Transition())
 	}
@@ -379,16 +389,16 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 	// Cheap pre-check so a full server rejects before scenario generation;
 	// Create remains the authoritative (race-free) gate.
 	if s.mgr.AtCap() {
-		writeError(rw, vada.ErrSessionLimit)
+		writeError(rw, session.ErrLimit)
 		return
 	}
-	var w *vada.Wrangler
-	opts := []vada.SessionOption{vada.WithSessionName(req.Name)}
+	var w *core.Wrangler
+	opts := []session.Option{session.WithName(req.Name)}
 	if req.Blank {
-		w = vada.New()
-		target := vada.TargetSchema()
+		w = core.NewWrangler()
+		target := datagen.TargetSchema()
 		if len(req.Target) > 0 {
-			t, err := vada.ParseSchema(target.Name, req.Target...)
+			t, err := relation.ParseSchema(target.Name, req.Target...)
 			if err != nil {
 				http.Error(rw, "bad target schema: "+err.Error(), http.StatusBadRequest)
 				return
@@ -397,12 +407,12 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 		}
 		w.SetTargetSchema(target)
 	} else {
-		cfg := vada.DefaultScenarioConfig()
+		cfg := datagen.DefaultConfig()
 		cfg.NProperties = req.N
 		cfg.Seed = req.Seed
-		sc := vada.GenerateScenario(cfg)
-		w = vada.BuildScenarioWrangler(sc)
-		opts = append(opts, vada.WithScenario(sc, req.Seed))
+		sc := datagen.Generate(cfg)
+		w = core.BuildScenarioWrangler(sc)
+		opts = append(opts, session.WithScenario(sc, req.Seed))
 	}
 	sess, err := s.mgr.Create(w, append(opts, s.sessionOpts()...)...)
 	if err != nil {
@@ -418,7 +428,7 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(rw http.ResponseWriter, _ *http.Request) {
 	sessions := s.mgr.List()
-	states := make([]vada.SessionState, len(sessions))
+	states := make([]session.State, len(sessions))
 	for i, sess := range sessions {
 		states[i] = sess.State()
 	}
@@ -476,7 +486,7 @@ func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 		writeBodyError(rw, err)
 		return
 	}
-	s.dispatchStage(rw, r, sess, vada.StageRequest{Stage: r.PathValue("name"), Payload: payload})
+	s.dispatchStage(rw, r, sess, session.StageRequest{Stage: r.PathValue("name"), Payload: payload})
 }
 
 // dispatchStage resolves and applies one stage request, either
@@ -485,13 +495,13 @@ func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 // 202 Accepted with the run snapshot and its Location to poll. The stage
 // and payload are resolved against the registry before anything runs, so
 // unknown stages and undecodable payloads are a 400 on both paths.
-func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *vada.Session, req vada.StageRequest) {
+func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *session.Session, req session.StageRequest) {
 	st, payload, err := s.registry.Resolve(req)
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
-	fn := func(ctx context.Context) (vada.SessionEvent, error) {
+	fn := func(ctx context.Context) (session.Event, error) {
 		return st.Apply(ctx, sess, payload)
 	}
 	if !asyncRequested(r) {
@@ -508,7 +518,7 @@ func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *va
 }
 
 // writeRunAccepted answers 202 with the run snapshot and its poll URL.
-func (s *Server) writeRunAccepted(rw http.ResponseWriter, sessionID string, run vada.Run) {
+func (s *Server) writeRunAccepted(rw http.ResponseWriter, sessionID string, run runs.Run) {
 	rw.Header().Set("Location", fmt.Sprintf("/api/v1/sessions/%s/runs/%s", sessionID, run.ID))
 	writeJSONStatus(rw, http.StatusAccepted, run)
 }
@@ -524,7 +534,7 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	var plan vada.Plan
+	var plan session.Plan
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
 	// Strict, like the stage payload codecs: a misspelled "payload" key
 	// must be a 400, not a silently-defaulted stage run.
@@ -562,13 +572,13 @@ func (s *Server) handleRunList(rw http.ResponseWriter, r *http.Request) {
 
 // sessionRun resolves a run scoped to its session path, so run IDs cannot
 // be probed across sessions.
-func (s *Server) sessionRun(r *http.Request) (vada.Run, error) {
+func (s *Server) sessionRun(r *http.Request) (runs.Run, error) {
 	run, err := s.runs.Get(r.PathValue("rid"))
 	if err != nil {
-		return vada.Run{}, err
+		return runs.Run{}, err
 	}
 	if run.SessionID != r.PathValue("id") {
-		return vada.Run{}, fmt.Errorf("%w: %q", vada.ErrRunNotFound, r.PathValue("rid"))
+		return runs.Run{}, fmt.Errorf("%w: %q", runs.ErrNotFound, r.PathValue("rid"))
 	}
 	return run, nil
 }
@@ -640,13 +650,13 @@ func (w *sseWriter) setDeadline(t time.Time) error {
 // event renders and sends one session event. Stage events carry their
 // sequence number as the SSE id (so reconnecting clients resume via
 // Last-Event-ID); transition events are id-less progress signals.
-func (w *sseWriter) event(ev vada.SessionEvent) error {
+func (w *sseWriter) event(ev session.Event) error {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		w.logger.Warn("encoding SSE event", "error", err)
 		return nil
 	}
-	if ev.Type == vada.EventTransition {
+	if ev.Type == session.EventTransition {
 		return w.write(fmt.Sprintf("event: transition\ndata: %s\n\n", data))
 	}
 	return w.write(fmt.Sprintf("id: %d\nevent: stage\ndata: %s\n\n", ev.Seq, data))
@@ -732,7 +742,7 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", sess.ID()+store.SnapshotExt))
-	if err := vada.ExportSession(rw, sess, s.runs); err != nil {
+	if err := persist.ExportSession(rw, sess, s.runs); err != nil {
 		// Headers are gone; all we can do is log and drop the connection.
 		s.logger.Error("exporting session", "session", sess.ID(), "error", err)
 	}
@@ -745,7 +755,7 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 // durability acknowledgement: the imported state is on disk as the session's
 // baseline snapshot before the response is written.
 func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
-	snap, err := vada.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
+	snap, err := persist.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -770,7 +780,7 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 			cfg.NProperties, cfg.NPostcodes, s.maxN), http.StatusBadRequest)
 		return
 	}
-	sess, err := vada.RestoreSessionInto(s.mgr, s.runs, snap, s.sessionOpts()...)
+	sess, err := persist.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -831,9 +841,9 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	type ingested struct {
-		File     string            `json:"file"`
-		Relation string            `json:"relation"`
-		Event    vada.SessionEvent `json:"event"`
+		File     string        `json:"file"`
+		Relation string        `json:"relation"`
+		Event    session.Event `json:"event"`
 	}
 	results := make([]ingested, 0, total)
 	for _, field := range fields {
@@ -853,7 +863,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 			if name == "" {
 				name = uploadRelationName(fh.Filename)
 			}
-			payload, err := json.Marshal(vada.IngestPayload{
+			payload, err := json.Marshal(connect.IngestPayload{
 				Relation: name,
 				Format:   uploadFormat(fh.Filename, r.URL.Query().Get("format")),
 				Role:     r.URL.Query().Get("role"),
@@ -864,7 +874,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 				writeError(rw, err)
 				return
 			}
-			st, decoded, err := s.registry.Resolve(vada.StageRequest{Stage: vada.StageIngest, Payload: payload})
+			st, decoded, err := s.registry.Resolve(session.StageRequest{Stage: session.StageIngest, Payload: payload})
 			if err != nil {
 				writeError(rw, err)
 				return
@@ -890,7 +900,7 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	format, err := vada.NormalizeFormat(r.URL.Query().Get("format"))
+	format, err := connect.NormalizeFormat(r.URL.Query().Get("format"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -902,15 +912,15 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctype, ext := "text/csv; charset=utf-8", ".csv"
-	if format == vada.FormatJSONL {
+	if format == connect.FormatJSONL {
 		ctype, ext = "application/x-ndjson", ".jsonl"
 	}
 	rw.Header().Set("Content-Type", ctype)
 	rw.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name+ext))
 	t0 := time.Now()
-	span := vada.TraceChildFromContext(r.Context(), "export.write",
+	span := trace.ChildFromContext(r.Context(), "export.write",
 		"relation", name, "format", format, "session", sess.ID())
-	stats, err := vada.ConnectWrite(rw, rel, format)
+	stats, err := connect.Write(rw, rel, format)
 	if span != nil {
 		span.EndErr(err)
 	}
@@ -919,9 +929,9 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		s.logger.Error("exporting relation", "session", sess.ID(), "relation", name, "error", err)
 		return
 	}
-	s.metrics.Counter(vada.MetricName("connect_rows_total", "dir", "out", "format", stats.Format)).Add(int64(stats.Rows))
-	s.metrics.Counter(vada.MetricName("connect_bytes_total", "dir", "out", "format", stats.Format)).Add(stats.Bytes)
-	s.metrics.Histogram(vada.MetricName("connect_seconds", "dir", "out", "format", stats.Format), nil).ObserveSince(t0)
+	s.metrics.Counter(metrics.Name("connect_rows_total", "dir", "out", "format", stats.Format)).Add(int64(stats.Rows))
+	s.metrics.Counter(metrics.Name("connect_bytes_total", "dir", "out", "format", stats.Format)).Add(stats.Bytes)
+	s.metrics.Histogram(metrics.Name("connect_seconds", "dir", "out", "format", stats.Format), nil).ObserveSince(t0)
 }
 
 // uploadRelationName derives a relation name from an uploaded filename:
@@ -958,7 +968,7 @@ func uploadFormat(filename, override string) string {
 	}
 	switch strings.ToLower(filepath.Ext(filename)) {
 	case ".jsonl", ".ndjson":
-		return vada.FormatJSONL
+		return connect.FormatJSONL
 	default:
 		return ""
 	}
@@ -974,22 +984,22 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 		// The metricz roll-up: enough to spot trouble from a health probe,
 		// with /api/v1/metricz carrying the full per-series breakdown.
 		"metrics": map[string]int64{
-			"http_requests_total":      vada.SumMetricsCounters(snap, "http_requests_total"),
+			"http_requests_total":      metrics.SumCounters(snap, "http_requests_total"),
 			"http_errors_total":        httpErrorTotal(snap),
-			"runs_completed_total":     vada.SumMetricsCounters(snap, "runs_completed_total"),
-			"runs_rejected_total":      vada.SumMetricsCounters(snap, "runs_queue_rejections_total"),
-			"sse_dropped_events_total": vada.SumMetricsCounters(snap, "sse_dropped_events_total"),
-			"persist_fsync_total":      vada.SumMetricsCounters(snap, "persist_fsync_total"),
-			"connect_rows_total":       vada.SumMetricsCounters(snap, "connect_rows_total"),
-			"connect_bytes_total":      vada.SumMetricsCounters(snap, "connect_bytes_total"),
-			"advise_suggestions_total": vada.SumMetricsCounters(snap, "advise_suggestions_total"),
-			"advise_accepted_total":    vada.SumMetricsCounters(snap, "advise_accepted_total"),
+			"runs_completed_total":     metrics.SumCounters(snap, "runs_completed_total"),
+			"runs_rejected_total":      metrics.SumCounters(snap, "runs_queue_rejections_total"),
+			"sse_dropped_events_total": metrics.SumCounters(snap, "sse_dropped_events_total"),
+			"persist_fsync_total":      metrics.SumCounters(snap, "persist_fsync_total"),
+			"connect_rows_total":       metrics.SumCounters(snap, "connect_rows_total"),
+			"connect_bytes_total":      metrics.SumCounters(snap, "connect_bytes_total"),
+			"advise_suggestions_total": metrics.SumCounters(snap, "advise_suggestions_total"),
+			"advise_accepted_total":    metrics.SumCounters(snap, "advise_accepted_total"),
 		},
 		// The runtime sampler's latest gauges: enough to spot a goroutine
 		// leak or heap growth from the same probe.
 		"runtime": map[string]int64{
-			"goroutines":       snap.Gauges[vada.MetricRuntimeGoroutines],
-			"heap_inuse_bytes": snap.Gauges[vada.MetricRuntimeHeapInuse],
+			"goroutines":       snap.Gauges[metrics.RuntimeGoroutines],
+			"heap_inuse_bytes": snap.Gauges[metrics.RuntimeHeapInuse],
 		},
 	}
 	if s.tracer != nil {
@@ -1017,7 +1027,7 @@ func (s *Server) handleSuggestions(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sugs == nil {
-		sugs = []vada.Suggestion{}
+		sugs = []advise.Suggestion{}
 	}
 	writeJSON(rw, map[string]any{"total": len(sugs), "suggestions": sugs})
 }
@@ -1067,7 +1077,7 @@ func (s *Server) handleTrace(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(rw, vada.TraceString(sess.Trace()))
+	fmt.Fprint(rw, transducer.TraceString(sess.Trace()))
 }
 
 func (s *Server) handleIndex(rw http.ResponseWriter, _ *http.Request) {
@@ -1076,7 +1086,7 @@ func (s *Server) handleIndex(rw http.ResponseWriter, _ *http.Request) {
 }
 
 // writeEvent renders a stage outcome or maps its error onto a status code.
-func writeEvent(rw http.ResponseWriter, ev vada.SessionEvent, err error) {
+func writeEvent(rw http.ResponseWriter, ev session.Event, err error) {
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -1101,29 +1111,29 @@ func writeBodyError(rw http.ResponseWriter, err error) {
 func writeError(rw http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, vada.ErrSessionNotFound), errors.Is(err, vada.ErrNoResult),
-		errors.Is(err, vada.ErrRunNotFound), errors.Is(err, vada.ErrUnknownRelation):
+	case errors.Is(err, session.ErrNotFound), errors.Is(err, core.ErrNoResult),
+		errors.Is(err, runs.ErrNotFound), errors.Is(err, connect.ErrUnknownRelation):
 		status = http.StatusNotFound
-	case errors.Is(err, vada.ErrUnknownUserContext), errors.Is(err, vada.ErrNoDataContext),
-		errors.Is(err, vada.ErrUnknownStage), errors.Is(err, vada.ErrBadStagePayload),
-		errors.Is(err, vada.ErrBadPlan), errors.Is(err, vada.ErrBadSnapshot),
-		errors.Is(err, vada.ErrSnapshotMagic), errors.Is(err, vada.ErrSnapshotVersion),
-		errors.Is(err, vada.ErrSnapshotTruncated), errors.Is(err, vada.ErrSnapshotChecksum),
-		errors.Is(err, vada.ErrSnapshotTooLarge),
-		errors.Is(err, vada.ErrBadFormat), errors.Is(err, vada.ErrSchemaMismatch):
+	case errors.Is(err, core.ErrUnknownUserContext), errors.Is(err, core.ErrNoDataContext),
+		errors.Is(err, session.ErrUnknownStage), errors.Is(err, session.ErrBadPayload),
+		errors.Is(err, runs.ErrBadPlan), errors.Is(err, persist.ErrBadSnapshot),
+		errors.Is(err, persist.ErrBadMagic), errors.Is(err, persist.ErrBadVersion),
+		errors.Is(err, persist.ErrTruncated), errors.Is(err, persist.ErrChecksum),
+		errors.Is(err, persist.ErrTooLarge),
+		errors.Is(err, connect.ErrBadFormat), errors.Is(err, connect.ErrSchemaMismatch):
 		status = http.StatusBadRequest
-	case errors.Is(err, vada.ErrSessionExists):
+	case errors.Is(err, session.ErrExists):
 		status = http.StatusConflict
-	case errors.Is(err, vada.ErrSessionLimit), errors.Is(err, vada.ErrRunQueueFull):
+	case errors.Is(err, session.ErrLimit), errors.Is(err, runs.ErrQueueFull):
 		status = http.StatusTooManyRequests
 		rw.Header().Set("Retry-After", "1")
-	case errors.Is(err, vada.ErrTooLarge):
+	case errors.Is(err, connect.ErrTooLarge):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, vada.ErrFetchFailed):
+	case errors.Is(err, connect.ErrFetchFailed):
 		status = http.StatusBadGateway
-	case errors.Is(err, vada.ErrSessionClosed):
+	case errors.Is(err, session.ErrClosed):
 		status = http.StatusGone
-	case errors.Is(err, vada.ErrRunEngineClosed):
+	case errors.Is(err, runs.ErrEngineClosed):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, store.ErrNotDurable):
 		status = http.StatusInternalServerError

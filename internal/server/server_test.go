@@ -19,8 +19,13 @@ import (
 	"testing"
 	"time"
 
-	"vada"
+	"vada/internal/datagen"
 	"vada/internal/journal"
+	"vada/internal/kb"
+	"vada/internal/metrics"
+	"vada/internal/persist"
+	"vada/internal/runs"
+	"vada/internal/session"
 	"vada/internal/store"
 )
 
@@ -42,18 +47,18 @@ func ephemeralStore(t *testing.T, s *Server) *store.Store {
 	return st
 }
 
-func testServer(t *testing.T, opts ...vada.ManagerOption) (*Server, *httptest.Server) {
+func testServer(t *testing.T, opts ...session.ManagerOption) (*Server, *httptest.Server) {
 	return testServerEngine(t, nil, opts...)
 }
 
 // testServerEngine mirrors main's wiring with extra run-engine options: the
 // notify hook publishes transitions to session subscribers, and closing or
 // evicting a session cancels its runs.
-func testServerEngine(t *testing.T, engineOpts []vada.RunEngineOption, opts ...vada.ManagerOption) (*Server, *httptest.Server) {
+func testServerEngine(t *testing.T, engineOpts []runs.Option, opts ...session.ManagerOption) (*Server, *httptest.Server) {
 	t.Helper()
 	s := &Server{
-		registry:        vada.DefaultStageRegistry(),
-		metrics:         vada.NewMetricsRegistry(),
+		registry:        session.DefaultRegistry(),
+		metrics:         metrics.NewRegistry(),
 		defaultN:        60,
 		defaultSeed:     1,
 		started:         time.Now(),
@@ -61,11 +66,11 @@ func testServerEngine(t *testing.T, engineOpts []vada.RunEngineOption, opts ...v
 		sseWriteTimeout: 10 * time.Second,
 		logger:          slog.New(slog.DiscardHandler),
 	}
-	s.runs = vada.NewRunEngine(append([]vada.RunEngineOption{
-		vada.WithRunWorkers(4),
-		vada.WithRunNotify(s.publishTransition),
+	s.runs = runs.New(append([]runs.Option{
+		runs.WithWorkers(4),
+		runs.WithNotify(s.publishTransition),
 	}, engineOpts...)...)
-	s.mgr = vada.NewSessionManager(append(opts, vada.WithEvictHook(func(sess *vada.Session) {
+	s.mgr = session.NewManager(append(opts, session.WithEvictHook(func(sess *session.Session) {
 		s.runs.CancelSession(sess.ID())
 	}))...)
 	s.store = ephemeralStore(t, s)
@@ -356,7 +361,7 @@ func TestErrorPaths(t *testing.T) {
 }
 
 func TestSessionCap(t *testing.T) {
-	_, ts := testServer(t, vada.WithMaxSessions(1))
+	_, ts := testServer(t, session.WithMaxSessions(1))
 	createSession(t, ts, `{"n":30}`)
 	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(`{"n":30}`))
 	if err != nil {
@@ -519,10 +524,10 @@ func TestRunCancelInFlight(t *testing.T) {
 	base := ts.URL + "/api/v1/sessions/" + id
 
 	started := make(chan struct{})
-	run, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (vada.SessionEvent, error) {
+	run, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		<-ctx.Done()
-		return vada.SessionEvent{}, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -552,17 +557,17 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// A queued run cancels immediately.
 	started2 := make(chan struct{})
-	blocker, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (vada.SessionEvent, error) {
+	blocker, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started2)
 		<-ctx.Done()
-		return vada.SessionEvent{}, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started2
-	queued, err := s.runs.Submit(id, "queued-stage", func(ctx context.Context) (vada.SessionEvent, error) {
-		return vada.SessionEvent{}, nil
+	queued, err := s.runs.Submit(id, "queued-stage", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -586,10 +591,10 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// Closing the session cancels whatever is still live.
 	started3 := make(chan struct{})
-	live, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (vada.SessionEvent, error) {
+	live, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started3)
 		<-ctx.Done()
-		return vada.SessionEvent{}, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +612,7 @@ func TestRunCancelInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.State == vada.RunCancelled {
+		if got.State == runs.StateCancelled {
 			break
 		}
 		if !got.State.Terminal() && time.Now().Before(deadline) {
@@ -645,8 +650,8 @@ func TestRunNotFoundPaths(t *testing.T) {
 		t.Fatalf("unknown run: %s", resp.Status)
 	}
 	// A run of one session is invisible under another session's path.
-	run, err := s.runs.Submit(otherID, "b", func(ctx context.Context) (vada.SessionEvent, error) {
-		return vada.SessionEvent{}, nil
+	run, err := s.runs.Submit(otherID, "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -839,10 +844,10 @@ func TestStageDiscovery(t *testing.T) {
 	}
 
 	// A stage registered on the server registry is immediately discoverable.
-	if err := s.registry.Register(vada.Stage{
+	if err := s.registry.Register(session.Stage{
 		Name:        "noop",
 		Description: "test stage",
-		Apply: func(ctx context.Context, sess *vada.Session, _ any) (vada.SessionEvent, error) {
+		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
 			return sess.Step(ctx, "noop", nil)
 		},
 	}); err != nil {
@@ -1109,11 +1114,11 @@ func TestPlanErrorPaths(t *testing.T) {
 // session history only has the stages that ran.
 func TestPlanMidFailureStops(t *testing.T) {
 	s, ts := testServer(t)
-	if err := s.registry.Register(vada.Stage{
+	if err := s.registry.Register(session.Stage{
 		Name:        "explode",
 		Description: "always fails",
-		Apply: func(ctx context.Context, sess *vada.Session, _ any) (vada.SessionEvent, error) {
-			return vada.SessionEvent{}, fmt.Errorf("explode: no")
+		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
+			return session.Event{}, fmt.Errorf("explode: no")
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -1156,13 +1161,13 @@ func TestPlanMidFailureStops(t *testing.T) {
 func TestPlanCancelMidway(t *testing.T) {
 	s, ts := testServer(t)
 	started := make(chan struct{})
-	if err := s.registry.Register(vada.Stage{
+	if err := s.registry.Register(session.Stage{
 		Name:        "block",
 		Description: "blocks until cancelled",
-		Apply: func(ctx context.Context, sess *vada.Session, _ any) (vada.SessionEvent, error) {
+		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
 			close(started)
 			<-ctx.Done()
-			return vada.SessionEvent{}, ctx.Err()
+			return session.Event{}, ctx.Err()
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -1261,9 +1266,9 @@ func TestMethodNotAllowed(t *testing.T) {
 // at its pending-run cap gets 429 with a Retry-After hint while other
 // sessions keep submitting.
 func TestSessionRunQueue429(t *testing.T) {
-	s, ts := testServerEngine(t, []vada.RunEngineOption{
-		vada.WithRunWorkers(1),
-		vada.WithRunSessionQueue(1),
+	s, ts := testServerEngine(t, []runs.Option{
+		runs.WithWorkers(1),
+		runs.WithSessionQueue(1),
 	})
 	id := createSession(t, ts, "")
 	other := createSession(t, ts, "")
@@ -1273,13 +1278,13 @@ func TestSessionRunQueue429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.runs.Submit(id, "block", func(ctx context.Context) (vada.SessionEvent, error) {
+	if _, err := s.runs.Submit(id, "block", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
-			return vada.SessionEvent{}, ctx.Err()
+			return session.Event{}, ctx.Err()
 		case <-release:
-			return vada.SessionEvent{}, nil
+			return session.Event{}, nil
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -1332,8 +1337,8 @@ func TestSessionRunQueue429(t *testing.T) {
 // stream carries periodic keep-alive comments.
 func TestSSEKeepAlive(t *testing.T) {
 	s := &Server{
-		registry:        vada.DefaultStageRegistry(),
-		metrics:         vada.NewMetricsRegistry(),
+		registry:        session.DefaultRegistry(),
+		metrics:         metrics.NewRegistry(),
 		defaultN:        30,
 		defaultSeed:     1,
 		started:         time.Now(),
@@ -1341,8 +1346,8 @@ func TestSSEKeepAlive(t *testing.T) {
 		sseWriteTimeout: time.Second,
 		logger:          slog.New(slog.DiscardHandler),
 	}
-	s.runs = vada.NewRunEngine(vada.WithRunWorkers(1), vada.WithRunNotify(s.publishTransition))
-	s.mgr = vada.NewSessionManager()
+	s.runs = runs.New(runs.WithWorkers(1), runs.WithNotify(s.publishTransition))
+	s.mgr = session.NewManager()
 	s.store = ephemeralStore(t, s)
 	t.Cleanup(s.runs.Close)
 	ts := httptest.NewServer(s.Handler())
@@ -1467,7 +1472,7 @@ func TestRestartRecovery(t *testing.T) {
 	// nothing else is due, so the count is final.
 	jpath := filepath.Join(dir, id+journalExt)
 	waitJournalRun(t, jpath, rid)
-	journalFsyncs := s1.metrics.Counter(vada.MetricName("persist_fsync_total", "path", "journal"))
+	journalFsyncs := s1.metrics.Counter(metrics.Name("persist_fsync_total", "path", "journal"))
 	for deadline := time.Now().Add(30 * time.Second); journalFsyncs.Value() < 2; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("journal fsyncs = %d, want 2", journalFsyncs.Value())
@@ -1614,7 +1619,7 @@ func TestCloseEvictPersists(t *testing.T) {
 		t.Fatalf("close did not archive: %v", err)
 	}
 	defer f.Close()
-	snap, err := vada.ReadSessionSnapshot(f)
+	snap, err := persist.ReadSessionSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1717,9 +1722,9 @@ func TestImportRejections(t *testing.T) {
 	// A structurally-valid snapshot whose ID would escape the data
 	// directory is refused before it touches anything.
 	var evil bytes.Buffer
-	err := vada.WriteSessionSnapshot(&evil, &vada.SessionSnapshot{
-		Meta: vada.SnapshotMeta{ID: "../evil"},
-		KB:   vada.NewKB(),
+	err := persist.WriteSessionSnapshot(&evil, &persist.SessionSnapshot{
+		Meta: persist.Meta{ID: "../evil"},
+		KB:   kb.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1757,13 +1762,13 @@ func TestImportScenarioBounds(t *testing.T) {
 	importURL := ts.URL + "/api/v1/sessions/import"
 
 	build := func(n, postcodes int) []byte {
-		cfg := vada.DefaultScenarioConfig()
+		cfg := datagen.DefaultConfig()
 		cfg.NProperties = n
 		cfg.NPostcodes = postcodes
 		var buf bytes.Buffer
-		err := vada.WriteSessionSnapshot(&buf, &vada.SessionSnapshot{
-			Meta: vada.SnapshotMeta{ID: "bounds-test", Scenario: &cfg},
-			KB:   vada.NewKB(),
+		err := persist.WriteSessionSnapshot(&buf, &persist.SessionSnapshot{
+			Meta: persist.Meta{ID: "bounds-test", Scenario: &cfg},
+			KB:   kb.New(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -1920,7 +1925,7 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := vada.ReadSessionSnapshot(f)
+	baseline, err := persist.ReadSessionSnapshot(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -1995,7 +2000,7 @@ func TestJournalCompaction(t *testing.T) {
 	for {
 		f, err := os.Open(snapPath)
 		if err == nil {
-			snap, err := vada.ReadSessionSnapshot(f)
+			snap, err := persist.ReadSessionSnapshot(f)
 			f.Close()
 			if err == nil && len(snap.Events) == 1 {
 				if recs := readJournal(t, jpath); len(recs) == 0 {

@@ -4,15 +4,8 @@ import (
 	"net/http"
 	"time"
 
-	"vada"
+	"vada/internal/trace"
 )
-
-// TraceDump returns every retained trace keyed by trace ID, or nil when
-// tracing is disabled — the machine-readable artifact the load harness (and
-// CI, on failure) writes out for post-mortem inspection.
-func (s *Server) TraceDump() map[string][]vada.TraceSpanData {
-	return s.tracer.Store().Dump()
-}
 
 // handleTraceList lists retained traces, newest first. Filters: ?session=
 // and ?run= match the span attributes the run engine and stage hooks stamp,
@@ -22,10 +15,10 @@ func (s *Server) TraceDump() map[string][]vada.TraceSpanData {
 func (s *Server) handleTraceList(rw http.ResponseWriter, r *http.Request) {
 	store := s.tracer.Store()
 	if store == nil {
-		writeJSON(rw, map[string]any{"enabled": false, "total": 0, "traces": []vada.TraceSummary{}})
+		writeJSON(rw, map[string]any{"enabled": false, "total": 0, "traces": []trace.Summary{}})
 		return
 	}
-	f := vada.TraceFilter{
+	f := trace.Filter{
 		Session:     r.URL.Query().Get("session"),
 		Run:         r.URL.Query().Get("run"),
 		MinDuration: time.Duration(intQuery(r, "min_ms", 0)) * time.Millisecond,
@@ -33,7 +26,7 @@ func (s *Server) handleTraceList(rw http.ResponseWriter, r *http.Request) {
 	}
 	list := store.List(f)
 	if list == nil {
-		list = []vada.TraceSummary{}
+		list = []trace.Summary{}
 	}
 	writeJSON(rw, map[string]any{"enabled": true, "total": store.Len(), "traces": list})
 }

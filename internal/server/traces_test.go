@@ -11,7 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"vada"
+	"vada/internal/metrics"
+	"vada/internal/trace"
 )
 
 // tracedServer hosts the full New() wiring — tracer, journal durability,
@@ -78,7 +79,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, loc string) {
 }
 
 // flattenTree walks a span tree depth-first, collecting span names.
-func flattenTree(nodes []*vada.TraceNode, into map[string][]*vada.TraceNode) {
+func flattenTree(nodes []*trace.Node, into map[string][]*trace.Node) {
 	for _, n := range nodes {
 		into[n.Name] = append(into[n.Name], n)
 		flattenTree(n.Children, into)
@@ -86,7 +87,7 @@ func flattenTree(nodes []*vada.TraceNode, into map[string][]*vada.TraceNode) {
 }
 
 // getTree fetches GET /api/v1/traces/{tid} and returns the parsed forest.
-func getTree(t *testing.T, ts *httptest.Server, tid string) []*vada.TraceNode {
+func getTree(t *testing.T, ts *httptest.Server, tid string) []*trace.Node {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/api/v1/traces/" + tid)
 	if err != nil {
@@ -97,8 +98,8 @@ func getTree(t *testing.T, ts *httptest.Server, tid string) []*vada.TraceNode {
 		t.Fatalf("GET traces/%s: %s", tid, resp.Status)
 	}
 	var out struct {
-		TraceID string            `json:"trace_id"`
-		Spans   []*vada.TraceNode `json:"spans"`
+		TraceID string        `json:"trace_id"`
+		Spans   []*trace.Node `json:"spans"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -128,13 +129,13 @@ func TestTracePlanSpanTree(t *testing.T) {
 	if reqID == "" {
 		t.Fatal("no X-Request-Id on the plan response")
 	}
-	tid, _, ok := vada.ParseTraceparent(tp)
+	tid, _, ok := trace.ParseTraceparent(tp)
 	if !ok {
 		t.Fatalf("plan response Traceparent %q does not parse", tp)
 	}
 	waitTerminal(t, ts, loc)
 
-	byName := map[string][]*vada.TraceNode{}
+	byName := map[string][]*trace.Node{}
 	flattenTree(getTree(t, ts, tid), byName)
 
 	roots := byName["http POST"]
@@ -200,8 +201,8 @@ func TestTracePlanSpanTree(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var listing struct {
-		Enabled bool                `json:"enabled"`
-		Traces  []vada.TraceSummary `json:"traces"`
+		Enabled bool            `json:"enabled"`
+		Traces  []trace.Summary `json:"traces"`
 	}
 	if err := json.NewDecoder(resp2.Body).Decode(&listing); err != nil {
 		t.Fatal(err)
@@ -218,7 +219,7 @@ func TestTracePlanSpanTree(t *testing.T) {
 	}
 }
 
-func keys(m map[string][]*vada.TraceNode) []string {
+func keys(m map[string][]*trace.Node) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -243,7 +244,7 @@ func TestTraceInboundTraceparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	gotTID, _, ok := vada.ParseTraceparent(resp.Header.Get("Traceparent"))
+	gotTID, _, ok := trace.ParseTraceparent(resp.Header.Get("Traceparent"))
 	if !ok || gotTID != tid {
 		t.Fatalf("response Traceparent %q does not continue trace %s", resp.Header.Get("Traceparent"), tid)
 	}
@@ -347,7 +348,7 @@ func TestSlowRunLogged(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bootstrap: %s", resp.Status)
 	}
-	tid, _, ok := vada.ParseTraceparent(tp)
+	tid, _, ok := trace.ParseTraceparent(tp)
 	if !ok {
 		t.Fatalf("no Traceparent on the stage response (got %q)", tp)
 	}
@@ -418,7 +419,7 @@ func TestMetriczPrometheus(t *testing.T) {
 	if ct := asJSON.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("default metricz Content-Type = %q", ct)
 	}
-	var snap vada.MetricsSnapshot
+	var snap metrics.Snapshot
 	if err := json.NewDecoder(asJSON.Body).Decode(&snap); err != nil {
 		t.Fatalf("default metricz is not the JSON snapshot: %v", err)
 	}
@@ -485,7 +486,7 @@ func TestTraceparentEchoFormat(t *testing.T) {
 	if len(parts) != 4 || parts[0] != "00" || len(parts[1]) != 32 || len(parts[2]) != 16 || parts[3] != "01" {
 		t.Fatalf("Traceparent %q is not 00-<32hex>-<16hex>-01", tp)
 	}
-	if _, _, ok := vada.ParseTraceparent(tp); !ok {
+	if _, _, ok := trace.ParseTraceparent(tp); !ok {
 		t.Fatalf("own Traceparent %q does not round-trip ParseTraceparent", tp)
 	}
 }
@@ -529,8 +530,8 @@ func TestSyncStageTraced(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bootstrap: %s", resp.Status)
 	}
-	tid, _, _ := vada.ParseTraceparent(tp)
-	byName := map[string][]*vada.TraceNode{}
+	tid, _, _ := trace.ParseTraceparent(tp)
+	byName := map[string][]*trace.Node{}
 	flattenTree(getTree(t, ts, tid), byName)
 	if len(byName["run"]) != 0 {
 		t.Errorf("sync stage produced a run span")

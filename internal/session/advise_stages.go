@@ -122,11 +122,10 @@ func registerAdviseStages(r *Registry) {
 	})
 }
 
-// Suggestions ranks candidate next actions for the session with its advisor
-// (the default heuristic unless WithAdvisor installed another). The snapshot
-// uses only concurrency-safe wrangler accessors, so ranking never blocks
-// behind a running stage; the call records an advise.rank trace span and
-// advise_* metrics.
+// Suggestions ranks candidate next actions for the session with the
+// heuristic advisor. The snapshot uses only concurrency-safe wrangler
+// accessors, so ranking never blocks behind a running stage; the call
+// records an advise.rank trace span and advise_* metrics.
 func (s *Session) Suggestions(ctx context.Context) (_ []advise.Suggestion, retErr error) {
 	if err := s.touch(); err != nil {
 		return nil, err
@@ -135,7 +134,7 @@ func (s *Session) Suggestions(ctx context.Context) (_ []advise.Suggestion, retEr
 	start := time.Now()
 	st := advise.Snapshot(s.w)
 	st.ScenarioBacked = s.sc != nil
-	sugs := s.advisor.Suggest(st)
+	sugs := advise.NewHeuristic().Suggest(st)
 	if span != nil {
 		span.SetAttr("suggestions", strconv.Itoa(len(sugs)))
 		span.EndErr(nil)

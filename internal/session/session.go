@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"vada/internal/advise"
 	"vada/internal/core"
 	"vada/internal/datagen"
 	"vada/internal/feedback"
@@ -145,10 +144,6 @@ type Session struct {
 	// (sse_subscribers) and events lost to slow consumers
 	// (sse_dropped_events_total) — the loss that was previously silent.
 	reg *metrics.Registry
-
-	// advisor ranks next-action suggestions for Suggestions; the default
-	// heuristic unless WithAdvisor installs a different implementation.
-	advisor advise.Advisor
 }
 
 // Option configures a Session at creation.
@@ -207,13 +202,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *Session) { s.reg = reg }
 }
 
-// WithAdvisor installs the advisor Suggestions ranks next actions with —
-// the pluggability seam that lets heuristic and model-backed advisors
-// interchange. The default is the built-in heuristic.
-func WithAdvisor(a advise.Advisor) Option {
-	return func(s *Session) { s.advisor = a }
-}
-
 // WithRestored stamps a session with its pre-restart identity: the creation
 // and last-activity times and the completed stage-event history of the
 // snapshot it was restored from. Stage numbering continues where the
@@ -241,9 +229,6 @@ func New(id string, w *core.Wrangler, opts ...Option) *Session {
 	}
 	if s.registry == nil {
 		s.registry = DefaultRegistry()
-	}
-	if s.advisor == nil {
-		s.advisor = advise.NewHeuristic()
 	}
 	return s
 }
@@ -280,13 +265,6 @@ func (s *Session) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Event(nil), s.events...)
-}
-
-// Closed reports whether Close has been called.
-func (s *Session) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // Close marks the session closed; subsequent stage methods fail with
@@ -469,10 +447,11 @@ func (s *Session) touch() error {
 // against.
 func (s *Session) Registry() *Registry { return s.registry }
 
-// Apply is the single choke point of stage execution: it resolves the
+// Apply runs one stage request for library clients: it resolves the
 // request's stage in the registry, decodes the payload, and applies the
-// stage to the session. The named stage methods and every service route
-// funnel through this path.
+// stage to the session. The server and the run engine do not call it: they
+// resolve with Registry.Resolve themselves (a whole plan is validated before
+// anything runs) and then call Stage.Apply, which is where every path meets.
 func (s *Session) Apply(ctx context.Context, req StageRequest) (Event, error) {
 	st, payload, err := s.registry.Resolve(req)
 	if err != nil {

@@ -182,7 +182,7 @@ func TestEvictIdle(t *testing.T) {
 	if len(ids) != 1 || ids[0] != stale.ID() {
 		t.Fatalf("evicted = %v, want [%s]", ids, stale.ID())
 	}
-	if !stale.Closed() || fresh.Closed() {
+	if !errors.Is(stale.touch(), ErrClosed) || fresh.touch() != nil {
 		t.Fatal("wrong sessions closed")
 	}
 	mu.Lock()

@@ -240,20 +240,3 @@ func (st *Store) Tree(id string) []*Node {
 	sortNodes(roots)
 	return roots
 }
-
-// Dump returns every retained trace keyed by ID — the artifact
-// uploaded by CI when a load run loses traces.
-func (st *Store) Dump() map[string][]SpanData {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[string][]SpanData, len(st.traces))
-	for id, e := range st.traces {
-		spans := make([]SpanData, len(e.spans))
-		copy(spans, e.spans)
-		out[id] = spans
-	}
-	return out
-}

@@ -38,7 +38,9 @@ type Engine struct {
 	// MaxNullDepth bounds the restricted chase: a rule firing whose frontier
 	// carries a labelled null of this depth will not create deeper nulls.
 	// This guarantees termination for arbitrary existential programs at the
-	// cost of completeness beyond the bound (see DESIGN.md §5.3).
+	// cost of completeness beyond the bound: the architecture uses
+	// existentials to invent identifiers, never to reason through chains of
+	// them, so a shallow bound loses nothing it relies on.
 	MaxNullDepth int
 	// MaxIterations bounds semi-naive rounds per stratum as a runaway guard.
 	MaxIterations int

@@ -8,6 +8,14 @@ import (
 	"vada"
 )
 
+// bootstrap runs the automatic first step on a configured Wrangler.
+func bootstrap(t *testing.T, w *vada.Wrangler) {
+	t.Helper()
+	if _, err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPublicAPIQuickstart exercises the facade end to end the way the
 // quickstart example does.
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -18,9 +26,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	w := vada.New(vada.WithMinCoverage(2))
 	w.RegisterSource(shop)
 	w.SetTargetSchema(vada.NewSchema("catalogue", "name", "price:float", "city"))
-	if _, err := w.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	bootstrap(t, w)
 	res := w.ResultClean()
 	if res == nil || res.Cardinality() != 2 {
 		t.Fatalf("result = %v", res)
@@ -36,9 +42,7 @@ func TestPublicAPIScenario(t *testing.T) {
 	cfg.NProperties = 80
 	sc := vada.GenerateScenario(cfg)
 	w := vada.BuildScenarioWrangler(sc)
-	if _, err := w.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	bootstrap(t, w)
 	score := sc.Oracle.ScoreResult(w.ResultClean())
 	if score.Rows == 0 || score.F1 <= 0 {
 		t.Fatalf("score = %+v", score)
@@ -54,7 +58,7 @@ func TestPublicAPIReasoner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edb := mapEDB{"par": {vada.NewTuple("a", "b"), vada.NewTuple("b", "c")}}
+	edb := vada.MapEDB{"par": {vada.NewTuple("a", "b"), vada.NewTuple("b", "c")}}
 	res, err := vada.NewEngine().Run(prog, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +101,3 @@ func TestPublicAPIExtraction(t *testing.T) {
 		t.Fatalf("extract = %v, %v", rel.Cardinality(), err)
 	}
 }
-
-type mapEDB map[string][]vada.Tuple
-
-func (m mapEDB) Facts(pred string) []vada.Tuple { return m[pred] }
