@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"vada"
 )
@@ -82,6 +83,18 @@ func main() {
 	for _, s := range w.Trace() {
 		if s.Transducer == "price-profiler" {
 			fmt.Printf("  #%d %s: %v\n", s.Seq, s.Transducer, s.Report.Notes)
+		}
+	}
+
+	// What makes it run again: the orchestrator recorded what its dependency
+	// query and its body read, and re-executes it only when one of those
+	// keys moves.
+	fmt.Println("\nits input set, as the orchestrator derived it:")
+	lines := strings.Split(w.Architecture(), "\n")
+	for i, line := range lines {
+		if strings.Contains(line, "price-profiler") && i+1 < len(lines) {
+			fmt.Println(line)
+			fmt.Println(lines[i+1])
 		}
 	}
 

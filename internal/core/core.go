@@ -18,12 +18,20 @@
 // Every Run drives the orchestrator to quiescence; each context addition
 // re-enables exactly the transducers whose declared input dependencies now
 // hold, which is the paper's "dynamic orchestration" claim made executable.
+// "Exactly" is literal: the orchestrator knows what each transducer read
+// the last time it executed — the keys recorded while its dependency query
+// and body ran, among them the cells below, which the suite's transducers
+// hand one another through the Wrangler — and executes a ready transducer
+// only if one of those has moved. Adding feedback runs feedback
+// assimilation and what reads its output; it does not re-match sources
+// against a data context that did not change.
 package core
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -70,6 +78,36 @@ const (
 	RelResultPrefix  = "res_" // per-mapping results
 	RelResult        = "result"
 )
+
+// Cells: the state transducers of the standard suite hand one another
+// through the Wrangler instead of the knowledge base, as kb.ExternalKey
+// names. Every assignment that changes one is announced with KB.Touch, and
+// a body that loads one says so on the handle it was given (reading), so
+// the orchestrator sees cells read and moved like any key of the KB.
+const (
+	cellSources     = "core.sources"     // webSources, directSources
+	cellTarget      = "core.target"      // target, hasTarget
+	cellRefNames    = "core.refNames"    // refNames
+	cellFeedback    = "core.feedback"    // fb, the feedback store
+	cellUserModel   = "core.userModel"   // userModel
+	cellNameMatches = "core.nameMatches" // nameMatches
+	cellInstMatches = "core.instMatches" // instMatches
+	cellAccBySource = "core.accBySource" // accBySource
+	cellRangeRules  = "core.rangeRules"  // rangeRules
+	cellMappings    = "core.mappings"    // mappings
+	cellCFDs        = "core.cfds"        // cfds
+)
+
+// setCell assigns v to the named cell and announces it, unless v equals
+// what the cell already holds: a transducer that re-derives the same
+// matches or rules must not make its readers run. Callers hold w.mu.
+func setCell[T any](w *Wrangler, name string, cell *T, v T) {
+	if reflect.DeepEqual(*cell, v) {
+		return
+	}
+	*cell = v
+	w.KB.Touch(name)
+}
 
 // Options configures a Wrangler.
 type Options struct {
@@ -192,6 +230,7 @@ func (w *Wrangler) RegisterWebSource(tmpl extract.SiteTemplate, schema relation.
 	w.mu.Lock()
 	w.webSources[schema.Name] = webSource{template: tmpl, pages: pages, schema: schema, examples: examples}
 	w.mu.Unlock()
+	w.KB.Touch(cellSources)
 	w.KB.Assert(PredSourceRegistered, relation.NewTuple(schema.Name))
 }
 
@@ -202,6 +241,7 @@ func (w *Wrangler) RegisterSource(rel *relation.Relation) {
 	w.mu.Lock()
 	w.directSources[name] = rel.Clone()
 	w.mu.Unlock()
+	w.KB.Touch(cellSources)
 	w.KB.Assert(PredSourceRegistered, relation.NewTuple(name))
 }
 
@@ -211,6 +251,7 @@ func (w *Wrangler) SetTargetSchema(s relation.Schema) {
 	w.target = s
 	w.hasTarget = true
 	w.mu.Unlock()
+	w.KB.Touch(cellTarget)
 	w.KB.Assert(PredTargetSchema, relation.NewTuple(s.Name))
 }
 
@@ -241,6 +282,9 @@ func (w *Wrangler) AddDataContext(rel *relation.Relation) {
 		w.refNames = append(w.refNames, name)
 	}
 	w.mu.Unlock()
+	if !found {
+		w.KB.Touch(cellRefNames)
+	}
 	w.KB.Assert(PredReference, relation.NewTuple(name))
 	w.KB.Assert(PredDCInstances, relation.NewTuple(name))
 }
@@ -248,20 +292,28 @@ func (w *Wrangler) AddDataContext(rel *relation.Relation) {
 // AddFeedback records user feedback (§2.3, step 3 of the demonstration).
 func (w *Wrangler) AddFeedback(items ...feedback.Item) {
 	w.fb.Add(items...)
+	w.KB.Touch(cellFeedback)
 	for _, it := range items {
 		w.KB.Assert(PredFeedback, relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct))
 	}
 }
 
-// SetUserContext installs the pairwise priorities of §2.2 / Figure 2(d).
+// SetUserContext installs the pairwise priorities of §2.2 / Figure 2(d) as
+// they stand now: the wrangler keeps a copy, so a model the caller goes on
+// editing takes effect when it is set again.
 func (w *Wrangler) SetUserContext(m *mcda.Model) {
 	w.mu.Lock()
-	w.userModel = m
+	setCell(w, cellUserModel, &w.userModel, m.Clone())
 	w.mu.Unlock()
+	// Replace, not add: priorities of the previous model left behind would
+	// make a restart (Rehydrate reads every uc_priority fact) wrangle with
+	// the union of both models.
+	var facts []relation.Tuple
 	for _, c := range m.Comparisons() {
-		w.KB.Assert(PredPriority, relation.NewTuple(
+		facts = append(facts, relation.NewTuple(
 			c.More.Metric, c.More.Target, c.Less.Metric, c.Less.Target, int(c.Strength)))
 	}
+	replaceFacts(w.KB, PredPriority, nil, facts)
 }
 
 // Run drives orchestration to quiescence and returns the steps taken.
@@ -378,8 +430,12 @@ func (w *Wrangler) combinedMatchesLocked() []match.Match {
 }
 
 // Architecture renders the component graph of Figure 1 as wired in this
-// instance: experiment E-F1's artefact.
+// instance: experiment E-F1's artefact. Under each transducer that has
+// executed is the input set of its last execution — what has to move for it
+// to run again.
 func (w *Wrangler) Architecture() string {
+	w.runMu.Lock()
+	defer w.runMu.Unlock()
 	var b strings.Builder
 	b.WriteString("VADA architecture (Figure 1)\n")
 	b.WriteString("  User Interface / API ── user context, data context, feedback ──▶ Knowledge Base\n")
@@ -394,6 +450,13 @@ func (w *Wrangler) Architecture() string {
 			q = "(always)"
 		}
 		fmt.Fprintf(&b, "    %-24s [%-12s] needs %s\n", t.Name(), t.Activity(), q)
+		if in := w.orch.Inputs(t.Name()); in != nil {
+			names := make([]string, len(in))
+			for i, key := range in {
+				names[i] = key.String()
+			}
+			fmt.Fprintf(&b, "    %-24s last read: %s\n", "", strings.Join(names, ", "))
+		}
 	}
 	return b.String()
 }

@@ -459,7 +459,7 @@ func TestBootstrapDeterministic(t *testing.T) {
 // run, not the wrangler's lifetime: a session takes stage after stage, each
 // under the bound, long after their sum has passed it.
 func TestMaxStepsBoundsOneRun(t *testing.T) {
-	const maxSteps = 150
+	const maxSteps = 40
 	sc := testScenario(t, 40)
 	w := BuildScenarioWrangler(sc, WithMaxSteps(maxSteps))
 	ctx := context.Background()

@@ -95,6 +95,7 @@ func (w *Wrangler) Rehydrate() {
 		}
 		w.mu.Unlock()
 	}
+	w.KB.Touch(cellRefNames)
 
 	// Feedback: fb_item(street, postcode, attr, correct). Observed values
 	// are not part of the fact, so rehydrated items carry the judgement
@@ -114,6 +115,7 @@ func (w *Wrangler) Rehydrate() {
 		}
 		if len(items) > 0 {
 			w.fb.Add(items...)
+			w.KB.Touch(cellFeedback)
 		}
 	}
 
@@ -140,6 +142,7 @@ func (w *Wrangler) Rehydrate() {
 			w.mu.Lock()
 			w.userModel = m
 			w.mu.Unlock()
+			w.KB.Touch(cellUserModel)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,12 +24,18 @@ import (
 // dependencies implement Table 1 of the paper plus the §2.3 walk-throughs;
 // all bodies are idempotent (replace-if-changed), which is what lets the
 // orchestrator quiesce.
+//
+// The three writers of a match cell are registered as matchWriters: each
+// republishes md_match from all three cells in the body that assigns its
+// own, so md_match always equals what any of them would publish and none
+// needs to run because another did (TestMatchCellWritersRepublish pins
+// this).
 func (w *Wrangler) registerStandardSuite() {
 	w.reg.MustRegister(
 		w.extractionTransducer(),
-		w.feedbackTransducer(),
-		w.schemaMatchingTransducer(),
-		w.instanceMatchingTransducer(),
+		matchWriter{w.feedbackTransducer()},
+		matchWriter{w.schemaMatchingTransducer()},
+		matchWriter{w.instanceMatchingTransducer()},
 		w.cfdLearningTransducer(),
 		w.mappingGenerationTransducer(),
 		w.mappingExecutionTransducer(),
@@ -37,6 +44,26 @@ func (w *Wrangler) registerStandardSuite() {
 		w.selectionTransducer(),
 		w.fusionTransducer(),
 	)
+}
+
+// matchWriter is a transducer that reads md_match (and, to combine them,
+// the other writers' match cells) only to rewrite md_match from its own
+// inputs: md_match is not an input of it.
+type matchWriter struct{ transducer.Transducer }
+
+// Inputs implements transducer.InputDeclarer.
+func (matchWriter) Inputs(read []kb.Key) []kb.Key {
+	return slices.DeleteFunc(read, func(key kb.Key) bool { return key == kb.FactsKey(PredMatch) })
+}
+
+// reading says on k, the handle a body was given, that the body loads the
+// named cells: on the orchestrator's recording handle they join the body's
+// input set. Cells a body assigns, or loads only to republish md_match
+// (combinedMatchesLocked in a matchWriter), are not inputs and not named.
+func reading(k *kb.KB, cells ...string) {
+	for _, c := range cells {
+		k.ReadExternal(c)
+	}
 }
 
 // sourceRelations returns the current extracted source relations by name.
@@ -53,6 +80,7 @@ func (w *Wrangler) sourceRelations(k *kb.KB) map[string]*relation.Relation {
 
 // primaryReference returns the first data-context relation, or nil.
 func (w *Wrangler) primaryReference(k *kb.KB) *relation.Relation {
+	reading(k, cellRefNames)
 	w.mu.Lock()
 	names := append([]string(nil), w.refNames...)
 	w.mu.Unlock()
@@ -71,6 +99,7 @@ func (w *Wrangler) extractionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- src_registered(S), not src_extracted(S)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellSources)
 			for _, f := range k.Facts(PredSourceRegistered) {
 				name := f[0].Str()
 				if k.Has(PredSourceExtracted, relation.NewTuple(name)) {
@@ -130,13 +159,14 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			res := k.Relation(RelResult)
+			reading(k, cellFeedback)
 			items := w.fb.Items()
 
 			acc := feedback.AccuracyBySource(items, res, mapping.ProvenanceAttr, nil)
 			rules := feedback.LearnRangeRules(items, res, w.opts.RangeRuleSupport, nil)
 			w.mu.Lock()
-			w.accBySource = acc
-			w.rangeRules = rules
+			setCell(w, cellAccBySource, &w.accBySource, acc)
+			setCell(w, cellRangeRules, &w.rangeRules, rules)
 			matches := w.combinedMatchesLocked()
 			w.mu.Unlock()
 
@@ -182,6 +212,7 @@ func (w *Wrangler) schemaMatchingTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- src_schema(S), uc_target_schema(T)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellTarget)
 			w.mu.Lock()
 			target, ok := w.target, w.hasTarget
 			w.mu.Unlock()
@@ -195,7 +226,7 @@ func (w *Wrangler) schemaMatchingTransducer() transducer.Transducer {
 				all = append(all, match.MatchSchemas(srcs[name].Schema, target)...)
 			}
 			w.mu.Lock()
-			w.nameMatches = all
+			setCell(w, cellNameMatches, &w.nameMatches, all)
 			facts := matchFacts(w.combinedMatchesLocked())
 			w.mu.Unlock()
 			a, r := replaceFacts(k, PredMatch, nil, facts)
@@ -217,6 +248,7 @@ func (w *Wrangler) instanceMatchingTransducer() transducer.Transducer {
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			instances := map[string][]relation.Value{}
+			reading(k, cellRefNames)
 			w.mu.Lock()
 			refNames := append([]string(nil), w.refNames...)
 			w.mu.Unlock()
@@ -238,7 +270,7 @@ func (w *Wrangler) instanceMatchingTransducer() transducer.Transducer {
 				all = append(all, match.MatchInstances(srcs[name], instances)...)
 			}
 			w.mu.Lock()
-			w.instMatches = all
+			setCell(w, cellInstMatches, &w.instMatches, all)
 			facts := matchFacts(w.combinedMatchesLocked())
 			w.mu.Unlock()
 			a, r := replaceFacts(k, PredMatch, nil, facts)
@@ -259,6 +291,7 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- dc_reference(R)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellRefNames)
 			w.mu.Lock()
 			refNames := append([]string(nil), w.refNames...)
 			w.mu.Unlock()
@@ -277,7 +310,7 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 				}
 			}
 			w.mu.Lock()
-			w.cfds = mined
+			setCell(w, cellCFDs, &w.cfds, mined)
 			w.mu.Unlock()
 			var facts []relation.Tuple
 			for _, c := range mined {
@@ -302,6 +335,7 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_match(S, A, T, Sc, M)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellTarget, cellNameMatches, cellInstMatches, cellAccBySource)
 			w.mu.Lock()
 			target := w.target
 			matches := w.combinedMatchesLocked()
@@ -312,11 +346,12 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 				rels = append(rels, srcs[name])
 			}
 			gen := mapping.Generate(target, rels, matches, w.opts.GenOptions)
-			w.mu.Lock()
-			w.mappings = map[string]mapping.Mapping{}
+			byID := make(map[string]mapping.Mapping, len(gen))
 			for _, m := range gen {
-				w.mappings[m.ID] = m
+				byID[m.ID] = m
 			}
+			w.mu.Lock()
+			setCell(w, cellMappings, &w.mappings, byID)
 			w.mu.Unlock()
 			var facts []relation.Tuple
 			for _, m := range gen {
@@ -343,6 +378,7 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_mapping(Id, B)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellMappings)
 			w.mu.Lock()
 			maps := make([]mapping.Mapping, 0, len(w.mappings))
 			for _, m := range w.mappings {
@@ -404,6 +440,7 @@ func (w *Wrangler) repairTransducer() transducer.Transducer {
 			if ref == nil {
 				return rep, nil
 			}
+			reading(k, cellCFDs)
 			w.mu.Lock()
 			cfds := append([]cfd.CFD(nil), w.cfds...)
 			w.mu.Unlock()
@@ -463,6 +500,7 @@ func (w *Wrangler) qualityTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_mapped(Id, R)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellCFDs, cellAccBySource, cellMappings)
 			w.mu.Lock()
 			cfds := append([]cfd.CFD(nil), w.cfds...)
 			acc := w.accBySource
@@ -515,6 +553,7 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_quality(O, M, T, V)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellCFDs, cellAccBySource, cellMappings, cellUserModel)
 			w.mu.Lock()
 			cfds := append([]cfd.CFD(nil), w.cfds...)
 			acc := w.accBySource
@@ -569,6 +608,7 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_selected(Id, R)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
+			reading(k, cellRangeRules, cellAccBySource, cellFeedback, cellTarget)
 			w.mu.Lock()
 			rules := append([]feedback.RangeRule(nil), w.rangeRules...)
 			acc := w.accBySource

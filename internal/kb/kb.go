@@ -16,10 +16,14 @@
 //     extensional data in external stores; here the KB holds the handles
 //     and the data itself, which is equivalent at laptop scale.
 //
-// The KB is safe for concurrent use and versions every change, so the
-// orchestrator can react to new information — the mechanism behind the
-// paper's "a transducer becomes available for execution when the data it
-// needs is available in the knowledge base".
+// The KB is safe for concurrent use and versions every change — as a whole
+// (Version) and per key: each predicate's facts, each relation, and the sets
+// of predicate and relation names carry the change clock of their last
+// write, and a recording handle (Recording) collects which keys the code it
+// is handed to reads. Together they let the orchestrator run a transducer only
+// when something it read has moved — the mechanism behind the paper's "a
+// transducer becomes available for execution when the data it needs is
+// available in the knowledge base". See keys.go.
 package kb
 
 import (
@@ -31,12 +35,29 @@ import (
 	"vada/internal/relation"
 )
 
-// KB is the knowledge base. The zero value is not usable; call New.
+// KB is a handle on a knowledge base. The zero value is not usable; call
+// New. Every handle on the same knowledge base (see Recording) shares all of
+// its state; what a handle owns is only the log of the reads made through
+// it.
 type KB struct {
+	*state
+	// reads, on a handle made by Recording, collects the key of every read
+	// made through the handle; nil on any other. See keys.go.
+	reads *readLog
+}
+
+// state is what the handles on one knowledge base share.
+type state struct {
 	mu        sync.RWMutex
 	facts     map[string]*factSet
 	relations map[string]*relation.Relation
 	version   uint64
+
+	// clock ticks once per change (and per Touch); moved[key] is the clock
+	// of the key's last change. Unlike version neither is persisted: they
+	// order reads against writes within one process. See keys.go.
+	clock uint64
+	moved map[Key]uint64
 
 	// deltaOn/deltaOps/deltaFrom are the opt-in synchronous mutation log
 	// behind StartDeltaLog/CutDelta (see delta.go): the one change-notification
@@ -67,10 +88,11 @@ type factSet struct {
 
 // New creates an empty knowledge base.
 func New() *KB {
-	return &KB{
+	return &KB{state: &state{
 		facts:     make(map[string]*factSet),
 		relations: make(map[string]*relation.Relation),
-	}
+		moved:     make(map[Key]uint64),
+	}}
 }
 
 // Version returns the current version counter. It increases by one for every
@@ -97,6 +119,7 @@ func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	fs.keys[key] = len(fs.tuples)
 	fs.tuples = append(fs.tuples, t.Clone())
 	k.version++
+	k.bumpFactsLocked(pred, len(fs.tuples) == 1)
 	k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t.Clone()})
 	k.mu.Unlock()
 	return true
@@ -123,6 +146,7 @@ func (k *KB) Retract(pred string, t relation.Tuple) bool {
 	fs.tuples = fs.tuples[:last]
 	delete(fs.keys, key)
 	k.version++
+	k.bumpFactsLocked(pred, last == 0)
 	k.logLocked(DeltaOp{Kind: DeltaRetract, Name: pred, Tuple: t.Clone()})
 	return true
 }
@@ -138,6 +162,7 @@ func (k *KB) RetractPredicate(pred string) int {
 	n := len(fs.tuples)
 	delete(k.facts, pred)
 	k.version++
+	k.bumpFactsLocked(pred, true)
 	k.logLocked(DeltaOp{Kind: DeltaRetractPredicate, Name: pred})
 	return n
 }
@@ -146,6 +171,7 @@ func (k *KB) RetractPredicate(pred string) int {
 // returning the count removed.
 func (k *KB) RetractWhere(pred string, match func(relation.Tuple) bool) int {
 	k.mu.Lock()
+	k.noteLocked(FactsKey(pred))
 	fs, ok := k.facts[pred]
 	if !ok {
 		k.mu.Unlock()
@@ -171,6 +197,7 @@ func (k *KB) RetractWhere(pred string, match func(relation.Tuple) bool) int {
 func (k *KB) Has(pred string, t relation.Tuple) bool {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(FactsKey(pred))
 	fs, ok := k.facts[pred]
 	if !ok {
 		return false
@@ -183,6 +210,7 @@ func (k *KB) Has(pred string, t relation.Tuple) bool {
 func (k *KB) Count(pred string) int {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(FactsKey(pred))
 	fs, ok := k.facts[pred]
 	if !ok {
 		return 0
@@ -194,6 +222,7 @@ func (k *KB) Count(pred string) int {
 func (k *KB) Facts(pred string) []relation.Tuple {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(FactsKey(pred))
 	fs, ok := k.facts[pred]
 	if !ok {
 		return nil
@@ -220,6 +249,7 @@ func (k *KB) FactsWhere(pred string, match func(relation.Tuple) bool) []relation
 func (k *KB) Predicates() []string {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(Key{Kind: KeyPredicates})
 	out := make([]string, 0, len(k.facts))
 	for p, fs := range k.facts {
 		if len(fs.tuples) > 0 {
@@ -248,6 +278,7 @@ func (k *KB) PutRelation(name string, r *relation.Relation) {
 	stored := r.Clone()
 	k.relations[name] = stored
 	k.version++
+	k.bumpRelationLocked(name, old == nil)
 	k.logRelationPutLocked(name, old, stored)
 	k.mu.Unlock()
 }
@@ -421,6 +452,7 @@ func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int,
 	}
 	r.Tuples = next
 	k.version++
+	k.bumpRelationLocked(name, false)
 	k.logLocked(DeltaOp{Kind: DeltaPatchRelation, Name: name,
 		Added: cloneTuples(added), AddedAt: cloneInts(addedAt), Removed: cloneTuples(removed)})
 	return true
@@ -450,6 +482,7 @@ func cloneTuples(ts []relation.Tuple) []relation.Tuple {
 func (k *KB) Relation(name string) *relation.Relation {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(RelationKey(name))
 	r, ok := k.relations[name]
 	if !ok {
 		return nil
@@ -462,6 +495,7 @@ func (k *KB) Relation(name string) *relation.Relation {
 func (k *KB) RelationCardinality(name string) int {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(RelationKey(name))
 	r, ok := k.relations[name]
 	if !ok {
 		return 0
@@ -473,6 +507,7 @@ func (k *KB) RelationCardinality(name string) int {
 func (k *KB) HasRelation(name string) bool {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(RelationsKey(name))
 	_, ok := k.relations[name]
 	return ok
 }
@@ -486,6 +521,7 @@ func (k *KB) DropRelation(name string) bool {
 	}
 	delete(k.relations, name)
 	k.version++
+	k.bumpRelationLocked(name, true)
 	k.logLocked(DeltaOp{Kind: DeltaDropRelation, Name: name})
 	if k.deltaOn {
 		// Later re-puts must not rewrite an op that precedes this drop, and
@@ -505,6 +541,7 @@ func (k *KB) DropRelation(name string) bool {
 func (k *KB) RelationNames(prefix string) []string {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(RelationsKey(prefix))
 	var out []string
 	for n := range k.relations {
 		if prefix == "" || strings.HasPrefix(n, prefix) {
@@ -521,6 +558,7 @@ func (k *KB) RelationNames(prefix string) []string {
 func (k *KB) Snapshot() *KB {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(Key{Kind: KeyAll})
 	out := New()
 	out.version = k.version
 	for pred, fs := range k.facts {
@@ -555,6 +593,7 @@ type Stats struct {
 func (k *KB) Stats() Stats {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
+	k.noteLocked(Key{Kind: KeyAll})
 	s := Stats{Version: k.version}
 	for _, fs := range k.facts {
 		if len(fs.tuples) > 0 {

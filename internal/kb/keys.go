@@ -1,0 +1,208 @@
+package kb
+
+import (
+	"sort"
+	"strings"
+	"sync"
+)
+
+// KeyKind says what part of the knowledge base a Key names.
+type KeyKind uint8
+
+const (
+	// KeyFacts is the facts of one predicate.
+	KeyFacts KeyKind = iota + 1
+	// KeyRelation is one named bulk relation: its presence, schema and rows.
+	KeyRelation
+	// KeyPredicates is the set of predicates that have facts (Predicates).
+	KeyPredicates
+	// KeyRelations is the set of relation names that start with Name — what
+	// RelationNames(Name) lists and HasRelation(Name) looks in. It moves when
+	// a relation with that prefix is created or dropped, not when one is
+	// rewritten.
+	KeyRelations
+	// KeyAll is the knowledge base as a whole (Snapshot, WriteSnapshot,
+	// Stats); it moves with every change.
+	KeyAll
+	// KeyExternal is state components hand one another outside the knowledge
+	// base. The KB stores none of it; whoever assigns that state announces
+	// it with Touch and whoever loads it says so with ReadExternal, so
+	// orchestration sees one clock and one read log for everything a
+	// transducer can read.
+	KeyExternal
+)
+
+// Key names one independently versioned part of the knowledge base: what a
+// read depends on and what a write moves. Name is the predicate, relation,
+// relation-name prefix or external name; KeyPredicates and KeyAll carry none.
+type Key struct {
+	Kind KeyKind
+	Name string
+}
+
+// FactsKey is the key of a predicate's facts.
+func FactsKey(pred string) Key { return Key{KeyFacts, pred} }
+
+// RelationKey is the key of a named bulk relation.
+func RelationKey(name string) Key { return Key{KeyRelation, name} }
+
+// ExternalKey is the key of a piece of state held outside the knowledge
+// base (see Touch).
+func ExternalKey(name string) Key { return Key{KeyExternal, name} }
+
+// RelationsKey is the key of the set of relation names starting with prefix.
+func RelationsKey(prefix string) Key { return Key{KeyRelations, prefix} }
+
+// String renders the key for traces: "facts md_match", "relation result",
+// "relation names src_*", "external core.cfds".
+func (key Key) String() string {
+	switch key.Kind {
+	case KeyFacts:
+		return "facts " + key.Name
+	case KeyRelation:
+		return "relation " + key.Name
+	case KeyPredicates:
+		return "predicate names"
+	case KeyRelations:
+		return "relation names " + key.Name + "*"
+	case KeyAll:
+		return "everything"
+	case KeyExternal:
+		return "external " + key.Name
+	}
+	return "?"
+}
+
+// readLog is the set of keys read through one recording handle. Readers
+// hold only the read side of k.mu, and a body may read from several
+// goroutines, so the set has its own lock.
+type readLog struct {
+	mu   sync.Mutex
+	keys map[Key]struct{}
+}
+
+// noteLocked records a read of key if k is a recording handle. Callers hold
+// k.mu (either side) around the read itself; the log needs only its own
+// lock.
+func (k *KB) noteLocked(key Key) {
+	l := k.reads
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.keys[key] = struct{}{}
+	l.mu.Unlock()
+}
+
+// bumpLocked advances the change clock and stamps key with it. Callers
+// hold k.mu for writing and call it once per mutation that changed state.
+func (k *KB) bumpLocked(key Key) {
+	k.clock++
+	k.moved[key] = k.clock
+}
+
+// bumpFactsLocked records a change to pred's facts; nameSet says the
+// predicate gained its first fact or lost its last, which moves Predicates.
+func (k *KB) bumpFactsLocked(pred string, nameSet bool) {
+	k.bumpLocked(FactsKey(pred))
+	if nameSet {
+		k.moved[Key{Kind: KeyPredicates}] = k.clock
+	}
+}
+
+// bumpRelationLocked records a change to the named relation; nameSet says
+// the relation was created or dropped, which moves every KeyRelations whose
+// prefix the name starts with. Those are found when asked about
+// (MovedSince), from the per-name clock kept under the full name here.
+func (k *KB) bumpRelationLocked(name string, nameSet bool) {
+	k.bumpLocked(RelationKey(name))
+	if nameSet {
+		k.moved[RelationsKey(name)] = k.clock
+	}
+}
+
+// Recording returns a second handle on the same knowledge base that records
+// the key of every read made through it. The orchestrator hands such a
+// handle to a dependency evaluation or a transducer body to learn what that
+// code actually reads; reads made through any other handle — an HTTP reader
+// beside a running body — are not recorded, and writes through either are
+// the same writes.
+func (k *KB) Recording() *KB {
+	return &KB{state: k.state, reads: &readLog{keys: map[Key]struct{}{}}}
+}
+
+// Reads returns the keys read through a recording handle so far, sorted by
+// kind and name, with the change clock at this moment. Passing both to
+// MovedSince later asks "has anything that code read changed since it
+// finished?" — writes the recorded code made itself are before the returned
+// clock and do not count. On a handle that does not record, the keys are
+// nil.
+func (k *KB) Reads() ([]Key, uint64) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	l := k.reads
+	if l == nil {
+		return nil, k.clock
+	}
+	l.mu.Lock()
+	keys := make([]Key, 0, len(l.keys))
+	for key := range l.keys {
+		keys = append(keys, key)
+	}
+	l.mu.Unlock()
+	SortKeys(keys)
+	return keys, k.clock
+}
+
+// SortKeys orders keys by kind, then name.
+func SortKeys(keys []Key) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Kind != keys[j].Kind {
+			return keys[i].Kind < keys[j].Kind
+		}
+		return keys[i].Name < keys[j].Name
+	})
+}
+
+// MovedSince reports whether any of the keys changed after the change clock
+// read since (as returned by Reads). A key nothing ever wrote has not moved.
+func (k *KB) MovedSince(keys []Key, since uint64) bool {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	for _, key := range keys {
+		switch key.Kind {
+		case KeyAll:
+			if k.clock > since {
+				return true
+			}
+		case KeyRelations:
+			// A handful of names per knowledge base, dropped ones included.
+			for other, at := range k.moved {
+				if at > since && other.Kind == KeyRelations && strings.HasPrefix(other.Name, key.Name) {
+					return true
+				}
+			}
+		default:
+			if k.moved[key] > since {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Touch announces that the external state named name was assigned: its key
+// moves, the knowledge base's content and Version do not.
+func (k *KB) Touch(name string) {
+	k.mu.Lock()
+	k.bumpLocked(ExternalKey(name))
+	k.mu.Unlock()
+}
+
+// ReadExternal is Touch's counterpart: code that was handed k and loads the
+// external state named name says so here, and on a recording handle the
+// state's key joins the handle's reads like any key read from the knowledge
+// base itself. On any other handle it does nothing.
+func (k *KB) ReadExternal(name string) {
+	k.noteLocked(ExternalKey(name))
+}

@@ -29,6 +29,7 @@ type snapshotJSON struct {
 // as JSON.
 func (k *KB) WriteSnapshot(w io.Writer) error {
 	k.mu.RLock()
+	k.noteLocked(Key{Kind: KeyAll})
 	snap := snapshotJSON{
 		Version:   k.version,
 		Facts:     map[string][]relation.Tuple{},
@@ -119,6 +120,7 @@ func (k *KB) Merge(src *KB) {
 			dst.keys[key] = len(dst.tuples)
 			dst.tuples = append(dst.tuples, t.Clone())
 			k.version++
+			k.bumpFactsLocked(pred, len(dst.tuples) == 1)
 			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t.Clone()})
 		}
 	}
@@ -126,6 +128,7 @@ func (k *KB) Merge(src *KB) {
 		old, stored := k.relations[name], r.Clone()
 		k.relations[name] = stored
 		k.version++
+		k.bumpRelationLocked(name, old == nil)
 		k.logRelationPutLocked(name, old, stored)
 	}
 	if src.version > k.version {

@@ -12,7 +12,9 @@ package mcda
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,6 +116,16 @@ type Model struct {
 // NewModel returns an empty model.
 func NewModel() *Model {
 	return &Model{index: map[Criterion]int{}}
+}
+
+// Clone returns an independent copy of the model: statements added to
+// either afterwards do not reach the other.
+func (m *Model) Clone() *Model {
+	return &Model{
+		criteria:    slices.Clone(m.criteria),
+		index:       maps.Clone(m.index),
+		comparisons: slices.Clone(m.comparisons),
+	}
 }
 
 // AddCriterion registers a criterion explicitly (criteria referenced by

@@ -206,10 +206,25 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatal("page 2 repeats page 1")
 	}
 
-	// Trace is non-empty text.
+	// Trace is non-empty text, and says why ready transducers did not run:
+	// one line per stage that skipped any.
 	resp, body = get(t, base+"/trace")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "web-extraction") {
 		t.Fatalf("trace: %s / %q...", resp.Status, body[:60])
+	}
+	if n := strings.Count(body, "\nskipped (inputs unchanged): "); n < 3 || n > 5 {
+		t.Fatalf("trace of five stages has %d skipped lines:\n%s", n, body)
+	}
+
+	// The same accounting as counters.
+	_, body = get(t, ts.URL+"/api/v1/metricz?format=prometheus")
+	for _, series := range []string{
+		`wrangle_steps_total{changed="true",transducer="duplicate-fusion"}`,
+		`wrangle_steps_skipped_total{transducer="schema-matching"}`,
+	} {
+		if !strings.Contains(body, series) {
+			t.Fatalf("metricz lacks %s", series)
+		}
 	}
 
 	// The listing shows the session.

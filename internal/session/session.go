@@ -10,6 +10,7 @@ package session
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"time"
 
@@ -291,6 +292,25 @@ func (s *Session) subGauge(delta int64) {
 	}
 }
 
+// countSteps publishes what one orchestration run did, per transducer:
+// wrangle_steps_total{transducer,changed} for the steps executed (changed
+// says whether the step moved the knowledge base) and
+// wrangle_steps_skipped_total{transducer} for ready transducers dropped
+// unrun because their inputs had not moved. The share of changed="false"
+// among executed steps is the waste read-set orchestration is there to cut.
+func (s *Session) countSteps(steps []transducer.Step) {
+	if s.reg == nil {
+		return
+	}
+	for _, st := range steps {
+		changed := strconv.FormatBool(st.VersionAfter != st.VersionBefore)
+		s.reg.Counter(metrics.Name("wrangle_steps_total", "transducer", st.Transducer, "changed", changed)).Inc()
+		for _, name := range st.Skipped {
+			s.reg.Counter(metrics.Name("wrangle_steps_skipped_total", "transducer", name)).Inc()
+		}
+	}
+}
+
 // countDrop records one event lost to a slow consumer's full buffer.
 func (s *Session) countDrop(kind string) {
 	if s.reg != nil {
@@ -394,6 +414,7 @@ func (s *Session) stepLocked(ctx context.Context, stage string, action func(w *c
 	}
 	start := time.Now()
 	steps, err := s.w.Run(ctx)
+	s.countSteps(steps)
 	if err != nil {
 		return Event{}, nil, err
 	}

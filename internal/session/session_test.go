@@ -776,3 +776,37 @@ func TestManagerMetrics(t *testing.T) {
 		t.Fatalf("sessions_evicted_total = %d, want 1", got)
 	}
 }
+
+// TestStepCountersPublished: every stage publishes what its orchestration
+// run did — executed steps by transducer and whether they changed the
+// knowledge base, and ready transducers skipped because nothing they read
+// had moved — and the counters add up to the steps the events report.
+func TestStepCountersPublished(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sc := testScenario(t, 30, 1)
+	sess := New("steps", core.BuildScenarioWrangler(sc), WithScenario(sc, 1), WithMetrics(reg))
+	ctx := context.Background()
+	boot, err := sess.Bootstrap(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := sess.AddDataContext(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got, want := metrics.SumCounters(snap, "wrangle_steps_total"), int64(boot.Steps+dc.Steps); got != want {
+		t.Fatalf("wrangle_steps_total sums to %d, the events report %d steps", got, want)
+	}
+	changed := metrics.Name("wrangle_steps_total", "transducer", "instance-matching", "changed", "true")
+	if got := reg.Counter(changed).Value(); got != 1 {
+		t.Fatalf("%s = %d: the data context runs instance matching once", changed, got)
+	}
+	skipped := metrics.Name("wrangle_steps_skipped_total", "transducer", "schema-matching")
+	if got := reg.Counter(skipped).Value(); got == 0 {
+		t.Fatalf("%s = 0: schema matching is ready after every write and reads none of them", skipped)
+	}
+	if got := reg.Counter(metrics.Name("wrangle_steps_skipped_total", "transducer", "web-extraction")).Value(); got != 0 {
+		t.Fatalf("web-extraction skipped %d times: it is never ready once its sources are extracted", got)
+	}
+}

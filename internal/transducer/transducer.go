@@ -9,6 +9,16 @@
 // for execution when that data is present in the knowledge base, and the
 // network transducer supplements the data dependencies with the decision
 // making that determines execution order.
+//
+// "The data it needs" is held to the letter. The knowledge base versions
+// every predicate and relation on its own and records what a dependency
+// query and a transducer body read while they run; the orchestrator keeps
+// that input set per transducer and executes a ready transducer only when a
+// key of it has moved since the transducer last executed. A write therefore
+// re-runs the transducers that read what was written, not the whole suite.
+// The orchestrator that executes every ready transducer survives as the
+// differential reference in reference_test.go: same changing steps, same
+// order, byte-identical knowledge base after every stage.
 package transducer
 
 import (
@@ -138,7 +148,7 @@ func (r *Registry) MustRegister(ts ...Transducer) {
 	}
 }
 
-// All returns the transducers in registration order.
+// All returns a copy of the transducers in registration order.
 func (r *Registry) All() []Transducer { return append([]Transducer(nil), r.transducers...) }
 
 // Get returns a transducer by name, or nil.
@@ -162,6 +172,11 @@ type Step struct {
 	Err error
 	// Duration is the wall-clock run time.
 	Duration time.Duration
+	// Skipped is set on the last step of a RunToQuiescence call: the
+	// transducers that call found ready and picked but did not execute,
+	// because nothing they read on their last execution had moved — one
+	// entry per skip, in order, so a name can repeat.
+	Skipped []string
 }
 
 // NetworkTransducer selects which ready transducer runs next (§2.4). It may

@@ -3,6 +3,7 @@ package transducer
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -446,4 +447,205 @@ func (networkFunc) Name() string { return "test" }
 
 func (f networkFunc) Select(ready []Transducer, _ *kb.KB, hist []Step) Transducer {
 	return f(ready, hist)
+}
+
+// countingTransducer copies in-facts to out-facts like counterTransducer and
+// counts its executions.
+func countingTransducer(name, inPred, outPred string, runs *int) *Func {
+	f := counterTransducer(name, "matching", inPred, outPred)
+	body := f.RunFn
+	f.RunFn = func(ctx context.Context, k *kb.KB) (Report, error) {
+		*runs++
+		return body(ctx, k)
+	}
+	return f
+}
+
+func TestOrchestratorSkipsTransducersWhoseInputsHaveNotMoved(t *testing.T) {
+	k := kb.New()
+	reg := NewRegistry()
+	var left, right int
+	reg.MustRegister(
+		countingTransducer("left", "a", "a_out", &left),
+		countingTransducer("right", "b", "b_out", &right),
+	)
+	k.Assert("a", tup(1))
+	k.Assert("b", tup(1))
+	o := NewOrchestrator(k, reg)
+	ctx := context.Background()
+	steps, err := o.RunToQuiescence(ctx)
+	if err != nil || left != 1 || right != 1 {
+		t.Fatalf("first run: left %d right %d (%v)", left, right, err)
+	}
+	// Each saw the other's write move the version, was picked again, and was
+	// dropped unrun: neither reads what the other wrote.
+	if got := steps[len(steps)-1].Skipped; len(got) == 0 {
+		t.Fatalf("the run's last step lists no skips: %+v", steps)
+	}
+	for _, s := range steps[:len(steps)-1] {
+		if s.Skipped != nil {
+			t.Fatalf("only the last step of a run carries its skips: %+v", s)
+		}
+	}
+	// a from the dependency and the body; a_out is not read: Assert is a write.
+	if got := o.Inputs("left"); len(got) != 1 || got[0] != kb.FactsKey("a") {
+		t.Fatalf("left's input set = %v", got)
+	}
+
+	// New information for one of them runs that one only.
+	k.Assert("b", tup(2))
+	steps, err = o.RunToQuiescence(ctx)
+	if err != nil || left != 1 || right != 2 {
+		t.Fatalf("after b moved: left %d right %d (%v)", left, right, err)
+	}
+	if len(steps) != 1 || steps[0].Transducer != "right" {
+		t.Fatalf("steps = %+v", steps)
+	}
+	if got := steps[0].Skipped; len(got) != 2 || got[0] != "left" || got[1] != "left" {
+		// Ready before right ran (b moved the version) and again after.
+		t.Fatalf("skipped = %v, want left twice", got)
+	}
+	if text := TraceString(steps); !strings.Contains(text, "skipped (inputs unchanged): left ×2\n") {
+		t.Fatalf("trace does not say why left did not run:\n%s", text)
+	}
+	// Quiescent: a skip marks the transducer as run at the current version.
+	if more, _ := o.RunToQuiescence(ctx); len(more) != 0 {
+		t.Fatalf("quiescent system took %d steps", len(more))
+	}
+	if o.Inputs("ghost") != nil {
+		t.Fatal("a transducer that never executed has no input set")
+	}
+}
+
+func TestMaxStepsCountsExecutedSteps(t *testing.T) {
+	k := kb.New()
+	reg := NewRegistry()
+	var idle [6]int
+	for i := range idle {
+		pred := fmt.Sprintf("idle%d", i)
+		reg.MustRegister(countingTransducer(pred, pred, pred+"_out", &idle[i]))
+		k.Assert(pred, tup(1))
+	}
+	var busy int
+	reg.MustRegister(countingTransducer("busy", "work", "done", &busy))
+	o := NewOrchestrator(k, reg, WithMaxSteps(7))
+	ctx := context.Background()
+	if _, err := o.RunToQuiescence(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Six ready transducers are skipped before and after busy's one step;
+	// with skips counted the guard of two would trip.
+	o.MaxSteps = 2
+	k.Assert("work", tup(1))
+	steps, err := o.RunToQuiescence(ctx)
+	if err != nil || len(steps) != 1 || busy != 1 {
+		t.Fatalf("%d steps, busy ran %d times: %v", len(steps), busy, err)
+	}
+	if got := len(steps[0].Skipped); got != 12 {
+		t.Fatalf("%d skips, want the six idle transducers twice", got)
+	}
+}
+
+func TestFailedTransducerKeepsNoInputSet(t *testing.T) {
+	// A body that fails may not have got as far as reading what it depends
+	// on, so it is retried whenever it is next picked — as it always was.
+	k := kb.New()
+	reg := NewRegistry()
+	attempts := 0
+	reg.MustRegister(&Func{
+		TName: "flaky", TActivity: "matching",
+		Dep: Dependency{Query: "?- seed(X)."},
+		RunFn: func(_ context.Context, k *kb.KB) (Report, error) {
+			attempts++
+			if attempts == 1 {
+				return Report{}, errors.New("not yet")
+			}
+			k.Facts("late") // only a successful run reads this
+			return Report{}, nil
+		},
+	})
+	k.Assert("seed", tup(1))
+	o := NewOrchestrator(k, reg)
+	ctx := context.Background()
+	_, _ = o.RunToQuiescence(ctx)
+	k.Assert("unrelated", tup(1))
+	_, _ = o.RunToQuiescence(ctx)
+	if attempts != 2 {
+		t.Fatalf("%d attempts: a failed transducer must be retried when the KB moves", attempts)
+	}
+	k.Assert("unrelated", tup(2))
+	_, _ = o.RunToQuiescence(ctx)
+	if attempts != 2 {
+		t.Fatalf("%d attempts: after a successful run its inputs decide", attempts)
+	}
+	k.Assert("late", tup(1))
+	_, _ = o.RunToQuiescence(ctx)
+	if attempts != 3 {
+		t.Fatalf("%d attempts: a key the successful run read moved", attempts)
+	}
+}
+
+// closure is a transducer whose body reads a variable, not the knowledge
+// base, and says so through InputDeclarer.
+type closure struct {
+	*Func
+	derived kb.Key
+}
+
+func (c closure) Inputs(read []kb.Key) []kb.Key {
+	out := []kb.Key{kb.ExternalKey("test.limit")}
+	for _, key := range read {
+		if key != c.derived {
+			out = append(out, key)
+		}
+	}
+	return out
+}
+
+func TestInputDeclarer(t *testing.T) {
+	k := kb.New()
+	reg := NewRegistry()
+	limit, runs := 10, 0
+	reg.MustRegister(closure{
+		derived: kb.FactsKey("published"),
+		Func: &Func{
+			TName: "limiter", TActivity: "matching",
+			Dep: Dependency{Query: "?- seed(X)."},
+			RunFn: func(_ context.Context, k *kb.KB) (Report, error) {
+				runs++
+				k.Facts("published") // read only to rewrite it
+				k.RetractPredicate("published")
+				k.Assert("published", tup(limit))
+				return Report{FactsAsserted: 1}, nil
+			},
+		},
+	})
+	k.Assert("seed", tup(1))
+	o := NewOrchestrator(k, reg)
+	ctx := context.Background()
+	_, _ = o.RunToQuiescence(ctx)
+	want := []kb.Key{kb.FactsKey("seed"), kb.ExternalKey("test.limit")}
+	if got := o.Inputs("limiter"); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("input set = %v, want %v", got, want)
+	}
+	// Someone else rewrites the derived key: not an input, no run.
+	k.Assert("published", tup(-1))
+	_, _ = o.RunToQuiescence(ctx)
+	if runs != 1 {
+		t.Fatalf("ran %d times: a derived key is not an input", runs)
+	}
+	// The outside state is assigned and announced; the version does not
+	// move with a Touch, so something else has to make the transducer
+	// eligible — then the touched key makes it run.
+	limit = 20
+	k.Touch("test.limit")
+	_, _ = o.RunToQuiescence(ctx)
+	if runs != 1 {
+		t.Fatal("a Touch alone moves no version: nothing is eligible")
+	}
+	k.Assert("unrelated", tup(1))
+	_, _ = o.RunToQuiescence(ctx)
+	if runs != 2 || !k.Has("published", tup(20)) {
+		t.Fatalf("ran %d times; the touched external key must make it run", runs)
+	}
 }
