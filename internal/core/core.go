@@ -20,18 +20,22 @@
 // hold, which is the paper's "dynamic orchestration" claim made executable.
 // "Exactly" is literal: the orchestrator knows what each transducer read
 // the last time it executed — the keys recorded while its dependency query
-// and body ran, among them the cells below, which the suite's transducers
-// hand one another through the Wrangler — and executes a ready transducer
-// only if one of those has moved. Adding feedback runs feedback
-// assimilation and what reads its output; it does not re-match sources
-// against a data context that did not change.
+// and body ran — and executes a ready transducer only if one of those has
+// moved. The knowledge base is the only hand-off between the suite's
+// transducers: facts, relations, and the cells below, values stored beside
+// them, all read through the handle a body is given. Adding feedback runs
+// feedback assimilation and what reads its output; it does not re-match
+// sources against a data context that did not change.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,34 +83,45 @@ const (
 	RelResult        = "result"
 )
 
-// Cells: the state transducers of the standard suite hand one another
-// through the Wrangler instead of the knowledge base, as kb.ExternalKey
-// names. Every assignment that changes one is announced with KB.Touch, and
-// a body that loads one says so on the handle it was given (reading), so
-// the orchestrator sees cells read and moved like any key of the KB.
+// cell names a value of type T kept in the knowledge base beside its facts
+// (kb.PutValue): what a transducer, or the API, hands another and no fact
+// records. A body loads it through the handle it was given, so the
+// orchestrator sees cells read and moved like any other key. What facts do
+// record is read from them instead (accuracyBySource, referenceNames,
+// matchesFromFacts) and so survives a restart.
+type cell[T any] string
+
 const (
-	cellSources     = "core.sources"     // webSources, directSources
-	cellTarget      = "core.target"      // target, hasTarget
-	cellRefNames    = "core.refNames"    // refNames
-	cellFeedback    = "core.feedback"    // fb, the feedback store
-	cellUserModel   = "core.userModel"   // userModel
-	cellNameMatches = "core.nameMatches" // nameMatches
-	cellInstMatches = "core.instMatches" // instMatches
-	cellAccBySource = "core.accBySource" // accBySource
-	cellRangeRules  = "core.rangeRules"  // rangeRules
-	cellMappings    = "core.mappings"    // mappings
-	cellCFDs        = "core.cfds"        // cfds
+	cellSources     cell[map[string]source]    = "core.sources"
+	cellTarget      cell[*relation.Schema]     = "core.target" // nil until SetTargetSchema
+	cellFeedback    cell[*feedback.Store]      = "core.feedback"
+	cellUserModel   cell[*mcda.Model]          = "core.userModel" // not uc_priority: AHP weights depend on comparison order
+	cellNameMatches cell[[]match.Match]        = "core.nameMatches"
+	cellInstMatches cell[[]match.Match]        = "core.instMatches"
+	cellRangeRules  cell[[]feedback.RangeRule] = "core.rangeRules"
+	cellMappings    cell[[]mapping.Mapping]    = "core.mappings" // sorted by ID
+	cellCFDs        cell[[]cfd.CFD]            = "core.cfds"
 )
 
-// setCell assigns v to the named cell and announces it, unless v equals
-// what the cell already holds: a transducer that re-derives the same
-// matches or rules must not make its readers run. Callers hold w.mu.
-func setCell[T any](w *Wrangler, name string, cell *T, v T) {
-	if reflect.DeepEqual(*cell, v) {
-		return
+// get loads the cell through k: the zero T until something is set.
+func (c cell[T]) get(k *kb.KB) T {
+	v, _ := k.Value(string(c)).(T)
+	return v
+}
+
+// set stores v and moves the cell. v is never mutated afterwards — the next
+// value is a new one — except the feedback store, which locks itself and is
+// set again after every addition.
+func (c cell[T]) set(k *kb.KB, v T) { k.PutValue(string(c), v) }
+
+// derive is set for a computed value: it leaves the cell alone when v equals
+// what it holds, because a transducer that re-derives the same matches or
+// rules must not make its readers run. It compares through the wrangler's own
+// handle, which records nothing: what a body writes is not an input of it.
+func derive[T any](w *Wrangler, c cell[T], v T) {
+	if !reflect.DeepEqual(c.get(w.KB), v) {
+		c.set(w.KB, v)
 	}
-	*cell = v
-	w.KB.Touch(name)
 }
 
 // Options configures a Wrangler.
@@ -148,12 +163,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// webSource is a registered deep-web source awaiting extraction.
-type webSource struct {
+// source is a registered source: a deep-web source awaiting extraction or,
+// when direct is set, an already-extracted relation.
+type source struct {
 	template extract.SiteTemplate
 	pages    []extract.Page
 	schema   relation.Schema
 	examples []extract.Annotation
+	direct   *relation.Relation
 }
 
 // Wrangler is the VADA system facade.
@@ -172,23 +189,10 @@ type Wrangler struct {
 	// concurrent runs. Independent Wranglers run fully in parallel.
 	runMu sync.Mutex
 
+	// mu guards the change fingerprints and serialises source registration.
 	mu            sync.Mutex
-	target        relation.Schema
-	hasTarget     bool
-	webSources    map[string]webSource
-	directSources map[string]*relation.Relation
-	nameMatches   []match.Match
-	instMatches   []match.Match
-	mappings      map[string]mapping.Mapping
-	cfds          []cfd.CFD
-	refNames      []string
-	fb            *feedback.Store
-	rangeRules    []feedback.RangeRule
-	accBySource   map[string]map[string]float64
-	userModel     *mcda.Model
 	lastExecHash  map[string]uint64
 	lastFusedHash uint64
-	wrappers      map[string]*extract.Wrapper
 }
 
 // NewWrangler builds a Wrangler with the standard transducer suite
@@ -197,18 +201,13 @@ type Wrangler struct {
 func NewWrangler(options ...Option) *Wrangler {
 	opts := buildOptions(options)
 	w := &Wrangler{
-		KB:            kb.New(),
-		opts:          opts,
-		engine:        vadalog.NewEngine(),
-		reg:           transducer.NewRegistry(),
-		webSources:    map[string]webSource{},
-		directSources: map[string]*relation.Relation{},
-		mappings:      map[string]mapping.Mapping{},
-		fb:            feedback.NewStore(),
-		accBySource:   map[string]map[string]float64{},
-		lastExecHash:  map[string]uint64{},
-		wrappers:      map[string]*extract.Wrapper{},
+		KB:           kb.New(),
+		opts:         opts,
+		engine:       vadalog.NewEngine(),
+		reg:          transducer.NewRegistry(),
+		lastExecHash: map[string]uint64{},
 	}
+	cellFeedback.set(w.KB, feedback.NewStore())
 	w.registerStandardSuite()
 	orchOpts := []func(*transducer.Orchestrator){transducer.WithMaxSteps(opts.MaxSteps)}
 	if opts.Network != nil {
@@ -227,41 +226,44 @@ func (w *Wrangler) Registry() *transducer.Registry { return w.reg }
 // template plus a few annotated example values for wrapper induction. The
 // extraction transducer becomes ready immediately.
 func (w *Wrangler) RegisterWebSource(tmpl extract.SiteTemplate, schema relation.Schema, pages []extract.Page, examples []extract.Annotation) {
-	w.mu.Lock()
-	w.webSources[schema.Name] = webSource{template: tmpl, pages: pages, schema: schema, examples: examples}
-	w.mu.Unlock()
-	w.KB.Touch(cellSources)
-	w.KB.Assert(PredSourceRegistered, relation.NewTuple(schema.Name))
+	w.register(schema.Name, source{template: tmpl, pages: pages, schema: schema, examples: examples})
 }
 
 // RegisterSource registers an already-extracted source relation (e.g. an
 // open-government CSV download).
 func (w *Wrangler) RegisterSource(rel *relation.Relation) {
-	name := rel.Schema.Name
+	w.register(rel.Schema.Name, source{direct: rel.Clone()})
+}
+
+// register puts a copy of the source registry with the source added and
+// announces it.
+func (w *Wrangler) register(name string, src source) {
 	w.mu.Lock()
-	w.directSources[name] = rel.Clone()
+	next := map[string]source{}
+	maps.Copy(next, cellSources.get(w.KB))
+	next[name] = src
+	cellSources.set(w.KB, next)
 	w.mu.Unlock()
-	w.KB.Touch(cellSources)
 	w.KB.Assert(PredSourceRegistered, relation.NewTuple(name))
 }
 
 // SetTargetSchema supplies the user-context target schema (§2.2).
 func (w *Wrangler) SetTargetSchema(s relation.Schema) {
-	w.mu.Lock()
-	w.target = s
-	w.hasTarget = true
-	w.mu.Unlock()
-	w.KB.Touch(cellTarget)
+	cellTarget.set(w.KB, &s)
 	w.KB.Assert(PredTargetSchema, relation.NewTuple(s.Name))
 }
 
 // TargetSchema returns the user-context target schema and whether one has
 // been set — the attribute vocabulary connector header-mapping inference
 // matches external columns against.
-func (w *Wrangler) TargetSchema() (relation.Schema, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.target, w.hasTarget
+func (w *Wrangler) TargetSchema() (relation.Schema, bool) { return targetSchema(w.KB) }
+
+// targetSchema loads the target schema through k.
+func targetSchema(k *kb.KB) (relation.Schema, bool) {
+	if s := cellTarget.get(k); s != nil {
+		return *s, true
+	}
+	return relation.Schema{}, false
 }
 
 // AddDataContext associates the target schema with reference/master/example
@@ -270,29 +272,15 @@ func (w *Wrangler) TargetSchema() (relation.Schema, bool) {
 func (w *Wrangler) AddDataContext(rel *relation.Relation) {
 	name := rel.Schema.Name
 	w.KB.PutRelation(RelContextPrefix+name, rel)
-	w.mu.Lock()
-	found := false
-	for _, n := range w.refNames {
-		if n == name {
-			found = true
-			break
-		}
-	}
-	if !found {
-		w.refNames = append(w.refNames, name)
-	}
-	w.mu.Unlock()
-	if !found {
-		w.KB.Touch(cellRefNames)
-	}
 	w.KB.Assert(PredReference, relation.NewTuple(name))
 	w.KB.Assert(PredDCInstances, relation.NewTuple(name))
 }
 
 // AddFeedback records user feedback (§2.3, step 3 of the demonstration).
 func (w *Wrangler) AddFeedback(items ...feedback.Item) {
-	w.fb.Add(items...)
-	w.KB.Touch(cellFeedback)
+	fb := cellFeedback.get(w.KB)
+	fb.Add(items...)
+	cellFeedback.set(w.KB, fb)
 	for _, it := range items {
 		w.KB.Assert(PredFeedback, relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct))
 	}
@@ -302,9 +290,7 @@ func (w *Wrangler) AddFeedback(items ...feedback.Item) {
 // they stand now: the wrangler keeps a copy, so a model the caller goes on
 // editing takes effect when it is set again.
 func (w *Wrangler) SetUserContext(m *mcda.Model) {
-	w.mu.Lock()
-	setCell(w, cellUserModel, &w.userModel, m.Clone())
-	w.mu.Unlock()
+	derive(w, cellUserModel, m.Clone())
 	// Replace, not add: priorities of the previous model left behind would
 	// make a restart (Rehydrate reads every uc_priority fact) wrangle with
 	// the union of both models.
@@ -313,7 +299,7 @@ func (w *Wrangler) SetUserContext(m *mcda.Model) {
 		facts = append(facts, relation.NewTuple(
 			c.More.Metric, c.More.Target, c.Less.Metric, c.Less.Target, int(c.Strength)))
 	}
-	replaceFacts(w.KB, PredPriority, nil, facts)
+	replaceFacts(w.KB, PredPriority, facts)
 }
 
 // Run drives orchestration to quiescence and returns the steps taken.
@@ -362,29 +348,21 @@ func (w *Wrangler) ResultClean() *relation.Relation {
 }
 
 // Mappings returns the current candidate mappings, sorted by ID.
-func (w *Wrangler) Mappings() []mapping.Mapping {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]mapping.Mapping, 0, len(w.mappings))
-	for _, m := range w.mappings {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (w *Wrangler) Mappings() []mapping.Mapping { return slices.Clone(cellMappings.get(w.KB)) }
 
 // CFDs returns the learned CFDs.
-func (w *Wrangler) CFDs() []cfd.CFD {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]cfd.CFD(nil), w.cfds...)
-}
+func (w *Wrangler) CFDs() []cfd.CFD { return slices.Clone(cellCFDs.get(w.KB)) }
 
-// Matches returns the current combined, feedback-revised matches.
+// Matches returns the current combined, feedback-revised matches: what
+// md_match holds, ordered by source relation, source attribute and target
+// attribute.
 func (w *Wrangler) Matches() []match.Match {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.combinedMatchesLocked()
+	ms := matchesFromFacts(w.KB)
+	slices.SortFunc(ms, func(a, b match.Match) int {
+		return cmp.Or(strings.Compare(a.SourceRel, b.SourceRel),
+			strings.Compare(a.SourceAttr, b.SourceAttr), strings.Compare(a.TargetAttr, b.TargetAttr))
+	})
+	return ms
 }
 
 // SelectedMappings returns the IDs chosen by mapping selection, by rank.
@@ -402,16 +380,11 @@ func (w *Wrangler) SelectedMappings() []string {
 // user context, nil when none has been provided (or its comparisons are
 // inconsistent) — the selection signal the advisor reads to bias suggestions
 // toward attributes the user has declared they care about.
-func (w *Wrangler) UserWeights() map[mcda.Criterion]float64 {
-	return w.userWeights()
-}
+func (w *Wrangler) UserWeights() map[mcda.Criterion]float64 { return userWeights(w.KB) }
 
-// userWeights derives the current criterion weights (nil when no user
-// context has been provided).
-func (w *Wrangler) userWeights() map[mcda.Criterion]float64 {
-	w.mu.Lock()
-	m := w.userModel
-	w.mu.Unlock()
+// userWeights derives the criterion weights of the user model k holds.
+func userWeights(k *kb.KB) map[mcda.Criterion]float64 {
+	m := cellUserModel.get(k)
 	if m == nil {
 		return nil
 	}
@@ -420,13 +393,6 @@ func (w *Wrangler) userWeights() map[mcda.Criterion]float64 {
 		return nil
 	}
 	return weights
-}
-
-// combinedMatchesLocked merges name and instance matches and applies
-// feedback revision. Callers hold w.mu.
-func (w *Wrangler) combinedMatchesLocked() []match.Match {
-	combined := match.Combine(w.nameMatches, w.instMatches)
-	return feedback.ReviseMatchScores(combined, w.accBySource)
 }
 
 // Architecture renders the component graph of Figure 1 as wired in this
@@ -481,16 +447,11 @@ func hashRelation(r *relation.Relation) uint64 {
 	return h.Sum64()
 }
 
-// replaceFacts swaps the facts of pred matching keep==nil (all) for the new
-// set, but only when the sets differ — preserving orchestration quiescence.
-// It returns (asserted, retracted).
-func replaceFacts(k *kb.KB, pred string, filter func(relation.Tuple) bool, next []relation.Tuple) (int, int) {
-	var current []relation.Tuple
-	if filter == nil {
-		current = k.Facts(pred)
-	} else {
-		current = k.FactsWhere(pred, filter)
-	}
+// replaceFacts swaps the facts of pred for the new set, but only when the
+// sets differ — preserving orchestration quiescence. It returns (asserted,
+// retracted).
+func replaceFacts(k *kb.KB, pred string, next []relation.Tuple) (int, int) {
+	current := k.Facts(pred)
 	curSet := make(map[string]bool, len(current))
 	for _, t := range current {
 		curSet[t.Key()] = true

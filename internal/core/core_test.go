@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"vada/internal/datagen"
@@ -310,16 +311,16 @@ func TestCustomTransducerExtensibility(t *testing.T) {
 func TestReplaceFactsIdempotent(t *testing.T) {
 	k := kb.New()
 	facts := []relation.Tuple{relation.NewTuple("a", 1), relation.NewTuple("b", 2)}
-	a, r := replaceFacts(k, "p", nil, facts)
+	a, r := replaceFacts(k, "p", facts)
 	if a != 2 || r != 0 {
 		t.Fatalf("first replace: +%d -%d", a, r)
 	}
 	v := k.Version()
-	a, r = replaceFacts(k, "p", nil, facts)
+	a, r = replaceFacts(k, "p", facts)
 	if a != 0 || r != 0 || k.Version() != v {
 		t.Fatalf("identical replace must be a no-op: +%d -%d v%d->v%d", a, r, v, k.Version())
 	}
-	a, r = replaceFacts(k, "p", nil, facts[:1])
+	a, r = replaceFacts(k, "p", facts[:1])
 	if a != 0 || r != 1 {
 		t.Fatalf("shrinking replace: +%d -%d", a, r)
 	}
@@ -332,13 +333,16 @@ func TestSelectedMappingsOnePerBaseSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := w.SelectedMappings()
+	baseOf := map[string]string{}
+	for _, m := range w.Mappings() {
+		baseOf[m.ID] = m.BaseSource
+	}
 	bases := map[string]bool{}
 	for _, id := range sel {
-		m := w.mappings[id]
-		if bases[m.BaseSource] {
-			t.Fatalf("two selected mappings share base %s: %v", m.BaseSource, sel)
+		if bases[baseOf[id]] {
+			t.Fatalf("two selected mappings share base %s: %v", baseOf[id], sel)
 		}
-		bases[m.BaseSource] = true
+		bases[baseOf[id]] = true
 	}
 	if len(sel) < 2 {
 		t.Fatalf("both portals should be represented: %v", sel)
@@ -486,5 +490,65 @@ func TestMaxStepsBoundsOneRun(t *testing.T) {
 	}
 	if last := trace[len(trace)-1]; last.Seq != len(trace) {
 		t.Fatalf("Step.Seq = %d after %d steps: it must stay cumulative", last.Seq, len(trace))
+	}
+}
+
+// TestContextAddedWhileRunning: sources, context and feedback may be added,
+// and every accessor read, from other goroutines while a run is in flight.
+// What they share with the running bodies is in the knowledge base, under its
+// lock; under -race this is the test that nothing else is shared.
+func TestContextAddedWhileRunning(t *testing.T) {
+	sc := testScenario(t, 30)
+	w := BuildScenarioWrangler(sc)
+	ctx := context.Background()
+	if _, err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	items := OracleFeedback(sc, w.Result(), 20, 5)
+
+	var wg sync.WaitGroup
+	for _, act := range []func(i int){
+		func(int) {
+			if _, err := w.Run(ctx); err != nil {
+				t.Error(err)
+			}
+		},
+		func(i int) { w.AddFeedback(items[i%len(items)]) },
+		func(i int) {
+			if i%2 == 0 {
+				w.SetUserContext(CrimeAnalysisUserContext())
+			} else {
+				w.SetUserContext(SizeAnalysisUserContext())
+			}
+		},
+		func(int) { w.AddDataContext(sc.AddressRef) },
+		func(int) { w.RegisterSource(sc.Deprivation) },
+		func(int) {
+			w.Matches()
+			w.Mappings()
+			w.CFDs()
+			w.TargetSchema()
+			w.UserWeights()
+			w.FeedbackItems()
+			w.ResultClean()
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				act(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := w.Run(ctx); err != nil || len(steps) != 0 {
+		t.Fatalf("not quiescent after the last run: %d steps, err %v", len(steps), err)
+	}
+	if got := len(w.FeedbackItems()); got != 8 {
+		t.Fatalf("%d feedback items held, 8 were added", got)
 	}
 }

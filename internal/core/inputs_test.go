@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"vada/internal/datagen"
+	"vada/internal/feedback"
 	"vada/internal/kb"
+	"vada/internal/match"
 	"vada/internal/relation"
 	"vada/internal/transducer"
 )
@@ -45,35 +47,16 @@ func converse(t *testing.T, w *Wrangler, sc *datagen.Scenario) {
 
 // TestSuiteInputSetsComplete re-executes every transducer of the standard
 // suite at quiescence through a recording handle on the knowledge base:
-// whatever its dependency and its body touch — keys of the KB and the cells
-// the body says it loads — must be in the input set the orchestrator holds
-// for it, or be md_match for a matchWriter. A read outside the set is a
-// change the orchestrator would sleep through.
-//
-// An input set is that of the transducer's last execution, and a body's
-// reads depend on the path it took (mapping execution asks HasRelation only
-// for a mapping whose output did not change). So the suite is first
-// executed once more at quiescence: then the stored execution and the
-// recorded one start from the same state and take the same path.
+// whatever its dependency and its body touch — facts, relations, cells —
+// must be in the input set the orchestrator holds for it from the
+// conversation, or be md_match for a matchWriter. A read outside the set is
+// a change the orchestrator would sleep through.
 func TestSuiteInputSetsComplete(t *testing.T) {
 	w := wrangled(t)
 	ctx := context.Background()
 	version := w.KB.Version()
-	conversation := map[string][]kb.Key{}
-	for _, tr := range w.reg.All() {
-		conversation[tr.Name()] = w.orch.Inputs(tr.Name())
-	}
-	w.orch.ResetEligibility()
-	if _, err := w.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
 	for _, tr := range w.reg.All() {
 		stored := w.orch.Inputs(tr.Name())
-		if stored == nil {
-			// Not ready any more (extraction, once every source is
-			// extracted): hold it to the set the conversation left.
-			stored = conversation[tr.Name()]
-		}
 		if stored == nil {
 			t.Errorf("%s never executed in a full conversation", tr.Name())
 			continue
@@ -86,17 +69,10 @@ func TestSuiteInputSetsComplete(t *testing.T) {
 			t.Fatalf("%s: %v / %v", tr.Name(), depErr, runErr)
 		}
 		_, republishes := tr.(matchWriter)
-		cells := 0
 		for _, key := range touched {
-			if key.Kind == kb.KeyExternal {
-				cells++
-			}
 			if !slices.Contains(stored, key) && !(republishes && key == kb.FactsKey(PredMatch)) {
 				t.Errorf("%s touched %q, which is outside its input set %v", tr.Name(), key, stored)
 			}
-		}
-		if cells == 0 {
-			t.Errorf("%s loaded no cell: every body of the suite reads Wrangler state", tr.Name())
 		}
 	}
 	if w.KB.Version() != version {
@@ -106,8 +82,7 @@ func TestSuiteInputSetsComplete(t *testing.T) {
 	// instance-matching is where the time goes; its inputs are the sources,
 	// the data context and their registration, nothing downstream.
 	for _, key := range w.orch.Inputs("instance-matching") {
-		ok := key == kb.ExternalKey(cellRefNames) ||
-			(key.Kind == kb.KeyFacts && (key.Name == PredSourceInstances || key.Name == PredDCInstances)) ||
+		ok := (key.Kind == kb.KeyFacts && (key.Name == PredSourceInstances || key.Name == PredDCInstances || key.Name == PredReference)) ||
 			(key.Kind == kb.KeyRelation && (strings.HasPrefix(key.Name, RelSourcePrefix) || strings.HasPrefix(key.Name, RelContextPrefix))) ||
 			key == kb.RelationsKey(RelSourcePrefix)
 		if !ok {
@@ -116,8 +91,8 @@ func TestSuiteInputSetsComplete(t *testing.T) {
 	}
 }
 
-// invariantNetwork checks between every two steps that md_match is what the
-// three match cells combine to.
+// invariantNetwork checks between every two steps that md_match is what its
+// writers' shares combine to.
 type invariantNetwork struct {
 	transducer.NetworkTransducer
 	check func()
@@ -129,10 +104,11 @@ func (n invariantNetwork) Select(ready []transducer.Transducer, k *kb.KB, hist [
 }
 
 // TestMatchCellWritersRepublish pins the invariant that lets the three
-// writers of a match cell (schema matching, instance matching, feedback
-// assimilation) leave md_match out of their input sets: each republishes
-// md_match from all three cells in the same body that assigns its own, so
-// after every step md_match equals what any of them would publish.
+// matchWriters (schema matching, instance matching, feedback assimilation)
+// leave md_match out of their input sets: each republishes md_match from all
+// three shares — the two match cells and md_accuracy — in the same body that
+// derives its own, so after every step md_match equals what any of them would
+// publish.
 func TestMatchCellWritersRepublish(t *testing.T) {
 	var w *Wrangler
 	steps := 0
@@ -150,9 +126,10 @@ func TestMatchCellWritersRepublish(t *testing.T) {
 		check: func() {
 			steps++
 			published := keys(w.KB.Facts(PredMatch))
-			combined := keys(matchFacts(w.Matches()))
+			combined := keys(matchFacts(feedback.ReviseMatchScores(
+				match.Combine(cellNameMatches.get(w.KB), cellInstMatches.get(w.KB)), accuracyBySource(w.KB))))
 			if !reflect.DeepEqual(published, combined) {
-				t.Fatalf("before pick %d: md_match holds %d facts, the match cells combine to %d:\n%v\n%v",
+				t.Fatalf("before pick %d: md_match holds %d facts, the shares combine to %d:\n%v\n%v",
 					steps, len(published), len(combined), published, combined)
 			}
 		},
@@ -245,6 +222,8 @@ func TestArchitectureShowsInputSets(t *testing.T) {
 	arch := wrangled(t).Architecture()
 	for _, want := range []string{
 		"last read: facts src_extracted, facts src_registered, external core.sources",
+		"facts md_accuracy",
+		"facts dc_reference",
 		"relation names src_*",
 		"external core.userModel",
 	} {

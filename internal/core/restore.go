@@ -18,7 +18,7 @@ func (w *Wrangler) Options() Options { return w.opts }
 // (not the evolving result) that keeps feedback assimilation a fixed point
 // — restoring facts alone can leave orchestration oscillating between
 // result candidates.
-func (w *Wrangler) FeedbackItems() []feedback.Item { return w.fb.Items() }
+func (w *Wrangler) FeedbackItems() []feedback.Item { return cellFeedback.get(w.KB).Items() }
 
 // ChangeFingerprints returns the wrangler's change-detection state: the
 // per-mapping hash of the last executed output and the hash of the last
@@ -63,44 +63,23 @@ func (w *Wrangler) RestoreFingerprints(exec map[string]uint64, fused uint64) {
 	}
 }
 
-// Rehydrate rebuilds the wrangler's derived in-memory state from the
-// knowledge base after a snapshot restore: data-context registrations from
-// dc_reference facts, feedback items from fb_item facts, and the
-// user-context priority model from uc_priority facts.
+// Rehydrate rebuilds, after a snapshot restore, the cells the knowledge base
+// records as facts: feedback items from fb_item facts and the user-context
+// priority model from uc_priority facts. (What the suite reads from facts
+// directly — data-context registrations, per-source accuracy, matches — needs
+// no rebuilding.)
 //
 // The knowledge base is the durable source of truth, so everything the KB
 // records is recovered exactly; state that never reaches the KB — observed
-// cell values attached to feedback items, transducer execution hashes,
-// cached match sets — is re-derived by the next orchestration run instead.
-// At rest the restored result is byte-identical; continued wrangling may
-// recompute intermediate artefacts.
+// cell values attached to feedback items, the cells transducers derive — is
+// re-derived by the next orchestration run instead. At rest the restored
+// result is byte-identical; continued wrangling may recompute intermediate
+// artefacts.
 func (w *Wrangler) Rehydrate() {
-	// Data-context registrations: names only; the relations themselves are
-	// restored with the KB under their dc_ keys.
-	for _, f := range w.KB.Facts(PredReference) {
-		if len(f) != 1 {
-			continue
-		}
-		name := f[0].Str()
-		w.mu.Lock()
-		found := false
-		for _, n := range w.refNames {
-			if n == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			w.refNames = append(w.refNames, name)
-		}
-		w.mu.Unlock()
-	}
-	w.KB.Touch(cellRefNames)
-
 	// Feedback: fb_item(street, postcode, attr, correct). Observed values
 	// are not part of the fact, so rehydrated items carry the judgement
 	// without the observation.
-	if w.fb.Len() == 0 {
+	if cellFeedback.get(w.KB).Len() == 0 {
 		var items []feedback.Item
 		for _, f := range w.KB.Facts(PredFeedback) {
 			if len(f) != 4 {
@@ -114,17 +93,13 @@ func (w *Wrangler) Rehydrate() {
 			})
 		}
 		if len(items) > 0 {
-			w.fb.Add(items...)
-			w.KB.Touch(cellFeedback)
+			w.AddFeedback(items...)
 		}
 	}
 
 	// User context: uc_priority(moreMetric, moreTarget, lessMetric,
 	// lessTarget, strength) facts reassemble into a priority model.
-	w.mu.Lock()
-	haveModel := w.userModel != nil
-	w.mu.Unlock()
-	if !haveModel {
+	if cellUserModel.get(w.KB) == nil {
 		m := mcda.NewModel()
 		n := 0
 		for _, f := range w.KB.Facts(PredPriority) {
@@ -139,10 +114,7 @@ func (w *Wrangler) Rehydrate() {
 			n++
 		}
 		if n > 0 {
-			w.mu.Lock()
-			w.userModel = m
-			w.mu.Unlock()
-			w.KB.Touch(cellUserModel)
+			cellUserModel.set(w.KB, m)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRehydrate proves a wrangler rebuilt over a merged KB snapshot recovers
-// the in-memory state the KB records: data-context names, feedback items,
-// and the user-context model.
+// what the KB records: data-context names (read from the facts), feedback
+// items and the user-context model (cells rebuilt from them).
 func TestRehydrate(t *testing.T) {
 	w1 := NewWrangler()
 	ref := relation.New(relation.NewSchema("address", "street", "city", "postcode"))
@@ -33,21 +33,22 @@ func TestRehydrate(t *testing.T) {
 	w2.KB.Merge(snap)
 	w2.Rehydrate()
 
-	if got := w2.refNames; len(got) != 1 || got[0] != "address" {
-		t.Fatalf("refNames = %v, want [address]", got)
+	if got := referenceNames(w2.KB); len(got) != 1 || got[0] != "address" {
+		t.Fatalf("reference names = %v, want [address]", got)
 	}
 	if w2.KB.Relation(RelContextPrefix+"address") == nil {
 		t.Fatal("data-context relation lost")
 	}
-	items := w2.fb.Items()
+	items := w2.FeedbackItems()
 	if len(items) != 1 || items[0].Attr != "bedrooms" || items[0].Correct {
 		t.Fatalf("feedback items = %v", items)
 	}
-	if w2.userModel == nil {
+	model := cellUserModel.get(w2.KB)
+	if model == nil {
 		t.Fatal("user model not rehydrated")
 	}
 	want, _, err := CrimeAnalysisUserContext().Weights()
-	got, _, err2 := w2.userModel.Weights()
+	got, _, err2 := model.Weights()
 	if err != nil || err2 != nil {
 		t.Fatalf("weights: %v / %v", err, err2)
 	}
@@ -58,8 +59,8 @@ func TestRehydrate(t *testing.T) {
 	}
 	// Idempotent: a second rehydrate adds nothing.
 	w2.Rehydrate()
-	if len(w2.refNames) != 1 || w2.fb.Len() != 1 {
-		t.Fatalf("rehydrate not idempotent: %v, %d items", w2.refNames, w2.fb.Len())
+	if n := len(w2.FeedbackItems()); len(referenceNames(w2.KB)) != 1 || n != 1 {
+		t.Fatalf("rehydrate not idempotent: %v, %d items", referenceNames(w2.KB), n)
 	}
 }
 

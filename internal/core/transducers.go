@@ -25,11 +25,10 @@ import (
 // all bodies are idempotent (replace-if-changed), which is what lets the
 // orchestrator quiesce.
 //
-// The three writers of a match cell are registered as matchWriters: each
-// republishes md_match from all three cells in the body that assigns its
-// own, so md_match always equals what any of them would publish and none
-// needs to run because another did (TestMatchCellWritersRepublish pins
-// this).
+// The three transducers whose output md_match is computed from are registered
+// as matchWriters: each republishes md_match in the body that derives its own
+// share, so md_match always equals what any of them would publish and none
+// needs to run because another did (TestMatchCellWritersRepublish pins this).
 func (w *Wrangler) registerStandardSuite() {
 	w.reg.MustRegister(
 		w.extractionTransducer(),
@@ -46,9 +45,8 @@ func (w *Wrangler) registerStandardSuite() {
 	)
 }
 
-// matchWriter is a transducer that reads md_match (and, to combine them,
-// the other writers' match cells) only to rewrite md_match from its own
-// inputs: md_match is not an input of it.
+// matchWriter is a transducer that reads md_match only to rewrite it from its
+// own inputs (republishMatches): md_match is not an input of it.
 type matchWriter struct{ transducer.Transducer }
 
 // Inputs implements transducer.InputDeclarer.
@@ -56,14 +54,69 @@ func (matchWriter) Inputs(read []kb.Key) []kb.Key {
 	return slices.DeleteFunc(read, func(key kb.Key) bool { return key == kb.FactsKey(PredMatch) })
 }
 
-// reading says on k, the handle a body was given, that the body loads the
-// named cells: on the orchestrator's recording handle they join the body's
-// input set. Cells a body assigns, or loads only to republish md_match
-// (combinedMatchesLocked in a matchWriter), are not inputs and not named.
-func reading(k *kb.KB, cells ...string) {
-	for _, c := range cells {
-		k.ReadExternal(c)
+// republishMatches rewrites md_match: the name-based and instance-based
+// matches combined, their scores revised by the per-source accuracy feedback
+// assimilation estimated. A matchWriter calls it after deriving its own share;
+// the shares are loaded through the wrangler's own handle, which records
+// nothing — the way a body reads what is not an input of it.
+func (w *Wrangler) republishMatches(k *kb.KB, rep *transducer.Report) {
+	combined := match.Combine(cellNameMatches.get(w.KB), cellInstMatches.get(w.KB))
+	revised := feedback.ReviseMatchScores(combined, accuracyBySource(w.KB))
+	a, r := replaceFacts(k, PredMatch, matchFacts(revised))
+	rep.FactsAsserted += a
+	rep.FactsRetracted += r
+}
+
+func matchFacts(ms []match.Match) []relation.Tuple {
+	out := make([]relation.Tuple, 0, len(ms))
+	for _, m := range ms {
+		out = append(out, relation.NewTuple(m.SourceRel, m.SourceAttr, m.TargetAttr, m.Score, m.Method))
 	}
+	return out
+}
+
+// matchesFromFacts is matchFacts' inverse over what k holds in md_match, in
+// storage order.
+func matchesFromFacts(k *kb.KB) []match.Match {
+	facts := k.Facts(PredMatch)
+	out := make([]match.Match, 0, len(facts))
+	for _, f := range facts {
+		if len(f) != 5 {
+			continue
+		}
+		out = append(out, match.Match{SourceRel: f[0].Str(), SourceAttr: f[1].Str(),
+			TargetAttr: f[2].Str(), Score: f[3].FloatVal(), Method: f[4].Str()})
+	}
+	return out
+}
+
+// accuracyBySource reads md_accuracy(source, attr, accuracy), feedback
+// assimilation's estimate, into source → attribute → accuracy.
+func accuracyBySource(k *kb.KB) map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, f := range k.Facts(PredAccuracy) {
+		if len(f) != 3 {
+			continue
+		}
+		src := f[0].Str()
+		if out[src] == nil {
+			out[src] = map[string]float64{}
+		}
+		out[src][f[1].Str()] = f[2].FloatVal()
+	}
+	return out
+}
+
+// referenceNames lists the data-context relations in the order they were
+// added: dc_reference is never retracted, so storage order is assertion order.
+func referenceNames(k *kb.KB) []string {
+	var out []string
+	for _, f := range k.Facts(PredReference) {
+		if len(f) == 1 {
+			out = append(out, f[0].Str())
+		}
+	}
+	return out
 }
 
 // sourceRelations returns the current extracted source relations by name.
@@ -80,10 +133,7 @@ func (w *Wrangler) sourceRelations(k *kb.KB) map[string]*relation.Relation {
 
 // primaryReference returns the first data-context relation, or nil.
 func (w *Wrangler) primaryReference(k *kb.KB) *relation.Relation {
-	reading(k, cellRefNames)
-	w.mu.Lock()
-	names := append([]string(nil), w.refNames...)
-	w.mu.Unlock()
+	names := referenceNames(k)
 	if len(names) == 0 {
 		return nil
 	}
@@ -99,35 +149,29 @@ func (w *Wrangler) extractionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- src_registered(S), not src_extracted(S)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellSources)
+			srcs := cellSources.get(k)
 			for _, f := range k.Facts(PredSourceRegistered) {
 				name := f[0].Str()
 				if k.Has(PredSourceExtracted, relation.NewTuple(name)) {
 					continue
 				}
-				w.mu.Lock()
-				ws, isWeb := w.webSources[name]
-				direct := w.directSources[name]
-				w.mu.Unlock()
+				src, registered := srcs[name]
 
 				var rel *relation.Relation
 				switch {
-				case isWeb:
-					wr, err := extract.InduceWrapper(ws.pages[0], ws.examples)
+				case src.direct != nil:
+					rel = src.direct
+				case registered:
+					wr, err := extract.InduceWrapper(src.pages[0], src.examples)
 					if err != nil {
 						return rep, fmt.Errorf("extracting %s: %w", name, err)
 					}
-					extracted, _, err := wr.Extract(ws.pages, ws.schema)
+					extracted, _, err := wr.Extract(src.pages, src.schema)
 					if err != nil {
 						return rep, fmt.Errorf("extracting %s: %w", name, err)
 					}
 					rel = extracted
-					w.mu.Lock()
-					w.wrappers[name] = wr
-					w.mu.Unlock()
 					rep.Notes = append(rep.Notes, fmt.Sprintf("induced %s", wr))
-				case direct != nil:
-					rel = direct
 				default:
 					continue
 				}
@@ -159,32 +203,24 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			res := k.Relation(RelResult)
-			reading(k, cellFeedback)
-			items := w.fb.Items()
+			items := cellFeedback.get(k).Items()
 
-			acc := feedback.AccuracyBySource(items, res, mapping.ProvenanceAttr, nil)
 			rules := feedback.LearnRangeRules(items, res, w.opts.RangeRuleSupport, nil)
-			w.mu.Lock()
-			setCell(w, cellAccBySource, &w.accBySource, acc)
-			setCell(w, cellRangeRules, &w.rangeRules, rules)
-			matches := w.combinedMatchesLocked()
-			w.mu.Unlock()
+			derive(w, cellRangeRules, rules)
 
 			var accFacts []relation.Tuple
-			for src, byAttr := range acc {
+			for src, byAttr := range feedback.AccuracyBySource(items, res, mapping.ProvenanceAttr, nil) {
 				for attr, a := range byAttr {
 					accFacts = append(accFacts, relation.NewTuple(src, attr, a))
 				}
 			}
-			a, r := replaceFacts(k, PredAccuracy, nil, accFacts)
+			a, r := replaceFacts(k, PredAccuracy, accFacts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
 
 			// Republish revised matches so mapping generation re-fires when
 			// scores changed (the §2.3 feedback walk-through).
-			a, r = replaceFacts(k, PredMatch, nil, matchFacts(matches))
-			rep.FactsAsserted += a
-			rep.FactsRetracted += r
+			w.republishMatches(k, &rep)
 
 			for _, rule := range rules {
 				rep.Notes = append(rep.Notes, "learned "+rule.String())
@@ -193,14 +229,6 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 			return rep, nil
 		},
 	}
-}
-
-func matchFacts(ms []match.Match) []relation.Tuple {
-	out := make([]relation.Tuple, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, relation.NewTuple(m.SourceRel, m.SourceAttr, m.TargetAttr, m.Score, m.Method))
-	}
-	return out
 }
 
 // schemaMatchingTransducer matches source schemas against the target schema
@@ -212,10 +240,7 @@ func (w *Wrangler) schemaMatchingTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- src_schema(S), uc_target_schema(T)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellTarget)
-			w.mu.Lock()
-			target, ok := w.target, w.hasTarget
-			w.mu.Unlock()
+			target, ok := targetSchema(k)
 			if !ok {
 				return rep, fmt.Errorf("schema matching: target schema missing")
 			}
@@ -225,13 +250,8 @@ func (w *Wrangler) schemaMatchingTransducer() transducer.Transducer {
 			for _, name := range names {
 				all = append(all, match.MatchSchemas(srcs[name].Schema, target)...)
 			}
-			w.mu.Lock()
-			setCell(w, cellNameMatches, &w.nameMatches, all)
-			facts := matchFacts(w.combinedMatchesLocked())
-			w.mu.Unlock()
-			a, r := replaceFacts(k, PredMatch, nil, facts)
-			rep.FactsAsserted += a
-			rep.FactsRetracted += r
+			derive(w, cellNameMatches, all)
+			w.republishMatches(k, &rep)
 			rep.Notes = append(rep.Notes, fmt.Sprintf("%d name-based match hypotheses over %d sources", len(all), len(names)))
 			return rep, nil
 		},
@@ -248,11 +268,7 @@ func (w *Wrangler) instanceMatchingTransducer() transducer.Transducer {
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			instances := map[string][]relation.Value{}
-			reading(k, cellRefNames)
-			w.mu.Lock()
-			refNames := append([]string(nil), w.refNames...)
-			w.mu.Unlock()
-			for _, name := range refNames {
+			for _, name := range referenceNames(k) {
 				ref := k.Relation(RelContextPrefix + name)
 				if ref == nil {
 					continue
@@ -269,13 +285,8 @@ func (w *Wrangler) instanceMatchingTransducer() transducer.Transducer {
 			for _, name := range sortedKeys(srcs) {
 				all = append(all, match.MatchInstances(srcs[name], instances)...)
 			}
-			w.mu.Lock()
-			setCell(w, cellInstMatches, &w.instMatches, all)
-			facts := matchFacts(w.combinedMatchesLocked())
-			w.mu.Unlock()
-			a, r := replaceFacts(k, PredMatch, nil, facts)
-			rep.FactsAsserted += a
-			rep.FactsRetracted += r
+			derive(w, cellInstMatches, all)
+			w.republishMatches(k, &rep)
 			rep.Notes = append(rep.Notes, fmt.Sprintf("%d instance-based match hypotheses", len(all)))
 			return rep, nil
 		},
@@ -291,13 +302,9 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- dc_reference(R)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellRefNames)
-			w.mu.Lock()
-			refNames := append([]string(nil), w.refNames...)
-			w.mu.Unlock()
 			var mined []cfd.CFD
 			seen := map[string]bool{}
-			for _, name := range refNames {
+			for _, name := range referenceNames(k) {
 				ref := k.Relation(RelContextPrefix + name)
 				if ref == nil {
 					continue
@@ -309,14 +316,12 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 					}
 				}
 			}
-			w.mu.Lock()
-			setCell(w, cellCFDs, &w.cfds, mined)
-			w.mu.Unlock()
+			derive(w, cellCFDs, mined)
 			var facts []relation.Tuple
 			for _, c := range mined {
 				facts = append(facts, relation.NewTuple(c.Key(), c.Support, c.Confidence))
 			}
-			a, r := replaceFacts(k, PredCFD, nil, facts)
+			a, r := replaceFacts(k, PredCFD, facts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
 			rep.Notes = append(rep.Notes, fmt.Sprintf("%d CFDs learned from data context", len(mined)))
@@ -335,29 +340,19 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_match(S, A, T, Sc, M)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellTarget, cellNameMatches, cellInstMatches, cellAccBySource)
-			w.mu.Lock()
-			target := w.target
-			matches := w.combinedMatchesLocked()
-			w.mu.Unlock()
+			target, _ := targetSchema(k)
 			srcs := w.sourceRelations(k)
 			rels := make([]*relation.Relation, 0, len(srcs))
 			for _, name := range sortedKeys(srcs) {
 				rels = append(rels, srcs[name])
 			}
-			gen := mapping.Generate(target, rels, matches, w.opts.GenOptions)
-			byID := make(map[string]mapping.Mapping, len(gen))
-			for _, m := range gen {
-				byID[m.ID] = m
-			}
-			w.mu.Lock()
-			setCell(w, cellMappings, &w.mappings, byID)
-			w.mu.Unlock()
+			gen := mapping.Generate(target, rels, matchesFromFacts(k), w.opts.GenOptions)
+			derive(w, cellMappings, gen)
 			var facts []relation.Tuple
 			for _, m := range gen {
 				facts = append(facts, relation.NewTuple(m.ID, m.BaseSource))
 			}
-			a, r := replaceFacts(k, PredMapping, nil, facts)
+			a, r := replaceFacts(k, PredMapping, facts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
 			for _, m := range gen {
@@ -378,19 +373,11 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_mapping(Id, B)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellMappings)
-			w.mu.Lock()
-			maps := make([]mapping.Mapping, 0, len(w.mappings))
-			for _, m := range w.mappings {
-				maps = append(maps, m)
-			}
-			w.mu.Unlock()
-			sort.Slice(maps, func(i, j int) bool { return maps[i].ID < maps[j].ID })
 			srcs := w.sourceRelations(k)
 
 			live := map[string]bool{}
 			var mappedFacts []relation.Tuple
-			for _, m := range maps {
+			for _, m := range cellMappings.get(k) {
 				res, err := mapping.Execute(m, srcs, w.engine)
 				if err != nil {
 					return rep, err
@@ -402,7 +389,9 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 				prev, had := w.lastExecHash[m.ID]
 				w.lastExecHash[m.ID] = h
 				w.mu.Unlock()
-				if had && prev == h && k.HasRelation(RelResultPrefix+m.ID) {
+				// HasRelation first: what a body reads must not depend on what
+				// the fingerprint says.
+				if k.HasRelation(RelResultPrefix+m.ID) && had && prev == h {
 					continue // same output as last time: leave repairs intact
 				}
 				k.PutRelation(RelResultPrefix+m.ID, res)
@@ -419,7 +408,7 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 					w.mu.Unlock()
 				}
 			}
-			a, r := replaceFacts(k, PredMapped, nil, mappedFacts)
+			a, r := replaceFacts(k, PredMapped, mappedFacts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
 			return rep, nil
@@ -440,10 +429,7 @@ func (w *Wrangler) repairTransducer() transducer.Transducer {
 			if ref == nil {
 				return rep, nil
 			}
-			reading(k, cellCFDs)
-			w.mu.Lock()
-			cfds := append([]cfd.CFD(nil), w.cfds...)
-			w.mu.Unlock()
+			cfds := cellCFDs.get(k)
 			opts := cfd.DefaultRepairOptions()
 			for _, name := range k.RelationNames(RelResultPrefix) {
 				res := k.Relation(name)
@@ -500,12 +486,12 @@ func (w *Wrangler) qualityTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_mapped(Id, R)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellCFDs, cellAccBySource, cellMappings)
-			w.mu.Lock()
-			cfds := append([]cfd.CFD(nil), w.cfds...)
-			acc := w.accBySource
-			mappingsByID := w.mappings
-			w.mu.Unlock()
+			cfds := cellCFDs.get(k)
+			acc := accuracyBySource(k)
+			baseSource := map[string]string{}
+			for _, m := range cellMappings.get(k) {
+				baseSource[m.ID] = m.BaseSource
+			}
 
 			var facts []relation.Tuple
 			for _, name := range k.RelationNames(RelResultPrefix) {
@@ -515,8 +501,8 @@ func (w *Wrangler) qualityTransducer() transducer.Transducer {
 				}
 				id := strings.TrimPrefix(name, RelResultPrefix)
 				var attrAcc map[string]float64
-				if m, ok := mappingsByID[id]; ok {
-					attrAcc = acc[m.BaseSource]
+				if base, ok := baseSource[id]; ok {
+					attrAcc = acc[base]
 				}
 				report := quality.Assess(res, cfds, attrAcc)
 				for attr, v := range report.Completeness {
@@ -530,7 +516,7 @@ func (w *Wrangler) qualityTransducer() transducer.Transducer {
 					facts = append(facts, relation.NewTuple(id, "accuracy", attr, round4(v)))
 				}
 			}
-			a, r := replaceFacts(k, PredQuality, nil, facts)
+			a, r := replaceFacts(k, PredQuality, facts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
 			return rep, nil
@@ -553,19 +539,11 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_quality(O, M, T, V)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellCFDs, cellAccBySource, cellMappings, cellUserModel)
-			w.mu.Lock()
-			cfds := append([]cfd.CFD(nil), w.cfds...)
-			acc := w.accBySource
-			maps := make([]mapping.Mapping, 0, len(w.mappings))
-			for _, m := range w.mappings {
-				maps = append(maps, m)
-			}
-			w.mu.Unlock()
-			sort.Slice(maps, func(i, j int) bool { return maps[i].ID < maps[j].ID })
+			cfds := cellCFDs.get(k)
+			acc := accuracyBySource(k)
 
 			var cands []mapping.Candidate
-			for _, m := range maps {
+			for _, m := range cellMappings.get(k) {
 				res := k.Relation(RelResultPrefix + m.ID)
 				if res == nil {
 					continue
@@ -575,7 +553,7 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 					Report:  quality.Assess(res, cfds, acc[m.BaseSource]),
 				})
 			}
-			ranked := mapping.SelectByUserContext(cands, w.userWeights(), 0)
+			ranked := mapping.SelectByUserContext(cands, userWeights(k), 0)
 
 			// Keep the best mapping per base source.
 			chosen := map[string]bool{}
@@ -590,7 +568,7 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 				facts = append(facts, relation.NewTuple(c.Mapping.ID, rank))
 				rep.Notes = append(rep.Notes, fmt.Sprintf("rank %d: %s", rank, c.Mapping.ID))
 			}
-			a, r := replaceFacts(k, PredSelected, nil, facts)
+			a, r := replaceFacts(k, PredSelected, facts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
 			return rep, nil
@@ -608,12 +586,6 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_selected(Id, R)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			reading(k, cellRangeRules, cellAccBySource, cellFeedback, cellTarget)
-			w.mu.Lock()
-			rules := append([]feedback.RangeRule(nil), w.rangeRules...)
-			acc := w.accBySource
-			w.mu.Unlock()
-
 			// Union in selection-rank order. Facts() order is storage
 			// order — dependent on assert/retract history live and on
 			// snapshot sort order after a restore — and fusion's voting
@@ -642,8 +614,8 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 			}
 
 			// Feedback: direct corrections, then learned plausibility rules.
-			patched, nCorr := feedback.Apply(union, w.fb.Items(), nil)
-			patched, nSupp := feedback.ApplyRangeRules(patched, rules)
+			patched, nCorr := feedback.Apply(union, cellFeedback.get(k).Items(), nil)
+			patched, nSupp := feedback.ApplyRangeRules(patched, cellRangeRules.get(k))
 
 			// Duplicate detection across portals, then fusion: identity is
 			// the configured key pair (default: same canonical postcode
@@ -658,7 +630,7 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 				identityScorer(w.opts.FusionIdentityAttr),
 				w.opts.FusionThreshold)
 			strategy := fusion.Voting
-			trust := feedback.TrustFromAccuracy(acc)
+			trust := feedback.TrustFromAccuracy(accuracyBySource(k))
 			if len(trust) > 0 {
 				strategy = fusion.TrustWeighted
 			}
@@ -667,17 +639,20 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 				ProvenanceAttr: mapping.ProvenanceAttr,
 				Trust:          trust,
 			}).Distinct()
-			fused.Schema.Name = w.targetName()
+			fused.Schema.Name = "result"
+			if target, ok := targetSchema(k); ok {
+				fused.Schema.Name = target.Name
+			}
 
 			h := hashRelation(fused)
 			w.mu.Lock()
 			prev := w.lastFusedHash
 			w.lastFusedHash = h
 			w.mu.Unlock()
-			if prev != h || !k.HasRelation(RelResult) {
+			if !k.HasRelation(RelResult) || prev != h { // asked first, as in mapping execution
 				k.PutRelation(RelResult, fused)
 				rep.RelationsWritten = append(rep.RelationsWritten, RelResult)
-				a, r := replaceFacts(k, PredResult, nil, []relation.Tuple{relation.NewTuple(fused.Cardinality())})
+				a, r := replaceFacts(k, PredResult, []relation.Tuple{relation.NewTuple(fused.Cardinality())})
 				rep.FactsAsserted += a
 				rep.FactsRetracted += r
 			}
@@ -704,15 +679,6 @@ func identityScorer(attr string) fusion.PairScorer {
 		}
 		return 0
 	}
-}
-
-func (w *Wrangler) targetName() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.hasTarget {
-		return w.target.Name
-	}
-	return "result"
 }
 
 func sortedKeys(m map[string]*relation.Relation) []string {

@@ -12,7 +12,9 @@ package feedback
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -431,17 +433,20 @@ func ReviseMatchScores(matches []match.Match, accBySource map[string]map[string]
 
 // TrustFromAccuracy summarises per-source accuracy into a scalar trust
 // weight per source (mean across attributes), for trust-weighted fusion.
+// Accuracies are summed in attribute-name order: float addition does not
+// associate, and a sum in map order would let a source's trust — and with it
+// a fusion tie — differ in the last bit from one call to the next.
 func TrustFromAccuracy(accBySource map[string]map[string]float64) map[string]float64 {
 	out := map[string]float64{}
 	for src, byAttr := range accBySource {
-		sum, n := 0.0, 0
-		for _, a := range byAttr {
-			sum += a
-			n++
+		if len(byAttr) == 0 {
+			continue
 		}
-		if n > 0 {
-			out[src] = sum / float64(n)
+		sum := 0.0
+		for _, attr := range slices.Sorted(maps.Keys(byAttr)) {
+			sum += byAttr[attr]
 		}
+		out[src] = sum / float64(len(byAttr))
 	}
 	return out
 }

@@ -226,6 +226,22 @@ func TestTrustFromAccuracy(t *testing.T) {
 	}
 }
 
+// TestTrustFromAccuracyDeterministic: a source's trust is the same float on
+// every call. Summed in map-iteration order, these seven accuracies gave two
+// values one ulp apart, and a trust-weighted fusion tie could go either way.
+func TestTrustFromAccuracyDeterministic(t *testing.T) {
+	acc := map[string]map[string]float64{"rightmove": {
+		"bedrooms": 0.9166666666666666, "price": 0.3333333333333333, "type": 0.7142857142857143,
+		"street": 0.8181818181818182, "postcode": 0.1, "crimerank": 0.7, "description": 0.7709090909090909,
+	}}
+	first := TrustFromAccuracy(acc)["rightmove"]
+	for i := 0; i < 500; i++ {
+		if got := TrustFromAccuracy(acc)["rightmove"]; got != first {
+			t.Fatalf("call %d: trust %v, first call gave %v", i, got, first)
+		}
+	}
+}
+
 func TestItemString(t *testing.T) {
 	it := Item{Street: "1 A", Postcode: "M1", Attr: "bedrooms", Correct: false,
 		Corrected: relation.Int(2), HasCorrection: true}

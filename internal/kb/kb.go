@@ -16,6 +16,11 @@
 //     extensional data in external stores; here the KB holds the handles
 //     and the data itself, which is equivalent at laptop scale.
 //
+// Beside its content it carries values (PutValue/Value): in-process state
+// components hand one another, stored under external keys so that it moves and
+// is read on the same clock as facts and relations, and left out of everything
+// persisted or versioned.
+//
 // The KB is safe for concurrent use and versions every change — as a whole
 // (Version) and per key: each predicate's facts, each relation, and the sets
 // of predicate and relation names carry the change clock of their last
@@ -53,7 +58,11 @@ type state struct {
 	relations map[string]*relation.Relation
 	version   uint64
 
-	// clock ticks once per change (and per Touch); moved[key] is the clock
+	// values is what PutValue stores under external keys: handed from one
+	// component to another within the process, never persisted. See keys.go.
+	values map[string]any
+
+	// clock ticks once per change (and per PutValue); moved[key] is the clock
 	// of the key's last change. Unlike version neither is persisted: they
 	// order reads against writes within one process. See keys.go.
 	clock uint64
@@ -91,6 +100,7 @@ func New() *KB {
 	return &KB{state: &state{
 		facts:     make(map[string]*factSet),
 		relations: make(map[string]*relation.Relation),
+		values:    make(map[string]any),
 		moved:     make(map[Key]uint64),
 	}}
 }

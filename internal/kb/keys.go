@@ -24,11 +24,12 @@ const (
 	// KeyAll is the knowledge base as a whole (Snapshot, WriteSnapshot,
 	// Stats); it moves with every change.
 	KeyAll
-	// KeyExternal is state components hand one another outside the knowledge
-	// base. The KB stores none of it; whoever assigns that state announces
-	// it with Touch and whoever loads it says so with ReadExternal, so
-	// orchestration sees one clock and one read log for everything a
-	// transducer can read.
+	// KeyExternal is a value components hand one another through the
+	// knowledge base without it being part of the knowledge base's content:
+	// PutValue stores it and moves the key, Value loads it and notes the
+	// read, so orchestration sees one clock and one read log for everything a
+	// transducer can read. External to what is persisted and versioned —
+	// Snapshot, WriteSnapshot, Merge, the delta log and Version ignore it.
 	KeyExternal
 )
 
@@ -46,8 +47,8 @@ func FactsKey(pred string) Key { return Key{KeyFacts, pred} }
 // RelationKey is the key of a named bulk relation.
 func RelationKey(name string) Key { return Key{KeyRelation, name} }
 
-// ExternalKey is the key of a piece of state held outside the knowledge
-// base (see Touch).
+// ExternalKey is the key of a value kept beside the knowledge base's content
+// (see PutValue).
 func ExternalKey(name string) Key { return Key{KeyExternal, name} }
 
 // RelationsKey is the key of the set of relation names starting with prefix.
@@ -191,18 +192,25 @@ func (k *KB) MovedSince(keys []Key, since uint64) bool {
 	return false
 }
 
-// Touch announces that the external state named name was assigned: its key
-// moves, the knowledge base's content and Version do not.
-func (k *KB) Touch(name string) {
+// PutValue stores v under the external key name and moves that key. The
+// knowledge base's content and Version do not move: a value lives for the
+// process, beside the facts and relations. The stored value is v itself, not a
+// copy, and readers get the same one — whoever puts a value must not mutate it
+// afterwards (put a new one instead), unless it synchronises itself and is
+// put again after every mutation so that its key moves.
+func (k *KB) PutValue(name string, v any) {
 	k.mu.Lock()
+	k.values[name] = v
 	k.bumpLocked(ExternalKey(name))
 	k.mu.Unlock()
 }
 
-// ReadExternal is Touch's counterpart: code that was handed k and loads the
-// external state named name says so here, and on a recording handle the
-// state's key joins the handle's reads like any key read from the knowledge
-// base itself. On any other handle it does nothing.
-func (k *KB) ReadExternal(name string) {
+// Value returns what PutValue last stored under name, nil if nothing was. On
+// a recording handle the key joins the handle's reads like any key read from
+// the knowledge base itself.
+func (k *KB) Value(name string) any {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
 	k.noteLocked(ExternalKey(name))
+	return k.values[name]
 }

@@ -66,7 +66,7 @@ func TestReadsRecordTheirKey(t *testing.T) {
 		{"Snapshot", func(k *KB) { k.Snapshot() }, []string{"everything"}},
 		{"Stats", func(k *KB) { _ = k.String() }, []string{"everything"}},
 		{"WriteSnapshot", func(k *KB) { _ = k.WriteSnapshot(&bytes.Buffer{}) }, []string{"everything"}},
-		{"ReadExternal", func(k *KB) { k.ReadExternal("cell") }, []string{"external cell"}},
+		{"Value", func(k *KB) { k.Value("cell") }, []string{"external cell"}},
 		{"Vadalog query", func(k *KB) {
 			if _, err := eng.Ask("r(X) :- p(X, N), not q(X).", "?- r(X), ghost(X).", k); err != nil {
 				t.Fatal(err)
@@ -79,7 +79,7 @@ func TestReadsRecordTheirKey(t *testing.T) {
 			k.Retract("q", tup("x"))
 			k.PutRelation("res_m", testRelation("m"))
 			k.DropRelation("src_one")
-			k.Touch("cell")
+			k.PutValue("cell", 1)
 		}, []string{}},
 	}
 	for _, c := range cases {
@@ -167,7 +167,7 @@ func TestWritesMoveExactlyTheirKeys(t *testing.T) {
 		}, nil},
 		{"DropRelation", func(k *KB) { k.DropRelation("src_one") }, []string{"relation names src_one*", "relation src_one"}},
 		{"DropRelation absent", func(k *KB) { k.DropRelation("ghost") }, nil},
-		{"Touch", func(k *KB) { k.Touch("cell") }, []string{"external cell"}},
+		{"PutValue", func(k *KB) { k.PutValue("cell", 1) }, []string{"external cell"}},
 		{"ApplyDelta", func(k *KB) {
 			k.ApplyDelta(&Delta{To: 99, Ops: []DeltaOp{
 				{Kind: DeltaAssert, Name: "p", Tuple: tup("a", 1)}, // already there
@@ -197,9 +197,9 @@ func TestMovedSince(t *testing.T) {
 	rec.Relation("src_two") // absent
 	rec.RelationNames("res_")
 	rec.HasRelation("result")
-	rec.ReadExternal("mine")
+	rec.Value("mine")
 	rec.Assert("p", tup("own", 0)) // the reader's own write
-	rec.Touch("mine")
+	rec.PutValue("mine", 1)
 	keys, at := rec.Reads()
 
 	moved := func() bool { return k.MovedSince(keys, at) }
@@ -211,7 +211,7 @@ func TestMovedSince(t *testing.T) {
 		func() { k.Assert("p", tup("a", 1)) },                   // a no-op write
 		func() { k.PutRelation("res_m", testRelation("m")) },    // rewrites a res_ relation: the names did not change
 		func() { k.PutRelation("src_three", testRelation("")) }, // creates a relation under an unread prefix
-		func() { k.Touch("cell") },
+		func() { k.PutValue("cell", 2) },
 	} {
 		quiet()
 		if moved() {
@@ -224,7 +224,7 @@ func TestMovedSince(t *testing.T) {
 		"a relation created under res_":  func() { k.PutRelation("res_n", testRelation("n")) },
 		"a relation dropped under res_":  func() { k.DropRelation("res_m") },
 		"the relation HasRelation asked": func() { k.PutRelation("result", testRelation("r")) },
-		"external state it loaded":       func() { k.Touch("mine") },
+		"a value it loaded":              func() { k.PutValue("mine", 2) },
 	} {
 		_, since := k.Reads()
 		loud()
@@ -271,7 +271,7 @@ func TestRecordingBesideConcurrentReaders(t *testing.T) {
 				k.Stats()
 				if g == 0 {
 					k.Assert("w", tup(i))
-					k.Touch("cell")
+					k.PutValue("cell", i)
 				}
 			}
 		}(g)
@@ -293,4 +293,44 @@ func TestRecordingBesideConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestValuesAreNotContent: a value is held as put and shared by every handle,
+// and nothing that persists or versions the knowledge base knows it is there.
+func TestValuesAreNotContent(t *testing.T) {
+	k := seeded()
+	var before bytes.Buffer
+	if err := k.WriteSnapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	version := k.Version()
+	k.StartDeltaLog()
+
+	if k.Value("cell") != nil {
+		t.Fatal("a value nothing put is nil")
+	}
+	v := []int{1, 2}
+	k.Recording().PutValue("cell", v)
+	if got, _ := k.Value("cell").([]int); &got[0] != &v[0] {
+		t.Fatalf("Value returned %v, want the slice that was put, uncopied", got)
+	}
+
+	var after bytes.Buffer
+	if err := k.WriteSnapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if k.Version() != version || !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("putting a value moved the version or the snapshot bytes")
+	}
+	if d := k.CutDelta(); len(d.Ops) != 0 {
+		t.Fatalf("putting a value logged %d delta ops", len(d.Ops))
+	}
+	if k.Snapshot().Value("cell") != nil {
+		t.Fatal("Snapshot copied a value")
+	}
+	into := New()
+	into.Merge(k)
+	if into.Value("cell") != nil {
+		t.Fatal("Merge copied a value")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vada/internal/advise"
 	"vada/internal/core"
 	"vada/internal/datagen"
 	"vada/internal/feedback"
@@ -273,6 +275,57 @@ func TestRoundTripConformance(t *testing.T) {
 	// Restoring the same snapshot again collides on the live ID.
 	if _, err := RestoreInto(mgr2, eng2, snap); !errors.Is(err, session.ErrExists) {
 		t.Fatalf("duplicate restore: %v, want ErrExists", err)
+	}
+}
+
+// TestAdviceSurvivesRestart: what the advisor suggests is a function of the
+// knowledge base, so a session exported and restored is advised exactly as
+// the live one. When Matches() came from cells a restart left empty, the
+// restored session got a spurious "no source match" suggestion per target
+// attribute.
+func TestAdviceSurvivesRestart(t *testing.T) {
+	ctx := context.Background()
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties = 50
+	cfg.Seed = 3
+	sc := datagen.Generate(cfg)
+	sess := session.New("advised", core.BuildScenarioWrangler(sc), session.WithScenario(sc, 3))
+	if _, err := sess.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AddDataContext(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AddFeedback(ctx, nil, 40); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := ExportSession(&buf, sess, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSessionSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSession(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	advice := func(s *session.Session) []byte {
+		out, err := json.Marshal(advise.NewHeuristic().Suggest(advise.Snapshot(s.Wrangler())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	live, got := advice(sess), advice(restored)
+	if len(live) < 100 {
+		t.Fatalf("the live session is barely advised: %s", live)
+	}
+	if !bytes.Equal(live, got) {
+		t.Fatalf("advice changed across a restart:\nlive:     %s\nrestored: %s", live, got)
 	}
 }
 

@@ -4,20 +4,13 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vada/internal/core"
 	"vada/internal/metrics"
 )
-
-// shardCount is the stripe count of the session table. Sixteen stripes keep
-// lock contention negligible for the session counts a single node serves
-// while costing sixteen empty maps at rest.
-const shardCount = 16
 
 // maxConcurrentTeardowns bounds the teardown fan-out in EvictIdle so a
 // large eviction sweep cannot spawn an unbounded goroutine burst, while one
@@ -25,29 +18,20 @@ const shardCount = 16
 // rest of the sweep behind it.
 const maxConcurrentTeardowns = 8
 
-// shard is one stripe of the session table. Each shard has its own lock, so
-// operations on sessions that hash to different stripes never contend.
-type shard struct {
-	mu       sync.RWMutex
-	sessions map[string]*Session
-}
-
 // Manager serves many independent sessions: create, look up, list and close
 // by ID, concurrency-safe, with a configurable session cap and an idle
-// eviction hook. The session table is striped across shardCount shards by
-// session-ID hash — each shard has its own mutex — and the cap and live gauge are
-// maintained on an atomic counter, so no operation takes a global lock.
-// Wrangling work happens under the individual session's lock, so sessions
-// proceed fully in parallel.
+// eviction hook. The session table is one map under one lock, held only for
+// the map operation itself; wrangling work happens under the individual
+// session's lock, so sessions proceed fully in parallel.
 type Manager struct {
 	maxSessions int
 	stopHooks   []func(*Session)
 	evictHooks  []func(*Session)
 	reg         *metrics.Registry
 
-	shards []shard
-	seq    atomic.Uint64 // creation sequence, monotonic across shards
-	live   atomic.Int64  // registered sessions; authoritative for the cap
+	mu       sync.RWMutex
+	sessions map[string]*Session
+	seq      uint64 // creation sequence; guarded by mu
 }
 
 // ManagerOption configures a Manager.
@@ -94,59 +78,45 @@ func WithManagerMetrics(reg *metrics.Registry) ManagerOption {
 
 // NewManager builds an empty session manager.
 func NewManager(opts ...ManagerOption) *Manager {
-	m := &Manager{shards: make([]shard, shardCount)}
+	m := &Manager{sessions: map[string]*Session{}}
 	for _, opt := range opts {
 		opt(m)
-	}
-	for i := range m.shards {
-		m.shards[i].sessions = map[string]*Session{}
 	}
 	return m
 }
 
-// shardFor picks the stripe for a session ID (FNV-1a).
-func (m *Manager) shardFor(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &m.shards[h.Sum32()%uint32(len(m.shards))]
-}
-
-// reserve claims one slot against the session cap, race-free via CAS on the
-// live counter. A rejection is counted; a successful reservation must be
-// followed by either a shard insert or a release.
-func (m *Manager) reserve() error {
-	for {
-		cur := m.live.Load()
-		if m.maxSessions > 0 && cur >= int64(m.maxSessions) {
-			m.count("sessions_rejected_total")
-			return fmt.Errorf("%w (max %d)", ErrLimit, m.maxSessions)
-		}
-		if m.live.CompareAndSwap(cur, cur+1) {
-			m.liveGauge()
-			return nil
-		}
+// admitLocked claims the next creation sequence number, unless the cap is
+// reached (ErrLimit, counted). Callers hold m.mu and go on to putLocked.
+func (m *Manager) admitLocked() error {
+	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
+		m.count("sessions_rejected_total")
+		return fmt.Errorf("%w (max %d)", ErrLimit, m.maxSessions)
 	}
+	m.seq++
+	return nil
 }
 
-// release undoes a reservation (failed Restore) or records a removal.
-func (m *Manager) release(n int64) {
-	m.live.Add(-n)
-	m.liveGauge()
+// putLocked publishes s, which has its ID, under the sequence number just
+// claimed. Callers hold m.mu.
+func (m *Manager) putLocked(s *Session) {
+	s.mgrSeq = m.seq
+	m.sessions[s.ID()] = s
+	m.liveGaugeLocked()
 }
 
 // Create builds a session over the given Wrangler, assigns it a unique ID
 // and registers it. It fails with ErrLimit when the cap is reached.
 func (m *Manager) Create(w *core.Wrangler, opts ...Option) (*Session, error) {
-	if err := m.reserve(); err != nil {
+	s, suffix := New("", w, opts...), randomSuffix()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.admitLocked(); err != nil {
 		return nil, err
 	}
-	seq := m.seq.Add(1)
-	s := New(fmt.Sprintf("s%04d-%s", seq, randomSuffix()), w, opts...)
-	s.mgrSeq = seq
-	sh := m.shardFor(s.ID())
-	sh.mu.Lock()
-	sh.sessions[s.ID()] = s
-	sh.mu.Unlock()
+	// The ID carries the creation sequence, so it is assigned under the lock
+	// that orders creations; s is not published before putLocked.
+	s.id = fmt.Sprintf("s%04d-%s", m.seq, suffix)
+	m.putLocked(s)
 	m.count("sessions_created_total")
 	return s, nil
 }
@@ -158,26 +128,23 @@ func (m *Manager) count(name string) {
 	}
 }
 
-// liveGauge refreshes the live-session gauge from the atomic counter.
-func (m *Manager) liveGauge() {
+// liveGaugeLocked refreshes the live-session gauge. Callers hold m.mu.
+func (m *Manager) liveGaugeLocked() {
 	if m.reg != nil {
-		m.reg.Gauge("sessions_live").Set(m.live.Load())
+		m.reg.Gauge("sessions_live").Set(int64(len(m.sessions)))
 	}
 }
 
 // AtCap reports whether the session cap is currently reached — a cheap
 // pre-check for callers doing expensive setup before Create (which remains
 // the authoritative, race-free gate).
-func (m *Manager) AtCap() bool {
-	return m.maxSessions > 0 && m.live.Load() >= int64(m.maxSessions)
-}
+func (m *Manager) AtCap() bool { return m.maxSessions > 0 && m.Len() >= m.maxSessions }
 
 // Get returns the live session with the given ID, or ErrNotFound.
 func (m *Manager) Get(id string) (*Session, error) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
+	m.mu.RLock()
+	s, ok := m.sessions[id]
+	m.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
@@ -188,29 +155,21 @@ func (m *Manager) Get(id string) (*Session, error) {
 // lives on the session itself, so listing allocates only the result slice —
 // no per-call map snapshots.
 func (m *Manager) List() []*Session {
-	out := make([]*Session, 0, m.live.Load())
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.sessions {
-			out = append(out, s)
-		}
-		sh.mu.RUnlock()
+	m.mu.RLock()
+	out := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		out = append(out, s)
 	}
+	m.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].mgrSeq < out[j].mgrSeq })
 	return out
 }
 
 // Len returns the number of live sessions.
 func (m *Manager) Len() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	return n
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.sessions)
 }
 
 // Restore registers an externally-constructed session — typically one
@@ -219,36 +178,29 @@ func (m *Manager) Len() int {
 // live session already holds fails with ErrExists rather than silently
 // replacing it.
 func (m *Manager) Restore(s *Session) error {
-	if err := m.reserve(); err != nil {
-		return err
-	}
-	sh := m.shardFor(s.ID())
-	sh.mu.Lock()
-	if _, ok := sh.sessions[s.ID()]; ok {
-		sh.mu.Unlock()
-		m.release(1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.sessions[s.ID()]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, s.ID())
 	}
-	s.mgrSeq = m.seq.Add(1)
-	sh.sessions[s.ID()] = s
-	sh.mu.Unlock()
+	if err := m.admitLocked(); err != nil {
+		return err
+	}
+	m.putLocked(s)
 	return nil
 }
 
 // Close removes and closes the session with the given ID, invoking the
 // stop and evict hooks; unknown IDs fail with ErrNotFound.
 func (m *Manager) Close(id string) error {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
+	m.mu.Lock()
+	s, ok := m.sessions[id]
+	delete(m.sessions, id)
+	m.liveGaugeLocked()
+	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	m.release(1)
 	m.count("sessions_closed_total")
 	m.teardown(s)
 	return nil
@@ -272,7 +224,7 @@ func (m *Manager) teardown(s *Session) {
 
 // EvictIdle removes and closes every session whose last activity is older
 // than maxIdle, returning the evicted IDs sorted ascending. Candidates are
-// collected shard by shard under that shard's lock; teardown then runs
+// taken out of the table under its lock; teardown then runs
 // concurrently (bounded by maxConcurrentTeardowns), so one session stuck in
 // quiesce or a slow persist hook does not delay eviction of the others.
 // Run it from a ticker to bound the memory of abandoned sessions:
@@ -284,22 +236,19 @@ func (m *Manager) teardown(s *Session) {
 //	}()
 func (m *Manager) EvictIdle(maxIdle time.Duration) []string {
 	cutoff := time.Now().Add(-maxIdle)
+	m.mu.Lock()
 	var evicted []*Session
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if s.LastActive().Before(cutoff) {
-				delete(sh.sessions, id)
-				evicted = append(evicted, s)
-			}
+	for id, s := range m.sessions {
+		if s.LastActive().Before(cutoff) {
+			delete(m.sessions, id)
+			evicted = append(evicted, s)
 		}
-		sh.mu.Unlock()
 	}
+	m.liveGaugeLocked()
+	m.mu.Unlock()
 	if len(evicted) == 0 {
 		return []string{}
 	}
-	m.release(int64(len(evicted)))
 
 	ids := make([]string, len(evicted))
 	sem := make(chan struct{}, maxConcurrentTeardowns)

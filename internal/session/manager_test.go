@@ -38,9 +38,9 @@ func TestRestoreRejectedCounted(t *testing.T) {
 	}
 }
 
-// TestListCreationOrderAcrossShards pins the striped store's listing
-// contract: creation order is stable no matter which shard each ID hashes
-// to, and survives interleaved closes and restores.
+// TestListCreationOrderAcrossShards pins the listing contract (the name
+// dates from a striped table): creation order is stable whatever order the
+// map iterates in, and survives interleaved closes and restores.
 func TestListCreationOrderAcrossShards(t *testing.T) {
 	mgr := NewManager()
 	var want []string
@@ -152,7 +152,7 @@ func TestEvictIdleConcurrentTeardown(t *testing.T) {
 	}
 }
 
-// TestManagerStress hammers Create/Get/Close/EvictIdle/List across shards
+// TestManagerStress hammers Create/Get/Close/EvictIdle/List
 // concurrently. Run with -race -shuffle=on. Invariants: no session is lost
 // or double-removed (created == closed + evicted + live at the end),
 // listings stay in strict creation order mid-churn, and use-after-close

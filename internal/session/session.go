@@ -115,7 +115,7 @@ type Session struct {
 
 	// mgrSeq is the creation sequence assigned by the Manager when the
 	// session is registered (Create/Restore). It is written exactly once,
-	// under the owning shard's lock before the session is published, and
+	// under the manager's lock before the session is published, and
 	// lets Manager.List sort by creation order without a per-call index
 	// snapshot.
 	mgrSeq uint64

@@ -32,9 +32,10 @@ const TraceCap = 1024
 // implement, and nobody else's reads end up in it. The contract this puts a
 // body under: what it does must be a function of what it reads from the
 // knowledge base it is handed. State a body closes over is invisible here
-// (as it always was between two KB writes) unless whoever assigns it says
-// so with KB.Touch and the body, loading it, with ReadExternal on its
-// handle.
+// (as it always was between two KB writes); state that is not facts or
+// relations is handed over as a value of the knowledge base instead
+// (KB.PutValue, and Value on the body's handle), where it is read and moves
+// like everything else.
 type Orchestrator struct {
 	// KB is the shared knowledge base.
 	KB *kb.KB

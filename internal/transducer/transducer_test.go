@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -585,28 +586,23 @@ func TestFailedTransducerKeepsNoInputSet(t *testing.T) {
 	}
 }
 
-// closure is a transducer whose body reads a variable, not the knowledge
-// base, and says so through InputDeclarer.
-type closure struct {
+// rewriter is a transducer whose body reads a key only to rewrite it, and
+// says so through InputDeclarer.
+type rewriter struct {
 	*Func
 	derived kb.Key
 }
 
-func (c closure) Inputs(read []kb.Key) []kb.Key {
-	out := []kb.Key{kb.ExternalKey("test.limit")}
-	for _, key := range read {
-		if key != c.derived {
-			out = append(out, key)
-		}
-	}
-	return out
+func (c rewriter) Inputs(read []kb.Key) []kb.Key {
+	return slices.DeleteFunc(read, func(key kb.Key) bool { return key == c.derived })
 }
 
 func TestInputDeclarer(t *testing.T) {
 	k := kb.New()
 	reg := NewRegistry()
-	limit, runs := 10, 0
-	reg.MustRegister(closure{
+	runs := 0
+	k.PutValue("test.limit", 10)
+	reg.MustRegister(rewriter{
 		derived: kb.FactsKey("published"),
 		Func: &Func{
 			TName: "limiter", TActivity: "matching",
@@ -615,7 +611,7 @@ func TestInputDeclarer(t *testing.T) {
 				runs++
 				k.Facts("published") // read only to rewrite it
 				k.RetractPredicate("published")
-				k.Assert("published", tup(limit))
+				k.Assert("published", tup(k.Value("test.limit").(int)))
 				return Report{FactsAsserted: 1}, nil
 			},
 		},
@@ -634,18 +630,17 @@ func TestInputDeclarer(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("ran %d times: a derived key is not an input", runs)
 	}
-	// The outside state is assigned and announced; the version does not
-	// move with a Touch, so something else has to make the transducer
-	// eligible — then the touched key makes it run.
-	limit = 20
-	k.Touch("test.limit")
+	// A value the body loads is put anew; the version does not move with a
+	// PutValue, so something else has to make the transducer eligible — then
+	// the moved external key makes it run.
+	k.PutValue("test.limit", 20)
 	_, _ = o.RunToQuiescence(ctx)
 	if runs != 1 {
-		t.Fatal("a Touch alone moves no version: nothing is eligible")
+		t.Fatal("a PutValue alone moves no version: nothing is eligible")
 	}
 	k.Assert("unrelated", tup(1))
 	_, _ = o.RunToQuiescence(ctx)
 	if runs != 2 || !k.Has("published", tup(20)) {
-		t.Fatalf("ran %d times; the touched external key must make it run", runs)
+		t.Fatalf("ran %d times; the moved external key must make it run", runs)
 	}
 }
