@@ -10,6 +10,7 @@ package vada_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vada/internal/cfd"
@@ -239,23 +240,22 @@ func BenchmarkSchemaMatching(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceMatching measures instance-based matching against the
-// data context.
+// BenchmarkInstanceMatching measures instance-based matching with the
+// transducer's shape: all three sources against every column of the address
+// reference, the reference profiled once per pass.
 func BenchmarkInstanceMatching(b *testing.B) {
-	sc := datagen.Generate(scenarioCfg(300))
-	inst := map[string][]relation.Value{}
-	for _, attr := range []string{"street", "city", "postcode"} {
-		col, err := sc.AddressRef.Column(attr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst[attr] = col
-	}
+	sc := datagen.Generate(scenarioCfg(600))
+	inst := match.TargetInstancesFromRelation(sc.AddressRef, nil)
+	sources := []*relation.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ms := match.MatchInstances(sc.OnTheMarket, inst)
-		if len(ms) == 0 {
+		profiles := match.ProfileInstances(inst)
+		n := 0
+		for _, src := range sources {
+			n += len(profiles.Match(src))
+		}
+		if n == 0 {
 			b.Fatal("no matches")
 		}
 	}
@@ -338,20 +338,42 @@ func BenchmarkCFDMining(b *testing.B) {
 	}
 }
 
-// BenchmarkRepair measures reference-based repair of a noisy result.
+// BenchmarkRepair measures reference-based repair with the transducer's
+// shape: the unrepaired result of every candidate mapping of a wrangled
+// scenario through one prepared reference.
 func BenchmarkRepair(b *testing.B) {
-	sc := datagen.Generate(scenarioCfg(300))
-	cfds := cfd.Mine(sc.AddressRef, core.DefaultOptions().MineOptions)
-	res := relation.New(relation.NewSchema("result", "price", "street", "postcode", "bedrooms", "type", "description"))
-	for _, t := range sc.Rightmove.Tuples {
-		res.Tuples = append(res.Tuples, t.Clone())
+	sc := datagen.Generate(scenarioCfg(600))
+	w := core.BuildScenarioWrangler(sc)
+	ctx := context.Background()
+	if _, err := w.Run(ctx); err != nil {
+		b.Fatal(err)
 	}
+	w.AddDataContext(sc.AddressRef)
+	if _, err := w.Run(ctx); err != nil {
+		b.Fatal(err)
+	}
+	srcs := map[string]*relation.Relation{}
+	for _, name := range w.KB.RelationNames(core.RelSourcePrefix) {
+		srcs[strings.TrimPrefix(name, core.RelSourcePrefix)] = w.KB.Relation(name)
+	}
+	var results []*relation.Relation
+	for _, m := range w.Mappings() {
+		res, err := mapping.Execute(m, srcs, vadalog.NewEngine())
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	cfds := w.CFDs()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		repaired, _ := cfd.RepairWithReference(res, sc.AddressRef, cfds, cfd.DefaultRepairOptions())
-		if repaired.Cardinality() != res.Cardinality() {
-			b.Fatal("repair changed cardinality")
+		prepared := cfd.PrepareReference(sc.AddressRef, cfds, cfd.DefaultRepairOptions())
+		for _, res := range results {
+			repaired, _ := prepared.Repair(res)
+			if repaired.Cardinality() != res.Cardinality() {
+				b.Fatal("repair changed cardinality")
+			}
 		}
 	}
 }

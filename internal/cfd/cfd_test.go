@@ -290,10 +290,35 @@ func TestBoundedEditDistance(t *testing.T) {
 		{"kitten", "sitting", 3, 3},
 	}
 	for _, c := range cases {
-		if got := boundedEditDistance(c.a, c.b, c.bound); got != c.want {
+		if got := boundedEditDistance(c.a, c.b, c.bound, make([]int, len(c.b)+1)); got != c.want {
 			t.Errorf("boundedEditDistance(%q,%q,%d) = %d, want %d", c.a, c.b, c.bound, got, c.want)
 		}
 	}
+}
+
+// FuzzBoundedEditDistance holds the banded one-row distance to the full
+// table it replaced. Both index bytes, so multi-byte input is just longer.
+func FuzzBoundedEditDistance(f *testing.F) {
+	f.Add("12 high street", "12 hgih street", 2)
+	f.Add("kitten", "sitting", 3)
+	f.Add("abc", "abc", 0)
+	f.Add("", "ab", 2)
+	f.Add("żółć road", "zolc road", 3)
+	f.Add("1 park rd", "1 dark road", 1)
+	row := make([]int, 1)
+	f.Fuzz(func(t *testing.T, a, b string, bound int) {
+		bound = ((bound % 4) + 4) % 4
+		if len(row) < len(b)+1 {
+			row = make([]int, len(b)+1)
+		}
+		for i := range row {
+			row[i] = -7 // whatever an earlier call left behind
+		}
+		want := refBoundedEditDistance(a, b, bound)
+		if got := boundedEditDistance(a, b, bound, row); got != want {
+			t.Fatalf("boundedEditDistance(%q, %q, %d) = %d, full table says %d", a, b, bound, got, want)
+		}
+	})
 }
 
 func TestRepairEndToEndScenario(t *testing.T) {

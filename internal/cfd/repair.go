@@ -53,70 +53,207 @@ func DefaultRepairOptions() RepairOptions {
 // closest reference street sharing the tuple's other evidence).
 //
 // The input relation is not modified; the repaired copy and the action log
-// are returned.
+// are returned. Callers repairing several relations against one reference
+// prepare it once with PrepareReference.
 func RepairWithReference(res, ref *relation.Relation, cfds []CFD, opts RepairOptions) (*relation.Relation, []RepairAction) {
+	return PrepareReference(ref, cfds, opts).Repair(res)
+}
+
+// Reference is clean reference data prepared for repair: everything repair
+// needs that is a property of the reference, the CFDs and the options alone,
+// built once however many result relations are repaired against it. It
+// memoises fuzzy key lookups across Repair calls, so it is not safe for
+// concurrent use; it is meant to live for one pass over the result relations.
+type Reference struct {
+	opts RepairOptions
+	norm func(string) string
+	cfds []CFD
+	// tables[i] serves cfds[i]; nil for constant CFDs and for variable CFDs
+	// naming an attribute the reference lacks.
+	tables []*refTable
+
+	// keys maps each normalised reference key to its first spelling; nil
+	// when fuzzy key repair is off or the reference lacks the key attribute.
+	keys map[string]relation.Value
+	// keysByLen buckets the normalised keys by byte length: an edit
+	// distance within the bound needs lengths within the bound.
+	keysByLen map[int][]string
+	// fuzzy memoises closest per unknown normalised key: the answer depends
+	// on the key and the reference only, and result relations share keys.
+	fuzzy map[string]fuzzyHit
+	// row is boundedEditDistance's scratch, sized for the longest key.
+	row []int
+}
+
+// refTable is one variable CFD's view of the reference.
+type refTable struct {
+	// lookup maps a normalised LHS key to the first RHS value seen for it;
+	// ambiguous marks keys the reference gives more than one RHS value.
+	lookup    map[string]relation.Value
+	ambiguous map[string]bool
+	// The three reasons an action of this CFD can carry.
+	filled, corrected, canonicalised string
+}
+
+// fuzzyHit is the unique reference key within the edit bound of an unknown
+// key, if there is one.
+type fuzzyHit struct {
+	canonical relation.Value
+	reason    string
+	ok        bool
+}
+
+// PrepareReference indexes ref for repairing result relations with cfds
+// under opts: the normalised key map and its length buckets for fuzzy key
+// repair, and per variable CFD the LHS → RHS lookup with its ambiguous keys.
+func PrepareReference(ref *relation.Relation, cfds []CFD, opts RepairOptions) *Reference {
+	r := &Reference{opts: opts, norm: opts.Normalize, cfds: cfds, tables: make([]*refTable, len(cfds))}
+	if r.norm == nil {
+		r.norm = func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+	}
+	if rki := ref.Schema.AttrIndex(opts.RefKeyAttr); opts.MaxEditDistance > 0 && rki >= 0 {
+		r.keys = map[string]relation.Value{}
+		r.keysByLen = map[int][]string{}
+		r.fuzzy = map[string]fuzzyHit{}
+		longest := 0
+		for _, t := range ref.Tuples {
+			if t[rki].IsNull() {
+				continue
+			}
+			n := r.norm(t[rki].String())
+			if _, ok := r.keys[n]; !ok {
+				r.keys[n] = t[rki]
+				r.keysByLen[len(n)] = append(r.keysByLen[len(n)], n)
+				if len(n) > longest {
+					longest = len(n)
+				}
+			}
+		}
+		r.row = make([]int, longest+1)
+	}
+	for i, c := range cfds {
+		if !c.IsConstant() {
+			r.tables[i] = r.prepareTable(ref, c)
+		}
+	}
+	return r
+}
+
+// prepareTable builds c's reference lookup: LHS key -> unique RHS value.
+func (r *Reference) prepareTable(ref *relation.Relation, c CFD) *refTable {
+	rli, ok := attrIndexes(ref, c.LHS)
+	rri := ref.Schema.AttrIndex(c.RHS)
+	if !ok || rri < 0 {
+		return nil
+	}
+	via := fdKey(c.LHS, c.RHS)
+	tb := &refTable{
+		lookup:        map[string]relation.Value{},
+		ambiguous:     map[string]bool{},
+		filled:        "filled from reference via " + via,
+		corrected:     "corrected from reference via " + via,
+		canonicalised: "canonicalised via " + via,
+	}
+	for _, t := range ref.Tuples {
+		k, ok := r.lhsKey(t, rli)
+		if !ok || t[rri].IsNull() {
+			continue
+		}
+		if prev, ok := tb.lookup[k]; ok {
+			if !prev.Equal(t[rri]) {
+				tb.ambiguous[k] = true
+			}
+			continue
+		}
+		tb.lookup[k] = t[rri]
+	}
+	return tb
+}
+
+// attrIndexes resolves attrs in rel's schema; false when one is missing.
+func attrIndexes(rel *relation.Relation, attrs []string) ([]int, bool) {
+	idx := make([]int, len(attrs))
+	for i, a := range attrs {
+		idx[i] = rel.Schema.AttrIndex(a)
+		if idx[i] < 0 {
+			return nil, false
+		}
+	}
+	return idx, true
+}
+
+// lhsKey joins t's normalised values at idx; false when one is null.
+func (r *Reference) lhsKey(t relation.Tuple, idx []int) (string, bool) {
+	var kb strings.Builder
+	for _, i := range idx {
+		if t[i].IsNull() {
+			return "", false
+		}
+		kb.WriteString(r.norm(t[i].String()))
+		kb.WriteByte('\x1f')
+	}
+	return kb.String(), true
+}
+
+// Repair repairs one result relation against the prepared reference. The
+// input relation is not modified; the repaired copy and the action log are
+// returned.
+func (r *Reference) Repair(res *relation.Relation) (*relation.Relation, []RepairAction) {
 	out := res.Clone()
-	var log []RepairAction
-	norm := opts.Normalize
-	if norm == nil {
-		norm = func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-	}
-
 	// Fuzzy key repair first: snap typo'd keys onto reference keys.
-	if opts.MaxEditDistance > 0 {
-		log = append(log, fuzzyKeyRepair(out, ref, opts, norm)...)
-	}
-
+	log := r.fuzzyKeyRepair(out)
 	// CFD-driven value repair.
-	for _, c := range cfds {
+	for i, c := range r.cfds {
 		if c.IsConstant() {
 			log = append(log, constantRepair(out, c)...)
 			continue
 		}
-		log = append(log, variableRepair(out, ref, c, norm)...)
+		log = append(log, r.variableRepair(out, c, r.tables[i])...)
 	}
 	return out, log
 }
 
 // fuzzyKeyRepair snaps near-miss key values (typos) onto reference keys.
-func fuzzyKeyRepair(out, ref *relation.Relation, opts RepairOptions, norm func(string) string) []RepairAction {
-	ki := out.Schema.AttrIndex(opts.KeyAttr)
-	rki := ref.Schema.AttrIndex(opts.RefKeyAttr)
-	if ki < 0 || rki < 0 {
+func (r *Reference) fuzzyKeyRepair(out *relation.Relation) []RepairAction {
+	ki := out.Schema.AttrIndex(r.opts.KeyAttr)
+	if ki < 0 || r.keys == nil {
 		return nil
-	}
-	refKeys := map[string]relation.Value{}
-	var refList []string
-	for _, t := range ref.Tuples {
-		if t[rki].IsNull() {
-			continue
-		}
-		n := norm(t[rki].String())
-		if _, ok := refKeys[n]; !ok {
-			refKeys[n] = t[rki]
-			refList = append(refList, n)
-		}
 	}
 	var log []RepairAction
 	for rowIdx, t := range out.Tuples {
 		if t[ki].IsNull() {
 			continue
 		}
-		n := norm(t[ki].String())
-		if canonical, ok := refKeys[n]; ok {
+		n := r.norm(t[ki].String())
+		if canonical, ok := r.keys[n]; ok {
 			// Known key: only canonicalise the spelling if it differs.
 			if t[ki].String() != canonical.String() {
-				log = append(log, RepairAction{Row: rowIdx, Attr: opts.KeyAttr,
+				log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
 					Old: t[ki], New: canonical, Reason: "reference spelling"})
 				t[ki] = canonical
 			}
 			continue
 		}
-		// Unknown key: look for a unique reference key within the edit
-		// bound.
-		bestKey, bestD, ties := "", opts.MaxEditDistance+1, 0
-		for _, rk := range refList {
-			d := boundedEditDistance(n, rk, opts.MaxEditDistance)
+		if hit := r.closest(n); hit.ok {
+			log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
+				Old: t[ki], New: hit.canonical, Reason: hit.reason})
+			t[ki] = hit.canonical
+		}
+	}
+	return log
+}
+
+// closest looks an unknown key up among the reference keys: a hit is the one
+// key at the smallest edit distance within the bound, a tie is a miss.
+func (r *Reference) closest(n string) fuzzyHit {
+	if hit, ok := r.fuzzy[n]; ok {
+		return hit
+	}
+	bound := r.opts.MaxEditDistance
+	bestKey, bestD, ties := "", bound+1, 0
+	for l := len(n) - bound; l <= len(n)+bound; l++ {
+		for _, rk := range r.keysByLen[l] {
+			d := boundedEditDistance(n, rk, bound, r.row)
 			if d < 0 {
 				continue
 			}
@@ -126,59 +263,60 @@ func fuzzyKeyRepair(out, ref *relation.Relation, opts RepairOptions, norm func(s
 				ties++
 			}
 		}
-		if bestD <= opts.MaxEditDistance && ties == 1 {
-			canonical := refKeys[bestKey]
-			log = append(log, RepairAction{Row: rowIdx, Attr: opts.KeyAttr,
-				Old: t[ki], New: canonical,
-				Reason: fmt.Sprintf("fuzzy reference match (distance %d)", bestD)})
-			t[ki] = canonical
-		}
 	}
-	return log
+	var hit fuzzyHit
+	if bestD <= bound && ties == 1 {
+		hit = fuzzyHit{canonical: r.keys[bestKey], ok: true,
+			reason: fmt.Sprintf("fuzzy reference match (distance %d)", bestD)}
+	}
+	r.fuzzy[n] = hit
+	return hit
 }
 
-// boundedEditDistance returns Levenshtein distance if ≤ bound, else -1, with
-// an early length check for speed.
-func boundedEditDistance(a, b string, bound int) int {
+// boundedEditDistance returns the Levenshtein distance of a and b (over
+// bytes) if it is ≤ bound, else -1. Only the band of cells within bound of
+// the diagonal is filled — a cheaper path cannot leave it — in the one row
+// the caller lends, which must hold len(b)+1 cells.
+func boundedEditDistance(a, b string, bound int, row []int) int {
 	la, lb := len(a), len(b)
 	if la-lb > bound || lb-la > bound {
 		return -1
 	}
-	// Small strings: plain DP is fine at this scale.
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := range prev {
-		prev[j] = j
+	over := bound + 1 // stands for every distance past the bound
+	row = row[:lb+1]
+	for j := range row {
+		row[j] = min(j, over)
 	}
 	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		for j := 1; j <= lb; j++ {
-			cost := 1
+		lo, hi := max(i-bound, 1), min(i+bound, lb)
+		// The cell left of the band: column 0 while the band touches it,
+		// outside the band after. row[hi] is outside row i-1's band and
+		// still holds over from the first row.
+		diag, left := row[lo-1], over
+		if lo == 1 {
+			left = min(i, over)
+		}
+		row[lo-1] = left
+		rowMin := left
+		for j := lo; j <= hi; j++ {
+			up := row[j]
+			m := min(up+1, left+1, over)
 			if a[i-1] == b[j-1] {
-				cost = 0
+				m = min(m, diag)
+			} else {
+				m = min(m, diag+1)
 			}
-			m := prev[j] + 1
-			if c := cur[j-1] + 1; c < m {
-				m = c
-			}
-			if c := prev[j-1] + cost; c < m {
-				m = c
-			}
-			cur[j] = m
-			if m < rowMin {
-				rowMin = m
-			}
+			row[j], diag, left = m, up, m
+			rowMin = min(rowMin, m)
 		}
 		if rowMin > bound {
 			return -1
 		}
-		prev, cur = cur, prev
 	}
-	if prev[lb] > bound {
+	if row[lb] > bound {
 		return -1
 	}
-	return prev[lb]
+	return row[lb]
 }
 
 // constantRepair enforces constant CFDs directly.
@@ -218,72 +356,27 @@ func constantRepair(out *relation.Relation, c CFD) []RepairAction {
 
 // variableRepair fills/corrects RHS values from reference groups that are
 // unique on the CFD's LHS.
-func variableRepair(out, ref *relation.Relation, c CFD, norm func(string) string) []RepairAction {
-	li := make([]int, len(c.LHS))
-	rli := make([]int, len(c.LHS))
-	for i, a := range c.LHS {
-		li[i] = out.Schema.AttrIndex(a)
-		rli[i] = ref.Schema.AttrIndex(a)
-		if li[i] < 0 || rli[i] < 0 {
-			return nil
-		}
-	}
-	ri := out.Schema.AttrIndex(c.RHS)
-	rri := ref.Schema.AttrIndex(c.RHS)
-	if ri < 0 || rri < 0 {
+func (r *Reference) variableRepair(out *relation.Relation, c CFD, tb *refTable) []RepairAction {
+	if tb == nil {
 		return nil
 	}
-
-	// Reference lookup: LHS key -> unique RHS value (nil if ambiguous).
-	lookup := map[string]relation.Value{}
-	ambiguous := map[string]bool{}
-	for _, t := range ref.Tuples {
-		var kb strings.Builder
-		skip := false
-		for _, idx := range rli {
-			if t[idx].IsNull() {
-				skip = true
-				break
-			}
-			kb.WriteString(norm(t[idx].String()))
-			kb.WriteByte('\x1f')
-		}
-		if skip || t[rri].IsNull() {
-			continue
-		}
-		k := kb.String()
-		if prev, ok := lookup[k]; ok {
-			if !prev.Equal(t[rri]) {
-				ambiguous[k] = true
-			}
-			continue
-		}
-		lookup[k] = t[rri]
+	li, ok := attrIndexes(out, c.LHS)
+	ri := out.Schema.AttrIndex(c.RHS)
+	if !ok || ri < 0 {
+		return nil
 	}
-
 	var log []RepairAction
 	for rowIdx, t := range out.Tuples {
-		var kb strings.Builder
-		skip := false
-		for _, idx := range li {
-			if t[idx].IsNull() {
-				skip = true
-				break
-			}
-			kb.WriteString(norm(t[idx].String()))
-			kb.WriteByte('\x1f')
-		}
-		if skip {
+		k, ok := r.lhsKey(t, li)
+		if !ok {
 			continue
 		}
-		k := kb.String()
-		want, ok := lookup[k]
-		if !ok || ambiguous[k] {
+		want, ok := tb.lookup[k]
+		if !ok || tb.ambiguous[k] {
 			continue
 		}
 		if t[ri].IsNull() {
-			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want,
-				Reason: "filled from reference via " + fdKey(c.LHS, c.RHS)})
+			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want, Reason: tb.filled})
 			t[ri] = want
 			continue
 		}
@@ -291,9 +384,9 @@ func variableRepair(out, ref *relation.Relation, c CFD, norm func(string) string
 		// different spelling → canonicalise; different after normalisation →
 		// reference wins (it is clean by assumption).
 		if t[ri].String() != want.String() {
-			reason := "corrected from reference via " + fdKey(c.LHS, c.RHS)
-			if norm(t[ri].String()) == norm(want.String()) {
-				reason = "canonicalised via " + fdKey(c.LHS, c.RHS)
+			reason := tb.corrected
+			if r.norm(t[ri].String()) == r.norm(want.String()) {
+				reason = tb.canonicalised
 			}
 			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want, Reason: reason})
 			t[ri] = want

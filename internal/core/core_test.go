@@ -459,6 +459,31 @@ func TestBootstrapDeterministic(t *testing.T) {
 	}
 }
 
+// TestDataContextDeterministic is TestBootstrapDeterministic one stage on:
+// instance matching and reference repair join in once a data context is
+// there, and the instance matcher's shape cosine used to sum in map order.
+func TestDataContextDeterministic(t *testing.T) {
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties, cfg.Seed = 30, 2143417786
+	sc := datagen.Generate(cfg)
+	ctx := context.Background()
+	digests := map[uint64]int{}
+	for i := 0; i < 60; i++ {
+		w := BuildScenarioWrangler(sc)
+		if _, err := w.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		w.AddDataContext(sc.AddressRef)
+		if _, err := w.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		digests[hashRelation(w.Result())]++
+	}
+	if len(digests) != 1 {
+		t.Fatalf("60 bootstraps with data context of one scenario gave %d different results: %v", len(digests), digests)
+	}
+}
+
 // TestMaxStepsBoundsOneRun pins that WithMaxSteps bounds each orchestration
 // run, not the wrangler's lifetime: a session takes stage after stage, each
 // under the bound, long after their sum has passed it.

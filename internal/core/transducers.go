@@ -280,10 +280,12 @@ func (w *Wrangler) instanceMatchingTransducer() transducer.Transducer {
 			if len(instances) == 0 {
 				return rep, nil
 			}
+			// The data-context columns are profiled once for all sources.
+			profiles := match.ProfileInstances(instances)
 			var all []match.Match
 			srcs := w.sourceRelations(k)
 			for _, name := range sortedKeys(srcs) {
-				all = append(all, match.MatchInstances(srcs[name], instances)...)
+				all = append(all, profiles.Match(srcs[name])...)
 			}
 			derive(w, cellInstMatches, all)
 			w.republishMatches(k, &rep)
@@ -429,14 +431,14 @@ func (w *Wrangler) repairTransducer() transducer.Transducer {
 			if ref == nil {
 				return rep, nil
 			}
-			cfds := cellCFDs.get(k)
-			opts := cfd.DefaultRepairOptions()
+			// One prepared reference serves every result relation of this run.
+			prepared := cfd.PrepareReference(ref, cellCFDs.get(k), cfd.DefaultRepairOptions())
 			for _, name := range k.RelationNames(RelResultPrefix) {
 				res := k.Relation(name)
 				if res == nil {
 					continue
 				}
-				repaired, actions := cfd.RepairWithReference(res, ref, cfds, opts)
+				repaired, actions := prepared.Repair(res)
 				// Postcode canonicalisation rides along with repair: the
 				// reference's postcodes are clean, result postcodes may
 				// carry format noise.

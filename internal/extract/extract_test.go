@@ -64,6 +64,16 @@ func TestEscapeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEscapeHTMLAllocations pins that escaping builds no replacer per call:
+// GeneratePages escapes every cell, and a cell with nothing to escape must
+// come back as it went in.
+func TestEscapeHTMLAllocations(t *testing.T) {
+	const s = "12 High Street, Manchester"
+	if allocs := testing.AllocsPerRun(100, func() { _ = EscapeHTML(s) }); allocs != 0 {
+		t.Fatalf("EscapeHTML of a string with nothing to escape allocates %.0f times, want 0", allocs)
+	}
+}
+
 func smallSource() *relation.Relation {
 	r := relation.New(datagen.RightmoveSchema())
 	r.MustAppend(250000.0, "1 High St", "M1 1AA", 3, "detached", "A lovely home with garden.")

@@ -272,9 +272,9 @@ var entityReplacer = strings.NewReplacer(
 	"&nbsp;", " ", "&pound;", "£",
 )
 
+var escapeReplacer = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
 func decodeEntities(s string) string { return entityReplacer.Replace(s) }
 
 // EscapeHTML escapes text for embedding into generated pages.
-func EscapeHTML(s string) string {
-	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace(s)
-}
+func EscapeHTML(s string) string { return escapeReplacer.Replace(s) }

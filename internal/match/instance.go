@@ -1,0 +1,295 @@
+package match
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"unicode/utf8"
+
+	"vada/internal/relation"
+)
+
+// InstanceSample caps how many distinct values per attribute the instance
+// matcher considers.
+const InstanceSample = 500
+
+// MatchInstances runs the instance-based matcher: source attribute values
+// against target-attribute instances (from data-context reference, master or
+// example data — Table 1, row "Instance Matching"). Scores combine distinct-
+// value overlap, value-shape distribution similarity and numeric-range
+// overlap. Callers matching several sources against the same instances
+// profile them once with ProfileInstances.
+func MatchInstances(src *relation.Relation, targetInstances map[string][]relation.Value) []Match {
+	return ProfileInstances(targetInstances).Match(src)
+}
+
+// InstanceProfiles are target-attribute instances profiled for matching: what
+// the matcher compares is a property of each column alone, so it is computed
+// once per column however many source attributes the column is held against.
+type InstanceProfiles struct {
+	// targets are the target attributes with at least one usable value,
+	// sorted by name.
+	targets []targetProfile
+}
+
+type targetProfile struct {
+	attr    string
+	profile *columnProfile
+}
+
+// ProfileInstances profiles every target attribute's instances.
+func ProfileInstances(targetInstances map[string][]relation.Value) *InstanceProfiles {
+	attrs := make([]string, 0, len(targetInstances))
+	for ta := range targetInstances {
+		attrs = append(attrs, ta)
+	}
+	sort.Strings(attrs)
+	p := &InstanceProfiles{}
+	for _, ta := range attrs {
+		if tp := profileColumn(targetInstances[ta]); tp != nil {
+			p.targets = append(p.targets, targetProfile{ta, tp})
+		}
+	}
+	return p
+}
+
+// Match scores every attribute of src against every profiled target
+// attribute, source attributes in schema order, target attributes sorted.
+func (p *InstanceProfiles) Match(src *relation.Relation) []Match {
+	var out []Match
+	for _, sa := range src.Schema.Attrs {
+		col, err := src.Column(sa.Name)
+		if err != nil {
+			continue
+		}
+		sp := profileColumn(col)
+		if sp == nil {
+			continue
+		}
+		for _, t := range p.targets {
+			out = append(out, Match{
+				SourceRel: src.Schema.Name, SourceAttr: sa.Name, TargetAttr: t.attr,
+				Score: instanceSimilarity(sp, t.profile), Method: "instance",
+			})
+		}
+	}
+	return out
+}
+
+// TargetInstancesFromRelation extracts per-attribute instance lists from a
+// data-context relation, renaming attributes via the optional alias map
+// (e.g. the address list's "street" instantiating target "street").
+func TargetInstancesFromRelation(r *relation.Relation, alias map[string]string) map[string][]relation.Value {
+	out := map[string][]relation.Value{}
+	for _, a := range r.Schema.Attrs {
+		name := a.Name
+		if alias != nil {
+			if n, ok := alias[a.Name]; ok {
+				name = n
+			}
+		}
+		col, err := r.Column(a.Name)
+		if err != nil {
+			continue
+		}
+		out[name] = append(out[name], col...)
+	}
+	return out
+}
+
+// columnProfile is what the instance matcher knows about one column.
+type columnProfile struct {
+	// values are the first InstanceSample distinct normalised (trimmed,
+	// lower-cased, non-empty) values in tuple order; set holds the same.
+	values []string
+	set    map[string]struct{}
+	// shapes is the share of values per character-class shape, sorted by
+	// shape so that every sum over it has one order; shapeNorm is the
+	// Euclidean norm of the shares.
+	shapes    []shapeShare
+	shapeNorm float64
+	// lo, hi and numeric are numericStats of values.
+	lo, hi, numeric float64
+}
+
+type shapeShare struct {
+	shape string
+	share float64
+}
+
+// profileColumn profiles a column; nil when it has no usable value.
+func profileColumn(col []relation.Value) *columnProfile {
+	p := &columnProfile{set: map[string]struct{}{}}
+	for _, v := range col {
+		if v.IsNull() {
+			continue
+		}
+		s := strings.ToLower(strings.TrimSpace(v.String()))
+		if s == "" {
+			continue
+		}
+		if _, seen := p.set[s]; seen {
+			continue
+		}
+		p.set[s] = struct{}{}
+		p.values = append(p.values, s)
+		if len(p.values) >= InstanceSample {
+			break
+		}
+	}
+	if len(p.values) == 0 {
+		return nil
+	}
+
+	at := map[string]int{} // shape -> position in p.shapes
+	var buf []byte
+	for _, v := range p.values {
+		buf = appendShape(buf[:0], v)
+		i, ok := at[string(buf)]
+		if !ok {
+			i = len(p.shapes)
+			p.shapes = append(p.shapes, shapeShare{shape: string(buf)})
+			at[p.shapes[i].shape] = i
+		}
+		p.shapes[i].share++
+	}
+	sort.Slice(p.shapes, func(i, j int) bool { return p.shapes[i].shape < p.shapes[j].shape })
+	norm2 := 0.0
+	for i := range p.shapes {
+		p.shapes[i].share /= float64(len(p.values))
+		norm2 += p.shapes[i].share * p.shapes[i].share
+	}
+	p.shapeNorm = sqrt(norm2)
+
+	p.lo, p.hi, p.numeric = numericStats(p.values)
+	return p
+}
+
+// instanceSimilarity blends three signals over two column profiles.
+func instanceSimilarity(a, b *columnProfile) float64 {
+	overlap := valueJaccard(a, b)
+	shape := shapeSimilarity(a, b)
+	numeric := numericRangeOverlap(a, b)
+	// Overlap is the strongest evidence; shape separates postcodes from
+	// streets; numeric range separates prices from bedroom counts.
+	score := 0.6*overlap + 0.25*shape + 0.15*numeric
+	if overlap > 0.5 { // strong extensional evidence dominates
+		score = 0.85 + 0.15*overlap
+	}
+	return clamp01(score)
+}
+
+// valueJaccard is |a ∩ b| / |a ∪ b| over the sampled distinct values,
+// counted by probing the smaller sample into the larger one's set.
+func valueJaccard(a, b *columnProfile) float64 {
+	if len(a.values) > len(b.values) {
+		a, b = b, a
+	}
+	inter := 0
+	for _, v := range a.values {
+		if _, ok := b.set[v]; ok {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(a.values)+len(b.values)-inter)
+}
+
+// appendShape appends s's character-class pattern to dst, runs collapsed so
+// that "123" and "57" share the shape "9": "M1 1AA" -> "A9 9A".
+func appendShape(dst []byte, s string) []byte {
+	var prev rune
+	for _, r := range s {
+		switch {
+		case r >= '0' && r <= '9':
+			r = '9'
+		case r >= 'a' && r <= 'z':
+			r = 'a'
+		case r >= 'A' && r <= 'Z':
+			r = 'A'
+		}
+		if r != prev {
+			dst = utf8.AppendRune(dst, r)
+			prev = r
+		}
+	}
+	return dst
+}
+
+// shapeSimilarity is the cosine of the two shape distributions, the dot
+// product taken over the shapes both have, in sorted order.
+func shapeSimilarity(a, b *columnProfile) float64 {
+	if a.shapeNorm == 0 || b.shapeNorm == 0 {
+		return 0
+	}
+	dot := 0.0
+	for i, j := 0, 0; i < len(a.shapes) && j < len(b.shapes); {
+		switch sa, sb := a.shapes[i], b.shapes[j]; {
+		case sa.shape < sb.shape:
+			i++
+		case sa.shape > sb.shape:
+			j++
+		default:
+			dot += sa.share * sb.share
+			i++
+			j++
+		}
+	}
+	return dot / (a.shapeNorm * b.shapeNorm)
+}
+
+// numericRangeOverlap is the share of the two numeric ranges' union that
+// their intersection covers, for columns that are mostly numeric. The
+// comparisons are written out, not min/max: a street called "Nan Close"
+// parses as NaN, and the two treat NaN differently.
+func numericRangeOverlap(a, b *columnProfile) float64 {
+	if a.numeric < 0.8 || b.numeric < 0.8 {
+		return 0
+	}
+	lo := a.lo
+	if b.lo > lo {
+		lo = b.lo
+	}
+	hi := a.hi
+	if b.hi < hi {
+		hi = b.hi
+	}
+	if hi <= lo {
+		return 0
+	}
+	span := a.hi
+	if b.hi > span {
+		span = b.hi
+	}
+	floor := a.lo
+	if b.lo < floor {
+		floor = b.lo
+	}
+	if span == floor {
+		return 1
+	}
+	return (hi - lo) / (span - floor)
+}
+
+// numericStats gives the range of the values that parse as numbers and the
+// share that do. "£1,200" parses; so does anything Sscanf finds a numeric
+// prefix in, "12 high street" included.
+func numericStats(vals []string) (lo, hi float64, frac float64) {
+	n := 0
+	for _, v := range vals {
+		var f float64
+		if _, err := fmt.Sscanf(strings.ReplaceAll(strings.TrimPrefix(v, "£"), ",", ""), "%f", &f); err != nil {
+			continue
+		}
+		if n == 0 || f < lo {
+			lo = f
+		}
+		if n == 0 || f > hi {
+			hi = f
+		}
+		n++
+	}
+	if len(vals) == 0 {
+		return 0, 0, 0
+	}
+	return lo, hi, float64(n) / float64(len(vals))
+}

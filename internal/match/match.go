@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vada/internal/relation"
 )
@@ -45,234 +44,6 @@ func MatchSchemas(src, target relation.Schema) []Match {
 		}
 	}
 	return out
-}
-
-// InstanceSample caps how many distinct values per attribute the instance
-// matcher considers.
-const InstanceSample = 500
-
-// MatchInstances runs the instance-based matcher: source attribute values
-// against target-attribute instances (from data-context reference, master or
-// example data — Table 1, row "Instance Matching"). Scores combine distinct-
-// value overlap, value-shape distribution similarity and numeric-range
-// overlap.
-func MatchInstances(src *relation.Relation, targetInstances map[string][]relation.Value) []Match {
-	var out []Match
-	targetAttrs := make([]string, 0, len(targetInstances))
-	for ta := range targetInstances {
-		targetAttrs = append(targetAttrs, ta)
-	}
-	sort.Strings(targetAttrs)
-	for _, sa := range src.Schema.Attrs {
-		col, err := src.Column(sa.Name)
-		if err != nil {
-			continue
-		}
-		sv := sampleValues(col)
-		if len(sv) == 0 {
-			continue
-		}
-		for _, ta := range targetAttrs {
-			tv := sampleValues(targetInstances[ta])
-			if len(tv) == 0 {
-				continue
-			}
-			score := instanceSimilarity(sv, tv)
-			out = append(out, Match{
-				SourceRel: src.Schema.Name, SourceAttr: sa.Name, TargetAttr: ta,
-				Score: score, Method: "instance",
-			})
-		}
-	}
-	return out
-}
-
-// TargetInstancesFromRelation extracts per-attribute instance lists from a
-// data-context relation, renaming attributes via the optional alias map
-// (e.g. the address list's "street" instantiating target "street").
-func TargetInstancesFromRelation(r *relation.Relation, alias map[string]string) map[string][]relation.Value {
-	out := map[string][]relation.Value{}
-	for _, a := range r.Schema.Attrs {
-		name := a.Name
-		if alias != nil {
-			if n, ok := alias[a.Name]; ok {
-				name = n
-			}
-		}
-		col, err := r.Column(a.Name)
-		if err != nil {
-			continue
-		}
-		out[name] = append(out[name], col...)
-	}
-	return out
-}
-
-func sampleValues(col []relation.Value) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range col {
-		if v.IsNull() {
-			continue
-		}
-		s := strings.ToLower(strings.TrimSpace(v.String()))
-		if s == "" || seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-		if len(out) >= InstanceSample {
-			break
-		}
-	}
-	return out
-}
-
-// instanceSimilarity blends three signals over sampled distinct values.
-func instanceSimilarity(a, b []string) float64 {
-	overlap := valueJaccard(a, b)
-	shape := shapeSimilarity(a, b)
-	numeric := numericRangeOverlap(a, b)
-	// Overlap is the strongest evidence; shape separates postcodes from
-	// streets; numeric range separates prices from bedroom counts.
-	score := 0.6*overlap + 0.25*shape + 0.15*numeric
-	if overlap > 0.5 { // strong extensional evidence dominates
-		score = 0.85 + 0.15*overlap
-	}
-	return clamp01(score)
-}
-
-func valueJaccard(a, b []string) float64 {
-	sa := map[string]bool{}
-	for _, v := range a {
-		sa[v] = true
-	}
-	inter := 0
-	sb := map[string]bool{}
-	for _, v := range b {
-		if sb[v] {
-			continue
-		}
-		sb[v] = true
-		if sa[v] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// shape maps a value to its character-class pattern: "M1 1AA" -> "A9 9AA".
-func shape(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= '0' && r <= '9':
-			b.WriteByte('9')
-		case r >= 'a' && r <= 'z':
-			b.WriteByte('a')
-		case r >= 'A' && r <= 'Z':
-			b.WriteByte('A')
-		default:
-			b.WriteRune(r)
-		}
-	}
-	// Collapse runs so "123" and "57" share the shape "9+".
-	var c strings.Builder
-	var prev rune
-	for _, r := range b.String() {
-		if r != prev {
-			c.WriteRune(r)
-			prev = r
-		}
-	}
-	return c.String()
-}
-
-func shapeSimilarity(a, b []string) float64 {
-	da, db := shapeDist(a), shapeDist(b)
-	// Cosine over shape distributions.
-	dot, na, nb := 0.0, 0.0, 0.0
-	for s, fa := range da {
-		na += fa * fa
-		if fb, ok := db[s]; ok {
-			dot += fa * fb
-		}
-	}
-	for _, fb := range db {
-		nb += fb * fb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (sqrt(na) * sqrt(nb))
-}
-
-func shapeDist(vals []string) map[string]float64 {
-	counts := map[string]int{}
-	for _, v := range vals {
-		counts[shape(v)]++
-	}
-	out := make(map[string]float64, len(counts))
-	for s, c := range counts {
-		out[s] = float64(c) / float64(len(vals))
-	}
-	return out
-}
-
-func numericRangeOverlap(a, b []string) float64 {
-	minA, maxA, fracA := numericStats(a)
-	minB, maxB, fracB := numericStats(b)
-	if fracA < 0.8 || fracB < 0.8 {
-		return 0
-	}
-	lo := minA
-	if minB > lo {
-		lo = minB
-	}
-	hi := maxA
-	if maxB < hi {
-		hi = maxB
-	}
-	if hi <= lo {
-		return 0
-	}
-	span := maxA
-	if maxB > span {
-		span = maxB
-	}
-	floor := minA
-	if minB < floor {
-		floor = minB
-	}
-	if span == floor {
-		return 1
-	}
-	return (hi - lo) / (span - floor)
-}
-
-func numericStats(vals []string) (lo, hi float64, frac float64) {
-	n := 0
-	for _, v := range vals {
-		var f float64
-		if _, err := fmt.Sscanf(strings.ReplaceAll(strings.TrimPrefix(v, "£"), ",", ""), "%f", &f); err != nil {
-			continue
-		}
-		if n == 0 || f < lo {
-			lo = f
-		}
-		if n == 0 || f > hi {
-			hi = f
-		}
-		n++
-	}
-	if len(vals) == 0 {
-		return 0, 0, 0
-	}
-	return lo, hi, float64(n) / float64(len(vals))
 }
 
 func clamp01(f float64) float64 {

@@ -130,6 +130,7 @@ func TestMatchSchemasAllPairs(t *testing.T) {
 }
 
 func TestShape(t *testing.T) {
+	shape := func(s string) string { return string(appendShape(nil, s)) }
 	if shape("M1 1AA") != "A9 9A" {
 		t.Errorf("shape(M1 1AA) = %q", shape("M1 1AA"))
 	}
