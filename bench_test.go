@@ -92,6 +92,25 @@ func BenchmarkBootstrap(b *testing.B) {
 	}
 }
 
+// BenchmarkWrangleCycle is one build → bootstrap → data-context cycle at the
+// frozen benchmark's large size: what ROADMAP's "where the time goes" table is
+// a CPU and allocation profile of (-benchtime 150x -cpuprofile -memprofile).
+func BenchmarkWrangleCycle(b *testing.B) {
+	sc := datagen.Generate(scenarioCfg(600))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := core.BuildScenarioWrangler(sc)
+		if _, err := w.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		w.AddDataContext(sc.AddressRef)
+		if _, err := w.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPayAsYouGoPipeline measures all four demonstration steps (E-F3).
 func BenchmarkPayAsYouGoPipeline(b *testing.B) {
 	cfg := core.DefaultPayAsYouGoConfig()
@@ -421,28 +440,67 @@ func BenchmarkMCDAWeights(b *testing.B) {
 	}
 }
 
-// BenchmarkHTMLExtraction measures wrapper induction + extraction of a full
-// portal (the DIADEM-substitute path).
+// BenchmarkHTMLExtraction measures the DIADEM-substitute path of both portals
+// at the two benchmark sizes, wrapper induction (one sample page) and
+// extraction (every page) apart: bootstrap pays each once per source.
 func BenchmarkHTMLExtraction(b *testing.B) {
-	sc := datagen.Generate(scenarioCfg(200))
-	tmpl := extract.RightmoveTemplate()
-	pages := extract.GeneratePages(tmpl, sc.Rightmove)
-	anns := extract.BootstrapAnnotations(sc.Rightmove, []int{0, 1, 2})
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wr, err := extract.InduceWrapper(pages[0], anns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rel, _, err := wr.Extract(pages, sc.Rightmove.Schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rel.Cardinality() != sc.Rightmove.Cardinality() {
-			b.Fatal("extraction incomplete")
+	for _, n := range []int{100, 600} {
+		sc := datagen.Generate(scenarioCfg(n))
+		for _, portal := range []struct {
+			tmpl extract.SiteTemplate
+			src  *relation.Relation
+		}{
+			{extract.RightmoveTemplate(), sc.Rightmove},
+			{extract.OnTheMarketTemplate(), sc.OnTheMarket},
+		} {
+			pages := extract.GeneratePages(portal.tmpl, portal.src)
+			anns := extract.BootstrapAnnotations(portal.src, []int{0, 1, 2})
+			wr, err := extract.InduceWrapper(pages[0], anns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("induce/%s/n=%d", portal.tmpl.Name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := extract.InduceWrapper(pages[0], anns); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("extract/%s/n=%d", portal.tmpl.Name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rel, _, err := wr.Extract(pages, portal.src.Schema)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rel.Cardinality() != portal.src.Cardinality() {
+						b.Fatal("extraction incomplete")
+					}
+				}
+			})
 		}
 	}
+}
+
+// BenchmarkKBRelationRead measures what every transducer body does first:
+// read a stored relation and scan it. A read shares the stored relation, so
+// it must not allocate.
+func BenchmarkKBRelationRead(b *testing.B) {
+	sc := datagen.Generate(scenarioCfg(600))
+	k := kb.New()
+	k.PutRelation("src_rightmove", sc.Rightmove.Clone())
+	b.ReportAllocs()
+	b.ResetTimer()
+	nulls := 0
+	for i := 0; i < b.N; i++ {
+		for _, t := range k.Relation("src_rightmove").Tuples {
+			if t[0].IsNull() {
+				nulls++
+			}
+		}
+	}
+	_ = nulls
 }
 
 // BenchmarkKBAssertRetract measures the knowledge-base fact store.

@@ -8,6 +8,11 @@ import (
 	"vada/internal/relation"
 )
 
+// cell is the value of the named attribute in a row.
+func cell(r *relation.Relation, row int, attr string) relation.Value {
+	return r.Tuples[row][r.Schema.AttrIndex(attr)]
+}
+
 // refAddresses builds a small clean reference table where postcode → city
 // holds exactly and (street, postcode) is a key.
 func refAddresses() *relation.Relation {
@@ -202,7 +207,7 @@ func TestRepairFillsNullsFromReference(t *testing.T) {
 	res.MustAppend("1 High St", nil, "M1 1AA")
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
 	repaired, log := RepairWithReference(res, ref, cfds, DefaultRepairOptions())
-	v, _ := repaired.Value(0, "city")
+	v := cell(repaired, 0, "city")
 	if !v.Equal(relation.String("Manchester")) {
 		t.Fatalf("city not filled: %v (log %v)", v, log)
 	}
@@ -210,7 +215,7 @@ func TestRepairFillsNullsFromReference(t *testing.T) {
 		t.Fatalf("log = %v", log)
 	}
 	// Original untouched.
-	orig, _ := res.Value(0, "city")
+	orig := cell(res, 0, "city")
 	if !orig.IsNull() {
 		t.Fatal("repair must not mutate input")
 	}
@@ -222,7 +227,7 @@ func TestRepairCorrectsInconsistentValue(t *testing.T) {
 	res.MustAppend("1 High St", "Leeds", "M1 1AA") // wrong city
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
 	repaired, _ := RepairWithReference(res, ref, cfds, DefaultRepairOptions())
-	v, _ := repaired.Value(0, "city")
+	v := cell(repaired, 0, "city")
 	if !v.Equal(relation.String("Manchester")) {
 		t.Fatalf("city not corrected: %v", v)
 	}
@@ -236,7 +241,7 @@ func TestRepairAmbiguousGroupsUntouched(t *testing.T) {
 	res.MustAppend("1 X St", nil, "M1 1AA")
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
 	repaired, log := RepairWithReference(res, ref, cfds, DefaultRepairOptions())
-	v, _ := repaired.Value(0, "city")
+	v := cell(repaired, 0, "city")
 	if !v.IsNull() {
 		t.Fatalf("ambiguous reference evidence must not repair: %v (log %v)", v, log)
 	}
@@ -247,7 +252,7 @@ func TestRepairFuzzyStreetTypo(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 Hgih St", "Manchester", "M1 1AA") // transposition typo
 	repaired, log := RepairWithReference(res, ref, nil, DefaultRepairOptions())
-	v, _ := repaired.Value(0, "street")
+	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 High St")) {
 		t.Fatalf("typo not repaired: %v (log %v)", v, log)
 	}
@@ -260,7 +265,7 @@ func TestRepairFuzzyAmbiguousLeftAlone(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 Bark Rd", nil, nil) // equidistant from both
 	repaired, _ := RepairWithReference(res, ref, nil, DefaultRepairOptions())
-	v, _ := repaired.Value(0, "street")
+	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 Bark Rd")) {
 		t.Fatalf("ambiguous fuzzy match must not repair: %v", v)
 	}
@@ -271,7 +276,7 @@ func TestRepairCanonicalisesSpelling(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 HIGH ST", "Manchester", "M1 1AA")
 	repaired, log := RepairWithReference(res, ref, nil, DefaultRepairOptions())
-	v, _ := repaired.Value(0, "street")
+	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 High St")) {
 		t.Fatalf("case not canonicalised: %v (log %v)", v, log)
 	}

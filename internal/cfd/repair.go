@@ -196,10 +196,11 @@ func (r *Reference) lhsKey(t relation.Tuple, idx []int) (string, bool) {
 }
 
 // Repair repairs one result relation against the prepared reference. The
-// input relation is not modified; the repaired copy and the action log are
-// returned.
+// input relation is not modified; the repaired relation and the action log
+// are returned. A row no repair touches is res's own row, shared: the steps
+// below replace a row of out by a copy when they rewrite a cell in it.
 func (r *Reference) Repair(res *relation.Relation) (*relation.Relation, []RepairAction) {
-	out := res.Clone()
+	out := res.Shallow()
 	// Fuzzy key repair first: snap typo'd keys onto reference keys.
 	log := r.fuzzyKeyRepair(out)
 	// CFD-driven value repair.
@@ -230,14 +231,14 @@ func (r *Reference) fuzzyKeyRepair(out *relation.Relation) []RepairAction {
 			if t[ki].String() != canonical.String() {
 				log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
 					Old: t[ki], New: canonical, Reason: "reference spelling"})
-				t[ki] = canonical
+				out.Tuples[rowIdx] = t.With(ki, canonical)
 			}
 			continue
 		}
 		if hit := r.closest(n); hit.ok {
 			log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
 				Old: t[ki], New: hit.canonical, Reason: hit.reason})
-			t[ki] = hit.canonical
+			out.Tuples[rowIdx] = t.With(ki, hit.canonical)
 		}
 	}
 	return log
@@ -348,7 +349,7 @@ func constantRepair(out *relation.Relation, c CFD) []RepairAction {
 		if !t[ri].Equal(want) {
 			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want,
 				Reason: "constant CFD " + c.Key()})
-			t[ri] = want
+			out.Tuples[rowIdx] = t.With(ri, want)
 		}
 	}
 	return log
@@ -377,7 +378,7 @@ func (r *Reference) variableRepair(out *relation.Relation, c CFD, tb *refTable) 
 		}
 		if t[ri].IsNull() {
 			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want, Reason: tb.filled})
-			t[ri] = want
+			out.Tuples[rowIdx] = t.With(ri, want)
 			continue
 		}
 		// Correct format-noisy values: same after normalisation but
@@ -389,7 +390,7 @@ func (r *Reference) variableRepair(out *relation.Relation, c CFD, tb *refTable) 
 				reason = tb.canonicalised
 			}
 			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want, Reason: reason})
-			t[ri] = want
+			out.Tuples[rowIdx] = t.With(ri, want)
 		}
 	}
 	return log

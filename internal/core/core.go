@@ -271,7 +271,7 @@ func targetSchema(k *kb.KB) (relation.Schema, bool) {
 // attribute names when they differ.
 func (w *Wrangler) AddDataContext(rel *relation.Relation) {
 	name := rel.Schema.Name
-	w.KB.PutRelation(RelContextPrefix+name, rel)
+	w.KB.PutRelation(RelContextPrefix+name, rel.Clone()) // rel stays the caller's
 	w.KB.Assert(PredReference, relation.NewTuple(name))
 	w.KB.Assert(PredDCInstances, relation.NewTuple(name))
 }
@@ -320,12 +320,12 @@ func (w *Wrangler) Trace() []transducer.Step {
 }
 
 // Result returns the current wrangling result including the provenance
-// column, or nil before the first fusion.
+// column, or nil before the first fusion: the relation the knowledge base
+// holds, shared — read it, do not write to it (kb.Relation).
 func (w *Wrangler) Result() *relation.Relation { return w.KB.Relation(RelResult) }
 
-// ResultRows returns the current result cardinality without copying the
-// relation (0 before the first fusion) — cheap enough for per-request
-// listings.
+// ResultRows returns the current result cardinality (0 before the first
+// fusion).
 func (w *Wrangler) ResultRows() int { return w.KB.RelationCardinality(RelResult) }
 
 // ResultClean returns the result without the provenance column.

@@ -456,7 +456,8 @@ func (w *Wrangler) repairTransducer() transducer.Transducer {
 }
 
 // canonicalisePostcodes rewrites postcode cells into canonical form,
-// reporting the changes as repair actions.
+// reporting the changes as repair actions. It replaces rows of res — which
+// must be the caller's to change, rows apart — and writes to none.
 func canonicalisePostcodes(res *relation.Relation) []cfd.RepairAction {
 	pi := res.Schema.AttrIndex("postcode")
 	if pi < 0 {
@@ -472,7 +473,7 @@ func canonicalisePostcodes(res *relation.Relation) []cfd.RepairAction {
 		if canon != v.String() {
 			nv := relation.String(canon)
 			actions = append(actions, cfd.RepairAction{Row: row, Attr: "postcode", Old: v, New: nv, Reason: "postcode canonicalisation"})
-			res.Tuples[row][pi] = nv
+			res.Tuples[row] = res.Tuples[row].With(pi, nv)
 		}
 	}
 	return actions

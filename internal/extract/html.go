@@ -3,108 +3,137 @@
 //
 // It contains three parts:
 //
-//   - a small HTML tokenizer and DOM (this file), sufficient for the
-//     template-generated listing pages real estate portals serve;
+//   - a small tolerant HTML tokenizer (this file), sufficient for the
+//     template-generated listing pages real estate portals serve, and the
+//     minimal DOM wrapper induction builds from it for its one sample page;
 //   - a deep-web site generator (sitegen.go) that renders noisy source
 //     relations into per-portal HTML templates;
 //   - wrapper induction (wrapper.go): from a handful of annotated example
-//     values, learn per-field selectors and a record boundary, then extract
-//     every listing on every page back into a relation.
+//     values, learn per-field selectors and a record boundary; and
+//     extraction (extractor.go): apply them to every listing on every page
+//     in one pass over the page text, without a DOM, back into a relation.
 //
 // The pipeline interface is the same as the paper's: downstream transducers
 // see noisy source relations plus extraction provenance; only the origin of
 // the HTML differs (synthetic templates instead of live portals).
 package extract
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
-// NodeType distinguishes element and text nodes.
-type NodeType int
+type tokenKind uint8
 
 const (
-	// ElementNode is a tag node with attributes and children.
-	ElementNode NodeType = iota
-	// TextNode is a leaf holding character data.
-	TextNode
+	tokEOF   tokenKind = iota
+	tokText            // a run of character data between two tags
+	tokOpen            // an opening tag with a name
+	tokClose           // a closing tag
 )
 
-// Node is a DOM node of the minimal HTML model.
-type Node struct {
-	// Type is the node type.
-	Type NodeType
-	// Tag is the lower-cased element name (element nodes only).
-	Tag string
-	// Attrs holds the element attributes (element nodes only).
-	Attrs map[string]string
-	// Text holds character data (text nodes only).
-	Text string
-	// Children are the child nodes in document order.
-	Children []*Node
-	// Parent is the parent element, nil for the root.
-	Parent *Node
+// token is one step of the tokenizer.
+type token struct {
+	kind  tokenKind
+	text  string // tokText: the run, raw (entities not decoded)
+	name  string // tokOpen, tokClose: the element name, lower-cased
+	attrs string // tokOpen: what follows the name inside the tag, raw
+	// leaf says a tokOpen's element takes no children: it closed itself, is
+	// a void element, or is a script or style whose content was skipped.
+	leaf bool
 }
 
-// Class returns the element's class attribute.
-func (n *Node) Class() string { return n.Attrs["class"] }
-
-// HasClass reports whether the space-separated class list contains c.
-func (n *Node) HasClass(c string) bool {
-	for _, f := range strings.Fields(n.Class()) {
-		if f == c {
-			return true
-		}
-	}
-	return false
+// tokenizer walks a page tag by tag. It is tolerant, not browser-grade:
+// comments, doctype and processing instructions are skipped, a tag without a
+// name is skipped, script and style content is opaque up to its close tag,
+// and input ends at the first construct that is not terminated — what
+// template-generated pages need. Pairing close tags with open elements is
+// the caller's: a close tag closes the innermost open element of its name
+// and all inside it, a stray one nothing, and the end of input the rest.
+type tokenizer struct {
+	src string
+	pos int
 }
 
-// TextContent returns the concatenated text of the subtree, whitespace
-// normalised.
-func (n *Node) TextContent() string {
-	var b strings.Builder
-	var walk func(*Node)
-	walk = func(x *Node) {
-		if x.Type == TextNode {
-			b.WriteString(x.Text)
-			b.WriteByte(' ')
-			return
-		}
-		for _, c := range x.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return strings.Join(strings.Fields(b.String()), " ")
-}
-
-// Find returns all descendant elements matching tag (or any tag when empty)
-// and class (or any class when empty), in document order.
-func (n *Node) Find(tag, class string) []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(x *Node) {
-		for _, c := range x.Children {
-			if c.Type == ElementNode {
-				if (tag == "" || c.Tag == tag) && (class == "" || c.HasClass(class)) {
-					out = append(out, c)
-				}
-				walk(c)
+// next returns the next token, tokEOF when the input is exhausted.
+func (z *tokenizer) next() token {
+	src := z.src
+	for z.pos < len(src) {
+		i := z.pos
+		if src[i] != '<' {
+			j := strings.IndexByte(src[i:], '<')
+			if j < 0 {
+				j = len(src) - i
 			}
+			z.pos = i + j
+			return token{kind: tokText, text: src[i : i+j]}
 		}
+		rest := src[i:]
+		if strings.HasPrefix(rest, "<!--") {
+			end := strings.Index(rest[4:], "-->")
+			if end < 0 {
+				break
+			}
+			z.pos = i + 4 + end + 3
+			continue
+		}
+		end := strings.IndexByte(rest, '>')
+		if end < 0 {
+			break
+		}
+		z.pos = i + end + 1
+		switch {
+		case strings.HasPrefix(rest, "<!"), strings.HasPrefix(rest, "<?"):
+			continue
+		case strings.HasPrefix(rest, "</"):
+			return token{kind: tokClose, name: strings.ToLower(strings.TrimSpace(rest[2:end]))}
+		}
+		// An opening tag: "div class='x' id=y", perhaps self-closed.
+		raw := strings.TrimSpace(strings.TrimSuffix(rest[1:end], "/"))
+		n := 0
+		for n < len(raw) && !isTagSpace(raw[n]) {
+			n++
+		}
+		name := strings.ToLower(raw[:n])
+		if name == "" {
+			continue
+		}
+		t := token{kind: tokOpen, name: name, attrs: raw[n:], leaf: rest[end-1] == '/' || voidElements[name]}
+		if !t.leaf && (name == "script" || name == "style") {
+			t.leaf = true
+			z.pos = skipOpaque(src, z.pos, name)
+		}
+		return t
 	}
-	walk(n)
-	return out
+	z.pos = len(src)
+	return token{kind: tokEOF}
 }
 
-// FindFirst returns the first match of Find, or nil.
-func (n *Node) FindFirst(tag, class string) *Node {
-	all := n.Find(tag, class)
-	if len(all) == 0 {
-		return nil
+// skipOpaque returns the position after the close tag of the script or style
+// element whose content starts at from, len(src) when it is not closed. The
+// close tag is searched in place, ASCII letters folded: lower-casing the rest
+// of the document per element, as this once did, copies a page with k inline
+// scripts k times.
+func skipOpaque(src string, from int, name string) int {
+	for i := from; ; i++ {
+		j := strings.Index(src[i:], "</")
+		if j < 0 {
+			return len(src)
+		}
+		i += j
+		if !hasPrefixFold(src[i+2:], name) {
+			continue
+		}
+		gt := strings.IndexByte(src[i:], '>')
+		if gt < 0 {
+			return len(src)
+		}
+		return i + gt + 1
 	}
-	return all[0]
+}
+
+// hasPrefixFold reports whether s starts with the lower-case ASCII prefix in
+// any case. Between strings of one length, one of them ASCII, EqualFold folds
+// ASCII letters only: a letter that folds from outside ASCII is longer.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
 }
 
 // voidElements never have children in HTML.
@@ -114,157 +143,147 @@ var voidElements = map[string]bool{
 	"source": true, "track": true, "wbr": true,
 }
 
-// ParseHTML parses an HTML document into a DOM rooted at a synthetic
-// element. The parser is tolerant: unknown constructs are skipped, stray
-// close tags ignored, and unclosed tags closed at end of input — enough for
-// template-generated pages (it is not a general browser-grade parser).
-func ParseHTML(src string) *Node {
-	root := &Node{Type: ElementNode, Tag: "#root", Attrs: map[string]string{}}
-	stack := []*Node{root}
-	top := func() *Node { return stack[len(stack)-1] }
-	i := 0
-	n := len(src)
-	for i < n {
-		if src[i] != '<' {
-			j := strings.IndexByte(src[i:], '<')
-			var text string
-			if j < 0 {
-				text, i = src[i:], n
-			} else {
-				text, i = src[i:i+j], i+j
-			}
-			if t := decodeEntities(text); strings.TrimSpace(t) != "" {
-				cur := top()
-				child := &Node{Type: TextNode, Text: t, Parent: cur}
-				cur.Children = append(cur.Children, child)
-			}
-			continue
-		}
-		// Comments and doctype.
-		if strings.HasPrefix(src[i:], "<!--") {
-			end := strings.Index(src[i+4:], "-->")
-			if end < 0 {
-				break
-			}
-			i += 4 + end + 3
-			continue
-		}
-		if strings.HasPrefix(src[i:], "<!") || strings.HasPrefix(src[i:], "<?") {
-			end := strings.IndexByte(src[i:], '>')
-			if end < 0 {
-				break
-			}
-			i += end + 1
-			continue
-		}
-		// Closing tag.
-		if strings.HasPrefix(src[i:], "</") {
-			end := strings.IndexByte(src[i:], '>')
-			if end < 0 {
-				break
-			}
-			name := strings.ToLower(strings.TrimSpace(src[i+2 : i+end]))
-			i += end + 1
-			// Pop to the matching open tag if present.
-			for d := len(stack) - 1; d > 0; d-- {
-				if stack[d].Tag == name {
-					stack = stack[:d]
-					break
-				}
-			}
-			continue
-		}
-		// Opening tag.
-		end := strings.IndexByte(src[i:], '>')
-		if end < 0 {
-			break
-		}
-		raw := src[i+1 : i+end]
-		i += end + 1
-		selfClose := strings.HasSuffix(raw, "/")
-		raw = strings.TrimSuffix(raw, "/")
-		name, attrs := parseTag(raw)
-		if name == "" {
-			continue
-		}
-		cur := top()
-		el := &Node{Type: ElementNode, Tag: name, Attrs: attrs, Parent: cur}
-		cur.Children = append(cur.Children, el)
-		if !selfClose && !voidElements[name] {
-			// script/style content is opaque: skip to close tag.
-			if name == "script" || name == "style" {
-				closeTag := "</" + name
-				idx := strings.Index(strings.ToLower(src[i:]), closeTag)
-				if idx < 0 {
-					break
-				}
-				gt := strings.IndexByte(src[i+idx:], '>')
-				if gt < 0 {
-					break
-				}
-				i += idx + gt + 1
-				continue
-			}
-			stack = append(stack, el)
-		}
-	}
-	return root
-}
+// isTagSpace reports whether byte c separates the parts of a tag: what
+// unicode.IsSpace says of the byte taken as a rune. Tags are split bytewise.
+func isTagSpace(c byte) bool { return strings.IndexByte("\t\n\v\f\r \x85\xa0", c) >= 0 }
 
-// parseTag splits "div class='x' id=y" into name and attributes.
-func parseTag(raw string) (string, map[string]string) {
-	attrs := map[string]string{}
-	raw = strings.TrimSpace(raw)
-	if raw == "" {
-		return "", attrs
-	}
-	i := 0
-	for i < len(raw) && !unicode.IsSpace(rune(raw[i])) {
-		i++
-	}
-	name := strings.ToLower(raw[:i])
-	rest := raw[i:]
-	for {
-		rest = strings.TrimLeft(rest, " \t\n\r")
-		if rest == "" {
-			break
+// classAttr returns the value of the class attribute in a tag's raw
+// attribute text, entities decoded: the last one if it is given twice, ""
+// if it is absent or bare. Values may be quoted with either quote or bare.
+func classAttr(attrs string) string {
+	class := ""
+	for rest := attrs; ; {
+		for rest != "" && isTagSpace(rest[0]) {
+			rest = rest[1:]
 		}
-		eq := -1
+		if rest == "" {
+			return class
+		}
 		j := 0
-		for j < len(rest) && !unicode.IsSpace(rune(rest[j])) {
-			if rest[j] == '=' {
-				eq = j
-				break
-			}
+		for j < len(rest) && rest[j] != '=' && !isTagSpace(rest[j]) {
 			j++
 		}
-		if eq < 0 {
-			// Bare attribute.
-			attrs[strings.ToLower(rest[:j])] = ""
-			rest = rest[j:]
-			continue
-		}
-		key := strings.ToLower(rest[:eq])
-		rest = rest[eq+1:]
-		var val string
-		if rest != "" && (rest[0] == '"' || rest[0] == '\'') {
-			q := rest[0]
-			endQ := strings.IndexByte(rest[1:], q)
-			if endQ < 0 {
-				val, rest = rest[1:], ""
+		isClass := j == len("class") && hasPrefixFold(rest, "class")
+		val := ""
+		if rest = rest[j:]; rest != "" && rest[0] == '=' {
+			rest = rest[1:]
+			if rest != "" && (rest[0] == '"' || rest[0] == '\'') {
+				if endQ := strings.IndexByte(rest[1:], rest[0]); endQ < 0 {
+					val, rest = rest[1:], ""
+				} else {
+					val, rest = rest[1:1+endQ], rest[endQ+2:]
+				}
 			} else {
-				val, rest = rest[1:1+endQ], rest[endQ+2:]
+				k := 0
+				for k < len(rest) && !isTagSpace(rest[k]) {
+					k++
+				}
+				val, rest = rest[:k], rest[k:]
 			}
-		} else {
-			k := 0
-			for k < len(rest) && !unicode.IsSpace(rune(rest[k])) {
-				k++
-			}
-			val, rest = rest[:k], rest[k:]
 		}
-		attrs[key] = decodeEntities(val)
+		if isClass {
+			class = decodeEntities(val)
+		}
 	}
-	return name, attrs
+}
+
+// hasClass reports whether the space-separated class list contains c.
+func hasClass(list, c string) bool {
+	for f := range strings.FieldsSeq(list) {
+		if f == c {
+			return true
+		}
+	}
+	return false
+}
+
+// appendText appends the words of a raw text run to buf, entities decoded,
+// each word preceded by one space unless buf is empty: a subtree's text with
+// white space normalised is what was appended while it was open, less the
+// leading space.
+func appendText(buf []byte, raw string) []byte {
+	for word := range strings.FieldsSeq(decodeEntities(raw)) {
+		if len(buf) > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, word...)
+	}
+	return buf
+}
+
+// NodeType distinguishes element and text nodes.
+type NodeType int
+
+const (
+	// ElementNode is a tag node with children.
+	ElementNode NodeType = iota
+	// TextNode is a leaf holding character data.
+	TextNode
+)
+
+// Node is a DOM node of the minimal HTML model wrapper induction works on.
+type Node struct {
+	Type NodeType
+	// Tag is the lower-cased element name and class the class attribute
+	// (element nodes only).
+	Tag, class string
+	// Text is the subtree's text with white space normalised: a text node's
+	// own words, an element's descendants' in document order.
+	Text string
+	// Children are the child nodes in document order, Parent the parent
+	// element (nil for the root).
+	Children []*Node
+	Parent   *Node
+}
+
+// ParseHTML parses an HTML document into a DOM rooted at a synthetic
+// element, with the tokenizer's tolerance.
+func ParseHTML(src string) *Node {
+	root := &Node{Type: ElementNode, Tag: "#root"}
+	open := []*Node{root}
+	var buf []byte
+	for z := (tokenizer{src: src}); ; {
+		t := z.next()
+		cur := open[len(open)-1]
+		switch t.kind {
+		case tokEOF:
+			root.fillText()
+			return root
+		case tokText:
+			if buf = appendText(buf[:0], t.text); len(buf) > 0 {
+				cur.Children = append(cur.Children, &Node{Type: TextNode, Text: string(buf), Parent: cur})
+			}
+		case tokOpen:
+			el := &Node{Type: ElementNode, Tag: t.name, class: classAttr(t.attrs), Parent: cur}
+			cur.Children = append(cur.Children, el)
+			if !t.leaf {
+				open = append(open, el)
+			}
+		case tokClose:
+			for d := len(open) - 1; d > 0; d-- { // the root is never closed
+				if open[d].Tag == t.name {
+					open = open[:d]
+					break
+				}
+			}
+		}
+	}
+}
+
+// fillText sets the Text of every element under n, bottom-up, so that each
+// is computed once from its children's.
+func (n *Node) fillText() {
+	if n.Type == TextNode {
+		return
+	}
+	var parts []string
+	for _, c := range n.Children {
+		c.fillText()
+		if c.Text != "" {
+			parts = append(parts, c.Text)
+		}
+	}
+	n.Text = strings.Join(parts, " ")
 }
 
 var entityReplacer = strings.NewReplacer(
@@ -274,7 +293,14 @@ var entityReplacer = strings.NewReplacer(
 
 var escapeReplacer = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
-func decodeEntities(s string) string { return entityReplacer.Replace(s) }
+// decodeEntities replaces the entities portals use. Text without one comes
+// back as it is: the replacer would copy it.
+func decodeEntities(s string) string {
+	if strings.IndexByte(s, '&') < 0 {
+		return s
+	}
+	return entityReplacer.Replace(s)
+}
 
 // EscapeHTML escapes text for embedding into generated pages.
 func EscapeHTML(s string) string { return escapeReplacer.Replace(s) }

@@ -62,6 +62,13 @@ func InduceWrapper(page Page, annotations []Annotation) (*Wrapper, error) {
 		return nil, fmt.Errorf("extract: wrapper induction needs at least one annotation")
 	}
 	doc := ParseHTML(page.HTML)
+	elements := doc.elements(nil)
+	// Every element's text is known (ParseHTML computes each once), so an
+	// annotation finds its elements by looking its text up.
+	byText := make(map[string][]*Node, len(elements))
+	for _, el := range elements {
+		byText[el.Text] = append(byText[el.Text], el)
+	}
 
 	// Step 1: field rules by voting.
 	votes := map[string]map[[2]string]int{} // attr -> (tag,class) -> votes
@@ -71,20 +78,13 @@ func InduceWrapper(page Page, annotations []Annotation) (*Wrapper, error) {
 		if target == "" {
 			continue
 		}
-		for _, el := range doc.Find("", "") {
-			if el.TextContent() != target {
-				continue
-			}
+	candidates:
+		for _, el := range byText[target] {
 			// Prefer the deepest element containing exactly this text.
-			deepest := true
 			for _, c := range el.Children {
-				if c.Type == ElementNode && c.TextContent() == target {
-					deepest = false
-					break
+				if c.Type == ElementNode && c.Text == target {
+					continue candidates
 				}
-			}
-			if !deepest {
-				continue
 			}
 			if votes[ann.Attr] == nil {
 				votes[ann.Attr] = map[[2]string]int{}
@@ -117,27 +117,36 @@ func InduceWrapper(page Page, annotations []Annotation) (*Wrapper, error) {
 	sort.Slice(fields, func(i, j int) bool { return fields[i].Attr < fields[j].Attr })
 
 	// Step 2: record boundary.
-	recTag, recClass, err := induceRecordBoundary(doc, matched)
+	recTag, recClass, err := induceRecordBoundary(elements, matched)
 	if err != nil {
 		return nil, err
 	}
 	return &Wrapper{RecordTag: recTag, RecordClass: recClass, Fields: fields}, nil
 }
 
-func firstClass(n *Node) string {
-	f := strings.Fields(n.Class())
-	if len(f) == 0 {
-		return ""
+// elements appends the elements under n to out in document order.
+func (n *Node) elements(out []*Node) []*Node {
+	for _, c := range n.Children {
+		if c.Type == ElementNode {
+			out = c.elements(append(out, c))
+		}
 	}
-	return f[0]
+	return out
+}
+
+func firstClass(n *Node) string {
+	for f := range strings.FieldsSeq(n.class) {
+		return f
+	}
+	return ""
 }
 
 // induceRecordBoundary picks the deepest repeated ancestor shape that
 // isolates matches.
-func induceRecordBoundary(doc *Node, matched []*Node) (string, string, error) {
+func induceRecordBoundary(elements, matched []*Node) (string, string, error) {
 	// Count occurrences of every (tag, class) shape on the page.
 	shapeCount := map[[2]string]int{}
-	for _, el := range doc.Find("", "") {
+	for _, el := range elements {
 		shapeCount[[2]string{el.Tag, firstClass(el)}]++
 	}
 	// For each match, walk ancestors; candidate shapes must repeat on the

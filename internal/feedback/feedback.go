@@ -119,8 +119,8 @@ func rowKey(res *relation.Relation, row int, norm KeyNorm) (string, bool) {
 // Apply patches the result with attribute-level corrections: cells the user
 // corrected get the corrected value; cells marked incorrect without a
 // correction are nulled (better absent than wrong — they become repairable
-// or fusible later). The input is not modified. Returns the patched copy and
-// the number of cells changed.
+// or fusible later). The input is not modified: the patched relation shares
+// the rows no correction touches. Returns it and the number of cells changed.
 func Apply(res *relation.Relation, items []Item, norm KeyNorm) (*relation.Relation, int) {
 	if norm == nil {
 		norm = DefaultKeyNorm
@@ -132,7 +132,7 @@ func Apply(res *relation.Relation, items []Item, norm KeyNorm) (*relation.Relati
 		}
 		byKey[norm(it.Street, it.Postcode)] = append(byKey[norm(it.Street, it.Postcode)], it)
 	}
-	out := res.Clone()
+	out := res.Shallow()
 	changed := 0
 	for row := range out.Tuples {
 		key, ok := rowKey(out, row, norm)
@@ -151,7 +151,7 @@ func Apply(res *relation.Relation, items []Item, norm KeyNorm) (*relation.Relati
 				newV = relation.Null()
 			}
 			if !out.Tuples[row][ai].Equal(newV) {
-				out.Tuples[row][ai] = newV
+				out.Tuples[row] = out.Tuples[row].With(ai, newV)
 				changed++
 			}
 		}
@@ -389,10 +389,12 @@ func LearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm 
 }
 
 // ApplyRangeRules nulls cells falling outside learned plausibility ranges,
-// returning the patched copy and the count of suppressed cells. Nulled cells
-// become targets for repair and fusion instead of silently wrong values.
+// returning the patched relation — res is not modified, and rows without a
+// suppressed cell are shared with it — and the count of suppressed cells.
+// Nulled cells become targets for repair and fusion instead of silently wrong
+// values.
 func ApplyRangeRules(res *relation.Relation, rules []RangeRule) (*relation.Relation, int) {
-	out := res.Clone()
+	out := res.Shallow()
 	suppressed := 0
 	for _, r := range rules {
 		ai := out.Schema.AttrIndex(r.Attr)
@@ -405,7 +407,7 @@ func ApplyRangeRules(res *relation.Relation, rules []RangeRule) (*relation.Relat
 				continue
 			}
 			if f < r.Min || f > r.Max {
-				out.Tuples[row][ai] = relation.Null()
+				out.Tuples[row] = out.Tuples[row].With(ai, relation.Null())
 				suppressed++
 			}
 		}

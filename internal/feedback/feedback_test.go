@@ -9,6 +9,11 @@ import (
 	"vada/internal/relation"
 )
 
+// cell is the value of the named attribute in a row.
+func cell(r *relation.Relation, row int, attr string) relation.Value {
+	return r.Tuples[row][r.Schema.AttrIndex(attr)]
+}
+
 func resultFixture() *relation.Relation {
 	r := relation.New(relation.NewSchema("target",
 		"street", "postcode", "bedrooms:int", "price:float", "_src"))
@@ -53,16 +58,16 @@ func TestApplyCorrections(t *testing.T) {
 	if changed != 2 {
 		t.Fatalf("changed = %d, want 2", changed)
 	}
-	v, _ := patched.Value(1, "bedrooms")
+	v := cell(patched, 1, "bedrooms")
 	if !v.Equal(relation.Int(2)) {
 		t.Fatalf("correction not applied: %v", v)
 	}
-	v, _ = patched.Value(3, "bedrooms")
+	v = cell(patched, 3, "bedrooms")
 	if !v.IsNull() {
 		t.Fatalf("incorrect-without-fix should null: %v", v)
 	}
 	// Original untouched.
-	v, _ = res.Value(1, "bedrooms")
+	v = cell(res, 1, "bedrooms")
 	if v.IntVal() != 14 {
 		t.Fatal("input mutated")
 	}
@@ -76,7 +81,7 @@ func TestApplyKeyNormalisation(t *testing.T) {
 	if changed != 1 {
 		t.Fatalf("case/space-noisy key should still match: changed=%d", changed)
 	}
-	v, _ := patched.Value(1, "bedrooms")
+	v := cell(patched, 1, "bedrooms")
 	if !v.Equal(relation.Int(2)) {
 		t.Fatal("not applied")
 	}
@@ -180,11 +185,11 @@ func TestApplyRangeRules(t *testing.T) {
 	if suppressed != 2 {
 		t.Fatalf("suppressed = %d, want 2 (rows with 14 and 22)", suppressed)
 	}
-	v, _ := patched.Value(1, "bedrooms")
+	v := cell(patched, 1, "bedrooms")
 	if !v.IsNull() {
 		t.Fatal("14 bedrooms should be suppressed")
 	}
-	v, _ = patched.Value(0, "bedrooms")
+	v = cell(patched, 0, "bedrooms")
 	if v.IntVal() != 3 {
 		t.Fatal("in-range value must survive")
 	}

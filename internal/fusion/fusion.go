@@ -172,7 +172,8 @@ type Options struct {
 
 // Fuse merges each duplicate cluster into a single tuple and returns a new
 // relation containing the fused tuples plus all non-clustered tuples, in
-// original order (clusters appear at their first member's position).
+// original order (clusters appear at their first member's position). The
+// non-clustered tuples are rel's own, shared.
 func Fuse(rel *relation.Relation, clusters [][]int, opts Options) *relation.Relation {
 	inCluster := map[int]int{} // row -> cluster index
 	for ci, members := range clusters {
@@ -189,7 +190,7 @@ func Fuse(rel *relation.Relation, clusters [][]int, opts Options) *relation.Rela
 	for i := range rel.Tuples {
 		ci, clustered := inCluster[i]
 		if !clustered {
-			out.Tuples = append(out.Tuples, rel.Tuples[i].Clone())
+			out.Tuples = append(out.Tuples, rel.Tuples[i])
 			continue
 		}
 		if emitted[ci] {

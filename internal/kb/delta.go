@@ -113,8 +113,9 @@ func (k *KB) SnapshotPending() {
 	if !k.deltaOn {
 		return
 	}
+	k.checkAllLocked()
 	for name, idx := range k.deltaRelOp {
-		k.deltaOps[idx] = DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: k.relations[name].Clone()}
+		k.deltaOps[idx] = DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: k.relations[name]}
 	}
 	k.deltaWholesale = true
 }
@@ -129,13 +130,15 @@ func (k *KB) StopDeltaLog() {
 
 // CutDelta returns the mutations recorded since StartDeltaLog (or the
 // previous cut) and resets the log so the next cut starts from here. It
-// returns nil when the log is not active.
+// returns nil when the log is not active. The relations and tuples in the ops
+// are the stored ones, shared and frozen: encode them, do not edit them.
 func (k *KB) CutDelta() *Delta {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if !k.deltaOn {
 		return nil
 	}
+	k.checkAllLocked()
 	// Re-puts that landed back on their base state leave zero-Kind
 	// tombstones (see logRelationPutLocked); filter them out of the cut.
 	ops := k.deltaOps[:0]

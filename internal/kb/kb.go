@@ -16,6 +16,19 @@
 //     extensional data in external stores; here the KB holds the handles
 //     and the data itself, which is equivalent at laptop scale.
 //
+// What is stored is shared, not copied: a relation put in the knowledge base,
+// every tuple in it, and every fact tuple are frozen from then on. PutRelation
+// takes ownership of the relation it is given; Relation, Facts, Snapshot and
+// the delta log hand out the stored relations and tuples themselves; and
+// nobody — neither the code that put them nor the code that read them —
+// writes to one afterwards. To change a relation, build a new one (sharing
+// the rows that stay: Relation.Shallow, Tuple.With) and put that. The
+// compiler cannot hold anyone to this, so the kbcheck build tag does: under
+// it the knowledge base fingerprints everything at put time and verifies the
+// fingerprints on every read, put, cut and snapshot, panicking with the name
+// of the relation or predicate that was written through (go test -tags
+// kbcheck; see kbcheck.go).
+//
 // Beside its content it carries values (PutValue/Value): in-process state
 // components hand one another, stored under external keys so that it moves and
 // is read on the same clock as facts and relations, and left out of everything
@@ -33,6 +46,8 @@ package kb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,6 +103,10 @@ type state struct {
 	deltaRelOp     map[string]int
 	deltaRelBase   map[string]*relation.Relation
 	deltaWholesale bool
+
+	// seals holds the put-time fingerprints of the stored relations under
+	// the kbcheck build tag, and nothing otherwise. See kbcheck.go.
+	seals seals
 }
 
 type factSet struct {
@@ -113,7 +132,8 @@ func (k *KB) Version() uint64 {
 	return k.version
 }
 
-// Assert adds a fact. It returns true if the fact was new.
+// Assert adds a fact. It returns true if the fact was new. The tuple stays
+// the caller's: what is stored (and logged) is one copy of it.
 func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	k.mu.Lock()
 	fs, ok := k.facts[pred]
@@ -126,11 +146,12 @@ func (k *KB) Assert(pred string, t relation.Tuple) bool {
 		k.mu.Unlock()
 		return false
 	}
+	stored := t.Clone()
 	fs.keys[key] = len(fs.tuples)
-	fs.tuples = append(fs.tuples, t.Clone())
+	fs.tuples = append(fs.tuples, stored)
 	k.version++
-	k.bumpFactsLocked(pred, len(fs.tuples) == 1)
-	k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t.Clone()})
+	k.bumpLocked(FactsKey(pred))
+	k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: stored})
 	k.mu.Unlock()
 	return true
 }
@@ -148,7 +169,7 @@ func (k *KB) Retract(pred string, t relation.Tuple) bool {
 	if !present {
 		return false
 	}
-	last := len(fs.tuples) - 1
+	stored, last := fs.tuples[idx], len(fs.tuples)-1
 	if idx != last {
 		fs.tuples[idx] = fs.tuples[last]
 		fs.keys[fs.tuples[idx].Key()] = idx
@@ -156,8 +177,8 @@ func (k *KB) Retract(pred string, t relation.Tuple) bool {
 	fs.tuples = fs.tuples[:last]
 	delete(fs.keys, key)
 	k.version++
-	k.bumpFactsLocked(pred, last == 0)
-	k.logLocked(DeltaOp{Kind: DeltaRetract, Name: pred, Tuple: t.Clone()})
+	k.bumpLocked(FactsKey(pred))
+	k.logLocked(DeltaOp{Kind: DeltaRetract, Name: pred, Tuple: stored})
 	return true
 }
 
@@ -172,7 +193,7 @@ func (k *KB) RetractPredicate(pred string) int {
 	n := len(fs.tuples)
 	delete(k.facts, pred)
 	k.version++
-	k.bumpFactsLocked(pred, true)
+	k.bumpLocked(FactsKey(pred))
 	k.logLocked(DeltaOp{Kind: DeltaRetractPredicate, Name: pred})
 	return n
 }
@@ -187,10 +208,11 @@ func (k *KB) RetractWhere(pred string, match func(relation.Tuple) bool) int {
 		k.mu.Unlock()
 		return 0
 	}
+	checkFacts(pred, fs)
 	var doomed []relation.Tuple
 	for _, t := range fs.tuples {
 		if match(t) {
-			doomed = append(doomed, t.Clone())
+			doomed = append(doomed, t)
 		}
 	}
 	k.mu.Unlock()
@@ -228,7 +250,9 @@ func (k *KB) Count(pred string) int {
 	return len(fs.tuples)
 }
 
-// Facts returns a copy of all tuples of a predicate.
+// Facts returns all tuples of a predicate. The slice is the caller's, to
+// sort or cut as it likes; the tuples in it are the stored ones, not to be
+// written to.
 func (k *KB) Facts(pred string) []relation.Tuple {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
@@ -237,41 +261,14 @@ func (k *KB) Facts(pred string) []relation.Tuple {
 	if !ok {
 		return nil
 	}
-	out := make([]relation.Tuple, len(fs.tuples))
-	for i, t := range fs.tuples {
-		out[i] = t.Clone()
-	}
-	return out
+	checkFacts(pred, fs)
+	return slices.Clone(fs.tuples)
 }
 
-// FactsWhere returns copies of the tuples of pred satisfying match.
-func (k *KB) FactsWhere(pred string, match func(relation.Tuple) bool) []relation.Tuple {
-	var out []relation.Tuple
-	for _, t := range k.Facts(pred) {
-		if match(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Predicates lists all fact predicates with at least one tuple, sorted.
-func (k *KB) Predicates() []string {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	k.noteLocked(Key{Kind: KeyPredicates})
-	out := make([]string, 0, len(k.facts))
-	for p, fs := range k.facts {
-		if len(fs.tuples) > 0 {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PutRelation stores (or replaces) a named bulk relation. The stored value
-// is a deep copy, so callers may keep mutating theirs.
+// PutRelation stores (or replaces) a named bulk relation. It takes ownership:
+// r itself is stored and handed to every reader, so the caller must not write
+// to it — its tuples included — once it is put. A caller that does not own
+// what it holds puts a Clone.
 //
 // With an active delta log the mutation is recorded: a replacement of an
 // existing same-schema relation is captured as a DeltaPatchRelation
@@ -280,17 +277,25 @@ func (k *KB) Predicates() []string {
 // reproduces the new relation exactly (order included); a
 // replacement the diff cannot prove equivalent — schema change, reordering
 // of surviving rows, or a diff no smaller than the relation — falls back
-// to the wholesale clone, and an unchanged relation logs nothing at all
+// to a wholesale op sharing the relation, and an unchanged relation logs
+// nothing at all
 // (the version still advances; the delta's To covers it on replay).
 func (k *KB) PutRelation(name string, r *relation.Relation) {
 	k.mu.Lock()
+	k.installRelationLocked(name, r)
+	k.mu.Unlock()
+}
+
+// installRelationLocked makes r the relation stored under name, as a change:
+// versioned, sealed and logged.
+func (k *KB) installRelationLocked(name string, r *relation.Relation) {
 	old := k.relations[name]
-	stored := r.Clone()
-	k.relations[name] = stored
+	k.seals.check(name, old)
+	k.relations[name] = r
+	k.seals.put(name, r)
 	k.version++
 	k.bumpRelationLocked(name, old == nil)
-	k.logRelationPutLocked(name, old, stored)
-	k.mu.Unlock()
+	k.logRelationPutLocked(name, old, r)
 }
 
 // logRelationPutLocked records a relation put in the active delta log.
@@ -308,7 +313,7 @@ func (k *KB) logRelationPutLocked(name string, old, stored *relation.Relation) {
 	}
 	base, seen := k.deltaRelBase[name]
 	if !seen {
-		base = old // orphaned by this put, so safe to retain without cloning
+		base = old // frozen like everything stored, so safe to retain
 		if k.deltaRelBase == nil {
 			k.deltaRelBase = make(map[string]*relation.Relation)
 		}
@@ -336,16 +341,16 @@ func (k *KB) logRelationPutLocked(name string, old, stored *relation.Relation) {
 
 // relationPutOp decides how an active delta log records a relation put:
 // a row-level patch when provably lossless, nothing for an unchanged
-// relation, a wholesale clone otherwise. Callers hold k.mu; old is the
-// state the put is diffed against (nil if absent) and stored is the
-// KB-owned clone just installed.
+// relation, a wholesale op sharing it otherwise. Callers hold k.mu; old is
+// the state the put is diffed against (nil if absent) and stored is the
+// relation just installed.
 func (k *KB) relationPutOp(name string, old, stored *relation.Relation) (DeltaOp, bool) {
 	if k.deltaWholesale || old == nil || !old.Schema.Equal(stored.Schema) {
-		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored.Clone()}, true
+		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored}, true
 	}
 	added, addedAt, removed, ok := relationRowDiff(old, stored)
 	if !ok || len(added)+len(removed) >= len(stored.Tuples) {
-		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored.Clone()}, true
+		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored}, true
 	}
 	if len(added) == 0 && len(removed) == 0 {
 		return DeltaOp{}, false
@@ -365,7 +370,7 @@ func (k *KB) relationPutOp(name string, old, stored *relation.Relation) (DeltaOp
 // duplicate is equivalent. Replacements that reorder surviving rows fail
 // the check and fall back to a wholesale put. addedAt is nil when every
 // addition is a tail append (the pre-positional wire shape). The returned
-// tuples are clones, safe to retain.
+// tuples are the relations' own, frozen like them.
 func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, addedAt []int, removed []relation.Tuple, ok bool) {
 	oldCount := make(map[string]int, len(old.Tuples))
 	for _, t := range old.Tuples {
@@ -389,7 +394,7 @@ func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, added
 		key := t.Key()
 		if surplus[key] > 0 {
 			surplus[key]--
-			removed = append(removed, t.Clone())
+			removed = append(removed, t)
 			continue
 		}
 		kept = append(kept, t)
@@ -400,7 +405,7 @@ func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, added
 			j++
 			continue
 		}
-		added = append(added, t.Clone())
+		added = append(added, t)
 		addedAt = append(addedAt, i)
 	}
 	if j != len(kept) {
@@ -424,7 +429,9 @@ func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, added
 // target means the op belongs to an epoch already folded into a snapshot.
 // An empty patch is a no-op too. Malformed positions (short, out of range)
 // degrade deterministically: unplaceable additions keep their order and
-// flush to the tail. Inputs are deep-copied.
+// flush to the tail. Like PutRelation it takes ownership of what it is given.
+// The patched relation is a new one stored in place of the old: a reader
+// holding the old one keeps seeing the old rows.
 func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int, removed []relation.Tuple) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -435,6 +442,7 @@ func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int,
 	if len(added) == 0 && len(removed) == 0 {
 		return true
 	}
+	k.seals.check(name, r)
 	surplus := make(map[string]int, len(removed))
 	for _, t := range removed {
 		surplus[t.Key()]++
@@ -453,55 +461,37 @@ func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int,
 	for ai < len(added) || ki < len(kept) {
 		if ai < len(added) &&
 			(ki == len(kept) || (ai < len(addedAt) && addedAt[ai] <= len(next))) {
-			next = append(next, added[ai].Clone())
+			next = append(next, added[ai])
 			ai++
 			continue
 		}
 		next = append(next, kept[ki])
 		ki++
 	}
-	r.Tuples = next
+	patched := &relation.Relation{Schema: r.Schema, Tuples: next}
+	k.relations[name] = patched
+	k.seals.put(name, patched)
 	k.version++
 	k.bumpRelationLocked(name, false)
-	k.logLocked(DeltaOp{Kind: DeltaPatchRelation, Name: name,
-		Added: cloneTuples(added), AddedAt: cloneInts(addedAt), Removed: cloneTuples(removed)})
+	k.logLocked(DeltaOp{Kind: DeltaPatchRelation, Name: name, Added: added, AddedAt: addedAt, Removed: removed})
 	return true
 }
 
-// cloneInts copies an int slice (nil in, nil out).
-func cloneInts(xs []int) []int {
-	if xs == nil {
-		return nil
-	}
-	return append([]int(nil), xs...)
-}
-
-// cloneTuples deep-copies a tuple slice (nil in, nil out).
-func cloneTuples(ts []relation.Tuple) []relation.Tuple {
-	if ts == nil {
-		return nil
-	}
-	out := make([]relation.Tuple, len(ts))
-	for i, t := range ts {
-		out[i] = t.Clone()
-	}
-	return out
-}
-
-// Relation returns a deep copy of a named bulk relation, or nil if absent.
+// Relation returns a named bulk relation, or nil if absent: the stored one,
+// shared with every other reader and never changed — a later put or patch
+// stores a new relation under the name and leaves this one as it was. Read
+// it freely, for as long as you like; to change it, build a new relation.
 func (k *KB) Relation(name string) *relation.Relation {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	k.noteLocked(RelationKey(name))
-	r, ok := k.relations[name]
-	if !ok {
-		return nil
-	}
-	return r.Clone()
+	r := k.relations[name]
+	k.seals.check(name, r)
+	return r
 }
 
-// RelationCardinality returns the tuple count of a named bulk relation
-// without copying it (0 if absent).
+// RelationCardinality returns the tuple count of a named bulk relation (0 if
+// absent).
 func (k *KB) RelationCardinality(name string) int {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
@@ -526,9 +516,11 @@ func (k *KB) HasRelation(name string) bool {
 func (k *KB) DropRelation(name string) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if _, ok := k.relations[name]; !ok {
+	r, ok := k.relations[name]
+	if !ok {
 		return false
 	}
+	k.seals.check(name, r)
 	delete(k.relations, name)
 	k.version++
 	k.bumpRelationLocked(name, true)
@@ -562,25 +554,24 @@ func (k *KB) RelationNames(prefix string) []string {
 	return out
 }
 
-// Snapshot returns a deep copy of the knowledge base: facts, relations and
-// version. Snapshots give transducer runs a
+// Snapshot returns the knowledge base as it is now — facts, relations and
+// version — as a knowledge base of its own: later writes to either do not
+// show in the other. Only the bookkeeping is copied; the relations and fact
+// tuples, frozen in both, are shared. Snapshots give transducer runs a
 // consistent view and make experiments repeatable.
 func (k *KB) Snapshot() *KB {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	k.noteLocked(Key{Kind: KeyAll})
+	k.checkAllLocked()
 	out := New()
 	out.version = k.version
 	for pred, fs := range k.facts {
-		nfs := &factSet{keys: make(map[string]int, len(fs.keys))}
-		for i, t := range fs.tuples {
-			nfs.tuples = append(nfs.tuples, t.Clone())
-			nfs.keys[t.Key()] = i
-		}
-		out.facts[pred] = nfs
+		out.facts[pred] = &factSet{keys: maps.Clone(fs.keys), tuples: slices.Clone(fs.tuples)}
 	}
 	for name, r := range k.relations {
-		out.relations[name] = r.Clone()
+		out.relations[name] = r
+		out.seals.put(name, r)
 	}
 	return out
 }

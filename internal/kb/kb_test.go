@@ -1,7 +1,9 @@
 package kb
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -89,53 +91,69 @@ func TestRetractPredicateAndWhere(t *testing.T) {
 	}
 }
 
+// TestFactsAreCopies pins what Facts promises now that the tuples are
+// shared: the slice is the caller's — sorting or cutting it does nothing to
+// the knowledge base — and a tuple handed to Assert stays the caller's.
 func TestFactsAreCopies(t *testing.T) {
 	k := New()
-	k.Assert("p", tup("x"))
+	mine := tup("b")
+	k.Assert("p", mine)
+	k.Assert("p", tup("a"))
+	k.Assert("p", tup("c"))
+	mine[0] = relation.String("mutated") // Assert stored a copy
+	if !k.Has("p", tup("b")) || k.Has("p", tup("mutated")) {
+		t.Fatal("writing to an asserted tuple afterwards must not affect the KB")
+	}
+
 	fs := k.Facts("p")
-	fs[0][0] = relation.String("mutated")
-	if !k.Has("p", tup("x")) {
-		t.Fatal("mutating returned facts must not affect the KB")
+	sort.Slice(fs, func(i, j int) bool { return fs[i][0].Str() < fs[j][0].Str() })
+	fs[2] = tup("overwritten")
+	fs = fs[:1]
+	again := k.Facts("p")
+	if len(fs) != 1 || len(again) != 3 || again[0][0].Str() != "b" || again[1][0].Str() != "a" || again[2][0].Str() != "c" {
+		t.Fatalf("sorting and cutting a Facts slice changed the KB: %v", again)
+	}
+	if !k.Retract("p", tup("c")) || !k.Has("p", tup("a")) {
+		t.Fatal("facts must stay findable after a caller reordered its slice")
 	}
 }
 
-func TestFactsWhere(t *testing.T) {
-	k := New()
-	for i := 0; i < 10; i++ {
-		k.Assert("n", tup(i))
-	}
-	odd := k.FactsWhere("n", func(t relation.Tuple) bool { return t[0].IntVal()%2 == 1 })
-	if len(odd) != 5 {
-		t.Fatalf("got %d odd facts, want 5", len(odd))
-	}
-}
-
-func TestPredicatesSorted(t *testing.T) {
-	k := New()
-	k.Assert("zeta", tup(1))
-	k.Assert("alpha", tup(1))
-	k.Assert("mid", tup(1))
-	got := k.Predicates()
-	want := []string{"alpha", "mid", "zeta"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("Predicates() = %v, want %v", got, want)
-	}
-}
-
+// TestRelationsStoreCopies pins the ownership contract that replaced
+// copying: a relation that is put is the stored one and the one every reader
+// gets, and a change is a new relation under the name, which leaves the old
+// one — and whoever still reads it — alone.
 func TestRelationsStoreCopies(t *testing.T) {
 	k := New()
 	r := relation.New(relation.NewSchema("s", "a"))
 	r.MustAppend("v1")
 	k.PutRelation("src_s", r)
-	r.MustAppend("v2") // mutate after put
-	stored := k.Relation("src_s")
-	if stored.Cardinality() != 1 {
-		t.Fatalf("stored relation sees later mutation: %d tuples", stored.Cardinality())
+	if k.Relation("src_s") != r || k.Relation("src_s") != k.Relation("src_s") {
+		t.Fatal("a put relation is the stored one, shared by every read")
 	}
-	stored.MustAppend("v3")
-	if k.Relation("src_s").Cardinality() != 1 {
-		t.Fatal("mutating returned relation must not affect the KB")
+
+	// Changing it is building another: the old rows are shared, not copied.
+	next := &relation.Relation{Schema: r.Schema, Tuples: append(r.Tuples[:1:1], tup("v2"))}
+	k.PutRelation("src_s", next)
+	if r.Cardinality() != 1 || k.Relation("src_s").Cardinality() != 2 {
+		t.Fatalf("a put must replace, not write through: old %d rows, stored %d", r.Cardinality(), k.Relation("src_s").Cardinality())
 	}
+	if &k.Relation("src_s").Tuples[0][0] != &r.Tuples[0][0] {
+		t.Fatal("rows that stay are shared between the old relation and the new")
+	}
+
+	// A patch stores a new relation too.
+	before := k.Relation("src_s")
+	if !k.PatchRelationAt("src_s", []relation.Tuple{tup("v3")}, nil, []relation.Tuple{tup("v1")}) {
+		t.Fatal("patch of a stored relation must apply")
+	}
+	after := k.Relation("src_s")
+	if before == after || before.Cardinality() != 2 || before.Tuples[0][0].Str() != "v1" {
+		t.Fatalf("a patch must leave the relation a reader holds as it was: %v", before)
+	}
+	if after.Cardinality() != 2 || after.Tuples[0][0].Str() != "v2" || after.Tuples[1][0].Str() != "v3" {
+		t.Fatalf("patched relation = %v", after)
+	}
+
 	if k.Relation("ghost") != nil {
 		t.Fatal("missing relation should be nil")
 	}
@@ -161,27 +179,120 @@ func TestDropRelationAndNames(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolation: a Snapshot, and the bytes of a WriteSnapshot, taken
+// before a write still show the state before it — although neither copied a
+// row — and writes to a snapshot stay in the snapshot.
 func TestSnapshotIsolation(t *testing.T) {
 	k := New()
 	k.Assert("p", tup(1))
+	k.Assert("p", tup(2))
 	r := relation.New(relation.NewSchema("s", "a"))
-	r.MustAppend("v")
+	r.MustAppend("v1")
+	r.MustAppend("v2")
 	k.PutRelation("rel", r)
+	k.PutRelation("gone", relation.New(relation.NewSchema("g", "a")))
 
 	snap := k.Snapshot()
-	k.Assert("p", tup(2))
-	k.DropRelation("rel")
+	var written bytes.Buffer
+	if err := k.WriteSnapshot(&written); err != nil {
+		t.Fatal(err)
+	}
 
-	if snap.Count("p") != 1 {
-		t.Fatalf("snapshot fact count = %d, want 1", snap.Count("p"))
+	k.Assert("p", tup(3))
+	k.Retract("p", tup(1))
+	k.PatchRelationAt("rel", []relation.Tuple{tup("v3")}, nil, []relation.Tuple{tup("v1")})
+	k.PutRelation("rel", &relation.Relation{Schema: r.Schema, Tuples: k.Relation("rel").Tuples[:1]})
+	k.DropRelation("gone")
+
+	restored, err := ReadSnapshot(bytes.NewReader(written.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.Relation("rel") == nil {
-		t.Fatal("snapshot lost relation")
+	for name, old := range map[string]*KB{"Snapshot": snap, "WriteSnapshot": restored} {
+		if old.Count("p") != 2 || !old.Has("p", tup(1)) || old.Has("p", tup(3)) {
+			t.Fatalf("%s shows later fact writes: %v", name, old.Facts("p"))
+		}
+		rel := old.Relation("rel")
+		if rel == nil || rel.Cardinality() != 2 || rel.Tuples[0][0].Str() != "v1" || rel.Tuples[1][0].Str() != "v2" {
+			t.Fatalf("%s shows later relation writes: %v", name, rel)
+		}
+		if !old.HasRelation("gone") {
+			t.Fatalf("%s lost a relation dropped later", name)
+		}
 	}
-	snap.Assert("p", tup(3))
-	if k.Has("p", tup(3)) {
+	if got := k.Relation("rel"); got.Cardinality() != 1 || got.Tuples[0][0].Str() != "v2" {
+		t.Fatalf("live relation = %v", got)
+	}
+
+	snap.Assert("p", tup(4))
+	snap.Retract("p", tup(2))
+	snap.DropRelation("rel")
+	if k.Has("p", tup(4)) || !k.Has("p", tup(2)) || !k.HasRelation("rel") {
 		t.Fatal("snapshot writes must not leak back")
 	}
+}
+
+// TestPatchDoesNotDisturbReaders runs readers that hold on to a Relation()
+// result and scan it while PatchRelationAt, PutRelation and DropRelation
+// replace what is stored: every reader sees one consistent relation — all of
+// its rows belong to the same generation — and the race detector sees no
+// write to anything a reader holds.
+func TestPatchDoesNotDisturbReaders(t *testing.T) {
+	k := New()
+	schema := relation.NewSchema("r", "gen:int", "row:int")
+	generation := func(gen, rows int) *relation.Relation {
+		r := relation.New(schema)
+		for i := 0; i < rows; i++ {
+			r.MustAppend(gen, i)
+		}
+		return r
+	}
+	k.PutRelation("r", generation(0, 50))
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := k.Relation("r")
+				if r == nil {
+					continue // between a drop and the next put
+				}
+				gens := map[int64]int{}
+				for _, tu := range r.Tuples {
+					gens[tu[0].IntVal()]++
+				}
+				// A patched relation mixes exactly two generations, half
+				// and half; a put one has a single generation.
+				if len(gens) > 2 || len(r.Tuples) != 50 {
+					t.Errorf("reader saw a torn relation: %d rows, generations %v", len(r.Tuples), gens)
+					return
+				}
+			}
+		}()
+	}
+	for gen := 1; gen <= 200; gen++ {
+		cur := k.Relation("r")
+		switch gen % 3 {
+		case 0:
+			k.PutRelation("r", generation(gen, 50))
+		case 1:
+			// Swap the first half for rows of this generation.
+			k.PatchRelationAt("r", generation(gen, 25).Tuples, nil, cur.Tuples[:25])
+		case 2:
+			k.DropRelation("r")
+			k.PutRelation("r", generation(gen, 50))
+		}
+	}
+	close(stop)
+	readers.Wait()
 }
 
 func TestStatsAndString(t *testing.T) {

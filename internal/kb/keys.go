@@ -14,8 +14,6 @@ const (
 	KeyFacts KeyKind = iota + 1
 	// KeyRelation is one named bulk relation: its presence, schema and rows.
 	KeyRelation
-	// KeyPredicates is the set of predicates that have facts (Predicates).
-	KeyPredicates
 	// KeyRelations is the set of relation names that start with Name — what
 	// RelationNames(Name) lists and HasRelation(Name) looks in. It moves when
 	// a relation with that prefix is created or dropped, not when one is
@@ -35,7 +33,7 @@ const (
 
 // Key names one independently versioned part of the knowledge base: what a
 // read depends on and what a write moves. Name is the predicate, relation,
-// relation-name prefix or external name; KeyPredicates and KeyAll carry none.
+// relation-name prefix or external name; KeyAll carries none.
 type Key struct {
 	Kind KeyKind
 	Name string
@@ -62,8 +60,6 @@ func (key Key) String() string {
 		return "facts " + key.Name
 	case KeyRelation:
 		return "relation " + key.Name
-	case KeyPredicates:
-		return "predicate names"
 	case KeyRelations:
 		return "relation names " + key.Name + "*"
 	case KeyAll:
@@ -100,15 +96,6 @@ func (k *KB) noteLocked(key Key) {
 func (k *KB) bumpLocked(key Key) {
 	k.clock++
 	k.moved[key] = k.clock
-}
-
-// bumpFactsLocked records a change to pred's facts; nameSet says the
-// predicate gained its first fact or lost its last, which moves Predicates.
-func (k *KB) bumpFactsLocked(pred string, nameSet bool) {
-	k.bumpLocked(FactsKey(pred))
-	if nameSet {
-		k.moved[Key{Kind: KeyPredicates}] = k.clock
-	}
 }
 
 // bumpRelationLocked records a change to the named relation; nameSet says

@@ -53,10 +53,8 @@ func TestReadsRecordTheirKey(t *testing.T) {
 		{"Has absent predicate", func(k *KB) { k.Has("ghost", tup(1)) }, []string{"facts ghost"}},
 		{"Count", func(k *KB) { k.Count("q") }, []string{"facts q"}},
 		{"Facts", func(k *KB) { k.Facts("p") }, []string{"facts p"}},
-		{"FactsWhere", func(k *KB) { k.FactsWhere("p", func(relation.Tuple) bool { return true }) }, []string{"facts p"}},
 		{"RetractWhere", func(k *KB) { k.RetractWhere("p", func(relation.Tuple) bool { return false }) }, []string{"facts p"}},
 		{"RetractWhere absent predicate", func(k *KB) { k.RetractWhere("ghost", func(relation.Tuple) bool { return true }) }, []string{"facts ghost"}},
-		{"Predicates", func(k *KB) { k.Predicates() }, []string{"predicate names"}},
 		{"Relation", func(k *KB) { k.Relation("src_one") }, []string{"relation src_one"}},
 		{"Relation absent", func(k *KB) { k.Relation("src_two") }, []string{"relation src_two"}},
 		{"RelationCardinality", func(k *KB) { k.RelationCardinality("res_m") }, []string{"relation res_m"}},
@@ -143,12 +141,12 @@ func TestWritesMoveExactlyTheirKeys(t *testing.T) {
 		want  []string
 	}{
 		{"Assert new fact", func(k *KB) { k.Assert("p", tup("c", 3)) }, []string{"facts p"}},
-		{"Assert first fact of a predicate", func(k *KB) { k.Assert("fresh", tup(1)) }, []string{"facts fresh", "predicate names"}},
+		{"Assert first fact of a predicate", func(k *KB) { k.Assert("fresh", tup(1)) }, []string{"facts fresh"}},
 		{"Assert duplicate", func(k *KB) { k.Assert("p", tup("a", 1)) }, nil},
 		{"Retract", func(k *KB) { k.Retract("p", tup("a", 1)) }, []string{"facts p"}},
-		{"Retract last fact of a predicate", func(k *KB) { k.Retract("q", tup("x")) }, []string{"facts q", "predicate names"}},
+		{"Retract last fact of a predicate", func(k *KB) { k.Retract("q", tup("x")) }, []string{"facts q"}},
 		{"Retract absent", func(k *KB) { k.Retract("p", tup("nope", 0)); k.Retract("ghost", tup(1)) }, nil},
-		{"RetractPredicate", func(k *KB) { k.RetractPredicate("p") }, []string{"facts p", "predicate names"}},
+		{"RetractPredicate", func(k *KB) { k.RetractPredicate("p") }, []string{"facts p"}},
 		{"RetractPredicate absent", func(k *KB) { k.RetractPredicate("ghost") }, nil},
 		{"RetractWhere", func(k *KB) {
 			k.RetractWhere("p", func(t relation.Tuple) bool { return t[0].Str() == "b" })
@@ -175,9 +173,9 @@ func TestWritesMoveExactlyTheirKeys(t *testing.T) {
 				{Kind: DeltaPatchRelation, Name: "res_m", Added: []relation.Tuple{tup("v", 5)}},
 				{Kind: DeltaDropRelation, Name: "src_one"},
 			}})
-		}, []string{"facts q", "predicate names", "relation names src_one*", "relation res_m", "relation src_one"}},
+		}, []string{"facts q", "relation names src_one*", "relation res_m", "relation src_one"}},
 		{"Merge", func(k *KB) { k.Merge(other) },
-			[]string{"facts fresh", "facts p", "predicate names", "relation dc_new", "relation names dc_new*", "relation res_m"}},
+			[]string{"facts fresh", "facts p", "relation dc_new", "relation names dc_new*", "relation res_m"}},
 	}
 	for _, c := range cases {
 		k := seeded()

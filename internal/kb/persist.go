@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"vada/internal/relation"
@@ -30,6 +31,7 @@ type snapshotJSON struct {
 func (k *KB) WriteSnapshot(w io.Writer) error {
 	k.mu.RLock()
 	k.noteLocked(Key{Kind: KeyAll})
+	k.checkAllLocked()
 	snap := snapshotJSON{
 		Version:   k.version,
 		Facts:     map[string][]relation.Tuple{},
@@ -39,16 +41,16 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 		if len(fs.tuples) == 0 {
 			continue
 		}
-		tuples := make([]relation.Tuple, len(fs.tuples))
-		for i, t := range fs.tuples {
-			tuples[i] = t.Clone()
-		}
-		// Deterministic output order for diffs and tests.
+		// Deterministic output order for diffs and tests. Only the order is
+		// this snapshot's own: tuples and relations are the stored ones,
+		// which no later write changes, so encoding them after the lock is
+		// released still writes the state at this moment.
+		tuples := slices.Clone(fs.tuples)
 		sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
 		snap.Facts[pred] = tuples
 	}
 	for name, rel := range k.relations {
-		snap.Relations[name] = rel.Clone()
+		snap.Relations[name] = rel
 	}
 	k.mu.RUnlock()
 
@@ -98,12 +100,14 @@ func ReadSnapshot(r io.Reader) (*KB, error) {
 // Merge folds another knowledge base — typically one decoded by
 // ReadSnapshot — into k in place: facts are asserted (duplicates are
 // no-ops), relations replace same-named ones wholesale, and k's version is
-// raised to at least src's. Merging in place is the restore path of a
+// raised to at least src's. What is merged is shared with src, frozen in both.
+// Merging in place is the restore path of a
 // Wrangler whose orchestrator is already wired to k, where swapping the KB
 // pointer would sever it.
 func (k *KB) Merge(src *KB) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
+	src.checkAllLocked()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for pred, fs := range src.facts {
@@ -118,18 +122,14 @@ func (k *KB) Merge(src *KB) {
 				continue
 			}
 			dst.keys[key] = len(dst.tuples)
-			dst.tuples = append(dst.tuples, t.Clone())
+			dst.tuples = append(dst.tuples, t)
 			k.version++
-			k.bumpFactsLocked(pred, len(dst.tuples) == 1)
-			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t.Clone()})
+			k.bumpLocked(FactsKey(pred))
+			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t})
 		}
 	}
 	for name, r := range src.relations {
-		old, stored := k.relations[name], r.Clone()
-		k.relations[name] = stored
-		k.version++
-		k.bumpRelationLocked(name, old == nil)
-		k.logRelationPutLocked(name, old, stored)
+		k.installRelationLocked(name, r)
 	}
 	if src.version > k.version {
 		k.version = src.version

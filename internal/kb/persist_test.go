@@ -27,7 +27,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	if restored.Count("md_match") != 2 || restored.Count("fb_item") != 1 {
-		t.Fatalf("facts lost: %v", restored.Predicates())
+		t.Fatalf("facts lost: %v", restored)
 	}
 	if !restored.Has("md_match", tup("rightmove", "price", "price", 0.97)) {
 		t.Fatal("typed fact tuple lost")
@@ -40,11 +40,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("schema changed: %v vs %v", r2.Schema, rel.Schema)
 	}
 	// Types survive: int stays int, null stays null (not "").
-	v, _ := r2.Value(0, "bedrooms")
+	v := r2.Tuples[0][r2.Schema.AttrIndex("bedrooms")]
 	if v.Kind() != relation.KindInt || v.IntVal() != 3 {
 		t.Fatalf("bedrooms round trip = %v (%v)", v, v.Kind())
 	}
-	v, _ = r2.Value(1, "street")
+	v = r2.Tuples[1][r2.Schema.AttrIndex("street")]
 	if !v.IsNull() {
 		t.Fatalf("null round trip = %v", v)
 	}
@@ -62,7 +62,7 @@ func TestSnapshotEmptyKB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.Predicates()) != 0 || len(restored.RelationNames("")) != 0 {
+	if s := restored.Stats(); s.Facts != 0 || s.Relations != 0 {
 		t.Fatal("empty KB should restore empty")
 	}
 }
@@ -106,7 +106,7 @@ func TestMerge(t *testing.T) {
 	dst.Merge(src)
 
 	if !dst.Has("md_selected", tup("m1", 1)) || !dst.Has("uc_target_schema", tup("target")) {
-		t.Fatalf("merge lost facts: %v", dst.Predicates())
+		t.Fatalf("merge lost facts: %v", dst)
 	}
 	if dst.Count("src_registered") != 1 {
 		t.Fatalf("duplicate fact duplicated: %d", dst.Count("src_registered"))

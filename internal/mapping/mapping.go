@@ -412,7 +412,7 @@ func Execute(m Mapping, sources map[string]*relation.Relation, engine *vadalog.E
 		if len(t) != len(attrs) {
 			return nil, fmt.Errorf("mapping %s: derived arity %d, want %d", m.ID, len(t), len(attrs))
 		}
-		out.Tuples = append(out.Tuples, t.Clone())
+		out.Tuples = append(out.Tuples, t) // the run's own tuple, and the run ends here
 	}
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package match
 
 import (
-	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"vada/internal/relation"
@@ -271,13 +273,13 @@ func numericRangeOverlap(a, b *columnProfile) float64 {
 }
 
 // numericStats gives the range of the values that parse as numbers and the
-// share that do. "£1,200" parses; so does anything Sscanf finds a numeric
-// prefix in, "12 high street" included.
+// share that do. "£1,200" parses; so does anything with a numeric prefix,
+// "12 high street" included.
 func numericStats(vals []string) (lo, hi float64, frac float64) {
 	n := 0
 	for _, v := range vals {
-		var f float64
-		if _, err := fmt.Sscanf(strings.ReplaceAll(strings.TrimPrefix(v, "£"), ",", ""), "%f", &f); err != nil {
+		f, ok := numericPrefix(strings.ReplaceAll(strings.TrimPrefix(v, "£"), ",", ""))
+		if !ok {
 			continue
 		}
 		if n == 0 || f < lo {
@@ -292,4 +294,60 @@ func numericStats(vals []string) (lo, hi float64, frac float64) {
 		return 0, 0, 0
 	}
 	return lo, hi, float64(n) / float64(len(vals))
+}
+
+// numericPrefix parses the number s starts with, exactly as the
+// fmt.Sscanf(s, "%f") it replaces did — the numbers end up in scores compared
+// as bit patterns: leading white space is skipped (a newline in it is an
+// error), the longest prefix shaped like a float is taken — "nan", or a sign
+// and then "inf" or digits, point, digits, exponent, decimal or after "0x"
+// hexadecimal, underscores among the digits — and must parse; what follows is
+// ignored. Out of range is an error, not an infinity.
+func numericPrefix(s string) (float64, bool) {
+	s = strings.TrimLeftFunc(s, func(r rune) bool { return r != '\n' && unicode.IsSpace(r) })
+	i := 0
+	accept := func(set string) bool {
+		if i < len(s) && strings.IndexByte(set, s[i]) >= 0 {
+			i++
+			return true
+		}
+		return false
+	}
+	if accept("nN") {
+		if !accept("aA") || !accept("nN") {
+			return 0, false
+		}
+	} else if accept("+-"); accept("iI") { // the sign is optional
+		if !accept("nN") || !accept("fF") {
+			return 0, false
+		}
+	} else {
+		digits, exponent := "0123456789_", "eEpP"
+		if accept("0") && accept("xX") {
+			digits, exponent = "0123456789aAbBcCdDeEfF_", "pP"
+		}
+		for accept(digits) {
+		}
+		if accept(".") {
+			for accept(digits) {
+			}
+		}
+		if accept(exponent) {
+			accept("+-")
+			for accept("0123456789_") {
+			}
+		}
+	}
+	tok := s[:i]
+	if tok == "" {
+		return 0, false
+	}
+	// Sscanf's own extension: a decimal mantissa with a binary exponent.
+	if p := strings.IndexByte(tok, 'p'); p >= 0 && !strings.ContainsAny(tok, "xX") {
+		f, err := strconv.ParseFloat(tok[:p], 64)
+		m, err2 := strconv.Atoi(tok[p+1:])
+		return math.Ldexp(f, m), err == nil && err2 == nil
+	}
+	f, err := strconv.ParseFloat(tok, 64)
+	return f, err == nil
 }

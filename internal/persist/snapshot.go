@@ -188,7 +188,7 @@ func decodeJSONSection(data []byte, v any, what string) error {
 }
 
 // CaptureSession snapshots a live (or just-closed) session: identity,
-// configuration, a deep copy of the knowledge base, the stage-event
+// configuration, a snapshot of the knowledge base, the stage-event
 // history, and — when an engine is given — every terminal run of the
 // session still in the retention ring. Callers wanting a consistent
 // capture quiesce the session first (the manager's evict hooks already

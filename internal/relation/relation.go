@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -41,13 +42,23 @@ func (r *Relation) MustAppend(vals ...any) {
 	}
 }
 
-// Clone returns a deep copy of the relation.
+// Clone returns a deep copy of the relation: what to hand the knowledge base
+// (or anyone who will share it) when the original stays yours to write to.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{Schema: r.Schema.WithName(r.Schema.Name), Tuples: make([]Tuple, len(r.Tuples))}
 	for i, t := range r.Tuples {
 		out.Tuples[i] = t.Clone()
 	}
 	return out
+}
+
+// Shallow returns a relation with r's schema and a slice of its own holding
+// r's rows: the rows themselves are shared. It is where changing a relation
+// one must not write to starts — one the knowledge base holds, or one whose
+// owner is unknown: replace the rows that change (Tuple.With) in the shallow
+// copy, and the rest is never copied.
+func (r *Relation) Shallow() *Relation {
+	return &Relation{Schema: r.Schema, Tuples: slices.Clone(r.Tuples)}
 }
 
 // Column returns all values of the named attribute in tuple order.
@@ -61,18 +72,6 @@ func (r *Relation) Column(name string) ([]Value, error) {
 		col[i] = t[idx]
 	}
 	return col, nil
-}
-
-// Value returns the value at (row, attribute name).
-func (r *Relation) Value(row int, attr string) (Value, error) {
-	idx := r.Schema.AttrIndex(attr)
-	if idx < 0 {
-		return Null(), fmt.Errorf("relation: %s has no attribute %q", r.Schema.Name, attr)
-	}
-	if row < 0 || row >= len(r.Tuples) {
-		return Null(), fmt.Errorf("relation: row %d out of range [0,%d)", row, len(r.Tuples))
-	}
-	return r.Tuples[row][idx], nil
 }
 
 // Project returns a new relation with only the named attributes, in order.
@@ -113,17 +112,14 @@ func (r *Relation) Distinct() *Relation {
 	return out
 }
 
-// Union appends the tuples of o; schemas must have equal arity. The receiving
-// schema is kept.
+// Union returns the tuples of r followed by those of o; schemas must have
+// equal arity. The receiving schema is kept. The rows are shared with r and
+// o, not copied.
 func (r *Relation) Union(o *Relation) (*Relation, error) {
 	if r.Schema.Arity() != o.Schema.Arity() {
 		return nil, fmt.Errorf("relation: union arity mismatch %s vs %s", r.Schema, o.Schema)
 	}
-	out := r.Clone()
-	for _, t := range o.Tuples {
-		out.Tuples = append(out.Tuples, t.Clone())
-	}
-	return out, nil
+	return &Relation{Schema: r.Schema, Tuples: slices.Concat(r.Tuples, o.Tuples)}, nil
 }
 
 // String renders the relation as a small aligned table, for traces and

@@ -77,7 +77,7 @@ func TestProject(t *testing.T) {
 	if p.Cardinality() != 3 || p.Schema.Arity() != 2 {
 		t.Fatalf("project result wrong: %v", p)
 	}
-	if got, _ := p.Value(0, "postcode"); !got.Equal(String("M1 1AA")) {
+	if got := p.Tuples[0][p.Schema.AttrIndex("postcode")]; !got.Equal(String("M1 1AA")) {
 		t.Errorf("projected value = %v", got)
 	}
 }
@@ -143,7 +143,7 @@ func TestCSVInference(t *testing.T) {
 	if r.Schema.Attrs[2].Type != KindString {
 		t.Errorf("col c inferred %v, want string", r.Schema.Attrs[2].Type)
 	}
-	if v, _ := r.Value(1, "b"); !v.IsNull() {
+	if v := r.Tuples[1][1]; !v.IsNull() {
 		t.Errorf("empty cell should be null, got %v", v)
 	}
 }

@@ -166,6 +166,13 @@ func NewTuple(vals ...any) Tuple {
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
+// With returns a copy of the tuple with cell i set to v; t is not written to.
+func (t Tuple) With(i int, v Value) Tuple {
+	out := t.Clone()
+	out[i] = v
+	return out
+}
+
 // Key returns a canonical string key for the whole tuple, suitable for
 // hashing and set membership.
 func (t Tuple) Key() string {

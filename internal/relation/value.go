@@ -294,16 +294,27 @@ func Infer(text string) Value {
 		return Null()
 	}
 	t := strings.TrimSpace(text)
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) {
-		return Float(f)
+	if mayBeNumber(t) {
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return Int(i)
+		}
+		if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) {
+			return Float(f)
+		}
 	}
 	if t == "true" || t == "false" {
 		return Bool(t == "true")
 	}
 	return String(text)
+}
+
+// mayBeNumber reports whether t has only bytes that occur in text
+// strconv.ParseInt (base 10) or strconv.ParseFloat accepts: digits, signs, the
+// point, the underscore, and the letters of hexadecimal floats, exponents,
+// "infinity" and "nan". Most text has others, and a failed strconv parse
+// allocates its error: asking first keeps inference of a street free.
+func mayBeNumber(t string) bool {
+	return strings.Trim(t, "0123456789+-._abcdefABCDEFxXpPinftyINFTY") == ""
 }
 
 // Coerce attempts to convert v to the requested kind, e.g. String("3") to

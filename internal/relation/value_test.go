@@ -1,8 +1,11 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +141,51 @@ func TestInfer(t *testing.T) {
 	if Infer("SW1A 1AA").Kind() != KindString {
 		t.Error("Infer postcode = string")
 	}
+}
+
+// refInfer is Infer without the look at the bytes first: every text goes to
+// strconv, which is the contract.
+func refInfer(text string) Value {
+	if text == "" {
+		return Null()
+	}
+	t := strings.TrimSpace(text)
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+		return Int(i)
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) {
+		return Float(f)
+	}
+	if t == "true" || t == "false" {
+		return Bool(t == "true")
+	}
+	return String(text)
+}
+
+func sameInference(t *testing.T, text string) {
+	t.Helper()
+	got, want := Infer(text), refInfer(text)
+	if got.Kind() != want.Kind() || got.Key() != want.Key() || math.Float64bits(got.FloatVal()) != math.Float64bits(want.FloatVal()) {
+		t.Fatalf("Infer(%q) = %s %v, strconv says %s %v", text, got.Kind(), got, want.Kind(), want)
+	}
+}
+
+// inferTexts are the number spellings strconv accepts, and near misses.
+var inferTexts = []string{"", " ", "17", " 17 ", "+17", "-0", "17.5", ".5", "5.", "1e5", "1E-5", "1e", "0x1p3", "0X1P-2", "0x_1p3",
+	"0x1", "1_000", "0b11", "inf", "+Inf", "-INFINITY", "infinit", "nan", "NaN", "-nan", "true", " false ", "TRUE", "12 high street",
+	"£180,000", "180,000", "1e999", "9223372036854775808", "-9223372036854775809", "detached", "face", "1\u00a02", "٣", "1\x00"}
+
+func TestInferMatchesStrconv(t *testing.T) {
+	for _, text := range inferTexts {
+		sameInference(t, text)
+	}
+}
+
+func FuzzInfer(f *testing.F) {
+	for _, text := range inferTexts {
+		f.Add(text)
+	}
+	f.Fuzz(sameInference)
 }
 
 func TestCoerce(t *testing.T) {

@@ -82,7 +82,8 @@ func relationByName(w *core.Wrangler, name string) (*relation.Relation, error) {
 // Relation resolves a relation for export through the service surface: the
 // clean result for "result" (or ""), a knowledge-base relation otherwise.
 // It fails with core.ErrNoResult before the first fusion and
-// connect.ErrUnknownRelation for names the knowledge base does not hold.
+// connect.ErrUnknownRelation for names the knowledge base does not hold. A
+// knowledge-base relation is the stored one: to read, not to write to.
 func (s *Session) Relation(name string) (*relation.Relation, error) {
 	if err := s.touch(); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,9 +148,12 @@ func TestExportStageRecordsFact(t *testing.T) {
 	if _, err := sess.Apply(ctx, StageRequest{Stage: StageExport, Payload: raw}); err != nil {
 		t.Fatal(err)
 	}
-	facts := sess.Wrangler().KB.FactsWhere(core.PredExport, func(tu relation.Tuple) bool {
-		return len(tu) == 4 && tu[0].Str() == "props"
-	})
+	exportsOf := func(rel string) []relation.Tuple {
+		return slices.DeleteFunc(sess.Wrangler().KB.Facts(core.PredExport), func(tu relation.Tuple) bool {
+			return len(tu) != 4 || tu[0].Str() != rel
+		})
+	}
+	facts := exportsOf("props")
 	if len(facts) != 1 {
 		t.Fatalf("md_export facts = %v", facts)
 	}
@@ -160,9 +164,7 @@ func TestExportStageRecordsFact(t *testing.T) {
 	if _, err := sess.Apply(ctx, StageRequest{Stage: StageExport, Payload: raw}); err != nil {
 		t.Fatal(err)
 	}
-	facts = sess.Wrangler().KB.FactsWhere(core.PredExport, func(tu relation.Tuple) bool {
-		return tu[0].Str() == "props"
-	})
+	facts = exportsOf("props")
 	if len(facts) != 1 {
 		t.Fatalf("re-export accumulated facts: %v", facts)
 	}
