@@ -22,10 +22,11 @@
 // the last time it executed — the keys recorded while its dependency query
 // and body ran — and executes a ready transducer only if one of those has
 // moved. The knowledge base is the only hand-off between the suite's
-// transducers: facts, relations, and the cells below, values stored beside
-// them, all read through the handle a body is given. Adding feedback runs
-// feedback assimilation and what reads its output; it does not re-match
-// sources against a data context that did not change.
+// transducers, and between the API and them: facts, relations, and the cells
+// below, values stored beside them, all read through the handle a body is
+// given. Adding feedback runs feedback assimilation and what reads its
+// output; it does not re-match sources against a data context that did not
+// change.
 package core
 
 import (
@@ -60,7 +61,8 @@ const (
 	PredSourceSchema     = "src_schema"       // src_schema(name)
 	PredSourceInstances  = "src_instances"    // src_instances(name)
 	PredTargetSchema     = "uc_target_schema" // uc_target_schema(name)
-	PredPriority         = "uc_priority"      // uc_priority(moreM, moreT, lessM, lessT, strength)
+	PredCriterion        = "uc_criterion"     // uc_criterion(ord, metric, target): registration order
+	PredPriority         = "uc_priority"      // uc_priority(moreM, moreT, lessM, lessT, strength, ord): statement order
 	PredReference        = "dc_reference"     // dc_reference(name)
 	PredDCInstances      = "dc_instances"     // dc_instances(name)
 	PredMatch            = "md_match"         // md_match(src, sattr, tattr, score, method)
@@ -73,29 +75,30 @@ const (
 	PredAccuracy         = "md_accuracy"      // md_accuracy(source, attr, accuracy)
 	PredFeedback         = "fb_item"          // fb_item(street, postcode, attr, correct)
 	PredExport           = "md_export"        // md_export(relation, format, rows, bytes)
+	PredFingerprint      = "md_fingerprint"   // md_fingerprint(object, hash), object a mapping ID or RelResult
 )
 
-// Relation-name prefixes in the knowledge base.
+// Relation names and name prefixes in the knowledge base. The feedback items
+// are the rows of feedback.RelItems.
 const (
 	RelSourcePrefix  = "src_" // extracted source relations
 	RelContextPrefix = "dc_"  // data-context relations
 	RelResultPrefix  = "res_" // per-mapping results
 	RelResult        = "result"
+	RelTarget        = "uc_target" // no rows: its schema is the target schema
 )
 
 // cell names a value of type T kept in the knowledge base beside its facts
-// (kb.PutValue): what a transducer, or the API, hands another and no fact
-// records. A body loads it through the handle it was given, so the
-// orchestrator sees cells read and moved like any other key. What facts do
-// record is read from them instead (accuracyBySource, referenceNames,
-// matchesFromFacts) and so survives a restart.
+// (kb.PutValue): the registered sources, and what one transducer derives for
+// another and no fact records. A body loads it through the handle it was
+// given, so the orchestrator sees cells read and moved like any other key.
+// Cells live for the process: a restored wrangler registers its sources again
+// and the next run recomputes the derived ones. Everything else — what the API
+// was handed included — is facts and relations, and is what a snapshot holds.
 type cell[T any] string
 
 const (
 	cellSources     cell[map[string]source]    = "core.sources"
-	cellTarget      cell[*relation.Schema]     = "core.target" // nil until SetTargetSchema
-	cellFeedback    cell[*feedback.Store]      = "core.feedback"
-	cellUserModel   cell[*mcda.Model]          = "core.userModel" // not uc_priority: AHP weights depend on comparison order
 	cellNameMatches cell[[]match.Match]        = "core.nameMatches"
 	cellInstMatches cell[[]match.Match]        = "core.instMatches"
 	cellRangeRules  cell[[]feedback.RangeRule] = "core.rangeRules"
@@ -109,9 +112,8 @@ func (c cell[T]) get(k *kb.KB) T {
 	return v
 }
 
-// set stores v and moves the cell. v is never mutated afterwards — the next
-// value is a new one — except the feedback store, which locks itself and is
-// set again after every addition.
+// set stores v and moves the cell. v is never mutated afterwards: the next
+// value is a new one.
 func (c cell[T]) set(k *kb.KB, v T) { k.PutValue(string(c), v) }
 
 // derive is set for a computed value: it leaves the cell alone when v equals
@@ -189,10 +191,9 @@ type Wrangler struct {
 	// concurrent runs. Independent Wranglers run fully in parallel.
 	runMu sync.Mutex
 
-	// mu guards the change fingerprints and serialises source registration.
-	mu            sync.Mutex
-	lastExecHash  map[string]uint64
-	lastFusedHash uint64
+	// mu serialises the two read-modify-writes of the API: source
+	// registration and the feedback append.
+	mu sync.Mutex
 }
 
 // NewWrangler builds a Wrangler with the standard transducer suite
@@ -201,13 +202,11 @@ type Wrangler struct {
 func NewWrangler(options ...Option) *Wrangler {
 	opts := buildOptions(options)
 	w := &Wrangler{
-		KB:           kb.New(),
-		opts:         opts,
-		engine:       vadalog.NewEngine(),
-		reg:          transducer.NewRegistry(),
-		lastExecHash: map[string]uint64{},
+		KB:     kb.New(),
+		opts:   opts,
+		engine: vadalog.NewEngine(),
+		reg:    transducer.NewRegistry(),
 	}
-	cellFeedback.set(w.KB, feedback.NewStore())
 	w.registerStandardSuite()
 	orchOpts := []func(*transducer.Orchestrator){transducer.WithMaxSteps(opts.MaxSteps)}
 	if opts.Network != nil {
@@ -247,9 +246,10 @@ func (w *Wrangler) register(name string, src source) {
 	w.KB.Assert(PredSourceRegistered, relation.NewTuple(name))
 }
 
-// SetTargetSchema supplies the user-context target schema (§2.2).
+// SetTargetSchema supplies the user-context target schema (§2.2): the schema
+// of a relation without rows.
 func (w *Wrangler) SetTargetSchema(s relation.Schema) {
-	cellTarget.set(w.KB, &s)
+	w.KB.PutRelation(RelTarget, relation.New(s.WithName(s.Name))) // s stays the caller's
 	w.KB.Assert(PredTargetSchema, relation.NewTuple(s.Name))
 }
 
@@ -260,8 +260,8 @@ func (w *Wrangler) TargetSchema() (relation.Schema, bool) { return targetSchema(
 
 // targetSchema loads the target schema through k.
 func targetSchema(k *kb.KB) (relation.Schema, bool) {
-	if s := cellTarget.get(k); s != nil {
-		return *s, true
+	if r := k.Relation(RelTarget); r != nil {
+		return r.Schema, true
 	}
 	return relation.Schema{}, false
 }
@@ -276,30 +276,44 @@ func (w *Wrangler) AddDataContext(rel *relation.Relation) {
 	w.KB.Assert(PredDCInstances, relation.NewTuple(name))
 }
 
-// AddFeedback records user feedback (§2.3, step 3 of the demonstration).
+// AddFeedback records user feedback (§2.3, step 3 of the demonstration): the
+// items join the rows of feedback.RelItems in arrival order — the relation is
+// replaced by one that shares the old rows — and each judgement is asserted as
+// a fact.
 func (w *Wrangler) AddFeedback(items ...feedback.Item) {
-	fb := cellFeedback.get(w.KB)
-	fb.Add(items...)
-	cellFeedback.set(w.KB, fb)
+	w.mu.Lock()
+	w.KB.PutRelation(feedback.RelItems, feedback.AppendItems(w.KB.Relation(feedback.RelItems), items...))
+	w.mu.Unlock()
 	for _, it := range items {
 		w.KB.Assert(PredFeedback, relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct))
 	}
 }
 
+// FeedbackItems returns every feedback item the wrangler holds, in arrival
+// order, observed and corrected values included.
+func (w *Wrangler) FeedbackItems() []feedback.Item { return feedbackItems(w.KB) }
+
+// feedbackItems decodes the feedback items through k.
+func feedbackItems(k *kb.KB) []feedback.Item { return feedback.Items(k.Relation(feedback.RelItems)) }
+
 // SetUserContext installs the pairwise priorities of §2.2 / Figure 2(d) as
-// they stand now: the wrangler keeps a copy, so a model the caller goes on
-// editing takes effect when it is set again.
+// they stand now, as facts: a model the caller goes on editing takes effect
+// when it is set again. The facts replace those of the previous model (a
+// wrangler weighs by what the knowledge base holds, and must not weigh by the
+// union of two models) and carry their position: AHP weights depend, in the
+// last bit, on the order criteria were registered in, and a snapshot does not
+// keep the order facts were asserted in.
 func (w *Wrangler) SetUserContext(m *mcda.Model) {
-	derive(w, cellUserModel, m.Clone())
-	// Replace, not add: priorities of the previous model left behind would
-	// make a restart (Rehydrate reads every uc_priority fact) wrangle with
-	// the union of both models.
-	var facts []relation.Tuple
-	for _, c := range m.Comparisons() {
-		facts = append(facts, relation.NewTuple(
-			c.More.Metric, c.More.Target, c.Less.Metric, c.Less.Target, int(c.Strength)))
+	var criteria, priorities []relation.Tuple
+	for i, c := range m.Criteria() {
+		criteria = append(criteria, relation.NewTuple(i, c.Metric, c.Target))
 	}
-	replaceFacts(w.KB, PredPriority, facts)
+	for i, c := range m.Comparisons() {
+		priorities = append(priorities, relation.NewTuple(
+			c.More.Metric, c.More.Target, c.Less.Metric, c.Less.Target, int(c.Strength), i))
+	}
+	replaceFacts(w.KB, PredCriterion, criteria)
+	replaceFacts(w.KB, PredPriority, priorities)
 }
 
 // Run drives orchestration to quiescence and returns the steps taken.
@@ -384,7 +398,7 @@ func (w *Wrangler) UserWeights() map[mcda.Criterion]float64 { return userWeights
 
 // userWeights derives the criterion weights of the user model k holds.
 func userWeights(k *kb.KB) map[mcda.Criterion]float64 {
-	m := cellUserModel.get(k)
+	m := userModel(k)
 	if m == nil {
 		return nil
 	}
@@ -393,6 +407,32 @@ func userWeights(k *kb.KB) map[mcda.Criterion]float64 {
 		return nil
 	}
 	return weights
+}
+
+// userModel rebuilds the priority model from the facts SetUserContext stated,
+// in the order it stated them; nil when there are none. A model has at most a
+// handful of criteria, so it is built per read rather than kept.
+func userModel(k *kb.KB) *mcda.Model {
+	criteria := slices.DeleteFunc(k.Facts(PredCriterion), func(f relation.Tuple) bool { return len(f) != 3 })
+	priorities := slices.DeleteFunc(k.Facts(PredPriority), func(f relation.Tuple) bool { return len(f) != 6 })
+	if len(criteria) == 0 && len(priorities) == 0 {
+		return nil
+	}
+	byOrdinal := func(at int) func(a, b relation.Tuple) int {
+		return func(a, b relation.Tuple) int { return cmp.Compare(a[at].IntVal(), b[at].IntVal()) }
+	}
+	slices.SortFunc(criteria, byOrdinal(0))
+	slices.SortFunc(priorities, byOrdinal(5))
+	m := mcda.NewModel()
+	for _, f := range criteria {
+		m.AddCriterion(mcda.Criterion{Metric: f[1].Str(), Target: f[2].Str()})
+	}
+	for _, f := range priorities {
+		more := mcda.Criterion{Metric: f[0].Str(), Target: f[1].Str()}
+		less := mcda.Criterion{Metric: f[2].Str(), Target: f[3].Str()}
+		_ = m.AddComparison(more, less, mcda.Strength(f[4].IntVal())) // an unusable statement (hand-edited snapshot) is not stated
+	}
+	return m
 }
 
 // Architecture renders the component graph of Figure 1 as wired in this

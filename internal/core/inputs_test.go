@@ -159,24 +159,19 @@ func TestUserContextSwitchSurvivesRestore(t *testing.T) {
 		t.Fatalf("%d uc_priority facts after the switch, want the new model's %d", got, want)
 	}
 
-	var buf strings.Builder
-	if err := live.KB.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := kb.ReadSnapshot(strings.NewReader(buf.String()))
+	snap, err := kb.ReadSnapshot(strings.NewReader(kbSnapshot(t, live.KB)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := NewWrangler()
 	restored.KB.Merge(snap)
-	restored.Rehydrate()
 
 	want, got := live.UserWeights(), restored.UserWeights()
 	if len(want) == 0 || len(got) != len(want) {
 		t.Fatalf("restored wrangler weighs %d criteria, the live one %d", len(got), len(want))
 	}
 	for c, ww := range want {
-		if g, ok := got[c]; !ok || math.Abs(g-ww) > 1e-9 {
+		if g, ok := got[c]; !ok || math.Float64bits(g) != math.Float64bits(ww) {
 			t.Errorf("weight of %v: restored %v, live %v", c, g, ww)
 		}
 	}
@@ -225,7 +220,9 @@ func TestArchitectureShowsInputSets(t *testing.T) {
 		"facts md_accuracy",
 		"facts dc_reference",
 		"relation names src_*",
-		"external core.userModel",
+		"relation fb_items",
+		"relation uc_target",
+		"facts uc_criterion, facts uc_priority",
 	} {
 		if !strings.Contains(arch, want) {
 			t.Errorf("architecture missing %q:\n%s", want, arch)

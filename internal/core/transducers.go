@@ -203,7 +203,7 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			res := k.Relation(RelResult)
-			items := cellFeedback.get(k).Items()
+			items := feedbackItems(k)
 
 			rules := feedback.LearnRangeRules(items, res, w.opts.RangeRuleSupport, nil)
 			derive(w, cellRangeRules, rules)
@@ -387,10 +387,7 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 				live[m.ID] = true
 				mappedFacts = append(mappedFacts, relation.NewTuple(m.ID, res.Cardinality()))
 				h := hashRelation(res)
-				w.mu.Lock()
-				prev, had := w.lastExecHash[m.ID]
-				w.lastExecHash[m.ID] = h
-				w.mu.Unlock()
+				prev, had := w.swapFingerprint(m.ID, h)
 				// HasRelation first: what a body reads must not depend on what
 				// the fingerprint says.
 				if k.HasRelation(RelResultPrefix+m.ID) && had && prev == h {
@@ -405,9 +402,7 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 				if !live[id] {
 					k.DropRelation(name)
 					rep.RelationsWritten = append(rep.RelationsWritten, name+" (dropped)")
-					w.mu.Lock()
-					delete(w.lastExecHash, id)
-					w.mu.Unlock()
+					w.KB.RetractWhere(PredFingerprint, func(f relation.Tuple) bool { return len(f) > 0 && f[0].Str() == id })
 				}
 			}
 			a, r := replaceFacts(k, PredMapped, mappedFacts)
@@ -416,6 +411,24 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 			return rep, nil
 		},
 	}
+}
+
+// swapFingerprint records h as the hash of object's last output — a mapping's
+// raw result or the fused one — and returns the hash recorded before, if any.
+// The fingerprints are facts, written and read through the wrangler's own
+// handle the way derive writes a cell: they are what a body remembers of its
+// own output, not an input of it or of anyone else, and no Report counts them.
+func (w *Wrangler) swapFingerprint(object string, h uint64) (prev uint64, had bool) {
+	for _, f := range w.KB.Facts(PredFingerprint) {
+		if len(f) == 2 && f[0].Str() == object {
+			if prev, had = uint64(f[1].IntVal()), true; prev == h {
+				return prev, had
+			}
+			w.KB.Retract(PredFingerprint, f)
+		}
+	}
+	w.KB.Assert(PredFingerprint, relation.NewTuple(object, int64(h)))
+	return prev, had
 }
 
 // repairTransducer repairs mapping results against the data context using
@@ -617,7 +630,7 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 			}
 
 			// Feedback: direct corrections, then learned plausibility rules.
-			patched, nCorr := feedback.Apply(union, cellFeedback.get(k).Items(), nil)
+			patched, nCorr := feedback.Apply(union, feedbackItems(k), nil)
 			patched, nSupp := feedback.ApplyRangeRules(patched, cellRangeRules.get(k))
 
 			// Duplicate detection across portals, then fusion: identity is
@@ -648,10 +661,7 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 			}
 
 			h := hashRelation(fused)
-			w.mu.Lock()
-			prev := w.lastFusedHash
-			w.lastFusedHash = h
-			w.mu.Unlock()
+			prev, _ := w.swapFingerprint(RelResult, h)
 			if !k.HasRelation(RelResult) || prev != h { // asked first, as in mapping execution
 				k.PutRelation(RelResult, fused)
 				rep.RelationsWritten = append(rep.RelationsWritten, RelResult)

@@ -17,7 +17,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"vada/internal/match"
 	"vada/internal/relation"
@@ -62,34 +61,57 @@ func (it Item) String() string {
 	return fmt.Sprintf("[%s | %s] %s: %s", it.Street, it.Postcode, scope, verdict)
 }
 
-// Store accumulates feedback items; it is safe for concurrent use.
-type Store struct {
-	mu    sync.Mutex
-	items []Item
+// RelItems names the knowledge-base relation that holds a session's feedback:
+// one row per item, in arrival order. The fb_item facts beside it carry the
+// judgement only; the observed and corrected values live here.
+const RelItems = "fb_items"
+
+// itemsSchema is the schema of RelItems. The corrected and observed columns
+// are untyped: each holds a value of whatever kind the annotated attribute
+// has, null when its flag column is false (and when the value itself is null).
+var itemsSchema = relation.NewSchema(RelItems, "street", "postcode", "attr", "correct:bool",
+	"corrected:null", "has_correction:bool", "observed:null", "has_observed:bool")
+
+// row encodes the item as a row of RelItems.
+func (it Item) row() relation.Tuple {
+	return relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct,
+		it.Corrected, it.HasCorrection, it.Observed, it.HasObserved)
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
-
-// Add appends items.
-func (s *Store) Add(items ...Item) {
-	s.mu.Lock()
-	s.items = append(s.items, items...)
-	s.mu.Unlock()
+// AppendItems returns RelItems with the items added after the rows of rel —
+// the relation as it stands, nil before the first item — which is not
+// written to: the new relation shares its rows. An item equal to an earlier
+// one is a row of its own. A relation of another schema (an imported snapshot
+// may carry anything under the name) is replaced, not extended.
+func AppendItems(rel *relation.Relation, items ...Item) *relation.Relation {
+	out := &relation.Relation{Schema: itemsSchema}
+	if rel != nil && rel.Schema.Equal(itemsSchema) {
+		out = rel.Shallow()
+	}
+	for _, it := range items {
+		out.Tuples = append(out.Tuples, it.row())
+	}
+	return out
 }
 
-// Items returns a copy of all feedback.
-func (s *Store) Items() []Item {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Item(nil), s.items...)
-}
-
-// Len returns the number of items.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
+// Items decodes the rows of RelItems, in order; nil for a nil relation. Rows
+// of any other arity — a relation this package did not write — are skipped.
+func Items(rel *relation.Relation) []Item {
+	if rel == nil {
+		return nil
+	}
+	out := make([]Item, 0, len(rel.Tuples))
+	for _, t := range rel.Tuples {
+		if len(t) != itemsSchema.Arity() {
+			continue
+		}
+		out = append(out, Item{
+			Street: t[0].Str(), Postcode: t[1].Str(), Attr: t[2].Str(), Correct: t[3].BoolVal(),
+			Corrected: t[4], HasCorrection: t[5].BoolVal(),
+			Observed: t[6], HasObserved: t[7].BoolVal(),
+		})
+	}
+	return out
 }
 
 // KeyNorm normalises tuple keys for matching feedback to result rows.

@@ -1,8 +1,10 @@
 package feedback
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
-	"sync"
+	"reflect"
 	"testing"
 
 	"vada/internal/match"
@@ -25,24 +27,66 @@ func resultFixture() *relation.Relation {
 	return r
 }
 
-func TestStoreConcurrent(t *testing.T) {
-	s := NewStore()
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				s.Add(Item{Street: "x", Postcode: "y", Attr: "bedrooms", Correct: true})
-			}
-		}()
+// TestItemRowRoundTrip: an item is a row of RelItems and comes back from it
+// — through the JSON the knowledge base is persisted as — exactly as it went
+// in: a value of every kind as the correction and the observation, null with
+// and without its flag, and an item equal to an earlier one as a row of its own.
+func TestItemRowRoundTrip(t *testing.T) {
+	values := []relation.Value{
+		relation.Null(), relation.String(""), relation.String("14 sq m"), relation.Int(0), relation.Int(-7),
+		relation.Float(0), relation.Float(14), relation.Float(0.1 + 0.2), relation.Bool(false), relation.Bool(true),
 	}
-	wg.Wait()
-	if s.Len() != 500 {
-		t.Fatalf("len = %d", s.Len())
+	kinds := map[relation.Kind]bool{}
+	var items []Item
+	for i, v := range values {
+		kinds[v.Kind()] = true
+		other := values[(i+3)%len(values)]
+		items = append(items,
+			Item{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Corrected: v, HasCorrection: true, Observed: other, HasObserved: true},
+			Item{Street: "2 Low Rd", Attr: "price", Correct: true, Observed: v, HasObserved: true},
+			Item{Postcode: "M2 2BB", Corrected: v, HasCorrection: i%2 == 0, Observed: other, HasObserved: i%2 == 1})
 	}
-	if len(s.Items()) != 500 {
-		t.Fatal("Items() length wrong")
+	for k := relation.KindNull; k <= relation.KindBool; k++ {
+		if !kinds[k] {
+			t.Fatalf("no value of kind %v in the fixture", k)
+		}
+	}
+	items = append(items, Item{}, items[0], items[0])
+
+	first := AppendItems(nil, items[:5]...)
+	rel := AppendItems(first, items[5:]...)
+	if len(first.Tuples) != 5 || len(rel.Tuples) != len(items) {
+		t.Fatalf("%d and %d rows for 5 and %d items: appending must leave the old relation alone and keep duplicates", len(first.Tuples), len(rel.Tuples), len(items))
+	}
+	if !reflect.DeepEqual(Items(rel), items) {
+		t.Fatalf("decoded items differ:\n%v\n%v", Items(rel), items)
+	}
+	data, err := json.Marshal(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back relation.Relation
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !back.Schema.Equal(rel.Schema) || !reflect.DeepEqual(Items(&back), items) {
+		t.Fatalf("items differ after a JSON round trip:\n%v\n%v", Items(&back), items)
+	}
+	again, err := json.Marshal(AppendItems(&back))
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding the decoded relation changed its bytes (%v)", err)
+	}
+
+	if Items(nil) != nil {
+		t.Error("no relation, no items")
+	}
+	foreign := relation.New(relation.NewSchema(RelItems, "street", "note"))
+	foreign.MustAppend("1 High St", "not ours")
+	if got := Items(foreign); len(got) != 0 {
+		t.Errorf("decoded %v from a relation of another shape", got)
+	}
+	if got := AppendItems(foreign, items[0]); len(got.Tuples) != 1 || !got.Schema.Equal(rel.Schema) || len(foreign.Tuples) != 1 {
+		t.Errorf("appending to a relation of another shape gave %v", got)
 	}
 }
 

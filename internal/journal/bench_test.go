@@ -27,11 +27,7 @@ func benchSession(b *testing.B, n int) (*session.Session, *Record) {
 	sess := session.New("bench", core.BuildScenarioWrangler(sc),
 		session.WithScenario(sc, 11),
 		session.WithStageCommitHook(func(_ context.Context, s *session.Session, ev session.Event) func() {
-			w := s.Wrangler()
-			rec := &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: w.CutChangeLog()}}
-			exec, fused := w.ChangeFingerprints()
-			rec.Stage.ExecHashes, rec.Stage.FusedHash = exec, fused
-			captured = rec
+			captured = &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: s.Wrangler().CutChangeLog()}}
 			return nil
 		}))
 	sess.Wrangler().StartChangeLog()

@@ -75,26 +75,25 @@ const (
 )
 
 // StageRecord is the mutation payload of one completed wrangling stage:
-// the typed event (oracle score included), the knowledge-base delta the
-// stage produced, the feedback items it added, and the wrangler's
-// change-detection fingerprints after it — everything RestoreSession needs
-// that a bare event would not carry.
+// the typed event (oracle score included) and the knowledge-base delta the
+// stage produced — everything RestoreSession needs that a bare event would
+// not carry.
 type StageRecord struct {
 	// Event is the stage event, Seq assigned.
 	Event session.Event `json:"event"`
 	// Delta is the knowledge-base mutation log of the stage.
 	Delta *kb.Delta `json:"delta,omitempty"`
-	// Feedback are the items appended to the wrangler's feedback store
-	// during the stage (observed values included), in store order.
-	// FeedbackAt is the store index the slice starts at: the store is
-	// append-only, so Compose can skip exactly the overlap with items a
-	// compaction snapshot already captured mid-stage.
-	Feedback   []feedback.Item `json:"feedback,omitempty"`
-	FeedbackAt int             `json:"feedback_at,omitempty"`
-	// ExecHashes and FusedHash are the change fingerprints after the stage.
+
+	// Legacy, read and never written: records of older binaries carried the
+	// feedback items the stage added (FeedbackAt the index of the first in the
+	// append-only store, so Compose can skip exactly the overlap with items a
+	// mid-stage compaction snapshot already held) and the change fingerprints
+	// after the stage, beside a delta that did not hold them. Compose folds
+	// them into the legacy fields of persist.Meta.
+	Feedback   []feedback.Item   `json:"feedback,omitempty"`
+	FeedbackAt int               `json:"feedback_at,omitempty"`
 	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
-	// FusedHash is the fused-union hash after the stage.
-	FusedHash uint64 `json:"fused_hash,omitempty"`
+	FusedHash  uint64            `json:"fused_hash,omitempty"`
 }
 
 // Record is one journal entry. Exactly one of Stage and Run is set,

@@ -727,8 +727,8 @@ func TestRecorderConformance(t *testing.T) {
 			t.Fatalf("result row %d drifted", i)
 		}
 	}
-	if got, want := restored.Wrangler().FeedbackItems(), sess.Wrangler().FeedbackItems(); len(got) != len(want) {
-		t.Fatalf("feedback items: %d vs %d", len(got), len(want))
+	if got, want := restored.Wrangler().FeedbackItems(), sess.Wrangler().FeedbackItems(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("feedback items:\n got %v\nwant %v", got, want)
 	}
 	if len(snap.Runs) != 2 || snap.Runs[0].ID != "r1" || snap.Runs[1].ID != "r2" {
 		t.Fatalf("composed runs = %+v", snap.Runs)
@@ -816,7 +816,9 @@ func TestRecorderCompact(t *testing.T) {
 // TestRecorderCompactMidStage pins compaction racing a running stage: the
 // snapshot holds part of the stage's relation writes, the stage's record —
 // cut from before those writes — lands in the fresh journal, and the two
-// still compose into the live state, row for row.
+// still compose into the live state, row for row. The feedback items are rows
+// of a relation like any other: the one added before the snapshot was taken
+// and the one added after it are each recovered exactly once.
 func TestRecorderCompactMidStage(t *testing.T) {
 	ctx := context.Background()
 	sess, rec, w := stageJournal(t, t.TempDir(), 40)
@@ -828,8 +830,12 @@ func TestRecorderCompactMidStage(t *testing.T) {
 		}
 		return r
 	}
+	item := func(street string) feedback.Item {
+		return feedback.Item{Street: street, Postcode: "M1 1AA", Attr: "price", Observed: relation.Float(100), HasObserved: true}
+	}
 	if _, err := sess.Step(ctx, "seed", func(w *core.Wrangler) error {
 		w.KB.PutRelation("scratch", rel(4))
+		w.AddFeedback(item("seeded"), item("seeded again"))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -837,11 +843,13 @@ func TestRecorderCompactMidStage(t *testing.T) {
 	var compacted bytes.Buffer
 	if _, err := sess.Step(ctx, "grow", func(w *core.Wrangler) error {
 		w.KB.PutRelation("scratch", rel(5))
+		w.AddFeedback(item("before the snapshot"))
 		// The persister's threshold compaction lands here, mid-stage.
 		if err := rec.Compact(func() error { return persist.ExportSession(&compacted, sess, nil) }); err != nil {
 			return err
 		}
 		w.KB.PutRelation("scratch", rel(6))
+		w.AddFeedback(item("after the snapshot"))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -868,6 +876,21 @@ func TestRecorderCompactMidStage(t *testing.T) {
 	got, want := restored.Wrangler().KB.Relation("scratch"), sess.Wrangler().KB.Relation("scratch")
 	if got == nil || !reflect.DeepEqual(got.Tuples, want.Tuples) {
 		t.Fatalf("scratch after mid-stage compaction:\n got %v\nwant %v", got, want)
+	}
+	items := restored.Wrangler().FeedbackItems()
+	if want := sess.Wrangler().FeedbackItems(); len(want) != 4 || !reflect.DeepEqual(items, want) {
+		t.Fatalf("feedback items after mid-stage compaction:\n got %v\nwant %v", items, want)
+	}
+	for _, street := range []string{"before the snapshot", "after the snapshot"} {
+		n := 0
+		for _, it := range items {
+			if it.Street == street {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("the item added %s was recovered %d times", street, n)
+		}
 	}
 	if len(restored.Events()) != 2 {
 		t.Fatalf("restored events = %d, want 2", len(restored.Events()))

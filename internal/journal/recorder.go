@@ -13,10 +13,9 @@ import (
 
 // Recorder ties one live session to its journal writer: it turns completed
 // stages into stage records (cutting the wrangler's knowledge-base change
-// log, diffing the feedback store, snapshotting the fingerprints) and
-// terminal runs into run records, and it arbitrates the one genuine race of
-// incremental durability — a compaction snapshot folding the journal away
-// while a finishing stage is about to append to it.
+// log) and terminal runs into run records, and it arbitrates the one genuine
+// race of incremental durability — a compaction snapshot folding the journal
+// away while a finishing stage is about to append to it.
 //
 // All mutation capture is serialised on the recorder's lock.
 // RecordStageCommit is called from the session's stage-commit hook (under
@@ -29,10 +28,9 @@ type Recorder struct {
 	w    *Writer
 	sess *session.Session
 
-	// mu orders appends against compaction; fbCount and runSeen track what
-	// is already durable so records stay deltas.
+	// mu orders appends against compaction; runSeen tracks the runs already
+	// durable.
 	mu      sync.Mutex
-	fbCount int
 	runSeen map[string]bool
 
 	// dirty reports that something was recorded — or failed to be — since
@@ -53,7 +51,6 @@ func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run) *Record
 	r := &Recorder{
 		w:       w,
 		sess:    sess,
-		fbCount: len(sess.Wrangler().FeedbackItems()),
 		runSeen: runIDs(knownRuns),
 		dirty:   records > 0,
 	}
@@ -62,11 +59,10 @@ func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run) *Record
 }
 
 // RecordStageCommit appends the mutation record of one completed stage —
-// the event, the knowledge-base delta since the previous record, the
-// feedback items the stage added, and the post-stage fingerprints — in two
-// phases: the record is captured and written under the recorder lock (so the
-// delta cut stays race-free with the next stage), and the returned wait
-// blocks until it is durable. Call it from the session's stage-commit hook:
+// the event and the knowledge-base delta since the previous record, which is
+// everything the stage changed — in two phases: the record is captured and
+// written under the recorder lock (so the delta cut stays race-free with the
+// next stage), and the returned wait blocks until it is durable. Call it from the session's stage-commit hook:
 // the hook holds the session's run mutex and invokes the wait only after
 // releasing it (or, inside a plan, once for all the plan's stages), and its
 // context carries the stage's trace span, under which the append is recorded
@@ -75,25 +71,10 @@ func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (fun
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dirty = true
-	w := r.sess.Wrangler()
 	rec := &Record{At: ev.At, Stage: &StageRecord{
 		Event: ev,
-		Delta: w.CutChangeLog(),
+		Delta: r.sess.Wrangler().CutChangeLog(),
 	}}
-	items := w.FeedbackItems()
-	if len(items) > r.fbCount {
-		rec.Stage.Feedback = items[r.fbCount:]
-		// The store index the slice starts at: a compaction snapshot taken
-		// mid-stage may already hold a prefix of these items, and Compose
-		// uses the index to append only the suffix the snapshot missed.
-		rec.Stage.FeedbackAt = r.fbCount
-	}
-	r.fbCount = len(items)
-	exec, fused := w.ChangeFingerprints()
-	if len(exec) > 0 {
-		rec.Stage.ExecHashes = exec
-	}
-	rec.Stage.FusedHash = fused
 
 	span := trace.ChildFromContext(ctx, "journal.append",
 		"kind", "stage", "session", r.sess.ID())
@@ -171,7 +152,7 @@ func (r *Recorder) ShouldCompact(maxRecords int, maxBytes int64) bool {
 // A stage may be running while the snapshot is captured. Its record, cut
 // when it ends, lands in the fresh journal and is replayed over a snapshot
 // that already holds part of its writes; SnapshotPending makes that cut
-// replayable from there (FeedbackAt does the same for its feedback items).
+// replayable from there.
 func (r *Recorder) Compact(writeSnapshot func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

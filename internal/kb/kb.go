@@ -32,7 +32,12 @@
 // Beside its content it carries values (PutValue/Value): in-process state
 // components hand one another, stored under external keys so that it moves and
 // is read on the same clock as facts and relations, and left out of everything
-// persisted or versioned.
+// persisted or versioned. They live for the process, so they are for what a
+// restart can supply again. The standard suite (package core) keeps six: the
+// registered sources, which restoring a session registers again, and five
+// values one transducer derives for another (name and instance matches,
+// mappings, CFDs, range rules), which the next run recomputes. What cannot be
+// supplied again — anything the API was handed — is content.
 //
 // The KB is safe for concurrent use and versions every change — as a whole
 // (Version) and per key: each predicate's facts, each relation, and the sets

@@ -99,11 +99,13 @@ func ReadSnapshot(r io.Reader) (*KB, error) {
 
 // Merge folds another knowledge base — typically one decoded by
 // ReadSnapshot — into k in place: facts are asserted (duplicates are
-// no-ops), relations replace same-named ones wholesale, and k's version is
-// raised to at least src's. What is merged is shared with src, frozen in both.
-// Merging in place is the restore path of a
-// Wrangler whose orchestrator is already wired to k, where swapping the KB
-// pointer would sever it.
+// no-ops), relations replace same-named ones wholesale (one k already holds
+// row for row is a no-op too: the wrangler a restore rebuilds has set its
+// target schema by the time the snapshot that carries it is merged), and k's
+// version is raised to at least src's. What is merged is shared with src,
+// frozen in both. Merging in place is the restore path of a Wrangler whose
+// orchestrator is already wired to k, where swapping the KB pointer would
+// sever it.
 func (k *KB) Merge(src *KB) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
@@ -128,7 +130,11 @@ func (k *KB) Merge(src *KB) {
 			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t})
 		}
 	}
+	sameRow := func(a, b relation.Tuple) bool { return a.Key() == b.Key() }
 	for name, r := range src.relations {
+		if old := k.relations[name]; old != nil && old.Schema.Equal(r.Schema) && slices.EqualFunc(old.Tuples, r.Tuples, sameRow) {
+			continue
+		}
 		k.installRelationLocked(name, r)
 	}
 	if src.version > k.version {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +20,7 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/feedback"
 	"vada/internal/kb"
+	"vada/internal/mcda"
 	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
@@ -152,6 +154,124 @@ func kbBytes(t *testing.T, k *kb.KB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// fingerprints reads md_fingerprint(object, hash) into object → hash.
+func fingerprints(k *kb.KB) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, f := range k.Facts(core.PredFingerprint) {
+		out[f[0].Str()] = uint64(f[1].IntVal())
+	}
+	return out
+}
+
+// TestUpgradeV1: a snapshot of an older binary carries the feedback items,
+// the change fingerprints and a blank session's target schema in its meta,
+// and its priorities as facts without a position. Restoring it moves all of
+// that into the knowledge base, where a current binary keeps it, and what the
+// restored session captures carries nothing beside the knowledge base.
+func TestUpgradeV1(t *testing.T) {
+	snap := goldenSnapshot()
+	items := snap.Meta.Feedback
+	restored, err := RestoreSession(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := restored.Wrangler()
+	if got := feedback.Items(w.KB.Relation(feedback.RelItems)); len(items) != 2 || !reflect.DeepEqual(got, items) ||
+		!got[0].HasObserved || !got[0].Observed.Equal(relation.Int(14)) {
+		t.Fatalf("fb_items holds %v, the snapshot's meta carried %v", got, items)
+	}
+	for _, it := range items {
+		if !w.KB.Has(core.PredFeedback, relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct)) {
+			t.Errorf("no fb_item fact for %v", it)
+		}
+	}
+	want := map[string]uint64{"m_rightmove": 0xfeedc0de, "m_onthemarket": 42, core.RelResult: 0xdecafbad}
+	if got := fingerprints(w.KB); !reflect.DeepEqual(got, want) {
+		t.Errorf("fingerprint facts %x, want %x", got, want)
+	}
+	if m := snap.Meta; m.Feedback != nil || m.ExecHashes != nil || m.FusedHash != 0 || m.TargetName != "" || m.Target != nil {
+		t.Errorf("the restore left legacy fields in the snapshot it consumed: %+v", m)
+	}
+
+	// A capture of the restored session is in today's layout, and restores to
+	// the same state.
+	var buf bytes.Buffer
+	if err := ExportSession(&buf, restored, nil); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ReadSessionSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := again.Meta; m.Feedback != nil || m.ExecHashes != nil || m.FusedHash != 0 || m.TargetName != "" || m.Target != nil {
+		t.Errorf("a re-capture still writes legacy fields: %+v", m)
+	}
+	_, sections, err := readEnvelope(bytes.NewReader(buf.Bytes()))
+	if err != nil || sections[0].kind != sectionMeta {
+		t.Fatalf("reading the re-capture's meta section: %v", err)
+	}
+	for _, key := range []string{"feedback", "exec_hashes", "fused_hash", "target"} {
+		if bytes.Contains(sections[0].data, []byte(key)) {
+			t.Errorf("re-captured meta mentions %q: %s", key, sections[0].data)
+		}
+	}
+	second, err := RestoreSession(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := second.Wrangler().FeedbackItems(); !reflect.DeepEqual(got, items) {
+		t.Errorf("items after a second restore: %v", got)
+	}
+	if got := fingerprints(second.Wrangler().KB); !reflect.DeepEqual(got, want) {
+		t.Errorf("fingerprints after a second restore: %x", got)
+	}
+
+	// A blank session kept its target schema as specs; one unknown kind in a
+	// hand-edited file degrades to string. Its priorities are five-column
+	// facts, stated in storage order.
+	k := kb.New()
+	model := core.CrimeAnalysisUserContext()
+	for _, c := range model.Comparisons() {
+		k.Assert(core.PredPriority, relation.NewTuple(c.More.Metric, c.More.Target, c.Less.Metric, c.Less.Target, int(c.Strength)))
+	}
+	legacy := mcda.NewModel()
+	for _, f := range k.Facts(core.PredPriority) {
+		if err := legacy.AddComparison(mcda.Criterion{Metric: f[0].Str(), Target: f[1].Str()},
+			mcda.Criterion{Metric: f[2].Str(), Target: f[3].Str()}, mcda.Strength(f[4].IntVal())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blank, err := RestoreSession(&SessionSnapshot{
+		Meta: Meta{ID: "blank-1", TargetName: "places", Target: []string{"name", "level:int", "age:dragon"}},
+		KB:   k,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTarget := relation.NewSchema("places", "name", "level:int", "age")
+	if got, ok := blank.Wrangler().TargetSchema(); !ok || !got.Equal(wantTarget) {
+		t.Errorf("blank session's target schema = %v (%v), want %v", got, ok, wantTarget)
+	}
+	wantWeights, _, err := legacy.Weights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotWeights := blank.Wrangler().UserWeights()
+	if len(gotWeights) != len(wantWeights) || len(wantWeights) == 0 {
+		t.Fatalf("%d weights from five-column priorities, want %d", len(gotWeights), len(wantWeights))
+	}
+	for c, ww := range wantWeights {
+		if math.Float64bits(gotWeights[c]) != math.Float64bits(ww) {
+			t.Errorf("weight of %v = %v, want %v", c, gotWeights[c], ww)
+		}
+	}
+	for _, f := range blank.Wrangler().KB.Facts(core.PredPriority) {
+		if len(f) != 6 {
+			t.Errorf("a five-column priority survived the upgrade: %v", f)
+		}
+	}
 }
 
 // TestRoundTripConformance is the end-to-end conformance suite: a real

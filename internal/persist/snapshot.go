@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,14 +13,15 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/feedback"
 	"vada/internal/kb"
+	"vada/internal/mcda"
 	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
 )
 
 // Meta is the identity and configuration section of a session snapshot —
-// everything needed to rebuild the session's Wrangler deterministically
-// before the knowledge base is merged back in.
+// what it takes to build the session's Wrangler before the knowledge base is
+// merged back in. The session's state is the knowledge base and nothing else.
 type Meta struct {
 	// ID is the session identifier, preserved across restarts.
 	ID string `json:"id"`
@@ -39,24 +41,18 @@ type Meta struct {
 	// serialisable and is dropped at capture; restored wranglers use the
 	// default network.
 	Options *core.Options `json:"options,omitempty"`
-	// Feedback is the wrangler's full feedback store, observed values
-	// included. The KB's fb_item facts carry only the judgement — but
-	// assimilation judges against the captured observation, so restoring
-	// facts alone would leave post-restore orchestration without its fixed
-	// point (it can oscillate between result candidates).
-	Feedback []feedback.Item `json:"feedback,omitempty"`
-	// ExecHashes and FusedHash are the wrangler's change-detection
-	// fingerprints (per-mapping output hashes, fused-union hash). Restoring
-	// them keeps the first post-restore run from re-executing unchanged
-	// mappings over the repaired result relations.
+
+	// Legacy, read and never written: what snapshots carried beside the
+	// knowledge base before it held everything — the feedback items with their
+	// observed values, the change fingerprints of mapping execution and fusion,
+	// and a blank session's target schema as "name" / "name:kind" specs.
+	// journal.Compose folds the same fields of old journal records in here, and
+	// RestoreSession moves the lot into the knowledge base (upgrade).
+	Feedback   []feedback.Item   `json:"feedback,omitempty"`
 	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
 	FusedHash  uint64            `json:"fused_hash,omitempty"`
-	// TargetName and Target carry the user-context target schema of a
-	// scenario-free (blank/connector-fed) session as attribute specs
-	// ("name" or "name:kind"): scenario-backed restores rebuild the target
-	// from the scenario, but a blank session has nowhere else to keep it.
-	TargetName string   `json:"target_name,omitempty"`
-	Target     []string `json:"target,omitempty"`
+	TargetName string            `json:"target_name,omitempty"`
+	Target     []string          `json:"target,omitempty"`
 }
 
 // SessionSnapshot is the decoded form of one persisted session: identity
@@ -213,19 +209,10 @@ func CaptureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 	if sc := s.Scenario(); sc != nil {
 		cfg := sc.Config
 		snap.Meta.Scenario = &cfg
-	} else if target, ok := s.Wrangler().TargetSchema(); ok {
-		snap.Meta.TargetName = target.Name
-		snap.Meta.Target = attrSpecs(target)
 	}
 	opts := s.Wrangler().Options()
 	opts.Network = nil
 	snap.Meta.Options = &opts
-	snap.Meta.Feedback = s.Wrangler().FeedbackItems()
-	exec, fused := s.Wrangler().ChangeFingerprints()
-	if len(exec) > 0 {
-		snap.Meta.ExecHashes = exec
-	}
-	snap.Meta.FusedHash = fused
 	if eng != nil {
 		for _, r := range eng.List(s.ID()) {
 			if r.State.Terminal() {
@@ -244,10 +231,12 @@ func ExportSession(w io.Writer, s *session.Session, eng *runs.Engine) error {
 
 // RestoreSession rebuilds a live session from a decoded snapshot: the
 // wrangler is reconstructed (deterministically regenerating the scenario
-// when one is recorded), the knowledge base merged back in, derived
-// in-memory state rehydrated from it, and the session stamped with its
-// pre-restart identity and event history. Extra options (a shared stage
-// registry, typically) apply after the restore's own.
+// when one is recorded), the knowledge base merged back in — which is the
+// whole of the session's state — and the session stamped with its pre-restart
+// identity and event history. Extra options (a shared stage registry,
+// typically) apply after the restore's own. A snapshot in the layout of an
+// older binary is consumed: what its Meta carried is moved into the knowledge
+// base and the fields are left empty.
 func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Session, error) {
 	if snap == nil || snap.Meta.ID == "" {
 		return nil, fmt.Errorf("%w: empty session ID", ErrBadSnapshot)
@@ -275,23 +264,52 @@ func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 		sessOpts = append(sessOpts, session.WithScenario(sc, snap.Meta.Seed))
 	} else {
 		w = core.NewWrangler(core.WithOptions(wopts))
-		if len(snap.Meta.Target) > 0 {
-			w.SetTargetSchema(targetSchema(snap.Meta.TargetName, snap.Meta.Target))
-		}
-	}
-	// Feedback first: with the store populated (observed values included),
-	// Rehydrate skips its facts-only fallback, and the KB merge dedupes the
-	// fb_item facts AddFeedback asserts.
-	if len(snap.Meta.Feedback) > 0 {
-		w.AddFeedback(snap.Meta.Feedback...)
 	}
 	if snap.KB != nil {
 		w.KB.Merge(snap.KB)
 	}
-	w.RestoreFingerprints(snap.Meta.ExecHashes, snap.Meta.FusedHash)
-	w.Rehydrate()
+	upgrade(w, &snap.Meta)
 	sessOpts = append(sessOpts, opts...)
 	return session.New(snap.Meta.ID, w, sessOpts...), nil
+}
+
+// upgrade is the only reader of the layout older binaries wrote (journal.Compose
+// apart, which folds old records into old fields): it moves what m carries
+// beside the knowledge base into w's, through the API that would have put it
+// there, and empties the fields. What the knowledge base already holds in
+// today's layout wins.
+func upgrade(w *core.Wrangler, m *Meta) {
+	if len(m.Feedback) > 0 && w.KB.Relation(feedback.RelItems) == nil {
+		w.AddFeedback(m.Feedback...)
+	}
+	if w.KB.Count(core.PredFingerprint) == 0 { // no API: md_fingerprint(object, the hash's bits as an int64)
+		for id, h := range m.ExecHashes {
+			w.KB.Assert(core.PredFingerprint, relation.NewTuple(id, int64(h)))
+		}
+		if m.FusedHash != 0 {
+			w.KB.Assert(core.PredFingerprint, relation.NewTuple(core.RelResult, int64(m.FusedHash)))
+		}
+	}
+	if _, set := w.TargetSchema(); !set && len(m.Target) > 0 {
+		w.SetTargetSchema(legacyTarget(m.TargetName, m.Target))
+	}
+	// uc_priority facts of five columns carry no position: they state the
+	// model in storage order, as they always did on restore.
+	old := w.KB.Facts(core.PredPriority)
+	stated := len(old)
+	old = slices.DeleteFunc(old, func(f relation.Tuple) bool { return len(f) != 5 })
+	if len(old) > 0 && len(old) == stated {
+		model := mcda.NewModel()
+		for _, f := range old {
+			more := mcda.Criterion{Metric: f[0].Str(), Target: f[1].Str()}
+			less := mcda.Criterion{Metric: f[2].Str(), Target: f[3].Str()}
+			_ = model.AddComparison(more, less, mcda.Strength(f[4].IntVal())) // an inconsistent pair is skipped, not fatal
+		}
+		w.SetUserContext(model) // replaces the facts
+	} else {
+		w.KB.RetractWhere(core.PredPriority, func(f relation.Tuple) bool { return len(f) == 5 })
+	}
+	m.Feedback, m.ExecHashes, m.FusedHash, m.TargetName, m.Target = nil, nil, 0, "", nil
 }
 
 // RestoreInto restores a snapshot and registers it with the manager and —
@@ -312,24 +330,11 @@ func RestoreInto(mgr *session.Manager, eng *runs.Engine, snap *SessionSnapshot, 
 	return s, nil
 }
 
-// attrSpecs renders a schema's attributes in "name" / "name:kind" spec form —
-// the JSON-friendly shape Meta carries for blank-session target schemas.
-func attrSpecs(s relation.Schema) []string {
-	specs := make([]string, len(s.Attrs))
-	for i, a := range s.Attrs {
-		if a.Type == relation.KindString || a.Type == relation.KindNull {
-			specs[i] = a.Name
-			continue
-		}
-		specs[i] = a.Name + ":" + a.Type.String()
-	}
-	return specs
-}
-
-// targetSchema rebuilds a captured target schema from attribute specs. Unlike
-// relation.NewSchema it never panics: snapshots can arrive through the import
-// route, so an unknown kind in a hand-edited file degrades to string.
-func targetSchema(name string, specs []string) relation.Schema {
+// legacyTarget rebuilds a target schema from the attribute specs an older
+// snapshot carried. Unlike relation.NewSchema it never panics: snapshots can
+// arrive through the import route, so an unknown kind in a hand-edited file
+// degrades to string.
+func legacyTarget(name string, specs []string) relation.Schema {
 	if name == "" {
 		name = "target"
 	}

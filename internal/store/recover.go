@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"vada/internal/journal"
@@ -112,6 +113,7 @@ func (s *Store) recoverLive(id string, opts []session.Option) bool {
 			}
 		}
 	}
+	read := snap.Meta
 	sess, err := persist.RestoreInto(s.Manager, s.Engine, snap, opts...)
 	if err != nil {
 		s.Logger.Error("restoring snapshot", "session", id, "error", err)
@@ -127,6 +129,14 @@ func (s *Store) recoverLive(id string, opts []session.Option) bool {
 		s.mu.Lock()
 		s.entries[id] = &entry{sess: sess, rec: journal.NewRecorder(w, sess, snap.Runs)}
 		s.mu.Unlock()
+		// A restore that had to rewrite what it read (the layout of an older
+		// binary, moved into the knowledge base) leaves files that describe a
+		// state the next record's delta does not start from: fold them now.
+		if !reflect.DeepEqual(read, snap.Meta) {
+			if err := s.Compact(id); err != nil {
+				s.Logger.Error("rewriting snapshot after restore", "session", id, "error", err)
+			}
+		}
 	}
 	s.Logger.Info("restored session", "session", id,
 		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", replayed)

@@ -8,13 +8,18 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
 	"vada/internal/core"
 	"vada/internal/datagen"
+	"vada/internal/feedback"
+	"vada/internal/kb"
 	"vada/internal/metrics"
 	"vada/internal/persist"
+	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
 )
@@ -621,6 +626,153 @@ func TestCloseCompacts(t *testing.T) {
 	}
 	if got := boot(t, dir, false).exportID(a.ID()); !bytes.Equal(got, wantA) {
 		t.Fatal("state after a graceful shutdown is not the final state")
+	}
+}
+
+// kbContent is what the session's knowledge base persists as, without the
+// version: the content, not the number of changes it took to reach it (a
+// restored session's first stage re-derives the cells a restart empties and
+// counts more of them).
+func kbContent(t *testing.T, sess *session.Session) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sess.Wrangler().KB.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return regexp.MustCompile(`^\{"version":\d+,`).ReplaceAll(buf.Bytes(), []byte("{"))
+}
+
+// TestRepeatedFeedbackLiveEqualsRestored: a feedback stage whose items repeat
+// earlier ones asserts no new fb_item fact, and is evidence all the same — it
+// is assimilated by the stage that carries it, so the live session and the
+// one restored from its export are in the same state and stay there.
+func TestRepeatedFeedbackLiveEqualsRestored(t *testing.T) {
+	ctx := context.Background()
+	r := start(t, "")
+	live := r.create(3)
+	r.bootstrap(live)
+	if _, err := live.AddDataContext(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.AddFeedback(ctx, nil, 40); err != nil {
+		t.Fatal(err)
+	}
+	items := live.Wrangler().FeedbackItems()
+	var wrong []feedback.Item
+	for _, it := range items {
+		if !it.Correct && it.Attr != "" {
+			wrong = append(wrong, it)
+		}
+	}
+	if len(wrong) == 0 {
+		t.Fatal("the oracle judged nothing incorrect")
+	}
+	facts := live.Wrangler().KB.Count(core.PredFeedback)
+	ev, err := live.AddFeedback(ctx, append(wrong, wrong...), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Wrangler().KB.Count(core.PredFeedback) != facts {
+		t.Fatal("the repeated items asserted new fb_item facts: the test no longer covers an all-repeat stage")
+	}
+	if ev.Steps == 0 {
+		t.Error("the stage that repeated earlier items took no steps")
+	}
+
+	restored := start(t, "").importEnvelope(r.export(live))
+	if got := restored.Wrangler().FeedbackItems(); len(got) != len(items)+2*len(wrong) || !reflect.DeepEqual(got, live.Wrangler().FeedbackItems()) {
+		t.Fatalf("restored %d items, the live session holds %d", len(got), len(items)+2*len(wrong))
+	}
+	for _, sess := range []*session.Session{live, restored} {
+		if _, err := sess.SetUserContext(ctx, core.SizeAnalysisUserContext()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := live.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Tuples, want.Tuples) {
+		t.Errorf("one stage on, the restored session's result differs from the live one's (%d and %d rows)", len(got.Tuples), len(want.Tuples))
+	}
+	if a, b := kbContent(t, live), kbContent(t, restored); !bytes.Equal(a, b) {
+		t.Errorf("one stage on, the knowledge bases differ (%d and %d bytes)", len(a), len(b))
+	}
+}
+
+// TestRecoverRewritesOlderLayout: a data directory an older binary left —
+// feedback items and fingerprints in the snapshot's meta, not in its knowledge
+// base — boots, and is rewritten in today's layout before anything is
+// journaled over it: the next record's delta starts from the knowledge base
+// the restore built, which the old files do not describe.
+func TestRecoverRewritesOlderLayout(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties = 20
+	cfg.Seed = 4
+	opts := core.DefaultOptions()
+	old := []feedback.Item{
+		{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Observed: relation.Int(14), HasObserved: true},
+		{Street: "2 Low Rd", Postcode: "M2 2BB", Attr: "price", Correct: true},
+	}
+	k := kb.New()
+	for _, it := range old {
+		k.Assert(core.PredFeedback, relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct))
+	}
+	var envelope bytes.Buffer
+	if err := persist.WriteSessionSnapshot(&envelope, &persist.SessionSnapshot{
+		Meta: persist.Meta{ID: "s-old", Seed: 4, Scenario: &cfg, Options: &opts,
+			Feedback: old, ExecHashes: map[string]uint64{"m_gone": 42}},
+		KB: k,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s-old"+SnapshotExt), envelope.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := boot(t, dir, false)
+	if n := r.snapshotsWritten(); n != 1 {
+		t.Fatalf("booting over the older layout wrote %d snapshots, want the rewrite", n)
+	}
+	f, err := os.Open(r.st.path("s-old", SnapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.ReadSessionSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Meta.Feedback != nil || snap.Meta.ExecHashes != nil || !reflect.DeepEqual(feedback.Items(snap.KB.Relation(feedback.RelItems)), old) {
+		t.Fatalf("the rewritten snapshot is not in today's layout: meta %+v", snap.Meta)
+	}
+	sess, err := r.mgr.Get("s-old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.bootstrap(sess)
+	fresh := feedback.Item{Street: "3 Mid Ln", Postcode: "M3 3CC", Attr: "price", Observed: relation.Float(1), HasObserved: true}
+	if _, err := sess.AddFeedback(ctx, []feedback.Item{fresh}, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := r.export(sess)
+
+	r2 := boot(t, dir, false) // the first process is abandoned: kill -9
+	if n := r2.snapshotsWritten(); n != 0 {
+		t.Fatalf("booting over today's layout wrote %d snapshots", n)
+	}
+	if got := r2.exportID("s-old"); !bytes.Equal(got, want) {
+		t.Fatalf("recovered %d bytes, the session exported %d before the crash", len(got), len(want))
+	}
+	again, _ := r2.mgr.Get("s-old")
+	if got := again.Wrangler().FeedbackItems(); !reflect.DeepEqual(got, append(old, fresh)) {
+		t.Fatalf("recovered items %v", got)
 	}
 }
 
