@@ -131,8 +131,15 @@ func BenchmarkPayAsYouGoPipeline(b *testing.B) {
 
 // BenchmarkOrchestrationReaction measures E-D1: how much work a context
 // change triggers (data context over a quiesced system).
-func BenchmarkOrchestrationReaction(b *testing.B) {
-	sc := datagen.Generate(scenarioCfg(150))
+func BenchmarkOrchestrationReaction(b *testing.B) { benchDataContextReaction(b, 150) }
+
+// BenchmarkDataContextReaction is the same reaction at the frozen benchmark's
+// large size, the bootstrap untimed: what bootstrap_large's react_ms measures,
+// and where a body that redoes only what moved shows.
+func BenchmarkDataContextReaction(b *testing.B) { benchDataContextReaction(b, 600) }
+
+func benchDataContextReaction(b *testing.B, n int) {
+	sc := datagen.Generate(scenarioCfg(n))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +150,29 @@ func BenchmarkOrchestrationReaction(b *testing.B) {
 		}
 		b.StartTimer()
 		w.AddDataContext(sc.AddressRef)
+		if _, err := w.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFeedbackRound measures one round of 40 annotations on a quiesced
+// session with a data context at interactive size (n=100): payg_cycle's and
+// serve_feedback's reaction. Generating the annotations is untimed.
+func BenchmarkFeedbackRound(b *testing.B) {
+	sc := datagen.Generate(scenarioCfg(100))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w := core.BuildScenarioWrangler(sc)
+		w.AddDataContext(sc.AddressRef)
+		if _, err := w.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		items := core.OracleFeedback(sc, w.Result(), 40, 5)
+		b.StartTimer()
+		w.AddFeedback(items...)
 		if _, err := w.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
@@ -343,9 +373,10 @@ func BenchmarkMappingExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkCFDMining measures CTANE-style mining on the reference data.
+// BenchmarkCFDMining measures CTANE-style mining on the reference data of the
+// frozen benchmark's large size.
 func BenchmarkCFDMining(b *testing.B) {
-	sc := datagen.Generate(scenarioCfg(500))
+	sc := datagen.Generate(scenarioCfg(600))
 	opts := core.DefaultOptions().MineOptions
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -15,6 +15,7 @@ package cfd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -114,24 +115,25 @@ func DefaultMineOptions() MineOptions {
 
 // Mine learns CFDs from clean (reference/master) data, levelwise over LHS
 // size. Variable CFDs are pruned: once X → A holds exactly, supersets of X
-// for A are skipped (they are implied).
+// for A are skipped (they are implied). The relation is encoded once and every
+// LHS set partitioned once, for all the RHS it is tried with.
 func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 	attrs := rel.Schema.AttrNames()
+	enc := encode(rel)
 	var out []CFD
 	exact := map[string]bool{} // "A" -> some X→A with conf 1 already found at lower level
 
-	subsetsDone := map[string]bool{}
-	var lhsSets [][]string
-	var build func(start int, cur []string)
-	build = func(start int, cur []string) {
+	var lhsSets [][]int
+	var build func(start int, cur []int)
+	build = func(start int, cur []int) {
 		if len(cur) > 0 && len(cur) <= opts.MaxLHS {
-			lhsSets = append(lhsSets, append([]string(nil), cur...))
+			lhsSets = append(lhsSets, append([]int(nil), cur...))
 		}
 		if len(cur) == opts.MaxLHS {
 			return
 		}
 		for i := start; i < len(attrs); i++ {
-			build(i+1, append(cur, attrs[i]))
+			build(i+1, append(cur, i))
 		}
 	}
 	build(0, nil)
@@ -139,16 +141,25 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 	sort.SliceStable(lhsSets, func(i, j int) bool { return len(lhsSets[i]) < len(lhsSets[j]) })
 
 	var constants []CFD
-	for _, lhs := range lhsSets {
-		for _, rhs := range attrs {
-			if contains(lhs, rhs) {
+	for _, li := range lhsSets {
+		lhs := make([]string, len(li))
+		for i, idx := range li {
+			lhs[i] = attrs[idx]
+		}
+		var groups []int32 // the partition by lhs, made for the first RHS that needs it
+		nGroups := 0
+		for ri, rhs := range attrs {
+			if slices.Contains(li, ri) {
 				continue
 			}
 			// Prune: an exact smaller FD for rhs whose LHS ⊆ lhs implies this.
 			if prunedBy(exact, lhs, rhs) {
 				continue
 			}
-			stats := partitionStats(rel, lhs, rhs)
+			if groups == nil {
+				groups, nGroups = enc.groups(li)
+			}
+			stats := enc.partitionStats(groups, nGroups, ri)
 			if stats.usable == 0 {
 				continue
 			}
@@ -172,9 +183,9 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 				if g.count < opts.MinConstantSupport {
 					continue
 				}
-				pattern := map[string]PatternCell{rhs: {Value: g.rhsValue}}
+				pattern := map[string]PatternCell{rhs: {Value: rel.Tuples[g.last][ri]}}
 				for i, a := range lhs {
-					pattern[a] = PatternCell{Value: g.lhsValues[i]}
+					pattern[a] = PatternCell{Value: rel.Tuples[g.first][li[i]]}
 				}
 				constants = append(constants, CFD{
 					LHS: append([]string(nil), lhs...), RHS: rhs,
@@ -185,7 +196,6 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 			}
 		}
 	}
-	_ = subsetsDone
 
 	sort.SliceStable(constants, func(i, j int) bool {
 		if constants[i].Support != constants[j].Support {
@@ -198,15 +208,6 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 	}
 	out = append(out, constants...)
 	return out
-}
-
-func contains(set []string, x string) bool {
-	for _, s := range set {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }
 
 func fdKey(lhs []string, rhs string) string {
@@ -234,10 +235,10 @@ func prunedBy(exact map[string]bool, lhs []string, rhs string) bool {
 	return false
 }
 
+// pureGroup is a group of usable rows that agree on the RHS: first and last
+// are its first and last rows, which carry its LHS values and its RHS value.
 type pureGroup struct {
-	lhsValues []relation.Value
-	rhsValue  relation.Value
-	count     int
+	first, last, count int
 }
 
 type stats struct {
@@ -246,64 +247,40 @@ type stats struct {
 	pureGroups []pureGroup
 }
 
-func partitionStats(rel *relation.Relation, lhs []string, rhs string) stats {
-	li := make([]int, len(lhs))
-	for i, a := range lhs {
-		li[i] = rel.Schema.AttrIndex(a)
-	}
-	ri := rel.Schema.AttrIndex(rhs)
-
-	type group struct {
-		lhsValues []relation.Value
-		counts    map[string]int
-		rhsSample map[string]relation.Value
-		total     int
-	}
-	groups := map[string]*group{}
-	var order []string
+// partitionStats measures how well the partition groups (of nGroups groups, −1
+// for a row with a null in the LHS) determines attribute ri. Pure groups come
+// in the order of their first usable row.
+func (e *encoded) partitionStats(groups []int32, nGroups, ri int) stats {
+	rhs, _ := e.column(ri)
+	type tally struct{ total, best, values, first, last int }
+	byGroup := make([]tally, nGroups)
+	counts := map[uint64]int{} // (group, RHS code) → rows
+	var order []int32
 	st := stats{}
-	for _, t := range rel.Tuples {
-		skip := t[ri].IsNull()
-		var kb strings.Builder
-		vals := make([]relation.Value, len(li))
-		for i, idx := range li {
-			if t[idx].IsNull() {
-				skip = true
-				break
-			}
-			vals[i] = t[idx]
-			kb.WriteString(t[idx].Key())
-			kb.WriteByte('\x1f')
-		}
-		if skip {
+	for row, g := range groups {
+		if g < 0 || rhs[row] < 0 {
 			continue
 		}
 		st.usable++
-		k := kb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{lhsValues: vals, counts: map[string]int{}, rhsSample: map[string]relation.Value{}}
-			groups[k] = g
-			order = append(order, k)
+		t := &byGroup[g]
+		if t.total == 0 {
+			t.first = row
+			order = append(order, g)
 		}
-		rk := t[ri].Key()
-		g.counts[rk]++
-		g.rhsSample[rk] = t[ri]
-		g.total++
+		t.total++
+		t.last = row
+		counts[uint64(g)<<32|uint64(rhs[row])]++
 	}
-	for _, k := range order {
-		g := groups[k]
-		best, bestKey := 0, ""
-		for rk, c := range g.counts {
-			if c > best || (c == best && rk < bestKey) {
-				best, bestKey = c, rk
-			}
-		}
-		st.consistent += best
-		if len(g.counts) == 1 {
-			st.pureGroups = append(st.pureGroups, pureGroup{
-				lhsValues: g.lhsValues, rhsValue: g.rhsSample[bestKey], count: g.total,
-			})
+	for key, c := range counts {
+		t := &byGroup[key>>32]
+		t.values++
+		t.best = max(t.best, c)
+	}
+	for _, g := range order {
+		t := byGroup[g]
+		st.consistent += t.best
+		if t.values == 1 {
+			st.pureGroups = append(st.pureGroups, pureGroup{first: t.first, last: t.last, count: t.total})
 		}
 	}
 	return st

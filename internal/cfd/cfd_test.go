@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestMinePruningSupersets(t *testing.T) {
 		if c.IsConstant() {
 			continue
 		}
-		if len(c.LHS) == 2 && contains(c.LHS, "postcode") && c.RHS == "city" {
+		if len(c.LHS) == 2 && slices.Contains(c.LHS, "postcode") && c.RHS == "city" {
 			t.Fatalf("superset of exact FD postcode→city should be pruned: %v", c)
 		}
 	}
@@ -206,7 +207,7 @@ func TestRepairFillsNullsFromReference(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 High St", nil, "M1 1AA")
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
-	repaired, log := RepairWithReference(res, ref, cfds, DefaultRepairOptions())
+	repaired, log := PrepareReference(ref, cfds, DefaultRepairOptions()).Repair(res)
 	v := cell(repaired, 0, "city")
 	if !v.Equal(relation.String("Manchester")) {
 		t.Fatalf("city not filled: %v (log %v)", v, log)
@@ -226,7 +227,7 @@ func TestRepairCorrectsInconsistentValue(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 High St", "Leeds", "M1 1AA") // wrong city
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
-	repaired, _ := RepairWithReference(res, ref, cfds, DefaultRepairOptions())
+	repaired, _ := PrepareReference(ref, cfds, DefaultRepairOptions()).Repair(res)
 	v := cell(repaired, 0, "city")
 	if !v.Equal(relation.String("Manchester")) {
 		t.Fatalf("city not corrected: %v", v)
@@ -240,7 +241,7 @@ func TestRepairAmbiguousGroupsUntouched(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 X St", nil, "M1 1AA")
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
-	repaired, log := RepairWithReference(res, ref, cfds, DefaultRepairOptions())
+	repaired, log := PrepareReference(ref, cfds, DefaultRepairOptions()).Repair(res)
 	v := cell(repaired, 0, "city")
 	if !v.IsNull() {
 		t.Fatalf("ambiguous reference evidence must not repair: %v (log %v)", v, log)
@@ -251,7 +252,7 @@ func TestRepairFuzzyStreetTypo(t *testing.T) {
 	ref := refAddresses()
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 Hgih St", "Manchester", "M1 1AA") // transposition typo
-	repaired, log := RepairWithReference(res, ref, nil, DefaultRepairOptions())
+	repaired, log := PrepareReference(ref, nil, DefaultRepairOptions()).Repair(res)
 	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 High St")) {
 		t.Fatalf("typo not repaired: %v (log %v)", v, log)
@@ -264,7 +265,7 @@ func TestRepairFuzzyAmbiguousLeftAlone(t *testing.T) {
 	ref.MustAppend("1 Dark Rd", "Manchester", "M1 1AB")
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 Bark Rd", nil, nil) // equidistant from both
-	repaired, _ := RepairWithReference(res, ref, nil, DefaultRepairOptions())
+	repaired, _ := PrepareReference(ref, nil, DefaultRepairOptions()).Repair(res)
 	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 Bark Rd")) {
 		t.Fatalf("ambiguous fuzzy match must not repair: %v", v)
@@ -275,7 +276,7 @@ func TestRepairCanonicalisesSpelling(t *testing.T) {
 	ref := refAddresses()
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 HIGH ST", "Manchester", "M1 1AA")
-	repaired, log := RepairWithReference(res, ref, nil, DefaultRepairOptions())
+	repaired, log := PrepareReference(ref, nil, DefaultRepairOptions()).Repair(res)
 	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 High St")) {
 		t.Fatalf("case not canonicalised: %v (log %v)", v, log)
@@ -338,7 +339,7 @@ func TestRepairEndToEndScenario(t *testing.T) {
 	}
 	cfds := Mine(sc.AddressRef, DefaultMineOptions())
 	before := ConsistencyRate(res, cfds)
-	repaired, log := RepairWithReference(res, sc.AddressRef, cfds, DefaultRepairOptions())
+	repaired, log := PrepareReference(sc.AddressRef, cfds, DefaultRepairOptions()).Repair(res)
 	after := ConsistencyRate(repaired, cfds)
 	if after < before {
 		t.Fatalf("repair must not reduce consistency: %v -> %v", before, after)

@@ -12,6 +12,8 @@ package cfd
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"vada/internal/relation"
@@ -229,4 +231,263 @@ func refVariableRepair(out, ref *relation.Relation, c CFD, norm func(string) str
 		}
 	}
 	return log
+}
+
+// The reference implementations of mining and violation detection: Mine,
+// partitionStats, Violations and ConsistencyRate as they were before relations
+// were encoded once as column codes, kept verbatim (names apart, and Mine's
+// dead subsetsDone) as the oracles of TestMineDifferential, FuzzMineDifferential
+// and TestViolationsDifferential.
+
+// ReferenceMine is Mine as it was: it partitions the relation afresh, by
+// strings built per row, for every (LHS, RHS) pair. Test-only.
+func ReferenceMine(rel *relation.Relation, opts MineOptions) []CFD {
+	attrs := rel.Schema.AttrNames()
+	var out []CFD
+	exact := map[string]bool{} // "A" -> some X→A with conf 1 already found at lower level
+
+	var lhsSets [][]string
+	var build func(start int, cur []string)
+	build = func(start int, cur []string) {
+		if len(cur) > 0 && len(cur) <= opts.MaxLHS {
+			lhsSets = append(lhsSets, append([]string(nil), cur...))
+		}
+		if len(cur) == opts.MaxLHS {
+			return
+		}
+		for i := start; i < len(attrs); i++ {
+			build(i+1, append(cur, attrs[i]))
+		}
+	}
+	build(0, nil)
+	// Levelwise order: smaller LHS first.
+	sort.SliceStable(lhsSets, func(i, j int) bool { return len(lhsSets[i]) < len(lhsSets[j]) })
+
+	var constants []CFD
+	for _, lhs := range lhsSets {
+		for _, rhs := range attrs {
+			if slices.Contains(lhs, rhs) {
+				continue
+			}
+			// Prune: an exact smaller FD for rhs whose LHS ⊆ lhs implies this.
+			if prunedBy(exact, lhs, rhs) {
+				continue
+			}
+			stats := refPartitionStats(rel, lhs, rhs)
+			if stats.usable == 0 {
+				continue
+			}
+			support := float64(stats.usable) / float64(rel.Cardinality())
+			confidence := float64(stats.consistent) / float64(stats.usable)
+			if support >= opts.MinSupport && confidence >= opts.MinConfidence {
+				pattern := map[string]PatternCell{rhs: {Any: true}}
+				for _, a := range lhs {
+					pattern[a] = PatternCell{Any: true}
+				}
+				out = append(out, CFD{
+					LHS: append([]string(nil), lhs...), RHS: rhs,
+					Pattern: pattern, Support: support, Confidence: confidence,
+				})
+				if confidence == 1 {
+					exact[fdKey(lhs, rhs)] = true
+				}
+			}
+			// Constant CFDs from pure groups.
+			for _, g := range stats.pureGroups {
+				if g.count < opts.MinConstantSupport {
+					continue
+				}
+				pattern := map[string]PatternCell{rhs: {Value: g.rhsValue}}
+				for i, a := range lhs {
+					pattern[a] = PatternCell{Value: g.lhsValues[i]}
+				}
+				constants = append(constants, CFD{
+					LHS: append([]string(nil), lhs...), RHS: rhs,
+					Pattern:    pattern,
+					Support:    float64(g.count) / float64(rel.Cardinality()),
+					Confidence: 1,
+				})
+			}
+		}
+	}
+
+	sort.SliceStable(constants, func(i, j int) bool {
+		if constants[i].Support != constants[j].Support {
+			return constants[i].Support > constants[j].Support
+		}
+		return constants[i].Key() < constants[j].Key()
+	})
+	if len(constants) > opts.MaxConstantCFDs {
+		constants = constants[:opts.MaxConstantCFDs]
+	}
+	out = append(out, constants...)
+	return out
+}
+
+type refPureGroup struct {
+	lhsValues []relation.Value
+	rhsValue  relation.Value
+	count     int
+}
+
+type refStats struct {
+	usable     int // tuples with no nulls in LHS∪{RHS}
+	consistent int // tuples in their group's majority RHS value
+	pureGroups []refPureGroup
+}
+
+func refPartitionStats(rel *relation.Relation, lhs []string, rhs string) refStats {
+	li := make([]int, len(lhs))
+	for i, a := range lhs {
+		li[i] = rel.Schema.AttrIndex(a)
+	}
+	ri := rel.Schema.AttrIndex(rhs)
+
+	type group struct {
+		lhsValues []relation.Value
+		counts    map[string]int
+		rhsSample map[string]relation.Value
+		total     int
+	}
+	groups := map[string]*group{}
+	var order []string
+	st := refStats{}
+	for _, t := range rel.Tuples {
+		skip := t[ri].IsNull()
+		var kb strings.Builder
+		vals := make([]relation.Value, len(li))
+		for i, idx := range li {
+			if t[idx].IsNull() {
+				skip = true
+				break
+			}
+			vals[i] = t[idx]
+			kb.WriteString(t[idx].Key())
+			kb.WriteByte('\x1f')
+		}
+		if skip {
+			continue
+		}
+		st.usable++
+		k := kb.String()
+		g, ok := groups[k]
+		if !ok {
+			g = &group{lhsValues: vals, counts: map[string]int{}, rhsSample: map[string]relation.Value{}}
+			groups[k] = g
+			order = append(order, k)
+		}
+		rk := t[ri].Key()
+		g.counts[rk]++
+		g.rhsSample[rk] = t[ri]
+		g.total++
+	}
+	for _, k := range order {
+		g := groups[k]
+		best, bestKey := 0, ""
+		for rk, c := range g.counts {
+			if c > best || (c == best && rk < bestKey) {
+				best, bestKey = c, rk
+			}
+		}
+		st.consistent += best
+		if len(g.counts) == 1 {
+			st.pureGroups = append(st.pureGroups, refPureGroup{
+				lhsValues: g.lhsValues, rhsValue: g.rhsSample[bestKey], count: g.total,
+			})
+		}
+	}
+	return st
+}
+
+// ReferenceViolations is Violations as it was: one CFD at a time, grouping
+// by strings built per row. Test-only.
+func ReferenceViolations(rel *relation.Relation, c CFD) []Violation {
+	li := make([]int, len(c.LHS))
+	for i, a := range c.LHS {
+		li[i] = rel.Schema.AttrIndex(a)
+		if li[i] < 0 {
+			return nil
+		}
+	}
+	ri := rel.Schema.AttrIndex(c.RHS)
+	if ri < 0 {
+		return nil
+	}
+
+	matches := func(t relation.Tuple) bool {
+		for i, a := range c.LHS {
+			cell := c.Pattern[a]
+			if t[li[i]].IsNull() {
+				return false
+			}
+			if !cell.Any && !cell.Value.Equal(t[li[i]]) {
+				return false
+			}
+		}
+		return !t[ri].IsNull()
+	}
+
+	var out []Violation
+	if c.IsConstant() {
+		for rowIdx, t := range rel.Tuples {
+			if !matches(t) {
+				continue
+			}
+			if !c.Pattern[c.RHS].Value.Equal(t[ri]) {
+				out = append(out, Violation{CFD: c, Rows: []int{rowIdx}, Attr: c.RHS})
+			}
+		}
+		return out
+	}
+
+	// Variable CFD: group matching tuples by LHS; groups with >1 distinct
+	// RHS value violate.
+	type group struct {
+		rows []int
+		rhs  map[string]bool
+	}
+	groups := map[string]*group{}
+	var order []string
+	for rowIdx, t := range rel.Tuples {
+		if !matches(t) {
+			continue
+		}
+		var kb strings.Builder
+		for _, idx := range li {
+			kb.WriteString(t[idx].Key())
+			kb.WriteByte('\x1f')
+		}
+		k := kb.String()
+		g, ok := groups[k]
+		if !ok {
+			g = &group{rhs: map[string]bool{}}
+			groups[k] = g
+			order = append(order, k)
+		}
+		g.rows = append(g.rows, rowIdx)
+		g.rhs[t[ri].Key()] = true
+	}
+	for _, k := range order {
+		g := groups[k]
+		if len(g.rhs) > 1 {
+			out = append(out, Violation{CFD: c, Rows: append([]int(nil), g.rows...), Attr: c.RHS})
+		}
+	}
+	return out
+}
+
+// ReferenceConsistencyRate is ConsistencyRate as it was. Test-only.
+func ReferenceConsistencyRate(rel *relation.Relation, cfds []CFD) float64 {
+	if rel.Cardinality() == 0 || len(cfds) == 0 {
+		return 1
+	}
+	bad := map[int]bool{}
+	for _, c := range cfds {
+		for _, v := range ReferenceViolations(rel, c) {
+			for _, r := range v.Rows {
+				bad[r] = true
+			}
+		}
+	}
+	return 1 - float64(len(bad))/float64(rel.Cardinality())
 }

@@ -45,20 +45,6 @@ func DefaultRepairOptions() RepairOptions {
 	return RepairOptions{KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 2}
 }
 
-// RepairWithReference repairs a result relation against clean reference data
-// using the learned CFDs: for each variable CFD X → A whose attributes all
-// map into both relations, result tuples matching a reference group on X
-// get A corrected/filled from the (unique) reference value; additionally the
-// key attribute itself is repaired fuzzily (typo'd streets snapped to the
-// closest reference street sharing the tuple's other evidence).
-//
-// The input relation is not modified; the repaired copy and the action log
-// are returned. Callers repairing several relations against one reference
-// prepare it once with PrepareReference.
-func RepairWithReference(res, ref *relation.Relation, cfds []CFD, opts RepairOptions) (*relation.Relation, []RepairAction) {
-	return PrepareReference(ref, cfds, opts).Repair(res)
-}
-
 // Reference is clean reference data prepared for repair: everything repair
 // needs that is a property of the reference, the CFDs and the options alone,
 // built once however many result relations are repaired against it. It
@@ -106,6 +92,11 @@ type fuzzyHit struct {
 // PrepareReference indexes ref for repairing result relations with cfds
 // under opts: the normalised key map and its length buckets for fuzzy key
 // repair, and per variable CFD the LHS → RHS lookup with its ambiguous keys.
+// Repair then works as follows: for each variable CFD X → A whose attributes
+// all map into both relations, result tuples matching a reference group on X
+// get A corrected/filled from the (unique) reference value; additionally the
+// key attribute itself is repaired fuzzily (typo'd streets snapped to the
+// closest reference street sharing the tuple's other evidence).
 func PrepareReference(ref *relation.Relation, cfds []CFD, opts RepairOptions) *Reference {
 	r := &Reference{opts: opts, norm: opts.Normalize, cfds: cfds, tables: make([]*refTable, len(cfds))}
 	if r.norm == nil {

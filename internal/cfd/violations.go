@@ -1,10 +1,6 @@
 package cfd
 
-import (
-	"strings"
-
-	"vada/internal/relation"
-)
+import "vada/internal/relation"
 
 // Violation records a CFD violation in a relation.
 type Violation struct {
@@ -21,26 +17,24 @@ type Violation struct {
 // relation lacks make the CFD inapplicable (no violations). Tuples with
 // nulls in LHS∪{RHS} are skipped: missing data is an incompleteness issue,
 // not an inconsistency.
-func Violations(rel *relation.Relation, c CFD) []Violation {
-	li := make([]int, len(c.LHS))
-	for i, a := range c.LHS {
-		li[i] = rel.Schema.AttrIndex(a)
-		if li[i] < 0 {
-			return nil
-		}
-	}
+func Violations(rel *relation.Relation, c CFD) []Violation { return encode(rel).violations(c) }
+
+// violations is Violations over the encoded relation, which serves every CFD
+// it is asked about with one encoding of each column.
+func (e *encoded) violations(c CFD) []Violation {
+	rel := e.rel
+	li, ok := attrIndexes(rel, c.LHS)
 	ri := rel.Schema.AttrIndex(c.RHS)
-	if ri < 0 {
+	if !ok || ri < 0 {
 		return nil
 	}
-
+	cells := make([]PatternCell, len(li))
+	for i, a := range c.LHS {
+		cells[i] = c.Pattern[a]
+	}
 	matches := func(t relation.Tuple) bool {
-		for i, a := range c.LHS {
-			cell := c.Pattern[a]
-			if t[li[i]].IsNull() {
-				return false
-			}
-			if !cell.Any && !cell.Value.Equal(t[li[i]]) {
+		for i, cell := range cells {
+			if v := t[li[i]]; v.IsNull() || (!cell.Any && !cell.Value.Equal(v)) {
 				return false
 			}
 		}
@@ -49,11 +43,9 @@ func Violations(rel *relation.Relation, c CFD) []Violation {
 
 	var out []Violation
 	if c.IsConstant() {
+		want := c.Pattern[c.RHS].Value
 		for rowIdx, t := range rel.Tuples {
-			if !matches(t) {
-				continue
-			}
-			if !c.Pattern[c.RHS].Value.Equal(t[ri]) {
+			if matches(t) && !want.Equal(t[ri]) {
 				out = append(out, Violation{CFD: c, Rows: []int{rowIdx}, Attr: c.RHS})
 			}
 		}
@@ -61,37 +53,39 @@ func Violations(rel *relation.Relation, c CFD) []Violation {
 	}
 
 	// Variable CFD: group matching tuples by LHS; groups with >1 distinct
-	// RHS value violate.
-	type group struct {
-		rows []int
-		rhs  map[string]bool
-	}
-	groups := map[string]*group{}
-	var order []string
-	for rowIdx, t := range rel.Tuples {
-		if !matches(t) {
+	// RHS value violate. Most groups do not: rows are collected, in a second
+	// pass, for the ones that do.
+	groups, n := e.groups(li)
+	rhs, _ := e.column(ri)
+	usable := func(row int) bool { return groups[row] >= 0 && rhs[row] >= 0 && matches(rel.Tuples[row]) }
+	seen := make([]int32, n) // per group: 0 nothing yet, 1+code of its first RHS, −1 several
+	violating := 0
+	for row, g := range groups {
+		if !usable(row) {
 			continue
 		}
-		var kb strings.Builder
-		for _, idx := range li {
-			kb.WriteString(t[idx].Key())
-			kb.WriteByte('\x1f')
+		if first := seen[g]; first == 0 {
+			seen[g] = 1 + rhs[row]
+		} else if first > 0 && first != 1+rhs[row] {
+			seen[g] = -1
+			violating++
 		}
-		k := kb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{rhs: map[string]bool{}}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, rowIdx)
-		g.rhs[t[ri].Key()] = true
 	}
-	for _, k := range order {
-		g := groups[k]
-		if len(g.rhs) > 1 {
-			out = append(out, Violation{CFD: c, Rows: append([]int(nil), g.rows...), Attr: c.RHS})
+	if violating == 0 {
+		return nil
+	}
+	slot := make(map[int32]int, violating) // violating group → its place in out
+	for row, g := range groups {
+		if !usable(row) || seen[g] != -1 {
+			continue
 		}
+		at, ok := slot[g]
+		if !ok {
+			at = len(out)
+			slot[g] = at
+			out = append(out, Violation{CFD: c, Attr: c.RHS})
+		}
+		out[at].Rows = append(out[at].Rows, row)
 	}
 	return out
 }
@@ -103,9 +97,10 @@ func ConsistencyRate(rel *relation.Relation, cfds []CFD) float64 {
 	if rel.Cardinality() == 0 || len(cfds) == 0 {
 		return 1
 	}
+	enc := encode(rel) // one encoding of each column for all the CFDs
 	bad := map[int]bool{}
 	for _, c := range cfds {
-		for _, v := range Violations(rel, c) {
+		for _, v := range enc.violations(c) {
 			for _, r := range v.Rows {
 				bad[r] = true
 			}

@@ -33,7 +33,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"reflect"
 	"slices"
@@ -48,6 +47,7 @@ import (
 	"vada/internal/mapping"
 	"vada/internal/match"
 	"vada/internal/mcda"
+	"vada/internal/quality"
 	"vada/internal/relation"
 	"vada/internal/transducer"
 	"vada/internal/vadalog"
@@ -75,7 +75,6 @@ const (
 	PredAccuracy         = "md_accuracy"      // md_accuracy(source, attr, accuracy)
 	PredFeedback         = "fb_item"          // fb_item(street, postcode, attr, correct)
 	PredExport           = "md_export"        // md_export(relation, format, rows, bytes)
-	PredFingerprint      = "md_fingerprint"   // md_fingerprint(object, hash), object a mapping ID or RelResult
 )
 
 // Relation names and name prefixes in the knowledge base. The feedback items
@@ -98,12 +97,20 @@ const (
 type cell[T any] string
 
 const (
-	cellSources     cell[map[string]source]    = "core.sources"
-	cellNameMatches cell[[]match.Match]        = "core.nameMatches"
-	cellInstMatches cell[[]match.Match]        = "core.instMatches"
-	cellRangeRules  cell[[]feedback.RangeRule] = "core.rangeRules"
-	cellMappings    cell[[]mapping.Mapping]    = "core.mappings" // sorted by ID
-	cellCFDs        cell[[]cfd.CFD]            = "core.cfds"
+	cellSources     cell[map[string]source]         = "core.sources"
+	cellNameMatches cell[[]match.Match]             = "core.nameMatches"
+	cellInstMatches cell[[]match.Match]             = "core.instMatches"
+	cellRangeRules  cell[[]feedback.RangeRule]      = "core.rangeRules"
+	cellMappings    cell[[]mapping.Mapping]         = "core.mappings" // sorted by ID
+	cellCFDs        cell[[]cfd.CFD]                 = "core.cfds"
+	cellReports     cell[map[string]quality.Report] = "core.reports" // by mapping ID
+
+	// A body's own memory: what it last computed from, so that it redoes only
+	// what moved (remember inputs, never hash outputs). Inputs of nobody: loaded
+	// and stored through the wrangler's own handle, the way derive compares.
+	cellExecuted cell[map[string]execution]   = "core.executed" // by mapping ID
+	cellAssessed cell[map[string]assessment]  = "core.assessed" // by mapping ID
+	cellJoins    cell[*mapping.SourceProfile] = "core.joins"
 )
 
 // get loads the cell through k: the zero T until something is set.
@@ -475,17 +482,6 @@ func (w *Wrangler) orchNetworkName() string {
 }
 
 // --- knowledge-base helpers ----------------------------------------------
-
-// hashRelation fingerprints a relation's schema and content.
-func hashRelation(r *relation.Relation) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(r.Schema.String()))
-	for _, t := range r.Tuples {
-		_, _ = h.Write([]byte(t.Key()))
-		_, _ = h.Write([]byte{0x1e})
-	}
-	return h.Sum64()
-}
 
 // replaceFacts swaps the facts of pred for the new set, but only when the
 // sets differ — preserving orchestration quiescence. It returns (asserted,

@@ -89,6 +89,23 @@ func TestSuiteInputSetsComplete(t *testing.T) {
 			t.Errorf("instance-matching depends on %q", key)
 		}
 	}
+
+	// mapping-selection ranks from what quality assessment published: its
+	// inputs are the reports, the mappings, which results exist and the user
+	// context — no result relation, which would have it run (and assess) after
+	// every repair.
+	selection := w.orch.Inputs("mapping-selection")
+	for _, want := range []kb.Key{kb.ExternalKey(string(cellReports)), kb.ExternalKey(string(cellMappings)),
+		kb.RelationsKey(RelResultPrefix), kb.FactsKey(PredQuality), kb.FactsKey(PredCriterion), kb.FactsKey(PredPriority)} {
+		if !slices.Contains(selection, want) {
+			t.Errorf("mapping-selection does not depend on %q: %v", want, selection)
+		}
+	}
+	for _, key := range selection {
+		if key.Kind == kb.KeyRelation || key == kb.ExternalKey(string(cellCFDs)) || key == kb.FactsKey(PredAccuracy) {
+			t.Errorf("mapping-selection depends on %q", key)
+		}
+	}
 }
 
 // invariantNetwork checks between every two steps that md_match is what its

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -83,21 +82,14 @@ func bedroomsAt(t *testing.T, w *Wrangler, it feedback.Item) relation.Value {
 	return relation.Null()
 }
 
-func sortedFactKeys(k *kb.KB, pred string) []string {
-	var out []string
-	for _, f := range k.Facts(pred) {
-		out = append(out, f.Key())
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestRestoreIsLoadingTheKB: everything the API handed the wrangler — the
 // target schema, the feedback items with the values the user saw and the ones
-// they supplied, the priorities — and what the suite remembers of its own
-// output is knowledge-base content. Building the wrangler again and merging
-// the persisted knowledge base is the whole restore: nothing else is carried,
-// and the two wrangle on alike.
+// they supplied, the priorities — is knowledge-base content. Building the
+// wrangler again and merging the persisted knowledge base is the whole
+// restore: nothing else is carried — what the suite's bodies remember of their
+// inputs is for the process, and a restored session computes it once more —
+// and the restored session's next stage yields the live session's facts and
+// relations.
 func TestRestoreIsLoadingTheKB(t *testing.T) {
 	ctx := context.Background()
 	sc := testScenario(t, 50)
@@ -133,10 +125,6 @@ func TestRestoreIsLoadingTheKB(t *testing.T) {
 		if g, ok := got[c]; !ok || math.Float64bits(g) != math.Float64bits(ww) {
 			t.Errorf("weight of %v: restored %v, live %v", c, g, ww)
 		}
-	}
-	prints := sortedFactKeys(live.KB, PredFingerprint)
-	if len(prints) < 2 || !reflect.DeepEqual(sortedFactKeys(restored.KB, PredFingerprint), prints) {
-		t.Errorf("fingerprints differ:\nrestored %q\nlive     %q", sortedFactKeys(restored.KB, PredFingerprint), prints)
 	}
 	if got := referenceNames(restored.KB); len(got) != 1 || restored.KB.Relation(RelContextPrefix+got[0]) == nil {
 		t.Errorf("data context lost: %v", got)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -348,7 +349,14 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 			for _, name := range sortedKeys(srcs) {
 				rels = append(rels, srcs[name])
 			}
-			gen := mapping.Generate(target, rels, matchesFromFacts(k), w.opts.GenOptions)
+			// The join profile is a property of the sources alone: it is kept
+			// while they are the relations it was taken of.
+			joins := cellJoins.get(w.KB)
+			if !joins.Of(rels) {
+				joins = mapping.ProfileSources(rels)
+				cellJoins.set(w.KB, joins)
+			}
+			gen := joins.Generate(target, matchesFromFacts(k), w.opts.GenOptions)
 			derive(w, cellMappings, gen)
 			var facts []relation.Tuple
 			for _, m := range gen {
@@ -365,9 +373,25 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 	}
 }
 
-// mappingExecutionTransducer executes candidate mappings over the current
-// sources. It writes res_<id> only when *its own* output changed, so repairs
-// applied downstream survive re-runs with unchanged sources.
+// execution is what a mapping was last executed from, and the row count
+// published: its raw result is a function of the program, the target schema and
+// the source relations it names (frozen in the knowledge base: the same
+// relations are the same rows), and of nothing else.
+type execution struct {
+	program string
+	target  relation.Schema
+	sources []*relation.Relation // base source, then join sources
+	rows    int
+}
+
+func (e execution) sameInputs(o execution) bool {
+	return e.program == o.program && e.target.Equal(o.target) && slices.Equal(e.sources, o.sources)
+}
+
+// mappingExecutionTransducer executes the candidate mappings whose program or
+// sources moved since it last executed them, or whose result is missing. The
+// others keep the res_<id> they have, so repairs applied downstream survive
+// re-runs with unchanged inputs.
 func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 	return &transducer.Func{
 		TName:     "mapping-execution",
@@ -376,59 +400,54 @@ func (w *Wrangler) mappingExecutionTransducer() transducer.Transducer {
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			srcs := w.sourceRelations(k)
+			mappings := cellMappings.get(k)
 
-			live := map[string]bool{}
+			// Stored on every return: a failing mapping loses none before it.
+			memo := map[string]execution{}
+			maps.Copy(memo, cellExecuted.get(w.KB))
+			defer func() { cellExecuted.set(w.KB, memo) }()
+
 			var mappedFacts []relation.Tuple
-			for _, m := range cellMappings.get(k) {
-				res, err := mapping.Execute(m, srcs, w.engine)
-				if err != nil {
-					return rep, err
+			executed := 0
+			for _, m := range mappings {
+				name := RelResultPrefix + m.ID
+				from := execution{program: m.Program, target: m.Target, sources: []*relation.Relation{srcs[m.BaseSource]}}
+				for _, join := range m.JoinSources {
+					from.sources = append(from.sources, srcs[join])
 				}
-				live[m.ID] = true
-				mappedFacts = append(mappedFacts, relation.NewTuple(m.ID, res.Cardinality()))
-				h := hashRelation(res)
-				prev, had := w.swapFingerprint(m.ID, h)
 				// HasRelation first: what a body reads must not depend on what
-				// the fingerprint says.
-				if k.HasRelation(RelResultPrefix+m.ID) && had && prev == h {
-					continue // same output as last time: leave repairs intact
+				// it remembers.
+				if last, ok := memo[m.ID]; !k.HasRelation(name) || !ok || !last.sameInputs(from) {
+					res, err := mapping.Execute(m, srcs, w.engine)
+					if err != nil {
+						return rep, err
+					}
+					k.PutRelation(name, res)
+					rep.RelationsWritten = append(rep.RelationsWritten, name)
+					from.rows = res.Cardinality()
+					memo[m.ID] = from
+					executed++
 				}
-				k.PutRelation(RelResultPrefix+m.ID, res)
-				rep.RelationsWritten = append(rep.RelationsWritten, RelResultPrefix+m.ID)
+				mappedFacts = append(mappedFacts, relation.NewTuple(m.ID, memo[m.ID].rows))
 			}
 			// Drop results of mappings that no longer exist.
+			dropped := 0
 			for _, name := range k.RelationNames(RelResultPrefix) {
 				id := strings.TrimPrefix(name, RelResultPrefix)
-				if !live[id] {
+				if !slices.ContainsFunc(mappings, func(m mapping.Mapping) bool { return m.ID == id }) {
 					k.DropRelation(name)
 					rep.RelationsWritten = append(rep.RelationsWritten, name+" (dropped)")
-					w.KB.RetractWhere(PredFingerprint, func(f relation.Tuple) bool { return len(f) > 0 && f[0].Str() == id })
+					delete(memo, id)
+					dropped++
 				}
 			}
 			a, r := replaceFacts(k, PredMapped, mappedFacts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
+			rep.Notes = append(rep.Notes, fmt.Sprintf("executed %d of %d mappings, %d dropped", executed, len(mappings), dropped))
 			return rep, nil
 		},
 	}
-}
-
-// swapFingerprint records h as the hash of object's last output — a mapping's
-// raw result or the fused one — and returns the hash recorded before, if any.
-// The fingerprints are facts, written and read through the wrangler's own
-// handle the way derive writes a cell: they are what a body remembers of its
-// own output, not an input of it or of anyone else, and no Report counts them.
-func (w *Wrangler) swapFingerprint(object string, h uint64) (prev uint64, had bool) {
-	for _, f := range w.KB.Facts(PredFingerprint) {
-		if len(f) == 2 && f[0].Str() == object {
-			if prev, had = uint64(f[1].IntVal()), true; prev == h {
-				return prev, had
-			}
-			w.KB.Retract(PredFingerprint, f)
-		}
-	}
-	w.KB.Assert(PredFingerprint, relation.NewTuple(object, int64(h)))
-	return prev, had
 }
 
 // repairTransducer repairs mapping results against the data context using
@@ -492,9 +511,26 @@ func canonicalisePostcodes(res *relation.Relation) []cfd.RepairAction {
 	return actions
 }
 
+// assessment is the part of a result's quality report that is a function of
+// the relation and the CFDs alone — completeness, density, consistency — with
+// the relation and the CFD cell's value it was computed from: both are
+// replaced, never written to, so the same ones are the same content.
+type assessment struct {
+	rel  *relation.Relation
+	cfds []cfd.CFD
+	data quality.Report
+}
+
+// sameCell reports whether a and b are one value of a slice-typed cell.
+func sameCell[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // qualityTransducer assesses every mapping result, asserting metric facts
 // (§2.3: "a Quality Metric transducer becomes able to run, adding quality
-// metrics on sources and mappings to the knowledge base").
+// metrics on sources and mappings to the knowledge base") and publishing the
+// reports for mapping selection. A result and CFDs it has assessed before keep
+// their data part: feedback that moved only md_accuracy costs the accuracy part.
 func (w *Wrangler) qualityTransducer() transducer.Transducer {
 	return &transducer.Func{
 		TName:     "quality-assessment",
@@ -509,18 +545,27 @@ func (w *Wrangler) qualityTransducer() transducer.Transducer {
 				baseSource[m.ID] = m.BaseSource
 			}
 
+			last, memo, reports := cellAssessed.get(w.KB), map[string]assessment{}, map[string]quality.Report{}
 			var facts []relation.Tuple
+			var recomputed []string
 			for _, name := range k.RelationNames(RelResultPrefix) {
 				res := k.Relation(name)
 				if res == nil {
 					continue
 				}
 				id := strings.TrimPrefix(name, RelResultPrefix)
+				a := last[id]
+				if a.rel != res || !sameCell(a.cfds, cfds) {
+					a = assessment{rel: res, cfds: cfds, data: quality.Assess(res, cfds, nil)}
+					recomputed = append(recomputed, id)
+				}
+				memo[id] = a
 				var attrAcc map[string]float64
 				if base, ok := baseSource[id]; ok {
 					attrAcc = acc[base]
 				}
-				report := quality.Assess(res, cfds, attrAcc)
+				report := a.data.WithAccuracy(attrAcc)
+				reports[id] = report
 				for attr, v := range report.Completeness {
 					if attr == mapping.ProvenanceAttr {
 						continue
@@ -532,9 +577,12 @@ func (w *Wrangler) qualityTransducer() transducer.Transducer {
 					facts = append(facts, relation.NewTuple(id, "accuracy", attr, round4(v)))
 				}
 			}
+			cellAssessed.set(w.KB, memo)
+			derive(w, cellReports, reports)
 			a, r := replaceFacts(k, PredQuality, facts)
 			rep.FactsAsserted += a
 			rep.FactsRetracted += r
+			rep.Notes = append(rep.Notes, fmt.Sprintf("assessed %d of %d results anew %v", len(recomputed), len(reports), recomputed))
 			return rep, nil
 		},
 	}
@@ -546,8 +594,9 @@ func round4(f float64) float64 {
 	return float64(int64(f*10000+0.5)) / 10000
 }
 
-// selectionTransducer selects the best mapping per base source using the
-// user-context weights (Table 1: needs quality metrics; §2.2).
+// selectionTransducer selects the best mapping per base source from the
+// reports quality assessment published, using the user-context weights
+// (Table 1: needs quality metrics; §2.2).
 func (w *Wrangler) selectionTransducer() transducer.Transducer {
 	return &transducer.Func{
 		TName:     "mapping-selection",
@@ -555,19 +604,22 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- md_quality(O, M, T, V)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			cfds := cellCFDs.get(k)
-			acc := accuracyBySource(k)
+			reports := cellReports.get(k)
+			results := k.RelationNames(RelResultPrefix)
 
 			var cands []mapping.Candidate
 			for _, m := range cellMappings.get(k) {
-				res := k.Relation(RelResultPrefix + m.ID)
-				if res == nil {
-					continue
+				report, assessed := reports[m.ID]
+				if !assessed {
+					if slices.Contains(results, RelResultPrefix+m.ID) {
+						// Never select from a partial list: the report moves
+						// the cell when it comes, and selection runs then.
+						rep.Notes = append(rep.Notes, "waiting for the quality report of "+m.ID)
+						return rep, nil
+					}
+					continue // not executed yet
 				}
-				cands = append(cands, mapping.Candidate{
-					Mapping: m,
-					Report:  quality.Assess(res, cfds, acc[m.BaseSource]),
-				})
+				cands = append(cands, mapping.Candidate{Mapping: m, Report: report})
 			}
 			ranked := mapping.SelectByUserContext(cands, userWeights(k), 0)
 
@@ -660,9 +712,9 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 				fused.Schema.Name = target.Name
 			}
 
-			h := hashRelation(fused)
-			prev, _ := w.swapFingerprint(RelResult, h)
-			if !k.HasRelation(RelResult) || prev != h { // asked first, as in mapping execution
+			// Compared through the wrangler's own handle, as derive does: what
+			// a body writes is not an input of it.
+			if !k.HasRelation(RelResult) || !w.KB.Relation(RelResult).Identical(fused) {
 				k.PutRelation(RelResult, fused)
 				rep.RelationsWritten = append(rep.RelationsWritten, RelResult)
 				a, r := replaceFacts(k, PredResult, []relation.Tuple{relation.NewTuple(fused.Cardinality())})

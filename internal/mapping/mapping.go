@@ -7,6 +7,7 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,15 +86,12 @@ func DiscoverInclusionDeps(rels []*relation.Relation, minOverlap float64) []Incl
 	uniq := map[colKey]float64{}
 	var keys []colKey
 	for _, r := range rels {
-		for _, a := range r.Schema.Attrs {
-			col, err := r.Column(a.Name)
-			if err != nil {
-				continue
-			}
+		for i, a := range r.Schema.Attrs {
 			set := map[string]bool{}
 			all := map[string]bool{}
 			nonNull := 0
-			for _, v := range col {
+			for _, t := range r.Tuples {
+				v := t[i]
 				if v.IsNull() {
 					continue
 				}
@@ -171,6 +169,25 @@ func DefaultGenOptions() GenOptions {
 	return GenOptions{MatchThreshold: 0.6, MinCoverage: 3, JoinMinOverlap: 0.25}
 }
 
+// SourceProfile is what Generate needs of the source relations alone, whatever
+// the matches: which attribute pairs join them. Taking it reads every value of
+// every source; taken once, it serves every Generate until a source is replaced.
+type SourceProfile struct {
+	sources []*relation.Relation
+	deps    []InclusionDep // every key-like pair, whatever its overlap
+}
+
+// ProfileSources profiles the sources for Generate.
+func ProfileSources(sources []*relation.Relation) *SourceProfile {
+	return &SourceProfile{sources: slices.Clone(sources), deps: DiscoverInclusionDeps(sources, 0)}
+}
+
+// Of reports whether p (which may be nil) is the profile of these very
+// relations: relations that are shared are never written to, so identity is content.
+func (p *SourceProfile) Of(sources []*relation.Relation) bool {
+	return p != nil && slices.Equal(p.sources, sources)
+}
+
 // Generate produces candidate mappings from matches:
 //
 //  1. every source matching ≥ MinCoverage target attributes becomes a base
@@ -184,9 +201,14 @@ func DefaultGenOptions() GenOptions {
 // The paper's "mapping generation transducer may start to evaluate when
 // matches have been created" is exactly this function's input dependency.
 func Generate(target relation.Schema, sources []*relation.Relation, matches []match.Match, opts GenOptions) []Mapping {
+	return ProfileSources(sources).Generate(target, matches, opts)
+}
+
+// Generate is the package's Generate over the profiled sources.
+func (p *SourceProfile) Generate(target relation.Schema, matches []match.Match, opts GenOptions) []Mapping {
 	srcByName := map[string]*relation.Relation{}
 	var srcNames []string
-	for _, s := range sources {
+	for _, s := range p.sources {
 		srcByName[s.Schema.Name] = s
 		srcNames = append(srcNames, s.Schema.Name)
 	}
@@ -200,8 +222,6 @@ func Generate(target relation.Schema, sources []*relation.Relation, matches []ma
 		}
 		perSource[m.SourceRel] = append(perSource[m.SourceRel], m)
 	}
-
-	ids := DiscoverInclusionDeps(sources, opts.JoinMinOverlap)
 
 	var out []Mapping
 	for _, base := range srcNames {
@@ -236,8 +256,8 @@ func Generate(target relation.Schema, sources []*relation.Relation, matches []ma
 			if len(gain) == 0 {
 				continue
 			}
-			join := findJoin(ids, base, enrich)
-			if join == nil {
+			join := findJoin(p.deps, base, enrich)
+			if join == nil || join.Overlap < opts.JoinMinOverlap {
 				continue
 			}
 			jm := buildJoinMapping(target, srcByName[base], ms, srcByName[enrich], gain, *join)

@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -268,5 +270,49 @@ func TestInstanceMatchesImproveCoverage(t *testing.T) {
 	after := covOf(withInst, "m_onthemarket")
 	if after <= before {
 		t.Fatalf("instance matches should widen onthemarket coverage: %d -> %d", before, after)
+	}
+}
+
+// TestGenerateFromProfile holds profile-then-generate to the Generate it
+// replaced, over the scenarios the match oracle uses: one profile of the
+// sources serves every set of matches and every threshold, as the
+// mapping-generation transducer keeps it across runs, and must give what
+// profiling on every call gave.
+func TestGenerateFromProfile(t *testing.T) {
+	target := datagen.TargetSchema()
+	generated := 0
+	for _, n := range []int{40, 100, 600} {
+		for seed := int64(1); seed <= 5; seed++ {
+			cfg := datagen.DefaultConfig()
+			cfg.NProperties, cfg.Seed = n, seed
+			sc := datagen.Generate(cfg)
+			rels := []*relation.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation}
+			profile := ProfileSources(rels)
+			if !profile.Of(rels) || profile.Of(rels[:2]) || profile.Of([]*relation.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation.Clone()}) {
+				t.Fatalf("n=%d seed=%d: a profile is of the relations it was taken of, and of no others", n, seed)
+			}
+			for _, withInstances := range []bool{false, true} {
+				matches := allMatches(sc, target, withInstances)
+				for _, opts := range []GenOptions{
+					DefaultGenOptions(),
+					{MatchThreshold: 0.3, MinCoverage: 1, JoinMinOverlap: 0},
+					{MatchThreshold: 0.6, MinCoverage: 2, JoinMinOverlap: 0.9},
+					{MatchThreshold: 0.6, MinCoverage: 3, JoinMinOverlap: 1.1},
+				} {
+					want := referenceGenerate(target, rels, matches, opts)
+					label := fmt.Sprintf("n=%d seed=%d instances=%v %+v", n, seed, withInstances, opts)
+					if got := profile.Generate(target, matches, opts); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: from the shared profile\n%v\nthe reference generates\n%v", label, got, want)
+					}
+					if got := Generate(target, rels, matches, opts); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Generate\n%v\nthe reference generates\n%v", label, got, want)
+					}
+					generated += len(want)
+				}
+			}
+		}
+	}
+	if generated < 300 {
+		t.Fatalf("the reference generated %d mappings in all: the test compares too little", generated)
 	}
 }

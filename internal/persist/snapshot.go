@@ -44,10 +44,11 @@ type Meta struct {
 
 	// Legacy, read and never written: what snapshots carried beside the
 	// knowledge base before it held everything — the feedback items with their
-	// observed values, the change fingerprints of mapping execution and fusion,
-	// and a blank session's target schema as "name" / "name:kind" specs.
+	// observed values, the output hashes of mapping execution and fusion, and a
+	// blank session's target schema as "name" / "name:kind" specs.
 	// journal.Compose folds the same fields of old journal records in here, and
-	// RestoreSession moves the lot into the knowledge base (upgrade).
+	// RestoreSession moves the lot into the knowledge base (upgrade) — the
+	// hashes apart, which nothing reads any more and upgrade drops.
 	Feedback   []feedback.Item   `json:"feedback,omitempty"`
 	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
 	FusedHash  uint64            `json:"fused_hash,omitempty"`
@@ -281,14 +282,6 @@ func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 func upgrade(w *core.Wrangler, m *Meta) {
 	if len(m.Feedback) > 0 && w.KB.Relation(feedback.RelItems) == nil {
 		w.AddFeedback(m.Feedback...)
-	}
-	if w.KB.Count(core.PredFingerprint) == 0 { // no API: md_fingerprint(object, the hash's bits as an int64)
-		for id, h := range m.ExecHashes {
-			w.KB.Assert(core.PredFingerprint, relation.NewTuple(id, int64(h)))
-		}
-		if m.FusedHash != 0 {
-			w.KB.Assert(core.PredFingerprint, relation.NewTuple(core.RelResult, int64(m.FusedHash)))
-		}
 	}
 	if _, set := w.TargetSchema(); !set && len(m.Target) > 0 {
 		w.SetTargetSchema(legacyTarget(m.TargetName, m.Target))

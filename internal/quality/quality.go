@@ -4,6 +4,8 @@
 package quality
 
 import (
+	"fmt"
+	"maps"
 	"sort"
 
 	"vada/internal/cfd"
@@ -15,34 +17,29 @@ import (
 // attribute (the paper's example: completeness of crimerank as the fraction
 // of non-null values).
 func Completeness(rel *relation.Relation, attr string) (float64, error) {
-	col, err := rel.Column(attr)
-	if err != nil {
-		return 0, err
+	if !rel.Schema.HasAttr(attr) {
+		return 0, fmt.Errorf("quality: %s has no attribute %q", rel.Schema.Name, attr)
 	}
-	if len(col) == 0 {
-		return 0, nil
-	}
-	n := 0
-	for _, v := range col {
-		if !v.IsNull() {
-			n++
-		}
-	}
-	return float64(n) / float64(len(col)), nil
+	return CompletenessAll(rel)[attr], nil
 }
 
-// CompletenessAll returns per-attribute completeness for the relation; a
-// nil relation yields an empty map.
+// CompletenessAll returns per-attribute completeness for the relation, counted
+// in one pass over its rows; a nil relation yields an empty map.
 func CompletenessAll(rel *relation.Relation) map[string]float64 {
 	if rel == nil {
 		return map[string]float64{}
 	}
-	out := make(map[string]float64, rel.Schema.Arity())
-	for _, a := range rel.Schema.Attrs {
-		c, err := Completeness(rel, a.Name)
-		if err == nil {
-			out[a.Name] = c
+	nonNull := make([]int, rel.Schema.Arity())
+	for _, t := range rel.Tuples {
+		for i, v := range t[:len(nonNull)] {
+			if !v.IsNull() {
+				nonNull[i]++
+			}
 		}
+	}
+	out := make(map[string]float64, len(nonNull))
+	for i, a := range rel.Schema.Attrs {
+		out[a.Name] = float64(nonNull[i]) / float64(max(len(rel.Tuples), 1)) // no rows: 0
 	}
 	return out
 }
@@ -107,17 +104,21 @@ func Assess(rel *relation.Relation, cfds []cfd.CFD, accuracy map[string]float64)
 		name = rel.Schema.Name
 		rows = rel.Cardinality()
 	}
-	r := Report{
+	return Report{
 		Relation:     name,
 		Rows:         rows,
 		Completeness: CompletenessAll(rel),
 		Density:      Density(rel),
 		Consistency:  Consistency(rel, cfds),
-		Accuracy:     map[string]float64{},
-	}
-	for k, v := range accuracy {
-		r.Accuracy[k] = v
-	}
+	}.WithAccuracy(accuracy)
+}
+
+// WithAccuracy returns the report with its accuracy part replaced by a copy
+// of accuracy (empty for nil): the one part of a report that is not a function
+// of the relation and the CFDs.
+func (r Report) WithAccuracy(accuracy map[string]float64) Report {
+	r.Accuracy = make(map[string]float64, len(accuracy))
+	maps.Copy(r.Accuracy, accuracy)
 	return r
 }
 

@@ -117,3 +117,42 @@ func TestEmptyAndNilRelationGuards(t *testing.T) {
 		t.Fatalf("Assess(nil) = %+v", rep)
 	}
 }
+
+// TestCompletenessDifferential holds the one-pass CompletenessAll, and the
+// Completeness and Assess that sit on the same counting, to the column-copy
+// code it replaced, bit for bit: empty, all-null and mixed relations, a column
+// of thirds, a schema without attributes.
+func TestCompletenessDifferential(t *testing.T) {
+	thirds := relation.New(relation.NewSchema("thirds", "a", "b:int", "c:float"))
+	for i := 0; i < 7; i++ {
+		row := []any{nil, nil, nil}
+		if i%3 == 0 {
+			row[0] = "x"
+		}
+		if i%3 != 1 {
+			row[1] = i
+		}
+		thirds.MustAppend(row...)
+	}
+	nulls := relation.New(sample().Schema)
+	nulls.MustAppend(nil, nil, nil)
+	nulls.MustAppend(nil, nil, nil)
+	for name, rel := range map[string]*relation.Relation{
+		"nil": nil, "empty": relation.New(sample().Schema), "all-null": nulls, "mixed": sample(), "thirds": thirds,
+		"no attributes": relation.New(relation.Schema{Name: "bare"}),
+	} {
+		want, got := refCompletenessAll(rel), CompletenessAll(rel)
+		assessed := Assess(rel, nil, nil).Completeness
+		if got == nil || len(got) != len(want) || len(assessed) != len(want) {
+			t.Fatalf("%s: completeness of %d attributes (%d assessed), the reference has %d", name, len(got), len(assessed), len(want))
+		}
+		for attr, w := range want {
+			one, err := Completeness(rel, attr)
+			for how, g := range map[string]float64{"CompletenessAll": got[attr], "Assess": assessed[attr], "Completeness": one} {
+				if err != nil || math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s.%s: %s gives %v (%v), the reference %v", name, attr, how, g, err, w)
+				}
+			}
+		}
+	}
+}

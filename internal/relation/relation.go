@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -120,6 +121,17 @@ func (r *Relation) Union(o *Relation) (*Relation, error) {
 		return nil, fmt.Errorf("relation: union arity mismatch %s vs %s", r.Schema, o.Schema)
 	}
 	return &Relation{Schema: r.Schema, Tuples: slices.Concat(r.Tuples, o.Tuples)}, nil
+}
+
+// Identical reports whether o has r's schema and r's rows in r's order, cell
+// for cell of the same kind and content — what equal Tuple.Key strings say,
+// without building them.
+func (r *Relation) Identical(o *Relation) bool {
+	same := func(a, b Value) bool {
+		return a.kind == b.kind && a.s == b.s && a.i == b.i && a.b == b.b && math.Float64bits(a.f) == math.Float64bits(b.f)
+	}
+	return r.Schema.Equal(o.Schema) &&
+		slices.EqualFunc(r.Tuples, o.Tuples, func(a, b Tuple) bool { return slices.EqualFunc(a, b, same) })
 }
 
 // String renders the relation as a small aligned table, for traces and
