@@ -102,10 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	identical := before.Cardinality() == after.Cardinality()
-	for i := 0; identical && i < len(before.Tuples); i++ {
-		identical = before.Tuples[i].Key() == after.Tuples[i].Key()
-	}
+	identical := before.Identical(after)
 	histRun, err := engine2.Get(run.ID)
 	if err != nil {
 		log.Fatal(err)

@@ -487,29 +487,25 @@ func (w *Wrangler) orchNetworkName() string {
 // sets differ — preserving orchestration quiescence. It returns (asserted,
 // retracted).
 func replaceFacts(k *kb.KB, pred string, next []relation.Tuple) (int, int) {
+	const inCurrent, inNext = 1, 2
 	current := k.Facts(pred)
-	curSet := make(map[string]bool, len(current))
+	in := relation.NewTally(len(current) + len(next))
 	for _, t := range current {
-		curSet[t.Key()] = true
+		*in.Add(t) = inCurrent
 	}
-	nextSet := make(map[string]bool, len(next))
 	same := len(current) == len(next)
 	for _, t := range next {
-		key := t.Key()
-		nextSet[key] = true
-		if !curSet[key] {
-			same = false
-		}
+		n := in.Add(t)
+		same = same && *n&inCurrent != 0
+		*n |= inNext
 	}
 	if same {
 		return 0, 0
 	}
 	retracted := 0
 	for _, t := range current {
-		if !nextSet[t.Key()] {
-			if k.Retract(pred, t) {
-				retracted++
-			}
+		if *in.Find(t)&inNext == 0 && k.Retract(pred, t) {
+			retracted++
 		}
 	}
 	asserted := 0

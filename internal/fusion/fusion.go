@@ -6,6 +6,7 @@
 package fusion
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -233,10 +234,12 @@ func fuseCluster(rel *relation.Relation, members []int, opts Options, provIdx in
 		return t
 	default: // Voting and TrustWeighted share the weighted-vote core.
 		t := make(relation.Tuple, arity)
+		// The distinct values of a column in first-seen order, and their
+		// weights: a cluster is a handful of rows, so a scan finds a value.
+		var seen []relation.Value
+		var weights []float64
 		for col := 0; col < arity; col++ {
-			weights := map[string]float64{}
-			sample := map[string]relation.Value{}
-			var order []string
+			seen, weights = seen[:0], weights[:0]
 			for _, r := range members {
 				v := rel.Tuples[r][col]
 				if v.IsNull() {
@@ -249,18 +252,17 @@ func fuseCluster(rel *relation.Relation, members []int, opts Options, provIdx in
 						w = tw
 					}
 				}
-				k := v.Key()
-				if _, seen := weights[k]; !seen {
-					order = append(order, k)
-					sample[k] = v
+				j := slices.IndexFunc(seen, v.Same)
+				if j < 0 {
+					j, seen, weights = len(seen), append(seen, v), append(weights, 0)
 				}
-				weights[k] += w
+				weights[j] += w
 			}
 			bestW := -1.0
-			for _, k := range order {
-				if weights[k] > bestW {
-					bestW = weights[k]
-					t[col] = sample[k]
+			for j, w := range weights {
+				if w > bestW {
+					bestW = w
+					t[col] = seen[j]
 				}
 			}
 			if bestW < 0 {

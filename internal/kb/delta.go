@@ -25,7 +25,7 @@ const (
 	DeltaDropRelation DeltaKind = "drop-rel"
 	// DeltaPatchRelation records a bulk relation being replaced by a
 	// row-level diff: Removed tuples are taken out of the stored relation
-	// (one occurrence per listed tuple, matched by Tuple.Key), then Added
+	// (one occurrence per listed tuple, matched by Tuple.Same), then Added
 	// tuples are inserted — at the final positions AddedAt names, or
 	// appended when AddedAt is nil — reproducing the replacement relation
 	// exactly, order included. It is how the delta log records a put that
@@ -70,9 +70,6 @@ type Delta struct {
 	// Ops are the mutations, oldest first.
 	Ops []DeltaOp `json:"ops,omitempty"`
 }
-
-// Empty reports whether the delta carries no mutations.
-func (d *Delta) Empty() bool { return d == nil || len(d.Ops) == 0 }
 
 // StartDeltaLog begins recording every subsequent mutation, synchronously
 // and losslessly. The log grows until the next CutDelta, so callers cut at

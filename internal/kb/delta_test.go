@@ -156,7 +156,7 @@ func TestDeltaLogLifecycle(t *testing.T) {
 		t.Fatalf("first cut = %+v", d1)
 	}
 	d2 := k.CutDelta()
-	if !d2.Empty() || d2.From != d1.To {
+	if len(d2.Ops) != 0 || d2.From != d1.To {
 		t.Fatalf("empty cut = %+v", d2)
 	}
 	k.Assert("p", relation.NewTuple(3))

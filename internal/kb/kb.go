@@ -16,6 +16,12 @@
 //     extensional data in external stores; here the KB holds the handles
 //     and the data itself, which is equivalent at laptop scale.
 //
+// A fact's identity is Tuple.Same, found through Tuple.Hash: Int(2) and
+// Float(2) are two facts, 0 and -0 too, and every NaN is one value. A row diff
+// and a patch match rows the same way. Tuple.Key only orders (the facts of a
+// snapshot); it is no identity, since a string holding its separator can give
+// two tuples one key.
+//
 // What is stored is shared, not copied: a relation put in the knowledge base,
 // every tuple in it, and every fact tuple are frozen from then on. PutRelation
 // takes ownership of the relation it is given; Relation, Facts, Snapshot and
@@ -89,10 +95,11 @@ type state struct {
 	values map[string]any
 
 	// clock ticks once per change (and per PutValue); moved[key] is the clock
-	// of the key's last change. Unlike version neither is persisted: they
-	// order reads against writes within one process. See keys.go.
-	clock uint64
-	moved map[Key]uint64
+	// of the key's last change; named is the clock of the last relation created
+	// or dropped. Unlike version none is persisted: they order reads against
+	// writes within one process. See keys.go.
+	clock, named uint64
+	moved        map[Key]uint64
 
 	// deltaOn/deltaOps/deltaFrom are the opt-in synchronous mutation log
 	// behind StartDeltaLog/CutDelta (see delta.go): the one change-notification
@@ -120,9 +127,49 @@ type state struct {
 	seals seals
 }
 
+// factSet is one predicate's facts in storage order, indexed by identity:
+// index[h] lists the positions of the facts whose Tuple.Hash is h. A Snapshot
+// shares the index's slices, so an update replaces a slice and never writes
+// into one.
 type factSet struct {
-	keys   map[string]int // tuple key -> index into tuples
+	index  map[uint64][]int
 	tuples []relation.Tuple
+}
+
+// find returns the position of the fact that is t (h is t.Hash()), or -1.
+func (fs *factSet) find(t relation.Tuple, h uint64) int {
+	for _, i := range fs.index[h] {
+		if fs.tuples[i].Same(t) {
+			return i
+		}
+	}
+	return -1
+}
+
+// add stores t, which is not a fact yet (h is t.Hash()), last.
+func (fs *factSet) add(t relation.Tuple, h uint64) {
+	fs.index[h] = append(slices.Clip(fs.index[h]), len(fs.tuples))
+	fs.tuples = append(fs.tuples, t)
+}
+
+// remove takes out the fact at position i (h is its hash) and moves the last
+// fact into its place.
+func (fs *factSet) remove(i int, h uint64) {
+	if at := slices.DeleteFunc(slices.Clone(fs.index[h]), func(p int) bool { return p == i }); len(at) > 0 {
+		fs.index[h] = at
+	} else {
+		delete(fs.index, h)
+	}
+	last := len(fs.tuples) - 1
+	if i != last {
+		moved := fs.tuples[last]
+		mh := moved.Hash()
+		at := slices.Clone(fs.index[mh])
+		at[slices.Index(at, last)] = i
+		fs.index[mh] = at
+		fs.tuples[i] = moved
+	}
+	fs.tuples = fs.tuples[:last]
 }
 
 // New creates an empty knowledge base.
@@ -149,17 +196,16 @@ func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	k.mu.Lock()
 	fs, ok := k.facts[pred]
 	if !ok {
-		fs = &factSet{keys: make(map[string]int)}
+		fs = &factSet{index: make(map[uint64][]int)}
 		k.facts[pred] = fs
 	}
-	key := t.Key()
-	if _, dup := fs.keys[key]; dup {
+	h := t.Hash()
+	if fs.find(t, h) >= 0 {
 		k.mu.Unlock()
 		return false
 	}
 	stored := t.Clone()
-	fs.keys[key] = len(fs.tuples)
-	fs.tuples = append(fs.tuples, stored)
+	fs.add(stored, h)
 	k.version++
 	k.bumpLocked(FactsKey(pred))
 	k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: stored})
@@ -175,18 +221,13 @@ func (k *KB) Retract(pred string, t relation.Tuple) bool {
 	if !ok {
 		return false
 	}
-	key := t.Key()
-	idx, present := fs.keys[key]
-	if !present {
+	h := t.Hash()
+	idx := fs.find(t, h)
+	if idx < 0 {
 		return false
 	}
-	stored, last := fs.tuples[idx], len(fs.tuples)-1
-	if idx != last {
-		fs.tuples[idx] = fs.tuples[last]
-		fs.keys[fs.tuples[idx].Key()] = idx
-	}
-	fs.tuples = fs.tuples[:last]
-	delete(fs.keys, key)
+	stored := fs.tuples[idx]
+	fs.remove(idx, h)
 	k.version++
 	k.bumpLocked(FactsKey(pred))
 	k.logLocked(DeltaOp{Kind: DeltaRetract, Name: pred, Tuple: stored})
@@ -245,8 +286,7 @@ func (k *KB) Has(pred string, t relation.Tuple) bool {
 	if !ok {
 		return false
 	}
-	_, present := fs.keys[t.Key()]
-	return present
+	return fs.find(t, t.Hash()) >= 0
 }
 
 // Count returns the number of facts for a predicate.
@@ -372,39 +412,33 @@ func (k *KB) relationPutOp(name string, old, stored *relation.Relation) (DeltaOp
 
 // relationRowDiff computes the row-level diff turning old into new, in the
 // exact shape DeltaPatchRelation replays: remove one occurrence per removed
-// tuple (matched by Tuple.Key, earliest surplus occurrences first), then
+// tuple (matched by Tuple.Same, earliest surplus occurrences first), then
 // insert the added tuples at their final positions. ok reports that this
 // reconstruction reproduces new exactly, order included, which requires the
 // surviving old rows to appear in new in their original order — an in-order
-// subsequence. Greedy earliest matching decides that completely: Tuple.Key
-// is injective, so tuples with equal keys are equal values and matching any
-// duplicate is equivalent. Replacements that reorder surviving rows fail
-// the check and fall back to a wholesale put. addedAt is nil when every
-// addition is a tail append (the pre-positional wire shape). The returned
-// tuples are the relations' own, frozen like them.
+// subsequence. Greedy earliest matching decides that completely: tuples that
+// are Same are one value, so matching any duplicate is equivalent.
+// Replacements that reorder surviving rows fail the check and fall back to a
+// wholesale put. addedAt is nil when every addition is a tail append (the
+// pre-positional wire shape). The returned tuples are the relations' own,
+// frozen like them.
 func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, addedAt []int, removed []relation.Tuple, ok bool) {
-	oldCount := make(map[string]int, len(old.Tuples))
-	for _, t := range old.Tuples {
-		oldCount[t.Key()]++
-	}
-	newCount := make(map[string]int, len(new.Tuples))
-	for _, t := range new.Tuples {
-		newCount[t.Key()]++
-	}
-	// Remove the earliest surplus occurrences of over-represented keys;
+	// Remove the earliest surplus occurrences of over-represented rows;
 	// what survives must then appear in new, in order, for the patch to be
 	// lossless.
-	surplus := map[string]int{}
-	for key, c := range oldCount {
-		if c > newCount[key] {
-			surplus[key] = c - newCount[key]
+	surplus := relation.NewTally(len(old.Tuples))
+	for _, t := range old.Tuples {
+		*surplus.Add(t)++
+	}
+	for _, t := range new.Tuples {
+		if n := surplus.Find(t); n != nil {
+			*n--
 		}
 	}
 	kept := make([]relation.Tuple, 0, len(old.Tuples))
 	for _, t := range old.Tuples {
-		key := t.Key()
-		if surplus[key] > 0 {
-			surplus[key]--
+		if n := surplus.Find(t); *n > 0 {
+			*n--
 			removed = append(removed, t)
 			continue
 		}
@@ -412,7 +446,7 @@ func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, added
 	}
 	j := 0
 	for i, t := range new.Tuples {
-		if j < len(kept) && t.Key() == kept[j].Key() {
+		if j < len(kept) && t.Same(kept[j]) {
 			j++
 			continue
 		}
@@ -432,7 +466,7 @@ func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, added
 }
 
 // PatchRelationAt applies a row-level diff to a named bulk relation: one
-// occurrence per removed tuple is taken out (matched by Tuple.Key, earliest
+// occurrence per removed tuple is taken out (matched by Tuple.Same, earliest
 // first), then the added tuples are inserted at the final positions addedAt
 // names — or appended at the end when addedAt is nil. It reports whether
 // the relation existed; patching an absent relation is a no-op — a patch is
@@ -454,15 +488,14 @@ func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int,
 		return true
 	}
 	k.seals.check(name, r)
-	surplus := make(map[string]int, len(removed))
+	surplus := relation.NewTally(len(removed))
 	for _, t := range removed {
-		surplus[t.Key()]++
+		*surplus.Add(t)++
 	}
 	kept := make([]relation.Tuple, 0, len(r.Tuples))
 	for _, t := range r.Tuples {
-		key := t.Key()
-		if surplus[key] > 0 {
-			surplus[key]--
+		if n := surplus.Find(t); n != nil && *n > 0 {
+			*n--
 			continue
 		}
 		kept = append(kept, t)
@@ -578,7 +611,7 @@ func (k *KB) Snapshot() *KB {
 	out := New()
 	out.version = k.version
 	for pred, fs := range k.facts {
-		out.facts[pred] = &factSet{keys: maps.Clone(fs.keys), tuples: slices.Clone(fs.tuples)}
+		out.facts[pred] = &factSet{index: maps.Clone(fs.index), tuples: slices.Clone(fs.tuples)}
 	}
 	for name, r := range k.relations {
 		out.relations[name] = r

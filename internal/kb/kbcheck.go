@@ -4,7 +4,6 @@ package kb
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"vada/internal/relation"
 )
@@ -13,7 +12,7 @@ import (
 // from a promise into a check. Sharing a frozen relation differs from handing
 // out copies only if somebody writes through the shared one, so that is what
 // is looked for: every relation is fingerprinted when it is put, every fact
-// tuple is kept under the key it had when asserted, and reads, puts, patches,
+// tuple is indexed under the hash it had when asserted, and reads, puts, patches,
 // drops, cuts and snapshots verify what they touch.
 
 // seals holds the fingerprint each stored relation had when it was put.
@@ -38,20 +37,18 @@ func (s *seals) check(name string, r *relation.Relation) {
 
 // fingerprint hashes a relation's schema and rows.
 func fingerprint(r *relation.Relation) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(r.Schema.String()))
+	sum := relation.Tuple{relation.String(r.Schema.String())}.Hash()
 	for _, t := range r.Tuples {
-		_, _ = h.Write([]byte(t.Key()))
-		_, _ = h.Write([]byte{0x1e})
+		sum = sum*0x100000001b3 ^ t.Hash()
 	}
-	return h.Sum64()
+	return sum
 }
 
-// checkFacts panics if a tuple of pred no longer has the key it was stored
-// under.
+// checkFacts panics if a fact of pred is no longer found where it is stored:
+// a write through a stored tuple changes its hash or its identity.
 func checkFacts(pred string, fs *factSet) {
 	for i, t := range fs.tuples {
-		if at, ok := fs.keys[t.Key()]; !ok || at != i {
+		if fs.find(t, t.Hash()) != i {
 			panic(fmt.Sprintf("kb: a fact of %q was written to after it was asserted (kbcheck)", pred))
 		}
 	}

@@ -106,6 +106,7 @@ func (k *KB) bumpRelationLocked(name string, nameSet bool) {
 	k.bumpLocked(RelationKey(name))
 	if nameSet {
 		k.moved[RelationsKey(name)] = k.clock
+		k.named = k.clock
 	}
 }
 
@@ -164,7 +165,9 @@ func (k *KB) MovedSince(keys []Key, since uint64) bool {
 				return true
 			}
 		case KeyRelations:
-			// A handful of names per knowledge base, dropped ones included.
+			if k.named <= since {
+				continue // no relation was created or dropped since
+			}
 			for other, at := range k.moved {
 				if at > since && other.Kind == KeyRelations && strings.HasPrefix(other.Name, key.Name) {
 					return true

@@ -115,24 +115,22 @@ func (k *KB) Merge(src *KB) {
 	for pred, fs := range src.facts {
 		dst, ok := k.facts[pred]
 		if !ok {
-			dst = &factSet{keys: make(map[string]int, len(fs.tuples))}
+			dst = &factSet{index: make(map[uint64][]int, len(fs.tuples))}
 			k.facts[pred] = dst
 		}
 		for _, t := range fs.tuples {
-			key := t.Key()
-			if _, dup := dst.keys[key]; dup {
+			h := t.Hash()
+			if dst.find(t, h) >= 0 {
 				continue
 			}
-			dst.keys[key] = len(dst.tuples)
-			dst.tuples = append(dst.tuples, t)
+			dst.add(t, h)
 			k.version++
 			k.bumpLocked(FactsKey(pred))
 			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t})
 		}
 	}
-	sameRow := func(a, b relation.Tuple) bool { return a.Key() == b.Key() }
 	for name, r := range src.relations {
-		if old := k.relations[name]; old != nil && old.Schema.Equal(r.Schema) && slices.EqualFunc(old.Tuples, r.Tuples, sameRow) {
+		if old := k.relations[name]; old != nil && old.Identical(r) {
 			continue
 		}
 		k.installRelationLocked(name, r)

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 )
@@ -101,16 +100,58 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 // occurrence order.
 func (r *Relation) Distinct() *Relation {
 	out := New(r.Schema)
-	seen := make(map[string]struct{}, len(r.Tuples))
+	seen := NewTally(len(r.Tuples))
 	for _, t := range r.Tuples {
-		k := t.Key()
-		if _, ok := seen[k]; ok {
-			continue
+		if n := seen.Add(t); *n == 0 {
+			*n = 1
+			out.Tuples = append(out.Tuples, t)
 		}
-		seen[k] = struct{}{}
-		out.Tuples = append(out.Tuples, t)
 	}
 	return out
+}
+
+// Tally keeps an int per distinct tuple (Tuple.Same): a multiset's counts, a
+// set's membership, flags. It holds the tuples it is given, not copies.
+type Tally struct {
+	head map[uint64]int32 // hash → 1 + the latest entry with that hash
+	next []int32          // next[e]: 1 + the entry before e with e's hash, 0 for none
+	keys []Tuple
+	vals []int
+}
+
+// NewTally returns an empty tally with room for about n tuples.
+func NewTally(n int) *Tally { return &Tally{head: make(map[uint64]int32, n)} }
+
+// Find returns t's int, nil if t was never added; the pointer is good until
+// the next Add.
+func (c *Tally) Find(t Tuple) *int {
+	if e := c.entry(t, t.Hash()); e >= 0 {
+		return &c.vals[e]
+	}
+	return nil
+}
+
+// Add returns t's int, adding t with 0 if it is new; the pointer is good until
+// the next Add.
+func (c *Tally) Add(t Tuple) *int {
+	h := t.Hash()
+	if e := c.entry(t, h); e >= 0 {
+		return &c.vals[e]
+	}
+	c.next = append(c.next, c.head[h])
+	c.keys = append(c.keys, t)
+	c.vals = append(c.vals, 0)
+	c.head[h] = int32(len(c.keys))
+	return &c.vals[len(c.vals)-1]
+}
+
+func (c *Tally) entry(t Tuple, h uint64) int {
+	for e := c.head[h]; e > 0; e = c.next[e-1] {
+		if c.keys[e-1].Same(t) {
+			return int(e - 1)
+		}
+	}
+	return -1
 }
 
 // Union returns the tuples of r followed by those of o; schemas must have
@@ -123,15 +164,10 @@ func (r *Relation) Union(o *Relation) (*Relation, error) {
 	return &Relation{Schema: r.Schema, Tuples: slices.Concat(r.Tuples, o.Tuples)}, nil
 }
 
-// Identical reports whether o has r's schema and r's rows in r's order, cell
-// for cell of the same kind and content — what equal Tuple.Key strings say,
-// without building them.
+// Identical reports whether o has r's schema and r's rows in r's order, each
+// the same tuple (Tuple.Same).
 func (r *Relation) Identical(o *Relation) bool {
-	same := func(a, b Value) bool {
-		return a.kind == b.kind && a.s == b.s && a.i == b.i && a.b == b.b && math.Float64bits(a.f) == math.Float64bits(b.f)
-	}
-	return r.Schema.Equal(o.Schema) &&
-		slices.EqualFunc(r.Tuples, o.Tuples, func(a, b Tuple) bool { return slices.EqualFunc(a, b, same) })
+	return r.Schema.Equal(o.Schema) && slices.EqualFunc(r.Tuples, o.Tuples, Tuple.Same)
 }
 
 // String renders the relation as a small aligned table, for traces and

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -173,8 +174,35 @@ func (t Tuple) With(i int, v Value) Tuple {
 	return out
 }
 
-// Key returns a canonical string key for the whole tuple, suitable for
-// hashing and set membership.
+// Same reports whether t and o are one tuple: the same arity and, cell for
+// cell, the same value (Value.Same). It is the identity of facts, of rows in
+// a row diff and of Distinct; Hash is consistent with it.
+func (t Tuple) Same(o Tuple) bool {
+	if len(t) != len(o) {
+		return false
+	}
+	for i, v := range t {
+		if !v.Same(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Hash hashes t consistently with Same: tuples that are Same hash alike. It is
+// seeded per process, so it finds candidates and orders nothing.
+func (t Tuple) Hash() uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		h = (bits.RotateLeft64(h, 23) ^ v.hash()) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// Key returns a canonical string for the whole tuple, which orders tuples
+// (snapshots, CSV exports). It is not an identity: a string holding the
+// separator can give two different tuples one key. Compare with Same.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for _, v := range t {

@@ -7,6 +7,7 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -162,6 +163,32 @@ func (v Value) Key() string {
 		return "\x00?"
 	}
 }
+
+// Same reports whether v and o are one value: the same kind and payload,
+// floats by their bits but every NaN one value. Unlike Equal, Int(2) and
+// Float(2) differ, and so do 0 and -0. See Tuple.Same. A constructor sets only
+// its kind's payload field, so the others compare as zero.
+func (v Value) Same(o Value) bool {
+	return v.kind == o.kind && v.s == o.s && v.i == o.i && v.b == o.b &&
+		(math.Float64bits(v.f) == math.Float64bits(o.f) || v.f != v.f && o.f != o.f)
+}
+
+// hash is consistent with Same: the kind and the payload, every NaN alike.
+func (v Value) hash() uint64 {
+	x := uint64(v.kind)*0xbf58476d1ce4e5b9 ^ uint64(v.i) ^ math.Float64bits(v.f)
+	switch {
+	case v.kind == KindString:
+		x ^= maphash.String(hashSeed, v.s)
+	case v.f != v.f:
+		x = 0x7ff8000000000001
+	case v.b:
+		x ^= 1
+	}
+	return x
+}
+
+// hashSeed is per process: a hash only finds candidates, and Same decides.
+var hashSeed = maphash.MakeSeed()
 
 // Equal reports whether two values are identical (same kind, same payload).
 // Numeric values of different kinds are compared numerically, so

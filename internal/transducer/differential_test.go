@@ -271,8 +271,26 @@ func FuzzOrchestrationDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 2, 2, 4, 5})       // the payg cycle
 	f.Add([]byte{1, 2, 0, 2, 3, 1, 4, 4, 3, 5, 6}) // feedback first, duplicates, repeated context
 	f.Add([]byte{0, 3, 2, 6, 1, 1, 7, 2, 5, 4, 0})
-	f.Add([]byte{1, 4, 0, 1, 8, 2, 8, 8, 5, 8}) // a kept model edited in place
+	f.Add([]byte{1, 4, 0, 1, 8, 2, 8, 8, 5, 8})                // a kept model edited in place
+	f.Add([]byte{0, 2, 0, 0xf1, 1, 2, 0xf0, 0xf2, 2, 0xf3, 4}) // writes past the API
 	f.Fuzz(runScript)
+}
+
+// externalWrite writes to the knowledge base past the wrangler's API, as
+// another client of it could: a fact of a predicate a dependency query names,
+// the relation a dependency guard asks about, or the facts a dependency holds
+// on.
+func externalWrite(w *core.Wrangler, op byte) {
+	switch op % 4 {
+	case 0:
+		w.KB.Assert(core.PredReference, relation.NewTuple("nowhere"))
+	case 1:
+		w.KB.DropRelation(core.RelResult)
+	case 2:
+		w.KB.RetractPredicate(core.PredFeedback)
+	case 3:
+		w.KB.RetractPredicate(core.PredMapped)
+	}
 }
 
 // runScript plays one fuzz input.
@@ -295,6 +313,10 @@ func runScript(t *testing.T, script []byte) {
 		var last []feedback.Item
 		lastModel := "crime"
 		for i, op := range script[2:] {
+			if op >= 0xf0 {
+				p.stage("external write", func(w *core.Wrangler) { externalWrite(w, op) })
+				continue
+			}
 			switch op % 9 {
 			case 0:
 				p.stage("run", nil)

@@ -30,12 +30,13 @@ const TraceCap = 1024
 // and its body are handed a recording handle on the knowledge base
 // (kb.Recording), so any Transducer gets an input set with nothing to
 // implement, and nobody else's reads end up in it. The contract this puts a
-// body under: what it does must be a function of what it reads from the
-// knowledge base it is handed. State a body closes over is invisible here
-// (as it always was between two KB writes); state that is not facts or
-// relations is handed over as a value of the knowledge base instead
-// (KB.PutValue, and Value on the body's handle), where it is read and moves
-// like everything else.
+// dependency and a body under: what one answers and the other does must be a
+// function of what it reads from the knowledge base it is handed. State
+// either closes over is invisible here (as it always was between two KB
+// writes); state that is not facts or relations is handed over as a value of
+// the knowledge base instead (KB.PutValue, and Value on the handle), where it
+// is read and moves like everything else. So a dependency's answer is kept,
+// and not asked again until a key its evaluation read moves.
 type Orchestrator struct {
 	// KB is the shared knowledge base.
 	KB *kb.KB
@@ -53,12 +54,14 @@ type Orchestrator struct {
 	MaxSteps int
 
 	lastRun map[string]uint64 // transducer name -> KB version at last run or skip
-	// inputs holds what each transducer read the last time it executed;
-	// depReads what its dependency read the last time it was evaluated. A
+	// inputs holds what each transducer read the last time it executed. A
 	// transducer absent from inputs has never executed here (fresh or
 	// restored session): everything has moved for it.
-	inputs   map[string]inputSet
-	depReads map[string][]kb.Key
+	inputs map[string]inputSet
+	// deps holds each transducer's last dependency answer, with what its
+	// evaluation read and the clock before it read; the answer stands until
+	// one of those keys moves. An evaluation that failed leaves none.
+	deps map[string]depAnswer
 	// trace holds the last TraceCap steps (and up to as many older ones
 	// awaiting the next trim); seq counts every step ever taken.
 	trace []Step
@@ -72,6 +75,11 @@ type Orchestrator struct {
 type inputSet struct {
 	keys []kb.Key
 	at   uint64
+}
+
+type depAnswer struct {
+	satisfied bool
+	read      inputSet
 }
 
 // InputDeclarer is an optional extension of Transducer. Inputs receives the
@@ -115,7 +123,8 @@ func WithMaxSteps(n int) func(*Orchestrator) {
 // changing anything will not run again until new information arrives.
 // Whether the new information concerns a ready transducer is decided when
 // the network transducer picks it (see RunToQuiescence), which keeps the
-// picks in the order they always had.
+// picks in the order they always had. A dependency's answer stands until
+// something its evaluation read moves.
 func (o *Orchestrator) Eligible() ([]Transducer, error) {
 	version := o.KB.Version()
 	var out []Transducer
@@ -124,13 +133,20 @@ func (o *Orchestrator) Eligible() ([]Transducer, error) {
 		if ran && version <= last {
 			continue
 		}
-		rec := o.KB.Recording()
-		ok, err := t.Dependency().Satisfied(rec, o.Engine)
-		o.depReads[t.Name()], _ = rec.Reads()
-		if err != nil {
-			return nil, fmt.Errorf("transducer %s: dependency: %w", t.Name(), err)
+		dep, kept := o.deps[t.Name()]
+		if !kept || o.KB.MovedSince(dep.read.keys, dep.read.at) {
+			rec := o.KB.Recording()
+			_, at := rec.Reads()
+			ok, err := t.Dependency().Satisfied(rec, o.Engine)
+			if err != nil {
+				delete(o.deps, t.Name())
+				return nil, fmt.Errorf("transducer %s: dependency: %w", t.Name(), err)
+			}
+			keys, _ := rec.Reads()
+			dep = depAnswer{satisfied: ok, read: inputSet{keys: keys, at: at}}
+			o.deps[t.Name()] = dep
 		}
-		if ok {
+		if dep.satisfied {
 			out = append(out, t)
 		}
 	}
@@ -230,7 +246,7 @@ func (o *Orchestrator) runOne(ctx context.Context, t Transducer, readyNames []st
 	}
 	// The dependency's reads join the body's, and an InputDeclarer has its
 	// say.
-	read = append(read, o.depReads[t.Name()]...)
+	read = append(read, o.deps[t.Name()].read.keys...)
 	if d, ok := t.(InputDeclarer); ok {
 		read = d.Inputs(read)
 	}
@@ -261,13 +277,13 @@ func (o *Orchestrator) recent() []Step {
 // a gap before the first returned step says how many were dropped.
 func (o *Orchestrator) Trace() []Step { return append([]Step(nil), o.recent()...) }
 
-// ResetEligibility forgets last-run versions and input sets, forcing every
-// transducer with satisfied dependencies to run again. Useful in tests and
-// for "replay" demonstrations.
+// ResetEligibility forgets last-run versions, input sets and dependency
+// answers, forcing every transducer with satisfied dependencies to run again.
+// Useful in tests and for "replay" demonstrations.
 func (o *Orchestrator) ResetEligibility() {
 	o.lastRun = map[string]uint64{}
 	o.inputs = map[string]inputSet{}
-	o.depReads = map[string][]kb.Key{}
+	o.deps = map[string]depAnswer{}
 }
 
 // WriteTrace renders the browsable trace the demonstration promises (§3):

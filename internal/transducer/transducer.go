@@ -16,6 +16,9 @@
 // that input set per transducer and executes a ready transducer only when a
 // key of it has moved since the transducer last executed. A write therefore
 // re-runs the transducers that read what was written, not the whole suite.
+// A Dependency is under the same contract as a body — a function of what it
+// reads — so its answer is kept too, and asked again only when a key its
+// evaluation read has moved.
 // The orchestrator that executes every ready transducer survives as the
 // differential reference in reference_test.go: same changing steps, same
 // order, byte-identical knowledge base after every stage.

@@ -644,3 +644,60 @@ func TestInputDeclarer(t *testing.T) {
 		t.Fatalf("ran %d times; the moved external key must make it run", runs)
 	}
 }
+
+func TestDependencyAnswerKept(t *testing.T) {
+	k := kb.New()
+	reg := NewRegistry()
+	asks := 0
+	reg.MustRegister(&Func{
+		TName: "guarded", TActivity: "matching",
+		Dep: Dependency{Query: "?- seed(X).", Guard: func(k *kb.KB) bool {
+			asks++
+			return k.HasRelation("res_a")
+		}},
+		RunFn: func(context.Context, *kb.KB) (Report, error) { return Report{}, nil },
+	})
+	k.Assert("seed", tup(1))
+	o := NewOrchestrator(k, reg)
+	ready := func(wantAsks int, want bool) {
+		t.Helper()
+		got, err := o.Eligible()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if asks != wantAsks || (len(got) == 1) != want {
+			t.Fatalf("asked %d times, ready %v; want %d, %v", asks, len(got) == 1, wantAsks, want)
+		}
+	}
+	ready(1, false)
+	ready(1, false) // the answer is kept
+	k.Assert("other", tup(1))
+	ready(1, false) // the version moved, nothing the query read did
+	k.Assert("seed", tup(2))
+	ready(2, false) // a predicate the query names moved
+	res := relation.New(relation.NewSchema("res_a", "x"))
+	k.PutRelation("res_a", res)
+	ready(3, true) // the relation the guard asks about was created
+	k.PutRelation("res_a", res.Shallow())
+	ready(3, true) // rewriting it moves no relation name
+	o.ResetEligibility()
+	ready(4, true) // forgotten
+
+	// An evaluation that fails keeps no answer: with nothing moved, the
+	// dependency is asked again and, the engine's budget raised, holds.
+	reg.MustRegister(&Func{
+		TName: "derived", TActivity: "matching",
+		Dep:   Dependency{Program: "big(X) :- seed(X).", Query: "?- big(X)."},
+		RunFn: func(context.Context, *kb.KB) (Report, error) { return Report{}, nil },
+	})
+	budget := o.Engine.MaxFacts
+	o.Engine.MaxFacts = 1
+	if _, err := o.Eligible(); err == nil {
+		t.Fatal("two derived facts past a budget of one: the dependency must fail")
+	}
+	o.Engine.MaxFacts = budget
+	got, err := o.Eligible()
+	if err != nil || len(got) != 2 {
+		t.Fatalf("the failed dependency was not asked again: %v, %d ready", err, len(got))
+	}
+}

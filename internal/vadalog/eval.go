@@ -308,7 +308,7 @@ func (ev *evaluator) runStratum(s int) error {
 func (ev *evaluator) absorb(ri int, derived []relation.Tuple, delta map[string]*tupleSet) {
 	into, d := ev.rules[ri].into, delta[ev.prog.Rules[ri].Head.Pred]
 	for _, t := range derived {
-		h := hashTuple(t)
+		h := t.Hash()
 		if into.find(t, h) < 0 {
 			into.insert(t, h)
 			d.insert(t, h)
@@ -471,7 +471,7 @@ func evalAggRule(rp *rulePlan) []relation.Tuple {
 	rp.run(-1, nil, func(frame []relation.Value) bool {
 		// Dedup on the full body binding (set semantics): the frame is
 		// exactly the body's variables.
-		h := hashTuple(frame)
+		h := relation.Tuple(frame).Hash()
 		if seen.find(frame, h) >= 0 {
 			return true
 		}
@@ -486,7 +486,7 @@ func evalAggRule(rp *rulePlan) []relation.Tuple {
 				key = append(key, frame[a.n])
 			}
 		}
-		h = hashTuple(key)
+		h = key.Hash()
 		g := groups.find(key, h)
 		if g < 0 {
 			g = len(vals)

@@ -17,8 +17,8 @@ import (
 // current by insert:
 //
 //   - all, over whole tuples, is the set-semantics table behind add and has.
-//     It distinguishes what Value.Key distinguishes (2 from 2.0, 0 from -0),
-//     as the string-keyed table it replaces did;
+//     Its identity is Tuple.Same, which tells 2 from 2.0 and 0 from -0, as
+//     the knowledge base's facts do;
 //   - idx, one per combination of argument positions an atom had bound when
 //     it probed the set, answers "which tuples could join here". Candidates
 //     are still matched argument by argument under Value.Equal.
@@ -69,7 +69,7 @@ func (ix *hashIndex) link(h uint64, linked bool) {
 // of the key columns.
 func (ix *hashIndex) hash(t relation.Tuple) (h uint64, ok bool) {
 	if ix.mask == 0 {
-		return hashTuple(t), true
+		return t.Hash(), true
 	}
 	if len(t) <= ix.cols[len(ix.cols)-1] {
 		return 0, false
@@ -102,14 +102,14 @@ func (s *tupleSet) index(mask uint64, cols []int) *hashIndex {
 	return ix
 }
 
-// find returns the position of the tuple that has t's key (h is
-// hashTuple(t)), or -1.
+// find returns the position of the tuple that is t (Tuple.Same; h is
+// t.Hash()), or -1.
 func (s *tupleSet) find(t relation.Tuple, h uint64) int {
 	if s.all == nil {
 		s.all = s.build(0, nil)
 	}
 	for p := s.all.first(h); p >= 0; p = s.all.next[p] {
-		if sameKey(s.tuples[p], t) {
+		if s.tuples[p].Same(t) {
 			return int(p)
 		}
 	}
@@ -117,9 +117,9 @@ func (s *tupleSet) find(t relation.Tuple, h uint64) int {
 }
 
 // has reports whether the set holds a tuple with t's key.
-func (s *tupleSet) has(t relation.Tuple) bool { return s.find(t, hashTuple(t)) >= 0 }
+func (s *tupleSet) has(t relation.Tuple) bool { return s.find(t, t.Hash()) >= 0 }
 
-// insert appends t, which the caller knows to be new (h is hashTuple(t)), and
+// insert appends t, which the caller knows to be new (h is t.Hash()), and
 // links it into every index built so far.
 func (s *tupleSet) insert(t relation.Tuple, h uint64) {
 	if len(s.tuples) == cap(s.tuples) {
@@ -139,7 +139,7 @@ func (s *tupleSet) insert(t relation.Tuple, h uint64) {
 // add inserts t unless a tuple with its key is present; it reports whether
 // the set grew. The set keeps t itself, not a copy.
 func (s *tupleSet) add(t relation.Tuple) bool {
-	h := hashTuple(t)
+	h := t.Hash()
 	if s.find(t, h) >= 0 {
 		return false
 	}
@@ -147,36 +147,13 @@ func (s *tupleSet) add(t relation.Tuple) bool {
 	return true
 }
 
-// sameKey reports whether two tuples have equal Tuple.Key strings, without
-// building them.
-func sameKey(a, b relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		o := b[i]
-		if v.Kind() != o.Kind() {
-			return false
-		}
-		if v.Kind() == relation.KindFloat {
-			x, y := v.FloatVal(), o.FloatVal()
-			if math.Float64bits(x) != math.Float64bits(y) && (x == x || y == y) {
-				return false
-			}
-		} else if !v.Equal(o) {
-			return false
-		}
-	}
-	return true
-}
-
 // hashSeed is drawn once per process: hashes only pick chains, and chains are
 // walked in insertion order, so no result depends on it.
 var hashSeed = maphash.MakeSeed()
 
-// hashValue hashes v so that values equal under Value.Equal — and therefore
-// also values with equal keys — hash alike: numbers hash by their float64
-// value, with -0 folded into 0 and every NaN into one.
+// hashValue hashes v so that values equal under Value.Equal hash alike, for
+// the join indexes: numbers hash by their float64 value, with -0 folded into 0
+// and every NaN into one.
 func hashValue(v relation.Value) uint64 {
 	switch v.Kind() {
 	case relation.KindString:
@@ -198,14 +175,6 @@ func hashValue(v relation.Value) uint64 {
 	default:
 		return 0x243f6a8885a308d3
 	}
-}
-
-func hashTuple(t relation.Tuple) uint64 {
-	h := uint64(len(t))
-	for _, v := range t {
-		h = mixHash(h, hashValue(v))
-	}
-	return h
 }
 
 func mixHash(h, v uint64) uint64 {

@@ -36,7 +36,7 @@ func (r *Result) answers(q *Query, limit int) ([]Binding, error) {
 				ans[i] = frame[slot]
 			}
 		}
-		if h := hashTuple(ans); seen.find(ans, h) < 0 {
+		if h := ans.Hash(); seen.find(ans, h) < 0 {
 			seen.insert(ans.Clone(), h)
 		}
 		return len(seen.tuples) != limit
