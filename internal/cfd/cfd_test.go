@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -303,7 +304,9 @@ func TestBoundedEditDistance(t *testing.T) {
 }
 
 // FuzzBoundedEditDistance holds the banded one-row distance to the full
-// table it replaced. Both index bytes, so multi-byte input is just longer.
+// table it replaced, and the byte-mask bound closest skips keys by to the
+// distance: strings d ≤ bound edits apart have masks at most 2·d bits apart.
+// Both index bytes, so multi-byte input is just longer.
 func FuzzBoundedEditDistance(f *testing.F) {
 	f.Add("12 high street", "12 hgih street", 2)
 	f.Add("kitten", "sitting", 3)
@@ -323,6 +326,9 @@ func FuzzBoundedEditDistance(f *testing.F) {
 		want := refBoundedEditDistance(a, b, bound)
 		if got := boundedEditDistance(a, b, bound, row); got != want {
 			t.Fatalf("boundedEditDistance(%q, %q, %d) = %d, full table says %d", a, b, bound, got, want)
+		}
+		if diff := bits.OnesCount64(byteMask(a) ^ byteMask(b)); want >= 0 && diff > 2*want {
+			t.Fatalf("%q and %q are %d edits apart, but their byte masks %d bits", a, b, want, diff)
 		}
 	})
 }

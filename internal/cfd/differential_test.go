@@ -3,7 +3,9 @@ package cfd_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,15 +158,13 @@ func TestRepairDifferentialEdges(t *testing.T) {
 		{LHS: []string{"postcode"}, RHS: "city", Pattern: map[string]cfd.PatternCell{
 			"postcode": {Value: relation.String("LS1 1AA")}, "city": {Value: relation.String("Leeds")}}},
 	}
-	upper := func(s string) string { return strings.ToUpper(strings.Join(strings.Fields(s), "")) }
 	options := map[string]cfd.RepairOptions{
-		"default":        cfd.DefaultRepairOptions(),
-		"no fuzzy":       {KeyAttr: "street", RefKeyAttr: "street"},
-		"distance 1":     {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 1},
-		"distance 3":     {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 3},
-		"own normaliser": {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 2, Normalize: upper},
-		"no ref key":     {KeyAttr: "street", RefKeyAttr: "road", MaxEditDistance: 2},
-		"no result key":  {KeyAttr: "road", RefKeyAttr: "street", MaxEditDistance: 2},
+		"default":       cfd.DefaultRepairOptions(),
+		"no fuzzy":      {KeyAttr: "street", RefKeyAttr: "street"},
+		"distance 1":    {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 1},
+		"distance 3":    {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 3},
+		"no ref key":    {KeyAttr: "street", RefKeyAttr: "road", MaxEditDistance: 2},
+		"no result key": {KeyAttr: "road", RefKeyAttr: "street", MaxEditDistance: 2},
 	}
 	for name, opts := range options {
 		prepared := cfd.PrepareReference(ref, cfds, opts)
@@ -172,4 +172,138 @@ func TestRepairDifferentialEdges(t *testing.T) {
 			sameRepair(t, name+" "+r.Schema.Name, r, ref, cfds, opts, prepared)
 		}
 	}
+}
+
+// TestRepairLHSIsNotAJoinedString pins that a result row matches a reference
+// group on an LHS of two attributes only when both values do. LHS values were
+// once joined into one string with a separator byte, and the reference's
+// ("a\x1fb", "c") and the result's ("a", "b\x1fc") joined alike: the result's
+// postcode was "corrected" from a group it is not in.
+func TestRepairLHSIsNotAJoinedString(t *testing.T) {
+	ref := relation.New(relation.NewSchema("address", "street", "city", "postcode"))
+	ref.MustAppend("c", "a\x1fb", "P1")
+	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
+	res.MustAppend("b\x1fc", "a", "P2")
+	anyCell := cfd.PatternCell{Any: true}
+	cfds := []cfd.CFD{{LHS: []string{"city", "street"}, RHS: "postcode",
+		Pattern: map[string]cfd.PatternCell{"city": anyCell, "street": anyCell, "postcode": anyCell}}}
+	opts := cfd.RepairOptions{KeyAttr: "street", RefKeyAttr: "street"}
+	prepared := cfd.PrepareReference(ref, cfds, opts)
+	repaired, log := prepared.Repair(res)
+	if len(log) != 0 || repaired.Tuples[0][2].Str() != "P2" {
+		t.Fatalf("repaired to %v with %v: the row is in no reference group", repaired.Tuples[0], log)
+	}
+	sameRepair(t, "joined-string lookalike", res, ref, cfds, opts, prepared)
+}
+
+// fuzzRepairInputs draws a reference, results and CFDs from a seed: few
+// distinct streets, cities and postcodes, so that groups form and collide,
+// spelled with case and space variants, typos one to three edits away,
+// non-ASCII letters, the byte LHS values were once joined with, empty
+// strings, nulls and numbers.
+func fuzzRepairInputs(seed int64, refRows, resRows, nRes, nCFDs uint8) (*relation.Relation, []*relation.Relation, []cfd.CFD) {
+	rng := rand.New(rand.NewSource(seed))
+	streets := []string{"1 High St", "2 Park Rd", "2 Dark Rd", "3 Żółć Way", "4 Oak Ln", "a\x1fb", "", "12"}
+	cities := []string{"Manchester", "Salford", "Leeds", "b", "", "Łódź"}
+	postcodes := []string{"M1 1AA", "M5 2BB", "LS1 1AA", "c", "7"}
+	spell := func(s string) any {
+		switch rng.Intn(8) {
+		case 0:
+			return nil
+		case 1:
+			return strings.ToUpper(s)
+		case 2:
+			return "  " + strings.ToLower(s) + " "
+		case 3:
+			if s == "12" || s == "7" {
+				return rng.Intn(2) + 6*len(s) // an int that may spell the string
+			}
+		case 4:
+			b := []byte(s)
+			for n := 1 + rng.Intn(3); n > 0; n-- { // a typo of one to three edits
+				switch i := rng.Intn(len(b) + 1); {
+				case i == len(b) || rng.Intn(3) == 0:
+					b = append(b[:i:i], append([]byte{byte('a' + rng.Intn(26))}, b[i:]...)...)
+				case rng.Intn(2) == 0:
+					b[i] = byte('a' + rng.Intn(26))
+				default:
+					b = append(b[:i:i], b[i+1:]...)
+				}
+			}
+			return string(b)
+		}
+		return s
+	}
+	pick := func(vals []string) any { return spell(vals[rng.Intn(len(vals))]) }
+	schemas := [][]string{{"street", "city", "postcode"}, {"postcode", "street", "city", "county"}, {"city", "postcode"}}
+	build := func(name string, attrs []string, rows int) *relation.Relation {
+		r := relation.New(relation.NewSchema(name, attrs...))
+		for ; rows > 0; rows-- {
+			row := make([]any, len(attrs))
+			for i, a := range attrs {
+				switch a {
+				case "street":
+					row[i] = pick(streets)
+				case "city":
+					row[i] = pick(cities)
+				default:
+					row[i] = pick(postcodes)
+				}
+			}
+			r.MustAppend(row...)
+		}
+		return r
+	}
+	ref := build("address", []string{"street", "city", "postcode", "county"}, int(refRows%40))
+	var results []*relation.Relation
+	for i := 0; i < 1+int(nRes%4); i++ {
+		results = append(results, build(fmt.Sprintf("res%d", i), schemas[rng.Intn(len(schemas))], int(resRows%40)))
+	}
+	attrs := []string{"street", "city", "postcode", "county"}
+	var cfds []cfd.CFD
+	for i := 0; i < int(nCFDs%6); i++ {
+		perm := rng.Perm(len(attrs))
+		lhs := []string{attrs[perm[0]]}
+		if rng.Intn(2) == 0 {
+			lhs = append(lhs, attrs[perm[1]])
+		}
+		rhs := attrs[perm[2]]
+		c := cfd.CFD{LHS: lhs, RHS: rhs, Pattern: map[string]cfd.PatternCell{}}
+		constant := rng.Intn(4) == 0 && len(ref.Tuples) > 0
+		row := ref.Tuples[0:0]
+		if constant {
+			row = ref.Tuples[rng.Intn(len(ref.Tuples)):][:1]
+		}
+		for _, a := range append(slices.Clone(lhs), rhs) {
+			c.Pattern[a] = cfd.PatternCell{Any: true}
+			if constant {
+				c.Pattern[a] = cfd.PatternCell{Value: row[0][ref.Schema.AttrIndex(a)]}
+			}
+		}
+		cfds = append(cfds, c)
+	}
+	return ref, results, cfds
+}
+
+// FuzzRepairDifferential holds PrepareReference(...).Repair to the per-call
+// reference on random references, results and CFDs: several results through
+// one prepared reference, forwards and backwards, so that lookups memoised
+// for one result answer for the next, under every edit bound up to three.
+func FuzzRepairDifferential(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(10), uint8(2), uint8(3), uint8(2))
+	f.Add(int64(2), uint8(39), uint8(39), uint8(3), uint8(5), uint8(1))
+	f.Add(int64(3), uint8(0), uint8(5), uint8(1), uint8(2), uint8(3))
+	f.Add(int64(4), uint8(12), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, refRows, resRows, nRes, nCFDs, bound uint8) {
+		ref, results, cfds := fuzzRepairInputs(seed, refRows, resRows, nRes, nCFDs)
+		opts := cfd.RepairOptions{KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: int(bound % 4)}
+		forward := cfd.PrepareReference(ref, cfds, opts)
+		for _, res := range results {
+			sameRepair(t, res.Schema.Name+" forward", res, ref, cfds, opts, forward)
+		}
+		backward := cfd.PrepareReference(ref, cfds, opts)
+		for i := len(results) - 1; i >= 0; i-- {
+			sameRepair(t, results[i].Schema.Name+" backward", results[i], ref, cfds, opts, backward)
+		}
+	})
 }

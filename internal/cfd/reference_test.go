@@ -6,14 +6,18 @@ package cfd
 // path to. It rebuilds the normalised key map and every CFD's lookup table
 // from the reference on each call, scans every reference key for every
 // unknown-key row, and fills a full two-row Levenshtein table per comparison.
-// Only the names changed; constantRepair is shared with the production code,
-// which did not touch it. ReferenceRepair is exported to differential_test.go,
-// which builds its result relations with packages that import this one.
+// Only the names changed, and two things: the normaliser is no longer an
+// option, and an LHS key quotes each value instead of ending it with a
+// separator byte a value may hold, which let two different LHS tuples share a
+// key. constantRepair is shared with the production code, which did not touch
+// it. ReferenceRepair is exported to differential_test.go, which builds its
+// result relations with packages that import this one.
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"vada/internal/relation"
@@ -23,10 +27,7 @@ import (
 func ReferenceRepair(res, ref *relation.Relation, cfds []CFD, opts RepairOptions) (*relation.Relation, []RepairAction) {
 	out := res.Clone()
 	var log []RepairAction
-	norm := opts.Normalize
-	if norm == nil {
-		norm = func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-	}
+	norm := func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
 	// Fuzzy key repair first: snap typo'd keys onto reference keys.
 	if opts.MaxEditDistance > 0 {
@@ -176,8 +177,7 @@ func refVariableRepair(out, ref *relation.Relation, c CFD, norm func(string) str
 				skip = true
 				break
 			}
-			kb.WriteString(norm(t[idx].String()))
-			kb.WriteByte('\x1f')
+			kb.WriteString(strconv.Quote(norm(t[idx].String())))
 		}
 		if skip || t[rri].IsNull() {
 			continue
@@ -201,8 +201,7 @@ func refVariableRepair(out, ref *relation.Relation, c CFD, norm func(string) str
 				skip = true
 				break
 			}
-			kb.WriteString(norm(t[idx].String()))
-			kb.WriteByte('\x1f')
+			kb.WriteString(strconv.Quote(norm(t[idx].String())))
 		}
 		if skip {
 			continue

@@ -2,7 +2,7 @@ package cfd
 
 import (
 	"fmt"
-	"strings"
+	"math/bits"
 
 	"vada/internal/relation"
 )
@@ -25,7 +25,8 @@ func (a RepairAction) String() string {
 	return fmt.Sprintf("row %d %s: %v → %v (%s)", a.Row, a.Attr, a.Old, a.New, a.Reason)
 }
 
-// RepairOptions configures reference-based repair.
+// RepairOptions configures reference-based repair. Keys and LHS values are
+// compared folded (relation.Fold: trimmed and lower-cased).
 type RepairOptions struct {
 	// KeyAttr is the result attribute used to look tuples up in the
 	// reference data (typically "street").
@@ -34,9 +35,6 @@ type RepairOptions struct {
 	RefKeyAttr string
 	// MaxEditDistance bounds fuzzy key repair (0 disables it).
 	MaxEditDistance int
-	// Normalize canonicalises values before comparison (case, spacing).
-	// When nil, a case-insensitive trimmed comparison is used.
-	Normalize func(string) string
 }
 
 // DefaultRepairOptions repairs via street against reference streets with
@@ -47,36 +45,50 @@ func DefaultRepairOptions() RepairOptions {
 
 // Reference is clean reference data prepared for repair: everything repair
 // needs that is a property of the reference, the CFDs and the options alone,
-// built once however many result relations are repaired against it. It
-// memoises fuzzy key lookups across Repair calls, so it is not safe for
-// concurrent use; it is meant to live for one pass over the result relations.
+// built once however many result relations are repaired against it. The
+// reference is read through its folded column views (relation.Folded), so it
+// must be frozen; a result's cells are looked up in them row by row. A
+// Reference memoises fuzzy key lookups across Repair calls, so it is not safe
+// for concurrent use; it is meant to live for one pass over the result
+// relations.
 type Reference struct {
+	ref  *relation.Relation
 	opts RepairOptions
-	norm func(string) string
 	cfds []CFD
 	// tables[i] serves cfds[i]; nil for constant CFDs and for variable CFDs
 	// naming an attribute the reference lacks.
 	tables []*refTable
 
-	// keys maps each normalised reference key to its first spelling; nil
-	// when fuzzy key repair is off or the reference lacks the key attribute.
-	keys map[string]relation.Value
-	// keysByLen buckets the normalised keys by byte length: an edit
-	// distance within the bound needs lengths within the bound.
-	keysByLen map[int][]string
-	// fuzzy memoises closest per unknown normalised key: the answer depends
-	// on the key and the reference only, and result relations share keys.
+	// keys is the folded view of the reference key column rki; nil when
+	// fuzzy key repair is off or the reference lacks the key attribute. The
+	// first spelling of a folded key is the cell at its first row.
+	keys *relation.Folded
+	rki  int
+	// keysByLen buckets the key codes by byte length: an edit distance
+	// within the bound needs lengths within the bound. masks[c] is key c's
+	// byteMask.
+	keysByLen map[int][]int32
+	masks     []uint64
+	// fuzzy memoises closest per unknown folded key: the answer depends on
+	// the key and the reference only, and result relations share keys.
 	fuzzy map[string]fuzzyHit
 	// row is boundedEditDistance's scratch, sized for the longest key.
 	row []int
 }
 
-// refTable is one variable CFD's view of the reference.
+// refTable is one variable CFD's view of the reference, indexed by the
+// groups of the reference's folded LHS codes.
 type refTable struct {
-	// lookup maps a normalised LHS key to the first RHS value seen for it;
-	// ambiguous marks keys the reference gives more than one RHS value.
-	lookup    map[string]relation.Value
-	ambiguous map[string]bool
+	// lhs are the reference columns of the CFD's LHS, in its order; steps
+	// numbers their combinations as combine does.
+	lhs   []int
+	steps []map[uint64]int32
+	// want[g] is the first RHS value of group g's rows, null when they have
+	// none; ambiguous[g] marks groups the reference gives more than one. rhs
+	// is the folded view of the RHS column.
+	want      []relation.Value
+	ambiguous []bool
+	rhs       *relation.Folded
 	// The three reasons an action of this CFD can carry.
 	filled, corrected, canonicalised string
 }
@@ -90,48 +102,39 @@ type fuzzyHit struct {
 }
 
 // PrepareReference indexes ref for repairing result relations with cfds
-// under opts: the normalised key map and its length buckets for fuzzy key
-// repair, and per variable CFD the LHS → RHS lookup with its ambiguous keys.
-// Repair then works as follows: for each variable CFD X → A whose attributes
-// all map into both relations, result tuples matching a reference group on X
-// get A corrected/filled from the (unique) reference value; additionally the
-// key attribute itself is repaired fuzzily (typo'd streets snapped to the
-// closest reference street sharing the tuple's other evidence).
+// under opts: the reference keys by length, with their byte masks, for fuzzy
+// key repair, and per variable CFD the LHS group → RHS table with its
+// ambiguous groups. Repair then works as follows: for each variable CFD X → A
+// whose attributes all map into both relations, result tuples matching a
+// reference group on X get A corrected/filled from the (unique) reference
+// value; additionally the key attribute itself is repaired fuzzily (typo'd
+// streets snapped to the closest reference street sharing the tuple's other
+// evidence).
 func PrepareReference(ref *relation.Relation, cfds []CFD, opts RepairOptions) *Reference {
-	r := &Reference{opts: opts, norm: opts.Normalize, cfds: cfds, tables: make([]*refTable, len(cfds))}
-	if r.norm == nil {
-		r.norm = func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-	}
+	r := &Reference{ref: ref, opts: opts, cfds: cfds, tables: make([]*refTable, len(cfds))}
 	if rki := ref.Schema.AttrIndex(opts.RefKeyAttr); opts.MaxEditDistance > 0 && rki >= 0 {
-		r.keys = map[string]relation.Value{}
-		r.keysByLen = map[int][]string{}
+		r.keys, r.rki = ref.Folded(rki), rki
+		r.keysByLen = map[int][]int32{}
+		r.masks = make([]uint64, len(r.keys.Values))
 		r.fuzzy = map[string]fuzzyHit{}
 		longest := 0
-		for _, t := range ref.Tuples {
-			if t[rki].IsNull() {
-				continue
-			}
-			n := r.norm(t[rki].String())
-			if _, ok := r.keys[n]; !ok {
-				r.keys[n] = t[rki]
-				r.keysByLen[len(n)] = append(r.keysByLen[len(n)], n)
-				if len(n) > longest {
-					longest = len(n)
-				}
-			}
+		for c, n := range r.keys.Values {
+			r.keysByLen[len(n)] = append(r.keysByLen[len(n)], int32(c))
+			r.masks[c] = byteMask(n)
+			longest = max(longest, len(n))
 		}
 		r.row = make([]int, longest+1)
 	}
 	for i, c := range cfds {
 		if !c.IsConstant() {
-			r.tables[i] = r.prepareTable(ref, c)
+			r.tables[i] = prepareTable(ref, c)
 		}
 	}
 	return r
 }
 
-// prepareTable builds c's reference lookup: LHS key -> unique RHS value.
-func (r *Reference) prepareTable(ref *relation.Relation, c CFD) *refTable {
+// prepareTable builds c's reference table: LHS group -> unique RHS value.
+func prepareTable(ref *relation.Relation, c CFD) *refTable {
 	rli, ok := attrIndexes(ref, c.LHS)
 	rri := ref.Schema.AttrIndex(c.RHS)
 	if !ok || rri < 0 {
@@ -139,26 +142,55 @@ func (r *Reference) prepareTable(ref *relation.Relation, c CFD) *refTable {
 	}
 	via := fdKey(c.LHS, c.RHS)
 	tb := &refTable{
-		lookup:        map[string]relation.Value{},
-		ambiguous:     map[string]bool{},
+		lhs:           rli,
+		rhs:           ref.Folded(rri),
 		filled:        "filled from reference via " + via,
 		corrected:     "corrected from reference via " + via,
 		canonicalised: "canonicalised via " + via,
 	}
-	for _, t := range ref.Tuples {
-		k, ok := r.lhsKey(t, rli)
-		if !ok || t[rri].IsNull() {
+	groups, n := make([]int32, len(ref.Tuples)), 1 // no LHS: one group of all rows
+	if len(rli) > 0 {
+		first := ref.Folded(rli[0])
+		cols := make([][]int32, len(rli)-1)
+		for k, i := range rli[1:] {
+			cols[k] = ref.Folded(i).Codes
+		}
+		groups, n, tb.steps = combine(first.Codes, len(first.Values), cols)
+	}
+	tb.want, tb.ambiguous = make([]relation.Value, n), make([]bool, n)
+	for row, g := range groups {
+		v := ref.Tuples[row][rri]
+		if g < 0 || v.IsNull() {
 			continue
 		}
-		if prev, ok := tb.lookup[k]; ok {
-			if !prev.Equal(t[rri]) {
-				tb.ambiguous[k] = true
-			}
-			continue
+		if prev := tb.want[g]; prev.IsNull() {
+			tb.want[g] = v
+		} else if !prev.Equal(v) {
+			tb.ambiguous[g] = true
 		}
-		tb.lookup[k] = t[rri]
 	}
 	return tb
+}
+
+// group returns the reference group of a row whose LHS values carry the
+// reference codes cols[k][row], or −1 when it is in none.
+func (tb *refTable) group(cols [][]int32, row int) int32 {
+	if len(cols) == 0 {
+		return 0
+	}
+	g := cols[0][row]
+	for k, step := range tb.steps {
+		c := cols[k+1][row]
+		if g < 0 || c < 0 {
+			return -1
+		}
+		id, ok := step[pairKey(g, c)]
+		if !ok {
+			return -1
+		}
+		g = id
+	}
+	return g
 }
 
 // attrIndexes resolves attrs in rel's schema; false when one is missing.
@@ -173,17 +205,46 @@ func attrIndexes(rel *relation.Relation, attrs []string) ([]int, bool) {
 	return idx, true
 }
 
-// lhsKey joins t's normalised values at idx; false when one is null.
-func (r *Reference) lhsKey(t relation.Tuple, idx []int) (string, bool) {
-	var kb strings.Builder
-	for _, i := range idx {
-		if t[i].IsNull() {
-			return "", false
+// refCodes holds, for the result columns some variable CFD's LHS reads, each
+// row's code in the same-named reference column's folded view: −1 for null
+// and for a value the reference does not have. They are looked up once per
+// row, and kept current as the repair steps rewrite cells.
+type refCodes map[int]refColumn // by result column
+
+type refColumn struct {
+	codes []int32
+	ref   *relation.Folded
+}
+
+// codes looks up the result columns the variable CFDs read.
+func (r *Reference) codes(res *relation.Relation) refCodes {
+	rc := refCodes{}
+	for i, tb := range r.tables {
+		if tb == nil {
+			continue
 		}
-		kb.WriteString(r.norm(t[i].String()))
-		kb.WriteByte('\x1f')
+		for k, a := range r.cfds[i].LHS {
+			ci := res.Schema.AttrIndex(a)
+			if _, done := rc[ci]; ci < 0 || done {
+				continue
+			}
+			col := refColumn{codes: make([]int32, len(res.Tuples)), ref: r.ref.Folded(tb.lhs[k])}
+			for row, t := range res.Tuples {
+				col.codes[row] = col.ref.Code(t[ci])
+			}
+			rc[ci] = col
+		}
 	}
-	return kb.String(), true
+	return rc
+}
+
+// rewrote brings the codes up to date with the cells a step rewrote.
+func (rc refCodes) rewrote(out *relation.Relation, log []RepairAction) {
+	for _, a := range log {
+		if col, ok := rc[out.Schema.AttrIndex(a.Attr)]; ok {
+			col.codes[a.Row] = col.ref.Code(a.New)
+		}
+	}
 }
 
 // Repair repairs one result relation against the prepared reference. The
@@ -192,15 +253,20 @@ func (r *Reference) lhsKey(t relation.Tuple, idx []int) (string, bool) {
 // below replace a row of out by a copy when they rewrite a cell in it.
 func (r *Reference) Repair(res *relation.Relation) (*relation.Relation, []RepairAction) {
 	out := res.Shallow()
+	codes := r.codes(res)
 	// Fuzzy key repair first: snap typo'd keys onto reference keys.
 	log := r.fuzzyKeyRepair(out)
+	codes.rewrote(out, log)
 	// CFD-driven value repair.
 	for i, c := range r.cfds {
+		var step []RepairAction
 		if c.IsConstant() {
-			log = append(log, constantRepair(out, c)...)
-			continue
+			step = constantRepair(out, c)
+		} else {
+			step = r.variableRepair(out, c, r.tables[i], codes)
 		}
-		log = append(log, r.variableRepair(out, c, r.tables[i])...)
+		codes.rewrote(out, step)
+		log = append(log, step...)
 	}
 	return out, log
 }
@@ -216,23 +282,33 @@ func (r *Reference) fuzzyKeyRepair(out *relation.Relation) []RepairAction {
 		if t[ki].IsNull() {
 			continue
 		}
-		n := r.norm(t[ki].String())
-		if canonical, ok := r.keys[n]; ok {
+		if c := r.keys.Code(t[ki]); c >= 0 {
 			// Known key: only canonicalise the spelling if it differs.
-			if t[ki].String() != canonical.String() {
+			if canonical := r.ref.Tuples[r.keys.First[c]][r.rki]; t[ki].String() != canonical.String() {
 				log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
 					Old: t[ki], New: canonical, Reason: "reference spelling"})
 				out.Tuples[rowIdx] = t.With(ki, canonical)
 			}
 			continue
 		}
-		if hit := r.closest(n); hit.ok {
+		if hit := r.closest(relation.Fold(t[ki])); hit.ok {
 			log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
 				Old: t[ki], New: hit.canonical, Reason: hit.reason})
 			out.Tuples[rowIdx] = t.With(ki, hit.canonical)
 		}
 	}
 	return log
+}
+
+// byteMask is the set of a string's bytes, folded into 64 buckets. One byte
+// edit sets or clears at most two bits, so two strings whose masks differ in
+// more than 2·k bits are more than k edits apart.
+func byteMask(s string) uint64 {
+	var m uint64
+	for i := 0; i < len(s); i++ {
+		m |= 1 << (s[i] & 63)
+	}
+	return m
 }
 
 // closest looks an unknown key up among the reference keys: a hit is the one
@@ -242,15 +318,19 @@ func (r *Reference) closest(n string) fuzzyHit {
 		return hit
 	}
 	bound := r.opts.MaxEditDistance
-	bestKey, bestD, ties := "", bound+1, 0
+	mask := byteMask(n)
+	best, bestD, ties := int32(-1), bound+1, 0
 	for l := len(n) - bound; l <= len(n)+bound; l++ {
-		for _, rk := range r.keysByLen[l] {
-			d := boundedEditDistance(n, rk, bound, r.row)
+		for _, c := range r.keysByLen[l] {
+			if bits.OnesCount64(mask^r.masks[c]) > 2*bound {
+				continue
+			}
+			d := boundedEditDistance(n, r.keys.Values[c], bound, r.row)
 			if d < 0 {
 				continue
 			}
 			if d < bestD {
-				bestKey, bestD, ties = rk, d, 1
+				best, bestD, ties = c, d, 1
 			} else if d == bestD {
 				ties++
 			}
@@ -258,7 +338,7 @@ func (r *Reference) closest(n string) fuzzyHit {
 	}
 	var hit fuzzyHit
 	if bestD <= bound && ties == 1 {
-		hit = fuzzyHit{canonical: r.keys[bestKey], ok: true,
+		hit = fuzzyHit{canonical: r.ref.Tuples[r.keys.First[best]][r.rki], ok: true,
 			reason: fmt.Sprintf("fuzzy reference match (distance %d)", bestD)}
 	}
 	r.fuzzy[n] = hit
@@ -348,7 +428,7 @@ func constantRepair(out *relation.Relation, c CFD) []RepairAction {
 
 // variableRepair fills/corrects RHS values from reference groups that are
 // unique on the CFD's LHS.
-func (r *Reference) variableRepair(out *relation.Relation, c CFD, tb *refTable) []RepairAction {
+func (r *Reference) variableRepair(out *relation.Relation, c CFD, tb *refTable, codes refCodes) []RepairAction {
 	if tb == nil {
 		return nil
 	}
@@ -357,27 +437,28 @@ func (r *Reference) variableRepair(out *relation.Relation, c CFD, tb *refTable) 
 	if !ok || ri < 0 {
 		return nil
 	}
+	cols := make([][]int32, len(li))
+	for k, i := range li {
+		cols[k] = codes[i].codes
+	}
 	var log []RepairAction
 	for rowIdx, t := range out.Tuples {
-		k, ok := r.lhsKey(t, li)
-		if !ok {
+		g := tb.group(cols, rowIdx)
+		if g < 0 || tb.want[g].IsNull() || tb.ambiguous[g] {
 			continue
 		}
-		want, ok := tb.lookup[k]
-		if !ok || tb.ambiguous[k] {
-			continue
-		}
+		want := tb.want[g]
 		if t[ri].IsNull() {
 			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want, Reason: tb.filled})
 			out.Tuples[rowIdx] = t.With(ri, want)
 			continue
 		}
-		// Correct format-noisy values: same after normalisation but
-		// different spelling → canonicalise; different after normalisation →
-		// reference wins (it is clean by assumption).
+		// Correct format-noisy values: same after folding but different
+		// spelling → canonicalise; different after folding → reference wins
+		// (it is clean by assumption).
 		if t[ri].String() != want.String() {
 			reason := tb.corrected
-			if r.norm(t[ri].String()) == r.norm(want.String()) {
+			if tb.rhs.Code(t[ri]) == tb.rhs.Code(want) { // want is there: they fold alike
 				reason = tb.canonicalised
 			}
 			log = append(log, RepairAction{Row: rowIdx, Attr: c.RHS, Old: t[ri], New: want, Reason: reason})

@@ -21,8 +21,7 @@ func Write(w io.Writer, rel *relation.Relation, format string) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	canon := *rel
-	canon.Tuples = append([]relation.Tuple(nil), rel.Tuples...)
+	canon := rel.Shallow()
 	sort.SliceStable(canon.Tuples, func(i, j int) bool {
 		return canon.Tuples[i].Key() < canon.Tuples[j].Key()
 	})
@@ -31,7 +30,7 @@ func Write(w io.Writer, rel *relation.Relation, format string) (Stats, error) {
 	case FormatCSV:
 		err = canon.WriteCSV(cw)
 	case FormatJSONL:
-		err = writeJSONL(cw, &canon)
+		err = writeJSONL(cw, canon)
 	}
 	if err != nil {
 		return Stats{}, err

@@ -268,21 +268,18 @@ func (w *Wrangler) instanceMatchingTransducer() transducer.Transducer {
 		Dep:       transducer.Dependency{Query: "?- src_instances(S), dc_instances(D)."},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
-			instances := map[string][]relation.Value{}
+			var refs []*relation.Relation
 			for _, name := range referenceNames(k) {
-				ref := k.Relation(RelContextPrefix + name)
-				if ref == nil {
-					continue
-				}
-				for attr, vals := range match.TargetInstancesFromRelation(ref, nil) {
-					instances[attr] = append(instances[attr], vals...)
+				if ref := k.Relation(RelContextPrefix + name); ref != nil && ref.Schema.Arity() > 0 {
+					refs = append(refs, ref)
 				}
 			}
-			if len(instances) == 0 {
+			if len(refs) == 0 {
 				return rep, nil
 			}
-			// The data-context columns are profiled once for all sources.
-			profiles := match.ProfileInstances(instances)
+			// The data-context columns are profiled once for all sources, from
+			// the folded views the knowledge base's relations share.
+			profiles := match.ProfileInstances(refs...)
 			var all []match.Match
 			srcs := w.sourceRelations(k)
 			for _, name := range sortedKeys(srcs) {

@@ -78,39 +78,43 @@ const keyLikeThreshold = 0.95
 // DiscoverInclusionDeps profiles all attribute pairs across the given
 // relations and returns pairs whose containment reaches minOverlap and whose
 // target attribute is key-like in its relation. Comparison is over
-// normalised distinct values, capped at match.InstanceSample values per
-// attribute.
+// folded distinct values (relation.Fold; "" apart), capped at
+// match.InstanceSample values per attribute: the first ones, which the folded
+// column view holds in row order. The relations must be frozen.
 func DiscoverInclusionDeps(rels []*relation.Relation, minOverlap float64) []InclusionDep {
 	type colKey struct{ rel, attr string }
-	cols := map[colKey]map[string]bool{}
+	type sample struct {
+		values []string
+		index  map[string]int32 // holds values at codes up to last
+		last   int32
+	}
+	cols := map[colKey]sample{}
 	uniq := map[colKey]float64{}
 	var keys []colKey
 	for _, r := range rels {
 		for i, a := range r.Schema.Attrs {
-			set := map[string]bool{}
-			all := map[string]bool{}
-			nonNull := 0
-			for _, t := range r.Tuples {
-				v := t[i]
-				if v.IsNull() {
-					continue
-				}
-				s := strings.ToLower(strings.TrimSpace(v.String()))
-				if s == "" {
-					continue
-				}
-				nonNull++
-				all[s] = true
-				if len(set) < match.InstanceSample {
-					set[s] = true
-				}
-			}
-			if len(set) == 0 {
+			f := r.Folded(i)
+			values, last := f.Head(match.InstanceSample)
+			if len(values) == 0 {
 				continue
 			}
+			empty, hasEmpty := f.Index[""]
+			if !hasEmpty {
+				empty = -1
+			}
+			nonEmpty := 0 // rows with a value that does not fold to ""
+			for _, c := range f.Codes {
+				if c >= 0 && c != empty {
+					nonEmpty++
+				}
+			}
+			distinct := len(f.Values)
+			if hasEmpty {
+				distinct--
+			}
 			k := colKey{r.Schema.Name, a.Name}
-			cols[k] = set
-			uniq[k] = float64(len(all)) / float64(nonNull)
+			cols[k] = sample{values, f.Index, last}
+			uniq[k] = float64(distinct) / float64(nonEmpty)
 			keys = append(keys, k)
 		}
 	}
@@ -131,12 +135,12 @@ func DiscoverInclusionDeps(rels []*relation.Relation, minOverlap float64) []Incl
 			}
 			fs, ts := cols[from], cols[to]
 			inter := 0
-			for v := range fs {
-				if ts[v] {
+			for _, v := range fs.values {
+				if c, ok := ts.index[v]; ok && c <= ts.last {
 					inter++
 				}
 			}
-			overlap := float64(inter) / float64(len(fs))
+			overlap := float64(inter) / float64(len(fs.values))
 			if overlap >= minOverlap {
 				out = append(out, InclusionDep{
 					FromRel: from.rel, FromAttr: from.attr,

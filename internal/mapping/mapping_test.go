@@ -29,11 +29,8 @@ func allMatches(sc *datagen.Scenario, target relation.Schema, withInstances bool
 		match.MatchSchemas(sc.Deprivation.Schema, target),
 	}
 	if withInstances {
-		inst := match.TargetInstancesFromRelation(sc.AddressRef, nil)
-		lists = append(lists,
-			match.MatchInstances(sc.Rightmove, inst),
-			match.MatchInstances(sc.OnTheMarket, inst),
-		)
+		inst := match.ProfileInstances(sc.AddressRef)
+		lists = append(lists, inst.Match(sc.Rightmove), inst.Match(sc.OnTheMarket))
 	}
 	return match.Combine(lists...)
 }

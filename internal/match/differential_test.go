@@ -2,7 +2,9 @@ package match
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,6 +43,31 @@ func column(name string, vals ...any) *relation.Relation {
 	return r
 }
 
+// renamed is r with its attributes renamed by alias, sharing r's rows.
+func renamed(r *relation.Relation, alias map[string]string) *relation.Relation {
+	schema := r.Schema.WithName(r.Schema.Name)
+	for i, a := range schema.Attrs {
+		if n, ok := alias[a.Name]; ok {
+			schema.Attrs[i].Name = n
+		}
+	}
+	return &relation.Relation{Schema: schema, Tuples: r.Tuples}
+}
+
+// instancesOf is what the pairwise reference is handed for the data-context
+// relations refs: per attribute, the columns of the relations that have it,
+// one after the other.
+func instancesOf(refs ...*relation.Relation) map[string][]relation.Value {
+	out := map[string][]relation.Value{}
+	for _, r := range refs {
+		for _, a := range r.Schema.Attrs {
+			col, _ := r.Column(a.Name)
+			out[a.Name] = append(out[a.Name], col...)
+		}
+	}
+	return out
+}
+
 // TestInstanceDifferential holds the profiled matcher to the pairwise code
 // it replaced: every source of generated scenarios against the address
 // reference, with target profiles shared across the sources as the
@@ -57,15 +84,16 @@ func TestInstanceDifferential(t *testing.T) {
 			cfg.NProperties, cfg.Seed = n, seed
 			sc := datagen.Generate(cfg)
 			for ai, alias := range aliases {
-				inst := TargetInstancesFromRelation(sc.AddressRef, alias)
-				shared := ProfileInstances(inst)
+				ref := renamed(sc.AddressRef, alias)
+				inst := instancesOf(ref)
+				shared := ProfileInstances(ref)
 				for _, src := range []*relation.Relation{sc.Rightmove, sc.OnTheMarket, sc.Deprivation} {
 					label := fmt.Sprintf("n=%d seed=%d alias=%d %s", n, seed, ai, src.Schema.Name)
 					want := refMatchInstances(src, inst)
 					if len(want) == 0 {
 						t.Fatalf("%s: reference found nothing to score", label)
 					}
-					sameMatches(t, label, MatchInstances(src, inst), want)
+					sameMatches(t, label, ProfileInstances(ref).Match(src), want)
 					sameMatches(t, label+" shared", shared.Match(src), want)
 				}
 			}
@@ -96,15 +124,21 @@ func TestInstanceDifferential(t *testing.T) {
 		"unicode":   column("unicode", "Żółć 12", "ÀB 9", "日本 1-2-3", "\x00nul", "bad\xffbyte", "ǅ"),
 		"mixed":     column("mixed", true, 2, 2.5, "2", "TRUE", nil, "M1 1AA", "12 High St", "a-b_c", "x@y.z"),
 	}
-	inst := map[string][]relation.Value{}
-	for name, r := range columns {
-		inst[name], _ = r.Column("v")
+	// Each column a target attribute of its own, and all of them one target
+	// attribute "v", their columns one after the other.
+	names := slices.Sorted(maps.Keys(columns))
+	var own, joined []*relation.Relation
+	for _, name := range names {
+		own = append(own, renamed(columns[name], map[string]string{"v": name}))
+		joined = append(joined, columns[name])
 	}
-	shared := ProfileInstances(inst)
-	for name, r := range columns {
-		want := refMatchInstances(r, inst)
-		sameMatches(t, name, MatchInstances(r, inst), want)
-		sameMatches(t, name+" shared", shared.Match(r), want)
+	for label, refs := range map[string][]*relation.Relation{"own": own, "joined": joined} {
+		inst := instancesOf(refs...)
+		shared := ProfileInstances(refs...)
+		for _, name := range names {
+			want := refMatchInstances(columns[name], inst)
+			sameMatches(t, label+" "+name, shared.Match(columns[name]), want)
+		}
 	}
 }
 
@@ -137,14 +171,18 @@ func FuzzInstanceDifferential(f *testing.F) {
 	f.Add("~\n~", "")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		ra, rb := fuzzColumn("a", a), fuzzColumn("b", b)
-		ca, _ := ra.Column("v")
-		cb, _ := rb.Column("v")
-		inst := map[string][]relation.Value{"a": ca, "b": cb}
-		shared := ProfileInstances(inst)
+		refs := []*relation.Relation{renamed(ra, map[string]string{"v": "a"}), renamed(rb, map[string]string{"v": "b"})}
+		inst := instancesOf(refs...)
+		shared := ProfileInstances(refs...)
 		for _, src := range []*relation.Relation{ra, rb} {
 			want := refMatchInstances(src, inst)
-			sameMatches(t, src.Schema.Name, MatchInstances(src, inst), want)
+			sameMatches(t, src.Schema.Name, ProfileInstances(refs...).Match(src), want)
 			sameMatches(t, src.Schema.Name+" shared", shared.Match(src), want)
+		}
+		// Both columns one target attribute, in either order.
+		for _, refs := range [][]*relation.Relation{{ra, rb}, {rb, ra}} {
+			want := refMatchInstances(ra, instancesOf(refs...))
+			sameMatches(t, "joined", ProfileInstances(refs...).Match(ra), want)
 		}
 	})
 }
@@ -165,15 +203,14 @@ func TestInstanceScoresDeterministic(t *testing.T) {
 			}
 		}
 	}
-	source := column("source", src...)
-	inst := map[string][]relation.Value{}
-	inst["target"], _ = column("target", tgt...).Column("v")
-	if p := profileColumn(inst["target"]); len(p.shapes) < 6 {
+	source, target := column("source", src...), column("target", tgt...)
+	if p := profileColumns([]*relation.Folded{target.Folded(0)}); len(p.shapes) < 6 {
 		t.Fatalf("fixture has %d shapes, want at least 6", len(p.shapes))
 	}
 	seen := map[uint64]int{}
 	for i := 0; i < 500; i++ {
-		ms := MatchInstances(source, inst)
+		// Fresh relations each time: views built once would score once.
+		ms := ProfileInstances(target.Clone()).Match(source.Clone())
 		if len(ms) != 1 {
 			t.Fatalf("%d matches, want 1", len(ms))
 		}

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,19 +17,13 @@ import (
 // matcher considers.
 const InstanceSample = 500
 
-// MatchInstances runs the instance-based matcher: source attribute values
-// against target-attribute instances (from data-context reference, master or
-// example data — Table 1, row "Instance Matching"). Scores combine distinct-
-// value overlap, value-shape distribution similarity and numeric-range
-// overlap. Callers matching several sources against the same instances
-// profile them once with ProfileInstances.
-func MatchInstances(src *relation.Relation, targetInstances map[string][]relation.Value) []Match {
-	return ProfileInstances(targetInstances).Match(src)
-}
-
-// InstanceProfiles are target-attribute instances profiled for matching: what
-// the matcher compares is a property of each column alone, so it is computed
-// once per column however many source attributes the column is held against.
+// InstanceProfiles are target-attribute instances profiled for matching:
+// what the matcher compares is a property of each column alone, so it is
+// computed once per column however many source attributes the column is held
+// against. Instance matching scores source attribute values against target
+// attribute instances (from data-context reference, master or example data —
+// Table 1, row "Instance Matching"), combining distinct-value overlap,
+// value-shape distribution similarity and numeric-range overlap.
 type InstanceProfiles struct {
 	// targets are the target attributes with at least one usable value,
 	// sorted by name.
@@ -39,16 +35,25 @@ type targetProfile struct {
 	profile *columnProfile
 }
 
-// ProfileInstances profiles every target attribute's instances.
-func ProfileInstances(targetInstances map[string][]relation.Value) *InstanceProfiles {
-	attrs := make([]string, 0, len(targetInstances))
-	for ta := range targetInstances {
-		attrs = append(attrs, ta)
+// ProfileInstances profiles the attributes of the data-context relations as
+// target instances, each attribute under its own name. An attribute several
+// relations have is profiled over their columns one after the other, in the
+// order given. The relations are read through their folded column views
+// (relation.Folded), so they must be frozen.
+func ProfileInstances(refs ...*relation.Relation) *InstanceProfiles {
+	cols := map[string][]*relation.Folded{}
+	for _, r := range refs {
+		for _, a := range r.Schema.AttrNames() {
+			// A name twice in one schema is its first column twice: once is
+			// the same sample.
+			if f := r.Folded(r.Schema.AttrIndex(a)); !slices.Contains(cols[a], f) {
+				cols[a] = append(cols[a], f)
+			}
+		}
 	}
-	sort.Strings(attrs)
 	p := &InstanceProfiles{}
-	for _, ta := range attrs {
-		if tp := profileColumn(targetInstances[ta]); tp != nil {
+	for _, ta := range slices.Sorted(maps.Keys(cols)) {
+		if tp := profileColumns(cols[ta]); tp != nil {
 			p.targets = append(p.targets, targetProfile{ta, tp})
 		}
 	}
@@ -57,14 +62,11 @@ func ProfileInstances(targetInstances map[string][]relation.Value) *InstanceProf
 
 // Match scores every attribute of src against every profiled target
 // attribute, source attributes in schema order, target attributes sorted.
+// src is read through its folded column views, so it must be frozen.
 func (p *InstanceProfiles) Match(src *relation.Relation) []Match {
 	var out []Match
 	for _, sa := range src.Schema.Attrs {
-		col, err := src.Column(sa.Name)
-		if err != nil {
-			continue
-		}
-		sp := profileColumn(col)
+		sp := profileColumns([]*relation.Folded{src.Folded(src.Schema.AttrIndex(sa.Name))})
 		if sp == nil {
 			continue
 		}
@@ -78,33 +80,14 @@ func (p *InstanceProfiles) Match(src *relation.Relation) []Match {
 	return out
 }
 
-// TargetInstancesFromRelation extracts per-attribute instance lists from a
-// data-context relation, renaming attributes via the optional alias map
-// (e.g. the address list's "street" instantiating target "street").
-func TargetInstancesFromRelation(r *relation.Relation, alias map[string]string) map[string][]relation.Value {
-	out := map[string][]relation.Value{}
-	for _, a := range r.Schema.Attrs {
-		name := a.Name
-		if alias != nil {
-			if n, ok := alias[a.Name]; ok {
-				name = n
-			}
-		}
-		col, err := r.Column(a.Name)
-		if err != nil {
-			continue
-		}
-		out[name] = append(out[name], col...)
-	}
-	return out
-}
-
 // columnProfile is what the instance matcher knows about one column.
 type columnProfile struct {
-	// values are the first InstanceSample distinct normalised (trimmed,
-	// lower-cased, non-empty) values in tuple order; set holds the same.
+	// values are the first InstanceSample distinct folded (trimmed,
+	// lower-cased), non-empty values in tuple order. index holds each of them
+	// at a code no greater than last, and no other value at such a code.
 	values []string
-	set    map[string]struct{}
+	index  map[string]int32
+	last   int32
 	// shapes is the share of values per character-class shape, sorted by
 	// shape so that every sum over it has one order; shapeNorm is the
 	// Euclidean norm of the shares.
@@ -119,25 +102,36 @@ type shapeShare struct {
 	share float64
 }
 
-// profileColumn profiles a column; nil when it has no usable value.
-func profileColumn(col []relation.Value) *columnProfile {
-	p := &columnProfile{set: map[string]struct{}{}}
-	for _, v := range col {
-		if v.IsNull() {
-			continue
+// has reports whether v, which is not "", is among the profile's values.
+func (p *columnProfile) has(v string) bool {
+	c, ok := p.index[v]
+	return ok && c <= p.last
+}
+
+// profileColumns profiles the column the folded columns make one after the
+// other; nil when it has no usable value. One column's sample is read from
+// its view: the view's first distinct values are the sample.
+func profileColumns(cols []*relation.Folded) *columnProfile {
+	p := &columnProfile{}
+	if len(cols) == 1 {
+		p.values, p.last = cols[0].Head(InstanceSample)
+		p.index = cols[0].Index
+	} else {
+		p.index = map[string]int32{}
+	sample:
+		for _, f := range cols {
+			for _, v := range f.Values {
+				if _, seen := p.index[v]; seen || v == "" {
+					continue
+				}
+				if len(p.values) == InstanceSample {
+					break sample
+				}
+				p.index[v] = int32(len(p.values))
+				p.values = append(p.values, v)
+			}
 		}
-		s := strings.ToLower(strings.TrimSpace(v.String()))
-		if s == "" {
-			continue
-		}
-		if _, seen := p.set[s]; seen {
-			continue
-		}
-		p.set[s] = struct{}{}
-		p.values = append(p.values, s)
-		if len(p.values) >= InstanceSample {
-			break
-		}
+		p.last = int32(len(p.values)) - 1
 	}
 	if len(p.values) == 0 {
 		return nil
@@ -189,7 +183,7 @@ func valueJaccard(a, b *columnProfile) float64 {
 	}
 	inter := 0
 	for _, v := range a.values {
-		if _, ok := b.set[v]; ok {
+		if b.has(v) {
 			inter++
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"vada/internal/datagen"
-	"vada/internal/relation"
 )
 
 func TestLevenshtein(t *testing.T) {
@@ -146,8 +145,7 @@ func TestMatchInstancesPostcodeAndStreet(t *testing.T) {
 	sc := datagen.Generate(cfg)
 
 	// Target instances from the data-context address list.
-	inst := TargetInstancesFromRelation(sc.AddressRef, nil)
-	ms := MatchInstances(sc.OnTheMarket, inst)
+	ms := ProfileInstances(sc.AddressRef).Match(sc.OnTheMarket)
 
 	get := func(sa, ta string) float64 {
 		for _, m := range ms {
@@ -173,15 +171,6 @@ func TestMatchInstancesPostcodeAndStreet(t *testing.T) {
 	}
 	if get("asking_price", "street") > 0.5 {
 		t.Errorf("asking_price→street should be weak, got %.3f", get("asking_price", "street"))
-	}
-}
-
-func TestTargetInstancesAlias(t *testing.T) {
-	r := relation.New(relation.NewSchema("ref", "addr"))
-	r.MustAppend("1 High St")
-	inst := TargetInstancesFromRelation(r, map[string]string{"addr": "street"})
-	if len(inst["street"]) != 1 {
-		t.Fatalf("alias not applied: %v", inst)
 	}
 }
 
@@ -240,10 +229,9 @@ func TestEndToEndScenarioMatching(t *testing.T) {
 	tgt := datagen.TargetSchema()
 
 	nameOnly := SelectOneToOne(MatchSchemas(sc.OnTheMarket.Schema, tgt), 0.6)
-	inst := TargetInstancesFromRelation(sc.AddressRef, nil)
 	withInstances := SelectOneToOne(Combine(
 		MatchSchemas(sc.OnTheMarket.Schema, tgt),
-		MatchInstances(sc.OnTheMarket, inst),
+		ProfileInstances(sc.AddressRef).Match(sc.OnTheMarket),
 	), 0.6)
 
 	has := func(ms []Match, sa, ta string) bool {

@@ -8,7 +8,7 @@ import (
 
 // sameNumericStats fails unless numericStats reads vals as the Sscanf form it
 // replaced does (refNumericStats): lo, hi and the numeric share as bit
-// patterns, because MatchInstances scores are compared that way.
+// patterns, because instance match scores are compared that way.
 func sameNumericStats(t *testing.T, vals []string) {
 	t.Helper()
 	lo, hi, frac := numericStats(vals)

@@ -1,7 +1,7 @@
 package match
 
 // The reference implementation of instance matching: the pairwise code
-// MatchInstances ran before columns were profiled, kept as the oracle
+// instance matching ran before columns were profiled, kept as the oracle
 // TestInstanceDifferential and FuzzInstanceDifferential hold the profiled
 // path to, bit for bit. It re-samples, re-lower-cases, re-shapes and
 // re-parses both columns of every (source attribute, target attribute)

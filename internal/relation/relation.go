@@ -15,6 +15,8 @@ type Relation struct {
 	// Tuples holds the rows. Duplicates are permitted (bag semantics);
 	// use Distinct for set semantics.
 	Tuples []Tuple
+
+	views views // the column views (Exact, Folded), once asked for
 }
 
 // New creates an empty relation with the given schema.

@@ -3,6 +3,15 @@
 // CSV import/export. Every artefact exchanged between transducers through
 // the knowledge base — source tables, data-context reference tables, target
 // results, metadata — is represented with the types in this package.
+//
+// A relation nobody writes to any more — every relation in the knowledge
+// base is one — is encoded lazily, one column at a time, on the first request
+// (Relation.Exact, Relation.Folded), and the encoding is shared by all its
+// readers and safe for concurrent use. Only frozen relations may be asked for
+// a view: nothing invalidates one, so a relation written to after a view of it
+// was built answers with stale codes (the kbcheck build tag panics instead). A
+// Relation is never copied by value, which would carry its views along; build
+// a new one (Shallow, Clone).
 package relation
 
 import (

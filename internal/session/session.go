@@ -573,11 +573,7 @@ func (s *Session) Result() (*relation.Relation, error) {
 // resultView makes a caller-private view of a cached result: a fresh
 // Relation and Tuples slice over the shared tuples, so row-level mutations
 // by one caller (truncation, in-place sorts) cannot corrupt the cache.
-func resultView(res *relation.Relation) *relation.Relation {
-	out := *res
-	out.Tuples = append([]relation.Tuple(nil), res.Tuples...)
-	return &out
-}
+func resultView(res *relation.Relation) *relation.Relation { return res.Shallow() }
 
 // Trace returns the most recent orchestration steps (see Wrangler.Trace).
 func (s *Session) Trace() []transducer.Step {

@@ -104,7 +104,6 @@ type evaluator struct {
 	rules     []*rulePlan    // by rule index; nil for facts and bodiless rules
 	nullDepth map[string]int // labelled null name -> depth
 	nullSeq   int
-	skolem    map[string]relation.Value // rule+frontier key -> null
 	total     int
 }
 
@@ -119,6 +118,14 @@ type rulePlan struct {
 	out    []relation.Tuple // evalRule's buffer, reused from round to round
 	aggFn  AggFn
 	aggArg int // slot of the aggregated variable
+
+	// The skolem table of an existential rule: the frontiers it fired on
+	// (the values of its head's body variables; Tuple.Same is one frontier),
+	// nulls[f] the labelled nulls frontiers.tuples[f] got, and frontier
+	// instantiateHead's buffer.
+	frontiers tupleSet
+	nulls     [][]relation.Value
+	frontier  relation.Tuple
 }
 
 type headSrc uint8
@@ -149,7 +156,6 @@ func (e *Engine) Run(prog *Program, edb EDB) (*Result, error) {
 		facts:     map[string]*tupleSet{},
 		rules:     make([]*rulePlan, len(prog.Rules)),
 		nullDepth: map[string]int{},
-		skolem:    map[string]relation.Value{},
 	}
 
 	// Seed every referenced predicate from the EDB, dropping duplicates. The
@@ -412,17 +418,15 @@ func (ev *evaluator) instantiateHead(ri int, frame []relation.Value) (relation.T
 	rp := ev.rules[ri]
 	var nulls []relation.Value
 	if rp.nExist > 0 {
-		// Existential rule: compute frontier key and depth.
+		// Existential rule: find the frontier and its depth.
 		depth := 0
-		var frontier strings.Builder
-		fmt.Fprintf(&frontier, "r%d|", ri)
+		rp.frontier = rp.frontier[:0]
 		for _, a := range rp.head {
 			if a.src != headSlot {
 				continue
 			}
 			val := frame[a.n]
-			frontier.WriteString(val.Key())
-			frontier.WriteByte('\x1f')
+			rp.frontier = append(rp.frontier, val)
 			if IsLabelledNull(val) {
 				if d := ev.nullDepth[val.Str()]; d > depth {
 					depth = d
@@ -432,19 +436,19 @@ func (ev *evaluator) instantiateHead(ri int, frame []relation.Value) (relation.T
 		if depth >= ev.eng.MaxNullDepth {
 			return nil, false // chase bound reached: suppress firing
 		}
-		fkey := frontier.String()
-		nulls = make([]relation.Value, rp.nExist)
-		for i := range nulls {
-			skey := fmt.Sprintf("%s#%d", fkey, i)
-			nv, ok := ev.skolem[skey]
-			if !ok {
+		h := rp.frontier.Hash()
+		if f := rp.frontiers.find(rp.frontier, h); f >= 0 {
+			nulls = rp.nulls[f]
+		} else {
+			nulls = make([]relation.Value, rp.nExist)
+			for i := range nulls {
 				ev.nullSeq++
 				name := fmt.Sprintf("%sn%d", NullPrefix, ev.nullSeq)
-				nv = relation.String(name)
-				ev.skolem[skey] = nv
+				nulls[i] = relation.String(name)
 				ev.nullDepth[name] = depth + 1
 			}
-			nulls[i] = nv
+			rp.frontiers.insert(rp.frontier.Clone(), h)
+			rp.nulls = append(rp.nulls, nulls)
 		}
 	}
 	t := make(relation.Tuple, len(rp.head))

@@ -231,6 +231,23 @@ c(X, N) :- b(X, _), a(X).`, edb)
 	}
 }
 
+// TestEvalSkolemFrontierIdentity pins that a labelled null is shared only by
+// firings on the same frontier. Frontiers were once one string of Value.Key
+// strings, each ended by a separator byte, and the two below joined alike:
+// both firings got one null. (Not checked against the reference evaluator,
+// whose fact sets are keyed by such strings too.)
+func TestEvalSkolemFrontierIdentity(t *testing.T) {
+	edb := MapEDB{"p": {tup("a\x1f\x00Sb", "c"), tup("a", "b\x1f\x00Sc")}}
+	res, err := NewEngine().Run(MustParse(`q(X, Y, N) :- p(X, Y).`), edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := res.Facts("q")
+	if len(q) != 2 || q[0][2].Same(q[1][2]) {
+		t.Fatalf("q = %v: two frontiers, want two nulls", q)
+	}
+}
+
 func TestEvalChaseDepthBounded(t *testing.T) {
 	// p generates a successor for every element: unbounded without a depth
 	// limit. With MaxNullDepth=3 we expect exactly 3 nulls beyond the seed.
