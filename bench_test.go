@@ -339,14 +339,14 @@ func BenchmarkMappingGeneration(b *testing.B) {
 	matches = append(matches, match.MatchSchemas(sc.Rightmove.Schema, target)...)
 	matches = append(matches, match.MatchSchemas(sc.OnTheMarket.Schema, target)...)
 	matches = append(matches, match.MatchSchemas(sc.Deprivation.Schema, target)...)
-	opts := core.DefaultOptions().GenOptions
+	opts := mapping.DefaultGenOptions()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sources := cold(sc.Rightmove, sc.OnTheMarket, sc.Deprivation)
 		b.StartTimer()
-		maps := mapping.Generate(target, sources, matches, opts)
+		maps := mapping.ProfileSources(sources).Generate(target, matches, opts)
 		if len(maps) == 0 {
 			b.Fatal("no mappings")
 		}
@@ -368,7 +368,7 @@ func BenchmarkMappingExecution(b *testing.B) {
 			srcMap[src.Schema.Name] = src
 			matches = append(matches, match.MatchSchemas(src.Schema, target)...)
 		}
-		maps := mapping.Generate(target, sources, matches, core.DefaultOptions().GenOptions)
+		maps := mapping.ProfileSources(sources).Generate(target, matches, mapping.DefaultGenOptions())
 		for _, id := range []string{"m_onthemarket+rightmove", "m_rightmove+deprivation"} {
 			var join *mapping.Mapping
 			for i := range maps {
@@ -400,7 +400,7 @@ func BenchmarkMappingExecution(b *testing.B) {
 // BenchmarkInstanceMatching).
 func BenchmarkCFDMining(b *testing.B) {
 	sc := datagen.Generate(scenarioCfg(600))
-	opts := core.DefaultOptions().MineOptions
+	opts := cfd.DefaultMineOptions()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -476,11 +476,17 @@ func BenchmarkFusion(b *testing.B) {
 		u.Tuples = append(u.Tuples, relation.Tuple{t[otS], t[otP], t[otB], relation.String("onthemarket")})
 	}
 	block := fusion.BlockByAttr("postcode", datagen.CanonicalPostcode)
-	scorer := fusion.DefaultScorer("source")
+	// The production scorer: the same street after case and space folding.
+	scorer := func(a, b relation.Tuple, _ relation.Schema) float64 {
+		if !a[0].IsNull() && !b[0].IsNull() && strings.EqualFold(strings.TrimSpace(a[0].String()), strings.TrimSpace(b[0].String())) {
+			return 1
+		}
+		return 0
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clusters := fusion.DetectDuplicates(u, block, scorer, 0.9)
+		clusters := fusion.DetectDuplicates(u, block, scorer, 1)
 		fused := fusion.Fuse(u, clusters, fusion.Options{})
 		if fused.Cardinality() == 0 {
 			b.Fatal("empty fusion")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,7 +37,7 @@ func main() {
 	defer engine.Close()
 
 	// The four stages as one declarative plan. Each StageRequest resolves
-	// against the session's registry before submission; the engine runs
+	// against the stage table before submission; the engine runs
 	// them back to back as one run, so a failure or cancel stops the
 	// remaining stages.
 	plan := vada.Plan{Stages: []vada.StageRequest{
@@ -45,7 +46,7 @@ func main() {
 		{Stage: vada.StageFeedback, Payload: []byte(`{"budget": 100}`)},
 		{Stage: vada.StageUserContext, Payload: []byte(`{"model": "crime"}`)},
 	}}
-	run, err := engine.SubmitSessionPlan(sess, plan)
+	run, err := engine.SubmitPlan(context.Background(), sess, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	if _, err := sess.AddDataContext(ctx, nil); err != nil {
 		log.Fatal(err)
 	}
-	run, err := engine.Submit(sess.ID(), vada.StageFeedback,
+	run, err := engine.Submit(ctx, sess.ID(), vada.StageFeedback,
 		func(ctx context.Context) (vada.SessionEvent, error) {
 			return sess.AddFeedback(ctx, nil, 100)
 		})

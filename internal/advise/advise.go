@@ -15,6 +15,7 @@ import (
 	"vada/internal/cfd"
 	"vada/internal/core"
 	"vada/internal/feedback"
+	"vada/internal/mapping"
 	"vada/internal/mcda"
 	"vada/internal/quality"
 )
@@ -111,7 +112,7 @@ func Snapshot(w *core.Wrangler) State {
 		Weights:          w.UserWeights(),
 		FeedbackByAttr:   map[string]int{},
 		FeedbackTotal:    len(items),
-		MatchThreshold:   w.Options().MatchThreshold,
+		MatchThreshold:   mapping.DefaultGenOptions().MatchThreshold, // what generation filters by
 	}
 	if res != nil {
 		for _, c := range cfds {

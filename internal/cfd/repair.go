@@ -20,11 +20,6 @@ type RepairAction struct {
 	Reason string
 }
 
-// String renders the action.
-func (a RepairAction) String() string {
-	return fmt.Sprintf("row %d %s: %v → %v (%s)", a.Row, a.Attr, a.Old, a.New, a.Reason)
-}
-
 // RepairOptions configures reference-based repair. Keys and LHS values are
 // compared folded (relation.Fold: trimmed and lower-cased).
 type RepairOptions struct {

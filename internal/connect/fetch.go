@@ -33,7 +33,9 @@ type FetchOptions struct {
 // in full before returning, so a cancelled or failed fetch yields nothing —
 // the caller's knowledge base is untouched by construction. All failure
 // modes wrap ErrFetchFailed except decode errors, which keep their own
-// sentinels (ErrBadFormat, ErrSchemaMismatch, ErrTooLarge).
+// sentinels (ErrBadFormat, ErrSchemaMismatch, ErrTooLarge); a fetch the
+// caller's context cancelled wraps context.Canceled too, so a run cancelled
+// mid-fetch reads as cancelled, not failed.
 func Fetch(ctx context.Context, rawURL, name string, opts FetchOptions) (*relation.Relation, Stats, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Scheme != "http" && u.Scheme != "https" {
@@ -64,7 +66,7 @@ func Fetch(ctx context.Context, rawURL, name string, opts FetchOptions) (*relati
 			wait := backoff << (attempt - 1)
 			select {
 			case <-ctx.Done():
-				return nil, Stats{}, fmt.Errorf("%w: %v", ErrFetchFailed, ctx.Err())
+				return nil, Stats{}, fmt.Errorf("%w: %w", ErrFetchFailed, ctx.Err())
 			case <-time.After(wait):
 			}
 		}
@@ -77,7 +79,7 @@ func Fetch(ctx context.Context, rawURL, name string, opts FetchOptions) (*relati
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, Stats{}, fmt.Errorf("%w: %v", ErrFetchFailed, ctx.Err())
+			return nil, Stats{}, fmt.Errorf("%w: %w", ErrFetchFailed, ctx.Err())
 		}
 	}
 	return nil, Stats{}, fmt.Errorf("%w: %d attempts: %v", ErrFetchFailed, retries+1, lastErr)
@@ -94,7 +96,7 @@ func fetchOnce(ctx context.Context, client *http.Client, rawURL, name string, ti
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, Stats{}, true, fmt.Errorf("%w: %v", ErrFetchFailed, err)
+		return nil, Stats{}, true, fmt.Errorf("%w: %w", ErrFetchFailed, err)
 	}
 	defer resp.Body.Close()
 	switch {

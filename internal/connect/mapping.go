@@ -47,7 +47,8 @@ func MapHeader(header []string, mapping map[string]string) ([]string, error) {
 // name equals the column's normalised name; columns with no match are left
 // out of the mapping and keep their raw names. The result is deterministic
 // in the inputs: candidate precedence breaks every tie, and an attribute is
-// claimed by at most one column (first in header order wins).
+// claimed by at most one column — the one already named exactly so, else the
+// first in header order — so no rename collides with a column's raw name.
 func InferMapping(header []string, candidates []relation.Schema) map[string]string {
 	// Attribute precedence: the first candidate schema to introduce a
 	// normalised name owns it.
@@ -66,14 +67,17 @@ func InferMapping(header []string, candidates []relation.Schema) map[string]stri
 	mapping := map[string]string{}
 	claimed := map[string]bool{}
 	for _, h := range header {
+		if canonical[normalizeName(h)] == h {
+			claimed[h] = true
+		}
+	}
+	for _, h := range header {
 		key := normalizeName(h)
 		target, ok := canonical[key]
-		if !ok || claimed[target] {
+		if !ok || h == target || claimed[target] {
 			continue
 		}
-		if h != target {
-			mapping[h] = target
-		}
+		mapping[h] = target
 		claimed[target] = true
 	}
 	return mapping

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"vada/internal/kb"
 	"vada/internal/transducer"
 )
 
@@ -17,6 +19,23 @@ func reversedActivityOrder() []string {
 		out[len(src)-1-i] = a
 	}
 	return out
+}
+
+// without is a network policy that never selects the transducer named skip:
+// a run ends when it is all that is ready.
+type without struct {
+	inner transducer.NetworkTransducer
+	skip  string
+}
+
+func (n without) Name() string { return "without(" + n.skip + ")" }
+
+func (n without) Select(ready []transducer.Transducer, k *kb.KB, hist []transducer.Step) transducer.Transducer {
+	ready = slices.DeleteFunc(slices.Clone(ready), func(t transducer.Transducer) bool { return t.Name() == n.skip })
+	if len(ready) == 0 {
+		return nil
+	}
+	return n.inner.Select(ready, k, hist)
 }
 
 // TestOrchestrationConfluenceAcrossPolicies is the ablation the paper's §2.4
@@ -42,9 +61,7 @@ func TestOrchestrationConfluenceAcrossPolicies(t *testing.T) {
 	}
 	results := map[string]outcome{}
 	for name, policy := range policies {
-		opts := DefaultOptions()
-		opts.Network = policy
-		w := BuildScenarioWrangler(sc, WithOptions(opts))
+		w := BuildScenarioWrangler(sc, WithNetwork(policy))
 		w.AddDataContext(sc.AddressRef)
 		steps, err := w.Run(context.Background())
 		if err != nil {
@@ -122,13 +139,10 @@ func TestDataContextAblation(t *testing.T) {
 		}
 		return sc.Oracle.ScoreResult(w.ResultClean()).F1
 	}()
-	// No CFDs (mining disabled by an impossible support threshold): only
-	// instance matching benefits remain.
+	// No CFDs (a network that never selects cfd-learning): only instance
+	// matching benefits remain.
 	noCFDs := func() float64 {
-		opts := DefaultOptions()
-		opts.MineOptions.MinSupport = 2.0 // > 1: nothing mined
-		opts.MineOptions.MinConstantSupport = 1 << 30
-		w := BuildScenarioWrangler(sc, WithOptions(opts))
+		w := BuildScenarioWrangler(sc, WithNetwork(without{transducer.NewGenericNetwork(), "cfd-learning"}))
 		w.AddDataContext(sc.AddressRef)
 		if _, err := w.Run(ctx); err != nil {
 			t.Fatal(err)

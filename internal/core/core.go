@@ -3,7 +3,7 @@
 // activity, and a network transducer orchestrating them — exposed through
 // the pay-as-you-go API of the demonstration (§3):
 //
-//	w := core.NewWrangler()             // or NewWrangler(WithMatchThreshold(0.7), ...)
+//	w := core.NewWrangler()             // or NewWrangler(WithMinCoverage(2))
 //	w.RegisterWebSource(...)            // sources
 //	w.SetTargetSchema(target)           // user context: target schema
 //	w.Run(ctx)                          // step 1: automatic bootstrapping
@@ -133,44 +133,20 @@ func derive[T any](w *Wrangler, c cell[T], v T) {
 	}
 }
 
-// Options configures a Wrangler.
-type Options struct {
-	// MatchThreshold filters matches for mapping generation.
-	MatchThreshold float64
-	// FusionThreshold is the duplicate-detection similarity threshold.
-	FusionThreshold float64
-	// MineOptions controls CFD learning.
-	MineOptions cfd.MineOptions
-	// GenOptions controls mapping generation.
-	GenOptions mapping.GenOptions
-	// RangeRuleSupport is the minimal feedback support for plausibility
-	// rules.
-	RangeRuleSupport int
-	// MaxSteps bounds one orchestration run.
-	MaxSteps int
-	// Network overrides the network transducer (nil = generic).
-	Network transducer.NetworkTransducer
-	// FusionBlockAttr is the result attribute duplicate detection blocks
-	// on; tuples lacking it are never considered duplicates.
-	FusionBlockAttr string
-	// FusionIdentityAttr is the result attribute whose normalised equality
+// The suite's fixed settings: what no binary varies is a constant, and the
+// two settings a caller may vary are the Option setters of options.go. Mapping
+// generation and the advisor filter matches by mapping.DefaultGenOptions,
+// CFD learning mines with cfd.DefaultMineOptions.
+const (
+	// rangeRuleSupport is the minimal feedback support of a plausibility rule.
+	rangeRuleSupport = 3
+	// fusionBlockAttr is the result attribute duplicate detection blocks on;
+	// tuples lacking it are never considered duplicates.
+	fusionBlockAttr = "postcode"
+	// fusionIdentityAttr is the result attribute whose normalised equality
 	// identifies duplicates within a block.
-	FusionIdentityAttr string
-}
-
-// DefaultOptions returns production defaults.
-func DefaultOptions() Options {
-	return Options{
-		MatchThreshold:     0.6,
-		FusionThreshold:    0.90,
-		MineOptions:        cfd.DefaultMineOptions(),
-		GenOptions:         mapping.DefaultGenOptions(),
-		RangeRuleSupport:   3,
-		MaxSteps:           500,
-		FusionBlockAttr:    "postcode",
-		FusionIdentityAttr: "street",
-	}
-}
+	fusionIdentityAttr = "street"
+)
 
 // source is a registered source: a deep-web source awaiting extraction or,
 // when direct is set, an already-extracted relation.
@@ -188,10 +164,11 @@ type Wrangler struct {
 	// UI; treat as read-mostly from outside).
 	KB *kb.KB
 
-	opts   Options
-	engine *vadalog.Engine
-	orch   *transducer.Orchestrator
-	reg    *transducer.Registry
+	// minCoverage is mapping generation's MinCoverage (WithMinCoverage).
+	minCoverage int
+	engine      *vadalog.Engine
+	orch        *transducer.Orchestrator
+	reg         *transducer.Registry
 
 	// runMu serialises Run: the orchestrator mutates shared state (trace,
 	// last-run versions, the wrangler's own caches) and is not safe for two
@@ -204,22 +181,19 @@ type Wrangler struct {
 }
 
 // NewWrangler builds a Wrangler with the standard transducer suite
-// registered. Options are applied over DefaultOptions; use WithOptions to
-// install a fully-populated Options struct.
+// registered, then applies the options.
 func NewWrangler(options ...Option) *Wrangler {
-	opts := buildOptions(options)
 	w := &Wrangler{
-		KB:     kb.New(),
-		opts:   opts,
-		engine: vadalog.NewEngine(),
-		reg:    transducer.NewRegistry(),
+		KB:          kb.New(),
+		minCoverage: mapping.DefaultGenOptions().MinCoverage,
+		engine:      vadalog.NewEngine(),
+		reg:         transducer.NewRegistry(),
 	}
 	w.registerStandardSuite()
-	orchOpts := []func(*transducer.Orchestrator){transducer.WithMaxSteps(opts.MaxSteps)}
-	if opts.Network != nil {
-		orchOpts = append(orchOpts, transducer.WithNetwork(opts.Network))
+	w.orch = transducer.NewOrchestrator(w.KB, w.reg)
+	for _, opt := range options {
+		opt(w)
 	}
-	w.orch = transducer.NewOrchestrator(w.KB, w.reg, orchOpts...)
 	return w
 }
 
@@ -454,7 +428,7 @@ func (w *Wrangler) Architecture() string {
 	b.WriteString("  User Interface / API ── user context, data context, feedback ──▶ Knowledge Base\n")
 	b.WriteString("  Knowledge Base ◀── facts, metrics, matches, mappings ── Transducers\n")
 	b.WriteString("  Vadalog Reasoner ── dependency queries, mappings ── Knowledge Base\n")
-	b.WriteString("  Network transducer: " + w.orchNetworkName() + "\n")
+	b.WriteString("  Network transducer: " + w.orch.Network.Name() + "\n")
 	b.WriteString("  Transducers:\n")
 	for _, t := range w.reg.All() {
 		d := t.Dependency()
@@ -472,13 +446,6 @@ func (w *Wrangler) Architecture() string {
 		}
 	}
 	return b.String()
-}
-
-func (w *Wrangler) orchNetworkName() string {
-	if w.opts.Network != nil {
-		return w.opts.Network.Name()
-	}
-	return "generic-network"
 }
 
 // --- knowledge-base helpers ----------------------------------------------

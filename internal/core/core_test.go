@@ -496,40 +496,6 @@ func TestDataContextDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaxStepsBoundsOneRun pins that WithMaxSteps bounds each orchestration
-// run, not the wrangler's lifetime: a session takes stage after stage, each
-// under the bound, long after their sum has passed it.
-func TestMaxStepsBoundsOneRun(t *testing.T) {
-	const maxSteps = 40
-	sc := testScenario(t, 40)
-	w := BuildScenarioWrangler(sc, WithMaxSteps(maxSteps))
-	ctx := context.Background()
-	if _, err := w.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	w.AddDataContext(sc.AddressRef)
-	if _, err := w.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for round := int64(0); round < 12; round++ {
-		w.AddFeedback(OracleFeedback(sc, w.Result(), 10, round)...)
-		steps, err := w.Run(ctx)
-		if err != nil {
-			t.Fatalf("feedback round %d after %d steps in all: %v", round, len(w.Trace()), err)
-		}
-		if len(steps) == 0 {
-			t.Fatalf("feedback round %d ran nothing", round)
-		}
-	}
-	trace := w.Trace()
-	if len(trace) <= maxSteps {
-		t.Fatalf("%d steps in all: the stages never passed the bound of %d between them", len(trace), maxSteps)
-	}
-	if last := trace[len(trace)-1]; last.Seq != len(trace) {
-		t.Fatalf("Step.Seq = %d after %d steps: it must stay cumulative", last.Seq, len(trace))
-	}
-}
-
 // TestContextAddedWhileRunning: sources, context and feedback may be added,
 // and every accessor read, from other goroutines while a run is in flight.
 // What they share with the running bodies is in the knowledge base, under its
@@ -587,5 +553,26 @@ func TestContextAddedWhileRunning(t *testing.T) {
 	}
 	if got := len(w.FeedbackItems()); got != 8 {
 		t.Fatalf("%d feedback items held, 8 were added", got)
+	}
+}
+
+// TestNarrowTargetWrangles: a target with fewer attributes than the default
+// MinCoverage is covered by a source matching all of them — with the default
+// options, which a client of vada-server cannot change.
+func TestNarrowTargetWrangles(t *testing.T) {
+	src := relation.New(relation.NewSchema("deprivation", "postcode", "crime:int"))
+	src.MustAppend("M1 1AA", 3)
+	src.MustAppend("M2 2BB", 7)
+	w := NewWrangler()
+	w.RegisterSource(src)
+	w.SetTargetSchema(relation.NewSchema("crimes", "postcode", "crime:int"))
+	if _, err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(w.Mappings()); n != 1 {
+		t.Fatalf("%d mappings over a source matching the whole 2-attribute target, want 1", n)
+	}
+	if res := w.ResultClean(); res == nil || res.Cardinality() != 2 {
+		t.Fatalf("result = %v, want the source's 2 rows", res)
 	}
 }

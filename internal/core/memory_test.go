@@ -175,7 +175,7 @@ func TestSelectionWaitsForReports(t *testing.T) {
 	ctx := context.Background()
 	sc := testScenario(t, 60)
 	w := wrangled(t)
-	selection := w.reg.Get("mapping-selection")
+	selection := w.selectionTransducer() // its state is the knowledge base
 	selected := kbContent(t, w.KB)
 	reports := cellReports.get(w.KB)
 	if len(reports) < 2 || len(reports) != len(w.Mappings()) {

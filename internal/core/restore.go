@@ -2,17 +2,11 @@ package core
 
 import "vada/internal/kb"
 
-// Options returns a copy of the wrangler's effective configuration — the
-// defaults with every functional option applied. Persistence uses it to
-// carry the configuration across restarts; mutating the copy has no effect
-// on the wrangler.
-//
-// The configuration and the registered sources are all a restart has to
-// supply: everything the API was handed since — target schema, data context,
-// feedback, priorities — and everything the suite remembers of its own output
-// is knowledge-base content, so a wrangler built the same way with the old
-// knowledge base merged in (kb.Merge) is the old wrangler.
-func (w *Wrangler) Options() Options { return w.opts }
+// The registered sources are all a restart has to supply: everything the API
+// was handed since — target schema, data context, feedback, priorities — and
+// everything the suite remembers of its own output is knowledge-base content,
+// so a wrangler built the same way with the old knowledge base merged in
+// (kb.Merge) is the old wrangler.
 
 // StartChangeLog begins lossless, synchronous recording of every
 // knowledge-base mutation the wrangler makes — the delta-capture substrate

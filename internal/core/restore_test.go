@@ -284,17 +284,3 @@ func TestUserModelFromFacts(t *testing.T) {
 		}
 	}
 }
-
-// TestOptionsAccessor pins that the effective configuration round-trips
-// through the accessor.
-func TestOptionsAccessor(t *testing.T) {
-	w := NewWrangler(WithMatchThreshold(0.42), WithMaxSteps(77))
-	opts := w.Options()
-	if opts.MatchThreshold != 0.42 || opts.MaxSteps != 77 {
-		t.Fatalf("options = %+v", opts)
-	}
-	opts.MaxSteps = 1 // mutating the copy must not touch the wrangler
-	if w.Options().MaxSteps != 77 {
-		t.Fatal("Options returned a live reference")
-	}
-}

@@ -183,8 +183,6 @@ type StageScore struct {
 type PayAsYouGoConfig struct {
 	// Scenario generation parameters.
 	Scenario datagen.Config
-	// Options are the wrangler options.
-	Options Options
 	// FeedbackBudget is the number of oracle feedback annotations in step 3.
 	FeedbackBudget int
 	// FeedbackSeed seeds the feedback sampler.
@@ -197,7 +195,6 @@ type PayAsYouGoConfig struct {
 func DefaultPayAsYouGoConfig() PayAsYouGoConfig {
 	return PayAsYouGoConfig{
 		Scenario:       datagen.DefaultConfig(),
-		Options:        DefaultOptions(),
 		FeedbackBudget: 120,
 		FeedbackSeed:   7,
 	}
@@ -208,7 +205,7 @@ func DefaultPayAsYouGoConfig() PayAsYouGoConfig {
 // against ground truth after each. This is experiment E-F3.
 func RunPayAsYouGo(ctx context.Context, cfg PayAsYouGoConfig) (*Wrangler, *datagen.Scenario, []StageScore, error) {
 	sc := datagen.Generate(cfg.Scenario)
-	w := BuildScenarioWrangler(sc, WithOptions(cfg.Options))
+	w := BuildScenarioWrangler(sc)
 	var stages []StageScore
 
 	record := func(stage string, steps int) {

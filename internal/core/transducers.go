@@ -206,7 +206,7 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 			res := k.Relation(RelResult)
 			items := feedbackItems(k)
 
-			rules := feedback.LearnRangeRules(items, res, w.opts.RangeRuleSupport, nil)
+			rules := feedback.LearnRangeRules(items, res, rangeRuleSupport, nil)
 			derive(w, cellRangeRules, rules)
 
 			var accFacts []relation.Tuple
@@ -309,7 +309,7 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 				if ref == nil {
 					continue
 				}
-				for _, c := range cfd.Mine(ref, w.opts.MineOptions) {
+				for _, c := range cfd.Mine(ref, cfd.DefaultMineOptions()) {
 					if !seen[c.Key()] {
 						seen[c.Key()] = true
 						mined = append(mined, c)
@@ -353,7 +353,9 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 				joins = mapping.ProfileSources(rels)
 				cellJoins.set(w.KB, joins)
 			}
-			gen := joins.Generate(target, matchesFromFacts(k), w.opts.GenOptions)
+			opts := mapping.DefaultGenOptions()
+			opts.MinCoverage = w.minCoverage
+			gen := joins.Generate(target, matchesFromFacts(k), opts)
 			derive(w, cellMappings, gen)
 			var facts []relation.Tuple
 			for _, m := range gen {
@@ -683,17 +685,16 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 			patched, nSupp := feedback.ApplyRangeRules(patched, cellRangeRules.get(k))
 
 			// Duplicate detection across portals, then fusion: identity is
-			// the configured key pair (default: same canonical postcode
-			// block, same normalised street) — attribute conflicts like the
+			// the same canonical postcode block and the same normalised
+			// street, a score of 1 — attribute conflicts like the
 			// bedroom error must not prevent two listings of the same
 			// property from merging, they are exactly what fusion is there
 			// to resolve. Trust comes from feedback-estimated per-source
 			// accuracy when available.
 			norm := func(s string) string { return datagen.CanonicalPostcode(s) }
 			clusters := fusion.DetectDuplicates(patched,
-				fusion.BlockByAttr(w.opts.FusionBlockAttr, norm),
-				identityScorer(w.opts.FusionIdentityAttr),
-				w.opts.FusionThreshold)
+				fusion.BlockByAttr(fusionBlockAttr, norm),
+				identityScorer(fusionIdentityAttr), 1)
 			strategy := fusion.Voting
 			trust := feedback.TrustFromAccuracy(accuracyBySource(k))
 			if len(trust) > 0 {

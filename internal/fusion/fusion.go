@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"vada/internal/match"
 	"vada/internal/relation"
 )
 
@@ -34,45 +33,6 @@ func BlockByAttr(attr string, norm func(string) string) BlockingKey {
 
 // PairScorer scores the similarity of two tuples in [0,1].
 type PairScorer func(a, b relation.Tuple, schema relation.Schema) float64
-
-// DefaultScorer averages per-attribute similarities over attributes where
-// both tuples are non-null: Jaro-Winkler for strings, numeric equality for
-// numbers. Attributes named in ignore are skipped (e.g. free-text
-// descriptions and the provenance column).
-func DefaultScorer(ignore ...string) PairScorer {
-	skip := map[string]bool{}
-	for _, a := range ignore {
-		skip[a] = true
-	}
-	return func(a, b relation.Tuple, schema relation.Schema) float64 {
-		sum, n := 0.0, 0
-		for i, attr := range schema.Attrs {
-			if skip[attr.Name] {
-				continue
-			}
-			va, vb := a[i], b[i]
-			if va.IsNull() || vb.IsNull() {
-				continue
-			}
-			n++
-			fa, okA := va.AsFloat()
-			fb, okB := vb.AsFloat()
-			if okA && okB {
-				if fa == fb {
-					sum++
-				}
-				continue
-			}
-			sum += match.JaroWinkler(
-				strings.ToLower(strings.TrimSpace(va.String())),
-				strings.ToLower(strings.TrimSpace(vb.String())))
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
-}
 
 // DetectDuplicates clusters duplicate tuples: tuples sharing a block whose
 // pairwise score reaches threshold are unioned; the result lists clusters of

@@ -1,11 +1,25 @@
 package fusion
 
 import (
+	"strings"
 	"testing"
 
 	"vada/internal/datagen"
 	"vada/internal/relation"
 )
+
+// sameStreet scores two tuples 1 when their streets are equal after case and
+// space folding, else 0: the identity the wrangler fuses on.
+func sameStreet(a, b relation.Tuple, schema relation.Schema) float64 {
+	i := schema.AttrIndex("street")
+	if a[i].IsNull() || b[i].IsNull() {
+		return 0
+	}
+	if strings.EqualFold(strings.TrimSpace(a[i].String()), strings.TrimSpace(b[i].String())) {
+		return 1
+	}
+	return 0
+}
 
 func dupRelation() *relation.Relation {
 	r := relation.New(relation.NewSchema("u", "street", "postcode", "bedrooms:int", "price:float", "source"))
@@ -20,7 +34,7 @@ func dupRelation() *relation.Relation {
 
 func TestDetectDuplicatesClusters(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), DefaultScorer("source"), 0.75)
+	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
 	if len(clusters) != 2 {
 		t.Fatalf("clusters = %v", clusters)
 	}
@@ -36,7 +50,7 @@ func TestDetectDuplicatesBlockingPreventsComparison(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "street", "postcode"))
 	r.MustAppend("1 Same St", "M1 1AA")
 	r.MustAppend("1 Same St", "M9 9ZZ") // identical street, different block
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), DefaultScorer(), 0.5)
+	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
 	if len(clusters) != 0 {
 		t.Fatalf("cross-block tuples must not cluster: %v", clusters)
 	}
@@ -46,7 +60,7 @@ func TestDetectDuplicatesNullBlockSkipped(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "street", "postcode"))
 	r.MustAppend("1 Same St", nil)
 	r.MustAppend("1 Same St", nil)
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), DefaultScorer(), 0.5)
+	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
 	if len(clusters) != 0 {
 		t.Fatalf("null-keyed tuples opt out: %v", clusters)
 	}
@@ -54,7 +68,7 @@ func TestDetectDuplicatesNullBlockSkipped(t *testing.T) {
 
 func TestFuseVotingResolvesBedroomConflict(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), DefaultScorer("source"), 0.75)
+	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
 	fused := Fuse(r, clusters, Options{Strategy: Voting})
 	if fused.Cardinality() != 3 {
 		t.Fatalf("fused size = %d, want 3", fused.Cardinality())
@@ -78,7 +92,7 @@ func TestFuseVotingResolvesBedroomConflict(t *testing.T) {
 
 func TestFuseVotingFillsNullFromOtherMember(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), DefaultScorer("source"), 0.75)
+	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
 	fused := Fuse(r, clusters, Options{Strategy: Voting})
 	pi := fused.Schema.AttrIndex("price")
 	si := fused.Schema.AttrIndex("street")
@@ -161,7 +175,7 @@ func TestScenarioCrossPortalDuplicates(t *testing.T) {
 		u.Tuples = append(u.Tuples, relation.Tuple{tp[otSi], tp[otPi], relation.String("onthemarket")})
 	}
 	norm := func(s string) string { return datagen.CanonicalPostcode(s) }
-	clusters := DetectDuplicates(u, BlockByAttr("postcode", norm), DefaultScorer("source"), 0.92)
+	clusters := DetectDuplicates(u, BlockByAttr("postcode", norm), sameStreet, 1)
 	if len(clusters) == 0 {
 		t.Fatal("overlapping portals must produce duplicate clusters")
 	}

@@ -474,9 +474,6 @@ func (w *Writer) Stats() (records int, bytes int64) {
 	return w.written.records, w.written.bytes
 }
 
-// Path returns the journal's file path.
-func (w *Writer) Path() string { return w.path }
-
 // Close makes every written record durable and closes the file; waits still
 // outstanding then report that fsync's verdict. Further appends fail; Close
 // is idempotent.

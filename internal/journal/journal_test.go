@@ -936,3 +936,6 @@ func TestRecorderCurrent(t *testing.T) {
 		t.Fatal("current after a lost record")
 	}
 }
+
+// Path returns the journal's file path.
+func (w *Writer) Path() string { return w.path }

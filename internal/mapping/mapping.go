@@ -158,7 +158,8 @@ type GenOptions struct {
 	// MatchThreshold filters the matches used (after 1:1 selection).
 	MatchThreshold float64
 	// MinCoverage is the minimal number of matched target attributes for a
-	// source to earn a base mapping.
+	// source to earn a base mapping; a target with fewer attributes asks
+	// for all of them.
 	MinCoverage int
 	// JoinMinOverlap is the inclusion-dependency threshold for join
 	// discovery.
@@ -192,10 +193,12 @@ func (p *SourceProfile) Of(sources []*relation.Relation) bool {
 	return p != nil && slices.Equal(p.sources, sources)
 }
 
-// Generate produces candidate mappings from matches:
+// Generate produces candidate mappings from matches over the profiled
+// sources:
 //
-//  1. every source matching ≥ MinCoverage target attributes becomes a base
-//     mapping (projection with renaming, unmatched target attrs null);
+//  1. every source matching at least one and ≥ min(MinCoverage, target
+//     arity) target attributes becomes a base mapping (projection with
+//     renaming, unmatched target attrs null);
 //  2. every base mapping is extended with joins to other sources that match
 //     further target attributes, when an inclusion dependency links a
 //     matched attribute of the base source to an attribute of the
@@ -204,11 +207,6 @@ func (p *SourceProfile) Of(sources []*relation.Relation) bool {
 //
 // The paper's "mapping generation transducer may start to evaluate when
 // matches have been created" is exactly this function's input dependency.
-func Generate(target relation.Schema, sources []*relation.Relation, matches []match.Match, opts GenOptions) []Mapping {
-	return ProfileSources(sources).Generate(target, matches, opts)
-}
-
-// Generate is the package's Generate over the profiled sources.
 func (p *SourceProfile) Generate(target relation.Schema, matches []match.Match, opts GenOptions) []Mapping {
 	srcByName := map[string]*relation.Relation{}
 	var srcNames []string
@@ -230,7 +228,7 @@ func (p *SourceProfile) Generate(target relation.Schema, matches []match.Match, 
 	var out []Mapping
 	for _, base := range srcNames {
 		ms := perSource[base]
-		if len(ms) < opts.MinCoverage {
+		if len(ms) == 0 || len(ms) < min(opts.MinCoverage, target.Arity()) {
 			continue
 		}
 		bm := buildBaseMapping(target, srcByName[base], ms)

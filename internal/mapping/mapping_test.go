@@ -69,7 +69,7 @@ func TestDiscoverInclusionDeps(t *testing.T) {
 func TestGenerateBaseMappings(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := Generate(targetWithCrime(), rels, ms, DefaultGenOptions())
+	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
 	byID := map[string]Mapping{}
 	for _, m := range maps {
 		byID[m.ID] = m
@@ -90,7 +90,7 @@ func TestGenerateBaseMappings(t *testing.T) {
 func TestGenerateJoinMapping(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := Generate(targetWithCrime(), rels, ms, DefaultGenOptions())
+	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
 	var jm *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove+deprivation" {
@@ -111,7 +111,7 @@ func TestGenerateJoinMapping(t *testing.T) {
 func TestExecuteBaseMapping(t *testing.T) {
 	sc, rels := scenarioSources(t, 100)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := Generate(targetWithCrime(), rels, ms, DefaultGenOptions())
+	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
 	var base *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove" {
@@ -151,7 +151,7 @@ func TestExecuteBaseMapping(t *testing.T) {
 func TestExecuteJoinMappingFillsCrimerank(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := Generate(targetWithCrime(), rels, ms, DefaultGenOptions())
+	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
 	var jm *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove+deprivation" {
@@ -253,8 +253,8 @@ func TestSelectDeterministicTieBreak(t *testing.T) {
 func TestInstanceMatchesImproveCoverage(t *testing.T) {
 	sc, rels := scenarioSources(t, 200)
 	target := targetWithCrime()
-	nameOnly := Generate(target, rels, allMatches(sc, target, false), DefaultGenOptions())
-	withInst := Generate(target, rels, allMatches(sc, target, true), DefaultGenOptions())
+	nameOnly := ProfileSources(rels).Generate(target, allMatches(sc, target, false), DefaultGenOptions())
+	withInst := ProfileSources(rels).Generate(target, allMatches(sc, target, true), DefaultGenOptions())
 	covOf := func(maps []Mapping, id string) int {
 		for _, m := range maps {
 			if m.ID == id {
@@ -301,7 +301,7 @@ func TestGenerateFromProfile(t *testing.T) {
 					if got := profile.Generate(target, matches, opts); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: from the shared profile\n%v\nthe reference generates\n%v", label, got, want)
 					}
-					if got := Generate(target, rels, matches, opts); !reflect.DeepEqual(got, want) {
+					if got := ProfileSources(rels).Generate(target, matches, opts); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: Generate\n%v\nthe reference generates\n%v", label, got, want)
 					}
 					generated += len(want)

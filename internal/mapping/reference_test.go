@@ -37,7 +37,7 @@ func referenceGenerate(target relation.Schema, sources []*relation.Relation, mat
 	var out []Mapping
 	for _, base := range srcNames {
 		ms := perSource[base]
-		if len(ms) < opts.MinCoverage {
+		if len(ms) == 0 || len(ms) < min(opts.MinCoverage, target.Arity()) {
 			continue
 		}
 		bm := buildBaseMapping(target, srcByName[base], ms)

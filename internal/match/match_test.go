@@ -8,34 +8,6 @@ import (
 	"vada/internal/datagen"
 )
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"postcode", "post_code", 1},
-		{"same", "same", 0},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLevenshteinSimBounds(t *testing.T) {
-	if LevenshteinSim("", "") != 1 {
-		t.Error("empty strings are identical")
-	}
-	if s := LevenshteinSim("abc", "xyz"); s != 0 {
-		t.Errorf("disjoint = %v", s)
-	}
-}
-
 func TestJaroWinkler(t *testing.T) {
 	if JaroWinkler("price", "price") != 1 {
 		t.Error("identical strings should be 1")
@@ -271,26 +243,6 @@ func TestPropSimilaritySymmetricBounded(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Levenshtein is a metric on sampled strings (triangle
-// inequality).
-func TestPropLevenshteinTriangle(t *testing.T) {
-	f := func(a, b, c string) bool {
-		if len(a) > 12 {
-			a = a[:12]
-		}
-		if len(b) > 12 {
-			b = b[:12]
-		}
-		if len(c) > 12 {
-			c = c[:12]
-		}
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -9,56 +9,6 @@ import (
 	"unicode"
 )
 
-// Levenshtein returns the edit distance between two strings.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// LevenshteinSim normalises edit distance into a [0,1] similarity.
-func LevenshteinSim(a, b string) float64 {
-	if a == "" && b == "" {
-		return 1
-	}
-	maxLen := len([]rune(a))
-	if l := len([]rune(b)); l > maxLen {
-		maxLen = l
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
-}
-
 // Jaro returns the Jaro similarity of two strings.
 func Jaro(a, b string) float64 {
 	ra, rb := []rune(a), []rune(b)

@@ -12,11 +12,8 @@ package mcda
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sort"
-	"strings"
 )
 
 // Criterion identifies one feature of the wrangling result that the user can
@@ -39,8 +36,8 @@ func (c Criterion) String() string { return c.Metric + "(" + c.Target + ")" }
 // standard 1–9 AHP scale.
 type Strength int
 
-// Verbal strengths. Even intermediate values (2,4,6,8) are accepted by
-// ParseStrength as "between" grades.
+// Verbal strengths. Even intermediate values (2,4,6,8) are "between"
+// grades.
 const (
 	Equal        Strength = 1
 	Moderately   Strength = 3
@@ -64,29 +61,6 @@ func (s Strength) String() string {
 		return "extremely more important"
 	default:
 		return fmt.Sprintf("importance(%d)", int(s))
-	}
-}
-
-// ParseStrength parses verbal forms such as "strongly" or "very strongly
-// more important than". It is lenient about the trailing boilerplate.
-func ParseStrength(s string) (Strength, error) {
-	t := strings.ToLower(strings.TrimSpace(s))
-	for _, suffix := range []string{"more important than", "more important", "important"} {
-		t = strings.TrimSpace(strings.TrimSuffix(t, suffix))
-	}
-	switch t {
-	case "equally", "equal", "":
-		return Equal, nil
-	case "moderately":
-		return Moderately, nil
-	case "strongly":
-		return Strongly, nil
-	case "very strongly":
-		return VeryStrongly, nil
-	case "extremely":
-		return Extremely, nil
-	default:
-		return 0, fmt.Errorf("mcda: unknown importance strength %q", s)
 	}
 }
 
@@ -116,16 +90,6 @@ type Model struct {
 // NewModel returns an empty model.
 func NewModel() *Model {
 	return &Model{index: map[Criterion]int{}}
-}
-
-// Clone returns an independent copy of the model: statements added to
-// either afterwards do not reach the other.
-func (m *Model) Clone() *Model {
-	return &Model{
-		criteria:    slices.Clone(m.criteria),
-		index:       maps.Clone(m.index),
-		comparisons: slices.Clone(m.comparisons),
-	}
 }
 
 // AddCriterion registers a criterion explicitly (criteria referenced by

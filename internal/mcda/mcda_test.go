@@ -9,44 +9,6 @@ import (
 
 func crit(metric, target string) Criterion { return Criterion{Metric: metric, Target: target} }
 
-func TestParseStrength(t *testing.T) {
-	cases := map[string]Strength{
-		"equally":                                Equal,
-		"moderately":                             Moderately,
-		"strongly more important than":           Strongly,
-		"very strongly more important":           VeryStrongly,
-		"Extremely":                              Extremely,
-		"  moderately more important than  ":     Moderately,
-		"very strongly More Important Than":      VeryStrongly,
-		"strongly":                               Strongly,
-		"":                                       Equal,
-		"equal":                                  Equal,
-		"equally important":                      Equal,
-		"moderately more important":              Moderately,
-		"extremely more important than":          Extremely,
-		"very strongly":                          VeryStrongly,
-		"STRONGLY":                               Strongly,
-		"Moderately More Important Than":         Moderately,
-		"  extremely  ":                          Extremely,
-		"equally important ":                     Equal,
-		"strongly more important":                Strongly,
-		"very strongly more important than":      VeryStrongly,
-		"extremely":                              Extremely,
-		"moderately more important than":         Moderately,
-		"equally more important than":            Equal,
-		"Very Strongly More Important Than     ": VeryStrongly,
-	}
-	for s, want := range cases {
-		got, err := ParseStrength(s)
-		if err != nil || got != want {
-			t.Errorf("ParseStrength(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseStrength("sort of"); err == nil {
-		t.Error("unknown strength should fail")
-	}
-}
-
 func TestStrengthString(t *testing.T) {
 	if Strongly.String() != "strongly more important" {
 		t.Errorf("got %q", Strongly.String())

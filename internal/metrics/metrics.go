@@ -185,9 +185,6 @@ func casFloat(a *atomic.Uint64, v float64, better func(cur float64) bool) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 

@@ -196,3 +196,6 @@ func TestObserveSince(t *testing.T) {
 		t.Fatalf("observed %gs, want ~0.01s", s)
 	}
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.count.Load() }

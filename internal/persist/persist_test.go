@@ -20,11 +20,19 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/feedback"
 	"vada/internal/kb"
+	"vada/internal/mapping"
 	"vada/internal/mcda"
 	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
 )
+
+// legacyOptions is the wrangler configuration snapshots carried until a
+// wrangler had none a binary varies: the defaults of the day, as written.
+const legacyOptions = `{"MatchThreshold":0.6,"FusionThreshold":0.9,` +
+	`"MineOptions":{"MaxLHS":2,"MinSupport":0.5,"MinConfidence":0.98,"MinConstantSupport":3,"MaxConstantCFDs":200},` +
+	`"GenOptions":{"MatchThreshold":0.6,"MinCoverage":3,"JoinMinOverlap":0.25},` +
+	`"RangeRuleSupport":3,"MaxSteps":500,"Network":null,"FusionBlockAttr":"postcode","FusionIdentityAttr":"street"}`
 
 // -update regenerates the golden fixtures under testdata. Run it ONLY when
 // deliberately changing the snapshot format, alongside a FormatV1 bump.
@@ -52,8 +60,6 @@ func goldenSnapshot() *SessionSnapshot {
 	cfg := datagen.DefaultConfig()
 	cfg.NProperties = 24
 	cfg.Seed = 5
-	opts := core.DefaultOptions()
-
 	started := created.Add(time.Minute)
 	finished := started.Add(2 * time.Second)
 	score := datagen.Score{
@@ -72,7 +78,7 @@ func goldenSnapshot() *SessionSnapshot {
 		Meta: Meta{
 			ID: "s0001-00c0ffee", Name: "golden",
 			CreatedAt: created, LastActive: active,
-			Seed: 7, Scenario: &cfg, Options: &opts,
+			Seed: 7, Scenario: &cfg, Options: json.RawMessage(legacyOptions),
 			Feedback: []feedback.Item{
 				{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms",
 					Correct: false, Observed: relation.Int(14), HasObserved: true},
@@ -203,7 +209,7 @@ func TestUpgradeV1(t *testing.T) {
 	if err != nil || sections[0].kind != sectionMeta {
 		t.Fatalf("reading the re-capture's meta section: %v", err)
 	}
-	for _, key := range []string{"feedback", "exec_hashes", "fused_hash", "target"} {
+	for _, key := range []string{"options", "feedback", "exec_hashes", "fused_hash", "target"} {
 		if bytes.Contains(sections[0].data, []byte(key)) {
 			t.Errorf("re-captured meta mentions %q: %s", key, sections[0].data)
 		}
@@ -285,7 +291,7 @@ func TestRoundTripConformance(t *testing.T) {
 	}
 	eng := runs.New(runs.WithWorkers(1))
 	defer eng.Close()
-	run, err := eng.Submit(sess.ID(), session.StageFeedback, func(ctx context.Context) (session.Event, error) {
+	run, err := eng.Submit(context.Background(), sess.ID(), session.StageFeedback, func(ctx context.Context) (session.Event, error) {
 		return sess.AddFeedback(ctx, nil, 40)
 	})
 	if err != nil {
@@ -437,10 +443,63 @@ func TestAdviceSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesNoConfiguration: a snapshot written today has no
+// options key, even of a wrangler built with an Option, and one an older
+// binary wrote with options no default wrangler has restores with the
+// suite's constants — the same session a snapshot without them restores to.
+func TestSnapshotCarriesNoConfiguration(t *testing.T) {
+	ctx := context.Background()
+	w := core.NewWrangler(core.WithMinCoverage(2))
+	var buf bytes.Buffer
+	if err := ExportSession(&buf, session.New("opt-1", w), nil); err != nil {
+		t.Fatal(err)
+	}
+	_, sections, err := readEnvelope(bytes.NewReader(buf.Bytes()))
+	if err != nil || sections[0].kind != sectionMeta {
+		t.Fatalf("reading the meta section: %v", err)
+	}
+	if bytes.Contains(sections[0].data, []byte(`"options"`)) {
+		t.Fatalf("a snapshot written today carries options: %s", sections[0].data)
+	}
+
+	// Honoured, the old step guard would fail the bootstrap and the old
+	// coverage would add base mappings; a restore reads neither.
+	old := `{"MatchThreshold":0.42,"FusionThreshold":0.42,` +
+		`"GenOptions":{"MatchThreshold":0.42,"MinCoverage":1,"JoinMinOverlap":0.25},"MaxSteps":1}`
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties = 30
+	cfg.Seed = 2
+	export := func(options json.RawMessage) []byte {
+		t.Helper()
+		sess, err := RestoreSession(&SessionSnapshot{Meta: Meta{ID: "old-1", Seed: 2, Scenario: &cfg, Options: options}, KB: kb.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := advise.Snapshot(sess.Wrangler()).MatchThreshold, mapping.DefaultGenOptions().MatchThreshold; got != want {
+			t.Fatalf("the advisor's match threshold is %v after a restore, want the constant %v", got, want)
+		}
+		if _, err := sess.Bootstrap(ctx); err != nil {
+			t.Fatalf("bootstrap of a session restored with options %s: %v", options, err)
+		}
+		res, err := sess.Result()
+		if err != nil || res.Cardinality() == 0 {
+			t.Fatalf("result after the bootstrap: %v, %v", res, err)
+		}
+		var out bytes.Buffer
+		if err := res.WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	if got, want := export(json.RawMessage(old)), export(nil); !bytes.Equal(got, want) {
+		t.Fatalf("a snapshot with options restores to a different session:\n%s\nwithout them:\n%s", got, want)
+	}
+}
+
 // TestSnapshotWithoutScenario covers sessions over hand-registered sources:
-// no scenario config, options preserved.
+// no scenario config is invented.
 func TestSnapshotWithoutScenario(t *testing.T) {
-	w := core.NewWrangler(core.WithMatchThreshold(0.42))
+	w := core.NewWrangler()
 	src := relation.New(relation.NewSchema("props", "street", "postcode"))
 	src.MustAppend("1 High St", "M1 1AA")
 	w.RegisterSource(src)
@@ -463,9 +522,6 @@ func TestSnapshotWithoutScenario(t *testing.T) {
 	}
 	if restored.Scenario() != nil {
 		t.Fatal("restored session invented a scenario")
-	}
-	if got := restored.Wrangler().Options().MatchThreshold; got != 0.42 {
-		t.Fatalf("options lost: MatchThreshold = %v", got)
 	}
 	if restored.Wrangler().KB.Relation("src_props") == nil && restored.Wrangler().KB.Relation("props") == nil {
 		// The registered source's extracted relation may not exist before a

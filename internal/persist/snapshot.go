@@ -19,9 +19,10 @@ import (
 	"vada/internal/session"
 )
 
-// Meta is the identity and configuration section of a session snapshot —
-// what it takes to build the session's Wrangler before the knowledge base is
-// merged back in. The session's state is the knowledge base and nothing else.
+// Meta is the identity section of a session snapshot — what it takes to
+// build the session's Wrangler before the knowledge base is merged back in.
+// The session's state is the knowledge base and nothing else; a snapshot
+// carries no configuration, because a wrangler has none a binary varies.
 type Meta struct {
 	// ID is the session identifier, preserved across restarts.
 	ID string `json:"id"`
@@ -37,18 +38,19 @@ type Meta struct {
 	// rebuild sources, ground truth and oracle. Nil for sessions over
 	// hand-registered sources.
 	Scenario *datagen.Config `json:"scenario,omitempty"`
-	// Options is the wrangler configuration. The network transducer is not
-	// serialisable and is dropped at capture; restored wranglers use the
-	// default network.
-	Options *core.Options `json:"options,omitempty"`
 
 	// Legacy, read and never written: what snapshots carried beside the
-	// knowledge base before it held everything — the feedback items with their
-	// observed values, the output hashes of mapping execution and fusion, and a
-	// blank session's target schema as "name" / "name:kind" specs.
-	// journal.Compose folds the same fields of old journal records in here, and
-	// RestoreSession moves the lot into the knowledge base (upgrade) — the
-	// hashes apart, which nothing reads any more and upgrade drops.
+	// knowledge base before it held everything — the wrangler configuration,
+	// the feedback items with their observed values, the output hashes of
+	// mapping execution and fusion, and a blank session's target schema as
+	// "name" / "name:kind" specs. journal.Compose folds the same fields of old
+	// journal records in here, and RestoreSession moves the lot into the
+	// knowledge base (upgrade) — the configuration and the hashes apart, which
+	// nothing reads any more: a restored wrangler has the suite's constants.
+	// Upgrade leaves Options as read: a snapshot that differs from today's
+	// layout only by it describes the state it always did, and is not
+	// rewritten for it.
+	Options    json.RawMessage   `json:"options,omitempty"`
 	Feedback   []feedback.Item   `json:"feedback,omitempty"`
 	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
 	FusedHash  uint64            `json:"fused_hash,omitempty"`
@@ -56,8 +58,8 @@ type Meta struct {
 	Target     []string          `json:"target,omitempty"`
 }
 
-// SessionSnapshot is the decoded form of one persisted session: identity
-// and configuration, the full knowledge base, the typed stage-event history
+// SessionSnapshot is the decoded form of one persisted session: identity,
+// the full knowledge base, the typed stage-event history
 // (oracle scores included), and the terminal runs of the engine's retention
 // ring, so 202-style run resources survive restarts.
 type SessionSnapshot struct {
@@ -78,14 +80,7 @@ func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	if snap.KB == nil {
 		return fmt.Errorf("%w: snapshot needs a knowledge base", ErrBadSnapshot)
 	}
-	meta := snap.Meta
-	if meta.Options != nil {
-		// The network transducer is live wiring, not data.
-		opts := *meta.Options
-		opts.Network = nil
-		meta.Options = &opts
-	}
-	metaData, err := json.Marshal(meta)
+	metaData, err := json.Marshal(snap.Meta)
 	if err != nil {
 		return fmt.Errorf("persist: encoding meta: %w", err)
 	}
@@ -211,9 +206,6 @@ func CaptureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 		cfg := sc.Config
 		snap.Meta.Scenario = &cfg
 	}
-	opts := s.Wrangler().Options()
-	opts.Network = nil
-	snap.Meta.Options = &opts
 	if eng != nil {
 		for _, r := range eng.List(s.ID()) {
 			if r.State.Terminal() {
@@ -234,8 +226,10 @@ func ExportSession(w io.Writer, s *session.Session, eng *runs.Engine) error {
 // wrangler is reconstructed (deterministically regenerating the scenario
 // when one is recorded), the knowledge base merged back in — which is the
 // whole of the session's state — and the session stamped with its pre-restart
-// identity and event history. Extra options (a shared stage registry,
-// typically) apply after the restore's own. A snapshot in the layout of an
+// identity and event history. Extra options (the metrics registry and the
+// stage-commit hook, typically) apply after the restore's own. The wrangler
+// is built with the suite's constants, whatever legacy options the snapshot
+// carries. A snapshot in the layout of an
 // older binary is consumed: what its Meta carried is moved into the knowledge
 // base and the fields are left empty.
 func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Session, error) {
@@ -249,11 +243,6 @@ func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 		return nil, fmt.Errorf("%w: negative scenario size (%d properties, %d postcodes)",
 			ErrBadSnapshot, cfg.NProperties, cfg.NPostcodes)
 	}
-	wopts := core.DefaultOptions()
-	if snap.Meta.Options != nil {
-		wopts = *snap.Meta.Options
-		wopts.Network = nil
-	}
 	var w *core.Wrangler
 	sessOpts := []session.Option{
 		session.WithName(snap.Meta.Name),
@@ -261,10 +250,10 @@ func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 	}
 	if cfg := snap.Meta.Scenario; cfg != nil {
 		sc := datagen.Generate(*cfg)
-		w = core.BuildScenarioWrangler(sc, core.WithOptions(wopts))
+		w = core.BuildScenarioWrangler(sc)
 		sessOpts = append(sessOpts, session.WithScenario(sc, snap.Meta.Seed))
 	} else {
-		w = core.NewWrangler(core.WithOptions(wopts))
+		w = core.NewWrangler()
 	}
 	if snap.KB != nil {
 		w.KB.Merge(snap.KB)

@@ -4,7 +4,6 @@
 package quality
 
 import (
-	"fmt"
 	"maps"
 	"sort"
 
@@ -13,18 +12,10 @@ import (
 	"vada/internal/relation"
 )
 
-// Completeness returns the fraction of non-null values in the named
-// attribute (the paper's example: completeness of crimerank as the fraction
-// of non-null values).
-func Completeness(rel *relation.Relation, attr string) (float64, error) {
-	if !rel.Schema.HasAttr(attr) {
-		return 0, fmt.Errorf("quality: %s has no attribute %q", rel.Schema.Name, attr)
-	}
-	return CompletenessAll(rel)[attr], nil
-}
-
-// CompletenessAll returns per-attribute completeness for the relation, counted
-// in one pass over its rows; a nil relation yields an empty map.
+// CompletenessAll returns per-attribute completeness for the relation — the
+// fraction of non-null values of each attribute (the paper's example:
+// completeness of crimerank) — counted in one pass over its rows; a nil
+// relation yields an empty map.
 func CompletenessAll(rel *relation.Relation) map[string]float64 {
 	if rel == nil {
 		return map[string]float64{}

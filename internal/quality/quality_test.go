@@ -20,17 +20,15 @@ func sample() *relation.Relation {
 
 func TestCompleteness(t *testing.T) {
 	r := sample()
-	c, err := Completeness(r, "postcode")
-	if err != nil || math.Abs(c-0.75) > 1e-12 {
-		t.Fatalf("completeness(postcode) = %v, %v", c, err)
+	c, ok := CompletenessAll(r)["postcode"]
+	if !ok || math.Abs(c-0.75) > 1e-12 {
+		t.Fatalf("completeness(postcode) = %v, %v", c, ok)
 	}
-	if _, err := Completeness(r, "ghost"); err == nil {
-		t.Fatal("unknown attribute should fail")
+	if _, ok := CompletenessAll(r)["ghost"]; ok {
+		t.Fatal("an unknown attribute has no completeness")
 	}
-	empty := relation.New(r.Schema)
-	c, _ = Completeness(empty, "postcode")
-	if c != 0 {
-		t.Fatalf("empty relation completeness = %v", c)
+	if c, ok := CompletenessAll(relation.New(r.Schema))["postcode"]; !ok || c != 0 {
+		t.Fatalf("empty relation completeness = %v, %v", c, ok)
 	}
 }
 
@@ -147,10 +145,9 @@ func TestCompletenessDifferential(t *testing.T) {
 			t.Fatalf("%s: completeness of %d attributes (%d assessed), the reference has %d", name, len(got), len(assessed), len(want))
 		}
 		for attr, w := range want {
-			one, err := Completeness(rel, attr)
-			for how, g := range map[string]float64{"CompletenessAll": got[attr], "Assess": assessed[attr], "Completeness": one} {
-				if err != nil || math.Float64bits(g) != math.Float64bits(w) {
-					t.Errorf("%s.%s: %s gives %v (%v), the reference %v", name, attr, how, g, err, w)
+			for how, g := range map[string]float64{"CompletenessAll": got[attr], "Assess": assessed[attr]} {
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s.%s: %s gives %v, the reference %v", name, attr, how, g, w)
 				}
 			}
 		}

@@ -134,51 +134,31 @@ func New(opts ...Option) *Engine {
 }
 
 // Submit enqueues one stage invocation against a session and returns the
-// queued Run snapshot. Runs of one session execute in submission order.
-func (e *Engine) Submit(sessionID, stage string, fn Func) (Run, error) {
-	return e.SubmitContext(context.Background(), sessionID, stage, fn)
-}
-
-// SubmitContext is Submit with a caller context. The context is used for
-// trace propagation only — when it carries a span (the HTTP root), the run
-// records a child span covering queue wait and every stage — it does NOT
-// bound the run's lifetime: the run outlives the submitting request by
-// design and is cancelled via Cancel/CancelSession.
-func (e *Engine) SubmitContext(ctx context.Context, sessionID, stage string, fn Func) (Run, error) {
+// queued Run snapshot. Runs of one session execute in submission order. The
+// context is used for trace propagation only — when it carries a span (the
+// HTTP root), the run records a child span covering queue wait and every
+// stage — it does NOT bound the run's lifetime: the run outlives the
+// submitting request by design and is cancelled via Cancel/CancelSession.
+func (e *Engine) Submit(ctx context.Context, sessionID, stage string, fn Func) (Run, error) {
 	return e.submit(ctx, sessionID, []string{stage}, []Func{fn}, false)
 }
 
-// SubmitPlanContext enqueues an ordered multi-stage plan as one cancellable
-// run: the stages execute back to back on a single worker under one context,
-// a failing stage stops the remaining ones, and every transition (running,
-// stage k/n, terminal) is published through the notify hook. ctx carries the
-// caller's trace (see SubmitContext).
-func (e *Engine) SubmitPlanContext(ctx context.Context, sessionID string, stages []string, fns []Func) (Run, error) {
-	if len(stages) == 0 || len(stages) != len(fns) {
-		return Run{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))
-	}
-	return e.submit(ctx, sessionID, stages, fns, true)
-}
-
-// SubmitSessionPlan resolves a declarative Plan against the session's
-// stage registry and submits it as one run. Every stage is resolved and
-// its payload decoded before anything is enqueued, so a malformed plan is
-// rejected whole (ErrBadPlan for an empty one, the registry's
-// ErrUnknownStage/ErrBadPayload otherwise) — no partial execution.
-func (e *Engine) SubmitSessionPlan(sess *session.Session, plan session.Plan) (Run, error) {
-	return e.SubmitSessionPlanContext(context.Background(), sess, plan)
-}
-
-// SubmitSessionPlanContext is SubmitSessionPlan with a caller context for
-// trace propagation (see SubmitContext).
-func (e *Engine) SubmitSessionPlanContext(ctx context.Context, sess *session.Session, plan session.Plan) (Run, error) {
+// SubmitPlan submits a declarative Plan as one cancellable run: the stages
+// execute back to back on a single worker under one context, a failing stage
+// stops the remaining ones, and every transition (running, stage k/n,
+// terminal) is published through the notify hook. Every stage is resolved
+// (session.Resolve) and its payload decoded before anything is enqueued, so
+// a malformed plan is rejected whole (ErrBadPlan for an empty one,
+// session.ErrUnknownStage/ErrBadPayload otherwise) — no partial execution.
+// ctx carries the caller's trace (see Submit).
+func (e *Engine) SubmitPlan(ctx context.Context, sess *session.Session, plan session.Plan) (Run, error) {
 	if len(plan.Stages) == 0 {
 		return Run{}, fmt.Errorf("%w: empty plan", ErrBadPlan)
 	}
 	stages := make([]string, len(plan.Stages))
 	fns := make([]Func, len(plan.Stages))
 	for i, req := range plan.Stages {
-		st, payload, err := sess.Registry().Resolve(req)
+		st, payload, err := session.Resolve(req)
 		if err != nil {
 			return Run{}, fmt.Errorf("plan stage %d: %w", i, err)
 		}
@@ -187,7 +167,15 @@ func (e *Engine) SubmitSessionPlanContext(ctx context.Context, sess *session.Ses
 			return st.Apply(ctx, sess, payload)
 		}
 	}
-	return e.SubmitPlanContext(ctx, sess.ID(), stages, fns)
+	return e.submitPlan(ctx, sess.ID(), stages, fns)
+}
+
+// submitPlan enqueues stages[i] as fns[i], in order, as one plan run.
+func (e *Engine) submitPlan(ctx context.Context, sessionID string, stages []string, fns []Func) (Run, error) {
+	if len(stages) == 0 || len(stages) != len(fns) {
+		return Run{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))
+	}
+	return e.submit(ctx, sessionID, stages, fns, true)
 }
 
 func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, fns []Func, isPlan bool) (Run, error) {

@@ -50,7 +50,7 @@ func gated(started chan<- struct{}, release <-chan struct{}) Func {
 func TestSubmitAndSucceed(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit("s1", session.StageBootstrap, func(ctx context.Context) (session.Event, error) {
+	run, err := e.Submit(context.Background(), "s1", session.StageBootstrap, func(ctx context.Context) (session.Event, error) {
 		return session.Event{Seq: 1, Stage: session.StageBootstrap}, nil
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestFailedRun(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
 	boom := errors.New("stage exploded")
-	run, err := e.Submit("s1", "feedback", func(ctx context.Context) (session.Event, error) {
+	run, err := e.Submit(context.Background(), "s1", "feedback", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, boom
 	})
 	if err != nil {
@@ -99,16 +99,16 @@ func TestQueueDepthBound(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := e.Submit("s1", "b", gated(started, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "s1", "b", gated(started, release)); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the first run occupies the worker, not the queue
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit("s1", "b", gated(nil, release)); err != nil {
+		if _, err := e.Submit(context.Background(), "s1", "b", gated(nil, release)); err != nil {
 			t.Fatalf("fill queue slot %d: %v", i, err)
 		}
 	}
-	if _, err := e.Submit("s1", "b", gated(nil, release)); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit(context.Background(), "s1", "b", gated(nil, release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-cap submit err = %v, want ErrQueueFull", err)
 	}
 }
@@ -118,12 +118,12 @@ func TestCancelQueuedRun(t *testing.T) {
 	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := e.Submit("s1", "b", gated(started, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "s1", "b", gated(started, release)); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	var ran atomic.Bool
-	queued, err := e.Submit("s1", "b", func(ctx context.Context) (session.Event, error) {
+	queued, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		ran.Store(true)
 		return session.Event{}, nil
 	})
@@ -151,7 +151,7 @@ func TestCancelRunningMidStage(t *testing.T) {
 	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{}) // never closed: only cancellation ends the run
-	run, err := e.Submit("s1", "b", gated(started, release))
+	run, err := e.Submit(context.Background(), "s1", "b", gated(started, release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPerSessionFIFO(t *testing.T) {
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
-		run, err := e.Submit("s1", "b", func(ctx context.Context) (session.Event, error) {
+		run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 			if c := inFlight.Add(1); c != 1 {
 				t.Errorf("runs of one session interleaved (%d in flight)", c)
 			}
@@ -226,7 +226,7 @@ func TestSessionsRunInParallel(t *testing.T) {
 	started := make(chan string, 2)
 	for _, sid := range []string{"a", "b"} {
 		sid := sid
-		if _, err := e.Submit(sid, "b", func(ctx context.Context) (session.Event, error) {
+		if _, err := e.Submit(context.Background(), sid, "b", func(ctx context.Context) (session.Event, error) {
 			started <- sid
 			select {
 			case <-ctx.Done():
@@ -261,7 +261,7 @@ func TestListAndRetentionRing(t *testing.T) {
 	defer e.Close()
 	ids := make([]string, 4)
 	for i := range ids {
-		run, err := e.Submit("s1", fmt.Sprintf("stage-%d", i), func(ctx context.Context) (session.Event, error) {
+		run, err := e.Submit(context.Background(), "s1", fmt.Sprintf("stage-%d", i), func(ctx context.Context) (session.Event, error) {
 			return session.Event{}, nil
 		})
 		if err != nil {
@@ -291,16 +291,16 @@ func TestCancelSession(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	running, err := e.Submit("s1", "b", gated(started, release))
+	running, err := e.Submit(context.Background(), "s1", "b", gated(started, release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := e.Submit("s1", "b", gated(nil, release))
+	queued, err := e.Submit(context.Background(), "s1", "b", gated(nil, release))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := e.Submit("s2", "b", func(ctx context.Context) (session.Event, error) {
+	other, err := e.Submit(context.Background(), "s2", "b", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, nil
 	})
 	if err != nil {
@@ -324,12 +324,12 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	e := New(WithWorkers(1))
 	started := make(chan struct{})
 	release := make(chan struct{}) // never closed
-	running, err := e.Submit("s1", "b", gated(started, release))
+	running, err := e.Submit(context.Background(), "s1", "b", gated(started, release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := e.Submit("s1", "b", gated(nil, release))
+	queued, err := e.Submit(context.Background(), "s1", "b", gated(nil, release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 			t.Fatalf("run %s state = %s after Close, want cancelled", id, run.State)
 		}
 	}
-	if _, err := e.Submit("s1", "b", gated(nil, release)); !errors.Is(err, ErrEngineClosed) {
+	if _, err := e.Submit(context.Background(), "s1", "b", gated(nil, release)); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("submit after close err = %v, want ErrEngineClosed", err)
 	}
 }
@@ -353,11 +353,11 @@ func TestStats(t *testing.T) {
 	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := e.Submit("s1", "b", gated(started, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "s1", "b", gated(started, release)); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := e.Submit("s1", "b", gated(nil, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "s1", "b", gated(nil, release)); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -373,7 +373,7 @@ func TestStats(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit("s1", "b", func(ctx context.Context) (session.Event, error) {
+	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		panic("stage blew up")
 	})
 	if err != nil {
@@ -383,7 +383,7 @@ func TestPanicContainment(t *testing.T) {
 	if got.State != StateFailed || !strings.Contains(got.Error, "stage blew up") {
 		t.Fatalf("panicking run = %s / %q, want failed with panic message", got.State, got.Error)
 	}
-	after, err := e.Submit("s1", "b", func(ctx context.Context) (session.Event, error) {
+	after, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, nil
 	})
 	if err != nil {
@@ -400,7 +400,7 @@ func TestPanicContainment(t *testing.T) {
 func TestClosedSessionRunIsCancelled(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit("s1", "b", func(ctx context.Context) (session.Event, error) {
+	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, session.ErrClosed
 	})
 	if err != nil {
@@ -436,7 +436,7 @@ func TestSubmitPlan(t *testing.T) {
 		}
 	}
 	stages := []string{"a", "b", "c"}
-	run, err := e.SubmitPlanContext(context.Background(), "s1", stages, []Func{mark("a"), mark("b"), mark("c")})
+	run, err := e.submitPlan(context.Background(), "s1", stages, []Func{mark("a"), mark("b"), mark("c")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,10 +467,10 @@ func TestSubmitPlan(t *testing.T) {
 func TestSubmitPlanValidation(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	if _, err := e.SubmitPlanContext(context.Background(), "s1", nil, nil); !errors.Is(err, ErrBadPlan) {
+	if _, err := e.submitPlan(context.Background(), "s1", nil, nil); !errors.Is(err, ErrBadPlan) {
 		t.Fatalf("empty plan err = %v", err)
 	}
-	if _, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a")}); !errors.Is(err, ErrBadPlan) {
+	if _, err := e.submitPlan(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a")}); !errors.Is(err, ErrBadPlan) {
 		t.Fatalf("mismatched plan err = %v", err)
 	}
 }
@@ -480,7 +480,7 @@ func TestSubmitPlanValidation(t *testing.T) {
 func TestSingleStagePlanRecordsEvents(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a"}, []Func{stageEv("a")})
+	run, err := e.submitPlan(context.Background(), "s1", []string{"a"}, []Func{stageEv("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestPlanMidFailure(t *testing.T) {
 	defer e.Close()
 	var ran atomic.Int32
 	boom := errors.New("boom")
-	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a", "fail", "never"}, []Func{
+	run, err := e.submitPlan(context.Background(), "s1", []string{"a", "fail", "never"}, []Func{
 		stageEv("a"),
 		func(ctx context.Context) (session.Event, error) { return session.Event{}, boom },
 		func(ctx context.Context) (session.Event, error) {
@@ -534,7 +534,7 @@ func TestPlanCancelMidway(t *testing.T) {
 	defer e.Close()
 	started := make(chan struct{})
 	var ran atomic.Int32
-	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"block", "never"}, []Func{
+	run, err := e.submitPlan(context.Background(), "s1", []string{"block", "never"}, []Func{
 		gated(started, nil),
 		func(ctx context.Context) (session.Event, error) { ran.Add(1); return session.Event{}, nil },
 	})
@@ -564,24 +564,24 @@ func TestSessionQueueCap(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	// Occupy the only worker so everything else queues.
-	if _, err := e.Submit("greedy", "block", gated(started, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "greedy", "block", gated(started, release)); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit("greedy", "q", stageEv("q")); err != nil {
+		if _, err := e.Submit(context.Background(), "greedy", "q", stageEv("q")); err != nil {
 			t.Fatalf("pending %d: %v", i, err)
 		}
 	}
-	if _, err := e.Submit("greedy", "q", stageEv("q")); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit(context.Background(), "greedy", "q", stageEv("q")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over session cap err = %v", err)
 	}
 	// Plans count as one queued run and hit the same cap.
-	if _, err := e.SubmitPlanContext(context.Background(), "greedy", []string{"a"}, []Func{stageEv("a")}); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.submitPlan(context.Background(), "greedy", []string{"a"}, []Func{stageEv("a")}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("plan over session cap err = %v", err)
 	}
 	// An independent session is unaffected by the greedy one's backlog.
-	if _, err := e.Submit("polite", "q", stageEv("q")); err != nil {
+	if _, err := e.Submit(context.Background(), "polite", "q", stageEv("q")); err != nil {
 		t.Fatalf("independent session blocked: %v", err)
 	}
 }
@@ -599,7 +599,7 @@ func TestNotifyTransitions(t *testing.T) {
 	}))
 	defer e.Close()
 
-	run, err := e.SubmitPlanContext(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a"), stageEv("b")})
+	run, err := e.submitPlan(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a"), stageEv("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,11 +625,11 @@ func TestNotifyTransitions(t *testing.T) {
 	// A queued run cancelled before running transitions queued → cancelled.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := e.Submit("s2", "block", gated(started, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "s2", "block", gated(started, release)); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := e.Submit("s2", "q", stageEv("q"))
+	queued, err := e.Submit(context.Background(), "s2", "q", stageEv("q"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +676,7 @@ func TestAdopt(t *testing.T) {
 
 	// Adopted history lists before newly-submitted runs, and new runs still
 	// execute normally.
-	run, err := e.Submit("sA", "bootstrap", func(ctx context.Context) (session.Event, error) {
+	run, err := e.Submit(context.Background(), "sA", "bootstrap", func(ctx context.Context) (session.Event, error) {
 		return session.Event{Stage: "bootstrap"}, nil
 	})
 	if err != nil {
@@ -716,7 +716,7 @@ func TestWaitSession(t *testing.T) {
 	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	run, err := e.Submit("sA", "slow", gated(started, release))
+	run, err := e.Submit(context.Background(), "sA", "slow", gated(started, release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +725,7 @@ func TestWaitSession(t *testing.T) {
 	otherStarted := make(chan struct{})
 	otherRelease := make(chan struct{})
 	defer close(otherRelease)
-	if _, err := e.Submit("sB", "other", gated(otherStarted, otherRelease)); err != nil {
+	if _, err := e.Submit(context.Background(), "sB", "other", gated(otherStarted, otherRelease)); err != nil {
 		t.Fatal(err)
 	}
 	<-otherStarted
@@ -757,22 +757,22 @@ func TestListTerminal(t *testing.T) {
 	defer e.Close()
 
 	ok := func(ctx context.Context) (session.Event, error) { return session.Event{}, nil }
-	r1, err := e.Submit("s1", "a", ok)
+	r1, err := e.Submit(context.Background(), "s1", "a", ok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Submit("s1", "b", func(ctx context.Context) (session.Event, error) {
+	r2, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, errors.New("boom")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit("other", "c", ok); err != nil {
+	if _, err := e.Submit(context.Background(), "other", "c", ok); err != nil {
 		t.Fatal(err)
 	}
 	started := make(chan struct{})
 	release := make(chan struct{})
-	live, err := e.Submit("s1", "blocker", func(ctx context.Context) (session.Event, error) {
+	live, err := e.Submit(context.Background(), "s1", "blocker", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-release:

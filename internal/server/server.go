@@ -60,10 +60,10 @@
 // journaled sessions, journal records and bytes since compaction, and the
 // last snapshot time.
 //
-// Stages are registry-driven: the four paper stages are pre-registered and
-// any stage added to the server's registry is immediately invocable through
-// the generic stages/{name} route, listable via stage discovery, and usable
-// in plans — no per-stage handler or route exists.
+// Stages are table-driven: every stage of the session package's fixed stage
+// table is invocable through the generic stages/{name} route, listable via
+// stage discovery, and usable in plans — no per-stage handler or route
+// exists.
 //
 // Every stage POST accepts ?async=1: instead of blocking until the stage
 // quiesces, the server enqueues it on the run engine and answers
@@ -120,11 +120,10 @@ const maxPayloadBytes = 8 << 20
 // maxSnapshotBytes bounds one imported session snapshot.
 const maxSnapshotBytes = 64 << 20
 
-// Server holds the stage registry, the session manager, the async run
+// Server holds the session manager, the async run
 // engine, the per-session scenario defaults and the durability wiring.
 // Build one with New; serve Handler(); stop with Close.
 type Server struct {
-	registry    *session.Registry
 	mgr         *session.Manager
 	runs        *runs.Engine
 	metrics     *metrics.Registry
@@ -193,11 +192,10 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// New wires registry, run engine, session manager and the store over the
+// New wires run engine, session manager and the store over the
 // data directory, then recovers every session the directory holds.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		registry:        session.DefaultRegistry(),
 		metrics:         metrics.NewRegistry(),
 		defaultN:        cfg.N,
 		defaultSeed:     cfg.Seed,
@@ -254,11 +252,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // sessionOpts are the options every session — created, imported or
-// recovered — gets: the shared stage registry, the metrics registry and the
+// recovered — gets: the metrics registry and the
 // stage-commit hook through which each completed stage reaches the store.
 func (s *Server) sessionOpts() []session.Option {
 	return []session.Option{
-		session.WithRegistry(s.registry),
 		session.WithMetrics(s.metrics),
 		session.WithStageCommitHook(s.store.Append),
 	}
@@ -464,17 +461,15 @@ func asyncRequested(r *http.Request) bool {
 	return false
 }
 
-// handleStages serves stage discovery: every stage registered on the
-// server, in registration order.
+// handleStages serves stage discovery: every stage of the stage table, in
+// table order.
 func (s *Server) handleStages(rw http.ResponseWriter, _ *http.Request) {
-	info := s.registry.Info()
+	info := session.StageInfos()
 	writeJSON(rw, map[string]any{"total": len(info), "stages": info})
 }
 
-// handleStage is the uniform stage route: any registered stage is invoked
-// as POST .../stages/{name} with the stage's JSON payload as the body.
-// Adding a stage to the registry extends the HTTP surface with no new
-// handler.
+// handleStage is the uniform stage route: any stage is invoked as
+// POST .../stages/{name} with the stage's JSON payload as the body.
 func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
@@ -493,10 +488,10 @@ func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 // synchronously (block until quiescence, answer the stage event) or, with
 // ?async=1, as a run resource: enqueue on the engine and answer
 // 202 Accepted with the run snapshot and its Location to poll. The stage
-// and payload are resolved against the registry before anything runs, so
+// and payload are resolved against the stage table before anything runs, so
 // unknown stages and undecodable payloads are a 400 on both paths.
 func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *session.Session, req session.StageRequest) {
-	st, payload, err := s.registry.Resolve(req)
+	st, payload, err := session.Resolve(req)
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -509,7 +504,7 @@ func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *se
 		writeEvent(rw, ev, err)
 		return
 	}
-	run, err := s.runs.SubmitContext(r.Context(), sess.ID(), st.Name, fn)
+	run, err := s.runs.Submit(r.Context(), sess.ID(), st.Name, fn)
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -547,7 +542,7 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "trailing data after plan JSON", http.StatusBadRequest)
 		return
 	}
-	run, err := s.runs.SubmitSessionPlanContext(r.Context(), sess, plan)
+	run, err := s.runs.SubmitPlan(r.Context(), sess, plan)
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -874,7 +869,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 				writeError(rw, err)
 				return
 			}
-			st, decoded, err := s.registry.Resolve(session.StageRequest{Stage: session.StageIngest, Payload: payload})
+			st, decoded, err := session.Resolve(session.StageRequest{Stage: session.StageIngest, Payload: payload})
 			if err != nil {
 				writeError(rw, err)
 				return
@@ -1164,7 +1159,7 @@ func writeJSONStatus(rw http.ResponseWriter, status int, v any) {
 	}
 }
 
-// indexHTML is the single-page mirror of Figure 3, now registry- and
+// indexHTML is the single-page mirror of Figure 3, now table- and
 // push-driven: it creates a session via /api/v1, invokes stages through the
 // uniform stages/{name} route (or submits all four as one declarative
 // plan), and drives every refresh off the session's SSE stream — stage
@@ -1186,8 +1181,8 @@ const indexHTML = `<!DOCTYPE html>
 <h1>VADA — pay-as-you-go data wrangling (SIGMOD'17 demonstration)</h1>
 <p>Work through the four steps of the demonstration one at a time, or submit
 them as a single declarative plan: one cancellable run whose per-stage
-progress streams back over the session's event channel. Every stage is a
-registry entry behind the uniform stages/{name} route. Every browser tab
+progress streams back over the session's event channel. Every stage is an
+entry of one fixed stage table behind the uniform stages/{name} route. Every browser tab
 gets its own wrangling session.</p>
 <p id="sid">(creating session…)</p>
 <div>

@@ -57,7 +57,6 @@ func testServer(t *testing.T, opts ...session.ManagerOption) (*Server, *httptest
 func testServerEngine(t *testing.T, engineOpts []runs.Option, opts ...session.ManagerOption) (*Server, *httptest.Server) {
 	t.Helper()
 	s := &Server{
-		registry:        session.DefaultRegistry(),
 		metrics:         metrics.NewRegistry(),
 		defaultN:        60,
 		defaultSeed:     1,
@@ -539,7 +538,7 @@ func TestRunCancelInFlight(t *testing.T) {
 	base := ts.URL + "/api/v1/sessions/" + id
 
 	started := make(chan struct{})
-	run, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
+	run, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		<-ctx.Done()
 		return session.Event{}, ctx.Err()
@@ -572,7 +571,7 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// A queued run cancels immediately.
 	started2 := make(chan struct{})
-	blocker, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
+	blocker, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started2)
 		<-ctx.Done()
 		return session.Event{}, ctx.Err()
@@ -581,7 +580,7 @@ func TestRunCancelInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started2
-	queued, err := s.runs.Submit(id, "queued-stage", func(ctx context.Context) (session.Event, error) {
+	queued, err := s.runs.Submit(context.Background(), id, "queued-stage", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, nil
 	})
 	if err != nil {
@@ -606,7 +605,7 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// Closing the session cancels whatever is still live.
 	started3 := make(chan struct{})
-	live, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
+	live, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started3)
 		<-ctx.Done()
 		return session.Event{}, ctx.Err()
@@ -665,7 +664,7 @@ func TestRunNotFoundPaths(t *testing.T) {
 		t.Fatalf("unknown run: %s", resp.Status)
 	}
 	// A run of one session is invisible under another session's path.
-	run, err := s.runs.Submit(otherID, "b", func(ctx context.Context) (session.Event, error) {
+	run, err := s.runs.Submit(context.Background(), otherID, "b", func(ctx context.Context) (session.Event, error) {
 		return session.Event{}, nil
 	})
 	if err != nil {
@@ -818,7 +817,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestStageDiscovery(t *testing.T) {
-	s, ts := testServer(t)
+	_, ts := testServer(t)
 	resp, body := get(t, ts.URL+"/api/v1/stages")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stage discovery: %s", resp.Status)
@@ -839,7 +838,7 @@ func TestStageDiscovery(t *testing.T) {
 			t.Fatalf("stage %d = %v, want %q with description", i, st, w)
 		}
 		// Every payload-taking stage documents its fields; bootstrap is the
-		// only payload-less stage in the default registry.
+		// only payload-less stage.
 		if w == "bootstrap" {
 			if _, ok := st["payload"]; ok {
 				t.Fatalf("bootstrap documents a payload: %v", st)
@@ -856,21 +855,6 @@ func TestStageDiscovery(t *testing.T) {
 				t.Fatalf("stage %q field undocumented: %v", w, fm)
 			}
 		}
-	}
-
-	// A stage registered on the server registry is immediately discoverable.
-	if err := s.registry.Register(session.Stage{
-		Name:        "noop",
-		Description: "test stage",
-		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
-			return sess.Step(ctx, "noop", nil)
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, body = get(t, ts.URL+"/api/v1/stages")
-	if !strings.Contains(body, `"noop"`) {
-		t.Fatalf("registered stage missing from discovery: %s", body)
 	}
 }
 
@@ -1128,20 +1112,12 @@ func TestPlanErrorPaths(t *testing.T) {
 // the remaining stages: the run fails, completed events are kept, and the
 // session history only has the stages that ran.
 func TestPlanMidFailureStops(t *testing.T) {
-	s, ts := testServer(t)
-	if err := s.registry.Register(session.Stage{
-		Name:        "explode",
-		Description: "always fails",
-		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
-			return session.Event{}, fmt.Errorf("explode: no")
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := testServer(t)
 	id := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
 
-	plan := `{"stages": [{"stage": "bootstrap"}, {"stage": "explode"}, {"stage": "feedback"}]}`
+	// The export of a relation the session does not have fails when it runs.
+	plan := `{"stages": [{"stage": "bootstrap"}, {"stage": "export", "payload": {"relation": "nope"}}, {"stage": "feedback"}]}`
 	resp, err := http.Post(base+"/plans", "application/json", strings.NewReader(plan))
 	if err != nil {
 		t.Fatal(err)
@@ -1151,10 +1127,10 @@ func TestPlanMidFailureStops(t *testing.T) {
 		t.Fatalf("plan submit: %s", resp.Status)
 	}
 	final := pollRun(t, ts.URL+resp.Header.Get("Location"))
-	if final["state"] != "failed" || !strings.Contains(final["error"].(string), "explode") {
+	if final["state"] != "failed" || !strings.Contains(final["error"].(string), "nope") {
 		t.Fatalf("plan run = %v (%v)", final["state"], final["error"])
 	}
-	if final["stage"] != "explode" || final["stage_index"].(float64) != 1 {
+	if final["stage"] != "export" || final["stage_index"].(float64) != 1 {
 		t.Fatalf("failure cursor = %v@%v", final["stage"], final["stage_index"])
 	}
 	if evs := final["events"].([]any); len(evs) != 1 {
@@ -1174,24 +1150,21 @@ func TestPlanMidFailureStops(t *testing.T) {
 // TestPlanCancelMidway cancels an in-flight plan via the run resource:
 // DELETE .../runs/{rid} answers 202 and the remaining stages never run.
 func TestPlanCancelMidway(t *testing.T) {
-	s, ts := testServer(t)
+	_, ts := testServer(t)
+	// Stage 0 fetches from a local server that answers only once the
+	// request is abandoned, so the fetch is in flight until the cancel.
 	started := make(chan struct{})
-	if err := s.registry.Register(session.Stage{
-		Name:        "block",
-		Description: "blocks until cancelled",
-		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
-			close(started)
-			<-ctx.Done()
-			return session.Event{}, ctx.Err()
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	var once sync.Once
+	slow := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(started) })
+		<-r.Context().Done()
+	}))
+	t.Cleanup(slow.Close)
 	id := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
 
-	resp, err := http.Post(base+"/plans", "application/json",
-		strings.NewReader(`{"stages": [{"stage": "block"}, {"stage": "bootstrap"}]}`))
+	plan := fmt.Sprintf(`{"stages": [{"stage": "fetch", "payload": {"url": %q, "relation": "r", "retries": -1}}, {"stage": "bootstrap"}]}`, slow.URL)
+	resp, err := http.Post(base+"/plans", "application/json", strings.NewReader(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1293,7 +1266,7 @@ func TestSessionRunQueue429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.runs.Submit(id, "block", func(ctx context.Context) (session.Event, error) {
+	if _, err := s.runs.Submit(context.Background(), id, "block", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
@@ -1352,7 +1325,6 @@ func TestSessionRunQueue429(t *testing.T) {
 // stream carries periodic keep-alive comments.
 func TestSSEKeepAlive(t *testing.T) {
 	s := &Server{
-		registry:        session.DefaultRegistry(),
 		metrics:         metrics.NewRegistry(),
 		defaultN:        30,
 		defaultSeed:     1,

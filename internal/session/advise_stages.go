@@ -76,50 +76,47 @@ func oracleFeedbackForAttrs(s *Session, w *core.Wrangler, attrs []string, budget
 	return out
 }
 
-// registerAdviseStages adds the advisor's batch-acceptance stage to a
-// registry; DefaultRegistry calls it after the paper and connector stages.
-func registerAdviseStages(r *Registry) {
-	r.MustRegister(Stage{
-		Name:        StageFeedbackBatch,
-		Description: "advisor: accept several feedback suggestions as one journaled stage (items last-wins deduplicated)",
-		Fields: []StageField{
-			{Name: "items", Doc: "explicit feedback annotations; duplicates of one (street, postcode, attr) cell resolve last-wins"},
-			{Name: "attrs", Doc: "attributes to draw oracle annotations for (scenario sessions only; the advisor's action shape)"},
-			{Name: "budget", Doc: "cap on oracle annotations for this batch (default 25)"},
-		},
-		Decode: func(raw json.RawMessage) (any, error) {
-			p := &FeedbackBatchPayload{}
-			if emptyPayload(raw) {
-				return p, nil
-			}
-			if err := decodeStrict(raw, p); err != nil {
-				return nil, err
-			}
+// feedbackBatchStage is the advisor's batch-acceptance stage.
+var feedbackBatchStage = Stage{
+	Name:        StageFeedbackBatch,
+	Description: "advisor: accept several feedback suggestions as one journaled stage (items last-wins deduplicated)",
+	Fields: []StageField{
+		{Name: "items", Doc: "explicit feedback annotations; duplicates of one (street, postcode, attr) cell resolve last-wins"},
+		{Name: "attrs", Doc: "attributes to draw oracle annotations for (scenario sessions only; the advisor's action shape)"},
+		{Name: "budget", Doc: "cap on oracle annotations for this batch (default 25)"},
+	},
+	Decode: func(raw json.RawMessage) (any, error) {
+		p := &FeedbackBatchPayload{}
+		if emptyPayload(raw) {
 			return p, nil
-		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
-			p, _ := payload.(*FeedbackBatchPayload)
-			if p == nil {
-				p = &FeedbackBatchPayload{}
+		}
+		if err := decodeStrict(raw, p); err != nil {
+			return nil, err
+		}
+		return p, nil
+	},
+	Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
+		p, _ := payload.(*FeedbackBatchPayload)
+		if p == nil {
+			p = &FeedbackBatchPayload{}
+		}
+		budget := 25
+		if p.Budget != nil {
+			budget = *p.Budget
+		}
+		return s.Step(ctx, StageFeedbackBatch, func(w *core.Wrangler) error {
+			// Oracle items first, explicit items after: last-wins dedup
+			// then lets an agent's explicit judgement override the oracle.
+			items := oracleFeedbackForAttrs(s, w, p.Attrs, budget)
+			items = dedupFeedbackLastWins(append(items, p.Items...))
+			w.AddFeedback(items...)
+			if s.reg != nil {
+				s.reg.Counter("advise_accepted_total").Inc()
+				s.reg.Counter("advise_accepted_items_total").Add(int64(len(items)))
 			}
-			budget := 25
-			if p.Budget != nil {
-				budget = *p.Budget
-			}
-			return s.Step(ctx, StageFeedbackBatch, func(w *core.Wrangler) error {
-				// Oracle items first, explicit items after: last-wins dedup
-				// then lets an agent's explicit judgement override the oracle.
-				items := oracleFeedbackForAttrs(s, w, p.Attrs, budget)
-				items = dedupFeedbackLastWins(append(items, p.Items...))
-				w.AddFeedback(items...)
-				if s.reg != nil {
-					s.reg.Counter("advise_accepted_total").Inc()
-					s.reg.Counter("advise_accepted_items_total").Add(int64(len(items)))
-				}
-				return nil
-			})
-		},
-	})
+			return nil
+		})
+	},
 }
 
 // Suggestions ranks candidate next actions for the session with the

@@ -51,7 +51,7 @@ func TestFeedbackBatchStage(t *testing.T) {
 	if _, err := sess.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := sess.Apply(ctx, StageRequest{
+	ev, err := apply(ctx, sess, StageRequest{
 		Stage:   StageFeedbackBatch,
 		Payload: json.RawMessage(`{"attrs":["price"],"budget":10}`),
 	})
@@ -90,7 +90,7 @@ func TestFeedbackBatchStage(t *testing.T) {
 	if _, err := sess2.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess2.Apply(ctx, StageRequest{Stage: StageFeedbackBatch, Payload: b}); err != nil {
+	if _, err := apply(ctx, sess2, StageRequest{Stage: StageFeedbackBatch, Payload: b}); err != nil {
 		t.Fatal(err)
 	}
 	key := feedback.DefaultKeyNorm(target.Street, target.Postcode)
@@ -144,7 +144,7 @@ func TestSuggestionsOnSession(t *testing.T) {
 				t.Fatalf("feedback action = %+v", sg.Action)
 			}
 			// Accept it verbatim: the action payload IS the stage payload.
-			if _, err := sess.Apply(ctx, StageRequest{Stage: sg.Action.Stage, Payload: sg.Action.Payload}); err != nil {
+			if _, err := apply(ctx, sess, StageRequest{Stage: sg.Action.Stage, Payload: sg.Action.Payload}); err != nil {
 				t.Fatalf("accepting suggestion: %v", err)
 			}
 		}

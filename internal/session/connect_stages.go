@@ -105,11 +105,10 @@ func (s *Session) ingestRelation(ctx context.Context, stage string, rel *relatio
 	})
 }
 
-// registerConnectorStages adds the connector stages — sources and sinks as
-// first-class stages — to a registry. DefaultRegistry calls it, so every
-// session (and the generic stages/{name} route and plans) speaks them.
-func registerConnectorStages(r *Registry) {
-	r.MustRegister(Stage{
+// The connector stages: sources and sinks as first-class stages, which every
+// session (and the generic stages/{name} route and plans) speaks.
+var (
+	ingestStage = Stage{
 		Name:        StageIngest,
 		Description: "source: decode an inline CSV/JSONL body into a source or context relation ({\"relation\",\"data\",\"format\",\"role\",\"mapping\"})",
 		Fields: []StageField{
@@ -151,8 +150,8 @@ func registerConnectorStages(r *Registry) {
 			s.connectObserve("in", stats, time.Since(start))
 			return s.ingestRelation(ctx, StageIngest, rel, p.Role)
 		},
-	})
-	r.MustRegister(Stage{
+	}
+	fetchStage = Stage{
 		Name:        StageFetch,
 		Description: "source: fetch an http(s) URL with timeout/retry/backoff and ingest the body ({\"url\",\"relation\",...})",
 		Fields: []StageField{
@@ -203,8 +202,8 @@ func registerConnectorStages(r *Registry) {
 			s.connectObserve("in", stats, time.Since(start))
 			return s.ingestRelation(ctx, StageFetch, rel, p.Role)
 		},
-	})
-	r.MustRegister(Stage{
+	}
+	exportStage = Stage{
 		Name:        StageExport,
 		Description: "sink: render a relation as canonical CSV/JSONL and record the export fact ({\"relation\",\"format\"}; default: the result)",
 		Fields: []StageField{
@@ -258,8 +257,8 @@ func registerConnectorStages(r *Registry) {
 				return nil
 			})
 		},
-	})
-	r.MustRegister(Stage{
+	}
+	qualityReportStage = Stage{
 		Name:        StageQualityReport,
 		Description: "sink: assess a relation and publish the report as relation qr_<name> ({\"relation\"}; default: the result)",
 		Fields: []StageField{
@@ -300,5 +299,5 @@ func registerConnectorStages(r *Registry) {
 				return nil
 			})
 		},
-	})
-}
+	}
+)

@@ -39,7 +39,7 @@ func ingestReq(t *testing.T, p connect.IngestPayload) StageRequest {
 
 func TestIngestStageRegistersSource(t *testing.T) {
 	sess := blankSession(t)
-	ev, err := sess.Apply(context.Background(), ingestReq(t, connect.IngestPayload{
+	ev, err := apply(context.Background(), sess, ingestReq(t, connect.IngestPayload{
 		Relation: "props",
 		Data:     "Street,Post Code,price\nmain st,AB1 2CD,120000\n",
 	}))
@@ -63,7 +63,7 @@ func TestIngestStageRegistersSource(t *testing.T) {
 
 func TestIngestStageContextRole(t *testing.T) {
 	sess := blankSession(t)
-	if _, err := sess.Apply(context.Background(), ingestReq(t, connect.IngestPayload{
+	if _, err := apply(context.Background(), sess, ingestReq(t, connect.IngestPayload{
 		Relation: "addresses",
 		Role:     connect.RoleContext,
 		Data:     "street,city,postcode\nmain st,York,AB1 2CD\n",
@@ -89,7 +89,7 @@ func TestIngestStageErrorsKeepSentinels(t *testing.T) {
 	}
 	for _, c := range cases {
 		before := sess.Wrangler().KB.Version()
-		_, err := sess.Apply(ctx, ingestReq(t, c.p))
+		_, err := apply(ctx, sess, ingestReq(t, c.p))
 		if !errors.Is(err, c.want) {
 			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
@@ -98,7 +98,7 @@ func TestIngestStageErrorsKeepSentinels(t *testing.T) {
 		}
 	}
 	// Payload validation failures are ErrBadPayload at decode time.
-	if _, err := sess.Apply(ctx, ingestReq(t, connect.IngestPayload{Relation: "bad name", Data: "x"})); !errors.Is(err, ErrBadPayload) {
+	if _, err := apply(ctx, sess, ingestReq(t, connect.IngestPayload{Relation: "bad name", Data: "x"})); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("invalid relation name err = %v", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestIngestStageErrorsKeepSentinels(t *testing.T) {
 func TestConnectMetricsSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sess := blankSession(t, WithMetrics(reg))
-	if _, err := sess.Apply(context.Background(), ingestReq(t, connect.IngestPayload{
+	if _, err := apply(context.Background(), sess, ingestReq(t, connect.IngestPayload{
 		Relation: "props",
 		Data:     "street\nmain\nside\n",
 	})); err != nil {
@@ -138,14 +138,14 @@ func TestConnectMetricsSeries(t *testing.T) {
 func TestExportStageRecordsFact(t *testing.T) {
 	sess := blankSession(t)
 	ctx := context.Background()
-	if _, err := sess.Apply(ctx, ingestReq(t, connect.IngestPayload{
+	if _, err := apply(ctx, sess, ingestReq(t, connect.IngestPayload{
 		Relation: "props",
 		Data:     "street,price\nmain,100\nside,200\n",
 	})); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := json.Marshal(connect.ExportPayload{Relation: "props", Format: connect.FormatCSV})
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageExport, Payload: raw}); err != nil {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageExport, Payload: raw}); err != nil {
 		t.Fatal(err)
 	}
 	exportsOf := func(rel string) []relation.Tuple {
@@ -161,7 +161,7 @@ func TestExportStageRecordsFact(t *testing.T) {
 		t.Fatalf("exported rows = %v, want 2", facts[0][2])
 	}
 	// Re-exporting replaces the fact instead of accumulating.
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageExport, Payload: raw}); err != nil {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageExport, Payload: raw}); err != nil {
 		t.Fatal(err)
 	}
 	facts = exportsOf("props")
@@ -173,11 +173,11 @@ func TestExportStageRecordsFact(t *testing.T) {
 func TestExportStageUnknownRelation(t *testing.T) {
 	sess := blankSession(t)
 	raw, _ := json.Marshal(connect.ExportPayload{Relation: "nope"})
-	if _, err := sess.Apply(context.Background(), StageRequest{Stage: StageExport, Payload: raw}); !errors.Is(err, connect.ErrUnknownRelation) {
+	if _, err := apply(context.Background(), sess, StageRequest{Stage: StageExport, Payload: raw}); !errors.Is(err, connect.ErrUnknownRelation) {
 		t.Fatalf("err = %v, want ErrUnknownRelation", err)
 	}
 	// Default target is the result, absent before any wrangling.
-	if _, err := sess.Apply(context.Background(), StageRequest{Stage: StageExport}); !errors.Is(err, core.ErrNoResult) {
+	if _, err := apply(context.Background(), sess, StageRequest{Stage: StageExport}); !errors.Is(err, core.ErrNoResult) {
 		t.Fatalf("err = %v, want ErrNoResult", err)
 	}
 }
@@ -185,14 +185,14 @@ func TestExportStageUnknownRelation(t *testing.T) {
 func TestQualityReportStage(t *testing.T) {
 	sess := blankSession(t)
 	ctx := context.Background()
-	if _, err := sess.Apply(ctx, ingestReq(t, connect.IngestPayload{
+	if _, err := apply(ctx, sess, ingestReq(t, connect.IngestPayload{
 		Relation: "props",
 		Data:     "street,price\nmain,100\nside,\n",
 	})); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := json.Marshal(connect.QualityPayload{Relation: "props"})
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageQualityReport, Payload: raw}); err != nil {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageQualityReport, Payload: raw}); err != nil {
 		t.Fatal(err)
 	}
 	rep := sess.Wrangler().KB.Relation("qr_props")
@@ -223,7 +223,7 @@ func TestFetchStageCancelledLeavesKBUntouched(t *testing.T) {
 		cancel()
 	}()
 	raw, _ := json.Marshal(connect.FetchPayload{URL: ts.URL, Relation: "props"})
-	_, err := sess.Apply(ctx, StageRequest{Stage: StageFetch, Payload: raw})
+	_, err := apply(ctx, sess, StageRequest{Stage: StageFetch, Payload: raw})
 	if !errors.Is(err, connect.ErrFetchFailed) {
 		t.Fatalf("err = %v, want ErrFetchFailed", err)
 	}
@@ -242,7 +242,7 @@ func TestFetchStageIngests(t *testing.T) {
 	defer ts.Close()
 	sess := blankSession(t)
 	raw, _ := json.Marshal(connect.FetchPayload{URL: ts.URL, Relation: "remote", Format: connect.FormatJSONL})
-	if _, err := sess.Apply(context.Background(), StageRequest{Stage: StageFetch, Payload: raw}); err != nil {
+	if _, err := apply(context.Background(), sess, StageRequest{Stage: StageFetch, Payload: raw}); err != nil {
 		t.Fatal(err)
 	}
 	rel := sess.Wrangler().KB.Relation(core.RelSourcePrefix + "remote")

@@ -111,7 +111,6 @@ type Session struct {
 	w         *core.Wrangler
 	sc        *datagen.Scenario
 	seed      int64
-	registry  *Registry
 
 	// mgrSeq is the creation sequence assigned by the Manager when the
 	// session is registered (Create/Restore). It is written exactly once,
@@ -164,14 +163,6 @@ func WithScenario(sc *datagen.Scenario, seed int64) Option {
 		s.sc = sc
 		s.seed = seed
 	}
-}
-
-// WithRegistry installs the stage registry the session resolves stage
-// invocations against. Services share one registry across sessions so a
-// registered stage is invocable everywhere; the default is a fresh
-// DefaultRegistry per session.
-func WithRegistry(r *Registry) Option {
-	return func(s *Session) { s.registry = r }
 }
 
 // WithStageCommitHook installs a callback invoked after every completed
@@ -227,9 +218,6 @@ func New(id string, w *core.Wrangler, opts ...Option) *Session {
 	s.lastActive = s.createdAt
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.registry == nil {
-		s.registry = DefaultRegistry()
 	}
 	return s
 }
@@ -464,34 +452,6 @@ func (s *Session) touch() error {
 	return nil
 }
 
-// Registry returns the stage registry the session resolves invocations
-// against.
-func (s *Session) Registry() *Registry { return s.registry }
-
-// Apply runs one stage request for library clients: it resolves the
-// request's stage in the registry, decodes the payload, and applies the
-// stage to the session. The server and the run engine do not call it: they
-// resolve with Registry.Resolve themselves (a whole plan is validated before
-// anything runs) and then call Stage.Apply, which is where every path meets.
-func (s *Session) Apply(ctx context.Context, req StageRequest) (Event, error) {
-	st, payload, err := s.registry.Resolve(req)
-	if err != nil {
-		return Event{}, err
-	}
-	return st.Apply(ctx, s, payload)
-}
-
-// applyNamed invokes a registered stage with an already-typed payload —
-// the delegation path of the named convenience methods, which skips the
-// JSON codec.
-func (s *Session) applyNamed(ctx context.Context, name string, payload any) (Event, error) {
-	st, err := s.registry.Get(name)
-	if err != nil {
-		return Event{}, err
-	}
-	return st.Apply(ctx, s, payload)
-}
-
 // PublishTransition pushes a run state transition to every live subscriber.
 // Transitions are progress signals, not history: they carry no sequence
 // number, are never retained, and are dropped (never blocking) for slow
@@ -515,26 +475,26 @@ func (s *Session) PublishTransition(tr RunTransition) {
 // Bootstrap runs stage 1: fully automatic wrangling over the registered
 // sources.
 func (s *Session) Bootstrap(ctx context.Context) (Event, error) {
-	return s.applyNamed(ctx, StageBootstrap, nil)
+	return bootstrapStage.Apply(ctx, s, nil)
 }
 
 // AddDataContext runs stage 2 with the given reference relation; nil
 // defaults to the scenario's address reference (ErrNoDataContext without a
 // scenario).
 func (s *Session) AddDataContext(ctx context.Context, rel *relation.Relation) (Event, error) {
-	return s.applyNamed(ctx, StageDataContext, rel)
+	return dataContextStage.Apply(ctx, s, rel)
 }
 
 // AddFeedback runs stage 3 with the given annotations; an empty slice asks
 // the scenario oracle for `budget` annotations (a no-op action without a
 // scenario).
 func (s *Session) AddFeedback(ctx context.Context, items []feedback.Item, budget int) (Event, error) {
-	return s.applyNamed(ctx, StageFeedback, &FeedbackPayload{Items: items, Budget: &budget})
+	return feedbackStage.Apply(ctx, s, &FeedbackPayload{Items: items, Budget: &budget})
 }
 
 // SetUserContext runs stage 4 with the given priority model.
 func (s *Session) SetUserContext(ctx context.Context, m *mcda.Model) (Event, error) {
-	return s.applyNamed(ctx, StageUserContext, m)
+	return userContextStage.Apply(ctx, s, m)
 }
 
 // Result returns the clean wrangling result (no provenance column), or

@@ -365,41 +365,34 @@ func TestEvictHooksCompose(t *testing.T) {
 	}
 }
 
-// TestDefaultRegistry checks the pre-populated registry: the four paper
-// stages in lifecycle order, then the connector stages, discoverable with
-// descriptions.
-func TestDefaultRegistry(t *testing.T) {
-	reg := DefaultRegistry()
+// TestStageTable checks the fixed stage table: the four paper stages in
+// lifecycle order, then the connector stages and the advisor's, discoverable
+// with descriptions.
+func TestStageTable(t *testing.T) {
 	want := []string{StageBootstrap, StageDataContext, StageFeedback, StageUserContext,
 		StageIngest, StageFetch, StageExport, StageQualityReport, StageFeedbackBatch}
-	info := reg.Info()
+	info := StageInfos()
 	if len(info) != len(want) {
-		t.Fatalf("registry has %d stages, want %d", len(info), len(want))
+		t.Fatalf("the table has %d stages, want %d", len(info), len(want))
 	}
 	for i, in := range info {
 		if in.Name != want[i] || in.Description == "" {
 			t.Fatalf("stage %d = %+v, want name %q with a description", i, in, want[i])
 		}
 	}
-	if _, err := reg.Get("nope"); !errors.Is(err, ErrUnknownStage) {
+	if _, _, err := Resolve(StageRequest{Stage: "nope"}); !errors.Is(err, ErrUnknownStage) {
 		t.Fatalf("unknown stage err = %v", err)
 	}
 }
 
-func TestRegistryRegisterValidation(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register(Stage{Name: "x"}); !errors.Is(err, ErrBadStage) {
-		t.Fatalf("nil apply err = %v", err)
+// apply resolves a request and applies its stage, as the server and the run
+// engine do.
+func apply(ctx context.Context, s *Session, req StageRequest) (Event, error) {
+	st, payload, err := Resolve(req)
+	if err != nil {
+		return Event{}, err
 	}
-	ok := Stage{Name: "x", Apply: func(ctx context.Context, s *Session, _ any) (Event, error) {
-		return Event{}, nil
-	}}
-	if err := reg.Register(ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(ok); !errors.Is(err, ErrBadStage) {
-		t.Fatalf("duplicate err = %v", err)
-	}
+	return st.Apply(ctx, s, payload)
 }
 
 // TestApply drives the uniform choke point: raw StageRequests resolve,
@@ -410,70 +403,45 @@ func TestApply(t *testing.T) {
 	sc := testScenario(t, 40, 1)
 	sess := New("apply", core.BuildScenarioWrangler(sc), WithScenario(sc, 1))
 
-	ev, err := sess.Apply(ctx, StageRequest{Stage: StageBootstrap})
+	ev, err := apply(ctx, sess, StageRequest{Stage: StageBootstrap})
 	if err != nil || ev.Stage != StageBootstrap || ev.Seq != 1 || ev.Type != EventStage {
 		t.Fatalf("bootstrap via Apply = %+v, %v", ev, err)
 	}
 	// A payload on a payload-less stage is rejected.
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageBootstrap, Payload: []byte(`{"x":1}`)}); !errors.Is(err, ErrBadPayload) {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageBootstrap, Payload: []byte(`{"x":1}`)}); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("bootstrap payload err = %v", err)
 	}
-	if _, err := sess.Apply(ctx, StageRequest{Stage: "nope"}); !errors.Is(err, ErrUnknownStage) {
+	if _, err := apply(ctx, sess, StageRequest{Stage: "nope"}); !errors.Is(err, ErrUnknownStage) {
 		t.Fatalf("unknown stage err = %v", err)
 	}
 	// data-context with an empty payload defaults to the scenario reference.
-	ev, err = sess.Apply(ctx, StageRequest{Stage: StageDataContext})
+	ev, err = apply(ctx, sess, StageRequest{Stage: StageDataContext})
 	if err != nil || ev.Stage != StageDataContext || ev.Score == nil {
 		t.Fatalf("data-context via Apply = %+v, %v", ev, err)
 	}
 	// feedback with a typed JSON payload.
-	ev, err = sess.Apply(ctx, StageRequest{Stage: StageFeedback, Payload: []byte(`{"budget": 20}`)})
+	ev, err = apply(ctx, sess, StageRequest{Stage: StageFeedback, Payload: []byte(`{"budget": 20}`)})
 	if err != nil || ev.Stage != StageFeedback {
 		t.Fatalf("feedback via Apply = %+v, %v", ev, err)
 	}
 	// Unknown payload fields are decode failures, not silent defaults.
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageFeedback, Payload: []byte(`{"budgte": 20}`)}); !errors.Is(err, ErrBadPayload) {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageFeedback, Payload: []byte(`{"budgte": 20}`)}); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("misspelled feedback payload err = %v", err)
 	}
 	// So is trailing data after the payload value.
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageFeedback, Payload: []byte(`{"budget": 20}{"budget": 30}`)}); !errors.Is(err, ErrBadPayload) {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageFeedback, Payload: []byte(`{"budget": 20}{"budget": 30}`)}); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("trailing payload data err = %v", err)
 	}
 	// user-context resolves the model by name inside the codec.
-	ev, err = sess.Apply(ctx, StageRequest{Stage: StageUserContext, Payload: []byte(`{"model":"size"}`)})
+	ev, err = apply(ctx, sess, StageRequest{Stage: StageUserContext, Payload: []byte(`{"model":"size"}`)})
 	if err != nil || ev.Stage != StageUserContext {
 		t.Fatalf("user-context via Apply = %+v, %v", ev, err)
 	}
-	if _, err := sess.Apply(ctx, StageRequest{Stage: StageUserContext, Payload: []byte(`{"model":"nope"}`)}); !errors.Is(err, ErrBadPayload) || !errors.Is(err, core.ErrUnknownUserContext) {
+	if _, err := apply(ctx, sess, StageRequest{Stage: StageUserContext, Payload: []byte(`{"model":"nope"}`)}); !errors.Is(err, ErrBadPayload) || !errors.Is(err, core.ErrUnknownUserContext) {
 		t.Fatalf("bad model err = %v", err)
 	}
 	if len(sess.Events()) != 4 {
 		t.Fatalf("events = %d, want 4", len(sess.Events()))
-	}
-}
-
-// TestCustomStageExtendsSession checks the extension point: a stage
-// registered on a shared registry is immediately invocable by name on a
-// session built over it.
-func TestCustomStageExtendsSession(t *testing.T) {
-	reg := DefaultRegistry()
-	if err := reg.Register(Stage{
-		Name:        "noop",
-		Description: "does nothing, records an event",
-		Apply: func(ctx context.Context, s *Session, _ any) (Event, error) {
-			return s.Step(ctx, "noop", nil)
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc := testScenario(t, 30, 1)
-	sess := New("custom", core.BuildScenarioWrangler(sc), WithScenario(sc, 1), WithRegistry(reg))
-	ev, err := sess.Apply(context.Background(), StageRequest{Stage: "noop"})
-	if err != nil || ev.Stage != "noop" {
-		t.Fatalf("custom stage = %+v, %v", ev, err)
-	}
-	if sess.Registry() != reg {
-		t.Fatal("session not using the shared registry")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"vada/internal/core"
 	"vada/internal/feedback"
@@ -15,23 +15,20 @@ import (
 	"vada/internal/relation"
 )
 
-// Sentinel errors of the stage registry.
+// Sentinel errors of stage resolution.
 var (
-	// ErrUnknownStage reports a stage name absent from the registry.
+	// ErrUnknownStage reports a stage name absent from the stage table.
 	ErrUnknownStage = errors.New("session: unknown stage")
 
 	// ErrBadPayload reports a stage payload that failed to decode.
 	ErrBadPayload = errors.New("session: bad stage payload")
-
-	// ErrBadStage reports an invalid or duplicate stage registration.
-	ErrBadStage = errors.New("session: bad stage registration")
 )
 
-// StageRequest names a registered stage plus its raw JSON payload — the
+// StageRequest names a stage plus its raw JSON payload — the
 // uniform wire form of every stage invocation, whether it arrives through
 // the generic POST .../stages/{name} route or as one step of a Plan.
 type StageRequest struct {
-	// Stage is the registered stage name.
+	// Stage is the stage name.
 	Stage string `json:"stage"`
 	// Payload is the stage-specific JSON payload; empty or null means the
 	// stage's default behaviour.
@@ -44,12 +41,11 @@ type Plan struct {
 	Stages []StageRequest `json:"stages"`
 }
 
-// Stage is one pluggable wrangling stage: a name, a typed JSON payload
-// codec, and an apply function over the session. The four paper stages are
-// pre-registered by DefaultRegistry; applications add their own to extend
-// the service surface without touching any HTTP handler.
+// Stage is one wrangling stage: a name, a typed JSON payload codec, and an
+// apply function over the session. The stage table below holds every stage
+// there is.
 type Stage struct {
-	// Name is the stage's registry key and wire name.
+	// Name is the stage's wire name.
 	Name string
 	// Description is the one-line summary served by stage discovery.
 	Description string
@@ -74,78 +70,27 @@ type StageField struct {
 	Doc string `json:"doc"`
 }
 
-// StageInfo is the JSON-ready description of a registered stage, served by
-// the discovery endpoint.
+// StageInfo is the JSON-ready description of a stage, served by the
+// discovery endpoint.
 type StageInfo struct {
 	Name        string       `json:"name"`
 	Description string       `json:"description"`
 	Payload     []StageField `json:"payload,omitempty"`
 }
 
-// Registry maps stage names to descriptors. It is safe for concurrent use;
-// a server typically shares one registry across all its sessions so a
-// registered stage is immediately invocable everywhere.
-type Registry struct {
-	mu     sync.RWMutex
-	stages map[string]Stage
-	order  []string
+// stageTable is every stage, fixed at build time, in discovery order: the
+// four pay-as-you-go stages of the paper (§3), the four connector stages and
+// the advisor's batch stage.
+var stageTable = []Stage{
+	bootstrapStage, dataContextStage, feedbackStage, userContextStage,
+	ingestStage, fetchStage, exportStage, qualityReportStage,
+	feedbackBatchStage,
 }
 
-// NewRegistry builds an empty stage registry.
-func NewRegistry() *Registry {
-	return &Registry{stages: map[string]Stage{}}
-}
-
-// Register adds a stage. Empty names, nil Apply functions and duplicate
-// names fail with ErrBadStage.
-func (r *Registry) Register(st Stage) error {
-	if st.Name == "" || st.Apply == nil {
-		return fmt.Errorf("%w: need a name and an apply function", ErrBadStage)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.stages[st.Name]; ok {
-		return fmt.Errorf("%w: %q already registered", ErrBadStage, st.Name)
-	}
-	r.stages[st.Name] = st
-	r.order = append(r.order, st.Name)
-	return nil
-}
-
-// MustRegister is Register that panics on error; for init-time wiring.
-func (r *Registry) MustRegister(st Stage) {
-	if err := r.Register(st); err != nil {
-		panic(err)
-	}
-}
-
-// Get returns the stage registered under name, or ErrUnknownStage.
-func (r *Registry) Get(name string) (Stage, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	st, ok := r.stages[name]
-	if !ok {
-		return Stage{}, fmt.Errorf("%w: %q", ErrUnknownStage, name)
-	}
-	return st, nil
-}
-
-// List returns the registered stages in registration order.
-func (r *Registry) List() []Stage {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Stage, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.stages[name])
-	}
-	return out
-}
-
-// Info returns the discovery descriptions in registration order.
-func (r *Registry) Info() []StageInfo {
-	stages := r.List()
-	out := make([]StageInfo, len(stages))
-	for i, st := range stages {
+// StageInfos returns the discovery descriptions in table order.
+func StageInfos() []StageInfo {
+	out := make([]StageInfo, len(stageTable))
+	for i, st := range stageTable {
 		out[i] = StageInfo{Name: st.Name, Description: st.Description, Payload: st.Fields}
 	}
 	return out
@@ -154,11 +99,12 @@ func (r *Registry) Info() []StageInfo {
 // Resolve looks a request's stage up and decodes its payload — the shared
 // validation step of every invocation path, so malformed requests fail
 // before anything is enqueued or applied.
-func (r *Registry) Resolve(req StageRequest) (Stage, any, error) {
-	st, err := r.Get(req.Stage)
-	if err != nil {
-		return Stage{}, nil, err
+func Resolve(req StageRequest) (Stage, any, error) {
+	i := slices.IndexFunc(stageTable, func(st Stage) bool { return st.Name == req.Stage })
+	if i < 0 {
+		return Stage{}, nil, fmt.Errorf("%w: %q", ErrUnknownStage, req.Stage)
 	}
+	st := stageTable[i]
 	decode := st.Decode
 	if decode == nil {
 		decode = decodeNone(st.Name)
@@ -222,19 +168,16 @@ type userContextPayload struct {
 	Model string `json:"model"`
 }
 
-// DefaultRegistry builds a registry pre-populated with the four
-// pay-as-you-go stages of the paper (§3). Each call returns a fresh
-// registry, so callers can extend theirs without affecting others.
-func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	r.MustRegister(Stage{
+// The four pay-as-you-go stages of the paper (§3).
+var (
+	bootstrapStage = Stage{
 		Name:        StageBootstrap,
 		Description: "step 1: fully automatic wrangling over the registered sources",
 		Apply: func(ctx context.Context, s *Session, _ any) (Event, error) {
 			return s.Step(ctx, StageBootstrap, nil)
 		},
-	})
-	r.MustRegister(Stage{
+	}
+	dataContextStage = Stage{
 		Name:        StageDataContext,
 		Description: "step 2: associate reference data ({\"relation\": ...}; default: the scenario's reference)",
 		Fields: []StageField{
@@ -263,8 +206,8 @@ func DefaultRegistry() *Registry {
 				return nil
 			})
 		},
-	})
-	r.MustRegister(Stage{
+	}
+	feedbackStage = Stage{
 		Name:        StageFeedback,
 		Description: "step 3: correctness annotations ({\"items\": [...], \"budget\": n}; default: 100 oracle annotations)",
 		Fields: []StageField{
@@ -299,8 +242,8 @@ func DefaultRegistry() *Registry {
 				return nil
 			})
 		},
-	})
-	r.MustRegister(Stage{
+	}
+	userContextStage = Stage{
 		Name:        StageUserContext,
 		Description: "step 4: priority model over quality criteria ({\"model\": \"crime\"|\"size\"})",
 		Fields: []StageField{
@@ -326,8 +269,5 @@ func DefaultRegistry() *Registry {
 				return nil
 			})
 		},
-	})
-	registerConnectorStages(r)
-	registerAdviseStages(r)
-	return r
-}
+	}
+)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -139,7 +140,7 @@ func (r *rig) bootstrap(sess *session.Session) {
 // thing the store has not yet seen is the terminal run itself.
 func (r *rig) idleRun(sess *session.Session) {
 	r.t.Helper()
-	run, err := r.eng.Submit(sess.ID(), "noop", func(context.Context) (session.Event, error) {
+	run, err := r.eng.Submit(context.Background(), sess.ID(), "noop", func(context.Context) (session.Event, error) {
 		return session.Event{Type: session.EventStage, Stage: "noop"}, nil
 	})
 	if err != nil {
@@ -715,7 +716,6 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	cfg := datagen.DefaultConfig()
 	cfg.NProperties = 20
 	cfg.Seed = 4
-	opts := core.DefaultOptions()
 	old := []feedback.Item{
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Observed: relation.Int(14), HasObserved: true},
 		{Street: "2 Low Rd", Postcode: "M2 2BB", Attr: "price", Correct: true},
@@ -726,7 +726,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	}
 	var envelope bytes.Buffer
 	if err := persist.WriteSessionSnapshot(&envelope, &persist.SessionSnapshot{
-		Meta: persist.Meta{ID: "s-old", Seed: 4, Scenario: &cfg, Options: &opts,
+		Meta: persist.Meta{ID: "s-old", Seed: 4, Scenario: &cfg, Options: json.RawMessage(`{"MatchThreshold":0.6,"MaxSteps":500}`),
 			Feedback: old, ExecHashes: map[string]uint64{"m_gone": 42}},
 		KB: k,
 	}); err != nil {
@@ -749,7 +749,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Meta.Feedback != nil || snap.Meta.ExecHashes != nil || !reflect.DeepEqual(feedback.Items(snap.KB.Relation(feedback.RelItems)), old) {
+	if snap.Meta.Options != nil || snap.Meta.Feedback != nil || snap.Meta.ExecHashes != nil || !reflect.DeepEqual(feedback.Items(snap.KB.Relation(feedback.RelItems)), old) {
 		t.Fatalf("the rewritten snapshot is not in today's layout: meta %+v", snap.Meta)
 	}
 	sess, err := r.mgr.Get("s-old")

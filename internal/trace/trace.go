@@ -67,14 +67,6 @@ func (s *Span) TraceID() string {
 	return s.data.TraceID
 }
 
-// SpanID returns the span's own ID, or "" on a nil span.
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.data.SpanID
-}
-
 // Traceparent renders the span as an outbound W3C traceparent value,
 // or "" on a nil span.
 func (s *Span) Traceparent() string {

@@ -324,3 +324,11 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("store len = %d, want 8", st.Len())
 	}
 }
+
+// SpanID returns the span's own ID, or "" on a nil span.
+func (s *Span) SpanID() string {
+	if s == nil {
+		return ""
+	}
+	return s.data.SpanID
+}

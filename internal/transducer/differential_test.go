@@ -41,7 +41,7 @@ type pair struct {
 
 func newPair(t testing.TB, network func() transducer.NetworkTransducer, build func(...core.Option) *core.Wrangler) *pair {
 	p := &pair{t: t, got: build(core.WithNetwork(network())), want: build(core.WithNetwork(network()))}
-	p.ref = transducer.NewReferenceOrchestrator(p.want.KB, p.want.Registry(), network(), p.want.Options().MaxSteps)
+	p.ref = transducer.NewReferenceOrchestrator(p.want.KB, p.want.Registry(), network(), transducer.DefaultMaxSteps)
 	return p
 }
 

@@ -90,31 +90,23 @@ type InputDeclarer interface {
 	Inputs(read []kb.Key) []kb.Key
 }
 
+// DefaultMaxSteps is the step guard of every orchestrator: no stage of the
+// standard suite comes near it.
+const DefaultMaxSteps = 500
+
 // NewOrchestrator wires an orchestrator with defaults (generic network,
-// fresh engine, 1000-step guard).
-func NewOrchestrator(k *kb.KB, reg *Registry, opts ...func(*Orchestrator)) *Orchestrator {
+// fresh engine, DefaultMaxSteps). Network and MaxSteps are fields: set them
+// before the first run to differ.
+func NewOrchestrator(k *kb.KB, reg *Registry) *Orchestrator {
 	o := &Orchestrator{
 		KB:       k,
 		Registry: reg,
 		Network:  NewGenericNetwork(),
 		Engine:   vadalog.NewEngine(),
-		MaxSteps: 1000,
+		MaxSteps: DefaultMaxSteps,
 	}
 	o.ResetEligibility()
-	for _, opt := range opts {
-		opt(o)
-	}
 	return o
-}
-
-// WithNetwork overrides the network transducer.
-func WithNetwork(n NetworkTransducer) func(*Orchestrator) {
-	return func(o *Orchestrator) { o.Network = n }
-}
-
-// WithMaxSteps overrides the step guard.
-func WithMaxSteps(n int) func(*Orchestrator) {
-	return func(o *Orchestrator) { o.MaxSteps = n }
 }
 
 // Eligible returns the transducers whose dependencies are satisfied and for

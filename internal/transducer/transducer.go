@@ -154,9 +154,6 @@ func (r *Registry) MustRegister(ts ...Transducer) {
 // All returns a copy of the transducers in registration order.
 func (r *Registry) All() []Transducer { return append([]Transducer(nil), r.transducers...) }
 
-// Get returns a transducer by name, or nil.
-func (r *Registry) Get(name string) Transducer { return r.byName[name] }
-
 // Step is one orchestration step in the trace.
 type Step struct {
 	// Seq is the step number (1-based), counted over the orchestrator's

@@ -103,11 +103,8 @@ func TestRegistryDuplicateRejected(t *testing.T) {
 	if err := r.Register(counterTransducer("t1", "x", "in", "out")); err == nil {
 		t.Fatal("duplicate should fail")
 	}
-	if r.Get("t1") != a || r.Get("ghost") != nil {
-		t.Fatal("Get wrong")
-	}
-	if len(r.All()) != 1 {
-		t.Fatal("All wrong")
+	if all := r.All(); len(all) != 1 || all[0] != a {
+		t.Fatalf("All = %v, want the first t1 alone", all)
 	}
 }
 
@@ -210,7 +207,8 @@ func TestOrchestratorSelfWritesDoNotRetrigger(t *testing.T) {
 		},
 	})
 	k.Assert("seed", tup(0))
-	o := NewOrchestrator(k, reg, WithMaxSteps(10))
+	o := NewOrchestrator(k, reg)
+	o.MaxSteps = 10
 	steps, err := o.RunToQuiescence(context.Background())
 	if err != nil || len(steps) != 1 {
 		t.Fatalf("self-writer should run exactly once: %d steps, %v", len(steps), err)
@@ -243,7 +241,8 @@ func TestOrchestratorMaxStepsGuard(t *testing.T) {
 		},
 	)
 	k.Assert("a", tup(0))
-	o := NewOrchestrator(k, reg, WithMaxSteps(10))
+	o := NewOrchestrator(k, reg)
+	o.MaxSteps = 10
 	// The guard is per call: the second call gets ten steps of its own.
 	for call := 1; call <= 2; call++ {
 		steps, err := o.RunToQuiescence(context.Background())
@@ -411,10 +410,11 @@ func TestTraceBounded(t *testing.T) {
 		counterTransducer("stage2", "mapping", "mid", "final"),
 	)
 	longest := 0
-	o := NewOrchestrator(k, reg, WithNetwork(networkFunc(func(ready []Transducer, hist []Step) Transducer {
+	o := NewOrchestrator(k, reg)
+	o.Network = networkFunc(func(ready []Transducer, hist []Step) Transducer {
 		longest = max(longest, len(hist))
 		return ready[0]
-	})))
+	})
 	total := 0
 	for i := 0; total < 2*TraceCap+TraceCap/2; i++ {
 		k.Assert("seed", tup(i))
@@ -529,7 +529,8 @@ func TestMaxStepsCountsExecutedSteps(t *testing.T) {
 	}
 	var busy int
 	reg.MustRegister(countingTransducer("busy", "work", "done", &busy))
-	o := NewOrchestrator(k, reg, WithMaxSteps(7))
+	o := NewOrchestrator(k, reg)
+	o.MaxSteps = 7
 	ctx := context.Background()
 	if _, err := o.RunToQuiescence(ctx); err != nil {
 		t.Fatal(err)

@@ -153,13 +153,6 @@ func TestQueryResultOnMissingVarsIsNull(t *testing.T) {
 	}
 }
 
-func TestBindingsToRelationEmpty(t *testing.T) {
-	rel := BindingsToRelation("empty", nil, nil)
-	if rel.Cardinality() != 0 || rel.Schema.Arity() != 0 {
-		t.Fatalf("empty bindings relation = %v", rel)
-	}
-}
-
 func TestAskParseErrors(t *testing.T) {
 	if _, err := NewEngine().Ask(`p(X :-`, `?- p(X).`, MapEDB{}); err == nil {
 		t.Fatal("bad program should error")

@@ -391,22 +391,6 @@ func TestQueryDeduplicates(t *testing.T) {
 	}
 }
 
-func TestBindingsToRelation(t *testing.T) {
-	edb := MapEDB{"p": {tup("a", 1), tup("b", 2)}}
-	bindings, err := NewEngine().Query(``, `?- p(X, Y).`, edb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := BindingsToRelation("ans", bindings, []string{"X", "Y"})
-	if rel.Cardinality() != 2 || rel.Schema.Arity() != 2 {
-		t.Fatalf("relation wrong: %v", rel)
-	}
-	rel2 := BindingsToRelation("ans", bindings, nil)
-	if rel2.Schema.Arity() != 2 {
-		t.Fatalf("inferred vars wrong: %v", rel2.Schema)
-	}
-}
-
 func TestEvalSameHeadConstants(t *testing.T) {
 	edb := MapEDB{"in": {tup("x")}}
 	res := runProg(t, `out("const", X) :- in(X).`, edb)

@@ -34,16 +34,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses a program and panics on error; for programs embedded as
-// code literals.
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ParseQuery parses a query of the form "?- lit, lit, ... ." (the leading
 // "?-" and trailing "." are both optional).
 func ParseQuery(src string) (*Query, error) {
@@ -76,15 +66,6 @@ func ParseQuery(src string) (*Query, error) {
 		}
 	}
 	return q, nil
-}
-
-// MustParseQuery parses a query and panics on error.
-func MustParseQuery(src string) *Query {
-	q, err := ParseQuery(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
 }
 
 func literalVars(l Literal) []string {

@@ -288,3 +288,22 @@ func TestMustParseQueryPanics(t *testing.T) {
 	}()
 	MustParseQuery(`p(`)
 }
+
+// MustParse parses a program and panics on error; for programs embedded as
+// code literals.
+func MustParse(src string) *Program {
+	p, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// MustParseQuery parses a query and panics on error.
+func MustParseQuery(src string) *Query {
+	q, err := ParseQuery(src)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}

@@ -2,7 +2,6 @@ package vadalog
 
 import (
 	"fmt"
-	"sort"
 
 	"vada/internal/relation"
 )
@@ -93,29 +92,4 @@ func (e *Engine) query(programSrc, querySrc string, edb EDB, limit int) ([]Bindi
 func (e *Engine) Ask(programSrc, querySrc string, edb EDB) (bool, error) {
 	bindings, err := e.query(programSrc, querySrc, edb, 1)
 	return len(bindings) > 0, err
-}
-
-// BindingsToRelation converts query bindings into a relation whose columns
-// are the given variables (or all binding variables, sorted, when vars is
-// empty).
-func BindingsToRelation(name string, bindings []Binding, vars []string) *relation.Relation {
-	if len(vars) == 0 && len(bindings) > 0 {
-		for v := range bindings[0] {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-	}
-	attrs := make([]relation.Attribute, len(vars))
-	for i, v := range vars {
-		attrs[i] = relation.Attribute{Name: v, Type: relation.KindString}
-	}
-	rel := relation.New(relation.Schema{Name: name, Attrs: attrs})
-	for _, b := range bindings {
-		t := make(relation.Tuple, len(vars))
-		for i, v := range vars {
-			t[i] = b[v]
-		}
-		rel.Tuples = append(rel.Tuples, t)
-	}
-	return rel
 }

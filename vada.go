@@ -13,7 +13,7 @@
 //
 // # Quickstart
 //
-//	w := vada.New(vada.WithMinCoverage(2)) // options over production defaults
+//	w := vada.New(vada.WithMinCoverage(2)) // one of the two options
 //	w.RegisterSource(myRelation)           // or RegisterWebSource(...)
 //	w.SetTargetSchema(myTargetSchema)
 //	if _, err := w.Run(ctx); err != nil {  // step 1: automatic bootstrap
@@ -64,8 +64,9 @@ import (
 // registry and orchestrator behind the pay-as-you-go API.
 type Wrangler = core.Wrangler
 
-// New creates a Wrangler with the standard transducer suite, configured by
-// functional options over production defaults.
+// New creates a Wrangler with the standard transducer suite. The two
+// functional options below are all a caller may vary; every other setting
+// is a constant of the suite.
 func New(opts ...core.Option) *Wrangler { return core.NewWrangler(opts...) }
 
 // Functional options for New and BuildScenarioWrangler.
@@ -133,14 +134,11 @@ type (
 )
 
 // VeryStrongly is one step of the paper's verbal importance scale (Figure
-// 2(d)); ParseStrength reads any of them.
+// 2(d)).
 const VeryStrongly = mcda.VeryStrongly
 
-// User-context construction.
-var (
-	NewUserContext = mcda.NewModel
-	ParseStrength  = mcda.ParseStrength
-)
+// NewUserContext starts an empty priority model.
+var NewUserContext = mcda.NewModel
 
 // ---- web extraction ------------------------------------------------------------
 

@@ -80,10 +80,6 @@ func TestPublicAPIUserContext(t *testing.T) {
 	if err != nil || weights[a] <= weights[b] {
 		t.Fatalf("weights = %v, %v", weights, err)
 	}
-	s, err := vada.ParseStrength("very strongly more important than")
-	if err != nil || s != vada.VeryStrongly {
-		t.Fatalf("ParseStrength = %v, %v", s, err)
-	}
 }
 
 // TestPublicAPIExtraction checks the exported extraction path.
