@@ -2,7 +2,9 @@
 // parsing, structured-logger construction, the idle-eviction ticker and
 // graceful signal-driven shutdown. All service behaviour — routes,
 // durability, tracing, metrics — lives in the package, so tests host the
-// identical wiring in-process.
+// identical wiring in-process. Its flags say where the server runs, how
+// much it serves, how it logs and whether it exposes pprof; every other
+// setting is a constant of the package it bounds (see internal/server).
 package main
 
 import (
@@ -18,8 +20,14 @@ import (
 	"syscall"
 	"time"
 
+	"vada/internal/runs"
 	"vada/internal/server"
+	"vada/internal/session"
 )
+
+// defaultIdleTimeout is how long a session may sit idle before it is
+// evicted.
+const defaultIdleTimeout = 30 * time.Minute
 
 // parseFlags turns the command line (without the program name) into the
 // listen address, the idle-eviction timeout and the server configuration.
@@ -29,22 +37,10 @@ func parseFlags(args []string, stderr io.Writer) (addr string, idleTimeout time.
 	fs := flag.NewFlagSet("vada-server", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&addr, "addr", ":8080", "listen address")
-	fs.IntVar(&cfg.N, "n", 300, "default scenario size for new sessions")
-	fs.IntVar(&cfg.MaxN, "max-n", 2000, "largest scenario size a client may request")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "default scenario seed for new sessions")
-	fs.IntVar(&cfg.MaxSessions, "max-sessions", 64, "live session cap (0 = unlimited)")
-	fs.DurationVar(&idleTimeout, "idle-timeout", 30*time.Minute, "evict sessions idle this long (0 = never)")
-	fs.IntVar(&cfg.RunWorkers, "run-workers", 8, "async run engine worker-pool size")
-	fs.IntVar(&cfg.RunQueue, "run-queue", 256, "async run queue depth (0 = unlimited)")
-	fs.IntVar(&cfg.RunSessionQueue, "run-session-queue", 16, "pending async runs one session may hold (0 = unlimited)")
-	fs.DurationVar(&cfg.SSEKeepAlive, "sse-keepalive", 15*time.Second, "SSE keep-alive comment interval (0 = disabled)")
-	fs.DurationVar(&cfg.SSEWriteTimeout, "sse-write-timeout", 10*time.Second, "SSE per-write deadline (0 = none)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "journal sessions to this directory and restore them on boot (\"\" = ephemeral)")
-	fs.IntVar(&cfg.JournalMaxRecords, "journal-max-records", 512, "compact a session's journal into a fresh snapshot after this many records (0 = no record threshold)")
-	fs.Int64Var(&cfg.JournalMaxBytes, "journal-max-bytes", 8<<20, "compact a session's journal after this many bytes since the last compaction (0 = no byte threshold)")
-	fs.BoolVar(&cfg.RestoreClosed, "restore-closed", false, "restore explicitly DELETEd sessions archived under <data-dir>/closed/ at boot")
-	fs.BoolVar(&cfg.Trace, "trace", true, "record per-request span trees, browsable via GET /api/v1/traces")
-	fs.DurationVar(&cfg.TraceSlowThreshold, "trace-slow-threshold", 2*time.Second, "log any span at or over this duration as a structured warning (0 = off)")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", session.DefaultMaxSessions, "live session cap")
+	fs.DurationVar(&idleTimeout, "idle-timeout", defaultIdleTimeout, "evict sessions idle this long (0 = never)")
+	fs.IntVar(&cfg.RunWorkers, "run-workers", runs.DefaultWorkers, "async run engine worker-pool size")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -101,8 +97,7 @@ func main() {
 		}
 	}()
 	logger.Info("serving /api/v1/sessions", "addr", addr,
-		"max_sessions", cfg.MaxSessions, "data_dir", cfg.DataDir,
-		"trace", cfg.Trace, "pprof", cfg.Pprof)
+		"max_sessions", cfg.MaxSessions, "data_dir", cfg.DataDir, "pprof", cfg.Pprof)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listen failed", "error", err)
 		os.Exit(1)

@@ -1,24 +1,31 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"vada/internal/runs"
 	"vada/internal/server"
+	"vada/internal/session"
 )
 
-// TestParseFlags pins the command line: the defaults build a working
-// server, -data-dir alone is all durability needs, and the flags that used
-// to select a durability mode — or to tune a size nobody had a reason to
-// change — are gone, not ignored.
+// TestParseFlags pins the command line: the eight flags say where the
+// server runs, how much it serves, how it logs and whether it exposes
+// pprof, their defaults build a working server, -data-dir alone is all
+// durability needs, and every flag that used to select a mode or tune a
+// constant is gone, not ignored.
 func TestParseFlags(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -28,8 +35,13 @@ func TestParseFlags(t *testing.T) {
 	}{
 		{name: "defaults", check: func(t *testing.T, addr string, idle time.Duration, cfg server.Config) {
 			if addr != ":8080" || idle != 30*time.Minute || cfg.DataDir != "" ||
-				cfg.JournalMaxRecords != 512 || cfg.JournalMaxBytes != 8<<20 || !cfg.Trace {
+				cfg.MaxSessions != session.DefaultMaxSessions || cfg.RunWorkers != runs.DefaultWorkers || cfg.Pprof {
 				t.Fatalf("defaults = %q %v %+v", addr, idle, cfg)
+			}
+			if _, text := cfg.Logger.Handler().(*slog.TextHandler); !text ||
+				!cfg.Logger.Enabled(context.Background(), slog.LevelInfo) ||
+				cfg.Logger.Enabled(context.Background(), slog.LevelDebug) {
+				t.Fatal("default logger is not text at level info")
 			}
 			if healthz(t, cfg)["persist"] != nil {
 				t.Fatal("a server without -data-dir reports persist stats")
@@ -53,6 +65,18 @@ func TestParseFlags(t *testing.T) {
 		{name: "trace max removed", args: []string{"-trace-max", "64"}, wantErr: "not defined: -trace-max"},
 		{name: "trace max spans removed", args: []string{"-trace-max-spans", "64"}, wantErr: "not defined: -trace-max-spans"},
 		{name: "runtime sample removed", args: []string{"-runtime-sample-every", "1s"}, wantErr: "not defined: -runtime-sample-every"},
+		{name: "n removed", args: []string{"-n", "60"}, wantErr: "not defined: -n"},
+		{name: "seed removed", args: []string{"-seed", "2"}, wantErr: "not defined: -seed"},
+		{name: "max-n removed", args: []string{"-max-n", "500"}, wantErr: "not defined: -max-n"},
+		{name: "run-queue removed", args: []string{"-run-queue", "8"}, wantErr: "not defined: -run-queue"},
+		{name: "run-session-queue removed", args: []string{"-run-session-queue", "2"}, wantErr: "not defined: -run-session-queue"},
+		{name: "sse-keepalive removed", args: []string{"-sse-keepalive", "1s"}, wantErr: "not defined: -sse-keepalive"},
+		{name: "sse-write-timeout removed", args: []string{"-sse-write-timeout", "1s"}, wantErr: "not defined: -sse-write-timeout"},
+		{name: "journal-max-records removed", args: []string{"-journal-max-records", "10"}, wantErr: "not defined: -journal-max-records"},
+		{name: "journal-max-bytes removed", args: []string{"-journal-max-bytes", "1024"}, wantErr: "not defined: -journal-max-bytes"},
+		{name: "trace removed", args: []string{"-trace=false"}, wantErr: "not defined: -trace"},
+		{name: "trace-slow-threshold removed", args: []string{"-trace-slow-threshold", "1s"}, wantErr: "not defined: -trace-slow-threshold"},
+		{name: "restore-closed removed", args: []string{"-restore-closed"}, wantErr: "not defined: -restore-closed"},
 		{name: "bad log level", args: []string{"-log-level", "loud"}, wantErr: "bad -log-level"},
 	}
 	for _, tc := range tests {
@@ -74,6 +98,35 @@ func TestParseFlags(t *testing.T) {
 			tc.check(t, addr, idle, cfg)
 		})
 	}
+}
+
+// TestZeroConfigIsTheBinary: every setting has one default. The server the
+// flags' defaults configure and the one a zero server.Config builds — the
+// one examples and tests start from — have the same run engine and report
+// the same health keys.
+func TestZeroConfigIsTheBinary(t *testing.T) {
+	_, _, flags, err := parseFlags(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary := healthz(t, flags)
+	zero := healthz(t, server.Config{Logger: slog.New(slog.DiscardHandler)})
+	if !reflect.DeepEqual(binary["run_stats"], zero["run_stats"]) {
+		t.Fatalf("run_stats: flags' defaults %v, zero Config %v", binary["run_stats"], zero["run_stats"])
+	}
+	if a, b := keys(binary), keys(zero); !reflect.DeepEqual(a, b) {
+		t.Fatalf("healthz keys: flags' defaults %v, zero Config %v", a, b)
+	}
+}
+
+// keys lists a JSON object's keys, sorted.
+func keys(m map[string]any) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // healthz builds the configured server, creates one session and returns
@@ -121,7 +174,7 @@ func TestReadmeFlags(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z][a-z-]*)`).FindAllStringSubmatch(usage.String(), -1) {
 		defined[m[1]] = true
 	}
-	if len(defined) < 10 {
+	if len(defined) < 8 {
 		t.Fatalf("parsed only %d flags out of the usage text:\n%s", len(defined), usage.String())
 	}
 

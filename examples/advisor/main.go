@@ -57,10 +57,7 @@ func main() {
 }
 
 func run() error {
-	srv, err := server.New(server.Config{
-		N: 40, Seed: 7, RunWorkers: 2,
-		Logger: slog.New(slog.DiscardHandler),
-	})
+	srv, err := server.New(server.Config{Logger: slog.New(slog.DiscardHandler)})
 	if err != nil {
 		return err
 	}

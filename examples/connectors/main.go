@@ -42,10 +42,7 @@ func main() {
 }
 
 func run() error {
-	srv, err := server.New(server.Config{
-		N: 60, Seed: 1, RunWorkers: 2,
-		Logger: slog.New(slog.DiscardHandler),
-	})
+	srv, err := server.New(server.Config{Logger: slog.New(slog.DiscardHandler)})
 	if err != nil {
 		return err
 	}

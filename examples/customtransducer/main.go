@@ -7,13 +7,22 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"vada"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to out.
+func run(out io.Writer) error {
 	cfg := vada.DefaultScenarioConfig()
 	cfg.NProperties = 200
 	sc := vada.GenerateScenario(cfg)
@@ -71,39 +80,40 @@ func main() {
 
 	w.AddDataContext(sc.AddressRef)
 	if _, err := w.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("price profile facts in the KB:")
+	fmt.Fprintln(out, "price profile facts in the KB:")
 	for _, f := range w.KB.Facts("md_price_profile") {
-		fmt.Printf("  md_price_profile%v\n", f)
+		fmt.Fprintf(out, "  md_price_profile%v\n", f)
 	}
 
-	fmt.Println("\ntrace steps involving the custom transducer:")
+	fmt.Fprintln(out, "\ntrace steps involving the custom transducer:")
 	for _, s := range w.Trace() {
 		if s.Transducer == "price-profiler" {
-			fmt.Printf("  #%d %s: %v\n", s.Seq, s.Transducer, s.Report.Notes)
+			fmt.Fprintf(out, "  #%d %s: %v\n", s.Seq, s.Transducer, s.Report.Notes)
 		}
 	}
 
 	// What makes it run again: the orchestrator recorded what its dependency
 	// query and its body read, and re-executes it only when one of those
 	// keys moves.
-	fmt.Println("\nits input set, as the orchestrator derived it:")
+	fmt.Fprintln(out, "\nits input set, as the orchestrator derived it:")
 	lines := strings.Split(w.Architecture(), "\n")
 	for i, line := range lines {
 		if strings.Contains(line, "price-profiler") && i+1 < len(lines) {
-			fmt.Println(line)
-			fmt.Println(lines[i+1])
+			fmt.Fprintln(out, line)
+			fmt.Fprintln(out, lines[i+1])
 		}
 	}
 
-	fmt.Println("\nfirst matching steps (note instance matcher preference):")
+	fmt.Fprintln(out, "\nfirst matching steps (note instance matcher preference):")
 	shown := 0
 	for _, s := range w.Trace() {
 		if s.Activity == "matching" && shown < 4 {
-			fmt.Printf("  #%d %s\n", s.Seq, s.Transducer)
+			fmt.Fprintf(out, "  #%d %s\n", s.Seq, s.Transducer)
 			shown++
 		}
 	}
+	return nil
 }

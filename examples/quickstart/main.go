@@ -5,12 +5,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vada"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to out.
+func run(out io.Writer) error {
 	// Two sources describing the same domain with different attribute
 	// names, plus a lookup table.
 	shop1 := vada.NewRelation(vada.NewSchema("shopa", "name", "price", "city"))
@@ -37,12 +46,13 @@ func main() {
 	// quality assessment, selection and fusion — all driven by declared
 	// input dependencies, with no pipeline wiring here.
 	if _, err := w.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("wrangled result:")
-	fmt.Println(w.ResultClean())
+	fmt.Fprintln(out, "wrangled result:")
+	fmt.Fprintln(out, w.ResultClean())
 
-	fmt.Println("orchestration trace:")
-	fmt.Print(vada.TraceString(w.Trace()))
+	fmt.Fprintln(out, "orchestration trace:")
+	fmt.Fprint(out, vada.TraceString(w.Trace()))
+	return nil
 }

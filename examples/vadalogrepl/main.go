@@ -6,12 +6,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vada"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to out.
+func run(out io.Writer) error {
 	// A small organisational EDB.
 	edb := vada.MapEDB{
 		"manages": {
@@ -50,38 +59,39 @@ budgetcode(M, Code) :- manager(M).
 `
 	prog, err := vada.ParseVadalog(program)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := vada.NewEngine().Run(prog, edb)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	for _, pred := range []string{"reports", "leaf", "payroll", "headcount", "proposal", "budgetcode"} {
-		fmt.Printf("%s:\n", pred)
+		fmt.Fprintf(out, "%s:\n", pred)
 		for _, f := range res.Facts(pred) {
-			fmt.Printf("  %v\n", f)
+			fmt.Fprintf(out, "  %v\n", f)
 		}
 	}
 
 	// Labelled nulls are recognisable values.
 	for _, f := range res.Facts("budgetcode") {
 		if !vada.IsLabelledNull(f[1]) {
-			log.Fatalf("expected labelled null, got %v", f[1])
+			return fmt.Errorf("expected labelled null, got %v", f[1])
 		}
 	}
 
 	// Querying.
 	q, err := vada.ParseQuery(`?- payroll(M, S), S > 120.`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	answers, err := res.QueryResult(q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("managers with payroll > 120:")
+	fmt.Fprintln(out, "managers with payroll > 120:")
 	for _, b := range answers {
-		fmt.Printf("  %v: %v\n", b["M"], b["S"])
+		fmt.Fprintf(out, "  %v: %v\n", b["M"], b["S"])
 	}
+	return nil
 }

@@ -133,14 +133,6 @@ func (r *Recorder) appendTraced(ctx context.Context, rec *Record, kind string) e
 	return err
 }
 
-// ShouldCompact reports whether the journal has crossed either compaction
-// threshold (0 disables that threshold; both 0 means never).
-func (r *Recorder) ShouldCompact(maxRecords int, maxBytes int64) bool {
-	records, bytes := r.w.Stats()
-	return (maxRecords > 0 && records >= maxRecords) ||
-		(maxBytes > 0 && bytes >= maxBytes)
-}
-
 // Compact folds the journal into a fresh full snapshot and truncates it:
 // writeSnapshot must atomically persist the session's current full state
 // (the server's capture+tmp+rename path). The recorder lock is held across

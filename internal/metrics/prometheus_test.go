@@ -3,7 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestWritePrometheusFormat pins the exposition format byte-for-byte:
@@ -64,7 +63,7 @@ ops_total{op="b"} 2
 
 func TestStartRuntimeSampler(t *testing.T) {
 	r := NewRegistry()
-	stop := StartRuntimeSampler(r, time.Hour) // immediate sample only
+	stop := StartRuntimeSampler(r) // the immediate sample; the first tick is 10s away
 	defer stop()
 	s := r.Snapshot()
 	if s.Gauges[RuntimeGoroutines] <= 0 {

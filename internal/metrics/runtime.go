@@ -17,22 +17,21 @@ const (
 	RuntimeGCPauseLastNs = "runtime_gc_pause_last_ns"
 )
 
+// runtimeSampleEvery is the runtime sampler's interval.
+const runtimeSampleEvery = 10 * time.Second
+
 // StartRuntimeSampler samples the Go runtime (goroutine count, heap
 // in-use/alloc, GC cycle count and last pause) into gauges on r every
-// interval, taking an immediate first sample so the gauges are live
-// before the first tick. It returns a stop function that halts the
+// runtimeSampleEvery, taking an immediate first sample so the gauges are
+// live before the first tick. It returns a stop function that halts the
 // sampler and blocks until its goroutine exits; stop is idempotent.
-// A non-positive interval defaults to 10s.
-func StartRuntimeSampler(r *Registry, every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = 10 * time.Second
-	}
+func StartRuntimeSampler(r *Registry) (stop func()) {
 	sampleRuntime(r)
 	done := make(chan struct{})
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
-		t := time.NewTicker(every)
+		t := time.NewTicker(runtimeSampleEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -55,7 +54,7 @@ func StartRuntimeSampler(r *Registry, every time.Duration) (stop func()) {
 }
 
 // sampleRuntime takes one sample. runtime.ReadMemStats stops the
-// world briefly, which is negligible at the default 10s cadence.
+// world briefly, which is negligible at a 10s cadence.
 func sampleRuntime(r *Registry) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -238,8 +238,8 @@ func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 	}
 	if cfg := snap.Meta.Scenario; cfg != nil && (cfg.NProperties < 0 || cfg.NPostcodes < 0) {
 		// Negative sizes would panic scenario generation; callers enforce
-		// their own upper bounds (the service applies its -max-n policy
-		// before restoring imported snapshots).
+		// their own upper bounds (the service bounds both at 2000 before
+		// restoring imported snapshots).
 		return nil, fmt.Errorf("%w: negative scenario size (%d properties, %d postcodes)",
 			ErrBadSnapshot, cfg.NProperties, cfg.NPostcodes)
 	}

@@ -44,12 +44,10 @@ type sessionQueue struct {
 // Engine is the worker-pool run engine. Create one with New and stop it
 // with Close; all methods are safe for concurrent use.
 type Engine struct {
-	workers    int
-	queueCap   int
-	sessionCap int
-	retention  int
-	notify     func(Run)
-	reg        *metrics.Registry
+	workers   int
+	retention int // retainedRuns; tests shrink it
+	notify    func(Run)
+	reg       *metrics.Registry
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -66,31 +64,31 @@ type Engine struct {
 	wg         sync.WaitGroup
 }
 
+// DefaultWorkers is the worker-pool size of an engine built without
+// WithWorkers.
+const DefaultWorkers = 8
+
+// The engine's caps on runs waiting for a worker: across all sessions, and
+// per session — the fairness guard that stops one chatty session from
+// monopolising the global queue. Submit fails with ErrQueueFull beyond
+// either. retainedRuns is how many finished runs stay pollable.
+const (
+	queueDepth        = 256
+	sessionQueueDepth = 16
+	retainedRuns      = 512
+)
+
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers sets the worker-pool size (default 4).
+// WithWorkers sets the worker-pool size (DefaultWorkers when n is not
+// positive).
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.workers = n
 		}
 	}
-}
-
-// WithQueueDepth caps the number of queued (not yet running) runs across
-// all sessions; Submit fails with ErrQueueFull beyond it (default 256,
-// 0 = unlimited).
-func WithQueueDepth(n int) Option {
-	return func(e *Engine) { e.queueCap = n }
-}
-
-// WithSessionQueue caps the number of queued (not yet running) runs any
-// single session may hold; Submit fails with ErrQueueFull beyond it
-// (default 0 = unlimited). This is the fairness guard that stops one
-// chatty session from monopolising the bounded global queue.
-func WithSessionQueue(n int) Option {
-	return func(e *Engine) { e.sessionCap = n }
 }
 
 // WithNotify installs a hook invoked on every run state transition
@@ -115,9 +113,8 @@ func WithMetrics(reg *metrics.Registry) Option {
 // New builds an engine and starts its worker pool.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		workers:   4,
-		queueCap:  256,
-		retention: 512,
+		workers:   DefaultWorkers,
+		retention: retainedRuns,
 		tasks:     map[string]*task{},
 		queues:    map[string]*sessionQueue{},
 	}
@@ -184,19 +181,17 @@ func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, 
 	if e.closed {
 		return Run{}, ErrEngineClosed
 	}
-	if e.queueCap > 0 && e.queued >= e.queueCap {
+	if e.queued >= queueDepth {
 		if e.reg != nil {
 			e.reg.Counter(metrics.Name("runs_queue_rejections_total", "limit", "global")).Inc()
 		}
-		return Run{}, fmt.Errorf("%w (max %d queued)", ErrQueueFull, e.queueCap)
+		return Run{}, fmt.Errorf("%w (max %d queued)", ErrQueueFull, queueDepth)
 	}
-	if e.sessionCap > 0 {
-		if q := e.queues[sessionID]; q != nil && len(q.pending) >= e.sessionCap {
-			if e.reg != nil {
-				e.reg.Counter(metrics.Name("runs_queue_rejections_total", "limit", "session")).Inc()
-			}
-			return Run{}, fmt.Errorf("%w (session %s: max %d pending)", ErrQueueFull, sessionID, e.sessionCap)
+	if q := e.queues[sessionID]; q != nil && len(q.pending) >= sessionQueueDepth {
+		if e.reg != nil {
+			e.reg.Counter(metrics.Name("runs_queue_rejections_total", "limit", "session")).Inc()
 		}
+		return Run{}, fmt.Errorf("%w (session %s: max %d pending)", ErrQueueFull, sessionID, sessionQueueDepth)
 	}
 	e.seq++
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -593,8 +588,8 @@ func (e *Engine) CancelSession(sessionID string) int {
 
 // Stats summarises the engine for health reporting: pool-level aggregates,
 // the lifetime high-water mark of the queue, and the pending count of every
-// session that currently has queued runs — the numbers that size
-// -run-workers/-run-queue/-run-session-queue for a given workload.
+// session that currently has queued runs — how close a workload runs to
+// the worker pool and the two queue caps.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -94,21 +94,23 @@ func TestFailedRun(t *testing.T) {
 }
 
 func TestQueueDepthBound(t *testing.T) {
-	e := New(WithWorkers(1), WithQueueDepth(2))
+	e := New(WithWorkers(1))
 	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := e.Submit(context.Background(), "s1", "b", gated(started, release)); err != nil {
+	if _, err := e.Submit(context.Background(), "busy", "b", gated(started, release)); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the first run occupies the worker, not the queue
-	for i := 0; i < 2; i++ {
-		if _, err := e.Submit(context.Background(), "s1", "b", gated(nil, release)); err != nil {
+	// Fill the global queue in sessions of sessionQueueDepth runs each, so no
+	// session reaches its own cap first.
+	for i := 0; i < queueDepth; i++ {
+		if _, err := e.Submit(context.Background(), fmt.Sprintf("s%d", i/sessionQueueDepth), "b", gated(nil, release)); err != nil {
 			t.Fatalf("fill queue slot %d: %v", i, err)
 		}
 	}
-	if _, err := e.Submit(context.Background(), "s1", "b", gated(nil, release)); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit(context.Background(), "fresh", "b", gated(nil, release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-cap submit err = %v, want ErrQueueFull", err)
 	}
 }
@@ -180,7 +182,7 @@ func TestCancelRunningMidStage(t *testing.T) {
 func TestPerSessionFIFO(t *testing.T) {
 	e := New(WithWorkers(8))
 	defer e.Close()
-	const n = 30
+	const n = sessionQueueDepth // all of them can be pending at once
 	var mu sync.Mutex
 	var order []int
 	var inFlight atomic.Int32
@@ -558,7 +560,7 @@ func TestPlanCancelMidway(t *testing.T) {
 // backlog is capped with ErrQueueFull while other sessions keep
 // submitting against the same engine.
 func TestSessionQueueCap(t *testing.T) {
-	e := New(WithWorkers(1), WithSessionQueue(2))
+	e := New(WithWorkers(1))
 	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -568,7 +570,7 @@ func TestSessionQueueCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	for i := 0; i < 2; i++ {
+	for i := 0; i < sessionQueueDepth; i++ {
 		if _, err := e.Submit(context.Background(), "greedy", "q", stageEv("q")); err != nil {
 			t.Fatalf("pending %d: %v", i, err)
 		}

@@ -16,8 +16,8 @@ import (
 // (http_requests_total{route,code}), per-route latency histograms
 // (http_request_seconds{route}), the in-flight gauge (http_in_flight), a
 // request ID (adopted from X-Request-Id or minted, echoed back in the
-// response and stamped on the request's log line), and — with tracing on —
-// the root span of the request's trace. Routes are labelled by the ServeMux
+// response and stamped on the request's log line), and the root span of
+// the request's trace. Routes are labelled by the ServeMux
 // pattern that matched — the mux stamps it onto the request during routing,
 // so the label space is the route table, never the unbounded URL space.
 //
@@ -39,7 +39,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 		var span *trace.Span
 		traceparent := r.Header.Get("Traceparent")
-		if s.tracer != nil && (r.Method != http.MethodGet || traceparent != "") {
+		if r.Method != http.MethodGet || traceparent != "" {
 			span = s.tracer.Root("http "+r.Method, traceparent,
 				"method", r.Method, "path", r.URL.Path, "request_id", reqID)
 			rw.Header().Set("Traceparent", span.Traceparent())

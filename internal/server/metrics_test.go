@@ -6,29 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"vada/internal/metrics"
 )
-
-// metricsServer builds the full production wiring (ephemeral, no data dir)
-// through New, so every instrumentation hook — manager, engine, sessions —
-// is installed exactly as in the binary.
-func metricsServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	s, err := New(Config{
-		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
-		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
-		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
 
 // getMetricz fetches and decodes the metrics snapshot.
 func getMetricz(t *testing.T, ts *httptest.Server) metrics.Snapshot {
@@ -53,7 +33,7 @@ func getMetricz(t *testing.T, ts *httptest.Server) metrics.Snapshot {
 // per-route counters and latency, run-engine completions, queue wait and
 // per-stage durations, and the session population gauge.
 func TestMetriczReflectsPlanRun(t *testing.T) {
-	_, ts := metricsServer(t)
+	_, ts := testServer(t)
 	id := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
 
@@ -121,7 +101,7 @@ func TestMetriczReflectsPlanRun(t *testing.T) {
 // TestHealthzFoldsMetrics checks the health document carries the metrics
 // roll-up next to the run stats, including the new high-water field.
 func TestHealthzFoldsMetrics(t *testing.T) {
-	_, ts := metricsServer(t)
+	_, ts := testServer(t)
 	createSession(t, ts, "")
 	doc := getJSON(t, ts.URL+"/api/v1/healthz")
 	m, ok := doc["metrics"].(map[string]any)
@@ -147,7 +127,7 @@ func TestHealthzFoldsMetrics(t *testing.T) {
 // TestMetriczCountsUnmatchedRoutes checks requests that miss the route
 // table still land in a bounded label.
 func TestMetriczCountsUnmatchedRoutes(t *testing.T) {
-	_, ts := metricsServer(t)
+	_, ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/no/such/route")
 	if err != nil {
 		t.Fatal(err)

@@ -45,8 +45,8 @@
 // once its journal record — the mutation delta, O(delta) bytes — is fsynced;
 // a plan's stage records share one fsync, issued before the run turns
 // terminal; a terminal run's own record follows asynchronously. A journal
-// past -journal-max-records or -journal-max-bytes (and any journal on evict
-// and graceful shutdown) is compacted into a fresh snapshot.
+// past the store's compaction thresholds (and any journal on evict and
+// graceful shutdown) is compacted into a fresh snapshot.
 //
 // Every persisted session is restored at boot — event history, result and
 // terminal run resources included — so a server killed outright (kill -9)
@@ -54,11 +54,11 @@
 // GET .../result and GET .../runs/{rid} for pre-restart sessions
 // identically. DELETE /api/v1/sessions/{id} archives the session's final
 // state under <data-dir>/closed/ and removes its live files, so explicitly
-// closed sessions do not come back on boot (opt back in with
-// -restore-closed, which makes archived sessions live again). Idle-evicted
-// sessions stay restorable. GET /api/v1/healthz reports persist stats:
-// journaled sessions, journal records and bytes since compaction, and the
-// last snapshot time.
+// closed sessions do not come back on boot; POSTing the archive,
+// <data-dir>/closed/<id>.vsnap, to /api/v1/sessions/import makes it live
+// again. Idle-evicted sessions stay restorable. GET /api/v1/healthz reports
+// persist stats: journaled sessions, journal records and bytes since
+// compaction, and the last snapshot time.
 //
 // Stages are table-driven: every stage of the session package's fixed stage
 // table is invocable through the generic stages/{name} route, listable via
@@ -73,12 +73,20 @@
 // carries every state transition (queued → running → stage k/n →
 // terminal) as `transition` events alongside the `stage` events.
 // Runs of one session execute in submission order; runs of independent
-// sessions spread across the worker pool, and a per-session pending cap
-// (-run-session-queue) answers 429 with Retry-After before one session can
+// sessions spread across the worker pool, and the run engine's per-session
+// pending cap answers 429 with Retry-After before one session can
 // monopolise the global queue.
 //
 // Sessions are independent: each wraps its own Wrangler and scenario, holds
 // its own lock, and wrangles fully in parallel with every other session.
+//
+// Config holds what a deployment varies — where the server runs, how much
+// it serves, how it logs — and its zero value is the server vada-server runs
+// with every flag at its default. Everything else is one constant in the
+// package it bounds: the scenario defaults and the SSE timings here, the
+// run queue caps in runs, the compaction thresholds in store, the trace
+// bounds and slow-span threshold in trace, the runtime sampling interval
+// in metrics.
 package server
 
 import (
@@ -120,32 +128,42 @@ const maxPayloadBytes = 8 << 20
 // maxSnapshotBytes bounds one imported session snapshot.
 const maxSnapshotBytes = 64 << 20
 
-// Server holds the session manager, the async run
-// engine, the per-session scenario defaults and the durability wiring.
-// Build one with New; serve Handler(); stop with Close.
-type Server struct {
-	mgr         *session.Manager
-	runs        *runs.Engine
-	metrics     *metrics.Registry
-	defaultN    int
-	defaultSeed int64
-	maxN        int
-	started     time.Time
+// A session created without a size or seed gets defaultN properties and
+// defaultSeed; neither a created nor an imported scenario may exceed maxN
+// properties or postcodes.
+const (
+	defaultN    = 300
+	defaultSeed = 1
+	maxN        = 2000
+)
 
-	// tracer records per-request span trees (nil = tracing disabled; every
-	// span operation is nil-safe, so handlers never branch on it). logger is
-	// the structured request/operational logger; pprof gates the
-	// /debug/pprof/ routes; stopSampler stops the runtime-gauge sampler.
+// SSE hardening: a keep-alive comment after this much idle time, so
+// intermediaries hold the stream open, and a deadline on every write, which
+// reaps dead clients behind proxies that never RST.
+const (
+	sseKeepAliveEvery = 15 * time.Second
+	sseWriteTimeout   = 10 * time.Second
+)
+
+// Server holds the session manager, the async run engine, the tracer and
+// the durability wiring. Build one with New; serve Handler(); stop with
+// Close.
+type Server struct {
+	mgr     *session.Manager
+	runs    *runs.Engine
+	metrics *metrics.Registry
+	started time.Time
+
+	// tracer records per-request span trees. logger is the structured
+	// request/operational logger; pprof gates the /debug/pprof/ routes;
+	// stopSampler stops the runtime-gauge sampler.
 	tracer      *trace.Tracer
 	logger      *slog.Logger
 	pprof       bool
 	stopSampler func()
 
-	// sseKeepAlive is the idle interval between SSE keep-alive comments;
-	// sseWriteTimeout is the per-write deadline that reaps dead client
-	// connections behind proxies that never RST.
-	sseKeepAlive    time.Duration
-	sseWriteTimeout time.Duration
+	// sseKeepAlive is sseKeepAliveEvery; tests shorten it.
+	sseKeepAlive time.Duration
 
 	// store owns the data directory and every session's durable lifecycle
 	// (ephemeral without one); the server only routes to it.
@@ -153,38 +171,18 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// Config is the server's flag set in struct form, so the binary and tests
-// build the full server wiring — durability included — the same way.
+// Config is what a deployment varies, in struct form, so the binary and
+// tests build the full server wiring — durability included — the same way.
+// A zero field means the package default vada-server's flag carries too.
 type Config struct {
-	// N and Seed are the default scenario size and seed of new sessions;
-	// MaxN bounds the size a client (or imported snapshot) may request.
-	N, MaxN int
-	Seed    int64
-	// MaxSessions caps live sessions (0 = unlimited).
+	// MaxSessions caps live sessions (0 = session.DefaultMaxSessions).
 	MaxSessions int
-	// RunWorkers, RunQueue and RunSessionQueue size the async run engine.
-	RunWorkers      int
-	RunQueue        int
-	RunSessionQueue int
-	// SSEKeepAlive and SSEWriteTimeout harden the event stream.
-	SSEKeepAlive    time.Duration
-	SSEWriteTimeout time.Duration
+	// RunWorkers sizes the async run engine's worker pool
+	// (0 = runs.DefaultWorkers).
+	RunWorkers int
 	// DataDir enables durability ("" = ephemeral): every session journals
-	// to it. JournalMaxRecords/JournalMaxBytes are the journal's compaction
-	// thresholds (0 = no such threshold).
-	DataDir           string
-	JournalMaxRecords int
-	JournalMaxBytes   int64
-	// RestoreClosed restores explicitly DELETEd archived sessions at boot.
-	RestoreClosed bool
-
-	// Trace enables the span recorder: every mutating request (and any
-	// request carrying an inbound W3C traceparent) produces a span tree —
-	// HTTP root → run → queue-wait / per-stage → journal append —
-	// retrievable via GET /api/v1/traces. TraceSlowThreshold logs any span
-	// at or over it as a structured warning (0 = off).
-	Trace              bool
-	TraceSlowThreshold time.Duration
+	// to it.
+	DataDir string
 	// Pprof registers net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// Logger is the structured logger for request lines and operational
@@ -192,35 +190,23 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// New wires run engine, session manager and the store over the
+// New wires tracer, run engine, session manager and the store over the
 // data directory, then recovers every session the directory holds.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		metrics:         metrics.NewRegistry(),
-		defaultN:        cfg.N,
-		defaultSeed:     cfg.Seed,
-		maxN:            cfg.MaxN,
-		started:         time.Now(),
-		sseKeepAlive:    cfg.SSEKeepAlive,
-		sseWriteTimeout: cfg.SSEWriteTimeout,
-		pprof:           cfg.Pprof,
-		logger:          cfg.Logger,
+		metrics:      metrics.NewRegistry(),
+		started:      time.Now(),
+		sseKeepAlive: sseKeepAliveEvery,
+		pprof:        cfg.Pprof,
+		logger:       cfg.Logger,
 	}
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
-	if cfg.Trace {
-		s.tracer = trace.NewTracer(
-			trace.NewStore(0, 0), // the trace package's defaults: 1024 traces of 256 spans
-			trace.WithSlowThreshold(cfg.TraceSlowThreshold),
-			trace.WithLogger(s.logger),
-		)
-	}
-	s.stopSampler = metrics.StartRuntimeSampler(s.metrics, 0) // its default interval, 10s
+	s.tracer = trace.NewTracer(trace.NewStore(), s.logger)
+	s.stopSampler = metrics.StartRuntimeSampler(s.metrics)
 	s.runs = runs.New(
 		runs.WithWorkers(cfg.RunWorkers),
-		runs.WithQueueDepth(cfg.RunQueue),
-		runs.WithSessionQueue(cfg.RunSessionQueue),
 		runs.WithNotify(s.publishTransition),
 		runs.WithMetrics(s.metrics),
 	)
@@ -242,12 +228,12 @@ func New(cfg Config) (*Server, error) {
 		}),
 	)
 	var err error
-	s.store, err = store.Open(cfg.DataDir, cfg.JournalMaxRecords, cfg.JournalMaxBytes,
+	s.store, err = store.Open(cfg.DataDir,
 		store.Deps{Manager: s.mgr, Engine: s.runs, Metrics: s.metrics, Logger: s.logger})
 	if err != nil {
 		return nil, fmt.Errorf("opening -data-dir: %w", err)
 	}
-	s.store.Recover(cfg.RestoreClosed, s.sessionOpts()...)
+	s.store.Recover(s.sessionOpts()...)
 	return s, nil
 }
 
@@ -279,9 +265,7 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.runs.Close() // cancels live runs and waits for workers to drain
 		s.store.Close()
-		if s.stopSampler != nil {
-			s.stopSampler()
-		}
+		s.stopSampler()
 	})
 }
 
@@ -351,7 +335,7 @@ func (s *Server) publishTransition(run runs.Run) {
 }
 
 // createRequest is the POST /api/v1/sessions body; zero values take the
-// server defaults. Blank sessions skip scenario generation entirely: an
+// package defaults. Blank sessions skip scenario generation entirely: an
 // empty wrangler with a target schema, fed real data through the connector
 // stages instead of datagen.
 type createRequest struct {
@@ -368,18 +352,15 @@ type createRequest struct {
 }
 
 func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
-	req := createRequest{N: s.defaultN, Seed: s.defaultSeed}
-	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(rw, "bad session config JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	req := createRequest{N: defaultN, Seed: defaultSeed}
+	if r.ContentLength != 0 && !decodeBody(rw, r, "session config", &req) {
+		return
 	}
 	if req.N <= 0 {
-		req.N = s.defaultN
+		req.N = defaultN
 	}
-	if !req.Blank && s.maxN > 0 && req.N > s.maxN {
-		http.Error(rw, fmt.Sprintf("scenario size %d exceeds the server limit %d", req.N, s.maxN),
+	if !req.Blank && req.N > maxN {
+		http.Error(rw, fmt.Sprintf("scenario size %d exceeds the server limit %d", req.N, maxN),
 			http.StatusBadRequest)
 		return
 	}
@@ -530,16 +511,7 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var plan session.Plan
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
-	// Strict, like the stage payload codecs: a misspelled "payload" key
-	// must be a 400, not a silently-defaulted stage run.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&plan); err != nil {
-		writeBodyError(rw, err)
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		http.Error(rw, "trailing data after plan JSON", http.StatusBadRequest)
+	if !decodeBody(rw, r, "plan", &plan) {
 		return
 	}
 	run, err := s.runs.SubmitPlan(r.Context(), sess, plan)
@@ -609,7 +581,6 @@ type sseWriter struct {
 	rw      http.ResponseWriter
 	flusher http.Flusher
 	ctl     *http.ResponseController
-	timeout time.Duration
 	logger  *slog.Logger
 }
 
@@ -620,7 +591,7 @@ type sseWriter struct {
 // unsupported (on HTTP/2 an expired deadline resets the stream even while
 // idle). A write or flush error means the client is gone.
 func (w *sseWriter) write(frame string) error {
-	if err := w.setDeadline(time.Now().Add(w.timeout)); err != nil {
+	if err := w.setDeadline(time.Now().Add(sseWriteTimeout)); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w.rw, frame); err != nil {
@@ -633,9 +604,6 @@ func (w *sseWriter) write(frame string) error {
 // setDeadline arms or clears the write deadline, tolerating transports
 // without deadline support.
 func (w *sseWriter) setDeadline(t time.Time) error {
-	if w.timeout <= 0 {
-		return nil
-	}
 	if err := w.ctl.SetWriteDeadline(t); err != nil && !errors.Is(err, http.ErrNotSupported) {
 		return err
 	}
@@ -674,8 +642,7 @@ func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	w := &sseWriter{rw: rw, flusher: flusher, ctl: http.NewResponseController(rw),
-		timeout: s.sseWriteTimeout, logger: s.logger}
+	w := &sseWriter{rw: rw, flusher: flusher, ctl: http.NewResponseController(rw), logger: s.logger}
 	after := intQuery(r, "after", 0)
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {
@@ -698,18 +665,13 @@ func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	if err := w.write(": connected\n\n"); err != nil {
 		return
 	}
-	// 0 disables keep-alives (a nil channel never fires).
-	var tick <-chan time.Time
-	if s.sseKeepAlive > 0 {
-		ticker := time.NewTicker(s.sseKeepAlive)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
+	ticker := time.NewTicker(s.sseKeepAlive)
+	defer ticker.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-tick:
+		case <-ticker.C:
 			if err := w.write(": keep-alive\n\n"); err != nil {
 				return
 			}
@@ -769,10 +731,9 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 	// session creation: restoring regenerates the scenario, and an
 	// unbounded NProperties/NPostcodes would let one upload allocate
 	// arbitrarily (negative sizes are rejected by RestoreSession itself).
-	if cfg := snap.Meta.Scenario; cfg != nil && s.maxN > 0 &&
-		(cfg.NProperties > s.maxN || cfg.NPostcodes > s.maxN) {
+	if cfg := snap.Meta.Scenario; cfg != nil && (cfg.NProperties > maxN || cfg.NPostcodes > maxN) {
 		http.Error(rw, fmt.Sprintf("snapshot scenario size (%d properties, %d postcodes) exceeds the server limit %d",
-			cfg.NProperties, cfg.NPostcodes, s.maxN), http.StatusBadRequest)
+			cfg.NProperties, cfg.NPostcodes, maxN), http.StatusBadRequest)
 		return
 	}
 	sess, err := persist.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
@@ -996,9 +957,7 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 			"goroutines":       snap.Gauges[metrics.RuntimeGoroutines],
 			"heap_inuse_bytes": snap.Gauges[metrics.RuntimeHeapInuse],
 		},
-	}
-	if s.tracer != nil {
-		out["traces"] = s.tracer.Store().Len()
+		"traces": s.tracer.Store().Len(),
 	}
 	if st := s.store.Stats(); st != nil {
 		out["persist"] = st
@@ -1087,6 +1046,25 @@ func writeEvent(rw http.ResponseWriter, ev session.Event, err error) {
 		return
 	}
 	writeJSON(rw, ev)
+}
+
+// decodeBody decodes a JSON request body into v strictly, like the stage
+// payload codecs: a body past maxPayloadBytes is a 413, and an unknown field
+// (a misspelled key must not silently take its default) or anything after
+// the value is a 400. It answers the failure itself and reports whether v
+// was decoded.
+func decodeBody(rw http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeBodyError(rw, err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(rw, "trailing data after "+what+" JSON", http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 // writeBodyError maps a request-body read failure onto a status code:

@@ -36,52 +36,39 @@ const (
 	closedDirName = "closed"
 )
 
-// ephemeralStore gives a hand-built Server the store New would: none of
-// these servers has a data directory.
-func ephemeralStore(t *testing.T, s *Server) *store.Store {
+// testServer serves the server vada-server runs with its flags at their
+// defaults: New over a zero Config, ephemeral, with a quiet logger.
+func testServer(t *testing.T) (*Server, *httptest.Server) {
+	return serve(t, Config{})
+}
+
+// serve builds the server New wires from cfg — the binary's wiring — with a
+// quiet logger unless cfg names one, serves it, and closes both at the end.
+func serve(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	st, err := store.Open("", 0, 0, store.Deps{Manager: s.mgr, Engine: s.runs, Metrics: s.metrics, Logger: s.logger})
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
-}
-
-func testServer(t *testing.T, opts ...session.ManagerOption) (*Server, *httptest.Server) {
-	return testServerEngine(t, nil, opts...)
-}
-
-// testServerEngine mirrors main's wiring with extra run-engine options: the
-// notify hook publishes transitions to session subscribers, and closing or
-// evicting a session cancels its runs.
-func testServerEngine(t *testing.T, engineOpts []runs.Option, opts ...session.ManagerOption) (*Server, *httptest.Server) {
-	t.Helper()
-	s := &Server{
-		metrics:         metrics.NewRegistry(),
-		defaultN:        60,
-		defaultSeed:     1,
-		started:         time.Now(),
-		sseKeepAlive:    15 * time.Second,
-		sseWriteTimeout: 10 * time.Second,
-		logger:          slog.New(slog.DiscardHandler),
-	}
-	s.runs = runs.New(append([]runs.Option{
-		runs.WithWorkers(4),
-		runs.WithNotify(s.publishTransition),
-	}, engineOpts...)...)
-	s.mgr = session.NewManager(append(opts, session.WithEvictHook(func(sess *session.Session) {
-		s.runs.CancelSession(sess.ID())
-	}))...)
-	s.store = ephemeralStore(t, s)
-	t.Cleanup(s.runs.Close)
+	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
 
+// testSessionBody is the create body behind createSession's empty one: the
+// tests wrangle 60 properties, not the server's default of 300.
+const testSessionBody = `{"n":60}`
+
 // createSession POSTs /api/v1/sessions and returns the new session's ID.
 func createSession(t *testing.T, ts *httptest.Server, body string) string {
 	t.Helper()
+	if body == "" {
+		body = testSessionBody
+	}
 	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +128,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := testServer(t)
-	id := createSession(t, ts, `{"name":"demo"}`)
+	id := createSession(t, ts, `{"name":"demo","n":60}`)
 	base := ts.URL + "/api/v1/sessions/" + id
 
 	// The result endpoint 404s before bootstrap.
@@ -375,7 +362,7 @@ func TestErrorPaths(t *testing.T) {
 }
 
 func TestSessionCap(t *testing.T) {
-	_, ts := testServer(t, session.WithMaxSessions(1))
+	_, ts := serve(t, Config{MaxSessions: 1})
 	createSession(t, ts, `{"n":30}`)
 	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(`{"n":30}`))
 	if err != nil {
@@ -448,7 +435,7 @@ func TestAsyncStageFlow(t *testing.T) {
 	var id string
 	var resp *http.Response
 	for attempt := 0; ; attempt++ {
-		id = createSession(t, ts, `{"name":"async"}`)
+		id = createSession(t, ts, `{"name":"async","n":60}`)
 		start := time.Now()
 		var err error
 		resp, err = http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap?async=1", "", nil)
@@ -1251,13 +1238,10 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 // TestSessionRunQueue429 checks run-engine fairness over HTTP: a session
-// at its pending-run cap gets 429 with a Retry-After hint while other
-// sessions keep submitting.
+// at the engine's pending-run cap (16) gets 429 with a Retry-After hint
+// while other sessions keep submitting.
 func TestSessionRunQueue429(t *testing.T) {
-	s, ts := testServerEngine(t, []runs.Option{
-		runs.WithWorkers(1),
-		runs.WithSessionQueue(1),
-	})
+	s, ts := serve(t, Config{RunWorkers: 1})
 	id := createSession(t, ts, "")
 	other := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
@@ -1279,25 +1263,27 @@ func TestSessionRunQueue429(t *testing.T) {
 	}
 	<-started
 
-	// First pending run fits the cap.
-	r1, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	// The pending runs up to the cap fit.
+	asyncStage := func(base string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
 	}
-	r1.Body.Close()
-	if r1.StatusCode != http.StatusAccepted {
-		t.Fatalf("first pending: %s", r1.Status)
+	for i := 0; i < 16; i++ {
+		if r := asyncStage(base); r.StatusCode != http.StatusAccepted {
+			t.Fatalf("pending run %d: %s", i, r.Status)
+		}
 	}
-	// Second exceeds it: 429 + Retry-After.
-	r2, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	// The next exceeds it: 429 + Retry-After.
+	r := asyncStage(base)
+	if r.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over session cap: %s, want 429", r.Status)
 	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over session cap: %s, want 429", r2.Status)
-	}
-	if r2.Header.Get("Retry-After") == "" {
+	if r.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
 	// Plans hit the same cap.
@@ -1311,32 +1297,20 @@ func TestSessionRunQueue429(t *testing.T) {
 		t.Fatalf("plan over session cap: %s, want 429", r3.Status)
 	}
 	// An independent session is unaffected.
-	r4, err := http.Post(ts.URL+"/api/v1/sessions/"+other+"/stages/bootstrap?async=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4.Body.Close()
-	if r4.StatusCode != http.StatusAccepted {
-		t.Fatalf("independent session: %s", r4.Status)
+	if r := asyncStage(ts.URL + "/api/v1/sessions/" + other); r.StatusCode != http.StatusAccepted {
+		t.Fatalf("independent session: %s", r.Status)
 	}
 }
 
 // TestSSEKeepAlive checks the proxy-hardening contract: an idle event
 // stream carries periodic keep-alive comments.
 func TestSSEKeepAlive(t *testing.T) {
-	s := &Server{
-		metrics:         metrics.NewRegistry(),
-		defaultN:        30,
-		defaultSeed:     1,
-		started:         time.Now(),
-		sseKeepAlive:    30 * time.Millisecond,
-		sseWriteTimeout: time.Second,
-		logger:          slog.New(slog.DiscardHandler),
+	s, err := New(Config{Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.runs = runs.New(runs.WithWorkers(1), runs.WithNotify(s.publishTransition))
-	s.mgr = session.NewManager()
-	s.store = ephemeralStore(t, s)
-	t.Cleanup(s.runs.Close)
+	t.Cleanup(s.Close)
+	s.sseKeepAlive = 30 * time.Millisecond // before the first request reads it
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -1381,6 +1355,33 @@ func TestPayloadTooLarge(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized payload: %s, want 413", resp.Status)
+	}
+}
+
+// TestCreateBodyStrict: the create body is decoded like a plan — at most
+// 8 MiB (413), and an unknown field or trailing data is a 400 — so a
+// misspelled key never builds a session from the defaults.
+func TestCreateBodyStrict(t *testing.T) {
+	_, ts := testServer(t)
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversized", `{"n":20,"name":"` + strings.Repeat("x", maxPayloadBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"unknown field", `{"nn":50}`, http.StatusBadRequest},
+		{"trailing data", `{"n":20}{"n":30}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %s, want %d", tc.name, resp.Status, tc.want)
+		}
+	}
+	if n := getJSON(t, ts.URL+"/api/v1/sessions")["total"].(float64); n != 0 {
+		t.Fatalf("%v sessions created from rejected bodies", n)
 	}
 }
 
@@ -1510,8 +1511,8 @@ func TestRestartRecovery(t *testing.T) {
 // the same result.
 func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := journalServer(t, dir, 0, 0)
-	id := createSession(t, ts1, `{"name":"upgraded"}`)
+	s1, ts1 := journalServer(t, dir)
+	id := createSession(t, ts1, `{"name":"upgraded","n":50}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
 	sess, err := s1.mgr.Get(id)
 	if err != nil {
@@ -1546,7 +1547,7 @@ func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 	ts1.Close()
 	_ = s1 // kill -9: no graceful close
 
-	s2, ts2 := journalServer(t, dir, 0, 0)
+	s2, ts2 := journalServer(t, dir)
 	t.Cleanup(s2.Close)
 	base2 := ts2.URL + "/api/v1/sessions/" + id
 	if got := getJSON(t, base2)["events"]; !reflect.DeepEqual(got, wantEvents) {
@@ -1565,10 +1566,10 @@ func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 // event and stays restorable.
 func TestCloseEvictPersists(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := journalServer(t, dir, 0, 0)
+	s, ts := journalServer(t, dir)
 	t.Cleanup(s.Close)
 
-	id := createSession(t, ts, `{"name":"evicted"}`)
+	id := createSession(t, ts, `{"name":"evicted","n":50}`)
 	base := ts.URL + "/api/v1/sessions/" + id
 	if resp, body := get(t, base); resp.StatusCode != http.StatusOK {
 		t.Fatalf("state: %s", body)
@@ -1619,7 +1620,7 @@ func TestCloseEvictPersists(t *testing.T) {
 // conflict on live re-import, delete, then import resurrects it.
 func TestExportImport(t *testing.T) {
 	_, ts := testServer(t)
-	id := createSession(t, ts, `{"name":"exported"}`)
+	id := createSession(t, ts, `{"name":"exported","n":60}`)
 	base := ts.URL + "/api/v1/sessions/" + id
 	post(t, base+"/stages/bootstrap")
 
@@ -1741,10 +1742,10 @@ func TestExportUnknownSession(t *testing.T) {
 }
 
 // TestImportScenarioBounds proves imported snapshots cannot smuggle
-// scenario sizes past the server's -max-n policy (or negative sizes that
+// scenario sizes past the server's bound of 2000 (or negative sizes that
 // would panic generation).
 func TestImportScenarioBounds(t *testing.T) {
-	s, ts := journalServer(t, t.TempDir(), 0, 0) // maxN = 2000
+	s, ts := journalServer(t, t.TempDir()) // at most 2000 properties or postcodes
 	t.Cleanup(s.Close)
 	importURL := ts.URL + "/api/v1/sessions/import"
 
@@ -1792,17 +1793,12 @@ func TestImportScenarioBounds(t *testing.T) {
 }
 
 // journalServer builds the full production wiring — durability included —
-// over a data directory, exactly as main does, with the given compaction
-// thresholds (0 = none, so the test controls compaction).
-func journalServer(t *testing.T, dataDir string, maxRecords int, maxBytes int64) (*Server, *httptest.Server) {
+// over a data directory, exactly as main does. It is not closed at the end:
+// a test that wants a graceful shutdown closes it, and one that does not is
+// the kill -9.
+func journalServer(t *testing.T, dataDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{
-		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
-		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
-		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir:           dataDir,
-		JournalMaxRecords: maxRecords, JournalMaxBytes: maxBytes,
-	})
+	s, err := New(Config{DataDir: dataDir, Logger: slog.New(slog.DiscardHandler)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1855,9 +1851,9 @@ func waitJournalRun(t *testing.T, path, rid string) {
 // identical event history (Seq continues) and both terminal run resources.
 func TestRestartRecoveryJournaled(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := journalServer(t, dir, 10000, 1<<30)
+	s1, ts1 := journalServer(t, dir)
 
-	id := createSession(t, ts1, `{"name":"journaled"}`)
+	id := createSession(t, ts1, `{"name":"journaled","n":50}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
 	plan := `{"stages":[{"stage":"bootstrap"},{"stage":"data-context"},
 		{"stage":"feedback","payload":{"budget":60}},{"stage":"user-context","payload":{"model":"crime"}}]}`
@@ -1929,7 +1925,7 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	_ = s1 // deliberately never s1.Close(): this is the kill -9
 
 	// Restart over the same directory.
-	s2, ts2 := journalServer(t, dir, 10000, 1<<30)
+	s2, ts2 := journalServer(t, dir)
 	t.Cleanup(s2.Close)
 	base2 := ts2.URL + "/api/v1/sessions/" + id
 
@@ -1966,60 +1962,14 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	}
 }
 
-// TestJournalCompaction drives the threshold path end to end over the
-// SYNCHRONOUS stage route (which completes no run, so compaction rides the
-// stage hook's hint, not run-completion): with a 1-record threshold the
-// persister folds the journal into a fresh snapshot, the journal is
-// truncated to its header, and a restart over the compacted pair restores
-// the full state.
-func TestJournalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s1, ts1 := journalServer(t, dir, 1, 0)
-
-	id := createSession(t, ts1, `{"name":"compacted"}`)
-	base1 := ts1.URL + "/api/v1/sessions/" + id
-	post(t, base1+"/stages/bootstrap")
-
-	// The persister compacts: snapshot gains the event, journal empties.
-	snapPath := filepath.Join(dir, id+snapshotExt)
-	jpath := filepath.Join(dir, id+journalExt)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		f, err := os.Open(snapPath)
-		if err == nil {
-			snap, err := persist.ReadSessionSnapshot(f)
-			f.Close()
-			if err == nil && len(snap.Events) == 1 {
-				if recs := readJournal(t, jpath); len(recs) == 0 {
-					break
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("journal never compacted into the snapshot")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	ts1.Close()
-	_ = s1 // kill -9: no graceful close
-
-	s2, ts2 := journalServer(t, dir, 1, 0)
-	t.Cleanup(s2.Close)
-	gotState := getJSON(t, ts2.URL+"/api/v1/sessions/"+id)
-	if events := gotState["events"].([]any); len(events) != 1 {
-		t.Fatalf("restored events = %d, want 1", len(events))
-	}
-}
-
 // TestSnapshotGC covers snapshot retention: DELETE archives the pair under
-// closed/, a default restart does NOT resurrect the session, and
-// -restore-closed opts back in (moving the archive live again).
+// closed/, a restart does NOT resurrect the session, and importing the
+// archive brings it back live.
 func TestSnapshotGC(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := journalServer(t, dir, 10000, 1<<30)
+	s1, ts1 := journalServer(t, dir)
 
-	id := createSession(t, ts1, `{"name":"gc"}`)
+	id := createSession(t, ts1, `{"name":"gc","n":50}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
 	post(t, base1+"/stages/bootstrap")
 	req, _ := http.NewRequest(http.MethodDelete, base1, nil)
@@ -2043,46 +1993,42 @@ func TestSnapshotGC(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	// Default boot: the deleted session stays gone.
-	s2, ts2 := journalServer(t, dir, 10000, 1<<30)
+	// A restart: the deleted session stays gone.
+	s2, ts2 := journalServer(t, dir)
+	t.Cleanup(s2.Close)
 	if total := getJSON(t, ts2.URL+"/api/v1/sessions")["total"].(float64); total != 0 {
 		t.Fatalf("deleted session resurrected: %v sessions", total)
 	}
-	ts2.Close()
-	s2.Close()
 
-	// -restore-closed boot: the archive comes back live and is un-archived.
-	s3, err := New(Config{
-		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
-		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
-		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dir, JournalMaxRecords: 10000, JournalMaxBytes: 1 << 30,
-		RestoreClosed: true,
-	})
+	// Importing the archive brings it back live and durable.
+	archive, err := os.ReadFile(filepath.Join(dir, closedDirName, id+snapshotExt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts3 := httptest.NewServer(s3.Handler())
-	t.Cleanup(func() { ts3.Close(); s3.Close() })
-	gotState := getJSON(t, ts3.URL+"/api/v1/sessions/"+id)
-	if events := gotState["events"].([]any); len(events) != 1 {
-		t.Fatalf("restored archived events = %d, want 1", len(events))
+	resp, err := http.Post(ts2.URL+"/api/v1/sessions/import", "application/octet-stream", bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, closedDirName, id+snapshotExt)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("archive not moved live: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("importing the archive: %s, want 201", resp.Status)
+	}
+	gotState := getJSON(t, ts2.URL+"/api/v1/sessions/"+id)
+	if events := gotState["events"].([]any); len(events) != 1 {
+		t.Fatalf("imported archive has %d events, want 1", len(events))
 	}
 	if _, err := os.Stat(filepath.Join(dir, id+snapshotExt)); err != nil {
-		t.Fatalf("unarchived session has no live snapshot: %v", err)
+		t.Fatalf("imported session has no live snapshot: %v", err)
 	}
 	// And it wrangles on.
-	post(t, ts3.URL+"/api/v1/sessions/"+id+"/stages/data-context")
+	post(t, ts2.URL+"/api/v1/sessions/"+id+"/stages/data-context")
 }
 
 // TestHealthzPersistStats pins the healthz persist section: journaled
 // session count, record/byte totals and the last snapshot time.
 func TestHealthzPersistStats(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := journalServer(t, dir, 10000, 1<<30)
+	s, ts := journalServer(t, dir)
 	t.Cleanup(s.Close)
 
 	id := createSession(t, ts, "")
@@ -2119,7 +2065,7 @@ func TestHealthzPersistStats(t *testing.T) {
 // behind in memory either.
 func TestCreateNotDurable(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	s, ts := journalServer(t, dir, 0, 0)
+	s, ts := journalServer(t, dir)
 	t.Cleanup(s.Close)
 
 	// An envelope to import, exported while the directory still works.

@@ -10,14 +10,9 @@ import (
 // handleTraceList lists retained traces, newest first. Filters: ?session=
 // and ?run= match the span attributes the run engine and stage hooks stamp,
 // ?min_ms= keeps only traces whose root lasted at least that long, and
-// ?limit= caps the listing (default 100). With tracing disabled the listing
-// is empty but well-formed, so dashboards need not special-case the flag.
+// ?limit= caps the listing (default 100).
 func (s *Server) handleTraceList(rw http.ResponseWriter, r *http.Request) {
 	store := s.tracer.Store()
-	if store == nil {
-		writeJSON(rw, map[string]any{"enabled": false, "total": 0, "traces": []trace.Summary{}})
-		return
-	}
 	f := trace.Filter{
 		Session:     r.URL.Query().Get("session"),
 		Run:         r.URL.Query().Get("run"),
@@ -28,22 +23,16 @@ func (s *Server) handleTraceList(rw http.ResponseWriter, r *http.Request) {
 	if list == nil {
 		list = []trace.Summary{}
 	}
-	writeJSON(rw, map[string]any{"enabled": true, "total": store.Len(), "traces": list})
+	writeJSON(rw, map[string]any{"total": store.Len(), "traces": list})
 }
 
 // handleTraceGet serves one trace as its span tree — the end-to-end answer
 // to "where did this run's time go": the HTTP root, the queue wait, each
 // plan stage and every fsynced journal append, nested and ordered by start
-// time. Unknown (or already-evicted) trace IDs are 404; so is every ID when
-// tracing is off.
+// time. Unknown (or already-evicted) trace IDs are 404.
 func (s *Server) handleTraceGet(rw http.ResponseWriter, r *http.Request) {
-	store := s.tracer.Store()
-	if store == nil {
-		http.Error(rw, "tracing disabled (start with -trace)", http.StatusNotFound)
-		return
-	}
 	tid := r.PathValue("tid")
-	tree := store.Tree(tid)
+	tree := s.tracer.Store().Tree(tid)
 	if len(tree) == 0 {
 		http.Error(rw, "trace not found: "+tid, http.StatusNotFound)
 		return

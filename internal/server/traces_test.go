@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"vada/internal/metrics"
+	"vada/internal/session"
 	"vada/internal/trace"
 )
 
@@ -20,26 +22,11 @@ import (
 // the same span tree production pays for.
 func tracedServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := Config{
-		N: 30, MaxN: 500, Seed: 1,
-		RunWorkers: 2, RunQueue: 64, RunSessionQueue: 8,
-		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir:           t.TempDir(),
-		JournalMaxRecords: 512, JournalMaxBytes: 8 << 20,
-		Trace:  true,
-		Logger: slog.New(slog.DiscardHandler),
-	}
+	cfg := Config{RunWorkers: 2, DataDir: t.TempDir()}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return serve(t, cfg)
 }
 
 // postJSON POSTs a body and returns the response (caller closes).
@@ -201,14 +188,10 @@ func TestTracePlanSpanTree(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var listing struct {
-		Enabled bool            `json:"enabled"`
-		Traces  []trace.Summary `json:"traces"`
+		Traces []trace.Summary `json:"traces"`
 	}
 	if err := json.NewDecoder(resp2.Body).Decode(&listing); err != nil {
 		t.Fatal(err)
-	}
-	if !listing.Enabled {
-		t.Fatal("listing says tracing is disabled")
 	}
 	found := false
 	for _, sum := range listing.Traces {
@@ -271,49 +254,6 @@ func TestTraceInboundTraceparent(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled checks the off switch: the listing stays well-formed,
-// individual lookups 404, and responses carry no Traceparent.
-func TestTraceDisabled(t *testing.T) {
-	_, ts := tracedServer(t, func(cfg *Config) { cfg.Trace = false })
-	id := createSession(t, ts, "")
-
-	resp := postJSON(t, ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap", `{}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bootstrap: %s", resp.Status)
-	}
-	if got := resp.Header.Get("Traceparent"); got != "" {
-		t.Errorf("tracing disabled but response carries Traceparent %q", got)
-	}
-	if resp.Header.Get("X-Request-Id") == "" {
-		t.Error("request IDs must not depend on tracing")
-	}
-
-	listResp, err := http.Get(ts.URL + "/api/v1/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer listResp.Body.Close()
-	var listing struct {
-		Enabled bool `json:"enabled"`
-		Total   int  `json:"total"`
-	}
-	if err := json.NewDecoder(listResp.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	if listing.Enabled || listing.Total != 0 {
-		t.Fatalf("disabled listing = %+v", listing)
-	}
-	oneResp, err := http.Get(ts.URL + "/api/v1/traces/deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneResp.Body.Close()
-	if oneResp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET traces/{id} with tracing off: %s, want 404", oneResp.Status)
-	}
-}
-
 // syncBuffer is a goroutine-safe log sink for handler-under-test output.
 type syncBuffer struct {
 	mu sync.Mutex
@@ -332,26 +272,39 @@ func (w *syncBuffer) String() string {
 	return w.b.String()
 }
 
-// TestSlowRunLogged checks the slow-span warning: with a 1ns threshold
-// every finished span is "slow", so a completed stage must leave a
-// structured warning carrying its trace ID.
+// TestSlowRunLogged checks the slow-span warning against the tracer's 2 s
+// threshold: a stage run that waits that long behind a held run of its
+// session leaves structured warnings, carrying its trace ID, in the
+// server's log.
 func TestSlowRunLogged(t *testing.T) {
+	t.Parallel() // it waits out the threshold
 	buf := &syncBuffer{}
-	_, ts := tracedServer(t, func(cfg *Config) {
-		cfg.TraceSlowThreshold = time.Nanosecond
+	s, ts := tracedServer(t, func(cfg *Config) {
 		cfg.Logger = slog.New(slog.NewTextHandler(buf, nil))
 	})
 	id := createSession(t, ts, "")
-	resp := postJSON(t, ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap", `{}`)
-	tp := resp.Header.Get("Traceparent")
+	release := make(chan struct{})
+	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return session.Event{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(2500*time.Millisecond, func() { close(release) })
+	resp := postJSON(t, ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap?async=1", `{}`)
+	tp, loc := resp.Header.Get("Traceparent"), resp.Header.Get("Location")
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("bootstrap: %s", resp.Status)
 	}
 	tid, _, ok := trace.ParseTraceparent(tp)
 	if !ok {
 		t.Fatalf("no Traceparent on the stage response (got %q)", tp)
 	}
+	waitTerminal(t, ts, loc)
 	logs := buf.String()
 	if !strings.Contains(logs, "slow span") {
 		t.Fatalf("no slow-span warning in logs:\n%s", logs)
@@ -359,8 +312,8 @@ func TestSlowRunLogged(t *testing.T) {
 	if !strings.Contains(logs, "trace_id="+tid) {
 		t.Errorf("slow-span warnings do not carry trace %s:\n%s", tid, logs)
 	}
-	if !strings.Contains(logs, "span=stage:bootstrap") {
-		t.Errorf("no stage:bootstrap slow-span warning:\n%s", logs)
+	if !strings.Contains(logs, "span=queue-wait") {
+		t.Errorf("no queue-wait slow-span warning:\n%s", logs)
 	}
 }
 
@@ -451,7 +404,7 @@ func TestHealthzRuntime(t *testing.T) {
 		t.Errorf("healthz runtime.heap_inuse_bytes = %d, want > 0", out.Runtime.HeapInuseBytes)
 	}
 	if out.Traces == nil {
-		t.Error("healthz omits the trace count with tracing on")
+		t.Error("healthz omits the trace count")
 	}
 }
 

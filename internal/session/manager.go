@@ -37,10 +37,18 @@ type Manager struct {
 // ManagerOption configures a Manager.
 type ManagerOption func(*Manager)
 
-// WithMaxSessions caps the number of live sessions (0 = unlimited).
-// Create fails with ErrLimit at the cap.
+// DefaultMaxSessions is the live-session cap of a manager built without
+// WithMaxSessions.
+const DefaultMaxSessions = 64
+
+// WithMaxSessions caps the number of live sessions (DefaultMaxSessions when
+// n is not positive). Create fails with ErrLimit at the cap.
 func WithMaxSessions(n int) ManagerOption {
-	return func(m *Manager) { m.maxSessions = n }
+	return func(m *Manager) {
+		if n > 0 {
+			m.maxSessions = n
+		}
+	}
 }
 
 // WithStopHook installs a callback invoked (outside the manager lock) for
@@ -78,7 +86,7 @@ func WithManagerMetrics(reg *metrics.Registry) ManagerOption {
 
 // NewManager builds an empty session manager.
 func NewManager(opts ...ManagerOption) *Manager {
-	m := &Manager{sessions: map[string]*Session{}}
+	m := &Manager{maxSessions: DefaultMaxSessions, sessions: map[string]*Session{}}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -88,7 +96,7 @@ func NewManager(opts ...ManagerOption) *Manager {
 // admitLocked claims the next creation sequence number, unless the cap is
 // reached (ErrLimit, counted). Callers hold m.mu and go on to putLocked.
 func (m *Manager) admitLocked() error {
-	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
+	if len(m.sessions) >= m.maxSessions {
 		m.count("sessions_rejected_total")
 		return fmt.Errorf("%w (max %d)", ErrLimit, m.maxSessions)
 	}
@@ -138,7 +146,7 @@ func (m *Manager) liveGaugeLocked() {
 // AtCap reports whether the session cap is currently reached — a cheap
 // pre-check for callers doing expensive setup before Create (which remains
 // the authoritative, race-free gate).
-func (m *Manager) AtCap() bool { return m.maxSessions > 0 && m.Len() >= m.maxSessions }
+func (m *Manager) AtCap() bool { return m.Len() >= m.maxSessions }
 
 // Get returns the live session with the given ID, or ErrNotFound.
 func (m *Manager) Get(id string) (*Session, error) {

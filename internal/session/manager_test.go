@@ -80,7 +80,7 @@ func TestListCreationOrderAcrossShards(t *testing.T) {
 // snapshot per-call index maps, so its allocation count stays small and
 // independent of the session population.
 func TestListAllocationsBounded(t *testing.T) {
-	mgr := NewManager()
+	mgr := NewManager(WithMaxSessions(256))
 	for i := 0; i < 256; i++ {
 		if _, err := mgr.Create(core.NewWrangler()); err != nil {
 			t.Fatal(err)

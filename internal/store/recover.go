@@ -2,9 +2,7 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 
@@ -17,17 +15,16 @@ import (
 // its journal's valid prefix (if a journal exists) is replayed over it — a
 // torn tail truncated, never fatal — and the composed state is registered
 // with the manager and the run engine and journals on from where it stopped.
-// With restoreClosed the sessions archived under closed/ come back too, each
-// made durable as a live session again before its archive is removed. opts
-// are the options every session of the service gets. A file that fails to
-// decode or register is logged and skipped; one corrupt file must not take
-// the service down.
-func (s *Store) Recover(restoreClosed bool, opts ...session.Option) {
+// Archived sessions stay under closed/: one comes back live when its file is
+// imported. opts are the options every session of the service gets. A file
+// that fails to decode or register is logged and skipped; one corrupt file
+// must not take the service down.
+func (s *Store) Recover(opts ...session.Option) {
 	if s.dir == "" {
 		return
 	}
 	n := 0
-	for _, id := range s.snapshotIDs(s.dir) {
+	for _, id := range s.snapshotIDs() {
 		if s.recoverLive(id, opts) {
 			n++
 		}
@@ -35,28 +32,14 @@ func (s *Store) Recover(restoreClosed bool, opts ...session.Option) {
 	if n > 0 {
 		s.Logger.Info("restored sessions", "count", n, "dir", s.dir)
 	}
-	if !restoreClosed {
-		return
-	}
-	closed := filepath.Join(s.dir, closedDir)
-	n = 0
-	for _, id := range s.snapshotIDs(closed) {
-		if s.recoverClosed(closed, id, opts) {
-			n++
-		}
-	}
-	if n > 0 {
-		s.Logger.Info("restored archived sessions", "count", n, "dir", closed)
-	}
 }
 
-// snapshotIDs lists the session IDs that have a snapshot file in dir.
-func (s *Store) snapshotIDs(dir string) []string {
-	entries, err := os.ReadDir(dir)
+// snapshotIDs lists the session IDs that have a snapshot file in the
+// directory.
+func (s *Store) snapshotIDs() []string {
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.Logger.Error("reading data directory", "dir", dir, "error", err)
-		}
+		s.Logger.Error("reading data directory", "dir", s.dir, "error", err)
 		return nil
 	}
 	var ids []string
@@ -71,9 +54,9 @@ func (s *Store) snapshotIDs(dir string) []string {
 // readSnapshot decodes <dir>/<id>.vsnap, insisting that the envelope is the
 // session the file name says it is: the ID is what later writes are named
 // after.
-func (s *Store) readSnapshot(dir, id string) *persist.SessionSnapshot {
+func (s *Store) readSnapshot(id string) *persist.SessionSnapshot {
 	name := id + SnapshotExt
-	f, err := os.Open(filepath.Join(dir, name))
+	f, err := os.Open(s.path(id, SnapshotExt))
 	if err != nil {
 		s.Logger.Error("opening snapshot", "file", name, "error", err)
 		return nil
@@ -93,7 +76,7 @@ func (s *Store) readSnapshot(dir, id string) *persist.SessionSnapshot {
 
 // recoverLive restores one live pair and reopens its journal for appending.
 func (s *Store) recoverLive(id string, opts []session.Option) bool {
-	snap := s.readSnapshot(s.dir, id)
+	snap := s.readSnapshot(id)
 	if snap == nil {
 		return false
 	}
@@ -140,32 +123,5 @@ func (s *Store) recoverLive(id string, opts []session.Option) bool {
 	}
 	s.Logger.Info("restored session", "session", id,
 		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", replayed)
-	return true
-}
-
-// recoverClosed brings one archived session back live. The archive is
-// removed only once Create has written the live copy; a session that cannot
-// be made durable is closed again and stays archived.
-func (s *Store) recoverClosed(closed, id string, opts []session.Option) bool {
-	snap := s.readSnapshot(closed, id)
-	if snap == nil {
-		return false
-	}
-	sess, err := persist.RestoreInto(s.Manager, s.Engine, snap, opts...)
-	if err != nil {
-		s.Logger.Error("restoring archived snapshot", "session", id, "error", err)
-		return false
-	}
-	if err := s.Create(sess); err != nil {
-		s.Logger.Error("unarchiving session", "session", id, "error", err)
-		s.Manager.Close(id)
-		return false
-	}
-	if err := os.Remove(filepath.Join(closed, id+SnapshotExt)); err != nil {
-		s.Logger.Error("removing archived snapshot", "session", id, "error", err)
-	}
-	s.step("unarchived")
-	s.Logger.Info("restored session", "session", id,
-		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", 0)
 	return true
 }

@@ -9,6 +9,9 @@
 //	<dir>/<id>.vjournal       what completed since: one record per stage, one per terminal run
 //	<dir>/closed/<id>.vsnap   final snapshot of an explicitly deleted session
 //
+// An archive is an export like any other: POSTing it to the server's import
+// route brings the session back live, through Create.
+//
 // What each verb guarantees once it has returned without error:
 //
 //	Create   the baseline snapshot is fsynced and renamed into place over an
@@ -57,6 +60,13 @@ const (
 	closedDir  = "closed"
 )
 
+// A session's journal is compacted into a fresh snapshot once it holds
+// compactRecords records or compactBytes bytes since the last compaction.
+const (
+	compactRecords = 512
+	compactBytes   = 8 << 20
+)
+
 // ErrNotDurable reports that a session could not be written to the data
 // directory. The caller must not acknowledge it as created.
 var ErrNotDurable = errors.New("store: session is not durable")
@@ -75,7 +85,9 @@ type Deps struct {
 // manager's evict hook and Append as every session's stage-commit hook, call
 // Recover once before serving, and stop with Close.
 type Store struct {
-	dir        string
+	dir string
+	// maxRecords and maxBytes are compactRecords and compactBytes; tests
+	// lower them.
 	maxRecords int
 	maxBytes   int64
 	Deps
@@ -119,10 +131,9 @@ type entry struct {
 }
 
 // Open prepares a store over dir, creating it if needed; "" is the
-// ephemeral store. maxRecords and maxBytes are the journal length at which
-// a session is compacted (0 = no such threshold).
-func Open(dir string, maxRecords int, maxBytes int64, deps Deps) (*Store, error) {
-	s := &Store{dir: dir, maxRecords: maxRecords, maxBytes: maxBytes, Deps: deps,
+// ephemeral store.
+func Open(dir string, deps Deps) (*Store, error) {
+	s := &Store{dir: dir, maxRecords: compactRecords, maxBytes: compactBytes, Deps: deps,
 		entries: map[string]*entry{}}
 	if dir == "" {
 		return s, nil
@@ -190,7 +201,7 @@ func (s *Store) hold(e *entry) *journal.Recorder {
 	return rec
 }
 
-// Create makes a new session — created, imported or unarchived — durable
+// Create makes a new session — created or imported — durable
 // before it is acknowledged: any stale journal under its ID is emptied
 // first, the baseline snapshot is written second, and only then does the
 // session start journaling. A failure wraps ErrNotDurable and leaves nothing
@@ -334,7 +345,7 @@ func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Ev
 	s.step("record")
 	// Synchronous stages complete no run, so nothing else would bring the
 	// persister to look at this journal's length.
-	if rec.ShouldCompact(s.maxRecords, s.maxBytes) {
+	if s.due(rec) {
 		s.AppendRuns(id)
 	}
 	return func() {
@@ -383,7 +394,7 @@ func (s *Store) flush(id string) {
 	if err := rec.RecordRuns(context.Background(), s.Engine.ListTerminal(id)); err != nil {
 		s.Logger.Error("journaling runs", "session", id, "error", err)
 	}
-	if rec.ShouldCompact(s.maxRecords, s.maxBytes) {
+	if s.due(rec) {
 		records, bytes := rec.Stats()
 		if err := s.compactLocked(e, rec); err != nil {
 			s.Logger.Error("compacting session", "session", id, "error", err)
@@ -392,6 +403,12 @@ func (s *Store) flush(id string) {
 		s.Logger.Info("session compacted", "session", id,
 			"journal_records", records, "journal_bytes", bytes)
 	}
+}
+
+// due reports whether a journal has crossed a compaction threshold.
+func (s *Store) due(rec *journal.Recorder) bool {
+	records, bytes := rec.Stats()
+	return records >= s.maxRecords || bytes >= s.maxBytes
 }
 
 // Compact folds the session's journal into a fresh snapshot and empties it,

@@ -42,10 +42,10 @@ type rig struct {
 // boot starts a rig over dir and recovers what the directory holds. The
 // rig is abandoned, not closed, when the test ends: only Close (called by
 // the tests that mean a graceful shutdown) writes anything on the way out.
-func boot(t *testing.T, dir string, restoreClosed bool) *rig {
+func boot(t *testing.T, dir string) *rig {
 	t.Helper()
 	r := start(t, dir)
-	r.st.Recover(restoreClosed, r.opts()...)
+	r.st.Recover(r.opts()...)
 	return r
 }
 
@@ -64,7 +64,7 @@ func start(t *testing.T, dir string) *rig {
 		}),
 	)
 	var err error
-	r.st, err = Open(dir, 0, 0, Deps{Manager: r.mgr, Engine: r.eng, Metrics: r.reg,
+	r.st, err = Open(dir, Deps{Manager: r.mgr, Engine: r.eng, Metrics: r.reg,
 		Logger: slog.New(slog.DiscardHandler)})
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +160,21 @@ func (r *rig) idleRun(sess *session.Session) {
 	}
 }
 
+// unarchive imports the archive DELETE left under closed/ for id — what an
+// operator does to bring the session back — and returns the imported
+// session's export; nil when closed/ holds no archive for id.
+func (r *rig) unarchive(dir, id string) []byte {
+	r.t.Helper()
+	envelope, err := os.ReadFile(filepath.Join(dir, closedDir, id+SnapshotExt))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return r.export(r.importEnvelope(envelope))
+}
+
 // export is the session's full state as the bytes GET .../export serves.
 func (r *rig) export(sess *session.Session) []byte {
 	r.t.Helper()
@@ -228,7 +243,7 @@ type world struct {
 // snapshot, a snapshot over a stale journal or a half-moved archive never
 // compose into a state nobody was told about — and once the verb has
 // returned it is the latter. A session missing from the live set is always
-// still restorable from closed/ when it had been archived.
+// still restorable by importing its archive when it had been archived.
 func TestCrashSteps(t *testing.T) {
 	cases := []struct {
 		name string
@@ -267,7 +282,7 @@ func TestCrashSteps(t *testing.T) {
 				w.archive = r.export(sess)
 				r.crashWhen(func(_ int, step string) bool { return step == "archive" },
 					func() { r.st.Archive(w.id) })
-				return boot(t, dir, false), w
+				return boot(t, dir), w
 			},
 			verb: func(r *rig, w *world) {
 				envelope := w.before
@@ -328,7 +343,8 @@ func TestCrashSteps(t *testing.T) {
 			steps: []string{"snapshot-temp", "snapshot", "archive", "journal-removed"},
 		},
 		{
-			name: "restore-closed",
+			// Unarchiving is an import of the file DELETE left under closed/.
+			name: "import archive",
 			prepare: func(t *testing.T, dir string) (*rig, *world) {
 				r := start(t, dir)
 				sess := r.create(1)
@@ -337,11 +353,11 @@ func TestCrashSteps(t *testing.T) {
 				if err := r.st.Archive(w.id); err != nil {
 					t.Fatal(err)
 				}
-				return start(t, dir), w
+				return boot(t, dir), w
 			},
-			verb:  func(r *rig, w *world) { r.st.Recover(true, r.opts()...) },
+			verb:  func(r *rig, w *world) { r.unarchive(r.st.dir, w.id) },
 			after: func(r *rig, w *world) []byte { return w.archive },
-			steps: []string{"journal", "snapshot-temp", "snapshot", "unarchived"},
+			steps: []string{"journal", "snapshot-temp", "snapshot"},
 		},
 	}
 	for _, tc := range cases {
@@ -357,7 +373,7 @@ func TestCrashSteps(t *testing.T) {
 				}
 
 				// A default boot: the pre-verb state or the post-verb state.
-				live := boot(t, dir, false).exportID(w.id)
+				live := boot(t, dir).exportID(w.id)
 				switch {
 				case finished && !bytes.Equal(live, after):
 					t.Fatalf("%s: recovered state is not the acknowledged one (%d bytes, want %d)", at, len(live), len(after))
@@ -365,14 +381,12 @@ func TestCrashSteps(t *testing.T) {
 					t.Fatalf("%s: recovered %d bytes: neither the state before the verb (%d) nor after it (%d)",
 						at, len(live), len(w.before), len(after))
 				}
-				// A -restore-closed boot: what is live stays as it is, and what
-				// is not comes back from the archive.
-				want := live
-				if want == nil {
-					want = w.archive
-				}
-				if got := boot(t, dir, true).exportID(w.id); !bytes.Equal(got, want) {
-					t.Fatalf("%s: -restore-closed boot recovered %d bytes, want %d", at, len(got), len(want))
+				// What is not live comes back by importing its archive, byte for
+				// byte the state DELETE acknowledged.
+				if live == nil {
+					if got := boot(t, dir).unarchive(dir, w.id); !bytes.Equal(got, w.archive) {
+						t.Fatalf("%s: importing the archive restored %d bytes, want %d", at, len(got), len(w.archive))
+					}
 				}
 				if finished {
 					if fmt.Sprint(steps) != fmt.Sprint(tc.steps) {
@@ -431,18 +445,15 @@ func TestArchiveEquivalence(t *testing.T) {
 			if exists(r.st.path(id, SnapshotExt)) || exists(r.st.path(id, journalExt)) {
 				t.Fatal("live pair survived the archive")
 			}
-			if got := boot(t, dir, false).exportID(id); got != nil {
-				t.Fatal("archived session came back on a default boot")
+			r2 := boot(t, dir)
+			if got := r2.exportID(id); got != nil {
+				t.Fatal("archived session came back on boot")
 			}
-			r2 := boot(t, dir, true)
-			if got := r2.exportID(id); !bytes.Equal(got, want) {
-				t.Fatalf("restored archive exports %d bytes, pre-DELETE export was %d", len(got), len(want))
+			if got := r2.unarchive(dir, id); !bytes.Equal(got, want) {
+				t.Fatalf("imported archive exports %d bytes, pre-DELETE export was %d", len(got), len(want))
 			}
-			if exists(filepath.Join(dir, closedDir, id+SnapshotExt)) {
-				t.Fatal("archive still under closed/ after it was restored live")
-			}
-			// Live again means durable again: a further boot needs no archive.
-			if got := boot(t, dir, false).exportID(id); !bytes.Equal(got, want) {
+			// Live again means durable again: a further boot needs no import.
+			if got := boot(t, dir).exportID(id); !bytes.Equal(got, want) {
 				t.Fatal("unarchived session is not durable as a live session")
 			}
 		})
@@ -485,12 +496,12 @@ func TestSupersession(t *testing.T) {
 	if exists(filepath.Join(dir, closedDir, id+SnapshotExt)) {
 		t.Fatal("the superseded session's teardown archived over the new session")
 	}
-	if got := boot(t, dir, false).exportID(id); !bytes.Equal(got, want) {
+	if got := boot(t, dir).exportID(id); !bytes.Equal(got, want) {
 		t.Fatalf("recovered %d bytes, the imported session exported %d", len(got), len(want))
 	}
 	// The new session journals on: the old teardown did not close its journal.
 	r.bootstrap(fresh)
-	if got := boot(t, dir, false).exportID(id); !bytes.Equal(got, r.export(fresh)) {
+	if got := boot(t, dir).exportID(id); !bytes.Equal(got, r.export(fresh)) {
 		t.Fatal("a stage of the new session was not journaled")
 	}
 
@@ -505,7 +516,7 @@ func TestSupersession(t *testing.T) {
 	if exists(r.st.path(id, SnapshotExt)) || exists(r.st.path(id, journalExt)) {
 		t.Fatal("duplicate DELETE brought the live pair back")
 	}
-	if n := boot(t, dir, false).mgr.Len(); n != 0 {
+	if n := boot(t, dir).mgr.Len(); n != 0 {
 		t.Fatalf("%d sessions after DELETE, want none", n)
 	}
 }
@@ -545,7 +556,7 @@ func TestSupersessionWaitsForArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := <-imported
-	if got := boot(t, dir, false).exportID(id); !bytes.Equal(got, want) {
+	if got := boot(t, dir).exportID(id); !bytes.Equal(got, want) {
 		t.Fatalf("live state is %d bytes, the imported session exported %d", len(got), len(want))
 	}
 	f, err := os.ReadFile(filepath.Join(dir, closedDir, id+SnapshotExt))
@@ -607,7 +618,7 @@ func TestCloseCompacts(t *testing.T) {
 			t.Fatalf("journal of evicted %s not truncated to its header: %v", id, err)
 		}
 	}
-	r2 := boot(t, dir, false)
+	r2 := boot(t, dir)
 	if !bytes.Equal(r2.exportID(a.ID()), wantA) || !bytes.Equal(r2.exportID(b.ID()), wantB) {
 		t.Fatal("evicted sessions did not recover to their final state")
 	}
@@ -625,8 +636,44 @@ func TestCloseCompacts(t *testing.T) {
 	if info, err := os.Stat(r2.st.path(a.ID(), journalExt)); err != nil || info.Size() != 9 {
 		t.Fatalf("journal not truncated at shutdown: %v", err)
 	}
-	if got := boot(t, dir, false).exportID(a.ID()); !bytes.Equal(got, wantA) {
+	if got := boot(t, dir).exportID(a.ID()); !bytes.Equal(got, wantA) {
 		t.Fatal("state after a graceful shutdown is not the final state")
+	}
+}
+
+// TestJournalCompaction drives each compaction threshold over a synchronous
+// stage, which completes no run, so compaction rides the stage hook's hint:
+// past the threshold the persister folds the journal into a fresh snapshot,
+// the journal is truncated to its header, and a boot over the compacted pair
+// restores the full state.
+func TestJournalCompaction(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lower func(*Store)
+	}{
+		{"records", func(s *Store) { s.maxRecords = 1 }},
+		{"bytes", func(s *Store) { s.maxBytes = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := start(t, dir)
+			tc.lower(r.st)
+			sess := r.create(8)
+			r.bootstrap(sess)
+			want := r.export(sess)
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				info, err := os.Stat(r.st.path(sess.ID(), journalExt))
+				if err == nil && info.Size() == 9 && r.snapshotsWritten() == 2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("journal never compacted into the snapshot")
+				}
+			}
+			if got := boot(t, dir).exportID(sess.ID()); !bytes.Equal(got, want) {
+				t.Fatalf("recovered %d bytes from the compacted pair, the session exported %d", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -736,7 +783,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := boot(t, dir, false)
+	r := boot(t, dir)
 	if n := r.snapshotsWritten(); n != 1 {
 		t.Fatalf("booting over the older layout wrote %d snapshots, want the rewrite", n)
 	}
@@ -763,7 +810,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	}
 	want := r.export(sess)
 
-	r2 := boot(t, dir, false) // the first process is abandoned: kill -9
+	r2 := boot(t, dir) // the first process is abandoned: kill -9
 	if n := r2.snapshotsWritten(); n != 0 {
 		t.Fatalf("booting over today's layout wrote %d snapshots", n)
 	}

@@ -7,12 +7,14 @@ import (
 )
 
 // Store retains finished spans grouped by trace ID in a bounded
-// ring: when more than Capacity distinct traces are held, the oldest
+// ring: when more than traceCapacity distinct traces are held, the oldest
 // trace (by first-span arrival) is evicted whole. Within one trace
-// at most MaxSpans spans are kept; excess spans are counted but
+// at most spansPerTrace spans are kept; excess spans are counted but
 // dropped, so a runaway instrumentation loop cannot grow memory.
 type Store struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// capacity and maxSpans are traceCapacity and spansPerTrace; tests
+	// shrink them.
 	capacity int
 	maxSpans int
 	traces   map[string]*traceEntry
@@ -25,32 +27,26 @@ type traceEntry struct {
 	first   time.Time // arrival of the first recorded span
 }
 
-// Defaults used when NewStore is given non-positive limits.
+// The store's bounds: the traces it retains and the spans it keeps of
+// each.
 const (
-	DefaultCapacity = 1024
-	DefaultMaxSpans = 256
+	traceCapacity = 1024
+	spansPerTrace = 256
 )
 
-// NewStore builds a Store holding up to capacity traces of up to
-// maxSpans spans each. Non-positive arguments select the defaults.
-func NewStore(capacity, maxSpans int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
+// NewStore builds an empty Store.
+func NewStore() *Store {
 	return &Store{
-		capacity: capacity,
-		maxSpans: maxSpans,
-		traces:   make(map[string]*traceEntry, capacity),
+		capacity: traceCapacity,
+		maxSpans: spansPerTrace,
+		traces:   make(map[string]*traceEntry, traceCapacity),
 	}
 }
 
 // add files one finished span, evicting the oldest trace when the
 // trace cap is exceeded.
 func (st *Store) add(data SpanData) {
-	if st == nil || data.TraceID == "" {
+	if data.TraceID == "" {
 		return
 	}
 	st.mu.Lock()
@@ -75,9 +71,6 @@ func (st *Store) add(data SpanData) {
 
 // Len reports the number of traces currently retained.
 func (st *Store) Len() int {
-	if st == nil {
-		return 0
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.traces)
@@ -86,9 +79,6 @@ func (st *Store) Len() int {
 // Spans returns a copy of every span recorded under trace id, in
 // arrival order, or nil if the trace is unknown (or evicted).
 func (st *Store) Spans(id string) []SpanData {
-	if st == nil {
-		return nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.traces[id]
@@ -131,9 +121,6 @@ type Summary struct {
 // List returns summaries of retained traces, newest first, filtered
 // by f.
 func (st *Store) List(f Filter) []Summary {
-	if st == nil {
-		return nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]Summary, 0, len(st.order))

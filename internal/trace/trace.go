@@ -6,10 +6,10 @@
 //
 // Design constraints, in order:
 //
-//   - Zero cost when disabled: every method on *Tracer and *Span is
-//     nil-safe, so instrumented code never branches on "is tracing
-//     on". A nil tracer hands out nil spans; a nil span's Child is
-//     nil again.
+//   - Nothing to branch on: every method on *Span is nil-safe, so code
+//     whose context carries no span (a library caller, an unsampled
+//     request) runs the same instrumentation as a traced one. A nil
+//     span's Child is nil again.
 //   - Bounded memory: finished spans land in a ring-buffer Store
 //     with a trace-count cap and a per-trace span cap (see store.go).
 //   - Interop at the edges only: trace/span IDs follow the W3C
@@ -149,58 +149,31 @@ func (s *Span) ChildAt(name string, start time.Time, kv ...string) *Span {
 	return c
 }
 
+// slowThreshold is the duration at or above which a finished span is
+// logged as a structured warning.
+const slowThreshold = 2 * time.Second
+
 // Tracer mints root spans and records finished ones into its Store,
-// emitting a structured warning for any span at or over the slow
-// threshold. A nil *Tracer is a valid disabled tracer.
+// emitting a structured warning for any span at or over slowThreshold.
 type Tracer struct {
 	store  *Store
-	slow   time.Duration
+	slow   time.Duration // slowThreshold; tests lower it
 	logger *slog.Logger
 }
 
-// Option configures a Tracer.
-type Option func(*Tracer)
-
-// WithSlowThreshold sets the duration at or above which a finished
-// span is logged as a structured warning. Zero disables slow-span
-// logging.
-func WithSlowThreshold(d time.Duration) Option {
-	return func(t *Tracer) { t.slow = d }
+// NewTracer builds a Tracer recording into store and logging slow-span
+// warnings to logger.
+func NewTracer(store *Store, logger *slog.Logger) *Tracer {
+	return &Tracer{store: store, slow: slowThreshold, logger: logger}
 }
 
-// WithLogger sets the logger used for slow-span warnings. Defaults
-// to slog.Default().
-func WithLogger(l *slog.Logger) Option {
-	return func(t *Tracer) { t.logger = l }
-}
-
-// NewTracer builds a Tracer recording into store (which must be
-// non-nil for spans to be retained; a nil store records nothing but
-// still propagates IDs).
-func NewTracer(store *Store, opts ...Option) *Tracer {
-	t := &Tracer{store: store}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
-}
-
-// Store returns the tracer's span store (nil on a nil tracer).
-func (t *Tracer) Store() *Store {
-	if t == nil {
-		return nil
-	}
-	return t.store
-}
+// Store returns the tracer's span store.
+func (t *Tracer) Store() *Store { return t.store }
 
 // Root opens a root span. If traceparent carries a valid W3C value
 // the inbound trace ID is adopted and the remote span becomes the
-// parent; otherwise a fresh trace ID is minted. Returns nil on a nil
-// tracer, so callers can thread the result unconditionally.
+// parent; otherwise a fresh trace ID is minted.
 func (t *Tracer) Root(name, traceparent string, kv ...string) *Span {
-	if t == nil {
-		return nil
-	}
 	var traceID, parentID string
 	if tid, pid, ok := ParseTraceparent(traceparent); ok {
 		traceID, parentID = tid, pid
@@ -224,17 +197,8 @@ func (t *Tracer) Root(name, traceparent string, kv ...string) *Span {
 
 // record files a finished span and emits the slow-span warning.
 func (t *Tracer) record(data SpanData) {
-	if t == nil {
-		return
-	}
-	if t.store != nil {
-		t.store.add(data)
-	}
-	if t.slow > 0 && data.Duration >= t.slow {
-		l := t.logger
-		if l == nil {
-			l = slog.Default()
-		}
+	t.store.add(data)
+	if data.Duration >= t.slow {
 		attrs := []any{
 			slog.String("span", data.Name),
 			slog.String("trace_id", data.TraceID),
@@ -248,7 +212,7 @@ func (t *Tracer) record(data SpanData) {
 		if data.Error != "" {
 			attrs = append(attrs, slog.String("error", data.Error))
 		}
-		l.Warn("slow span", attrs...)
+		t.logger.Warn("slow span", attrs...)
 	}
 }
 
@@ -286,8 +250,8 @@ func newTraceID() string { return randomHex(16) }
 func newSpanID() string  { return randomHex(8) }
 
 // NewRequestID mints a short opaque request identifier for the HTTP
-// layer — the per-request correlation key that exists even when
-// tracing is disabled.
+// layer — the per-request correlation key that exists even for a
+// request no span was opened for.
 func NewRequestID() string { return randomHex(8) }
 
 func randomHex(n int) string {

@@ -36,12 +36,13 @@
 // declares exactly the names that cmd/vada, the programs under examples/
 // and vada_test.go call, each an alias of the internal package that
 // implements it (TestFacadeSurface fails on a name nobody uses). The
-// methods of the aliased types — Wrangler, Session, the run engine, the
-// reasoner — are reachable through the values these constructors return.
+// methods of the aliased types — Wrangler, Session, the knowledge base,
+// the reasoner — are reachable through the values these constructors return.
 // Nothing under internal/ imports this package: the implementation packages
 // import one another directly, downwards (knowledge base → reasoner →
-// transducers → core → sessions → runs → server), and the REST service is
-// internal/server embedded by cmd/vada-server.
+// transducers → core → sessions → runs → server). Async runs and
+// persistence are the service's: the REST service is internal/server
+// embedded by cmd/vada-server.
 package vada
 
 import (
@@ -50,9 +51,7 @@ import (
 	"vada/internal/extract"
 	"vada/internal/kb"
 	"vada/internal/mcda"
-	"vada/internal/persist"
 	"vada/internal/relation"
-	"vada/internal/runs"
 	"vada/internal/session"
 	"vada/internal/transducer"
 	"vada/internal/vadalog"
@@ -178,57 +177,13 @@ var (
 // ---- sessions -------------------------------------------------------------
 
 // A session is one pay-as-you-go wrangling conversation: it wraps one
-// Wrangler, serialises its runs and records a SessionEvent per completed
-// stage. StageRequest is the uniform wire form of a stage invocation and
-// Plan an ordered list of them executed as one cancellable run.
-type (
-	SessionEvent = session.Event
-	StageRequest = session.StageRequest
-	Plan         = session.Plan
-)
-
-// Names of the four paper stages, and the subscriber-channel event type
-// that carries run progress rather than a completed stage.
-const (
-	StageBootstrap   = session.StageBootstrap
-	StageDataContext = session.StageDataContext
-	StageFeedback    = session.StageFeedback
-	StageUserContext = session.StageUserContext
-	EventTransition  = session.EventTransition
-)
+// Wrangler, serialises its stages and records a SessionEvent per completed
+// stage — the records vada-server serves per session.
+type SessionEvent = session.Event
 
 // Session-manager construction and session options.
 var (
 	NewSessionManager = session.NewManager
 	WithSessionName   = session.WithName
 	WithScenario      = session.WithScenario
-)
-
-// Session persistence: stream a session as a versioned, checksummed
-// snapshot envelope, decode one, and restore it into a manager and engine.
-var (
-	ExportSession       = persist.ExportSession
-	ReadSessionSnapshot = persist.ReadSessionSnapshot
-	RestoreSessionInto  = persist.RestoreInto
-)
-
-// ---- async runs ------------------------------------------------------------
-
-// Run is one asynchronous stage (or plan) execution on the run engine:
-// queued → running → succeeded | failed | cancelled. Runs of one session
-// execute FIFO; runs of independent sessions proceed in parallel.
-type Run = runs.Run
-
-// Terminal run states.
-const (
-	RunSucceeded = runs.StateSucceeded
-	RunFailed    = runs.StateFailed
-	RunCancelled = runs.StateCancelled
-)
-
-// Run-engine construction and configuration.
-var (
-	NewRunEngine   = runs.New
-	WithRunWorkers = runs.WithWorkers
-	WithRunNotify  = runs.WithNotify
 )
