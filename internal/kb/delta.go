@@ -79,7 +79,8 @@ type Delta struct {
 // Relation puts are logged as row diffs against the state the cut started
 // from (see PutRelation), which trades op-level idempotency for O(changed
 // rows) records: replay a cut delta at most once, over the state it was cut
-// from, like the journal's sequence-gated Compose does.
+// from. Journal recovery does so by skipping, by sequence, the records a
+// snapshot already holds; the store takes snapshots only between two cuts.
 func (k *KB) StartDeltaLog() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -93,28 +94,6 @@ func (k *KB) resetDeltaLocked() {
 	k.deltaOps = nil
 	k.deltaRelOp = nil
 	k.deltaRelBase = nil
-	k.deltaWholesale = false
-}
-
-// SnapshotPending makes the pending cut safe to replay over a Snapshot taken
-// at any point from now until the next CutDelta — a compaction capturing the
-// knowledge base in the middle of a stage. Row diffs are computed against the
-// state the cut started from, so replayed over a later state they would
-// duplicate rows; wholesale puts replace, and converge from any state. The
-// pending relation ops are therefore rewritten as wholesale puts of the
-// relations' current state (in place, as coalescing does), and every further
-// put of this cut logs wholesale.
-func (k *KB) SnapshotPending() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if !k.deltaOn {
-		return
-	}
-	k.checkAllLocked()
-	for name, idx := range k.deltaRelOp {
-		k.deltaOps[idx] = DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: k.relations[name]}
-	}
-	k.deltaWholesale = true
 }
 
 // StopDeltaLog stops recording and discards any uncut ops.
@@ -160,7 +139,7 @@ func (k *KB) CutDelta() *Delta {
 // counter may advance further; content converges). Patch ops are the
 // exception: they must be applied exactly once over the state they were
 // cut from, which the journal guarantees by skipping already-folded
-// records whole (sequence-gated in Compose).
+// records whole (sequence-gated in recovery).
 func (k *KB) ApplyDelta(d *Delta) {
 	if d == nil {
 		return

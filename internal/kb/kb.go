@@ -115,12 +115,9 @@ type state struct {
 	// relation's net change; a re-put rewrites that op with the diff of the
 	// latest state against the base, so a stage that executes, repairs and
 	// re-executes a relation journals the net effect once instead of every
-	// intermediate state. Both reset at each cut. deltaWholesale forces
-	// wholesale puts for the rest of a cut a snapshot was taken in the
-	// middle of (see SnapshotPending).
-	deltaRelOp     map[string]int
-	deltaRelBase   map[string]*relation.Relation
-	deltaWholesale bool
+	// intermediate state. Both reset at each cut.
+	deltaRelOp   map[string]int
+	deltaRelBase map[string]*relation.Relation
 
 	// seals holds the put-time fingerprints of the stored relations under
 	// the kbcheck build tag, and nothing otherwise. See kbcheck.go.
@@ -396,7 +393,7 @@ func (k *KB) logRelationPutLocked(name string, old, stored *relation.Relation) {
 // the state the put is diffed against (nil if absent) and stored is the
 // relation just installed.
 func (k *KB) relationPutOp(name string, old, stored *relation.Relation) (DeltaOp, bool) {
-	if k.deltaWholesale || old == nil || !old.Schema.Equal(stored.Schema) {
+	if old == nil || !old.Schema.Equal(stored.Schema) {
 		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored}, true
 	}
 	added, addedAt, removed, ok := relationRowDiff(old, stored)

@@ -366,52 +366,3 @@ func TestPatchRelationDirect(t *testing.T) {
 		t.Fatalf("cardinality after patch = %d, want 2", got)
 	}
 }
-
-// TestRowDiffSnapshotMidCut pins the compaction-in-mid-stage contract: a
-// snapshot taken while a cut is pending — after SnapshotPending — plus that
-// cut's delta converges on the live state, wherever in the cut the snapshot
-// lands. Without the call the cut's patches, diffed against the cut-start
-// state, would be replayed over a state that already holds part of them.
-func TestRowDiffSnapshotMidCut(t *testing.T) {
-	k := New()
-	k.PutRelation("result", resultRel(
-		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
-	k.PutRelation("other", resultRel([]any{"7 Side St", 700.0}, []any{"8 Side St", 800.0}))
-
-	k.StartDeltaLog()
-	k.PutRelation("result", resultRel(
-		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0},
-		[]any{"3 High St", 300.0}, []any{"4 High St", 400.0}))
-	k.SnapshotPending()
-	mid := k.Snapshot() // the compaction snapshot: holds the first put already
-	k.PutRelation("result", resultRel(
-		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
-		[]any{"4 High St", 400.0}, []any{"5 High St", 500.0}))
-	k.PutRelation("other", resultRel(
-		[]any{"7 Side St", 700.0}, []any{"8 Side St", 800.0}, []any{"9 Side St", 900.0}))
-	d := k.CutDelta()
-	for _, op := range d.Ops {
-		if op.Kind != DeltaPutRelation {
-			t.Fatalf("op %+v: a cut snapshotted mid-way must log wholesale puts only", op)
-		}
-	}
-	mid.ApplyDelta(d)
-	var got, want bytes.Buffer
-	if err := mid.WriteSnapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.WriteSnapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("mid-cut snapshot + delta differs from live state:\n got %s\nwant %s", got.Bytes(), want.Bytes())
-	}
-
-	// The next cut diffs again.
-	k.PutRelation("result", resultRel(
-		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
-		[]any{"4 High St", 400.0}, []any{"5 High St", 500.0}, []any{"6 High St", 600.0}))
-	if d := k.CutDelta(); len(d.Ops) != 1 || d.Ops[0].Kind != DeltaPatchRelation {
-		t.Fatalf("cut after the snapshotted one = %+v, want one patch-rel", d.Ops)
-	}
-}

@@ -37,16 +37,17 @@
 // — or the clean result — back out in canonical, byte-stable order.
 //
 // With -data-dir the service is durable, one way, and the server only
-// routes to it: internal/store owns the directory and the lifecycle of every
-// session in it (create, append, compact, archive, recover — its package
-// comment has the file layout and the crash contract). What a client can
-// rely on, per response: a 201 from create or import means the session's
-// baseline snapshot is fsynced and in place; a synchronous stage is answered
-// once its journal record — the mutation delta, O(delta) bytes — is fsynced;
-// a plan's stage records share one fsync, issued before the run turns
-// terminal; a terminal run's own record follows asynchronously. A journal
-// past the store's compaction thresholds (and any journal on evict and
-// graceful shutdown) is compacted into a fresh snapshot.
+// routes to it: internal/store owns the directory, its file formats and the
+// lifecycle of every session in it (create, append, archive, recover — its
+// package comment has the file layout and the crash contract). What a
+// client can rely on, per response: a 201 from create or import means the
+// session's baseline snapshot is fsynced and in place; a synchronous stage
+// is answered once its journal record — the mutation delta, O(delta) bytes —
+// is fsynced; a plan's stage records share one fsync, issued before the run
+// turns terminal; a terminal run's own record follows asynchronously. A journal
+// is compacted into a fresh snapshot between stages only: by the stage whose
+// record took it past the store's thresholds, and on evict and graceful
+// shutdown once the session has quiesced.
 //
 // Every persisted session is restored at boot — event history, result and
 // terminal run resources included — so a server killed outright (kill -9)
@@ -110,7 +111,6 @@ import (
 	"vada/internal/core"
 	"vada/internal/datagen"
 	"vada/internal/metrics"
-	"vada/internal/persist"
 	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
@@ -259,8 +259,9 @@ func (s *Server) durable(sess *session.Session) error {
 	return err
 }
 
-// Close drains the run engine, then has the store compact every live
-// session — the graceful-shutdown path. Idempotent.
+// Close drains the run engine, then has the store close every live session,
+// each compacted once it has quiesced — the graceful-shutdown path.
+// Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.runs.Close() // cancels live runs and waits for workers to drain
@@ -699,7 +700,7 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", sess.ID()+store.SnapshotExt))
-	if err := persist.ExportSession(rw, sess, s.runs); err != nil {
+	if err := store.ExportSession(rw, sess, s.runs); err != nil {
 		// Headers are gone; all we can do is log and drop the connection.
 		s.logger.Error("exporting session", "session", sess.ID(), "error", err)
 	}
@@ -712,7 +713,7 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 // durability acknowledgement: the imported state is on disk as the session's
 // baseline snapshot before the response is written.
 func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
-	snap, err := persist.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
+	snap, err := store.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -730,13 +731,13 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 	// Imported snapshots must respect the same scenario-size policy as
 	// session creation: restoring regenerates the scenario, and an
 	// unbounded NProperties/NPostcodes would let one upload allocate
-	// arbitrarily (negative sizes are rejected by RestoreSession itself).
+	// arbitrarily (negative sizes are rejected by store.RestoreInto itself).
 	if cfg := snap.Meta.Scenario; cfg != nil && (cfg.NProperties > maxN || cfg.NPostcodes > maxN) {
 		http.Error(rw, fmt.Sprintf("snapshot scenario size (%d properties, %d postcodes) exceeds the server limit %d",
 			cfg.NProperties, cfg.NPostcodes, maxN), http.StatusBadRequest)
 		return
 	}
-	sess, err := persist.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
+	sess, err := store.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -1089,10 +1090,10 @@ func writeError(rw http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, core.ErrUnknownUserContext), errors.Is(err, core.ErrNoDataContext),
 		errors.Is(err, session.ErrUnknownStage), errors.Is(err, session.ErrBadPayload),
-		errors.Is(err, runs.ErrBadPlan), errors.Is(err, persist.ErrBadSnapshot),
-		errors.Is(err, persist.ErrBadMagic), errors.Is(err, persist.ErrBadVersion),
-		errors.Is(err, persist.ErrTruncated), errors.Is(err, persist.ErrChecksum),
-		errors.Is(err, persist.ErrTooLarge),
+		errors.Is(err, runs.ErrBadPlan), errors.Is(err, store.ErrBadSnapshot),
+		errors.Is(err, store.ErrBadMagic), errors.Is(err, store.ErrBadVersion),
+		errors.Is(err, store.ErrTruncated), errors.Is(err, store.ErrChecksum),
+		errors.Is(err, store.ErrTooLarge),
 		errors.Is(err, connect.ErrBadFormat), errors.Is(err, connect.ErrSchemaMismatch):
 		status = http.StatusBadRequest
 	case errors.Is(err, session.ErrExists):

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -20,10 +22,8 @@ import (
 	"time"
 
 	"vada/internal/datagen"
-	"vada/internal/journal"
 	"vada/internal/kb"
 	"vada/internal/metrics"
-	"vada/internal/persist"
 	"vada/internal/runs"
 	"vada/internal/session"
 	"vada/internal/store"
@@ -1508,44 +1508,53 @@ func TestRestartRecovery(t *testing.T) {
 // TestRestartRecoveryWholesaleJournal is the upgrade path: a data directory
 // whose journal records carry relation replacements wholesale (put-rel ops
 // only — all a server before row diffs wrote) restores with every event and
-// the same result.
+// the same result. The fixture is a journal this server recorded, each
+// patch-rel op rewritten as the put-rel of the relation it produced.
 func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := journalServer(t, dir)
 	id := createSession(t, ts1, `{"name":"upgraded","n":50}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
-	sess, err := s1.mgr.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, st := range []struct{ name, payload string }{
 		{"bootstrap", ""}, {"data-context", ""}, {"feedback", `{"budget": 40}`}, {"feedback", `{"budget": 40}`},
 	} {
-		// Forces this stage's record to log its puts wholesale.
-		sess.Wrangler().KB.SnapshotPending()
 		postBody(t, base1+"/stages/"+st.name, st.payload)
-	}
-	puts := 0
-	for _, rec := range readJournal(t, filepath.Join(dir, id+journalExt)) {
-		if rec.Stage == nil || rec.Stage.Delta == nil {
-			continue
-		}
-		for _, op := range rec.Stage.Delta.Ops {
-			switch op.Kind {
-			case "put-rel":
-				puts++
-			case "patch-rel":
-				t.Fatalf("record %d carries a row diff; the fixture must be wholesale", rec.Seq)
-			}
-		}
-	}
-	if puts == 0 {
-		t.Fatal("journal carries no put-rel op")
 	}
 	wantEvents := getJSON(t, base1)["events"].([]any)
 	wantResult := resultDigest(t, base1)
 	ts1.Close()
 	_ = s1 // kill -9: no graceful close
+
+	// Replay the records over the baseline snapshot op by op, so each patch
+	// is replaced by the relation as it stood right after it.
+	f, err := os.Open(filepath.Join(dir, id+snapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := store.ReadSessionSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, id+journalExt)
+	recs := readJournal(t, jpath)
+	patches := 0
+	for _, rec := range recs {
+		if rec.Stage == nil || rec.Stage.Delta == nil {
+			continue
+		}
+		for i, op := range rec.Stage.Delta.Ops {
+			baseline.KB.ApplyDelta(&kb.Delta{Ops: []kb.DeltaOp{op}})
+			if op.Kind == kb.DeltaPatchRelation {
+				rec.Stage.Delta.Ops[i] = kb.DeltaOp{Kind: kb.DeltaPutRelation, Name: op.Name, Relation: baseline.KB.Relation(op.Name)}
+				patches++
+			}
+		}
+	}
+	if patches == 0 {
+		t.Fatal("the recorded journal carries no patch-rel op to rewrite")
+	}
+	writeJournal(t, jpath, recs)
 
 	s2, ts2 := journalServer(t, dir)
 	t.Cleanup(s2.Close)
@@ -1558,6 +1567,32 @@ func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 	}
 	// The next stage journals row diffs over the restored state.
 	postBody(t, base2+"/stages/feedback", `{"budget": 40}`)
+}
+
+// writeJournal replaces the journal at path with the given records, framed
+// as the v1 layout frames them — magic and version, then per record its kind,
+// a big-endian u32 length, the JSON payload and its CRC-32 — independently of
+// the store's own encoder.
+func writeJournal(t *testing.T, path string, recs []store.Record) {
+	t.Helper()
+	out := []byte("VADAJRNL\x01")
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := byte(0x01)
+		if rec.Run != nil {
+			kind = 0x02
+		}
+		out = append(out, kind)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+		out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCloseEvictPersists proves the teardown path snapshots the final
@@ -1607,7 +1642,7 @@ func TestCloseEvictPersists(t *testing.T) {
 		t.Fatalf("close did not archive: %v", err)
 	}
 	defer f.Close()
-	snap, err := persist.ReadSessionSnapshot(f)
+	snap, err := store.ReadSessionSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1710,8 +1745,8 @@ func TestImportRejections(t *testing.T) {
 	// A structurally-valid snapshot whose ID would escape the data
 	// directory is refused before it touches anything.
 	var evil bytes.Buffer
-	err := persist.WriteSessionSnapshot(&evil, &persist.SessionSnapshot{
-		Meta: persist.Meta{ID: "../evil"},
+	err := store.WriteSessionSnapshot(&evil, &store.SessionSnapshot{
+		Meta: store.Meta{ID: "../evil"},
 		KB:   kb.New(),
 	})
 	if err != nil {
@@ -1754,8 +1789,8 @@ func TestImportScenarioBounds(t *testing.T) {
 		cfg.NProperties = n
 		cfg.NPostcodes = postcodes
 		var buf bytes.Buffer
-		err := persist.WriteSessionSnapshot(&buf, &persist.SessionSnapshot{
-			Meta: persist.Meta{ID: "bounds-test", Scenario: &cfg},
+		err := store.WriteSessionSnapshot(&buf, &store.SessionSnapshot{
+			Meta: store.Meta{ID: "bounds-test", Scenario: &cfg},
 			KB:   kb.New(),
 		})
 		if err != nil {
@@ -1808,13 +1843,13 @@ func journalServer(t *testing.T, dataDir string) (*Server, *httptest.Server) {
 }
 
 // readJournal replays a journal file's valid prefix.
-func readJournal(t *testing.T, path string) []journal.Record {
+func readJournal(t *testing.T, path string) []store.Record {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := journal.Replay(bytes.NewReader(data))
+	res, err := store.Replay(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1829,7 +1864,7 @@ func waitJournalRun(t *testing.T, path, rid string) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if data, err := os.ReadFile(path); err == nil {
-			if res, err := journal.Replay(bytes.NewReader(data)); err == nil {
+			if res, err := store.Replay(bytes.NewReader(data)); err == nil {
 				for _, rec := range res.Records {
 					if rec.Run != nil && rec.Run.ID == rid && rec.Run.State.Terminal() {
 						return
@@ -1908,7 +1943,7 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := persist.ReadSessionSnapshot(f)
+	baseline, err := store.ReadSessionSnapshot(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package journal
+package store
 
 import (
 	"context"
@@ -8,7 +8,7 @@ import (
 
 	"vada/internal/core"
 	"vada/internal/datagen"
-	"vada/internal/persist"
+	"vada/internal/metrics"
 	"vada/internal/session"
 )
 
@@ -61,7 +61,7 @@ func BenchmarkSnapshotPerRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := persist.ExportSession(f, sess, nil); err != nil {
+		if err := ExportSession(f, sess, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := f.Sync(); err != nil {
@@ -82,30 +82,28 @@ func BenchmarkSnapshotPerRun(b *testing.B) {
 // mutation delta — o(snapshot-size) bytes per run on a large-KB session.
 func BenchmarkJournalAppendPerRun(b *testing.B) {
 	_, rec := benchSession(b, 300)
-	w, _, err := Open(filepath.Join(b.TempDir(), "bench.vjournal"))
+	j, _, err := openJournal(filepath.Join(b.TempDir(), "bench.vjournal"), metrics.NewRegistry())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer w.Close()
+	defer j.close()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var written int64
 	for i := 0; i < b.N; i++ {
 		r := *rec
-		if err := w.Append(&r); err != nil {
+		if err := j.append(&r); err != nil {
 			b.Fatal(err)
 		}
 		// Compact periodically so the file does not grow unboundedly over
 		// the run — exactly what the server's thresholds do.
 		if i%1024 == 1023 {
-			_, size := w.Stats()
-			written += size
-			if err := w.Reset(); err != nil {
+			written += j.written.bytes
+			if err := j.reset(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	_, size := w.Stats()
-	written += size
+	written += j.written.bytes
 	b.ReportMetric(float64(written)/float64(b.N), "disk-bytes/op")
 }

@@ -1,4 +1,4 @@
-package persist
+package store
 
 import (
 	"bytes"
@@ -58,6 +58,51 @@ func FuzzReadSessionSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("re-encoding is not a fixpoint")
+		}
+	})
+}
+
+// FuzzReplayJournal throws arbitrary bytes at the journal reader and checks
+// the recovery invariants hold for every input:
+//
+//   - no panics, and allocation bounded by the bytes actually presented;
+//   - every error wraps a header sentinel (bad magic, bad version,
+//     truncated) — the error surface is closed;
+//   - the reported valid prefix really is one: re-replaying data[:Valid]
+//     succeeds, undamaged, yielding the same records (the fixpoint that
+//     makes truncate-to-Valid a safe recovery action).
+func FuzzReplayJournal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("VADAJRNL\x01"))
+	f.Add([]byte("VADAJRNL\x02"))
+	f.Add([]byte("not a journal at all"))
+	f.Add(append([]byte("VADAJRNL\x01"), []byte{0x01, 0, 0, 0, 200, '{'}...))
+	seed := encodeJournal(f, goldenRecords())
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3])
+	mutated := append([]byte(nil), seed...)
+	mutated[len(mutated)/2] ^= 0xff
+	f.Add(mutated)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := Replay(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadVersion) &&
+				!errors.Is(err, ErrTruncated) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if res.Valid < headerLen || res.Valid > int64(len(data)) {
+			t.Fatalf("valid offset %d outside [%d, %d]", res.Valid, headerLen, len(data))
+		}
+		again, err := Replay(bytes.NewReader(data[:res.Valid]))
+		if err != nil {
+			t.Fatalf("valid prefix failed to replay: %v", err)
+		}
+		if again.Damaged || again.Valid != res.Valid || len(again.Records) != len(res.Records) {
+			t.Fatalf("prefix replay drifted: damaged=%v valid=%d/%d records=%d/%d",
+				again.Damaged, again.Valid, res.Valid, len(again.Records), len(res.Records))
 		}
 	})
 }

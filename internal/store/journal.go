@@ -1,0 +1,382 @@
+package store
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"time"
+
+	"vada/internal/feedback"
+	"vada/internal/kb"
+	"vada/internal/metrics"
+	"vada/internal/runs"
+	"vada/internal/session"
+)
+
+// Record kinds of the v1 journal layout.
+const (
+	kindStage byte = 0x01
+	kindRun   byte = 0x02
+)
+
+// StageRecord is the mutation payload of one completed wrangling stage:
+// the typed event (oracle score included) and the knowledge-base delta the
+// stage produced — everything restoreSession needs that a bare event would
+// not carry.
+type StageRecord struct {
+	// Event is the stage event, Seq assigned.
+	Event session.Event `json:"event"`
+	// Delta is the knowledge-base mutation log of the stage.
+	Delta *kb.Delta `json:"delta,omitempty"`
+
+	// Legacy, read and never written: records of older binaries carried the
+	// feedback items the stage added (FeedbackAt the index of the first in the
+	// append-only store, so recovery can skip exactly the overlap with items a
+	// snapshot those binaries took mid-stage already held) and the change
+	// fingerprints after the stage, beside a delta that did not hold them.
+	// Recovery folds them into the legacy fields of Meta.
+	Feedback   []feedback.Item   `json:"feedback,omitempty"`
+	FeedbackAt int               `json:"feedback_at,omitempty"`
+	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
+	FusedHash  uint64            `json:"fused_hash,omitempty"`
+}
+
+// Record is one journal entry. Exactly one of Stage and Run is set,
+// matching the record's frame kind.
+type Record struct {
+	// Seq numbers records within one journal file, from 1, with no gaps;
+	// replay stops at the first sequence break (damage, not format skew).
+	Seq uint64 `json:"seq"`
+	// At is when the record was appended.
+	At time.Time `json:"at"`
+	// Stage is the payload of a stage record.
+	Stage *StageRecord `json:"stage,omitempty"`
+	// Run is the terminal run snapshot of a run record.
+	Run *runs.Run `json:"run,omitempty"`
+}
+
+// ReplayResult is what reading a journal yields: the records of the valid
+// prefix, where that prefix ends, and whether anything after it had to be
+// discarded.
+type ReplayResult struct {
+	// Records are the valid records, oldest first.
+	Records []Record
+	// Valid is the byte offset at which the valid prefix ends — the length
+	// a recovering writer truncates the file to.
+	Valid int64
+	// Damaged reports that bytes after Valid failed to parse: a torn tail
+	// from a crash mid-append, or corruption. Recovery keeps the prefix.
+	Damaged bool
+}
+
+// Replay reads a journal stream. Header problems (not a journal at all,
+// unknown version, header torn) are errors wrapping the package sentinels;
+// from the first record onwards every problem — truncation, checksum
+// mismatch, an undecodable payload, an unknown record kind, a sequence
+// break — ends the replay at the last valid record instead of failing,
+// because the append-only write path makes a damaged suffix expected
+// (kill -9 mid-append) while a damaged header means the file was never
+// written by this code. Hostile input cannot panic the reader or make it
+// allocate beyond the bytes actually presented.
+func Replay(r io.Reader) (*ReplayResult, error) {
+	if err := readHeader(r, journalMagic); err != nil {
+		return nil, err
+	}
+	res := &ReplayResult{Valid: headerLen}
+	cr := &countingReader{r: r}
+	for {
+		var kind [1]byte
+		if _, err := io.ReadFull(cr, kind[:]); err == io.EOF {
+			return res, nil // clean end at a record boundary
+		} else if err != nil {
+			res.Damaged = true
+			return res, nil
+		}
+		payload, err := readFrameBody(cr, kind[0])
+		if err != nil {
+			res.Damaged = true
+			return res, nil
+		}
+		rec, ok := decodeRecord(kind[0], payload)
+		if !ok || rec.Seq != uint64(len(res.Records))+1 {
+			res.Damaged = true
+			return res, nil
+		}
+		res.Records = append(res.Records, rec)
+		res.Valid = headerLen + cr.n
+	}
+}
+
+// decodeRecord validates one frame: the payload must be a well-formed
+// record whose populated side matches the frame kind.
+func decodeRecord(kind byte, payload []byte) (Record, bool) {
+	var rec Record
+	if decodeJSON(payload, &rec) != nil {
+		return Record{}, false
+	}
+	switch kind {
+	case kindStage:
+		return rec, rec.Stage != nil && rec.Run == nil
+	case kindRun:
+		return rec, rec.Run != nil && rec.Stage == nil
+	}
+	return Record{}, false
+}
+
+// countingReader tracks how many bytes of the underlying stream have been
+// consumed, so replay can report where the valid prefix ends.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// journal appends records to one session's journal file. A record is
+// acknowledged only once an fsync issued after its write has returned — the
+// durability point, whose cost is proportional to the records it covers, not
+// to the session. A journal is not safe for concurrent use: the store calls
+// every method, and every wait an append returns, under the entry lock of
+// the session that owns the file, so file offsets and sequence numbers stay
+// ordered and an fsync covers exactly the records written before it.
+type journal struct {
+	f *os.File
+	// reg counts and times the fsyncs (persist_fsync_total{path="journal"},
+	// persist_fsync_seconds{path="journal"}) and the record bytes they make
+	// durable (persist_journal_bytes_total).
+	reg *metrics.Registry
+
+	// written is the journal as the file holds it, durable as the last
+	// successful fsync left it; the two differ by the records whose waits
+	// are outstanding.
+	written, durable extent
+
+	// epoch counts resets: a wait issued in an earlier epoch is for a record
+	// a compaction snapshot already holds.
+	epoch  uint64
+	closed bool
+	// failed poisons the journal — after a failed fsync, whose unsynced
+	// records are gone, or an append whose torn bytes could not be
+	// truncated away — until a reset discards the file's contents.
+	failed bool
+}
+
+// extent is a journal length: the last sequence number, the record count
+// and the record bytes after the header (all zero after a compaction).
+type extent struct {
+	seq     uint64
+	records int
+	bytes   int64
+}
+
+// openJournal opens (creating if absent) the journal at path, recovers its
+// valid prefix, truncates any damaged tail so subsequent appends extend a
+// clean file, and returns the journal positioned at the end alongside what
+// the replay found. A file whose header is unreadable fails with a typed
+// error and is left untouched: openJournal never destroys bytes it cannot
+// prove are a journal's.
+func openJournal(path string, reg *metrics.Registry) (*journal, *ReplayResult, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	j := &journal{f: f, reg: reg}
+	res, err := j.load(path)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	j.written = extent{records: len(res.Records), bytes: res.Valid - headerLen}
+	if n := len(res.Records); n > 0 {
+		j.written.seq = res.Records[n-1].Seq
+	}
+	j.durable = j.written
+	return j, res, nil
+}
+
+// load is openJournal's file half: a new file gets its header, an
+// existing one is replayed and cut back to its valid prefix; either way the
+// file is left positioned at the end of that prefix.
+func (j *journal) load(path string) (*ReplayResult, error) {
+	info, err := j.f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	res := &ReplayResult{Valid: headerLen}
+	if info.Size() == 0 {
+		if _, err := j.f.Write(header(journalMagic)); err != nil {
+			return nil, fmt.Errorf("store: writing journal header: %w", err)
+		}
+		return res, j.f.Sync()
+	}
+	if res, err = Replay(bufio.NewReader(io.NewSectionReader(j.f, 0, info.Size()))); err != nil {
+		return nil, fmt.Errorf("recovering %s: %w", path, err)
+	}
+	if res.Valid < info.Size() {
+		if err := j.f.Truncate(res.Valid); err != nil {
+			return nil, err
+		}
+		if err := j.f.Sync(); err != nil {
+			return nil, err
+		}
+	}
+	_, err = j.f.Seek(res.Valid, io.SeekStart)
+	return res, err
+}
+
+// append writes the record and blocks until it is durable: appendCommit
+// followed by its wait.
+func (j *journal) append(rec *Record) error {
+	wait, err := j.appendCommit(rec)
+	if err != nil {
+		return err
+	}
+	return wait()
+}
+
+// appendCommit splits an append into its two halves. The record is assigned
+// the next sequence number, framed and written in a single write call, with
+// no fsync; the returned wait makes it durable. The caller acknowledges the
+// record only after wait returns nil. wait returns at once when an fsync
+// issued for a later record (or by close) already covers this one; otherwise
+// it issues one fsync, which covers every record written so far — so the
+// waits of several consecutive appends, invoked after the last of them, cost
+// one fsync between them. wait is idempotent: after a reset it returns nil
+// (the compaction snapshot that preceded the reset holds the record), after
+// close it returns the verdict of the fsync close performed.
+//
+// A failed write rewinds the file to the pre-append offset, so a torn frame
+// can never sit in the MIDDLE of the file ahead of later successful appends
+// (Replay heals tails, not middles). A failed fsync rewinds to the last
+// durable offset, fails the wait of every record past it and poisons the
+// journal, as does a rewind that itself fails: further appends are refused,
+// rather than silently stranded behind the damage, until a reset.
+func (j *journal) appendCommit(rec *Record) (wait func() error, err error) {
+	if j.closed || j.failed {
+		return nil, fmt.Errorf("store: journal closed or poisoned by an earlier failure")
+	}
+	kind := kindStage
+	switch {
+	case rec.Stage != nil && rec.Run == nil:
+	case rec.Run != nil && rec.Stage == nil:
+		kind = kindRun
+	default:
+		return nil, fmt.Errorf("store: a record carries exactly one of stage, run")
+	}
+	rec.Seq = j.written.seq + 1
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding record: %w", err)
+	}
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, kind, payload); err != nil {
+		return nil, err
+	}
+	if _, err := j.f.Write(frame.Bytes()); err != nil {
+		j.rewind(j.written.bytes)
+		return nil, fmt.Errorf("store: appending record: %w", err)
+	}
+	j.written.seq = rec.Seq
+	j.written.records++
+	j.written.bytes += int64(frame.Len())
+	epoch, end := j.epoch, j.written.bytes
+	return func() error { return j.waitDurable(epoch, end) }, nil
+}
+
+// waitDurable is the second half of appendCommit for the record that ended
+// at byte offset end (past the header) of the given epoch.
+func (j *journal) waitDurable(epoch uint64, end int64) error {
+	if epoch != j.epoch || end <= j.durable.bytes {
+		return nil
+	}
+	if j.failed {
+		return fmt.Errorf("store: record discarded by a failed append or sync")
+	}
+	return j.sync()
+}
+
+// sync fsyncs the file, making every written record durable. On failure the
+// unsynced records are truncated away and the journal poisoned: the kernel
+// may already have dropped their dirty pages, so a later fsync reporting
+// success would acknowledge bytes that never reached the disk.
+func (j *journal) sync() error {
+	t0 := time.Now()
+	if err := j.f.Sync(); err != nil {
+		j.rewind(j.durable.bytes)
+		j.written = j.durable
+		j.failed = true
+		return fmt.Errorf("store: syncing record: %w", err)
+	}
+	j.reg.Counter(metrics.Name("persist_fsync_total", "path", "journal")).Inc()
+	j.reg.Histogram(metrics.Name("persist_fsync_seconds", "path", "journal"), nil).ObserveSince(t0)
+	j.reg.Counter("persist_journal_bytes_total").Add(j.written.bytes - j.durable.bytes)
+	j.durable = j.written
+	return nil
+}
+
+// rewind truncates the file back to the given record-byte length. Failure
+// to rewind poisons the journal.
+func (j *journal) rewind(bytes int64) {
+	off := headerLen + bytes
+	if j.f.Truncate(off) != nil {
+		j.failed = true
+		return
+	}
+	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
+		j.failed = true
+		return
+	}
+	j.f.Sync() // best-effort: the truncate is what restores the invariant
+}
+
+// reset truncates the journal back to its header — the step that follows a
+// successful compaction snapshot. Sequence numbering restarts at 1,
+// outstanding waits resolve as durable (the snapshot holds their records),
+// and a poisoned journal recovers: the truncate discards the damage along
+// with everything else.
+func (j *journal) reset() error {
+	if j.closed {
+		return fmt.Errorf("store: journal closed")
+	}
+	if err := j.f.Truncate(headerLen); err != nil {
+		return err
+	}
+	// The records are gone from the file: account for that now, and stay
+	// poisoned until the empty journal is durable and positioned.
+	j.written, j.durable = extent{}, extent{}
+	j.epoch++
+	j.failed = true
+	if err := j.f.Sync(); err != nil {
+		return err
+	}
+	if _, err := j.f.Seek(headerLen, io.SeekStart); err != nil {
+		return err
+	}
+	j.failed = false
+	return nil
+}
+
+// close makes every written record durable and closes the file; waits still
+// outstanding then report that fsync's verdict. Further appends fail; close
+// is idempotent.
+func (j *journal) close() error {
+	if j.closed {
+		return nil
+	}
+	j.closed = true
+	var err error
+	if !j.failed && j.durable != j.written {
+		err = j.sync()
+	}
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

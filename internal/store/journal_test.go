@@ -1,0 +1,520 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"vada/internal/feedback"
+	"vada/internal/kb"
+	"vada/internal/metrics"
+	"vada/internal/relation"
+	"vada/internal/runs"
+	"vada/internal/session"
+)
+
+// goldenRecords builds the fixed record sequence pinned by the golden
+// fixture. Everything is deterministic: fixed times, fixed deltas, fixed
+// run snapshots.
+func goldenRecords() []Record {
+	at := time.Date(2026, 7, 2, 9, 30, 0, 0, time.UTC)
+	rel := relation.New(relation.NewSchema("result", "street", "postcode", "price:float"))
+	rel.MustAppend("1 High St", "M1 1AA", 250000.0)
+	started := at.Add(-2 * time.Second)
+	return []Record{
+		{Seq: 1, At: at, Stage: &StageRecord{
+			Event: session.Event{Seq: 1, Type: session.EventStage, Stage: session.StageBootstrap,
+				Steps: 9, Duration: 1200 * time.Millisecond, At: at},
+			Delta: &kb.Delta{From: 3, To: 6, Ops: []kb.DeltaOp{
+				{Kind: kb.DeltaAssert, Name: "md_selected", Tuple: relation.NewTuple("m_rightmove", 1)},
+				{Kind: kb.DeltaRetract, Name: "md_selected", Tuple: relation.NewTuple("m_stale", 2)},
+				{Kind: kb.DeltaPutRelation, Name: "result", Relation: rel},
+			}},
+			ExecHashes: map[string]uint64{"m_rightmove": 0xfeedc0de},
+			FusedHash:  0xdecafbad,
+		}},
+		{Seq: 2, At: at.Add(time.Minute), Stage: &StageRecord{
+			Event: session.Event{Seq: 2, Type: session.EventStage, Stage: session.StageFeedback,
+				Steps: 3, Duration: 300 * time.Millisecond, At: at.Add(time.Minute)},
+			Delta: &kb.Delta{From: 6, To: 7, Ops: []kb.DeltaOp{
+				{Kind: kb.DeltaAssert, Name: "fb_item",
+					Tuple: relation.NewTuple("1 High St", "M1 1AA", "price", false)},
+			}},
+			Feedback: []feedback.Item{{Street: "1 High St", Postcode: "M1 1AA", Attr: "price",
+				Correct: false, Observed: relation.Float(250000), HasObserved: true}},
+			FusedHash: 0xdecafbad,
+		}},
+		{Seq: 3, At: at.Add(2 * time.Minute), Run: &runs.Run{
+			ID: "r0002-00c0ffee", SessionID: "s0001-00c0ffee",
+			Stage: session.StageFeedback, State: runs.StateSucceeded,
+			CreatedAt: started, StartedAt: &started,
+		}},
+	}
+}
+
+// encodeJournal writes a fresh journal holding the given records and
+// returns its bytes.
+func encodeJournal(t testing.TB, recs []Record) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "enc.vjournal")
+	j, got, err := openJournal(path, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != 0 {
+		t.Fatalf("fresh journal replayed %d records", len(got.Records))
+	}
+	for i := range recs {
+		rec := recs[i]
+		if err := j.append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestOpenRecovery covers the crash-mid-append path: a journal with a torn
+// tail opens cleanly, replays its valid prefix, truncates the damage, and
+// appends continue from the right sequence number.
+func TestOpenRecovery(t *testing.T) {
+	recs := goldenRecords()
+	path := filepath.Join(t.TempDir(), "s.vjournal")
+	if err := os.WriteFile(path, encodeJournal(t, recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Simulate kill -9 mid-append: half a record's frame at the tail.
+	torn := append([]byte{kindStage, 0, 0, 0, 200}, []byte(`{"seq":4`)...)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j, got, err := openJournal(path, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Records, recs) || !got.Damaged {
+		t.Fatalf("recovered records drifted:\n got %+v\nwant %+v", got, recs)
+	}
+	// The damaged tail is gone from disk.
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records, bytes := j.written.records, j.written.bytes; records != 3 || bytes != info.Size()-headerLen {
+		t.Fatalf("journal length after recovery: %d records, %d bytes (file %d)", records, bytes, info.Size())
+	}
+	// Appends continue the sequence.
+	next := Record{At: time.Now().UTC(), Run: &runs.Run{ID: "r9", SessionID: "s", State: runs.StateFailed}}
+	if err := j.append(&next); err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq != 4 {
+		t.Fatalf("post-recovery seq = %d, want 4", next.Seq)
+	}
+	j.close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(bytes.NewReader(data))
+	if err != nil || res.Damaged || len(res.Records) != 4 {
+		t.Fatalf("replay after recovery+append: %v damaged=%v n=%d", err, res.Damaged, len(res.Records))
+	}
+}
+
+// TestOpenRefusesForeignFiles pins that opening a journal never truncates a
+// file it cannot prove is one.
+func TestOpenRefusesForeignFiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "not.vjournal")
+	content := []byte("definitely not a journal file")
+	if err := os.WriteFile(path, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openJournal(path, metrics.NewRegistry()); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("foreign file: %v, want ErrBadMagic", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, content) {
+		t.Fatal("openJournal modified a file it refused")
+	}
+}
+
+// TestCorruptByteRegions corrupts every structural region of the journal —
+// magic, version, a record's kind, length, payload and CRC — and asserts
+// recovery falls back to the last valid prefix (or a typed header error).
+func TestCorruptByteRegions(t *testing.T) {
+	recs := goldenRecords()
+	valid := encodeJournal(t, recs)
+
+	// Locate record boundaries by replaying every prefix: replaying
+	// valid[:k] reports Valid == k exactly at frame boundaries.
+	offsets := []int64{headerLen}
+	for cut := headerLen + 1; cut <= int64(len(valid)); cut++ {
+		sub, err := Replay(bytes.NewReader(valid[:cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sub.Records) == len(offsets) && sub.Valid == cut {
+			offsets = append(offsets, cut)
+		}
+	}
+	if len(offsets) != len(recs)+1 {
+		t.Fatalf("found %d record boundaries, want %d", len(offsets)-1, len(recs))
+	}
+	rec2 := offsets[1] // start of the second record's frame
+
+	cases := []struct {
+		name       string
+		mutate     func(b []byte)
+		wantErr    error // non-nil: Replay must fail with this sentinel
+		wantPrefix int   // valid records expected when wantErr is nil
+	}{
+		{"magic", func(b []byte) { b[0] = 'X' }, ErrBadMagic, 0},
+		{"version", func(b []byte) { b[8] = 99 }, ErrBadVersion, 0},
+		{"record kind", func(b []byte) { b[rec2] = 0x7f }, nil, 1},
+		{"record length", func(b []byte) { binary.BigEndian.PutUint32(b[rec2+1:], 0xfffffff0) }, nil, 1},
+		{"record payload", func(b []byte) { b[rec2+5] ^= 0xff }, nil, 1},
+		{"record crc", func(b []byte) { b[offsets[2]-1] ^= 0xff }, nil, 1},
+		{"torn tail", func(b []byte) {}, nil, 2}, // handled by slicing below
+	}
+	for _, tc := range cases {
+		data := append([]byte(nil), valid...)
+		if tc.name == "torn tail" {
+			data = data[:offsets[2]+3] // mid-third-record
+		}
+		tc.mutate(data)
+		res, err := Replay(bytes.NewReader(data))
+		if tc.wantErr != nil {
+			if !errors.Is(err, tc.wantErr) {
+				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+			continue
+		}
+		if !res.Damaged {
+			t.Errorf("%s: damage not reported", tc.name)
+		}
+		if len(res.Records) != tc.wantPrefix {
+			t.Errorf("%s: prefix = %d records, want %d", tc.name, len(res.Records), tc.wantPrefix)
+		}
+		if !reflect.DeepEqual(res.Records, recs[:tc.wantPrefix]) {
+			t.Errorf("%s: prefix content drifted", tc.name)
+		}
+		if res.Valid != offsets[tc.wantPrefix] {
+			t.Errorf("%s: valid offset = %d, want %d", tc.name, res.Valid, offsets[tc.wantPrefix])
+		}
+	}
+
+	// A sequence break (valid frames, wrong order) also stops the replay.
+	swapped := append([]byte(nil), valid[:headerLen]...)
+	swapped = append(swapped, valid[offsets[1]:offsets[2]]...) // record 2 first
+	swapped = append(swapped, valid[offsets[0]:offsets[1]]...)
+	res, err := Replay(bytes.NewReader(swapped))
+	if err != nil || len(res.Records) != 0 || !res.Damaged {
+		t.Fatalf("sequence break: err=%v n=%d damaged=%v", err, len(res.Records), res.Damaged)
+	}
+}
+
+// TestReset pins compaction's journal half: after Reset the file is
+// header-only, stats are zero, and sequence numbering restarts.
+func TestReset(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.vjournal")
+	j, _, err := openJournal(path, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	for i := 0; i < 3; i++ {
+		if err := j.append(&Record{At: time.Now(), Run: &runs.Run{ID: fmt.Sprintf("r%d", i), State: runs.StateSucceeded}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.reset(); err != nil {
+		t.Fatal(err)
+	}
+	if j.written != (extent{}) {
+		t.Fatalf("length after reset: %+v", j.written)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != headerLen {
+		t.Fatalf("file size after reset = %d, want %d", info.Size(), headerLen)
+	}
+	rec := Record{At: time.Now(), Run: &runs.Run{ID: "r9", State: runs.StateSucceeded}}
+	if err := j.append(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 1 {
+		t.Fatalf("post-reset seq = %d, want 1", rec.Seq)
+	}
+}
+
+// stageRec builds a minimal deterministic stage record (At fixed so file
+// bytes are reproducible across writers).
+func stageRec(seq int) *Record {
+	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC).Add(time.Duration(seq) * time.Second)
+	return &Record{At: at, Stage: &StageRecord{
+		Event: session.Event{Seq: seq, Type: session.EventStage,
+			Stage: session.StageBootstrap, Steps: seq, At: at},
+	}}
+}
+
+// TestAppendCommit pins the two-phase append: what a wait costs, and what it
+// answers after each thing that can happen to the journal between the write
+// and the wait.
+func TestAppendCommit(t *testing.T) {
+	const k = 5
+	fsyncName := metrics.Name("persist_fsync_total", "path", "journal")
+	// appendK writes records from..from+k-1 without waiting on any.
+	appendK := func(t *testing.T, j *journal, from int) []func() error {
+		t.Helper()
+		waits := make([]func() error, k)
+		for i := range waits {
+			wait, err := j.appendCommit(stageRec(from + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits[i] = wait
+		}
+		return waits
+	}
+	reopen := func(t *testing.T, path string) []Record {
+		t.Helper()
+		j, res, err := openJournal(path, metrics.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.close()
+		return res.Records
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, j *journal, path string, reg *metrics.Registry)
+	}{
+		{"k appends then k waits cost one fsync and the bytes of k Appends", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			waits := appendK(t, j, 1)
+			if got := reg.Counter(fsyncName).Value(); got != 0 {
+				t.Fatalf("appendCommit fsynced %d times before any wait", got)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("wait %d: %v", i, err)
+				}
+			}
+			if err := waits[0](); err != nil { // idempotent
+				t.Fatal(err)
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("%d waits cost %d fsyncs, want 1", k, got)
+			}
+			if got := reg.Counter("persist_journal_bytes_total").Value(); got != j.written.bytes {
+				t.Fatalf("persist_journal_bytes_total = %d, want the %d durable record bytes", got, j.written.bytes)
+			}
+			directPath := filepath.Join(t.TempDir(), "direct.vjournal")
+			direct, _, err := openJournal(directPath, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer direct.close()
+			for i := 1; i <= k; i++ {
+				if err := direct.append(stageRec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(directPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("deferred-wait journal differs from the append journal (%d vs %d bytes)", len(got), len(want))
+			}
+		}},
+		{"a wait after Reset returns nil: the snapshot holds the record", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			waits := appendK(t, j, 1)
+			if err := j.reset(); err != nil {
+				t.Fatal(err)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("wait %d after reset: %v", i, err)
+				}
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 0 {
+				t.Fatalf("waits for truncated records fsynced %d times", got)
+			}
+			// The fresh journal's offsets restart: a new record is not
+			// mistaken for one the old epoch already made durable.
+			wait, err := j.appendCommit(stageRec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("post-reset wait cost %d fsyncs, want 1", got)
+			}
+		}},
+		{"a wait after Close reports the fsync Close performed", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			waits := appendK(t, j, 1)
+			if err := j.close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("wait %d after close: %v", i, err)
+				}
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("close cost %d fsyncs, want 1", got)
+			}
+			if _, err := j.appendCommit(stageRec(k + 1)); err == nil {
+				t.Fatal("append on a closed journal succeeded")
+			}
+			if recs := reopen(t, path); len(recs) != k {
+				t.Fatalf("replayed %d records after close, want %d", len(recs), k)
+			}
+		}},
+		{"a failed sync fails every wait past the durable offset, and only those", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			durable := appendK(t, j, 1)
+			if err := durable[k-1](); err != nil {
+				t.Fatal(err)
+			}
+			lost := appendK(t, j, k+1)
+			// Force the failure without a seam: with its descriptor closed
+			// underneath it the journal can neither fsync nor truncate.
+			j.f.Close()
+			for i, wait := range lost {
+				if err := wait(); err == nil {
+					t.Fatalf("wait %d acknowledged a record whose fsync failed", i)
+				}
+			}
+			for i, wait := range durable {
+				if err := wait(); err != nil {
+					t.Fatalf("durable wait %d turned into %v", i, err)
+				}
+			}
+			if got := reg.Counter(fsyncName).Value(); got != 1 {
+				t.Fatalf("fsyncs counted = %d, want only the successful one", got)
+			}
+			if records := j.written.records; records != k {
+				t.Fatalf("journal reports %d records after the failure, want the %d durable ones", records, k)
+			}
+			if _, err := j.appendCommit(stageRec(2*k + 1)); err == nil {
+				t.Fatal("poisoned journal accepted an append")
+			}
+			// Nothing acknowledged is missing and the file is a clean prefix
+			// of what was written. (Had the truncate been possible, the
+			// unacknowledged tail would be gone too.)
+			recs := reopen(t, path)
+			if len(recs) < k || len(recs) > 2*k {
+				t.Fatalf("replayed %d records, want the %d durable ones (and at most the %d written)", len(recs), k, 2*k)
+			}
+			for i, rec := range recs {
+				if want := stageRec(i + 1); rec.Seq != uint64(i+1) || !reflect.DeepEqual(rec.Stage, want.Stage) {
+					t.Fatalf("replayed record %d drifted: %+v", i, rec)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.vjournal")
+			reg := metrics.NewRegistry()
+			j, _, err := openJournal(path, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.close()
+			tc.run(t, j, path, reg)
+		})
+	}
+}
+
+// TestReplayGuards pins the convergence rules of folding a journal into its
+// snapshot: already-folded stage records are skipped, sequence gaps stop the
+// replay, run records dedupe by ID.
+func TestReplayGuards(t *testing.T) {
+	mkEvent := func(seq int) session.Event {
+		return session.Event{Seq: seq, Type: session.EventStage, Stage: session.StageBootstrap,
+			At: time.Date(2026, 7, 2, 9, 0, seq, 0, time.UTC)}
+	}
+	snap := &SessionSnapshot{
+		Meta:   Meta{ID: "s1", LastActive: time.Date(2026, 7, 2, 8, 0, 0, 0, time.UTC)},
+		KB:     kb.New(),
+		Events: []session.Event{mkEvent(1)},
+		Runs:   []runs.Run{{ID: "r1", State: runs.StateSucceeded}},
+	}
+	recs := []Record{
+		{Seq: 1, Stage: &StageRecord{Event: mkEvent(1), Delta: &kb.Delta{Ops: []kb.DeltaOp{
+			{Kind: kb.DeltaAssert, Name: "dup", Tuple: relation.NewTuple(1)}}}}}, // already folded: skipped, delta not applied
+		{Seq: 2, Run: &runs.Run{ID: "r1", State: runs.StateSucceeded}}, // dup run: skipped
+		{Seq: 3, Stage: &StageRecord{Event: mkEvent(2), Delta: &kb.Delta{Ops: []kb.DeltaOp{
+			{Kind: kb.DeltaAssert, Name: "p", Tuple: relation.NewTuple(2)}}}}}, // applied
+		{Seq: 4, Run: &runs.Run{ID: "r2", State: runs.StateFailed}},  // applied
+		{Seq: 5, Run: &runs.Run{ID: "r3", State: runs.StateRunning}}, // non-terminal: skipped
+		{Seq: 6, Stage: &StageRecord{Event: mkEvent(9)}},             // gap: stops replay
+		{Seq: 7, Run: &runs.Run{ID: "r4", State: runs.StateFailed}},  // after the gap: never reached
+	}
+	// An older binary's snapshot taken mid-stage already captured the first
+	// of the feedback items record 3's stage added: the record's FeedbackAt
+	// index lets recovery append only the missed suffix.
+	snap.Meta.Feedback = []feedback.Item{{Street: "pre", Correct: true}, {Street: "overlap", Correct: false}}
+	recs[2].Stage.Feedback = []feedback.Item{{Street: "overlap", Correct: false}, {Street: "fresh", Correct: true}}
+	recs[2].Stage.FeedbackAt = 1
+	fold(snap, recs)
+	wantFB := []string{"pre", "overlap", "fresh"}
+	if len(snap.Meta.Feedback) != len(wantFB) {
+		t.Fatalf("feedback = %+v, want streets %v", snap.Meta.Feedback, wantFB)
+	}
+	for i, street := range wantFB {
+		if snap.Meta.Feedback[i].Street != street {
+			t.Fatalf("feedback[%d] = %q, want %q", i, snap.Meta.Feedback[i].Street, street)
+		}
+	}
+	if len(snap.Events) != 2 || snap.Events[1].Seq != 2 {
+		t.Fatalf("events = %+v", snap.Events)
+	}
+	if snap.KB.Count("dup") != 0 {
+		t.Fatal("already-folded stage record's delta was re-applied")
+	}
+	if snap.KB.Count("p") != 1 {
+		t.Fatal("fresh stage record's delta not applied")
+	}
+	if len(snap.Runs) != 2 || snap.Runs[1].ID != "r2" {
+		t.Fatalf("runs = %+v", snap.Runs)
+	}
+	if !snap.Meta.LastActive.Equal(mkEvent(2).At) {
+		t.Fatalf("last active = %v", snap.Meta.LastActive)
+	}
+}

@@ -1,24 +1,23 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"reflect"
 	"strings"
 
-	"vada/internal/journal"
-	"vada/internal/persist"
 	"vada/internal/session"
 )
 
 // Recover is the boot path: every <id>.vsnap in the directory is decoded,
-// its journal's valid prefix (if a journal exists) is replayed over it — a
-// torn tail truncated, never fatal — and the composed state is registered
-// with the manager and the run engine and journals on from where it stopped.
-// Archived sessions stay under closed/: one comes back live when its file is
-// imported. opts are the options every session of the service gets. A file
-// that fails to decode or register is logged and skipped; one corrupt file
-// must not take the service down.
+// its journal's valid prefix is replayed over it — a torn tail truncated,
+// never fatal — and the composed state is registered with the manager and
+// the run engine and journals on from where it stopped. Archived sessions
+// stay under closed/: one comes back live when its file is imported. opts
+// are the options every session of the service gets. A session whose
+// snapshot fails to decode or register, or whose journal cannot be opened,
+// is logged and not served, its files left as they are: one corrupt file
+// must not take the service down, and a session that could not journal
+// would lose every stage acknowledged from then on.
 func (s *Store) Recover(opts ...session.Option) {
 	if s.dir == "" {
 		return
@@ -54,14 +53,14 @@ func (s *Store) snapshotIDs() []string {
 // readSnapshot decodes <dir>/<id>.vsnap, insisting that the envelope is the
 // session the file name says it is: the ID is what later writes are named
 // after.
-func (s *Store) readSnapshot(id string) *persist.SessionSnapshot {
+func (s *Store) readSnapshot(id string) *SessionSnapshot {
 	name := id + SnapshotExt
 	f, err := os.Open(s.path(id, SnapshotExt))
 	if err != nil {
 		s.Logger.Error("opening snapshot", "file", name, "error", err)
 		return nil
 	}
-	snap, err := persist.ReadSessionSnapshot(f)
+	snap, err := ReadSessionSnapshot(f)
 	f.Close()
 	if err != nil {
 		s.Logger.Warn("skipping snapshot", "file", name, "error", err)
@@ -74,54 +73,103 @@ func (s *Store) readSnapshot(id string) *persist.SessionSnapshot {
 	return snap
 }
 
-// recoverLive restores one live pair and reopens its journal for appending.
+// recoverLive restores one live pair. Opening the journal replays it once:
+// the records it returns are folded into the snapshot, and the journal is
+// the one the session goes on appending to.
 func (s *Store) recoverLive(id string, opts []session.Option) bool {
 	snap := s.readSnapshot(id)
 	if snap == nil {
 		return false
 	}
-	// An unreadable journal (not one of ours, unknown version) is skipped
-	// and the snapshot restores on its own.
-	jname := id + journalExt
-	replayed := 0
-	if data, err := os.ReadFile(s.path(id, journalExt)); err == nil {
-		res, err := journal.Replay(bytes.NewReader(data))
-		if err != nil {
-			s.Logger.Warn("skipping journal", "file", jname, "error", err)
-		} else {
-			snap = journal.Compose(snap, res.Records)
-			replayed = len(res.Records)
-			if res.Damaged {
-				s.Logger.Warn("journal had a damaged tail", "file", jname, "recovered_records", replayed)
-			}
-		}
-	}
-	read := snap.Meta
-	sess, err := persist.RestoreInto(s.Manager, s.Engine, snap, opts...)
+	j, res, err := openJournal(s.path(id, journalExt), s.Metrics)
 	if err != nil {
+		s.Logger.Error("not restoring session: its journal cannot be opened", "session", id, "error", err)
+		return false
+	}
+	if res.Damaged {
+		s.Logger.Warn("journal had a damaged tail", "file", id+journalExt, "recovered_records", len(res.Records))
+	}
+	fold(snap, res.Records)
+	read := snap.Meta
+	sess, err := RestoreInto(s.Manager, s.Engine, snap, opts...)
+	if err != nil {
+		j.close()
 		s.Logger.Error("restoring snapshot", "session", id, "error", err)
 		return false
 	}
-	// Reopening truncates any damaged tail on disk; the recovered records
-	// are already composed into the live session.
-	w, _, err := journal.Open(s.path(id, journalExt))
-	if err != nil {
-		s.Logger.Error("opening journal", "session", id, "error", err)
-	} else {
-		w.SetMetrics(s.Metrics)
-		s.mu.Lock()
-		s.entries[id] = &entry{sess: sess, rec: journal.NewRecorder(w, sess, snap.Runs)}
-		s.mu.Unlock()
-		// A restore that had to rewrite what it read (the layout of an older
-		// binary, moved into the knowledge base) leaves files that describe a
-		// state the next record's delta does not start from: fold them now.
-		if !reflect.DeepEqual(read, snap.Meta) {
-			if err := s.Compact(id); err != nil {
-				s.Logger.Error("rewriting snapshot after restore", "session", id, "error", err)
-			}
+	e := &entry{sess: sess}
+	e.io.Lock()
+	defer e.io.Unlock()
+	e.start(j, snap.Runs)
+	s.mu.Lock()
+	s.entries[id] = e
+	s.mu.Unlock()
+	// A restore that had to rewrite what it read (the layout of an older
+	// binary, moved into the knowledge base) leaves files that describe a
+	// state the next record's delta does not start from: fold them now.
+	if !reflect.DeepEqual(read, snap.Meta) {
+		if err := s.compact(e); err != nil {
+			s.Logger.Error("rewriting snapshot after restore", "session", id, "error", err)
 		}
 	}
 	s.Logger.Info("restored session", "session", id,
-		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", replayed)
+		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", len(res.Records))
 	return true
+}
+
+// fold replays journal records over the snapshot they extend, in place.
+// Because both halves are plain data, the restored session flows through
+// exactly the same restoreSession machinery as a journal-less snapshot.
+//
+// Replay is convergent against a crash between a compaction's rename and its
+// truncate, after which the journal still holds records the snapshot folds
+// in. Stage records must extend the event history contiguously
+// (Event.Seq == len(events)+1); earlier sequences are skipped as
+// already-applied, later ones mean the journal does not belong to this
+// snapshot generation and replay of the remainder stops rather than corrupt
+// Seq continuity. Run records are deduplicated by run ID — terminal runs are
+// immutable, so the first copy wins.
+func fold(snap *SessionSnapshot, recs []Record) {
+	seen := make(map[string]bool, len(snap.Runs))
+	for _, r := range snap.Runs {
+		seen[r.ID] = true
+	}
+	for _, rec := range recs {
+		switch {
+		case rec.Stage != nil:
+			ev := rec.Stage.Event
+			if ev.Seq <= len(snap.Events) {
+				continue // already folded into the snapshot
+			}
+			if ev.Seq != len(snap.Events)+1 {
+				return // sequence gap: stop at the last consistent state
+			}
+			snap.Events = append(snap.Events, ev)
+			snap.KB.ApplyDelta(rec.Stage.Delta)
+			// Legacy records carry the feedback items their stage added at
+			// their store index, so the overlap with items a snapshot taken
+			// mid-stage by an older binary already holds is skipped exactly.
+			if n := len(rec.Stage.Feedback); n > 0 {
+				if skip := max(len(snap.Meta.Feedback)-rec.Stage.FeedbackAt, 0); skip < n {
+					snap.Meta.Feedback = append(snap.Meta.Feedback, rec.Stage.Feedback[skip:]...)
+				}
+			}
+			if rec.Stage.ExecHashes != nil {
+				snap.Meta.ExecHashes = rec.Stage.ExecHashes
+			}
+			if rec.Stage.FusedHash != 0 {
+				snap.Meta.FusedHash = rec.Stage.FusedHash
+			}
+			if ev.At.After(snap.Meta.LastActive) {
+				snap.Meta.LastActive = ev.At
+			}
+		case rec.Run != nil:
+			r := *rec.Run
+			if seen[r.ID] || !r.State.Terminal() {
+				continue
+			}
+			seen[r.ID] = true
+			snap.Runs = append(snap.Runs, r)
+		}
+	}
 }

@@ -1,8 +1,9 @@
-package persist
+package store
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -43,8 +44,8 @@ type Meta struct {
 	// knowledge base before it held everything — the wrangler configuration,
 	// the feedback items with their observed values, the output hashes of
 	// mapping execution and fusion, and a blank session's target schema as
-	// "name" / "name:kind" specs. journal.Compose folds the same fields of old
-	// journal records in here, and RestoreSession moves the lot into the
+	// "name" / "name:kind" specs. Recovery folds the same fields of old
+	// journal records in here, and restoreSession moves the lot into the
 	// knowledge base (upgrade) — the configuration and the hashes apart, which
 	// nothing reads any more: a restored wrangler has the suite's constants.
 	// Upgrade leaves Options as read: a snapshot that differs from today's
@@ -69,10 +70,27 @@ type SessionSnapshot struct {
 	Runs   []runs.Run
 }
 
-// WriteSessionSnapshot serialises a snapshot as a format-v1 envelope:
-// meta, knowledge base, events and runs sections, each length-prefixed and
-// checksummed. Output is deterministic for a given snapshot, which is what
-// lets golden fixtures pin the format byte-for-byte.
+// Section kinds of the session-snapshot layout.
+const (
+	sectionEnd    byte = 0x00
+	sectionMeta   byte = 0x01
+	sectionKB     byte = 0x02
+	sectionEvents byte = 0x03
+	sectionRuns   byte = 0x04
+)
+
+// section is one framed payload of an envelope.
+type section struct {
+	kind byte
+	data []byte
+}
+
+// WriteSessionSnapshot serialises a snapshot as a format-v1 envelope — the
+// header, then meta, knowledge base, events and runs sections, each one
+// frame, then an end marker. Every payload is JSON (the knowledge-base
+// section is exactly the kb.WriteSnapshot wire form), so the format stays
+// debuggable with a hex dump and `jq`. Output is deterministic for a given
+// snapshot, which is what lets golden fixtures pin the format byte-for-byte.
 func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	if snap == nil || snap.Meta.ID == "" {
 		return fmt.Errorf("%w: snapshot needs a session ID", ErrBadSnapshot)
@@ -82,11 +100,11 @@ func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	}
 	metaData, err := json.Marshal(snap.Meta)
 	if err != nil {
-		return fmt.Errorf("persist: encoding meta: %w", err)
+		return fmt.Errorf("store: encoding meta: %w", err)
 	}
 	var kbBuf bytes.Buffer
 	if err := snap.KB.WriteSnapshot(&kbBuf); err != nil {
-		return fmt.Errorf("persist: encoding knowledge base: %w", err)
+		return fmt.Errorf("store: encoding knowledge base: %w", err)
 	}
 	events := snap.Events
 	if events == nil {
@@ -94,7 +112,7 @@ func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	}
 	eventData, err := json.Marshal(events)
 	if err != nil {
-		return fmt.Errorf("persist: encoding events: %w", err)
+		return fmt.Errorf("store: encoding events: %w", err)
 	}
 	runList := snap.Runs
 	if runList == nil {
@@ -102,9 +120,9 @@ func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	}
 	runData, err := json.Marshal(runList)
 	if err != nil {
-		return fmt.Errorf("persist: encoding runs: %w", err)
+		return fmt.Errorf("store: encoding runs: %w", err)
 	}
-	return writeEnvelope(w, FormatV1, []section{
+	return writeEnvelope(w, []section{
 		{kind: sectionMeta, data: metaData},
 		{kind: sectionKB, data: kbBuf.Bytes()},
 		{kind: sectionEvents, data: eventData},
@@ -112,14 +130,60 @@ func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	})
 }
 
+// writeEnvelope frames the sections: header, each section as one frame,
+// then the end marker.
+func writeEnvelope(w io.Writer, sections []section) error {
+	if _, err := w.Write(header(snapshotMagic)); err != nil {
+		return fmt.Errorf("store: writing header: %w", err)
+	}
+	for _, s := range sections {
+		if err := writeFrame(w, s.kind, s.data); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write([]byte{sectionEnd}); err != nil {
+		return fmt.Errorf("store: writing end marker: %w", err)
+	}
+	return nil
+}
+
+// readEnvelope parses the framing, verifying header, lengths and checksums.
+// It allocates per section only as payload bytes actually arrive, so
+// truncated streams with hostile length prefixes stay cheap.
+func readEnvelope(r io.Reader) ([]section, error) {
+	if err := readHeader(r, snapshotMagic); err != nil {
+		return nil, err
+	}
+	var sections []section
+	for {
+		var kind [1]byte
+		if _, err := io.ReadFull(r, kind[:]); err != nil {
+			return nil, fmt.Errorf("%w: missing end marker: %w", ErrTruncated, err)
+		}
+		if kind[0] == sectionEnd {
+			if n, _ := io.CopyN(io.Discard, r, 1); n != 0 {
+				return nil, fmt.Errorf("%w: trailing data after end marker", ErrBadSnapshot)
+			}
+			return sections, nil
+		}
+		payload, err := readFrameBody(r, kind[0])
+		if err != nil {
+			return nil, err
+		}
+		sections = append(sections, section{kind: kind[0], data: payload})
+	}
+}
+
 // ReadSessionSnapshot decodes a snapshot envelope. It is strict: the meta
 // and knowledge-base sections are required, every section may appear at
 // most once, and unknown section kinds fail — a v2 writer must bump the
 // version byte, not smuggle sections past a v1 reader. Every error wraps
 // one of the package's typed sentinels; hostile input cannot panic the
-// decoder or make it allocate beyond the bytes actually presented.
+// decoder or make it allocate beyond the bytes actually presented. Unknown
+// JSON fields are tolerated: additive meta fields stay readable within a
+// format version.
 func ReadSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
-	_, sections, err := readEnvelope(r)
+	sections, err := readEnvelope(r)
 	if err != nil {
 		return nil, err
 	}
@@ -130,27 +194,22 @@ func ReadSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 			return nil, fmt.Errorf("%w: duplicate section 0x%02x", ErrBadSnapshot, sec.kind)
 		}
 		seen[sec.kind] = true
+		var what string
 		switch sec.kind {
 		case sectionMeta:
-			if err := decodeJSONSection(sec.data, &snap.Meta, "meta"); err != nil {
-				return nil, err
-			}
+			what, err = "meta", decodeJSON(sec.data, &snap.Meta)
 		case sectionKB:
-			k, err := kb.ReadSnapshot(bytes.NewReader(sec.data))
-			if err != nil {
-				return nil, fmt.Errorf("%w: knowledge base: %w", ErrBadSnapshot, err)
-			}
-			snap.KB = k
+			what = "knowledge base"
+			snap.KB, err = kb.ReadSnapshot(bytes.NewReader(sec.data))
 		case sectionEvents:
-			if err := decodeJSONSection(sec.data, &snap.Events, "events"); err != nil {
-				return nil, err
-			}
+			what, err = "events", decodeJSON(sec.data, &snap.Events)
 		case sectionRuns:
-			if err := decodeJSONSection(sec.data, &snap.Runs, "runs"); err != nil {
-				return nil, err
-			}
+			what, err = "runs", decodeJSON(sec.data, &snap.Runs)
 		default:
 			return nil, fmt.Errorf("%w: unknown section 0x%02x", ErrBadSnapshot, sec.kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %w", ErrBadSnapshot, what, err)
 		}
 	}
 	if !seen[sectionMeta] {
@@ -165,27 +224,25 @@ func ReadSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 	return snap, nil
 }
 
-// decodeJSONSection unmarshals one JSON section, rejecting trailing data
-// and mapping failures onto ErrBadSnapshot. Unknown fields are tolerated:
-// additive meta fields stay readable within a format version.
-func decodeJSONSection(data []byte, v any, what string) error {
+// decodeJSON unmarshals one JSON value that must be all of data.
+func decodeJSON(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %s: %w", ErrBadSnapshot, what, err)
+		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%w: %s: trailing data", ErrBadSnapshot, what)
+		return errors.New("trailing data")
 	}
 	return nil
 }
 
-// CaptureSession snapshots a live (or just-closed) session: identity,
-// configuration, a snapshot of the knowledge base, the stage-event
-// history, and — when an engine is given — every terminal run of the
-// session still in the retention ring. Callers wanting a consistent
-// capture quiesce the session first (the manager's evict hooks already
-// run post-quiescence).
-func CaptureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
+// captureSession snapshots a live (or just-closed) session: identity, a
+// snapshot of the knowledge base, the stage-event history, and — when an
+// engine is given — every terminal run of the session still in the retention
+// ring. The store captures between stages only: under the session's run
+// mutex (the stage-commit hook) or once it has quiesced (the evict hook). An
+// export may land mid-stage.
+func captureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 	// Events strictly before the KB: racing a completing stage may then
 	// miss the stage's event while the KB already holds (some of) its
 	// writes — "not in the snapshot yet" — but never record an event whose
@@ -207,11 +264,7 @@ func CaptureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 		snap.Meta.Scenario = &cfg
 	}
 	if eng != nil {
-		for _, r := range eng.List(s.ID()) {
-			if r.State.Terminal() {
-				snap.Runs = append(snap.Runs, r)
-			}
-		}
+		snap.Runs = eng.ListTerminal(s.ID())
 	}
 	return snap
 }
@@ -219,10 +272,10 @@ func CaptureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 // ExportSession captures a session and writes its snapshot envelope — the
 // GET .../export path.
 func ExportSession(w io.Writer, s *session.Session, eng *runs.Engine) error {
-	return WriteSessionSnapshot(w, CaptureSession(s, eng))
+	return WriteSessionSnapshot(w, captureSession(s, eng))
 }
 
-// RestoreSession rebuilds a live session from a decoded snapshot: the
+// restoreSession rebuilds a live session from a decoded snapshot: the
 // wrangler is reconstructed (deterministically regenerating the scenario
 // when one is recorded), the knowledge base merged back in — which is the
 // whole of the session's state — and the session stamped with its pre-restart
@@ -232,7 +285,7 @@ func ExportSession(w io.Writer, s *session.Session, eng *runs.Engine) error {
 // carries. A snapshot in the layout of an
 // older binary is consumed: what its Meta carried is moved into the knowledge
 // base and the fields are left empty.
-func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Session, error) {
+func restoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Session, error) {
 	if snap == nil || snap.Meta.ID == "" {
 		return nil, fmt.Errorf("%w: empty session ID", ErrBadSnapshot)
 	}
@@ -263,8 +316,8 @@ func RestoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 	return session.New(snap.Meta.ID, w, sessOpts...), nil
 }
 
-// upgrade is the only reader of the layout older binaries wrote (journal.Compose
-// apart, which folds old records into old fields): it moves what m carries
+// upgrade is the only reader of the layout older binaries wrote (fold apart,
+// which folds old records into old fields): it moves what m carries
 // beside the knowledge base into w's, through the API that would have put it
 // there, and empties the fields. What the knowledge base already holds in
 // today's layout wins.
@@ -299,7 +352,7 @@ func upgrade(w *core.Wrangler, m *Meta) {
 // service. The manager's cap applies; an ID already live fails with
 // session.ErrExists and registers nothing.
 func RestoreInto(mgr *session.Manager, eng *runs.Engine, snap *SessionSnapshot, opts ...session.Option) (*session.Session, error) {
-	s, err := RestoreSession(snap, opts...)
+	s, err := restoreSession(snap, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package persist
+package store
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -35,10 +34,8 @@ const legacyOptions = `{"MatchThreshold":0.6,"FusionThreshold":0.9,` +
 	`"RangeRuleSupport":3,"MaxSteps":500,"Network":null,"FusionBlockAttr":"postcode","FusionIdentityAttr":"street"}`
 
 // -update regenerates the golden fixtures under testdata. Run it ONLY when
-// deliberately changing the snapshot format, alongside a FormatV1 bump.
-var update = flag.Bool("update", false, "rewrite golden snapshot fixtures")
-
-const goldenPath = "testdata/v1_session.vsnap"
+// deliberately changing a file format, alongside a formatV1 bump.
+var update = flag.Bool("update", false, "rewrite the golden snapshot and journal fixtures")
 
 // goldenSnapshot builds the fixed snapshot pinned by the golden fixture.
 // Everything is deterministic: fixed times, fixed KB insertion content,
@@ -100,57 +97,78 @@ func goldenSnapshot() *SessionSnapshot {
 	}
 }
 
-// TestGoldenV1 is the forward-compatibility gate: current code must keep
-// reading the checked-in v1 bytes, and re-encoding what it read must
-// reproduce them byte-for-byte. If this test fails after a format change,
-// bump FormatV1 and regenerate fixtures with -update — never silently
-// strand old snapshots.
+// TestGoldenV1 is the forward-compatibility gate of both file formats:
+// current code must keep reading the checked-in v1 bytes, and re-encoding
+// what it read must reproduce them byte-for-byte. If this fails after a
+// format change, bump formatV1 and regenerate the fixtures with -update —
+// never silently strand old files.
 func TestGoldenV1(t *testing.T) {
-	want := goldenSnapshot()
+	t.Run("snapshot", func(t *testing.T) {
+		const path = "testdata/v1_session.vsnap"
+		want := goldenSnapshot()
+		encode := func(snap *SessionSnapshot) []byte {
+			var buf bytes.Buffer
+			if err := WriteSessionSnapshot(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		fixture := golden(t, path, encode(want))
+		snap, err := ReadSessionSnapshot(bytes.NewReader(fixture))
+		if err != nil {
+			t.Fatalf("current code no longer reads format v1: %v", err)
+		}
+		if !reflect.DeepEqual(snap.Meta, want.Meta) {
+			t.Fatalf("meta drifted:\n got %+v\nwant %+v", snap.Meta, want.Meta)
+		}
+		if !reflect.DeepEqual(snap.Events, want.Events) {
+			t.Fatalf("events drifted:\n got %+v\nwant %+v", snap.Events, want.Events)
+		}
+		if !reflect.DeepEqual(snap.Runs, want.Runs) {
+			t.Fatalf("runs drifted:\n got %+v\nwant %+v", snap.Runs, want.Runs)
+		}
+		if got, want := kbBytes(t, snap.KB), kbBytes(t, want.KB); !bytes.Equal(got, want) {
+			t.Fatalf("knowledge base drifted:\n got %s\nwant %s", got, want)
+		}
+		if reenc := encode(snap); !bytes.Equal(reenc, fixture) {
+			t.Fatalf("re-encoded snapshot differs from v1 fixture (%d vs %d bytes) — format changed; bump formatV1",
+				len(reenc), len(fixture))
+		}
+	})
+	t.Run("journal", func(t *testing.T) {
+		want := goldenRecords()
+		fixture := golden(t, "testdata/v1_session.vjournal", encodeJournal(t, want))
+		res, err := Replay(bytes.NewReader(fixture))
+		if err != nil {
+			t.Fatalf("current code no longer replays format v1: %v", err)
+		}
+		if res.Damaged || res.Valid != int64(len(fixture)) {
+			t.Fatalf("fixture replay: damaged=%v valid=%d size=%d", res.Damaged, res.Valid, len(fixture))
+		}
+		if !reflect.DeepEqual(res.Records, want) {
+			t.Fatalf("records drifted:\n got %+v\nwant %+v", res.Records, want)
+		}
+		if reenc := encodeJournal(t, res.Records); !bytes.Equal(reenc, fixture) {
+			t.Fatalf("re-encoded journal differs from v1 fixture (%d vs %d bytes) — format changed; bump formatV1",
+				len(reenc), len(fixture))
+		}
+	})
+}
+
+// golden reads the fixture at path, first rewriting it with fresh under
+// -update.
+func golden(t *testing.T, path string, fresh []byte) []byte {
+	t.Helper()
 	if *update {
-		var buf bytes.Buffer
-		if err := WriteSessionSnapshot(&buf, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, fresh, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fixture, err := os.ReadFile(goldenPath)
+	fixture, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with -update): %v", err)
 	}
-
-	snap, err := ReadSessionSnapshot(bytes.NewReader(fixture))
-	if err != nil {
-		t.Fatalf("current code no longer reads format v1: %v", err)
-	}
-	if !reflect.DeepEqual(snap.Meta, want.Meta) {
-		t.Fatalf("meta drifted:\n got %+v\nwant %+v", snap.Meta, want.Meta)
-	}
-	if !reflect.DeepEqual(snap.Events, want.Events) {
-		t.Fatalf("events drifted:\n got %+v\nwant %+v", snap.Events, want.Events)
-	}
-	if !reflect.DeepEqual(snap.Runs, want.Runs) {
-		t.Fatalf("runs drifted:\n got %+v\nwant %+v", snap.Runs, want.Runs)
-	}
-	if got, want := kbBytes(t, snap.KB), kbBytes(t, want.KB); !bytes.Equal(got, want) {
-		t.Fatalf("knowledge base drifted:\n got %s\nwant %s", got, want)
-	}
-
-	// Byte-for-byte: re-encoding the decoded snapshot reproduces the
-	// fixture exactly.
-	var reenc bytes.Buffer
-	if err := WriteSessionSnapshot(&reenc, snap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc.Bytes(), fixture) {
-		t.Fatalf("re-encoded snapshot differs from v1 fixture (%d vs %d bytes) — format changed; bump FormatV1",
-			reenc.Len(), len(fixture))
-	}
+	return fixture
 }
 
 func kbBytes(t *testing.T, k *kb.KB) []byte {
@@ -170,7 +188,7 @@ func kbBytes(t *testing.T, k *kb.KB) []byte {
 func TestUpgradeV1(t *testing.T) {
 	snap := goldenSnapshot()
 	items := snap.Meta.Feedback
-	restored, err := RestoreSession(snap)
+	restored, err := restoreSession(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +223,7 @@ func TestUpgradeV1(t *testing.T) {
 	if m := again.Meta; m.Feedback != nil || m.ExecHashes != nil || m.FusedHash != 0 || m.TargetName != "" || m.Target != nil {
 		t.Errorf("a re-capture still writes legacy fields: %+v", m)
 	}
-	_, sections, err := readEnvelope(bytes.NewReader(buf.Bytes()))
+	sections, err := readEnvelope(bytes.NewReader(buf.Bytes()))
 	if err != nil || sections[0].kind != sectionMeta {
 		t.Fatalf("reading the re-capture's meta section: %v", err)
 	}
@@ -214,7 +232,7 @@ func TestUpgradeV1(t *testing.T) {
 			t.Errorf("re-captured meta mentions %q: %s", key, sections[0].data)
 		}
 	}
-	second, err := RestoreSession(again)
+	second, err := restoreSession(again)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +255,7 @@ func TestUpgradeV1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blank, err := RestoreSession(&SessionSnapshot{
+	blank, err := restoreSession(&SessionSnapshot{
 		Meta: Meta{ID: "blank-1", TargetName: "places", Target: []string{"name", "level:int", "age:dragon"}},
 		KB:   k,
 	})
@@ -422,7 +440,7 @@ func TestAdviceSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSession(snap)
+	restored, err := restoreSession(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +472,7 @@ func TestSnapshotCarriesNoConfiguration(t *testing.T) {
 	if err := ExportSession(&buf, session.New("opt-1", w), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, sections, err := readEnvelope(bytes.NewReader(buf.Bytes()))
+	sections, err := readEnvelope(bytes.NewReader(buf.Bytes()))
 	if err != nil || sections[0].kind != sectionMeta {
 		t.Fatalf("reading the meta section: %v", err)
 	}
@@ -471,7 +489,7 @@ func TestSnapshotCarriesNoConfiguration(t *testing.T) {
 	cfg.Seed = 2
 	export := func(options json.RawMessage) []byte {
 		t.Helper()
-		sess, err := RestoreSession(&SessionSnapshot{Meta: Meta{ID: "old-1", Seed: 2, Scenario: &cfg, Options: options}, KB: kb.New()})
+		sess, err := restoreSession(&SessionSnapshot{Meta: Meta{ID: "old-1", Seed: 2, Scenario: &cfg, Options: options}, KB: kb.New()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +534,7 @@ func TestSnapshotWithoutScenario(t *testing.T) {
 	if snap.Meta.Scenario != nil {
 		t.Fatal("scenario config invented")
 	}
-	restored, err := RestoreSession(snap)
+	restored, err := restoreSession(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +576,7 @@ func TestErrorSurface(t *testing.T) {
 		{"payload corrupted", corrupt(func(b []byte) []byte { b[20] ^= 0xff; return b }), ErrChecksum},
 		{"trailing data", append(append([]byte(nil), v...), 0x01), ErrBadSnapshot},
 		{"oversized section", corrupt(func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[10:], MaxSectionBytes+1)
+			binary.BigEndian.PutUint32(b[10:], maxFrameBytes+1)
 			return b
 		}), ErrTooLarge},
 		{"unknown section", corrupt(func(b []byte) []byte { b[9] = 0x7f; return b }), ErrBadSnapshot},
@@ -575,7 +593,7 @@ func TestErrorSurface(t *testing.T) {
 	kbData := kbBytes(t, kb.New())
 	assemble := func(secs []section) []byte {
 		var buf bytes.Buffer
-		if err := writeEnvelope(&buf, FormatV1, secs); err != nil {
+		if err := writeEnvelope(&buf, secs); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

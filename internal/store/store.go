@@ -1,7 +1,6 @@
 // Package store owns a server's data directory and, with it, the durable
-// lifecycle of every session: create, append, compact, archive, recover.
-// The persistence lifecycle lives here; internal/persist (snapshot
-// envelopes) and internal/journal (delta records) are the formats.
+// state of every session: the two file formats, and the lifecycle that
+// writes them — create, append, archive, recover.
 //
 // On disk a live session is a pair, an archived one a single file:
 //
@@ -9,25 +8,33 @@
 //	<dir>/<id>.vjournal       what completed since: one record per stage, one per terminal run
 //	<dir>/closed/<id>.vsnap   final snapshot of an explicitly deleted session
 //
-// An archive is an export like any other: POSTing it to the server's import
-// route brings the session back live, through Create.
+// Both files start with an 8-byte magic and a format-version byte, followed
+// by frames — kind | u32 length | JSON payload | CRC-32(payload). A snapshot
+// is a versioned envelope of four sections (identity, knowledge base, event
+// history, terminal runs) closed by an end marker, so truncation, corruption
+// and version skew are typed errors; golden fixtures under testdata pin both
+// formats byte for byte. An archive is an export like any other: POSTing it
+// to the server's import route brings the session back live, through Create.
 //
 // What each verb guarantees once it has returned without error:
 //
 //	Create   the baseline snapshot is fsynced and renamed into place over an
 //	         empty journal — the session survives kill -9 from here on
 //	Append   the stage's record is fsynced when the returned wait returns
-//	Compact  the snapshot holds everything and the journal is empty
 //	Archive  the pair is gone from <dir> and closed/ holds the final state
 //	Recover  every pair is live again, snapshot composed with the journal's
 //	         valid prefix
 //
-// Every snapshot — baseline, compaction, evict, shutdown, archive — reaches
-// the directory through writeSnapshot: temp file, fsync, rename. A crash
-// between any two file-system steps leaves either the state before the verb
-// or the state after it, never a mixture: a journal without a snapshot was
-// never acknowledged and is ignored, and a snapshot is only ever paired with
-// a journal that was emptied first or whose records it already folds in
+// Snapshots are taken between stages only, never during one. A journal past
+// compactRecords records or compactBytes bytes is compacted by the stage
+// that crossed the threshold, at its end, under the session's run mutex;
+// idle eviction and shutdown compact a session once it has quiesced. Every
+// snapshot — baseline, compaction, archive — reaches the directory through
+// writeSnapshot: temp file, fsync, rename. A crash between any two
+// file-system steps leaves either the state before the verb or the state
+// after it, never a mixture: a journal without a snapshot was never
+// acknowledged and is ignored, and a snapshot is only ever paired with a
+// journal that was emptied first or whose records it already folds in
 // (replay skips those by sequence and run ID).
 //
 // A Store opened over "" is ephemeral: every verb is a cheap no-op, so the
@@ -44,11 +51,10 @@ import (
 	"sync"
 	"time"
 
-	"vada/internal/journal"
 	"vada/internal/metrics"
-	"vada/internal/persist"
 	"vada/internal/runs"
 	"vada/internal/session"
+	"vada/internal/trace"
 )
 
 // SnapshotExt is the file suffix of a snapshot envelope, on disk and in the
@@ -92,15 +98,14 @@ type Store struct {
 	maxBytes   int64
 	Deps
 
-	// mu guards the entry table, each entry's rec and archive fields, and
+	// mu guards the entry table, each entry's archive field, and
 	// lastSnapshot. It is never held across file I/O.
 	mu           sync.Mutex
 	entries      map[string]*entry
 	lastSnapshot time.Time
 
-	// The persister goroutine journals terminal runs and compacts journals
-	// past their thresholds, off the engine's notify path and the stage
-	// hook. hints is never closed (late hooks must not panic); done stops
+	// The persister goroutine journals terminal runs off the engine's notify
+	// path. hints is never closed (late hooks must not panic); done stops
 	// the goroutine.
 	hints     chan string
 	done      chan struct{}
@@ -119,14 +124,21 @@ type Store struct {
 type entry struct {
 	sess *session.Session
 
-	// io serialises the file operations of this session: every writer locks
-	// it and then looks at rec, so nothing is written once the entry is
-	// finished and a new session taking over the ID waits the old one out.
+	// io orders every write to this session's files and guards the fields
+	// below it: every writer locks it and then looks at j, so nothing is
+	// written once the entry is finished, and a new session taking over the
+	// ID waits the old one out.
 	io sync.Mutex
+	// j is the open journal: nil while Create is still writing and again
+	// once the entry is finished.
+	j *journal
+	// runSeen holds the IDs of the terminal runs the files hold.
+	runSeen map[string]bool
+	// dirty reports that something was recorded — or failed to be — since
+	// the snapshot under the journal was written.
+	dirty bool
 
-	// rec is nil while Create is still writing and again once the entry is
-	// finished; archive marks a DELETE in progress. Both under Store.mu.
-	rec     *journal.Recorder
+	// archive marks a DELETE in progress; under Store.mu.
 	archive bool
 }
 
@@ -184,23 +196,6 @@ func (s *Store) lookup(id string) *entry {
 	return s.entries[id]
 }
 
-// hold locks the entry's file operations and returns its recorder for the
-// caller to write through; the caller unlocks e.io. A finished entry (or no
-// entry) yields nil with nothing locked: there is nothing left to write.
-func (s *Store) hold(e *entry) *journal.Recorder {
-	if e == nil {
-		return nil
-	}
-	e.io.Lock()
-	s.mu.Lock()
-	rec := e.rec
-	s.mu.Unlock()
-	if rec == nil {
-		e.io.Unlock()
-	}
-	return rec
-}
-
 // Create makes a new session — created or imported — durable
 // before it is acknowledged: any stale journal under its ID is emptied
 // first, the baseline snapshot is written second, and only then does the
@@ -229,50 +224,60 @@ func (s *Store) Create(sess *session.Session) error {
 		s.finish(old)
 		old.io.Unlock()
 	}
-	rec, err := s.createFiles(sess)
-	if err != nil {
+	if err := s.createFiles(e); err != nil {
 		s.finish(e)
 		return fmt.Errorf("%w: %w", ErrNotDurable, err)
 	}
-	s.mu.Lock()
-	e.rec = rec
-	s.mu.Unlock()
 	return nil
 }
 
 // createFiles is Create's file-system half: journal emptied, then snapshot.
-func (s *Store) createFiles(sess *session.Session) (*journal.Recorder, error) {
-	w, stale, err := journal.Open(s.path(sess.ID(), journalExt))
+func (s *Store) createFiles(e *entry) error {
+	j, stale, err := openJournal(s.path(e.sess.ID(), journalExt), s.Metrics)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(stale) > 0 {
-		if err := w.Reset(); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("resetting stale journal: %w", err)
+	if len(stale.Records) > 0 {
+		if err := j.reset(); err != nil {
+			j.close()
+			return fmt.Errorf("resetting stale journal: %w", err)
 		}
 	}
 	s.step("journal")
-	snap := persist.CaptureSession(sess, s.Engine)
+	snap := captureSession(e.sess, s.Engine)
 	if err := s.writeSnapshot(snap); err != nil {
-		w.Close()
-		return nil, err
+		j.close()
+		return err
 	}
-	w.SetMetrics(s.Metrics)
-	return journal.NewRecorder(w, sess, snap.Runs), nil
+	e.start(j, snap.Runs)
+	return nil
+}
+
+// start makes the entry journal through j, over a snapshot that holds the
+// given terminal runs. The wrangler's change log starts (or restarts) here:
+// the baseline of the first cut is the state the snapshot and journal
+// already hold. Callers hold e.io.
+func (e *entry) start(j *journal, snapshotRuns []runs.Run) {
+	e.j = j
+	e.runSeen = make(map[string]bool, len(snapshotRuns))
+	for _, r := range snapshotRuns {
+		e.runSeen[r.ID] = true
+	}
+	e.dirty = j.written.records > 0
+	e.sess.Wrangler().StartChangeLog()
 }
 
 // writeSnapshot is the one way a snapshot reaches the data directory: the
 // envelope goes to a temp file, is fsynced, and is renamed over
 // <dir>/<id>.vsnap, so a reader sees the old snapshot or the new one whole.
 // Callers hold the entry's io lock, which orders the writes of one session.
-func (s *Store) writeSnapshot(snap *persist.SessionSnapshot) error {
+func (s *Store) writeSnapshot(snap *SessionSnapshot) error {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := persist.WriteSessionSnapshot(tmp, snap); err != nil {
+	if err := WriteSessionSnapshot(tmp, snap); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -302,64 +307,103 @@ func (s *Store) writeSnapshot(snap *persist.SessionSnapshot) error {
 }
 
 // finish ends an entry's life: it leaves the table (unless a newer session
-// already took the ID), its recorder is closed, and every writer that locks
-// io afterwards finds rec nil and declines. Callers hold e.io.
+// already took the ID), its change log stops, its journal is closed, and
+// every writer that locks io afterwards finds j nil and declines. Callers
+// hold e.io.
 func (s *Store) finish(e *entry) {
 	id := e.sess.ID()
 	s.mu.Lock()
-	rec := e.rec
-	e.rec = nil
 	if s.entries[id] == e {
 		delete(s.entries, id)
 	}
 	s.mu.Unlock()
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			s.Logger.Error("closing journal", "session", id, "error", err)
-		}
+	if e.j == nil {
+		return
 	}
+	e.sess.Wrangler().KB.StopDeltaLog()
+	if err := e.j.close(); err != nil {
+		s.Logger.Error("closing journal", "session", id, "error", err)
+	}
+	e.j = nil
 }
 
 // Append is the session stage-commit hook: one O(delta) journal record per
-// completed stage. It runs under the session's run mutex, so the delta cut
-// cannot race the next stage's writes; the returned wait — invoked by Step
-// after the run mutex is released, or by the run engine once per plan —
-// blocks until the record is fsynced. ctx carries the stage's trace span,
-// making the append a `journal.append` child of it. A failure is logged, not
-// fatal: the next compaction, evict or shutdown snapshot covers the stage.
+// completed stage, and the threshold compaction when that record crossed it.
+// It runs under the session's run mutex, so the delta cut cannot race the
+// next stage's writes and a compaction snapshot never lands mid-stage. The
+// returned wait — invoked by Step after the run mutex is released, or by the
+// run engine once per plan — blocks until the record is fsynced. ctx carries
+// the stage's trace span, making the append a `journal.append` child of it.
+// A failure is logged, not fatal: the next compaction, evict or shutdown
+// snapshot covers the stage.
 func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Event) func() {
 	id := sess.ID()
-	s.mu.Lock()
-	e := s.entries[id]
-	if e == nil || e.sess != sess || e.rec == nil {
-		s.mu.Unlock()
+	e := s.lookup(id)
+	if e == nil || e.sess != sess {
 		return nil
 	}
-	rec := e.rec
-	s.mu.Unlock()
-	wait, err := rec.RecordStageCommit(ctx, ev)
+	e.io.Lock()
+	defer e.io.Unlock()
+	if e.j == nil {
+		return nil
+	}
+	e.dirty = true
+	rec := &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: sess.Wrangler().CutChangeLog()}}
+	span := trace.ChildFromContext(ctx, "journal.append", "kind", "stage", "session", id)
+	wait, err := e.j.appendCommit(rec)
 	if err != nil {
+		span.EndErr(err)
 		s.Logger.Error("journaling stage", "stage", ev.Stage, "session", id, "error", err)
 		return nil
 	}
 	s.step("record")
-	// Synchronous stages complete no run, so nothing else would bring the
-	// persister to look at this journal's length.
-	if s.due(rec) {
-		s.AppendRuns(id)
+	if records, bytes := e.j.written.records, e.j.written.bytes; records >= s.maxRecords || bytes >= s.maxBytes {
+		if err := s.compact(e); err != nil {
+			s.Logger.Error("compacting session", "session", id, "error", err)
+		} else {
+			s.Logger.Info("session compacted", "session", id,
+				"journal_records", records, "journal_bytes", bytes)
+		}
 	}
 	return func() {
-		if err := wait(); err != nil {
+		e.io.Lock()
+		err := wait()
+		e.io.Unlock()
+		if err == nil {
+			span.SetAttr("seq", fmt.Sprint(rec.Seq))
+		}
+		span.EndErr(err)
+		if err != nil {
 			s.Logger.Error("journaling stage", "stage", ev.Stage, "session", id, "error", err)
 		}
 		s.step("record-sync")
 	}
 }
 
-// AppendRuns schedules a pass over the session: a record for each of its
-// terminal runs not yet journaled, then a compaction if the journal is past
-// a threshold. It never blocks — the run engine calls it under its lock — and
-// a full queue drops the hint.
+// compact folds the journal into a fresh snapshot of the session and empties
+// it. The snapshot holds every record written so far, so their waits resolve
+// without an fsync. Callers hold e.io and the session is between stages:
+// under its run mutex (Append), or quiesced (Release, Recover).
+func (s *Store) compact(e *entry) error {
+	snap := captureSession(e.sess, s.Engine)
+	if err := s.writeSnapshot(snap); err != nil {
+		return err
+	}
+	if err := e.j.reset(); err != nil {
+		return err
+	}
+	s.Metrics.Counter("persist_compactions_total").Inc()
+	s.step("truncate")
+	for _, r := range snap.Runs {
+		e.runSeen[r.ID] = true
+	}
+	e.dirty = false
+	return nil
+}
+
+// AppendRuns schedules a pass over the session that journals each of its
+// terminal runs not yet in its files. It never blocks — the run engine calls
+// it under its lock — and a full queue drops the hint.
 func (s *Store) AppendRuns(id string) {
 	if s.hints == nil {
 		return
@@ -383,57 +427,30 @@ func (s *Store) persister() {
 	}
 }
 
-// flush is one persister pass over one session.
+// flush is one persister pass over one session: a fsynced record per
+// terminal run the files do not hold yet. A journal these records push past
+// a threshold is compacted by the session's next stage.
 func (s *Store) flush(id string) {
 	e := s.lookup(id)
-	rec := s.hold(e)
-	if rec == nil {
+	if e == nil {
 		return
 	}
+	e.io.Lock()
 	defer e.io.Unlock()
-	if err := rec.RecordRuns(context.Background(), s.Engine.ListTerminal(id)); err != nil {
-		s.Logger.Error("journaling runs", "session", id, "error", err)
+	if e.j == nil {
+		return
 	}
-	if s.due(rec) {
-		records, bytes := rec.Stats()
-		if err := s.compactLocked(e, rec); err != nil {
-			s.Logger.Error("compacting session", "session", id, "error", err)
+	for _, run := range s.Engine.ListTerminal(id) {
+		if e.runSeen[run.ID] {
+			continue
+		}
+		e.dirty = true
+		if err := e.j.append(&Record{At: time.Now(), Run: &run}); err != nil {
+			s.Logger.Error("journaling runs", "session", id, "error", err)
 			return
 		}
-		s.Logger.Info("session compacted", "session", id,
-			"journal_records", records, "journal_bytes", bytes)
+		e.runSeen[run.ID] = true
 	}
-}
-
-// due reports whether a journal has crossed a compaction threshold.
-func (s *Store) due(rec *journal.Recorder) bool {
-	records, bytes := rec.Stats()
-	return records >= s.maxRecords || bytes >= s.maxBytes
-}
-
-// Compact folds the session's journal into a fresh snapshot and empties it,
-// whatever its length.
-func (s *Store) Compact(id string) error {
-	e := s.lookup(id)
-	rec := s.hold(e)
-	if rec == nil {
-		return fmt.Errorf("%w: %q", session.ErrNotFound, id)
-	}
-	defer e.io.Unlock()
-	return s.compactLocked(e, rec)
-}
-
-// compactLocked writes the snapshot and truncates the journal under the
-// recorder's lock, so no record lands between the capture and the truncate.
-// Callers hold e.io.
-func (s *Store) compactLocked(e *entry, rec *journal.Recorder) error {
-	err := rec.Compact(func() error {
-		return s.writeSnapshot(persist.CaptureSession(e.sess, s.Engine))
-	})
-	if err == nil {
-		s.step("truncate")
-	}
-	return err
 }
 
 // Archive is DELETE: the session is closed through the manager — cancelling
@@ -452,9 +469,9 @@ func (s *Store) Archive(id string) error {
 
 // Release is the manager's evict hook, run once a session has left the
 // manager and quiesced: a session marked by Archive is archived, any other
-// (idle eviction) is compacted so a restart replays nothing, and either way
-// its journal is closed. A session that was never durable, or whose ID a
-// newer session has taken over, is left alone.
+// (idle eviction, shutdown) is compacted so a restart replays nothing, and
+// either way its journal is closed. A session that was never durable, or
+// whose ID a newer session has taken over, is left alone.
 func (s *Store) Release(sess *session.Session) {
 	if s.dir == "" {
 		return
@@ -465,37 +482,51 @@ func (s *Store) Release(sess *session.Session) {
 	if e == nil || e.sess != sess {
 		return
 	}
-	rec := s.hold(e)
-	if rec == nil {
+	e.io.Lock()
+	defer e.io.Unlock()
+	if e.j == nil {
 		return
 	}
-	defer e.io.Unlock()
 	s.mu.Lock()
 	archive := e.archive
 	s.mu.Unlock()
 	if archive {
-		if err := s.archiveLocked(e, rec); err != nil {
+		if err := s.archive(e); err != nil {
 			s.Logger.Error("archiving session", "session", id, "error", err)
 		} else {
 			s.Logger.Info("session archived", "session", id, "dir", closedDir)
 		}
-	} else if err := s.compactLocked(e, rec); err != nil {
+	} else if err := s.compact(e); err != nil {
 		s.Logger.Error("compacting session on evict", "session", id, "error", err)
 	}
 	s.finish(e)
 }
 
-// archiveLocked moves the session's final snapshot under closed/ and
-// removes its journal. The snapshot on disk is rewritten first unless it is
-// already the final state — nothing journaled since it was written, no
-// terminal run missing from it: the session imported and deleted untouched.
-// The journal is not truncated on the way: its records are folded into the
+// current reports whether the snapshot on disk already holds the session's
+// whole durable state: nothing was recorded since it was written — a failed
+// record included — and every terminal run is in it. Callers hold e.io.
+func (s *Store) current(e *entry) bool {
+	if e.dirty {
+		return false
+	}
+	for _, run := range s.Engine.ListTerminal(e.sess.ID()) {
+		if !e.runSeen[run.ID] {
+			return false
+		}
+	}
+	return true
+}
+
+// archive moves the session's final snapshot under closed/ and removes its
+// journal. The snapshot on disk is rewritten first unless it is already the
+// final state (current): the session imported and deleted untouched. The
+// journal is not truncated on the way: its records are folded into the
 // snapshot, and it is deleted two steps later. Callers hold e.io, and the
 // session has quiesced, so nothing appends meanwhile.
-func (s *Store) archiveLocked(e *entry, rec *journal.Recorder) error {
+func (s *Store) archive(e *entry) error {
 	id := e.sess.ID()
-	if !rec.Current(s.Engine.ListTerminal(id)) {
-		if err := s.writeSnapshot(persist.CaptureSession(e.sess, s.Engine)); err != nil {
+	if !s.current(e) {
+		if err := s.writeSnapshot(captureSession(e.sess, s.Engine)); err != nil {
 			return err
 		}
 	}
@@ -529,34 +560,35 @@ func (s *Store) Stats() *Stats {
 	if s.dir == "" {
 		return nil
 	}
-	// Copy the recorders out first: Stats takes each writer's mutex, which a
-	// commit wait holds across its fsync — reading them under mu would let
-	// one slow disk stall every session's stage hook.
 	out := &Stats{}
 	s.mu.Lock()
-	recs := make([]*journal.Recorder, 0, len(s.entries))
+	live := make([]*entry, 0, len(s.entries))
 	for _, e := range s.entries {
-		if e.rec != nil {
-			recs = append(recs, e.rec)
-		}
+		live = append(live, e)
 	}
 	if !s.lastSnapshot.IsZero() {
 		at := s.lastSnapshot.UTC()
 		out.LastSnapshot = &at
 	}
 	s.mu.Unlock()
-	out.JournaledSessions = len(recs)
-	for _, rec := range recs {
-		records, bytes := rec.Stats()
-		out.JournalRecords += records
-		out.JournalBytes += bytes
+	// Each entry's lock is taken outside mu: a commit wait holds it across
+	// its fsync, and one slow disk must not stall every session's hooks.
+	for _, e := range live {
+		e.io.Lock()
+		if e.j != nil {
+			out.JournaledSessions++
+			out.JournalRecords += e.j.written.records
+			out.JournalBytes += e.j.written.bytes
+		}
+		e.io.Unlock()
 	}
 	return out
 }
 
-// Close stops the persister and compacts every live session, so a restart
-// after a clean shutdown replays nothing. The caller has drained the run
-// engine. Idempotent.
+// Close stops the persister and closes every live session through the
+// manager: the teardown an idle eviction takes, so each session is compacted
+// by Release once it has quiesced and a restart after a clean shutdown
+// replays nothing. The caller has drained the run engine. Idempotent.
 func (s *Store) Close() {
 	if s.dir == "" {
 		return
@@ -564,20 +596,10 @@ func (s *Store) Close() {
 	s.closeOnce.Do(func() {
 		close(s.done)
 		s.wg.Wait()
-		s.mu.Lock()
-		live := make([]*entry, 0, len(s.entries))
-		for _, e := range s.entries {
-			live = append(live, e)
-		}
-		s.mu.Unlock()
-		for _, e := range live {
-			if rec := s.hold(e); rec != nil {
-				if err := s.compactLocked(e, rec); err != nil {
-					s.Logger.Error("compacting session at shutdown", "session", e.sess.ID(), "error", err)
-				}
-				s.finish(e)
-				e.io.Unlock()
-			}
+		for _, sess := range s.Manager.List() {
+			// Not found: the session is already leaving, and its own teardown
+			// releases it.
+			_ = s.Manager.Close(sess.ID())
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +20,6 @@ import (
 	"vada/internal/feedback"
 	"vada/internal/kb"
 	"vada/internal/metrics"
-	"vada/internal/persist"
 	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
@@ -115,11 +115,11 @@ func (r *rig) create(seed int64) *session.Session {
 // importEnvelope is what POST /sessions/import does.
 func (r *rig) importEnvelope(envelope []byte) *session.Session {
 	r.t.Helper()
-	snap, err := persist.ReadSessionSnapshot(bytes.NewReader(envelope))
+	snap, err := ReadSessionSnapshot(bytes.NewReader(envelope))
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	sess, err := persist.RestoreInto(r.mgr, r.eng, snap, r.opts()...)
+	sess, err := RestoreInto(r.mgr, r.eng, snap, r.opts()...)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func (r *rig) unarchive(dir, id string) []byte {
 func (r *rig) export(sess *session.Session) []byte {
 	r.t.Helper()
 	var buf bytes.Buffer
-	if err := persist.ExportSession(&buf, sess, r.eng); err != nil {
+	if err := ExportSession(&buf, sess, r.eng); err != nil {
 		r.t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -308,6 +308,7 @@ func TestCrashSteps(t *testing.T) {
 			steps: []string{"record", "record-sync"},
 		},
 		{
+			// The stage whose record crosses the threshold compacts at its end.
 			name: "compact",
 			prepare: func(t *testing.T, dir string) (*rig, *world) {
 				r := start(t, dir)
@@ -315,15 +316,17 @@ func TestCrashSteps(t *testing.T) {
 				r.bootstrap(sess)
 				r.idleRun(sess)
 				r.st.flush(sess.ID()) // the run's record
+				r.st.maxRecords = 3
 				return r, &world{id: sess.ID(), before: r.export(sess)}
 			},
 			verb: func(r *rig, w *world) {
-				if err := r.st.Compact(w.id); err != nil {
+				sess, _ := r.mgr.Get(w.id)
+				if _, err := sess.AddDataContext(context.Background(), nil); err != nil {
 					r.t.Fatal(err)
 				}
 			},
-			after: func(r *rig, w *world) []byte { return w.before },
-			steps: []string{"snapshot-temp", "snapshot", "truncate"},
+			after: func(r *rig, w *world) []byte { return r.exportID(w.id) },
+			steps: []string{"record", "snapshot-temp", "snapshot", "truncate", "record-sync"},
 		},
 		{
 			name: "archive",
@@ -402,8 +405,10 @@ func TestCrashSteps(t *testing.T) {
 // TestArchiveEquivalence pins what DELETE leaves under closed/: bytes that
 // restore to a session whose export equals the export taken just before the
 // DELETE — whether the snapshot on disk was already final (an import nobody
-// touched: renamed as it is, not rewritten) or had to be brought up to date
-// (a journaled stage; a terminal run the journal never saw).
+// touched, or a compaction that folded in a stage and a journaled run:
+// renamed as it is, not rewritten) or had to be brought up to date (a
+// journaled stage; a terminal run the journal never saw; a record that
+// failed to append, which leaves the journal empty and the snapshot stale).
 func TestArchiveEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -425,6 +430,23 @@ func TestArchiveEquivalence(t *testing.T) {
 		{"terminal run not yet journaled", func(r *rig) *session.Session {
 			sess := r.create(2)
 			r.idleRun(sess)
+			return sess
+		}, true},
+		{"run journaled, then compacted by a stage", func(r *rig) *session.Session {
+			sess := r.create(2)
+			r.idleRun(sess)
+			r.st.flush(sess.ID())
+			r.st.maxRecords = 2
+			r.bootstrap(sess)
+			return sess
+		}, false},
+		{"a record that failed to append", func(r *rig) *session.Session {
+			sess := r.create(2)
+			e := r.st.lookup(sess.ID())
+			e.io.Lock()
+			e.j.f.Close() // the journal can no longer write
+			e.io.Unlock()
+			r.bootstrap(sess)
 			return sess
 		}, true},
 	}
@@ -457,6 +479,51 @@ func TestArchiveEquivalence(t *testing.T) {
 				t.Fatal("unarchived session is not durable as a live session")
 			}
 		})
+	}
+}
+
+// TestSnapshotCurrent pins when the snapshot on disk may be taken as the
+// session's whole durable state: only while nothing was recorded since it was
+// written — a failed record included — and every terminal run is already in
+// it.
+func TestSnapshotCurrent(t *testing.T) {
+	r := start(t, t.TempDir())
+	sess := r.create(4)
+	e := r.st.lookup(sess.ID())
+	current := func() bool {
+		e.io.Lock()
+		defer e.io.Unlock()
+		return r.st.current(e)
+	}
+
+	if !current() {
+		t.Fatal("a fresh journal over a fresh snapshot is not current")
+	}
+	r.idleRun(sess)
+	if current() {
+		t.Fatal("current with an unjournaled terminal run")
+	}
+	r.st.flush(sess.ID())
+	if current() {
+		t.Fatal("current with a record in the journal")
+	}
+	e.io.Lock()
+	err := r.st.compact(e)
+	e.io.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !current() {
+		t.Fatal("not current after compaction folded the run in")
+	}
+	// A record that fails to append leaves the journal empty but the
+	// snapshot stale.
+	e.io.Lock()
+	e.j.f.Close()
+	e.io.Unlock()
+	r.bootstrap(sess)
+	if current() {
+		t.Fatal("current after a lost record")
 	}
 }
 
@@ -642,10 +709,9 @@ func TestCloseCompacts(t *testing.T) {
 }
 
 // TestJournalCompaction drives each compaction threshold over a synchronous
-// stage, which completes no run, so compaction rides the stage hook's hint:
-// past the threshold the persister folds the journal into a fresh snapshot,
-// the journal is truncated to its header, and a boot over the compacted pair
-// restores the full state.
+// stage: the stage whose record crosses it folds the journal into a fresh
+// snapshot at its end, the journal is truncated to its header, and a boot
+// over the compacted pair restores the full state.
 func TestJournalCompaction(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -661,19 +727,346 @@ func TestJournalCompaction(t *testing.T) {
 			sess := r.create(8)
 			r.bootstrap(sess)
 			want := r.export(sess)
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				info, err := os.Stat(r.st.path(sess.ID(), journalExt))
-				if err == nil && info.Size() == 9 && r.snapshotsWritten() == 2 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("journal never compacted into the snapshot")
-				}
+			if info, err := os.Stat(r.st.path(sess.ID(), journalExt)); err != nil || info.Size() != 9 || r.snapshotsWritten() != 2 {
+				t.Fatalf("the stage past the threshold did not compact (%d snapshots written): %v", r.snapshotsWritten(), err)
 			}
 			if got := boot(t, dir).exportID(sess.ID()); !bytes.Equal(got, want) {
 				t.Fatalf("recovered %d bytes from the compacted pair, the session exported %d", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestCompactionRestartsTheJournal: records written after a compaction
+// replay over the snapshot it wrote, not the one before it; and a compaction
+// whose snapshot cannot be written leaves the journal as it was, for the
+// next stage to compact.
+func TestCompactionRestartsTheJournal(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "data")
+	r := start(t, dir)
+	r.st.maxRecords = 2
+	sess := r.create(9)
+	id := sess.ID()
+	stage := func() {
+		t.Helper()
+		if _, err := sess.AddFeedback(ctx, nil, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := func() int { return r.st.Stats().JournalRecords }
+	r.bootstrap(sess)
+	stage()
+	if n := records(); n != 0 || r.snapshotsWritten() != 2 {
+		t.Fatalf("after the second stage: %d records, %d snapshots written; want the journal compacted", n, r.snapshotsWritten())
+	}
+	stage()
+	if got := boot(t, dir).exportID(id); !bytes.Equal(got, r.export(sess)) {
+		t.Fatal("a record in the fresh journal did not replay over the compaction snapshot")
+	}
+
+	// The data directory stops taking new files; the journal's descriptor
+	// still writes.
+	moved := dir + ".moved"
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stage()
+	if n := records(); n != 2 {
+		t.Fatalf("a failed compaction left %d records, want both", n)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	stage()
+	if n := records(); n != 0 {
+		t.Fatalf("the next stage left %d records, want the journal compacted", n)
+	}
+	if got := boot(t, dir).exportID(id); !bytes.Equal(got, r.export(sess)) {
+		t.Fatal("the compacted pair does not restore the live session")
+	}
+}
+
+// TestSnapshotsBetweenStages: no snapshot is taken while a stage runs. A
+// stage is parked mid-body while terminal runs push its journal past the
+// record threshold and a graceful shutdown begins: nothing is written until
+// the stage commits, the snapshot written then holds the stage's event, and
+// the directory, as that snapshot left it and as the shutdown left it,
+// restores a session that exports the live session's bytes.
+func TestSnapshotsBetweenStages(t *testing.T) {
+	dir := t.TempDir()
+	r := start(t, dir)
+	r.st.maxRecords = 2
+	sess := r.create(10)
+	id := sess.ID()
+	scratch := func(n int) *relation.Relation {
+		rel := relation.New(relation.NewSchema("scratch", "street", "price:float"))
+		for i := 0; i < n; i++ {
+			rel.MustAppend(fmt.Sprintf("%d High St", i), float64(100*i))
+		}
+		return rel
+	}
+	item := func(street string) feedback.Item {
+		return feedback.Item{Street: street, Postcode: "M1 1AA", Attr: "price", Observed: relation.Float(100), HasObserved: true}
+	}
+	if _, err := sess.Step(context.Background(), "seed", func(w *core.Wrangler) error {
+		w.KB.PutRelation("scratch", scratch(4))
+		w.AddFeedback(item("seeded"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// What each snapshot holds when it lands, and the pair the stage's
+	// compaction leaves behind.
+	var (
+		mu       sync.Mutex
+		steps    []string
+		events   []int
+		atCommit map[string][]byte
+	)
+	r.st.onStep = func(step string) {
+		mu.Lock()
+		defer mu.Unlock()
+		steps = append(steps, step)
+		switch {
+		case step == "snapshot":
+			f, err := os.Open(r.st.path(id, SnapshotExt))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer f.Close()
+			snap, err := ReadSessionSnapshot(f)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			events = append(events, len(snap.Events))
+		case step == "truncate" && atCommit == nil:
+			atCommit = map[string][]byte{}
+			for _, ext := range []string{SnapshotExt, journalExt} {
+				data, err := os.ReadFile(r.st.path(id, ext))
+				if err != nil {
+					t.Error(err)
+				}
+				atCommit[ext] = data
+			}
+		}
+	}
+
+	parked, resume, staged := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, err := sess.Step(context.Background(), "grow", func(w *core.Wrangler) error {
+			w.KB.PutRelation("scratch", scratch(5))
+			w.AddFeedback(item("before parking"))
+			close(parked)
+			<-resume
+			w.KB.PutRelation("scratch", scratch(6))
+			w.AddFeedback(item("after parking"))
+			return nil
+		})
+		staged <- err
+	}()
+	<-parked
+	r.idleRun(sess)
+	r.idleRun(sess)
+	r.st.flush(id)
+	if n := r.st.Stats().JournalRecords; n != 3 {
+		t.Fatalf("journal holds %d records, want the seed stage and two runs", n)
+	}
+	closed := make(chan struct{})
+	go func() {
+		r.st.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("the shutdown finished while a stage was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	mu.Lock()
+	if len(steps) != 0 {
+		t.Fatalf("file-system steps %v while the stage was parked", steps)
+	}
+	mu.Unlock()
+	close(resume)
+	if err := <-staged; err != nil {
+		t.Fatal(err)
+	}
+	<-closed
+	want := r.export(sess)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(steps) < 4 || fmt.Sprint(steps[:4]) != "[record snapshot-temp snapshot truncate]" {
+		t.Fatalf("file-system steps %v, want the stage's record and then its compaction", steps)
+	}
+	if len(events) == 0 || events[0] != 2 {
+		t.Fatalf("the snapshot written at the stage's end holds %v events, want both stages", events)
+	}
+	if got := boot(t, dir).exportID(id); !bytes.Equal(got, want) {
+		t.Fatalf("after the shutdown: recovered %d bytes, the live session exports %d", len(got), len(want))
+	}
+	committed := t.TempDir()
+	for ext, data := range atCommit {
+		if err := os.WriteFile(filepath.Join(committed, id+ext), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := boot(t, committed).exportID(id); !bytes.Equal(got, want) {
+		t.Fatalf("as the stage's compaction left it: recovered %d bytes, the live session exports %d", len(got), len(want))
+	}
+}
+
+// TestUnreadableJournal: a session whose journal cannot be opened — not a
+// journal at all, or one of an unknown format version — is not served after
+// boot (session.ErrNotFound, the server's 404), and both of its files are
+// left byte for byte as they were, through the boot and a graceful
+// shutdown: served, the session would acknowledge stages it cannot journal.
+func TestUnreadableJournal(t *testing.T) {
+	for _, tc := range []struct{ name, header string }{
+		{"foreign header", "NOTAJRNL\x01"},
+		{"unknown version", "VADAJRNL\x07"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := start(t, dir)
+			sess := r.create(11)
+			r.bootstrap(sess)
+			id := sess.ID()
+			jpath, spath := r.st.path(id, journalExt), r.st.path(id, SnapshotExt)
+			journal, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(journal, tc.header)
+			if err := os.WriteFile(jpath, journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snapshot, err := os.ReadFile(spath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unchanged := func(when string) {
+				t.Helper()
+				for path, want := range map[string][]byte{jpath: journal, spath: snapshot} {
+					if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s: %s changed (%v)", when, filepath.Base(path), err)
+					}
+				}
+			}
+
+			r2 := boot(t, dir)
+			if _, err := r2.mgr.Get(id); !errors.Is(err, session.ErrNotFound) {
+				t.Fatalf("a session whose journal cannot be opened is served: %v", err)
+			}
+			if n := r2.st.Stats().JournaledSessions; n != 0 {
+				t.Fatalf("%d sessions journaled", n)
+			}
+			unchanged("after the boot")
+			r2.eng.Close()
+			r2.st.Close()
+			unchanged("after a graceful shutdown")
+		})
+	}
+}
+
+// TestJournalConformance is the journal's end-to-end contract: the baseline
+// snapshot composed with the journal's records restores the same session as
+// a full capture — result rows, event history (Seq continues), feedback
+// items, terminal runs — while the journal costs a fraction of a snapshot
+// after every stage.
+func TestJournalConformance(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	r := start(t, dir)
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties = 60
+	cfg.Seed = 7
+	sc := datagen.Generate(cfg)
+	sess, err := r.mgr.Create(core.BuildScenarioWrangler(sc), append(r.opts(), session.WithScenario(sc, 7))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.st.Create(sess); err != nil {
+		t.Fatal(err)
+	}
+	id := sess.ID()
+
+	// Every stage appends a record through the hook. Track what durability
+	// by snapshot would have cost — one full envelope after every stage — and
+	// what the feedback iteration's own delta was.
+	journalBytes := func() int64 { return r.st.Stats().JournalBytes }
+	var snapshotPerStage, feedbackDelta, feedbackSnap int64
+	for _, stage := range []struct {
+		name string
+		run  func() error
+	}{
+		{"bootstrap", func() error { _, err := sess.Bootstrap(ctx); return err }},
+		{"data-context", func() error { _, err := sess.AddDataContext(ctx, nil); return err }},
+		{"feedback", func() error { _, err := sess.AddFeedback(ctx, nil, 30); return err }},
+		{"user-context", func() error { _, err := sess.SetUserContext(ctx, core.CrimeAnalysisUserContext()); return err }},
+	} {
+		before := journalBytes()
+		if err := stage.run(); err != nil {
+			t.Fatalf("%s: %v", stage.name, err)
+		}
+		size := int64(len(r.export(sess)))
+		snapshotPerStage += size
+		if stage.name == "feedback" {
+			feedbackDelta, feedbackSnap = journalBytes()-before, size
+		}
+	}
+	// Terminal runs are journaled off the engine's terminal list, once each.
+	r.idleRun(sess)
+	r.idleRun(sess)
+	r.st.flush(id)
+	r.st.flush(id)
+	st := r.st.Stats()
+	if st.JournalRecords != 6 {
+		t.Fatalf("journal records = %d, want 6 (4 stages + 2 runs)", st.JournalRecords)
+	}
+	// The O(delta) claim, concretely: the whole 4-stage journal costs less
+	// than a snapshot after every stage would have, and the steady-state
+	// pay-as-you-go iteration — a feedback stage on an established KB —
+	// writes a small fraction of the snapshot it replaces.
+	if st.JournalBytes >= snapshotPerStage {
+		t.Fatalf("journal (%d bytes) not cheaper than a snapshot per stage (%d bytes)", st.JournalBytes, snapshotPerStage)
+	}
+	if feedbackDelta*2 >= feedbackSnap {
+		t.Fatalf("feedback delta (%d bytes) not o(snapshot) (%d bytes)", feedbackDelta, feedbackSnap)
+	}
+	if n := r.snapshotsWritten(); n != 1 {
+		t.Fatalf("%d snapshots written, want the baseline only", n)
+	}
+
+	// Recovery: the baseline snapshot composed with the journal (kill -9).
+	want := r.export(sess)
+	r2 := boot(t, dir)
+	if got := r2.exportID(id); !bytes.Equal(got, want) {
+		t.Fatalf("recovered %d bytes, the live session exports %d", len(got), len(want))
+	}
+	restored, err := r2.mgr.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Wrangler().FeedbackItems(), sess.Wrangler().FeedbackItems(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("feedback items:\n got %v\nwant %v", got, want)
+	}
+	// The restored session keeps wrangling and Seq continues.
+	ev, err := restored.SetUserContext(ctx, core.SizeAnalysisUserContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Seq != 5 {
+		t.Fatalf("post-restore Seq = %d, want 5", ev.Seq)
 	}
 }
 
@@ -772,8 +1165,8 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 		k.Assert(core.PredFeedback, relation.NewTuple(it.Street, it.Postcode, it.Attr, it.Correct))
 	}
 	var envelope bytes.Buffer
-	if err := persist.WriteSessionSnapshot(&envelope, &persist.SessionSnapshot{
-		Meta: persist.Meta{ID: "s-old", Seed: 4, Scenario: &cfg, Options: json.RawMessage(`{"MatchThreshold":0.6,"MaxSteps":500}`),
+	if err := WriteSessionSnapshot(&envelope, &SessionSnapshot{
+		Meta: Meta{ID: "s-old", Seed: 4, Scenario: &cfg, Options: json.RawMessage(`{"MatchThreshold":0.6,"MaxSteps":500}`),
 			Feedback: old, ExecHashes: map[string]uint64{"m_gone": 42}},
 		KB: k,
 	}); err != nil {
@@ -791,7 +1184,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := persist.ReadSessionSnapshot(f)
+	snap, err := ReadSessionSnapshot(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
