@@ -40,7 +40,7 @@ func parseFlags(args []string, stderr io.Writer) (addr string, idleTimeout time.
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "journal sessions to this directory and restore them on boot (\"\" = ephemeral)")
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", session.DefaultMaxSessions, "live session cap")
 	fs.DurationVar(&idleTimeout, "idle-timeout", defaultIdleTimeout, "evict sessions idle this long (0 = never)")
-	fs.IntVar(&cfg.RunWorkers, "run-workers", runs.DefaultWorkers, "async run engine worker-pool size")
+	fs.IntVar(&cfg.RunWorkers, "run-workers", runs.DefaultWorkers, "run engine worker-pool size: every stage, synchronous or not, runs on it")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")

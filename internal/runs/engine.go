@@ -15,14 +15,19 @@ import (
 )
 
 // Func is the work one stage of a run performs: a pay-as-you-go stage
-// driven to quiescence under the run's cancellation context.
-type Func func(ctx context.Context) (session.Event, error)
+// driven to quiescence under the run's cancellation context. It returns the
+// stage's commit wait beside its event (nil when there is nothing to wait
+// for); the engine invokes the waits of a run's stages before the run is
+// published as terminal.
+type Func func(ctx context.Context) (session.Event, func(), error)
 
 // task is the engine's mutable bookkeeping for one run; all fields are
 // guarded by the engine mutex except ctx/cancel, which are immutable
 // after creation, and fns, which only the owning worker indexes. span is
 // the run's trace span (nil when the submitter's context carried none);
 // it parents the queue-wait and per-stage spans and ends with the run.
+// done is closed once the run is terminal, and err is then the error its
+// waiter gets.
 type task struct {
 	run    Run
 	seq    uint64
@@ -30,6 +35,8 @@ type task struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	span   *trace.Span
+	done   chan struct{}
+	err    error
 }
 
 // sessionQueue is the FIFO of pending tasks for one session. At most one
@@ -46,7 +53,7 @@ type sessionQueue struct {
 type Engine struct {
 	workers   int
 	retention int // retainedRuns; tests shrink it
-	notify    func(Run)
+	obs       Observer
 	reg       *metrics.Registry
 
 	mu         sync.Mutex
@@ -91,13 +98,27 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithNotify installs a hook invoked on every run state transition
-// (queued, running, per-stage progress, terminal) with the run snapshot.
-// Transitions of one run arrive in order. The hook runs under the engine
-// lock and must be fast and MUST NOT call back into the engine; publishing
-// to session subscribers (which never blocks) is the intended use.
-func WithNotify(fn func(Run)) Option {
-	return func(e *Engine) { e.notify = fn }
+// Observer is what the service around an engine sees of its runs. Either
+// hook may be nil.
+type Observer struct {
+	// Transition is called on every run state transition (queued, running,
+	// per-stage progress, terminal) with the run snapshot. Transitions of one
+	// run arrive in order. It runs under the engine lock and must be fast and
+	// MUST NOT call back into the engine; publishing to session subscribers
+	// (which never blocks) is the intended use.
+	Transition func(Run)
+	// Record is called once with the terminal snapshot of every run a worker
+	// finishes, outside the engine lock and before the snapshot is published,
+	// and with every run Cancel takes out of its queue, once that is
+	// published. It writes the run's durable record without waiting for it
+	// and returns the commit wait (nil for nothing to wait for); the engine
+	// invokes the wait together with those of the run's stages.
+	Record func(Run) func()
+}
+
+// WithObserver installs the run observer.
+func WithObserver(o Observer) Option {
+	return func(e *Engine) { e.obs = o }
 }
 
 // WithMetrics instruments the engine: queue depth and high-water gauges
@@ -130,68 +151,111 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
+// Submission is an accepted run: the queued snapshot, and a handle on the
+// run's outcome that holds however soon the run leaves the retention ring.
+type Submission struct {
+	Run
+	t *task
+	e *Engine
+}
+
+// Wait blocks until the run is terminal and returns its final snapshot and
+// the error of the stage that failed it — the stage's own error value, or
+// ErrCancelled for a cancelled run. If ctx ends first the run is cancelled,
+// and Wait returns once the run has observed that.
+func (s Submission) Wait(ctx context.Context) (Run, error) {
+	select {
+	case <-s.t.done:
+	case <-ctx.Done():
+		s.e.Cancel(s.ID) // a run that finished meanwhile is a no-op
+		<-s.t.done
+	}
+	return s.t.run, s.t.err // final once done is closed
+}
+
 // Submit enqueues one stage invocation against a session and returns the
-// queued Run snapshot. Runs of one session execute in submission order. The
-// context is used for trace propagation only — when it carries a span (the
-// HTTP root), the run records a child span covering queue wait and every
-// stage — it does NOT bound the run's lifetime: the run outlives the
-// submitting request by design and is cancelled via Cancel/CancelSession.
-func (e *Engine) Submit(ctx context.Context, sessionID, stage string, fn Func) (Run, error) {
+// queued run. Runs of one session execute in submission order. The context
+// is used for trace propagation only — when it carries a span (the HTTP
+// root), the run records a child span covering queue wait and every stage —
+// it does NOT bound the run's lifetime: the run outlives the submitting
+// request unless its submitter waits for it, and is cancelled via
+// Cancel/CancelSession.
+func (e *Engine) Submit(ctx context.Context, sessionID, stage string, fn Func) (Submission, error) {
 	return e.submit(ctx, sessionID, []string{stage}, []Func{fn}, false)
+}
+
+// SubmitStage submits one stage request against a session as a single-stage
+// run. The stage is resolved and its payload decoded (session.Resolve) before
+// anything is enqueued, so a malformed request fails with
+// session.ErrUnknownStage or session.ErrBadPayload and enqueues nothing. ctx
+// carries the caller's trace (see Submit).
+func (e *Engine) SubmitStage(ctx context.Context, sess *session.Session, req session.StageRequest) (Submission, error) {
+	name, fn, err := bind(sess, req)
+	if err != nil {
+		return Submission{}, err
+	}
+	return e.Submit(ctx, sess.ID(), name, fn)
+}
+
+// bind resolves a stage request and binds the stage to the session.
+func bind(sess *session.Session, req session.StageRequest) (string, Func, error) {
+	st, payload, err := session.Resolve(req)
+	if err != nil {
+		return "", nil, err
+	}
+	return st.Name, func(ctx context.Context) (session.Event, func(), error) {
+		return st.Apply(ctx, sess, payload)
+	}, nil
 }
 
 // SubmitPlan submits a declarative Plan as one cancellable run: the stages
 // execute back to back on a single worker under one context, a failing stage
 // stops the remaining ones, and every transition (running, stage k/n,
-// terminal) is published through the notify hook. Every stage is resolved
+// terminal) is published through the observer. Every stage is resolved
 // (session.Resolve) and its payload decoded before anything is enqueued, so
 // a malformed plan is rejected whole (ErrBadPlan for an empty one,
 // session.ErrUnknownStage/ErrBadPayload otherwise) — no partial execution.
 // ctx carries the caller's trace (see Submit).
-func (e *Engine) SubmitPlan(ctx context.Context, sess *session.Session, plan session.Plan) (Run, error) {
+func (e *Engine) SubmitPlan(ctx context.Context, sess *session.Session, plan session.Plan) (Submission, error) {
 	if len(plan.Stages) == 0 {
-		return Run{}, fmt.Errorf("%w: empty plan", ErrBadPlan)
+		return Submission{}, fmt.Errorf("%w: empty plan", ErrBadPlan)
 	}
 	stages := make([]string, len(plan.Stages))
 	fns := make([]Func, len(plan.Stages))
 	for i, req := range plan.Stages {
-		st, payload, err := session.Resolve(req)
-		if err != nil {
-			return Run{}, fmt.Errorf("plan stage %d: %w", i, err)
-		}
-		stages[i] = st.Name
-		fns[i] = func(ctx context.Context) (session.Event, error) {
-			return st.Apply(ctx, sess, payload)
+		var err error
+		if stages[i], fns[i], err = bind(sess, req); err != nil {
+			return Submission{}, fmt.Errorf("plan stage %d: %w", i, err)
 		}
 	}
 	return e.submitPlan(ctx, sess.ID(), stages, fns)
 }
 
 // submitPlan enqueues stages[i] as fns[i], in order, as one plan run.
-func (e *Engine) submitPlan(ctx context.Context, sessionID string, stages []string, fns []Func) (Run, error) {
+func (e *Engine) submitPlan(ctx context.Context, sessionID string, stages []string, fns []Func) (Submission, error) {
 	if len(stages) == 0 || len(stages) != len(fns) {
-		return Run{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))
+		return Submission{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))
 	}
 	return e.submit(ctx, sessionID, stages, fns, true)
 }
 
-func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, fns []Func, isPlan bool) (Run, error) {
+func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, fns []Func, isPlan bool) (Submission, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return Run{}, ErrEngineClosed
+		return Submission{}, ErrEngineClosed
 	}
 	if e.queued >= queueDepth {
 		if e.reg != nil {
 			e.reg.Counter(metrics.Name("runs_queue_rejections_total", "limit", "global")).Inc()
 		}
-		return Run{}, fmt.Errorf("%w (max %d queued)", ErrQueueFull, queueDepth)
+		return Submission{}, fmt.Errorf("%w (max %d queued)", ErrQueueFull, queueDepth)
 	}
 	if q := e.queues[sessionID]; q != nil && len(q.pending) >= sessionQueueDepth {
 		if e.reg != nil {
 			e.reg.Counter(metrics.Name("runs_queue_rejections_total", "limit", "session")).Inc()
 		}
-		return Run{}, fmt.Errorf("%w (session %s: max %d pending)", ErrQueueFull, sessionID, sessionQueueDepth)
+		return Submission{}, fmt.Errorf("%w (session %s: max %d pending)", ErrQueueFull, sessionID, sessionQueueDepth)
 	}
 	e.seq++
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -207,6 +271,7 @@ func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, 
 		fns:    fns,
 		ctx:    runCtx,
 		cancel: cancel,
+		done:   make(chan struct{}),
 	}
 	if isPlan {
 		t.run.Plan = append([]string(nil), stages...)
@@ -239,14 +304,14 @@ func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, 
 		e.cond.Signal()
 	}
 	e.notifyLocked(t.run)
-	return t.run, nil
+	return Submission{Run: t.run, t: t, e: e}, nil
 }
 
 // notifyLocked publishes a run snapshot to the transition hook. Callers
 // hold e.mu, which is what serialises transitions into submission order.
 func (e *Engine) notifyLocked(r Run) {
-	if e.notify != nil {
-		e.notify(r)
+	if e.obs.Transition != nil {
+		e.obs.Transition(r)
 	}
 }
 
@@ -287,11 +352,26 @@ func (e *Engine) worker() {
 		e.notifyLocked(t.run)
 		e.mu.Unlock()
 
-		ev, err := e.runTask(t)
+		ev, waits, err := e.runTask(t)
+
+		// The run commits once: its terminal record is written beside its
+		// stages' records, and the first wait makes them all durable, before
+		// anyone can observe the run terminal or the session's next run starts.
+		e.mu.Lock()
+		final, err := outcome(t.run, ev, err)
+		e.mu.Unlock()
+		if e.obs.Record != nil {
+			waits = append(waits, e.obs.Record(final))
+		}
+		for _, wait := range waits {
+			if wait != nil {
+				wait()
+			}
+		}
 
 		e.mu.Lock()
 		e.running--
-		e.finishLocked(t, ev, err)
+		e.finishLocked(t, final, err)
 		e.releaseLocked(q)
 		e.gaugesLocked()
 		e.mu.Unlock()
@@ -299,25 +379,16 @@ func (e *Engine) worker() {
 }
 
 // runTask executes a run's stages back to back, returning the last stage
-// event and the first error. Between stages it checks the run context (so
-// a mid-plan cancel stops the remaining stages), advances the run's stage
-// cursor, and publishes the stage k/n progress transition.
-//
-// The stages run under a DeferCommits scope: each stage's journal
-// durability wait is collected instead of blocking the next stage, and the
-// deferred flush — before this function returns, so before the run turns
-// terminal — makes all of the plan's records durable with one fsync. The
-// acknowledgement contract is intact: a run observed terminal has every
-// stage record on disk.
-func (e *Engine) runTask(t *task) (session.Event, error) {
-	ctx, flush := session.DeferCommits(t.ctx)
-	defer flush()
-	var last session.Event
+// event, the commit waits of the stages that completed, and the first error.
+// Between stages it checks the run context (so a mid-plan cancel stops the
+// remaining stages), advances the run's stage cursor, and publishes the stage
+// k/n progress transition.
+func (e *Engine) runTask(t *task) (last session.Event, waits []func(), _ error) {
 	for i := range t.fns {
 		if i > 0 {
 			select {
 			case <-t.ctx.Done():
-				return last, context.Canceled
+				return last, waits, context.Canceled
 			default:
 			}
 			e.mu.Lock()
@@ -327,7 +398,7 @@ func (e *Engine) runTask(t *task) (session.Event, error) {
 			e.mu.Unlock()
 		}
 		t0 := time.Now()
-		ev, err := runStage(t, i, ctx)
+		ev, wait, err := runStage(t, i)
 		if e.reg != nil {
 			e.mu.Lock()
 			stage := t.run.Stage
@@ -335,9 +406,9 @@ func (e *Engine) runTask(t *task) (session.Event, error) {
 			e.reg.Histogram(metrics.Name("runs_stage_seconds", "stage", stage), nil).ObserveSince(t0)
 		}
 		if err != nil {
-			return last, err
+			return last, waits, err
 		}
-		last = ev
+		last, waits = ev, append(waits, wait)
 		if len(t.run.Plan) > 0 {
 			e.mu.Lock()
 			// Copy-on-append: Run snapshots escape the lock, so the slice
@@ -346,20 +417,19 @@ func (e *Engine) runTask(t *task) (session.Event, error) {
 			e.mu.Unlock()
 		}
 	}
-	return last, nil
+	return last, waits, nil
 }
 
-// runStage executes one stage function of a run, containing panics: the
-// sync path gets per-connection panic recovery from net/http, so the async
-// path must not let a panicking stage unwind a worker goroutine and kill
-// the whole process — it becomes a failed run instead.
-func runStage(t *task, i int, ctx context.Context) (ev session.Event, err error) {
+// runStage executes one stage function of a run, containing panics: a
+// panicking stage must not unwind a worker goroutine and kill the whole
+// process — it becomes a failed run instead.
+func runStage(t *task, i int) (ev session.Event, wait func(), err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runs: stage panicked: %v", r)
 		}
 	}()
-	return t.fns[i](ctx)
+	return t.fns[i](t.ctx)
 }
 
 // releaseLocked hands a worker's queue back: re-ready it if work remains,
@@ -374,25 +444,34 @@ func (e *Engine) releaseLocked(q *sessionQueue) {
 	delete(e.queues, q.id)
 }
 
-// finishLocked moves a task to its terminal state and into the retention
-// ring, evicting the oldest finished runs beyond the cap. Callers hold e.mu.
-func (e *Engine) finishLocked(t *task, ev session.Event, err error) {
+// outcome is the terminal snapshot of run r for its stages' outcome, and the
+// error a waiter gets for it. Callers hold e.mu, which guards r.
+func outcome(r Run, ev session.Event, err error) (Run, error) {
 	now := time.Now()
-	t.run.FinishedAt = &now
+	r.FinishedAt = &now
 	switch {
 	case err == nil:
-		t.run.State = StateSucceeded
-		t.run.Event = &ev
-	case errors.Is(err, context.Canceled), errors.Is(err, session.ErrClosed):
-		// ErrClosed means the session was torn down while the run was in
-		// hand (close cancels runs; the closed-session check can win the
-		// race) — the client asked for the teardown, so report cancelled.
-		t.run.State = StateCancelled
-		t.run.Error = "cancelled"
+		r.State = StateSucceeded
+		r.Event = &ev
+	case errors.Is(err, session.ErrClosed):
+		// The session was torn down while the run was in hand (close cancels
+		// runs; the closed-session check can win the race) — the client
+		// asked for the teardown, so report cancelled.
+		r.State, r.Error = StateCancelled, "cancelled"
+	case errors.Is(err, context.Canceled):
+		r.State, r.Error = StateCancelled, "cancelled"
+		err = ErrCancelled
 	default:
-		t.run.State = StateFailed
-		t.run.Error = err.Error()
+		r.State, r.Error = StateFailed, err.Error()
 	}
+	return r, err
+}
+
+// finishLocked publishes a task's terminal snapshot, moves the task into the
+// retention ring, evicting the oldest finished runs beyond the cap, and
+// releases its waiter. Callers hold e.mu.
+func (e *Engine) finishLocked(t *task, final Run, err error) {
+	t.run, t.err = final, err
 	t.cancel()
 	if t.span != nil {
 		t.span.SetAttr("state", string(t.run.State))
@@ -417,11 +496,12 @@ func (e *Engine) finishLocked(t *task, ev session.Event, err error) {
 			e.reg.Counter("runs_cancelled_total").Inc()
 		}
 		if t.run.StartedAt != nil {
-			e.reg.Histogram("runs_duration_seconds", nil).Observe(now.Sub(*t.run.StartedAt).Seconds())
+			e.reg.Histogram("runs_duration_seconds", nil).Observe(t.run.FinishedAt.Sub(*t.run.StartedAt).Seconds())
 		}
 	}
 	e.notifyLocked(t.run)
 	e.idle.Broadcast()
+	close(t.done)
 }
 
 // gaugesLocked refreshes the queue-level gauges. Callers hold e.mu; gauge
@@ -467,8 +547,8 @@ func (e *Engine) List(sessionID string) []Run {
 }
 
 // ListTerminal returns snapshots of every retained run of a session that
-// has reached a terminal state, in submission order — the set a durability
-// journal records after a run completes.
+// has reached a terminal state, in submission order — the set a session
+// snapshot holds.
 func (e *Engine) ListTerminal(sessionID string) []Run {
 	all := e.List(sessionID)
 	out := all[:0]
@@ -481,19 +561,28 @@ func (e *Engine) ListTerminal(sessionID string) []Run {
 }
 
 // Cancel requests cancellation of a run. A queued run is removed from its
-// session queue and finalised as cancelled immediately; a running run has
-// its context cancelled and reaches StateCancelled when the stage observes
-// it (CancelRequested is set in the meantime). Cancelling a terminal run is
-// a no-op. The returned snapshot reflects the state after the request.
+// session queue, finalised as cancelled immediately and recorded through the
+// observer before Cancel returns; a running run has its context cancelled
+// and reaches StateCancelled when the stage observes it (CancelRequested is
+// set in the meantime). Cancelling a terminal run is a no-op. The returned
+// snapshot reflects the state after the request.
 func (e *Engine) Cancel(id string) (Run, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	t, ok := e.tasks[id]
 	if !ok {
+		e.mu.Unlock()
 		return Run{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
+	queued := t.run.State == StateQueued
 	e.cancelLocked(t)
-	return t.run, nil
+	run := t.run
+	e.mu.Unlock()
+	if queued && e.obs.Record != nil {
+		if wait := e.obs.Record(run); wait != nil {
+			wait()
+		}
+	}
+	return run, nil
 }
 
 // cancelLocked applies Cancel's state transition. Callers hold e.mu.
@@ -511,7 +600,8 @@ func (e *Engine) cancelLocked(t *task) {
 			}
 		}
 		t.run.CancelRequested = true
-		e.finishLocked(t, session.Event{}, context.Canceled)
+		final, err := outcome(t.run, session.Event{}, context.Canceled)
+		e.finishLocked(t, final, err)
 	case StateRunning:
 		t.run.CancelRequested = true
 		t.cancel()

@@ -1,8 +1,7 @@
-// Package runs is the asynchronous execution layer between the session
-// manager and the service surface: a worker-pool job engine in which every
-// wrangling stage invocation becomes a first-class Run resource that can be
-// created, listed, polled and cancelled independently of the HTTP request
-// that started it.
+// Package runs is the execution layer between the session manager and the
+// service surface: a worker-pool job engine in which every wrangling stage
+// invocation becomes a first-class Run resource that can be created, listed,
+// polled, cancelled and waited on.
 //
 // The engine guarantees per-session FIFO ordering — runs submitted against
 // one session execute one at a time, in submission order, so concurrent
@@ -11,7 +10,9 @@
 // total number of queued runs is bounded (ErrQueueFull beyond the cap), and
 // finished runs are kept in a fixed-size retention ring so clients can poll
 // an outcome for a while after completion without the engine growing without
-// bound.
+// bound. A run commits once: its terminal record goes to the observer beside
+// its stages' records, and their commit waits are invoked together, before
+// the run is published as terminal.
 package runs
 
 import (
@@ -37,6 +38,9 @@ var (
 
 	// ErrBadPlan reports an empty or malformed plan submission.
 	ErrBadPlan = errors.New("runs: bad plan")
+
+	// ErrCancelled is what waiting on a cancelled run returns.
+	ErrCancelled = errors.New("runs: run cancelled")
 )
 
 // State is the lifecycle state of a Run.
@@ -57,9 +61,9 @@ func (s State) Terminal() bool {
 	return s == StateSucceeded || s == StateFailed || s == StateCancelled
 }
 
-// Run is the JSON-ready snapshot of one asynchronous stage invocation — the
-// 202-style resource the service returns from async stage requests and
-// serves under /sessions/{id}/runs/{rid}.
+// Run is the JSON-ready snapshot of one stage invocation — the resource the
+// service returns from async stage requests and serves under
+// /sessions/{id}/runs/{rid}.
 type Run struct {
 	// ID identifies the run; unique per engine.
 	ID string `json:"id"`

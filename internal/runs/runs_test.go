@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,15 +35,15 @@ func waitTerminal(t *testing.T, e *Engine, id string) Run {
 // gated returns a Func that signals started once executing and then blocks
 // until release is closed or the run is cancelled.
 func gated(started chan<- struct{}, release <-chan struct{}) Func {
-	return func(ctx context.Context) (session.Event, error) {
+	return func(ctx context.Context) (session.Event, func(), error) {
 		if started != nil {
 			close(started)
 		}
 		select {
 		case <-ctx.Done():
-			return session.Event{}, ctx.Err()
+			return session.Event{}, nil, ctx.Err()
 		case <-release:
-			return session.Event{Stage: "gated"}, nil
+			return session.Event{Stage: "gated"}, nil, nil
 		}
 	}
 }
@@ -50,8 +51,8 @@ func gated(started chan<- struct{}, release <-chan struct{}) Func {
 func TestSubmitAndSucceed(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit(context.Background(), "s1", session.StageBootstrap, func(ctx context.Context) (session.Event, error) {
-		return session.Event{Seq: 1, Stage: session.StageBootstrap}, nil
+	run, err := e.Submit(context.Background(), "s1", session.StageBootstrap, func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{Seq: 1, Stage: session.StageBootstrap}, nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +79,8 @@ func TestFailedRun(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
 	boom := errors.New("stage exploded")
-	run, err := e.Submit(context.Background(), "s1", "feedback", func(ctx context.Context) (session.Event, error) {
-		return session.Event{}, boom
+	run, err := e.Submit(context.Background(), "s1", "feedback", func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{}, nil, boom
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +126,9 @@ func TestCancelQueuedRun(t *testing.T) {
 	}
 	<-started
 	var ran atomic.Bool
-	queued, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
+	queued, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
 		ran.Store(true)
-		return session.Event{}, nil
+		return session.Event{}, nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestPerSessionFIFO(t *testing.T) {
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
-		run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
+		run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
 			if c := inFlight.Add(1); c != 1 {
 				t.Errorf("runs of one session interleaved (%d in flight)", c)
 			}
@@ -198,7 +199,7 @@ func TestPerSessionFIFO(t *testing.T) {
 			order = append(order, i)
 			mu.Unlock()
 			inFlight.Add(-1)
-			return session.Event{}, nil
+			return session.Event{}, nil, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -228,13 +229,13 @@ func TestSessionsRunInParallel(t *testing.T) {
 	started := make(chan string, 2)
 	for _, sid := range []string{"a", "b"} {
 		sid := sid
-		if _, err := e.Submit(context.Background(), sid, "b", func(ctx context.Context) (session.Event, error) {
+		if _, err := e.Submit(context.Background(), sid, "b", func(ctx context.Context) (session.Event, func(), error) {
 			started <- sid
 			select {
 			case <-ctx.Done():
-				return session.Event{}, ctx.Err()
+				return session.Event{}, nil, ctx.Err()
 			case <-release:
-				return session.Event{}, nil
+				return session.Event{}, nil, nil
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -263,8 +264,8 @@ func TestListAndRetentionRing(t *testing.T) {
 	defer e.Close()
 	ids := make([]string, 4)
 	for i := range ids {
-		run, err := e.Submit(context.Background(), "s1", fmt.Sprintf("stage-%d", i), func(ctx context.Context) (session.Event, error) {
-			return session.Event{}, nil
+		run, err := e.Submit(context.Background(), "s1", fmt.Sprintf("stage-%d", i), func(ctx context.Context) (session.Event, func(), error) {
+			return session.Event{}, nil, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -302,8 +303,8 @@ func TestCancelSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := e.Submit(context.Background(), "s2", "b", func(ctx context.Context) (session.Event, error) {
-		return session.Event{}, nil
+	other, err := e.Submit(context.Background(), "s2", "b", func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{}, nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +376,7 @@ func TestStats(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
+	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
 		panic("stage blew up")
 	})
 	if err != nil {
@@ -385,8 +386,8 @@ func TestPanicContainment(t *testing.T) {
 	if got.State != StateFailed || !strings.Contains(got.Error, "stage blew up") {
 		t.Fatalf("panicking run = %s / %q, want failed with panic message", got.State, got.Error)
 	}
-	after, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
-		return session.Event{}, nil
+	after, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{}, nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,8 +403,8 @@ func TestPanicContainment(t *testing.T) {
 func TestClosedSessionRunIsCancelled(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
-		return session.Event{}, session.ErrClosed
+	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{}, nil, session.ErrClosed
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,8 +417,8 @@ func TestClosedSessionRunIsCancelled(t *testing.T) {
 
 // stageEv is a shorthand stage-event Func.
 func stageEv(stage string) Func {
-	return func(ctx context.Context) (session.Event, error) {
-		return session.Event{Stage: stage}, nil
+	return func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{Stage: stage}, nil, nil
 	}
 }
 
@@ -430,11 +431,11 @@ func TestSubmitPlan(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
 	mark := func(stage string) Func {
-		return func(ctx context.Context) (session.Event, error) {
+		return func(ctx context.Context) (session.Event, func(), error) {
 			mu.Lock()
 			order = append(order, stage)
 			mu.Unlock()
-			return session.Event{Stage: stage}, nil
+			return session.Event{Stage: stage}, nil, nil
 		}
 	}
 	stages := []string{"a", "b", "c"}
@@ -505,10 +506,10 @@ func TestPlanMidFailure(t *testing.T) {
 	boom := errors.New("boom")
 	run, err := e.submitPlan(context.Background(), "s1", []string{"a", "fail", "never"}, []Func{
 		stageEv("a"),
-		func(ctx context.Context) (session.Event, error) { return session.Event{}, boom },
-		func(ctx context.Context) (session.Event, error) {
+		func(ctx context.Context) (session.Event, func(), error) { return session.Event{}, nil, boom },
+		func(ctx context.Context) (session.Event, func(), error) {
 			ran.Add(1)
-			return session.Event{Stage: "never"}, nil
+			return session.Event{Stage: "never"}, nil, nil
 		},
 	})
 	if err != nil {
@@ -538,7 +539,7 @@ func TestPlanCancelMidway(t *testing.T) {
 	var ran atomic.Int32
 	run, err := e.submitPlan(context.Background(), "s1", []string{"block", "never"}, []Func{
 		gated(started, nil),
-		func(ctx context.Context) (session.Event, error) { ran.Add(1); return session.Event{}, nil },
+		func(ctx context.Context) (session.Event, func(), error) { ran.Add(1); return session.Event{}, nil, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -594,11 +595,11 @@ func TestSessionQueueCap(t *testing.T) {
 func TestNotifyTransitions(t *testing.T) {
 	var mu sync.Mutex
 	byRun := map[string][]session.RunTransition{}
-	e := New(WithWorkers(2), WithNotify(func(r Run) {
+	e := New(WithWorkers(2), WithObserver(Observer{Transition: func(r Run) {
 		mu.Lock()
 		byRun[r.ID] = append(byRun[r.ID], r.Transition())
 		mu.Unlock()
-	}))
+	}}))
 	defer e.Close()
 
 	run, err := e.submitPlan(context.Background(), "s1", []string{"a", "b"}, []Func{stageEv("a"), stageEv("b")})
@@ -678,8 +679,8 @@ func TestAdopt(t *testing.T) {
 
 	// Adopted history lists before newly-submitted runs, and new runs still
 	// execute normally.
-	run, err := e.Submit(context.Background(), "sA", "bootstrap", func(ctx context.Context) (session.Event, error) {
-		return session.Event{Stage: "bootstrap"}, nil
+	run, err := e.Submit(context.Background(), "sA", "bootstrap", func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{Stage: "bootstrap"}, nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -752,19 +753,19 @@ func TestWaitSession(t *testing.T) {
 	e.WaitSession("nope")
 }
 
-// TestListTerminal pins the journal persister's view: only terminal runs of
+// TestListTerminal pins what a session snapshot holds: only terminal runs of
 // the named session, in submission order, live runs excluded.
 func TestListTerminal(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
 
-	ok := func(ctx context.Context) (session.Event, error) { return session.Event{}, nil }
+	ok := func(ctx context.Context) (session.Event, func(), error) { return session.Event{}, nil, nil }
 	r1, err := e.Submit(context.Background(), "s1", "a", ok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
-		return session.Event{}, errors.New("boom")
+	r2, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
+		return session.Event{}, nil, errors.New("boom")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -774,13 +775,13 @@ func TestListTerminal(t *testing.T) {
 	}
 	started := make(chan struct{})
 	release := make(chan struct{})
-	live, err := e.Submit(context.Background(), "s1", "blocker", func(ctx context.Context) (session.Event, error) {
+	live, err := e.Submit(context.Background(), "s1", "blocker", func(ctx context.Context) (session.Event, func(), error) {
 		close(started)
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return session.Event{}, ctx.Err()
+		return session.Event{}, nil, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -799,5 +800,149 @@ func TestListTerminal(t *testing.T) {
 	waitTerminal(t, e, live.ID)
 	if got := e.ListTerminal("s1"); len(got) != 3 {
 		t.Fatalf("after blocker finished: %d terminal runs, want 3", len(got))
+	}
+}
+
+// TestRunCommitsOnce pins the commit protocol: a run's terminal record is
+// written once, outside the engine lock, while the run still reads running;
+// then the commit waits of its stages and of that record are invoked, in
+// order; and only then is the run published terminal, as recorded.
+func TestRunCommitsOnce(t *testing.T) {
+	var (
+		e        *Engine
+		mu       sync.Mutex
+		log      []string
+		recorded []Run
+	)
+	note := func(s string) {
+		mu.Lock()
+		log = append(log, s)
+		mu.Unlock()
+	}
+	e = New(WithWorkers(1), WithObserver(Observer{Record: func(r Run) func() {
+		if got, err := e.Get(r.ID); err != nil || got.State != StateRunning {
+			t.Errorf("record sees the run %s (%v), want it still running", got.State, err)
+		}
+		note("record")
+		mu.Lock()
+		recorded = append(recorded, r)
+		mu.Unlock()
+		return func() { note("record-wait") }
+	}}))
+	defer e.Close()
+	stage := func(name string) Func {
+		return func(context.Context) (session.Event, func(), error) {
+			note(name)
+			return session.Event{Stage: name}, func() { note(name + "-wait") }, nil
+		}
+	}
+	sub, err := e.submitPlan(context.Background(), "s1", []string{"a", "b"}, []Func{stage("a"), stage("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := sub.Wait(context.Background())
+	if err != nil || final.State != StateSucceeded {
+		t.Fatalf("plan = %s, %v", final.State, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "a b record a-wait b-wait record-wait"; strings.Join(log, " ") != want {
+		t.Fatalf("commit order = %q, want %q", strings.Join(log, " "), want)
+	}
+	if len(recorded) != 1 || !reflect.DeepEqual(recorded[0], final) {
+		t.Fatalf("recorded %+v, published %+v", recorded, final)
+	}
+}
+
+// TestWaitOutcome: a waiter gets the stage's own error value, ErrCancelled
+// for a cancelled run — queued or running, by Cancel or by its own context
+// ending — and the outcome even once the run has left the retention ring.
+func TestWaitOutcome(t *testing.T) {
+	var recorded []string
+	var mu sync.Mutex
+	e := New(WithWorkers(1), withRetention(1), WithObserver(Observer{Record: func(r Run) func() {
+		mu.Lock()
+		recorded = append(recorded, r.ID+":"+string(r.State))
+		mu.Unlock()
+		return nil
+	}}))
+	defer e.Close()
+	ctx := context.Background()
+	boom := errors.New("boom")
+	failed, err := e.Submit(ctx, "s1", "fail", func(context.Context) (session.Event, func(), error) {
+		return session.Event{}, nil, fmt.Errorf("stage: %w", boom)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failed.Wait(ctx); !errors.Is(err, boom) {
+		t.Fatalf("failed run waits with %v, want the stage's error", err)
+	}
+	// Two more runs push the failed one out of a ring of one.
+	for i := 0; i < 2; i++ {
+		sub, err := e.Submit(ctx, "s1", "ok", stageEv("ok"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.Wait(ctx)
+	}
+	if _, err := e.Get(failed.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the failed run is still retained: %v", err)
+	}
+	if run, err := failed.Wait(ctx); !errors.Is(err, boom) || run.State != StateFailed {
+		t.Fatalf("evicted run waits with %s, %v", run.State, err)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	running, err := e.Submit(ctx, "s1", "hold", gated(started, release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := e.Submit(ctx, "s1", "q", stageEv("q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	last := recorded[len(recorded)-1]
+	mu.Unlock()
+	if last != queued.ID+":cancelled" {
+		t.Fatalf("Cancel of a queued run recorded %q last", last)
+	}
+	if _, err := queued.Wait(ctx); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("queued-cancelled run waits with %v, want ErrCancelled", err)
+	}
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	if run, err := running.Wait(gone); !errors.Is(err, ErrCancelled) || run.State != StateCancelled {
+		t.Fatalf("a waiter whose context ended got %s, %v; want the run cancelled", run.State, err)
+	}
+}
+
+// TestRunTableBounded is the run table's part of a long-lived session's
+// audit: after three retention rings' worth of single-stage runs on one
+// session, the engine keeps the ring and nothing else.
+func TestRunTableBounded(t *testing.T) {
+	const retention = 4
+	e := New(WithWorkers(2), withRetention(retention))
+	defer e.Close()
+	for i := 0; i < 3*retention; i++ {
+		sub, err := e.Submit(context.Background(), "s1", "ok", stageEv("ok"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sub.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.tasks) > retention || len(e.done) > retention || len(e.queues) != 0 {
+		t.Fatalf("run table holds %d tasks, %d finished, %d queues; want at most %d, %d and none",
+			len(e.tasks), len(e.done), len(e.queues), retention, retention)
 	}
 }

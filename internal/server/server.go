@@ -21,7 +21,7 @@
 //	POST   /api/v1/sessions/{id}/plans           run an ordered stage plan as one run (always async)
 //	GET    /api/v1/sessions/{id}/result          result rows (?limit=&offset=, paginated)
 //	GET    /api/v1/sessions/{id}/trace           orchestration trace (text; the most recent 1024 steps, numbered from the session's first)
-//	GET    /api/v1/sessions/{id}/runs            list the session's async runs
+//	GET    /api/v1/sessions/{id}/runs            list the session's runs
 //	GET    /api/v1/sessions/{id}/runs/{rid}      poll one run
 //	DELETE /api/v1/sessions/{id}/runs/{rid}      cancel a queued or in-flight run
 //	GET    /api/v1/sessions/{id}/events          stage events + run transitions over SSE
@@ -41,13 +41,13 @@
 // lifecycle of every session in it (create, append, archive, recover — its
 // package comment has the file layout and the crash contract). What a
 // client can rely on, per response: a 201 from create or import means the
-// session's baseline snapshot is fsynced and in place; a synchronous stage
-// is answered once its journal record — the mutation delta, O(delta) bytes —
-// is fsynced; a plan's stage records share one fsync, issued before the run
-// turns terminal; a terminal run's own record follows asynchronously. A journal
-// is compacted into a fresh snapshot between stages only: by the stage whose
-// record took it past the store's thresholds, and on evict and graceful
-// shutdown once the session has quiesced.
+// session's baseline snapshot is fsynced and in place; a run — a synchronous
+// stage is one — commits once: its stage records (the mutation deltas,
+// O(delta) bytes) and its own record share one fsync, issued before the stage
+// is answered or the run turns terminal. A journal is compacted into a fresh
+// snapshot between stages only: by the stage whose record took it past the
+// store's thresholds, and on evict and graceful shutdown once the session has
+// quiesced.
 //
 // Every persisted session is restored at boot — event history, result and
 // terminal run resources included — so a server killed outright (kill -9)
@@ -66,17 +66,18 @@
 // stage discovery, and usable in plans — no per-stage handler or route
 // exists.
 //
-// Every stage POST accepts ?async=1: instead of blocking until the stage
-// quiesces, the server enqueues it on the run engine and answers
-// 202 Accepted with a Location header naming the run resource to poll.
-// Plans are always asynchronous: the run resource carries per-stage
-// progress (plan, stage_index, events) and the session's SSE stream
-// carries every state transition (queued → running → stage k/n →
-// terminal) as `transition` events alongside the `stage` events.
-// Runs of one session execute in submission order; runs of independent
-// sessions spread across the worker pool, and the run engine's per-session
-// pending cap answers 429 with Retry-After before one session can
-// monopolise the global queue.
+// Every stage is a run on the run engine. A stage POST waits for its run and
+// answers the stage event or the stage's error — a cancelled run is a 409,
+// and a client that goes away cancels the run it waits on; with ?async=1 it
+// answers 202 Accepted at once, with a Location header naming the run
+// resource to poll. Plans are always asynchronous: the run resource carries
+// per-stage progress (plan, stage_index, events) and the session's SSE
+// stream carries every state transition (queued → running → stage k/n →
+// terminal) as `transition` events alongside the `stage` events. Runs of one
+// session execute one at a time in submission order, however they were
+// posted; runs of independent sessions spread across the worker pool
+// (-run-workers), and the run engine's per-session pending cap answers 429
+// with Retry-After before one session can monopolise the global queue.
 //
 // Sessions are independent: each wraps its own Wrangler and scenario, holds
 // its own lock, and wrangles fully in parallel with every other session.
@@ -91,7 +92,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,7 +145,7 @@ const (
 	sseWriteTimeout   = 10 * time.Second
 )
 
-// Server holds the session manager, the async run engine, the tracer and
+// Server holds the session manager, the run engine, the tracer and
 // the durability wiring. Build one with New; serve Handler(); stop with
 // Close.
 type Server struct {
@@ -177,8 +177,8 @@ type Server struct {
 type Config struct {
 	// MaxSessions caps live sessions (0 = session.DefaultMaxSessions).
 	MaxSessions int
-	// RunWorkers sizes the async run engine's worker pool
-	// (0 = runs.DefaultWorkers).
+	// RunWorkers sizes the run engine's worker pool, which every stage runs
+	// on (0 = runs.DefaultWorkers).
 	RunWorkers int
 	// DataDir enables durability ("" = ephemeral): every session journals
 	// to it.
@@ -207,7 +207,11 @@ func New(cfg Config) (*Server, error) {
 	s.stopSampler = metrics.StartRuntimeSampler(s.metrics)
 	s.runs = runs.New(
 		runs.WithWorkers(cfg.RunWorkers),
-		runs.WithNotify(s.publishTransition),
+		runs.WithObserver(runs.Observer{
+			Transition: s.publishTransition,
+			// s.store is opened below, before anything is served.
+			Record: func(run runs.Run) func() { return s.store.CommitRun(run) },
+		}),
 		runs.WithMetrics(s.metrics),
 	)
 	s.mgr = session.NewManager(
@@ -320,18 +324,14 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// publishTransition is the run engine's notify hook: every run state
+// publishTransition is the run engine's transition hook: every run state
 // change is pushed to the owning session's subscribers so SSE clients see
 // queued → running → stage k/n → terminal live. Sessions already gone
-// (evicted mid-run) simply drop the signal. A terminal run is also handed
-// to the store to journal; the hook runs under the engine lock, and neither
-// call blocks.
+// (evicted mid-run) simply drop the signal. The hook runs under the engine
+// lock and never blocks.
 func (s *Server) publishTransition(run runs.Run) {
 	if sess, err := s.mgr.Get(run.SessionID); err == nil {
 		sess.PublishTransition(run.Transition())
-	}
-	if run.State.Terminal() {
-		s.store.AppendRuns(run.SessionID)
 	}
 }
 
@@ -434,7 +434,8 @@ func (s *Server) handleClose(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-// asyncRequested reports whether a stage POST opts into the 202 run flow.
+// asyncRequested reports whether a stage POST answers 202 at once instead of
+// waiting for its run.
 func asyncRequested(r *http.Request) bool {
 	switch r.URL.Query().Get("async") {
 	case "1", "true", "yes":
@@ -451,7 +452,11 @@ func (s *Server) handleStages(rw http.ResponseWriter, _ *http.Request) {
 }
 
 // handleStage is the uniform stage route: any stage is invoked as
-// POST .../stages/{name} with the stage's JSON payload as the body.
+// POST .../stages/{name} with the stage's JSON payload as the body. The stage
+// is submitted as a run — unknown stages and undecodable payloads are a 400,
+// with nothing enqueued — and the response waits for it, answering the stage
+// event or the stage's error, unless ?async=1 asks for the 202 with the run
+// snapshot and its Location to poll.
 func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
@@ -463,35 +468,21 @@ func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 		writeBodyError(rw, err)
 		return
 	}
-	s.dispatchStage(rw, r, sess, session.StageRequest{Stage: r.PathValue("name"), Payload: payload})
-}
-
-// dispatchStage resolves and applies one stage request, either
-// synchronously (block until quiescence, answer the stage event) or, with
-// ?async=1, as a run resource: enqueue on the engine and answer
-// 202 Accepted with the run snapshot and its Location to poll. The stage
-// and payload are resolved against the stage table before anything runs, so
-// unknown stages and undecodable payloads are a 400 on both paths.
-func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *session.Session, req session.StageRequest) {
-	st, payload, err := session.Resolve(req)
+	sub, err := s.runs.SubmitStage(r.Context(), sess, session.StageRequest{Stage: r.PathValue("name"), Payload: payload})
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
-	fn := func(ctx context.Context) (session.Event, error) {
-		return st.Apply(ctx, sess, payload)
-	}
-	if !asyncRequested(r) {
-		ev, err := fn(r.Context())
-		writeEvent(rw, ev, err)
+	if asyncRequested(r) {
+		s.writeRunAccepted(rw, sess.ID(), sub.Run)
 		return
 	}
-	run, err := s.runs.Submit(r.Context(), sess.ID(), st.Name, fn)
+	run, err := sub.Wait(r.Context())
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
-	s.writeRunAccepted(rw, sess.ID(), run)
+	writeJSON(rw, run.Event)
 }
 
 // writeRunAccepted answers 202 with the run snapshot and its poll URL.
@@ -515,12 +506,12 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 	if !decodeBody(rw, r, "plan", &plan) {
 		return
 	}
-	run, err := s.runs.SubmitPlan(r.Context(), sess, plan)
+	sub, err := s.runs.SubmitPlan(r.Context(), sess, plan)
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
-	s.writeRunAccepted(rw, sess.ID(), run)
+	s.writeRunAccepted(rw, sess.ID(), sub.Run)
 }
 
 func (s *Server) handleRunList(rw http.ResponseWriter, r *http.Request) {
@@ -690,7 +681,8 @@ func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
 
 // handleExport streams the session as a snapshot envelope — the same bytes
 // -data-dir persists, so an export re-imports on any server. The capture is
-// point-in-time: a stage still running is simply not in it yet.
+// taken between stages: a stage still running delays it until the stage
+// ends, and is then in it whole.
 func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
@@ -757,9 +749,9 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 // after its filename stem, decoded by extension (?format overrides). An
 // optional "mapping" form field carries a JSON header→attribute mapping
 // applied to every file; absent, headers are inferred against the session's
-// target schema and data context. Files are ingested in upload order and a
-// failure aborts the remainder — already-ingested files stay, mirroring the
-// stage-by-stage semantics of a plan.
+// target schema and data context. The files are ingested as one plan run, in
+// upload order, that the response waits for: a failure aborts the remainder
+// and already-ingested files stay.
 func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
@@ -803,6 +795,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		Event    session.Event `json:"event"`
 	}
 	results := make([]ingested, 0, total)
+	var plan session.Plan
 	for _, field := range fields {
 		for _, fh := range r.MultipartForm.File[field] {
 			f, err := fh.Open()
@@ -831,18 +824,22 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 				writeError(rw, err)
 				return
 			}
-			st, decoded, err := session.Resolve(session.StageRequest{Stage: session.StageIngest, Payload: payload})
-			if err != nil {
-				writeError(rw, err)
-				return
-			}
-			ev, err := st.Apply(r.Context(), sess, decoded)
-			if err != nil {
-				writeError(rw, err)
-				return
-			}
-			results = append(results, ingested{File: fh.Filename, Relation: name, Event: ev})
+			plan.Stages = append(plan.Stages, session.StageRequest{Stage: session.StageIngest, Payload: payload})
+			results = append(results, ingested{File: fh.Filename, Relation: name})
 		}
+	}
+	sub, err := s.runs.SubmitPlan(r.Context(), sess, plan)
+	if err != nil {
+		writeError(rw, err)
+		return
+	}
+	run, err := sub.Wait(r.Context())
+	if err != nil {
+		writeError(rw, err)
+		return
+	}
+	for i := range results {
+		results[i].Event = run.Events[i]
 	}
 	writeJSON(rw, map[string]any{"files": len(results), "ingested": results})
 }
@@ -1040,15 +1037,6 @@ func (s *Server) handleIndex(rw http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(rw, indexHTML)
 }
 
-// writeEvent renders a stage outcome or maps its error onto a status code.
-func writeEvent(rw http.ResponseWriter, ev session.Event, err error) {
-	if err != nil {
-		writeError(rw, err)
-		return
-	}
-	writeJSON(rw, ev)
-}
-
 // decodeBody decodes a JSON request body into v strictly, like the stage
 // payload codecs: a body past maxPayloadBytes is a 413, and an unknown field
 // (a misspelled key must not silently take its default) or anything after
@@ -1096,7 +1084,7 @@ func writeError(rw http.ResponseWriter, err error) {
 		errors.Is(err, store.ErrTooLarge),
 		errors.Is(err, connect.ErrBadFormat), errors.Is(err, connect.ErrSchemaMismatch):
 		status = http.StatusBadRequest
-	case errors.Is(err, session.ErrExists):
+	case errors.Is(err, session.ErrExists), errors.Is(err, runs.ErrCancelled):
 		status = http.StatusConflict
 	case errors.Is(err, session.ErrLimit), errors.Is(err, runs.ErrQueueFull):
 		status = http.StatusTooManyRequests

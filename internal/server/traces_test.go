@@ -284,12 +284,12 @@ func TestSlowRunLogged(t *testing.T) {
 	})
 	id := createSession(t, ts, "")
 	release := make(chan struct{})
-	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, error) {
+	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, func(), error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return session.Event{}, nil
+		return session.Event{}, nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -471,9 +471,10 @@ func TestRequestIDAdopted(t *testing.T) {
 	}
 }
 
-// TestSyncStageTraced covers the synchronous dispatch path: a blocking
-// stage POST produces stage + journal.append spans directly under the HTTP
-// root (no run span — nothing was enqueued).
+// TestSyncStageTraced covers the synchronous stage route: a stage POST is a
+// run the request waits on, so its trace takes the one span path every stage
+// takes — http root → run → queue-wait, and run → stage → journal.append —
+// and the run is listed, succeeded, among the session's runs.
 func TestSyncStageTraced(t *testing.T) {
 	_, ts := tracedServer(t, nil)
 	id := createSession(t, ts, "")
@@ -486,18 +487,37 @@ func TestSyncStageTraced(t *testing.T) {
 	tid, _, _ := trace.ParseTraceparent(tp)
 	byName := map[string][]*trace.Node{}
 	flattenTree(getTree(t, ts, tid), byName)
-	if len(byName["run"]) != 0 {
-		t.Errorf("sync stage produced a run span")
+	roots, runs, waits := byName["http POST"], byName["run"], byName["queue-wait"]
+	if len(roots) != 1 || len(runs) != 1 || len(waits) != 1 {
+		t.Fatalf("want one http root, run and queue-wait span (names: %v)", keys(byName))
+	}
+	if runs[0].ParentID != roots[0].SpanID || waits[0].ParentID != runs[0].SpanID {
+		t.Errorf("the run span is not the http root's child, or the queue wait not the run's")
 	}
 	stages := byName["stage:bootstrap"]
-	if len(stages) != 1 {
-		t.Fatalf("want 1 stage:bootstrap span, got %d (names: %v)", len(stages), keys(byName))
+	if len(stages) != 1 || stages[0].ParentID != runs[0].SpanID {
+		t.Fatalf("want one stage:bootstrap span under the run span (names: %v)", keys(byName))
 	}
-	roots := byName["http POST"]
-	if len(roots) != 1 || stages[0].ParentID != roots[0].SpanID {
-		t.Errorf("stage span is not a direct child of the http root")
+	appends := byName["journal.append"]
+	if len(appends) != 1 || appends[0].ParentID != stages[0].SpanID {
+		t.Errorf("want one journal.append span under the stage span, got %d", len(appends))
 	}
-	if len(byName["journal.append"]) < 1 {
-		t.Errorf("sync stage left no journal.append span")
+
+	resp2, err := http.Get(ts.URL + "/api/v1/sessions/" + id + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var list struct {
+		Runs []struct {
+			Stage string `json:"stage"`
+			State string `json:"state"`
+		} `json:"runs"`
+	}
+	if err := json.NewDecoder(resp2.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 1 || list.Runs[0].Stage != "bootstrap" || list.Runs[0].State != "succeeded" {
+		t.Fatalf("runs = %+v, want the sync bootstrap, succeeded", list.Runs)
 	}
 }

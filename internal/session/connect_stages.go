@@ -94,7 +94,7 @@ func (s *Session) Relation(name string) (*relation.Relation, error) {
 // ingestRelation decodes a payload body (span ingest.read, connect_* metric
 // series) and lands it in the session under the requested role via one
 // orchestrated stage step.
-func (s *Session) ingestRelation(ctx context.Context, stage string, rel *relation.Relation, role string) (Event, error) {
+func (s *Session) ingestRelation(ctx context.Context, stage string, rel *relation.Relation, role string) (Event, func(), error) {
 	return s.Step(ctx, stage, func(w *core.Wrangler) error {
 		if role == connect.RoleContext {
 			w.AddDataContext(rel)
@@ -131,7 +131,7 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
 			p, _ := payload.(*connect.IngestPayload)
 			start := time.Now()
 			span := trace.ChildFromContext(ctx, "ingest.read", "relation", p.Relation, "session", s.id)
@@ -145,7 +145,7 @@ var (
 				span.EndErr(err)
 			}
 			if err != nil {
-				return Event{}, err
+				return Event{}, nil, err
 			}
 			s.connectObserve("in", stats, time.Since(start))
 			return s.ingestRelation(ctx, StageIngest, rel, p.Role)
@@ -176,7 +176,7 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
 			p, _ := payload.(*connect.FetchPayload)
 			start := time.Now()
 			span := trace.ChildFromContext(ctx, "ingest.read", "relation", p.Relation, "url", p.URL, "session", s.id)
@@ -197,7 +197,7 @@ var (
 				span.EndErr(err)
 			}
 			if err != nil {
-				return Event{}, err
+				return Event{}, nil, err
 			}
 			s.connectObserve("in", stats, time.Since(start))
 			return s.ingestRelation(ctx, StageFetch, rel, p.Role)
@@ -222,7 +222,7 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
 			p, _ := payload.(*connect.ExportPayload)
 			if p == nil {
 				p = &connect.ExportPayload{}
@@ -273,7 +273,7 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
 			p, _ := payload.(*connect.QualityPayload)
 			if p == nil {
 				p = &connect.QualityPayload{}

@@ -55,7 +55,7 @@ func WithMaxSessions(n int) ManagerOption {
 // every session removed by Close or EvictIdle, immediately after the
 // session is marked closed and BEFORE the manager waits for its in-flight
 // stage to finish. This is the place to interrupt outstanding work — a
-// service cancels the session's async runs here — so the wait is short.
+// service cancels the session's runs here — so the wait is short.
 // Hooks compose in installation order.
 func WithStopHook(hook func(*Session)) ManagerOption {
 	return func(m *Manager) { m.stopHooks = append(m.stopHooks, hook) }

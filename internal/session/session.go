@@ -136,8 +136,8 @@ type Session struct {
 
 	// stageCommitHook, when set, observes every completed stage while the
 	// session still holds its run mutex — the mutation hook the durability
-	// journal feeds on — and may return a durability wait invoked after the
-	// mutex is released (see WithStageCommitHook).
+	// journal feeds on — and may return a durability wait, which Step hands
+	// its caller (see WithStageCommitHook).
 	stageCommitHook func(context.Context, *Session, Event) func()
 
 	// reg, when set, counts the SSE fan-out: live subscribers
@@ -174,13 +174,11 @@ func WithScenario(sc *datagen.Scenario, seed int64) Option {
 // runs on the wrangling path — keep it short and never call back into the
 // session's stage methods (Step would self-deadlock).
 //
-// The hook may return a commit wait, which Step invokes AFTER releasing the
-// run mutex and before returning: the stage is not acknowledged until the
-// wait returns, but the next stage can start while this one's fsync is in
-// flight, and a plan run collects its stages' waits and invokes them
-// together before the run is acknowledged (see DeferCommits). A nil return
-// means nothing to wait for. One hook per session; later options replace
-// earlier ones.
+// The hook may return a commit wait, which Step returns to its caller: the
+// stage is not acknowledged until the wait returns, and a caller that runs
+// several stages (the run engine, for a plan) invokes their waits together
+// before acknowledging any. A nil return means nothing to wait for. One hook
+// per session; later options replace earlier ones.
 func WithStageCommitHook(hook func(context.Context, *Session, Event) func()) Option {
 	return func(s *Session) { s.stageCommitHook = hook }
 }
@@ -312,9 +310,16 @@ func (s *Session) countDrop(kind string) {
 // its final event append and KB writes happen under that mutex. Callers
 // that need the session's final state (the manager's evict hooks) wait here
 // first.
-func (s *Session) Quiesce() {
+func (s *Session) Quiesce() { s.BetweenStages(func() {}) }
+
+// BetweenStages runs fn while no stage executes on the session: it waits for
+// a running stage to finish and keeps the next one from starting until fn
+// returns, so fn observes the session as a whole number of stages left it.
+// fn must not run a stage (Step would self-deadlock).
+func (s *Session) BetweenStages(fn func()) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	fn()
 }
 
 // Subscribe registers a live event consumer. It returns the event history
@@ -357,39 +362,19 @@ func (s *Session) Subscribe(buf int) (history []Event, events <-chan Event, canc
 // Step runs one pay-as-you-go stage: apply the context-adding action, drive
 // the orchestrator to quiescence, and record (and return) a typed event.
 // Steps of one session are serialised; independent sessions proceed in
-// parallel. When ctx carries a trace span (the HTTP root on the sync path,
-// the run span on the engine path) the stage records a `stage:<name>` child
-// covering action, orchestration and scoring, and downstream journal
-// appends nest under it.
-func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wrangler) error) (_ Event, retErr error) {
+// parallel. When ctx carries a trace span (the run span on the engine path)
+// the stage records a `stage:<name>` child covering action, orchestration
+// and scoring, and downstream journal appends nest under it.
+//
+// Step returns the stage-commit hook's wait beside the event (nil when
+// there is nothing to wait for): the stage is acknowledged once the caller
+// has invoked it.
+func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wrangler) error) (_ Event, commit func(), retErr error) {
 	span := trace.ChildFromContext(ctx, "stage:"+stage, "stage", stage, "session", s.id)
 	if span != nil {
 		ctx = trace.NewContext(ctx, span)
 		defer func() { span.EndErr(retErr) }()
 	}
-	ev, commitWait, err := s.stepLocked(ctx, stage, action)
-	if err != nil {
-		return Event{}, err
-	}
-	if commitWait != nil {
-		// Block for the stage record's durability AFTER releasing the run
-		// mutex: the acknowledgement still waits for the fsync, but the
-		// next stage can already run. Inside a DeferCommits scope (plan
-		// runs) the wait is handed to the collector instead, so the plan's
-		// stages share one fsync, issued before the run is acknowledged.
-		if c := deferredFrom(ctx); c != nil {
-			c.add(commitWait)
-		} else {
-			commitWait()
-		}
-	}
-	return ev, nil
-}
-
-// stepLocked is the run-mutex-holding body of Step. It returns the commit
-// wait of the stage-commit hook (nil when there is nothing to wait for),
-// which the caller invokes after the run mutex is released.
-func (s *Session) stepLocked(ctx context.Context, stage string, action func(w *core.Wrangler) error) (Event, func(), error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	if err := s.touch(); err != nil {
@@ -434,11 +419,10 @@ func (s *Session) stepLocked(ctx context.Context, stage string, action func(w *c
 	s.mu.Unlock()
 	// Under runMu, after the event is appended: the hook observes the
 	// session exactly as this stage left it, before any later stage runs.
-	var commitWait func()
 	if s.stageCommitHook != nil {
-		commitWait = s.stageCommitHook(ctx, s, ev)
+		commit = s.stageCommitHook(ctx, s, ev)
 	}
-	return ev, commitWait, nil
+	return ev, commit, nil
 }
 
 // touch refreshes lastActive, failing on a closed session.
@@ -472,29 +456,38 @@ func (s *Session) PublishTransition(tr RunTransition) {
 	}
 }
 
+// committed is a stage outcome acknowledged at once: its commit wait
+// invoked, as a caller that runs one stage at a time does.
+func committed(ev Event, commit func(), err error) (Event, error) {
+	if commit != nil {
+		commit()
+	}
+	return ev, err
+}
+
 // Bootstrap runs stage 1: fully automatic wrangling over the registered
 // sources.
 func (s *Session) Bootstrap(ctx context.Context) (Event, error) {
-	return bootstrapStage.Apply(ctx, s, nil)
+	return committed(bootstrapStage.Apply(ctx, s, nil))
 }
 
 // AddDataContext runs stage 2 with the given reference relation; nil
 // defaults to the scenario's address reference (ErrNoDataContext without a
 // scenario).
 func (s *Session) AddDataContext(ctx context.Context, rel *relation.Relation) (Event, error) {
-	return dataContextStage.Apply(ctx, s, rel)
+	return committed(dataContextStage.Apply(ctx, s, rel))
 }
 
 // AddFeedback runs stage 3 with the given annotations; an empty slice asks
 // the scenario oracle for `budget` annotations (a no-op action without a
 // scenario).
 func (s *Session) AddFeedback(ctx context.Context, items []feedback.Item, budget int) (Event, error) {
-	return feedbackStage.Apply(ctx, s, &FeedbackPayload{Items: items, Budget: &budget})
+	return committed(feedbackStage.Apply(ctx, s, &FeedbackPayload{Items: items, Budget: &budget}))
 }
 
 // SetUserContext runs stage 4 with the given priority model.
 func (s *Session) SetUserContext(ctx context.Context, m *mcda.Model) (Event, error) {
-	return userContextStage.Apply(ctx, s, m)
+	return committed(userContextStage.Apply(ctx, s, m))
 }
 
 // Result returns the clean wrangling result (no provenance column), or

@@ -392,7 +392,7 @@ func apply(ctx context.Context, s *Session, req StageRequest) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	return st.Apply(ctx, s, payload)
+	return committed(st.Apply(ctx, s, payload))
 }
 
 // TestApply drives the uniform choke point: raw StageRequests resolve,
@@ -519,7 +519,7 @@ func TestRestoredSeqContinues(t *testing.T) {
 		{Seq: 2, Type: EventStage, Stage: StageDataContext},
 	}
 	sess := New("sx", core.NewWrangler(), WithRestored(time.Time{}, time.Time{}, history))
-	ev, err := sess.Step(context.Background(), "custom", nil)
+	ev, err := committed(sess.Step(context.Background(), "custom", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,11 +558,11 @@ func TestTeardownHookOrdering(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := sess.Step(context.Background(), "slow", func(w *core.Wrangler) error {
+		_, err := committed(sess.Step(context.Background(), "slow", func(w *core.Wrangler) error {
 			close(stageEntered)
 			<-release
 			return nil
-		})
+		}))
 		done <- err
 	}()
 	<-stageEntered
@@ -585,8 +585,9 @@ func TestTeardownHookOrdering(t *testing.T) {
 // completed stage, after the event is appended (Seq assigned, history
 // visible), while the run mutex still excludes the next stage — so a
 // knowledge-base version read inside the hook is exactly the stage's final
-// version. The wait it returns runs after the run mutex is released and
-// before Step returns, or, inside a DeferCommits scope, at the flush.
+// version. The wait it returns is Step's to hand back, invoked by whoever
+// acknowledges the stage once the run mutex is released: the convenience
+// methods before they return.
 func TestStageCommitHook(t *testing.T) {
 	ctx := context.Background()
 	sc := testScenario(t, 40, 1)
@@ -631,33 +632,26 @@ func TestStageCommitHook(t *testing.T) {
 		t.Fatalf("hook version %d, final version %d", versions[1], sess.Wrangler().KB.Version())
 	}
 	// A failing stage records no event and fires no hook.
-	if _, err := sess.Step(ctx, "explode", func(w *core.Wrangler) error {
+	if _, commit, err := sess.Step(ctx, "explode", func(w *core.Wrangler) error {
 		return errors.New("no")
-	}); err == nil {
-		t.Fatal("failing action should fail the stage")
+	}); err == nil || commit != nil {
+		t.Fatal("failing action should fail the stage, with nothing to commit")
 	}
 	if len(calls) != 2 {
 		t.Fatalf("failed stage fired the hook: %d calls", len(calls))
 	}
 
-	// A plan's scope collects the waits; the flush invokes them in order.
-	dctx, flush := DeferCommits(ctx)
-	if _, err := sess.AddFeedback(dctx, nil, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.AddFeedback(dctx, nil, 10); err != nil {
+	// Step hands the wait back uninvoked.
+	_, commit, err := sess.Step(ctx, "custom", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(waited) != 2 {
-		t.Fatalf("deferred waits ran before the flush: %v", waited)
+		t.Fatalf("Step invoked its commit wait: %v", waited)
 	}
-	flush()
-	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(waited, want) {
-		t.Fatalf("waits after flush = %v, want %v", waited, want)
-	}
-	flush() // nothing pending: a no-op
-	if len(waited) != 4 {
-		t.Fatalf("second flush re-ran waits: %v", waited)
+	commit()
+	if want := []int{1, 2, 3}; !reflect.DeepEqual(waited, want) {
+		t.Fatalf("waits after commit = %v, want %v", waited, want)
 	}
 }
 

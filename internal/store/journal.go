@@ -231,16 +231,6 @@ func (j *journal) load(path string) (*ReplayResult, error) {
 	return res, err
 }
 
-// append writes the record and blocks until it is durable: appendCommit
-// followed by its wait.
-func (j *journal) append(rec *Record) error {
-	wait, err := j.appendCommit(rec)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
 // appendCommit splits an append into its two halves. The record is assigned
 // the next sequence number, framed and written in a single write call, with
 // no fsync; the returned wait makes it durable. The caller acknowledges the

@@ -19,6 +19,16 @@ import (
 	"vada/internal/session"
 )
 
+// append writes the record and blocks until it is durable: appendCommit
+// followed by its wait.
+func (j *journal) append(rec *Record) error {
+	wait, err := j.appendCommit(rec)
+	if err != nil {
+		return err
+	}
+	return wait()
+}
+
 // goldenRecords builds the fixed record sequence pinned by the golden
 // fixture. Everything is deterministic: fixed times, fixed deltas, fixed
 // run snapshots.

@@ -239,14 +239,10 @@ func decodeJSON(data []byte, v any) error {
 // captureSession snapshots a live (or just-closed) session: identity, a
 // snapshot of the knowledge base, the stage-event history, and — when an
 // engine is given — every terminal run of the session still in the retention
-// ring. The store captures between stages only: under the session's run
-// mutex (the stage-commit hook) or once it has quiesced (the evict hook). An
-// export may land mid-stage.
+// ring. Every capture is taken between stages: under the session's run mutex
+// (the stage-commit hook, an export) or once it has quiesced (the evict
+// hook), so history and knowledge base hold the same stages.
 func captureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
-	// Events strictly before the KB: racing a completing stage may then
-	// miss the stage's event while the KB already holds (some of) its
-	// writes — "not in the snapshot yet" — but never record an event whose
-	// KB effects are absent, which would make history and result disagree.
 	events := s.Events()
 	snap := &SessionSnapshot{
 		Meta: Meta{
@@ -269,10 +265,13 @@ func captureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 	return snap
 }
 
-// ExportSession captures a session and writes its snapshot envelope — the
-// GET .../export path.
+// ExportSession captures a session between two of its stages and writes its
+// snapshot envelope — the GET .../export path. A running stage delays the
+// capture until it ends; the encoding does not hold the next stage up.
 func ExportSession(w io.Writer, s *session.Session, eng *runs.Engine) error {
-	return WriteSessionSnapshot(w, captureSession(s, eng))
+	var snap *SessionSnapshot
+	s.BetweenStages(func() { snap = captureSession(s, eng) })
+	return WriteSessionSnapshot(w, snap)
 }
 
 // restoreSession rebuilds a live session from a decoded snapshot: the

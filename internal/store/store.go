@@ -20,7 +20,8 @@
 //
 //	Create   the baseline snapshot is fsynced and renamed into place over an
 //	         empty journal — the session survives kill -9 from here on
-//	Append   the stage's record is fsynced when the returned wait returns
+//	Append   the stage's record is fsynced when the returned wait returns;
+//	         CommitRun likewise for a terminal run's record
 //	Archive  the pair is gone from <dir> and closed/ holds the final state
 //	Recover  every pair is live again, snapshot composed with the journal's
 //	         valid prefix
@@ -78,7 +79,7 @@ const (
 var ErrNotDurable = errors.New("store: session is not durable")
 
 // Deps is the rest of the service a Store works with: the manager whose
-// sessions it persists, the engine whose terminal runs it journals, the
+// sessions it persists, the engine whose terminal runs it snapshots, the
 // registry its fsync and byte counters go to, and the operational logger.
 type Deps struct {
 	Manager *session.Manager
@@ -88,8 +89,9 @@ type Deps struct {
 }
 
 // Store is one data directory. Build it with Open, install Release as the
-// manager's evict hook and Append as every session's stage-commit hook, call
-// Recover once before serving, and stop with Close.
+// manager's evict hook, Append as every session's stage-commit hook and
+// CommitRun as the run engine's recorder, call Recover once before serving,
+// and stop with Close.
 type Store struct {
 	dir string
 	// maxRecords and maxBytes are compactRecords and compactBytes; tests
@@ -103,14 +105,6 @@ type Store struct {
 	mu           sync.Mutex
 	entries      map[string]*entry
 	lastSnapshot time.Time
-
-	// The persister goroutine journals terminal runs off the engine's notify
-	// path. hints is never closed (late hooks must not panic); done stops
-	// the goroutine.
-	hints     chan string
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 
 	// onStep, set by tests only, is called after each file-system step of a
 	// verb so a crash can be staged between any two of them.
@@ -132,7 +126,8 @@ type entry struct {
 	// j is the open journal: nil while Create is still writing and again
 	// once the entry is finished.
 	j *journal
-	// runSeen holds the IDs of the terminal runs the files hold.
+	// runSeen holds the IDs of the terminal runs the files hold: those of the
+	// snapshot and those journaled since.
 	runSeen map[string]bool
 	// dirty reports that something was recorded — or failed to be — since
 	// the snapshot under the journal was written.
@@ -153,13 +148,6 @@ func Open(dir string, deps Deps) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("creating data directory: %w", err)
 	}
-	// Room for a burst of run completions while one flush is in its fsync; a
-	// hint dropped beyond it is made up for by the session's next hint, or
-	// by the snapshot its eviction or the shutdown writes.
-	s.hints = make(chan string, 256)
-	s.done = make(chan struct{})
-	s.wg.Add(1)
-	go s.persister()
 	return s, nil
 }
 
@@ -259,12 +247,18 @@ func (s *Store) createFiles(e *entry) error {
 // already hold. Callers hold e.io.
 func (e *entry) start(j *journal, snapshotRuns []runs.Run) {
 	e.j = j
+	e.snapshotted(snapshotRuns)
+	e.dirty = j.written.records > 0
+	e.sess.Wrangler().StartChangeLog()
+}
+
+// snapshotted makes the runs the files hold exactly those of a snapshot
+// over an empty journal. Callers hold e.io.
+func (e *entry) snapshotted(snapshotRuns []runs.Run) {
 	e.runSeen = make(map[string]bool, len(snapshotRuns))
 	for _, r := range snapshotRuns {
 		e.runSeen[r.ID] = true
 	}
-	e.dirty = j.written.records > 0
-	e.sess.Wrangler().StartChangeLog()
 }
 
 // writeSnapshot is the one way a snapshot reaches the data directory: the
@@ -331,11 +325,11 @@ func (s *Store) finish(e *entry) {
 // completed stage, and the threshold compaction when that record crossed it.
 // It runs under the session's run mutex, so the delta cut cannot race the
 // next stage's writes and a compaction snapshot never lands mid-stage. The
-// returned wait — invoked by Step after the run mutex is released, or by the
-// run engine once per plan — blocks until the record is fsynced. ctx carries
-// the stage's trace span, making the append a `journal.append` child of it.
-// A failure is logged, not fatal: the next compaction, evict or shutdown
-// snapshot covers the stage.
+// returned wait — invoked by the run engine with the rest of the run's, once
+// the run's own record is written too — blocks until the record is fsynced.
+// ctx carries the stage's trace span, making the append a `journal.append`
+// child of it. A failure is logged, not fatal: the next compaction, evict or
+// shutdown snapshot covers the stage.
 func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Event) func() {
 	id := sess.ID()
 	e := s.lookup(id)
@@ -394,62 +388,42 @@ func (s *Store) compact(e *entry) error {
 	}
 	s.Metrics.Counter("persist_compactions_total").Inc()
 	s.step("truncate")
-	for _, r := range snap.Runs {
-		e.runSeen[r.ID] = true
-	}
+	e.snapshotted(snap.Runs)
 	e.dirty = false
 	return nil
 }
 
-// AppendRuns schedules a pass over the session that journals each of its
-// terminal runs not yet in its files. It never blocks — the run engine calls
-// it under its lock — and a full queue drops the hint.
-func (s *Store) AppendRuns(id string) {
-	if s.hints == nil {
-		return
-	}
-	select {
-	case s.hints <- id:
-	default:
-	}
-}
-
-// persister runs the passes AppendRuns schedules, one at a time.
-func (s *Store) persister() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case id := <-s.hints:
-			s.flush(id)
-		}
-	}
-}
-
-// flush is one persister pass over one session: a fsynced record per
-// terminal run the files do not hold yet. A journal these records push past
-// a threshold is compacted by the session's next stage.
-func (s *Store) flush(id string) {
-	e := s.lookup(id)
+// CommitRun is the run engine's recorder: it journals a terminal run the
+// session's files do not hold yet, without waiting, and returns the wait that
+// makes the record durable — the engine invokes it with the waits of the
+// run's stages, so one fsync covers them all. A journal this record pushes
+// past a threshold is compacted by the session's next stage. A failure is
+// logged, not fatal: the next compaction, evict or shutdown snapshot covers
+// the run.
+func (s *Store) CommitRun(run runs.Run) func() {
+	e := s.lookup(run.SessionID)
 	if e == nil {
-		return
+		return nil
 	}
 	e.io.Lock()
 	defer e.io.Unlock()
-	if e.j == nil {
-		return
+	if e.j == nil || e.runSeen[run.ID] {
+		return nil
 	}
-	for _, run := range s.Engine.ListTerminal(id) {
-		if e.runSeen[run.ID] {
-			continue
+	e.dirty = true
+	wait, err := e.j.appendCommit(&Record{At: time.Now(), Run: &run})
+	if err != nil {
+		s.Logger.Error("journaling run", "run", run.ID, "session", run.SessionID, "error", err)
+		return nil
+	}
+	e.runSeen[run.ID] = true
+	return func() {
+		e.io.Lock()
+		err := wait()
+		e.io.Unlock()
+		if err != nil {
+			s.Logger.Error("journaling run", "run", run.ID, "session", run.SessionID, "error", err)
 		}
-		e.dirty = true
-		if err := e.j.append(&Record{At: time.Now(), Run: &run}); err != nil {
-			s.Logger.Error("journaling runs", "session", id, "error", err)
-			return
-		}
-		e.runSeen[run.ID] = true
 	}
 }
 
@@ -585,21 +559,17 @@ func (s *Store) Stats() *Stats {
 	return out
 }
 
-// Close stops the persister and closes every live session through the
-// manager: the teardown an idle eviction takes, so each session is compacted
-// by Release once it has quiesced and a restart after a clean shutdown
-// replays nothing. The caller has drained the run engine. Idempotent.
+// Close closes every live session through the manager: the teardown an idle
+// eviction takes, so each session is compacted by Release once it has
+// quiesced and a restart after a clean shutdown replays nothing. The caller
+// has drained the run engine. Idempotent.
 func (s *Store) Close() {
 	if s.dir == "" {
 		return
 	}
-	s.closeOnce.Do(func() {
-		close(s.done)
-		s.wg.Wait()
-		for _, sess := range s.Manager.List() {
-			// Not found: the session is already leaving, and its own teardown
-			// releases it.
-			_ = s.Manager.Close(sess.ID())
-		}
-	})
+	for _, sess := range s.Manager.List() {
+		// Not found: the session is already leaving, and its own teardown
+		// releases it.
+		_ = s.Manager.Close(sess.ID())
+	}
 }

@@ -53,7 +53,9 @@ func boot(t *testing.T, dir string) *rig {
 func start(t *testing.T, dir string) *rig {
 	t.Helper()
 	r := &rig{t: t, reg: metrics.NewRegistry()}
-	r.eng = runs.New(runs.WithWorkers(2))
+	r.eng = runs.New(runs.WithWorkers(2), runs.WithObserver(runs.Observer{
+		Record: func(run runs.Run) func() { return r.st.CommitRun(run) },
+	}))
 	r.mgr = session.NewManager(
 		session.WithStopHook(func(s *session.Session) { r.eng.CancelSession(s.ID()) }),
 		session.WithEvictHook(func(s *session.Session) {
@@ -69,16 +71,7 @@ func start(t *testing.T, dir string) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		r.eng.Close()
-		if r.st.done == nil {
-			return // ephemeral: no persister
-		}
-		r.st.closeOnce.Do(func() { // stop the persister; compact nothing
-			close(r.st.done)
-			r.st.wg.Wait()
-		})
-	})
+	t.Cleanup(r.eng.Close)
 	return r
 }
 
@@ -137,27 +130,37 @@ func (r *rig) bootstrap(sess *session.Session) {
 }
 
 // idleRun completes a run that leaves the session untouched, so the only
-// thing the store has not yet seen is the terminal run itself.
+// thing it writes is the terminal run's own record.
 func (r *rig) idleRun(sess *session.Session) {
 	r.t.Helper()
-	run, err := r.eng.Submit(context.Background(), sess.ID(), "noop", func(context.Context) (session.Event, error) {
-		return session.Event{Type: session.EventStage, Stage: "noop"}, nil
+	sub, err := r.eng.Submit(context.Background(), sess.ID(), "noop", func(context.Context) (session.Event, func(), error) {
+		return session.Event{Type: session.EventStage, Stage: "noop"}, nil, nil
 	})
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		got, err := r.eng.Get(run.ID)
-		if err != nil {
-			r.t.Fatal(err)
-		}
-		if got.State.Terminal() {
-			return
-		}
-		if time.Now().After(deadline) {
-			r.t.Fatal("run never finished")
-		}
+	if _, err := sub.Wait(context.Background()); err != nil {
+		r.t.Fatal(err)
 	}
+}
+
+// unrecordedRun leaves a terminal run the store never saw: what a session's
+// teardown or a shutdown leaves when it cancels a queued run, for the
+// snapshot that follows to fold in.
+func (r *rig) unrecordedRun(sess *session.Session) {
+	now := time.Now()
+	r.eng.Adopt([]runs.Run{{ID: fmt.Sprintf("r-unrecorded-%d", now.UnixNano()), SessionID: sess.ID(),
+		Stage: "noop", State: runs.StateCancelled, CreatedAt: now, FinishedAt: &now, Error: "cancelled"}})
+}
+
+// step runs one stage of the library API and acknowledges it, waiting for
+// its commit as the convenience methods do.
+func step(sess *session.Session, name string, action func(w *core.Wrangler) error) error {
+	_, commit, err := sess.Step(context.Background(), name, action)
+	if commit != nil {
+		commit()
+	}
+	return err
 }
 
 // unarchive imports the archive DELETE left under closed/ for id — what an
@@ -314,8 +317,7 @@ func TestCrashSteps(t *testing.T) {
 				r := start(t, dir)
 				sess := r.create(1)
 				r.bootstrap(sess)
-				r.idleRun(sess)
-				r.st.flush(sess.ID()) // the run's record
+				r.idleRun(sess) // the run's record
 				r.st.maxRecords = 3
 				return r, &world{id: sess.ID(), before: r.export(sess)}
 			},
@@ -407,8 +409,9 @@ func TestCrashSteps(t *testing.T) {
 // DELETE — whether the snapshot on disk was already final (an import nobody
 // touched, or a compaction that folded in a stage and a journaled run:
 // renamed as it is, not rewritten) or had to be brought up to date (a
-// journaled stage; a terminal run the journal never saw; a record that
-// failed to append, which leaves the journal empty and the snapshot stale).
+// journaled stage; a journaled run; a terminal run the journal never saw; a
+// record that failed to append, which leaves the journal empty and the
+// snapshot stale).
 func TestArchiveEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -427,15 +430,19 @@ func TestArchiveEquivalence(t *testing.T) {
 			r.bootstrap(sess)
 			return sess
 		}, true},
-		{"terminal run not yet journaled", func(r *rig) *session.Session {
+		{"journaled run", func(r *rig) *session.Session {
 			sess := r.create(2)
 			r.idleRun(sess)
+			return sess
+		}, true},
+		{"terminal run not yet journaled", func(r *rig) *session.Session {
+			sess := r.create(2)
+			r.unrecordedRun(sess)
 			return sess
 		}, true},
 		{"run journaled, then compacted by a stage", func(r *rig) *session.Session {
 			sess := r.create(2)
 			r.idleRun(sess)
-			r.st.flush(sess.ID())
 			r.st.maxRecords = 2
 			r.bootstrap(sess)
 			return sess
@@ -496,25 +503,34 @@ func TestSnapshotCurrent(t *testing.T) {
 		return r.st.current(e)
 	}
 
+	compact := func() {
+		t.Helper()
+		e.io.Lock()
+		err := r.st.compact(e)
+		e.io.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	if !current() {
 		t.Fatal("a fresh journal over a fresh snapshot is not current")
 	}
 	r.idleRun(sess)
 	if current() {
-		t.Fatal("current with an unjournaled terminal run")
-	}
-	r.st.flush(sess.ID())
-	if current() {
 		t.Fatal("current with a record in the journal")
 	}
-	e.io.Lock()
-	err := r.st.compact(e)
-	e.io.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	compact()
 	if !current() {
 		t.Fatal("not current after compaction folded the run in")
+	}
+	r.unrecordedRun(sess)
+	if current() {
+		t.Fatal("current with an unjournaled terminal run")
+	}
+	compact()
+	if !current() {
+		t.Fatal("not current after compaction folded the unjournaled run in")
 	}
 	// A record that fails to append leaves the journal empty but the
 	// snapshot stale.
@@ -815,7 +831,7 @@ func TestSnapshotsBetweenStages(t *testing.T) {
 	item := func(street string) feedback.Item {
 		return feedback.Item{Street: street, Postcode: "M1 1AA", Attr: "price", Observed: relation.Float(100), HasObserved: true}
 	}
-	if _, err := sess.Step(context.Background(), "seed", func(w *core.Wrangler) error {
+	if err := step(sess, "seed", func(w *core.Wrangler) error {
 		w.KB.PutRelation("scratch", scratch(4))
 		w.AddFeedback(item("seeded"))
 		return nil
@@ -863,7 +879,7 @@ func TestSnapshotsBetweenStages(t *testing.T) {
 
 	parked, resume, staged := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
-		_, err := sess.Step(context.Background(), "grow", func(w *core.Wrangler) error {
+		staged <- step(sess, "grow", func(w *core.Wrangler) error {
 			w.KB.PutRelation("scratch", scratch(5))
 			w.AddFeedback(item("before parking"))
 			close(parked)
@@ -872,12 +888,10 @@ func TestSnapshotsBetweenStages(t *testing.T) {
 			w.AddFeedback(item("after parking"))
 			return nil
 		})
-		staged <- err
 	}()
 	<-parked
 	r.idleRun(sess)
 	r.idleRun(sess)
-	r.st.flush(id)
 	if n := r.st.Stats().JournalRecords; n != 3 {
 		t.Fatalf("journal holds %d records, want the seed stage and two runs", n)
 	}
@@ -1024,11 +1038,9 @@ func TestJournalConformance(t *testing.T) {
 			feedbackDelta, feedbackSnap = journalBytes()-before, size
 		}
 	}
-	// Terminal runs are journaled off the engine's terminal list, once each.
+	// Terminal runs are journaled by the workers that finish them, once each.
 	r.idleRun(sess)
 	r.idleRun(sess)
-	r.st.flush(id)
-	r.st.flush(id)
 	st := r.st.Stats()
 	if st.JournalRecords != 6 {
 		t.Fatalf("journal records = %d, want 6 (4 stages + 2 runs)", st.JournalRecords)
@@ -1221,7 +1233,7 @@ func TestEphemeral(t *testing.T) {
 	r := start(t, "")
 	sess := r.create(7)
 	r.bootstrap(sess)
-	r.st.AppendRuns(sess.ID())
+	r.idleRun(sess)
 	if r.st.Stats() != nil {
 		t.Fatal("ephemeral store reports persist stats")
 	}
@@ -1232,4 +1244,47 @@ func TestEphemeral(t *testing.T) {
 		t.Fatalf("duplicate DELETE: %v", err)
 	}
 	r.st.Close()
+}
+
+// TestRunSeenFollowsSnapshot: the runs a session's files are known to hold
+// are those of its last snapshot and of its journal since, no more. Once the
+// engine's retention ring has let runs go, a compaction forgets them too, so
+// a long-lived session's bookkeeping stays as small as the ring.
+func TestRunSeenFollowsSnapshot(t *testing.T) {
+	r := start(t, t.TempDir())
+	sess := r.create(12)
+	// Three times the engine's ring of 512, each finished and journaled.
+	const n = 3 * 512
+	for i := 0; i < n; i++ {
+		now := time.Now()
+		run := runs.Run{ID: fmt.Sprintf("r%05d", i), SessionID: sess.ID(), Stage: "noop",
+			State: runs.StateSucceeded, CreatedAt: now, FinishedAt: &now}
+		r.eng.Adopt([]runs.Run{run})
+		r.st.CommitRun(run)
+	}
+	r.st.maxRecords = n
+	r.bootstrap(sess) // its record crosses the threshold: compaction
+	f, err := os.Open(r.st.path(sess.ID(), SnapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSessionSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Runs) == 0 || len(snap.Runs) >= n {
+		t.Fatalf("the snapshot holds %d runs: the ring let none of %d go", len(snap.Runs), n)
+	}
+	e := r.st.lookup(sess.ID())
+	e.io.Lock()
+	defer e.io.Unlock()
+	if len(e.runSeen) != len(snap.Runs) {
+		t.Fatalf("the store knows of %d runs in the files, the snapshot holds %d", len(e.runSeen), len(snap.Runs))
+	}
+	for _, run := range snap.Runs {
+		if !e.runSeen[run.ID] {
+			t.Fatalf("snapshot run %s is not known to be in the files", run.ID)
+		}
+	}
 }
