@@ -100,6 +100,7 @@ const (
 	cellSources     cell[map[string]source]         = "core.sources"
 	cellNameMatches cell[[]match.Match]             = "core.nameMatches"
 	cellInstMatches cell[[]match.Match]             = "core.instMatches"
+	cellCorrs       cell[[]match.Correspondence]    = "core.correspondences" // what md_match selects 1:1
 	cellRangeRules  cell[[]feedback.RangeRule]      = "core.rangeRules"
 	cellMappings    cell[[]mapping.Mapping]         = "core.mappings" // sorted by ID
 	cellCFDs        cell[[]cfd.CFD]                 = "core.cfds"
@@ -108,9 +109,11 @@ const (
 	// A body's own memory: what it last computed from, so that it redoes only
 	// what moved (remember inputs, never hash outputs). Inputs of nobody: loaded
 	// and stored through the wrangler's own handle, the way derive compares.
-	cellExecuted cell[map[string]execution]   = "core.executed" // by mapping ID
-	cellAssessed cell[map[string]assessment]  = "core.assessed" // by mapping ID
-	cellJoins    cell[*mapping.SourceProfile] = "core.joins"
+	cellExecuted  cell[map[string]execution]   = "core.executed" // by mapping ID
+	cellAssessed  cell[map[string]assessment]  = "core.assessed" // by mapping ID
+	cellJoins     cell[*mapping.SourceProfile] = "core.joins"
+	cellPublished cell[*publication]           = "core.published" // by the matchWriters
+	cellFused     cell[*fusionMemo]            = "core.fused"
 )
 
 // get loads the cell through k: the zero T until something is set.
@@ -122,6 +125,9 @@ func (c cell[T]) get(k *kb.KB) T {
 // set stores v and moves the cell. v is never mutated afterwards: the next
 // value is a new one.
 func (c cell[T]) set(k *kb.KB, v T) { k.PutValue(string(c), v) }
+
+// isSet reports, loading the cell through k, whether it was ever set.
+func (c cell[T]) isSet(k *kb.KB) bool { return k.Value(string(c)) != nil }
 
 // derive is set for a computed value: it leaves the cell alone when v equals
 // what it holds, because a transducer that re-derives the same matches or

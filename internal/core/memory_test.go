@@ -16,13 +16,41 @@ import (
 )
 
 // forget empties what the suite's bodies remember of their inputs — the
-// executions, the assessments, the join profile — and every input set, so
-// that the next run computes everything once more: what a restart does.
+// executions, the assessments, the join profile, the matchWriters' last
+// publication and fusion's last run — and every input set, so that the next
+// run computes everything once more: what a restart does.
 func forget(w *Wrangler) {
 	cellExecuted.set(w.KB, nil)
 	cellAssessed.set(w.KB, nil)
 	cellJoins.set(w.KB, nil)
+	cellPublished.set(w.KB, nil)
+	cellFused.set(w.KB, nil)
 	w.orch.ResetEligibility()
+}
+
+// conversationStages are the stages of the pay-as-you-go conversation the
+// memory tests hold a wrangler to, after the bootstrap: a data context, two
+// feedback rounds around a user context, and the first stage doing nothing.
+func conversationStages(sc *datagen.Scenario) []func(w *Wrangler) {
+	return []func(w *Wrangler){
+		func(w *Wrangler) {},
+		func(w *Wrangler) { w.AddDataContext(sc.AddressRef) },
+		func(w *Wrangler) { w.AddFeedback(OracleFeedback(sc, w.Result(), 40, 5)...) },
+		func(w *Wrangler) { w.SetUserContext(CrimeAnalysisUserContext()) },
+		func(w *Wrangler) { w.AddFeedback(OracleFeedback(sc, w.Result(), 20, 11)...) },
+	}
+}
+
+// memoryScenarios are the scenarios the memory tests converse over.
+func memoryScenarios(t *testing.T, each func(label string, sc *datagen.Scenario)) {
+	t.Helper()
+	for _, n := range []int{60, 200} {
+		for seed := int64(1); seed <= 5; seed++ {
+			cfg := datagen.DefaultConfig()
+			cfg.NProperties, cfg.Seed = n, seed
+			each(fmt.Sprintf("n=%d seed=%d", n, seed), datagen.Generate(cfg))
+		}
+	}
 }
 
 // setMappings puts mappings in the mappings cell, as if mapping generation had
@@ -56,44 +84,77 @@ func hasNote(s transducer.Step, part string) bool {
 // remembers holds.
 func TestExecutionStampIsSound(t *testing.T) {
 	ctx := context.Background()
-	for _, n := range []int{60, 200} {
-		for seed := int64(1); seed <= 5; seed++ {
-			cfg := datagen.DefaultConfig()
-			cfg.NProperties, cfg.Seed = n, seed
-			sc := datagen.Generate(cfg)
-			remembers, forgets := BuildScenarioWrangler(sc), BuildScenarioWrangler(sc)
-			stages := []func(w *Wrangler){
-				func(w *Wrangler) {},
-				func(w *Wrangler) { w.AddDataContext(sc.AddressRef) },
-				func(w *Wrangler) { w.AddFeedback(OracleFeedback(sc, w.Result(), 40, 5)...) },
-				func(w *Wrangler) { w.SetUserContext(CrimeAnalysisUserContext()) },
-				func(w *Wrangler) { w.AddFeedback(OracleFeedback(sc, w.Result(), 20, 11)...) },
-			}
-			for i, stage := range stages {
-				label := fmt.Sprintf("n=%d seed=%d stage %d", n, seed, i)
-				for _, w := range []*Wrangler{remembers, forgets} {
-					stage(w)
-					if _, err := w.Run(ctx); err != nil {
-						t.Fatal(label, err)
-					}
-				}
-				want := kbContent(t, remembers.KB)
-				if got := kbContent(t, forgets.KB); got != want {
-					t.Fatalf("%s: the wrangler that forgot holds another knowledge base (%d and %d bytes)", label, len(got), len(want))
-				}
-				forget(forgets)
-				steps, err := forgets.Run(ctx)
-				if err != nil {
+	memoryScenarios(t, func(scenario string, sc *datagen.Scenario) {
+		remembers, forgets := BuildScenarioWrangler(sc), BuildScenarioWrangler(sc)
+		for i, stage := range conversationStages(sc) {
+			label := fmt.Sprintf("%s stage %d", scenario, i)
+			for _, w := range []*Wrangler{remembers, forgets} {
+				stage(w)
+				if _, err := w.Run(ctx); err != nil {
 					t.Fatal(label, err)
 				}
-				if i > 0 && !hasNote(stepOf(t, steps, "mapping-execution"), fmt.Sprintf("executed %d of %[1]d", len(forgets.Mappings()))) {
-					t.Fatalf("%s: having forgotten, execution did not execute every mapping:\n%s", label, transducer.TraceString(steps))
+			}
+			want := kbContent(t, remembers.KB)
+			if got := kbContent(t, forgets.KB); got != want {
+				t.Fatalf("%s: the wrangler that forgot holds another knowledge base (%d and %d bytes)", label, len(got), len(want))
+			}
+			forget(forgets)
+			steps, err := forgets.Run(ctx)
+			if err != nil {
+				t.Fatal(label, err)
+			}
+			if i > 0 && !hasNote(stepOf(t, steps, "mapping-execution"), fmt.Sprintf("executed %d of %[1]d", len(forgets.Mappings()))) {
+				t.Fatalf("%s: having forgotten, execution did not execute every mapping:\n%s", label, transducer.TraceString(steps))
+			}
+			if got := kbContent(t, forgets.KB); got != want {
+				t.Fatalf("%s: computing everything once more changed the knowledge base:\n%s", label, transducer.TraceString(steps))
+			}
+		}
+	})
+}
+
+// TestGenerationWakesOnCorrespondences: mapping generation reads the 1:1
+// correspondences the matchWriters derive, not md_match. Over the conversation
+// of TestExecutionStampIsSound, a feedback round that leaves the
+// correspondences alone — it revises scores, and md_match with them — runs no
+// generation step, and a round that changes one runs it. (A round may change
+// one and change it back: derive re-puts the cell only for another value, so a
+// cell put again is a cell that changed.)
+func TestGenerationWakesOnCorrespondences(t *testing.T) {
+	ctx := context.Background()
+	still, changed := 0, 0
+	memoryScenarios(t, func(scenario string, sc *datagen.Scenario) {
+		w := BuildScenarioWrangler(sc)
+		for i, stage := range conversationStages(sc) {
+			label := fmt.Sprintf("%s stage %d", scenario, i)
+			corrs, before := cellCorrs.get(w.KB), kbContent(t, w.KB)
+			stage(w)
+			steps, err := w.Run(ctx)
+			if err != nil {
+				t.Fatal(label, err)
+			}
+			if i != 2 && i != 4 {
+				continue
+			}
+			if kbContent(t, w.KB) == before || w.KB.Count(PredMatch) == 0 {
+				t.Fatalf("%s: the feedback round changed nothing", label)
+			}
+			generated := slices.ContainsFunc(steps, func(s transducer.Step) bool { return s.Transducer == "mapping-generation" })
+			if sameCell(cellCorrs.get(w.KB), corrs) {
+				still++
+				if generated {
+					t.Errorf("%s: the correspondences stayed and mapping generation ran:\n%s", label, transducer.TraceString(steps))
 				}
-				if got := kbContent(t, forgets.KB); got != want {
-					t.Fatalf("%s: computing everything once more changed the knowledge base:\n%s", label, transducer.TraceString(steps))
+			} else {
+				changed++
+				if !generated {
+					t.Errorf("%s: the correspondences changed and mapping generation did not run:\n%s", label, transducer.TraceString(steps))
 				}
 			}
 		}
+	})
+	if still == 0 || changed == 0 {
+		t.Fatalf("%d feedback rounds left the correspondences alone and %d changed one: the conversation must do both", still, changed)
 	}
 }
 

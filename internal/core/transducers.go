@@ -59,21 +59,83 @@ func (matchWriter) Inputs(read []kb.Key) []kb.Key {
 // matches combined, their scores revised by the per-source accuracy feedback
 // assimilation estimated. A matchWriter calls it after deriving its own share;
 // the shares are loaded through the wrangler's own handle, which records
-// nothing — the way a body reads what is not an input of it.
+// nothing — the way a body reads what is not an input of it. It derives the 1:1
+// correspondences md_match selects with it, which is what mapping generation
+// reads.
+//
+// The writers remember their last publication. While the shares are the same
+// values their combination is kept, and while md_match has not moved since, it
+// holds exactly the matches published: a feedback round, which revises scores
+// only, then retracts and asserts the facts of the matches whose score moved
+// instead of comparing every match with every fact.
 func (w *Wrangler) republishMatches(k *kb.KB, rep *transducer.Report) {
-	combined := match.Combine(cellNameMatches.get(w.KB), cellInstMatches.get(w.KB))
+	name, inst := cellNameMatches.get(w.KB), cellInstMatches.get(w.KB)
+	last := cellPublished.get(w.KB)
+	kept := last != nil && sameCell(last.name, name) && sameCell(last.inst, inst)
+	var combined []match.Match
+	if kept {
+		combined = last.combined
+	} else {
+		combined = match.Combine(name, inst)
+	}
 	revised := feedback.ReviseMatchScores(combined, accuracyBySource(w.KB))
-	a, r := replaceFacts(k, PredMatch, matchFacts(revised))
+	patch := kept && !w.KB.MovedSince([]kb.Key{kb.FactsKey(PredMatch)}, last.at)
+	var a, r int
+	if patch {
+		a, r = patchMatches(k, last.revised, revised)
+	} else {
+		a, r = replaceFacts(k, PredMatch, matchFacts(revised))
+	}
 	rep.FactsAsserted += a
 	rep.FactsRetracted += r
+	derive(w, cellCorrs, match.Correspondences(revised, mapping.DefaultGenOptions().MatchThreshold))
+	_, at := w.KB.Reads()
+	cellPublished.set(w.KB, &publication{name: name, inst: inst, combined: combined, revised: revised, at: at})
+}
+
+// publication is what the matchWriters last published: the two shares, their
+// combination, the revised matches md_match was made to hold and the change
+// clock right after. The correspondences cell was derived from those matches.
+type publication struct {
+	name, inst, combined, revised []match.Match
+	at                            uint64
+}
+
+// patchMatches moves md_match, which holds the facts of last, to those of next:
+// the same matches, in the same order, with scores and methods revised anew. It
+// retracts and asserts the facts of the matches that changed, and returns
+// (asserted, retracted) as replaceFacts does.
+func patchMatches(k *kb.KB, last, next []match.Match) (int, int) {
+	var changed []int
+	for i, m := range next {
+		if m.Method != last[i].Method || !relation.Float(m.Score).Same(relation.Float(last[i].Score)) {
+			changed = append(changed, i)
+		}
+	}
+	retracted, asserted := 0, 0
+	for _, i := range changed {
+		if k.Retract(PredMatch, matchFact(last[i])) {
+			retracted++
+		}
+	}
+	for _, i := range changed {
+		if k.Assert(PredMatch, matchFact(next[i])) {
+			asserted++
+		}
+	}
+	return asserted, retracted
 }
 
 func matchFacts(ms []match.Match) []relation.Tuple {
 	out := make([]relation.Tuple, 0, len(ms))
 	for _, m := range ms {
-		out = append(out, relation.NewTuple(m.SourceRel, m.SourceAttr, m.TargetAttr, m.Score, m.Method))
+		out = append(out, matchFact(m))
 	}
 	return out
+}
+
+func matchFact(m match.Match) relation.Tuple {
+	return relation.NewTuple(m.SourceRel, m.SourceAttr, m.TargetAttr, m.Score, m.Method)
 }
 
 // matchesFromFacts is matchFacts' inverse over what k holds in md_match, in
@@ -330,14 +392,19 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 	}
 }
 
-// mappingGenerationTransducer generates candidate mappings from matches
-// (Table 1: needs matches — "may start to evaluate when matches have been
-// created").
+// mappingGenerationTransducer generates candidate mappings from the 1:1
+// correspondences the matchWriters derive (Table 1: needs the source and target
+// schemas and matches — "may start to evaluate when matches have been
+// created"). A mapping reads no score, so feedback that revises scores without
+// changing a correspondence does not wake it.
 func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 	return &transducer.Func{
 		TName:     "mapping-generation",
 		TActivity: "mapping",
-		Dep:       transducer.Dependency{Query: "?- md_match(S, A, T, Sc, M)."},
+		Dep: transducer.Dependency{
+			Query: "?- src_schema(S), uc_target_schema(T).",
+			Guard: cellCorrs.isSet,
+		},
 		RunFn: func(_ context.Context, k *kb.KB) (transducer.Report, error) {
 			rep := transducer.Report{}
 			target, _ := targetSchema(k)
@@ -355,7 +422,7 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 			}
 			opts := mapping.DefaultGenOptions()
 			opts.MinCoverage = w.minCoverage
-			gen := joins.Generate(target, matchesFromFacts(k), opts)
+			gen := joins.Generate(target, cellCorrs.get(k), opts)
 			derive(w, cellMappings, gen)
 			var facts []relation.Tuple
 			for _, m := range gen {
@@ -645,7 +712,8 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 
 // fusionTransducer unions the selected mapping results, applies feedback
 // corrections and learned plausibility rules, detects duplicates across
-// sources and fuses them into the final result.
+// sources and fuses them into the final result (fusion.go: what it remembers
+// of its last run decides how much of that it redoes).
 func (w *Wrangler) fusionTransducer() transducer.Transducer {
 	return &transducer.Func{
 		TName:     "duplicate-fusion",
@@ -660,68 +728,39 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 			// fused result depend on how the facts happen to be stored.
 			selected := k.Facts(PredSelected)
 			sort.Slice(selected, func(i, j int) bool { return selected[i][1].IntVal() < selected[j][1].IntVal() })
-			var union *relation.Relation
+			in := fusionInput{name: "result"}
 			for _, f := range selected {
-				res := k.Relation(RelResultPrefix + f[0].Str())
-				if res == nil {
-					continue
+				if res := k.Relation(RelResultPrefix + f[0].Str()); res != nil {
+					in.results = append(in.results, res)
 				}
-				if union == nil {
-					union = res
-					continue
-				}
-				u, err := union.Union(res)
-				if err != nil {
-					return rep, err
-				}
-				union = u
 			}
-			if union == nil {
+			if len(in.results) == 0 {
 				return rep, nil
 			}
-
-			// Feedback: direct corrections, then learned plausibility rules.
-			patched, nCorr := feedback.Apply(union, feedbackItems(k), nil)
-			patched, nSupp := feedback.ApplyRangeRules(patched, cellRangeRules.get(k))
-
-			// Duplicate detection across portals, then fusion: identity is
-			// the same canonical postcode block and the same normalised
-			// street, a score of 1 — attribute conflicts like the
-			// bedroom error must not prevent two listings of the same
-			// property from merging, they are exactly what fusion is there
-			// to resolve. Trust comes from feedback-estimated per-source
-			// accuracy when available.
-			norm := func(s string) string { return datagen.CanonicalPostcode(s) }
-			clusters := fusion.DetectDuplicates(patched,
-				fusion.BlockByAttr(fusionBlockAttr, norm),
-				identityScorer(fusionIdentityAttr), 1)
-			strategy := fusion.Voting
-			trust := feedback.TrustFromAccuracy(accuracyBySource(k))
-			if len(trust) > 0 {
-				strategy = fusion.TrustWeighted
-			}
-			fused := fusion.Fuse(patched, clusters, fusion.Options{
-				Strategy:       strategy,
-				ProvenanceAttr: mapping.ProvenanceAttr,
-				Trust:          trust,
-			}).Distinct()
-			fused.Schema.Name = "result"
+			in.items, in.rules = feedbackItems(k), cellRangeRules.get(k)
+			in.trust = feedback.TrustFromAccuracy(accuracyBySource(k))
 			if target, ok := targetSchema(k); ok {
-				fused.Schema.Name = target.Name
+				in.name = target.Name
 			}
+			memo, out, err := cellFused.get(w.KB).fuse(in)
+			if err != nil {
+				return rep, err
+			}
+			cellFused.set(w.KB, memo)
 
 			// Compared through the wrangler's own handle, as derive does: what
-			// a body writes is not an input of it.
-			if !k.HasRelation(RelResult) || !w.KB.Relation(RelResult).Identical(fused) {
-				k.PutRelation(RelResult, fused)
+			// a body writes is not an input of it. Nothing moved, the result
+			// is the one put last.
+			if stored := w.KB.Relation(RelResult); !k.HasRelation(RelResult) || stored != out.result && !stored.Identical(out.result) {
+				k.PutRelation(RelResult, out.result)
 				rep.RelationsWritten = append(rep.RelationsWritten, RelResult)
-				a, r := replaceFacts(k, PredResult, []relation.Tuple{relation.NewTuple(fused.Cardinality())})
+				a, r := replaceFacts(k, PredResult, []relation.Tuple{relation.NewTuple(out.result.Cardinality())})
 				rep.FactsAsserted += a
 				rep.FactsRetracted += r
 			}
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"union %d → %d fused tuples (%d clusters, %d corrections, %d suppressed)",
-				union.Cardinality(), fused.Cardinality(), len(clusters), nCorr, nSupp))
+				out.union, out.result.Cardinality(), out.clusters, out.corrections, out.suppressed))
 			return rep, nil
 		},
 	}

@@ -45,6 +45,10 @@ type Item struct {
 	HasObserved bool
 }
 
+// Corrects reports whether Apply changes a cell for the item: it judges an
+// attribute incorrect.
+func (it Item) Corrects() bool { return it.Attr != "" && !it.Correct }
+
 // String renders the item.
 func (it Item) String() string {
 	verdict := "correct"
@@ -123,55 +127,60 @@ func DefaultKeyNorm(street, postcode string) string {
 		strings.ToLower(strings.ReplaceAll(strings.TrimSpace(postcode), " ", ""))
 }
 
-// rowKey computes the key of a result row, ok=false when street/postcode
-// are unavailable.
-func rowKey(res *relation.Relation, row int, norm KeyNorm) (string, bool) {
-	si := res.Schema.AttrIndex("street")
-	pi := res.Schema.AttrIndex("postcode")
-	if si < 0 || pi < 0 {
-		return "", false
-	}
-	s, p := res.Tuples[row][si], res.Tuples[row][pi]
-	if s.IsNull() && p.IsNull() {
-		return "", false
-	}
-	return norm(s.String(), p.String()), true
+// Keys indexes the rows of a relation by their key: which rows an item
+// annotates. Building it normalises every row's street and postcode once; each
+// item then costs one normalisation and a lookup.
+type Keys struct {
+	norm KeyNorm
+	rows map[string][]int
 }
+
+// IndexKeys indexes the rows of res by norm (DefaultKeyNorm when nil). Rows
+// without a street and a postcode are in no entry.
+func IndexKeys(res *relation.Relation, norm KeyNorm) *Keys {
+	if norm == nil {
+		norm = DefaultKeyNorm
+	}
+	ix := &Keys{norm: norm, rows: map[string][]int{}}
+	si, pi := res.Schema.AttrIndex("street"), res.Schema.AttrIndex("postcode")
+	if si < 0 || pi < 0 {
+		return ix
+	}
+	for row, t := range res.Tuples {
+		if s, p := t[si], t[pi]; !s.IsNull() || !p.IsNull() {
+			key := norm(s.String(), p.String())
+			ix.rows[key] = append(ix.rows[key], row)
+		}
+	}
+	return ix
+}
+
+// Rows lists the rows the item annotates, in row order.
+func (ix *Keys) Rows(it Item) []int { return ix.rows[ix.norm(it.Street, it.Postcode)] }
 
 // Apply patches the result with attribute-level corrections: cells the user
 // corrected get the corrected value; cells marked incorrect without a
 // correction are nulled (better absent than wrong — they become repairable
-// or fusible later). The input is not modified: the patched relation shares
-// the rows no correction touches. Returns it and the number of cells changed.
-func Apply(res *relation.Relation, items []Item, norm KeyNorm) (*relation.Relation, int) {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
-	byKey := map[string][]Item{}
-	for _, it := range items {
-		if it.Attr == "" || it.Correct {
-			continue
-		}
-		byKey[norm(it.Street, it.Postcode)] = append(byKey[norm(it.Street, it.Postcode)], it)
-	}
+// or fusible later). keys indexes res. The input is not modified: the patched
+// relation shares the rows no correction touches. Returns it and the number of
+// cells changed. Items apply in order, so of two corrections of one cell the
+// later wins.
+func Apply(res *relation.Relation, keys *Keys, items []Item) (*relation.Relation, int) {
 	out := res.Shallow()
 	changed := 0
-	for row := range out.Tuples {
-		key, ok := rowKey(out, row, norm)
-		if !ok {
+	for _, it := range items {
+		if !it.Corrects() {
 			continue
 		}
-		for _, it := range byKey[key] {
-			ai := out.Schema.AttrIndex(it.Attr)
-			if ai < 0 {
-				continue
-			}
-			var newV relation.Value
-			if it.HasCorrection {
-				newV = it.Corrected
-			} else {
-				newV = relation.Null()
-			}
+		ai := out.Schema.AttrIndex(it.Attr)
+		if ai < 0 {
+			continue
+		}
+		newV := relation.Null()
+		if it.HasCorrection {
+			newV = it.Corrected
+		}
+		for _, row := range keys.Rows(it) {
 			if !out.Tuples[row][ai].Equal(newV) {
 				out.Tuples[row] = out.Tuples[row].With(ai, newV)
 				changed++
@@ -213,25 +222,11 @@ func AccuracyByAttr(items []Item) map[string]float64 {
 // column. This is what lets feedback localise blame to one source's match
 // even when several sources populate the same target attribute.
 func AccuracyBySource(items []Item, res *relation.Relation, provAttr string, norm KeyNorm) map[string]map[string]float64 {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
 	pi := res.Schema.AttrIndex(provAttr)
 	if pi < 0 {
 		return nil
 	}
-	type rowRef struct {
-		src string
-		row int
-	}
-	srcOf := map[string][]rowRef{}
-	for row := range res.Tuples {
-		key, ok := rowKey(res, row, norm)
-		if !ok || res.Tuples[row][pi].IsNull() {
-			continue
-		}
-		srcOf[key] = append(srcOf[key], rowRef{src: res.Tuples[row][pi].String(), row: row})
-	}
+	keys := IndexKeys(res, norm)
 	pos := map[string]map[string]int{}
 	neg := map[string]map[string]int{}
 	bump := func(m map[string]map[string]int, src, attr string) {
@@ -245,16 +240,19 @@ func AccuracyBySource(items []Item, res *relation.Relation, provAttr string, nor
 			continue
 		}
 		ai := res.Schema.AttrIndex(it.Attr)
-		for _, ref := range srcOf[norm(it.Street, it.Postcode)] {
+		for _, row := range keys.Rows(it) {
+			if res.Tuples[row][pi].IsNull() {
+				continue
+			}
 			// With a captured observation, only blame/credit rows actually
 			// holding the judged value (duplicate keys otherwise smear
 			// feedback across sources).
-			if it.HasObserved && ai >= 0 && !res.Tuples[ref.row][ai].Equal(it.Observed) {
+			if it.HasObserved && ai >= 0 && !res.Tuples[row][ai].Equal(it.Observed) {
 				continue
 			}
 			// A "+"-joined provenance (base+enrichment) attributes blame to
 			// the base source.
-			base := ref.src
+			base := res.Tuples[row][pi].String()
 			if i := strings.IndexByte(base, '+'); i > 0 {
 				base = base[:i]
 			}
@@ -315,12 +313,9 @@ func (r RangeRule) String() string {
 // sample happened to miss.
 //
 // Values are read from Item.Observed when captured, falling back to the
-// current result otherwise; learning from observations keeps rules stable
-// as the result evolves.
+// current result otherwise — the first row the item annotates whose value is a
+// number; learning from observations keeps rules stable as the result evolves.
 func LearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm KeyNorm) []RangeRule {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
 	type span struct {
 		lo, hi  float64
 		support int
@@ -328,6 +323,7 @@ func LearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm 
 	good := map[string]*span{}
 	var badVals = map[string][]float64{}
 
+	var keys *Keys // indexed for the first item without an observation
 	valueAt := func(it Item) (float64, bool) {
 		if it.HasObserved {
 			return it.Observed.AsFloat()
@@ -336,11 +332,10 @@ func LearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm 
 		if ai < 0 {
 			return 0, false
 		}
-		for row := range res.Tuples {
-			key, ok := rowKey(res, row, norm)
-			if !ok || key != norm(it.Street, it.Postcode) {
-				continue
-			}
+		if keys == nil {
+			keys = IndexKeys(res, norm)
+		}
+		for _, row := range keys.Rows(it) {
 			if f, ok := res.Tuples[row][ai].AsFloat(); ok {
 				return f, true
 			}

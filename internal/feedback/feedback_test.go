@@ -98,7 +98,7 @@ func TestApplyCorrections(t *testing.T) {
 		{Street: "4 Oak Av", Postcode: "M2 2BC", Attr: "bedrooms", Correct: false}, // null it
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Correct: true}, // no-op
 	}
-	patched, changed := Apply(res, items, nil)
+	patched, changed := Apply(res, IndexKeys(res, nil), items)
 	if changed != 2 {
 		t.Fatalf("changed = %d, want 2", changed)
 	}
@@ -121,7 +121,7 @@ func TestApplyKeyNormalisation(t *testing.T) {
 	res := resultFixture()
 	items := []Item{{Street: "  2 LOW RD ", Postcode: "m11ab", Attr: "bedrooms",
 		Correct: false, Corrected: relation.Int(2), HasCorrection: true}}
-	patched, changed := Apply(res, items, nil)
+	patched, changed := Apply(res, IndexKeys(res, nil), items)
 	if changed != 1 {
 		t.Fatalf("case/space-noisy key should still match: changed=%d", changed)
 	}

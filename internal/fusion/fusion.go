@@ -36,8 +36,10 @@ type PairScorer func(a, b relation.Tuple, schema relation.Schema) float64
 
 // DetectDuplicates clusters duplicate tuples: tuples sharing a block whose
 // pairwise score reaches threshold are unioned; the result lists clusters of
-// size ≥ 2, each sorted, in order of first row.
-func DetectDuplicates(rel *relation.Relation, block BlockingKey, score PairScorer, threshold float64) [][]int {
+// size ≥ 2, each sorted, in order of first row. blocks[i] is the block of row
+// i, "" for none — what a BlockingKey gives it — so that a caller that keeps
+// the blocks of a relation's rows computes them once.
+func DetectDuplicates(rel *relation.Relation, blocks []string, score PairScorer, threshold float64) [][]int {
 	n := rel.Cardinality()
 	parent := make([]int, n)
 	for i := range parent {
@@ -61,21 +63,20 @@ func DetectDuplicates(rel *relation.Relation, block BlockingKey, score PairScore
 		}
 	}
 
-	blocks := map[string][]int{}
-	for i, t := range rel.Tuples {
-		k := block(t, rel.Schema)
+	rowsOf := map[string][]int{}
+	for i, k := range blocks {
 		if k == "" {
 			continue
 		}
-		blocks[k] = append(blocks[k], i)
+		rowsOf[k] = append(rowsOf[k], i)
 	}
-	keys := make([]string, 0, len(blocks))
-	for k := range blocks {
+	keys := make([]string, 0, len(rowsOf))
+	for k := range rowsOf {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		rows := blocks[k]
+		rows := rowsOf[k]
 		for i := 0; i < len(rows); i++ {
 			for j := i + 1; j < len(rows); j++ {
 				if score(rel.Tuples[rows[i]], rel.Tuples[rows[j]], rel.Schema) >= threshold {

@@ -21,6 +21,15 @@ func sameStreet(a, b relation.Tuple, schema relation.Schema) float64 {
 	return 0
 }
 
+// blocksOf is the block of every row of r.
+func blocksOf(r *relation.Relation, key BlockingKey) []string {
+	out := make([]string, len(r.Tuples))
+	for i, t := range r.Tuples {
+		out[i] = key(t, r.Schema)
+	}
+	return out
+}
+
 func dupRelation() *relation.Relation {
 	r := relation.New(relation.NewSchema("u", "street", "postcode", "bedrooms:int", "price:float", "source"))
 	r.MustAppend("1 High St", "M1 1AA", 3, 250000.0, "rightmove")
@@ -34,7 +43,7 @@ func dupRelation() *relation.Relation {
 
 func TestDetectDuplicatesClusters(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
+	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
 	if len(clusters) != 2 {
 		t.Fatalf("clusters = %v", clusters)
 	}
@@ -50,7 +59,7 @@ func TestDetectDuplicatesBlockingPreventsComparison(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "street", "postcode"))
 	r.MustAppend("1 Same St", "M1 1AA")
 	r.MustAppend("1 Same St", "M9 9ZZ") // identical street, different block
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
+	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
 	if len(clusters) != 0 {
 		t.Fatalf("cross-block tuples must not cluster: %v", clusters)
 	}
@@ -60,7 +69,7 @@ func TestDetectDuplicatesNullBlockSkipped(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "street", "postcode"))
 	r.MustAppend("1 Same St", nil)
 	r.MustAppend("1 Same St", nil)
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
+	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
 	if len(clusters) != 0 {
 		t.Fatalf("null-keyed tuples opt out: %v", clusters)
 	}
@@ -68,7 +77,7 @@ func TestDetectDuplicatesNullBlockSkipped(t *testing.T) {
 
 func TestFuseVotingResolvesBedroomConflict(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
+	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
 	fused := Fuse(r, clusters, Options{Strategy: Voting})
 	if fused.Cardinality() != 3 {
 		t.Fatalf("fused size = %d, want 3", fused.Cardinality())
@@ -92,7 +101,7 @@ func TestFuseVotingResolvesBedroomConflict(t *testing.T) {
 
 func TestFuseVotingFillsNullFromOtherMember(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, BlockByAttr("postcode", nil), sameStreet, 1)
+	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
 	fused := Fuse(r, clusters, Options{Strategy: Voting})
 	pi := fused.Schema.AttrIndex("price")
 	si := fused.Schema.AttrIndex("street")
@@ -175,7 +184,7 @@ func TestScenarioCrossPortalDuplicates(t *testing.T) {
 		u.Tuples = append(u.Tuples, relation.Tuple{tp[otSi], tp[otPi], relation.String("onthemarket")})
 	}
 	norm := func(s string) string { return datagen.CanonicalPostcode(s) }
-	clusters := DetectDuplicates(u, BlockByAttr("postcode", norm), sameStreet, 1)
+	clusters := DetectDuplicates(u, blocksOf(u, BlockByAttr("postcode", norm)), sameStreet, 1)
 	if len(clusters) == 0 {
 		t.Fatal("overlapping portals must produce duplicate clusters")
 	}

@@ -39,16 +39,18 @@
 // components hand one another, stored under external keys so that it moves and
 // is read on the same clock as facts and relations, and left out of everything
 // persisted or versioned. They live for the process, so they are for what a
-// restart can supply again. The standard suite (package core) keeps ten. Seven
-// are inputs of someone, read through the handle a body is given: the
-// registered sources, which restoring a session registers again, and six values
-// one transducer derives for another (name and instance matches, mappings,
-// CFDs, range rules, quality reports), which the next run recomputes. Three are
-// a body's own memory of what it last computed from (executions, assessments,
-// the sources' join profile): loaded and stored through the wrangler's own
-// handle, inputs of nobody, empty after a restart. The rule for such memory:
-// remember inputs, never hash outputs — a stored relation is frozen, so identity
-// says "same input" before the work; a hash says "same output" only after it.
+// restart can supply again. The standard suite (package core) keeps thirteen.
+// Eight are inputs of someone, read through the handle a body is given: the
+// registered sources, which restoring a session registers again, and seven
+// values one transducer derives for another (name and instance matches, the 1:1
+// correspondences, mappings, CFDs, range rules, quality reports), which the
+// next run recomputes. Five are a body's own memory of what it last computed
+// from (executions, assessments, the sources' join profile, the matchWriters'
+// last publication, fusion's last run): loaded and stored through the
+// wrangler's own handle, inputs of nobody, empty after a restart. The rule for
+// such memory: remember inputs, never hash outputs — a stored relation is
+// frozen, so identity says "same input" before the work; a hash says "same
+// output" only after it.
 // What cannot be supplied again — anything the API was handed — is content.
 //
 // The KB is safe for concurrent use and versions every change — as a whole

@@ -155,7 +155,8 @@ func DiscoverInclusionDeps(rels []*relation.Relation, minOverlap float64) []Incl
 
 // GenOptions controls mapping generation.
 type GenOptions struct {
-	// MatchThreshold filters the matches used (after 1:1 selection).
+	// MatchThreshold is the score a match needs to become a correspondence
+	// (match.Correspondences): what Generate is handed.
 	MatchThreshold float64
 	// MinCoverage is the minimal number of matched target attributes for a
 	// source to earn a base mapping; a target with fewer attributes asks
@@ -193,8 +194,8 @@ func (p *SourceProfile) Of(sources []*relation.Relation) bool {
 	return p != nil && slices.Equal(p.sources, sources)
 }
 
-// Generate produces candidate mappings from matches over the profiled
-// sources:
+// Generate produces candidate mappings from 1:1 correspondences over the
+// profiled sources:
 //
 //  1. every source matching at least one and ≥ min(MinCoverage, target
 //     arity) target attributes becomes a base mapping (projection with
@@ -206,8 +207,11 @@ func (p *SourceProfile) Of(sources []*relation.Relation) bool {
 //     pulling in crimerank).
 //
 // The paper's "mapping generation transducer may start to evaluate when
-// matches have been created" is exactly this function's input dependency.
-func (p *SourceProfile) Generate(target relation.Schema, matches []match.Match, opts GenOptions) []Mapping {
+// matches have been created" is exactly this function's input dependency. Which
+// matches count is decided before it, at opts.MatchThreshold; their scores and
+// methods are no part of a mapping, so mappings change only with the
+// correspondences.
+func (p *SourceProfile) Generate(target relation.Schema, corrs []match.Correspondence, opts GenOptions) []Mapping {
 	srcByName := map[string]*relation.Relation{}
 	var srcNames []string
 	for _, s := range p.sources {
@@ -216,13 +220,12 @@ func (p *SourceProfile) Generate(target relation.Schema, matches []match.Match, 
 	}
 	sort.Strings(srcNames)
 
-	// Per-source selected matches above threshold.
-	perSource := map[string][]match.Match{}
-	for _, m := range match.SelectOneToOne(matches, opts.MatchThreshold) {
-		if _, ok := srcByName[m.SourceRel]; !ok {
+	perSource := map[string][]match.Correspondence{}
+	for _, c := range corrs {
+		if _, ok := srcByName[c.SourceRel]; !ok {
 			continue
 		}
-		perSource[m.SourceRel] = append(perSource[m.SourceRel], m)
+		perSource[c.SourceRel] = append(perSource[c.SourceRel], c)
 	}
 
 	var out []Mapping
@@ -249,7 +252,7 @@ func (p *SourceProfile) Generate(target relation.Schema, matches []match.Match, 
 			for _, m := range ms {
 				covered[m.TargetAttr] = true
 			}
-			var gain []match.Match
+			var gain []match.Correspondence
 			for _, em := range ems {
 				if !covered[em.TargetAttr] {
 					gain = append(gain, em)
@@ -290,7 +293,7 @@ func varFor(rel string, idx int) string {
 }
 
 // buildBaseMapping compiles a projection mapping into Vadalog.
-func buildBaseMapping(target relation.Schema, src *relation.Relation, ms []match.Match) Mapping {
+func buildBaseMapping(target relation.Schema, src *relation.Relation, ms []match.Correspondence) Mapping {
 	srcName := src.Schema.Name
 	// Body atom: src(V0, V1, ..., Vm) positionally.
 	bodyVars := make([]string, src.Schema.Arity())
@@ -327,8 +330,8 @@ func buildBaseMapping(target relation.Schema, src *relation.Relation, ms []match
 // enrichment is outer-ish in spirit but compiled as two rules — one joined,
 // one base-only guarded by "not enrichmentKey" — so unmatched base tuples
 // still appear with nulls (the Datalog rendering of a left join).
-func buildJoinMapping(target relation.Schema, base *relation.Relation, baseMs []match.Match,
-	enrich *relation.Relation, gainMs []match.Match, join InclusionDep) Mapping {
+func buildJoinMapping(target relation.Schema, base *relation.Relation, baseMs []match.Correspondence,
+	enrich *relation.Relation, gainMs []match.Correspondence, join InclusionDep) Mapping {
 
 	bName, eName := base.Schema.Name, enrich.Schema.Name
 	bVars := make([]string, base.Schema.Arity())

@@ -35,6 +35,12 @@ func allMatches(sc *datagen.Scenario, target relation.Schema, withInstances bool
 	return match.Combine(lists...)
 }
 
+// generate is Generate over the correspondences the matches select at the
+// options' threshold, as the mapping-generation transducer is handed them.
+func generate(p *SourceProfile, target relation.Schema, matches []match.Match, opts GenOptions) []Mapping {
+	return p.Generate(target, match.Correspondences(matches, opts.MatchThreshold), opts)
+}
+
 func targetWithCrime() relation.Schema {
 	// The deprivation "crime" attribute must match target "crimerank";
 	// name similarity carries this one ("crime" ⊂ "crimerank").
@@ -69,7 +75,7 @@ func TestDiscoverInclusionDeps(t *testing.T) {
 func TestGenerateBaseMappings(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
 	byID := map[string]Mapping{}
 	for _, m := range maps {
 		byID[m.ID] = m
@@ -90,7 +96,7 @@ func TestGenerateBaseMappings(t *testing.T) {
 func TestGenerateJoinMapping(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
 	var jm *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove+deprivation" {
@@ -111,7 +117,7 @@ func TestGenerateJoinMapping(t *testing.T) {
 func TestExecuteBaseMapping(t *testing.T) {
 	sc, rels := scenarioSources(t, 100)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
 	var base *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove" {
@@ -151,7 +157,7 @@ func TestExecuteBaseMapping(t *testing.T) {
 func TestExecuteJoinMappingFillsCrimerank(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := ProfileSources(rels).Generate(targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
 	var jm *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove+deprivation" {
@@ -253,8 +259,8 @@ func TestSelectDeterministicTieBreak(t *testing.T) {
 func TestInstanceMatchesImproveCoverage(t *testing.T) {
 	sc, rels := scenarioSources(t, 200)
 	target := targetWithCrime()
-	nameOnly := ProfileSources(rels).Generate(target, allMatches(sc, target, false), DefaultGenOptions())
-	withInst := ProfileSources(rels).Generate(target, allMatches(sc, target, true), DefaultGenOptions())
+	nameOnly := generate(ProfileSources(rels), target, allMatches(sc, target, false), DefaultGenOptions())
+	withInst := generate(ProfileSources(rels), target, allMatches(sc, target, true), DefaultGenOptions())
 	covOf := func(maps []Mapping, id string) int {
 		for _, m := range maps {
 			if m.ID == id {
@@ -274,7 +280,8 @@ func TestInstanceMatchesImproveCoverage(t *testing.T) {
 // replaced, over the scenarios the match oracle uses: one profile of the
 // sources serves every set of matches and every threshold, as the
 // mapping-generation transducer keeps it across runs, and must give what
-// profiling on every call gave.
+// profiling on every call gave — from the correspondences alone, in their own
+// order, what the reference builds from the selected matches in score order.
 func TestGenerateFromProfile(t *testing.T) {
 	target := datagen.TargetSchema()
 	generated := 0
@@ -298,10 +305,10 @@ func TestGenerateFromProfile(t *testing.T) {
 				} {
 					want := referenceGenerate(target, rels, matches, opts)
 					label := fmt.Sprintf("n=%d seed=%d instances=%v %+v", n, seed, withInstances, opts)
-					if got := profile.Generate(target, matches, opts); !reflect.DeepEqual(got, want) {
+					if got := generate(profile, target, matches, opts); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: from the shared profile\n%v\nthe reference generates\n%v", label, got, want)
 					}
-					if got := ProfileSources(rels).Generate(target, matches, opts); !reflect.DeepEqual(got, want) {
+					if got := generate(ProfileSources(rels), target, matches, opts); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: Generate\n%v\nthe reference generates\n%v", label, got, want)
 					}
 					generated += len(want)

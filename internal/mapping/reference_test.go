@@ -1,10 +1,12 @@
 package mapping
 
 // The reference implementation of mapping generation: Generate as it was
-// before the sources were profiled apart from the matches, kept verbatim as
-// the oracle of TestGenerateFromProfile. It discovers the inclusion
-// dependencies of the sources, at the options' overlap threshold, on every
-// call.
+// before the sources were profiled apart from the matches and before it was
+// handed correspondences instead of matches, kept as the oracle of
+// TestGenerateFromProfile. It discovers the inclusion dependencies of the
+// sources, at the options' overlap threshold, on every call, and selects the
+// 1:1 matches itself, in score order; only the mapping builders, which read no
+// score, are handed what they are handed now.
 
 import (
 	"sort"
@@ -40,7 +42,7 @@ func referenceGenerate(target relation.Schema, sources []*relation.Relation, mat
 		if len(ms) == 0 || len(ms) < min(opts.MinCoverage, target.Arity()) {
 			continue
 		}
-		bm := buildBaseMapping(target, srcByName[base], ms)
+		bm := buildBaseMapping(target, srcByName[base], correspondencesOf(ms))
 		out = append(out, bm)
 
 		// Join extensions: enrichment sources covering target attrs the
@@ -71,10 +73,19 @@ func referenceGenerate(target relation.Schema, sources []*relation.Relation, mat
 			if join == nil {
 				continue
 			}
-			jm := buildJoinMapping(target, srcByName[base], ms, srcByName[enrich], gain, *join)
+			jm := buildJoinMapping(target, srcByName[base], correspondencesOf(ms), srcByName[enrich], correspondencesOf(gain), *join)
 			out = append(out, jm)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// correspondencesOf drops the evidence of matches, keeping their order.
+func correspondencesOf(ms []match.Match) []match.Correspondence {
+	out := make([]match.Correspondence, len(ms))
+	for i, m := range ms {
+		out[i] = match.Correspondence{SourceRel: m.SourceRel, SourceAttr: m.SourceAttr, TargetAttr: m.TargetAttr}
+	}
 	return out
 }

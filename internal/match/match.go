@@ -1,8 +1,11 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"vada/internal/relation"
 )
@@ -104,7 +107,12 @@ func Combine(lists ...[]Match) []Match {
 // attribute and per target attribute, greedily by descending score, dropping
 // matches below threshold. Ties break deterministically.
 func SelectOneToOne(matches []Match, threshold float64) []Match {
-	sorted := append([]Match(nil), matches...)
+	var sorted []Match
+	for _, m := range matches {
+		if !(m.Score < threshold) {
+			sorted = append(sorted, m)
+		}
+	}
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Score != sorted[j].Score {
 			return sorted[i].Score > sorted[j].Score
@@ -118,20 +126,38 @@ func SelectOneToOne(matches []Match, threshold float64) []Match {
 		}
 		return a.TargetAttr < b.TargetAttr
 	})
-	usedSrc := map[string]bool{}
-	usedTgt := map[string]bool{}
+	type attr struct{ rel, name string }
+	usedSrc := map[attr]bool{}
+	usedTgt := map[attr]bool{}
 	var out []Match
 	for _, m := range sorted {
-		if m.Score < threshold {
-			continue
-		}
-		ks := m.SourceRel + "\x1f" + m.SourceAttr
-		kt := m.SourceRel + "\x1f" + m.TargetAttr
+		ks, kt := attr{m.SourceRel, m.SourceAttr}, attr{m.SourceRel, m.TargetAttr}
 		if usedSrc[ks] || usedTgt[kt] {
 			continue
 		}
 		usedSrc[ks], usedTgt[kt] = true, true
 		out = append(out, m)
 	}
+	return out
+}
+
+// Correspondence is a selected match without its evidence: which source
+// attribute populates which target attribute. A mapping is built from no more.
+type Correspondence struct {
+	SourceRel, SourceAttr, TargetAttr string
+}
+
+// Correspondences is SelectOneToOne's choice at threshold as correspondences,
+// ordered by source relation, source attribute and target attribute: match
+// lists that select the same pairs give equal slices, whatever their scores.
+func Correspondences(matches []Match, threshold float64) []Correspondence {
+	var out []Correspondence
+	for _, m := range SelectOneToOne(matches, threshold) {
+		out = append(out, Correspondence{m.SourceRel, m.SourceAttr, m.TargetAttr})
+	}
+	slices.SortFunc(out, func(a, b Correspondence) int {
+		return cmp.Or(strings.Compare(a.SourceRel, b.SourceRel),
+			strings.Compare(a.SourceAttr, b.SourceAttr), strings.Compare(a.TargetAttr, b.TargetAttr))
+	})
 	return out
 }
