@@ -1,10 +1,11 @@
 package connect
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"vada/internal/relation"
 )
@@ -21,10 +22,7 @@ func Write(w io.Writer, rel *relation.Relation, format string) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	canon := rel.Shallow()
-	sort.SliceStable(canon.Tuples, func(i, j int) bool {
-		return canon.Tuples[i].Key() < canon.Tuples[j].Key()
-	})
+	canon := canonical(rel)
 	cw := &countingWriter{w: w}
 	switch format {
 	case FormatCSV:
@@ -38,26 +36,43 @@ func Write(w io.Writer, rel *relation.Relation, format string) (Stats, error) {
 	return Stats{Rows: canon.Cardinality(), Bytes: cw.n, Format: format}, nil
 }
 
+// canonical is rel with its rows stably sorted by tuple key, each key
+// computed once.
+func canonical(rel *relation.Relation) *relation.Relation {
+	type keyed struct {
+		key string
+		t   relation.Tuple
+	}
+	rows := make([]keyed, len(rel.Tuples))
+	for i, t := range rel.Tuples {
+		rows[i] = keyed{t.Key(), t}
+	}
+	slices.SortStableFunc(rows, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	canon := rel.Shallow()
+	for i, r := range rows {
+		canon.Tuples[i] = r.t
+	}
+	return canon
+}
+
 // writeJSONL renders one JSON object per tuple, keys in schema order.
 func writeJSONL(w io.Writer, rel *relation.Relation) error {
-	names := rel.Schema.AttrNames()
+	keys := make([][]byte, rel.Schema.Arity())
+	for i, name := range rel.Schema.AttrNames() {
+		keys[i] = append(relation.AppendJSONString(nil, name), ':')
+	}
+	var buf []byte
 	for _, t := range rel.Tuples {
-		buf := append([]byte(nil), '{')
+		buf = append(buf[:0], '{')
 		for i, v := range t {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			key, err := json.Marshal(names[i])
-			if err != nil {
-				return fmt.Errorf("connect: encoding JSONL key: %w", err)
-			}
-			buf = append(buf, key...)
-			buf = append(buf, ':')
-			cell, err := marshalValue(v)
-			if err != nil {
+			buf = append(buf, keys[i]...)
+			var err error
+			if buf, err = appendCell(buf, v); err != nil {
 				return err
 			}
-			buf = append(buf, cell...)
 		}
 		buf = append(buf, '}', '\n')
 		if _, err := w.Write(buf); err != nil {
@@ -67,28 +82,25 @@ func writeJSONL(w io.Writer, rel *relation.Relation) error {
 	return nil
 }
 
-// marshalValue renders one cell as plain JSON (not the knowledge base's
+// appendCell appends one cell as plain JSON (not the knowledge base's
 // kind-tagged wire form): null, string, number or bool.
-func marshalValue(v relation.Value) ([]byte, error) {
-	if v.IsNull() {
-		return []byte("null"), nil
-	}
-	var out []byte
-	var err error
+func appendCell(b []byte, v relation.Value) ([]byte, error) {
 	switch v.Kind() {
+	case relation.KindNull:
+		return append(b, "null"...), nil
 	case relation.KindInt:
-		out, err = json.Marshal(v.IntVal())
+		return strconv.AppendInt(b, v.IntVal(), 10), nil
 	case relation.KindFloat:
-		out, err = json.Marshal(v.FloatVal())
+		b, err := relation.AppendJSONFloat(b, v.FloatVal())
+		if err != nil {
+			return nil, fmt.Errorf("connect: encoding JSONL value: %w", err)
+		}
+		return b, nil
 	case relation.KindBool:
-		out, err = json.Marshal(v.BoolVal())
+		return strconv.AppendBool(b, v.BoolVal()), nil
 	default:
-		out, err = json.Marshal(v.Str())
+		return relation.AppendJSONString(b, v.Str()), nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("connect: encoding JSONL value: %w", err)
-	}
-	return out, nil
 }
 
 // countingWriter counts bytes through to the underlying writer.

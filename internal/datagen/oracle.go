@@ -47,6 +47,33 @@ func newOracle(props []property) *Oracle {
 // Size returns the number of ground-truth properties.
 func (o *Oracle) Size() int { return len(o.byAddr) }
 
+// oracleAttrs are the attributes the oracle knows a true value of.
+var oracleAttrs = []string{"type", "description", "street", "city", "postcode", "bedrooms", "price", "crimerank"}
+
+// value is the row's true value of attr; ok is false for an attribute the
+// oracle does not know.
+func (row oracleRow) value(attr string) (v relation.Value, ok bool) {
+	switch attr {
+	case "type":
+		return relation.String(row.ptype), true
+	case "description":
+		return relation.String(row.desc), true
+	case "street":
+		return relation.String(row.street), true
+	case "city":
+		return relation.String(row.city), true
+	case "postcode":
+		return relation.String(row.postcode), true
+	case "bedrooms":
+		return relation.Int(int64(row.bedrooms)), true
+	case "price":
+		return relation.Float(row.price), true
+	case "crimerank":
+		return relation.Int(int64(row.crimerank)), true
+	}
+	return relation.Value{}, false
+}
+
 // Lookup finds the ground-truth values for an address. ok is false when the
 // address does not identify a real property (e.g. typo'd street).
 func (o *Oracle) Lookup(street, postcode string) (map[string]relation.Value, bool) {
@@ -54,31 +81,25 @@ func (o *Oracle) Lookup(street, postcode string) (map[string]relation.Value, boo
 	if !ok {
 		return nil, false
 	}
-	return map[string]relation.Value{
-		"type":        relation.String(row.ptype),
-		"description": relation.String(row.desc),
-		"street":      relation.String(row.street),
-		"city":        relation.String(row.city),
-		"postcode":    relation.String(row.postcode),
-		"bedrooms":    relation.Int(int64(row.bedrooms)),
-		"price":       relation.Float(row.price),
-		"crimerank":   relation.Int(int64(row.crimerank)),
-	}, true
+	truth := make(map[string]relation.Value, len(oracleAttrs))
+	for _, attr := range oracleAttrs {
+		truth[attr], _ = row.value(attr)
+	}
+	return truth, true
 }
 
 // CellCorrect checks a result cell against ground truth. Unknown addresses
 // and unknown attributes report false. Values are compared after
 // canonicalisation (postcode spacing, type synonyms, price formats).
 func (o *Oracle) CellCorrect(street, postcode, attr string, v relation.Value) bool {
-	truth, ok := o.Lookup(street, postcode)
-	if !ok {
-		return false
-	}
-	want, ok := truth[attr]
-	if !ok {
-		return false
-	}
-	if v.IsNull() {
+	row, ok := o.byAddr[addrKey(street, postcode)]
+	return ok && row.correct(attr, v)
+}
+
+// correct is CellCorrect for the row an address resolved to.
+func (row oracleRow) correct(attr string, v relation.Value) bool {
+	want, ok := row.value(attr)
+	if !ok || v.IsNull() {
 		return false
 	}
 	switch attr {
@@ -141,16 +162,20 @@ func (o *Oracle) ScoreResult(res *relation.Relation) Score {
 	nonNull := map[string]int{}
 	present := map[string]int{}
 
+	// Each row is resolved once, and its cells compared with the true row.
+	cols := make([]int, len(ScoredAttributes))
+	for i, attr := range ScoredAttributes {
+		cols[i] = res.Schema.AttrIndex(attr)
+	}
 	for _, t := range res.Tuples {
-		street, postcode := t[si].String(), t[pi].String()
-		key := addrKey(street, postcode)
-		_, known := o.byAddr[key]
+		key := addrKey(t[si].String(), t[pi].String())
+		row, known := o.byAddr[key]
 		if known {
 			addressable++
 			found[key] = true
 		}
-		for _, attr := range ScoredAttributes {
-			ai := res.Schema.AttrIndex(attr)
+		for i, attr := range ScoredAttributes {
+			ai := cols[i]
 			if ai < 0 {
 				continue
 			}
@@ -160,7 +185,7 @@ func (o *Oracle) ScoreResult(res *relation.Relation) Score {
 			}
 			if known {
 				cellsTotal++
-				correct := o.CellCorrect(street, postcode, attr, t[ai])
+				correct := row.correct(attr, t[ai])
 				if correct {
 					cellsRight++
 				}

@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"strconv"
+
 	"vada/internal/relation"
 )
 
@@ -69,6 +71,74 @@ type Delta struct {
 	To uint64 `json:"to"`
 	// Ops are the mutations, oldest first.
 	Ops []DeltaOp `json:"ops,omitempty"`
+}
+
+// AppendJSON appends the delta's wire form — the journal's "delta" — to b,
+// byte for byte what encoding/json writes for it. A value with no JSON form
+// (a NaN or infinite float) fails the encoding.
+func (d *Delta) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"from":`...)
+	b = strconv.AppendUint(b, d.From, 10)
+	b = append(b, `,"to":`...)
+	b = strconv.AppendUint(b, d.To, 10)
+	if len(d.Ops) > 0 {
+		b = append(b, `,"ops":[`...)
+		for i := range d.Ops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = d.Ops[i].appendJSON(b); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSON appends one op, its empty fields left out.
+func (op *DeltaOp) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"kind":`...)
+	b = relation.AppendJSONString(b, string(op.Kind))
+	b = append(b, `,"name":`...)
+	b = relation.AppendJSONString(b, op.Name)
+	var err error
+	if len(op.Tuple) > 0 {
+		b = append(b, `,"tuple":`...)
+		if b, err = op.Tuple.AppendJSON(b); err != nil {
+			return b, err
+		}
+	}
+	if op.Relation != nil {
+		b = append(b, `,"relation":`...)
+		if b, err = op.Relation.AppendJSON(b); err != nil {
+			return b, err
+		}
+	}
+	if len(op.Added) > 0 {
+		b = append(b, `,"added":`...)
+		if b, err = relation.AppendTuplesJSON(b, op.Added); err != nil {
+			return b, err
+		}
+	}
+	if len(op.AddedAt) > 0 {
+		b = append(b, `,"added_at":[`...)
+		for i, at := range op.AddedAt {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(at), 10)
+		}
+		b = append(b, ']')
+	}
+	if len(op.Removed) > 0 {
+		b = append(b, `,"removed":`...)
+		if b, err = relation.AppendTuplesJSON(b, op.Removed); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // StartDeltaLog begins recording every subsequent mutation, synchronously

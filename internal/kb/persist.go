@@ -1,12 +1,14 @@
 package kb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 
 	"vada/internal/relation"
 )
@@ -19,7 +21,8 @@ var ErrBadSnapshot = errors.New("kb: bad snapshot")
 // snapshotJSON is the wire form of a knowledge-base snapshot. The paper
 // keeps most extensional data in external stores; WriteSnapshot/ReadSnapshot
 // give sessions durable state (e.g. pausing a pay-as-you-go wrangle and
-// resuming later).
+// resuming later). ReadSnapshot decodes it; WriteSnapshot writes the same
+// layout by hand.
 type snapshotJSON struct {
 	Version   uint64                        `json:"version"`
 	Facts     map[string][]relation.Tuple   `json:"facts"`
@@ -27,38 +30,103 @@ type snapshotJSON struct {
 }
 
 // WriteSnapshot serialises the knowledge base (facts, relations, version)
-// as JSON.
+// as one line of JSON: predicates and relation names in sorted order, and
+// each predicate's facts sorted by tuple key, ties broken by their encoding,
+// so equal contents write equal bytes whatever order they were asserted in.
+// A fact with a NaN or infinite float fails it.
 func (k *KB) WriteSnapshot(w io.Writer) error {
+	// Only the fact lists are this snapshot's own: tuples and relations are
+	// the stored ones, which no later write changes, so encoding them after
+	// the lock is released still writes the state at this moment.
 	k.mu.RLock()
 	k.noteLocked(Key{Kind: KeyAll})
 	k.checkAllLocked()
-	snap := snapshotJSON{
-		Version:   k.version,
-		Facts:     map[string][]relation.Tuple{},
-		Relations: map[string]*relation.Relation{},
-	}
+	version := k.version
+	preds := make([]string, 0, len(k.facts))
+	facts := make(map[string][]relation.Tuple, len(k.facts))
 	for pred, fs := range k.facts {
-		if len(fs.tuples) == 0 {
-			continue
+		if len(fs.tuples) > 0 {
+			preds = append(preds, pred)
+			facts[pred] = slices.Clone(fs.tuples)
 		}
-		// Deterministic output order for diffs and tests. Only the order is
-		// this snapshot's own: tuples and relations are the stored ones,
-		// which no later write changes, so encoding them after the lock is
-		// released still writes the state at this moment.
-		tuples := slices.Clone(fs.tuples)
-		sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
-		snap.Facts[pred] = tuples
 	}
+	names := make([]string, 0, len(k.relations))
+	rels := make(map[string]*relation.Relation, len(k.relations))
 	for name, rel := range k.relations {
-		snap.Relations[name] = rel
+		names = append(names, name)
+		rels[name] = rel
 	}
 	k.mu.RUnlock()
+	slices.Sort(preds)
+	slices.Sort(names)
 
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(snap); err != nil {
+	b := append([]byte(nil), `{"version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, `,"facts":{`...)
+	var enc []byte
+	for i, pred := range preds {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = relation.AppendJSONString(b, pred)
+		b = append(b, ':')
+		var err error
+		if b, enc, err = appendFacts(b, enc[:0], facts[pred]); err != nil {
+			return fmt.Errorf("kb: writing snapshot: %w", err)
+		}
+	}
+	b = append(b, `},"relations":{`...)
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = relation.AppendJSONString(b, name)
+		b = append(b, ':')
+		var err error
+		if b, err = rels[name].AppendJSON(b); err != nil {
+			return fmt.Errorf("kb: writing snapshot: %w", err)
+		}
+	}
+	b = append(b, "}}\n"...)
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("kb: writing snapshot: %w", err)
 	}
 	return nil
+}
+
+// appendFacts appends one predicate's facts to b as a JSON array in
+// snapshot order. Each fact's key and encoding are computed once, the
+// encodings into enc, which it returns for reuse.
+func appendFacts(b, enc []byte, tuples []relation.Tuple) ([]byte, []byte, error) {
+	type fact struct {
+		key        string
+		start, end int
+	}
+	fs := make([]fact, len(tuples))
+	for i, t := range tuples {
+		start := len(enc)
+		var err error
+		if enc, err = t.AppendJSON(enc); err != nil {
+			return b, enc, err
+		}
+		fs[i] = fact{key: t.Key(), start: start, end: len(enc)}
+	}
+	// Tuple.Key is not injective, so equal keys are ordered by encoding:
+	// storage order depends on the history of asserts and retracts.
+	slices.SortFunc(fs, func(x, y fact) int {
+		if c := strings.Compare(x.key, y.key); c != 0 {
+			return c
+		}
+		return bytes.Compare(enc[x.start:x.end], enc[y.start:y.end])
+	})
+	b = append(b, '[')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, enc[f.start:f.end]...)
+	}
+	return append(b, ']'), enc, nil
 }
 
 // ReadSnapshot restores a knowledge base from a snapshot written by

@@ -311,6 +311,11 @@ func Parse(text string, kind Kind) (Value, error) {
 		if err != nil {
 			return Null(), fmt.Errorf("relation: parsing %q as float: %w", text, err)
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			// No wire form holds them: a session that stored one could not
+			// be journaled or snapshotted.
+			return Null(), fmt.Errorf("relation: parsing %q as float: not a finite number", text)
+		}
 		return Float(f), nil
 	case KindBool:
 		b, err := strconv.ParseBool(strings.TrimSpace(text))
@@ -324,7 +329,8 @@ func Parse(text string, kind Kind) (Value, error) {
 }
 
 // Infer guesses the most specific kind able to represent text: int, then
-// float, then bool, then string. Empty text infers null.
+// float, then bool, then string. Empty text infers null. Text that spells
+// NaN or an infinity stays text: a float must be finite to be encoded.
 func Infer(text string) Value {
 	if text == "" {
 		return Null()
@@ -334,7 +340,7 @@ func Infer(text string) Value {
 		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
 			return Int(i)
 		}
-		if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) {
+		if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) && !math.IsNaN(f) {
 			return Float(f)
 		}
 	}
@@ -344,13 +350,13 @@ func Infer(text string) Value {
 	return String(text)
 }
 
-// mayBeNumber reports whether t has only bytes that occur in text
-// strconv.ParseInt (base 10) or strconv.ParseFloat accepts: digits, signs, the
-// point, the underscore, and the letters of hexadecimal floats, exponents,
-// "infinity" and "nan". Most text has others, and a failed strconv parse
-// allocates its error: asking first keeps inference of a street free.
+// mayBeNumber reports whether t has only bytes that occur in the finite
+// numbers strconv.ParseInt (base 10) or strconv.ParseFloat accepts: digits,
+// signs, the point, the underscore, and the letters of hexadecimal floats and
+// exponents. Most text has others, and a failed strconv parse allocates its
+// error: asking first keeps inference of a street free.
 func mayBeNumber(t string) bool {
-	return strings.Trim(t, "0123456789+-._abcdefABCDEFxXpPinftyINFTY") == ""
+	return strings.Trim(t, "0123456789+-._abcdefABCDEFxXpP") == ""
 }
 
 // Coerce attempts to convert v to the requested kind, e.g. String("3") to

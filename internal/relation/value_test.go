@@ -153,7 +153,7 @@ func refInfer(text string) Value {
 	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
 		return Int(i)
 	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) {
+	if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) && !math.IsNaN(f) {
 		return Float(f)
 	}
 	if t == "true" || t == "false" {
@@ -313,5 +313,18 @@ func TestPropParseStringRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseFloatRejectsNonFinite: a float column does not take NaN or an
+// infinity (ReadCSV keeps such a cell as text), since no wire form holds them.
+func TestParseFloatRejectsNonFinite(t *testing.T) {
+	for _, text := range []string{"NaN", "nan", "-nan", "Inf", "+inf", "-Infinity", "1e999"} {
+		if v, err := Parse(text, KindFloat); err == nil {
+			t.Errorf("Parse(%q, float) = %v, want an error", text, v)
+		}
+		if v := Infer(text); v.Kind() != KindString {
+			t.Errorf("Infer(%q) = %s %v, want text", text, v.Kind(), v)
+		}
 	}
 }

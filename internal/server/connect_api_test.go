@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"vada/internal/relation"
 )
 
 const propsCSV = "Street,Post Code,Bedrooms,Price\n12 main st,AB1 2CD,3,120000\n4 side rd,ZZ9 9ZZ,2,95000\n"
@@ -298,5 +302,60 @@ func TestCreateBlankSessionValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad target kind: %s", resp.Status)
+	}
+}
+
+// TestNaNCellSurvivesRestart: a CSV cell spelling NaN is ingested as text,
+// which every wire form holds, so the stages it took part in are journaled:
+// after a kill -9 and a restart the acknowledged events and the result are
+// back. (A NaN float could be neither journaled nor snapshotted: the session
+// came back with no events and an empty result.)
+func TestNaNCellSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := journalServer(t, dir)
+	id := createSession(t, ts1, `{"blank":true}`)
+	resp, body := uploadFiles(t, ts1, id, "", [][2]string{
+		{"props.csv", "Street,Post Code,Bedrooms,Price\n12 main st,AB1 2CD,3,NaN\n4 side rd,ZZ9 9ZZ,2,95000\n"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: %s: %s", resp.Status, body)
+	}
+	base1 := ts1.URL + "/api/v1/sessions/" + id
+	postBody(t, base1+"/stages/bootstrap", "")
+	wantEvents := getJSON(t, base1)["events"].([]any)
+	wantResult := resultDigest(t, base1)
+	if len(wantEvents) != 2 || !strings.Contains(wantResult, "NaN") {
+		t.Fatalf("before the restart: %d events, result %q", len(wantEvents), wantResult)
+	}
+	ts1.Close() // kill -9: no graceful close
+
+	_, ts2 := journalServer(t, dir)
+	base2 := ts2.URL + "/api/v1/sessions/" + id
+	if got := getJSON(t, base2)["events"]; !reflect.DeepEqual(got, any(wantEvents)) {
+		t.Fatalf("events after the restart:\n got %v\nwant %v", got, wantEvents)
+	}
+	if got := resultDigest(t, base2); got != wantResult {
+		t.Fatalf("result after the restart:\n got %q\nwant %q", got, wantResult)
+	}
+}
+
+// TestExportUnencodableSession: a session whose knowledge base holds a value
+// no wire form has answers its export with a 500, not an empty 200.
+func TestExportUnencodableSession(t *testing.T) {
+	s, ts := testServer(t)
+	id := createSession(t, ts, `{"blank":true}`)
+	sess, err := s.mgr.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := relation.New(relation.NewSchema("odd", "x:float"))
+	rel.MustAppend(math.NaN())
+	sess.Wrangler().KB.PutRelation("odd", rel)
+	resp, body := get(t, ts.URL+"/api/v1/sessions/"+id+"/export")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body, "unsupported value: NaN") {
+		t.Fatalf("export: %s %q", resp.Status, body)
+	}
+	if cd := resp.Header.Get("Content-Disposition"); cd != "" {
+		t.Fatalf("a failed export names an attachment: %q", cd)
 	}
 }

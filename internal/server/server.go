@@ -92,6 +92,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -679,21 +680,27 @@ func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleExport streams the session as a snapshot envelope — the same bytes
+// handleExport answers the session as a snapshot envelope — the same bytes
 // -data-dir persists, so an export re-imports on any server. The capture is
 // taken between stages: a stage still running delays it until the stage
-// ends, and is then in it whole.
+// ends, and is then in it whole. The envelope is encoded before its first
+// byte is sent, so a session that cannot be encoded answers 500.
 func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
+	var envelope bytes.Buffer
+	if err := store.ExportSession(&envelope, sess, s.runs); err != nil {
+		s.logger.Error("exporting session", "session", sess.ID(), "error", err)
+		writeError(rw, err)
+		return
+	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", sess.ID()+store.SnapshotExt))
-	if err := store.ExportSession(rw, sess, s.runs); err != nil {
-		// Headers are gone; all we can do is log and drop the connection.
+	if _, err := rw.Write(envelope.Bytes()); err != nil {
 		s.logger.Error("exporting session", "session", sess.ID(), "error", err)
 	}
 }
@@ -879,7 +886,7 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		span.EndErr(err)
 	}
 	if err != nil {
-		// Headers are gone; log and drop the connection like handleExport.
+		// Headers are gone; log and drop the connection.
 		s.logger.Error("exporting relation", "session", sess.ID(), "relation", name, "error", err)
 		return
 	}

@@ -399,8 +399,10 @@ func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wr
 		At:       time.Now(),
 	}
 	if s.sc != nil {
-		// A wrangler with nothing to fuse has no result to score.
-		if res := s.w.ResultClean(); res != nil {
+		// A wrangler with nothing to fuse has no result to score. The oracle
+		// reads columns by name and never the provenance column, so the
+		// result scores as its clean projection does, without the copy.
+		if res := s.w.Result(); res != nil {
 			score := s.sc.Oracle.ScoreResult(res)
 			ev.Score = &score
 		}

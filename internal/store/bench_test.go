@@ -107,3 +107,32 @@ func BenchmarkJournalAppendPerRun(b *testing.B) {
 	written += j.written.bytes
 	b.ReportMetric(float64(written)/float64(b.N), "disk-bytes/op")
 }
+
+// BenchmarkStageRecordEncode is the journal encoding of one stage's record,
+// framed, at n=60: a bootstrap (sources and results put whole) and a
+// feedback round (facts and row diffs). MB/s is of the frame's bytes.
+func BenchmarkStageRecordEncode(b *testing.B) {
+	recs := stageRecords(b, 60)
+	for _, bc := range []struct {
+		name string
+		rec  Record
+	}{{"bootstrap", recs[0]}, {"feedback", recs[2]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			// The buffer is reused, as appendCommit reuses its pooled ones.
+			var frame []byte
+			encode := func() []byte {
+				var err error
+				if frame, err = appendFrame(frame[:0], kindStage, func(p []byte) ([]byte, error) { return appendRecord(p, &bc.rec) }); err != nil {
+					b.Fatal(err)
+				}
+				return frame
+			}
+			b.SetBytes(int64(len(encode())))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encode()
+			}
+		})
+	}
+}

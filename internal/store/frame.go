@@ -75,25 +75,23 @@ func readHeader(r io.Reader, magic [8]byte) error {
 	return nil
 }
 
-// writeFrame emits one framed payload — kind | u32 length | payload |
+// appendFrame appends one framed payload — kind | u32 length | payload |
 // CRC-32(payload) — the unit of a snapshot's sections and of a journal's
-// records.
-func writeFrame(w io.Writer, kind byte, payload []byte) error {
+// records. encode appends the payload to the slice it is given, in place,
+// after the frame's header.
+func appendFrame(b []byte, kind byte, encode func([]byte) ([]byte, error)) ([]byte, error) {
+	start := len(b)
+	b, err := encode(append(b, kind, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	payload := b[start+5:]
 	if len(payload) > maxFrameBytes {
-		return fmt.Errorf("%w: frame 0x%02x is %d bytes (max %d)",
+		return nil, fmt.Errorf("%w: frame 0x%02x is %d bytes (max %d)",
 			ErrTooLarge, kind, len(payload), maxFrameBytes)
 	}
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	for _, b := range [][]byte{hdr[:], payload, crc[:]} {
-		if _, err := w.Write(b); err != nil {
-			return fmt.Errorf("store: writing frame: %w", err)
-		}
-	}
-	return nil
+	binary.BigEndian.PutUint32(b[start+1:], uint32(len(payload)))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload)), nil
 }
 
 // readFrameBody reads a frame's length, payload and checksum, after the

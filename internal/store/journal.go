@@ -2,11 +2,12 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"sync"
 	"time"
 
 	"vada/internal/feedback"
@@ -32,12 +33,17 @@ type StageRecord struct {
 	// Delta is the knowledge-base mutation log of the stage.
 	Delta *kb.Delta `json:"delta,omitempty"`
 
-	// Legacy, read and never written: records of older binaries carried the
-	// feedback items the stage added (FeedbackAt the index of the first in the
-	// append-only store, so recovery can skip exactly the overlap with items a
-	// snapshot those binaries took mid-stage already held) and the change
-	// fingerprints after the stage, beside a delta that did not hold them.
-	// Recovery folds them into the legacy fields of Meta.
+	legacyStage
+}
+
+// legacyStage is read and never written: records of older binaries carried
+// the feedback items the stage added (FeedbackAt the index of the first in
+// the append-only store, so recovery can skip exactly the overlap with items
+// a snapshot those binaries took mid-stage already held) and the change
+// fingerprints after the stage, beside a delta that did not hold them.
+// Recovery folds them into the legacy fields of Meta. Its fields are those of
+// StageRecord on the wire.
+type legacyStage struct {
 	Feedback   []feedback.Item   `json:"feedback,omitempty"`
 	FeedbackAt int               `json:"feedback_at,omitempty"`
 	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
@@ -261,23 +267,67 @@ func (j *journal) appendCommit(rec *Record) (wait func() error, err error) {
 		return nil, fmt.Errorf("store: a record carries exactly one of stage, run")
 	}
 	rec.Seq = j.written.seq + 1
-	payload, err := json.Marshal(rec)
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
+	frame, err := appendFrame((*buf)[:0], kind, func(b []byte) ([]byte, error) { return appendRecord(b, rec) })
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding record: %w", err)
 	}
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, kind, payload); err != nil {
-		return nil, err
-	}
-	if _, err := j.f.Write(frame.Bytes()); err != nil {
+	*buf = frame
+	if _, err := j.f.Write(frame); err != nil {
 		j.rewind(j.written.bytes)
 		return nil, fmt.Errorf("store: appending record: %w", err)
 	}
 	j.written.seq = rec.Seq
 	j.written.records++
-	j.written.bytes += int64(frame.Len())
+	j.written.bytes += int64(len(frame))
 	epoch, end := j.epoch, j.written.bytes
 	return func() error { return j.waitDurable(epoch, end) }, nil
+}
+
+// framePool holds the buffers records are framed in. A stage's record runs
+// to tens of kilobytes, and growing a buffer that size from empty copies it
+// several times over.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendRecord appends a record's JSON payload to b: what json.Marshal
+// writes for it. A stage record is framed by hand, so its delta — most of its
+// bytes — is encoded once, by kb.Delta.AppendJSON; the small parts (the
+// event, a run record) go through encoding/json.
+func appendRecord(b []byte, rec *Record) ([]byte, error) {
+	if rec.Stage == nil {
+		data, err := json.Marshal(rec)
+		return append(b, data...), err
+	}
+	at, err := rec.At.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	event, err := json.Marshal(rec.Stage.Event)
+	if err != nil {
+		return nil, err
+	}
+	legacy, err := json.Marshal(rec.Stage.legacyStage)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, rec.Seq, 10)
+	b = append(b, `,"at":`...)
+	b = append(b, at...)
+	b = append(b, `,"stage":{"event":`...)
+	b = append(b, event...)
+	if rec.Stage.Delta != nil {
+		b = append(b, `,"delta":`...)
+		if b, err = rec.Stage.Delta.AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	if len(legacy) > len("{}") {
+		b = append(b, ',')
+		b = append(b, legacy[1:len(legacy)-1]...)
+	}
+	return append(b, "}}"...), nil
 }
 
 // waitDurable is the second half of appendCommit for the record that ended

@@ -46,8 +46,10 @@ func goldenRecords() []Record {
 				{Kind: kb.DeltaRetract, Name: "md_selected", Tuple: relation.NewTuple("m_stale", 2)},
 				{Kind: kb.DeltaPutRelation, Name: "result", Relation: rel},
 			}},
-			ExecHashes: map[string]uint64{"m_rightmove": 0xfeedc0de},
-			FusedHash:  0xdecafbad,
+			legacyStage: legacyStage{
+				ExecHashes: map[string]uint64{"m_rightmove": 0xfeedc0de},
+				FusedHash:  0xdecafbad,
+			},
 		}},
 		{Seq: 2, At: at.Add(time.Minute), Stage: &StageRecord{
 			Event: session.Event{Seq: 2, Type: session.EventStage, Stage: session.StageFeedback,
@@ -56,9 +58,11 @@ func goldenRecords() []Record {
 				{Kind: kb.DeltaAssert, Name: "fb_item",
 					Tuple: relation.NewTuple("1 High St", "M1 1AA", "price", false)},
 			}},
-			Feedback: []feedback.Item{{Street: "1 High St", Postcode: "M1 1AA", Attr: "price",
-				Correct: false, Observed: relation.Float(250000), HasObserved: true}},
-			FusedHash: 0xdecafbad,
+			legacyStage: legacyStage{
+				Feedback: []feedback.Item{{Street: "1 High St", Postcode: "M1 1AA", Attr: "price",
+					Correct: false, Observed: relation.Float(250000), HasObserved: true}},
+				FusedHash: 0xdecafbad,
+			},
 		}},
 		{Seq: 3, At: at.Add(2 * time.Minute), Run: &runs.Run{
 			ID: "r0002-00c0ffee", SessionID: "s0001-00c0ffee",

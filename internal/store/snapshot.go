@@ -91,6 +91,8 @@ type section struct {
 // section is exactly the kb.WriteSnapshot wire form), so the format stays
 // debuggable with a hex dump and `jq`. Output is deterministic for a given
 // snapshot, which is what lets golden fixtures pin the format byte-for-byte.
+// The envelope is encoded whole before it is written, in one call: when
+// encoding fails, nothing reaches w.
 func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	if snap == nil || snap.Meta.ID == "" {
 		return fmt.Errorf("%w: snapshot needs a session ID", ErrBadSnapshot)
@@ -98,53 +100,46 @@ func WriteSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 	if snap.KB == nil {
 		return fmt.Errorf("%w: snapshot needs a knowledge base", ErrBadSnapshot)
 	}
-	metaData, err := json.Marshal(snap.Meta)
-	if err != nil {
-		return fmt.Errorf("store: encoding meta: %w", err)
-	}
-	var kbBuf bytes.Buffer
-	if err := snap.KB.WriteSnapshot(&kbBuf); err != nil {
-		return fmt.Errorf("store: encoding knowledge base: %w", err)
-	}
 	events := snap.Events
 	if events == nil {
 		events = []session.Event{}
-	}
-	eventData, err := json.Marshal(events)
-	if err != nil {
-		return fmt.Errorf("store: encoding events: %w", err)
 	}
 	runList := snap.Runs
 	if runList == nil {
 		runList = []runs.Run{}
 	}
-	runData, err := json.Marshal(runList)
-	if err != nil {
-		return fmt.Errorf("store: encoding runs: %w", err)
-	}
-	return writeEnvelope(w, []section{
-		{kind: sectionMeta, data: metaData},
-		{kind: sectionKB, data: kbBuf.Bytes()},
-		{kind: sectionEvents, data: eventData},
-		{kind: sectionRuns, data: runData},
-	})
-}
-
-// writeEnvelope frames the sections: header, each section as one frame,
-// then the end marker.
-func writeEnvelope(w io.Writer, sections []section) error {
-	if _, err := w.Write(header(snapshotMagic)); err != nil {
-		return fmt.Errorf("store: writing header: %w", err)
-	}
-	for _, s := range sections {
-		if err := writeFrame(w, s.kind, s.data); err != nil {
-			return err
+	b := header(snapshotMagic)
+	for _, s := range []struct {
+		kind   byte
+		what   string
+		encode func([]byte) ([]byte, error)
+	}{
+		{sectionMeta, "meta", marshalInto(snap.Meta)},
+		{sectionKB, "knowledge base", func(b []byte) ([]byte, error) {
+			buf := bytes.NewBuffer(b)
+			err := snap.KB.WriteSnapshot(buf)
+			return buf.Bytes(), err
+		}},
+		{sectionEvents, "events", marshalInto(events)},
+		{sectionRuns, "runs", marshalInto(runList)},
+	} {
+		var err error
+		if b, err = appendFrame(b, s.kind, s.encode); err != nil {
+			return fmt.Errorf("store: encoding %s: %w", s.what, err)
 		}
 	}
-	if _, err := w.Write([]byte{sectionEnd}); err != nil {
-		return fmt.Errorf("store: writing end marker: %w", err)
+	if _, err := w.Write(append(b, sectionEnd)); err != nil {
+		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	return nil
+}
+
+// marshalInto is an appendFrame encoder for one encoding/json value.
+func marshalInto(v any) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) {
+		data, err := json.Marshal(v)
+		return append(b, data...), err
+	}
 }
 
 // readEnvelope parses the framing, verifying header, lengths and checksums.

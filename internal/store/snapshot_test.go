@@ -593,11 +593,14 @@ func TestErrorSurface(t *testing.T) {
 	meta := []byte(`{"id":"s1","created_at":"2026-07-01T12:00:00Z","last_active":"2026-07-01T12:00:00Z"}`)
 	kbData := kbBytes(t, kb.New())
 	assemble := func(secs []section) []byte {
-		var buf bytes.Buffer
-		if err := writeEnvelope(&buf, secs); err != nil {
-			t.Fatal(err)
+		b := header(snapshotMagic)
+		for _, sec := range secs {
+			var err error
+			if b, err = appendFrame(b, sec.kind, func(b []byte) ([]byte, error) { return append(b, sec.data...), nil }); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return buf.Bytes()
+		return append(b, sectionEnd)
 	}
 	structural := []struct {
 		name string
