@@ -22,7 +22,7 @@ import (
 
 	"vada/internal/runs"
 	"vada/internal/server"
-	"vada/internal/session"
+	"vada/internal/store"
 )
 
 // defaultIdleTimeout is how long a session may sit idle before it is
@@ -38,7 +38,7 @@ func parseFlags(args []string, stderr io.Writer) (addr string, idleTimeout time.
 	fs.SetOutput(stderr)
 	fs.StringVar(&addr, "addr", ":8080", "listen address")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "journal sessions to this directory and restore them on boot (\"\" = ephemeral)")
-	fs.IntVar(&cfg.MaxSessions, "max-sessions", session.DefaultMaxSessions, "live session cap")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", store.DefaultMaxSessions, "live session cap")
 	fs.DurationVar(&idleTimeout, "idle-timeout", defaultIdleTimeout, "evict sessions idle this long (0 = never)")
 	fs.IntVar(&cfg.RunWorkers, "run-workers", runs.DefaultWorkers, "run engine worker-pool size: every stage, synchronous or not, runs on it")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")

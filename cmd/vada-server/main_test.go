@@ -18,7 +18,7 @@ import (
 
 	"vada/internal/runs"
 	"vada/internal/server"
-	"vada/internal/session"
+	"vada/internal/store"
 )
 
 // TestParseFlags pins the command line: the eight flags say where the
@@ -35,7 +35,7 @@ func TestParseFlags(t *testing.T) {
 	}{
 		{name: "defaults", check: func(t *testing.T, addr string, idle time.Duration, cfg server.Config) {
 			if addr != ":8080" || idle != 30*time.Minute || cfg.DataDir != "" ||
-				cfg.MaxSessions != session.DefaultMaxSessions || cfg.RunWorkers != runs.DefaultWorkers || cfg.Pprof {
+				cfg.MaxSessions != store.DefaultMaxSessions || cfg.RunWorkers != runs.DefaultWorkers || cfg.Pprof {
 				t.Fatalf("defaults = %q %v %+v", addr, idle, cfg)
 			}
 			if _, text := cfg.Logger.Handler().(*slog.TextHandler); !text ||

@@ -36,12 +36,8 @@ func run(out io.Writer) error {
 	// One wrangling conversation = one session. The scenario attachment
 	// gives the session ground truth to score against, default reference
 	// data for step 2 and an oracle for step 3.
-	mgr := vada.NewSessionManager()
-	sess, err := mgr.Create(vada.BuildScenarioWrangler(sc),
+	sess := vada.NewSession("realestate", vada.BuildScenarioWrangler(sc),
 		vada.WithSessionName("realestate-demo"), vada.WithScenario(sc, 7))
-	if err != nil {
-		return err
-	}
 	w := sess.Wrangler()
 
 	// ---- step 1: automatic bootstrapping --------------------------------

@@ -1,6 +1,7 @@
 package connect
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -11,11 +12,12 @@ import (
 )
 
 // Write renders a relation to w in the given format, in canonical form:
-// rows are sorted by their tuple key, so two exports of equal relations are
-// byte-identical regardless of how upstream orchestration ordered the
-// tuples. CSV is RFC 4180 with a header row and empty cells for nulls;
-// JSONL is one object per row with keys in schema order and JSON null for
-// nulls. The relation is not mutated — the sort works on a copied tuple
+// rows are sorted by their tuple key, and rows whose keys tie (a string
+// holding the key's separator) by their JSON encodings, so two exports of
+// equal relations are byte-identical whatever order upstream orchestration
+// left the tuples in. CSV is RFC 4180 with a header row and empty cells for
+// nulls; JSONL is one object per row with keys in schema order and JSON null
+// for nulls. The relation is not mutated — the sort works on a copied tuple
 // slice.
 func Write(w io.Writer, rel *relation.Relation, format string) (Stats, error) {
 	format, err := NormalizeFormat(format)
@@ -36,8 +38,8 @@ func Write(w io.Writer, rel *relation.Relation, format string) (Stats, error) {
 	return Stats{Rows: canon.Cardinality(), Bytes: cw.n, Format: format}, nil
 }
 
-// canonical is rel with its rows stably sorted by tuple key, each key
-// computed once.
+// canonical is rel with its rows sorted by tuple key, each key computed
+// once, and ties broken by compareTied, which runs only for the rows that tie.
 func canonical(rel *relation.Relation) *relation.Relation {
 	type keyed struct {
 		key string
@@ -47,12 +49,30 @@ func canonical(rel *relation.Relation) *relation.Relation {
 	for i, t := range rel.Tuples {
 		rows[i] = keyed{t.Key(), t}
 	}
-	slices.SortStableFunc(rows, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	slices.SortStableFunc(rows, func(a, b keyed) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return compareTied(a.t, b.t)
+	})
 	canon := rel.Shallow()
 	for i, r := range rows {
 		canon.Tuples[i] = r.t
 	}
 	return canon
+}
+
+// compareTied orders two tuples whose keys tie — Tuple.Key is not
+// injective — by their JSON encodings. An encoding stops at a NaN, so two
+// that stop at one in the same place are ordered by their values' keys
+// one by one; tuples that still compare equal write the same bytes.
+func compareTied(a, b relation.Tuple) int {
+	ea, _ := a.AppendJSON(nil)
+	eb, _ := b.AppendJSON(nil)
+	if c := bytes.Compare(ea, eb); c != 0 {
+		return c
+	}
+	return slices.CompareFunc(a, b, func(x, y relation.Value) int { return strings.Compare(x.Key(), y.Key()) })
 }
 
 // writeJSONL renders one JSON object per tuple, keys in schema order.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,12 +13,27 @@ import (
 
 // refWrite is Write as it was before each row's key was computed once and
 // JSONL was appended by hand: a stable sort that builds both Tuple.Key
-// strings on every comparison, and one json.Marshal per JSONL key and cell.
-// It is the differential reference of the export sink.
+// strings, and on a tie both encodings, on every comparison, and one
+// json.Marshal per JSONL key and cell. It is the differential reference of
+// the export sink.
 func refWrite(rel *relation.Relation, format string) ([]byte, error) {
 	canon := rel.Shallow()
 	sort.SliceStable(canon.Tuples, func(i, j int) bool {
-		return canon.Tuples[i].Key() < canon.Tuples[j].Key()
+		a, b := canon.Tuples[i], canon.Tuples[j]
+		if a.Key() != b.Key() {
+			return a.Key() < b.Key()
+		}
+		ea, _ := a.AppendJSON(nil)
+		eb, _ := b.AppendJSON(nil)
+		if !bytes.Equal(ea, eb) {
+			return bytes.Compare(ea, eb) < 0
+		}
+		for k := range a {
+			if a[k].Key() != b[k].Key() {
+				return a[k].Key() < b[k].Key()
+			}
+		}
+		return false
 	})
 	var buf bytes.Buffer
 	if format == FormatCSV {
@@ -60,14 +76,16 @@ func refWrite(rel *relation.Relation, format string) ([]byte, error) {
 }
 
 // FuzzExportDifferential holds the CSV and JSONL sinks to refWrite, byte
-// for byte: rows whose Tuple.Key strings tie (a string holding the key's
-// separator), the HTML characters, invalid UTF-8, U+2028, both zeros, the
-// float format cutoffs and NaN, which JSONL cannot encode.
+// for byte, and to themselves over the rows reversed: rows whose Tuple.Key
+// strings tie (a string holding the key's separator), the HTML characters,
+// invalid UTF-8, U+2028, both zeros, the float format cutoffs and NaN, which
+// JSONL cannot encode.
 func FuzzExportDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 3, 5}, "<a>&\u2028", 1e21)
 	f.Add([]byte{3, 6, 5, 4, 3, 6, 5, 4}, "\xff", math.Copysign(0, -1))
 	f.Add([]byte{9, 9, 1, 1}, "x,\"y\"\n", 1e-7)
 	f.Add([]byte{9, 0}, "", math.NaN())
+	f.Add([]byte{3, 6, 4, 5}, "", 0.0)
 	f.Fuzz(func(t *testing.T, script []byte, s string, x float64) {
 		vals := []relation.Value{
 			relation.Null(), relation.String(s), relation.String(""), relation.String("a\x1f\x00Sb"),
@@ -81,6 +99,8 @@ func FuzzExportDifferential(f *testing.F) {
 			rel.Tuples = append(rel.Tuples, relation.Tuple{
 				vals[int(script[i])%len(vals)], vals[int(script[i+1])%len(vals)]})
 		}
+		reversed := rel.Shallow()
+		slices.Reverse(reversed.Tuples)
 		for _, format := range []string{FormatCSV, FormatJSONL} {
 			var got bytes.Buffer
 			stats, err := Write(&got, rel, format)
@@ -96,6 +116,10 @@ func FuzzExportDifferential(f *testing.F) {
 			}
 			if stats.Rows != len(rel.Tuples) || stats.Bytes != int64(got.Len()) {
 				t.Fatalf("%s: stats %+v for %d rows, %d bytes", format, stats, len(rel.Tuples), got.Len())
+			}
+			var permuted bytes.Buffer
+			if _, err := Write(&permuted, reversed, format); err != nil || !bytes.Equal(permuted.Bytes(), got.Bytes()) {
+				t.Fatalf("%s: the rows reversed export differently (%v):\n got %q\nwant %q", format, err, permuted.Bytes(), got.Bytes())
 			}
 		}
 	})

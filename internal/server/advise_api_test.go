@@ -100,7 +100,7 @@ func advisorLoop(t *testing.T) (preBoot, ranked, after string) {
 	// The quality report has no accuracy evidence yet — nothing has been
 	// annotated — so accepting the top feedback suggestion must measurably
 	// improve it: the targeted attribute gains an accuracy entry.
-	sess, err := s.mgr.Get(id)
+	sess, err := s.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestUploadInferredMappingAndRoles(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload: %s: %s", resp.Status, body)
 	}
-	sess, err := s.mgr.Get(id)
+	sess, err := s.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestBlankSessionTargetSurvivesSnapshot(t *testing.T) {
 	if iresp.StatusCode != http.StatusCreated {
 		t.Fatalf("import: %s", iresp.Status)
 	}
-	sess, err := s2.mgr.Get(id)
+	sess, err := s2.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestNaNCellSurvivesRestart(t *testing.T) {
 func TestExportUnencodableSession(t *testing.T) {
 	s, ts := testServer(t)
 	id := createSession(t, ts, `{"blank":true}`)
-	sess, err := s.mgr.Get(id)
+	sess, err := s.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,12 +36,15 @@
 // plans, and the relation export route streams any knowledge-base relation
 // — or the clean result — back out in canonical, byte-stable order.
 //
-// With -data-dir the service is durable, one way, and the server only
-// routes to it: internal/store owns the directory, its file formats and the
-// lifecycle of every session in it (create, append, archive, recover — its
-// package comment has the file layout and the crash contract). What a
-// client can rely on, per response: a 201 from create or import means the
-// session's baseline snapshot is fsynced and in place; a run — a synchronous
+// The server only routes: internal/store owns the table of live sessions —
+// the cap, creation order, the sessions_* metrics — and the one teardown
+// every session leaves through, whether DELETE, idle eviction or shutdown
+// takes it out, and with -data-dir the directory, its file formats and the
+// durable lifecycle of every session in it (create, import, append, archive,
+// recover — its package comment has the file layout and the crash
+// contract). What a client can rely on, per response: a 201 from create or
+// import means the session's baseline snapshot is fsynced and in place, and
+// no client could see the session before it was; a run — a synchronous
 // stage is one — commits once: its stage records (the mutation deltas,
 // O(delta) bytes) and its own record share one fsync, issued before the stage
 // is answered or the run turns terminal. A journal is compacted into a fresh
@@ -146,11 +149,9 @@ const (
 	sseWriteTimeout   = 10 * time.Second
 )
 
-// Server holds the session manager, the run engine, the tracer and
-// the durability wiring. Build one with New; serve Handler(); stop with
-// Close.
+// Server holds the store, the run engine and the tracer. Build one with
+// New; serve Handler(); stop with Close.
 type Server struct {
-	mgr     *session.Manager
 	runs    *runs.Engine
 	metrics *metrics.Registry
 	started time.Time
@@ -166,8 +167,8 @@ type Server struct {
 	// sseKeepAlive is sseKeepAliveEvery; tests shorten it.
 	sseKeepAlive time.Duration
 
-	// store owns the data directory and every session's durable lifecycle
-	// (ephemeral without one); the server only routes to it.
+	// store owns the table of live sessions, their lifecycle and the data
+	// directory (ephemeral without one); the server only routes to it.
 	store     *store.Store
 	closeOnce sync.Once
 }
@@ -176,7 +177,7 @@ type Server struct {
 // tests build the full server wiring — durability included — the same way.
 // A zero field means the package default vada-server's flag carries too.
 type Config struct {
-	// MaxSessions caps live sessions (0 = session.DefaultMaxSessions).
+	// MaxSessions caps live sessions (0 = store.DefaultMaxSessions).
 	MaxSessions int
 	// RunWorkers sizes the run engine's worker pool, which every stage runs
 	// on (0 = runs.DefaultWorkers).
@@ -191,8 +192,8 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// New wires tracer, run engine, session manager and the store over the
-// data directory, then recovers every session the directory holds.
+// New wires tracer, run engine and the store over the data directory, then
+// recovers every session the directory holds.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		metrics:      metrics.NewRegistry(),
@@ -215,57 +216,18 @@ func New(cfg Config) (*Server, error) {
 		}),
 		runs.WithMetrics(s.metrics),
 	)
-	s.mgr = session.NewManager(
-		session.WithMaxSessions(cfg.MaxSessions),
-		session.WithManagerMetrics(s.metrics),
-		// Stop hook: interrupt outstanding work the moment the session is
-		// marked closed, so the manager's quiesce wait is short.
-		session.WithStopHook(func(sess *session.Session) {
-			if n := s.runs.CancelSession(sess.ID()); n > 0 {
-				s.logger.Info("session closing", "session", sess.ID(), "runs_cancelled", n)
-			}
-		}),
-		// Evict hook: runs post-quiescence, so what the store writes carries
-		// the final KB version, event history and run records.
-		session.WithEvictHook(func(sess *session.Session) {
-			s.store.Release(sess)
-			s.logger.Info("session closed", "session", sess.ID())
-		}),
-	)
 	var err error
-	s.store, err = store.Open(cfg.DataDir,
-		store.Deps{Manager: s.mgr, Engine: s.runs, Metrics: s.metrics, Logger: s.logger})
+	s.store, err = store.Open(cfg.DataDir, cfg.MaxSessions,
+		store.Deps{Engine: s.runs, Metrics: s.metrics, Logger: s.logger})
 	if err != nil {
 		return nil, fmt.Errorf("opening -data-dir: %w", err)
 	}
-	s.store.Recover(s.sessionOpts()...)
+	s.store.Recover()
 	return s, nil
 }
 
-// sessionOpts are the options every session — created, imported or
-// recovered — gets: the metrics registry and the
-// stage-commit hook through which each completed stage reaches the store.
-func (s *Server) sessionOpts() []session.Option {
-	return []session.Option{
-		session.WithMetrics(s.metrics),
-		session.WithStageCommitHook(s.store.Append),
-	}
-}
-
-// durable makes a just-registered session durable before it is
-// acknowledged; a session the store cannot write is closed again and
-// reported, never answered 201.
-func (s *Server) durable(sess *session.Session) error {
-	err := s.store.Create(sess)
-	if err != nil {
-		s.logger.Error("making session durable", "session", sess.ID(), "error", err)
-		s.mgr.Close(sess.ID())
-	}
-	return err
-}
-
-// Close drains the run engine, then has the store close every live session,
-// each compacted once it has quiesced — the graceful-shutdown path.
+// Close drains the run engine, then has the store tear down every live
+// session, each compacted once it has quiesced — the graceful-shutdown path.
 // Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
@@ -283,7 +245,7 @@ func (s *Server) Handler() http.Handler { return s.instrument(s.routes()) }
 // EvictIdle closes every session idle longer than maxIdle, returning the
 // evicted IDs — the binary runs this from a ticker.
 func (s *Server) EvictIdle(maxIdle time.Duration) []string {
-	return s.mgr.EvictIdle(maxIdle)
+	return s.store.EvictIdle(maxIdle)
 }
 
 // routes wires the versioned API. The UI is registered as "GET /{$}" (the
@@ -331,7 +293,7 @@ func (s *Server) routes() *http.ServeMux {
 // (evicted mid-run) simply drop the signal. The hook runs under the engine
 // lock and never blocks.
 func (s *Server) publishTransition(run runs.Run) {
-	if sess, err := s.mgr.Get(run.SessionID); err == nil {
+	if sess, err := s.store.Get(run.SessionID); err == nil {
 		sess.PublishTransition(run.Transition())
 	}
 }
@@ -368,7 +330,7 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 	}
 	// Cheap pre-check so a full server rejects before scenario generation;
 	// Create remains the authoritative (race-free) gate.
-	if s.mgr.AtCap() {
+	if s.store.AtCap() {
 		writeError(rw, session.ErrLimit)
 		return
 	}
@@ -394,12 +356,8 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 		w = core.BuildScenarioWrangler(sc)
 		opts = append(opts, session.WithScenario(sc, req.Seed))
 	}
-	sess, err := s.mgr.Create(w, append(opts, s.sessionOpts()...)...)
+	sess, err := s.store.Create(w, opts...)
 	if err != nil {
-		writeError(rw, err)
-		return
-	}
-	if err := s.durable(sess); err != nil {
 		writeError(rw, err)
 		return
 	}
@@ -407,7 +365,7 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(rw http.ResponseWriter, _ *http.Request) {
-	sessions := s.mgr.List()
+	sessions := s.store.List()
 	states := make([]session.State, len(sessions))
 	for i, sess := range sessions {
 		states[i] = sess.State()
@@ -416,7 +374,7 @@ func (s *Server) handleList(rw http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleState(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -459,7 +417,7 @@ func (s *Server) handleStages(rw http.ResponseWriter, _ *http.Request) {
 // event or the stage's error, unless ?async=1 asks for the 202 with the run
 // snapshot and its Location to poll.
 func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -498,7 +456,7 @@ func (s *Server) writeRunAccepted(rw http.ResponseWriter, sessionID string, run 
 // transition events. Every stage is resolved and decoded before submission,
 // so a malformed plan is rejected whole — no partial execution.
 func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -522,7 +480,7 @@ func (s *Server) handleRunList(rw http.ResponseWriter, r *http.Request) {
 		// No retained runs: distinguish a live session without runs (empty
 		// 200) from an unknown session ID (404). Closed sessions keep their
 		// retained runs listable, matching GET .../runs/{rid}.
-		if _, err := s.mgr.Get(id); err != nil {
+		if _, err := s.store.Get(id); err != nil {
 			writeError(rw, err)
 			return
 		}
@@ -625,7 +583,7 @@ func (w *sseWriter) event(ev session.Event) error {
 // keep-alive comments so intermediaries hold the connection open and dead
 // peers are detected by the per-write deadline.
 func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -686,7 +644,7 @@ func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
 // ends, and is then in it whole. The envelope is encoded before its first
 // byte is sent, so a session that cannot be encoded answers 500.
 func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -730,18 +688,14 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 	// Imported snapshots must respect the same scenario-size policy as
 	// session creation: restoring regenerates the scenario, and an
 	// unbounded NProperties/NPostcodes would let one upload allocate
-	// arbitrarily (negative sizes are rejected by store.RestoreInto itself).
+	// arbitrarily (negative sizes are rejected by store.Import itself).
 	if cfg := snap.Meta.Scenario; cfg != nil && (cfg.NProperties > maxN || cfg.NPostcodes > maxN) {
 		http.Error(rw, fmt.Sprintf("snapshot scenario size (%d properties, %d postcodes) exceeds the server limit %d",
 			cfg.NProperties, cfg.NPostcodes, maxN), http.StatusBadRequest)
 		return
 	}
-	sess, err := store.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
+	sess, err := s.store.Import(snap)
 	if err != nil {
-		writeError(rw, err)
-		return
-	}
-	if err := s.durable(sess); err != nil {
 		writeError(rw, err)
 		return
 	}
@@ -760,7 +714,7 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 // upload order, that the response waits for: a failure aborts the remainder
 // and already-ingested files stay.
 func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -856,7 +810,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 // (optionally src_/dc_-prefixed) name otherwise. Rows are rendered in
 // canonical order, so identical state exports identical bytes.
 func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -940,7 +894,7 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 	out := map[string]any{
 		"status":    "ok",
 		"uptime_s":  int(time.Since(s.started).Seconds()),
-		"sessions":  s.mgr.Len(),
+		"sessions":  s.store.Len(),
 		"run_stats": s.runs.Stats(),
 		// The metricz roll-up: enough to spot trouble from a health probe,
 		// with /api/v1/metricz carrying the full per-series breakdown.
@@ -975,7 +929,7 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 // stage request, so a thin client can close the loop by replaying the action
 // against POST .../stages/{name} verbatim.
 func (s *Server) handleSuggestions(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -992,7 +946,7 @@ func (s *Server) handleSuggestions(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -1030,7 +984,7 @@ func (s *Server) handleResult(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(rw http.ResponseWriter, r *http.Request) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
+	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return

@@ -381,7 +381,7 @@ func TestExplicitFeedbackJSON(t *testing.T) {
 	base := ts.URL + "/api/v1/sessions/" + id
 	post(t, base+"/stages/bootstrap")
 
-	sess, err := s.mgr.Get(id)
+	sess, err := s.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1453,7 +1453,7 @@ func TestExportBetweenStages(t *testing.T) {
 	id := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
 	post(t, base+"/stages/bootstrap")
-	sess, err := s.mgr.Get(id)
+	sess, err := s.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package session makes the pay-as-you-go interaction loop a first-class,
 // concurrently-served object. A Session wraps one core.Wrangler, serialises
 // its runs, records a typed event per wrangling stage, and — when built over
-// the demonstration scenario — scores every stage against ground truth. A
-// Manager serves many independent sessions concurrently with a configurable
-// cap and an idle-eviction hook, which is what turns the single-user
-// demonstration of the paper into a multi-tenant service surface.
+// the demonstration scenario — scores every stage against ground truth. The
+// service keeps many of them live at once (internal/store holds the table),
+// which is what turns the single-user demonstration of the paper into a
+// multi-tenant service surface.
 package session
 
 import (
@@ -32,10 +32,10 @@ var (
 	// ErrClosed reports an operation on a closed session.
 	ErrClosed = errors.New("session: closed")
 
-	// ErrLimit reports that the manager's session cap is reached.
+	// ErrLimit reports that the service's session cap is reached.
 	ErrLimit = errors.New("session: session limit reached")
 
-	// ErrExists reports a restore under an ID a live session already holds.
+	// ErrExists reports an import under an ID a live session already holds.
 	ErrExists = errors.New("session: session already exists")
 )
 
@@ -111,13 +111,6 @@ type Session struct {
 	w         *core.Wrangler
 	sc        *datagen.Scenario
 	seed      int64
-
-	// mgrSeq is the creation sequence assigned by the Manager when the
-	// session is registered (Create/Restore). It is written exactly once,
-	// under the manager's lock before the session is published, and
-	// lets Manager.List sort by creation order without a per-call index
-	// snapshot.
-	mgrSeq uint64
 
 	// runMu serialises stage execution; mu guards the cheap metadata so
 	// listings and state reads never block behind a running stage.
@@ -209,8 +202,8 @@ func WithRestored(createdAt, lastActive time.Time, events []Event) Option {
 	}
 }
 
-// New wraps a Wrangler as a session. The ID must be unique among live
-// sessions of a manager; NewManager-created sessions get one assigned.
+// New wraps a Wrangler as a session under the given ID, which a service
+// keeps unique among its live sessions.
 func New(id string, w *core.Wrangler, opts ...Option) *Session {
 	s := &Session{id: id, w: w, createdAt: time.Now()}
 	s.lastActive = s.createdAt
@@ -308,8 +301,8 @@ func (s *Session) countDrop(kind string) {
 // session stops admitting new stages, but one already in flight keeps the
 // run mutex until it completes (or observes its cancelled context) — and
 // its final event append and KB writes happen under that mutex. Callers
-// that need the session's final state (the manager's evict hooks) wait here
-// first.
+// that need the session's final state (a teardown about to write it) wait
+// here first.
 func (s *Session) Quiesce() { s.BetweenStages(func() {}) }
 
 // BetweenStages runs fn while no stage executes on the session: it waits for

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,12 +26,8 @@ func testScenario(t testing.TB, n int, seed int64) *datagen.Scenario {
 func TestSessionLifecycle(t *testing.T) {
 	ctx := context.Background()
 	sc := testScenario(t, 60, 1)
-	mgr := NewManager()
-	sess, err := mgr.Create(core.BuildScenarioWrangler(sc), WithName("demo"), WithScenario(sc, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Name() != "demo" || sess.ID() == "" {
+	sess := New("s-demo", core.BuildScenarioWrangler(sc), WithName("demo"), WithScenario(sc, 1))
+	if sess.Name() != "demo" || sess.ID() != "s-demo" {
 		t.Fatalf("session identity: %q / %q", sess.ID(), sess.Name())
 	}
 
@@ -76,26 +73,17 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Closing makes every operation fail with ErrClosed.
-	if err := mgr.Close(sess.ID()); err != nil {
-		t.Fatal(err)
-	}
+	sess.Close()
 	if _, err := sess.Bootstrap(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("step after close err = %v", err)
 	}
 	if _, err := sess.Result(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("result after close err = %v", err)
 	}
-	if _, err := mgr.Get(sess.ID()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get after close err = %v", err)
-	}
 }
 
 func TestDataContextWithoutScenario(t *testing.T) {
-	mgr := NewManager()
-	sess, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := New("s-blank", core.NewWrangler())
 	if _, err := sess.AddDataContext(context.Background(), nil); !errors.Is(err, core.ErrNoDataContext) {
 		t.Fatalf("nil data context err = %v", err)
 	}
@@ -111,11 +99,7 @@ func TestSessionWithoutScenarioWrangles(t *testing.T) {
 	w.RegisterSource(shop)
 	w.SetTargetSchema(relation.NewSchema("catalogue", "name", "price:float", "city"))
 
-	mgr := NewManager()
-	sess, err := mgr.Create(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := New("s-shop", w)
 	ev, err := sess.Bootstrap(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -129,86 +113,17 @@ func TestSessionWithoutScenarioWrangles(t *testing.T) {
 	}
 }
 
-func TestManagerCapAndList(t *testing.T) {
-	mgr := NewManager(WithMaxSessions(2))
-	a, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Create(core.NewWrangler()); !errors.Is(err, ErrLimit) {
-		t.Fatalf("over cap err = %v", err)
-	}
-	list := mgr.List()
-	if len(list) != 2 || list[0].ID() != a.ID() || list[1].ID() != b.ID() {
-		t.Fatalf("list = %v", list)
-	}
-	if a.ID() == b.ID() {
-		t.Fatal("duplicate session IDs")
-	}
-	// Closing frees capacity.
-	if err := mgr.Close(a.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Create(core.NewWrangler()); err != nil {
-		t.Fatalf("create after close: %v", err)
-	}
-	if err := mgr.Close("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("close unknown err = %v", err)
-	}
-}
-
-func TestEvictIdle(t *testing.T) {
-	var evicted []string
-	var mu sync.Mutex
-	mgr := NewManager(WithEvictHook(func(s *Session) {
-		mu.Lock()
-		evicted = append(evicted, s.ID())
-		mu.Unlock()
-	}))
-	stale, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	fresh, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := mgr.EvictIdle(5 * time.Millisecond)
-	if len(ids) != 1 || ids[0] != stale.ID() {
-		t.Fatalf("evicted = %v, want [%s]", ids, stale.ID())
-	}
-	if !errors.Is(stale.touch(), ErrClosed) || fresh.touch() != nil {
-		t.Fatal("wrong sessions closed")
-	}
-	mu.Lock()
-	hooks := append([]string(nil), evicted...)
-	mu.Unlock()
-	if len(hooks) != 1 || hooks[0] != stale.ID() {
-		t.Fatalf("evict hook calls = %v", hooks)
-	}
-	if mgr.Len() != 1 {
-		t.Fatalf("len = %d", mgr.Len())
-	}
-}
-
 // TestConcurrentSessions runs two scenario sessions through all four stages
 // in parallel — the per-session locking claim, checked under -race.
 func TestConcurrentSessions(t *testing.T) {
 	ctx := context.Background()
-	mgr := NewManager()
 	var wg sync.WaitGroup
+	var sessions []*Session
 	errs := make(chan error, 2)
 	for seed := int64(1); seed <= 2; seed++ {
 		sc := testScenario(t, 50, seed)
-		sess, err := mgr.Create(core.BuildScenarioWrangler(sc), WithScenario(sc, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := New(fmt.Sprintf("s%d", seed), core.BuildScenarioWrangler(sc), WithScenario(sc, seed))
+		sessions = append(sessions, sess)
 		wg.Add(1)
 		go func(sess *Session) {
 			defer wg.Done()
@@ -231,7 +146,7 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for _, sess := range mgr.List() {
+	for _, sess := range sessions {
 		if len(sess.Events()) != 4 {
 			t.Fatalf("session %s: %d events", sess.ID(), len(sess.Events()))
 		}
@@ -337,31 +252,6 @@ func TestResultCache(t *testing.T) {
 	}
 	if len(r3.Tuples) > 0 && len(r2.Tuples) > 0 && &r3.Tuples[0][0] == &r2.Tuples[0][0] {
 		t.Fatal("Result cache not invalidated by a KB-advancing stage")
-	}
-}
-
-// TestEvictHooksCompose checks that repeated WithEvictHook options all fire
-// (in installation order) instead of last-wins overriding.
-func TestEvictHooksCompose(t *testing.T) {
-	var mu sync.Mutex
-	var calls []string
-	mgr := NewManager(
-		WithEvictHook(func(s *Session) { mu.Lock(); calls = append(calls, "a:"+s.ID()); mu.Unlock() }),
-		WithEvictHook(func(s *Session) { mu.Lock(); calls = append(calls, "b:"+s.ID()); mu.Unlock() }),
-	)
-	sc := testScenario(t, 30, 1)
-	sess, err := mgr.Create(core.BuildScenarioWrangler(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Close(sess.ID()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"a:" + sess.ID(), "b:" + sess.ID()}
-	if len(calls) != 2 || calls[0] != want[0] || calls[1] != want[1] {
-		t.Fatalf("evict hook calls = %v, want %v", calls, want)
 	}
 }
 
@@ -472,45 +362,6 @@ func TestPublishTransition(t *testing.T) {
 	sess.PublishTransition(tr)
 }
 
-func TestManagerRestore(t *testing.T) {
-	mgr := NewManager(WithMaxSessions(2))
-	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	active := created.Add(time.Hour)
-	events := []Event{{Seq: 1, Type: EventStage, Stage: StageBootstrap, Steps: 3, At: active}}
-	sess := New("s0001-restored", core.NewWrangler(),
-		WithName("restored"), WithRestored(created, active, events))
-	if err := mgr.Restore(sess); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mgr.Get("s0001-restored")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CreatedAt() != created || got.LastActive() != active {
-		t.Fatalf("restored times = %v / %v", got.CreatedAt(), got.LastActive())
-	}
-	if evs := got.Events(); len(evs) != 1 || evs[0].Stage != StageBootstrap {
-		t.Fatalf("restored events = %v", evs)
-	}
-
-	// Duplicate IDs are rejected, not replaced.
-	if err := mgr.Restore(New("s0001-restored", core.NewWrangler())); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate restore: %v, want ErrExists", err)
-	}
-	// The cap applies to restores too.
-	if err := mgr.Restore(New("other-1", core.NewWrangler())); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Restore(New("other-2", core.NewWrangler())); !errors.Is(err, ErrLimit) {
-		t.Fatalf("over-cap restore: %v, want ErrLimit", err)
-	}
-	// Restored sessions participate in listings in registration order.
-	list := mgr.List()
-	if len(list) != 2 || list[0].ID() != "s0001-restored" {
-		t.Fatalf("list = %v", list)
-	}
-}
-
 // TestRestoredSeqContinues proves stage numbering picks up after the
 // restored history instead of restarting at 1.
 func TestRestoredSeqContinues(t *testing.T) {
@@ -525,59 +376,6 @@ func TestRestoredSeqContinues(t *testing.T) {
 	}
 	if ev.Seq != 3 {
 		t.Fatalf("next Seq = %d, want 3", ev.Seq)
-	}
-}
-
-// TestTeardownHookOrdering proves the close sequence: stop hooks fire while
-// a stage may still be in flight, and evict hooks only after the session
-// has quiesced — so a persist-on-evict hook always sees the final event.
-func TestTeardownHookOrdering(t *testing.T) {
-	stageEntered := make(chan struct{})
-	release := make(chan struct{})
-	var order []string
-	var mu sync.Mutex
-	record := func(what string) {
-		mu.Lock()
-		order = append(order, what)
-		mu.Unlock()
-	}
-
-	mgr := NewManager(
-		WithStopHook(func(s *Session) {
-			record("stop")
-			close(release) // the "cancel runs" stand-in: unblock the stage
-		}),
-		WithEvictHook(func(s *Session) {
-			record("evict:" + string(rune('0'+len(s.Events()))))
-		}),
-	)
-	sess, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := committed(sess.Step(context.Background(), "slow", func(w *core.Wrangler) error {
-			close(stageEntered)
-			<-release
-			return nil
-		}))
-		done <- err
-	}()
-	<-stageEntered
-
-	if err := mgr.Close(sess.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("in-flight step: %v", err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "stop" || order[1] != "evict:1" {
-		t.Fatalf("teardown order = %v, want [stop evict:1]", order)
 	}
 }
 
@@ -697,45 +495,6 @@ func TestSlowConsumerDropsCounted(t *testing.T) {
 	sess.Close()
 	if got := reg.Gauge("sse_subscribers").Value(); got != 0 {
 		t.Fatalf("sse_subscribers after Close = %d, want 0", got)
-	}
-}
-
-// TestManagerMetrics checks the population series across create, cap
-// rejection, close and idle eviction.
-func TestManagerMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	mgr := NewManager(WithMaxSessions(1), WithManagerMetrics(reg))
-	sess, err := mgr.Create(core.NewWrangler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Create(core.NewWrangler()); !errors.Is(err, ErrLimit) {
-		t.Fatalf("expected ErrLimit, got %v", err)
-	}
-	if got := reg.Counter("sessions_rejected_total").Value(); got != 1 {
-		t.Fatalf("sessions_rejected_total = %d, want 1", got)
-	}
-	if got := reg.Gauge("sessions_live").Value(); got != 1 {
-		t.Fatalf("sessions_live = %d, want 1", got)
-	}
-	if err := mgr.Close(sess.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("sessions_closed_total").Value(); got != 1 {
-		t.Fatalf("sessions_closed_total = %d, want 1", got)
-	}
-	if got := reg.Gauge("sessions_live").Value(); got != 0 {
-		t.Fatalf("sessions_live after close = %d, want 0", got)
-	}
-
-	if _, err := mgr.Create(core.NewWrangler()); err != nil {
-		t.Fatal(err)
-	}
-	if evicted := mgr.EvictIdle(0); len(evicted) != 1 {
-		t.Fatalf("evicted %v, want one", evicted)
-	}
-	if got := reg.Counter("sessions_evicted_total").Value(); got != 1 {
-		t.Fatalf("sessions_evicted_total = %d, want 1", got)
 	}
 }
 

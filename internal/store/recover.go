@@ -4,27 +4,25 @@ import (
 	"os"
 	"reflect"
 	"strings"
-
-	"vada/internal/session"
 )
 
 // Recover is the boot path: every <id>.vsnap in the directory is decoded,
 // its journal's valid prefix is replayed over it — a torn tail truncated,
-// never fatal — and the composed state is registered with the manager and
-// the run engine and journals on from where it stopped. Archived sessions
-// stay under closed/: one comes back live when its file is imported. opts
-// are the options every session of the service gets. A session whose
-// snapshot fails to decode or register, or whose journal cannot be opened,
-// is logged and not served, its files left as they are: one corrupt file
-// must not take the service down, and a session that could not journal
-// would lose every stage acknowledged from then on.
-func (s *Store) Recover(opts ...session.Option) {
+// never fatal — and the composed state is published, its terminal runs
+// handed to the run engine, and journals on from where it stopped. Archived
+// sessions stay under closed/: one comes back live when its file is
+// imported. A session whose snapshot fails to decode or to be admitted (the
+// cap), or whose journal cannot be opened, is logged and not served, its
+// files left as they are: one corrupt file must not take the service down,
+// and a session that could not journal would lose every stage acknowledged
+// from then on.
+func (s *Store) Recover() {
 	if s.dir == "" {
 		return
 	}
 	n := 0
 	for _, id := range s.snapshotIDs() {
-		if s.recoverLive(id, opts) {
+		if s.recoverLive(id) {
 			n++
 		}
 	}
@@ -76,7 +74,7 @@ func (s *Store) readSnapshot(id string) *SessionSnapshot {
 // recoverLive restores one live pair. Opening the journal replays it once:
 // the records it returns are folded into the snapshot, and the journal is
 // the one the session goes on appending to.
-func (s *Store) recoverLive(id string, opts []session.Option) bool {
+func (s *Store) recoverLive(id string) bool {
 	snap := s.readSnapshot(id)
 	if snap == nil {
 		return false
@@ -91,19 +89,20 @@ func (s *Store) recoverLive(id string, opts []session.Option) bool {
 	}
 	fold(snap, res.Records)
 	read := snap.Meta
-	sess, err := RestoreInto(s.Manager, s.Engine, snap, opts...)
+	sess, err := restoreSession(snap, s.options(nil)...)
+	var e *entry
+	if err == nil {
+		e, _, err = s.adopt(sess)
+	}
 	if err != nil {
 		j.close()
 		s.Logger.Error("restoring snapshot", "session", id, "error", err)
 		return false
 	}
-	e := &entry{sess: sess}
+	s.Engine.Adopt(snap.Runs)
 	e.io.Lock()
 	defer e.io.Unlock()
 	e.start(j, snap.Runs)
-	s.mu.Lock()
-	s.entries[id] = e
-	s.mu.Unlock()
 	// A restore that had to rewrite what it read (the layout of an older
 	// binary, moved into the knowledge base) leaves files that describe a
 	// state the next record's delta does not start from: fold them now.
@@ -112,6 +111,7 @@ func (s *Store) recoverLive(id string, opts []session.Option) bool {
 			s.Logger.Error("rewriting snapshot after restore", "session", id, "error", err)
 		}
 	}
+	s.publish(e)
 	s.Logger.Info("restored session", "session", id,
 		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", len(res.Records))
 	return true

@@ -341,24 +341,6 @@ func upgrade(w *core.Wrangler, m *Meta) {
 	m.Feedback, m.ExecHashes, m.FusedHash, m.TargetName, m.Target = nil, nil, 0, "", nil
 }
 
-// RestoreInto restores a snapshot and registers it with the manager and —
-// run history included — the engine: the boot and import path of the
-// service. The manager's cap applies; an ID already live fails with
-// session.ErrExists and registers nothing.
-func RestoreInto(mgr *session.Manager, eng *runs.Engine, snap *SessionSnapshot, opts ...session.Option) (*session.Session, error) {
-	s, err := restoreSession(snap, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := mgr.Restore(s); err != nil {
-		return nil, err
-	}
-	if eng != nil {
-		eng.Adopt(snap.Runs)
-	}
-	return s, nil
-}
-
 // legacyTarget rebuilds a target schema from the attribute specs an older
 // snapshot carried. Unlike relation.NewSchema it never panics: snapshots can
 // arrive through the import route, so an unknown kind in a hand-edited file

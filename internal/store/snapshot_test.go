@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"reflect"
@@ -21,6 +22,7 @@ import (
 	"vada/internal/kb"
 	"vada/internal/mapping"
 	"vada/internal/mcda"
+	"vada/internal/metrics"
 	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
@@ -296,11 +298,7 @@ func TestRoundTripConformance(t *testing.T) {
 	cfg.NProperties = 50
 	cfg.Seed = 3
 	sc := datagen.Generate(cfg)
-	mgr := session.NewManager()
-	sess, err := mgr.Create(core.BuildScenarioWrangler(sc), session.WithName("conf"), session.WithScenario(sc, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session.New("s0001-conf", core.BuildScenarioWrangler(sc), session.WithName("conf"), session.WithScenario(sc, 3))
 	if _, err := sess.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +337,13 @@ func TestRoundTripConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mgr2 := session.NewManager()
 	eng2 := runs.New(runs.WithWorkers(1))
 	defer eng2.Close()
-	restored, err := RestoreInto(mgr2, eng2, snap)
+	st, err := Open("", 0, Deps{Engine: eng2, Metrics: metrics.NewRegistry(), Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := st.Import(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestRoundTripConformance(t *testing.T) {
 	}
 
 	// Restoring the same snapshot again collides on the live ID.
-	if _, err := RestoreInto(mgr2, eng2, snap); !errors.Is(err, session.ErrExists) {
+	if _, err := st.Import(snap); !errors.Is(err, session.ErrExists) {
 		t.Fatalf("duplicate restore: %v, want ErrExists", err)
 	}
 }

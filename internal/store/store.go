@@ -1,6 +1,8 @@
-// Package store owns a server's data directory and, with it, the durable
-// state of every session: the two file formats, and the lifecycle that
-// writes them — create, append, archive, recover.
+// Package store owns a server's live sessions and its data directory: the
+// one table of sessions — create, import, look up, list, delete, evict, with
+// the session cap and the sessions_* metrics — and, with a directory, the
+// durable state of each: the two file formats, and the lifecycle that writes
+// them — create, append, archive, recover.
 //
 // On disk a live session is a pair, an archived one a single file:
 //
@@ -13,18 +15,26 @@
 // is a versioned envelope of four sections (identity, knowledge base, event
 // history, terminal runs) closed by an end marker, so truncation, corruption
 // and version skew are typed errors; golden fixtures under testdata pin both
-// formats byte for byte. An archive is an export like any other: POSTing it
-// to the server's import route brings the session back live, through Create.
+// formats byte for byte. An archive is an export like any other: Import
+// brings the session back live from it.
 //
 // What each verb guarantees once it has returned without error:
 //
 //	Create   the baseline snapshot is fsynced and renamed into place over an
-//	         empty journal — the session survives kill -9 from here on
+//	Import   empty journal — the session survives kill -9 from here on, and
+//	         only from here on is it visible to Get and List
 //	Append   the stage's record is fsynced when the returned wait returns;
 //	         CommitRun likewise for a terminal run's record
 //	Archive  the pair is gone from <dir> and closed/ holds the final state
 //	Recover  every pair is live again, snapshot composed with the journal's
 //	         valid prefix
+//
+// A session leaves one way, whichever verb takes it out of the table —
+// Archive (DELETE), EvictIdle or Close (shutdown): it is marked closed, its
+// runs are cancelled, it quiesces, and only then are its files archived
+// (DELETE) or compacted (eviction, shutdown). The verb that takes it out is
+// the one that decides which; a DELETE that finds it already taken answers
+// not-found and changes nothing.
 //
 // Snapshots are taken between stages only, never during one. A journal past
 // compactRecords records or compactBytes bytes is compacted by the stage
@@ -38,20 +48,25 @@
 // journal that was emptied first or whose records it already folds in
 // (replay skips those by sequence and run ID).
 //
-// A Store opened over "" is ephemeral: every verb is a cheap no-op, so the
-// service wires one either way.
+// A Store opened over "" is ephemeral: the table and the teardown are the
+// same, and nothing is written.
 package store
 
 import (
+	"cmp"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
+	"vada/internal/core"
 	"vada/internal/metrics"
 	"vada/internal/runs"
 	"vada/internal/session"
@@ -78,32 +93,48 @@ const (
 // directory. The caller must not acknowledge it as created.
 var ErrNotDurable = errors.New("store: session is not durable")
 
-// Deps is the rest of the service a Store works with: the manager whose
-// sessions it persists, the engine whose terminal runs it snapshots, the
-// registry its fsync and byte counters go to, and the operational logger.
+// DefaultMaxSessions is the live-session cap of a store opened without one.
+const DefaultMaxSessions = 64
+
+// maxConcurrentTeardowns bounds the teardown fan-out of an eviction sweep or
+// a shutdown, so a large sweep cannot spawn an unbounded goroutine burst,
+// while one session stuck in quiesce or a slow snapshot does not serialise
+// the rest of the sweep behind it.
+const maxConcurrentTeardowns = 8
+
+// Deps is the rest of the service a Store works with: the engine whose runs
+// a departing session's teardown cancels and whose terminal runs it
+// snapshots, the registry its session, fsync and byte counters go to, and
+// the operational logger.
 type Deps struct {
-	Manager *session.Manager
 	Engine  *runs.Engine
 	Metrics *metrics.Registry
 	Logger  *slog.Logger
 }
 
-// Store is one data directory. Build it with Open, install Release as the
-// manager's evict hook, Append as every session's stage-commit hook and
-// CommitRun as the run engine's recorder, call Recover once before serving,
-// and stop with Close.
+// Store is one data directory and the table of live sessions. Build it with
+// Open, install CommitRun as the run engine's recorder, call Recover once
+// before serving, and stop with Close; every session it builds journals
+// through Append.
 type Store struct {
 	dir string
 	// maxRecords and maxBytes are compactRecords and compactBytes; tests
 	// lower them.
-	maxRecords int
-	maxBytes   int64
+	maxRecords  int
+	maxBytes    int64
+	maxSessions int
 	Deps
 
-	// mu guards the entry table, each entry's archive field, and
-	// lastSnapshot. It is never held across file I/O.
-	mu           sync.Mutex
-	entries      map[string]*entry
+	// mu guards the entry table, each entry's seq and state, counted, seq
+	// and lastSnapshot. It is never held across file I/O, nor while calling
+	// the run engine: the engine's transition hook looks sessions up here
+	// under the engine's lock.
+	mu      sync.RWMutex
+	entries map[string]*entry
+	// counted is the number of admitted and published entries: what the cap
+	// and the sessions_live gauge count.
+	counted      int
+	seq          uint64 // the last creation sequence number claimed
 	lastSnapshot time.Time
 
 	// onStep, set by tests only, is called after each file-system step of a
@@ -111,20 +142,23 @@ type Store struct {
 	onStep func(step string)
 }
 
-// entry is everything the store knows about one durable session ID — the
-// single place that decides whether a departing session is compacted (idle
-// eviction, shutdown), archived (DELETE) or left alone (already gone, or
-// superseded by a newer session under the same ID).
+// entry is everything the store knows about one session: where it is in its
+// life, and what its files hold.
 type entry struct {
 	sess *session.Session
+
+	// seq is the session's place in creation order and state where it is in
+	// its life; both under Store.mu.
+	seq   uint64
+	state entryState
 
 	// io orders every write to this session's files and guards the fields
 	// below it: every writer locks it and then looks at j, so nothing is
 	// written once the entry is finished, and a new session taking over the
 	// ID waits the old one out.
 	io sync.Mutex
-	// j is the open journal: nil while Create is still writing and again
-	// once the entry is finished.
+	// j is the open journal: nil in an ephemeral store, while the files are
+	// still being written, and again once the entry is finished.
 	j *journal
 	// runSeen holds the IDs of the terminal runs the files hold: those of the
 	// snapshot and those journaled since.
@@ -132,16 +166,31 @@ type entry struct {
 	// dirty reports that something was recorded — or failed to be — since
 	// the snapshot under the journal was written.
 	dirty bool
-
-	// archive marks a DELETE in progress; under Store.mu.
-	archive bool
 }
 
+// An entry is admitted (counted against the cap, its files being written,
+// invisible), then published (what Get and List show, and what DELETE,
+// eviction and shutdown take out), then leaving: taken out by one of them,
+// torn down, and kept in the table only until it finishes, so the writers
+// still recording for it find it and a session taking over its ID waits for
+// it.
+type entryState uint8
+
+const (
+	admitted entryState = iota
+	published
+	leaving
+)
+
 // Open prepares a store over dir, creating it if needed; "" is the
-// ephemeral store.
-func Open(dir string, deps Deps) (*Store, error) {
-	s := &Store{dir: dir, maxRecords: compactRecords, maxBytes: compactBytes, Deps: deps,
-		entries: map[string]*entry{}}
+// ephemeral store. It serves at most maxSessions live sessions
+// (DefaultMaxSessions when maxSessions is not positive).
+func Open(dir string, maxSessions int, deps Deps) (*Store, error) {
+	if maxSessions <= 0 {
+		maxSessions = DefaultMaxSessions
+	}
+	s := &Store{dir: dir, maxRecords: compactRecords, maxBytes: compactBytes, maxSessions: maxSessions,
+		Deps: deps, entries: map[string]*entry{}}
 	if dir == "" {
 		return s, nil
 	}
@@ -179,31 +228,107 @@ func (s *Store) step(name string) {
 
 // lookup returns the entry registered under id, or nil.
 func (s *Store) lookup(id string) *entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.entries[id]
 }
 
-// Create makes a new session — created or imported — durable
-// before it is acknowledged: any stale journal under its ID is emptied
-// first, the baseline snapshot is written second, and only then does the
-// session start journaling. A failure wraps ErrNotDurable and leaves nothing
-// registered; the caller closes the session instead of answering 201.
-func (s *Store) Create(sess *session.Session) error {
-	if s.dir == "" {
-		return nil
+// options are the caller's session options followed by what every session
+// the store builds gets: the service's metrics registry, and Append as its
+// stage-commit hook.
+func (s *Store) options(opts []session.Option) []session.Option {
+	return append(opts[:len(opts):len(opts)], session.WithMetrics(s.Metrics), session.WithStageCommitHook(s.Append))
+}
+
+// admitLocked claims the next creation sequence number, unless the cap is
+// reached (ErrLimit, counted). Callers hold s.mu and go on to putLocked.
+func (s *Store) admitLocked() error {
+	if s.counted >= s.maxSessions {
+		s.Metrics.Counter("sessions_rejected_total").Inc()
+		return fmt.Errorf("%w (max %d)", session.ErrLimit, s.maxSessions)
 	}
-	id := sess.ID()
-	if !SafeID(id) {
-		return fmt.Errorf("%w: session ID %q is not filesystem-safe", ErrNotDurable, id)
+	s.seq++
+	return nil
+}
+
+// putLocked enters sess into the table, admitted, under the sequence number
+// just claimed. Callers hold s.mu.
+func (s *Store) putLocked(sess *session.Session) *entry {
+	e := &entry{sess: sess, seq: s.seq}
+	s.entries[sess.ID()] = e
+	s.counted++
+	s.Metrics.Gauge("sessions_live").Set(int64(s.counted))
+	return e
+}
+
+// Create builds a session over w with a new ID and makes it durable before
+// anyone can see it: at the cap it fails with ErrLimit, and a session the
+// data directory cannot take fails with ErrNotDurable, is closed and was
+// never visible. A session it returns is listed and, durable, survives
+// kill -9.
+func (s *Store) Create(w *core.Wrangler, opts ...session.Option) (*session.Session, error) {
+	suffix := randomSuffix()
+	s.mu.Lock()
+	if err := s.admitLocked(); err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
-	e := &entry{sess: sess}
+	// The ID carries the creation sequence, so it is assigned under the lock
+	// that orders creations.
+	sess := session.New(fmt.Sprintf("s%04d-%s", s.seq, suffix), w, s.options(opts)...)
+	e := s.putLocked(sess)
+	s.mu.Unlock()
+	if err := s.open(e, nil); err != nil {
+		return nil, err
+	}
+	s.Metrics.Counter("sessions_created_total").Inc()
+	return sess, nil
+}
+
+// Import brings a session back from a snapshot envelope — an export, or the
+// archive DELETE left under closed/ — under its own ID, terminal runs
+// included, and makes it durable as Create does. A malformed snapshot fails
+// with ErrBadSnapshot, an ID a live session holds with session.ErrExists, the
+// cap with ErrLimit. An ID whose previous session is still being torn down
+// is taken over once that session's file operations are done.
+func (s *Store) Import(snap *SessionSnapshot) (*session.Session, error) {
+	sess, err := restoreSession(snap, s.options(nil)...)
+	if err != nil {
+		return nil, err
+	}
+	e, old, err := s.adopt(sess)
+	if err != nil {
+		return nil, err
+	}
+	s.Engine.Adopt(snap.Runs)
+	if err := s.open(e, old); err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
+// adopt admits a session that arrives with its ID, imported or recovered,
+// and returns the leaving entry it supersedes, if any. An ID a published
+// or admitted session holds fails with session.ErrExists.
+func (s *Store) adopt(sess *session.Session) (e, old *entry, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old = s.entries[sess.ID()]; old != nil && old.state != leaving {
+		return nil, nil, fmt.Errorf("%w: %q", session.ErrExists, sess.ID())
+	}
+	if err := s.admitLocked(); err != nil {
+		return nil, nil, err
+	}
+	return s.putLocked(sess), old, nil
+}
+
+// open writes an admitted session's files and then publishes it: any stale
+// journal under its ID is emptied first, the baseline snapshot is written
+// second, and only then does the session journal and become visible. A
+// failure wraps ErrNotDurable and takes the session out again, closed.
+func (s *Store) open(e *entry, old *entry) error {
 	e.io.Lock()
 	defer e.io.Unlock()
-	s.mu.Lock()
-	old := s.entries[id]
-	s.entries[id] = e
-	s.mu.Unlock()
 	if old != nil {
 		// The ID's previous session is still being torn down (an import over
 		// an ID mid-DELETE): wait its file operations out, then it has lost
@@ -212,16 +337,33 @@ func (s *Store) Create(sess *session.Session) error {
 		s.finish(old)
 		old.io.Unlock()
 	}
-	if err := s.createFiles(e); err != nil {
-		s.finish(e)
-		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	if s.dir != "" {
+		if err := s.createFiles(e); err != nil {
+			s.finish(e)
+			e.sess.Close()
+			s.Logger.Error("making session durable", "session", e.sess.ID(), "error", err)
+			return fmt.Errorf("%w: %w", ErrNotDurable, err)
+		}
 	}
+	s.publish(e)
 	return nil
 }
 
-// createFiles is Create's file-system half: journal emptied, then snapshot.
+// publish makes an admitted entry visible to Get, List and the verbs that
+// take sessions out.
+func (s *Store) publish(e *entry) {
+	s.mu.Lock()
+	e.state = published
+	s.mu.Unlock()
+}
+
+// createFiles is open's file-system half: journal emptied, then snapshot.
 func (s *Store) createFiles(e *entry) error {
-	j, stale, err := openJournal(s.path(e.sess.ID(), journalExt), s.Metrics)
+	id := e.sess.ID()
+	if !SafeID(id) {
+		return fmt.Errorf("session ID %q is not filesystem-safe", id)
+	}
+	j, stale, err := openJournal(s.path(id, journalExt), s.Metrics)
 	if err != nil {
 		return err
 	}
@@ -240,6 +382,50 @@ func (s *Store) createFiles(e *entry) error {
 	e.start(j, snap.Runs)
 	return nil
 }
+
+// Get returns the published session under id, or session.ErrNotFound.
+func (s *Store) Get(id string) (*session.Session, error) {
+	s.mu.RLock()
+	e := s.entries[id]
+	ok := e != nil && e.state == published
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", session.ErrNotFound, id)
+	}
+	return e.sess, nil
+}
+
+// List returns the published sessions in creation order. The order lives on
+// the entries, so listing allocates only its own slices.
+func (s *Store) List() []*session.Session {
+	s.mu.RLock()
+	live := make([]*entry, 0, len(s.entries))
+	for _, e := range s.entries {
+		if e.state == published {
+			live = append(live, e)
+		}
+	}
+	s.mu.RUnlock()
+	slices.SortFunc(live, func(a, b *entry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]*session.Session, len(live))
+	for i, e := range live {
+		out[i] = e.sess
+	}
+	return out
+}
+
+// Len returns the number of live sessions the cap counts: those published
+// and those whose files are still being written.
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.counted
+}
+
+// AtCap reports whether the session cap is currently reached — a cheap
+// pre-check for callers doing expensive setup before Create, which remains
+// the authoritative, race-free gate.
+func (s *Store) AtCap() bool { return s.Len() >= s.maxSessions }
 
 // start makes the entry journal through j, over a snapshot that holds the
 // given terminal runs. The wrangler's change log starts (or restarts) here:
@@ -301,14 +487,17 @@ func (s *Store) writeSnapshot(snap *SessionSnapshot) error {
 }
 
 // finish ends an entry's life: it leaves the table (unless a newer session
-// already took the ID), its change log stops, its journal is closed, and
-// every writer that locks io afterwards finds j nil and declines. Callers
-// hold e.io.
+// already took the ID) and the cap's count (unless it was taken out before),
+// its change log stops, its journal is closed, and every writer that locks
+// io afterwards finds j nil and declines. Callers hold e.io.
 func (s *Store) finish(e *entry) {
 	id := e.sess.ID()
 	s.mu.Lock()
 	if s.entries[id] == e {
 		delete(s.entries, id)
+	}
+	if e.state != leaving {
+		s.takeLocked(e)
 	}
 	s.mu.Unlock()
 	if e.j == nil {
@@ -319,6 +508,14 @@ func (s *Store) finish(e *entry) {
 		s.Logger.Error("closing journal", "session", id, "error", err)
 	}
 	e.j = nil
+}
+
+// takeLocked marks an entry leaving: out of view and out of the cap's count.
+// Callers hold s.mu.
+func (s *Store) takeLocked(e *entry) {
+	e.state = leaving
+	s.counted--
+	s.Metrics.Gauge("sessions_live").Set(int64(s.counted))
 }
 
 // Append is the session stage-commit hook: one O(delta) journal record per
@@ -377,7 +574,7 @@ func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Ev
 // compact folds the journal into a fresh snapshot of the session and empties
 // it. The snapshot holds every record written so far, so their waits resolve
 // without an fsync. Callers hold e.io and the session is between stages:
-// under its run mutex (Append), or quiesced (Release, Recover).
+// under its run mutex (Append), or quiesced (teardown, Recover).
 func (s *Store) compact(e *entry) error {
 	snap := captureSession(e.sess, s.Engine)
 	if err := s.writeSnapshot(snap); err != nil {
@@ -427,53 +624,108 @@ func (s *Store) CommitRun(run runs.Run) func() {
 	}
 }
 
-// Archive is DELETE: the session is closed through the manager — cancelling
-// its runs — and its teardown (Release) moves the final snapshot under
-// closed/ and removes the live pair, so the session no longer comes back at
-// boot. Unknown IDs, a duplicate DELETE included, fail with
-// session.ErrNotFound and touch nothing.
+// Archive is DELETE: the session is taken out of view and torn down, its
+// final snapshot moved under closed/ and its live pair removed, so it no
+// longer comes back at boot. An ID no published session holds — unknown,
+// already deleted, or taken out by an eviction or shutdown first — fails
+// with session.ErrNotFound and changes nothing.
 func (s *Store) Archive(id string) error {
 	s.mu.Lock()
-	if e := s.entries[id]; e != nil {
-		e.archive = true
+	e := s.entries[id]
+	if e == nil || e.state != published {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %q", session.ErrNotFound, id)
 	}
+	s.takeLocked(e)
 	s.mu.Unlock()
-	return s.Manager.Close(id)
+	s.Metrics.Counter("sessions_closed_total").Inc()
+	s.teardown(e, true)
+	return nil
 }
 
-// Release is the manager's evict hook, run once a session has left the
-// manager and quiesced: a session marked by Archive is archived, any other
-// (idle eviction, shutdown) is compacted so a restart replays nothing, and
-// either way its journal is closed. A session that was never durable, or
-// whose ID a newer session has taken over, is left alone.
-func (s *Store) Release(sess *session.Session) {
-	if s.dir == "" {
-		return
+// EvictIdle tears down every session whose last activity is older than
+// maxIdle, compacting each so a restart replays nothing and it stays
+// restorable, and returns the evicted IDs sorted ascending. Run it from a
+// ticker to bound the memory of abandoned sessions.
+func (s *Store) EvictIdle(maxIdle time.Duration) []string {
+	cutoff := time.Now().Add(-maxIdle)
+	return s.sweep("sessions_evicted_total", func(sess *session.Session) bool {
+		return sess.LastActive().Before(cutoff)
+	})
+}
+
+// Close is the graceful shutdown: every live session is torn down as an
+// idle eviction tears it down, so a restart after it replays nothing. The
+// caller has drained the run engine. Idempotent.
+func (s *Store) Close() {
+	s.sweep("sessions_closed_total", func(*session.Session) bool { return true })
+}
+
+// sweep takes every published session that pick selects out of view under
+// one lock, then tears them down concurrently, at most
+// maxConcurrentTeardowns at a time, each compacted, and counted under
+// counter. It returns their IDs sorted ascending.
+func (s *Store) sweep(counter string, pick func(*session.Session) bool) []string {
+	s.mu.Lock()
+	var out []*entry
+	for _, e := range s.entries {
+		if e.state == published && pick(e.sess) {
+			s.takeLocked(e)
+			out = append(out, e)
+		}
 	}
-	id := sess.ID()
+	s.mu.Unlock()
+	ids := make([]string, len(out))
+	sem := make(chan struct{}, maxConcurrentTeardowns)
+	var wg sync.WaitGroup
+	for i, e := range out {
+		ids[i] = e.sess.ID()
+		s.Metrics.Counter(counter).Inc()
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			s.teardown(e, false)
+		}()
+	}
+	wg.Wait()
+	slices.Sort(ids)
+	return ids
+}
+
+// teardown is how every session leaves, once DELETE, eviction or shutdown
+// has taken it out of view: it is marked closed (new stages fail), its runs
+// are cancelled (the stage in flight observes it), it quiesces, the engine
+// records its runs' terminal states, and only then are its files brought to
+// their final state — archived under closed/ when archive is set, compacted
+// otherwise, left alone when the store is ephemeral or a newer session has
+// taken over the ID — and it leaves the table.
+func (s *Store) teardown(e *entry, archive bool) {
+	id := e.sess.ID()
+	e.sess.Close()
+	if n := s.Engine.CancelSession(id); n > 0 {
+		s.Logger.Info("session closing", "session", id, "runs_cancelled", n)
+	}
+	e.sess.Quiesce()
 	s.Engine.WaitSession(id)
-	e := s.lookup(id)
-	if e == nil || e.sess != sess {
-		return
-	}
 	e.io.Lock()
 	defer e.io.Unlock()
-	if e.j == nil {
-		return
-	}
-	s.mu.Lock()
-	archive := e.archive
-	s.mu.Unlock()
-	if archive {
+	switch {
+	case e.j == nil:
+	case archive:
 		if err := s.archive(e); err != nil {
 			s.Logger.Error("archiving session", "session", id, "error", err)
 		} else {
 			s.Logger.Info("session archived", "session", id, "dir", closedDir)
 		}
-	} else if err := s.compact(e); err != nil {
-		s.Logger.Error("compacting session on evict", "session", id, "error", err)
+	default:
+		if err := s.compact(e); err != nil {
+			s.Logger.Error("compacting session on evict", "session", id, "error", err)
+		}
 	}
 	s.finish(e)
+	s.Logger.Info("session closed", "session", id)
 }
 
 // current reports whether the snapshot on disk already holds the session's
@@ -559,17 +811,11 @@ func (s *Store) Stats() *Stats {
 	return out
 }
 
-// Close closes every live session through the manager: the teardown an idle
-// eviction takes, so each session is compacted by Release once it has
-// quiesced and a restart after a clean shutdown replays nothing. The caller
-// has drained the run engine. Idempotent.
-func (s *Store) Close() {
-	if s.dir == "" {
-		return
+// randomSuffix makes session IDs unguessable across restarts.
+func randomSuffix() string {
+	var b [4]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "00000000"
 	}
-	for _, sess := range s.Manager.List() {
-		// Not found: the session is already leaving, and its own teardown
-		// releases it.
-		_ = s.Manager.Close(sess.ID())
-	}
+	return hex.EncodeToString(b[:])
 }

@@ -25,18 +25,13 @@ import (
 	"vada/internal/session"
 )
 
-// rig is one process's worth of service around a store — manager, run
-// engine, store — wired the way the server wires them, without HTTP.
+// rig is one process's worth of service around a store — run engine and
+// store — wired the way the server wires them, without HTTP.
 type rig struct {
 	t   *testing.T
-	mgr *session.Manager
 	eng *runs.Engine
 	reg *metrics.Registry
 	st  *Store
-
-	// hold, when set, parks every teardown between the manager removing the
-	// session and the store releasing it: the mid-DELETE window.
-	hold chan struct{}
 }
 
 // boot starts a rig over dir and recovers what the directory holds. The
@@ -45,7 +40,7 @@ type rig struct {
 func boot(t *testing.T, dir string) *rig {
 	t.Helper()
 	r := start(t, dir)
-	r.st.Recover(r.opts()...)
+	r.st.Recover()
 	return r
 }
 
@@ -56,18 +51,8 @@ func start(t *testing.T, dir string) *rig {
 	r.eng = runs.New(runs.WithWorkers(2), runs.WithObserver(runs.Observer{
 		Record: func(run runs.Run) func() { return r.st.CommitRun(run) },
 	}))
-	r.mgr = session.NewManager(
-		session.WithStopHook(func(s *session.Session) { r.eng.CancelSession(s.ID()) }),
-		session.WithEvictHook(func(s *session.Session) {
-			if r.hold != nil {
-				<-r.hold
-			}
-			r.st.Release(s)
-		}),
-	)
 	var err error
-	r.st, err = Open(dir, Deps{Manager: r.mgr, Engine: r.eng, Metrics: r.reg,
-		Logger: slog.New(slog.DiscardHandler)})
+	r.st, err = Open(dir, 0, Deps{Engine: r.eng, Metrics: r.reg, Logger: slog.New(slog.DiscardHandler)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,31 +60,22 @@ func start(t *testing.T, dir string) *rig {
 	return r
 }
 
-func (r *rig) opts() []session.Option {
-	return []session.Option{session.WithStageCommitHook(r.st.Append)}
-}
-
-// register builds a small scenario session in the manager without making
-// it durable — the state a handler is in between mgr.Create and st.Create.
-func (r *rig) register(seed int64) *session.Session {
-	r.t.Helper()
+// scenario is a small scenario wrangler and the options POST /sessions
+// gives its session.
+func scenario(seed int64) (*core.Wrangler, []session.Option) {
 	cfg := datagen.DefaultConfig()
 	cfg.NProperties = 20
 	cfg.Seed = seed
 	sc := datagen.Generate(cfg)
-	sess, err := r.mgr.Create(core.BuildScenarioWrangler(sc),
-		append(r.opts(), session.WithName("t"), session.WithScenario(sc, seed))...)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	return sess
+	return core.BuildScenarioWrangler(sc), []session.Option{session.WithName("t"), session.WithScenario(sc, seed)}
 }
 
 // create is what POST /sessions does.
 func (r *rig) create(seed int64) *session.Session {
 	r.t.Helper()
-	sess := r.register(seed)
-	if err := r.st.Create(sess); err != nil {
+	w, opts := scenario(seed)
+	sess, err := r.st.Create(w, opts...)
+	if err != nil {
 		r.t.Fatal(err)
 	}
 	return sess
@@ -112,14 +88,48 @@ func (r *rig) importEnvelope(envelope []byte) *session.Session {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	sess, err := RestoreInto(r.mgr, r.eng, snap, r.opts()...)
+	sess, err := r.st.Import(snap)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if err := r.st.Create(sess); err != nil {
-		r.t.Fatal(err)
-	}
 	return sess
+}
+
+// onlyID is the ID of the one session in the store's table, published or
+// not; "" when there is none.
+func (r *rig) onlyID() string {
+	r.st.mu.RLock()
+	defer r.st.mu.RUnlock()
+	for id := range r.st.entries {
+		return id
+	}
+	return ""
+}
+
+// park holds sess's run mutex until the returned release is called, as a
+// stage in flight would: a teardown that has taken the session out waits in
+// its quiesce, before it writes anything — the mid-DELETE window.
+func park(sess *session.Session) (release func()) {
+	parked, done := make(chan struct{}), make(chan struct{})
+	go sess.BetweenStages(func() {
+		close(parked)
+		<-done
+	})
+	<-parked
+	return func() { close(done) }
+}
+
+// gone waits until id no longer resolves: a teardown has taken it out.
+func (r *rig) gone(id string) {
+	r.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := r.st.Get(id); err != nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			r.t.Fatalf("session %s was never taken out of the table", id)
+		}
+	}
 }
 
 func (r *rig) bootstrap(sess *session.Session) {
@@ -191,11 +201,22 @@ func (r *rig) export(sess *session.Session) []byte {
 // exportID exports the live session under id, nil when there is none.
 func (r *rig) exportID(id string) []byte {
 	r.t.Helper()
-	sess, err := r.mgr.Get(id)
+	sess, err := r.st.Get(id)
 	if err != nil {
 		return nil
 	}
 	return r.export(sess)
+}
+
+// admittedExport exports the session the table holds under id whether it
+// is visible yet or not — what a create cut short would have acknowledged
+// had it returned; nil when there is none.
+func (r *rig) admittedExport(id string) []byte {
+	r.t.Helper()
+	if e := r.st.lookup(id); e != nil {
+		return r.export(e.sess)
+	}
+	return nil
 }
 
 func (r *rig) snapshotsWritten() int64 { return r.reg.Counter("persist_snapshots_total").Value() }
@@ -263,13 +284,12 @@ func TestCrashSteps(t *testing.T) {
 			name:    "create",
 			prepare: func(t *testing.T, dir string) (*rig, *world) { return start(t, dir), &world{} },
 			verb: func(r *rig, w *world) {
-				sess := r.register(1)
-				w.id = sess.ID()
-				if err := r.st.Create(sess); err != nil {
-					r.t.Fatal(err)
-				}
+				// The session's ID is known once it is admitted, before its
+				// first file step; a crash unwinds through this defer.
+				defer func() { w.id = r.onlyID() }()
+				r.create(1)
 			},
-			after: func(r *rig, w *world) []byte { return r.exportID(w.id) },
+			after: func(r *rig, w *world) []byte { return r.admittedExport(w.id) },
 			steps: []string{"journal", "snapshot-temp", "snapshot"},
 		},
 		{
@@ -292,7 +312,7 @@ func TestCrashSteps(t *testing.T) {
 				w.before = nil
 				r.importEnvelope(envelope)
 			},
-			after: func(r *rig, w *world) []byte { return r.exportID(w.id) },
+			after: func(r *rig, w *world) []byte { return r.admittedExport(w.id) },
 			steps: []string{"journal", "snapshot-temp", "snapshot"},
 		},
 		{
@@ -303,7 +323,7 @@ func TestCrashSteps(t *testing.T) {
 				return r, &world{id: sess.ID(), before: r.export(sess)}
 			},
 			verb: func(r *rig, w *world) {
-				sess, _ := r.mgr.Get(w.id)
+				sess, _ := r.st.Get(w.id)
 				r.bootstrap(sess)
 			},
 			// The stage ran in memory before its record was written.
@@ -322,7 +342,7 @@ func TestCrashSteps(t *testing.T) {
 				return r, &world{id: sess.ID(), before: r.export(sess)}
 			},
 			verb: func(r *rig, w *world) {
-				sess, _ := r.mgr.Get(w.id)
+				sess, _ := r.st.Get(w.id)
 				if _, err := sess.AddDataContext(context.Background(), nil); err != nil {
 					r.t.Fatal(err)
 				}
@@ -555,24 +575,17 @@ func TestSupersession(t *testing.T) {
 	envelope := r.export(old) // the state the client re-imports
 	r.bootstrap(old)
 
-	// DELETE the session and park its teardown before the store sees it.
-	r.hold = make(chan struct{})
+	// DELETE the session and park its teardown before it writes anything.
+	release := park(old)
 	deleted := make(chan error, 1)
 	go func() { deleted <- r.st.Archive(id) }()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, err := r.mgr.Get(id); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("DELETE never removed the session from the manager")
-		}
-	}
+	r.gone(id)
 	if err := r.st.Archive(id); !errors.Is(err, session.ErrNotFound) {
 		t.Fatalf("duplicate DELETE mid-teardown: %v, want not found", err)
 	}
 	fresh := r.importEnvelope(envelope)
 	want := r.export(fresh)
-	close(r.hold)
+	release()
 	if err := <-deleted; err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +602,6 @@ func TestSupersession(t *testing.T) {
 	}
 
 	// DELETE it for good; a second DELETE finds nothing and resurrects nothing.
-	r.hold = nil
 	if err := r.st.Archive(id); err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +611,7 @@ func TestSupersession(t *testing.T) {
 	if exists(r.st.path(id, SnapshotExt)) || exists(r.st.path(id, journalExt)) {
 		t.Fatal("duplicate DELETE brought the live pair back")
 	}
-	if n := boot(t, dir).mgr.Len(); n != 0 {
+	if n := boot(t, dir).st.Len(); n != 0 {
 		t.Fatalf("%d sessions after DELETE, want none", n)
 	}
 }
@@ -663,22 +675,25 @@ func TestCreateNotDurable(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sess := r.register(4)
-	if err := r.st.Create(sess); !errors.Is(err, ErrNotDurable) {
+	w, opts := scenario(4)
+	if _, err := r.st.Create(w, opts...); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("Create into a regular file: %v, want ErrNotDurable", err)
 	}
-	if st := r.st.Stats(); st.JournaledSessions != 0 {
-		t.Fatalf("failed Create left %d sessions registered", st.JournaledSessions)
-	}
-	// The caller closes the session it could not make durable; the teardown
-	// finds nothing to write.
-	if err := r.mgr.Close(sess.ID()); err != nil {
-		t.Fatal(err)
+	if st := r.st.Stats(); st.JournaledSessions != 0 || r.st.Len() != 0 || len(r.st.List()) != 0 {
+		t.Fatalf("failed Create left sessions registered: %+v, %d live", st, r.st.Len())
 	}
 
-	hostile := session.New("../escape", core.NewWrangler())
-	if err := start(t, t.TempDir()).st.Create(hostile); !errors.Is(err, ErrNotDurable) {
-		t.Fatalf("Create of a path-escaping ID: %v, want ErrNotDurable", err)
+	r2 := start(t, t.TempDir())
+	snap, err := ReadSessionSnapshot(bytes.NewReader(r2.export(r2.create(4))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Meta.ID = "../escape"
+	if _, err := r2.st.Import(snap); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Import of a path-escaping ID: %v, want ErrNotDurable", err)
+	}
+	if _, err := r2.st.Get("../escape"); !errors.Is(err, session.ErrNotFound) {
+		t.Fatalf("the session that could not be made durable is visible: %v", err)
 	}
 }
 
@@ -692,7 +707,7 @@ func TestCloseCompacts(t *testing.T) {
 	r.bootstrap(b)
 	wantA, wantB := r.export(a), r.export(b)
 
-	if ids := r.mgr.EvictIdle(0); len(ids) != 2 {
+	if ids := r.st.EvictIdle(0); len(ids) != 2 {
 		// Both are idle by now; evict them one way or the other below.
 		t.Fatalf("evicted %v, want both sessions", ids)
 	}
@@ -705,7 +720,7 @@ func TestCloseCompacts(t *testing.T) {
 	if !bytes.Equal(r2.exportID(a.ID()), wantA) || !bytes.Equal(r2.exportID(b.ID()), wantB) {
 		t.Fatal("evicted sessions did not recover to their final state")
 	}
-	sa, _ := r2.mgr.Get(a.ID())
+	sa, _ := r2.st.Get(a.ID())
 	if _, err := sa.AddDataContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -978,7 +993,7 @@ func TestUnreadableJournal(t *testing.T) {
 			}
 
 			r2 := boot(t, dir)
-			if _, err := r2.mgr.Get(id); !errors.Is(err, session.ErrNotFound) {
+			if _, err := r2.st.Get(id); !errors.Is(err, session.ErrNotFound) {
 				t.Fatalf("a session whose journal cannot be opened is served: %v", err)
 			}
 			if n := r2.st.Stats().JournaledSessions; n != 0 {
@@ -1005,11 +1020,8 @@ func TestJournalConformance(t *testing.T) {
 	cfg.NProperties = 60
 	cfg.Seed = 7
 	sc := datagen.Generate(cfg)
-	sess, err := r.mgr.Create(core.BuildScenarioWrangler(sc), append(r.opts(), session.WithScenario(sc, 7))...)
+	sess, err := r.st.Create(core.BuildScenarioWrangler(sc), session.WithScenario(sc, 7))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.st.Create(sess); err != nil {
 		t.Fatal(err)
 	}
 	id := sess.ID()
@@ -1065,7 +1077,7 @@ func TestJournalConformance(t *testing.T) {
 	if got := r2.exportID(id); !bytes.Equal(got, want) {
 		t.Fatalf("recovered %d bytes, the live session exports %d", len(got), len(want))
 	}
-	restored, err := r2.mgr.Get(id)
+	restored, err := r2.st.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1204,7 +1216,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	if snap.Meta.Options != nil || snap.Meta.Feedback != nil || snap.Meta.ExecHashes != nil || !reflect.DeepEqual(feedback.Items(snap.KB.Relation(feedback.RelItems)), old) {
 		t.Fatalf("the rewritten snapshot is not in today's layout: meta %+v", snap.Meta)
 	}
-	sess, err := r.mgr.Get("s-old")
+	sess, err := r.st.Get("s-old")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1222,7 +1234,7 @@ func TestRecoverRewritesOlderLayout(t *testing.T) {
 	if got := r2.exportID("s-old"); !bytes.Equal(got, want) {
 		t.Fatalf("recovered %d bytes, the session exported %d before the crash", len(got), len(want))
 	}
-	again, _ := r2.mgr.Get("s-old")
+	again, _ := r2.st.Get("s-old")
 	if got := again.Wrangler().FeedbackItems(); !reflect.DeepEqual(got, append(old, fresh)) {
 		t.Fatalf("recovered items %v", got)
 	}

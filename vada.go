@@ -181,9 +181,9 @@ var (
 // stage — the records vada-server serves per session.
 type SessionEvent = session.Event
 
-// Session-manager construction and session options.
+// Session construction and session options.
 var (
-	NewSessionManager = session.NewManager
-	WithSessionName   = session.WithName
-	WithScenario      = session.WithScenario
+	NewSession      = session.New
+	WithSessionName = session.WithName
+	WithScenario    = session.WithScenario
 )
