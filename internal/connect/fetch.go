@@ -6,13 +6,10 @@ import (
 	"net/http"
 	"net/url"
 	"time"
-
-	"vada/internal/relation"
 )
 
 // FetchOptions parameterises one HTTP-fetch source.
 type FetchOptions struct {
-	ReadOptions
 	// Timeout bounds each individual attempt (0 = 10s). The caller's
 	// context bounds the whole fetch including backoff waits.
 	Timeout time.Duration
@@ -28,18 +25,18 @@ type FetchOptions struct {
 	Client *http.Client
 }
 
-// Fetch pulls one http(s) URL and decodes the body via Read under the same
-// strictness, caps and mapping rules as a direct upload. The body is decoded
-// in full before returning, so a cancelled or failed fetch yields nothing —
-// the caller's knowledge base is untouched by construction. All failure
-// modes wrap ErrFetchFailed except decode errors, which keep their own
-// sentinels (ErrBadFormat, ErrSchemaMismatch, ErrTooLarge); a fetch the
-// caller's context cancelled wraps context.Canceled too, so a run cancelled
-// mid-fetch reads as cancelled, not failed.
-func Fetch(ctx context.Context, rawURL, name string, opts FetchOptions) (*relation.Relation, Stats, error) {
+// Fetch pulls one http(s) URL and returns its body, read in full under the
+// cap of a direct upload (DefaultMaxBytes), for Read to decode as an upload's
+// is: a cancelled or failed fetch yields nothing, so the caller's knowledge
+// base is untouched by construction. All failure modes wrap ErrFetchFailed
+// except a body past the cap (ErrTooLarge) or cut off mid-read
+// (ErrBadFormat); a fetch the caller's context cancelled wraps
+// context.Canceled too, so a run cancelled mid-fetch reads as cancelled, not
+// failed.
+func Fetch(ctx context.Context, rawURL string, opts FetchOptions) ([]byte, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Scheme != "http" && u.Scheme != "https" {
-		return nil, Stats{}, fmt.Errorf("%w: URL %q must be http or https", ErrFetchFailed, rawURL)
+		return nil, fmt.Errorf("%w: URL %q must be http or https", ErrFetchFailed, rawURL)
 	}
 	timeout := opts.Timeout
 	if timeout <= 0 {
@@ -66,51 +63,47 @@ func Fetch(ctx context.Context, rawURL, name string, opts FetchOptions) (*relati
 			wait := backoff << (attempt - 1)
 			select {
 			case <-ctx.Done():
-				return nil, Stats{}, fmt.Errorf("%w: %w", ErrFetchFailed, ctx.Err())
+				return nil, fmt.Errorf("%w: %w", ErrFetchFailed, ctx.Err())
 			case <-time.After(wait):
 			}
 		}
-		rel, stats, retryable, err := fetchOnce(ctx, client, rawURL, name, timeout, opts.ReadOptions)
+		body, retryable, err := fetchOnce(ctx, client, rawURL, timeout)
 		if err == nil {
-			return rel, stats, nil
+			return body, nil
 		}
 		if !retryable {
-			return nil, Stats{}, err
+			return nil, err
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, Stats{}, fmt.Errorf("%w: %w", ErrFetchFailed, ctx.Err())
+			return nil, fmt.Errorf("%w: %w", ErrFetchFailed, ctx.Err())
 		}
 	}
-	return nil, Stats{}, fmt.Errorf("%w: %d attempts: %v", ErrFetchFailed, retries+1, lastErr)
+	return nil, fmt.Errorf("%w: %d attempts: %v", ErrFetchFailed, retries+1, lastErr)
 }
 
 // fetchOnce is one attempt: request with a per-attempt deadline, check the
-// status, decode the body. retryable marks network errors and 5xx statuses.
-func fetchOnce(ctx context.Context, client *http.Client, rawURL, name string, timeout time.Duration, opts ReadOptions) (_ *relation.Relation, _ Stats, retryable bool, _ error) {
+// status, read the body. retryable marks network errors and 5xx statuses.
+func fetchOnce(ctx context.Context, client *http.Client, rawURL string, timeout time.Duration) (_ []byte, retryable bool, _ error) {
 	attemptCtx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(attemptCtx, http.MethodGet, rawURL, nil)
 	if err != nil {
-		return nil, Stats{}, false, fmt.Errorf("%w: %v", ErrFetchFailed, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrFetchFailed, err)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, Stats{}, true, fmt.Errorf("%w: %w", ErrFetchFailed, err)
+		return nil, true, fmt.Errorf("%w: %w", ErrFetchFailed, err)
 	}
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode >= 500:
-		return nil, Stats{}, true, fmt.Errorf("%w: %s answered %s", ErrFetchFailed, rawURL, resp.Status)
+		return nil, true, fmt.Errorf("%w: %s answered %s", ErrFetchFailed, rawURL, resp.Status)
 	case resp.StatusCode < 200 || resp.StatusCode >= 300:
-		return nil, Stats{}, false, fmt.Errorf("%w: %s answered %s", ErrFetchFailed, rawURL, resp.Status)
+		return nil, false, fmt.Errorf("%w: %s answered %s", ErrFetchFailed, rawURL, resp.Status)
 	}
-	rel, stats, err := Read(name, resp.Body, opts)
-	if err != nil {
-		// Decode errors keep their own sentinels; a body cut off by the
-		// attempt deadline surfaces as ErrBadFormat and is not retried —
-		// a larger timeout, not another attempt, is the fix.
-		return nil, Stats{}, false, err
-	}
-	return rel, stats, false, nil
+	// A body cut off by the attempt deadline surfaces as ErrBadFormat and is
+	// not retried — a larger timeout, not another attempt, is the fix.
+	body, err := readCapped(resp.Body, 0)
+	return body, false, err
 }

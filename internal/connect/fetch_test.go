@@ -1,6 +1,7 @@
 package connect
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -15,7 +16,11 @@ func TestFetchHappyPath(t *testing.T) {
 		w.Write([]byte("street,price\nmain,100\n"))
 	}))
 	defer ts.Close()
-	rel, stats, err := Fetch(context.Background(), ts.URL, "props", FetchOptions{})
+	body, err := Fetch(context.Background(), ts.URL, FetchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, stats, err := Read("props", bytes.NewReader(body), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +31,7 @@ func TestFetchHappyPath(t *testing.T) {
 
 func TestFetchBadScheme(t *testing.T) {
 	for _, u := range []string{"ftp://host/file.csv", "file:///etc/passwd", "://nope"} {
-		if _, _, err := Fetch(context.Background(), u, "r", FetchOptions{}); !errors.Is(err, ErrFetchFailed) {
+		if _, err := Fetch(context.Background(), u, FetchOptions{}); !errors.Is(err, ErrFetchFailed) {
 			t.Fatalf("%s: err = %v, want ErrFetchFailed", u, err)
 		}
 	}
@@ -39,7 +44,7 @@ func TestFetchClientErrorDoesNotRetry(t *testing.T) {
 		http.NotFound(w, r)
 	}))
 	defer ts.Close()
-	_, _, err := Fetch(context.Background(), ts.URL, "r", FetchOptions{Backoff: time.Millisecond})
+	_, err := Fetch(context.Background(), ts.URL, FetchOptions{Backoff: time.Millisecond})
 	if !errors.Is(err, ErrFetchFailed) {
 		t.Fatalf("err = %v", err)
 	}
@@ -58,7 +63,11 @@ func TestFetchRetriesServerErrors(t *testing.T) {
 		w.Write([]byte("a\n1\n"))
 	}))
 	defer ts.Close()
-	rel, _, err := Fetch(context.Background(), ts.URL, "r", FetchOptions{Backoff: time.Millisecond})
+	body, err := Fetch(context.Background(), ts.URL, FetchOptions{Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _, err := Read("r", bytes.NewReader(body), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +83,7 @@ func TestFetchRetriesExhausted(t *testing.T) {
 		http.Error(w, "boom", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	_, _, err := Fetch(context.Background(), ts.URL, "r", FetchOptions{Retries: 1, Backoff: time.Millisecond})
+	_, err := Fetch(context.Background(), ts.URL, FetchOptions{Retries: 1, Backoff: time.Millisecond})
 	if !errors.Is(err, ErrFetchFailed) {
 		t.Fatalf("err = %v", err)
 	}
@@ -88,7 +97,11 @@ func TestFetchDecodeErrorKeepsSentinel(t *testing.T) {
 		w.Write([]byte("a,b\n1\n"))
 	}))
 	defer ts.Close()
-	_, _, err := Fetch(context.Background(), ts.URL, "r", FetchOptions{})
+	body, err := Fetch(context.Background(), ts.URL, FetchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Read("r", bytes.NewReader(body), ReadOptions{})
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
@@ -106,7 +119,7 @@ func TestFetchCancelledMidRequest(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := Fetch(ctx, ts.URL, "r", FetchOptions{})
+	_, err := Fetch(ctx, ts.URL, FetchOptions{})
 	if !errors.Is(err, ErrFetchFailed) {
 		t.Fatalf("err = %v, want ErrFetchFailed", err)
 	}
@@ -123,7 +136,7 @@ func TestFetchCancelledDuringBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := Fetch(ctx, ts.URL, "r", FetchOptions{Backoff: time.Hour})
+	_, err := Fetch(ctx, ts.URL, FetchOptions{Backoff: time.Hour})
 	if !errors.Is(err, ErrFetchFailed) {
 		t.Fatalf("err = %v", err)
 	}

@@ -56,7 +56,7 @@ func keysUnique(k *KB) bool {
 	return true
 }
 
-// encodeVals are the values the delta scripts draw from: the HTML
+// encodeVals are the values the snapshot scripts draw from: the HTML
 // characters, invalid UTF-8, U+2028, Tuple.Key's separators, both zeros,
 // the float format cutoffs and NaN.
 var encodeVals = []relation.Value{
@@ -69,13 +69,11 @@ var encodeVals = []relation.Value{
 
 var encodeNames = []string{"p", "q<&>", "r\u2029"}
 
-// deltaScript drives a knowledge base with the byte script, three bytes an
-// op, under a delta log, and holds the cut delta's encoding to encoding/json's
-// reflection over Delta and DeltaOp, and the snapshot's to refWriteSnapshot.
-func deltaScript(t *testing.T, script []byte) {
+// snapshotScript drives a knowledge base with the byte script, three bytes
+// an op, and holds the snapshot's encoding to refWriteSnapshot.
+func snapshotScript(t *testing.T, script []byte) {
 	k := New()
 	k.PutRelation("seed", rows(0, 3))
-	k.StartDeltaLog()
 	for i := 0; i+2 < len(script); i += 3 {
 		op, a, b := script[i], int(script[i+1]), int(script[i+2])
 		name := encodeNames[a%len(encodeNames)]
@@ -92,18 +90,13 @@ func deltaScript(t *testing.T, script []byte) {
 		case 4:
 			k.DropRelation(name)
 		case 5:
-			// A re-put of a stored relation: a row diff when one is lossless.
+			// A re-put of a stored relation.
 			k.PutRelation("seed", rows(a, b%5))
 		}
 	}
-	d := k.CutDelta()
-	got, gotErr := d.AppendJSON(nil)
-	want, wantErr := json.Marshal(d)
-	sameEncoding(t, "delta", got, gotErr, want, wantErr)
-
 	var snap bytes.Buffer
-	gotErr = k.WriteSnapshot(&snap)
-	want, wantErr = refWriteSnapshot(k)
+	gotErr := k.WriteSnapshot(&snap)
+	want, wantErr := refWriteSnapshot(k)
 	if !keysUnique(k) && gotErr == nil && wantErr == nil {
 		return
 	}
@@ -136,17 +129,17 @@ func sameEncoding(t *testing.T, what string, got []byte, gotErr error, want []by
 	}
 }
 
-// FuzzDeltaJSON holds the hand-written Delta and snapshot encoders to the
-// reflection encoding of the same knowledge-base writes.
-func FuzzDeltaJSON(f *testing.F) {
+// FuzzSnapshotJSON holds the hand-written snapshot encoder to the reflection
+// encoding of the same knowledge-base writes.
+func FuzzSnapshotJSON(f *testing.F) {
 	f.Add([]byte{0, 7, 8, 0, 2, 9, 3, 4, 2, 5, 1, 3, 1, 7, 8})
 	f.Add([]byte{0, 5, 8, 0, 6, 7, 5, 2, 4, 4, 0, 0, 3, 13, 14, 5, 6, 1})
 	f.Add([]byte{0, 17, 3, 3, 15, 16, 5, 3, 3, 2, 0, 0})
-	f.Fuzz(deltaScript)
+	f.Fuzz(snapshotScript)
 }
 
-// TestDeltaJSONScripts runs a fixed stretch of scripts outside the fuzzer.
-func TestDeltaJSONScripts(t *testing.T) {
+// TestSnapshotJSONScripts runs a fixed stretch of scripts outside the fuzzer.
+func TestSnapshotJSONScripts(t *testing.T) {
 	script := make([]byte, 3000)
 	x := uint32(7)
 	for i := range script {
@@ -154,7 +147,7 @@ func TestDeltaJSONScripts(t *testing.T) {
 		script[i] = byte(x >> 24)
 	}
 	for start := 0; start < len(script); start += 60 {
-		deltaScript(t, script[start:start+60])
+		snapshotScript(t, script[start:start+60])
 	}
 }
 

@@ -17,21 +17,20 @@
 //     and the data itself, which is equivalent at laptop scale.
 //
 // A fact's identity is Tuple.Same, found through Tuple.Hash: Int(2) and
-// Float(2) are two facts, 0 and -0 too, and every NaN is one value. A row diff
-// and a patch match rows the same way. Tuple.Key only orders (the facts of a
-// snapshot); it is no identity, since a string holding its separator can give
-// two tuples one key.
+// Float(2) are two facts, 0 and -0 too, and every NaN is one value. Tuple.Key
+// only orders (the facts of a snapshot); it is no identity, since a string
+// holding its separator can give two tuples one key.
 //
 // What is stored is shared, not copied: a relation put in the knowledge base,
 // every tuple in it, and every fact tuple are frozen from then on. PutRelation
-// takes ownership of the relation it is given; Relation, Facts, Snapshot and
-// the delta log hand out the stored relations and tuples themselves; and
+// takes ownership of the relation it is given; Relation, Facts and Snapshot
+// hand out the stored relations and tuples themselves; and
 // nobody — neither the code that put them nor the code that read them —
 // writes to one afterwards. To change a relation, build a new one (sharing
 // the rows that stay: Relation.Shallow, Tuple.With) and put that. The
 // compiler cannot hold anyone to this, so the kbcheck build tag does: under
 // it the knowledge base fingerprints everything at put time and verifies the
-// fingerprints on every read, put, cut and snapshot, panicking with the name
+// fingerprints on every read, put and snapshot, panicking with the name
 // of the relation or predicate that was written through (go test -tags
 // kbcheck; see kbcheck.go).
 //
@@ -102,24 +101,6 @@ type state struct {
 	// writes within one process. See keys.go.
 	clock, named uint64
 	moved        map[Key]uint64
-
-	// deltaOn/deltaOps/deltaFrom are the opt-in synchronous mutation log
-	// behind StartDeltaLog/CutDelta (see delta.go): the one change-notification
-	// mechanism, and the durability layer's source of truth.
-	deltaOn   bool
-	deltaOps  []DeltaOp
-	deltaFrom uint64
-
-	// deltaRelOp/deltaRelBase implement same-cut coalescing of relation
-	// puts. deltaRelBase[name] is the relation's state when the current cut
-	// first replaced it (nil = absent) and deltaRelOp[name] is the index in
-	// deltaOps of the one op carrying the
-	// relation's net change; a re-put rewrites that op with the diff of the
-	// latest state against the base, so a stage that executes, repairs and
-	// re-executes a relation journals the net effect once instead of every
-	// intermediate state. Both reset at each cut.
-	deltaRelOp   map[string]int
-	deltaRelBase map[string]*relation.Relation
 
 	// seals holds the put-time fingerprints of the stored relations under
 	// the kbcheck build tag, and nothing otherwise. See kbcheck.go.
@@ -207,7 +188,6 @@ func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	fs.add(stored, h)
 	k.version++
 	k.bumpLocked(FactsKey(pred))
-	k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: stored})
 	k.mu.Unlock()
 	return true
 }
@@ -225,11 +205,9 @@ func (k *KB) Retract(pred string, t relation.Tuple) bool {
 	if idx < 0 {
 		return false
 	}
-	stored := fs.tuples[idx]
 	fs.remove(idx, h)
 	k.version++
 	k.bumpLocked(FactsKey(pred))
-	k.logLocked(DeltaOp{Kind: DeltaRetract, Name: pred, Tuple: stored})
 	return true
 }
 
@@ -245,7 +223,6 @@ func (k *KB) RetractPredicate(pred string) int {
 	delete(k.facts, pred)
 	k.version++
 	k.bumpLocked(FactsKey(pred))
-	k.logLocked(DeltaOp{Kind: DeltaRetractPredicate, Name: pred})
 	return n
 }
 
@@ -319,17 +296,6 @@ func (k *KB) Facts(pred string) []relation.Tuple {
 // r itself is stored and handed to every reader, so the caller must not write
 // to it — its tuples included — once it is put. A caller that does not own
 // what it holds puts a Clone.
-//
-// With an active delta log the mutation is recorded: a replacement of an
-// existing same-schema relation is captured as a DeltaPatchRelation
-// carrying only the added and removed rows (insertion positions included,
-// so mid-relation edits patch too), provided replaying that patch
-// reproduces the new relation exactly (order included); a
-// replacement the diff cannot prove equivalent — schema change, reordering
-// of surviving rows, or a diff no smaller than the relation — falls back
-// to a wholesale op sharing the relation, and an unchanged relation logs
-// nothing at all
-// (the version still advances; the delta's To covers it on replay).
 func (k *KB) PutRelation(name string, r *relation.Relation) {
 	k.mu.Lock()
 	k.installRelationLocked(name, r)
@@ -337,7 +303,7 @@ func (k *KB) PutRelation(name string, r *relation.Relation) {
 }
 
 // installRelationLocked makes r the relation stored under name, as a change:
-// versioned, sealed and logged.
+// versioned and sealed.
 func (k *KB) installRelationLocked(name string, r *relation.Relation) {
 	old := k.relations[name]
 	k.seals.check(name, old)
@@ -345,184 +311,11 @@ func (k *KB) installRelationLocked(name string, r *relation.Relation) {
 	k.seals.put(name, r)
 	k.version++
 	k.bumpRelationLocked(name, old == nil)
-	k.logRelationPutLocked(name, old, r)
-}
-
-// logRelationPutLocked records a relation put in the active delta log.
-// Re-puts of the same relation within one cut coalesce: the op logged at
-// first touch is rewritten in place with the diff of the latest
-// state against deltaRelBase — the state the cut started from — so only
-// the net change ships in the journal record. Rewriting in place is sound
-// because replayed ops never read KB state; only the materialised result
-// matters, and DropRelation clears the coalescing entry so op order around
-// drops is preserved. A re-put that lands back on the base state
-// tombstones the op (Kind left zero; CutDelta filters it).
-func (k *KB) logRelationPutLocked(name string, old, stored *relation.Relation) {
-	if !k.deltaOn {
-		return
-	}
-	base, seen := k.deltaRelBase[name]
-	if !seen {
-		base = old // frozen like everything stored, so safe to retain
-		if k.deltaRelBase == nil {
-			k.deltaRelBase = make(map[string]*relation.Relation)
-		}
-		k.deltaRelBase[name] = base
-	}
-	op, logIt := k.relationPutOp(name, base, stored)
-	if idx, ok := k.deltaRelOp[name]; ok {
-		if !logIt {
-			k.deltaOps[idx] = DeltaOp{}
-			delete(k.deltaRelOp, name)
-			return
-		}
-		k.deltaOps[idx] = op
-		return
-	}
-	if !logIt {
-		return
-	}
-	k.deltaOps = append(k.deltaOps, op)
-	if k.deltaRelOp == nil {
-		k.deltaRelOp = make(map[string]int)
-	}
-	k.deltaRelOp[name] = len(k.deltaOps) - 1
-}
-
-// relationPutOp decides how an active delta log records a relation put:
-// a row-level patch when provably lossless, nothing for an unchanged
-// relation, a wholesale op sharing it otherwise. Callers hold k.mu; old is
-// the state the put is diffed against (nil if absent) and stored is the
-// relation just installed.
-func (k *KB) relationPutOp(name string, old, stored *relation.Relation) (DeltaOp, bool) {
-	if old == nil || !old.Schema.Equal(stored.Schema) {
-		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored}, true
-	}
-	added, addedAt, removed, ok := relationRowDiff(old, stored)
-	if !ok || len(added)+len(removed) >= len(stored.Tuples) {
-		return DeltaOp{Kind: DeltaPutRelation, Name: name, Relation: stored}, true
-	}
-	if len(added) == 0 && len(removed) == 0 {
-		return DeltaOp{}, false
-	}
-	return DeltaOp{Kind: DeltaPatchRelation, Name: name,
-		Added: added, AddedAt: addedAt, Removed: removed}, true
-}
-
-// relationRowDiff computes the row-level diff turning old into new, in the
-// exact shape DeltaPatchRelation replays: remove one occurrence per removed
-// tuple (matched by Tuple.Same, earliest surplus occurrences first), then
-// insert the added tuples at their final positions. ok reports that this
-// reconstruction reproduces new exactly, order included, which requires the
-// surviving old rows to appear in new in their original order — an in-order
-// subsequence. Greedy earliest matching decides that completely: tuples that
-// are Same are one value, so matching any duplicate is equivalent.
-// Replacements that reorder surviving rows fail the check and fall back to a
-// wholesale put. addedAt is nil when every addition is a tail append (the
-// pre-positional wire shape). The returned tuples are the relations' own,
-// frozen like them.
-func relationRowDiff(old, new *relation.Relation) (added []relation.Tuple, addedAt []int, removed []relation.Tuple, ok bool) {
-	// Remove the earliest surplus occurrences of over-represented rows;
-	// what survives must then appear in new, in order, for the patch to be
-	// lossless.
-	surplus := relation.NewTally(len(old.Tuples))
-	for _, t := range old.Tuples {
-		*surplus.Add(t)++
-	}
-	for _, t := range new.Tuples {
-		if n := surplus.Find(t); n != nil {
-			*n--
-		}
-	}
-	kept := make([]relation.Tuple, 0, len(old.Tuples))
-	for _, t := range old.Tuples {
-		if n := surplus.Find(t); *n > 0 {
-			*n--
-			removed = append(removed, t)
-			continue
-		}
-		kept = append(kept, t)
-	}
-	j := 0
-	for i, t := range new.Tuples {
-		if j < len(kept) && t.Same(kept[j]) {
-			j++
-			continue
-		}
-		added = append(added, t)
-		addedAt = append(addedAt, i)
-	}
-	if j != len(kept) {
-		return nil, nil, nil, false
-	}
-	// Positions are strictly increasing, so a first addition landing where
-	// the tail starts means all of them are tail appends: drop the
-	// positions and keep the smaller nil-AddedAt wire shape.
-	if len(added) > 0 && addedAt[0] == len(new.Tuples)-len(added) {
-		addedAt = nil
-	}
-	return added, addedAt, removed, true
-}
-
-// PatchRelationAt applies a row-level diff to a named bulk relation: one
-// occurrence per removed tuple is taken out (matched by Tuple.Same, earliest
-// first), then the added tuples are inserted at the final positions addedAt
-// names — or appended at the end when addedAt is nil. It reports whether
-// the relation existed; patching an absent relation is a no-op — a patch is
-// only ever cut from a state where the relation was present, so an absent
-// target means the op belongs to an epoch already folded into a snapshot.
-// An empty patch is a no-op too. Malformed positions (short, out of range)
-// degrade deterministically: unplaceable additions keep their order and
-// flush to the tail. Like PutRelation it takes ownership of what it is given.
-// The patched relation is a new one stored in place of the old: a reader
-// holding the old one keeps seeing the old rows.
-func (k *KB) PatchRelationAt(name string, added []relation.Tuple, addedAt []int, removed []relation.Tuple) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	r, ok := k.relations[name]
-	if !ok {
-		return false
-	}
-	if len(added) == 0 && len(removed) == 0 {
-		return true
-	}
-	k.seals.check(name, r)
-	surplus := relation.NewTally(len(removed))
-	for _, t := range removed {
-		*surplus.Add(t)++
-	}
-	kept := make([]relation.Tuple, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		if n := surplus.Find(t); n != nil && *n > 0 {
-			*n--
-			continue
-		}
-		kept = append(kept, t)
-	}
-	next := make([]relation.Tuple, 0, len(kept)+len(added))
-	ai, ki := 0, 0
-	for ai < len(added) || ki < len(kept) {
-		if ai < len(added) &&
-			(ki == len(kept) || (ai < len(addedAt) && addedAt[ai] <= len(next))) {
-			next = append(next, added[ai])
-			ai++
-			continue
-		}
-		next = append(next, kept[ki])
-		ki++
-	}
-	patched := &relation.Relation{Schema: r.Schema, Tuples: next}
-	k.relations[name] = patched
-	k.seals.put(name, patched)
-	k.version++
-	k.bumpRelationLocked(name, false)
-	k.logLocked(DeltaOp{Kind: DeltaPatchRelation, Name: name, Added: added, AddedAt: addedAt, Removed: removed})
-	return true
 }
 
 // Relation returns a named bulk relation, or nil if absent: the stored one,
-// shared with every other reader and never changed — a later put or patch
-// stores a new relation under the name and leaves this one as it was. Read
+// shared with every other reader and never changed — a later put stores a
+// new relation under the name and leaves this one as it was. Read
 // it freely, for as long as you like; to change it, build a new relation.
 func (k *KB) Relation(name string) *relation.Relation {
 	k.mu.RLock()
@@ -567,17 +360,6 @@ func (k *KB) DropRelation(name string) bool {
 	delete(k.relations, name)
 	k.version++
 	k.bumpRelationLocked(name, true)
-	k.logLocked(DeltaOp{Kind: DeltaDropRelation, Name: name})
-	if k.deltaOn {
-		// Later re-puts must not rewrite an op that precedes this drop, and
-		// must diff against "absent" (wholesale) since replay passes through
-		// the drop.
-		delete(k.deltaRelOp, name)
-		if k.deltaRelBase == nil {
-			k.deltaRelBase = make(map[string]*relation.Relation)
-		}
-		k.deltaRelBase[name] = nil
-	}
 	return true
 }
 

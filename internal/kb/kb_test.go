@@ -3,6 +3,7 @@ package kb
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -141,19 +142,6 @@ func TestRelationsStoreCopies(t *testing.T) {
 		t.Fatal("rows that stay are shared between the old relation and the new")
 	}
 
-	// A patch stores a new relation too.
-	before := k.Relation("src_s")
-	if !k.PatchRelationAt("src_s", []relation.Tuple{tup("v3")}, nil, []relation.Tuple{tup("v1")}) {
-		t.Fatal("patch of a stored relation must apply")
-	}
-	after := k.Relation("src_s")
-	if before == after || before.Cardinality() != 2 || before.Tuples[0][0].Str() != "v1" {
-		t.Fatalf("a patch must leave the relation a reader holds as it was: %v", before)
-	}
-	if after.Cardinality() != 2 || after.Tuples[0][0].Str() != "v2" || after.Tuples[1][0].Str() != "v3" {
-		t.Fatalf("patched relation = %v", after)
-	}
-
 	if k.Relation("ghost") != nil {
 		t.Fatal("missing relation should be nil")
 	}
@@ -200,7 +188,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	k.Assert("p", tup(3))
 	k.Retract("p", tup(1))
-	k.PatchRelationAt("rel", []relation.Tuple{tup("v3")}, nil, []relation.Tuple{tup("v1")})
+	k.PutRelation("rel", &relation.Relation{Schema: r.Schema, Tuples: []relation.Tuple{r.Tuples[1], tup("v3")}})
 	k.PutRelation("rel", &relation.Relation{Schema: r.Schema, Tuples: k.Relation("rel").Tuples[:1]})
 	k.DropRelation("gone")
 
@@ -233,8 +221,9 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestPatchDoesNotDisturbReaders runs readers that hold on to a Relation()
-// result and scan it while PatchRelationAt, PutRelation and DropRelation
-// replace what is stored: every reader sees one consistent relation — all of
+// result and scan it while PutRelation — of a relation sharing half its rows
+// with the stored one, or of a fresh one — and DropRelation replace what is
+// stored: every reader sees one consistent relation — all of
 // its rows belong to the same generation — and the race detector sees no
 // write to anything a reader holds.
 func TestPatchDoesNotDisturbReaders(t *testing.T) {
@@ -269,8 +258,8 @@ func TestPatchDoesNotDisturbReaders(t *testing.T) {
 				for _, tu := range r.Tuples {
 					gens[tu[0].IntVal()]++
 				}
-				// A patched relation mixes exactly two generations, half
-				// and half; a put one has a single generation.
+				// A half-swapped relation mixes exactly two generations,
+				// half and half; a fresh one has a single generation.
 				if len(gens) > 2 || len(r.Tuples) != 50 {
 					t.Errorf("reader saw a torn relation: %d rows, generations %v", len(r.Tuples), gens)
 					return
@@ -284,8 +273,9 @@ func TestPatchDoesNotDisturbReaders(t *testing.T) {
 		case 0:
 			k.PutRelation("r", generation(gen, 50))
 		case 1:
-			// Swap the first half for rows of this generation.
-			k.PatchRelationAt("r", generation(gen, 25).Tuples, nil, cur.Tuples[:25])
+			// Swap the first half for rows of this generation, sharing the rest.
+			k.PutRelation("r", &relation.Relation{Schema: schema,
+				Tuples: append(slices.Clone(cur.Tuples[25:]), generation(gen, 25).Tuples...)})
 		case 2:
 			k.DropRelation("r")
 			k.PutRelation("r", generation(gen, 50))

@@ -12,8 +12,8 @@ import (
 // from a promise into a check. Sharing a frozen relation differs from handing
 // out copies only if somebody writes through the shared one, so that is what
 // is looked for: every relation is fingerprinted when it is put, every fact
-// tuple is indexed under the hash it had when asserted, and reads, puts, patches,
-// drops, cuts and snapshots verify what they touch.
+// tuple is indexed under the hash it had when asserted, and reads, puts,
+// drops, digests and snapshots verify what they touch.
 
 // seals holds the fingerprint each stored relation had when it was put.
 type seals struct{ sums map[string]uint64 }

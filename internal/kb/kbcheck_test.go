@@ -46,9 +46,8 @@ func TestKBCheckCatchesWrite(t *testing.T) {
 	mustPanicNaming(t, "src_s", func() { k.PutRelation("src_s", relation.New(r.Schema)) })
 
 	k, r = put()
-	k.StartDeltaLog()
 	write(r)
-	mustPanicNaming(t, "src_s", func() { k.CutDelta() })
+	mustPanicNaming(t, "src_s", func() { k.Digest() })
 
 	k, r = put()
 	write(r)

@@ -27,7 +27,7 @@ const (
 	// PutValue stores it and moves the key, Value loads it and notes the
 	// read, so orchestration sees one clock and one read log for everything a
 	// transducer can read. External to what is persisted and versioned —
-	// Snapshot, WriteSnapshot, Merge, the delta log and Version ignore it.
+	// Snapshot, WriteSnapshot, Merge, Digest and Version ignore it.
 	KeyExternal
 )
 

@@ -156,24 +156,9 @@ func TestWritesMoveExactlyTheirKeys(t *testing.T) {
 		}, nil},
 		{"PutRelation replacing", func(k *KB) { k.PutRelation("res_m", testRelation("m")) }, []string{"relation res_m"}},
 		{"PutRelation creating", func(k *KB) { k.PutRelation("result", testRelation("r")) }, []string{"relation names result*", "relation result"}},
-		{"PatchRelationAt", func(k *KB) {
-			k.PatchRelationAt("src_one", []relation.Tuple{tup("n", 9)}, nil, nil)
-		}, []string{"relation src_one"}},
-		{"PatchRelationAt empty or absent", func(k *KB) {
-			k.PatchRelationAt("src_one", nil, nil, nil)
-			k.PatchRelationAt("ghost", []relation.Tuple{tup("n", 9)}, nil, nil)
-		}, nil},
 		{"DropRelation", func(k *KB) { k.DropRelation("src_one") }, []string{"relation names src_one*", "relation src_one"}},
 		{"DropRelation absent", func(k *KB) { k.DropRelation("ghost") }, nil},
 		{"PutValue", func(k *KB) { k.PutValue("cell", 1) }, []string{"external cell"}},
-		{"ApplyDelta", func(k *KB) {
-			k.ApplyDelta(&Delta{To: 99, Ops: []DeltaOp{
-				{Kind: DeltaAssert, Name: "p", Tuple: tup("a", 1)}, // already there
-				{Kind: DeltaRetract, Name: "q", Tuple: tup("x")},
-				{Kind: DeltaPatchRelation, Name: "res_m", Added: []relation.Tuple{tup("v", 5)}},
-				{Kind: DeltaDropRelation, Name: "src_one"},
-			}})
-		}, []string{"facts q", "relation names src_one*", "relation res_m", "relation src_one"}},
 		{"Merge", func(k *KB) { k.Merge(other) },
 			[]string{"facts fresh", "facts p", "relation dc_new", "relation names dc_new*", "relation res_m"}},
 	}
@@ -301,8 +286,7 @@ func TestValuesAreNotContent(t *testing.T) {
 	if err := k.WriteSnapshot(&before); err != nil {
 		t.Fatal(err)
 	}
-	version := k.Version()
-	k.StartDeltaLog()
+	version, digest := k.Version(), k.Digest()
 
 	if k.Value("cell") != nil {
 		t.Fatal("a value nothing put is nil")
@@ -320,8 +304,8 @@ func TestValuesAreNotContent(t *testing.T) {
 	if k.Version() != version || !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("putting a value moved the version or the snapshot bytes")
 	}
-	if d := k.CutDelta(); len(d.Ops) != 0 {
-		t.Fatalf("putting a value logged %d delta ops", len(d.Ops))
+	if k.Digest() != digest {
+		t.Fatal("putting a value moved the digest")
 	}
 	if k.Snapshot().Value("cell") != nil {
 		t.Fatal("Snapshot copied a value")

@@ -194,7 +194,6 @@ func (k *KB) Merge(src *KB) {
 			dst.add(t, h)
 			k.version++
 			k.bumpLocked(FactsKey(pred))
-			k.logLocked(DeltaOp{Kind: DeltaAssert, Name: pred, Tuple: t})
 		}
 	}
 	for name, r := range src.relations {

@@ -175,8 +175,8 @@ func (t Tuple) With(i int, v Value) Tuple {
 }
 
 // Same reports whether t and o are one tuple: the same arity and, cell for
-// cell, the same value (Value.Same). It is the identity of facts, of rows in
-// a row diff and of Distinct; Hash is consistent with it.
+// cell, the same value (Value.Same). It is the identity of facts and of
+// Distinct; Hash is consistent with it.
 func (t Tuple) Same(o Tuple) bool {
 	if len(t) != len(o) {
 		return false

@@ -15,15 +15,19 @@ import (
 )
 
 // Func is the work one stage of a run performs: a pay-as-you-go stage
-// driven to quiescence under the run's cancellation context. It returns the
-// stage's commit wait beside its event (nil when there is nothing to wait
-// for); the engine invokes the waits of a run's stages before the run is
-// published as terminal.
-type Func func(ctx context.Context) (session.Event, func(), error)
+// driven to quiescence under the run's cancellation context.
+type Func func(ctx context.Context) (session.Event, error)
+
+// A call is one stage of a run: the work, and — for a stage bound from a
+// request — the request it applied, asked once it has run (session.Applied).
+type call struct {
+	fn      Func
+	applied func() session.StageRequest
+}
 
 // task is the engine's mutable bookkeeping for one run; all fields are
 // guarded by the engine mutex except ctx/cancel, which are immutable
-// after creation, and fns, which only the owning worker indexes. span is
+// after creation, and calls, which only the owning worker indexes. span is
 // the run's trace span (nil when the submitter's context carried none);
 // it parents the queue-wait and per-stage spans and ends with the run.
 // done is closed once the run is terminal, and err is then the error its
@@ -31,7 +35,7 @@ type Func func(ctx context.Context) (session.Event, func(), error)
 type task struct {
 	run    Run
 	seq    uint64
-	fns    []Func
+	calls  []call
 	ctx    context.Context
 	cancel context.CancelFunc
 	span   *trace.Span
@@ -108,12 +112,14 @@ type Observer struct {
 	// (which never blocks) is the intended use.
 	Transition func(Run)
 	// Record is called once with the terminal snapshot of every run a worker
-	// finishes, outside the engine lock and before the snapshot is published,
-	// and with every run Cancel takes out of its queue, once that is
-	// published. It writes the run's durable record without waiting for it
-	// and returns the commit wait (nil for nothing to wait for); the engine
-	// invokes the wait together with those of the run's stages.
-	Record func(Run) func()
+	// finishes, and the requests its stages applied, in order (those bound
+	// from a request: SubmitStage, SubmitPlan), outside the engine lock and
+	// before the snapshot is published; and with every run Cancel takes out of
+	// its queue, once that is published. ctx carries the run's trace span. It
+	// writes the run's durable record without waiting for it and returns the
+	// commit wait (nil for nothing to wait for), which the engine invokes
+	// before anyone can observe the run terminal.
+	Record func(ctx context.Context, run Run, applied []session.StageRequest) func()
 }
 
 // WithObserver installs the run observer.
@@ -181,7 +187,7 @@ func (s Submission) Wait(ctx context.Context) (Run, error) {
 // request unless its submitter waits for it, and is cancelled via
 // Cancel/CancelSession.
 func (e *Engine) Submit(ctx context.Context, sessionID, stage string, fn Func) (Submission, error) {
-	return e.submit(ctx, sessionID, []string{stage}, []Func{fn}, false)
+	return e.submit(ctx, sessionID, []string{stage}, []call{{fn: fn}}, false)
 }
 
 // SubmitStage submits one stage request against a session as a single-stage
@@ -190,21 +196,22 @@ func (e *Engine) Submit(ctx context.Context, sessionID, stage string, fn Func) (
 // session.ErrUnknownStage or session.ErrBadPayload and enqueues nothing. ctx
 // carries the caller's trace (see Submit).
 func (e *Engine) SubmitStage(ctx context.Context, sess *session.Session, req session.StageRequest) (Submission, error) {
-	name, fn, err := bind(sess, req)
+	name, c, err := bind(sess, req)
 	if err != nil {
 		return Submission{}, err
 	}
-	return e.Submit(ctx, sess.ID(), name, fn)
+	return e.submit(ctx, sess.ID(), []string{name}, []call{c}, false)
 }
 
 // bind resolves a stage request and binds the stage to the session.
-func bind(sess *session.Session, req session.StageRequest) (string, Func, error) {
+func bind(sess *session.Session, req session.StageRequest) (string, call, error) {
 	st, payload, err := session.Resolve(req)
 	if err != nil {
-		return "", nil, err
+		return "", call{}, err
 	}
-	return st.Name, func(ctx context.Context) (session.Event, func(), error) {
-		return st.Apply(ctx, sess, payload)
+	return st.Name, call{
+		fn:      func(ctx context.Context) (session.Event, error) { return st.Apply(ctx, sess, payload) },
+		applied: func() session.StageRequest { return session.Applied(req, payload) },
 	}, nil
 }
 
@@ -221,25 +228,17 @@ func (e *Engine) SubmitPlan(ctx context.Context, sess *session.Session, plan ses
 		return Submission{}, fmt.Errorf("%w: empty plan", ErrBadPlan)
 	}
 	stages := make([]string, len(plan.Stages))
-	fns := make([]Func, len(plan.Stages))
+	calls := make([]call, len(plan.Stages))
 	for i, req := range plan.Stages {
 		var err error
-		if stages[i], fns[i], err = bind(sess, req); err != nil {
+		if stages[i], calls[i], err = bind(sess, req); err != nil {
 			return Submission{}, fmt.Errorf("plan stage %d: %w", i, err)
 		}
 	}
-	return e.submitPlan(ctx, sess.ID(), stages, fns)
+	return e.submit(ctx, sess.ID(), stages, calls, true)
 }
 
-// submitPlan enqueues stages[i] as fns[i], in order, as one plan run.
-func (e *Engine) submitPlan(ctx context.Context, sessionID string, stages []string, fns []Func) (Submission, error) {
-	if len(stages) == 0 || len(stages) != len(fns) {
-		return Submission{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))
-	}
-	return e.submit(ctx, sessionID, stages, fns, true)
-}
-
-func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, fns []Func, isPlan bool) (Submission, error) {
+func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, calls []call, isPlan bool) (Submission, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -268,7 +267,7 @@ func (e *Engine) submit(ctx context.Context, sessionID string, stages []string, 
 			CreatedAt: time.Now(),
 		},
 		seq:    e.seq,
-		fns:    fns,
+		calls:  calls,
 		ctx:    runCtx,
 		cancel: cancel,
 		done:   make(chan struct{}),
@@ -352,19 +351,15 @@ func (e *Engine) worker() {
 		e.notifyLocked(t.run)
 		e.mu.Unlock()
 
-		ev, waits, err := e.runTask(t)
+		ev, applied, err := e.runTask(t)
 
-		// The run commits once: its terminal record is written beside its
-		// stages' records, and the first wait makes them all durable, before
+		// The run commits once: its record is written and made durable before
 		// anyone can observe the run terminal or the session's next run starts.
 		e.mu.Lock()
 		final, err := outcome(t.run, ev, err)
 		e.mu.Unlock()
 		if e.obs.Record != nil {
-			waits = append(waits, e.obs.Record(final))
-		}
-		for _, wait := range waits {
-			if wait != nil {
+			if wait := e.obs.Record(t.ctx, final, applied); wait != nil {
 				wait()
 			}
 		}
@@ -379,16 +374,16 @@ func (e *Engine) worker() {
 }
 
 // runTask executes a run's stages back to back, returning the last stage
-// event, the commit waits of the stages that completed, and the first error.
+// event, the requests the stages that completed applied, and the first error.
 // Between stages it checks the run context (so a mid-plan cancel stops the
 // remaining stages), advances the run's stage cursor, and publishes the stage
 // k/n progress transition.
-func (e *Engine) runTask(t *task) (last session.Event, waits []func(), _ error) {
-	for i := range t.fns {
+func (e *Engine) runTask(t *task) (last session.Event, applied []session.StageRequest, _ error) {
+	for i, c := range t.calls {
 		if i > 0 {
 			select {
 			case <-t.ctx.Done():
-				return last, waits, context.Canceled
+				return last, applied, context.Canceled
 			default:
 			}
 			e.mu.Lock()
@@ -398,7 +393,7 @@ func (e *Engine) runTask(t *task) (last session.Event, waits []func(), _ error) 
 			e.mu.Unlock()
 		}
 		t0 := time.Now()
-		ev, wait, err := runStage(t, i)
+		ev, err := runStage(t.ctx, c.fn)
 		if e.reg != nil {
 			e.mu.Lock()
 			stage := t.run.Stage
@@ -406,9 +401,12 @@ func (e *Engine) runTask(t *task) (last session.Event, waits []func(), _ error) 
 			e.reg.Histogram(metrics.Name("runs_stage_seconds", "stage", stage), nil).ObserveSince(t0)
 		}
 		if err != nil {
-			return last, waits, err
+			return last, applied, err
 		}
-		last, waits = ev, append(waits, wait)
+		last = ev
+		if c.applied != nil {
+			applied = append(applied, c.applied())
+		}
 		if len(t.run.Plan) > 0 {
 			e.mu.Lock()
 			// Copy-on-append: Run snapshots escape the lock, so the slice
@@ -417,19 +415,19 @@ func (e *Engine) runTask(t *task) (last session.Event, waits []func(), _ error) 
 			e.mu.Unlock()
 		}
 	}
-	return last, waits, nil
+	return last, applied, nil
 }
 
 // runStage executes one stage function of a run, containing panics: a
 // panicking stage must not unwind a worker goroutine and kill the whole
 // process — it becomes a failed run instead.
-func runStage(t *task, i int) (ev session.Event, wait func(), err error) {
+func runStage(ctx context.Context, fn Func) (ev session.Event, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runs: stage panicked: %v", r)
 		}
 	}()
-	return t.fns[i](t.ctx)
+	return fn(ctx)
 }
 
 // releaseLocked hands a worker's queue back: re-ready it if work remains,
@@ -484,7 +482,7 @@ func (e *Engine) finishLocked(t *task, final Run, err error) {
 	// Release the stage closures: they capture the session (and through it
 	// the whole wrangler/KB), which must not stay reachable for as long as
 	// the retention ring keeps the finished run pollable.
-	t.fns, t.ctx, t.cancel, t.span = nil, nil, nil, nil
+	t.calls, t.ctx, t.cancel, t.span = nil, nil, nil, nil
 	e.done = append(e.done, t.run.ID)
 	for len(e.done) > e.retention {
 		delete(e.tasks, e.done[0])
@@ -578,7 +576,7 @@ func (e *Engine) Cancel(id string) (Run, error) {
 	run := t.run
 	e.mu.Unlock()
 	if queued && e.obs.Record != nil {
-		if wait := e.obs.Record(run); wait != nil {
+		if wait := e.obs.Record(context.Background(), run, nil); wait != nil {
 			wait()
 		}
 	}

@@ -10,9 +10,9 @@
 // total number of queued runs is bounded (ErrQueueFull beyond the cap), and
 // finished runs are kept in a fixed-size retention ring so clients can poll
 // an outcome for a while after completion without the engine growing without
-// bound. A run commits once: its terminal record goes to the observer beside
-// its stages' records, and their commit waits are invoked together, before
-// the run is published as terminal.
+// bound. A run commits once: its terminal snapshot and the requests its
+// stages applied go to the observer, and the commit wait it returns is
+// invoked before the run is published as terminal.
 package runs
 
 import (

@@ -35,15 +35,15 @@ func waitTerminal(t *testing.T, e *Engine, id string) Run {
 // gated returns a Func that signals started once executing and then blocks
 // until release is closed or the run is cancelled.
 func gated(started chan<- struct{}, release <-chan struct{}) Func {
-	return func(ctx context.Context) (session.Event, func(), error) {
+	return func(ctx context.Context) (session.Event, error) {
 		if started != nil {
 			close(started)
 		}
 		select {
 		case <-ctx.Done():
-			return session.Event{}, nil, ctx.Err()
+			return session.Event{}, ctx.Err()
 		case <-release:
-			return session.Event{Stage: "gated"}, nil, nil
+			return session.Event{Stage: "gated"}, nil
 		}
 	}
 }
@@ -51,8 +51,8 @@ func gated(started chan<- struct{}, release <-chan struct{}) Func {
 func TestSubmitAndSucceed(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit(context.Background(), "s1", session.StageBootstrap, func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{Seq: 1, Stage: session.StageBootstrap}, nil, nil
+	run, err := e.Submit(context.Background(), "s1", session.StageBootstrap, func(ctx context.Context) (session.Event, error) {
+		return session.Event{Seq: 1, Stage: session.StageBootstrap}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestFailedRun(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
 	boom := errors.New("stage exploded")
-	run, err := e.Submit(context.Background(), "s1", "feedback", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, boom
+	run, err := e.Submit(context.Background(), "s1", "feedback", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, boom
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +126,9 @@ func TestCancelQueuedRun(t *testing.T) {
 	}
 	<-started
 	var ran atomic.Bool
-	queued, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
+	queued, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		ran.Store(true)
-		return session.Event{}, nil, nil
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestPerSessionFIFO(t *testing.T) {
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
-		run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
+		run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 			if c := inFlight.Add(1); c != 1 {
 				t.Errorf("runs of one session interleaved (%d in flight)", c)
 			}
@@ -199,7 +199,7 @@ func TestPerSessionFIFO(t *testing.T) {
 			order = append(order, i)
 			mu.Unlock()
 			inFlight.Add(-1)
-			return session.Event{}, nil, nil
+			return session.Event{}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -229,13 +229,13 @@ func TestSessionsRunInParallel(t *testing.T) {
 	started := make(chan string, 2)
 	for _, sid := range []string{"a", "b"} {
 		sid := sid
-		if _, err := e.Submit(context.Background(), sid, "b", func(ctx context.Context) (session.Event, func(), error) {
+		if _, err := e.Submit(context.Background(), sid, "b", func(ctx context.Context) (session.Event, error) {
 			started <- sid
 			select {
 			case <-ctx.Done():
-				return session.Event{}, nil, ctx.Err()
+				return session.Event{}, ctx.Err()
 			case <-release:
-				return session.Event{}, nil, nil
+				return session.Event{}, nil
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -264,8 +264,8 @@ func TestListAndRetentionRing(t *testing.T) {
 	defer e.Close()
 	ids := make([]string, 4)
 	for i := range ids {
-		run, err := e.Submit(context.Background(), "s1", fmt.Sprintf("stage-%d", i), func(ctx context.Context) (session.Event, func(), error) {
-			return session.Event{}, nil, nil
+		run, err := e.Submit(context.Background(), "s1", fmt.Sprintf("stage-%d", i), func(ctx context.Context) (session.Event, error) {
+			return session.Event{}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -303,8 +303,8 @@ func TestCancelSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := e.Submit(context.Background(), "s2", "b", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, nil
+	other, err := e.Submit(context.Background(), "s2", "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestStats(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
+	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
 		panic("stage blew up")
 	})
 	if err != nil {
@@ -386,8 +386,8 @@ func TestPanicContainment(t *testing.T) {
 	if got.State != StateFailed || !strings.Contains(got.Error, "stage blew up") {
 		t.Fatalf("panicking run = %s / %q, want failed with panic message", got.State, got.Error)
 	}
-	after, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, nil
+	after, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,8 +403,8 @@ func TestPanicContainment(t *testing.T) {
 func TestClosedSessionRunIsCancelled(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
-	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, session.ErrClosed
+	run, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, session.ErrClosed
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -417,8 +417,8 @@ func TestClosedSessionRunIsCancelled(t *testing.T) {
 
 // stageEv is a shorthand stage-event Func.
 func stageEv(stage string) Func {
-	return func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{Stage: stage}, nil, nil
+	return func(ctx context.Context) (session.Event, error) {
+		return session.Event{Stage: stage}, nil
 	}
 }
 
@@ -431,11 +431,11 @@ func TestSubmitPlan(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
 	mark := func(stage string) Func {
-		return func(ctx context.Context) (session.Event, func(), error) {
+		return func(ctx context.Context) (session.Event, error) {
 			mu.Lock()
 			order = append(order, stage)
 			mu.Unlock()
-			return session.Event{Stage: stage}, nil, nil
+			return session.Event{Stage: stage}, nil
 		}
 	}
 	stages := []string{"a", "b", "c"}
@@ -506,10 +506,10 @@ func TestPlanMidFailure(t *testing.T) {
 	boom := errors.New("boom")
 	run, err := e.submitPlan(context.Background(), "s1", []string{"a", "fail", "never"}, []Func{
 		stageEv("a"),
-		func(ctx context.Context) (session.Event, func(), error) { return session.Event{}, nil, boom },
-		func(ctx context.Context) (session.Event, func(), error) {
+		func(ctx context.Context) (session.Event, error) { return session.Event{}, boom },
+		func(ctx context.Context) (session.Event, error) {
 			ran.Add(1)
-			return session.Event{Stage: "never"}, nil, nil
+			return session.Event{Stage: "never"}, nil
 		},
 	})
 	if err != nil {
@@ -539,7 +539,7 @@ func TestPlanCancelMidway(t *testing.T) {
 	var ran atomic.Int32
 	run, err := e.submitPlan(context.Background(), "s1", []string{"block", "never"}, []Func{
 		gated(started, nil),
-		func(ctx context.Context) (session.Event, func(), error) { ran.Add(1); return session.Event{}, nil, nil },
+		func(ctx context.Context) (session.Event, error) { ran.Add(1); return session.Event{}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -679,8 +679,8 @@ func TestAdopt(t *testing.T) {
 
 	// Adopted history lists before newly-submitted runs, and new runs still
 	// execute normally.
-	run, err := e.Submit(context.Background(), "sA", "bootstrap", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{Stage: "bootstrap"}, nil, nil
+	run, err := e.Submit(context.Background(), "sA", "bootstrap", func(ctx context.Context) (session.Event, error) {
+		return session.Event{Stage: "bootstrap"}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -759,13 +759,13 @@ func TestListTerminal(t *testing.T) {
 	e := New(WithWorkers(1))
 	defer e.Close()
 
-	ok := func(ctx context.Context) (session.Event, func(), error) { return session.Event{}, nil, nil }
+	ok := func(ctx context.Context) (session.Event, error) { return session.Event{}, nil }
 	r1, err := e.Submit(context.Background(), "s1", "a", ok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, errors.New("boom")
+	r2, err := e.Submit(context.Background(), "s1", "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, errors.New("boom")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -775,13 +775,13 @@ func TestListTerminal(t *testing.T) {
 	}
 	started := make(chan struct{})
 	release := make(chan struct{})
-	live, err := e.Submit(context.Background(), "s1", "blocker", func(ctx context.Context) (session.Event, func(), error) {
+	live, err := e.Submit(context.Background(), "s1", "blocker", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return session.Event{}, nil, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -803,40 +803,60 @@ func TestListTerminal(t *testing.T) {
 	}
 }
 
+// submitPlan enqueues stages[i] as fns[i], in order, as one plan run.
+func (e *Engine) submitPlan(ctx context.Context, sessionID string, stages []string, fns []Func) (Submission, error) {
+	if len(stages) == 0 || len(stages) != len(fns) {
+		return Submission{}, fmt.Errorf("%w: %d stages, %d functions", ErrBadPlan, len(stages), len(fns))
+	}
+	calls := make([]call, len(fns))
+	for i, fn := range fns {
+		calls[i] = call{fn: fn}
+	}
+	return e.submit(ctx, sessionID, stages, calls, true)
+}
+
 // TestRunCommitsOnce pins the commit protocol: a run's terminal record is
-// written once, outside the engine lock, while the run still reads running;
-// then the commit waits of its stages and of that record are invoked, in
-// order; and only then is the run published terminal, as recorded.
+// written once, outside the engine lock, while the run still reads running,
+// with the requests its completed stages applied, in order; then its commit
+// wait is invoked; and only then is the run published terminal, as recorded.
 func TestRunCommitsOnce(t *testing.T) {
 	var (
 		e        *Engine
 		mu       sync.Mutex
 		log      []string
 		recorded []Run
+		applied  [][]session.StageRequest
 	)
 	note := func(s string) {
 		mu.Lock()
 		log = append(log, s)
 		mu.Unlock()
 	}
-	e = New(WithWorkers(1), WithObserver(Observer{Record: func(r Run) func() {
+	e = New(WithWorkers(1), WithObserver(Observer{Record: func(_ context.Context, r Run, reqs []session.StageRequest) func() {
 		if got, err := e.Get(r.ID); err != nil || got.State != StateRunning {
 			t.Errorf("record sees the run %s (%v), want it still running", got.State, err)
 		}
 		note("record")
 		mu.Lock()
 		recorded = append(recorded, r)
+		applied = append(applied, reqs)
 		mu.Unlock()
 		return func() { note("record-wait") }
 	}}))
 	defer e.Close()
-	stage := func(name string) Func {
-		return func(context.Context) (session.Event, func(), error) {
-			note(name)
-			return session.Event{Stage: name}, func() { note(name + "-wait") }, nil
+	stage := func(name string) call {
+		return call{
+			fn: func(context.Context) (session.Event, error) {
+				note(name)
+				if name == "fail" {
+					return session.Event{}, errors.New("boom")
+				}
+				return session.Event{Stage: name}, nil
+			},
+			applied: func() session.StageRequest { return session.StageRequest{Stage: name + "-applied"} },
 		}
 	}
-	sub, err := e.submitPlan(context.Background(), "s1", []string{"a", "b"}, []Func{stage("a"), stage("b")})
+	sub, err := e.submit(context.Background(), "s1", []string{"a", "b"}, []call{stage("a"), stage("b")}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -844,13 +864,24 @@ func TestRunCommitsOnce(t *testing.T) {
 	if err != nil || final.State != StateSucceeded {
 		t.Fatalf("plan = %s, %v", final.State, err)
 	}
+	failing, err := e.submit(context.Background(), "s1", []string{"c", "fail", "never"}, []call{stage("c"), stage("fail"), stage("never")}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run, _ := failing.Wait(context.Background()); run.State != StateFailed {
+		t.Fatalf("failing plan = %s", run.State)
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := "a b record a-wait b-wait record-wait"; strings.Join(log, " ") != want {
+	if want := "a b record record-wait c fail record record-wait"; strings.Join(log, " ") != want {
 		t.Fatalf("commit order = %q, want %q", strings.Join(log, " "), want)
 	}
-	if len(recorded) != 1 || !reflect.DeepEqual(recorded[0], final) {
+	if len(recorded) != 2 || !reflect.DeepEqual(recorded[0], final) {
 		t.Fatalf("recorded %+v, published %+v", recorded, final)
+	}
+	want := [][]session.StageRequest{{{Stage: "a-applied"}, {Stage: "b-applied"}}, {{Stage: "c-applied"}}}
+	if !reflect.DeepEqual(applied, want) {
+		t.Fatalf("recorded requests %v, want %v", applied, want)
 	}
 }
 
@@ -860,7 +891,7 @@ func TestRunCommitsOnce(t *testing.T) {
 func TestWaitOutcome(t *testing.T) {
 	var recorded []string
 	var mu sync.Mutex
-	e := New(WithWorkers(1), withRetention(1), WithObserver(Observer{Record: func(r Run) func() {
+	e := New(WithWorkers(1), withRetention(1), WithObserver(Observer{Record: func(_ context.Context, r Run, _ []session.StageRequest) func() {
 		mu.Lock()
 		recorded = append(recorded, r.ID+":"+string(r.State))
 		mu.Unlock()
@@ -869,8 +900,8 @@ func TestWaitOutcome(t *testing.T) {
 	defer e.Close()
 	ctx := context.Background()
 	boom := errors.New("boom")
-	failed, err := e.Submit(ctx, "s1", "fail", func(context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, fmt.Errorf("stage: %w", boom)
+	failed, err := e.Submit(ctx, "s1", "fail", func(context.Context) (session.Event, error) {
+		return session.Event{}, fmt.Errorf("stage: %w", boom)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -339,6 +339,42 @@ func TestNaNCellSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestNonUTF8FetchSurvivesRestart: a fetched body that is not UTF-8 (here
+// Latin-1) is ingested as the journal records it, each invalid byte as
+// U+FFFD, so after a kill -9 the replay re-derives the live session: same
+// events, result and knowledge-base content.
+func TestNonUTF8FetchSurvivesRestart(t *testing.T) {
+	src := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(rw, "Street,Post Code,Bedrooms,Price\n12 K\xf6nigstra\xdfe,AB1 2CD,3,120000\n4 caf\xe9 rd,ZZ9 9ZZ,2,95000\n")
+	}))
+	defer src.Close()
+	dir := t.TempDir()
+	_, ts1 := journalServer(t, dir)
+	id := createSession(t, ts1, `{"blank":true}`)
+	base1 := ts1.URL + "/api/v1/sessions/" + id
+	postBody(t, base1+"/stages/fetch", `{"url":"`+src.URL+`/props.csv","relation":"props"}`)
+	postBody(t, base1+"/stages/bootstrap", "")
+	wantEvents := getJSON(t, base1)["events"].([]any)
+	wantResult := resultDigest(t, base1)
+	wantKB := exportedKB(t, base1)
+	if len(wantEvents) != 2 || !strings.Contains(wantKB, "K\uFFFDnigstra\uFFFDe") {
+		t.Fatalf("before the restart: %d events, the street not ingested as its JSON text", len(wantEvents))
+	}
+	ts1.Close() // kill -9: no graceful close
+
+	_, ts2 := journalServer(t, dir)
+	base2 := ts2.URL + "/api/v1/sessions/" + id
+	if got := getJSON(t, base2)["events"]; !reflect.DeepEqual(got, any(wantEvents)) {
+		t.Fatalf("events after the restart:\n got %v\nwant %v", got, wantEvents)
+	}
+	if got := resultDigest(t, base2); got != wantResult {
+		t.Fatalf("result after the restart:\n got %q\nwant %q", got, wantResult)
+	}
+	if got := exportedKB(t, base2); got != wantKB {
+		t.Fatalf("knowledge-base content drifted across restart (%d and %d bytes)", len(got), len(wantKB))
+	}
+}
+
 // TestExportUnencodableSession: a session whose knowledge base holds a value
 // no wire form has answers its export with a 500, not an empty 200.
 func TestExportUnencodableSession(t *testing.T) {

@@ -40,17 +40,17 @@
 // the cap, creation order, the sessions_* metrics — and the one teardown
 // every session leaves through, whether DELETE, idle eviction or shutdown
 // takes it out, and with -data-dir the directory, its file formats and the
-// durable lifecycle of every session in it (create, import, append, archive,
+// durable lifecycle of every session in it (create, import, commit, archive,
 // recover — its package comment has the file layout and the crash
 // contract). What a client can rely on, per response: a 201 from create or
 // import means the session's baseline snapshot is fsynced and in place, and
 // no client could see the session before it was; a run — a synchronous
-// stage is one — commits once: its stage records (the mutation deltas,
-// O(delta) bytes) and its own record share one fsync, issued before the stage
-// is answered or the run turns terminal. A journal is compacted into a fresh
-// snapshot between stages only: by the stage whose record took it past the
-// store's thresholds, and on evict and graceful shutdown once the session has
-// quiesced.
+// stage is one — commits once: one record of the stage requests it applied,
+// fsynced before the stage is answered or the run turns terminal, which
+// recovery replays. A journal is compacted into a fresh snapshot between
+// stages only: after the run whose record took it past the store's replay
+// budget, after a run that failed or was cancelled once started, and on
+// evict and graceful shutdown once the session has quiesced.
 //
 // Every persisted session is restored at boot — event history, result and
 // terminal run resources included — so a server killed outright (kill -9)
@@ -96,6 +96,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -212,7 +213,9 @@ func New(cfg Config) (*Server, error) {
 		runs.WithObserver(runs.Observer{
 			Transition: s.publishTransition,
 			// s.store is opened below, before anything is served.
-			Record: func(run runs.Run) func() { return s.store.CommitRun(run) },
+			Record: func(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
+				return s.store.CommitRun(ctx, run, applied)
+			},
 		}),
 		runs.WithMetrics(s.metrics),
 	)

@@ -11,11 +11,14 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +28,7 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/kb"
 	"vada/internal/metrics"
+	"vada/internal/relation"
 	"vada/internal/runs"
 	"vada/internal/session"
 	"vada/internal/store"
@@ -526,10 +530,10 @@ func TestRunCancelInFlight(t *testing.T) {
 	base := ts.URL + "/api/v1/sessions/" + id
 
 	started := make(chan struct{})
-	run, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, func(), error) {
+	run, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		<-ctx.Done()
-		return session.Event{}, nil, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -559,17 +563,17 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// A queued run cancels immediately.
 	started2 := make(chan struct{})
-	blocker, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, func(), error) {
+	blocker, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started2)
 		<-ctx.Done()
-		return session.Event{}, nil, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started2
-	queued, err := s.runs.Submit(context.Background(), id, "queued-stage", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, nil
+	queued, err := s.runs.Submit(context.Background(), id, "queued-stage", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -593,10 +597,10 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// Closing the session cancels whatever is still live.
 	started3 := make(chan struct{})
-	live, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, func(), error) {
+	live, err := s.runs.Submit(context.Background(), id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started3)
 		<-ctx.Done()
-		return session.Event{}, nil, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -652,8 +656,8 @@ func TestRunNotFoundPaths(t *testing.T) {
 		t.Fatalf("unknown run: %s", resp.Status)
 	}
 	// A run of one session is invisible under another session's path.
-	run, err := s.runs.Submit(context.Background(), otherID, "b", func(ctx context.Context) (session.Event, func(), error) {
-		return session.Event{}, nil, nil
+	run, err := s.runs.Submit(context.Background(), otherID, "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1251,13 +1255,13 @@ func TestSessionRunQueue429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.runs.Submit(context.Background(), id, "block", func(ctx context.Context) (session.Event, func(), error) {
+	if _, err := s.runs.Submit(context.Background(), id, "block", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
-			return session.Event{}, nil, ctx.Err()
+			return session.Event{}, ctx.Err()
 		case <-release:
-			return session.Event{}, nil, nil
+			return session.Event{}, nil
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -1317,13 +1321,13 @@ func TestSessionRunQueue429(t *testing.T) {
 func holdSession(t *testing.T, s *Server, id string) (release func()) {
 	t.Helper()
 	started, done := make(chan struct{}), make(chan struct{})
-	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, func(), error) {
+	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-done:
 		case <-ctx.Done():
 		}
-		return session.Event{}, nil, ctx.Err()
+		return session.Event{}, ctx.Err()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -1458,7 +1462,7 @@ func TestExportBetweenStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	parked, resume := make(chan struct{}), make(chan struct{})
-	if _, err := s.runs.Submit(context.Background(), id, session.StageDataContext, func(ctx context.Context) (session.Event, func(), error) {
+	if _, err := s.runs.Submit(context.Background(), id, session.StageDataContext, func(ctx context.Context) (session.Event, error) {
 		return sess.Step(ctx, session.StageDataContext, func(w *core.Wrangler) error {
 			w.AddDataContext(sess.Scenario().AddressRef)
 			close(parked)
@@ -1641,34 +1645,33 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatalf("plan run: %v (%v)", final["state"], final["error"])
 	}
 
-	// What the plan cost, read the moment it is observed terminal: its three
-	// stage records and its own record, made durable by one fsync.
+	// What the plan cost, read the moment it is observed terminal: one
+	// record of its three requests and events, made durable by one fsync.
 	jpath := filepath.Join(dir, id+journalExt)
 	journalFsyncs := s1.metrics.Counter(metrics.Name("persist_fsync_total", "path", "journal"))
-	records := func() (stages, runRecords int) {
+	requests := func() (perRecord []int) {
 		for _, rec := range readJournal(t, jpath) {
-			if rec.Stage != nil {
-				stages++
-			} else {
-				runRecords++
+			if rec.Asked == nil || len(rec.Asked.Requests) != len(rec.Asked.Events) {
+				t.Fatalf("not a run record of one request per event: %+v", rec)
 			}
+			perRecord = append(perRecord, len(rec.Asked.Requests))
 		}
-		return stages, runRecords
+		return perRecord
 	}
 	if got := journalFsyncs.Value(); got != 1 {
-		t.Fatalf("journal fsyncs = %d, want 1 for the plan's stage records and its run record", got)
+		t.Fatalf("journal fsyncs = %d, want 1 for the plan's record", got)
 	}
-	if stages, runRecords := records(); stages != 3 || runRecords != 1 {
-		t.Fatalf("journal holds %d stage and %d run records, want 3 and 1", stages, runRecords)
+	if got := requests(); fmt.Sprint(got) != "[3]" {
+		t.Fatalf("journal holds records of %v requests, want [3]", got)
 	}
-	// A synchronous stage is a run too: its 200 follows the one fsync that
-	// covers its stage record and its run record.
+	// A synchronous stage is a run too: its 200 follows the one fsync of its
+	// record.
 	post(t, base1+"/stages/quality-report")
 	if got := journalFsyncs.Value(); got != 2 {
 		t.Fatalf("journal fsyncs = %d after the sync stage, want 2", got)
 	}
-	if stages, runRecords := records(); stages != 4 || runRecords != 2 {
-		t.Fatalf("journal holds %d stage and %d run records, want 4 and 2", stages, runRecords)
+	if got := requests(); fmt.Sprint(got) != "[3 1]" {
+		t.Fatalf("journal holds records of %v requests, want [3 1]", got)
 	}
 	list := getJSON(t, base1+"/runs")["runs"].([]any)
 	if len(list) != 2 {
@@ -1723,55 +1726,45 @@ func TestRestartRecovery(t *testing.T) {
 }
 
 // TestRestartRecoveryWholesaleJournal is the upgrade path: a data directory
-// whose journal records carry relation replacements wholesale (put-rel ops
-// only — all a server before row diffs wrote) restores with every event and
-// the same result. The fixture is a journal this server recorded, each
-// patch-rel op rewritten as the put-rel of the relation it produced.
+// an older binary left — a journal of stage records, each carrying the
+// knowledge-base delta its stage produced, relations put wholesale —
+// restores with every event and the same result, and the next stage
+// journals in today's layout over it. The fixture is the journal such a
+// binary would have written for the stages this server ran, each delta the
+// difference between the exports before and after its stage.
 func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := journalServer(t, dir)
 	id := createSession(t, ts1, `{"name":"upgraded","n":50}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
+	exported := func() *store.SessionSnapshot {
+		t.Helper()
+		_, body := get(t, base1+"/export")
+		snap, err := store.ReadSessionSnapshot(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	states := []*store.SessionSnapshot{exported()}
 	for _, st := range []struct{ name, payload string }{
 		{"bootstrap", ""}, {"data-context", ""}, {"feedback", `{"budget": 40}`}, {"feedback", `{"budget": 40}`},
 	} {
 		postBody(t, base1+"/stages/"+st.name, st.payload)
+		states = append(states, exported())
 	}
 	wantEvents := getJSON(t, base1)["events"].([]any)
 	wantResult := resultDigest(t, base1)
 	ts1.Close()
 	_ = s1 // kill -9: no graceful close
 
-	// Replay the records over the baseline snapshot op by op, so each patch
-	// is replaced by the relation as it stood right after it.
-	f, err := os.Open(filepath.Join(dir, id+snapshotExt))
-	if err != nil {
-		t.Fatal(err)
+	var recs []store.Record
+	for i := 1; i < len(states); i++ {
+		ev := states[i].Events[i-1]
+		recs = append(recs, store.Record{Seq: uint64(i), At: ev.At,
+			Stage: &store.StageRecord{Event: ev, Delta: wholesaleDelta(t, states[i-1].KB, states[i].KB)}})
 	}
-	baseline, err := store.ReadSessionSnapshot(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(dir, id+journalExt)
-	recs := readJournal(t, jpath)
-	patches := 0
-	for _, rec := range recs {
-		if rec.Stage == nil || rec.Stage.Delta == nil {
-			continue
-		}
-		for i, op := range rec.Stage.Delta.Ops {
-			baseline.KB.ApplyDelta(&kb.Delta{Ops: []kb.DeltaOp{op}})
-			if op.Kind == kb.DeltaPatchRelation {
-				rec.Stage.Delta.Ops[i] = kb.DeltaOp{Kind: kb.DeltaPutRelation, Name: op.Name, Relation: baseline.KB.Relation(op.Name)}
-				patches++
-			}
-		}
-	}
-	if patches == 0 {
-		t.Fatal("the recorded journal carries no patch-rel op to rewrite")
-	}
-	writeJournal(t, jpath, recs)
+	writeJournal(t, filepath.Join(dir, id+journalExt), recs)
 
 	s2, ts2 := journalServer(t, dir)
 	t.Cleanup(s2.Close)
@@ -1782,8 +1775,62 @@ func TestRestartRecoveryWholesaleJournal(t *testing.T) {
 	if got := resultDigest(t, base2); got != wantResult {
 		t.Fatalf("result drifted across restart:\n got %s\nwant %s", got, wantResult)
 	}
-	// The next stage journals row diffs over the restored state.
+	// The older journal was folded into a snapshot at boot; the next stage
+	// journals a record of today's layout over it.
 	postBody(t, base2+"/stages/feedback", `{"budget": 40}`)
+	recs = readJournal(t, filepath.Join(dir, id+journalExt))
+	if len(recs) != 1 || recs[0].Asked == nil {
+		t.Fatalf("journal after the next stage holds %d records (%+v), want one run record", len(recs), recs)
+	}
+}
+
+// wholesaleDelta is the delta an older binary's log cut for the stage that
+// took the knowledge base from prev to next: facts retracted and asserted,
+// relations dropped and put whole.
+func wholesaleDelta(t *testing.T, prev, next *kb.KB) *store.Delta {
+	t.Helper()
+	content := func(k *kb.KB) (facts map[string][]relation.Tuple, rels map[string]json.RawMessage) {
+		var buf bytes.Buffer
+		if err := k.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Facts     map[string][]relation.Tuple
+			Relations map[string]json.RawMessage
+		}
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Facts, snap.Relations
+	}
+	pf, pr := content(prev)
+	nf, nr := content(next)
+	d := &store.Delta{From: prev.Version(), To: next.Version()}
+	for _, pred := range slices.Sorted(maps.Keys(pf)) {
+		for _, f := range pf[pred] {
+			if !slices.ContainsFunc(nf[pred], f.Same) {
+				d.Ops = append(d.Ops, store.DeltaOp{Kind: store.DeltaRetract, Name: pred, Tuple: f})
+			}
+		}
+	}
+	for _, pred := range slices.Sorted(maps.Keys(nf)) {
+		for _, f := range nf[pred] {
+			if !slices.ContainsFunc(pf[pred], f.Same) {
+				d.Ops = append(d.Ops, store.DeltaOp{Kind: store.DeltaAssert, Name: pred, Tuple: f})
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(pr)) {
+		if _, ok := nr[name]; !ok {
+			d.Ops = append(d.Ops, store.DeltaOp{Kind: store.DeltaDropRelation, Name: name})
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(nr)) {
+		if !bytes.Equal(pr[name], nr[name]) {
+			d.Ops = append(d.Ops, store.DeltaOp{Kind: store.DeltaPutRelation, Name: name, Relation: next.Relation(name)})
+		}
+	}
+	return d
 }
 
 // writeJournal replaces the journal at path with the given records, framed
@@ -1798,9 +1845,12 @@ func writeJournal(t *testing.T, path string, recs []store.Record) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind := byte(0x01)
-		if rec.Run != nil {
-			kind = 0x02
+		kind := byte(0x01) // an older binary's stage record
+		switch {
+		case rec.Asked != nil:
+			kind = 0x03
+		case rec.Run != nil:
+			kind = 0x02 // an older binary's run record
 		}
 		out = append(out, kind)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
@@ -2131,9 +2181,9 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	// that is what kill -9 preserves.
 	jpath := filepath.Join(dir, id+journalExt)
 
-	// The O(delta) shape on disk: the snapshot is the creation-time
-	// baseline (no events), written before the 201, and completed runs
-	// appended to the journal, they did not rewrite it.
+	// The shape on disk: the snapshot is the creation-time baseline (no
+	// events), written before the 201, and completed runs appended to the
+	// journal, one record each; they did not rewrite it.
 	f, err := os.Open(filepath.Join(dir, id+snapshotExt))
 	if err != nil {
 		t.Fatal(err)
@@ -2147,8 +2197,8 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 		t.Fatalf("snapshot was rewritten (%d events, %d runs) — journaling should append instead",
 			len(baseline.Events), len(baseline.Runs))
 	}
-	if recs := readJournal(t, jpath); len(recs) < 7 { // 5 stage + 2 run records
-		t.Fatalf("journal holds %d records, want >= 7", len(recs))
+	if recs := readJournal(t, jpath); len(recs) != 2 { // one per run
+		t.Fatalf("journal holds %d records, want one per run", len(recs))
 	}
 
 	ts1.Close()
@@ -2343,4 +2393,101 @@ func TestCreateNotDurable(t *testing.T) {
 	if all := getJSON(t, ts.URL+"/api/v1/sessions"); all["total"].(float64) != 0 {
 		t.Fatalf("%v sessions live after failed creates, want none", all["total"])
 	}
+}
+
+// TestFailedRunsReplayExactly pins the rule that keeps replay from
+// re-deriving a partial stage: a run that fails or is cancelled once started
+// is followed, at its record, by a compaction. Two such runs — a plan whose
+// feedback stage applies and whose next stage fails, and a run cancelled
+// after its stage's action ran, before orchestration — are each followed by
+// one more stage; the server is abandoned without Close and a new one opened
+// on the same directory serves the live session's events, result and
+// knowledge-base content.
+func TestFailedRunsReplayExactly(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s *Server, ts *httptest.Server, id string)
+	}{
+		{"plan fails after a stage applied", func(t *testing.T, s *Server, ts *httptest.Server, id string) {
+			resp := postJSON(t, ts.URL+"/api/v1/sessions/"+id+"/plans",
+				`{"stages":[{"stage":"feedback","payload":{"budget":20}},{"stage":"export","payload":{"relation":"nope"}}]}`)
+			resp.Body.Close()
+			if final := pollRun(t, ts.URL+resp.Header.Get("Location")); final["state"] != "failed" || len(final["events"].([]any)) != 1 {
+				t.Fatalf("plan ended %v with events %v, want failed after one stage", final["state"], final["events"])
+			}
+		}},
+		{"run cancelled after its action", func(t *testing.T, s *Server, ts *httptest.Server, id string) {
+			sess, err := s.store.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := core.OracleFeedback(sess.Scenario(), sess.Wrangler().Result(), 20, sess.Seed())
+			acted := make(chan struct{})
+			sub, err := s.runs.Submit(context.Background(), id, session.StageFeedback, func(ctx context.Context) (session.Event, error) {
+				return sess.Step(ctx, session.StageFeedback, func(w *core.Wrangler) error {
+					w.AddFeedback(items...)
+					close(acted)
+					<-ctx.Done()
+					return nil
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-acted
+			if _, err := s.runs.Cancel(sub.ID); err != nil {
+				t.Fatal(err)
+			}
+			if run, _ := sub.Wait(context.Background()); run.State != runs.StateCancelled {
+				t.Fatalf("run ended %s, want cancelled", run.State)
+			}
+			if n := len(sess.Wrangler().FeedbackItems()); n != len(items) {
+				t.Fatalf("the cancelled stage left %d feedback items, want its %d", n, len(items))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := journalServer(t, dir)
+			id := createSession(t, ts1, `{"n":40}`)
+			base1 := ts1.URL + "/api/v1/sessions/" + id
+			post(t, base1+"/stages/bootstrap")
+			tc.run(t, s1, ts1, id)
+			postBody(t, base1+"/stages/user-context", `{"model":"size"}`)
+			wantEvents := getJSON(t, base1)["events"]
+			wantResult := resultDigest(t, base1)
+			wantKB := exportedKB(t, base1)
+			ts1.Close()
+			_ = s1 // abandoned: no Close, as after kill -9
+
+			s2, ts2 := journalServer(t, dir)
+			t.Cleanup(s2.Close)
+			base2 := ts2.URL + "/api/v1/sessions/" + id
+			if got := getJSON(t, base2)["events"]; !reflect.DeepEqual(got, wantEvents) {
+				t.Fatalf("events drifted across restart:\n got %v\nwant %v", got, wantEvents)
+			}
+			if got := resultDigest(t, base2); got != wantResult {
+				t.Fatalf("result drifted across restart:\n got %s\nwant %s", got, wantResult)
+			}
+			if got := exportedKB(t, base2); got != wantKB {
+				t.Fatalf("knowledge-base content drifted across restart (%d and %d bytes)", len(got), len(wantKB))
+			}
+		})
+	}
+}
+
+// exportedKB is the knowledge-base content of a session's export, the
+// version stripped.
+func exportedKB(t *testing.T, base string) string {
+	t.Helper()
+	_, body := get(t, base+"/export")
+	snap, err := store.ReadSessionSnapshot(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.KB.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return regexp.MustCompile(`^\{"version":\d+,`).ReplaceAllString(buf.String(), "{")
 }

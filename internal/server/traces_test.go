@@ -99,7 +99,7 @@ func getTree(t *testing.T, ts *httptest.Server, tid string) []*trace.Node {
 
 // TestTracePlanSpanTree is the tentpole acceptance path: one plan POST
 // yields a retrievable span tree carrying the HTTP root, the queue wait,
-// one span per plan stage and the fsynced journal appends beneath them.
+// one span per plan stage and the fsynced journal append of the run's record.
 func TestTracePlanSpanTree(t *testing.T) {
 	_, ts := tracedServer(t, nil)
 	id := createSession(t, ts, `{"n":30}`)
@@ -164,21 +164,15 @@ func TestTracePlanSpanTree(t *testing.T) {
 			t.Errorf("%s parent = %q, want the run span %q", stage, spans[0].ParentID, run.SpanID)
 		}
 	}
-	// Journaling is on, so each completed stage fsyncs one append under its
-	// stage span.
-	if len(byName["journal.append"]) < 1 {
-		t.Fatalf("no journal.append span in the tree (names: %v)", keys(byName))
+	// Journaling is on, so the run fsyncs its one record in an append under
+	// the run span, after its stages.
+	appends := byName["journal.append"]
+	if len(appends) != 1 {
+		t.Fatalf("want one journal.append span in the tree, got %d (names: %v)", len(appends), keys(byName))
 	}
-	for _, ja := range byName["journal.append"] {
-		parentIsStage := false
-		for _, stage := range []string{"stage:bootstrap", "stage:data-context"} {
-			for _, sp := range byName[stage] {
-				parentIsStage = parentIsStage || ja.ParentID == sp.SpanID
-			}
-		}
-		if !parentIsStage {
-			t.Errorf("journal.append parent %q is not a stage span", ja.ParentID)
-		}
+	if appends[0].ParentID != run.SpanID || appends[0].Attrs["stages"] != "2" || appends[0].Attrs["seq"] != "1" {
+		t.Errorf("journal.append = parent %q, attrs %v; want the run span %q, stages 2, seq 1",
+			appends[0].ParentID, appends[0].Attrs, run.SpanID)
 	}
 
 	// The listing resolves the same trace by session filter.
@@ -284,12 +278,12 @@ func TestSlowRunLogged(t *testing.T) {
 	})
 	id := createSession(t, ts, "")
 	release := make(chan struct{})
-	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, func(), error) {
+	if _, err := s.runs.Submit(context.Background(), id, "hold", func(ctx context.Context) (session.Event, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return session.Event{}, nil, nil
+		return session.Event{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +467,8 @@ func TestRequestIDAdopted(t *testing.T) {
 
 // TestSyncStageTraced covers the synchronous stage route: a stage POST is a
 // run the request waits on, so its trace takes the one span path every stage
-// takes — http root → run → queue-wait, and run → stage → journal.append —
-// and the run is listed, succeeded, among the session's runs.
+// takes — http root → run → queue-wait, stage and journal.append — and the
+// run is listed, succeeded, among the session's runs.
 func TestSyncStageTraced(t *testing.T) {
 	_, ts := tracedServer(t, nil)
 	id := createSession(t, ts, "")
@@ -499,8 +493,8 @@ func TestSyncStageTraced(t *testing.T) {
 		t.Fatalf("want one stage:bootstrap span under the run span (names: %v)", keys(byName))
 	}
 	appends := byName["journal.append"]
-	if len(appends) != 1 || appends[0].ParentID != stages[0].SpanID {
-		t.Errorf("want one journal.append span under the stage span, got %d", len(appends))
+	if len(appends) != 1 || appends[0].ParentID != runs[0].SpanID {
+		t.Errorf("want one journal.append span under the run span, got %d", len(appends))
 	}
 
 	resp2, err := http.Get(ts.URL + "/api/v1/sessions/" + id + "/runs")

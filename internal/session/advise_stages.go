@@ -95,7 +95,7 @@ var feedbackBatchStage = Stage{
 		}
 		return p, nil
 	},
-	Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+	Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 		p, _ := payload.(*FeedbackBatchPayload)
 		if p == nil {
 			p = &FeedbackBatchPayload{}

@@ -91,18 +91,68 @@ func (s *Session) Relation(name string) (*relation.Relation, error) {
 	return relationByName(s.w, name)
 }
 
-// ingestRelation decodes a payload body (span ingest.read, connect_* metric
-// series) and lands it in the session under the requested role via one
+// ingest decodes an ingest body (connect_* metric series) under span, which
+// it ends, and lands the rows in the session under the requested role as one
 // orchestrated stage step.
-func (s *Session) ingestRelation(ctx context.Context, stage string, rel *relation.Relation, role string) (Event, func(), error) {
+func (s *Session) ingest(ctx context.Context, stage string, p *connect.IngestPayload, start time.Time, span *trace.Span) (Event, error) {
+	rel, stats, err := connect.Read(p.Relation, strings.NewReader(p.Data), connect.ReadOptions{
+		Format:     p.Format,
+		Mapping:    p.Mapping,
+		Candidates: mappingCandidates(s.w),
+	})
+	if span != nil {
+		span.SetAttr("format", stats.Format)
+		span.EndErr(err)
+	}
+	if err != nil {
+		return Event{}, err
+	}
+	s.connectObserve("in", stats, time.Since(start))
 	return s.Step(ctx, stage, func(w *core.Wrangler) error {
-		if role == connect.RoleContext {
+		if p.Role == connect.RoleContext {
 			w.AddDataContext(rel)
 		} else {
 			w.RegisterSource(rel)
 		}
 		return nil
 	})
+}
+
+// fetchRequest is the decoded payload of the fetch stage and, once the stage
+// has fetched, the ingest request it applied (see Applied).
+type fetchRequest struct {
+	connect.FetchPayload
+	applied *StageRequest
+}
+
+// Applied is the request a stage asked by req applied, once it has run
+// (payload is req decoded by Resolve): req itself, except for a fetch, which
+// applied the ingest of the body it fetched. That is what a session's journal
+// records, so replaying a run needs nothing from outside the session: every
+// other input — the oracle's items, the scenario's reference — is a function of
+// the scenario's seed and the knowledge base.
+func Applied(req StageRequest, payload any) StageRequest {
+	if f, ok := payload.(*fetchRequest); ok && f.applied != nil {
+		return *f.applied
+	}
+	return req
+}
+
+// ingestRequest is the ingest request of a fetched body, and that request
+// decoded: what the fetch stage ingests. The body goes through JSON, as an
+// upload's does, so the session ingests exactly what the journal holds — a
+// body that is not UTF-8 lands with each invalid byte as U+FFFD, live and on
+// replay alike.
+func ingestRequest(p *connect.IngestPayload) (StageRequest, *connect.IngestPayload) {
+	// Written out so an explicit empty mapping ({}: no inference) stays one;
+	// strings and a string map always marshal.
+	data, _ := json.Marshal(struct {
+		*connect.IngestPayload
+		Mapping map[string]string `json:"mapping"`
+	}{p, p.Mapping})
+	var in connect.IngestPayload
+	_ = json.Unmarshal(data, &in) // what Marshal wrote decodes
+	return StageRequest{Stage: StageIngest, Payload: data}, &in
 }
 
 // The connector stages: sources and sinks as first-class stages, which every
@@ -131,24 +181,10 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 			p, _ := payload.(*connect.IngestPayload)
-			start := time.Now()
 			span := trace.ChildFromContext(ctx, "ingest.read", "relation", p.Relation, "session", s.id)
-			rel, stats, err := connect.Read(p.Relation, strings.NewReader(p.Data), connect.ReadOptions{
-				Format:     p.Format,
-				Mapping:    p.Mapping,
-				Candidates: mappingCandidates(s.w),
-			})
-			if span != nil {
-				span.SetAttr("format", stats.Format)
-				span.EndErr(err)
-			}
-			if err != nil {
-				return Event{}, nil, err
-			}
-			s.connectObserve("in", stats, time.Since(start))
-			return s.ingestRelation(ctx, StageIngest, rel, p.Role)
+			return s.ingest(ctx, StageIngest, p, time.Now(), span)
 		},
 	}
 	fetchStage = Stage{
@@ -164,11 +200,11 @@ var (
 			{Name: "retries", Doc: "re-attempts for retryable failures (0 = 2, negative = none)"},
 		},
 		Decode: func(raw json.RawMessage) (any, error) {
-			var p connect.FetchPayload
+			var p fetchRequest
 			if emptyPayload(raw) {
 				return nil, fmt.Errorf("fetch stage needs a payload")
 			}
-			if err := decodeStrict(raw, &p); err != nil {
+			if err := decodeStrict(raw, &p.FetchPayload); err != nil {
 				return nil, err
 			}
 			if err := p.Validate(); err != nil {
@@ -176,31 +212,22 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
-			p, _ := payload.(*connect.FetchPayload)
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
+			p, _ := payload.(*fetchRequest)
 			start := time.Now()
 			span := trace.ChildFromContext(ctx, "ingest.read", "relation", p.Relation, "url", p.URL, "session", s.id)
 			// The body is fetched and decoded in full before any session
 			// state is touched: a cancelled or failed fetch leaves the
 			// knowledge base exactly as it was.
-			rel, stats, err := connect.Fetch(ctx, p.URL, p.Relation, connect.FetchOptions{
-				ReadOptions: connect.ReadOptions{
-					Format:     p.Format,
-					Mapping:    p.Mapping,
-					Candidates: mappingCandidates(s.w),
-				},
-				Timeout: p.Timeout(),
-				Retries: p.Retries,
-			})
-			if span != nil {
-				span.SetAttr("format", stats.Format)
-				span.EndErr(err)
-			}
+			body, err := connect.Fetch(ctx, p.URL, connect.FetchOptions{Timeout: p.Timeout(), Retries: p.Retries})
 			if err != nil {
-				return Event{}, nil, err
+				span.EndErr(err)
+				return Event{}, err
 			}
-			s.connectObserve("in", stats, time.Since(start))
-			return s.ingestRelation(ctx, StageFetch, rel, p.Role)
+			req, in := ingestRequest(&connect.IngestPayload{Relation: p.Relation, Format: p.Format, Role: p.Role,
+				Data: string(body), Mapping: p.Mapping})
+			p.applied = &req
+			return s.ingest(ctx, StageFetch, in, start, span)
 		},
 	}
 	exportStage = Stage{
@@ -222,7 +249,7 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 			p, _ := payload.(*connect.ExportPayload)
 			if p == nil {
 				p = &connect.ExportPayload{}
@@ -273,7 +300,7 @@ var (
 			}
 			return &p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 			p, _ := payload.(*connect.QualityPayload)
 			if p == nil {
 				p = &connect.QualityPayload{}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -241,12 +242,33 @@ func TestFetchStageIngests(t *testing.T) {
 	}))
 	defer ts.Close()
 	sess := blankSession(t)
-	raw, _ := json.Marshal(connect.FetchPayload{URL: ts.URL, Relation: "remote", Format: connect.FormatJSONL})
-	if _, err := apply(context.Background(), sess, StageRequest{Stage: StageFetch, Payload: raw}); err != nil {
+	raw := `{"url":"` + ts.URL + `","relation":"remote","format":"jsonl","mapping":{}}`
+	req := StageRequest{Stage: StageFetch, Payload: json.RawMessage(raw)}
+	st, payload, err := Resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Applied(req, payload); !reflect.DeepEqual(got, req) {
+		t.Fatalf("a fetch that has not run applied %+v", got)
+	}
+	if _, err := st.Apply(context.Background(), sess, payload); err != nil {
 		t.Fatal(err)
 	}
 	rel := sess.Wrangler().KB.Relation(core.RelSourcePrefix + "remote")
 	if rel == nil || rel.Cardinality() != 1 {
 		t.Fatalf("fetched relation = %v", rel)
+	}
+	// What the fetch applied is the ingest of the body it fetched, explicit
+	// empty mapping included: applied to a session where the fetch never
+	// ran, it lands the same relation, with nothing fetched.
+	ts.Close()
+	ingest := Applied(req, payload)
+	again := blankSession(t)
+	if _, err := apply(context.Background(), again, ingest); ingest.Stage != StageIngest || err != nil {
+		t.Fatalf("applying %s: %v", ingest.Stage, err)
+	}
+	if got := again.Wrangler().KB.Relation(core.RelSourcePrefix + "remote"); !got.Identical(rel) ||
+		!bytes.Contains(ingest.Payload, []byte(`"mapping":{}`)) {
+		t.Fatalf("the applied ingest (%s) landed %v, the fetch %v", ingest.Payload, got, rel)
 	}
 }

@@ -45,7 +45,7 @@ func open(t *testing.T, dir string, maxSessions int) *rig {
 	t.Helper()
 	r := &rig{t: t, dir: dir, reg: metrics.NewRegistry()}
 	r.eng = runs.New(runs.WithWorkers(2), runs.WithObserver(runs.Observer{
-		Record: func(run runs.Run) func() { return r.st.CommitRun(run) },
+		Record: r.commitRun,
 	}))
 	var err error
 	r.st, err = store.Open(dir, maxSessions, store.Deps{Engine: r.eng, Metrics: r.reg, Logger: slog.New(slog.DiscardHandler)})
@@ -54,6 +54,11 @@ func open(t *testing.T, dir string, maxSessions int) *rig {
 	}
 	t.Cleanup(r.eng.Close)
 	return r
+}
+
+// commitRun is the store's recorder, installed as the server installs it.
+func (r *rig) commitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
+	return r.st.CommitRun(ctx, run, applied)
 }
 
 // eachStore runs fn over an ephemeral rig and a durable one.
@@ -385,7 +390,7 @@ func TestTeardownHookOrdering(t *testing.T) {
 		before := files(t, r.dir)
 		entered := make(chan struct{})
 		var atUnwind map[string]string
-		if _, err := r.eng.Submit(context.Background(), sess.ID(), "slow", func(ctx context.Context) (session.Event, func(), error) {
+		if _, err := r.eng.Submit(context.Background(), sess.ID(), "slow", func(ctx context.Context) (session.Event, error) {
 			return sess.Step(ctx, "slow", func(*core.Wrangler) error {
 				close(entered)
 				<-ctx.Done() // only the teardown's cancellation ends the stage

@@ -10,6 +10,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -127,12 +128,6 @@ type Session struct {
 	resultCache   *relation.Relation
 	resultVersion uint64
 
-	// stageCommitHook, when set, observes every completed stage while the
-	// session still holds its run mutex — the mutation hook the durability
-	// journal feeds on — and may return a durability wait, which Step hands
-	// its caller (see WithStageCommitHook).
-	stageCommitHook func(context.Context, *Session, Event) func()
-
 	// reg, when set, counts the SSE fan-out: live subscribers
 	// (sse_subscribers) and events lost to slow consumers
 	// (sse_dropped_events_total) — the loss that was previously silent.
@@ -156,24 +151,6 @@ func WithScenario(sc *datagen.Scenario, seed int64) Option {
 		s.sc = sc
 		s.seed = seed
 	}
-}
-
-// WithStageCommitHook installs a callback invoked after every completed
-// stage, with the session's run mutex still held: no later stage can start
-// (and no knowledge-base write can land) before the hook returns, which is
-// exactly the window an incremental-durability journal needs to capture the
-// stage's mutation delta race-free. The hook receives the stage's context
-// (carrying the stage's trace span, so journal appends nest under it) and
-// runs on the wrangling path — keep it short and never call back into the
-// session's stage methods (Step would self-deadlock).
-//
-// The hook may return a commit wait, which Step returns to its caller: the
-// stage is not acknowledged until the wait returns, and a caller that runs
-// several stages (the run engine, for a plan) invokes their waits together
-// before acknowledging any. A nil return means nothing to wait for. One hook
-// per session; later options replace earlier ones.
-func WithStageCommitHook(hook func(context.Context, *Session, Event) func()) Option {
-	return func(s *Session) { s.stageCommitHook = hook }
 }
 
 // WithMetrics instruments the session's event fan-out: the subscriber
@@ -245,6 +222,13 @@ func (s *Session) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Event(nil), s.events...)
+}
+
+// EventsSince returns the stage history after its first n events.
+func (s *Session) EventsSince(n int) []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Event(nil), s.events[min(n, len(s.events)):]...)
 }
 
 // Close marks the session closed; subsequent stage methods fail with
@@ -357,12 +341,8 @@ func (s *Session) Subscribe(buf int) (history []Event, events <-chan Event, canc
 // Steps of one session are serialised; independent sessions proceed in
 // parallel. When ctx carries a trace span (the run span on the engine path)
 // the stage records a `stage:<name>` child covering action, orchestration
-// and scoring, and downstream journal appends nest under it.
-//
-// Step returns the stage-commit hook's wait beside the event (nil when
-// there is nothing to wait for): the stage is acknowledged once the caller
-// has invoked it.
-func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wrangler) error) (_ Event, commit func(), retErr error) {
+// and scoring.
+func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wrangler) error) (_ Event, retErr error) {
 	span := trace.ChildFromContext(ctx, "stage:"+stage, "stage", stage, "session", s.id)
 	if span != nil {
 		ctx = trace.NewContext(ctx, span)
@@ -371,18 +351,18 @@ func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wr
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	if err := s.touch(); err != nil {
-		return Event{}, nil, err
+		return Event{}, err
 	}
 	if action != nil {
 		if err := action(s.w); err != nil {
-			return Event{}, nil, err
+			return Event{}, err
 		}
 	}
 	start := time.Now()
 	steps, err := s.w.Run(ctx)
 	s.countSteps(steps)
 	if err != nil {
-		return Event{}, nil, err
+		return Event{}, err
 	}
 	ev := Event{
 		Type:     EventStage,
@@ -412,12 +392,39 @@ func (s *Session) Step(ctx context.Context, stage string, action func(w *core.Wr
 		}
 	}
 	s.mu.Unlock()
-	// Under runMu, after the event is appended: the hook observes the
-	// session exactly as this stage left it, before any later stage runs.
-	if s.stageCommitHook != nil {
-		commit = s.stageCommitHook(ctx, s, ev)
+	return ev, nil
+}
+
+// Replay re-applies a recorded run to a session nobody is served yet: each
+// request goes through Resolve and Stage.Apply, the path a live stage takes,
+// and then the events the run recorded stand in place of the ones the replay
+// produced — when a stage ran, how long it took and how many steps it needed
+// are history, not something to measure again. The session's metrics do not
+// count the replay. A request that fails to resolve or apply fails it.
+func (s *Session) Replay(ctx context.Context, reqs []StageRequest, events []Event) error {
+	reg := s.reg
+	s.reg = nil
+	defer func() { s.reg = reg }()
+	s.mu.Lock()
+	n, lastActive := len(s.events), s.lastActive
+	s.mu.Unlock()
+	for i, req := range reqs {
+		st, payload, err := Resolve(req)
+		if err == nil {
+			_, err = st.Apply(ctx, s, payload)
+		}
+		if err != nil {
+			return fmt.Errorf("replaying request %d (%s): %w", i+1, req.Stage, err)
+		}
 	}
-	return ev, commit, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.events = append(s.events[:n], events...)
+	s.lastActive = lastActive
+	if k := len(events); k > 0 && events[k-1].At.After(lastActive) {
+		s.lastActive = events[k-1].At
+	}
+	return nil
 }
 
 // touch refreshes lastActive, failing on a closed session.
@@ -451,38 +458,29 @@ func (s *Session) PublishTransition(tr RunTransition) {
 	}
 }
 
-// committed is a stage outcome acknowledged at once: its commit wait
-// invoked, as a caller that runs one stage at a time does.
-func committed(ev Event, commit func(), err error) (Event, error) {
-	if commit != nil {
-		commit()
-	}
-	return ev, err
-}
-
 // Bootstrap runs stage 1: fully automatic wrangling over the registered
 // sources.
 func (s *Session) Bootstrap(ctx context.Context) (Event, error) {
-	return committed(bootstrapStage.Apply(ctx, s, nil))
+	return bootstrapStage.Apply(ctx, s, nil)
 }
 
 // AddDataContext runs stage 2 with the given reference relation; nil
 // defaults to the scenario's address reference (ErrNoDataContext without a
 // scenario).
 func (s *Session) AddDataContext(ctx context.Context, rel *relation.Relation) (Event, error) {
-	return committed(dataContextStage.Apply(ctx, s, rel))
+	return dataContextStage.Apply(ctx, s, rel)
 }
 
 // AddFeedback runs stage 3 with the given annotations; an empty slice asks
 // the scenario oracle for `budget` annotations (a no-op action without a
 // scenario).
 func (s *Session) AddFeedback(ctx context.Context, items []feedback.Item, budget int) (Event, error) {
-	return committed(feedbackStage.Apply(ctx, s, &FeedbackPayload{Items: items, Budget: &budget}))
+	return feedbackStage.Apply(ctx, s, &FeedbackPayload{Items: items, Budget: &budget})
 }
 
 // SetUserContext runs stage 4 with the given priority model.
 func (s *Session) SetUserContext(ctx context.Context, m *mcda.Model) (Event, error) {
-	return committed(userContextStage.Apply(ctx, s, m))
+	return userContextStage.Apply(ctx, s, m)
 }
 
 // Result returns the clean wrangling result (no provenance column), or

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -282,7 +281,7 @@ func apply(ctx context.Context, s *Session, req StageRequest) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	return committed(st.Apply(ctx, s, payload))
+	return st.Apply(ctx, s, payload)
 }
 
 // TestApply drives the uniform choke point: raw StageRequests resolve,
@@ -370,86 +369,12 @@ func TestRestoredSeqContinues(t *testing.T) {
 		{Seq: 2, Type: EventStage, Stage: StageDataContext},
 	}
 	sess := New("sx", core.NewWrangler(), WithRestored(time.Time{}, time.Time{}, history))
-	ev, err := committed(sess.Step(context.Background(), "custom", nil))
+	ev, err := sess.Step(context.Background(), "custom", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.Seq != 3 {
 		t.Fatalf("next Seq = %d, want 3", ev.Seq)
-	}
-}
-
-// TestStageCommitHook proves the mutation hook's contract: it fires once per
-// completed stage, after the event is appended (Seq assigned, history
-// visible), while the run mutex still excludes the next stage — so a
-// knowledge-base version read inside the hook is exactly the stage's final
-// version. The wait it returns is Step's to hand back, invoked by whoever
-// acknowledges the stage once the run mutex is released: the convenience
-// methods before they return.
-func TestStageCommitHook(t *testing.T) {
-	ctx := context.Background()
-	sc := testScenario(t, 40, 1)
-	var calls []Event
-	var versions []uint64
-	var waited []int
-	var sess *Session
-	sess = New("hooked", core.BuildScenarioWrangler(sc),
-		WithScenario(sc, 1),
-		WithStageCommitHook(func(_ context.Context, s *Session, ev Event) func() {
-			if s != sess {
-				t.Error("hook got a different session")
-			}
-			calls = append(calls, ev)
-			versions = append(versions, s.Wrangler().KB.Version())
-			if got := s.Events(); len(got) != ev.Seq {
-				t.Errorf("hook sees %d events, want %d", len(got), ev.Seq)
-			}
-			return func() {
-				s.Quiesce() // would self-deadlock were the run mutex still held
-				waited = append(waited, ev.Seq)
-			}
-		}))
-	if _, err := sess.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if len(waited) != 1 {
-		t.Fatalf("Step returned with waits %v invoked, want [1]", waited)
-	}
-	if _, err := sess.AddDataContext(ctx, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 2 || calls[0].Seq != 1 || calls[1].Seq != 2 {
-		t.Fatalf("hook calls = %+v", calls)
-	}
-	if calls[0].Stage != StageBootstrap || calls[1].Stage != StageDataContext {
-		t.Fatalf("hook stages = %q, %q", calls[0].Stage, calls[1].Stage)
-	}
-	// The version captured inside the hook is the stage's final version:
-	// nothing ran between the stage completing and the hook observing it.
-	if versions[1] != sess.Wrangler().KB.Version() {
-		t.Fatalf("hook version %d, final version %d", versions[1], sess.Wrangler().KB.Version())
-	}
-	// A failing stage records no event and fires no hook.
-	if _, commit, err := sess.Step(ctx, "explode", func(w *core.Wrangler) error {
-		return errors.New("no")
-	}); err == nil || commit != nil {
-		t.Fatal("failing action should fail the stage, with nothing to commit")
-	}
-	if len(calls) != 2 {
-		t.Fatalf("failed stage fired the hook: %d calls", len(calls))
-	}
-
-	// Step hands the wait back uninvoked.
-	_, commit, err := sess.Step(ctx, "custom", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(waited) != 2 {
-		t.Fatalf("Step invoked its commit wait: %v", waited)
-	}
-	commit()
-	if want := []int{1, 2, 3}; !reflect.DeepEqual(waited, want) {
-		t.Fatalf("waits after commit = %v, want %v", waited, want)
 	}
 }
 

@@ -59,8 +59,8 @@ type Stage struct {
 	// null and {} decode to nil, anything else is ErrBadPayload.
 	Decode func(raw json.RawMessage) (any, error)
 	// Apply runs the stage against the session with the decoded payload and
-	// returns its event and commit wait, as Step does.
-	Apply func(ctx context.Context, s *Session, payload any) (Event, func(), error)
+	// returns its event, as Step does.
+	Apply func(ctx context.Context, s *Session, payload any) (Event, error)
 }
 
 // StageField documents one payload field of a stage.
@@ -174,7 +174,7 @@ var (
 	bootstrapStage = Stage{
 		Name:        StageBootstrap,
 		Description: "step 1: fully automatic wrangling over the registered sources",
-		Apply: func(ctx context.Context, s *Session, _ any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, _ any) (Event, error) {
 			return s.Step(ctx, StageBootstrap, nil)
 		},
 	}
@@ -194,7 +194,7 @@ var (
 			}
 			return p.Relation, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 			rel, _ := payload.(*relation.Relation)
 			return s.Step(ctx, StageDataContext, func(w *core.Wrangler) error {
 				if rel == nil {
@@ -225,7 +225,7 @@ var (
 			}
 			return p, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 			p, _ := payload.(*FeedbackPayload)
 			if p == nil {
 				p = &FeedbackPayload{}
@@ -263,7 +263,7 @@ var (
 			}
 			return m, nil
 		},
-		Apply: func(ctx context.Context, s *Session, payload any) (Event, func(), error) {
+		Apply: func(ctx context.Context, s *Session, payload any) (Event, error) {
 			m, _ := payload.(*mcda.Model)
 			return s.Step(ctx, StageUserContext, func(w *core.Wrangler) error {
 				w.SetUserContext(m)

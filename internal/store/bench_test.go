@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,13 +10,14 @@ import (
 	"vada/internal/core"
 	"vada/internal/datagen"
 	"vada/internal/metrics"
+	"vada/internal/runs"
 	"vada/internal/session"
 )
 
 // benchSession builds an established large-KB session — bootstrap and data
-// context done — plus the stage record a steady-state feedback iteration
-// appends, so both benchmarks measure the same workload: "one more run
-// completed on a session with an accumulated knowledge base".
+// context done, then a feedback round — plus the record that steady-state
+// feedback run appends, so both benchmarks measure the same workload: "one
+// more run completed on a session with an accumulated knowledge base".
 func benchSession(b *testing.B, n int) (*session.Session, *Record) {
 	b.Helper()
 	ctx := context.Background()
@@ -23,27 +25,25 @@ func benchSession(b *testing.B, n int) (*session.Session, *Record) {
 	cfg.NProperties = n
 	cfg.Seed = 11
 	sc := datagen.Generate(cfg)
-	var captured *Record
-	sess := session.New("bench", core.BuildScenarioWrangler(sc),
-		session.WithScenario(sc, 11),
-		session.WithStageCommitHook(func(_ context.Context, s *session.Session, ev session.Event) func() {
-			captured = &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: s.Wrangler().CutChangeLog()}}
-			return nil
-		}))
-	sess.Wrangler().StartChangeLog()
+	sess := session.New("bench", core.BuildScenarioWrangler(sc), session.WithScenario(sc, 11))
 	if _, err := sess.Bootstrap(ctx); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := sess.AddDataContext(ctx, nil); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sess.AddFeedback(ctx, nil, 40); err != nil {
+	req := session.StageRequest{Stage: session.StageFeedback, Payload: json.RawMessage(`{"budget":40}`)}
+	st, payload, err := session.Resolve(req)
+	if err != nil {
 		b.Fatal(err)
 	}
-	if captured == nil || captured.Stage.Event.Stage != session.StageFeedback {
-		b.Fatal("no feedback stage record captured")
+	ev, err := st.Apply(ctx, sess, payload)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return sess, captured
+	k := sess.Wrangler().KB
+	return sess, &Record{At: ev.At, Run: &runs.Run{ID: "r-bench", SessionID: "bench", Stage: req.Stage, State: runs.StateSucceeded},
+		Asked: &Asked{Requests: []session.StageRequest{req}, Events: []session.Event{ev}, Version: k.Version(), Digest: k.Digest()}}
 }
 
 // BenchmarkSnapshotPerRun is what durability would cost without the
@@ -78,8 +78,8 @@ func BenchmarkSnapshotPerRun(b *testing.B) {
 }
 
 // BenchmarkJournalAppendPerRun is the journal's durability cost for the
-// same workload: one framed, fsynced stage record carrying only the run's
-// mutation delta — o(snapshot-size) bytes per run on a large-KB session.
+// same workload: one framed, fsynced record of what the run was asked —
+// o(snapshot-size) bytes per run on a large-KB session.
 func BenchmarkJournalAppendPerRun(b *testing.B) {
 	_, rec := benchSession(b, 300)
 	j, _, err := openJournal(filepath.Join(b.TempDir(), "bench.vjournal"), metrics.NewRegistry())
@@ -96,7 +96,7 @@ func BenchmarkJournalAppendPerRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Compact periodically so the file does not grow unboundedly over
-		// the run — exactly what the server's thresholds do.
+		// the run, as the replay budget does.
 		if i%1024 == 1023 {
 			written += j.written.bytes
 			if err := j.reset(); err != nil {
@@ -108,21 +108,22 @@ func BenchmarkJournalAppendPerRun(b *testing.B) {
 	b.ReportMetric(float64(written)/float64(b.N), "disk-bytes/op")
 }
 
-// BenchmarkStageRecordEncode is the journal encoding of one stage's record,
-// framed, at n=60: a bootstrap (sources and results put whole) and a
-// feedback round (facts and row diffs). MB/s is of the frame's bytes.
-func BenchmarkStageRecordEncode(b *testing.B) {
-	recs := stageRecords(b, 60)
+// BenchmarkRunRecordEncode is the journal encoding of one run's record,
+// framed, at n=60: a bootstrap (no payload) and a feedback round (its
+// payload, and the oracle-scored event). MB/s is of the frame's bytes.
+func BenchmarkRunRecordEncode(b *testing.B) {
+	recs := runRecords(b, 60)
 	for _, bc := range []struct {
 		name string
 		rec  Record
 	}{{"bootstrap", recs[0]}, {"feedback", recs[2]}} {
 		b.Run(bc.name, func(b *testing.B) {
-			// The buffer is reused, as appendCommit reuses its pooled ones.
-			var frame []byte
 			encode := func() []byte {
-				var err error
-				if frame, err = appendFrame(frame[:0], kindStage, func(p []byte) ([]byte, error) { return appendRecord(p, &bc.rec) }); err != nil {
+				frame, err := appendFrame(nil, kindAsked, func(p []byte) ([]byte, error) {
+					data, err := json.Marshal(&bc.rec)
+					return append(p, data...), err
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
 				return frame

@@ -83,6 +83,22 @@ func FuzzReplayJournal(f *testing.F) {
 	mutated := append([]byte(nil), seed...)
 	mutated[len(mutated)/2] ^= 0xff
 	f.Add(mutated)
+	// Today's run records, alone and after an older binary's records.
+	var runRecs []Record
+	for i := 1; i <= 3; i++ {
+		rec := *stageRec(i)
+		rec.Seq = uint64(i)
+		runRecs = append(runRecs, rec)
+	}
+	fresh := encodeJournal(f, runRecs)
+	f.Add(fresh)
+	f.Add(fresh[:len(fresh)-7])
+	mixed := goldenRecords()
+	for _, rec := range runRecs {
+		rec.Seq = uint64(len(mixed) + 1)
+		mixed = append(mixed, rec)
+	}
+	f.Add(encodeJournal(f, mixed))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Replay(bytes.NewReader(data))

@@ -6,62 +6,55 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"sync"
 	"time"
 
-	"vada/internal/feedback"
-	"vada/internal/kb"
 	"vada/internal/metrics"
 	"vada/internal/runs"
 	"vada/internal/session"
 )
 
-// Record kinds of the v1 journal layout.
+// Record kinds of the v1 journal layout. A journal this binary writes holds
+// run records only; the other two kinds are an older binary's, read and
+// never written (legacy.go).
 const (
-	kindStage byte = 0x01
-	kindRun   byte = 0x02
+	kindStage byte = 0x01 // one stage and the knowledge-base delta it produced
+	kindRun   byte = 0x02 // a terminal run alone
+	kindAsked byte = 0x03 // a terminal run and what it was asked
 )
 
-// StageRecord is the mutation payload of one completed wrangling stage:
-// the typed event (oracle score included) and the knowledge-base delta the
-// stage produced — everything restoreSession needs that a bare event would
-// not carry.
-type StageRecord struct {
-	// Event is the stage event, Seq assigned.
-	Event session.Event `json:"event"`
-	// Delta is the knowledge-base mutation log of the stage.
-	Delta *kb.Delta `json:"delta,omitempty"`
-
-	legacyStage
-}
-
-// legacyStage is read and never written: records of older binaries carried
-// the feedback items the stage added (FeedbackAt the index of the first in
-// the append-only store, so recovery can skip exactly the overlap with items
-// a snapshot those binaries took mid-stage already held) and the change
-// fingerprints after the stage, beside a delta that did not hold them.
-// Recovery folds them into the legacy fields of Meta. Its fields are those of
-// StageRecord on the wire.
-type legacyStage struct {
-	Feedback   []feedback.Item   `json:"feedback,omitempty"`
-	FeedbackAt int               `json:"feedback_at,omitempty"`
-	ExecHashes map[string]uint64 `json:"exec_hashes,omitempty"`
-	FusedHash  uint64            `json:"fused_hash,omitempty"`
-}
-
-// Record is one journal entry. Exactly one of Stage and Run is set,
-// matching the record's frame kind.
+// Record is one journal entry: exactly one of Stage and Run is set, and
+// Asked with Run in a run record of today's layout, matching the record's
+// frame kind.
 type Record struct {
 	// Seq numbers records within one journal file, from 1, with no gaps;
 	// replay stops at the first sequence break (damage, not format skew).
 	Seq uint64 `json:"seq"`
 	// At is when the record was appended.
 	At time.Time `json:"at"`
-	// Stage is the payload of a stage record.
+	// Stage is the payload of an older binary's stage record.
 	Stage *StageRecord `json:"stage,omitempty"`
 	// Run is the terminal run snapshot of a run record.
 	Run *runs.Run `json:"run,omitempty"`
+	// Asked is what the run was asked and what it left behind.
+	Asked *Asked `json:"asked,omitempty"`
+}
+
+// Asked is the rest of a run record: the stage requests the run applied,
+// which recovery replays through Stage.Apply, and what to check the replay
+// against. The knowledge base is a function of them — every other input of a
+// stage is derived from the scenario's seed and the knowledge base — so the
+// record holds no effect of the run's.
+type Asked struct {
+	// Requests are the stage requests the run applied, in order, each as
+	// session.Applied resolved it (a fetch as the ingest it applied).
+	Requests []session.StageRequest `json:"requests,omitempty"`
+	// Events are the stage events the run recorded, one per request, times
+	// and durations as they were.
+	Events []session.Event `json:"events,omitempty"`
+	// Version is the knowledge base's version counter after the run.
+	Version uint64 `json:"version"`
+	// Digest is kb.KB.Digest of the content the run left behind.
+	Digest uint64 `json:"digest"`
 }
 
 // ReplayResult is what reading a journal yields: the records of the valid
@@ -117,19 +110,27 @@ func Replay(r io.Reader) (*ReplayResult, error) {
 }
 
 // decodeRecord validates one frame: the payload must be a well-formed
-// record whose populated side matches the frame kind.
+// record whose populated fields match the frame kind.
 func decodeRecord(kind byte, payload []byte) (Record, bool) {
 	var rec Record
-	if decodeJSON(payload, &rec) != nil {
+	if decodeJSON(payload, &rec) != nil || recordKind(&rec) != kind {
 		return Record{}, false
 	}
-	switch kind {
-	case kindStage:
-		return rec, rec.Stage != nil && rec.Run == nil
-	case kindRun:
-		return rec, rec.Run != nil && rec.Stage == nil
+	return rec, true
+}
+
+// recordKind is the frame kind of a record by what it holds; 0 for a record
+// that is none of them.
+func recordKind(rec *Record) byte {
+	switch {
+	case rec.Stage != nil && rec.Run == nil && rec.Asked == nil:
+		return kindStage
+	case rec.Stage == nil && rec.Run != nil && rec.Asked == nil:
+		return kindRun
+	case rec.Stage == nil && rec.Run != nil && rec.Asked != nil:
+		return kindAsked
 	}
-	return Record{}, false
+	return 0
 }
 
 // countingReader tracks how many bytes of the underlying stream have been
@@ -258,22 +259,17 @@ func (j *journal) appendCommit(rec *Record) (wait func() error, err error) {
 	if j.closed || j.failed {
 		return nil, fmt.Errorf("store: journal closed or poisoned by an earlier failure")
 	}
-	kind := kindStage
-	switch {
-	case rec.Stage != nil && rec.Run == nil:
-	case rec.Run != nil && rec.Stage == nil:
-		kind = kindRun
-	default:
-		return nil, fmt.Errorf("store: a record carries exactly one of stage, run")
+	if recordKind(rec) != kindAsked {
+		return nil, fmt.Errorf("store: a record carries a run and what it was asked")
 	}
 	rec.Seq = j.written.seq + 1
-	buf := framePool.Get().(*[]byte)
-	defer framePool.Put(buf)
-	frame, err := appendFrame((*buf)[:0], kind, func(b []byte) ([]byte, error) { return appendRecord(b, rec) })
+	frame, err := appendFrame(nil, kindAsked, func(b []byte) ([]byte, error) {
+		data, err := json.Marshal(rec)
+		return append(b, data...), err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding record: %w", err)
 	}
-	*buf = frame
 	if _, err := j.f.Write(frame); err != nil {
 		j.rewind(j.written.bytes)
 		return nil, fmt.Errorf("store: appending record: %w", err)
@@ -283,51 +279,6 @@ func (j *journal) appendCommit(rec *Record) (wait func() error, err error) {
 	j.written.bytes += int64(len(frame))
 	epoch, end := j.epoch, j.written.bytes
 	return func() error { return j.waitDurable(epoch, end) }, nil
-}
-
-// framePool holds the buffers records are framed in. A stage's record runs
-// to tens of kilobytes, and growing a buffer that size from empty copies it
-// several times over.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendRecord appends a record's JSON payload to b: what json.Marshal
-// writes for it. A stage record is framed by hand, so its delta — most of its
-// bytes — is encoded once, by kb.Delta.AppendJSON; the small parts (the
-// event, a run record) go through encoding/json.
-func appendRecord(b []byte, rec *Record) ([]byte, error) {
-	if rec.Stage == nil {
-		data, err := json.Marshal(rec)
-		return append(b, data...), err
-	}
-	at, err := rec.At.MarshalJSON()
-	if err != nil {
-		return nil, err
-	}
-	event, err := json.Marshal(rec.Stage.Event)
-	if err != nil {
-		return nil, err
-	}
-	legacy, err := json.Marshal(rec.Stage.legacyStage)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, rec.Seq, 10)
-	b = append(b, `,"at":`...)
-	b = append(b, at...)
-	b = append(b, `,"stage":{"event":`...)
-	b = append(b, event...)
-	if rec.Stage.Delta != nil {
-		b = append(b, `,"delta":`...)
-		if b, err = rec.Stage.Delta.AppendJSON(b); err != nil {
-			return nil, err
-		}
-	}
-	if len(legacy) > len("{}") {
-		b = append(b, ',')
-		b = append(b, legacy[1:len(legacy)-1]...)
-	}
-	return append(b, "}}"...), nil
 }
 
 // waitDurable is the second half of appendCommit for the record that ended

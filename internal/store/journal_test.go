@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -30,8 +31,9 @@ func (j *journal) append(rec *Record) error {
 }
 
 // goldenRecords builds the fixed record sequence pinned by the golden
-// fixture. Everything is deterministic: fixed times, fixed deltas, fixed
-// run snapshots.
+// fixture: an older binary's journal — two stage records and a run record.
+// Everything is deterministic: fixed times, fixed deltas, fixed run
+// snapshots.
 func goldenRecords() []Record {
 	at := time.Date(2026, 7, 2, 9, 30, 0, 0, time.UTC)
 	rel := relation.New(relation.NewSchema("result", "street", "postcode", "price:float"))
@@ -41,10 +43,10 @@ func goldenRecords() []Record {
 		{Seq: 1, At: at, Stage: &StageRecord{
 			Event: session.Event{Seq: 1, Type: session.EventStage, Stage: session.StageBootstrap,
 				Steps: 9, Duration: 1200 * time.Millisecond, At: at},
-			Delta: &kb.Delta{From: 3, To: 6, Ops: []kb.DeltaOp{
-				{Kind: kb.DeltaAssert, Name: "md_selected", Tuple: relation.NewTuple("m_rightmove", 1)},
-				{Kind: kb.DeltaRetract, Name: "md_selected", Tuple: relation.NewTuple("m_stale", 2)},
-				{Kind: kb.DeltaPutRelation, Name: "result", Relation: rel},
+			Delta: &Delta{From: 3, To: 6, Ops: []DeltaOp{
+				{Kind: DeltaAssert, Name: "md_selected", Tuple: relation.NewTuple("m_rightmove", 1)},
+				{Kind: DeltaRetract, Name: "md_selected", Tuple: relation.NewTuple("m_stale", 2)},
+				{Kind: DeltaPutRelation, Name: "result", Relation: rel},
 			}},
 			legacyStage: legacyStage{
 				ExecHashes: map[string]uint64{"m_rightmove": 0xfeedc0de},
@@ -54,8 +56,8 @@ func goldenRecords() []Record {
 		{Seq: 2, At: at.Add(time.Minute), Stage: &StageRecord{
 			Event: session.Event{Seq: 2, Type: session.EventStage, Stage: session.StageFeedback,
 				Steps: 3, Duration: 300 * time.Millisecond, At: at.Add(time.Minute)},
-			Delta: &kb.Delta{From: 6, To: 7, Ops: []kb.DeltaOp{
-				{Kind: kb.DeltaAssert, Name: "fb_item",
+			Delta: &Delta{From: 6, To: 7, Ops: []DeltaOp{
+				{Kind: DeltaAssert, Name: "fb_item",
 					Tuple: relation.NewTuple("1 High St", "M1 1AA", "price", false)},
 			}},
 			legacyStage: legacyStage{
@@ -72,32 +74,28 @@ func goldenRecords() []Record {
 	}
 }
 
-// encodeJournal writes a fresh journal holding the given records and
-// returns its bytes.
+// encodeJournal frames the given records, Seq as they carry it, as the
+// journal file a binary that wrote them left — an older binary's kinds
+// included — and returns its bytes.
 func encodeJournal(t testing.TB, recs []Record) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "enc.vjournal")
-	j, got, err := openJournal(path, metrics.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(got.Records))
-	}
+	b := header(journalMagic)
 	for i := range recs {
-		rec := recs[i]
-		if err := j.append(&rec); err != nil {
+		rec := &recs[i]
+		var err error
+		if b, err = appendFrame(b, recordKind(rec), func(p []byte) ([]byte, error) {
+			data, err := json.Marshal(rec)
+			return append(p, data...), err
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return b
+}
+
+// runRec is a record of today's layout for the run with the given ID.
+func runRec(id string, state runs.State) *Record {
+	return &Record{At: time.Now().UTC(), Run: &runs.Run{ID: id, SessionID: "s", State: state}, Asked: &Asked{}}
 }
 
 // TestOpenRecovery covers the crash-mid-append path: a journal with a torn
@@ -136,8 +134,8 @@ func TestOpenRecovery(t *testing.T) {
 		t.Fatalf("journal length after recovery: %d records, %d bytes (file %d)", records, bytes, info.Size())
 	}
 	// Appends continue the sequence.
-	next := Record{At: time.Now().UTC(), Run: &runs.Run{ID: "r9", SessionID: "s", State: runs.StateFailed}}
-	if err := j.append(&next); err != nil {
+	next := runRec("r9", runs.StateSucceeded)
+	if err := j.append(next); err != nil {
 		t.Fatal(err)
 	}
 	if next.Seq != 4 {
@@ -263,7 +261,7 @@ func TestReset(t *testing.T) {
 	}
 	defer j.close()
 	for i := 0; i < 3; i++ {
-		if err := j.append(&Record{At: time.Now(), Run: &runs.Run{ID: fmt.Sprintf("r%d", i), State: runs.StateSucceeded}}); err != nil {
+		if err := j.append(runRec(fmt.Sprintf("r%d", i), runs.StateSucceeded)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,8 +278,8 @@ func TestReset(t *testing.T) {
 	if info.Size() != headerLen {
 		t.Fatalf("file size after reset = %d, want %d", info.Size(), headerLen)
 	}
-	rec := Record{At: time.Now(), Run: &runs.Run{ID: "r9", State: runs.StateSucceeded}}
-	if err := j.append(&rec); err != nil {
+	rec := runRec("r9", runs.StateSucceeded)
+	if err := j.append(rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Seq != 1 {
@@ -289,14 +287,17 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// stageRec builds a minimal deterministic stage record (At fixed so file
-// bytes are reproducible across writers).
+// stageRec builds a minimal deterministic record of a one-stage run (At
+// fixed so file bytes are reproducible across writers).
 func stageRec(seq int) *Record {
 	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC).Add(time.Duration(seq) * time.Second)
-	return &Record{At: at, Stage: &StageRecord{
-		Event: session.Event{Seq: seq, Type: session.EventStage,
-			Stage: session.StageBootstrap, Steps: seq, At: at},
-	}}
+	return &Record{At: at, Run: &runs.Run{ID: fmt.Sprintf("r%d", seq), SessionID: "s", State: runs.StateSucceeded},
+		Asked: &Asked{
+			Requests: []session.StageRequest{{Stage: session.StageBootstrap}},
+			Events: []session.Event{{Seq: seq, Type: session.EventStage,
+				Stage: session.StageBootstrap, Steps: seq, At: at}},
+			Version: uint64(seq), Digest: uint64(seq) * 0x9e3779b97f4a7c15,
+		}}
 }
 
 // TestAppendCommit pins the two-phase append: what a wait costs, and what it
@@ -455,7 +456,7 @@ func TestAppendCommit(t *testing.T) {
 				t.Fatalf("replayed %d records, want the %d durable ones (and at most the %d written)", len(recs), k, 2*k)
 			}
 			for i, rec := range recs {
-				if want := stageRec(i + 1); rec.Seq != uint64(i+1) || !reflect.DeepEqual(rec.Stage, want.Stage) {
+				if want := stageRec(i + 1); rec.Seq != uint64(i+1) || !reflect.DeepEqual(rec.Asked, want.Asked) {
 					t.Fatalf("replayed record %d drifted: %+v", i, rec)
 				}
 			}
@@ -476,8 +477,9 @@ func TestAppendCommit(t *testing.T) {
 }
 
 // TestReplayGuards pins the convergence rules of folding a journal into its
-// snapshot: already-folded stage records are skipped, sequence gaps stop the
-// replay, run records dedupe by ID.
+// snapshot: records whose stages are already folded are skipped, sequence
+// gaps stop the fold, run records dedupe by ID — for an older binary's
+// records, folded in place, and for today's, handed back for replay.
 func TestReplayGuards(t *testing.T) {
 	mkEvent := func(seq int) session.Event {
 		return session.Event{Seq: seq, Type: session.EventStage, Stage: session.StageBootstrap,
@@ -490,11 +492,11 @@ func TestReplayGuards(t *testing.T) {
 		Runs:   []runs.Run{{ID: "r1", State: runs.StateSucceeded}},
 	}
 	recs := []Record{
-		{Seq: 1, Stage: &StageRecord{Event: mkEvent(1), Delta: &kb.Delta{Ops: []kb.DeltaOp{
-			{Kind: kb.DeltaAssert, Name: "dup", Tuple: relation.NewTuple(1)}}}}}, // already folded: skipped, delta not applied
+		{Seq: 1, Stage: &StageRecord{Event: mkEvent(1), Delta: &Delta{Ops: []DeltaOp{
+			{Kind: DeltaAssert, Name: "dup", Tuple: relation.NewTuple(1)}}}}}, // already folded: skipped, delta not applied
 		{Seq: 2, Run: &runs.Run{ID: "r1", State: runs.StateSucceeded}}, // dup run: skipped
-		{Seq: 3, Stage: &StageRecord{Event: mkEvent(2), Delta: &kb.Delta{Ops: []kb.DeltaOp{
-			{Kind: kb.DeltaAssert, Name: "p", Tuple: relation.NewTuple(2)}}}}}, // applied
+		{Seq: 3, Stage: &StageRecord{Event: mkEvent(2), Delta: &Delta{Ops: []DeltaOp{
+			{Kind: DeltaAssert, Name: "p", Tuple: relation.NewTuple(2)}}}}}, // applied
 		{Seq: 4, Run: &runs.Run{ID: "r2", State: runs.StateFailed}},  // applied
 		{Seq: 5, Run: &runs.Run{ID: "r3", State: runs.StateRunning}}, // non-terminal: skipped
 		{Seq: 6, Stage: &StageRecord{Event: mkEvent(9)}},             // gap: stops replay
@@ -506,7 +508,9 @@ func TestReplayGuards(t *testing.T) {
 	snap.Meta.Feedback = []feedback.Item{{Street: "pre", Correct: true}, {Street: "overlap", Correct: false}}
 	recs[2].Stage.Feedback = []feedback.Item{{Street: "overlap", Correct: false}, {Street: "fresh", Correct: true}}
 	recs[2].Stage.FeedbackAt = 1
-	fold(snap, recs)
+	if asked, legacy := fold(snap, recs); len(asked) != 0 || !legacy {
+		t.Fatalf("an older binary's journal folded to %d records to replay, legacy %v", len(asked), legacy)
+	}
 	wantFB := []string{"pre", "overlap", "fresh"}
 	if len(snap.Meta.Feedback) != len(wantFB) {
 		t.Fatalf("feedback = %+v, want streets %v", snap.Meta.Feedback, wantFB)
@@ -530,5 +534,40 @@ func TestReplayGuards(t *testing.T) {
 	}
 	if !snap.Meta.LastActive.Equal(mkEvent(2).At) {
 		t.Fatalf("last active = %v", snap.Meta.LastActive)
+	}
+
+	// Today's records: a run's stages replay over the restored session.
+	asked := func(id string, seqs ...int) Record {
+		a := &Asked{}
+		for _, seq := range seqs {
+			a.Requests = append(a.Requests, session.StageRequest{Stage: session.StageBootstrap})
+			a.Events = append(a.Events, mkEvent(seq))
+		}
+		return Record{Run: &runs.Run{ID: id, State: runs.StateSucceeded}, Asked: a}
+	}
+	snap = &SessionSnapshot{Meta: Meta{ID: "s1"}, KB: kb.New(), Events: []session.Event{mkEvent(1), mkEvent(2)},
+		Runs: []runs.Run{{ID: "r1", State: runs.StateSucceeded}}}
+	recs = []Record{
+		asked("r1", 1, 2), // already folded: skipped
+		asked("r2"),       // no stages: its run joins, nothing replays
+		asked("r2"),       // dup run: skipped
+		asked("r3", 3, 4), // replayed
+		asked("r4", 5),    // replayed
+		asked("r5", 7),    // gap: stops the fold
+		asked("r6"),       // after the gap: never reached
+	}
+	replay, legacy := fold(snap, recs)
+	if legacy || len(replay) != 2 || replay[0] != recs[3].Asked || replay[1] != recs[4].Asked {
+		t.Fatalf("fold handed back %d records to replay (legacy %v), want records 4 and 5", len(replay), legacy)
+	}
+	if len(snap.Events) != 2 {
+		t.Fatalf("fold appended events to the snapshot: %+v", snap.Events)
+	}
+	var ids []string
+	for _, r := range snap.Runs {
+		ids = append(ids, r.ID)
+	}
+	if fmt.Sprint(ids) != "[r1 r2 r3 r4]" {
+		t.Fatalf("runs = %v, want [r1 r2 r3 r4]", ids)
 	}
 }

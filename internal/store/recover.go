@@ -1,21 +1,27 @@
 package store
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
+
+	"vada/internal/session"
 )
 
 // Recover is the boot path: every <id>.vsnap in the directory is decoded,
-// its journal's valid prefix is replayed over it — a torn tail truncated,
-// never fatal — and the composed state is published, its terminal runs
-// handed to the run engine, and journals on from where it stopped. Archived
-// sessions stay under closed/: one comes back live when its file is
-// imported. A session whose snapshot fails to decode or to be admitted (the
-// cap), or whose journal cannot be opened, is logged and not served, its
-// files left as they are: one corrupt file must not take the service down,
-// and a session that could not journal would lose every stage acknowledged
-// from then on.
+// the runs its journal's valid prefix records — a torn tail truncated, never
+// fatal — are replayed over it through Stage.Apply and checked against their
+// digests, and the session is published, its terminal runs handed to the run
+// engine, and journals on from where it stopped. Archived sessions stay under
+// closed/: one comes back live when its file is imported. A session whose
+// snapshot fails to decode or to be admitted (the cap), whose journal cannot
+// be opened, or whose replay diverges from what the journal recorded
+// (ErrReplayDiverged) is logged and not served, its files left as they are:
+// one corrupt file must not take the service down, and a session that could
+// not journal would lose every stage acknowledged from then on.
 func (s *Store) Recover() {
 	if s.dir == "" {
 		return
@@ -71,9 +77,15 @@ func (s *Store) readSnapshot(id string) *SessionSnapshot {
 	return snap
 }
 
+// ErrReplayDiverged reports a session whose journal does not replay: a
+// recorded run's requests fail to apply, or re-derive a knowledge base whose
+// digest is not the one the run recorded.
+var ErrReplayDiverged = errors.New("store: replay diverged from the journal")
+
 // recoverLive restores one live pair. Opening the journal replays it once:
-// the records it returns are folded into the snapshot, and the journal is
-// the one the session goes on appending to.
+// its records are folded into the snapshot or replayed over the session
+// restored from it, and the journal is the one the session goes on
+// appending to.
 func (s *Store) recoverLive(id string) bool {
 	snap := s.readSnapshot(id)
 	if snap == nil {
@@ -87,9 +99,16 @@ func (s *Store) recoverLive(id string) bool {
 	if res.Damaged {
 		s.Logger.Warn("journal had a damaged tail", "file", id+journalExt, "recovered_records", len(res.Records))
 	}
-	fold(snap, res.Records)
 	read := snap.Meta
+	asked, legacy := fold(snap, res.Records)
 	sess, err := restoreSession(snap, s.options(nil)...)
+	if err == nil {
+		if err = replay(sess, asked); err != nil {
+			j.close()
+			s.Logger.Error("not restoring session: its journal does not replay", "session", id, "error", err)
+			return false
+		}
+	}
 	var e *entry
 	if err == nil {
 		e, _, err = s.adopt(sess)
@@ -103,73 +122,93 @@ func (s *Store) recoverLive(id string) bool {
 	e.io.Lock()
 	defer e.io.Unlock()
 	e.start(j, snap.Runs)
-	// A restore that had to rewrite what it read (the layout of an older
-	// binary, moved into the knowledge base) leaves files that describe a
-	// state the next record's delta does not start from: fold them now.
-	if !reflect.DeepEqual(read, snap.Meta) {
+	for _, rec := range res.Records {
+		if rec.Asked != nil {
+			e.cost += recordCost(rec.Run)
+		}
+	}
+	// A restore that had to rewrite what it read — an older binary's journal
+	// or snapshot layout, moved into the knowledge base — folds it into a
+	// snapshot of today's layout at once.
+	if legacy || !reflect.DeepEqual(read, snap.Meta) {
 		if err := s.compact(e); err != nil {
 			s.Logger.Error("rewriting snapshot after restore", "session", id, "error", err)
 		}
 	}
 	s.publish(e)
 	s.Logger.Info("restored session", "session", id,
-		"events", len(snap.Events), "runs", len(snap.Runs), "journal_records", len(res.Records))
+		"events", len(sess.Events()), "runs", len(snap.Runs), "journal_records", len(res.Records))
 	return true
 }
 
-// fold replays journal records over the snapshot they extend, in place.
-// Because both halves are plain data, the restored session flows through
-// exactly the same restoreSession machinery as a journal-less snapshot.
+// fold composes the journal's records with the snapshot they extend: an
+// older binary's stage records are folded into it in place (legacy.go),
+// terminal runs join its runs, and the records of today's layout whose stages
+// extend its history are returned, in order, for replay. legacy reports an
+// older binary's record among them.
 //
-// Replay is convergent against a crash between a compaction's rename and its
-// truncate, after which the journal still holds records the snapshot folds
-// in. Stage records must extend the event history contiguously
-// (Event.Seq == len(events)+1); earlier sequences are skipped as
-// already-applied, later ones mean the journal does not belong to this
-// snapshot generation and replay of the remainder stops rather than corrupt
-// Seq continuity. Run records are deduplicated by run ID — terminal runs are
-// immutable, so the first copy wins.
-func fold(snap *SessionSnapshot, recs []Record) {
+// Folding is convergent against a crash between a compaction's rename and
+// its truncate, after which the journal still holds records the snapshot
+// folds in: a record whose first event is already in the history is skipped
+// whole, one that would leave a gap in it stops the fold rather than corrupt
+// Seq continuity, and runs are deduplicated by ID — terminal runs are
+// immutable, so the first copy wins. A run record without events changed no
+// stage and is folded by its run alone.
+func fold(snap *SessionSnapshot, recs []Record) (asked []*Asked, legacy bool) {
 	seen := make(map[string]bool, len(snap.Runs))
 	for _, r := range snap.Runs {
 		seen[r.ID] = true
 	}
+	next := len(snap.Events) + 1
 	for _, rec := range recs {
+		var events []session.Event
 		switch {
 		case rec.Stage != nil:
-			ev := rec.Stage.Event
-			if ev.Seq <= len(snap.Events) {
+			legacy = true
+			events = []session.Event{rec.Stage.Event}
+		case rec.Asked != nil:
+			events = rec.Asked.Events
+		default:
+			legacy = true
+		}
+		if len(events) > 0 {
+			if events[0].Seq < next {
 				continue // already folded into the snapshot
 			}
-			if ev.Seq != len(snap.Events)+1 {
-				return // sequence gap: stop at the last consistent state
+			if events[0].Seq != next {
+				return asked, legacy // sequence gap: stop at the last consistent state
 			}
-			snap.Events = append(snap.Events, ev)
-			snap.KB.ApplyDelta(rec.Stage.Delta)
-			// Legacy records carry the feedback items their stage added at
-			// their store index, so the overlap with items a snapshot taken
-			// mid-stage by an older binary already holds is skipped exactly.
-			if n := len(rec.Stage.Feedback); n > 0 {
-				if skip := max(len(snap.Meta.Feedback)-rec.Stage.FeedbackAt, 0); skip < n {
-					snap.Meta.Feedback = append(snap.Meta.Feedback, rec.Stage.Feedback[skip:]...)
-				}
+			next += len(events)
+			if rec.Stage != nil {
+				foldStage(snap, rec.Stage)
+			} else {
+				asked = append(asked, rec.Asked)
 			}
-			if rec.Stage.ExecHashes != nil {
-				snap.Meta.ExecHashes = rec.Stage.ExecHashes
-			}
-			if rec.Stage.FusedHash != 0 {
-				snap.Meta.FusedHash = rec.Stage.FusedHash
-			}
-			if ev.At.After(snap.Meta.LastActive) {
-				snap.Meta.LastActive = ev.At
-			}
-		case rec.Run != nil:
-			r := *rec.Run
-			if seen[r.ID] || !r.State.Terminal() {
-				continue
-			}
+		}
+		if r := rec.Run; r != nil && !seen[r.ID] && r.State.Terminal() {
 			seen[r.ID] = true
-			snap.Runs = append(snap.Runs, r)
+			snap.Runs = append(snap.Runs, *r)
 		}
 	}
+	return asked, legacy
+}
+
+// replay re-applies the recorded runs to a restored session nobody is served
+// yet (Session.Replay) and checks each against the digest it recorded; the
+// knowledge base then takes the version the last one recorded.
+func replay(sess *session.Session, asked []*Asked) error {
+	w := sess.Wrangler()
+	for i, a := range asked {
+		if err := sess.Replay(context.Background(), a.Requests, a.Events); err != nil {
+			return fmt.Errorf("%w: run %d of %d: %w", ErrReplayDiverged, i+1, len(asked), err)
+		}
+		if got := w.KB.Digest(); got != a.Digest {
+			return fmt.Errorf("%w: run %d of %d (stages %d–%d) left digest %016x, the journal recorded %016x",
+				ErrReplayDiverged, i+1, len(asked), a.Events[0].Seq, a.Events[len(a.Events)-1].Seq, got, a.Digest)
+		}
+	}
+	if n := len(asked); n > 0 {
+		w.RestoreVersion(asked[n-1].Version)
+	}
+	return nil
 }

@@ -234,9 +234,9 @@ func decodeJSON(data []byte, v any) error {
 // captureSession snapshots a live (or just-closed) session: identity, a
 // snapshot of the knowledge base, the stage-event history, and — when an
 // engine is given — every terminal run of the session still in the retention
-// ring. Every capture is taken between stages: under the session's run mutex
-// (the stage-commit hook, an export) or once it has quiesced (the evict
-// hook), so history and knowledge base hold the same stages.
+// ring. Every capture is taken between stages, under the session's run mutex
+// (Session.BetweenStages: a compaction, an export) or once it has quiesced (a
+// teardown), so history and knowledge base hold the same stages.
 func captureSession(s *session.Session, eng *runs.Engine) *SessionSnapshot {
 	events := s.Events()
 	snap := &SessionSnapshot{
@@ -273,8 +273,8 @@ func ExportSession(w io.Writer, s *session.Session, eng *runs.Engine) error {
 // wrangler is reconstructed (deterministically regenerating the scenario
 // when one is recorded), the knowledge base merged back in — which is the
 // whole of the session's state — and the session stamped with its pre-restart
-// identity and event history. Extra options (the metrics registry and the
-// stage-commit hook, typically) apply after the restore's own. The wrangler
+// identity and event history. Extra options (the metrics registry,
+// typically) apply after the restore's own. The wrangler
 // is built with the suite's constants, whatever legacy options the snapshot
 // carries. A snapshot in the layout of an
 // older binary is consumed: what its Meta carried is moved into the knowledge

@@ -307,9 +307,9 @@ func TestRoundTripConformance(t *testing.T) {
 	}
 	eng := runs.New(runs.WithWorkers(1))
 	defer eng.Close()
-	run, err := eng.Submit(context.Background(), sess.ID(), session.StageFeedback, func(ctx context.Context) (session.Event, func(), error) {
+	run, err := eng.Submit(context.Background(), sess.ID(), session.StageFeedback, func(ctx context.Context) (session.Event, error) {
 		ev, err := sess.AddFeedback(ctx, nil, 40)
-		return ev, nil, err
+		return ev, err
 	})
 	if err != nil {
 		t.Fatal(err)

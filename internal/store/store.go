@@ -2,12 +2,12 @@
 // one table of sessions — create, import, look up, list, delete, evict, with
 // the session cap and the sessions_* metrics — and, with a directory, the
 // durable state of each: the two file formats, and the lifecycle that writes
-// them — create, append, archive, recover.
+// them — create, commit, archive, recover.
 //
 // On disk a live session is a pair, an archived one a single file:
 //
 //	<dir>/<id>.vsnap          last full snapshot
-//	<dir>/<id>.vjournal       what completed since: one record per stage, one per terminal run
+//	<dir>/<id>.vjournal       what ran since: one record per terminal run, what it was asked
 //	<dir>/closed/<id>.vsnap   final snapshot of an explicitly deleted session
 //
 // Both files start with an 8-byte magic and a format-version byte, followed
@@ -18,16 +18,24 @@
 // formats byte for byte. An archive is an export like any other: Import
 // brings the session back live from it.
 //
+// A record is what a run was asked, not what it did: the stage requests it
+// applied, the events its stages recorded, and the version and a digest of
+// the knowledge base it left behind. The knowledge base is a function of the
+// requests — every other input of a stage derives from the scenario's seed
+// and the knowledge base — so recovery re-runs them through Stage.Apply, the
+// path a live stage takes, and checks the digest: every boot checks that
+// wrangling is deterministic and that what the transducers remember is sound,
+// and a session whose replay diverges is not served (ErrReplayDiverged).
+//
 // What each verb guarantees once it has returned without error:
 //
-//	Create   the baseline snapshot is fsynced and renamed into place over an
-//	Import   empty journal — the session survives kill -9 from here on, and
-//	         only from here on is it visible to Get and List
-//	Append   the stage's record is fsynced when the returned wait returns;
-//	         CommitRun likewise for a terminal run's record
-//	Archive  the pair is gone from <dir> and closed/ holds the final state
-//	Recover  every pair is live again, snapshot composed with the journal's
-//	         valid prefix
+//	Create     the baseline snapshot is fsynced and renamed into place over an
+//	Import     empty journal — the session survives kill -9 from here on, and
+//	           only from here on is it visible to Get and List
+//	CommitRun  the run's one record is fsynced when the returned wait returns
+//	Archive    the pair is gone from <dir> and closed/ holds the final state
+//	Recover    every pair is live again: the snapshot, and the journal's valid
+//	           prefix replayed over it
 //
 // A session leaves one way, whichever verb takes it out of the table —
 // Archive (DELETE), EvictIdle or Close (shutdown): it is marked closed, its
@@ -36,17 +44,21 @@
 // the one that decides which; a DELETE that finds it already taken answers
 // not-found and changes nothing.
 //
-// Snapshots are taken between stages only, never during one. A journal past
-// compactRecords records or compactBytes bytes is compacted by the stage
-// that crossed the threshold, at its end, under the session's run mutex;
-// idle eviction and shutdown compact a session once it has quiesced. Every
-// snapshot — baseline, compaction, archive — reaches the directory through
+// Snapshots are taken between stages only, never during one. A journal whose
+// runs took more than replayBudget to run since the last snapshot — each
+// counted at a hundredth of it at least — is compacted by the run whose
+// record crossed the line, so a replay redoes at most that much work and at
+// most a hundred records; a run that failed or was cancelled
+// once started is compacted instead of recorded, its partial last stage
+// included, so replay never re-derives a partial stage; idle eviction and
+// shutdown compact a session once it has quiesced. Every snapshot —
+// baseline, compaction, archive — reaches the directory through
 // writeSnapshot: temp file, fsync, rename. A crash between any two
 // file-system steps leaves either the state before the verb or the state
 // after it, never a mixture: a journal without a snapshot was never
 // acknowledged and is ignored, and a snapshot is only ever paired with a
 // journal that was emptied first or whose records it already folds in
-// (replay skips those by sequence and run ID).
+// (replay skips those by event sequence and run ID).
 //
 // A Store opened over "" is ephemeral: the table and the teardown are the
 // same, and nothing is written.
@@ -82,12 +94,23 @@ const (
 	closedDir  = "closed"
 )
 
-// A session's journal is compacted into a fresh snapshot once it holds
-// compactRecords records or compactBytes bytes since the last compaction.
-const (
-	compactRecords = 512
-	compactBytes   = 8 << 20
-)
+// replayBudget bounds a recovery's replay: a session's journal is compacted
+// into a fresh snapshot once the runs its records hold took this long to run,
+// each weighed by recordCost.
+const replayBudget = time.Second
+
+// recordCost is what a run's record weighs against the replay budget: the
+// run's wall time, its stages' actions and scoring both, which replay redoes;
+// and at least a hundredth of replayBudget, so runs that take next to no time
+// — an export, a run cancelled before it started — still fill the budget, and
+// the journal holds at most a hundred records between snapshots.
+func recordCost(run *runs.Run) time.Duration {
+	cost := replayBudget / 100
+	if run != nil && run.StartedAt != nil && run.FinishedAt != nil {
+		cost = max(cost, run.FinishedAt.Sub(*run.StartedAt))
+	}
+	return cost
+}
 
 // ErrNotDurable reports that a session could not be written to the data
 // directory. The caller must not acknowledge it as created.
@@ -114,15 +137,12 @@ type Deps struct {
 
 // Store is one data directory and the table of live sessions. Build it with
 // Open, install CommitRun as the run engine's recorder, call Recover once
-// before serving, and stop with Close; every session it builds journals
-// through Append.
+// before serving, and stop with Close.
 type Store struct {
 	dir string
-	// maxRecords and maxBytes are compactRecords and compactBytes; tests
-	// lower them.
-	maxRecords  int
-	maxBytes    int64
-	maxSessions int
+	// replayBudget is the constant's; tests lower it.
+	replayBudget time.Duration
+	maxSessions  int
 	Deps
 
 	// mu guards the entry table, each entry's seq and state, counted, seq
@@ -163,6 +183,11 @@ type entry struct {
 	// runSeen holds the IDs of the terminal runs the files hold: those of the
 	// snapshot and those journaled since.
 	runSeen map[string]bool
+	// events is how many of the session's events the files hold, and cost
+	// what the journal's records weigh against the replay budget (recordCost):
+	// the replay a recovery would do.
+	events int
+	cost   time.Duration
 	// dirty reports that something was recorded — or failed to be — since
 	// the snapshot under the journal was written.
 	dirty bool
@@ -189,7 +214,7 @@ func Open(dir string, maxSessions int, deps Deps) (*Store, error) {
 	if maxSessions <= 0 {
 		maxSessions = DefaultMaxSessions
 	}
-	s := &Store{dir: dir, maxRecords: compactRecords, maxBytes: compactBytes, maxSessions: maxSessions,
+	s := &Store{dir: dir, replayBudget: replayBudget, maxSessions: maxSessions,
 		Deps: deps, entries: map[string]*entry{}}
 	if dir == "" {
 		return s, nil
@@ -234,10 +259,9 @@ func (s *Store) lookup(id string) *entry {
 }
 
 // options are the caller's session options followed by what every session
-// the store builds gets: the service's metrics registry, and Append as its
-// stage-commit hook.
+// the store builds gets: the service's metrics registry.
 func (s *Store) options(opts []session.Option) []session.Option {
-	return append(opts[:len(opts):len(opts)], session.WithMetrics(s.Metrics), session.WithStageCommitHook(s.Append))
+	return append(opts[:len(opts):len(opts)], session.WithMetrics(s.Metrics))
 }
 
 // admitLocked claims the next creation sequence number, unless the cap is
@@ -427,24 +451,22 @@ func (s *Store) Len() int {
 // the authoritative, race-free gate.
 func (s *Store) AtCap() bool { return s.Len() >= s.maxSessions }
 
-// start makes the entry journal through j, over a snapshot that holds the
-// given terminal runs. The wrangler's change log starts (or restarts) here:
-// the baseline of the first cut is the state the snapshot and journal
-// already hold. Callers hold e.io.
+// start makes the entry journal through j, over files that hold the given
+// terminal runs and every event the session has. Callers hold e.io.
 func (e *entry) start(j *journal, snapshotRuns []runs.Run) {
 	e.j = j
-	e.snapshotted(snapshotRuns)
+	e.snapshotted(snapshotRuns, len(e.sess.Events()))
 	e.dirty = j.written.records > 0
-	e.sess.Wrangler().StartChangeLog()
 }
 
-// snapshotted makes the runs the files hold exactly those of a snapshot
-// over an empty journal. Callers hold e.io.
-func (e *entry) snapshotted(snapshotRuns []runs.Run) {
+// snapshotted makes what the files hold exactly a snapshot with these runs
+// and this many events, over an empty journal. Callers hold e.io.
+func (e *entry) snapshotted(snapshotRuns []runs.Run, events int) {
 	e.runSeen = make(map[string]bool, len(snapshotRuns))
 	for _, r := range snapshotRuns {
 		e.runSeen[r.ID] = true
 	}
+	e.events, e.cost = events, 0
 }
 
 // writeSnapshot is the one way a snapshot reaches the data directory: the
@@ -488,8 +510,8 @@ func (s *Store) writeSnapshot(snap *SessionSnapshot) error {
 
 // finish ends an entry's life: it leaves the table (unless a newer session
 // already took the ID) and the cap's count (unless it was taken out before),
-// its change log stops, its journal is closed, and every writer that locks
-// io afterwards finds j nil and declines. Callers hold e.io.
+// its journal is closed, and every writer that locks io afterwards finds j
+// nil and declines. Callers hold e.io.
 func (s *Store) finish(e *entry) {
 	id := e.sess.ID()
 	s.mu.Lock()
@@ -503,7 +525,6 @@ func (s *Store) finish(e *entry) {
 	if e.j == nil {
 		return
 	}
-	e.sess.Wrangler().KB.StopDeltaLog()
 	if err := e.j.close(); err != nil {
 		s.Logger.Error("closing journal", "session", id, "error", err)
 	}
@@ -518,42 +539,94 @@ func (s *Store) takeLocked(e *entry) {
 	s.Metrics.Gauge("sessions_live").Set(int64(s.counted))
 }
 
-// Append is the session stage-commit hook: one O(delta) journal record per
-// completed stage, and the threshold compaction when that record crossed it.
-// It runs under the session's run mutex, so the delta cut cannot race the
-// next stage's writes and a compaction snapshot never lands mid-stage. The
-// returned wait — invoked by the run engine with the rest of the run's, once
-// the run's own record is written too — blocks until the record is fsynced.
-// ctx carries the stage's trace span, making the append a `journal.append`
-// child of it. A failure is logged, not fatal: the next compaction, evict or
-// shutdown snapshot covers the stage.
-func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Event) func() {
-	id := sess.ID()
+// compact folds the journal into a fresh snapshot of the session, holding
+// the pending runs too (a run the engine has not published as terminal yet),
+// and empties it. The snapshot holds every record written so far, so their
+// waits resolve without an fsync. Callers hold e.io; the capture waits for the
+// session to be between stages.
+func (s *Store) compact(e *entry, pending ...runs.Run) error {
+	var snap *SessionSnapshot
+	e.sess.BetweenStages(func() { snap = captureSession(e.sess, s.Engine) })
+	for _, r := range pending {
+		if !slices.ContainsFunc(snap.Runs, func(held runs.Run) bool { return held.ID == r.ID }) {
+			snap.Runs = append(snap.Runs, r)
+		}
+	}
+	if err := s.writeSnapshot(snap); err != nil {
+		return err
+	}
+	if err := e.j.reset(); err != nil {
+		return err
+	}
+	s.Metrics.Counter("persist_compactions_total").Inc()
+	s.step("truncate")
+	e.snapshotted(snap.Runs, len(snap.Events))
+	e.dirty = false
+	return nil
+}
+
+// CommitRun is the run engine's recorder: it journals a terminal run the
+// session's files do not hold yet as one record — the requests the run
+// applied, the events its stages recorded, and the version and digest of the
+// knowledge base it left behind — without waiting, and returns the wait that
+// makes it durable. ctx carries the run's trace span, making the append a
+// `journal.append` child of it.
+//
+// A run that failed or was cancelled once it had started is compacted
+// instead: its last stage may have changed the knowledge base without
+// completing, and replay never re-derives a partial stage. So is a run whose
+// requests do not account for the session's new events (a stage ran outside
+// the engine). A record that takes the journal past the replay budget
+// (recordCost) is followed by a compaction. A failure is
+// logged, not fatal: the next compaction, evict or shutdown snapshot covers
+// the run.
+func (s *Store) CommitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
+	id := run.SessionID
 	e := s.lookup(id)
-	if e == nil || e.sess != sess {
+	if e == nil {
 		return nil
 	}
 	e.io.Lock()
 	defer e.io.Unlock()
-	if e.j == nil {
+	if e.j == nil || e.runSeen[run.ID] {
 		return nil
 	}
 	e.dirty = true
-	rec := &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: sess.Wrangler().CutChangeLog()}}
-	span := trace.ChildFromContext(ctx, "journal.append", "kind", "stage", "session", id)
+	var asked *Asked
+	if run.StartedAt == nil {
+		asked = &Asked{} // it applied nothing: its record is the run alone
+	} else {
+		e.sess.BetweenStages(func() {
+			events := e.sess.EventsSince(e.events)
+			if run.State == runs.StateSucceeded && len(events) == len(applied) {
+				k := e.sess.Wrangler().KB
+				asked = &Asked{Requests: applied, Events: events, Version: k.Version(), Digest: k.Digest()}
+			}
+		})
+	}
+	if asked == nil {
+		if err := s.compact(e, run); err != nil {
+			s.Logger.Error("compacting session after a run that did not complete", "run", run.ID, "session", id, "error", err)
+		}
+		return nil
+	}
+	rec := &Record{At: time.Now(), Run: &run, Asked: asked}
+	span := trace.ChildFromContext(ctx, "journal.append", "session", id, "stages", fmt.Sprint(len(asked.Requests)))
 	wait, err := e.j.appendCommit(rec)
 	if err != nil {
 		span.EndErr(err)
-		s.Logger.Error("journaling stage", "stage", ev.Stage, "session", id, "error", err)
+		s.Logger.Error("journaling run", "run", run.ID, "session", id, "error", err)
 		return nil
 	}
 	s.step("record")
-	if records, bytes := e.j.written.records, e.j.written.bytes; records >= s.maxRecords || bytes >= s.maxBytes {
-		if err := s.compact(e); err != nil {
+	e.runSeen[run.ID] = true
+	e.events += len(asked.Events)
+	e.cost += recordCost(&run)
+	if records, cost := e.j.written.records, e.cost; cost >= s.replayBudget {
+		if err := s.compact(e, run); err != nil {
 			s.Logger.Error("compacting session", "session", id, "error", err)
 		} else {
-			s.Logger.Info("session compacted", "session", id,
-				"journal_records", records, "journal_bytes", bytes)
+			s.Logger.Info("session compacted", "session", id, "journal_records", records, "replay", cost)
 		}
 	}
 	return func() {
@@ -565,62 +638,9 @@ func (s *Store) Append(ctx context.Context, sess *session.Session, ev session.Ev
 		}
 		span.EndErr(err)
 		if err != nil {
-			s.Logger.Error("journaling stage", "stage", ev.Stage, "session", id, "error", err)
+			s.Logger.Error("journaling run", "run", run.ID, "session", id, "error", err)
 		}
 		s.step("record-sync")
-	}
-}
-
-// compact folds the journal into a fresh snapshot of the session and empties
-// it. The snapshot holds every record written so far, so their waits resolve
-// without an fsync. Callers hold e.io and the session is between stages:
-// under its run mutex (Append), or quiesced (teardown, Recover).
-func (s *Store) compact(e *entry) error {
-	snap := captureSession(e.sess, s.Engine)
-	if err := s.writeSnapshot(snap); err != nil {
-		return err
-	}
-	if err := e.j.reset(); err != nil {
-		return err
-	}
-	s.Metrics.Counter("persist_compactions_total").Inc()
-	s.step("truncate")
-	e.snapshotted(snap.Runs)
-	e.dirty = false
-	return nil
-}
-
-// CommitRun is the run engine's recorder: it journals a terminal run the
-// session's files do not hold yet, without waiting, and returns the wait that
-// makes the record durable — the engine invokes it with the waits of the
-// run's stages, so one fsync covers them all. A journal this record pushes
-// past a threshold is compacted by the session's next stage. A failure is
-// logged, not fatal: the next compaction, evict or shutdown snapshot covers
-// the run.
-func (s *Store) CommitRun(run runs.Run) func() {
-	e := s.lookup(run.SessionID)
-	if e == nil {
-		return nil
-	}
-	e.io.Lock()
-	defer e.io.Unlock()
-	if e.j == nil || e.runSeen[run.ID] {
-		return nil
-	}
-	e.dirty = true
-	wait, err := e.j.appendCommit(&Record{At: time.Now(), Run: &run})
-	if err != nil {
-		s.Logger.Error("journaling run", "run", run.ID, "session", run.SessionID, "error", err)
-		return nil
-	}
-	e.runSeen[run.ID] = true
-	return func() {
-		e.io.Lock()
-		err := wait()
-		e.io.Unlock()
-		if err != nil {
-			s.Logger.Error("journaling run", "run", run.ID, "session", run.SessionID, "error", err)
-		}
 	}
 }
 
