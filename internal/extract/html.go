@@ -4,12 +4,13 @@
 // It contains three parts:
 //
 //   - a small tolerant HTML tokenizer (this file), sufficient for the
-//     template-generated listing pages real estate portals serve, and the
-//     minimal DOM wrapper induction builds from it for its one sample page;
+//     template-generated listing pages real estate portals serve, which
+//     induction and extraction both read pages with;
 //   - a deep-web site generator (sitegen.go) that renders noisy source
 //     relations into per-portal HTML templates;
 //   - wrapper induction (wrapper.go): from a handful of annotated example
-//     values, learn per-field selectors and a record boundary; and
+//     values, learn per-field selectors and a record boundary, reading the
+//     sample page as a flat outline of its elements rather than a tree; and
 //     extraction (extractor.go): apply them to every listing on every page
 //     in one pass over the page text, without a DOM, back into a relation.
 //
@@ -18,7 +19,10 @@
 // the HTML differs (synthetic templates instead of live portals).
 package extract
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+)
 
 type tokenKind uint8
 
@@ -145,7 +149,9 @@ var voidElements = map[string]bool{
 
 // isTagSpace reports whether byte c separates the parts of a tag: what
 // unicode.IsSpace says of the byte taken as a rune. Tags are split bytewise.
-func isTagSpace(c byte) bool { return strings.IndexByte("\t\n\v\f\r \x85\xa0", c) >= 0 }
+func isTagSpace(c byte) bool { return tagSpace[c] }
+
+var tagSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true, 0x85: true, 0xa0: true}
 
 // classAttr returns the value of the class attribute in a tag's raw
 // attribute text, entities decoded: the last one if it is given twice, ""
@@ -187,8 +193,16 @@ func classAttr(attrs string) string {
 	}
 }
 
-// hasClass reports whether the space-separated class list contains c.
+// hasClass reports whether the space-separated class list contains c. Most
+// lists are one class, or do not hold c at all: both are answered before the
+// list is split.
 func hasClass(list, c string) bool {
+	if list == c {
+		return c != "" && !strings.ContainsFunc(c, unicode.IsSpace)
+	}
+	if !strings.Contains(list, c) {
+		return false
+	}
 	for f := range strings.FieldsSeq(list) {
 		if f == c {
 			return true
@@ -209,81 +223,6 @@ func appendText(buf []byte, raw string) []byte {
 		buf = append(buf, word...)
 	}
 	return buf
-}
-
-// NodeType distinguishes element and text nodes.
-type NodeType int
-
-const (
-	// ElementNode is a tag node with children.
-	ElementNode NodeType = iota
-	// TextNode is a leaf holding character data.
-	TextNode
-)
-
-// Node is a DOM node of the minimal HTML model wrapper induction works on.
-type Node struct {
-	Type NodeType
-	// Tag is the lower-cased element name and class the class attribute
-	// (element nodes only).
-	Tag, class string
-	// Text is the subtree's text with white space normalised: a text node's
-	// own words, an element's descendants' in document order.
-	Text string
-	// Children are the child nodes in document order, Parent the parent
-	// element (nil for the root).
-	Children []*Node
-	Parent   *Node
-}
-
-// ParseHTML parses an HTML document into a DOM rooted at a synthetic
-// element, with the tokenizer's tolerance.
-func ParseHTML(src string) *Node {
-	root := &Node{Type: ElementNode, Tag: "#root"}
-	open := []*Node{root}
-	var buf []byte
-	for z := (tokenizer{src: src}); ; {
-		t := z.next()
-		cur := open[len(open)-1]
-		switch t.kind {
-		case tokEOF:
-			root.fillText()
-			return root
-		case tokText:
-			if buf = appendText(buf[:0], t.text); len(buf) > 0 {
-				cur.Children = append(cur.Children, &Node{Type: TextNode, Text: string(buf), Parent: cur})
-			}
-		case tokOpen:
-			el := &Node{Type: ElementNode, Tag: t.name, class: classAttr(t.attrs), Parent: cur}
-			cur.Children = append(cur.Children, el)
-			if !t.leaf {
-				open = append(open, el)
-			}
-		case tokClose:
-			for d := len(open) - 1; d > 0; d-- { // the root is never closed
-				if open[d].Tag == t.name {
-					open = open[:d]
-					break
-				}
-			}
-		}
-	}
-}
-
-// fillText sets the Text of every element under n, bottom-up, so that each
-// is computed once from its children's.
-func (n *Node) fillText() {
-	if n.Type == TextNode {
-		return
-	}
-	var parts []string
-	for _, c := range n.Children {
-		c.fillText()
-		if c.Text != "" {
-			parts = append(parts, c.Text)
-		}
-	}
-	n.Text = strings.Join(parts, " ")
 }
 
 var entityReplacer = strings.NewReplacer(

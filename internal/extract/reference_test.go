@@ -1,15 +1,19 @@
 package extract
 
 // The extraction path as it was before Extract became one pass over the page
-// text and induction an index lookup: a DOM parser, tree searches over it
-// (Find, FindFirst), subtree text rebuilt per call (TextContent), the
+// text and induction a scan of a flat outline: a DOM parser, tree searches
+// over it (Find, FindFirst), subtree text rebuilt per call (TextContent), the
 // Extract that parsed every page into a tree and the InduceWrapper that
-// compared every element's text with every annotation. They are the slow,
-// obvious oracle of TestExtractDifferential and FuzzExtractDifferential, and
-// what the parser tests read a tree with.
+// compared every element's text with every annotation and found the record
+// boundary by walking the tree. They are the slow, obvious oracle of
+// TestExtractDifferential and FuzzExtractDifferential, and what the parser
+// tests read a tree with.
 //
-// The copy departs from the original in two places, both inputs on which the
-// original did not answer: the close tag of a script or style element is
+// The copy departs from the original in three places. Candidate shapes, in
+// the field vote and the record boundary, are ordered by tag and then class:
+// the original compared tag+class, so ("a", "bc") and ("ab", "c") tied and
+// map iteration order picked the winner. The other two are inputs on which
+// the original did not answer: the close tag of a script or style element is
 // searched in place with ASCII letters folded (the original searched a
 // strings.ToLower copy of the rest of the page, whose offsets are not the
 // page's once a letter changes length), and white space between attributes
@@ -24,6 +28,30 @@ import (
 
 	"vada/internal/relation"
 )
+
+// NodeType distinguishes element and text nodes.
+type NodeType int
+
+const (
+	// ElementNode is a tag node with children.
+	ElementNode NodeType = iota
+	// TextNode is a leaf holding character data.
+	TextNode
+)
+
+// Node is a DOM node of the reference parser's tree.
+type Node struct {
+	Type NodeType
+	// Tag is the lower-cased element name and class the class attribute
+	// (element nodes only).
+	Tag, class string
+	// Text is a text node's character data, entities decoded.
+	Text string
+	// Children are the child nodes in document order, Parent the parent
+	// element (nil for the root).
+	Children []*Node
+	Parent   *Node
+}
 
 // refIndexFold is strings.Index with the ASCII letters of s folded onto the
 // lower-case sub, position by position.
@@ -347,7 +375,7 @@ func refInduceWrapper(page Page, annotations []Annotation) (*Wrapper, error) {
 			if votes[ann.Attr] == nil {
 				votes[ann.Attr] = map[[2]string]int{}
 			}
-			votes[ann.Attr][[2]string{el.Tag, firstClass(el)}]++
+			votes[ann.Attr][[2]string{el.Tag, firstClass(el.class)}]++
 			matched = append(matched, el)
 		}
 	}
@@ -362,9 +390,7 @@ func refInduceWrapper(page Page, annotations []Annotation) (*Wrapper, error) {
 		for k := range vs {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			return keys[i][0]+keys[i][1] < keys[j][0]+keys[j][1]
-		})
+		sort.Slice(keys, func(i, j int) bool { return refShapeLess(keys[i], keys[j]) })
 		for _, k := range keys {
 			if vs[k] > bestN {
 				best, bestN = k, vs[k]
@@ -375,9 +401,82 @@ func refInduceWrapper(page Page, annotations []Annotation) (*Wrapper, error) {
 	sort.Slice(fields, func(i, j int) bool { return fields[i].Attr < fields[j].Attr })
 
 	// Step 2: record boundary.
-	recTag, recClass, err := induceRecordBoundary(doc.Find("", ""), matched)
+	recTag, recClass, err := refInduceRecordBoundary(doc.Find("", ""), matched)
 	if err != nil {
 		return nil, err
 	}
 	return &Wrapper{RecordTag: recTag, RecordClass: recClass, Fields: fields}, nil
+}
+
+// refShapeLess orders (tag, class) shapes by tag, then class.
+func refShapeLess(a, b [2]string) bool {
+	if a[0] != b[0] {
+		return a[0] < b[0]
+	}
+	return a[1] < b[1]
+}
+
+// refInduceRecordBoundary picks the deepest repeated ancestor shape that
+// isolates matches.
+func refInduceRecordBoundary(elements, matched []*Node) (string, string, error) {
+	// Count occurrences of every (tag, class) shape on the page.
+	shapeCount := map[[2]string]int{}
+	for _, el := range elements {
+		shapeCount[[2]string{el.Tag, firstClass(el.class)}]++
+	}
+	// For each match, walk ancestors; candidate shapes must repeat on the
+	// page. Track per-shape: how many distinct ancestor elements of matches,
+	// and depth.
+	type cand struct {
+		shape     [2]string
+		elems     map[*Node]int // ancestor element -> #matches inside
+		depthVote int
+	}
+	cands := map[[2]string]*cand{}
+	for _, m := range matched {
+		depth := 0
+		for a := m.Parent; a != nil && a.Tag != "#root"; a = a.Parent {
+			depth++
+			sh := [2]string{a.Tag, firstClass(a.class)}
+			if shapeCount[sh] < 2 {
+				continue // not repeated: page-level container
+			}
+			c, ok := cands[sh]
+			if !ok {
+				c = &cand{shape: sh, elems: map[*Node]int{}}
+				cands[sh] = c
+			}
+			c.elems[a]++
+			c.depthVote += depth
+		}
+	}
+	// score prefers shapes whose instances isolate annotations (fewest
+	// matches per element), spread across more distinct elements; deeper
+	// shapes (closer to the data) break ties.
+	score := func(c *cand) float64 {
+		total := 0
+		for _, n := range c.elems {
+			total += n
+		}
+		spread := float64(len(c.elems))
+		isolation := spread / float64(total) // 1.0 when one match per element
+		avgDepth := float64(c.depthVote) / float64(total)
+		return isolation*1000 + spread*10 + avgDepth
+	}
+	var best *cand
+	keys := make([][2]string, 0, len(cands))
+	for k := range cands {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return refShapeLess(keys[i], keys[j]) })
+	for _, k := range keys {
+		c := cands[k]
+		if best == nil || score(c) > score(best) {
+			best = c
+		}
+	}
+	if best == nil {
+		return "", "", fmt.Errorf("extract: could not induce a record boundary (need annotations from ≥2 records)")
+	}
+	return best.shape[0], best.shape[1], nil
 }

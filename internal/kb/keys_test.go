@@ -44,6 +44,14 @@ func keyStrings(keys []Key) []string {
 // the key it depends on — present or absent.
 func TestReadsRecordTheirKey(t *testing.T) {
 	eng := vadalog.NewEngine()
+	prog, err := vadalog.Parse("r(X) :- p(X, N), not q(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, err := vadalog.ParseQuery("?- r(X), ghost(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		read func(k *KB)
@@ -66,7 +74,7 @@ func TestReadsRecordTheirKey(t *testing.T) {
 		{"WriteSnapshot", func(k *KB) { _ = k.WriteSnapshot(&bytes.Buffer{}) }, []string{"everything"}},
 		{"Value", func(k *KB) { k.Value("cell") }, []string{"external cell"}},
 		{"Vadalog query", func(k *KB) {
-			if _, err := eng.Ask("r(X) :- p(X, N), not q(X).", "?- r(X), ghost(X).", k); err != nil {
+			if _, err := eng.AskParsed(prog, query, k); err != nil {
 				t.Fatal(err)
 			}
 			// r too: the engine seeds every predicate a program mentions from

@@ -220,3 +220,70 @@ func TestInstanceScoresDeterministic(t *testing.T) {
 		t.Fatalf("500 calls over one column pair gave %d different scores: %v", len(seen), seen)
 	}
 }
+
+// scenarioNames are the attribute names of every scenario schema.
+func scenarioNames() []string {
+	var names []string
+	for _, s := range []relation.Schema{datagen.TargetSchema(), datagen.RightmoveSchema(), datagen.OnTheMarketSchema(),
+		datagen.DeprivationSchema(), datagen.AddressSchema()} {
+		names = append(names, s.AttrNames()...)
+	}
+	return names
+}
+
+// samePreparedScore fails unless the prepared scorer gives the pair the
+// reference NameSimilarity's score, bit for bit.
+func samePreparedScore(t *testing.T, a, b string) {
+	t.Helper()
+	pa, pb := prepareName(a), prepareName(b)
+	if got, want := pa.similarity(&pb), NameSimilarity(a, b); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("similarity(%q, %q) = %v, reference %v", a, b, got, want)
+	}
+}
+
+// TestSchemaMatchingDifferential holds MatchSchemas to the reference name
+// similarity over every pair of scenario schemas.
+func TestSchemaMatchingDifferential(t *testing.T) {
+	schemas := []relation.Schema{datagen.TargetSchema(), datagen.RightmoveSchema(), datagen.OnTheMarketSchema(),
+		datagen.DeprivationSchema(), datagen.AddressSchema(), relation.NewSchema("empty")}
+	for _, src := range schemas {
+		for _, tgt := range schemas {
+			var want []Match
+			for _, sa := range src.Attrs {
+				for _, ta := range tgt.Attrs {
+					want = append(want, Match{SourceRel: src.Name, SourceAttr: sa.Name, TargetAttr: ta.Name,
+						Score: NameSimilarity(sa.Name, ta.Name), Method: "name"})
+				}
+			}
+			sameMatches(t, src.Name+"/"+tgt.Name, MatchSchemas(src, tgt), want)
+		}
+	}
+}
+
+// TestNameScoringAllocations pins that a pair is scored from two prepared
+// names without allocating.
+func TestNameScoringAllocations(t *testing.T) {
+	a, b := prepareName("asking_price"), prepareName("AskingPriceGBP")
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.similarity(&b) }); allocs != 0 {
+		t.Fatalf("scoring a prepared pair allocates %.0f times, want 0", allocs)
+	}
+}
+
+// FuzzNameSimilarity gives the prepared scorer and the reference
+// NameSimilarity the same pair of names.
+func FuzzNameSimilarity(f *testing.F) {
+	names := scenarioNames()
+	for _, a := range names {
+		for _, b := range names {
+			f.Add(a, b)
+		}
+	}
+	f.Add("", "")
+	f.Add("num_beds", "bedrooms")
+	f.Add("ÅskingPrice", "asking\xffprice")
+	f.Add(strings.Repeat("ab_", 40), strings.Repeat("ba", 50))
+	f.Fuzz(func(t *testing.T, a, b string) {
+		samePreparedScore(t, a, b)
+		samePreparedScore(t, b, a)
+	})
+}

@@ -33,16 +33,27 @@ func (m Match) String() string {
 }
 
 // MatchSchemas runs the name-based schema matcher over every (source attr,
-// target attr) pair. This transducer's only input dependency is the two
-// schemas (Table 1, row "Schema Matching").
+// target attr) pair, in source then target order. This transducer's only
+// input dependency is the two schemas (Table 1, row "Schema Matching").
+//
+// A pair's score is the ensemble name similarity: the maximum of
+// Jaro-Winkler and bigram Dice over the normalised names and Jaccard over
+// their token sets, raised to 0.85 when one normalised name contains the
+// other, and 1 when they are equal. Each name is normalised, split into runes,
+// bigrams and tokens once per call, and a pair is scored from the two
+// prepared names without allocating.
 func MatchSchemas(src, target relation.Schema) []Match {
-	var out []Match
+	targets := make([]preparedName, len(target.Attrs))
+	for i, ta := range target.Attrs {
+		targets[i] = prepareName(ta.Name)
+	}
+	out := make([]Match, 0, len(src.Attrs)*len(target.Attrs))
 	for _, sa := range src.Attrs {
-		for _, ta := range target.Attrs {
-			score := NameSimilarity(sa.Name, ta.Name)
+		sn := prepareName(sa.Name)
+		for i, ta := range target.Attrs {
 			out = append(out, Match{
 				SourceRel: src.Name, SourceAttr: sa.Name, TargetAttr: ta.Name,
-				Score: score, Method: "name",
+				Score: sn.similarity(&targets[i]), Method: "name",
 			})
 		}
 	}

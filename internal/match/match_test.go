@@ -234,7 +234,11 @@ func TestPropSimilaritySymmetricBounded(t *testing.T) {
 		if len(b) > 30 {
 			b = b[:30]
 		}
-		for _, fn := range []func(string, string) float64{JaroWinkler, DiceBigram, TokenJaccard, NameSimilarity} {
+		prepared := func(a, b string) float64 {
+			pa, pb := prepareName(a), prepareName(b)
+			return pa.similarity(&pb)
+		}
+		for _, fn := range []func(string, string) float64{JaroWinkler, DiceBigram, TokenJaccard, NameSimilarity, prepared} {
 			x, y := fn(a, b), fn(b, a)
 			if math.Abs(x-y) > 1e-9 || x < 0 || x > 1 {
 				return false

@@ -5,13 +5,133 @@
 package match
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"unicode"
 )
 
-// Jaro returns the Jaro similarity of two strings.
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+// Tokens splits an identifier into lower-case tokens at underscores, dashes,
+// spaces, dots and camelCase boundaries, expanding common abbreviations
+// (num→number, pc→postcode, desc→description, beds→bedrooms, addr→address).
+func Tokens(s string) []string {
+	var raw []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			raw = append(raw, strings.ToLower(b.String()))
+			b.Reset()
+		}
+	}
+	prevLower := false
+	for _, r := range s {
+		switch {
+		case r == '_' || r == '-' || r == ' ' || r == '.' || r == '/':
+			flush()
+		case unicode.IsUpper(r) && prevLower:
+			flush()
+			b.WriteRune(r)
+		default:
+			b.WriteRune(r)
+		}
+		prevLower = unicode.IsLower(r) || unicode.IsDigit(r)
+	}
+	flush()
+	for i, t := range raw {
+		if e, ok := abbreviations[t]; ok {
+			raw[i] = e
+		}
+	}
+	return raw
+}
+
+// abbreviations are the tokens Tokens expands.
+var abbreviations = map[string]string{
+	"num": "number", "no": "number", "pc": "postcode", "desc": "description",
+	"beds": "bedrooms", "bed": "bedrooms", "addr": "address", "qty": "quantity",
+}
+
+// preparedName is an attribute name prepared for the schema matcher:
+// everything the name similarity reads of one name, computed once however
+// many names it is scored against.
+type preparedName struct {
+	// norm is the name's tokens joined by single spaces, runes its runes.
+	norm  string
+	runes []rune
+	// bigrams are the distinct bigrams of runes with their counts, sorted.
+	bigrams []bigram
+	// tokens are the distinct tokens, sorted.
+	tokens []string
+}
+
+type bigram struct {
+	a, b rune
+	n    int
+}
+
+func prepareName(s string) preparedName {
+	tokens := Tokens(s)
+	norm := strings.Join(tokens, " ")
+	n := preparedName{norm: norm, runes: []rune(norm)}
+	if len(n.runes) > 1 {
+		n.bigrams = make([]bigram, 0, len(n.runes)-1)
+		for i := 0; i+1 < len(n.runes); i++ {
+			n.bigrams = append(n.bigrams, bigram{a: n.runes[i], b: n.runes[i+1], n: 1})
+		}
+		slices.SortFunc(n.bigrams, compareBigrams)
+		distinct := n.bigrams[:0]
+		for _, g := range n.bigrams {
+			if k := len(distinct) - 1; k >= 0 && compareBigrams(distinct[k], g) == 0 {
+				distinct[k].n++
+				continue
+			}
+			distinct = append(distinct, g)
+		}
+		n.bigrams = distinct
+	}
+	slices.Sort(tokens)
+	n.tokens = slices.Compact(tokens)
+	return n
+}
+
+func compareBigrams(x, y bigram) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) }
+
+// similarity is the ensemble name similarity of the schema matcher: the
+// maximum of Jaro-Winkler and bigram Dice over normalised names and Jaccard
+// over their token sets, with a containment bonus. It allocates nothing for
+// names of up to 64 runes.
+func (x *preparedName) similarity(y *preparedName) float64 {
+	if x.norm == y.norm {
+		return 1
+	}
+	s := jaroWinkler(x.runes, y.runes)
+	if d := dice(x.bigrams, y.bigrams); d > s {
+		s = d
+	}
+	if j := jaccard(x.tokens, y.tokens); j > s {
+		s = j
+	}
+	// Containment: "price" ⊂ "asking price".
+	if x.norm != "" && y.norm != "" && (strings.Contains(x.norm, y.norm) || strings.Contains(y.norm, x.norm)) {
+		if s < 0.85 {
+			s = 0.85
+		}
+	}
+	return s
+}
+
+// jaroWinkler is the Jaro similarity of two rune strings, boosted for a
+// shared prefix of up to 4 runes.
+func jaroWinkler(ra, rb []rune) float64 {
+	j := jaro(ra, rb)
+	prefix := 0
+	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
+		prefix++
+	}
+	return j + float64(prefix)*0.1*(1-j)
+}
+
+func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -19,26 +139,22 @@ func Jaro(a, b string) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := la
-	if lb > window {
-		window = lb
-	}
-	window = window/2 - 1
+	window := max(la, lb)/2 - 1
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	var bufA, bufB [64]bool
+	matchA, matchB := bufA[:], bufB[:]
+	if la > len(bufA) {
+		matchA = make([]bool, la)
+	}
+	if lb > len(bufB) {
+		matchB = make([]bool, lb)
+	}
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
-		}
+		lo := max(i-window, 0)
+		hi := min(i+window+1, lb)
 		for j := lo; j < hi; j++ {
 			if matchB[j] || ra[i] != rb[j] {
 				continue
@@ -69,46 +185,29 @@ func Jaro(a, b string) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-float64(transpositions)/2)/m) / 3
 }
 
-// JaroWinkler boosts Jaro similarity for shared prefixes (up to 4 runes).
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	prefix := 0
-	ra, rb := []rune(a), []rune(b)
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-// Bigrams returns the multiset of character bigrams of s as a count map.
-func Bigrams(s string) map[string]int {
-	out := map[string]int{}
-	r := []rune(s)
-	for i := 0; i+1 < len(r); i++ {
-		out[string(r[i:i+2])]++
-	}
-	return out
-}
-
-// DiceBigram returns the Sørensen–Dice coefficient over character bigrams.
-func DiceBigram(a, b string) float64 {
-	ba, bb := Bigrams(a), Bigrams(b)
+// dice is the Sørensen–Dice coefficient of two bigram multisets.
+func dice(ba, bb []bigram) float64 {
 	if len(ba) == 0 && len(bb) == 0 {
 		return 1
 	}
 	inter, total := 0, 0
-	for g, ca := range ba {
-		total += ca
-		if cb, ok := bb[g]; ok {
-			if ca < cb {
-				inter += ca
-			} else {
-				inter += cb
-			}
-		}
+	for _, g := range ba {
+		total += g.n
 	}
-	for _, cb := range bb {
-		total += cb
+	for _, g := range bb {
+		total += g.n
+	}
+	for i, j := 0, 0; i < len(ba) && j < len(bb); {
+		switch c := compareBigrams(ba[i], bb[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			inter += min(ba[i].n, bb[j].n)
+			i++
+			j++
+		}
 	}
 	if total == 0 {
 		return 0
@@ -116,17 +215,22 @@ func DiceBigram(a, b string) float64 {
 	return 2 * float64(inter) / float64(total)
 }
 
-// TokenJaccard returns the Jaccard similarity of the token sets of two
-// identifiers after Normalize.
-func TokenJaccard(a, b string) float64 {
-	ta, tb := tokenSet(a), tokenSet(b)
+// jaccard is the Jaccard similarity of two sorted token sets.
+func jaccard(ta, tb []string) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
 	inter := 0
-	for t := range ta {
-		if tb[t] {
+	for i, j := 0, 0; i < len(ta) && j < len(tb); {
+		switch c := strings.Compare(ta[i], tb[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
 	union := len(ta) + len(tb) - inter
@@ -134,78 +238,4 @@ func TokenJaccard(a, b string) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-func tokenSet(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, t := range Tokens(s) {
-		out[t] = true
-	}
-	return out
-}
-
-// Tokens splits an identifier into lower-case tokens at underscores, dashes,
-// spaces, dots and camelCase boundaries, expanding common abbreviations
-// (num→number, pc→postcode, desc→description, beds→bedrooms, addr→address).
-func Tokens(s string) []string {
-	var raw []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			raw = append(raw, strings.ToLower(b.String()))
-			b.Reset()
-		}
-	}
-	prevLower := false
-	for _, r := range s {
-		switch {
-		case r == '_' || r == '-' || r == ' ' || r == '.' || r == '/':
-			flush()
-		case unicode.IsUpper(r) && prevLower:
-			flush()
-			b.WriteRune(r)
-		default:
-			b.WriteRune(r)
-		}
-		prevLower = unicode.IsLower(r) || unicode.IsDigit(r)
-	}
-	flush()
-	expand := map[string]string{
-		"num": "number", "no": "number", "pc": "postcode", "desc": "description",
-		"beds": "bedrooms", "bed": "bedrooms", "addr": "address", "qty": "quantity",
-	}
-	for i, t := range raw {
-		if e, ok := expand[t]; ok {
-			raw[i] = e
-		}
-	}
-	return raw
-}
-
-// Normalize lower-cases an identifier and joins its tokens, so
-// "asking_price" and "AskingPrice" normalise identically.
-func Normalize(s string) string { return strings.Join(Tokens(s), " ") }
-
-// NameSimilarity is the ensemble name similarity used by the schema
-// matcher: the maximum of Jaro-Winkler, bigram Dice and token Jaccard over
-// normalised names, with a containment bonus.
-func NameSimilarity(a, b string) float64 {
-	na, nb := Normalize(a), Normalize(b)
-	if na == nb {
-		return 1
-	}
-	s := JaroWinkler(na, nb)
-	if d := DiceBigram(na, nb); d > s {
-		s = d
-	}
-	if j := TokenJaccard(a, b); j > s {
-		s = j
-	}
-	// Containment: "price" ⊂ "asking price".
-	if na != "" && nb != "" && (strings.Contains(na, nb) || strings.Contains(nb, na)) {
-		if s < 0.85 {
-			s = 0.85
-		}
-	}
-	return s
 }

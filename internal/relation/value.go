@@ -356,8 +356,20 @@ func Infer(text string) Value {
 // exponents. Most text has others, and a failed strconv parse allocates its
 // error: asking first keeps inference of a street free.
 func mayBeNumber(t string) bool {
-	return strings.Trim(t, "0123456789+-._abcdefABCDEFxXpP") == ""
+	for i := 0; i < len(t); i++ {
+		if !numberByte[t[i]] {
+			return false
+		}
+	}
+	return true
 }
+
+var numberByte = func() (table [256]bool) {
+	for _, c := range []byte("0123456789+-._abcdefABCDEFxXpP") {
+		table[c] = true
+	}
+	return table
+}()
 
 // Coerce attempts to convert v to the requested kind, e.g. String("3") to
 // Int(3). Null coerces to null of any kind. ok is false if conversion is

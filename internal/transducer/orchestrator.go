@@ -62,6 +62,10 @@ type Orchestrator struct {
 	// evaluation read and the clock before it read; the answer stands until
 	// one of those keys moves. An evaluation that failed leaves none.
 	deps map[string]depAnswer
+	// parsed holds each transducer's dependency, parsed at its first check.
+	// Unlike the answers it survives ResetEligibility: a text's parse does
+	// not depend on the knowledge base.
+	parsed map[string]*parsedDependency
 	// trace holds the last TraceCap steps (and up to as many older ones
 	// awaiting the next trim); seq counts every step ever taken.
 	trace []Step
@@ -104,6 +108,7 @@ func NewOrchestrator(k *kb.KB, reg *Registry) *Orchestrator {
 		Network:  NewGenericNetwork(),
 		Engine:   vadalog.NewEngine(),
 		MaxSteps: DefaultMaxSteps,
+		parsed:   map[string]*parsedDependency{},
 	}
 	o.ResetEligibility()
 	return o
@@ -129,7 +134,12 @@ func (o *Orchestrator) Eligible() ([]Transducer, error) {
 		if !kept || o.KB.MovedSince(dep.read.keys, dep.read.at) {
 			rec := o.KB.Recording()
 			_, at := rec.Reads()
-			ok, err := t.Dependency().Satisfied(rec, o.Engine)
+			p := o.parsed[t.Name()]
+			if p == nil {
+				p = &parsedDependency{}
+				o.parsed[t.Name()] = p
+			}
+			ok, err := p.satisfied(t.Dependency(), rec, o.Engine)
 			if err != nil {
 				delete(o.deps, t.Name())
 				return nil, fmt.Errorf("transducer %s: dependency: %w", t.Name(), err)

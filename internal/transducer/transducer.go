@@ -51,8 +51,37 @@ type Dependency struct {
 
 // Satisfied evaluates the dependency against the knowledge base.
 func (d Dependency) Satisfied(k *kb.KB, engine *vadalog.Engine) (bool, error) {
+	var p parsedDependency
+	return p.satisfied(d, k, engine)
+}
+
+// parsedDependency is a dependency's query and auxiliary program, parsed. The
+// orchestrator keeps one per transducer, so a dependency is parsed at its
+// first readiness check and not at every one.
+type parsedDependency struct {
+	// program and query are the texts prog and q were parsed from.
+	program, query string
+	prog           *vadalog.Program
+	q              *vadalog.Query
+}
+
+// satisfied evaluates d against the knowledge base, parsing its texts first
+// unless they are the ones p holds. A text that does not parse fails every
+// check, with the parser's error.
+func (p *parsedDependency) satisfied(d Dependency, k *kb.KB, engine *vadalog.Engine) (bool, error) {
 	if d.Query != "" {
-		ok, err := engine.Ask(d.Program, d.Query, k)
+		if p.q == nil || p.program != d.Program || p.query != d.Query {
+			prog, err := vadalog.Parse(d.Program)
+			if err != nil {
+				return false, err
+			}
+			q, err := vadalog.ParseQuery(d.Query)
+			if err != nil {
+				return false, err
+			}
+			*p = parsedDependency{program: d.Program, query: d.Query, prog: prog, q: q}
+		}
+		ok, err := engine.AskParsed(p.prog, p.q, k)
 		if err != nil {
 			return false, err
 		}

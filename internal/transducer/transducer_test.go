@@ -702,3 +702,62 @@ func TestDependencyAnswerKept(t *testing.T) {
 		t.Fatalf("the failed dependency was not asked again: %v, %d ready", err, len(got))
 	}
 }
+
+// TestDependencyParsedOnce pins that the orchestrator parses a transducer's
+// dependency at its first readiness check and keeps the parse: later checks,
+// a ResetEligibility included, ask the same parsed query, and a dependency
+// that comes back with other texts is parsed anew.
+func TestDependencyParsedOnce(t *testing.T) {
+	k := kb.New()
+	reg := NewRegistry()
+	f := &Func{
+		TName: "reader", TActivity: "matching",
+		Dep:   Dependency{Program: "big(X) :- seed(X).", Query: "?- big(X)."},
+		RunFn: func(context.Context, *kb.KB) (Report, error) { return Report{}, nil },
+	}
+	reg.MustRegister(f)
+	o := NewOrchestrator(k, reg)
+	ready := func(want bool) *vadalog.Query {
+		t.Helper()
+		got, err := o.Eligible()
+		if err != nil || (len(got) == 1) != want {
+			t.Fatalf("ready %d (%v), want %v", len(got), err, want)
+		}
+		return o.parsed["reader"].q
+	}
+	first := ready(false)
+	k.Assert("seed", tup(1))
+	if q := ready(true); q != first {
+		t.Fatal("a second check parsed the query again")
+	}
+	o.ResetEligibility()
+	if q := ready(true); q != first {
+		t.Fatal("ResetEligibility dropped the parse")
+	}
+	f.Dep = Dependency{Query: "?- other(X)."}
+	k.Assert("seed", tup(2))
+	if q := ready(false); q == first {
+		t.Fatal("a changed query text was not parsed")
+	}
+}
+
+// TestMalformedDependencyFailsEachCheck pins that a dependency that does not
+// parse fails its first readiness check, and every later one, with the
+// parser's words.
+func TestMalformedDependencyFailsEachCheck(t *testing.T) {
+	for _, dep := range []Dependency{{Query: "?- p(X"}, {Program: "q(X) :- ", Query: "?- q(X)."}} {
+		_, want := dep.Satisfied(kb.New(), vadalog.NewEngine())
+		if want == nil {
+			t.Fatalf("%+v parses", dep)
+		}
+		reg := NewRegistry()
+		reg.MustRegister(&Func{TName: "bad", TActivity: "matching", Dep: dep,
+			RunFn: func(context.Context, *kb.KB) (Report, error) { return Report{}, nil }})
+		o := NewOrchestrator(kb.New(), reg)
+		for range 2 {
+			if _, err := o.Eligible(); err == nil || err.Error() != "transducer bad: dependency: "+want.Error() {
+				t.Fatalf("check failed with %v, want the parser's %v", err, want)
+			}
+		}
+	}
+}

@@ -307,3 +307,17 @@ func MustParseQuery(src string) *Query {
 	}
 	return q
 }
+
+// Ask is AskParsed for a program and a query given as text, parsed on every
+// call: the program first, then the query.
+func (e *Engine) Ask(programSrc, querySrc string, edb EDB) (bool, error) {
+	prog, err := Parse(programSrc)
+	if err != nil {
+		return false, err
+	}
+	q, err := ParseQuery(querySrc)
+	if err != nil {
+		return false, err
+	}
+	return e.AskParsed(prog, q, edb)
+}

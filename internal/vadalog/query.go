@@ -55,10 +55,6 @@ func (r *Result) answers(q *Query, limit int) ([]Binding, error) {
 // the combined result. An empty program string may be passed when the query
 // only references EDB predicates.
 func (e *Engine) Query(programSrc, querySrc string, edb EDB) ([]Binding, error) {
-	return e.query(programSrc, querySrc, edb, 0)
-}
-
-func (e *Engine) query(programSrc, querySrc string, edb EDB, limit int) ([]Binding, error) {
 	prog, err := Parse(programSrc)
 	if err != nil {
 		return nil, err
@@ -67,6 +63,10 @@ func (e *Engine) query(programSrc, querySrc string, edb EDB, limit int) ([]Bindi
 	if err != nil {
 		return nil, err
 	}
+	return e.query(prog, q, edb, 0)
+}
+
+func (e *Engine) query(prog *Program, q *Query, edb EDB, limit int) ([]Binding, error) {
 	res, err := e.Run(prog, edb)
 	if err != nil {
 		return nil, err
@@ -85,11 +85,13 @@ func (e *Engine) query(programSrc, querySrc string, edb EDB, limit int) ([]Bindi
 	return res.answers(q, limit)
 }
 
-// Ask reports whether the query has at least one answer over the EDB after
-// applying the program; it stops evaluating at the first. It is the primitive
-// used for transducer input dependencies: "the dependency holds" means "the
-// query is non-empty".
-func (e *Engine) Ask(programSrc, querySrc string, edb EDB) (bool, error) {
-	bindings, err := e.query(programSrc, querySrc, edb, 1)
+// AskParsed reports whether the query has at least one answer over the EDB
+// after applying the program; it stops evaluating at the first. It is the
+// primitive used for transducer input dependencies: "the dependency holds"
+// means "the query is non-empty". Program and query come parsed, so a caller
+// that asks the same question again and again parses it once; neither is
+// changed.
+func (e *Engine) AskParsed(prog *Program, q *Query, edb EDB) (bool, error) {
+	bindings, err := e.query(prog, q, edb, 1)
 	return len(bindings) > 0, err
 }
