@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -45,7 +46,7 @@ func main() {
 	case *ask != "":
 		err = runQuery(*program, *ask, *edb)
 	case *run:
-		err = runPipeline(*n, *seed, *budget, *trace, *csvOut)
+		err = runPipeline(os.Stdout, *n, *seed, *budget, *trace, *csvOut)
 	case *exhibit != "":
 		err = runExhibit(os.Stdout, *exhibit, *n, *seed, *budget)
 	default:
@@ -73,7 +74,7 @@ func printScenarioTables(n int, seed int64) {
 	}
 }
 
-func runPipeline(n int, seed int64, budget int, trace, csvOut bool) error {
+func runPipeline(out io.Writer, n int, seed int64, budget int, trace, csvOut bool) error {
 	cfg := vada.DefaultPayAsYouGoConfig()
 	cfg.Scenario = scenarioConfig(n, seed)
 	cfg.FeedbackBudget = budget
@@ -81,14 +82,14 @@ func runPipeline(n int, seed int64, budget int, trace, csvOut bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(vada.FormatStages(stages))
+	fmt.Fprint(out, vada.FormatStages(stages))
 	if trace {
-		fmt.Println("\norchestration trace:")
-		fmt.Print(vada.TraceString(w.Trace()))
+		fmt.Fprintln(out, "\norchestration trace:")
+		fmt.Fprint(out, vada.TraceString(w.Trace()))
 	}
 	if csvOut {
-		fmt.Println()
-		return w.ResultClean().WriteCSV(os.Stdout)
+		fmt.Fprintln(out)
+		return w.ResultClean().WriteCSV(out)
 	}
 	return nil
 }

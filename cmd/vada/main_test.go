@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/exhibits.golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 // TestExhibitsGolden pins every exhibit byte for byte at a small scenario:
 // the output is a function of (n, seed, budget) only, so a diff here is a
@@ -65,12 +65,29 @@ func TestRunQueryErrors(t *testing.T) {
 	}
 }
 
+// TestRunPipelineSmall pins -run -trace -csv -n 60 -seed 1 -budget 30 byte
+// for byte: the stage table, the orchestration trace and the result carry no
+// timings. Re-bless with go test ./cmd/vada -run TestRunPipelineSmall -update.
 func TestRunPipelineSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run in -short mode")
 	}
-	if err := runPipeline(60, 1, 30, false, false); err != nil {
+	var got bytes.Buffer
+	if err := runPipeline(&got, 60, 1, 30, true, true); err != nil {
 		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "run.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("-run output differs from %s (re-bless with -update if intended):\n%s", golden, got.String())
 	}
 }
 
