@@ -24,6 +24,7 @@ import (
 	"vada/internal/match"
 	"vada/internal/mcda"
 	"vada/internal/relation"
+	"vada/internal/session"
 	"vada/internal/transducer"
 	"vada/internal/vadalog"
 )
@@ -114,20 +115,28 @@ func BenchmarkWrangleCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkPayAsYouGoPipeline measures all four demonstration steps (E-F3).
+// BenchmarkPayAsYouGoPipeline measures all four demonstration steps (E-F3),
+// scenario generation included, walked through a session as vada -run walks
+// them.
 func BenchmarkPayAsYouGoPipeline(b *testing.B) {
-	cfg := core.DefaultPayAsYouGoConfig()
-	cfg.Scenario = scenarioCfg(200)
-	cfg.FeedbackBudget = 80
+	ctx := context.Background()
+	cfg := scenarioCfg(200)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _, stages, err := core.RunPayAsYouGo(context.Background(), cfg)
-		if err != nil {
+		sc := datagen.Generate(cfg)
+		sess := session.New("bench", core.BuildScenarioWrangler(sc), session.WithScenario(sc, 7))
+		if _, err := sess.Bootstrap(ctx); err != nil {
 			b.Fatal(err)
 		}
-		if len(stages) != 4 {
-			b.Fatal("bad stages")
+		if _, err := sess.AddDataContext(ctx, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.AddFeedback(ctx, nil, 80); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.SetUserContext(ctx, core.CrimeAnalysisUserContext()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -157,17 +157,47 @@ func exhibitOrchestration(out io.Writer, n int, seed int64, budget int) error {
 	return nil
 }
 
-// payAsYouGo runs the four §3 steps on the scenario after tune adjusted the
-// configuration, returning the per-stage scores.
-func payAsYouGo(n int, seed int64, budget int, tune func(*vada.ScenarioConfig)) ([]vada.StageScore, error) {
-	cfg := vada.DefaultPayAsYouGoConfig()
-	cfg.Scenario = scenarioConfig(n, seed)
-	cfg.FeedbackBudget = budget
+// payAsYouGo walks the four §3 steps through a session on the scenario,
+// after tune adjusted its configuration: the automatic bootstrap, the
+// scenario's reference data, budget oracle annotations and the crime-analysis
+// user context. Each stage's event carries its score.
+func payAsYouGo(n int, seed int64, budget int, tune func(*vada.ScenarioConfig)) (*vada.Session, error) {
+	cfg := scenarioConfig(n, seed)
 	if tune != nil {
-		tune(&cfg.Scenario)
+		tune(&cfg)
 	}
-	_, _, stages, err := vada.RunPayAsYouGo(context.Background(), cfg)
-	return stages, err
+	sc := vada.GenerateScenario(cfg)
+	sess := vada.NewSession("vada", vada.BuildScenarioWrangler(sc), vada.WithScenario(sc, 7))
+	ctx := context.Background()
+	if _, err := sess.Bootstrap(ctx); err != nil {
+		return nil, err
+	}
+	if _, err := sess.AddDataContext(ctx, nil); err != nil {
+		return nil, err
+	}
+	if _, err := sess.AddFeedback(ctx, nil, budget); err != nil {
+		return nil, err
+	}
+	if _, err := sess.SetUserContext(ctx, vada.CrimeAnalysisUserContext()); err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
+// scoredStages walks payAsYouGo and returns its stage events, failing on a
+// stage that left no result to score: the exhibits below read the scores.
+func scoredStages(n int, seed int64, budget int, tune func(*vada.ScenarioConfig)) ([]vada.SessionEvent, error) {
+	sess, err := payAsYouGo(n, seed, budget, tune)
+	if err != nil {
+		return nil, err
+	}
+	events := sess.Events()
+	for _, ev := range events {
+		if ev.Score == nil {
+			return nil, fmt.Errorf("%s: a scenario of %d properties left no result to score", ev.Stage, n)
+		}
+	}
+	return events, nil
 }
 
 // exhibitCostCurve is the cost-effectiveness motivation of §1: user actions
@@ -177,7 +207,7 @@ func exhibitCostCurve(out io.Writer, n int, seed int64, _ int) error {
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "%8s %8s %8s %10s\n", "budget", "F1", "val-acc", "compl(bed)")
 	for _, budget := range []int{0, 25, 50, 100, 200} {
-		stages, err := payAsYouGo(n, seed, budget, nil)
+		stages, err := scoredStages(n, seed, budget, nil)
 		if err != nil {
 			return err
 		}
@@ -233,7 +263,7 @@ func exhibitNoiseSweep(out io.Writer, n int, seed int64, budget int) error {
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "%7s %18s %18s %18s\n", "noise", "bootstrap F1", "data-context F1", "feedback val-acc")
 	for _, scale := range []float64{0.5, 1.0, 1.5, 2.0} {
-		stages, err := payAsYouGo(n, seed, budget, func(c *vada.ScenarioConfig) {
+		stages, err := scoredStages(n, seed, budget, func(c *vada.ScenarioConfig) {
 			c.NullRate *= scale
 			c.FormatNoiseRate *= scale
 			c.BedroomErrorRate *= scale

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -75,23 +74,43 @@ func printScenarioTables(n int, seed int64) {
 }
 
 func runPipeline(out io.Writer, n int, seed int64, budget int, trace, csvOut bool) error {
-	cfg := vada.DefaultPayAsYouGoConfig()
-	cfg.Scenario = scenarioConfig(n, seed)
-	cfg.FeedbackBudget = budget
-	w, _, stages, err := vada.RunPayAsYouGo(context.Background(), cfg)
+	sess, err := payAsYouGo(n, seed, budget, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(out, vada.FormatStages(stages))
+	writeStages(out, sess.Events())
 	if trace {
 		fmt.Fprintln(out, "\norchestration trace:")
-		fmt.Fprint(out, vada.TraceString(w.Trace()))
+		fmt.Fprint(out, vada.TraceString(sess.Trace()))
 	}
 	if csvOut {
+		res, err := sess.Result()
+		if err != nil {
+			return fmt.Errorf("-csv: %w", err)
+		}
 		fmt.Fprintln(out)
-		return w.ResultClean().WriteCSV(out)
+		return res.WriteCSV(out)
 	}
 	return nil
+}
+
+// writeStages renders stage events as an aligned table of their oracle
+// scores. A stage that left no result to score shows "-" in each score
+// column.
+func writeStages(out io.Writer, events []vada.SessionEvent) {
+	fmt.Fprintf(out, "%-14s %6s %6s %9s %7s %7s %9s %8s %10s %10s\n",
+		"stage", "steps", "rows", "precision", "recall", "F1", "cell-acc", "val-acc", "compl(cr)", "compl(bed)")
+	for _, ev := range events {
+		fmt.Fprintf(out, "%-14s %6d", ev.Stage, ev.Steps)
+		s := ev.Score
+		if s == nil {
+			fmt.Fprintf(out, " %6s %9s %7s %7s %9s %8s %10s %10s\n", "-", "-", "-", "-", "-", "-", "-", "-")
+			continue
+		}
+		fmt.Fprintf(out, " %6d %9.3f %7.3f %7.3f %9.3f %8.3f %10.3f %10.3f\n",
+			s.Rows, s.AddressablePrecision, s.Recall, s.F1, s.CellAccuracy, s.ValueAccuracy,
+			s.Completeness["crimerank"], s.Completeness["bedrooms"])
+	}
 }
 
 func runQuery(program, ask, edbSpec string) error {

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"vada/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata")
@@ -34,6 +38,11 @@ func TestExhibitsGolden(t *testing.T) {
 	}
 	if err := runExhibit(&got, "scenario", 40, 1, 30); err == nil {
 		t.Fatal("unknown exhibit name should fail")
+	}
+	for _, name := range []string{"costcurve", "noisesweep"} {
+		if err := runExhibit(&got, name, 1, 1, 30); err == nil {
+			t.Errorf("%s on a scenario with no result to score should fail", name)
+		}
 	}
 }
 
@@ -88,6 +97,30 @@ func TestRunPipelineSmall(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("-run output differs from %s (re-bless with -update if intended):\n%s", golden, got.String())
+	}
+}
+
+// TestRunPipelineNoResult runs -run on a scenario too small to yield a
+// result: every stage completes unscored and prints "-" for its scores, and
+// -csv fails with core.ErrNoResult instead of writing a result.
+func TestRunPipelineNoResult(t *testing.T) {
+	var out bytes.Buffer
+	if err := runPipeline(&out, 1, 1, 30, false, false); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("want a header and four stage rows, got:\n%s", out.String())
+	}
+	for _, line := range lines[1:] {
+		f := strings.Fields(line)
+		if len(f) != 10 || strings.Join(f[2:], "") != "--------" {
+			t.Errorf("unscored stage row %q: want its name, its steps and eight \"-\"", line)
+		}
+	}
+	err := runPipeline(&out, 1, 1, 30, false, true)
+	if !errors.Is(err, core.ErrNoResult) {
+		t.Fatalf("-csv without a result: err = %v, want core.ErrNoResult", err)
 	}
 }
 

@@ -60,8 +60,8 @@ type Suggestion struct {
 
 // State is the advisor's input: a point-in-time snapshot of everything a
 // ranking draws on, assembled by Snapshot (plus the session-level
-// ScenarioBacked bit). Keeping it a plain value makes advisors pluggable
-// and trivially testable.
+// ScenarioBacked bit). Keeping it a plain value makes Suggest a pure
+// function, trivially testable.
 type State struct {
 	// HasSources reports whether any source relation is registered.
 	HasSources bool
@@ -143,22 +143,6 @@ func Snapshot(w *core.Wrangler) State {
 	return st
 }
 
-// Advisor ranks candidate next actions over a state snapshot. Heuristic and
-// model-backed advisors interchange behind this interface; implementations
-// must be deterministic over equal states (same input → same output bytes)
-// so the service surface stays cacheable and testable.
-type Advisor interface {
-	Suggest(st State) []Suggestion
-}
-
-// Heuristic is the default advisor: fixed, explainable rules over the
-// snapshot's signals, scores rounded to 4 decimals and ties broken
-// lexicographically so a ranking is a pure function of the knowledge base.
-type Heuristic struct{}
-
-// NewHeuristic returns the default rule-based advisor.
-func NewHeuristic() *Heuristic { return &Heuristic{} }
-
 // round4 stabilises scores the way the quality transducer stabilises metric
 // facts: 4 decimals is plenty for ranking and keeps JSON byte-identical.
 func round4(f float64) float64 {
@@ -190,10 +174,13 @@ func payload(v any) json.RawMessage {
 	return b
 }
 
-// Suggest applies the heuristic rules. An empty knowledge base (no sources,
-// no result) yields an empty list: there is nothing to advise on until data
-// arrives.
-func (h *Heuristic) Suggest(st State) []Suggestion {
+// Suggest ranks candidate next actions over a state snapshot by fixed,
+// explainable rules over its signals. Scores are rounded to 4 decimals and
+// ties broken lexicographically, so a ranking is a pure function of the
+// knowledge base: equal states give the same output bytes. An empty knowledge
+// base (no sources, no result) yields an empty list: there is nothing to
+// advise on until data arrives.
+func Suggest(st State) []Suggestion {
 	var out []Suggestion
 	if !st.HasResult {
 		if !st.HasSources {

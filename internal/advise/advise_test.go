@@ -13,8 +13,7 @@ import (
 // TestEmptyStateYieldsNoSuggestions pins the blank-session contract: an
 // empty knowledge base is an empty list, not a crash.
 func TestEmptyStateYieldsNoSuggestions(t *testing.T) {
-	h := NewHeuristic()
-	if got := h.Suggest(State{}); len(got) != 0 {
+	if got := Suggest(State{}); len(got) != 0 {
 		t.Fatalf("empty state suggested %v", got)
 	}
 }
@@ -22,7 +21,7 @@ func TestEmptyStateYieldsNoSuggestions(t *testing.T) {
 // TestSourcesWithoutResultSuggestBootstrap pins the first step of the agent
 // loop: data is in, nothing wrangled yet → bootstrap, with a POSTable action.
 func TestSourcesWithoutResultSuggestBootstrap(t *testing.T) {
-	got := NewHeuristic().Suggest(State{HasSources: true})
+	got := Suggest(State{HasSources: true})
 	if len(got) != 1 || got[0].Kind != KindStage || got[0].Target != "bootstrap" {
 		t.Fatalf("suggestions = %+v", got)
 	}
@@ -63,7 +62,7 @@ func resultState() State {
 // attributes drop out.
 func TestFeedbackSuggestionsRankByNeed(t *testing.T) {
 	st := resultState()
-	got := NewHeuristic().Suggest(st)
+	got := Suggest(st)
 	byTarget := map[string]Suggestion{}
 	for _, sg := range got {
 		if sg.Kind == KindFeedback {
@@ -101,7 +100,7 @@ func TestFeedbackSuggestionsRankByNeed(t *testing.T) {
 	}
 	// Covering price with feedback retires its suggestion.
 	st.FeedbackByAttr["price"] = 3
-	after := NewHeuristic().Suggest(st)
+	after := Suggest(st)
 	for _, sg := range after {
 		if sg.Kind == KindFeedback && sg.Target == "price" {
 			t.Fatalf("covered attribute still suggested: %+v", sg)
@@ -116,7 +115,7 @@ func TestWeightsBoostAndMatchGap(t *testing.T) {
 	st.Weights = map[mcda.Criterion]float64{
 		{Metric: "completeness", Target: "price"}: 0.4,
 	}
-	got := NewHeuristic().Suggest(st)
+	got := Suggest(st)
 	var price, unmatched *Suggestion
 	for i := range got {
 		if got[i].Kind == KindFeedback && got[i].Target == "price" {
@@ -156,18 +155,17 @@ func TestSnapshotAndDeterminism(t *testing.T) {
 	if !st.HasSources || !st.HasResult {
 		t.Fatalf("snapshot = %+v", st)
 	}
-	h := NewHeuristic()
-	first, err := json.Marshal(h.Suggest(st))
+	first, err := json.Marshal(Suggest(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Suggest(st)) == 0 {
+	if len(Suggest(st)) == 0 {
 		t.Fatal("no suggestions over a wrangled scenario")
 	}
 	for i := 0; i < 3; i++ {
 		st2 := Snapshot(w)
 		st2.ScenarioBacked = true
-		b, err := json.Marshal(h.Suggest(st2))
+		b, err := json.Marshal(Suggest(st2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,7 @@ func (last *fusionMemo) fuse(in fusionInput) (*fusionMemo, fusionResult, error) 
 	// is indexed by key for the first correction there is to apply.
 	patched, corrections := next.union, 0
 	if next.keys == nil && slices.ContainsFunc(in.items, feedback.Item.Corrects) {
-		next.keys = feedback.IndexKeys(next.union, nil)
+		next.keys = feedback.IndexKeys(next.union)
 	}
 	if next.keys != nil {
 		patched, corrections = feedback.Apply(next.union, next.keys, in.items)

@@ -32,7 +32,7 @@ func referenceFuse(in fusionInput) (fusionResult, error) {
 	if union == nil {
 		return fusionResult{}, nil
 	}
-	patched, nCorr := feedback.Apply(union, feedback.IndexKeys(union, nil), in.items)
+	patched, nCorr := feedback.Apply(union, feedback.IndexKeys(union), in.items)
 	patched, nSupp := feedback.ApplyRangeRules(patched, in.rules)
 	block := fusion.BlockByAttr(fusionBlockAttr, datagen.CanonicalPostcode)
 	blocks := make([]string, len(patched.Tuples))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -166,103 +165,4 @@ func OracleFeedback(sc *datagen.Scenario, result *relation.Relation, budget int,
 		})
 	}
 	return items
-}
-
-// StageScore records result quality after one pay-as-you-go stage.
-type StageScore struct {
-	// Stage names the step ("bootstrap", "data-context", "feedback",
-	// "user-context").
-	Stage string
-	// Steps is the number of orchestration steps the stage triggered.
-	Steps int
-	// Score is the oracle's assessment of the result.
-	Score datagen.Score
-}
-
-// PayAsYouGoConfig parameterises RunPayAsYouGo.
-type PayAsYouGoConfig struct {
-	// Scenario generation parameters.
-	Scenario datagen.Config
-	// FeedbackBudget is the number of oracle feedback annotations in step 3.
-	FeedbackBudget int
-	// FeedbackSeed seeds the feedback sampler.
-	FeedbackSeed int64
-	// UserContext selects the step-4 model (nil = CrimeAnalysisUserContext).
-	UserContext *mcda.Model
-}
-
-// DefaultPayAsYouGoConfig mirrors the demonstration's setup.
-func DefaultPayAsYouGoConfig() PayAsYouGoConfig {
-	return PayAsYouGoConfig{
-		Scenario:       datagen.DefaultConfig(),
-		FeedbackBudget: 120,
-		FeedbackSeed:   7,
-	}
-}
-
-// RunPayAsYouGo executes the four demonstration steps of §3 — automatic
-// bootstrapping, data context, feedback, user context — scoring the result
-// against ground truth after each. This is experiment E-F3.
-func RunPayAsYouGo(ctx context.Context, cfg PayAsYouGoConfig) (*Wrangler, *datagen.Scenario, []StageScore, error) {
-	sc := datagen.Generate(cfg.Scenario)
-	w := BuildScenarioWrangler(sc)
-	var stages []StageScore
-
-	record := func(stage string, steps int) {
-		stages = append(stages, StageScore{
-			Stage: stage, Steps: steps,
-			Score: sc.Oracle.ScoreResult(w.ResultClean()),
-		})
-	}
-
-	// Step 1: automatic bootstrapping.
-	steps, err := w.Run(ctx)
-	if err != nil {
-		return w, sc, stages, fmt.Errorf("bootstrap: %w", err)
-	}
-	record("bootstrap", len(steps))
-
-	// Step 2: data context.
-	w.AddDataContext(sc.AddressRef)
-	steps, err = w.Run(ctx)
-	if err != nil {
-		return w, sc, stages, fmt.Errorf("data context: %w", err)
-	}
-	record("data-context", len(steps))
-
-	// Step 3: feedback.
-	items := OracleFeedback(sc, w.Result(), cfg.FeedbackBudget, cfg.FeedbackSeed)
-	w.AddFeedback(items...)
-	steps, err = w.Run(ctx)
-	if err != nil {
-		return w, sc, stages, fmt.Errorf("feedback: %w", err)
-	}
-	record("feedback", len(steps))
-
-	// Step 4: user context.
-	uc := cfg.UserContext
-	if uc == nil {
-		uc = CrimeAnalysisUserContext()
-	}
-	w.SetUserContext(uc)
-	steps, err = w.Run(ctx)
-	if err != nil {
-		return w, sc, stages, fmt.Errorf("user context: %w", err)
-	}
-	record("user-context", len(steps))
-
-	return w, sc, stages, nil
-}
-
-// FormatStages renders pay-as-you-go stage scores as an aligned table.
-func FormatStages(stages []StageScore) string {
-	out := fmt.Sprintf("%-14s %6s %6s %9s %7s %7s %9s %8s %10s %10s\n",
-		"stage", "steps", "rows", "precision", "recall", "F1", "cell-acc", "val-acc", "compl(cr)", "compl(bed)")
-	for _, s := range stages {
-		out += fmt.Sprintf("%-14s %6d %6d %9.3f %7.3f %7.3f %9.3f %8.3f %10.3f %10.3f\n",
-			s.Stage, s.Steps, s.Score.Rows, s.Score.AddressablePrecision, s.Score.Recall,
-			s.Score.F1, s.Score.CellAccuracy, s.Score.ValueAccuracy,
-			s.Score.Completeness["crimerank"], s.Score.Completeness["bedrooms"])
-	}
-	return out
 }

@@ -268,11 +268,11 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 			res := k.Relation(RelResult)
 			items := feedbackItems(k)
 
-			rules := feedback.LearnRangeRules(items, res, rangeRuleSupport, nil)
+			rules := feedback.LearnRangeRules(items, res, rangeRuleSupport)
 			derive(w, cellRangeRules, rules)
 
 			var accFacts []relation.Tuple
-			for src, byAttr := range feedback.AccuracyBySource(items, res, mapping.ProvenanceAttr, nil) {
+			for src, byAttr := range feedback.AccuracyBySource(items, res, mapping.ProvenanceAttr) {
 				for attr, a := range byAttr {
 					accFacts = append(accFacts, relation.NewTuple(src, attr, a))
 				}

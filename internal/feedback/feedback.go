@@ -118,10 +118,8 @@ func Items(rel *relation.Relation) []Item {
 	return out
 }
 
-// KeyNorm normalises tuple keys for matching feedback to result rows.
-type KeyNorm func(street, postcode string) string
-
-// DefaultKeyNorm lower-cases, trims and strips postcode spacing.
+// DefaultKeyNorm is the key that matches feedback to result rows: it
+// lower-cases, trims and strips postcode spacing.
 func DefaultKeyNorm(street, postcode string) string {
 	return strings.ToLower(strings.TrimSpace(street)) + "|" +
 		strings.ToLower(strings.ReplaceAll(strings.TrimSpace(postcode), " ", ""))
@@ -131,24 +129,20 @@ func DefaultKeyNorm(street, postcode string) string {
 // annotates. Building it normalises every row's street and postcode once; each
 // item then costs one normalisation and a lookup.
 type Keys struct {
-	norm KeyNorm
 	rows map[string][]int
 }
 
-// IndexKeys indexes the rows of res by norm (DefaultKeyNorm when nil). Rows
-// without a street and a postcode are in no entry.
-func IndexKeys(res *relation.Relation, norm KeyNorm) *Keys {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
-	ix := &Keys{norm: norm, rows: map[string][]int{}}
+// IndexKeys indexes the rows of res by DefaultKeyNorm. Rows without a street
+// and a postcode are in no entry.
+func IndexKeys(res *relation.Relation) *Keys {
+	ix := &Keys{rows: map[string][]int{}}
 	si, pi := res.Schema.AttrIndex("street"), res.Schema.AttrIndex("postcode")
 	if si < 0 || pi < 0 {
 		return ix
 	}
 	for row, t := range res.Tuples {
 		if s, p := t[si], t[pi]; !s.IsNull() || !p.IsNull() {
-			key := norm(s.String(), p.String())
+			key := DefaultKeyNorm(s.String(), p.String())
 			ix.rows[key] = append(ix.rows[key], row)
 		}
 	}
@@ -156,7 +150,7 @@ func IndexKeys(res *relation.Relation, norm KeyNorm) *Keys {
 }
 
 // Rows lists the rows the item annotates, in row order.
-func (ix *Keys) Rows(it Item) []int { return ix.rows[ix.norm(it.Street, it.Postcode)] }
+func (ix *Keys) Rows(it Item) []int { return ix.rows[DefaultKeyNorm(it.Street, it.Postcode)] }
 
 // Apply patches the result with attribute-level corrections: cells the user
 // corrected get the corrected value; cells marked incorrect without a
@@ -221,12 +215,12 @@ func AccuracyByAttr(items []Item) map[string]float64 {
 // feedback items to result rows via the key and reading the row's provenance
 // column. This is what lets feedback localise blame to one source's match
 // even when several sources populate the same target attribute.
-func AccuracyBySource(items []Item, res *relation.Relation, provAttr string, norm KeyNorm) map[string]map[string]float64 {
+func AccuracyBySource(items []Item, res *relation.Relation, provAttr string) map[string]map[string]float64 {
 	pi := res.Schema.AttrIndex(provAttr)
 	if pi < 0 {
 		return nil
 	}
-	keys := IndexKeys(res, norm)
+	keys := IndexKeys(res)
 	pos := map[string]map[string]int{}
 	neg := map[string]map[string]int{}
 	bump := func(m map[string]map[string]int, src, attr string) {
@@ -315,7 +309,7 @@ func (r RangeRule) String() string {
 // Values are read from Item.Observed when captured, falling back to the
 // current result otherwise — the first row the item annotates whose value is a
 // number; learning from observations keeps rules stable as the result evolves.
-func LearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm KeyNorm) []RangeRule {
+func LearnRangeRules(items []Item, res *relation.Relation, minSupport int) []RangeRule {
 	type span struct {
 		lo, hi  float64
 		support int
@@ -333,7 +327,7 @@ func LearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm 
 			return 0, false
 		}
 		if keys == nil {
-			keys = IndexKeys(res, norm)
+			keys = IndexKeys(res)
 		}
 		for _, row := range keys.Rows(it) {
 			if f, ok := res.Tuples[row][ai].AsFloat(); ok {

@@ -98,7 +98,7 @@ func TestApplyCorrections(t *testing.T) {
 		{Street: "4 Oak Av", Postcode: "M2 2BC", Attr: "bedrooms", Correct: false}, // null it
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Correct: true}, // no-op
 	}
-	patched, changed := Apply(res, IndexKeys(res, nil), items)
+	patched, changed := Apply(res, IndexKeys(res), items)
 	if changed != 2 {
 		t.Fatalf("changed = %d, want 2", changed)
 	}
@@ -121,7 +121,7 @@ func TestApplyKeyNormalisation(t *testing.T) {
 	res := resultFixture()
 	items := []Item{{Street: "  2 LOW RD ", Postcode: "m11ab", Attr: "bedrooms",
 		Correct: false, Corrected: relation.Int(2), HasCorrection: true}}
-	patched, changed := Apply(res, IndexKeys(res, nil), items)
+	patched, changed := Apply(res, IndexKeys(res), items)
 	if changed != 1 {
 		t.Fatalf("case/space-noisy key should still match: changed=%d", changed)
 	}
@@ -159,14 +159,14 @@ func TestAccuracyBySourceLocalisesBlame(t *testing.T) {
 		{Street: "3 Mid Ln", Postcode: "M2 2BB", Attr: "bedrooms", Correct: true},
 		{Street: "5 Elm Dr", Postcode: "M3 3CC", Attr: "bedrooms", Correct: true}, // joined prov
 	}
-	acc := AccuracyBySource(items, res, "_src", nil)
+	acc := AccuracyBySource(items, res, "_src")
 	if math.Abs(acc["rightmove"]["bedrooms"]-2.0/3) > 1e-9 {
 		t.Fatalf("rightmove bedrooms = %v (want 2/3, incl. joined provenance)", acc["rightmove"]["bedrooms"])
 	}
 	if acc["onthemarket"]["bedrooms"] != 1 {
 		t.Fatalf("onthemarket bedrooms = %v", acc["onthemarket"]["bedrooms"])
 	}
-	if AccuracyBySource(items, res, "missing_col", nil) != nil {
+	if AccuracyBySource(items, res, "missing_col") != nil {
 		t.Fatal("missing provenance column → nil")
 	}
 }
@@ -180,7 +180,7 @@ func TestLearnRangeRulesCatchesBedroomError(t *testing.T) {
 		{Street: "2 Low Rd", Postcode: "M1 1AB", Attr: "bedrooms", Correct: false}, // 14
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "price", Correct: true},    // no bad price
 	}
-	rules := LearnRangeRules(items, res, 3, nil)
+	rules := LearnRangeRules(items, res, 3)
 	if len(rules) != 1 {
 		t.Fatalf("rules = %v (want only bedrooms: price has no caught error)", rules)
 	}
@@ -205,7 +205,7 @@ func TestLearnRangeRulesFromObservedValues(t *testing.T) {
 		{Street: "c", Postcode: "p", Attr: "bedrooms", Correct: true, Observed: relation.Int(4), HasObserved: true},
 		{Street: "d", Postcode: "p", Attr: "bedrooms", Correct: false, Observed: relation.Int(17), HasObserved: true},
 	}
-	rules := LearnRangeRules(items, empty, 3, nil)
+	rules := LearnRangeRules(items, empty, 3)
 	if len(rules) != 1 || rules[0].Max != 4 {
 		t.Fatalf("rules = %v", rules)
 	}
@@ -217,7 +217,7 @@ func TestLearnRangeRulesNeedsSupport(t *testing.T) {
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Correct: true},
 		{Street: "2 Low Rd", Postcode: "M1 1AB", Attr: "bedrooms", Correct: false},
 	}
-	if rules := LearnRangeRules(items, res, 3, nil); len(rules) != 0 {
+	if rules := LearnRangeRules(items, res, 3); len(rules) != 0 {
 		t.Fatalf("insufficient support should learn nothing: %v", rules)
 	}
 }

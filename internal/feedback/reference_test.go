@@ -20,7 +20,7 @@ import (
 
 // rowKey computes the key of a result row, ok=false when street/postcode
 // are unavailable.
-func rowKey(res *relation.Relation, row int, norm KeyNorm) (string, bool) {
+func rowKey(res *relation.Relation, row int) (string, bool) {
 	si := res.Schema.AttrIndex("street")
 	pi := res.Schema.AttrIndex("postcode")
 	if si < 0 || pi < 0 {
@@ -30,24 +30,21 @@ func rowKey(res *relation.Relation, row int, norm KeyNorm) (string, bool) {
 	if s.IsNull() && p.IsNull() {
 		return "", false
 	}
-	return norm(s.String(), p.String()), true
+	return DefaultKeyNorm(s.String(), p.String()), true
 }
 
-func referenceApply(res *relation.Relation, items []Item, norm KeyNorm) (*relation.Relation, int) {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
+func referenceApply(res *relation.Relation, items []Item) (*relation.Relation, int) {
 	byKey := map[string][]Item{}
 	for _, it := range items {
 		if it.Attr == "" || it.Correct {
 			continue
 		}
-		byKey[norm(it.Street, it.Postcode)] = append(byKey[norm(it.Street, it.Postcode)], it)
+		byKey[DefaultKeyNorm(it.Street, it.Postcode)] = append(byKey[DefaultKeyNorm(it.Street, it.Postcode)], it)
 	}
 	out := res.Shallow()
 	changed := 0
 	for row := range out.Tuples {
-		key, ok := rowKey(out, row, norm)
+		key, ok := rowKey(out, row)
 		if !ok {
 			continue
 		}
@@ -71,10 +68,7 @@ func referenceApply(res *relation.Relation, items []Item, norm KeyNorm) (*relati
 	return out, changed
 }
 
-func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr string, norm KeyNorm) map[string]map[string]float64 {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
+func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr string) map[string]map[string]float64 {
 	pi := res.Schema.AttrIndex(provAttr)
 	if pi < 0 {
 		return nil
@@ -85,7 +79,7 @@ func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr st
 	}
 	srcOf := map[string][]rowRef{}
 	for row := range res.Tuples {
-		key, ok := rowKey(res, row, norm)
+		key, ok := rowKey(res, row)
 		if !ok || res.Tuples[row][pi].IsNull() {
 			continue
 		}
@@ -104,7 +98,7 @@ func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr st
 			continue
 		}
 		ai := res.Schema.AttrIndex(it.Attr)
-		for _, ref := range srcOf[norm(it.Street, it.Postcode)] {
+		for _, ref := range srcOf[DefaultKeyNorm(it.Street, it.Postcode)] {
 			// With a captured observation, only blame/credit rows actually
 			// holding the judged value (duplicate keys otherwise smear
 			// feedback across sources).
@@ -149,10 +143,7 @@ func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr st
 	return out
 }
 
-func referenceLearnRangeRules(items []Item, res *relation.Relation, minSupport int, norm KeyNorm) []RangeRule {
-	if norm == nil {
-		norm = DefaultKeyNorm
-	}
+func referenceLearnRangeRules(items []Item, res *relation.Relation, minSupport int) []RangeRule {
 	type span struct {
 		lo, hi  float64
 		support int
@@ -169,8 +160,8 @@ func referenceLearnRangeRules(items []Item, res *relation.Relation, minSupport i
 			return 0, false
 		}
 		for row := range res.Tuples {
-			key, ok := rowKey(res, row, norm)
-			if !ok || key != norm(it.Street, it.Postcode) {
+			key, ok := rowKey(res, row)
+			if !ok || key != DefaultKeyNorm(it.Street, it.Postcode) {
 				continue
 			}
 			if f, ok := res.Tuples[row][ai].AsFloat(); ok {
@@ -320,16 +311,16 @@ func TestKeysDifferential(t *testing.T) {
 		}
 		label := fmt.Sprintf("case %d: %v over\n%v", i, items, res)
 
-		want, wantN := referenceApply(res, items, nil)
-		got, gotN := Apply(res, IndexKeys(res, nil), items)
+		want, wantN := referenceApply(res, items)
+		got, gotN := Apply(res, IndexKeys(res), items)
 		if !got.Identical(want) || gotN != wantN {
 			t.Fatalf("%s: Apply changed %d cells to\n%v\nthe reference %d to\n%v", label, gotN, got, wantN, want)
 		}
-		if got, want := AccuracyBySource(items, res, "_src", nil), referenceAccuracyBySource(items, res, "_src", nil); !reflect.DeepEqual(got, want) {
+		if got, want := AccuracyBySource(items, res, "_src"), referenceAccuracyBySource(items, res, "_src"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: AccuracyBySource %v, the reference %v", label, got, want)
 		}
 		for _, support := range []int{1, 2} {
-			got, want := LearnRangeRules(items, res, support, nil), referenceLearnRangeRules(items, res, support, nil)
+			got, want := LearnRangeRules(items, res, support), referenceLearnRangeRules(items, res, support)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: support %d: LearnRangeRules %v, the reference %v", label, support, got, want)
 			}

@@ -119,8 +119,8 @@ var feedbackBatchStage = Stage{
 	},
 }
 
-// Suggestions ranks candidate next actions for the session with the
-// heuristic advisor. The snapshot uses only concurrency-safe wrangler
+// Suggestions ranks candidate next actions for the session
+// (advise.Suggest). The snapshot uses only concurrency-safe wrangler
 // accessors, so ranking never blocks behind a running stage; the call
 // records an advise.rank trace span and advise_* metrics.
 func (s *Session) Suggestions(ctx context.Context) (_ []advise.Suggestion, retErr error) {
@@ -131,7 +131,7 @@ func (s *Session) Suggestions(ctx context.Context) (_ []advise.Suggestion, retEr
 	start := time.Now()
 	st := advise.Snapshot(s.w)
 	st.ScenarioBacked = s.sc != nil
-	sugs := advise.NewHeuristic().Suggest(st)
+	sugs := advise.Suggest(st)
 	if span != nil {
 		span.SetAttr("suggestions", strconv.Itoa(len(sugs)))
 		span.EndErr(nil)

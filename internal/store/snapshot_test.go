@@ -448,7 +448,7 @@ func TestAdviceSurvivesRestart(t *testing.T) {
 	}
 
 	advice := func(s *session.Session) []byte {
-		out, err := json.Marshal(advise.NewHeuristic().Suggest(advise.Snapshot(s.Wrangler())))
+		out, err := json.Marshal(advise.Suggest(advise.Snapshot(s.Wrangler())))
 		if err != nil {
 			t.Fatal(err)
 		}

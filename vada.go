@@ -30,6 +30,22 @@
 //	w.SetUserContext(priorities)           // step 4: user context
 //	w.Run(ctx)
 //
+// # The demonstration
+//
+// The paper's four steps on its real-estate scenario (§3) are the stages of
+// a session with the scenario attached. Each returns a SessionEvent whose
+// Score is the oracle's assessment of the result, or nil when the stage left
+// no result to score:
+//
+//	sc := vada.GenerateScenario(vada.DefaultScenarioConfig())
+//	sess := vada.NewSession("demo", vada.BuildScenarioWrangler(sc), vada.WithScenario(sc, 7))
+//	sess.Bootstrap(ctx)
+//	sess.AddDataContext(ctx, nil)    // nil: the scenario's reference data
+//	sess.AddFeedback(ctx, nil, 120)  // nil items: 120 oracle annotations
+//	sess.SetUserContext(ctx, vada.CrimeAnalysisUserContext())
+//
+// cmd/vada -run and examples/realestate walk exactly these four stages.
+//
 // # Surface
 //
 // This package is the library's client surface, and a small one: it
@@ -153,14 +169,13 @@ var (
 // ---- demonstration scenario ------------------------------------------------------
 
 // ScenarioConfig controls generation of the paper's real-estate
-// demonstration data; StageScore reports one step of the four-step
-// demonstration.
-type (
-	ScenarioConfig = datagen.Config
-	StageScore     = core.StageScore
-)
+// demonstration data.
+type ScenarioConfig = datagen.Config
 
-// Scenario generation and the pay-as-you-go experiment harness (§3).
+// Scenario generation, the scenario's wrangler and the user's side of the
+// demonstration (§3): the oracle's feedback and the two priority models. A
+// session with the scenario attached walks the four steps (NewSession,
+// WithScenario), scoring each.
 var (
 	GenerateScenario         = datagen.Generate
 	DefaultScenarioConfig    = datagen.DefaultConfig
@@ -169,17 +184,18 @@ var (
 	CrimeAnalysisUserContext = core.CrimeAnalysisUserContext
 	SizeAnalysisUserContext  = core.SizeAnalysisUserContext
 	OracleFeedback           = core.OracleFeedback
-	RunPayAsYouGo            = core.RunPayAsYouGo
-	DefaultPayAsYouGoConfig  = core.DefaultPayAsYouGoConfig
-	FormatStages             = core.FormatStages
 )
 
 // ---- sessions -------------------------------------------------------------
 
-// A session is one pay-as-you-go wrangling conversation: it wraps one
+// A Session is one pay-as-you-go wrangling conversation: it wraps one
 // Wrangler, serialises its stages and records a SessionEvent per completed
-// stage — the records vada-server serves per session.
-type SessionEvent = session.Event
+// stage — the records vada-server serves per session. With a scenario
+// attached, each event carries the oracle's score of the result.
+type (
+	Session      = session.Session
+	SessionEvent = session.Event
+)
 
 // Session construction and session options.
 var (
