@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -155,6 +156,55 @@ func TestGoldenV1(t *testing.T) {
 				len(reenc), len(fixture))
 		}
 	})
+	// Today's layout: run records (kind 0x03) as the journal writer frames
+	// them.
+	t.Run("asked", func(t *testing.T) {
+		var want []Record
+		for seq := 1; seq <= 3; seq++ {
+			rec := *stageRec(seq)
+			rec.Seq = uint64(seq)
+			want = append(want, rec)
+		}
+		fixture := golden(t, "testdata/v1_asked.vjournal", writeJournal(t, want))
+		res, err := Replay(bytes.NewReader(fixture))
+		if err != nil {
+			t.Fatalf("current code no longer replays format v1: %v", err)
+		}
+		if res.Damaged || res.Valid != int64(len(fixture)) {
+			t.Fatalf("fixture replay: damaged=%v valid=%d size=%d", res.Damaged, res.Valid, len(fixture))
+		}
+		if !reflect.DeepEqual(res.Records, want) {
+			t.Fatalf("records drifted:\n got %+v\nwant %+v", res.Records, want)
+		}
+		if reenc := writeJournal(t, res.Records); !bytes.Equal(reenc, fixture) {
+			t.Fatalf("re-written journal differs from v1 fixture (%d vs %d bytes) — format changed; bump formatV1",
+				len(reenc), len(fixture))
+		}
+	})
+}
+
+// writeJournal appends copies of recs, in order, to a new journal through
+// the store's journal writer and returns the file's bytes.
+func writeJournal(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.vjournal")
+	j, _, err := openJournal(path, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := j.append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // golden reads the fixture at path, first rewriting it with fresh under
