@@ -116,10 +116,9 @@ type Observer struct {
 	// from a request: SubmitStage, SubmitPlan), outside the engine lock and
 	// before the snapshot is published; and with every run Cancel takes out of
 	// its queue, once that is published. ctx carries the run's trace span. It
-	// writes the run's durable record without waiting for it and returns the
-	// commit wait (nil for nothing to wait for), which the engine invokes
-	// before anyone can observe the run terminal.
-	Record func(ctx context.Context, run Run, applied []session.StageRequest) func()
+	// returns once the run's record is durable, so a worker's run is durable
+	// before anyone can observe it terminal.
+	Record func(ctx context.Context, run Run, applied []session.StageRequest)
 }
 
 // WithObserver installs the run observer.
@@ -359,9 +358,7 @@ func (e *Engine) worker() {
 		final, err := outcome(t.run, ev, err)
 		e.mu.Unlock()
 		if e.obs.Record != nil {
-			if wait := e.obs.Record(t.ctx, final, applied); wait != nil {
-				wait()
-			}
+			e.obs.Record(t.ctx, final, applied)
 		}
 
 		e.mu.Lock()
@@ -576,9 +573,7 @@ func (e *Engine) Cancel(id string) (Run, error) {
 	run := t.run
 	e.mu.Unlock()
 	if queued && e.obs.Record != nil {
-		if wait := e.obs.Record(context.Background(), run, nil); wait != nil {
-			wait()
-		}
+		e.obs.Record(context.Background(), run, nil)
 	}
 	return run, nil
 }

@@ -11,8 +11,8 @@
 // finished runs are kept in a fixed-size retention ring so clients can poll
 // an outcome for a while after completion without the engine growing without
 // bound. A run commits once: its terminal snapshot and the requests its
-// stages applied go to the observer, and the commit wait it returns is
-// invoked before the run is published as terminal.
+// stages applied go to the observer, which returns once they are durable,
+// before the run is published as terminal.
 package runs
 
 import (

@@ -817,8 +817,8 @@ func (e *Engine) submitPlan(ctx context.Context, sessionID string, stages []stri
 
 // TestRunCommitsOnce pins the commit protocol: a run's terminal record is
 // written once, outside the engine lock, while the run still reads running,
-// with the requests its completed stages applied, in order; then its commit
-// wait is invoked; and only then is the run published terminal, as recorded.
+// with the requests its completed stages applied, in order; and only once
+// the record has returned is the run published terminal, as recorded.
 func TestRunCommitsOnce(t *testing.T) {
 	var (
 		e        *Engine
@@ -832,7 +832,7 @@ func TestRunCommitsOnce(t *testing.T) {
 		log = append(log, s)
 		mu.Unlock()
 	}
-	e = New(WithWorkers(1), WithObserver(Observer{Record: func(_ context.Context, r Run, reqs []session.StageRequest) func() {
+	e = New(WithWorkers(1), WithObserver(Observer{Record: func(_ context.Context, r Run, reqs []session.StageRequest) {
 		if got, err := e.Get(r.ID); err != nil || got.State != StateRunning {
 			t.Errorf("record sees the run %s (%v), want it still running", got.State, err)
 		}
@@ -841,7 +841,6 @@ func TestRunCommitsOnce(t *testing.T) {
 		recorded = append(recorded, r)
 		applied = append(applied, reqs)
 		mu.Unlock()
-		return func() { note("record-wait") }
 	}}))
 	defer e.Close()
 	stage := func(name string) call {
@@ -873,7 +872,7 @@ func TestRunCommitsOnce(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := "a b record record-wait c fail record record-wait"; strings.Join(log, " ") != want {
+	if want := "a b record c fail record"; strings.Join(log, " ") != want {
 		t.Fatalf("commit order = %q, want %q", strings.Join(log, " "), want)
 	}
 	if len(recorded) != 2 || !reflect.DeepEqual(recorded[0], final) {
@@ -891,11 +890,10 @@ func TestRunCommitsOnce(t *testing.T) {
 func TestWaitOutcome(t *testing.T) {
 	var recorded []string
 	var mu sync.Mutex
-	e := New(WithWorkers(1), withRetention(1), WithObserver(Observer{Record: func(_ context.Context, r Run, _ []session.StageRequest) func() {
+	e := New(WithWorkers(1), withRetention(1), WithObserver(Observer{Record: func(_ context.Context, r Run, _ []session.StageRequest) {
 		mu.Lock()
 		recorded = append(recorded, r.ID+":"+string(r.State))
 		mu.Unlock()
-		return nil
 	}}))
 	defer e.Close()
 	ctx := context.Background()

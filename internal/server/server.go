@@ -213,8 +213,8 @@ func New(cfg Config) (*Server, error) {
 		runs.WithObserver(runs.Observer{
 			Transition: s.publishTransition,
 			// s.store is opened below, before anything is served.
-			Record: func(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
-				return s.store.CommitRun(ctx, run, applied)
+			Record: func(ctx context.Context, run runs.Run, applied []session.StageRequest) {
+				s.store.CommitRun(ctx, run, applied)
 			},
 		}),
 		runs.WithMetrics(s.metrics),

@@ -57,8 +57,8 @@ func open(t *testing.T, dir string, maxSessions int) *rig {
 }
 
 // commitRun is the store's recorder, installed as the server installs it.
-func (r *rig) commitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
-	return r.st.CommitRun(ctx, run, applied)
+func (r *rig) commitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) {
+	r.st.CommitRun(ctx, run, applied)
 }
 
 // eachStore runs fn over an ephemeral rig and a durable one.

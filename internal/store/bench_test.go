@@ -95,6 +95,9 @@ func BenchmarkJournalAppendPerRun(b *testing.B) {
 		if err := j.append(&r); err != nil {
 			b.Fatal(err)
 		}
+		if err := j.sync(); err != nil {
+			b.Fatal(err)
+		}
 		// Compact periodically so the file does not grow unboundedly over
 		// the run, as the replay budget does.
 		if i%1024 == 1023 {

@@ -147,12 +147,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // journal appends records to one session's journal file. A record is
-// acknowledged only once an fsync issued after its write has returned — the
-// durability point, whose cost is proportional to the records it covers, not
-// to the session. A journal is not safe for concurrent use: the store calls
-// every method, and every wait an append returns, under the entry lock of
-// the session that owns the file, so file offsets and sequence numbers stay
-// ordered and an fsync covers exactly the records written before it.
+// acknowledged only once the fsync that follows its write has returned — the
+// durability point, whose cost is proportional to the record, not to the
+// session. A journal is not safe for concurrent use: the store calls every
+// method under the entry lock of the session that owns the file, so file
+// offsets and sequence numbers stay ordered.
 type journal struct {
 	f *os.File
 	// reg counts and times the fsyncs (persist_fsync_total{path="journal"},
@@ -161,17 +160,14 @@ type journal struct {
 	reg *metrics.Registry
 
 	// written is the journal as the file holds it, durable as the last
-	// successful fsync left it; the two differ by the records whose waits
-	// are outstanding.
+	// successful fsync left it; the two differ between an append and the
+	// sync that follows it.
 	written, durable extent
 
-	// epoch counts resets: a wait issued in an earlier epoch is for a record
-	// a compaction snapshot already holds.
-	epoch  uint64
 	closed bool
 	// failed poisons the journal — after a failed fsync, whose unsynced
-	// records are gone, or an append whose torn bytes could not be
-	// truncated away — until a reset discards the file's contents.
+	// record is gone, or an append whose torn bytes could not be truncated
+	// away — until a reset discards the file's contents.
 	failed bool
 }
 
@@ -238,29 +234,22 @@ func (j *journal) load(path string) (*ReplayResult, error) {
 	return res, err
 }
 
-// appendCommit splits an append into its two halves. The record is assigned
-// the next sequence number, framed and written in a single write call, with
-// no fsync; the returned wait makes it durable. The caller acknowledges the
-// record only after wait returns nil. wait returns at once when an fsync
-// issued for a later record (or by close) already covers this one; otherwise
-// it issues one fsync, which covers every record written so far — so the
-// waits of several consecutive appends, invoked after the last of them, cost
-// one fsync between them. wait is idempotent: after a reset it returns nil
-// (the compaction snapshot that preceded the reset holds the record), after
-// close it returns the verdict of the fsync close performed.
+// append writes the record as the journal's next: it is assigned the next
+// sequence number, framed and written in a single write call. The sync that
+// follows makes it durable; the caller acknowledges the record only after
+// that has returned nil.
 //
 // A failed write rewinds the file to the pre-append offset, so a torn frame
 // can never sit in the MIDDLE of the file ahead of later successful appends
-// (Replay heals tails, not middles). A failed fsync rewinds to the last
-// durable offset, fails the wait of every record past it and poisons the
-// journal, as does a rewind that itself fails: further appends are refused,
-// rather than silently stranded behind the damage, until a reset.
-func (j *journal) appendCommit(rec *Record) (wait func() error, err error) {
+// (Replay heals tails, not middles). A rewind that itself fails poisons the
+// journal, as a failed fsync does: further appends are refused, rather than
+// silently stranded behind the damage, until a reset.
+func (j *journal) append(rec *Record) error {
 	if j.closed || j.failed {
-		return nil, fmt.Errorf("store: journal closed or poisoned by an earlier failure")
+		return fmt.Errorf("store: journal closed or poisoned by an earlier failure")
 	}
 	if recordKind(rec) != kindAsked {
-		return nil, fmt.Errorf("store: a record carries a run and what it was asked")
+		return fmt.Errorf("store: a record carries a run and what it was asked")
 	}
 	rec.Seq = j.written.seq + 1
 	frame, err := appendFrame(nil, kindAsked, func(b []byte) ([]byte, error) {
@@ -268,34 +257,21 @@ func (j *journal) appendCommit(rec *Record) (wait func() error, err error) {
 		return append(b, data...), err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: encoding record: %w", err)
+		return fmt.Errorf("store: encoding record: %w", err)
 	}
 	if _, err := j.f.Write(frame); err != nil {
 		j.rewind(j.written.bytes)
-		return nil, fmt.Errorf("store: appending record: %w", err)
+		return fmt.Errorf("store: appending record: %w", err)
 	}
 	j.written.seq = rec.Seq
 	j.written.records++
 	j.written.bytes += int64(len(frame))
-	epoch, end := j.epoch, j.written.bytes
-	return func() error { return j.waitDurable(epoch, end) }, nil
+	return nil
 }
 
-// waitDurable is the second half of appendCommit for the record that ended
-// at byte offset end (past the header) of the given epoch.
-func (j *journal) waitDurable(epoch uint64, end int64) error {
-	if epoch != j.epoch || end <= j.durable.bytes {
-		return nil
-	}
-	if j.failed {
-		return fmt.Errorf("store: record discarded by a failed append or sync")
-	}
-	return j.sync()
-}
-
-// sync fsyncs the file, making every written record durable. On failure the
-// unsynced records are truncated away and the journal poisoned: the kernel
-// may already have dropped their dirty pages, so a later fsync reporting
+// sync fsyncs the file, making the appended record durable. On failure the
+// unsynced record is truncated away and the journal poisoned: the kernel
+// may already have dropped its dirty pages, so a later fsync reporting
 // success would acknowledge bytes that never reached the disk.
 func (j *journal) sync() error {
 	t0 := time.Now()
@@ -328,10 +304,9 @@ func (j *journal) rewind(bytes int64) {
 }
 
 // reset truncates the journal back to its header — the step that follows a
-// successful compaction snapshot. Sequence numbering restarts at 1,
-// outstanding waits resolve as durable (the snapshot holds their records),
-// and a poisoned journal recovers: the truncate discards the damage along
-// with everything else.
+// successful compaction snapshot. Sequence numbering restarts at 1, and a
+// poisoned journal recovers: the truncate discards the damage along with
+// everything else.
 func (j *journal) reset() error {
 	if j.closed {
 		return fmt.Errorf("store: journal closed")
@@ -342,7 +317,6 @@ func (j *journal) reset() error {
 	// The records are gone from the file: account for that now, and stay
 	// poisoned until the empty journal is durable and positioned.
 	j.written, j.durable = extent{}, extent{}
-	j.epoch++
 	j.failed = true
 	if err := j.f.Sync(); err != nil {
 		return err
@@ -354,20 +328,11 @@ func (j *journal) reset() error {
 	return nil
 }
 
-// close makes every written record durable and closes the file; waits still
-// outstanding then report that fsync's verdict. Further appends fail; close
-// is idempotent.
+// close closes the file; further appends fail. close is idempotent.
 func (j *journal) close() error {
 	if j.closed {
 		return nil
 	}
 	j.closed = true
-	var err error
-	if !j.failed && j.durable != j.written {
-		err = j.sync()
-	}
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return j.f.Close()
 }

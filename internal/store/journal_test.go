@@ -20,16 +20,6 @@ import (
 	"vada/internal/session"
 )
 
-// append writes the record and blocks until it is durable: appendCommit
-// followed by its wait.
-func (j *journal) append(rec *Record) error {
-	wait, err := j.appendCommit(rec)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
 // goldenRecords builds the fixed record sequence pinned by the golden
 // fixture: an older binary's journal — two stage records and a run record.
 // Everything is deterministic: fixed times, fixed deltas, fixed run
@@ -300,24 +290,23 @@ func stageRec(seq int) *Record {
 		}}
 }
 
-// TestAppendCommit pins the two-phase append: what a wait costs, and what it
-// answers after each thing that can happen to the journal between the write
-// and the wait.
-func TestAppendCommit(t *testing.T) {
+// TestJournalAppend pins the append and the sync that follows it, as
+// CommitRun makes them: what they cost, and what a closed journal and a
+// failed fsync leave behind.
+func TestJournalAppend(t *testing.T) {
 	const k = 5
 	fsyncName := metrics.Name("persist_fsync_total", "path", "journal")
-	// appendK writes records from..from+k-1 without waiting on any.
-	appendK := func(t *testing.T, j *journal, from int) []func() error {
+	// commit appends records from..from+k-1, each synced before the next.
+	commit := func(t *testing.T, j *journal, from int) {
 		t.Helper()
-		waits := make([]func() error, k)
-		for i := range waits {
-			wait, err := j.appendCommit(stageRec(from + i))
-			if err != nil {
+		for i := from; i < from+k; i++ {
+			if err := j.append(stageRec(i)); err != nil {
 				t.Fatal(err)
 			}
-			waits[i] = wait
+			if err := j.sync(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return waits
 	}
 	reopen := func(t *testing.T, path string) []Record {
 		t.Helper()
@@ -332,133 +321,79 @@ func TestAppendCommit(t *testing.T) {
 		name string
 		run  func(t *testing.T, j *journal, path string, reg *metrics.Registry)
 	}{
-		{"k appends then k waits cost one fsync and the bytes of k Appends", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
-			waits := appendK(t, j, 1)
-			if got := reg.Counter(fsyncName).Value(); got != 0 {
-				t.Fatalf("appendCommit fsynced %d times before any wait", got)
-			}
-			for i, wait := range waits {
-				if err := wait(); err != nil {
-					t.Fatalf("wait %d: %v", i, err)
+		{"each append costs one fsync and counts its bytes", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			for i := 1; i <= k; i++ {
+				commit(t, j, (i-1)*k+1)
+				if got := reg.Counter(fsyncName).Value(); got != int64(i*k) {
+					t.Fatalf("%d appends cost %d fsyncs", i*k, got)
 				}
-			}
-			if err := waits[0](); err != nil { // idempotent
-				t.Fatal(err)
-			}
-			if got := reg.Counter(fsyncName).Value(); got != 1 {
-				t.Fatalf("%d waits cost %d fsyncs, want 1", k, got)
 			}
 			if got := reg.Counter("persist_journal_bytes_total").Value(); got != j.written.bytes {
 				t.Fatalf("persist_journal_bytes_total = %d, want the %d durable record bytes", got, j.written.bytes)
 			}
-			directPath := filepath.Join(t.TempDir(), "direct.vjournal")
-			direct, _, err := openJournal(directPath, metrics.NewRegistry())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer direct.close()
-			for i := 1; i <= k; i++ {
-				if err := direct.append(stageRec(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(directPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("deferred-wait journal differs from the append journal (%d vs %d bytes)", len(got), len(want))
+			if recs := reopen(t, path); len(recs) != k*k || recs[k*k-1].Seq != k*k {
+				t.Fatalf("replayed %d records, want %d in sequence", len(recs), k*k)
 			}
 		}},
-		{"a wait after Reset returns nil: the snapshot holds the record", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
-			waits := appendK(t, j, 1)
-			if err := j.reset(); err != nil {
-				t.Fatal(err)
-			}
-			for i, wait := range waits {
-				if err := wait(); err != nil {
-					t.Fatalf("wait %d after reset: %v", i, err)
-				}
-			}
-			if got := reg.Counter(fsyncName).Value(); got != 0 {
-				t.Fatalf("waits for truncated records fsynced %d times", got)
-			}
-			// The fresh journal's offsets restart: a new record is not
-			// mistaken for one the old epoch already made durable.
-			wait, err := j.appendCommit(stageRec(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wait(); err != nil {
-				t.Fatal(err)
-			}
-			if got := reg.Counter(fsyncName).Value(); got != 1 {
-				t.Fatalf("post-reset wait cost %d fsyncs, want 1", got)
-			}
-		}},
-		{"a wait after Close reports the fsync Close performed", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
-			waits := appendK(t, j, 1)
+		{"a closed journal refuses appends and keeps its records", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			commit(t, j, 1)
 			if err := j.close(); err != nil {
 				t.Fatal(err)
 			}
-			for i, wait := range waits {
-				if err := wait(); err != nil {
-					t.Fatalf("wait %d after close: %v", i, err)
-				}
-			}
-			if got := reg.Counter(fsyncName).Value(); got != 1 {
-				t.Fatalf("close cost %d fsyncs, want 1", got)
-			}
-			if _, err := j.appendCommit(stageRec(k + 1)); err == nil {
+			if err := j.append(stageRec(k + 1)); err == nil {
 				t.Fatal("append on a closed journal succeeded")
 			}
 			if recs := reopen(t, path); len(recs) != k {
 				t.Fatalf("replayed %d records after close, want %d", len(recs), k)
 			}
 		}},
-		{"a failed sync fails every wait past the durable offset, and only those", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
-			durable := appendK(t, j, 1)
-			if err := durable[k-1](); err != nil {
+		{"a failed sync fails its append and poisons the journal until a reset", func(t *testing.T, j *journal, path string, reg *metrics.Registry) {
+			commit(t, j, 1)
+			if err := j.append(stageRec(k + 1)); err != nil {
 				t.Fatal(err)
 			}
-			lost := appendK(t, j, k+1)
 			// Force the failure without a seam: with its descriptor closed
 			// underneath it the journal can neither fsync nor truncate.
 			j.f.Close()
-			for i, wait := range lost {
-				if err := wait(); err == nil {
-					t.Fatalf("wait %d acknowledged a record whose fsync failed", i)
-				}
+			if err := j.sync(); err == nil {
+				t.Fatal("sync acknowledged a record whose fsync failed")
 			}
-			for i, wait := range durable {
-				if err := wait(); err != nil {
-					t.Fatalf("durable wait %d turned into %v", i, err)
-				}
-			}
-			if got := reg.Counter(fsyncName).Value(); got != 1 {
-				t.Fatalf("fsyncs counted = %d, want only the successful one", got)
+			if got := reg.Counter(fsyncName).Value(); got != k {
+				t.Fatalf("fsyncs counted = %d, want only the %d successful ones", got, k)
 			}
 			if records := j.written.records; records != k {
 				t.Fatalf("journal reports %d records after the failure, want the %d durable ones", records, k)
 			}
-			if _, err := j.appendCommit(stageRec(2*k + 1)); err == nil {
+			if err := j.append(stageRec(k + 2)); err == nil {
 				t.Fatal("poisoned journal accepted an append")
 			}
 			// Nothing acknowledged is missing and the file is a clean prefix
 			// of what was written. (Had the truncate been possible, the
-			// unacknowledged tail would be gone too.)
+			// unacknowledged record would be gone too.)
 			recs := reopen(t, path)
-			if len(recs) < k || len(recs) > 2*k {
-				t.Fatalf("replayed %d records, want the %d durable ones (and at most the %d written)", len(recs), k, 2*k)
+			if len(recs) < k || len(recs) > k+1 {
+				t.Fatalf("replayed %d records, want the %d durable ones (and at most the %d written)", len(recs), k, k+1)
 			}
 			for i, rec := range recs {
 				if want := stageRec(i + 1); rec.Seq != uint64(i+1) || !reflect.DeepEqual(rec.Asked, want.Asked) {
 					t.Fatalf("replayed record %d drifted: %+v", i, rec)
 				}
+			}
+			// With a descriptor again, a reset discards the damage.
+			f, err := os.OpenFile(path, os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.f = f
+			if err := j.reset(); err != nil {
+				t.Fatal(err)
+			}
+			rec := stageRec(1)
+			if err := j.append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.sync(); err != nil || rec.Seq != 1 {
+				t.Fatalf("append after reset: seq %d, %v; want seq 1", rec.Seq, err)
 			}
 		}},
 	}

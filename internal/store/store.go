@@ -32,7 +32,7 @@
 //	Create     the baseline snapshot is fsynced and renamed into place over an
 //	Import     empty journal — the session survives kill -9 from here on, and
 //	           only from here on is it visible to Get and List
-//	CommitRun  the run's one record is fsynced when the returned wait returns
+//	CommitRun  the run's one record is fsynced when CommitRun returns
 //	Archive    the pair is gone from <dir> and closed/ holds the final state
 //	Recover    every pair is live again: the snapshot, and the journal's valid
 //	           prefix replayed over it
@@ -541,9 +541,8 @@ func (s *Store) takeLocked(e *entry) {
 
 // compact folds the journal into a fresh snapshot of the session, holding
 // the pending runs too (a run the engine has not published as terminal yet),
-// and empties it. The snapshot holds every record written so far, so their
-// waits resolve without an fsync. Callers hold e.io; the capture waits for the
-// session to be between stages.
+// and empties it. Callers hold e.io; the capture waits for the session to be
+// between stages.
 func (s *Store) compact(e *entry, pending ...runs.Run) error {
 	var snap *SessionSnapshot
 	e.sess.BetweenStages(func() { snap = captureSession(e.sess, s.Engine) })
@@ -568,28 +567,30 @@ func (s *Store) compact(e *entry, pending ...runs.Run) error {
 // CommitRun is the run engine's recorder: it journals a terminal run the
 // session's files do not hold yet as one record — the requests the run
 // applied, the events its stages recorded, and the version and digest of the
-// knowledge base it left behind — without waiting, and returns the wait that
-// makes it durable. ctx carries the run's trace span, making the append a
-// `journal.append` child of it.
+// knowledge base it left behind — and returns once the record is fsynced.
+// ctx carries the run's trace span, making the append a `journal.append`
+// child of it.
 //
 // A run that failed or was cancelled once it had started is compacted
 // instead: its last stage may have changed the knowledge base without
 // completing, and replay never re-derives a partial stage. So is a run whose
 // requests do not account for the session's new events (a stage ran outside
-// the engine). A record that takes the journal past the replay budget
-// (recordCost) is followed by a compaction. A failure is
-// logged, not fatal: the next compaction, evict or shutdown snapshot covers
-// the run.
-func (s *Store) CommitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
+// the engine), and a run whose record the journal cannot take — a failed
+// write or fsync, or a journal an earlier one poisoned; the compaction's
+// reset clears the poison. A record that takes the journal past the replay
+// budget (recordCost) is followed by a compaction. A compaction that fails
+// is logged, not fatal: the next compaction, evict or shutdown snapshot
+// covers the run.
+func (s *Store) CommitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) {
 	id := run.SessionID
 	e := s.lookup(id)
 	if e == nil {
-		return nil
+		return
 	}
 	e.io.Lock()
 	defer e.io.Unlock()
 	if e.j == nil || e.runSeen[run.ID] {
-		return nil
+		return
 	}
 	e.dirty = true
 	var asked *Asked
@@ -608,17 +609,26 @@ func (s *Store) CommitRun(ctx context.Context, run runs.Run, applied []session.S
 		if err := s.compact(e, run); err != nil {
 			s.Logger.Error("compacting session after a run that did not complete", "run", run.ID, "session", id, "error", err)
 		}
-		return nil
+		return
 	}
 	rec := &Record{At: time.Now(), Run: &run, Asked: asked}
 	span := trace.ChildFromContext(ctx, "journal.append", "session", id, "stages", fmt.Sprint(len(asked.Requests)))
-	wait, err := e.j.appendCommit(rec)
+	err := e.j.append(rec)
+	if err == nil {
+		s.step("record")
+		err = e.j.sync()
+	}
 	if err != nil {
 		span.EndErr(err)
 		s.Logger.Error("journaling run", "run", run.ID, "session", id, "error", err)
-		return nil
+		if err := s.compact(e, run); err != nil {
+			s.Logger.Error("compacting session after its record failed", "run", run.ID, "session", id, "error", err)
+		}
+		return
 	}
-	s.step("record")
+	span.SetAttr("seq", fmt.Sprint(rec.Seq))
+	span.End()
+	s.step("record-sync")
 	e.runSeen[run.ID] = true
 	e.events += len(asked.Events)
 	e.cost += recordCost(&run)
@@ -628,19 +638,6 @@ func (s *Store) CommitRun(ctx context.Context, run runs.Run, applied []session.S
 		} else {
 			s.Logger.Info("session compacted", "session", id, "journal_records", records, "replay", cost)
 		}
-	}
-	return func() {
-		e.io.Lock()
-		err := wait()
-		e.io.Unlock()
-		if err == nil {
-			span.SetAttr("seq", fmt.Sprint(rec.Seq))
-		}
-		span.EndErr(err)
-		if err != nil {
-			s.Logger.Error("journaling run", "run", run.ID, "session", id, "error", err)
-		}
-		s.step("record-sync")
 	}
 }
 
@@ -817,8 +814,8 @@ func (s *Store) Stats() *Stats {
 		out.LastSnapshot = &at
 	}
 	s.mu.Unlock()
-	// Each entry's lock is taken outside mu: a commit wait holds it across
-	// its fsync, and one slow disk must not stall every session's hooks.
+	// Each entry's lock is taken outside mu: CommitRun holds it across its
+	// fsync, and one slow disk must not stall every session's hooks.
 	for _, e := range live {
 		e.io.Lock()
 		if e.j != nil {

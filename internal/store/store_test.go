@@ -61,8 +61,8 @@ func start(t *testing.T, dir string) *rig {
 }
 
 // commitRun is the store's recorder, installed as the server installs it.
-func (r *rig) commitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) func() {
-	return r.st.CommitRun(ctx, run, applied)
+func (r *rig) commitRun(ctx context.Context, run runs.Run, applied []session.StageRequest) {
+	r.st.CommitRun(ctx, run, applied)
 }
 
 // scenario is a small scenario wrangler and the options POST /sessions
@@ -160,7 +160,7 @@ func (r *rig) bootstrap(sess *session.Session) {
 // runInline does for a run of the given requests what a worker does, on the
 // calling goroutine, so that a crash staged in the store's file steps
 // unwinds it: it applies each stage, publishes the run as ending in state,
-// and records it, waiting for the record. (A worker publishes the run once
+// and records it. (A worker publishes the run once
 // its record is durable; publishing it first makes it part of what the
 // crash cases compare.)
 func (r *rig) runInline(sess *session.Session, state runs.State, reqs ...session.StageRequest) {
@@ -182,9 +182,7 @@ func (r *rig) runInline(sess *session.Session, state runs.State, reqs ...session
 	run := runs.Run{ID: fmt.Sprintf("r-inline-%d", end.UnixNano()), SessionID: sess.ID(), Stage: reqs[len(reqs)-1].Stage,
 		State: state, CreatedAt: start, StartedAt: &start, FinishedAt: &end}
 	r.eng.Adopt([]runs.Run{run})
-	if wait := r.st.CommitRun(ctx, run, applied); wait != nil {
-		wait()
-	}
+	r.st.CommitRun(ctx, run, applied)
 }
 
 // idleRun completes a run that leaves the session untouched, so the only
@@ -391,7 +389,7 @@ func TestCrashSteps(t *testing.T) {
 				r.runInline(sess, runs.StateSucceeded, session.StageRequest{Stage: session.StageDataContext})
 			},
 			after: func(r *rig, w *world) []byte { return r.exportID(w.id) },
-			steps: []string{"record", "snapshot-temp", "snapshot", "truncate", "record-sync"},
+			steps: []string{"record", "record-sync", "snapshot-temp", "snapshot", "truncate"},
 		},
 		{
 			// A run that fails once started is compacted, not recorded: its
@@ -490,8 +488,8 @@ func TestCrashSteps(t *testing.T) {
 // touched, or a compaction that folded in a stage and a journaled run:
 // renamed as it is, not rewritten) or had to be brought up to date (a
 // journaled stage; a journaled run; a terminal run the journal never saw; a
-// record that failed to append, which leaves the journal empty and the
-// snapshot stale).
+// record the journal could not take, whose compaction could not reset the
+// journal either).
 func TestArchiveEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -612,8 +610,8 @@ func TestSnapshotCurrent(t *testing.T) {
 	if !current() {
 		t.Fatal("not current after compaction folded the unjournaled run in")
 	}
-	// A record that fails to append leaves the journal empty but the
-	// snapshot stale.
+	// A record the journal cannot take is compacted, but a journal the
+	// compaction cannot reset leaves the files not current.
 	e.io.Lock()
 	e.j.f.Close()
 	e.io.Unlock()
@@ -1407,6 +1405,35 @@ func TestRunSeenFollowsSnapshot(t *testing.T) {
 		if !e.runSeen[run.ID] {
 			t.Fatalf("snapshot run %s is not known to be in the files", run.ID)
 		}
+	}
+}
+
+// TestPoisonedJournalCompacts: a run whose record the journal cannot take —
+// its descriptor closed underneath it, so neither the write nor the rewind
+// can happen — is compacted into a snapshot instead of lost, and a restart
+// holds every event the store acknowledged.
+func TestPoisonedJournalCompacts(t *testing.T) {
+	dir := t.TempDir()
+	r := start(t, dir)
+	sess := r.create(1)
+	r.bootstrap(sess)
+	e := r.st.lookup(sess.ID())
+	e.io.Lock()
+	e.j.f.Close()
+	e.io.Unlock()
+	r.stage(sess, session.StageDataContext, "")
+	want := r.export(sess)
+
+	r2 := boot(t, dir)
+	restored, err := r2.st.Get(sess.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, acked := len(restored.Events()), len(sess.Events()); got != acked {
+		t.Fatalf("recovered %d events, acknowledged %d", got, acked)
+	}
+	if got := r2.export(restored); !bytes.Equal(got, want) {
+		t.Fatalf("recovered %d bytes, the session exported %d", len(got), len(want))
 	}
 }
 
