@@ -96,6 +96,24 @@ func BenchmarkBootstrap(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildScenarioWrangler times what BenchmarkBootstrap spends before
+// its first step: rendering both portals' pages, picking the annotation rows
+// and registering the sources and the target.
+func BenchmarkBuildScenarioWrangler(b *testing.B) {
+	for _, n := range []int{60, 600} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sc := datagen.Generate(scenarioCfg(n))
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w := core.BuildScenarioWrangler(sc); w == nil {
+					b.Fatal("no wrangler")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWrangleCycle is one build → bootstrap → data-context cycle at the
 // frozen benchmark's large size: what ROADMAP's "where the time goes" table is
 // a CPU and allocation profile of (-benchtime 150x -cpuprofile -memprofile).

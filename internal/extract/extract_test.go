@@ -58,19 +58,20 @@ func TestParseHTMLEntities(t *testing.T) {
 
 func TestEscapeRoundTrip(t *testing.T) {
 	s := `a & b < c > d "quoted"`
-	doc := refParseHTML("<p>" + EscapeHTML(s) + "</p>")
+	doc := refParseHTML("<p>" + string(appendEscapedHTML(nil, s)) + "</p>")
 	if got := doc.FindFirst("p", "").TextContent(); got != s {
 		t.Fatalf("escape round trip = %q, want %q", got, s)
 	}
 }
 
-// TestEscapeHTMLAllocations pins that escaping builds no replacer per call:
-// GeneratePages escapes every cell, and a cell with nothing to escape must
-// come back as it went in.
+// TestEscapeHTMLAllocations pins that escaping a cell allocates nothing:
+// GeneratePages escapes every cell into its page's buffer.
 func TestEscapeHTMLAllocations(t *testing.T) {
-	const s = "12 High Street, Manchester"
-	if allocs := testing.AllocsPerRun(100, func() { _ = EscapeHTML(s) }); allocs != 0 {
-		t.Fatalf("EscapeHTML of a string with nothing to escape allocates %.0f times, want 0", allocs)
+	buf := make([]byte, 0, 128)
+	for _, s := range []string{"12 High Street, Manchester", `Tom & Jerry's <"flat">`} {
+		if allocs := testing.AllocsPerRun(100, func() { buf = appendEscapedHTML(buf[:0], s) }); allocs != 0 {
+			t.Fatalf("escaping %q into a buffer with room allocates %.0f times, want 0", s, allocs)
+		}
 	}
 }
 

@@ -230,8 +230,6 @@ var entityReplacer = strings.NewReplacer(
 	"&nbsp;", " ", "&pound;", "£",
 )
 
-var escapeReplacer = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
 // decodeEntities replaces the entities portals use. Text without one comes
 // back as it is: the replacer would copy it.
 func decodeEntities(s string) string {
@@ -241,5 +239,25 @@ func decodeEntities(s string) string {
 	return entityReplacer.Replace(s)
 }
 
-// EscapeHTML escapes text for embedding into generated pages.
-func EscapeHTML(s string) string { return escapeReplacer.Replace(s) }
+// appendEscapedHTML appends s escaped for embedding into generated pages: &,
+// <, > and " become entities, every other byte is copied.
+func appendEscapedHTML(b []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, `&<>"`)
+		if i < 0 {
+			return append(b, s...)
+		}
+		b = append(b, s[:i]...)
+		switch s[i] {
+		case '&':
+			b = append(b, "&amp;"...)
+		case '<':
+			b = append(b, "&lt;"...)
+		case '>':
+			b = append(b, "&gt;"...)
+		default:
+			b = append(b, "&quot;"...)
+		}
+		s = s[i+1:]
+	}
+}

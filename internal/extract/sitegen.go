@@ -2,7 +2,7 @@ package extract
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"vada/internal/relation"
 )
@@ -75,49 +75,78 @@ func OnTheMarketTemplate() SiteTemplate {
 // following the template. Null cells render as absent elements, exactly as
 // portals omit missing fields.
 func GeneratePages(tmpl SiteTemplate, src *relation.Relation) []Page {
-	var pages []Page
 	total := src.Cardinality()
+	if total == 0 { // always at least one (empty) page
+		return []Page{{
+			URL:  fmt.Sprintf("https://%s.example/search?page=1", tmpl.Name),
+			HTML: "<!DOCTYPE html>\n<html><body><ul class=\"results\"></ul></body></html>",
+		}}
+	}
+	opening := make([]string, len(src.Schema.Attrs))
+	closing := make([]string, len(src.Schema.Attrs))
+	for ai, a := range src.Schema.Attrs {
+		tag := tmpl.FieldTag[a.Name]
+		opening[ai] = "<" + tag + ` class="` + tmpl.FieldClass[a.Name] + `">`
+		closing[ai] = "</" + tag + ">"
+	}
+	recordOpen := "<" + tmpl.RecordTag + ` class="` + tmpl.RecordClass + `" data-idx="`
+	recordClose := "</" + tmpl.RecordTag + ">\n"
+
+	pages := make([]Page, 0, (total+tmpl.PageSize-1)/tmpl.PageSize)
+	var b []byte
 	for start := 0; start < total; start += tmpl.PageSize {
-		end := start + tmpl.PageSize
-		if end > total {
-			end = total
-		}
-		var b strings.Builder
-		b.WriteString("<!DOCTYPE html>\n<html><head><title>")
-		b.WriteString(tmpl.Name)
-		b.WriteString(" search results</title></head><body>\n")
+		end := min(start+tmpl.PageSize, total)
+		page := start/tmpl.PageSize + 1
+		b = append(b[:0], "<!DOCTYPE html>\n<html><head><title>"...)
+		b = append(b, tmpl.Name...)
+		b = append(b, " search results</title></head><body>\n"...)
 		if tmpl.Chrome {
-			b.WriteString(`<nav class="topnav"><a href="/">Home</a><a href="/search">Search</a><span class="user">Sign in</span></nav>` + "\n")
-			b.WriteString(`<div class="advert"><p>Advertise your property with us today!</p></div>` + "\n")
+			b = append(b, `<nav class="topnav"><a href="/">Home</a><a href="/search">Search</a><span class="user">Sign in</span></nav>`+"\n"...)
+			b = append(b, `<div class="advert"><p>Advertise your property with us today!</p></div>`+"\n"...)
 		}
-		fmt.Fprintf(&b, `<ul class="results" data-page="%d">`+"\n", start/tmpl.PageSize+1)
+		b = append(b, `<ul class="results" data-page="`...)
+		b = strconv.AppendInt(b, int64(page), 10)
+		b = append(b, "\">\n"...)
 		for r := start; r < end; r++ {
-			fmt.Fprintf(&b, `<%s class="%s" data-idx="%d">`, tmpl.RecordTag, tmpl.RecordClass, r)
-			for ai, attr := range src.Schema.AttrNames() {
-				v := src.Tuples[r][ai]
+			b = append(b, recordOpen...)
+			b = strconv.AppendInt(b, int64(r), 10)
+			b = append(b, `">`...)
+			t := src.Tuples[r]
+			for ai := range opening {
+				v := t[ai]
 				if v.IsNull() {
 					continue
 				}
-				tag, class := tmpl.FieldTag[attr], tmpl.FieldClass[attr]
-				fmt.Fprintf(&b, `<%s class="%s">%s</%s>`, tag, class, EscapeHTML(v.String()), tag)
+				b = append(b, opening[ai]...)
+				b = appendCell(b, v)
+				b = append(b, closing[ai]...)
 			}
-			fmt.Fprintf(&b, "</%s>\n", tmpl.RecordTag)
+			b = append(b, recordClose...)
 		}
-		b.WriteString("</ul>\n")
+		b = append(b, "</ul>\n"...)
 		if tmpl.Chrome {
-			b.WriteString(`<footer class="pagefoot"><p>© portal example</p></footer>` + "\n")
+			b = append(b, `<footer class="pagefoot"><p>© portal example</p></footer>`+"\n"...)
 		}
-		b.WriteString("</body></html>\n")
+		b = append(b, "</body></html>\n"...)
 		pages = append(pages, Page{
-			URL:  fmt.Sprintf("https://%s.example/search?page=%d", tmpl.Name, start/tmpl.PageSize+1),
-			HTML: b.String(),
-		})
-	}
-	if len(pages) == 0 { // always at least one (empty) page
-		pages = append(pages, Page{
-			URL:  fmt.Sprintf("https://%s.example/search?page=1", tmpl.Name),
-			HTML: "<!DOCTYPE html>\n<html><body><ul class=\"results\"></ul></body></html>",
+			URL:  fmt.Sprintf("https://%s.example/search?page=%d", tmpl.Name, page),
+			HTML: string(b),
 		})
 	}
 	return pages
+}
+
+// appendCell appends v's display string, escaped. Only a string can hold a
+// byte to escape: numbers and booleans are appended as they are.
+func appendCell(b []byte, v relation.Value) []byte {
+	switch v.Kind() {
+	case relation.KindString:
+		return appendEscapedHTML(b, v.Str())
+	case relation.KindInt:
+		return strconv.AppendInt(b, v.IntVal(), 10)
+	case relation.KindFloat:
+		return strconv.AppendFloat(b, v.FloatVal(), 'g', -1, 64)
+	default:
+		return append(b, v.String()...)
+	}
 }

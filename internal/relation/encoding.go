@@ -85,9 +85,9 @@ func fold(buf []byte, v Value) (_ []byte, s string, inBuf bool) {
 		}
 		buf = append(buf[:0], s...)
 	case KindInt:
-		return strconv.AppendInt(buf[:0], v.i, 10), "", true
+		return strconv.AppendInt(buf[:0], int64(v.n), 10), "", true
 	case KindFloat:
-		buf = strconv.AppendFloat(buf[:0], v.f, 'g', -1, 64) // "NaN", "+Inf"
+		buf = strconv.AppendFloat(buf[:0], math.Float64frombits(v.n), 'g', -1, 64) // "NaN", "+Inf"
 	default: // null and the booleans: "", "true", "false"
 		return buf, v.String(), false
 	}
@@ -191,40 +191,24 @@ func (r *Relation) Folded(i int) *Folded {
 	return f
 }
 
-// exactKey is equal exactly when Value.Same is: the kind and the payload,
-// floats by their bits and every NaN alike.
-type exactKey struct {
-	kind Kind
-	s    string
-	n    uint64
-}
-
+// buildExact keys its map on the values themselves: == is Value.Same once
+// every NaN has the one bit pattern nanBits.
 func (r *Relation) buildExact(i int) *Exact {
 	e := &Exact{Codes: make([]int32, len(r.Tuples))}
-	seen := map[exactKey]int32{}
+	seen := map[Value]int32{}
 	for row, t := range r.Tuples {
 		v := t[i]
-		k := exactKey{kind: v.kind, s: v.s}
-		switch v.kind {
-		case KindNull:
+		switch {
+		case v.kind == KindNull:
 			e.Codes[row] = -1
 			continue
-		case KindInt:
-			k.n = uint64(v.i)
-		case KindFloat:
-			k.n = math.Float64bits(v.f)
-			if v.f != v.f {
-				k.n = 0x7ff8000000000001
-			}
-		case KindBool:
-			if v.b {
-				k.n = 1
-			}
+		case v.isNaN():
+			v.n = nanBits
 		}
-		c, ok := seen[k]
+		c, ok := seen[v]
 		if !ok {
 			c = int32(len(seen))
-			seen[k] = c
+			seen[v] = c
 		}
 		e.Codes[row] = c
 	}

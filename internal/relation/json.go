@@ -41,17 +41,17 @@ func (v Value) AppendJSON(b []byte) ([]byte, error) {
 			b = AppendJSONString(b, v.s)
 		}
 	case KindInt:
-		if v.i != 0 {
+		if v.n != 0 {
 			b = append(b, `,"i":`...)
-			b = strconv.AppendInt(b, v.i, 10)
+			b = strconv.AppendInt(b, int64(v.n), 10)
 		}
 	case KindFloat:
-		if v.f != 0 {
+		if f := math.Float64frombits(v.n); f != 0 { // -0 is left out, as omitempty does
 			b = append(b, `,"f":`...)
-			b, err = AppendJSONFloat(b, v.f)
+			b, err = AppendJSONFloat(b, f)
 		}
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			b = append(b, `,"b":true`...)
 		}
 	}

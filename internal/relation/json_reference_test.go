@@ -8,34 +8,34 @@ import (
 	"testing"
 )
 
-// refValue is a Value encoded the way Value.MarshalJSON did before the
+// reflectedValue is a Value encoded the way Value.MarshalJSON did before the
 // hand-written encoder: reflection over valueJSON. It is the differential
 // reference of Value.AppendJSON.
-type refValue struct{ v Value }
+type reflectedValue struct{ v Value }
 
-func (r refValue) MarshalJSON() ([]byte, error) {
+func (r reflectedValue) MarshalJSON() ([]byte, error) {
 	v := r.v
 	out := valueJSON{K: v.kind.String()}
 	switch v.kind {
 	case KindString:
 		out.S = v.s
 	case KindInt:
-		out.I = v.i
+		out.I = v.IntVal()
 	case KindFloat:
-		out.F = v.f
+		out.F = v.FloatVal()
 	case KindBool:
-		out.B = v.b
+		out.B = v.BoolVal()
 	}
 	return json.Marshal(out)
 }
 
-func refRow(t Tuple) []refValue {
+func refRow(t Tuple) []reflectedValue {
 	if t == nil {
 		return nil
 	}
-	row := make([]refValue, len(t))
+	row := make([]reflectedValue, len(t))
 	for i, v := range t {
-		row[i] = refValue{v}
+		row[i] = reflectedValue{v}
 	}
 	return row
 }
@@ -44,9 +44,9 @@ func refRow(t Tuple) []refValue {
 // the hand-written encoder.
 func refRelation(r *Relation) ([]byte, error) {
 	type refRelationJSON struct {
-		Name  string       `json:"name"`
-		Attrs []attrJSON   `json:"attrs"`
-		Rows  [][]refValue `json:"rows"`
+		Name  string             `json:"name"`
+		Attrs []attrJSON         `json:"attrs"`
+		Rows  [][]reflectedValue `json:"rows"`
 	}
 	out := refRelationJSON{Name: r.Schema.Name}
 	for _, a := range r.Schema.Attrs {
@@ -92,7 +92,7 @@ func FuzzValueJSON(f *testing.F) {
 		row := Tuple{Null(), String(s), Int(i), Float(x), Bool(b), Value{kind: Kind(9)}}
 		for _, v := range row {
 			got, gotErr := v.AppendJSON(nil)
-			want, wantErr := json.Marshal(refValue{v})
+			want, wantErr := json.Marshal(reflectedValue{v})
 			sameEncoding(t, "value "+v.Kind().String(), got, gotErr, want, wantErr)
 			got, gotErr = json.Marshal(v)
 			sameEncoding(t, "json.Marshal(value)", got, gotErr, want, wantErr)

@@ -77,13 +77,16 @@ func KindFromString(s string) (Kind, error) {
 // Value is an immutable typed scalar. The zero Value is null.
 //
 // Value is a small value type (no pointers beyond the string) and is intended
-// to be passed and stored by value.
+// to be passed and stored by value: 32 bytes, the kind, the string and one
+// word n that holds the other kinds' payloads — the int, the float's bits, or
+// 1 for true. A constructor sets only its kind's payload, so two values are
+// one (Same) exactly when their fields are equal, or when both are NaN. The ==
+// operator therefore compares floats by their bits, not as IEEE numbers:
+// compare values with Same or Equal.
 type Value struct {
 	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	n    uint64
 }
 
 // Null returns the null value.
@@ -93,13 +96,18 @@ func Null() Value { return Value{} }
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -110,23 +118,41 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // Str returns the string payload; it is only meaningful for KindString.
 func (v Value) Str() string { return v.s }
 
-// IntVal returns the integer payload; it is only meaningful for KindInt.
-func (v Value) IntVal() int64 { return v.i }
+// IntVal returns the integer payload; it is only meaningful for KindInt, and
+// 0 for the other kinds.
+func (v Value) IntVal() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
-// FloatVal returns the float payload; it is only meaningful for KindFloat.
-func (v Value) FloatVal() float64 { return v.f }
+// FloatVal returns the float payload; it is only meaningful for KindFloat, and
+// 0 for the other kinds.
+func (v Value) FloatVal() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
 
-// BoolVal returns the boolean payload; it is only meaningful for KindBool.
-func (v Value) BoolVal() bool { return v.b }
+// BoolVal returns the boolean payload; it is only meaningful for KindBool, and
+// false for the other kinds.
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.n != 0 }
+
+// isNaN reports whether v is a NaN float.
+func (v Value) isNaN() bool {
+	return v.kind == KindFloat && v.n&^(1<<63) > 0x7ff0000000000000
+}
 
 // AsFloat converts numeric values to float64. ok is false for non-numeric
 // values (including null).
 func (v Value) AsFloat() (f float64, ok bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	default:
 		return 0, false
 	}
@@ -141,11 +167,11 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	default:
 		return ""
 	}
@@ -160,11 +186,11 @@ func (v Value) Key() string {
 	case KindString:
 		return "\x00S" + v.s
 	case KindInt:
-		return "\x00I" + strconv.FormatInt(v.i, 10)
+		return "\x00I" + strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return "\x00F" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "\x00F" + strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "\x00Bt"
 		}
 		return "\x00Bf"
@@ -175,26 +201,26 @@ func (v Value) Key() string {
 
 // Same reports whether v and o are one value: the same kind and payload,
 // floats by their bits but every NaN one value. Unlike Equal, Int(2) and
-// Float(2) differ, and so do 0 and -0. See Tuple.Same. A constructor sets only
-// its kind's payload field, so the others compare as zero.
+// Float(2) differ, and so do 0 and -0. See Tuple.Same.
 func (v Value) Same(o Value) bool {
-	return v.kind == o.kind && v.s == o.s && v.i == o.i && v.b == o.b &&
-		(math.Float64bits(v.f) == math.Float64bits(o.f) || v.f != v.f && o.f != o.f)
+	return v == o || v.isNaN() && o.isNaN()
 }
 
 // hash is consistent with Same: the kind and the payload, every NaN alike.
 func (v Value) hash() uint64 {
-	x := uint64(v.kind)*0xbf58476d1ce4e5b9 ^ uint64(v.i) ^ math.Float64bits(v.f)
+	x := uint64(v.kind)*0xbf58476d1ce4e5b9 ^ v.n
 	switch {
 	case v.kind == KindString:
 		x ^= maphash.String(hashSeed, v.s)
-	case v.f != v.f:
-		x = 0x7ff8000000000001
-	case v.b:
-		x ^= 1
+	case v.isNaN():
+		x = nanBits
 	}
 	return x
 }
+
+// nanBits is the one bit pattern that stands for every NaN where values are
+// hashed or keyed by their bits: math.NaN()'s.
+const nanBits = 0x7ff8000000000001
 
 // hashSeed is per process: a hash only finds candidates, and Same decides.
 var hashSeed = maphash.MakeSeed()
@@ -209,12 +235,10 @@ func (v Value) Equal(o Value) bool {
 			return true
 		case KindString:
 			return v.s == o.s
-		case KindInt:
-			return v.i == o.i
+		case KindInt, KindBool:
+			return v.n == o.n
 		case KindFloat:
-			return v.f == o.f
-		case KindBool:
-			return v.b == o.b
+			return math.Float64frombits(v.n) == math.Float64frombits(o.n)
 		}
 	}
 	if vf, ok := v.AsFloat(); ok {
@@ -237,7 +261,7 @@ func (v Value) Compare(o Value) int {
 	case v.kind == KindNull:
 		return 0
 	case v.kind == KindBool:
-		return boolCompare(v.b, o.b)
+		return boolCompare(v.n != 0, o.n != 0)
 	case ra == 2: // numeric
 		vf, _ := v.AsFloat()
 		of, _ := o.AsFloat()
@@ -373,7 +397,9 @@ var numberByte = func() (table [256]bool) {
 
 // Coerce attempts to convert v to the requested kind, e.g. String("3") to
 // Int(3). Null coerces to null of any kind. ok is false if conversion is
-// impossible without loss of meaning.
+// impossible without loss of meaning: a float that is not whole or lies
+// outside int64's range does not become an int, and text that spells NaN or
+// an infinity does not become a float, as Parse refuses it.
 func Coerce(v Value, kind Kind) (Value, bool) {
 	if v.kind == kind || v.IsNull() {
 		return v, true
@@ -384,8 +410,10 @@ func Coerce(v Value, kind Kind) (Value, bool) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-				return Int(int64(v.f)), true
+			// -2⁶³ is exact as a float64, 2⁶³ is the first float past int64;
+			// NaN fails every comparison.
+			if f := v.FloatVal(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+				return Int(int64(f)), true
 			}
 		case KindString:
 			if i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {
@@ -395,9 +423,9 @@ func Coerce(v Value, kind Kind) (Value, bool) {
 	case KindFloat:
 		switch v.kind {
 		case KindInt:
-			return Float(float64(v.i)), true
+			return Float(float64(v.IntVal())), true
 		case KindString:
-			if f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64); err == nil {
+			if f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 				return Float(f), true
 			}
 		}

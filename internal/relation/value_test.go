@@ -212,6 +212,44 @@ func TestCoerce(t *testing.T) {
 	}
 }
 
+// TestCoerceRefusesWhatHasNoKind: a float outside int64's range is no int,
+// and text that spells NaN or an infinity is no float (Parse refuses it too).
+func TestCoerceRefusesWhatHasNoKind(t *testing.T) {
+	cases := []struct {
+		v    Value
+		kind Kind
+		want Value
+		ok   bool
+	}{
+		{Float(1e19), KindInt, Null(), false},
+		{Float(-1e19), KindInt, Null(), false},
+		{Float(9223372036854775808), KindInt, Null(), false}, // 2⁶³
+		{Float(-9223372036854775808), KindInt, Int(math.MinInt64), true},
+		{Float(9223372036854774784), KindInt, Int(9223372036854774784), true}, // the last float below 2⁶³
+		{Float(math.Inf(1)), KindInt, Null(), false},
+		{Float(math.Inf(-1)), KindInt, Null(), false},
+		{Float(math.NaN()), KindInt, Null(), false},
+		{Float(math.Copysign(0, -1)), KindInt, Int(0), true},
+		{String("NaN"), KindFloat, Null(), false},
+		{String("nan"), KindFloat, Null(), false},
+		{String("Inf"), KindFloat, Null(), false},
+		{String(" -Inf "), KindFloat, Null(), false},
+		{String("+Infinity"), KindFloat, Null(), false},
+		{String("1e400"), KindFloat, Null(), false},
+		{String(" 2.5 "), KindFloat, Float(2.5), true},
+		{String("1e308"), KindFloat, Float(1e308), true},
+	}
+	for _, c := range cases {
+		got, ok := Coerce(c.v, c.kind)
+		if ok != c.ok || !got.Same(c.want) {
+			t.Errorf("Coerce(%#v, %v) = %#v, %v; want %#v, %v", c.v, c.kind, got, ok, c.want, c.ok)
+		}
+		if _, err := Parse(c.v.String(), c.kind); c.v.Kind() == KindString && (err == nil) != c.ok {
+			t.Errorf("Coerce(%q, %v) ok=%v, but Parse errs %v", c.v.String(), c.kind, ok, err)
+		}
+	}
+}
+
 // randomValue produces an arbitrary Value for property tests.
 func randomValue(r *rand.Rand) Value {
 	switch r.Intn(5) {
