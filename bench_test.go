@@ -18,7 +18,6 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/extract"
 	"vada/internal/feedback"
-	"vada/internal/fusion"
 	"vada/internal/kb"
 	"vada/internal/mapping"
 	"vada/internal/match"
@@ -505,46 +504,6 @@ func BenchmarkRepair(b *testing.B) {
 			if repaired.Cardinality() != res.Cardinality() {
 				b.Fatal("repair changed cardinality")
 			}
-		}
-	}
-}
-
-// BenchmarkFusion measures duplicate detection + fusion over the unioned
-// portals.
-func BenchmarkFusion(b *testing.B) {
-	sc := datagen.Generate(scenarioCfg(400))
-	u := relation.New(relation.NewSchema("u", "street", "postcode", "bedrooms", "source"))
-	rmS := sc.Rightmove.Schema.AttrIndex("street")
-	rmP := sc.Rightmove.Schema.AttrIndex("postcode")
-	rmB := sc.Rightmove.Schema.AttrIndex("bedrooms")
-	for _, t := range sc.Rightmove.Tuples {
-		u.Tuples = append(u.Tuples, relation.Tuple{t[rmS], t[rmP], t[rmB], relation.String("rightmove")})
-	}
-	otS := sc.OnTheMarket.Schema.AttrIndex("address_line")
-	otP := sc.OnTheMarket.Schema.AttrIndex("post_code")
-	otB := sc.OnTheMarket.Schema.AttrIndex("num_beds")
-	for _, t := range sc.OnTheMarket.Tuples {
-		u.Tuples = append(u.Tuples, relation.Tuple{t[otS], t[otP], t[otB], relation.String("onthemarket")})
-	}
-	block := fusion.BlockByAttr("postcode", datagen.CanonicalPostcode)
-	// The production scorer: the same street after case and space folding.
-	scorer := func(a, b relation.Tuple, _ relation.Schema) float64 {
-		if !a[0].IsNull() && !b[0].IsNull() && strings.EqualFold(strings.TrimSpace(a[0].String()), strings.TrimSpace(b[0].String())) {
-			return 1
-		}
-		return 0
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		blocks := make([]string, len(u.Tuples))
-		for j, t := range u.Tuples {
-			blocks[j] = block(t, u.Schema)
-		}
-		clusters := fusion.DetectDuplicates(u, blocks, scorer, 1)
-		fused := fusion.Fuse(u, clusters, fusion.Options{})
-		if fused.Cardinality() == 0 {
-			b.Fatal("empty fusion")
 		}
 	}
 }

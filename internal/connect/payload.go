@@ -29,8 +29,9 @@ type IngestPayload struct {
 	Data string `json:"data"`
 	// Mapping renames raw columns onto attribute names. Omitted (null)
 	// asks for inference against the session's target schema and data
-	// context; an explicit empty object {} disables both.
-	Mapping map[string]string `json:"mapping,omitempty"`
+	// context; an explicit empty object {} disables both. It is written even
+	// when empty, so {} stays one through every encoding of the payload.
+	Mapping map[string]string `json:"mapping"`
 }
 
 // Validate checks the payload's declarative fields; decode-time validation

@@ -146,12 +146,6 @@ func derive[T any](w *Wrangler, c cell[T], v T) {
 const (
 	// rangeRuleSupport is the minimal feedback support of a plausibility rule.
 	rangeRuleSupport = 3
-	// fusionBlockAttr is the result attribute duplicate detection blocks on;
-	// tuples lacking it are never considered duplicates.
-	fusionBlockAttr = "postcode"
-	// fusionIdentityAttr is the result attribute whose normalised equality
-	// identifies duplicates within a block.
-	fusionIdentityAttr = "street"
 )
 
 // source is a registered source: a deep-web source awaiting extraction or,

@@ -3,6 +3,7 @@ package core
 import (
 	"maps"
 	"slices"
+	"strings"
 
 	"vada/internal/datagen"
 	"vada/internal/feedback"
@@ -29,19 +30,19 @@ type fusionResult struct {
 // fusionMemo is what duplicate fusion remembers of its last run. It holds while
 // the selected results are the same relations in the same rank order: their
 // union, its rows by feedback key (once a correction needed them), and of the
-// rows the last run patched each one's block and cluster, each cluster with
-// its fused row. A run patches the union anew through the key index,
-// re-clusters only the blocks that hold a row whose block or identity cell
-// moved, and re-fuses only the clusters whose rows moved — every cluster when
-// the trust moved. The union order stays what it was, because
-// voting tie-breaks follow it. A memo is never written to once stored: a run
-// builds the next, sharing what did not move.
+// rows the last run patched each one's fusion key and cluster, each cluster
+// with its fused row. A run patches the union anew through the feedback key
+// index, regroups only the keys that gained or lost a row, and re-fuses only
+// the clusters whose rows moved — every cluster when the trust moved. The
+// union order stays what it was, because voting tie-breaks follow it. A memo
+// is never written to once stored: a run builds the next, sharing what did
+// not move.
 type fusionMemo struct {
 	results []*relation.Relation
 	union   *relation.Relation
 	keys    *feedback.Keys
 	rows    []relation.Tuple // patched, in union order
-	blocks  []string         // each row's block; "" for none
+	ids     []rowKey         // each row's fusion key; the zero key for none
 	of      []*cluster       // each row's cluster; nil for none
 	trust   map[string]float64
 	result  *relation.Relation
@@ -53,6 +54,28 @@ type fusionMemo struct {
 type cluster struct {
 	rows  []int
 	fused relation.Tuple
+}
+
+// rowKey is what fusionKey gives a row; the zero key is none.
+type rowKey struct{ block, street string }
+
+// fusionKey decides which result rows are duplicates: those with the same
+// key, which is the row's canonical postcode block and its street up to case
+// and surrounding space. Attribute conflicts like the bedroom error must not
+// keep two listings of one property apart — they are exactly what fusion is
+// there to resolve — and the street is compared whole, because house numbers
+// make the streets of different properties near-identical strings. A row
+// without a postcode block or a street has no key and no duplicate.
+func fusionKey(t relation.Tuple, schema relation.Schema) rowKey {
+	pi, si := schema.AttrIndex("postcode"), schema.AttrIndex("street")
+	if pi < 0 || si < 0 || t[pi].IsNull() || t[si].IsNull() {
+		return rowKey{}
+	}
+	block := datagen.CanonicalPostcode(t[pi].String())
+	if block == "" {
+		return rowKey{}
+	}
+	return rowKey{block, fusion.Fold(strings.TrimSpace(t[si].String()))}
 }
 
 // fuse fuses in as the run last remembered computes it — last is nil when
@@ -93,60 +116,61 @@ func (last *fusionMemo) fuse(in fusionInput) (*fusionMemo, fusionResult, error) 
 	schema, n := patched.Schema, len(patched.Tuples)
 	next.rows = patched.Tuples
 
-	// Duplicate detection across portals, then fusion: identity is the same
-	// canonical postcode block and the same normalised street, a score of 1 —
-	// attribute conflicts like the bedroom error must not prevent two listings
-	// of the same property from merging, they are exactly what fusion is there
-	// to resolve. A row whose block or identity cell moved dirties its old
-	// block and its new one; a row that moved otherwise only its cluster.
-	block := fusion.BlockByAttr(fusionBlockAttr, datagen.CanonicalPostcode)
-	bi, si := schema.AttrIndex(fusionBlockAttr), schema.AttrIndex(fusionIdentityAttr)
-	next.blocks, next.of = make([]string, n), make([]*cluster, n)
+	// Duplicates across portals are the rows that share a fusion key, each
+	// set fused by a vote. A row whose key moved dirties its old key and its
+	// new one, whose rows are grouped anew; a row that moved otherwise only
+	// re-fuses its cluster.
+	next.ids, next.of = make([]rowKey, n), make([]*cluster, n)
 	if last != nil {
-		copy(next.blocks, last.blocks)
+		copy(next.ids, last.ids)
 		copy(next.of, last.of)
 	}
-	dirty := map[string]bool{}
+	dirty := map[rowKey]bool{}
 	changed := last == nil
-	var moved []int // rows that keep their block and identity
+	var moved []int // rows that keep their key
 	for i, t := range next.rows {
-		switch {
-		case last == nil:
-		case sameRow(t, last.rows[i]):
+		if last != nil && sameRow(t, last.rows[i]) {
 			continue
-		case sameAt(t, last.rows[i], bi) && sameAt(t, last.rows[i], si):
-			moved = append(moved, i)
-			changed = true
-			continue
-		default:
-			dirty[last.blocks[i]] = true
-			changed = true
 		}
-		next.blocks[i] = block(t, schema)
-		dirty[next.blocks[i]] = true
+		k := fusionKey(t, schema)
+		if last != nil {
+			changed = true
+			if k == last.ids[i] {
+				moved = append(moved, i)
+				continue
+			}
+			dirty[last.ids[i]] = true
+		}
+		next.ids[i], dirty[k] = k, true
 	}
-	delete(dirty, "")
+	delete(dirty, rowKey{})
 
 	var fresh []*cluster // the clusters to fuse
 	if len(dirty) > 0 {
-		var rows []int
-		var blocks []string
-		for i, b := range next.blocks {
-			if last != nil && next.of[i] != nil && dirty[last.blocks[i]] {
+		groups := map[rowKey]*cluster{}
+		var order []*cluster // in first-row order
+		for i, k := range next.ids {
+			if last != nil && dirty[last.ids[i]] {
 				next.of[i] = nil
 			}
-			if dirty[b] {
-				rows, blocks = append(rows, i), append(blocks, b)
+			if !dirty[k] {
+				continue
 			}
+			c := groups[k]
+			if c == nil {
+				c = &cluster{}
+				groups[k] = c
+				order = append(order, c)
+			}
+			c.rows = append(c.rows, i)
 		}
-		found := fusion.DetectDuplicates(rowsOf(schema, next.rows, rows), blocks, identityScorer(fusionIdentityAttr), 1)
-		for _, members := range found {
-			c := &cluster{rows: make([]int, len(members))}
-			for j, m := range members {
-				c.rows[j] = rows[m]
-				next.of[rows[m]] = c
+		for _, c := range order {
+			if len(c.rows) > 1 {
+				for _, r := range c.rows {
+					next.of[r] = c
+				}
+				fresh = append(fresh, c)
 			}
-			fresh = append(fresh, c)
 		}
 	}
 	refuse := func(row int) {
@@ -163,27 +187,19 @@ func (last *fusionMemo) fuse(in fusionInput) (*fusionMemo, fusionResult, error) 
 	}
 	// Trust comes from feedback-estimated per-source accuracy when available;
 	// every cluster is re-fused when any source's trust moved.
-	opts := fusion.Options{Strategy: fusion.Voting, ProvenanceAttr: mapping.ProvenanceAttr, Trust: in.trust}
-	if len(in.trust) > 0 {
-		opts.Strategy = fusion.TrustWeighted
-	}
 	if last != nil && !maps.Equal(last.trust, in.trust) {
 		for row := range next.rows {
 			refuse(row)
 		}
 	}
-	if len(fresh) > 0 {
-		var members []int
-		clusters := make([][]int, len(fresh))
-		for j, c := range fresh {
-			for _, r := range c.rows {
-				clusters[j] = append(clusters[j], len(members))
-				members = append(members, r)
-			}
+	provIdx := schema.AttrIndex(mapping.ProvenanceAttr)
+	var members []relation.Tuple
+	for _, c := range fresh {
+		members = members[:0]
+		for _, r := range c.rows {
+			members = append(members, next.rows[r])
 		}
-		for j, t := range fusion.Fuse(rowsOf(schema, next.rows, members), clusters, opts).Tuples {
-			fresh[j].fused = t
-		}
+		c.fused = fusion.Vote(members, provIdx, in.trust)
 	}
 
 	if !changed && len(fresh) == 0 && last.result.Schema.Name == in.name {
@@ -209,17 +225,4 @@ func (last *fusionMemo) fuse(in fusionInput) (*fusionMemo, fusionResult, error) 
 // sameRow reports whether a and b are the same row, most often one tuple.
 func sameRow(a, b relation.Tuple) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || a.Same(b))
-}
-
-// sameAt reports whether a and b hold the same value at i, which may be no
-// position (-1).
-func sameAt(a, b relation.Tuple, i int) bool { return i < 0 || a[i].Same(b[i]) }
-
-// rowsOf is a relation of schema holding the given rows, shared.
-func rowsOf(schema relation.Schema, tuples []relation.Tuple, rows []int) *relation.Relation {
-	out := &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, len(rows))}
-	for j, r := range rows {
-		out.Tuples[j] = tuples[r]
-	}
-	return out
 }

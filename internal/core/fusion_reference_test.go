@@ -1,17 +1,21 @@
 package core
 
 // The reference implementation of duplicate fusion: the duplicate-fusion body
-// as it was before it remembered its last run, kept as the oracle of
-// FuzzFusionDifferential and TestFusionDifferential. Every run it unions the
-// selected results, patches the union, blocks, clusters and fuses all of it.
+// as it was before it remembered its last run and before duplicates were the
+// rows sharing a key, kept as the oracle of FuzzFusionDifferential and
+// TestFusionDifferential. Every run it unions the selected results, patches
+// the union, blocks it by postcode, scores every pair of a block, clusters the
+// pairs by union-find and fuses each cluster by a strategy vote.
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"vada/internal/datagen"
 	"vada/internal/feedback"
-	"vada/internal/fusion"
 	"vada/internal/mapping"
 	"vada/internal/relation"
 )
@@ -34,24 +38,119 @@ func referenceFuse(in fusionInput) (fusionResult, error) {
 	}
 	patched, nCorr := feedback.Apply(union, feedback.IndexKeys(union), in.items)
 	patched, nSupp := feedback.ApplyRangeRules(patched, in.rules)
-	block := fusion.BlockByAttr(fusionBlockAttr, datagen.CanonicalPostcode)
-	blocks := make([]string, len(patched.Tuples))
+	clusters := referenceDetectDuplicates(patched)
+	inCluster := map[int]int{} // row -> cluster index
+	for ci, members := range clusters {
+		for _, r := range members {
+			inCluster[r] = ci
+		}
+	}
+	fused := relation.New(patched.Schema)
 	for i, t := range patched.Tuples {
-		blocks[i] = block(t, patched.Schema)
+		ci, clustered := inCluster[i]
+		switch {
+		case !clustered:
+			fused.Tuples = append(fused.Tuples, t)
+		case clusters[ci][0] == i:
+			fused.Tuples = append(fused.Tuples, referenceVote(patched, clusters[ci], in.trust))
+		}
 	}
-	clusters := fusion.DetectDuplicates(patched, blocks, identityScorer(fusionIdentityAttr), 1)
-	strategy := fusion.Voting
-	if len(in.trust) > 0 {
-		strategy = fusion.TrustWeighted
-	}
-	fused := fusion.Fuse(patched, clusters, fusion.Options{
-		Strategy:       strategy,
-		ProvenanceAttr: mapping.ProvenanceAttr,
-		Trust:          in.trust,
-	}).Distinct()
+	fused = fused.Distinct()
 	fused.Schema.Name = in.name
 	return fusionResult{result: fused, union: union.Cardinality(), clusters: len(clusters),
 		corrections: nCorr, suppressed: nSupp}, nil
+}
+
+// referenceDetectDuplicates clusters the rows of rel: rows in the same
+// canonical postcode block whose streets are equal after case and space
+// folding are unioned, pair by pair. It lists the clusters of two rows or
+// more, each ascending, in order of first row.
+func referenceDetectDuplicates(rel *relation.Relation) [][]int {
+	bi, si := rel.Schema.AttrIndex("postcode"), rel.Schema.AttrIndex("street")
+	parent := make([]int, len(rel.Tuples))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	rowsOf := map[string][]int{}
+	for i, t := range rel.Tuples {
+		if bi < 0 || t[bi].IsNull() {
+			continue
+		}
+		if b := datagen.CanonicalPostcode(t[bi].String()); b != "" {
+			rowsOf[b] = append(rowsOf[b], i)
+		}
+	}
+	same := func(a, b relation.Tuple) bool {
+		return si >= 0 && !a[si].IsNull() && !b[si].IsNull() &&
+			strings.EqualFold(strings.TrimSpace(a[si].String()), strings.TrimSpace(b[si].String()))
+	}
+	for _, rows := range rowsOf {
+		for i := 0; i < len(rows); i++ {
+			for j := i + 1; j < len(rows); j++ {
+				if same(rel.Tuples[rows[i]], rel.Tuples[rows[j]]) {
+					ra, rb := find(rows[i]), find(rows[j])
+					parent[max(ra, rb)] = min(ra, rb)
+				}
+			}
+		}
+	}
+	clusters := map[int][]int{}
+	for i := range rel.Tuples {
+		r := find(i)
+		clusters[r] = append(clusters[r], i)
+	}
+	var out [][]int
+	for _, members := range clusters {
+		if len(members) > 1 {
+			out = append(out, members)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// referenceVote fuses a cluster under the strategy the wrangler picks: a vote
+// of one per row without trust, weighted by each row's source trust (1 for a
+// source without any) with it.
+func referenceVote(rel *relation.Relation, members []int, trust map[string]float64) relation.Tuple {
+	provIdx := rel.Schema.AttrIndex(mapping.ProvenanceAttr)
+	t := make(relation.Tuple, rel.Schema.Arity())
+	for col := range t {
+		var seen []relation.Value
+		var weights []float64
+		for _, r := range members {
+			v := rel.Tuples[r][col]
+			if v.IsNull() {
+				continue
+			}
+			w := 1.0
+			if len(trust) > 0 && provIdx >= 0 {
+				if tw, ok := trust[rel.Tuples[r][provIdx].String()]; ok {
+					w = tw
+				}
+			}
+			j := slices.IndexFunc(seen, v.Same)
+			if j < 0 {
+				j, seen, weights = len(seen), append(seen, v), append(weights, 0)
+			}
+			weights[j] += w
+		}
+		t[col] = relation.Null()
+		bestW := -1.0
+		for j, w := range weights {
+			if w > bestW {
+				bestW, t[col] = w, seen[j]
+			}
+		}
+	}
+	return t
 }
 
 // script reads a fusion conversation from bytes: past the end, every byte is 0.
@@ -70,8 +169,11 @@ func (s *script) next(n int) int {
 
 // The values a script draws from: few enough that rows share blocks and
 // streets up to case and spacing, and corrections move rows between them.
+// Streets 4 are the same up to case only through the Kelvin sign and the long
+// s; streets 5 only as EqualFold reads an invalid byte, as U+FFFD.
 var (
-	scriptStreets   = []relation.Value{relation.String("1 High St"), relation.String("1 HIGH ST "), relation.String("2 Low Rd"), relation.String("3 Mid Ln"), relation.Null()}
+	scriptStreets = []relation.Value{relation.String("1 High St"), relation.String("1 HIGH ST "), relation.String("2 Low Rd"), relation.String("3 Mid Ln"),
+		relation.String("4 \u212Aing \u017Ft"), relation.String("4 king ST"), relation.String("5 \xffrd"), relation.String("5 \uFFFDRd"), relation.Null()}
 	scriptPostcodes = []relation.Value{relation.String("M1 1AA"), relation.String("m11aa"), relation.String("M1 1AB"), relation.String("M2 2BB"), relation.String("X"), relation.Null()}
 	scriptSources   = []string{"rightmove", "onthemarket", "rightmove+deprivation"}
 	scriptWeights   = []float64{0, 0.25, 0.5, 1}

@@ -12,7 +12,6 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/extract"
 	"vada/internal/feedback"
-	"vada/internal/fusion"
 	"vada/internal/kb"
 	"vada/internal/mapping"
 	"vada/internal/match"
@@ -687,7 +686,7 @@ func (w *Wrangler) selectionTransducer() transducer.Transducer {
 				}
 				cands = append(cands, mapping.Candidate{Mapping: m, Report: report})
 			}
-			ranked := mapping.SelectByUserContext(cands, userWeights(k), 0)
+			ranked := mapping.SelectByUserContext(cands, userWeights(k))
 
 			// Keep the best mapping per base source.
 			chosen := map[string]bool{}
@@ -763,23 +762,6 @@ func (w *Wrangler) fusionTransducer() transducer.Transducer {
 				out.union, out.result.Cardinality(), out.clusters, out.corrections, out.suppressed))
 			return rep, nil
 		},
-	}
-}
-
-// identityScorer scores two result tuples 1.0 when the named attribute is
-// equal after case/space normalisation, else 0. For addresses, house
-// numbers make street strings near-identical for *different* properties
-// under string-similarity scorers, so equality is both safer and cheaper.
-func identityScorer(attr string) fusion.PairScorer {
-	return func(a, b relation.Tuple, schema relation.Schema) float64 {
-		si := schema.AttrIndex(attr)
-		if si < 0 || a[si].IsNull() || b[si].IsNull() {
-			return 0
-		}
-		if strings.EqualFold(strings.TrimSpace(a[si].String()), strings.TrimSpace(b[si].String())) {
-			return 1
-		}
-		return 0
 	}
 }
 

@@ -1,33 +1,53 @@
 package fusion
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 
 	"vada/internal/datagen"
 	"vada/internal/relation"
 )
 
-// sameStreet scores two tuples 1 when their streets are equal after case and
-// space folding, else 0: the identity the wrangler fuses on.
-func sameStreet(a, b relation.Tuple, schema relation.Schema) float64 {
-	i := schema.AttrIndex("street")
-	if a[i].IsNull() || b[i].IsNull() {
-		return 0
+// flipCase is s with each rune replaced by the next of its case-folding orbit
+// and each invalid byte by U+FFFD: a string EqualFold reads as s, most often
+// with other bytes.
+func flipCase(s string) string {
+	var b strings.Builder
+	for _, r := range s {
+		b.WriteRune(unicode.SimpleFold(r))
 	}
-	if strings.EqualFold(strings.TrimSpace(a[i].String()), strings.TrimSpace(b[i].String())) {
-		return 1
-	}
-	return 0
+	return b.String()
 }
 
-// blocksOf is the block of every row of r.
-func blocksOf(r *relation.Relation, key BlockingKey) []string {
-	out := make([]string, len(r.Tuples))
-	for i, t := range r.Tuples {
-		out[i] = key(t, r.Schema)
+// FuzzFoldEqualFold holds Fold to strings.EqualFold: two strings fold alike
+// exactly when EqualFold says they are equal, and a string folds as its case
+// flipped does, so that the equal side is reached as often as the other.
+func FuzzFoldEqualFold(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"\u212A", "k"},      // the Kelvin sign
+		{"\u017F", "S"},      // the long s
+		{"\u03A3", "\u03C3"}, // capital and small sigma
+		{"\u03C3", "\u03C2"}, // small and final sigma
+		{"\u03A3", "\u03C2"},
+		{"\u00DF", "\u1E9E"}, // small and capital sharp s
+		{"\xff", "\xfe"},     // EqualFold reads each invalid byte as U+FFFD
+		{"\xfe", "\uFFFD"},
+		{"1 High St", "1 HIGH ST"},
+		{"1 High St", "1 High Rd"},
+		{"", ""},
+	} {
+		f.Add(seed[0], seed[1])
 	}
-	return out
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := Fold(a) == Fold(b), strings.EqualFold(a, b); got != want {
+			t.Fatalf("Fold(%q) = %q and Fold(%q) = %q alike: %v; EqualFold: %v", a, Fold(a), b, Fold(b), got, want)
+		}
+		if x := flipCase(a); Fold(x) != Fold(a) {
+			t.Fatalf("Fold(%q) = %q, but its flipped case %q folds to %q", a, Fold(a), x, Fold(x))
+		}
+	})
 }
 
 func dupRelation() *relation.Relation {
@@ -41,17 +61,32 @@ func dupRelation() *relation.Relation {
 	return r
 }
 
+// duplicates groups the rows of r the way the wrangler keys them: by canonical
+// postcode block and folded street, a row without either in no group. It
+// lists the groups of two or more rows, each ascending, in first-row order.
+func duplicates(r *relation.Relation) [][]int {
+	si, pi := r.Schema.AttrIndex("street"), r.Schema.AttrIndex("postcode")
+	at := map[[2]string]int{}
+	var groups [][]int
+	for i, tp := range r.Tuples {
+		if tp[si].IsNull() || tp[pi].IsNull() {
+			continue
+		}
+		k := [2]string{datagen.CanonicalPostcode(tp[pi].String()), Fold(strings.TrimSpace(tp[si].String()))}
+		g, ok := at[k]
+		if !ok {
+			g, at[k] = len(groups), len(groups)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return slices.DeleteFunc(groups, func(g []int) bool { return len(g) < 2 })
+}
+
 func TestDetectDuplicatesClusters(t *testing.T) {
-	r := dupRelation()
-	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %v", clusters)
-	}
-	if len(clusters[0]) != 2 || clusters[0][0] != 0 || clusters[0][1] != 1 {
-		t.Fatalf("first cluster = %v", clusters[0])
-	}
-	if len(clusters[1]) != 3 {
-		t.Fatalf("second cluster = %v", clusters[1])
+	got := duplicates(dupRelation())
+	if want := [][]int{{0, 1}, {3, 4, 5}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("duplicates = %v, want %v", got, want)
 	}
 }
 
@@ -59,9 +94,8 @@ func TestDetectDuplicatesBlockingPreventsComparison(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "street", "postcode"))
 	r.MustAppend("1 Same St", "M1 1AA")
 	r.MustAppend("1 Same St", "M9 9ZZ") // identical street, different block
-	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
-	if len(clusters) != 0 {
-		t.Fatalf("cross-block tuples must not cluster: %v", clusters)
+	if got := duplicates(r); len(got) != 0 {
+		t.Fatalf("cross-block rows must not be duplicates: %v", got)
 	}
 }
 
@@ -69,61 +103,49 @@ func TestDetectDuplicatesNullBlockSkipped(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "street", "postcode"))
 	r.MustAppend("1 Same St", nil)
 	r.MustAppend("1 Same St", nil)
-	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
-	if len(clusters) != 0 {
-		t.Fatalf("null-keyed tuples opt out: %v", clusters)
+	if got := duplicates(r); len(got) != 0 {
+		t.Fatalf("rows without a block opt out: %v", got)
 	}
+}
+
+// TestFusePreservesNonClustered: a row with no duplicate votes alone, and
+// fuses into itself, whatever the trust.
+func TestFusePreservesNonClustered(t *testing.T) {
+	r := dupRelation()
+	trust := map[string]float64{"rightmove": 0.2, "onthemarket": 0.9}
+	for i, tp := range r.Tuples {
+		for _, tr := range []map[string]float64{nil, trust} {
+			fused := Vote(rows(r, i), r.Schema.AttrIndex("source"), tr)
+			if !slices.EqualFunc(fused, tp, relation.Value.Same) {
+				t.Fatalf("row %d alone fused to %v, want %v", i, fused, tp)
+			}
+		}
+	}
+}
+
+// rows is the given rows of r.
+func rows(r *relation.Relation, at ...int) []relation.Tuple {
+	out := make([]relation.Tuple, len(at))
+	for j, i := range at {
+		out[j] = r.Tuples[i]
+	}
+	return out
 }
 
 func TestFuseVotingResolvesBedroomConflict(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
-	fused := Fuse(r, clusters, Options{Strategy: Voting})
-	if fused.Cardinality() != 3 {
-		t.Fatalf("fused size = %d, want 3", fused.Cardinality())
-	}
-	// The 7 Park Ave cluster: bedrooms 4,14,4 → 4 wins by vote.
-	found := false
-	bi := fused.Schema.AttrIndex("bedrooms")
-	si := fused.Schema.AttrIndex("street")
-	for _, tp := range fused.Tuples {
-		if tp[si].String() == "7 Park Ave" {
-			found = true
-			if tp[bi].IntVal() != 4 {
-				t.Fatalf("vote should pick 4 bedrooms, got %v", tp[bi])
-			}
-		}
-	}
-	if !found {
-		t.Fatal("fused tuple missing")
+	// The 7 Park Ave rows: bedrooms 4,14,4 → 4 wins by vote.
+	fused := Vote(rows(r, 3, 4, 5), -1, nil)
+	if fused[r.Schema.AttrIndex("bedrooms")].IntVal() != 4 {
+		t.Fatalf("vote should pick 4 bedrooms, got %v", fused)
 	}
 }
 
 func TestFuseVotingFillsNullFromOtherMember(t *testing.T) {
 	r := dupRelation()
-	clusters := DetectDuplicates(r, blocksOf(r, BlockByAttr("postcode", nil)), sameStreet, 1)
-	fused := Fuse(r, clusters, Options{Strategy: Voting})
-	pi := fused.Schema.AttrIndex("price")
-	si := fused.Schema.AttrIndex("street")
-	for _, tp := range fused.Tuples {
-		if tp[si].String() == "1 High St" && tp[pi].IsNull() {
-			t.Fatal("price should be filled from the rightmove duplicate")
-		}
-	}
-}
-
-func TestFuseMostComplete(t *testing.T) {
-	r := relation.New(relation.NewSchema("u", "a", "b", "c"))
-	r.MustAppend("x", nil, nil)  // 1 non-null
-	r.MustAppend("y", "v2", nil) // 2 non-null -> base tuple
-	r.MustAppend(nil, nil, "v3") // fills c
-	fused := Fuse(r, [][]int{{0, 1, 2}}, Options{Strategy: MostComplete})
-	if fused.Cardinality() != 1 {
-		t.Fatalf("size = %d", fused.Cardinality())
-	}
-	tp := fused.Tuples[0]
-	if tp[0].String() != "y" || tp[1].String() != "v2" || tp[2].String() != "v3" {
-		t.Fatalf("most-complete fusion = %v", tp)
+	fused := Vote(rows(r, 1, 0), -1, nil)
+	if p := fused[r.Schema.AttrIndex("price")]; p.IsNull() {
+		t.Fatal("price should be filled from the rightmove duplicate")
 	}
 }
 
@@ -131,28 +153,19 @@ func TestFuseTrustWeighted(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "beds:int", "source"))
 	r.MustAppend(14, "rightmove")
 	r.MustAppend(3, "onthemarket")
-	opts := Options{
-		Strategy:       TrustWeighted,
-		ProvenanceAttr: "source",
-		Trust:          map[string]float64{"rightmove": 0.2, "onthemarket": 0.9},
-	}
-	fused := Fuse(r, [][]int{{0, 1}}, opts)
-	if fused.Tuples[0][0].IntVal() != 3 {
-		t.Fatalf("trusted source should win: %v", fused.Tuples[0])
+	trust := map[string]float64{"rightmove": 0.2, "onthemarket": 0.9}
+	if fused := Vote(r.Tuples, 1, trust); fused[0].IntVal() != 3 {
+		t.Fatalf("trusted source should win: %v", fused)
 	}
 	// Flip the trust and the other value wins.
-	opts.Trust = map[string]float64{"rightmove": 0.9, "onthemarket": 0.2}
-	fused = Fuse(r, [][]int{{0, 1}}, opts)
-	if fused.Tuples[0][0].IntVal() != 14 {
-		t.Fatalf("flipped trust should flip the winner: %v", fused.Tuples[0])
+	trust = map[string]float64{"rightmove": 0.9, "onthemarket": 0.2}
+	if fused := Vote(r.Tuples, 1, trust); fused[0].IntVal() != 14 {
+		t.Fatalf("flipped trust should flip the winner: %v", fused)
 	}
-}
-
-func TestFusePreservesNonClustered(t *testing.T) {
-	r := dupRelation()
-	fused := Fuse(r, nil, Options{Strategy: Voting})
-	if fused.Cardinality() != r.Cardinality() {
-		t.Fatal("no clusters: nothing should merge")
+	// A source the trust does not name weighs 1, as every row does without it.
+	trust = map[string]float64{"rightmove": 0.5}
+	if fused := Vote(r.Tuples, 1, trust); fused[0].IntVal() != 3 {
+		t.Fatalf("an untrusted source should weigh 1: %v", fused)
 	}
 }
 
@@ -160,8 +173,7 @@ func TestFuseAllNullColumnStaysNull(t *testing.T) {
 	r := relation.New(relation.NewSchema("u", "a", "b"))
 	r.MustAppend("x", nil)
 	r.MustAppend("x", nil)
-	fused := Fuse(r, [][]int{{0, 1}}, Options{Strategy: Voting})
-	if !fused.Tuples[0][1].IsNull() {
+	if fused := Vote(r.Tuples, -1, nil); !fused[1].IsNull() {
 		t.Fatal("all-null column must fuse to null")
 	}
 }
@@ -183,13 +195,13 @@ func TestScenarioCrossPortalDuplicates(t *testing.T) {
 	for _, tp := range sc.OnTheMarket.Tuples {
 		u.Tuples = append(u.Tuples, relation.Tuple{tp[otSi], tp[otPi], relation.String("onthemarket")})
 	}
-	norm := func(s string) string { return datagen.CanonicalPostcode(s) }
-	clusters := DetectDuplicates(u, blocksOf(u, BlockByAttr("postcode", norm)), sameStreet, 1)
-	if len(clusters) == 0 {
-		t.Fatal("overlapping portals must produce duplicate clusters")
+	groups := duplicates(u)
+	for _, g := range groups {
+		if v := Vote(rows(u, g...), 2, nil); v[0].IsNull() || v[1].IsNull() {
+			t.Fatalf("a property's fused row lost its street or postcode: %v", v)
+		}
 	}
-	fused := Fuse(u, clusters, Options{Strategy: Voting})
-	if fused.Cardinality() >= u.Cardinality() {
-		t.Fatalf("fusion should shrink the union: %d -> %d", u.Cardinality(), fused.Cardinality())
+	if len(groups) == 0 {
+		t.Fatal("overlapping portals must produce duplicate listings that fold alike")
 	}
 }

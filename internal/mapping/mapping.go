@@ -452,11 +452,10 @@ type Candidate struct {
 }
 
 // SelectByUserContext ranks candidates by the weighted-sum score of their
-// quality criteria under the user-context weights, dropping candidates below
-// minScore. With empty weights, candidates are scored by mean completeness
-// plus consistency (the no-user-context default) so bootstrap still has a
-// deterministic order.
-func SelectByUserContext(cands []Candidate, weights map[mcda.Criterion]float64, minScore float64) []Candidate {
+// quality criteria under the user-context weights. With empty weights,
+// candidates are scored by mean completeness plus consistency (the
+// no-user-context default) so bootstrap still has a deterministic order.
+func SelectByUserContext(cands []Candidate, weights map[mcda.Criterion]float64) []Candidate {
 	score := func(c Candidate) float64 {
 		if len(weights) > 0 {
 			return mcda.Score(weights, c.Report.Criteria())
@@ -471,11 +470,5 @@ func SelectByUserContext(cands []Candidate, weights map[mcda.Criterion]float64, 
 		}
 		return ranked[i].Mapping.ID < ranked[j].Mapping.ID
 	})
-	out := ranked[:0:0]
-	for _, c := range ranked {
-		if score(c) >= minScore {
-			out = append(out, c)
-		}
-	}
-	return out
+	return ranked
 }

@@ -225,21 +225,16 @@ func TestSelectByUserContextPrefersCrimerankMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := SelectByUserContext(cands, weights, 0)
+	ranked := SelectByUserContext(cands, weights)
 	if ranked[0].Mapping.ID != "m_join" {
 		t.Fatalf("crime context should rank join mapping first: %v", ranked[0].Mapping.ID)
 	}
 
 	// No user context: join still wins on mean completeness — both orders
 	// valid; just check determinism and no filtering.
-	ranked = SelectByUserContext(cands, nil, 0)
+	ranked = SelectByUserContext(cands, nil)
 	if len(ranked) != 2 {
 		t.Fatalf("default selection should keep all: %v", len(ranked))
-	}
-	// Threshold filters.
-	ranked = SelectByUserContext(cands, weights, 0.99)
-	if len(ranked) != 0 {
-		t.Fatalf("threshold should filter all: %v", ranked)
 	}
 }
 
@@ -250,7 +245,7 @@ func TestSelectDeterministicTieBreak(t *testing.T) {
 		{Mapping: Mapping{ID: "m_b", Target: target}, Report: rep},
 		{Mapping: Mapping{ID: "m_a", Target: target}, Report: rep},
 	}
-	ranked := SelectByUserContext(cands, nil, 0)
+	ranked := SelectByUserContext(cands, nil)
 	if ranked[0].Mapping.ID != "m_a" {
 		t.Fatalf("ties must break lexicographically: %v", ranked[0].Mapping.ID)
 	}

@@ -395,3 +395,53 @@ func TestExportUnencodableSession(t *testing.T) {
 		t.Fatalf("a failed export names an attachment: %q", cd)
 	}
 }
+
+// TestUploadEmptyMappingKeepsHeaders: an upload's mapping={} form field turns
+// header inference off, as an explicit empty mapping does on every ingest, so
+// the raw headers are the attribute names; the journal records the same {},
+// so a kill -9 and a restart bring back the same relation and events.
+func TestUploadEmptyMappingKeepsHeaders(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := journalServer(t, dir)
+	id := createSession(t, ts1, `{"blank":true}`)
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	mw.WriteField("mapping", `{}`)
+	fw, _ := mw.CreateFormFile("file", "x.csv")
+	fmt.Fprint(fw, propsCSV)
+	mw.Close()
+	resp, err := http.Post(ts1.URL+"/api/v1/sessions/"+id+"/upload?relation=listings", mw.FormDataContentType(), &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: %s", resp.Status)
+	}
+	attrs := func(s *Server) []string {
+		t.Helper()
+		sess, err := s.store.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := sess.Relation("listings")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel.Schema.AttrNames()
+	}
+	want := []string{"Street", "Post Code", "Bedrooms", "Price"}
+	if got := attrs(s1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("attributes = %q, want the raw headers %q", got, want)
+	}
+	wantEvents := getJSON(t, ts1.URL+"/api/v1/sessions/"+id)["events"]
+	ts1.Close() // kill -9: no graceful close
+
+	s2, ts2 := journalServer(t, dir)
+	if got := attrs(s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("attributes after the restart = %q, want %q", got, want)
+	}
+	if got := getJSON(t, ts2.URL+"/api/v1/sessions/"+id)["events"]; !reflect.DeepEqual(got, wantEvents) {
+		t.Fatalf("events after the restart:\n got %v\nwant %v", got, wantEvents)
+	}
+}

@@ -144,12 +144,7 @@ func Applied(req StageRequest, payload any) StageRequest {
 // body that is not UTF-8 lands with each invalid byte as U+FFFD, live and on
 // replay alike.
 func ingestRequest(p *connect.IngestPayload) (StageRequest, *connect.IngestPayload) {
-	// Written out so an explicit empty mapping ({}: no inference) stays one;
-	// strings and a string map always marshal.
-	data, _ := json.Marshal(struct {
-		*connect.IngestPayload
-		Mapping map[string]string `json:"mapping"`
-	}{p, p.Mapping})
+	data, _ := json.Marshal(p) // strings and a string map always marshal
 	var in connect.IngestPayload
 	_ = json.Unmarshal(data, &in) // what Marshal wrote decodes
 	return StageRequest{Stage: StageIngest, Payload: data}, &in
