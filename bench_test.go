@@ -379,6 +379,10 @@ func BenchmarkInstanceMatching(b *testing.B) {
 	}
 }
 
+// wranglerMinCoverage is the coverage a wrangler generates mappings at unless
+// it is built WithMinCoverage.
+const wranglerMinCoverage = 3
+
 // BenchmarkMappingGeneration measures candidate-mapping generation including
 // inclusion-dependency discovery, over fresh copies of the sources (see
 // BenchmarkInstanceMatching).
@@ -389,14 +393,13 @@ func BenchmarkMappingGeneration(b *testing.B) {
 	matches = append(matches, match.MatchSchemas(sc.Rightmove.Schema, target)...)
 	matches = append(matches, match.MatchSchemas(sc.OnTheMarket.Schema, target)...)
 	matches = append(matches, match.MatchSchemas(sc.Deprivation.Schema, target)...)
-	opts := mapping.DefaultGenOptions()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sources := cold(sc.Rightmove, sc.OnTheMarket, sc.Deprivation)
 		b.StartTimer()
-		maps := mapping.ProfileSources(sources).Generate(target, match.Correspondences(matches, opts.MatchThreshold), opts)
+		maps := mapping.ProfileSources(sources).Generate(target, match.Correspondences(matches), wranglerMinCoverage)
 		if len(maps) == 0 {
 			b.Fatal("no mappings")
 		}
@@ -418,7 +421,7 @@ func BenchmarkMappingExecution(b *testing.B) {
 			srcMap[src.Schema.Name] = src
 			matches = append(matches, match.MatchSchemas(src.Schema, target)...)
 		}
-		maps := mapping.ProfileSources(sources).Generate(target, match.Correspondences(matches, mapping.DefaultGenOptions().MatchThreshold), mapping.DefaultGenOptions())
+		maps := mapping.ProfileSources(sources).Generate(target, match.Correspondences(matches), wranglerMinCoverage)
 		for _, id := range []string{"m_onthemarket+rightmove", "m_rightmove+deprivation"} {
 			var join *mapping.Mapping
 			for i := range maps {
@@ -450,14 +453,13 @@ func BenchmarkMappingExecution(b *testing.B) {
 // BenchmarkInstanceMatching).
 func BenchmarkCFDMining(b *testing.B) {
 	sc := datagen.Generate(scenarioCfg(600))
-	opts := cfd.DefaultMineOptions()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ref := sc.AddressRef.Clone()
 		b.StartTimer()
-		cfds := cfd.Mine(ref, opts)
+		cfds := cfd.Mine(ref)
 		if len(cfds) == 0 {
 			b.Fatal("no CFDs")
 		}
@@ -498,7 +500,7 @@ func BenchmarkRepair(b *testing.B) {
 		b.StopTimer()
 		ref, results := sc.AddressRef.Clone(), cold(raw...)
 		b.StartTimer()
-		prepared := cfd.PrepareReference(ref, cfds, cfd.DefaultRepairOptions())
+		prepared := cfd.PrepareReference(ref, cfds)
 		for _, res := range results {
 			repaired, _ := prepared.Repair(res)
 			if repaired.Cardinality() != res.Cardinality() {

@@ -15,7 +15,7 @@ import (
 	"vada/internal/cfd"
 	"vada/internal/core"
 	"vada/internal/feedback"
-	"vada/internal/mapping"
+	"vada/internal/match"
 	"vada/internal/mcda"
 	"vada/internal/quality"
 )
@@ -112,7 +112,7 @@ func Snapshot(w *core.Wrangler) State {
 		Weights:          w.UserWeights(),
 		FeedbackByAttr:   map[string]int{},
 		FeedbackTotal:    len(items),
-		MatchThreshold:   mapping.DefaultGenOptions().MatchThreshold, // what generation filters by
+		MatchThreshold:   match.Threshold, // what generation filters by
 	}
 	if res != nil {
 		for _, c := range cfds {

@@ -87,37 +87,39 @@ func (c CFD) Key() string {
 	return strings.Join(cells, "|")
 }
 
-// MineOptions controls CFD mining.
-type MineOptions struct {
-	// MaxLHS bounds the size of left-hand sides (levelwise search depth).
-	MaxLHS int
-	// MinSupport is the minimal fraction of usable tuples an FD must cover.
-	MinSupport float64
-	// MinConfidence is the minimal confidence for variable CFDs.
-	MinConfidence float64
-	// MinConstantSupport is the minimal absolute tuple count for a constant
+// Mining's bounds, tuned for reference tables of a few thousand rows.
+const (
+	// maxLHS bounds the size of left-hand sides (levelwise search depth).
+	maxLHS = 2
+	// minSupport is the minimal fraction of usable tuples an FD must cover.
+	minSupport = 0.5
+	// minConfidence is the minimal confidence for variable CFDs.
+	minConfidence = 0.98
+	// minConstantSupport is the minimal absolute tuple count for a constant
 	// CFD's LHS pattern.
-	MinConstantSupport int
-	// MaxConstantCFDs caps emitted constant CFDs (most-supported first).
-	MaxConstantCFDs int
-}
+	minConstantSupport = 3
+	// maxConstantCFDs caps emitted constant CFDs (most-supported first).
+	maxConstantCFDs = 200
+)
 
-// DefaultMineOptions are tuned for reference tables of a few thousand rows.
-func DefaultMineOptions() MineOptions {
-	return MineOptions{
-		MaxLHS:             2,
-		MinSupport:         0.5,
-		MinConfidence:      0.98,
-		MinConstantSupport: 3,
-		MaxConstantCFDs:    200,
-	}
+// mineBounds are mining's bounds as values: Mine passes the constants, and
+// the package's tests vary them.
+type mineBounds struct {
+	maxLHS                              int
+	minSupport, minConfidence           float64
+	minConstantSupport, maxConstantCFDs int
 }
 
 // Mine learns CFDs from clean (reference/master) data, levelwise over LHS
 // size. Variable CFDs are pruned: once X → A holds exactly, supersets of X
 // for A are skipped (they are implied). The relation is encoded once and every
 // LHS set partitioned once, for all the RHS it is tried with.
-func Mine(rel *relation.Relation, opts MineOptions) []CFD {
+func Mine(rel *relation.Relation) []CFD {
+	return mine(rel, mineBounds{maxLHS, minSupport, minConfidence, minConstantSupport, maxConstantCFDs})
+}
+
+// mine is Mine within the bounds b.
+func mine(rel *relation.Relation, b mineBounds) []CFD {
 	attrs := rel.Schema.AttrNames()
 	enc := encode(rel)
 	var out []CFD
@@ -126,10 +128,10 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 	var lhsSets [][]int
 	var build func(start int, cur []int)
 	build = func(start int, cur []int) {
-		if len(cur) > 0 && len(cur) <= opts.MaxLHS {
+		if len(cur) > 0 && len(cur) <= b.maxLHS {
 			lhsSets = append(lhsSets, append([]int(nil), cur...))
 		}
-		if len(cur) == opts.MaxLHS {
+		if len(cur) == b.maxLHS {
 			return
 		}
 		for i := start; i < len(attrs); i++ {
@@ -165,7 +167,7 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 			}
 			support := float64(stats.usable) / float64(rel.Cardinality())
 			confidence := float64(stats.consistent) / float64(stats.usable)
-			if support >= opts.MinSupport && confidence >= opts.MinConfidence {
+			if support >= b.minSupport && confidence >= b.minConfidence {
 				pattern := map[string]PatternCell{rhs: {Any: true}}
 				for _, a := range lhs {
 					pattern[a] = PatternCell{Any: true}
@@ -180,7 +182,7 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 			}
 			// Constant CFDs from pure groups.
 			for _, g := range stats.pureGroups {
-				if g.count < opts.MinConstantSupport {
+				if g.count < b.minConstantSupport {
 					continue
 				}
 				pattern := map[string]PatternCell{rhs: {Value: rel.Tuples[g.last][ri]}}
@@ -203,8 +205,8 @@ func Mine(rel *relation.Relation, opts MineOptions) []CFD {
 		}
 		return constants[i].Key() < constants[j].Key()
 	})
-	if len(constants) > opts.MaxConstantCFDs {
-		constants = constants[:opts.MaxConstantCFDs]
+	if len(constants) > b.maxConstantCFDs {
+		constants = constants[:b.maxConstantCFDs]
 	}
 	out = append(out, constants...)
 	return out

@@ -29,7 +29,7 @@ func refAddresses() *relation.Relation {
 }
 
 func TestMineFindsPostcodeCity(t *testing.T) {
-	cfds := Mine(refAddresses(), DefaultMineOptions())
+	cfds := Mine(refAddresses())
 	var found *CFD
 	for i, c := range cfds {
 		if len(c.LHS) == 1 && c.LHS[0] == "postcode" && c.RHS == "city" && !c.IsConstant() {
@@ -46,7 +46,7 @@ func TestMineFindsPostcodeCity(t *testing.T) {
 }
 
 func TestMinePruningSupersets(t *testing.T) {
-	cfds := Mine(refAddresses(), DefaultMineOptions())
+	cfds := Mine(refAddresses())
 	for _, c := range cfds {
 		if c.IsConstant() {
 			continue
@@ -58,9 +58,9 @@ func TestMinePruningSupersets(t *testing.T) {
 }
 
 func TestMineConstantCFDs(t *testing.T) {
-	opts := DefaultMineOptions()
-	opts.MinConstantSupport = 2
-	cfds := Mine(refAddresses(), opts)
+	b := defaultMineBounds
+	b.minConstantSupport = 2
+	cfds := mine(refAddresses(), b)
 	found := false
 	for _, c := range cfds {
 		if c.IsConstant() && c.RHS == "city" && len(c.LHS) == 1 && c.LHS[0] == "postcode" {
@@ -78,16 +78,16 @@ func TestMineRespectsConfidenceThreshold(t *testing.T) {
 	r := refAddresses()
 	// Break postcode → city once: 1 of 7 tuples violating → conf ≈ 0.857.
 	r.MustAppend("9 Odd St", "Leeds", "M1 1AA")
-	opts := DefaultMineOptions()
-	opts.MinConfidence = 0.99
-	for _, c := range Mine(r, opts) {
+	b := defaultMineBounds
+	b.minConfidence = 0.99
+	for _, c := range mine(r, b) {
 		if !c.IsConstant() && c.LHS[0] == "postcode" && len(c.LHS) == 1 && c.RHS == "city" {
 			t.Fatalf("low-confidence FD should be dropped: %v", c)
 		}
 	}
-	opts.MinConfidence = 0.8
+	b.minConfidence = 0.8
 	ok := false
-	for _, c := range Mine(r, opts) {
+	for _, c := range mine(r, b) {
 		if !c.IsConstant() && len(c.LHS) == 1 && c.LHS[0] == "postcode" && c.RHS == "city" {
 			ok = true
 			if c.Confidence >= 1 || c.Confidence < 0.8 {
@@ -105,13 +105,13 @@ func TestMineSkipsNulls(t *testing.T) {
 	r.MustAppend("k", "v")
 	r.MustAppend("k", nil) // null RHS: unusable, not a violation
 	r.MustAppend(nil, "v") // null LHS: unusable
-	opts := DefaultMineOptions()
-	opts.MaxLHS = 1
-	opts.MinSupport = 0.3
+	b := defaultMineBounds
+	b.maxLHS = 1
+	b.minSupport = 0.3
 	var fd *CFD
-	for i, c := range Mine(r, opts) {
+	for i, c := range mine(r, b) {
 		if !c.IsConstant() && c.LHS[0] == "a" && c.RHS == "b" {
-			fd = &Mine(r, opts)[i]
+			fd = &mine(r, b)[i]
 		}
 	}
 	if fd == nil {
@@ -126,7 +126,7 @@ func TestMineOnScenarioReference(t *testing.T) {
 	cfg := datagen.DefaultConfig()
 	cfg.NProperties = 300
 	sc := datagen.Generate(cfg)
-	cfds := Mine(sc.AddressRef, DefaultMineOptions())
+	cfds := Mine(sc.AddressRef)
 	hasPostcodeCity := false
 	for _, c := range cfds {
 		if !c.IsConstant() && len(c.LHS) == 1 && c.LHS[0] == "postcode" && c.RHS == "city" {
@@ -208,7 +208,7 @@ func TestRepairFillsNullsFromReference(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 High St", nil, "M1 1AA")
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
-	repaired, log := PrepareReference(ref, cfds, DefaultRepairOptions()).Repair(res)
+	repaired, log := PrepareReference(ref, cfds).Repair(res)
 	v := cell(repaired, 0, "city")
 	if !v.Equal(relation.String("Manchester")) {
 		t.Fatalf("city not filled: %v (log %v)", v, log)
@@ -228,7 +228,7 @@ func TestRepairCorrectsInconsistentValue(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 High St", "Leeds", "M1 1AA") // wrong city
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
-	repaired, _ := PrepareReference(ref, cfds, DefaultRepairOptions()).Repair(res)
+	repaired, _ := PrepareReference(ref, cfds).Repair(res)
 	v := cell(repaired, 0, "city")
 	if !v.Equal(relation.String("Manchester")) {
 		t.Fatalf("city not corrected: %v", v)
@@ -242,7 +242,7 @@ func TestRepairAmbiguousGroupsUntouched(t *testing.T) {
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 X St", nil, "M1 1AA")
 	cfds := []CFD{variableCFD([]string{"postcode"}, "city")}
-	repaired, log := PrepareReference(ref, cfds, DefaultRepairOptions()).Repair(res)
+	repaired, log := PrepareReference(ref, cfds).Repair(res)
 	v := cell(repaired, 0, "city")
 	if !v.IsNull() {
 		t.Fatalf("ambiguous reference evidence must not repair: %v (log %v)", v, log)
@@ -253,7 +253,7 @@ func TestRepairFuzzyStreetTypo(t *testing.T) {
 	ref := refAddresses()
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 Hgih St", "Manchester", "M1 1AA") // transposition typo
-	repaired, log := PrepareReference(ref, nil, DefaultRepairOptions()).Repair(res)
+	repaired, log := PrepareReference(ref, nil).Repair(res)
 	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 High St")) {
 		t.Fatalf("typo not repaired: %v (log %v)", v, log)
@@ -266,7 +266,7 @@ func TestRepairFuzzyAmbiguousLeftAlone(t *testing.T) {
 	ref.MustAppend("1 Dark Rd", "Manchester", "M1 1AB")
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 Bark Rd", nil, nil) // equidistant from both
-	repaired, _ := PrepareReference(ref, nil, DefaultRepairOptions()).Repair(res)
+	repaired, _ := PrepareReference(ref, nil).Repair(res)
 	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 Bark Rd")) {
 		t.Fatalf("ambiguous fuzzy match must not repair: %v", v)
@@ -277,7 +277,7 @@ func TestRepairCanonicalisesSpelling(t *testing.T) {
 	ref := refAddresses()
 	res := relation.New(relation.NewSchema("result", "street", "city", "postcode"))
 	res.MustAppend("1 HIGH ST", "Manchester", "M1 1AA")
-	repaired, log := PrepareReference(ref, nil, DefaultRepairOptions()).Repair(res)
+	repaired, log := PrepareReference(ref, nil).Repair(res)
 	v := cell(repaired, 0, "street")
 	if !v.Equal(relation.String("1 High St")) {
 		t.Fatalf("case not canonicalised: %v (log %v)", v, log)
@@ -343,9 +343,9 @@ func TestRepairEndToEndScenario(t *testing.T) {
 	for _, t0 := range sc.Rightmove.Tuples {
 		res.Tuples = append(res.Tuples, t0.Clone())
 	}
-	cfds := Mine(sc.AddressRef, DefaultMineOptions())
+	cfds := Mine(sc.AddressRef)
 	before := ConsistencyRate(res, cfds)
-	repaired, log := PrepareReference(sc.AddressRef, cfds, DefaultRepairOptions()).Repair(res)
+	repaired, log := PrepareReference(sc.AddressRef, cfds).Repair(res)
 	after := ConsistencyRate(repaired, cfds)
 	if after < before {
 		t.Fatalf("repair must not reduce consistency: %v -> %v", before, after)

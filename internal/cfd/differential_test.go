@@ -69,10 +69,10 @@ func sameRelation(a, b *relation.Relation) bool {
 // sameRepair fails unless the prepared path repaired res exactly as the
 // reference did: equal relation, equal action log in order, Reason strings
 // included.
-func sameRepair(t *testing.T, label string, res, ref *relation.Relation, cfds []cfd.CFD, opts cfd.RepairOptions, prepared *cfd.Reference) (fuzzy int) {
+func sameRepair(t *testing.T, label string, res, ref *relation.Relation, cfds []cfd.CFD, b cfd.RepairBounds, prepared *cfd.Reference) (fuzzy int) {
 	t.Helper()
 	before := res.Clone()
-	wantRel, wantLog := cfd.ReferenceRepair(res, ref, cfds, opts)
+	wantRel, wantLog := cfd.ReferenceRepair(res, ref, cfds, b)
 	gotRel, gotLog := prepared.Repair(res)
 	if !sameRelation(res, before) {
 		t.Fatalf("%s: repair modified its input", label)
@@ -104,19 +104,19 @@ func TestRepairDifferential(t *testing.T) {
 	if testing.Short() {
 		sizes = []int{40, 100}
 	}
-	opts := cfd.DefaultRepairOptions()
+	b := cfd.ConstantRepairBounds
 	fuzzy := 0
 	for _, n := range sizes {
 		for seed := int64(1); seed <= 5; seed++ {
 			sc, results, cfds := repairInputs(t, n, seed)
-			forward := cfd.PrepareReference(sc.AddressRef, cfds, opts)
+			forward := cfd.PrepareReference(sc.AddressRef, cfds)
 			for _, res := range results {
-				fuzzy += sameRepair(t, fmt.Sprintf("n=%d seed=%d %s forward", n, seed, res.Schema.Name), res, sc.AddressRef, cfds, opts, forward)
+				fuzzy += sameRepair(t, fmt.Sprintf("n=%d seed=%d %s forward", n, seed, res.Schema.Name), res, sc.AddressRef, cfds, b, forward)
 			}
-			backward := cfd.PrepareReference(sc.AddressRef, cfds, opts)
+			backward := cfd.PrepareReference(sc.AddressRef, cfds)
 			for i := len(results) - 1; i >= 0; i-- {
 				res := results[i]
-				sameRepair(t, fmt.Sprintf("n=%d seed=%d %s backward", n, seed, res.Schema.Name), res, sc.AddressRef, cfds, opts, backward)
+				sameRepair(t, fmt.Sprintf("n=%d seed=%d %s backward", n, seed, res.Schema.Name), res, sc.AddressRef, cfds, b, backward)
 			}
 		}
 	}
@@ -126,9 +126,9 @@ func TestRepairDifferential(t *testing.T) {
 	t.Logf("%d fuzzy key repairs compared", fuzzy)
 }
 
-// TestRepairDifferentialEdges covers what the scenarios do not: options the
-// transducer never sets and references and results missing what repair
-// looks for.
+// TestRepairDifferentialEdges covers what the scenarios do not: bounds the
+// transducer never repairs within, and references and results missing what
+// repair looks for.
 func TestRepairDifferentialEdges(t *testing.T) {
 	ref := relation.New(relation.NewSchema("address", "street", "city", "postcode"))
 	ref.MustAppend("1 High St", "Manchester", "M1 1AA")
@@ -158,18 +158,18 @@ func TestRepairDifferentialEdges(t *testing.T) {
 		{LHS: []string{"postcode"}, RHS: "city", Pattern: map[string]cfd.PatternCell{
 			"postcode": {Value: relation.String("LS1 1AA")}, "city": {Value: relation.String("Leeds")}}},
 	}
-	options := map[string]cfd.RepairOptions{
-		"default":       cfd.DefaultRepairOptions(),
+	bounds := map[string]cfd.RepairBounds{
+		"constants":     cfd.ConstantRepairBounds,
 		"no fuzzy":      {KeyAttr: "street", RefKeyAttr: "street"},
 		"distance 1":    {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 1},
 		"distance 3":    {KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 3},
 		"no ref key":    {KeyAttr: "street", RefKeyAttr: "road", MaxEditDistance: 2},
 		"no result key": {KeyAttr: "road", RefKeyAttr: "street", MaxEditDistance: 2},
 	}
-	for name, opts := range options {
-		prepared := cfd.PrepareReference(ref, cfds, opts)
+	for name, b := range bounds {
+		prepared := cfd.PrepareReferenceWithin(ref, cfds, b)
 		for _, r := range []*relation.Relation{res, noKey, res, relation.New(res.Schema)} {
-			sameRepair(t, name+" "+r.Schema.Name, r, ref, cfds, opts, prepared)
+			sameRepair(t, name+" "+r.Schema.Name, r, ref, cfds, b, prepared)
 		}
 	}
 }
@@ -187,13 +187,13 @@ func TestRepairLHSIsNotAJoinedString(t *testing.T) {
 	anyCell := cfd.PatternCell{Any: true}
 	cfds := []cfd.CFD{{LHS: []string{"city", "street"}, RHS: "postcode",
 		Pattern: map[string]cfd.PatternCell{"city": anyCell, "street": anyCell, "postcode": anyCell}}}
-	opts := cfd.RepairOptions{KeyAttr: "street", RefKeyAttr: "street"}
-	prepared := cfd.PrepareReference(ref, cfds, opts)
+	b := cfd.RepairBounds{KeyAttr: "street", RefKeyAttr: "street"}
+	prepared := cfd.PrepareReferenceWithin(ref, cfds, b)
 	repaired, log := prepared.Repair(res)
 	if len(log) != 0 || repaired.Tuples[0][2].Str() != "P2" {
 		t.Fatalf("repaired to %v with %v: the row is in no reference group", repaired.Tuples[0], log)
 	}
-	sameRepair(t, "joined-string lookalike", res, ref, cfds, opts, prepared)
+	sameRepair(t, "joined-string lookalike", res, ref, cfds, b, prepared)
 }
 
 // fuzzRepairInputs draws a reference, results and CFDs from a seed: few
@@ -296,14 +296,14 @@ func FuzzRepairDifferential(f *testing.F) {
 	f.Add(int64(4), uint8(12), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, refRows, resRows, nRes, nCFDs, bound uint8) {
 		ref, results, cfds := fuzzRepairInputs(seed, refRows, resRows, nRes, nCFDs)
-		opts := cfd.RepairOptions{KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: int(bound % 4)}
-		forward := cfd.PrepareReference(ref, cfds, opts)
+		b := cfd.RepairBounds{KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: int(bound % 4)}
+		forward := cfd.PrepareReferenceWithin(ref, cfds, b)
 		for _, res := range results {
-			sameRepair(t, res.Schema.Name+" forward", res, ref, cfds, opts, forward)
+			sameRepair(t, res.Schema.Name+" forward", res, ref, cfds, b, forward)
 		}
-		backward := cfd.PrepareReference(ref, cfds, opts)
+		backward := cfd.PrepareReferenceWithin(ref, cfds, b)
 		for i := len(results) - 1; i >= 0; i-- {
-			sameRepair(t, results[i].Schema.Name+" backward", results[i], ref, cfds, opts, backward)
+			sameRepair(t, results[i].Schema.Name+" backward", results[i], ref, cfds, b, backward)
 		}
 	})
 }

@@ -69,15 +69,18 @@ func awkward() *relation.Relation {
 	return r
 }
 
-// mineOptionSets are the option sets the differential tests mine under: the
-// defaults, and a permissive set with a MaxLHS of 3 so that small relations
+// defaultMineBounds are the bounds Mine mines within.
+var defaultMineBounds = mineBounds{maxLHS, minSupport, minConfidence, minConstantSupport, maxConstantCFDs}
+
+// mineBoundSets are the bounds the differential tests mine within: the
+// constants, and a permissive set with a maxLHS of 3 so that small relations
 // yield variable CFDs with LHS of one, two and three attributes and constant
 // ones from pairs of rows.
-func mineOptionSets() []MineOptions {
-	return []MineOptions{
-		DefaultMineOptions(),
-		{MaxLHS: 3, MinSupport: 0.1, MinConfidence: 0.5, MinConstantSupport: 2, MaxConstantCFDs: 50},
-		{MaxLHS: 1, MinSupport: 0, MinConfidence: 0, MinConstantSupport: 1, MaxConstantCFDs: 1000},
+func mineBoundSets() []mineBounds {
+	return []mineBounds{
+		defaultMineBounds,
+		{maxLHS: 3, minSupport: 0.1, minConfidence: 0.5, minConstantSupport: 2, maxConstantCFDs: 50},
+		{maxLHS: 1, minSupport: 0, minConfidence: 0, minConstantSupport: 1, maxConstantCFDs: 1000},
 	}
 }
 
@@ -95,9 +98,9 @@ func TestMineDifferential(t *testing.T) {
 	}
 	mined := 0
 	for label, rel := range rels {
-		for i, opts := range mineOptionSets() {
-			want := ReferenceMine(rel, opts)
-			sameCFDs(t, fmt.Sprintf("%s options %d", label, i), Mine(rel, opts), want)
+		for i, b := range mineBoundSets() {
+			want := ReferenceMine(rel, b)
+			sameCFDs(t, fmt.Sprintf("%s bounds %d", label, i), mine(rel, b), want)
 			mined += len(want)
 		}
 	}
@@ -117,7 +120,7 @@ func TestViolationsDifferential(t *testing.T) {
 		cfg := datagen.DefaultConfig()
 		cfg.NProperties, cfg.Seed = 200, seed
 		sc := datagen.Generate(cfg)
-		cfds := Mine(sc.AddressRef, DefaultMineOptions())
+		cfds := Mine(sc.AddressRef)
 		noisy := sc.AddressRef.Clone()
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < len(noisy.Tuples)/5; i++ {
@@ -131,7 +134,7 @@ func TestViolationsDifferential(t *testing.T) {
 	}
 
 	rel := awkward()
-	cfds := ReferenceMine(rel, mineOptionSets()[1])
+	cfds := ReferenceMine(rel, mineBoundSets()[1])
 	any := PatternCell{Any: true}
 	cfds = append(cfds,
 		CFD{LHS: []string{"a"}, RHS: "c", Pattern: map[string]PatternCell{"a": {Value: relation.Float(1)}, "c": any}},
@@ -188,11 +191,11 @@ func FuzzMineDifferential(f *testing.F) {
 			}
 			return r
 		}
-		opts := MineOptions{MaxLHS: int(maxLHS), MinSupport: rng.Float64() / 2, MinConfidence: rng.Float64(),
-			MinConstantSupport: 1 + rng.Intn(3), MaxConstantCFDs: rng.Intn(60)}
+		b := mineBounds{maxLHS: int(maxLHS), minSupport: rng.Float64() / 2, minConfidence: rng.Float64(),
+			minConstantSupport: 1 + rng.Intn(3), maxConstantCFDs: rng.Intn(60)}
 		rel := random(int(rows))
-		want := ReferenceMine(rel, opts)
-		sameCFDs(t, "fuzzed", Mine(rel, opts), want)
+		want := ReferenceMine(rel, b)
+		sameCFDs(t, "fuzzed", mine(rel, b), want)
 		sameViolations(t, "fuzzed", random(int(rows)), want)
 	})
 }

@@ -24,14 +24,14 @@ import (
 )
 
 // ReferenceRepair is RepairWithReference as it was. Test-only.
-func ReferenceRepair(res, ref *relation.Relation, cfds []CFD, opts RepairOptions) (*relation.Relation, []RepairAction) {
+func ReferenceRepair(res, ref *relation.Relation, cfds []CFD, b RepairBounds) (*relation.Relation, []RepairAction) {
 	out := res.Clone()
 	var log []RepairAction
 	norm := func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
 	// Fuzzy key repair first: snap typo'd keys onto reference keys.
-	if opts.MaxEditDistance > 0 {
-		log = append(log, refFuzzyKeyRepair(out, ref, opts, norm)...)
+	if b.MaxEditDistance > 0 {
+		log = append(log, refFuzzyKeyRepair(out, ref, b, norm)...)
 	}
 
 	// CFD-driven value repair.
@@ -46,9 +46,9 @@ func ReferenceRepair(res, ref *relation.Relation, cfds []CFD, opts RepairOptions
 }
 
 // refFuzzyKeyRepair snaps near-miss key values (typos) onto reference keys.
-func refFuzzyKeyRepair(out, ref *relation.Relation, opts RepairOptions, norm func(string) string) []RepairAction {
-	ki := out.Schema.AttrIndex(opts.KeyAttr)
-	rki := ref.Schema.AttrIndex(opts.RefKeyAttr)
+func refFuzzyKeyRepair(out, ref *relation.Relation, b RepairBounds, norm func(string) string) []RepairAction {
+	ki := out.Schema.AttrIndex(b.KeyAttr)
+	rki := ref.Schema.AttrIndex(b.RefKeyAttr)
 	if ki < 0 || rki < 0 {
 		return nil
 	}
@@ -73,7 +73,7 @@ func refFuzzyKeyRepair(out, ref *relation.Relation, opts RepairOptions, norm fun
 		if canonical, ok := refKeys[n]; ok {
 			// Known key: only canonicalise the spelling if it differs.
 			if t[ki].String() != canonical.String() {
-				log = append(log, RepairAction{Row: rowIdx, Attr: opts.KeyAttr,
+				log = append(log, RepairAction{Row: rowIdx, Attr: b.KeyAttr,
 					Old: t[ki], New: canonical, Reason: "reference spelling"})
 				t[ki] = canonical
 			}
@@ -81,9 +81,9 @@ func refFuzzyKeyRepair(out, ref *relation.Relation, opts RepairOptions, norm fun
 		}
 		// Unknown key: look for a unique reference key within the edit
 		// bound.
-		bestKey, bestD, ties := "", opts.MaxEditDistance+1, 0
+		bestKey, bestD, ties := "", b.MaxEditDistance+1, 0
 		for _, rk := range refList {
-			d := refBoundedEditDistance(n, rk, opts.MaxEditDistance)
+			d := refBoundedEditDistance(n, rk, b.MaxEditDistance)
 			if d < 0 {
 				continue
 			}
@@ -93,9 +93,9 @@ func refFuzzyKeyRepair(out, ref *relation.Relation, opts RepairOptions, norm fun
 				ties++
 			}
 		}
-		if bestD <= opts.MaxEditDistance && ties == 1 {
+		if bestD <= b.MaxEditDistance && ties == 1 {
 			canonical := refKeys[bestKey]
-			log = append(log, RepairAction{Row: rowIdx, Attr: opts.KeyAttr,
+			log = append(log, RepairAction{Row: rowIdx, Attr: b.KeyAttr,
 				Old: t[ki], New: canonical,
 				Reason: fmt.Sprintf("fuzzy reference match (distance %d)", bestD)})
 			t[ki] = canonical
@@ -240,7 +240,7 @@ func refVariableRepair(out, ref *relation.Relation, c CFD, norm func(string) str
 
 // ReferenceMine is Mine as it was: it partitions the relation afresh, by
 // strings built per row, for every (LHS, RHS) pair. Test-only.
-func ReferenceMine(rel *relation.Relation, opts MineOptions) []CFD {
+func ReferenceMine(rel *relation.Relation, b mineBounds) []CFD {
 	attrs := rel.Schema.AttrNames()
 	var out []CFD
 	exact := map[string]bool{} // "A" -> some X→A with conf 1 already found at lower level
@@ -248,10 +248,10 @@ func ReferenceMine(rel *relation.Relation, opts MineOptions) []CFD {
 	var lhsSets [][]string
 	var build func(start int, cur []string)
 	build = func(start int, cur []string) {
-		if len(cur) > 0 && len(cur) <= opts.MaxLHS {
+		if len(cur) > 0 && len(cur) <= b.maxLHS {
 			lhsSets = append(lhsSets, append([]string(nil), cur...))
 		}
-		if len(cur) == opts.MaxLHS {
+		if len(cur) == b.maxLHS {
 			return
 		}
 		for i := start; i < len(attrs); i++ {
@@ -278,7 +278,7 @@ func ReferenceMine(rel *relation.Relation, opts MineOptions) []CFD {
 			}
 			support := float64(stats.usable) / float64(rel.Cardinality())
 			confidence := float64(stats.consistent) / float64(stats.usable)
-			if support >= opts.MinSupport && confidence >= opts.MinConfidence {
+			if support >= b.minSupport && confidence >= b.minConfidence {
 				pattern := map[string]PatternCell{rhs: {Any: true}}
 				for _, a := range lhs {
 					pattern[a] = PatternCell{Any: true}
@@ -293,7 +293,7 @@ func ReferenceMine(rel *relation.Relation, opts MineOptions) []CFD {
 			}
 			// Constant CFDs from pure groups.
 			for _, g := range stats.pureGroups {
-				if g.count < opts.MinConstantSupport {
+				if g.count < b.minConstantSupport {
 					continue
 				}
 				pattern := map[string]PatternCell{rhs: {Value: g.rhsValue}}
@@ -316,8 +316,8 @@ func ReferenceMine(rel *relation.Relation, opts MineOptions) []CFD {
 		}
 		return constants[i].Key() < constants[j].Key()
 	})
-	if len(constants) > opts.MaxConstantCFDs {
-		constants = constants[:opts.MaxConstantCFDs]
+	if len(constants) > b.maxConstantCFDs {
+		constants = constants[:b.maxConstantCFDs]
 	}
 	out = append(out, constants...)
 	return out

@@ -20,26 +20,20 @@ type RepairAction struct {
 	Reason string
 }
 
-// RepairOptions configures reference-based repair. Keys and LHS values are
-// compared folded (relation.Fold: trimmed and lower-cased).
-type RepairOptions struct {
-	// KeyAttr is the result attribute used to look tuples up in the
-	// reference data (typically "street").
-	KeyAttr string
-	// RefKeyAttr is the corresponding reference attribute.
-	RefKeyAttr string
-	// MaxEditDistance bounds fuzzy key repair (0 disables it).
-	MaxEditDistance int
-}
-
-// DefaultRepairOptions repairs via street against reference streets with
-// edit distance up to 2.
-func DefaultRepairOptions() RepairOptions {
-	return RepairOptions{KeyAttr: "street", RefKeyAttr: "street", MaxEditDistance: 2}
-}
+// Reference-based repair compares keys and LHS values folded
+// (relation.Fold: trimmed and lower-cased). Fuzzy key repair snaps a result's
+// street onto the reference street within edit distance 2.
+const (
+	// keyAttr is the result attribute looked up in the reference data.
+	keyAttr = "street"
+	// refKeyAttr is the corresponding reference attribute.
+	refKeyAttr = "street"
+	// maxEditDistance bounds fuzzy key repair (0 would disable it).
+	maxEditDistance = 2
+)
 
 // Reference is clean reference data prepared for repair: everything repair
-// needs that is a property of the reference, the CFDs and the options alone,
+// needs that is a property of the reference and the CFDs alone,
 // built once however many result relations are repaired against it. The
 // reference is read through its folded column views (relation.Folded), so it
 // must be frozen; a result's cells are looked up in them row by row. A
@@ -47,9 +41,10 @@ func DefaultRepairOptions() RepairOptions {
 // for concurrent use; it is meant to live for one pass over the result
 // relations.
 type Reference struct {
-	ref  *relation.Relation
-	opts RepairOptions
-	cfds []CFD
+	ref     *relation.Relation
+	cfds    []CFD
+	keyAttr string // the result attribute fuzzy key repair reads
+	bound   int    // its edit bound
 	// tables[i] serves cfds[i]; nil for constant CFDs and for variable CFDs
 	// naming an attribute the reference lacks.
 	tables []*refTable
@@ -96,18 +91,23 @@ type fuzzyHit struct {
 	ok        bool
 }
 
-// PrepareReference indexes ref for repairing result relations with cfds
-// under opts: the reference keys by length, with their byte masks, for fuzzy
-// key repair, and per variable CFD the LHS group → RHS table with its
-// ambiguous groups. Repair then works as follows: for each variable CFD X → A
-// whose attributes all map into both relations, result tuples matching a
-// reference group on X get A corrected/filled from the (unique) reference
-// value; additionally the key attribute itself is repaired fuzzily (typo'd
-// streets snapped to the closest reference street sharing the tuple's other
-// evidence).
-func PrepareReference(ref *relation.Relation, cfds []CFD, opts RepairOptions) *Reference {
-	r := &Reference{ref: ref, opts: opts, cfds: cfds, tables: make([]*refTable, len(cfds))}
-	if rki := ref.Schema.AttrIndex(opts.RefKeyAttr); opts.MaxEditDistance > 0 && rki >= 0 {
+// PrepareReference indexes ref for repairing result relations with cfds: the
+// reference keys by length, with their byte masks, for fuzzy key repair, and
+// per variable CFD the LHS group → RHS table with its ambiguous groups.
+// Repair then works as follows: for each variable CFD X → A whose attributes
+// all map into both relations, result tuples matching a reference group on X
+// get A corrected/filled from the (unique) reference value; additionally the
+// key attribute itself is repaired fuzzily (typo'd streets snapped to the
+// closest reference street sharing the tuple's other evidence).
+func PrepareReference(ref *relation.Relation, cfds []CFD) *Reference {
+	return prepareReference(ref, cfds, keyAttr, refKeyAttr, maxEditDistance)
+}
+
+// prepareReference is PrepareReference with the key attributes and the edit
+// bound of fuzzy key repair given.
+func prepareReference(ref *relation.Relation, cfds []CFD, keyAttr, refKeyAttr string, bound int) *Reference {
+	r := &Reference{ref: ref, cfds: cfds, keyAttr: keyAttr, bound: bound, tables: make([]*refTable, len(cfds))}
+	if rki := ref.Schema.AttrIndex(refKeyAttr); bound > 0 && rki >= 0 {
 		r.keys, r.rki = ref.Folded(rki), rki
 		r.keysByLen = map[int][]int32{}
 		r.masks = make([]uint64, len(r.keys.Values))
@@ -268,7 +268,7 @@ func (r *Reference) Repair(res *relation.Relation) (*relation.Relation, []Repair
 
 // fuzzyKeyRepair snaps near-miss key values (typos) onto reference keys.
 func (r *Reference) fuzzyKeyRepair(out *relation.Relation) []RepairAction {
-	ki := out.Schema.AttrIndex(r.opts.KeyAttr)
+	ki := out.Schema.AttrIndex(r.keyAttr)
 	if ki < 0 || r.keys == nil {
 		return nil
 	}
@@ -280,14 +280,14 @@ func (r *Reference) fuzzyKeyRepair(out *relation.Relation) []RepairAction {
 		if c := r.keys.Code(t[ki]); c >= 0 {
 			// Known key: only canonicalise the spelling if it differs.
 			if canonical := r.ref.Tuples[r.keys.First[c]][r.rki]; t[ki].String() != canonical.String() {
-				log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
+				log = append(log, RepairAction{Row: rowIdx, Attr: r.keyAttr,
 					Old: t[ki], New: canonical, Reason: "reference spelling"})
 				out.Tuples[rowIdx] = t.With(ki, canonical)
 			}
 			continue
 		}
 		if hit := r.closest(relation.Fold(t[ki])); hit.ok {
-			log = append(log, RepairAction{Row: rowIdx, Attr: r.opts.KeyAttr,
+			log = append(log, RepairAction{Row: rowIdx, Attr: r.keyAttr,
 				Old: t[ki], New: hit.canonical, Reason: hit.reason})
 			out.Tuples[rowIdx] = t.With(ki, hit.canonical)
 		}
@@ -312,7 +312,7 @@ func (r *Reference) closest(n string) fuzzyHit {
 	if hit, ok := r.fuzzy[n]; ok {
 		return hit
 	}
-	bound := r.opts.MaxEditDistance
+	bound := r.bound
 	mask := byteMask(n)
 	best, bestD, ties := int32(-1), bound+1, 0
 	for l := len(n) - bound; l <= len(n)+bound; l++ {

@@ -35,7 +35,7 @@ var (
 	// objects whose keys disagree across lines.
 	ErrSchemaMismatch = errors.New("connect: schema mismatch")
 
-	// ErrTooLarge reports an input body over the configured byte cap.
+	// ErrTooLarge reports an input body over the byte cap (maxBytes).
 	ErrTooLarge = errors.New("connect: input too large")
 
 	// ErrFetchFailed reports an HTTP-fetch source that could not produce a
@@ -54,9 +54,9 @@ const (
 	FormatJSONL = "jsonl"
 )
 
-// DefaultMaxBytes caps one connector input body when ReadOptions.MaxBytes
-// is zero. It matches the service's stage-payload cap.
-const DefaultMaxBytes = 8 << 20
+// maxBytes caps one connector input body. It matches the service's
+// stage-payload cap.
+const maxBytes = 8 << 20
 
 // NormalizeFormat canonicalises a wire-format name: empty defaults to CSV,
 // unknown names are ErrBadFormat.

@@ -91,7 +91,7 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func TestReadTooLarge(t *testing.T) {
-	_, _, err := Read("r", strings.NewReader("a,b\n1,2\n"), ReadOptions{MaxBytes: 4})
+	_, _, err := Read("r", strings.NewReader("a,b\n"+strings.Repeat("1,2\n", maxBytes/4)), ReadOptions{})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}

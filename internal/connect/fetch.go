@@ -26,7 +26,7 @@ type FetchOptions struct {
 }
 
 // Fetch pulls one http(s) URL and returns its body, read in full under the
-// cap of a direct upload (DefaultMaxBytes), for Read to decode as an upload's
+// cap of a direct upload (maxBytes), for Read to decode as an upload's
 // is: a cancelled or failed fetch yields nothing, so the caller's knowledge
 // base is untouched by construction. All failure modes wrap ErrFetchFailed
 // except a body past the cap (ErrTooLarge) or cut off mid-read
@@ -104,6 +104,6 @@ func fetchOnce(ctx context.Context, client *http.Client, rawURL string, timeout 
 	}
 	// A body cut off by the attempt deadline surfaces as ErrBadFormat and is
 	// not retried — a larger timeout, not another attempt, is the fix.
-	body, err := readCapped(resp.Body, 0)
+	body, err := readCapped(resp.Body)
 	return body, false, err
 }

@@ -16,9 +16,6 @@ import (
 type ReadOptions struct {
 	// Format is the wire format ("csv" or "jsonl"; empty = csv).
 	Format string
-	// MaxBytes caps the input body (0 = DefaultMaxBytes). Bodies over the
-	// cap fail with ErrTooLarge before any row is decoded.
-	MaxBytes int64
 	// Mapping renames raw columns onto attribute names. nil asks for
 	// inference against Candidates; an explicit empty map disables both.
 	Mapping map[string]string
@@ -28,7 +25,8 @@ type ReadOptions struct {
 	Candidates []relation.Schema
 }
 
-// Read decodes one external body into a relation named name: cap the bytes,
+// Read decodes one external body into a relation named name: cap the bytes
+// (a body past maxBytes fails with ErrTooLarge before any row is decoded),
 // parse the format strictly, resolve the header→attribute mapping (declared
 // or inferred), and type the columns by inference over the data. The whole
 // body is decoded before anything is returned, so a failed read leaves no
@@ -38,7 +36,7 @@ func Read(name string, r io.Reader, opts ReadOptions) (*relation.Relation, Stats
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	data, err := readCapped(r, opts.MaxBytes)
+	data, err := readCapped(r)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -83,18 +81,15 @@ func Read(name string, r io.Reader, opts ReadOptions) (*relation.Relation, Stats
 	return out, Stats{Rows: out.Cardinality(), Bytes: int64(len(data)), Format: format}, nil
 }
 
-// readCapped reads at most max bytes, failing with ErrTooLarge when the
+// readCapped reads at most maxBytes bytes, failing with ErrTooLarge when the
 // input exceeds the cap.
-func readCapped(r io.Reader, max int64) ([]byte, error) {
-	if max <= 0 {
-		max = DefaultMaxBytes
-	}
-	data, err := io.ReadAll(io.LimitReader(r, max+1))
+func readCapped(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading input: %v", ErrBadFormat, err)
 	}
-	if int64(len(data)) > max {
-		return nil, fmt.Errorf("%w: input exceeds %d bytes", ErrTooLarge, max)
+	if len(data) > maxBytes {
+		return nil, fmt.Errorf("%w: input exceeds %d bytes", ErrTooLarge, maxBytes)
 	}
 	return data, nil
 }

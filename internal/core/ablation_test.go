@@ -9,16 +9,23 @@ import (
 	"vada/internal/transducer"
 )
 
-// reversedActivityOrder is a pathological network policy: latest phases
-// first. Dependencies still gate execution, so the system must converge —
-// just less directly.
-func reversedActivityOrder() []string {
-	src := transducer.DefaultActivityOrder
-	out := make([]string, len(src))
-	for i, a := range src {
-		out[len(src)-1-i] = a
+// reversed is a pathological network policy: the generic network with its
+// phases ranked latest first, unknown activities still last and ties still
+// to registration order. Dependencies still gate execution, so the system
+// must converge — just less directly.
+type reversed struct{}
+
+func (reversed) Name() string { return "reversed" }
+
+func (reversed) Select(ready []transducer.Transducer, _ *kb.KB, _ []transducer.Step) transducer.Transducer {
+	var best transducer.Transducer
+	bestRank := -2 // below an unknown activity's -1
+	for _, t := range ready {
+		if r := slices.Index(transducer.DefaultActivityOrder, t.Activity()); r > bestRank {
+			best, bestRank = t, r
+		}
 	}
-	return out
+	return best
 }
 
 // without is a network policy that never selects the transducer named skip:
@@ -47,7 +54,7 @@ func TestOrchestrationConfluenceAcrossPolicies(t *testing.T) {
 	sc := testScenario(t, 100)
 	policies := map[string]transducer.NetworkTransducer{
 		"generic":  transducer.NewGenericNetwork(),
-		"reversed": transducer.NewGenericNetwork(reversedActivityOrder()...),
+		"reversed": reversed{},
 		"prefer-instance": &transducer.PreferNetwork{
 			Inner:    transducer.NewGenericNetwork(),
 			Prefixes: []string{"instance-"},

@@ -139,14 +139,11 @@ func derive[T any](w *Wrangler, c cell[T], v T) {
 	}
 }
 
-// The suite's fixed settings: what no binary varies is a constant, and the
-// two settings a caller may vary are the Option setters of options.go. Mapping
-// generation and the advisor filter matches by mapping.DefaultGenOptions,
-// CFD learning mines with cfd.DefaultMineOptions.
-const (
-	// rangeRuleSupport is the minimal feedback support of a plausibility rule.
-	rangeRuleSupport = 3
-)
+// defaultMinCoverage is mapping generation's coverage unless WithMinCoverage
+// sets another (options.go): it keeps narrow lookup tables (deprivation
+// matches only postcode and crimerank) from becoming entity sources, so they
+// participate through joins instead.
+const defaultMinCoverage = 3
 
 // source is a registered source: a deep-web source awaiting extraction or,
 // when direct is set, an already-extracted relation.
@@ -185,7 +182,7 @@ type Wrangler struct {
 func NewWrangler(options ...Option) *Wrangler {
 	w := &Wrangler{
 		KB:          kb.New(),
-		minCoverage: mapping.DefaultGenOptions().MinCoverage,
+		minCoverage: defaultMinCoverage,
 		engine:      vadalog.NewEngine(),
 		reg:         transducer.NewRegistry(),
 	}

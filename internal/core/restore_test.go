@@ -74,7 +74,7 @@ func bedroomsAt(t *testing.T, w *Wrangler, it feedback.Item) relation.Value {
 	res := w.Result()
 	si, pi, bi := res.Schema.AttrIndex("street"), res.Schema.AttrIndex("postcode"), res.Schema.AttrIndex("bedrooms")
 	for _, row := range res.Tuples {
-		if feedback.DefaultKeyNorm(row[si].String(), row[pi].String()) == feedback.DefaultKeyNorm(it.Street, it.Postcode) {
+		if feedback.KeyOf(row[si].String(), row[pi].String()) == feedback.KeyOf(it.Street, it.Postcode) {
 			return row[bi]
 		}
 	}

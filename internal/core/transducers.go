@@ -87,7 +87,7 @@ func (w *Wrangler) republishMatches(k *kb.KB, rep *transducer.Report) {
 	}
 	rep.FactsAsserted += a
 	rep.FactsRetracted += r
-	derive(w, cellCorrs, match.Correspondences(revised, mapping.DefaultGenOptions().MatchThreshold))
+	derive(w, cellCorrs, match.Correspondences(revised))
 	_, at := w.KB.Reads()
 	cellPublished.set(w.KB, &publication{name: name, inst: inst, combined: combined, revised: revised, at: at})
 }
@@ -267,7 +267,7 @@ func (w *Wrangler) feedbackTransducer() transducer.Transducer {
 			res := k.Relation(RelResult)
 			items := feedbackItems(k)
 
-			rules := feedback.LearnRangeRules(items, res, rangeRuleSupport)
+			rules := feedback.LearnRangeRules(items, res)
 			derive(w, cellRangeRules, rules)
 
 			var accFacts []relation.Tuple
@@ -370,7 +370,7 @@ func (w *Wrangler) cfdLearningTransducer() transducer.Transducer {
 				if ref == nil {
 					continue
 				}
-				for _, c := range cfd.Mine(ref, cfd.DefaultMineOptions()) {
+				for _, c := range cfd.Mine(ref) {
 					if !seen[c.Key()] {
 						seen[c.Key()] = true
 						mined = append(mined, c)
@@ -419,9 +419,7 @@ func (w *Wrangler) mappingGenerationTransducer() transducer.Transducer {
 				joins = mapping.ProfileSources(rels)
 				cellJoins.set(w.KB, joins)
 			}
-			opts := mapping.DefaultGenOptions()
-			opts.MinCoverage = w.minCoverage
-			gen := joins.Generate(target, cellCorrs.get(k), opts)
+			gen := joins.Generate(target, cellCorrs.get(k), w.minCoverage)
 			derive(w, cellMappings, gen)
 			var facts []relation.Tuple
 			for _, m := range gen {
@@ -529,7 +527,7 @@ func (w *Wrangler) repairTransducer() transducer.Transducer {
 				return rep, nil
 			}
 			// One prepared reference serves every result relation of this run.
-			prepared := cfd.PrepareReference(ref, cellCFDs.get(k), cfd.DefaultRepairOptions())
+			prepared := cfd.PrepareReference(ref, cellCFDs.get(k))
 			for _, name := range k.RelationNames(RelResultPrefix) {
 				res := k.Relation(name)
 				if res == nil {

@@ -11,7 +11,7 @@ import (
 // produce feedback annotations and to score results, exactly as the paper's
 // demo relied on the audience recognising wrong bedroom counts.
 type Oracle struct {
-	byAddr map[string]oracleRow
+	byAddr map[addr]oracleRow
 }
 
 type oracleRow struct {
@@ -25,15 +25,18 @@ type oracleRow struct {
 	crimerank int
 }
 
-// addrKey canonicalises (street, postcode) into a lookup key robust to the
-// generator's case and spacing noise (but not to typos; typo'd streets are
-// genuinely unresolvable without repair, as in reality).
-func addrKey(street, postcode string) string {
-	return strings.ToLower(strings.TrimSpace(street)) + "|" + CanonicalPostcode(postcode)
+// addr is a (street, postcode) lookup key robust to the generator's case and
+// spacing noise (but not to typos; typo'd streets are genuinely unresolvable
+// without repair, as in reality). Its parts are compared apart.
+type addr struct{ street, postcode string }
+
+// addrKey canonicalises a street and a postcode into their addr.
+func addrKey(street, postcode string) addr {
+	return addr{strings.ToLower(strings.TrimSpace(street)), CanonicalPostcode(postcode)}
 }
 
 func newOracle(props []property) *Oracle {
-	o := &Oracle{byAddr: make(map[string]oracleRow, len(props))}
+	o := &Oracle{byAddr: make(map[addr]oracleRow, len(props))}
 	for _, p := range props {
 		o.byAddr[addrKey(p.street, p.postcode)] = oracleRow{
 			ptype: p.ptype, desc: p.desc, street: p.street, city: p.city,
@@ -155,7 +158,7 @@ func (o *Oracle) ScoreResult(res *relation.Relation) Score {
 	if si < 0 || pi < 0 || res.Cardinality() == 0 {
 		return s
 	}
-	found := map[string]bool{}
+	found := map[addr]bool{}
 	addressable := 0
 	cellsTotal, cellsRight := 0, 0
 	valueTotal, valueRight := 0, 0

@@ -118,31 +118,35 @@ func Items(rel *relation.Relation) []Item {
 	return out
 }
 
-// DefaultKeyNorm is the key that matches feedback to result rows: it
-// lower-cases, trims and strips postcode spacing.
-func DefaultKeyNorm(street, postcode string) string {
-	return strings.ToLower(strings.TrimSpace(street)) + "|" +
-		strings.ToLower(strings.ReplaceAll(strings.TrimSpace(postcode), " ", ""))
+// Key is the key that matches feedback to result rows: the street trimmed and
+// lower-cased, the postcode trimmed, lower-cased and stripped of spaces, the
+// two compared apart so that no spelling of one reaches into the other.
+type Key struct{ street, postcode string }
+
+// KeyOf is the key of a street and a postcode.
+func KeyOf(street, postcode string) Key {
+	return Key{strings.ToLower(strings.TrimSpace(street)),
+		strings.ToLower(strings.ReplaceAll(strings.TrimSpace(postcode), " ", ""))}
 }
 
 // Keys indexes the rows of a relation by their key: which rows an item
 // annotates. Building it normalises every row's street and postcode once; each
 // item then costs one normalisation and a lookup.
 type Keys struct {
-	rows map[string][]int
+	rows map[Key][]int
 }
 
-// IndexKeys indexes the rows of res by DefaultKeyNorm. Rows without a street
-// and a postcode are in no entry.
+// IndexKeys indexes the rows of res by KeyOf. Rows without a street and a
+// postcode are in no entry.
 func IndexKeys(res *relation.Relation) *Keys {
-	ix := &Keys{rows: map[string][]int{}}
+	ix := &Keys{rows: map[Key][]int{}}
 	si, pi := res.Schema.AttrIndex("street"), res.Schema.AttrIndex("postcode")
 	if si < 0 || pi < 0 {
 		return ix
 	}
 	for row, t := range res.Tuples {
 		if s, p := t[si], t[pi]; !s.IsNull() || !p.IsNull() {
-			key := DefaultKeyNorm(s.String(), p.String())
+			key := KeyOf(s.String(), p.String())
 			ix.rows[key] = append(ix.rows[key], row)
 		}
 	}
@@ -150,7 +154,7 @@ func IndexKeys(res *relation.Relation) *Keys {
 }
 
 // Rows lists the rows the item annotates, in row order.
-func (ix *Keys) Rows(it Item) []int { return ix.rows[DefaultKeyNorm(it.Street, it.Postcode)] }
+func (ix *Keys) Rows(it Item) []int { return ix.rows[KeyOf(it.Street, it.Postcode)] }
 
 // Apply patches the result with attribute-level corrections: cells the user
 // corrected get the corrected value; cells marked incorrect without a
@@ -297,9 +301,13 @@ func (r RangeRule) String() string {
 	return fmt.Sprintf("%s ∈ [%g, %g] (support %d)", r.Attr, r.Min, r.Max, r.Support)
 }
 
+// rangeRuleSupport is the fewest confirmations a plausibility rule is
+// learned from.
+const rangeRuleSupport = 3
+
 // LearnRangeRules derives plausibility intervals per numeric attribute from
 // feedback: the interval spans the values confirmed correct, and a bound is
-// only emitted on a side where (a) at least minSupport confirmations exist
+// only emitted on a side where (a) at least rangeRuleSupport confirmations exist
 // and (b) at least one value marked incorrect falls beyond it — i.e. the
 // rule would actually have caught a known error. The unconstrained side is
 // left open (±MaxFloat), so a rule learned from high outliers (the paper's
@@ -309,7 +317,12 @@ func (r RangeRule) String() string {
 // Values are read from Item.Observed when captured, falling back to the
 // current result otherwise — the first row the item annotates whose value is a
 // number; learning from observations keeps rules stable as the result evolves.
-func LearnRangeRules(items []Item, res *relation.Relation, minSupport int) []RangeRule {
+func LearnRangeRules(items []Item, res *relation.Relation) []RangeRule {
+	return learnRangeRules(items, res, rangeRuleSupport)
+}
+
+// learnRangeRules is LearnRangeRules from minSupport confirmations.
+func learnRangeRules(items []Item, res *relation.Relation, minSupport int) []RangeRule {
 	type span struct {
 		lo, hi  float64
 		support int

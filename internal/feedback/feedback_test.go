@@ -131,6 +131,27 @@ func TestApplyKeyNormalisation(t *testing.T) {
 	}
 }
 
+// TestKeyPartsDoNotCollide: a row's key is its street and its postcode apart.
+// Joined by "|" into one string, ("1 High St|M1", "1AA") and ("1 High St",
+// "M1|1AA") shared a key, and a correction of one row rewrote both.
+func TestKeyPartsDoNotCollide(t *testing.T) {
+	res := relation.New(relation.NewSchema("target", "street", "postcode", "bedrooms:int"))
+	res.MustAppend("1 High St|M1", "1AA", 3)
+	res.MustAppend("1 High St", "M1|1AA", 3)
+	items := []Item{{Street: "1 High St", Postcode: "M1|1AA", Attr: "bedrooms",
+		Correct: false, Corrected: relation.Int(4), HasCorrection: true}}
+	patched, changed := Apply(res, IndexKeys(res), items)
+	if changed != 1 {
+		t.Fatalf("one correction of one row changed %d cells", changed)
+	}
+	if got := cell(patched, 0, "bedrooms"); !got.Equal(relation.Int(3)) {
+		t.Fatalf("the row the correction does not name was rewritten to %v", got)
+	}
+	if got := cell(patched, 1, "bedrooms"); !got.Equal(relation.Int(4)) {
+		t.Fatalf("the corrected row holds %v, want 4", got)
+	}
+}
+
 func TestAccuracyByAttr(t *testing.T) {
 	items := []Item{
 		{Attr: "bedrooms", Correct: true},
@@ -180,7 +201,7 @@ func TestLearnRangeRulesCatchesBedroomError(t *testing.T) {
 		{Street: "2 Low Rd", Postcode: "M1 1AB", Attr: "bedrooms", Correct: false}, // 14
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "price", Correct: true},    // no bad price
 	}
-	rules := LearnRangeRules(items, res, 3)
+	rules := LearnRangeRules(items, res)
 	if len(rules) != 1 {
 		t.Fatalf("rules = %v (want only bedrooms: price has no caught error)", rules)
 	}
@@ -205,7 +226,7 @@ func TestLearnRangeRulesFromObservedValues(t *testing.T) {
 		{Street: "c", Postcode: "p", Attr: "bedrooms", Correct: true, Observed: relation.Int(4), HasObserved: true},
 		{Street: "d", Postcode: "p", Attr: "bedrooms", Correct: false, Observed: relation.Int(17), HasObserved: true},
 	}
-	rules := LearnRangeRules(items, empty, 3)
+	rules := LearnRangeRules(items, empty)
 	if len(rules) != 1 || rules[0].Max != 4 {
 		t.Fatalf("rules = %v", rules)
 	}
@@ -217,7 +238,7 @@ func TestLearnRangeRulesNeedsSupport(t *testing.T) {
 		{Street: "1 High St", Postcode: "M1 1AA", Attr: "bedrooms", Correct: true},
 		{Street: "2 Low Rd", Postcode: "M1 1AB", Attr: "bedrooms", Correct: false},
 	}
-	if rules := LearnRangeRules(items, res, 3); len(rules) != 0 {
+	if rules := LearnRangeRules(items, res); len(rules) != 0 {
 		t.Fatalf("insufficient support should learn nothing: %v", rules)
 	}
 }

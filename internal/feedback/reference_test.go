@@ -20,26 +20,26 @@ import (
 
 // rowKey computes the key of a result row, ok=false when street/postcode
 // are unavailable.
-func rowKey(res *relation.Relation, row int) (string, bool) {
+func rowKey(res *relation.Relation, row int) (Key, bool) {
 	si := res.Schema.AttrIndex("street")
 	pi := res.Schema.AttrIndex("postcode")
 	if si < 0 || pi < 0 {
-		return "", false
+		return Key{}, false
 	}
 	s, p := res.Tuples[row][si], res.Tuples[row][pi]
 	if s.IsNull() && p.IsNull() {
-		return "", false
+		return Key{}, false
 	}
-	return DefaultKeyNorm(s.String(), p.String()), true
+	return KeyOf(s.String(), p.String()), true
 }
 
 func referenceApply(res *relation.Relation, items []Item) (*relation.Relation, int) {
-	byKey := map[string][]Item{}
+	byKey := map[Key][]Item{}
 	for _, it := range items {
 		if it.Attr == "" || it.Correct {
 			continue
 		}
-		byKey[DefaultKeyNorm(it.Street, it.Postcode)] = append(byKey[DefaultKeyNorm(it.Street, it.Postcode)], it)
+		byKey[KeyOf(it.Street, it.Postcode)] = append(byKey[KeyOf(it.Street, it.Postcode)], it)
 	}
 	out := res.Shallow()
 	changed := 0
@@ -77,7 +77,7 @@ func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr st
 		src string
 		row int
 	}
-	srcOf := map[string][]rowRef{}
+	srcOf := map[Key][]rowRef{}
 	for row := range res.Tuples {
 		key, ok := rowKey(res, row)
 		if !ok || res.Tuples[row][pi].IsNull() {
@@ -98,7 +98,7 @@ func referenceAccuracyBySource(items []Item, res *relation.Relation, provAttr st
 			continue
 		}
 		ai := res.Schema.AttrIndex(it.Attr)
-		for _, ref := range srcOf[DefaultKeyNorm(it.Street, it.Postcode)] {
+		for _, ref := range srcOf[KeyOf(it.Street, it.Postcode)] {
 			// With a captured observation, only blame/credit rows actually
 			// holding the judged value (duplicate keys otherwise smear
 			// feedback across sources).
@@ -161,7 +161,7 @@ func referenceLearnRangeRules(items []Item, res *relation.Relation, minSupport i
 		}
 		for row := range res.Tuples {
 			key, ok := rowKey(res, row)
-			if !ok || key != DefaultKeyNorm(it.Street, it.Postcode) {
+			if !ok || key != KeyOf(it.Street, it.Postcode) {
 				continue
 			}
 			if f, ok := res.Tuples[row][ai].AsFloat(); ok {
@@ -320,7 +320,7 @@ func TestKeysDifferential(t *testing.T) {
 			t.Fatalf("%s: AccuracyBySource %v, the reference %v", label, got, want)
 		}
 		for _, support := range []int{1, 2} {
-			got, want := LearnRangeRules(items, res, support), referenceLearnRangeRules(items, res, support)
+			got, want := learnRangeRules(items, res, support), referenceLearnRangeRules(items, res, support)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: support %d: LearnRangeRules %v, the reference %v", label, support, got, want)
 			}

@@ -76,12 +76,12 @@ type InclusionDep struct {
 const keyLikeThreshold = 0.95
 
 // DiscoverInclusionDeps profiles all attribute pairs across the given
-// relations and returns pairs whose containment reaches minOverlap and whose
-// target attribute is key-like in its relation. Comparison is over
+// relations and returns, with its containment, every pair whose target
+// attribute is key-like in its relation. Comparison is over
 // folded distinct values (relation.Fold; "" apart), capped at
 // match.InstanceSample values per attribute: the first ones, which the folded
 // column view holds in row order. The relations must be frozen.
-func DiscoverInclusionDeps(rels []*relation.Relation, minOverlap float64) []InclusionDep {
+func DiscoverInclusionDeps(rels []*relation.Relation) []InclusionDep {
 	type colKey struct{ rel, attr string }
 	type sample struct {
 		values []string
@@ -140,52 +140,31 @@ func DiscoverInclusionDeps(rels []*relation.Relation, minOverlap float64) []Incl
 					inter++
 				}
 			}
-			overlap := float64(inter) / float64(len(fs.values))
-			if overlap >= minOverlap {
-				out = append(out, InclusionDep{
-					FromRel: from.rel, FromAttr: from.attr,
-					ToRel: to.rel, ToAttr: to.attr,
-					Overlap: overlap, ToUniqueness: uniq[to],
-				})
-			}
+			out = append(out, InclusionDep{
+				FromRel: from.rel, FromAttr: from.attr,
+				ToRel: to.rel, ToAttr: to.attr,
+				Overlap: float64(inter) / float64(len(fs.values)), ToUniqueness: uniq[to],
+			})
 		}
 	}
 	return out
 }
 
-// GenOptions controls mapping generation.
-type GenOptions struct {
-	// MatchThreshold is the score a match needs to become a correspondence
-	// (match.Correspondences): what Generate is handed.
-	MatchThreshold float64
-	// MinCoverage is the minimal number of matched target attributes for a
-	// source to earn a base mapping; a target with fewer attributes asks
-	// for all of them.
-	MinCoverage int
-	// JoinMinOverlap is the inclusion-dependency threshold for join
-	// discovery.
-	JoinMinOverlap float64
-}
-
-// DefaultGenOptions returns production defaults. MinCoverage of 3 keeps
-// narrow lookup tables (e.g. deprivation, matching only postcode and
-// crimerank) from becoming entity sources: they participate through joins
-// instead.
-func DefaultGenOptions() GenOptions {
-	return GenOptions{MatchThreshold: 0.6, MinCoverage: 3, JoinMinOverlap: 0.25}
-}
+// joinMinOverlap is the containment an inclusion dependency needs for
+// Generate to join along it.
+const joinMinOverlap = 0.25
 
 // SourceProfile is what Generate needs of the source relations alone, whatever
 // the matches: which attribute pairs join them. Taking it reads every value of
 // every source; taken once, it serves every Generate until a source is replaced.
 type SourceProfile struct {
 	sources []*relation.Relation
-	deps    []InclusionDep // every key-like pair, whatever its overlap
+	deps    []InclusionDep // every key-like pair
 }
 
 // ProfileSources profiles the sources for Generate.
 func ProfileSources(sources []*relation.Relation) *SourceProfile {
-	return &SourceProfile{sources: slices.Clone(sources), deps: DiscoverInclusionDeps(sources, 0)}
+	return &SourceProfile{sources: slices.Clone(sources), deps: DiscoverInclusionDeps(sources)}
 }
 
 // Of reports whether p (which may be nil) is the profile of these very
@@ -197,21 +176,26 @@ func (p *SourceProfile) Of(sources []*relation.Relation) bool {
 // Generate produces candidate mappings from 1:1 correspondences over the
 // profiled sources:
 //
-//  1. every source matching at least one and ≥ min(MinCoverage, target
+//  1. every source matching at least one and ≥ min(minCoverage, target
 //     arity) target attributes becomes a base mapping (projection with
 //     renaming, unmatched target attrs null);
 //  2. every base mapping is extended with joins to other sources that match
 //     further target attributes, when an inclusion dependency links a
 //     matched attribute of the base source to an attribute of the
-//     enrichment source (e.g. rightmove.postcode ⊆ deprivation.postcode,
-//     pulling in crimerank).
+//     enrichment source with a containment of joinMinOverlap at least
+//     (e.g. rightmove.postcode ⊆ deprivation.postcode, pulling in crimerank).
 //
 // The paper's "mapping generation transducer may start to evaluate when
 // matches have been created" is exactly this function's input dependency. Which
-// matches count is decided before it, at opts.MatchThreshold; their scores and
+// matches count is decided before it, at match.Threshold; their scores and
 // methods are no part of a mapping, so mappings change only with the
 // correspondences.
-func (p *SourceProfile) Generate(target relation.Schema, corrs []match.Correspondence, opts GenOptions) []Mapping {
+func (p *SourceProfile) Generate(target relation.Schema, corrs []match.Correspondence, minCoverage int) []Mapping {
+	return p.generate(target, corrs, minCoverage, joinMinOverlap)
+}
+
+// generate is Generate joining along inclusion dependencies of minOverlap.
+func (p *SourceProfile) generate(target relation.Schema, corrs []match.Correspondence, minCoverage int, minOverlap float64) []Mapping {
 	srcByName := map[string]*relation.Relation{}
 	var srcNames []string
 	for _, s := range p.sources {
@@ -231,7 +215,7 @@ func (p *SourceProfile) Generate(target relation.Schema, corrs []match.Correspon
 	var out []Mapping
 	for _, base := range srcNames {
 		ms := perSource[base]
-		if len(ms) == 0 || len(ms) < min(opts.MinCoverage, target.Arity()) {
+		if len(ms) == 0 || len(ms) < min(minCoverage, target.Arity()) {
 			continue
 		}
 		bm := buildBaseMapping(target, srcByName[base], ms)
@@ -262,7 +246,7 @@ func (p *SourceProfile) Generate(target relation.Schema, corrs []match.Correspon
 				continue
 			}
 			join := findJoin(p.deps, base, enrich)
-			if join == nil || join.Overlap < opts.JoinMinOverlap {
+			if join == nil || join.Overlap < minOverlap {
 				continue
 			}
 			jm := buildJoinMapping(target, srcByName[base], ms, srcByName[enrich], gain, *join)

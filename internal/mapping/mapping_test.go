@@ -3,6 +3,7 @@ package mapping
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,10 +36,38 @@ func allMatches(sc *datagen.Scenario, target relation.Schema, withInstances bool
 	return match.Combine(lists...)
 }
 
-// generate is Generate over the correspondences the matches select at the
-// options' threshold, as the mapping-generation transducer is handed them.
-func generate(p *SourceProfile, target relation.Schema, matches []match.Match, opts GenOptions) []Mapping {
-	return p.Generate(target, match.Correspondences(matches, opts.MatchThreshold), opts)
+// genBounds are what one generation runs within: whether the correspondences
+// are selected at half match.Threshold, Generate's minCoverage, and the
+// containment a join needs (joinMinOverlap in Generate).
+type genBounds struct {
+	halfThreshold bool
+	minCoverage   int
+	minOverlap    float64
+}
+
+// wranglerBounds are the bounds the wrangler generates within: its default
+// coverage is 3.
+var wranglerBounds = genBounds{minCoverage: 3, minOverlap: joinMinOverlap}
+
+// selectable returns the matches as match.Threshold is to see them: with
+// halfThreshold, every score doubled. Doubling is exact and keeps the order,
+// so the threshold selects from the doubled matches what half of it selects
+// from the matches; a mapping reads no score.
+func (b genBounds) selectable(matches []match.Match) []match.Match {
+	if !b.halfThreshold {
+		return matches
+	}
+	out := slices.Clone(matches)
+	for i := range out {
+		out[i].Score *= 2
+	}
+	return out
+}
+
+// generate is generation within b over the correspondences the matches
+// select, as the mapping-generation transducer is handed them.
+func generate(p *SourceProfile, target relation.Schema, matches []match.Match, b genBounds) []Mapping {
+	return p.generate(target, match.Correspondences(b.selectable(matches)), b.minCoverage, b.minOverlap)
 }
 
 func targetWithCrime() relation.Schema {
@@ -50,7 +79,7 @@ func targetWithCrime() relation.Schema {
 func TestDiscoverInclusionDeps(t *testing.T) {
 	sc, rels := scenarioSources(t, 200)
 	_ = sc
-	ids := DiscoverInclusionDeps(rels, 0.25)
+	ids := DiscoverInclusionDeps(rels)
 	found := false
 	for _, id := range ids {
 		if id.FromRel == "rightmove" && id.FromAttr == "postcode" &&
@@ -75,7 +104,7 @@ func TestDiscoverInclusionDeps(t *testing.T) {
 func TestGenerateBaseMappings(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, wranglerBounds)
 	byID := map[string]Mapping{}
 	for _, m := range maps {
 		byID[m.ID] = m
@@ -96,7 +125,7 @@ func TestGenerateBaseMappings(t *testing.T) {
 func TestGenerateJoinMapping(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, wranglerBounds)
 	var jm *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove+deprivation" {
@@ -117,7 +146,7 @@ func TestGenerateJoinMapping(t *testing.T) {
 func TestExecuteBaseMapping(t *testing.T) {
 	sc, rels := scenarioSources(t, 100)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, wranglerBounds)
 	var base *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove" {
@@ -157,7 +186,7 @@ func TestExecuteBaseMapping(t *testing.T) {
 func TestExecuteJoinMappingFillsCrimerank(t *testing.T) {
 	sc, rels := scenarioSources(t, 150)
 	ms := allMatches(sc, targetWithCrime(), false)
-	maps := generate(ProfileSources(rels), targetWithCrime(), ms, DefaultGenOptions())
+	maps := generate(ProfileSources(rels), targetWithCrime(), ms, wranglerBounds)
 	var jm *Mapping
 	for i, m := range maps {
 		if m.ID == "m_rightmove+deprivation" {
@@ -254,8 +283,8 @@ func TestSelectDeterministicTieBreak(t *testing.T) {
 func TestInstanceMatchesImproveCoverage(t *testing.T) {
 	sc, rels := scenarioSources(t, 200)
 	target := targetWithCrime()
-	nameOnly := generate(ProfileSources(rels), target, allMatches(sc, target, false), DefaultGenOptions())
-	withInst := generate(ProfileSources(rels), target, allMatches(sc, target, true), DefaultGenOptions())
+	nameOnly := generate(ProfileSources(rels), target, allMatches(sc, target, false), wranglerBounds)
+	withInst := generate(ProfileSources(rels), target, allMatches(sc, target, true), wranglerBounds)
 	covOf := func(maps []Mapping, id string) int {
 		for _, m := range maps {
 			if m.ID == id {
@@ -292,18 +321,18 @@ func TestGenerateFromProfile(t *testing.T) {
 			}
 			for _, withInstances := range []bool{false, true} {
 				matches := allMatches(sc, target, withInstances)
-				for _, opts := range []GenOptions{
-					DefaultGenOptions(),
-					{MatchThreshold: 0.3, MinCoverage: 1, JoinMinOverlap: 0},
-					{MatchThreshold: 0.6, MinCoverage: 2, JoinMinOverlap: 0.9},
-					{MatchThreshold: 0.6, MinCoverage: 3, JoinMinOverlap: 1.1},
+				for _, b := range []genBounds{
+					wranglerBounds,
+					{halfThreshold: true, minCoverage: 1, minOverlap: 0},
+					{minCoverage: 2, minOverlap: 0.9},
+					{minCoverage: 3, minOverlap: 1.1},
 				} {
-					want := referenceGenerate(target, rels, matches, opts)
-					label := fmt.Sprintf("n=%d seed=%d instances=%v %+v", n, seed, withInstances, opts)
-					if got := generate(profile, target, matches, opts); !reflect.DeepEqual(got, want) {
+					want := referenceGenerate(target, rels, matches, b)
+					label := fmt.Sprintf("n=%d seed=%d instances=%v %+v", n, seed, withInstances, b)
+					if got := generate(profile, target, matches, b); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: from the shared profile\n%v\nthe reference generates\n%v", label, got, want)
 					}
-					if got := generate(ProfileSources(rels), target, matches, opts); !reflect.DeepEqual(got, want) {
+					if got := generate(ProfileSources(rels), target, matches, b); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: Generate\n%v\nthe reference generates\n%v", label, got, want)
 					}
 					generated += len(want)

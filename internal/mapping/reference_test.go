@@ -4,8 +4,8 @@ package mapping
 // before the sources were profiled apart from the matches and before it was
 // handed correspondences instead of matches, kept as the oracle of
 // TestGenerateFromProfile. It discovers the inclusion dependencies of the
-// sources, at the options' overlap threshold, on every call, and selects the
-// 1:1 matches itself, in score order; only the mapping builders, which read no
+// sources that reach the overlap bound on every call, and selects the 1:1
+// matches itself, in score order; only the mapping builders, which read no
 // score, are handed what they are handed now.
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // referenceGenerate is Generate as it was. Test-only.
-func referenceGenerate(target relation.Schema, sources []*relation.Relation, matches []match.Match, opts GenOptions) []Mapping {
+func referenceGenerate(target relation.Schema, sources []*relation.Relation, matches []match.Match, b genBounds) []Mapping {
 	srcByName := map[string]*relation.Relation{}
 	var srcNames []string
 	for _, s := range sources {
@@ -27,19 +27,24 @@ func referenceGenerate(target relation.Schema, sources []*relation.Relation, mat
 
 	// Per-source selected matches above threshold.
 	perSource := map[string][]match.Match{}
-	for _, m := range match.SelectOneToOne(matches, opts.MatchThreshold) {
+	for _, m := range match.SelectOneToOne(b.selectable(matches)) {
 		if _, ok := srcByName[m.SourceRel]; !ok {
 			continue
 		}
 		perSource[m.SourceRel] = append(perSource[m.SourceRel], m)
 	}
 
-	ids := DiscoverInclusionDeps(sources, opts.JoinMinOverlap)
+	var ids []InclusionDep
+	for _, id := range DiscoverInclusionDeps(sources) {
+		if id.Overlap >= b.minOverlap {
+			ids = append(ids, id)
+		}
+	}
 
 	var out []Mapping
 	for _, base := range srcNames {
 		ms := perSource[base]
-		if len(ms) == 0 || len(ms) < min(opts.MinCoverage, target.Arity()) {
+		if len(ms) == 0 || len(ms) < min(b.minCoverage, target.Arity()) {
 			continue
 		}
 		bm := buildBaseMapping(target, srcByName[base], correspondencesOf(ms))

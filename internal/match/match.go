@@ -114,13 +114,18 @@ func Combine(lists ...[]Match) []Match {
 	return out
 }
 
+// Threshold is the score a match needs to become a correspondence: what
+// mapping generation is handed, and the floor of the advisor's "unmatched
+// target" suggestions.
+const Threshold = 0.6
+
 // SelectOneToOne keeps, per source relation, at most one match per source
 // attribute and per target attribute, greedily by descending score, dropping
-// matches below threshold. Ties break deterministically.
-func SelectOneToOne(matches []Match, threshold float64) []Match {
+// matches below Threshold. Ties break deterministically.
+func SelectOneToOne(matches []Match) []Match {
 	var sorted []Match
 	for _, m := range matches {
-		if !(m.Score < threshold) {
+		if !(m.Score < Threshold) {
 			sorted = append(sorted, m)
 		}
 	}
@@ -158,12 +163,12 @@ type Correspondence struct {
 	SourceRel, SourceAttr, TargetAttr string
 }
 
-// Correspondences is SelectOneToOne's choice at threshold as correspondences,
-// ordered by source relation, source attribute and target attribute: match
-// lists that select the same pairs give equal slices, whatever their scores.
-func Correspondences(matches []Match, threshold float64) []Correspondence {
+// Correspondences is SelectOneToOne's choice as correspondences, ordered by
+// source relation, source attribute and target attribute: match lists that
+// select the same pairs give equal slices, whatever their scores.
+func Correspondences(matches []Match) []Correspondence {
 	var out []Correspondence
-	for _, m := range SelectOneToOne(matches, threshold) {
+	for _, m := range SelectOneToOne(matches) {
 		out = append(out, Correspondence{m.SourceRel, m.SourceAttr, m.TargetAttr})
 	}
 	slices.SortFunc(out, func(a, b Correspondence) int {

@@ -162,13 +162,13 @@ func TestCombineKeepsMax(t *testing.T) {
 func TestSelectOneToOne(t *testing.T) {
 	ms := []Match{
 		{SourceRel: "s", SourceAttr: "a", TargetAttr: "x", Score: 0.9},
-		{SourceRel: "s", SourceAttr: "a", TargetAttr: "y", Score: 0.8}, // loses: a used
-		{SourceRel: "s", SourceAttr: "b", TargetAttr: "x", Score: 0.7}, // loses: x used
-		{SourceRel: "s", SourceAttr: "b", TargetAttr: "y", Score: 0.6},
-		{SourceRel: "s", SourceAttr: "c", TargetAttr: "z", Score: 0.2}, // below threshold
-		{SourceRel: "r", SourceAttr: "a", TargetAttr: "x", Score: 0.5}, // other relation: ok
+		{SourceRel: "s", SourceAttr: "a", TargetAttr: "y", Score: 0.8},  // loses: a used
+		{SourceRel: "s", SourceAttr: "b", TargetAttr: "x", Score: 0.7},  // loses: x used
+		{SourceRel: "s", SourceAttr: "b", TargetAttr: "y", Score: 0.6},  // at the threshold: kept
+		{SourceRel: "s", SourceAttr: "c", TargetAttr: "z", Score: 0.59}, // below threshold
+		{SourceRel: "r", SourceAttr: "a", TargetAttr: "x", Score: 0.65}, // other relation: ok
 	}
-	out := SelectOneToOne(ms, 0.3)
+	out := SelectOneToOne(ms)
 	if len(out) != 3 {
 		t.Fatalf("selected %d, want 3: %v", len(out), out)
 	}
@@ -184,8 +184,8 @@ func TestSelectOneToOneDeterministicTies(t *testing.T) {
 		{SourceRel: "s", SourceAttr: "a", TargetAttr: "y", Score: 0.8},
 		{SourceRel: "s", SourceAttr: "a", TargetAttr: "x", Score: 0.8},
 	}
-	a := SelectOneToOne(ms, 0)
-	b := SelectOneToOne([]Match{ms[1], ms[0]}, 0)
+	a := SelectOneToOne(ms)
+	b := SelectOneToOne([]Match{ms[1], ms[0]})
 	if a[0].TargetAttr != b[0].TargetAttr {
 		t.Fatal("tie-break must not depend on input order")
 	}
@@ -200,11 +200,11 @@ func TestEndToEndScenarioMatching(t *testing.T) {
 	sc := datagen.Generate(cfg)
 	tgt := datagen.TargetSchema()
 
-	nameOnly := SelectOneToOne(MatchSchemas(sc.OnTheMarket.Schema, tgt), 0.6)
+	nameOnly := SelectOneToOne(MatchSchemas(sc.OnTheMarket.Schema, tgt))
 	withInstances := SelectOneToOne(Combine(
 		MatchSchemas(sc.OnTheMarket.Schema, tgt),
 		ProfileInstances(sc.AddressRef).Match(sc.OnTheMarket),
-	), 0.6)
+	))
 
 	has := func(ms []Match, sa, ta string) bool {
 		for _, m := range ms {

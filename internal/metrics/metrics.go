@@ -15,7 +15,7 @@
 // series stay distinct:
 //
 //	reg.Counter(metrics.Name("http_requests_total", "route", pat)).Inc()
-//	reg.Histogram("run_stage_seconds", metrics.DefBuckets).Observe(dt)
+//	reg.Histogram("run_stage_seconds").Observe(dt)
 package metrics
 
 import (
@@ -28,11 +28,11 @@ import (
 	"time"
 )
 
-// DefBuckets are the default latency bucket upper bounds, in seconds:
+// buckets are every histogram's latency bucket upper bounds, in seconds:
 // half-millisecond resolution at the fast end, ten-second ceiling at the
 // slow end, roughly exponential in between. Observations above the last
 // bound land in the implicit +Inf bucket.
-var DefBuckets = []float64{
+var buckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -118,10 +118,9 @@ func (g *Gauge) Max(n int64) {
 // the bucket whose upper bound first contains them (plus an implicit +Inf
 // overflow bucket), alongside a running count, sum, min and max. Quantiles
 // are estimated by linear interpolation within the containing bucket, the
-// standard fixed-bucket estimator: accuracy is bounded by bucket width, so
-// choose bounds that bracket the latencies you care about (DefBuckets spans
-// 0.5ms–10s). The zero value is NOT ready to use; obtain histograms from a
-// Registry or NewHistogram.
+// standard fixed-bucket estimator: accuracy is bounded by bucket width, and
+// the buckets span 0.5ms–10s. The zero value is NOT ready to use; obtain
+// histograms from a Registry.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf overflow
@@ -131,15 +130,10 @@ type Histogram struct {
 	max    atomic.Uint64 // float64 bits
 }
 
-// NewHistogram builds a histogram over the given ascending upper bounds
-// (defensively copied and sorted; nil or empty falls back to DefBuckets).
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+// newHistogram builds a histogram over the given ascending upper bounds,
+// which it shares: buckets, and other bounds in the package's tests.
+func newHistogram(bounds []float64) *Histogram {
+	h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 	h.min.Store(math.Float64bits(math.Inf(1)))
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
@@ -289,10 +283,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds on first use (later calls reuse the existing buckets; nil bounds
-// mean DefBuckets).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	h, ok := r.hists[name]
 	r.mu.RUnlock()
@@ -302,7 +294,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok = r.hists[name]; !ok {
-		h = NewHistogram(bounds)
+		h = newHistogram(buckets)
 		r.hists[name] = h
 	}
 	return h

@@ -41,7 +41,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				reg.Counter("ops_total").Inc()
 				reg.Gauge("level").Add(1)
-				reg.Histogram("lat", nil).Observe(0.003)
+				reg.Histogram("lat").Observe(0.003)
 			}
 		}()
 	}
@@ -53,7 +53,7 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := reg.Gauge("level").Value(); got != want {
 		t.Errorf("gauge = %d, want %d", got, want)
 	}
-	h := reg.Histogram("lat", nil)
+	h := reg.Histogram("lat")
 	if h.Count() != want {
 		t.Errorf("histogram count = %d, want %d", h.Count(), want)
 	}
@@ -80,7 +80,7 @@ func TestGaugeMax(t *testing.T) {
 // default buckets and checks the interpolated p50/p90/p99 land within one
 // bucket width of the true quantiles.
 func TestQuantileAccuracy(t *testing.T) {
-	h := NewHistogram(DefBuckets)
+	h := newHistogram(buckets)
 	// 10k uniform samples over (0, 1]: true quantile q is simply q.
 	rng := rand.New(rand.NewSource(42))
 	const n = 10000
@@ -104,7 +104,7 @@ func TestQuantileAccuracy(t *testing.T) {
 	for i := range bounds {
 		bounds[i] = float64(i+1) / 100
 	}
-	fine := NewHistogram(bounds)
+	fine := newHistogram(bounds)
 	for i := 0; i < n; i++ {
 		fine.Observe(rng.Float64())
 	}
@@ -119,7 +119,7 @@ func TestQuantileAccuracy(t *testing.T) {
 // TestQuantileEdges covers the degenerate shapes: empty, single
 // observation, and everything in the overflow bucket.
 func TestQuantileEdges(t *testing.T) {
-	h := NewHistogram(DefBuckets)
+	h := newHistogram(buckets)
 	if got := h.Quantile(0.99); got != 0 {
 		t.Fatalf("empty histogram p99 = %g, want 0", got)
 	}
@@ -127,7 +127,7 @@ func TestQuantileEdges(t *testing.T) {
 	if got := h.Quantile(0.5); math.Abs(got-0.003) > 0.0025 {
 		t.Fatalf("single-sample p50 = %g, want ~0.003", got)
 	}
-	over := NewHistogram([]float64{0.001})
+	over := newHistogram([]float64{0.001})
 	over.Observe(42)
 	over.Observe(43)
 	if got := over.Quantile(0.9); got != 43 {
@@ -141,7 +141,7 @@ func TestSnapshotAndDelta(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total").Add(3)
 	reg.Gauge("depth").Set(7)
-	reg.Histogram("lat", nil).Observe(0.01)
+	reg.Histogram("lat").Observe(0.01)
 	before := reg.Snapshot()
 
 	raw, err := json.Marshal(before)
@@ -156,7 +156,7 @@ func TestSnapshotAndDelta(t *testing.T) {
 		t.Fatalf("round-trip lost values: %+v", decoded)
 	}
 	hs := decoded.Histograms["lat"]
-	if hs.Count != 1 || len(hs.Buckets) != len(DefBuckets)+1 {
+	if hs.Count != 1 || len(hs.Buckets) != len(buckets)+1 {
 		t.Fatalf("histogram snapshot malformed: %+v", hs)
 	}
 	if last := hs.Buckets[len(hs.Buckets)-1]; last.LE != "+Inf" || last.Count != 1 {
@@ -187,7 +187,7 @@ func TestSumCounters(t *testing.T) {
 // TestObserveSince sanity-checks the latency shorthand records a positive
 // duration in seconds.
 func TestObserveSince(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram(buckets)
 	h.ObserveSince(time.Now().Add(-10 * time.Millisecond))
 	if h.Count() != 1 {
 		t.Fatalf("count = %d, want 1", h.Count())

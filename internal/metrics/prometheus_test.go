@@ -14,7 +14,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.Counter(Name("http_requests_total", "route", "GET /x", "code", "200")).Add(3)
 	r.Counter("errors_total").Add(1)
 	r.Gauge("http_in_flight").Set(2)
-	h := r.Histogram(Name("http_request_seconds", "route", "GET /x"), []float64{0.01, 0.1})
+	name := Name("http_request_seconds", "route", "GET /x")
+	r.hists[name] = newHistogram([]float64{0.01, 0.1}) // two buckets, so the expansion reads short
+	h := r.Histogram(name)
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(7)

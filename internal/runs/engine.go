@@ -341,7 +341,7 @@ func (e *Engine) worker() {
 		t.run.State = StateRunning
 		t.run.StartedAt = &now
 		if e.reg != nil {
-			e.reg.Histogram("runs_queue_wait_seconds", nil).Observe(now.Sub(t.run.CreatedAt).Seconds())
+			e.reg.Histogram("runs_queue_wait_seconds").Observe(now.Sub(t.run.CreatedAt).Seconds())
 		}
 		// Retroactive queue-wait span: the wait began at submission, and
 		// ends right now as the worker picks the run up.
@@ -395,7 +395,7 @@ func (e *Engine) runTask(t *task) (last session.Event, applied []session.StageRe
 			e.mu.Lock()
 			stage := t.run.Stage
 			e.mu.Unlock()
-			e.reg.Histogram(metrics.Name("runs_stage_seconds", "stage", stage), nil).ObserveSince(t0)
+			e.reg.Histogram(metrics.Name("runs_stage_seconds", "stage", stage)).ObserveSince(t0)
 		}
 		if err != nil {
 			return last, applied, err
@@ -491,7 +491,7 @@ func (e *Engine) finishLocked(t *task, final Run, err error) {
 			e.reg.Counter("runs_cancelled_total").Inc()
 		}
 		if t.run.StartedAt != nil {
-			e.reg.Histogram("runs_duration_seconds", nil).Observe(t.run.FinishedAt.Sub(*t.run.StartedAt).Seconds())
+			e.reg.Histogram("runs_duration_seconds").Observe(t.run.FinishedAt.Sub(*t.run.StartedAt).Seconds())
 		}
 	}
 	e.notifyLocked(t.run)

@@ -60,7 +60,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		code := sw.status()
 		s.metrics.Counter(metrics.Name("http_requests_total",
 			"route", route, "code", strconv.Itoa(code))).Inc()
-		s.metrics.Histogram(metrics.Name("http_request_seconds", "route", route), nil).ObserveSince(t0)
+		s.metrics.Histogram(metrics.Name("http_request_seconds", "route", route)).ObserveSince(t0)
 
 		if span != nil {
 			span.SetAttr("route", route)

@@ -603,7 +603,7 @@ func (s *Server) handleEvents(rw http.ResponseWriter, r *http.Request) {
 			after = n
 		}
 	}
-	history, events, cancel := sess.Subscribe(64)
+	history, events, cancel := sess.Subscribe()
 	defer cancel()
 	rw.Header().Set("Content-Type", "text/event-stream")
 	rw.Header().Set("Cache-Control", "no-cache")
@@ -849,7 +849,7 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Counter(metrics.Name("connect_rows_total", "dir", "out", "format", stats.Format)).Add(int64(stats.Rows))
 	s.metrics.Counter(metrics.Name("connect_bytes_total", "dir", "out", "format", stats.Format)).Add(stats.Bytes)
-	s.metrics.Histogram(metrics.Name("connect_seconds", "dir", "out", "format", stats.Format), nil).ObserveSince(t0)
+	s.metrics.Histogram(metrics.Name("connect_seconds", "dir", "out", "format", stats.Format)).ObserveSince(t0)
 }
 
 // uploadRelationName derives a relation name from an uploaded filename:

@@ -39,9 +39,13 @@ type FeedbackBatchPayload struct {
 // deterministically to the agent's final word.
 func dedupFeedbackLastWins(items []feedback.Item) []feedback.Item {
 	out := make([]feedback.Item, 0, len(items))
-	at := map[string]int{}
+	type cell struct {
+		key  feedback.Key
+		attr string
+	}
+	at := map[cell]int{}
 	for _, it := range items {
-		key := feedback.DefaultKeyNorm(it.Street, it.Postcode) + "|" + it.Attr
+		key := cell{feedback.KeyOf(it.Street, it.Postcode), it.Attr}
 		if i, ok := at[key]; ok {
 			out[i] = it
 			continue
@@ -141,7 +145,7 @@ func (s *Session) Suggestions(ctx context.Context) (_ []advise.Suggestion, retEr
 		for _, sg := range sugs {
 			s.reg.Counter(metrics.Name("advise_suggestions_total", "kind", sg.Kind)).Inc()
 		}
-		s.reg.Histogram("advise_rank_seconds", nil).ObserveSince(start)
+		s.reg.Histogram("advise_rank_seconds").ObserveSince(start)
 	}
 	return sugs, nil
 }

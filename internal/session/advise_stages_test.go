@@ -93,10 +93,10 @@ func TestFeedbackBatchStage(t *testing.T) {
 	if _, err := apply(ctx, sess2, StageRequest{Stage: StageFeedbackBatch, Payload: b}); err != nil {
 		t.Fatal(err)
 	}
-	key := feedback.DefaultKeyNorm(target.Street, target.Postcode)
+	key := feedback.KeyOf(target.Street, target.Postcode)
 	found := false
 	for _, it := range sess2.Wrangler().FeedbackItems() {
-		if feedback.DefaultKeyNorm(it.Street, it.Postcode) == key && it.Attr == "price" {
+		if feedback.KeyOf(it.Street, it.Postcode) == key && it.Attr == "price" {
 			if found {
 				t.Fatalf("cell annotated twice after dedup")
 			}

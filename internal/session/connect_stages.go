@@ -41,7 +41,7 @@ func (s *Session) connectObserve(dir string, st connect.Stats, d time.Duration) 
 	}
 	s.reg.Counter(metrics.Name("connect_rows_total", "dir", dir, "format", st.Format)).Add(int64(st.Rows))
 	s.reg.Counter(metrics.Name("connect_bytes_total", "dir", dir, "format", st.Format)).Add(st.Bytes)
-	s.reg.Histogram(metrics.Name("connect_seconds", "dir", dir, "format", st.Format), nil).Observe(d.Seconds())
+	s.reg.Histogram(metrics.Name("connect_seconds", "dir", dir, "format", st.Format)).Observe(d.Seconds())
 }
 
 // mappingCandidates collects the schemas header-mapping inference matches

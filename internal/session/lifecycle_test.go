@@ -331,7 +331,7 @@ func TestEvictIdleConcurrentTeardown(t *testing.T) {
 		var closed []<-chan session.Event
 		for range n {
 			sess := r.blank()
-			_, events, _ := sess.Subscribe(1)
+			_, events, _ := sess.Subscribe()
 			closed = append(closed, events)
 			releases = append(releases, park(sess))
 		}

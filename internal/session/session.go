@@ -299,17 +299,17 @@ func (s *Session) BetweenStages(fn func()) {
 	fn()
 }
 
+// subscriberBuffer is the number of events a subscriber's channel holds.
+const subscriberBuffer = 64
+
 // Subscribe registers a live event consumer. It returns the event history
 // so far and a channel carrying every subsequent stage event — taken under
 // one lock, so no event is lost or duplicated between the two. The channel
 // is closed when the session closes; cancel unsubscribes (idempotent, safe
-// after close). Slow consumers whose buffer (buf, default 16) is full miss
+// after close). Slow consumers whose buffer (subscriberBuffer) is full miss
 // events rather than block wrangling.
-func (s *Session) Subscribe(buf int) (history []Event, events <-chan Event, cancel func()) {
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan Event, buf)
+func (s *Session) Subscribe() (history []Event, events <-chan Event, cancel func()) {
+	ch := make(chan Event, subscriberBuffer)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	history = append([]Event(nil), s.events...)

@@ -163,7 +163,7 @@ func TestSubscribe(t *testing.T) {
 	sc := testScenario(t, 40, 1)
 	sess := New("sub", core.BuildScenarioWrangler(sc), WithScenario(sc, 1))
 
-	history, events, cancel := sess.Subscribe(4)
+	history, events, cancel := sess.Subscribe()
 	if len(history) != 0 {
 		t.Fatalf("history before any stage = %d events", len(history))
 	}
@@ -180,7 +180,7 @@ func TestSubscribe(t *testing.T) {
 	}
 
 	// A second subscriber sees the bootstrap in its replayed history.
-	h2, ev2, cancel2 := sess.Subscribe(4)
+	h2, ev2, cancel2 := sess.Subscribe()
 	if len(h2) != 1 || h2[0].Stage != StageBootstrap {
 		t.Fatalf("history after bootstrap = %+v", h2)
 	}
@@ -200,7 +200,7 @@ func TestSubscribe(t *testing.T) {
 	cancel() // safe after close
 
 	// Subscribing to a closed session yields history and a closed channel.
-	h3, ev3, cancel3 := sess.Subscribe(1)
+	h3, ev3, cancel3 := sess.Subscribe()
 	if len(h3) != 1 {
 		t.Fatalf("post-close history = %d events", len(h3))
 	}
@@ -340,7 +340,7 @@ func TestApply(t *testing.T) {
 func TestPublishTransition(t *testing.T) {
 	sc := testScenario(t, 30, 1)
 	sess := New("tr", core.BuildScenarioWrangler(sc), WithScenario(sc, 1))
-	_, events, cancel := sess.Subscribe(4)
+	_, events, cancel := sess.Subscribe()
 	defer cancel()
 
 	tr := RunTransition{RunID: "r1", State: "running", Stage: StageBootstrap, StageIndex: 1, StageCount: 3}
@@ -387,13 +387,15 @@ func TestSlowConsumerDropsCounted(t *testing.T) {
 	sc := testScenario(t, 30, 1)
 	sess := New("drops", core.BuildScenarioWrangler(sc), WithScenario(sc, 1), WithMetrics(reg))
 
-	_, _, cancel := sess.Subscribe(1) // never drained: fills after one event
+	_, _, cancel := sess.Subscribe() // never drained
 	if got := reg.Gauge("sse_subscribers").Value(); got != 1 {
 		t.Fatalf("sse_subscribers after Subscribe = %d, want 1", got)
 	}
 
 	tr := RunTransition{RunID: "r1", State: "running", Stage: StageBootstrap}
-	sess.PublishTransition(tr) // fills the buffer
+	for range subscriberBuffer {
+		sess.PublishTransition(tr) // fills the buffer
+	}
 	sess.PublishTransition(tr) // dropped
 	sess.PublishTransition(tr) // dropped
 	name := metrics.Name("sse_dropped_events_total", "kind", "transition")
@@ -416,7 +418,7 @@ func TestSlowConsumerDropsCounted(t *testing.T) {
 		t.Fatalf("sse_subscribers after cancel = %d, want 0", got)
 	}
 	// Close decrements whatever cancel has not already released.
-	sess.Subscribe(1)
+	sess.Subscribe()
 	sess.Close()
 	if got := reg.Gauge("sse_subscribers").Value(); got != 0 {
 		t.Fatalf("sse_subscribers after Close = %d, want 0", got)

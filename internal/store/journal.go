@@ -282,7 +282,7 @@ func (j *journal) sync() error {
 		return fmt.Errorf("store: syncing record: %w", err)
 	}
 	j.reg.Counter(metrics.Name("persist_fsync_total", "path", "journal")).Inc()
-	j.reg.Histogram(metrics.Name("persist_fsync_seconds", "path", "journal"), nil).ObserveSince(t0)
+	j.reg.Histogram(metrics.Name("persist_fsync_seconds", "path", "journal")).ObserveSince(t0)
 	j.reg.Counter("persist_journal_bytes_total").Add(j.written.bytes - j.durable.bytes)
 	j.durable = j.written
 	return nil

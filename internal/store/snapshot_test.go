@@ -21,7 +21,7 @@ import (
 	"vada/internal/datagen"
 	"vada/internal/feedback"
 	"vada/internal/kb"
-	"vada/internal/mapping"
+	"vada/internal/match"
 	"vada/internal/mcda"
 	"vada/internal/metrics"
 	"vada/internal/relation"
@@ -545,7 +545,7 @@ func TestSnapshotCarriesNoConfiguration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := advise.Snapshot(sess.Wrangler()).MatchThreshold, mapping.DefaultGenOptions().MatchThreshold; got != want {
+		if got, want := advise.Snapshot(sess.Wrangler()).MatchThreshold, match.Threshold; got != want {
 			t.Fatalf("the advisor's match threshold is %v after a restore, want the constant %v", got, want)
 		}
 		if _, err := sess.Bootstrap(ctx); err != nil {

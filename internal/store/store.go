@@ -489,7 +489,7 @@ func (s *Store) writeSnapshot(snap *SessionSnapshot) error {
 		return err
 	}
 	s.Metrics.Counter(metrics.Name("persist_fsync_total", "path", "snapshot")).Inc()
-	s.Metrics.Histogram(metrics.Name("persist_fsync_seconds", "path", "snapshot"), nil).ObserveSince(t0)
+	s.Metrics.Histogram(metrics.Name("persist_fsync_seconds", "path", "snapshot")).ObserveSince(t0)
 	if info, err := tmp.Stat(); err == nil {
 		s.Metrics.Counter("persist_snapshot_bytes_total").Add(info.Size())
 	}

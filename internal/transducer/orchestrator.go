@@ -44,14 +44,10 @@ type Orchestrator struct {
 	Registry *Registry
 	// Network decides among ready transducers.
 	Network NetworkTransducer
-	// Engine evaluates dependency queries.
-	Engine *vadalog.Engine
-	// MaxSteps guards against livelock from non-idempotent transducers: it
-	// bounds the steps one RunToQuiescence call executes, not the
-	// orchestrator's lifetime. Skips are not counted and cannot loop: a
-	// skipped transducer leaves the ready set until the knowledge base
-	// moves, and within a run only an executed step moves it.
-	MaxSteps int
+	// engine evaluates dependency queries.
+	engine *vadalog.Engine
+	// stepGuard is maxSteps; the package's tests lower it.
+	stepGuard int
 
 	lastRun map[string]uint64 // transducer name -> KB version at last run or skip
 	// inputs holds what each transducer read the last time it executed. A
@@ -94,21 +90,23 @@ type InputDeclarer interface {
 	Inputs(read []kb.Key) []kb.Key
 }
 
-// DefaultMaxSteps is the step guard of every orchestrator: no stage of the
-// standard suite comes near it.
-const DefaultMaxSteps = 500
+// maxSteps guards against livelock from non-idempotent transducers: it
+// bounds the steps one RunToQuiescence call executes, not the orchestrator's
+// lifetime, and no stage of the standard suite comes near it. Skips are not
+// counted and cannot loop: a skipped transducer leaves the ready set until
+// the knowledge base moves, and within a run only an executed step moves it.
+const maxSteps = 500
 
-// NewOrchestrator wires an orchestrator with defaults (generic network,
-// fresh engine, DefaultMaxSteps). Network and MaxSteps are fields: set them
-// before the first run to differ.
+// NewOrchestrator wires an orchestrator with the generic network and a fresh
+// engine. Network is a field: set it before the first run to differ.
 func NewOrchestrator(k *kb.KB, reg *Registry) *Orchestrator {
 	o := &Orchestrator{
-		KB:       k,
-		Registry: reg,
-		Network:  NewGenericNetwork(),
-		Engine:   vadalog.NewEngine(),
-		MaxSteps: DefaultMaxSteps,
-		parsed:   map[string]*parsedDependency{},
+		KB:        k,
+		Registry:  reg,
+		Network:   NewGenericNetwork(),
+		engine:    vadalog.NewEngine(),
+		stepGuard: maxSteps,
+		parsed:    map[string]*parsedDependency{},
 	}
 	o.ResetEligibility()
 	return o
@@ -139,7 +137,7 @@ func (o *Orchestrator) Eligible() ([]Transducer, error) {
 				p = &parsedDependency{}
 				o.parsed[t.Name()] = p
 			}
-			ok, err := p.satisfied(t.Dependency(), rec, o.Engine)
+			ok, err := p.satisfied(t.Dependency(), rec, o.engine)
 			if err != nil {
 				delete(o.deps, t.Name())
 				return nil, fmt.Errorf("transducer %s: dependency: %w", t.Name(), err)
@@ -156,7 +154,7 @@ func (o *Orchestrator) Eligible() ([]Transducer, error) {
 }
 
 // RunToQuiescence drives the system until no transducer is eligible, the
-// context is cancelled, or this call has executed MaxSteps steps. A ready
+// context is cancelled, or this call has executed maxSteps steps. A ready
 // transducer the network picks is executed only if it has never executed
 // here or a key of its last input set has moved since; otherwise it is
 // marked as run at the current version and dropped from the ready set, and
@@ -173,7 +171,7 @@ func (o *Orchestrator) RunToQuiescence(ctx context.Context) (steps []Step, err e
 			o.trace[len(o.trace)-1].Skipped = skipped
 		}
 	}()
-	for len(steps) < o.MaxSteps {
+	for len(steps) < o.stepGuard {
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}
@@ -209,7 +207,7 @@ func (o *Orchestrator) RunToQuiescence(ctx context.Context) (steps []Step, err e
 		o.trace = append(o.trace, step)
 		steps = append(steps, step)
 	}
-	return steps, fmt.Errorf("transducer: orchestration exceeded %d steps without quiescing", o.MaxSteps)
+	return steps, fmt.Errorf("transducer: orchestration exceeded %d steps without quiescing", o.stepGuard)
 }
 
 // inputsMoved reports whether t must execute: it never has, or something it

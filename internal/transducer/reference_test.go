@@ -30,7 +30,7 @@ type ReferenceOrchestrator struct {
 
 // NewReferenceOrchestrator wires the reference over a knowledge base and
 // registry, typically a Wrangler's own.
-func NewReferenceOrchestrator(k *kb.KB, reg *Registry, network NetworkTransducer, maxSteps int) *ReferenceOrchestrator {
+func NewReferenceOrchestrator(k *kb.KB, reg *Registry, network NetworkTransducer) *ReferenceOrchestrator {
 	return &ReferenceOrchestrator{
 		KB:       k,
 		Registry: reg,

@@ -219,8 +219,8 @@ type NetworkTransducer interface {
 }
 
 // GenericNetwork is the paper's example of a generic network transducer: it
-// orders activities by a configured phase ranking ("data extraction before
-// mapping"), breaking ties by registration order.
+// orders activities by the phase ranking DefaultActivityOrder ("data
+// extraction before mapping"), breaking ties by registration order.
 type GenericNetwork struct {
 	rank map[string]int
 }
@@ -232,14 +232,12 @@ var DefaultActivityOrder = []string{
 	"execution", "repair", "quality", "selection", "fusion",
 }
 
-// NewGenericNetwork builds a GenericNetwork with the given activity order
-// (earlier = higher priority). Unknown activities rank last.
-func NewGenericNetwork(order ...string) *GenericNetwork {
-	if len(order) == 0 {
-		order = DefaultActivityOrder
-	}
-	rank := make(map[string]int, len(order))
-	for i, a := range order {
+// NewGenericNetwork builds a GenericNetwork ranking activities in
+// DefaultActivityOrder (earlier = higher priority). Unknown activities rank
+// last.
+func NewGenericNetwork() *GenericNetwork {
+	rank := make(map[string]int, len(DefaultActivityOrder))
+	for i, a := range DefaultActivityOrder {
 		rank[a] = i
 	}
 	return &GenericNetwork{rank: rank}

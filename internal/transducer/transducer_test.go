@@ -208,7 +208,7 @@ func TestOrchestratorSelfWritesDoNotRetrigger(t *testing.T) {
 	})
 	k.Assert("seed", tup(0))
 	o := NewOrchestrator(k, reg)
-	o.MaxSteps = 10
+	o.stepGuard = 10
 	steps, err := o.RunToQuiescence(context.Background())
 	if err != nil || len(steps) != 1 {
 		t.Fatalf("self-writer should run exactly once: %d steps, %v", len(steps), err)
@@ -216,7 +216,7 @@ func TestOrchestratorSelfWritesDoNotRetrigger(t *testing.T) {
 }
 
 func TestOrchestratorMaxStepsGuard(t *testing.T) {
-	// Two mutually-triggering transducers livelock; MaxSteps must trip.
+	// Two mutually-triggering transducers livelock; the step guard must trip.
 	k := kb.New()
 	reg := NewRegistry()
 	na, nb := 0, 0
@@ -242,12 +242,12 @@ func TestOrchestratorMaxStepsGuard(t *testing.T) {
 	)
 	k.Assert("a", tup(0))
 	o := NewOrchestrator(k, reg)
-	o.MaxSteps = 10
+	o.stepGuard = 10
 	// The guard is per call: the second call gets ten steps of its own.
 	for call := 1; call <= 2; call++ {
 		steps, err := o.RunToQuiescence(context.Background())
 		if err == nil || len(steps) != 10 {
-			t.Fatalf("call %d: mutual livelock must trip MaxSteps after 10 steps: %d steps, %v", call, len(steps), err)
+			t.Fatalf("call %d: mutual livelock must trip the step guard after 10 steps: %d steps, %v", call, len(steps), err)
 		}
 		if got := steps[9].Seq; got != 10*call {
 			t.Fatalf("call %d: last Seq = %d, want the cumulative %d", call, got, 10*call)
@@ -530,14 +530,14 @@ func TestMaxStepsCountsExecutedSteps(t *testing.T) {
 	var busy int
 	reg.MustRegister(countingTransducer("busy", "work", "done", &busy))
 	o := NewOrchestrator(k, reg)
-	o.MaxSteps = 7
+	o.stepGuard = 7
 	ctx := context.Background()
 	if _, err := o.RunToQuiescence(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Six ready transducers are skipped before and after busy's one step;
 	// with skips counted the guard of two would trip.
-	o.MaxSteps = 2
+	o.stepGuard = 2
 	k.Assert("work", tup(1))
 	steps, err := o.RunToQuiescence(ctx)
 	if err != nil || len(steps) != 1 || busy != 1 {
@@ -691,12 +691,12 @@ func TestDependencyAnswerKept(t *testing.T) {
 		Dep:   Dependency{Program: "big(X) :- seed(X).", Query: "?- big(X)."},
 		RunFn: func(context.Context, *kb.KB) (Report, error) { return Report{}, nil },
 	})
-	budget := o.Engine.MaxFacts
-	o.Engine.MaxFacts = 1
+	budget := o.engine.MaxFacts
+	o.engine.MaxFacts = 1
 	if _, err := o.Eligible(); err == nil {
 		t.Fatal("two derived facts past a budget of one: the dependency must fail")
 	}
-	o.Engine.MaxFacts = budget
+	o.engine.MaxFacts = budget
 	got, err := o.Eligible()
 	if err != nil || len(got) != 2 {
 		t.Fatalf("the failed dependency was not asked again: %v, %d ready", err, len(got))

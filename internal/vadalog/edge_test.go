@@ -139,6 +139,18 @@ func TestEvalComparisonBetweenTwoColumns(t *testing.T) {
 	}
 }
 
+// TestEvalIntSumIsExact: a sum of ints is exact past 2^53, where a float64
+// sum rounds 2^53+1 down to 2^53.
+func TestEvalIntSumIsExact(t *testing.T) {
+	const big = int64(1)<<53 + 1
+	res := runProg(t, `t(D, sum(S)) :- d(D, S).`, MapEDB{"d": {tup("a", big), tup("a", 0), tup("b", big), tup("b", -big)}})
+	for _, want := range []relation.Tuple{tup("a", big), tup("b", 0)} {
+		if !res.Has("t", want) {
+			t.Fatalf("t = %v, want %v among them", res.Facts("t"), want)
+		}
+	}
+}
+
 func TestQueryResultOnMissingVarsIsNull(t *testing.T) {
 	// Vars bound only in some disjuncts cannot happen in conjunctive
 	// queries, but anonymous underscore vars must not leak into answers.

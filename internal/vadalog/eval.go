@@ -520,20 +520,25 @@ func evalAggRule(rp *rulePlan) []relation.Tuple {
 }
 
 // aggregate applies fn to the collected values. Nulls are skipped for
-// sum/min/max/avg; count counts all bindings.
+// sum/min/max/avg; count counts all bindings. A sum of ints is added in int64,
+// exact past 2^53; only when that overflows is it the float sum.
 func aggregate(fn AggFn, vals []relation.Value) relation.Value {
 	switch fn {
 	case AggCount:
 		return relation.Int(int64(len(vals)))
 	case AggSum, AggAvg:
 		sum, n := 0.0, 0
-		allInt := true
+		var isum int64
+		allInt, overflow := true, false
 		for _, v := range vals {
 			if f, ok := v.AsFloat(); ok {
 				sum += f
 				n++
 				if v.Kind() != relation.KindInt {
 					allInt = false
+				} else if i := v.IntVal(); !overflow {
+					overflow = (isum+i < isum) != (i < 0)
+					isum += i
 				}
 			}
 		}
@@ -542,6 +547,9 @@ func aggregate(fn AggFn, vals []relation.Value) relation.Value {
 		}
 		if fn == AggAvg {
 			return relation.Float(sum / float64(n))
+		}
+		if allInt && !overflow {
+			return relation.Int(isum)
 		}
 		if allInt {
 			return relation.Int(int64(sum))
