@@ -182,7 +182,7 @@ func TestUserContextSwitchSurvivesRestore(t *testing.T) {
 		t.Fatalf("%d uc_priority facts after the switch, want the new model's %d", got, want)
 	}
 
-	snap, err := kb.ReadSnapshot(strings.NewReader(kbSnapshot(t, live.KB)))
+	snap, err := kb.ReadSnapshot([]byte(kbSnapshot(t, live.KB)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func kbContent(t *testing.T, k *kb.KB) string {
 // one's knowledge base persists as: all a restore is.
 func restoredFrom(t *testing.T, live *Wrangler, sc *datagen.Scenario) *Wrangler {
 	t.Helper()
-	snap, err := kb.ReadSnapshot(strings.NewReader(kbSnapshot(t, live.KB)))
+	snap, err := kb.ReadSnapshot([]byte(kbSnapshot(t, live.KB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestUserModelFromFacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := kb.ReadSnapshot(strings.NewReader(kbSnapshot(t, w.KB)))
+		snap, err := kb.ReadSnapshot([]byte(kbSnapshot(t, w.KB)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,14 @@ import (
 	"vada/internal/relation"
 )
 
+// snapshotJSON is the knowledge-base snapshot as reflection sees it, over
+// relation's own types.
+type snapshotJSON struct {
+	Version   uint64                        `json:"version"`
+	Facts     map[string][]relation.Tuple   `json:"facts"`
+	Relations map[string]*relation.Relation `json:"relations"`
+}
+
 // refWriteSnapshot is WriteSnapshot as it was before the hand-written
 // encoder: the snapshotJSON layout through a json.Encoder, each predicate's
 // facts sorted by Tuple.Key on every comparison. It is the differential
@@ -69,9 +77,21 @@ var encodeVals = []relation.Value{
 
 var encodeNames = []string{"p", "q<&>", "r\u2029"}
 
-// snapshotScript drives a knowledge base with the byte script, three bytes
-// an op, and holds the snapshot's encoding to refWriteSnapshot.
+// snapshotScript drives a knowledge base with the byte script and holds the
+// snapshot's encoding to refWriteSnapshot.
 func snapshotScript(t *testing.T, script []byte) {
+	k := scriptKB(script)
+	var snap bytes.Buffer
+	gotErr := k.WriteSnapshot(&snap)
+	want, wantErr := refWriteSnapshot(k)
+	if !keysUnique(k) && gotErr == nil && wantErr == nil {
+		return
+	}
+	sameEncoding(t, "snapshot", snap.Bytes(), gotErr, want, wantErr)
+}
+
+// scriptKB is the knowledge base the byte script makes, three bytes an op.
+func scriptKB(script []byte) *KB {
 	k := New()
 	k.PutRelation("seed", rows(0, 3))
 	for i := 0; i+2 < len(script); i += 3 {
@@ -94,13 +114,7 @@ func snapshotScript(t *testing.T, script []byte) {
 			k.PutRelation("seed", rows(a, b%5))
 		}
 	}
-	var snap bytes.Buffer
-	gotErr := k.WriteSnapshot(&snap)
-	want, wantErr := refWriteSnapshot(k)
-	if !keysUnique(k) && gotErr == nil && wantErr == nil {
-		return
-	}
-	sameEncoding(t, "snapshot", snap.Bytes(), gotErr, want, wantErr)
+	return k
 }
 
 // rows is a relation of n rows drawn from encodeVals from offset a on.
@@ -132,10 +146,18 @@ func sameEncoding(t *testing.T, what string, got []byte, gotErr error, want []by
 // FuzzSnapshotJSON holds the hand-written snapshot encoder to the reflection
 // encoding of the same knowledge-base writes.
 func FuzzSnapshotJSON(f *testing.F) {
-	f.Add([]byte{0, 7, 8, 0, 2, 9, 3, 4, 2, 5, 1, 3, 1, 7, 8})
-	f.Add([]byte{0, 5, 8, 0, 6, 7, 5, 2, 4, 4, 0, 0, 3, 13, 14, 5, 6, 1})
-	f.Add([]byte{0, 17, 3, 3, 15, 16, 5, 3, 3, 2, 0, 0})
+	for _, script := range snapshotScripts {
+		f.Add(script)
+	}
 	f.Fuzz(snapshotScript)
+}
+
+// snapshotScripts seed FuzzSnapshotJSON and, through the snapshots they
+// make, FuzzReadSnapshotDifferential.
+var snapshotScripts = [][]byte{
+	{0, 7, 8, 0, 2, 9, 3, 4, 2, 5, 1, 3, 1, 7, 8},
+	{0, 5, 8, 0, 6, 7, 5, 2, 4, 4, 0, 0, 3, 13, 14, 5, 6, 1},
+	{0, 17, 3, 3, 15, 16, 5, 3, 3, 2, 0, 0},
 }
 
 // TestSnapshotJSONScripts runs a fixed stretch of scripts outside the fuzzer.

@@ -3,7 +3,7 @@ package kb
 import (
 	"bytes"
 	"errors"
-	"io"
+	"strings"
 	"testing"
 
 	"vada/internal/relation"
@@ -44,7 +44,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k, err := ReadSnapshot(bytes.NewReader(data))
+		k, err := ReadSnapshot(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("ReadSnapshot error is not ErrBadSnapshot: %v", err)
@@ -56,7 +56,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := k.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("re-encoding decoded snapshot: %v", err)
 		}
-		if _, err := ReadSnapshot(&buf); err != nil {
+		if _, err := ReadSnapshot(buf.Bytes()); err != nil {
 			t.Fatalf("re-decoding re-encoded snapshot: %v", err)
 		}
 	})
@@ -65,17 +65,25 @@ func FuzzReadSnapshot(f *testing.F) {
 // TestReadSnapshotTypedErrors pins the decoder's error contract outside the
 // fuzzer so plain `go test` exercises it too.
 func TestReadSnapshotTypedErrors(t *testing.T) {
-	cases := map[string]io.Reader{
-		"empty":           bytes.NewReader(nil),
-		"not json":        bytes.NewReader([]byte("boom")),
-		"truncated":       bytes.NewReader(seedSnapshot(t)[:10]),
-		"empty predicate": bytes.NewReader([]byte(`{"facts":{"":[]}}`)),
-		"empty relation":  bytes.NewReader([]byte(`{"relations":{"":null}}`)),
-		"bad arity":       bytes.NewReader([]byte(`{"relations":{"r":{"name":"r","attrs":[{"name":"a","type":"int"}],"rows":[[{"k":"int","i":1},{"k":"int","i":2}]]}}}`)),
+	cases := map[string][]byte{
+		"empty":           nil,
+		"not json":        []byte("boom"),
+		"truncated":       seedSnapshot(t)[:10],
+		"empty predicate": []byte(`{"facts":{"":[]}}`),
+		"empty relation":  []byte(`{"relations":{"":null}}`),
+		"bad arity":       []byte(`{"relations":{"r":{"name":"r","attrs":[{"name":"a","type":"int"}],"rows":[[{"k":"int","i":1},{"k":"int","i":2}]]}}}`),
+		"trailing data":   append(seedSnapshot(t), "trailing garbage {"...),
+		"value key":       []byte(`{"facts":{"p":[[{"k":"string","v":"12 High St"}]]}}`),
+		"value key case":  []byte(`{"facts":{"p":[[{"K":"string","S":"x"}]]}}`),
+		"value key twice": []byte(`{"facts":{"p":[[{"k":"int","i":1,"k":"string"}]]}}`),
 	}
-	for name, r := range cases {
-		if _, err := ReadSnapshot(r); !errors.Is(err, ErrBadSnapshot) {
+	for name, data := range cases {
+		_, err := ReadSnapshot(data)
+		if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: got %v, want ErrBadSnapshot", name, err)
+		}
+		if strings.HasPrefix(name, "value key") && !errors.Is(err, relation.ErrValueKey) {
+			t.Errorf("%s: got %v, want relation.ErrValueKey", name, err)
 		}
 	}
 }

@@ -174,6 +174,15 @@ func (k *KB) Version() uint64 {
 // the caller's: what is stored (and logged) is one copy of it.
 func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	k.mu.Lock()
+	added := k.insertLocked(pred, t, false)
+	k.mu.Unlock()
+	return added
+}
+
+// insertLocked stores t as a fact of pred unless it is one already, and
+// reports whether it did. It stores a copy of t, or, when the caller owns t
+// and hands it over, t itself.
+func (k *KB) insertLocked(pred string, t relation.Tuple, handOver bool) bool {
 	fs, ok := k.facts[pred]
 	if !ok {
 		fs = &factSet{index: make(map[uint64][]int)}
@@ -181,14 +190,14 @@ func (k *KB) Assert(pred string, t relation.Tuple) bool {
 	}
 	h := t.Hash()
 	if fs.find(t, h) >= 0 {
-		k.mu.Unlock()
 		return false
 	}
-	stored := t.Clone()
-	fs.add(stored, h)
+	if !handOver {
+		t = t.Clone()
+	}
+	fs.add(t, h)
 	k.version++
 	k.bumpLocked(FactsKey(pred))
-	k.mu.Unlock()
 	return true
 }
 

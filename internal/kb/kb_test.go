@@ -192,7 +192,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	k.PutRelation("rel", &relation.Relation{Schema: r.Schema, Tuples: k.Relation("rel").Tuples[:1]})
 	k.DropRelation("gone")
 
-	restored, err := ReadSnapshot(bytes.NewReader(written.Bytes()))
+	restored, err := ReadSnapshot(written.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package kb
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,19 +17,11 @@ import (
 // the wrapped error carries the decoder detail.
 var ErrBadSnapshot = errors.New("kb: bad snapshot")
 
-// snapshotJSON is the wire form of a knowledge-base snapshot. The paper
-// keeps most extensional data in external stores; WriteSnapshot/ReadSnapshot
-// give sessions durable state (e.g. pausing a pay-as-you-go wrangle and
-// resuming later). ReadSnapshot decodes it; WriteSnapshot writes the same
-// layout by hand.
-type snapshotJSON struct {
-	Version   uint64                        `json:"version"`
-	Facts     map[string][]relation.Tuple   `json:"facts"`
-	Relations map[string]*relation.Relation `json:"relations"`
-}
-
 // WriteSnapshot serialises the knowledge base (facts, relations, version)
-// as one line of JSON: predicates and relation names in sorted order, and
+// as one line of JSON, {"version":n,"facts":{pred:[tuple,…]},
+// "relations":{name:relation}}; with ReadSnapshot it gives sessions durable
+// state, such as a pay-as-you-go wrangle paused and resumed later. It writes
+// predicates and relation names in sorted order, and
 // each predicate's facts sorted by tuple key, ties broken by their encoding,
 // so equal contents write equal bytes whatever order they were asserted in.
 // A fact with a NaN or infinite float fails it.
@@ -130,38 +121,91 @@ func appendFacts(b, enc []byte, tuples []relation.Tuple) ([]byte, []byte, error)
 }
 
 // ReadSnapshot restores a knowledge base from a snapshot written by
-// WriteSnapshot. It returns a fresh KB.
+// WriteSnapshot: one JSON object with the version, the facts by predicate and
+// the relations by name, read in one pass by relation.Decoder. Its keys match
+// case-insensitively and unknown ones are skipped, as encoding/json would;
+// only white space may follow it. It returns a fresh KB.
 // Malformed input fails with an error wrapping ErrBadSnapshot; the decoder
-// never panics and allocates only in proportion to the bytes actually read.
-func ReadSnapshot(r io.Reader) (*KB, error) {
-	var snap snapshotJSON
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+// never panics and allocates only in proportion to the bytes it is given.
+func ReadSnapshot(data []byte) (*KB, error) {
+	var (
+		version   uint64
+		facts     map[string][]relation.Tuple
+		relations map[string]*relation.Relation
+	)
+	d := relation.NewDecoder(data)
+	var err error
+	if !d.Null() {
+		err = d.Object(func(key string) error {
+			switch {
+			case strings.EqualFold(key, "version"):
+				if d.Null() {
+					return nil
+				}
+				var err error
+				version, err = d.Uint64()
+				return err
+			case strings.EqualFold(key, "facts"):
+				if d.Null() {
+					facts = nil
+					return nil
+				}
+				if facts == nil {
+					facts = map[string][]relation.Tuple{}
+				}
+				return d.Object(func(pred string) error {
+					tuples, err := d.Tuples()
+					facts[pred] = tuples
+					return err
+				})
+			case strings.EqualFold(key, "relations"):
+				if d.Null() {
+					relations = nil
+					return nil
+				}
+				if relations == nil {
+					relations = map[string]*relation.Relation{}
+				}
+				return d.Object(func(name string) error {
+					rel, err := d.Relation()
+					relations[name] = rel
+					return err
+				})
+			}
+			return d.Skip()
+		})
+	}
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
 	k := New()
-	for pred, tuples := range snap.Facts {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for pred, tuples := range facts {
 		if pred == "" {
 			return nil, fmt.Errorf("%w: empty fact predicate", ErrBadSnapshot)
 		}
 		for _, t := range tuples {
-			k.Assert(pred, t)
+			if len(t) == 0 {
+				t = nil // as Assert stores an empty fact
+			}
+			k.insertLocked(pred, t, true) // the decoder made t: nobody else holds it
 		}
 	}
-	for name, rel := range snap.Relations {
+	for name, rel := range relations {
 		if name == "" {
 			return nil, fmt.Errorf("%w: empty relation name", ErrBadSnapshot)
 		}
 		if rel != nil {
-			k.PutRelation(name, rel)
+			k.installRelationLocked(name, rel)
 		}
 	}
 	// Restore the version counter so orchestration eligibility carries over
 	// (it must be at least the number of changes we just replayed).
-	k.mu.Lock()
-	if snap.Version > k.version {
-		k.version = snap.Version
-	}
-	k.mu.Unlock()
+	k.version = max(k.version, version)
 	return k, nil
 }
 

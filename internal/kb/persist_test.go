@@ -21,7 +21,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := k.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadSnapshot(strings.NewReader(buf.String()))
+	restored, err := ReadSnapshot([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSnapshotEmptyKB(t *testing.T) {
 	if err := New().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadSnapshot(strings.NewReader(buf.String()))
+	restored, err := ReadSnapshot([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestReadSnapshotGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(strings.NewReader("not json")); err == nil {
+	if _, err := ReadSnapshot([]byte("not json")); err == nil {
 		t.Fatal("garbage should fail")
 	}
 }

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -14,18 +13,10 @@ import (
 // escapes, ES6 number formatting, omitempty fields, null for empty slices),
 // which the differential tests hold them to.
 
-// valueJSON is the wire form of a Value: kind-tagged so that null, "1" and
-// 1 survive round trips.
-type valueJSON struct {
-	K string  `json:"k"`
-	S string  `json:"s,omitempty"`
-	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
-	B bool    `json:"b,omitempty"`
-}
-
-// AppendJSON appends the value's kind-tagged wire form to b. A NaN or
-// infinite float fails with encoding/json's *json.UnsupportedValueError.
+// AppendJSON appends the value's kind-tagged wire form to b: the kind under
+// k, and the payload under s, i, f or b unless it is zero, so that null, ""
+// and "1" and 1 survive round trips. A NaN or infinite float fails with
+// encoding/json's *json.UnsupportedValueError.
 func (v Value) AppendJSON(b []byte) ([]byte, error) {
 	if v.kind >= 0 && int(v.kind) < len(kindTags) {
 		b = append(b, kindTags[v.kind]...)
@@ -108,41 +99,19 @@ func AppendTuplesJSON(b []byte, ts []Tuple) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler with Decoder: data must be one
+// Value's wire form.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	var in valueJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	d := NewDecoder(data)
+	x, err := d.value()
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
 		return err
 	}
-	kind, err := KindFromString(in.K)
-	if err != nil {
-		return fmt.Errorf("relation: decoding value: %w", err)
-	}
-	switch kind {
-	case KindNull:
-		*v = Null()
-	case KindString:
-		*v = String(in.S)
-	case KindInt:
-		*v = Int(in.I)
-	case KindFloat:
-		*v = Float(in.F)
-	case KindBool:
-		*v = Bool(in.B)
-	}
+	*v = x
 	return nil
-}
-
-// relationJSON is the wire form of a Relation.
-type relationJSON struct {
-	Name  string     `json:"name"`
-	Attrs []attrJSON `json:"attrs"`
-	Rows  [][]Value  `json:"rows"`
-}
-
-type attrJSON struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
 }
 
 // AppendJSON appends the relation's wire form to b: its name, its
@@ -194,28 +163,18 @@ func (r *Relation) MarshalJSON() ([]byte, error) {
 	return r.AppendJSON(make([]byte, 0, size))
 }
 
-// UnmarshalJSON implements json.Unmarshaler for whole relations.
+// UnmarshalJSON implements json.Unmarshaler for whole relations, with
+// Decoder.
 func (r *Relation) UnmarshalJSON(data []byte) error {
-	var in relationJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	d := NewDecoder(data)
+	var in Relation
+	if err := d.relation(&in); err != nil {
 		return err
 	}
-	schema := Schema{Name: in.Name}
-	for _, a := range in.Attrs {
-		kind, err := KindFromString(a.Type)
-		if err != nil {
-			return fmt.Errorf("relation: decoding schema: %w", err)
-		}
-		schema.Attrs = append(schema.Attrs, Attribute{Name: a.Name, Type: kind})
+	if err := d.End(); err != nil {
+		return err
 	}
-	r.Schema = schema
-	r.Tuples = nil
-	for _, row := range in.Rows {
-		if len(row) != schema.Arity() {
-			return fmt.Errorf("relation: decoding %s: row arity %d, want %d", in.Name, len(row), schema.Arity())
-		}
-		r.Tuples = append(r.Tuples, Tuple(row))
-	}
+	r.Schema, r.Tuples = in.Schema, in.Tuples
 	return nil
 }
 

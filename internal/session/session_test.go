@@ -274,6 +274,33 @@ func TestStageTable(t *testing.T) {
 	}
 }
 
+// TestFeedbackValueIsClosed: a feedback item's value has the wire form the
+// encoders write, keys k, s, i, f and b, each once and spelt exactly. A key
+// outside them used to be dropped, so {"k":"string","v":"12 High St"} was a
+// correction to "".
+func TestFeedbackValueIsClosed(t *testing.T) {
+	item := func(corrected string) StageRequest {
+		return StageRequest{Stage: StageFeedback, Payload: []byte(`{"items":[{"Street":"1 High St","Postcode":"M1 1AA",` +
+			`"Attr":"street","Correct":false,"Corrected":` + corrected + `,"HasCorrection":true}]}`)}
+	}
+	for _, corrected := range []string{
+		`{"k":"string","v":"12 High St"}`,
+		`{"K":"string","S":"x"}`,
+		`{"k":"string","s":"x","s":"y"}`,
+	} {
+		if _, _, err := Resolve(item(corrected)); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("Corrected %s: err = %v, want ErrBadPayload", corrected, err)
+		}
+	}
+	_, payload, err := Resolve(item(`{"k":"string","s":"12 High St"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items := payload.(*FeedbackPayload).Items; len(items) != 1 || !items[0].Corrected.Same(relation.String("12 High St")) {
+		t.Fatalf("items = %+v", items)
+	}
+}
+
 // apply resolves a request and applies its stage, as the server and the run
 // engine do.
 func apply(ctx context.Context, s *Session, req StageRequest) (Event, error) {

@@ -195,7 +195,7 @@ func ReadSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 			what, err = "meta", decodeJSON(sec.data, &snap.Meta)
 		case sectionKB:
 			what = "knowledge base"
-			snap.KB, err = kb.ReadSnapshot(bytes.NewReader(sec.data))
+			snap.KB, err = kb.ReadSnapshot(sec.data)
 		case sectionEvents:
 			what, err = "events", decodeJSON(sec.data, &snap.Events)
 		case sectionRuns:
