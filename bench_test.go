@@ -34,15 +34,44 @@ func scenarioCfg(n int) datagen.Config {
 	return cfg
 }
 
-// BenchmarkScenarioGeneration regenerates Figure 2's scenario (E-F2).
+// BenchmarkScenarioGeneration regenerates Figure 2's scenario (E-F2) at the
+// frozen benchmark's two sizes: a session's create, import and recovery each
+// pay it once.
 func BenchmarkScenarioGeneration(b *testing.B) {
-	cfg := scenarioCfg(400)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc := datagen.Generate(cfg)
-		if sc.Truth.Cardinality() != 400 {
-			b.Fatal("bad scenario")
-		}
+	for _, n := range []int{60, 600} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := scenarioCfg(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc := datagen.Generate(cfg)
+				if sc.Truth.Cardinality() != n {
+					b.Fatal("bad scenario")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScoreResult times the oracle's score of a data-context result,
+// which a session computes after every stage.
+func BenchmarkScoreResult(b *testing.B) {
+	for _, n := range []int{60, 600} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sc := datagen.Generate(scenarioCfg(n))
+			w := core.BuildScenarioWrangler(sc)
+			w.AddDataContext(sc.AddressRef)
+			if _, err := w.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			res := w.ResultClean()
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s := sc.Oracle.ScoreResult(res); s.Rows != res.Cardinality() {
+					b.Fatal("bad score")
+				}
+			}
+		})
 	}
 }
 

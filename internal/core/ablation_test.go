@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"vada/internal/datagen"
 	"vada/internal/kb"
 	"vada/internal/transducer"
 )
@@ -62,9 +63,10 @@ func TestOrchestrationConfluenceAcrossPolicies(t *testing.T) {
 	}
 
 	type outcome struct {
-		steps int
-		rows  int
-		f1    float64
+		steps  int
+		rows   int
+		f1     float64
+		digest uint64
 	}
 	results := map[string]outcome{}
 	for name, policy := range policies {
@@ -75,12 +77,14 @@ func TestOrchestrationConfluenceAcrossPolicies(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		score := sc.Oracle.ScoreResult(w.ResultClean())
-		results[name] = outcome{steps: len(steps), rows: score.Rows, f1: score.F1}
+		results[name] = outcome{steps: len(steps), rows: score.Rows, f1: score.F1, digest: w.KB.Digest()}
 	}
 
+	// The policies agree on the whole knowledge base, byte for byte, not
+	// only on the result's size and score.
 	base := results["generic"]
 	for name, r := range results {
-		if r.rows != base.rows || r.f1 != base.f1 {
+		if r.rows != base.rows || r.f1 != base.f1 || r.digest != base.digest {
 			t.Errorf("policy %s diverged: %+v vs generic %+v", name, r, base)
 		}
 	}
@@ -92,6 +96,80 @@ func TestOrchestrationConfluenceAcrossPolicies(t *testing.T) {
 	}
 	t.Logf("steps to quiescence: generic=%d reversed=%d prefer-instance=%d",
 		results["generic"].steps, results["reversed"].steps, results["prefer-instance"].steps)
+}
+
+// picks is a network policy whose choices are a fuzzer's bytes: each
+// selection takes the ready transducer the next byte names (modulo how many
+// are ready), and the first ready one once the bytes run out.
+type picks struct{ b []byte }
+
+func (*picks) Name() string { return "picks" }
+
+func (p *picks) Select(ready []transducer.Transducer, _ *kb.KB, _ []transducer.Step) transducer.Transducer {
+	if len(ready) == 0 {
+		return nil
+	}
+	i := 0
+	if len(p.b) > 0 {
+		i = int(p.b[0]) % len(ready)
+		p.b = p.b[1:]
+	}
+	return ready[i]
+}
+
+// FuzzNetworkConfluence is TestOrchestrationConfluenceAcrossPolicies under
+// any order of picks: over all four demonstration stages, the knowledge
+// base's digest after each equals the generic network's.
+func FuzzNetworkConfluence(f *testing.F) {
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties = 60
+	sc := datagen.Generate(cfg)
+	ctx := context.Background()
+
+	// The stages, with the feedback the generic network's data-context
+	// result draws, given alike to every policy.
+	generic := BuildScenarioWrangler(sc)
+	generic.AddDataContext(sc.AddressRef)
+	if _, err := generic.Run(ctx); err != nil {
+		f.Fatal(err)
+	}
+	items := OracleFeedback(sc, generic.Result(), 60, 1)
+	stages := []func(w *Wrangler){
+		func(*Wrangler) {},
+		func(w *Wrangler) { w.AddDataContext(sc.AddressRef) },
+		func(w *Wrangler) { w.AddFeedback(items...) },
+		func(w *Wrangler) { w.SetUserContext(SizeAnalysisUserContext()) },
+	}
+	digests := func(w *Wrangler) ([]uint64, error) {
+		var out []uint64
+		for _, stage := range stages {
+			stage(w)
+			if _, err := w.Run(ctx); err != nil {
+				return nil, err
+			}
+			out = append(out, w.KB.Digest())
+		}
+		return out, nil
+	}
+	want, err := digests(BuildScenarioWrangler(sc))
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := digests(BuildScenarioWrangler(sc, WithNetwork(&picks{b})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stage %d: digest %x, generic network %x", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestFusionStrategyAblation compares conflict-resolution strategies on the

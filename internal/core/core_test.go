@@ -33,11 +33,11 @@ func TestBootstrapProducesResult(t *testing.T) {
 	if res == nil || res.Cardinality() == 0 {
 		t.Fatal("bootstrap should produce a result")
 	}
-	if !res.Schema.HasAttr("crimerank") || !res.Schema.HasAttr("street") {
+	if res.Schema.AttrIndex("crimerank") < 0 || res.Schema.AttrIndex("street") < 0 {
 		t.Fatalf("result schema %v", res.Schema)
 	}
 	clean := w.ResultClean()
-	if clean.Schema.HasAttr("_src") {
+	if clean.Schema.AttrIndex("_src") >= 0 {
 		t.Fatal("ResultClean should drop provenance")
 	}
 	// Re-running without new information is a no-op (quiescence).
@@ -168,12 +168,12 @@ func bedroomAccuracy(t *testing.T, sc *datagen.Scenario, res *relation.Relation)
 		if tp[bi].IsNull() {
 			continue
 		}
-		street, pc := tp[si].String(), tp[pi].String()
-		if _, ok := sc.Oracle.Lookup(street, pc); !ok {
+		correct, known := sc.Oracle.CellCorrect(tp[si].String(), tp[pi].String(), "bedrooms", tp[bi])
+		if !known {
 			continue
 		}
 		total++
-		if sc.Oracle.CellCorrect(street, pc, "bedrooms", tp[bi]) {
+		if correct {
 			right++
 		}
 	}

@@ -192,7 +192,7 @@ func TestTargetSchemaChangeSameName(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := datagen.TargetSchema()
-	if !w.Result().Schema.HasAttr("crimerank") || !w.Result().Schema.HasAttr("type") {
+	if w.Result().Schema.AttrIndex("crimerank") < 0 || w.Result().Schema.AttrIndex("type") < 0 {
 		t.Fatalf("bootstrap result lacks target attributes: %v", w.Result().Schema)
 	}
 	narrow, err := full.Project(slices.DeleteFunc(full.AttrNames(), func(a string) bool { return a == "crimerank" || a == "type" })...)
@@ -208,7 +208,7 @@ func TestTargetSchemaChangeSameName(t *testing.T) {
 		t.Errorf("schema matching did not run for the narrowed target:\n%s", transducer.TraceString(steps))
 	}
 	for _, a := range []string{"crimerank", "type"} {
-		if w.Result().Schema.HasAttr(a) {
+		if w.Result().Schema.AttrIndex(a) >= 0 {
 			t.Errorf("the result still has %q: %v", a, w.Result().Schema)
 		}
 	}

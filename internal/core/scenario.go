@@ -131,37 +131,42 @@ func OracleFeedback(sc *datagen.Scenario, result *relation.Relation, budget int,
 	if si < 0 || pi < 0 {
 		return nil
 	}
-	attrs := []string{}
+	// The scored attributes the result has, and their columns.
+	type scored struct {
+		name string
+		col  int
+	}
+	var attrs []scored
 	for _, a := range datagen.ScoredAttributes {
-		if result.Schema.HasAttr(a) {
-			attrs = append(attrs, a)
+		if ai := result.Schema.AttrIndex(a); ai >= 0 {
+			attrs = append(attrs, scored{a, ai})
 		}
 	}
+	cells := result.Cardinality() * len(attrs)
+	type cell struct{ row, attr int }
+	seen := make(map[cell]struct{}, min(budget, cells))
 	var items []feedback.Item
-	seen := map[string]bool{}
-	for len(items) < budget && len(seen) < result.Cardinality()*len(attrs) {
+	for len(items) < budget && len(seen) < cells {
 		row := rng.Intn(result.Cardinality())
-		attr := attrs[rng.Intn(len(attrs))]
-		key := fmt.Sprintf("%d|%s", row, attr)
-		if seen[key] {
+		c := cell{row, rng.Intn(len(attrs))}
+		if _, dup := seen[c]; dup {
 			continue
 		}
-		seen[key] = true
-		street := result.Tuples[row][si].String()
-		postcode := result.Tuples[row][pi].String()
-		if _, ok := sc.Oracle.Lookup(street, postcode); !ok {
+		seen[c] = struct{}{}
+		t, a := result.Tuples[c.row], attrs[c.attr]
+		street, postcode := t[si].String(), t[pi].String()
+		v := t[a.col]
+		correct, known := sc.Oracle.CellCorrect(street, postcode, a.name, v)
+		if !known {
 			items = append(items, feedback.Item{Street: street, Postcode: postcode, Correct: false})
 			continue
 		}
-		ai := result.Schema.AttrIndex(attr)
-		v := result.Tuples[row][ai]
 		if v.IsNull() {
 			continue // nothing to judge
 		}
 		items = append(items, feedback.Item{
-			Street: street, Postcode: postcode, Attr: attr,
-			Correct:  sc.Oracle.CellCorrect(street, postcode, attr, v),
-			Observed: v, HasObserved: true,
+			Street: street, Postcode: postcode, Attr: a.name,
+			Correct: correct, Observed: v, HasObserved: true,
 		})
 	}
 	return items

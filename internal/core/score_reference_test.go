@@ -10,17 +10,39 @@ import (
 	"vada/internal/relation"
 )
 
+// refTruth indexes the scenario's truth relation by address: the
+// trimmed, lower-cased street and the canonical postcode.
+type refTruth struct {
+	schema relation.Schema
+	rows   map[[2]string]relation.Tuple
+}
+
+func refTruthOf(sc *datagen.Scenario) refTruth {
+	sch := sc.Truth.Schema
+	si, pi := sch.AttrIndex("street"), sch.AttrIndex("postcode")
+	rows := make(map[[2]string]relation.Tuple, sc.Truth.Cardinality())
+	for _, t := range sc.Truth.Tuples {
+		rows[refAddr(t[si].String(), t[pi].String())] = t
+	}
+	return refTruth{schema: sch, rows: rows}
+}
+
+func refAddr(street, postcode string) [2]string {
+	return [2]string{strings.ToLower(strings.TrimSpace(street)), datagen.CanonicalPostcode(postcode)}
+}
+
 // refCellCorrect is Oracle.CellCorrect as it was before rows were resolved
-// once: the truth of the cell through Lookup's map of the whole row.
-func refCellCorrect(o *datagen.Oracle, street, postcode, attr string, v relation.Value) bool {
-	truth, ok := o.Lookup(street, postcode)
+// once: the truth of the cell read from the scenario's truth relation.
+func refCellCorrect(truth refTruth, street, postcode, attr string, v relation.Value) bool {
+	row, ok := truth.rows[refAddr(street, postcode)]
 	if !ok {
 		return false
 	}
-	want, ok := truth[attr]
-	if !ok || v.IsNull() {
+	ai := truth.schema.AttrIndex(attr)
+	if ai < 0 || v.IsNull() {
 		return false
 	}
+	want := row[ai]
 	switch attr {
 	case "postcode":
 		return datagen.CanonicalPostcode(v.String()) == want.Str()
@@ -42,14 +64,15 @@ func refCellCorrect(o *datagen.Oracle, street, postcode, attr string, v relation
 // refScoreResult is Oracle.ScoreResult as it was before rows were resolved
 // once: every scored cell looked its address up again, through
 // refCellCorrect. It is the reference of the per-stage score.
-func refScoreResult(o *datagen.Oracle, res *relation.Relation) datagen.Score {
+func refScoreResult(sc *datagen.Scenario, res *relation.Relation) datagen.Score {
 	s := datagen.Score{Rows: res.Cardinality(), Completeness: map[string]float64{}}
 	si := res.Schema.AttrIndex("street")
 	pi := res.Schema.AttrIndex("postcode")
 	if si < 0 || pi < 0 || res.Cardinality() == 0 {
 		return s
 	}
-	found := map[string]bool{}
+	truth := refTruthOf(sc)
+	found := map[[2]string]bool{}
 	addressable := 0
 	cellsTotal, cellsRight := 0, 0
 	valueTotal, valueRight := 0, 0
@@ -57,8 +80,8 @@ func refScoreResult(o *datagen.Oracle, res *relation.Relation) datagen.Score {
 	present := map[string]int{}
 	for _, t := range res.Tuples {
 		street, postcode := t[si].String(), t[pi].String()
-		key := strings.ToLower(strings.TrimSpace(street)) + "|" + datagen.CanonicalPostcode(postcode)
-		_, known := o.Lookup(street, postcode)
+		key := refAddr(street, postcode)
+		_, known := truth.rows[key]
 		if known {
 			addressable++
 			found[key] = true
@@ -74,7 +97,7 @@ func refScoreResult(o *datagen.Oracle, res *relation.Relation) datagen.Score {
 			}
 			if known {
 				cellsTotal++
-				correct := refCellCorrect(o, street, postcode, attr, t[ai])
+				correct := refCellCorrect(truth, street, postcode, attr, t[ai])
 				if correct {
 					cellsRight++
 				}
@@ -88,7 +111,7 @@ func refScoreResult(o *datagen.Oracle, res *relation.Relation) datagen.Score {
 		}
 	}
 	s.AddressablePrecision = float64(addressable) / float64(res.Cardinality())
-	s.Recall = float64(len(found)) / float64(o.Size())
+	s.Recall = float64(len(found)) / float64(len(truth.rows))
 	if s.AddressablePrecision+s.Recall > 0 {
 		s.F1 = 2 * s.AddressablePrecision * s.Recall / (s.AddressablePrecision + s.Recall)
 	}
@@ -143,9 +166,9 @@ func TestScoreResultIsReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				clean, fused := w.ResultClean(), w.Result()
-				sameScore(t, stage, sc.Oracle.ScoreResult(clean), refScoreResult(sc.Oracle, clean))
+				sameScore(t, stage, sc.Oracle.ScoreResult(clean), refScoreResult(sc, clean))
 				// A session scores the fused result, provenance column and all.
-				sameScore(t, stage+" (fused)", sc.Oracle.ScoreResult(fused), refScoreResult(sc.Oracle, clean))
+				sameScore(t, stage+" (fused)", sc.Oracle.ScoreResult(fused), refScoreResult(sc, clean))
 			}
 			check("bootstrap")
 			w.AddDataContext(sc.AddressRef)

@@ -17,7 +17,9 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"vada/internal/relation"
 )
@@ -141,11 +143,10 @@ var (
 		"Clarence", "Denton", "Moss", "Heaton", "Lever", "Portland",
 	}
 	streetSuffixes = []string{"Road", "Street", "Lane", "Avenue", "Close", "Drive", "Grove", "Way"}
-	cities         = []string{"Manchester", "Salford", "Stockport", "Oldham", "Bury", "Rochdale", "Bolton"}
-	cityAreas      = map[string]string{
-		"Manchester": "M", "Salford": "M", "Stockport": "SK", "Oldham": "OL",
-		"Bury": "BL", "Rochdale": "OL", "Bolton": "BL",
-	}
+	// cities and cityAreas are parallel: cityAreas[i] is the postcode area
+	// of cities[i].
+	cities        = []string{"Manchester", "Salford", "Stockport", "Oldham", "Bury", "Rochdale", "Bolton"}
+	cityAreas     = []string{"M", "M", "SK", "OL", "BL", "OL", "BL"}
 	propertyTypes = []string{"detached", "semi-detached", "terraced", "flat", "bungalow"}
 	typeSynonyms  = map[string][]string{
 		"detached":      {"Detached", "detached house", "DETACHED"},
@@ -164,9 +165,21 @@ var (
 	}
 )
 
+// typeCanon maps every canonical property type, and every synonym of one
+// lower-cased and trimmed, to the canonical type: CanonicalType's table.
+var typeCanon = func() map[string]string {
+	m := make(map[string]string)
+	for canon, syns := range typeSynonyms {
+		m[canon] = canon
+		for _, s := range syns {
+			m[strings.ToLower(strings.TrimSpace(s))] = canon
+		}
+	}
+	return m
+}()
+
 // property is the internal clean record.
 type property struct {
-	id        int
 	street    string
 	city      string
 	postcode  string
@@ -178,66 +191,82 @@ type property struct {
 	masterBed int // master bedroom area in m², the paper's error source
 }
 
-// Generate builds a deterministic scenario from cfg.
+// Generate builds a deterministic scenario from cfg. A scenario with
+// properties needs at least one postcode to put them in.
 func Generate(cfg Config) *Scenario {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	var buf []byte
 
-	// Postcodes with crime ranks.
+	// Postcodes with crime ranks; below, a postcode is its index.
 	postcodes := make([]string, 0, cfg.NPostcodes)
-	pcCity := make(map[string]string, cfg.NPostcodes)
-	pcCrime := make(map[string]int, cfg.NPostcodes)
-	seenPC := map[string]bool{}
+	pcCity := make([]string, 0, cfg.NPostcodes)
+	pcCrime := make([]int, 0, cfg.NPostcodes)
+	seenPC := make(map[string]struct{}, cfg.NPostcodes)
 	for len(postcodes) < cfg.NPostcodes {
-		city := cities[rng.Intn(len(cities))]
-		area := cityAreas[city]
-		pc := fmt.Sprintf("%s%d %d%c%c", area, 1+rng.Intn(30), 1+rng.Intn(9),
-			'A'+rune(rng.Intn(26)), 'A'+rune(rng.Intn(26)))
-		if seenPC[pc] {
+		city := rng.Intn(len(cities))
+		buf = append(buf[:0], cityAreas[city]...)
+		buf = strconv.AppendInt(buf, int64(1+rng.Intn(30)), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(1+rng.Intn(9)), 10)
+		buf = append(buf, 'A'+byte(rng.Intn(26)))
+		buf = append(buf, 'A'+byte(rng.Intn(26)))
+		if _, dup := seenPC[string(buf)]; dup {
 			continue
 		}
-		seenPC[pc] = true
+		pc := string(buf)
+		seenPC[pc] = struct{}{}
 		postcodes = append(postcodes, pc)
-		pcCity[pc] = city
-		pcCrime[pc] = 1 + rng.Intn(32000)
+		pcCity = append(pcCity, cities[city])
+		pcCrime = append(pcCrime, 1+rng.Intn(32000))
 	}
 
-	// Ground-truth properties.
+	// Ground-truth properties, no two at one address. A street is its
+	// number, base and suffix, so those and the postcode name an address.
+	type address struct{ postcode, number, base, suffix int }
 	props := make([]property, 0, cfg.NProperties)
-	seenAddr := map[string]bool{}
+	seenAddr := make(map[address]struct{}, cfg.NProperties)
 	for len(props) < cfg.NProperties {
-		pc := postcodes[rng.Intn(len(postcodes))]
-		street := fmt.Sprintf("%d %s %s", 1+rng.Intn(150),
-			streetBases[rng.Intn(len(streetBases))],
-			streetSuffixes[rng.Intn(len(streetSuffixes))])
-		key := street + "|" + pc
-		if seenAddr[key] {
+		a := address{postcode: rng.Intn(len(postcodes))}
+		a.number = 1 + rng.Intn(150)
+		a.base = rng.Intn(len(streetBases))
+		a.suffix = rng.Intn(len(streetSuffixes))
+		if _, dup := seenAddr[a]; dup {
 			continue
 		}
-		seenAddr[key] = true
-		beds := 1 + rng.Intn(5)
-		price := float64(80_000+rng.Intn(720_000)) / 1000
-		price = price * 1000
+		seenAddr[a] = struct{}{}
+		buf = strconv.AppendInt(buf[:0], int64(a.number), 10)
+		buf = append(buf, ' ')
+		buf = append(buf, streetBases[a.base]...)
+		buf = append(buf, ' ')
+		buf = append(buf, streetSuffixes[a.suffix]...)
 		p := property{
-			id:        len(props),
-			street:    street,
-			city:      pcCity[pc],
-			postcode:  pc,
-			bedrooms:  beds,
-			price:     price,
-			ptype:     propertyTypes[rng.Intn(len(propertyTypes))],
-			crimerank: pcCrime[pc],
-			masterBed: 9 + rng.Intn(22),
+			street:    string(buf),
+			city:      pcCity[a.postcode],
+			postcode:  postcodes[a.postcode],
+			bedrooms:  1 + rng.Intn(5),
+			crimerank: pcCrime[a.postcode],
 		}
-		p.desc = fmt.Sprintf("A %s %d bedroom %s with %s.",
-			descAdjectives[rng.Intn(len(descAdjectives))], beds, p.ptype,
-			descFeatures[rng.Intn(len(descFeatures))])
+		p.price = float64(80_000+rng.Intn(720_000)) / 1000
+		p.price = p.price * 1000
+		p.ptype = propertyTypes[rng.Intn(len(propertyTypes))]
+		p.masterBed = 9 + rng.Intn(22)
+		buf = append(buf[:0], "A "...)
+		buf = append(buf, descAdjectives[rng.Intn(len(descAdjectives))]...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(p.bedrooms), 10)
+		buf = append(buf, " bedroom "...)
+		buf = append(buf, p.ptype...)
+		buf = append(buf, " with "...)
+		buf = append(buf, descFeatures[rng.Intn(len(descFeatures))]...)
+		buf = append(buf, '.')
+		p.desc = string(buf)
 		props = append(props, p)
 	}
 
 	sc := &Scenario{Config: cfg}
 	sc.buildTruth(props)
-	sc.buildRightmove(props, rng)
-	sc.buildOnTheMarket(props, rng)
+	sc.Rightmove = portal(RightmoveSchema(), props, cfg, cfg.RightmoveCoverage, rng)
+	sc.OnTheMarket = portal(OnTheMarketSchema(), props, cfg, cfg.OnTheMarketCoverage, rng)
 	sc.buildDeprivation(postcodes, pcCrime, rng)
 	sc.buildAddressRef(props, rng)
 	sc.Oracle = newOracle(props)
@@ -247,17 +276,22 @@ func Generate(cfg Config) *Scenario {
 func (sc *Scenario) buildTruth(props []property) {
 	truth := relation.New(relation.NewSchema("truth",
 		"type", "description", "street", "city", "postcode", "bedrooms:int", "price:float", "crimerank:int"))
+	truth.Tuples = make([]relation.Tuple, 0, len(props))
 	for _, p := range props {
-		truth.MustAppend(p.ptype, p.desc, p.street, p.city, p.postcode, p.bedrooms, p.price, p.crimerank)
+		truth.Tuples = append(truth.Tuples, relation.Tuple{
+			relation.String(p.ptype), relation.String(p.desc), relation.String(p.street),
+			relation.String(p.city), relation.String(p.postcode), relation.Int(int64(p.bedrooms)),
+			relation.Float(p.price), relation.Int(int64(p.crimerank))})
 	}
 	sc.Truth = truth
 }
 
-func (sc *Scenario) buildRightmove(props []property, rng *rand.Rand) {
-	cfg := sc.Config
-	r := relation.New(RightmoveSchema())
+// portal is one estate portal's noisy extraction of the properties it
+// lists; both portals draw the same noise, under their own schemas.
+func portal(schema relation.Schema, props []property, cfg Config, coverage float64, rng *rand.Rand) *relation.Relation {
+	r := relation.New(schema)
 	for _, p := range props {
-		if rng.Float64() >= cfg.RightmoveCoverage {
+		if rng.Float64() >= coverage {
 			continue
 		}
 		price := noisyPrice(p.price, cfg, rng)
@@ -268,51 +302,29 @@ func (sc *Scenario) buildRightmove(props []property, rng *rand.Rand) {
 		desc := maybeNull(relation.String(p.desc), cfg.NullRate, rng)
 		r.Tuples = append(r.Tuples, relation.Tuple{price, street, postcode, beds, ptype, desc})
 	}
-	sc.Rightmove = r
+	return r
 }
 
-func (sc *Scenario) buildOnTheMarket(props []property, rng *rand.Rand) {
-	cfg := sc.Config
-	r := relation.New(OnTheMarketSchema())
-	for _, p := range props {
-		if rng.Float64() >= cfg.OnTheMarketCoverage {
-			continue
-		}
-		price := noisyPrice(p.price, cfg, rng)
-		street := noisyStreet(p.street, cfg, rng)
-		postcode := noisyPostcode(p.postcode, cfg, rng)
-		beds := noisyBedrooms(p, cfg, rng)
-		ptype := noisyType(p.ptype, cfg, rng)
-		desc := maybeNull(relation.String(p.desc), cfg.NullRate, rng)
-		r.Tuples = append(r.Tuples, relation.Tuple{price, street, postcode, beds, ptype, desc})
-	}
-	sc.OnTheMarket = r
-}
-
-func (sc *Scenario) buildDeprivation(postcodes []string, pcCrime map[string]int, rng *rand.Rand) {
+func (sc *Scenario) buildDeprivation(postcodes []string, pcCrime []int, rng *rand.Rand) {
 	r := relation.New(DeprivationSchema())
-	for _, pc := range postcodes {
+	for i, pc := range postcodes {
 		if rng.Float64() >= sc.Config.DeprivationCoverage {
 			continue
 		}
-		r.MustAppend(pc, pcCrime[pc])
+		r.Tuples = append(r.Tuples, relation.Tuple{relation.String(pc), relation.Int(int64(pcCrime[i]))})
 	}
 	sc.Deprivation = r
 }
 
+// buildAddressRef lists each property's address once: no two properties
+// share one (Generate draws them so).
 func (sc *Scenario) buildAddressRef(props []property, rng *rand.Rand) {
 	r := relation.New(AddressSchema())
-	seen := map[string]bool{}
 	for _, p := range props {
 		if rng.Float64() >= sc.Config.AddressRefCoverage {
 			continue
 		}
-		key := p.street + "|" + p.postcode
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		r.MustAppend(p.street, p.city, p.postcode)
+		r.Tuples = append(r.Tuples, relation.Tuple{relation.String(p.street), relation.String(p.city), relation.String(p.postcode)})
 	}
 	sc.AddressRef = r
 }
@@ -333,28 +345,34 @@ func noisyPrice(price float64, cfg Config, rng *rand.Rand) relation.Value {
 		return relation.Null()
 	}
 	if rng.Float64() < cfg.FormatNoiseRate {
+		var buf [32]byte
+		var b []byte
+		n := int(price)
 		switch rng.Intn(3) {
 		case 0:
-			return relation.String(fmt.Sprintf("£%s", thousands(int(price))))
+			b = appendThousands(append(buf[:0], "£"...), n)
 		case 1:
-			return relation.String(thousands(int(price)))
+			b = appendThousands(buf[:0], n)
 		default:
-			return relation.String(fmt.Sprintf("£%d", int(price)))
+			b = strconv.AppendInt(append(buf[:0], "£"...), int64(n), 10)
 		}
+		return relation.String(string(b))
 	}
 	return relation.Float(price)
 }
 
-func thousands(n int) string {
-	s := fmt.Sprint(n)
-	var b strings.Builder
+// appendThousands appends n in decimal with a comma before every third digit
+// from the right.
+func appendThousands(dst []byte, n int) []byte {
+	var digits [24]byte
+	s := strconv.AppendInt(digits[:0], int64(n), 10)
 	for i, c := range s {
 		if i > 0 && (len(s)-i)%3 == 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteRune(c)
+		dst = append(dst, c)
 	}
-	return b.String()
+	return dst
 }
 
 func noisyStreet(street string, cfg Config, rng *rand.Rand) relation.Value {
@@ -426,45 +444,76 @@ func typo(s string, rng *rand.Rand) string {
 	return string(runes)
 }
 
+// --- canonicalisation ----------------------------------------------------
+
 // CanonicalPostcode normalises a postcode for comparison: upper case, single
-// internal space before the final three characters.
+// internal space before the final three characters. A postcode already in
+// that form is returned as it is.
 func CanonicalPostcode(pc string) string {
-	s := strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(pc), " ", ""))
-	if len(s) < 4 {
-		return s
+	var buf [16]byte
+	b := appendCanonicalPostcode(buf[:0], pc)
+	if string(b) == pc {
+		return pc
 	}
-	return s[:len(s)-3] + " " + s[len(s)-3:]
+	return string(b)
+}
+
+// appendCanonicalPostcode appends CanonicalPostcode(pc) to dst: the trimmed
+// postcode without its spaces, upper-cased, split by one space before its
+// last three bytes when it has at least four.
+func appendCanonicalPostcode(dst []byte, pc string) []byte {
+	s := strings.TrimSpace(pc)
+	start := len(dst)
+	if isASCII(s) {
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			if c == ' ' {
+				continue
+			}
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			dst = append(dst, c)
+		}
+	} else {
+		dst = append(dst, strings.ToUpper(strings.ReplaceAll(s, " ", ""))...)
+	}
+	n := len(dst) - start
+	if n < 4 {
+		return dst
+	}
+	dst = append(dst, 0)
+	copy(dst[len(dst)-3:], dst[len(dst)-4:len(dst)-1])
+	dst[len(dst)-4] = ' '
+	return dst
 }
 
 // CanonicalType maps a portal's property-type spelling to the canonical
 // vocabulary, or returns the lower-cased input when unknown.
 func CanonicalType(t string) string {
-	l := strings.ToLower(strings.TrimSpace(t))
-	for canon, syns := range typeSynonyms {
-		if l == canon {
+	s := strings.TrimSpace(t)
+	if !isASCII(s) {
+		l := strings.ToLower(s)
+		if canon, ok := typeCanon[l]; ok {
 			return canon
 		}
-		for _, s := range syns {
-			if l == strings.ToLower(strings.TrimSpace(s)) {
-				return canon
-			}
-		}
+		return l
 	}
-	switch l {
-	case "semi", "semi detached":
-		return "semi-detached"
-	case "apartment":
-		return "flat"
-	case "terrace", "mid-terrace":
-		return "terraced"
-	case "detached house":
-		return "detached"
+	var buf [32]byte
+	l := appendLowerASCII(buf[:0], s)
+	if canon, ok := typeCanon[string(l)]; ok {
+		return canon
 	}
-	return l
+	if string(l) == s {
+		return s
+	}
+	return string(l)
 }
 
 // ParsePrice extracts a numeric price from noisy renderings such as
-// "£250,000"; ok is false for unparseable or missing prices.
+// "£250,000"; ok is false for unparseable or missing prices. Text that is
+// not digits and thousands separators is read by fmt's %f, which takes a
+// number at its start ("12 High St" is 12) and reads "inf" and "NaN".
 func ParsePrice(v relation.Value) (float64, bool) {
 	if f, ok := v.AsFloat(); ok {
 		return f, true
@@ -474,6 +523,14 @@ func ParsePrice(v relation.Value) (float64, bool) {
 	}
 	s := strings.TrimSpace(v.Str())
 	s = strings.TrimPrefix(s, "£")
+	var buf [32]byte
+	if digits, ok := appendDigits(buf[:0], s); ok {
+		f, err := strconv.ParseFloat(string(digits), 64)
+		if err != nil {
+			return 0, false
+		}
+		return f, true
+	}
 	s = strings.ReplaceAll(s, ",", "")
 	if s == "" || strings.EqualFold(s, "POA") {
 		return 0, false
@@ -483,4 +540,41 @@ func ParsePrice(v relation.Value) (float64, bool) {
 		return 0, false
 	}
 	return f, true
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// appendDigits appends the digits of s to dst, dropping its commas; ok is
+// false unless s holds nothing else and at least one digit.
+func appendDigits(dst []byte, s string) (digits []byte, ok bool) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			dst = append(dst, c)
+			ok = true
+		case c != ',':
+			return dst, false
+		}
+	}
+	return dst, ok
+}
+
+// appendLowerASCII appends the ASCII string s lower-cased, as
+// strings.ToLower would.
+func appendLowerASCII(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +92,7 @@ func TestSourceSchemasMatchPaper(t *testing.T) {
 	if got := sc.Rightmove.Schema.AttrNames(); len(got) != 6 || got[0] != "price" || got[5] != "description" {
 		t.Fatalf("rightmove schema %v", got)
 	}
-	if !sc.OnTheMarket.Schema.HasAttr("asking_price") || !sc.OnTheMarket.Schema.HasAttr("post_code") {
+	if sc.OnTheMarket.Schema.AttrIndex("asking_price") < 0 || sc.OnTheMarket.Schema.AttrIndex("post_code") < 0 {
 		t.Fatalf("onthemarket should use divergent names: %v", sc.OnTheMarket.Schema)
 	}
 	if sc.Deprivation.Schema.Arity() != 2 {
@@ -198,18 +199,19 @@ func TestOracleLookup(t *testing.T) {
 	tp := sc.Truth.Tuples[0]
 	street := tp[sc.Truth.Schema.AttrIndex("street")].Str()
 	pc := tp[sc.Truth.Schema.AttrIndex("postcode")].Str()
-	truth, ok := sc.Oracle.Lookup(street, pc)
-	if !ok {
+	crimerank := tp[sc.Truth.Schema.AttrIndex("crimerank")]
+	correct, known := sc.Oracle.CellCorrect(street, pc, "crimerank", crimerank)
+	if !known {
 		t.Fatal("oracle should know ground-truth address")
 	}
-	if truth["crimerank"].IsNull() {
+	if !correct {
 		t.Fatal("oracle should supply crimerank")
 	}
 	// Case/spacing robust.
-	if _, ok := sc.Oracle.Lookup(street, CanonicalPostcode(pc+" ")); !ok {
+	if _, known := sc.Oracle.CellCorrect(strings.ToUpper(street)+" ", strings.ToLower(pc)+" ", "crimerank", crimerank); !known {
 		t.Fatal("oracle lookup should be canonicalised")
 	}
-	if _, ok := sc.Oracle.Lookup("1 Nowhere Xy", pc); ok {
+	if _, known := sc.Oracle.CellCorrect("1 Nowhere Xy", pc, "crimerank", crimerank); known {
 		t.Fatal("unknown street should miss")
 	}
 }
@@ -224,25 +226,29 @@ func TestOracleCellCorrect(t *testing.T) {
 	price := tp[sch.AttrIndex("price")]
 	ptype := tp[sch.AttrIndex("type")].Str()
 
-	if !sc.Oracle.CellCorrect(street, pc, "bedrooms", beds) {
+	cellCorrect := func(street, pc, attr string, v relation.Value) bool {
+		correct, _ := sc.Oracle.CellCorrect(street, pc, attr, v)
+		return correct
+	}
+	if !cellCorrect(street, pc, "bedrooms", beds) {
 		t.Error("true bedrooms should verify")
 	}
-	if sc.Oracle.CellCorrect(street, pc, "bedrooms", relation.Int(beds.IntVal()+1)) {
+	if cellCorrect(street, pc, "bedrooms", relation.Int(beds.IntVal()+1)) {
 		t.Error("wrong bedrooms should fail")
 	}
-	if !sc.Oracle.CellCorrect(street, pc, "price", relation.String("£"+thousands(int(price.FloatVal())))) {
+	if !cellCorrect(street, pc, "price", relation.String("£"+string(appendThousands(nil, int(price.FloatVal()))))) {
 		t.Error("formatted price should verify after canonicalisation")
 	}
 	// Type synonyms verify.
 	for _, syn := range typeSynonyms[ptype] {
-		if !sc.Oracle.CellCorrect(street, pc, "type", relation.String(syn)) {
+		if !cellCorrect(street, pc, "type", relation.String(syn)) {
 			t.Errorf("synonym %q of %q should verify", syn, ptype)
 		}
 	}
-	if sc.Oracle.CellCorrect(street, pc, "bedrooms", relation.Null()) {
+	if cellCorrect(street, pc, "bedrooms", relation.Null()) {
 		t.Error("null never verifies")
 	}
-	if sc.Oracle.CellCorrect(street, pc, "ghost", relation.Int(1)) {
+	if cellCorrect(street, pc, "ghost", relation.Int(1)) {
 		t.Error("unknown attribute never verifies")
 	}
 }
@@ -313,4 +319,31 @@ func TestPropNoiseMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzScenarioCanonicalDifferential holds CanonicalPostcode, CanonicalType
+// and ParsePrice to their references (reference_test.go) on any text.
+func FuzzScenarioCanonicalDifferential(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "M1 1AA", "m1 1aa", "M11AA", " sk4 2bb\t", "\tOL1 1AB", "X", "ab c", "a b c d",
+		"semi", "Semi-Detached", " bungalow ", "DETACHED", "castle", "Flat", "İstanbul", "ﬂat", "Kent",
+		"£250,000", "250,000", "£250000", "POA", "poa", "12 High St", "inf", "NaN", "-12", "+7", "1e5",
+		"0x1p3", "1_000", "007", "1.5", ".5", "£", ",,,", " m1 1aa ", "ｍ１ １ａａ", "m1\t1aa",
+		"\xff\xfe", "ß", strings.Repeat("9", 400),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := CanonicalPostcode(s), canonicalPostcodeReference(s); got != want {
+			t.Fatalf("CanonicalPostcode(%q) = %q, reference %q", s, got, want)
+		}
+		if got, want := CanonicalType(s), canonicalTypeReference(s); got != want {
+			t.Fatalf("CanonicalType(%q) = %q, reference %q", s, got, want)
+		}
+		got, gotOK := ParsePrice(relation.String(s))
+		want, wantOK := parsePriceReference(relation.String(s))
+		if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ParsePrice(%q) = %v, %v; reference %v, %v", s, got, gotOK, want, wantOK)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"encoding/binary"
+	"slices"
 	"strings"
 
 	"vada/internal/relation"
@@ -11,7 +13,8 @@ import (
 // produce feedback annotations and to score results, exactly as the paper's
 // demo relied on the audience recognising wrong bedroom counts.
 type Oracle struct {
-	byAddr map[addr]oracleRow
+	rows   []oracleRow
+	byAddr map[string]int32 // an address's key (appendAddrKey) → its row
 }
 
 type oracleRow struct {
@@ -25,102 +28,122 @@ type oracleRow struct {
 	crimerank int
 }
 
-// addr is a (street, postcode) lookup key robust to the generator's case and
-// spacing noise (but not to typos; typo'd streets are genuinely unresolvable
-// without repair, as in reality). Its parts are compared apart.
-type addr struct{ street, postcode string }
-
-// addrKey canonicalises a street and a postcode into their addr.
-func addrKey(street, postcode string) addr {
-	return addr{strings.ToLower(strings.TrimSpace(street)), CanonicalPostcode(postcode)}
+// appendAddrKey appends the lookup key of a (street, postcode) pair: the
+// length of the trimmed, lower-cased street, that street, and the canonical
+// postcode. It is robust to the generator's case and spacing noise (but not
+// to typos; typo'd streets are genuinely unresolvable without repair, as in
+// reality), and the length keeps the two parts apart.
+func appendAddrKey(dst []byte, street, postcode string) []byte {
+	s := strings.TrimSpace(street)
+	if isASCII(s) {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = appendLowerASCII(dst, s)
+	} else {
+		l := strings.ToLower(s)
+		dst = binary.AppendUvarint(dst, uint64(len(l)))
+		dst = append(dst, l...)
+	}
+	return appendCanonicalPostcode(dst, postcode)
 }
 
+// newOracle indexes the properties, which are at distinct addresses.
 func newOracle(props []property) *Oracle {
-	o := &Oracle{byAddr: make(map[addr]oracleRow, len(props))}
-	for _, p := range props {
-		o.byAddr[addrKey(p.street, p.postcode)] = oracleRow{
+	o := &Oracle{rows: make([]oracleRow, len(props)), byAddr: make(map[string]int32, len(props))}
+	var buf []byte
+	for i, p := range props {
+		o.rows[i] = oracleRow{
 			ptype: p.ptype, desc: p.desc, street: p.street, city: p.city,
 			postcode: p.postcode, bedrooms: p.bedrooms, price: p.price,
 			crimerank: p.crimerank,
 		}
+		buf = appendAddrKey(buf[:0], p.street, p.postcode)
+		o.byAddr[string(buf)] = int32(i)
 	}
 	return o
+}
+
+// resolve finds the row of the property at an address.
+func (o *Oracle) resolve(street, postcode string) (row int, ok bool) {
+	var buf [64]byte
+	i, ok := o.byAddr[string(appendAddrKey(buf[:0], street, postcode))]
+	return int(i), ok
 }
 
 // Size returns the number of ground-truth properties.
 func (o *Oracle) Size() int { return len(o.byAddr) }
 
-// oracleAttrs are the attributes the oracle knows a true value of.
+// oracleAttrs are the attributes the oracle knows a true value of. An
+// attribute is its index here, which the constants below name.
 var oracleAttrs = []string{"type", "description", "street", "city", "postcode", "bedrooms", "price", "crimerank"}
 
-// value is the row's true value of attr; ok is false for an attribute the
-// oracle does not know.
-func (row oracleRow) value(attr string) (v relation.Value, ok bool) {
+const (
+	attrType = iota
+	attrDescription
+	attrStreet
+	attrCity
+	attrPostcode
+	attrBedrooms
+	attrPrice
+	attrCrimerank
+)
+
+// value is the row's true value of a known attribute.
+func (row *oracleRow) value(attr int) relation.Value {
 	switch attr {
-	case "type":
-		return relation.String(row.ptype), true
-	case "description":
-		return relation.String(row.desc), true
-	case "street":
-		return relation.String(row.street), true
-	case "city":
-		return relation.String(row.city), true
-	case "postcode":
-		return relation.String(row.postcode), true
-	case "bedrooms":
-		return relation.Int(int64(row.bedrooms)), true
-	case "price":
-		return relation.Float(row.price), true
-	case "crimerank":
-		return relation.Int(int64(row.crimerank)), true
+	case attrType:
+		return relation.String(row.ptype)
+	case attrDescription:
+		return relation.String(row.desc)
+	case attrStreet:
+		return relation.String(row.street)
+	case attrCity:
+		return relation.String(row.city)
+	case attrPostcode:
+		return relation.String(row.postcode)
+	case attrBedrooms:
+		return relation.Int(int64(row.bedrooms))
+	case attrPrice:
+		return relation.Float(row.price)
+	default:
+		return relation.Int(int64(row.crimerank))
 	}
-	return relation.Value{}, false
 }
 
-// Lookup finds the ground-truth values for an address. ok is false when the
-// address does not identify a real property (e.g. typo'd street).
-func (o *Oracle) Lookup(street, postcode string) (map[string]relation.Value, bool) {
-	row, ok := o.byAddr[addrKey(street, postcode)]
-	if !ok {
-		return nil, false
+// CellCorrect checks a result cell against ground truth; known is false
+// when the address does not identify a real property (e.g. typo'd street),
+// and then correct is false too. Unknown attributes and null cells are not
+// correct. Values are compared after canonicalisation (postcode spacing,
+// type synonyms, price formats).
+func (o *Oracle) CellCorrect(street, postcode, attr string, v relation.Value) (correct, known bool) {
+	i, known := o.resolve(street, postcode)
+	if !known {
+		return false, false
 	}
-	truth := make(map[string]relation.Value, len(oracleAttrs))
-	for _, attr := range oracleAttrs {
-		truth[attr], _ = row.value(attr)
-	}
-	return truth, true
-}
-
-// CellCorrect checks a result cell against ground truth. Unknown addresses
-// and unknown attributes report false. Values are compared after
-// canonicalisation (postcode spacing, type synonyms, price formats).
-func (o *Oracle) CellCorrect(street, postcode, attr string, v relation.Value) bool {
-	row, ok := o.byAddr[addrKey(street, postcode)]
-	return ok && row.correct(attr, v)
+	return o.rows[i].correct(slices.Index(oracleAttrs, attr), v), true
 }
 
 // correct is CellCorrect for the row an address resolved to.
-func (row oracleRow) correct(attr string, v relation.Value) bool {
-	want, ok := row.value(attr)
-	if !ok || v.IsNull() {
+func (row *oracleRow) correct(attr int, v relation.Value) bool {
+	if attr < 0 || v.IsNull() {
 		return false
 	}
 	switch attr {
-	case "postcode":
-		return CanonicalPostcode(v.String()) == want.Str()
-	case "type":
-		return CanonicalType(v.String()) == want.Str()
-	case "price":
+	case attrPostcode:
+		var buf [16]byte
+		return string(appendCanonicalPostcode(buf[:0], v.String())) == row.postcode
+	case attrType:
+		return CanonicalType(v.String()) == row.ptype
+	case attrPrice:
 		f, ok := ParsePrice(v)
-		return ok && f == want.FloatVal()
-	case "street":
-		return strings.EqualFold(strings.TrimSpace(v.String()), want.Str())
-	default:
-		if cv, ok := relation.Coerce(v, want.Kind()); ok {
-			return cv.Equal(want)
-		}
-		return v.Equal(want)
+		return ok && f == row.price
+	case attrStreet:
+		return strings.EqualFold(strings.TrimSpace(v.String()), row.street)
 	}
+	want := row.value(attr)
+	if cv, ok := relation.Coerce(v, want.Kind()); ok {
+		return cv.Equal(want)
+	}
+	return v.Equal(want)
 }
 
 // Score measures a target-shaped result relation against the ground truth.
@@ -158,41 +181,46 @@ func (o *Oracle) ScoreResult(res *relation.Relation) Score {
 	if si < 0 || pi < 0 || res.Cardinality() == 0 {
 		return s
 	}
-	found := map[addr]bool{}
-	addressable := 0
+	// Each scored attribute's column in res (-1 when it has none), its
+	// index among the oracle's attributes, and its non-null cells.
+	type scored struct{ col, attr, nonNull int }
+	attrs := make([]scored, len(ScoredAttributes))
+	for i, name := range ScoredAttributes {
+		attrs[i] = scored{col: res.Schema.AttrIndex(name), attr: slices.Index(oracleAttrs, name)}
+	}
+	found := make([]bool, len(o.rows))
+	recalled, addressable := 0, 0
 	cellsTotal, cellsRight := 0, 0
 	valueTotal, valueRight := 0, 0
-	nonNull := map[string]int{}
-	present := map[string]int{}
 
 	// Each row is resolved once, and its cells compared with the true row.
-	cols := make([]int, len(ScoredAttributes))
-	for i, attr := range ScoredAttributes {
-		cols[i] = res.Schema.AttrIndex(attr)
-	}
 	for _, t := range res.Tuples {
-		key := addrKey(t[si].String(), t[pi].String())
-		row, known := o.byAddr[key]
+		ri, known := o.resolve(t[si].String(), t[pi].String())
+		var row *oracleRow
 		if known {
 			addressable++
-			found[key] = true
+			if !found[ri] {
+				found[ri] = true
+				recalled++
+			}
+			row = &o.rows[ri]
 		}
-		for i, attr := range ScoredAttributes {
-			ai := cols[i]
-			if ai < 0 {
+		for i := range attrs {
+			a := &attrs[i]
+			if a.col < 0 {
 				continue
 			}
-			present[attr]++
-			if !t[ai].IsNull() {
-				nonNull[attr]++
+			v := t[a.col]
+			if !v.IsNull() {
+				a.nonNull++
 			}
 			if known {
 				cellsTotal++
-				correct := row.correct(attr, t[ai])
+				correct := row.correct(a.attr, v)
 				if correct {
 					cellsRight++
 				}
-				if !t[ai].IsNull() {
+				if !v.IsNull() {
 					valueTotal++
 					if correct {
 						valueRight++
@@ -202,7 +230,7 @@ func (o *Oracle) ScoreResult(res *relation.Relation) Score {
 		}
 	}
 	s.AddressablePrecision = float64(addressable) / float64(res.Cardinality())
-	s.Recall = float64(len(found)) / float64(len(o.byAddr))
+	s.Recall = float64(recalled) / float64(len(o.byAddr))
 	if s.AddressablePrecision+s.Recall > 0 {
 		s.F1 = 2 * s.AddressablePrecision * s.Recall / (s.AddressablePrecision + s.Recall)
 	}
@@ -212,9 +240,10 @@ func (o *Oracle) ScoreResult(res *relation.Relation) Score {
 	if valueTotal > 0 {
 		s.ValueAccuracy = float64(valueRight) / float64(valueTotal)
 	}
-	for attr, n := range present {
-		if n > 0 {
-			s.Completeness[attr] = float64(nonNull[attr]) / float64(n)
+	// Every row has a cell in each attribute res has.
+	for i, a := range attrs {
+		if a.col >= 0 {
+			s.Completeness[ScoredAttributes[i]] = float64(a.nonNull) / float64(res.Cardinality())
 		}
 	}
 	return s

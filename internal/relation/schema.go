@@ -71,9 +71,6 @@ func (s Schema) AttrIndex(name string) int {
 	return -1
 }
 
-// HasAttr reports whether the schema contains the named attribute.
-func (s Schema) HasAttr(name string) bool { return s.AttrIndex(name) >= 0 }
-
 // AttrNames returns the attribute names in order.
 func (s Schema) AttrNames() []string {
 	names := make([]string, len(s.Attrs))

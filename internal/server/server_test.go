@@ -2094,6 +2094,40 @@ func TestImportScenarioBounds(t *testing.T) {
 	}
 }
 
+// TestImportScenarioWithoutPostcodes: a snapshot whose scenario has
+// properties but no postcode to put them in cannot be generated. Its import
+// answers 400, and the server goes on serving.
+func TestImportScenarioWithoutPostcodes(t *testing.T) {
+	s, ts := journalServer(t, t.TempDir())
+	t.Cleanup(s.Close)
+	cfg := datagen.DefaultConfig()
+	cfg.NProperties, cfg.NPostcodes = 10, 0
+	var buf bytes.Buffer
+	if err := store.WriteSessionSnapshot(&buf, &store.SessionSnapshot{
+		Meta: store.Meta{ID: "no-postcodes", Scenario: &cfg},
+		KB:   kb.New(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/sessions/import", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatalf("import: %v (the request got no answer)", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("import: %s (%s), want 400", resp.Status, msg)
+	}
+	resp, err = http.Get(ts.URL + "/api/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the import: %s", resp.Status)
+	}
+}
+
 // journalServer builds the full production wiring — durability included —
 // over a data directory, exactly as main does. It is not closed at the end:
 // a test that wants a graceful shutdown closes it, and one that does not is

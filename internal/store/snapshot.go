@@ -290,6 +290,11 @@ func restoreSession(snap *SessionSnapshot, opts ...session.Option) (*session.Ses
 		return nil, fmt.Errorf("%w: negative scenario size (%d properties, %d postcodes)",
 			ErrBadSnapshot, cfg.NProperties, cfg.NPostcodes)
 	}
+	if cfg := snap.Meta.Scenario; cfg != nil && cfg.NProperties > 0 && cfg.NPostcodes == 0 {
+		// Generation puts every property in a postcode.
+		return nil, fmt.Errorf("%w: scenario has %d properties and no postcode",
+			ErrBadSnapshot, cfg.NProperties)
+	}
 	var w *core.Wrangler
 	sessOpts := []session.Option{
 		session.WithName(snap.Meta.Name),

@@ -31,7 +31,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if res == nil || res.Cardinality() != 2 {
 		t.Fatalf("result = %v", res)
 	}
-	if !res.Schema.HasAttr("name") || !res.Schema.HasAttr("price") {
+	if res.Schema.AttrIndex("name") < 0 || res.Schema.AttrIndex("price") < 0 {
 		t.Fatalf("schema = %v", res.Schema)
 	}
 }
